@@ -31,7 +31,8 @@
 //! `sig_wait` parks on the fabric's event bell instead of a simulated
 //! scheduler. Local PUT completion is buffered-send: the local signal
 //! receives a single `-1` when the message has been posted (payload
-//! snapshot taken), matching the simnet engine's buffered semantics.
+//! copied out of the region into its frame), matching the simnet
+//! engine's buffered semantics.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -320,6 +321,10 @@ impl NetUnr {
                 .name(name)
                 .spawn(move || {
                     while !stop.load(Ordering::Relaxed) {
+                        // Epoch first, work second: a frame applied
+                        // during the pass moves the epoch past `seen`
+                        // and the sleep below returns at once.
+                        let seen = fabric.event_epoch();
                         let mut drained = 0u64;
                         while let Some((src, bytes)) = fabric.pop_ctrl() {
                             handle_ctrl(&fabric, &table, &rel, epoch, src, &bytes);
@@ -330,10 +335,11 @@ impl NetUnr {
                             if let Some(c) = &ctrl_msgs {
                                 c.add(drained);
                             }
-                            // Signals may have fired: wake sig_wait parkers.
+                            // Signals may have fired: wake sig_wait
+                            // parkers — and go round again rather than
+                            // sleep, more is likely on its way.
                             fabric.ring_bell();
-                        }
-                        if !fabric.wait_event(Duration::from_millis(1)) {
+                        } else if !fabric.wait_event_since(seen, Duration::from_millis(1)) {
                             fabric.met.wait_timeouts.inc();
                         }
                     }
@@ -590,7 +596,6 @@ impl NetUnr {
         let mut off = 0usize;
         for (i, addend) in addends.iter().enumerate() {
             let chunk = base + usize::from(i < rem);
-            let data = region.snapshot(local.offset + off, chunk);
             let nic = self.pick_nic(i);
             if self.reliable {
                 self.post_reliable(
@@ -599,7 +604,7 @@ impl NetUnr {
                     remote.offset + off,
                     remote_sig.raw(),
                     *addend,
-                    &data,
+                    &region.snapshot(local.offset + off, chunk),
                     nic,
                 )?;
             } else {
@@ -611,13 +616,16 @@ impl NetUnr {
                         remote.region_id,
                         (remote.offset + off) as u64,
                         custom,
-                        &data,
+                        &region,
+                        local.offset + off,
+                        chunk,
                     )
                     .map_err(|_| self.peer_failed(remote.rank, PeerFailedCause::Killed))?;
             }
             off += chunk;
         }
-        // Buffered-send local completion: payload snapshots are taken.
+        // Buffered-send local completion: every payload byte has been
+        // copied out of the region.
         self.table.apply_counted(local_sig.raw(), -1);
         self.fabric.ring_bell();
         Ok(())
@@ -853,6 +861,9 @@ impl NetUnr {
         self.agg_flush_all(FlushWhy::Wait)?;
         let start = Instant::now();
         loop {
+            // Sampled before the predicate, so a frame applied between
+            // `sig.test()` and the sleep is not slept through.
+            let seen = self.fabric.event_epoch();
             if sig.overflowed() {
                 self.table
                     .stats
@@ -874,7 +885,7 @@ impl NetUnr {
                     waited: waited.as_nanos() as unr_simnet::Ns,
                 });
             }
-            if !self.fabric.wait_event(Duration::from_millis(1)) {
+            if !self.fabric.wait_event_since(seen, Duration::from_millis(1)) {
                 self.fabric.met.wait_timeouts.inc();
             }
         }
@@ -894,18 +905,21 @@ impl NetUnr {
             return false;
         }
         let start = Instant::now();
-        while self.pending_len() > 0 {
+        loop {
+            let seen = self.fabric.event_epoch();
+            if self.pending_len() == 0 {
+                return true;
+            }
             if self.rel.failed.lock().expect("failed lock").is_some() {
                 return false;
             }
             if start.elapsed() >= timeout {
                 return false;
             }
-            if !self.fabric.wait_event(Duration::from_millis(1)) {
+            if !self.fabric.wait_event_since(seen, Duration::from_millis(1)) {
                 self.fabric.met.wait_timeouts.inc();
             }
         }
-        true
     }
 
     /// Tear down: stop the progress thread and close the fabric.
@@ -984,10 +998,10 @@ fn handle_ctrl(
         } => {
             let fresh = rel.dedup.lock().expect("dedup lock")[src].insert(seq);
             if fresh {
-                if let Some(r) = fabric.region(region_id) {
-                    r.write(offset, payload);
+                // The addend rides with the payload: no data, no signal.
+                if fabric.deposit(region_id, offset as u64, payload) {
+                    table.apply_counted(key, addend);
                 }
-                table.apply_counted(key, addend);
             } else {
                 fabric.met.dup_suppressed.inc();
             }
@@ -1024,10 +1038,9 @@ fn handle_ctrl(
             addend,
             payload,
         } => {
-            if let Some(r) = fabric.region(region_id) {
-                r.write(offset, payload);
+            if fabric.deposit(region_id, offset as u64, payload) {
+                table.apply_counted(key, addend);
             }
-            table.apply_counted(key, addend);
         }
         // Netfab GETs use the fabric's native GET_REQ/GET_REP frames;
         // a fallback-get control message is never produced here.
@@ -1049,13 +1062,16 @@ fn handle_ctrl(
                 true
             };
             if fresh {
+                // The signal entries are sums over the packed puts, so
+                // one span that cannot land takes all of them down.
+                let mut landed = true;
                 for (region_id, offset, payload) in body.spans() {
-                    if let Some(r) = fabric.region(region_id) {
-                        r.write(offset as usize, payload);
-                    }
+                    landed &= fabric.deposit(region_id, offset, payload);
                 }
-                for (key, addend) in body.sigs() {
-                    table.apply_counted(key, addend);
+                if landed {
+                    for (key, addend) in body.sigs() {
+                        table.apply_counted(key, addend);
+                    }
                 }
             }
         }
@@ -1100,5 +1116,79 @@ fn sweep_retries(
             *failed = Some((dst, attempts));
         }
         fabric.ring_bell();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A one-rank fabric (no peers, so no sockets beyond the reactors'
+    /// wake channels) with a 64-byte region, a signal expecting three
+    /// events, and fresh reliable-transport state.
+    fn ctrl_fixture() -> (Arc<NetFabric>, u32, Arc<SignalTable>, Signal, Arc<RelState>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let fabric = NetFabric::connect(0, 1, 1, &[vec![port]], vec![listener]).unwrap();
+        let (region_id, _) = fabric.register(64);
+        let table = SignalTable::with_key_capacity(8, Encoding::Full128.max_key());
+        let sig = table.alloc(3);
+        let rel = Arc::new(RelState {
+            next_seq: Mutex::new(vec![0]),
+            pending: Mutex::new(BTreeMap::new()),
+            dedup: Mutex::new(vec![DedupWindow::default()]),
+            failed: Mutex::new(None),
+            sends: AtomicU64::new(0),
+        });
+        (fabric, region_id, table, sig, rel)
+    }
+
+    #[test]
+    fn ctrl_payload_that_cannot_land_drops_its_addend_but_is_still_acked() {
+        let (fabric, region, table, sig, rel) = ctrl_fixture();
+        let key = sig.key().raw();
+        let ctrl = |msg: Vec<u8>| handle_ctrl(&fabric, &table, &rel, 0, 0, &msg);
+        let acks = || {
+            let mut seqs = Vec::new();
+            while let Some((_, bytes)) = fabric.pop_ctrl() {
+                match CtrlMsg::parse(&bytes) {
+                    CtrlMsg::Ack { seq } => seqs.push(seq),
+                    _ => panic!("only acks are sent back"),
+                }
+            }
+            seqs
+        };
+
+        // Out of bounds, then an unknown region: no addend, one count
+        // each, and the sender still gets its ack (or it would replay
+        // the same bad write for ever).
+        ctrl(wire::seq_data_msg(0, region, 61, key, -1, &[7; 4]));
+        ctrl(wire::seq_data_msg(1, region + 1, 0, key, -1, &[7; 4]));
+        ctrl(wire::fallback_data_msg(region, 61, key, -1, &[7; 4]));
+        assert_eq!(sig.counter(), 3);
+        assert_eq!(fabric.met.bad_dma.get(), 3);
+        assert_eq!(acks(), [0, 1]);
+
+        // An aggregate with one span that fits and one that does not:
+        // the summed signal entries cannot be split, so none is applied.
+        let spans = [(region, 0, 4), (region, 62, 4)];
+        ctrl(wire::agg_msg(2, true, &spans, &[(key, -2)], &[8; 8]));
+        assert_eq!(sig.counter(), 3);
+        assert_eq!(fabric.met.bad_dma.get(), 4);
+        assert_eq!(acks(), [2]);
+
+        // The same three shapes in bounds: bytes land, addends apply.
+        ctrl(wire::seq_data_msg(3, region, 60, key, -1, &[1; 4]));
+        ctrl(wire::fallback_data_msg(region, 56, key, -1, &[2; 4]));
+        let spans = [(region, 0, 4)];
+        ctrl(wire::agg_msg(4, true, &spans, &[(key, -1)], &[3; 4]));
+        assert!(sig.test());
+        assert_eq!(fabric.met.bad_dma.get(), 4);
+        assert_eq!(acks(), [3, 4]);
+        let mem = fabric.region(region).unwrap();
+        assert_eq!(mem.snapshot(56, 8), [2, 2, 2, 2, 1, 1, 1, 1]);
+        assert_eq!(mem.snapshot(0, 4), [3; 4]);
+        fabric.shutdown();
     }
 }

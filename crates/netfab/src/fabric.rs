@@ -14,20 +14,28 @@
 //! the level-4 NIC would do in hardware. The thread budget is flat in
 //! world size: `main + progress + nreactors` regardless of rank count.
 //!
-//! Region buffers are `AtomicU8` slices so a reactor thread can store
-//! payload bytes while application threads load them without a data
-//! race; the MMAS signal protocol (not the buffer itself) provides the
-//! happens-before edge, mirroring how real RMA hardware writes memory.
+//! A [`NetRegion`] is the workspace's one raw region buffer
+//! ([`unr_simnet::MemRegion`], the only raw-memory module) under a
+//! fabric-local id: a reactor thread deposits a payload with one bulk
+//! copy and application threads read it with another, under the RMA
+//! race contract documented there — the MMAS signal counter (SeqCst
+//! `fetch_add` by the applier, SeqCst `load` by the waiter), not the
+//! buffer, is the happens-before edge, mirroring how real RMA hardware
+//! writes memory. A payload that cannot land (unknown region, range
+//! out of bounds) takes its notification down with it
+//! (`unr.transport.bad_dma`): a signal never fires for bytes that
+//! never arrived.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
 use unr_obs::metrics::Counter;
 use unr_obs::Obs;
+use unr_simnet::MemRegion;
 
 use crate::frame;
 use crate::reactor::{
@@ -67,13 +75,19 @@ pub struct TransportMetrics {
     pub dup_suppressed: Arc<Counter>,
     /// First transmissions silently dropped by fault injection.
     pub drops_injected: Arc<Counter>,
-    /// [`NetFabric::wait_event`] sleeps that elapsed without an event.
+    /// [`NetFabric::wait_event_since`] sleeps that elapsed without an
+    /// event.
     pub wait_timeouts: Arc<Counter>,
     /// Unframeable inbound data: corrupt length prefixes or streams
     /// that died mid-frame (teardown excluded).
     pub frame_errors: Arc<Counter>,
     /// Streams latched down after a frame error (writes fail cleanly).
     pub streams_down: Arc<Counter>,
+    /// Inbound RMA operations refused for naming an unknown region id
+    /// or a range out of bounds: payloads that could not land (the
+    /// notification that rode with each is dropped) and GET requests
+    /// for bytes that are not there (no reply).
+    pub bad_dma: Arc<Counter>,
 }
 
 impl TransportMetrics {
@@ -94,71 +108,84 @@ impl TransportMetrics {
             wait_timeouts: c("unr.transport.wait_timeouts"),
             frame_errors: c("unr.transport.frame_errors"),
             streams_down: c("unr.transport.streams_down"),
+            bad_dma: c("unr.transport.bad_dma"),
         }
     }
 }
 
-/// A registered memory region backed by an `AtomicU8` buffer, so the
-/// reader threads (remote "DMA") and application threads can touch it
-/// concurrently without UB.
+/// A registered memory region: [`unr_simnet::MemRegion`]'s raw buffer
+/// without a simulated-fabric registration. Reactor threads (remote
+/// "DMA") and application threads move bytes through it in bulk copies;
+/// see the module doc for the race contract.
 pub struct NetRegion {
-    buf: Box<[AtomicU8]>,
+    mem: MemRegion,
 }
 
 impl NetRegion {
     fn new(len: usize) -> NetRegion {
-        let mut v = Vec::with_capacity(len);
-        v.resize_with(len, || AtomicU8::new(0));
         NetRegion {
-            buf: v.into_boxed_slice(),
+            mem: MemRegion::detached(len),
         }
     }
 
     /// Region size in bytes.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.mem.len()
     }
 
     /// Whether the region is zero-sized (never: registration rejects 0).
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.mem.is_empty()
     }
 
-    /// Store `data` at `offset`; `false` if out of bounds (the frame is
-    /// dropped, like a NIC refusing a bad DMA).
+    /// Store `data` at `offset`; `false` if out of bounds (nothing is
+    /// written, like a NIC refusing a bad DMA).
+    #[must_use]
     pub fn write(&self, offset: usize, data: &[u8]) -> bool {
-        let Some(end) = offset.checked_add(data.len()) else {
-            return false;
-        };
-        if end > self.buf.len() {
-            return false;
-        }
-        for (i, b) in data.iter().enumerate() {
-            self.buf[offset + i].store(*b, Ordering::Relaxed);
-        }
-        true
+        self.mem.write_bytes(offset, data).is_ok()
     }
 
     /// Load `out.len()` bytes from `offset`; `false` if out of bounds.
+    #[must_use]
     pub fn read(&self, offset: usize, out: &mut [u8]) -> bool {
-        let Some(end) = offset.checked_add(out.len()) else {
-            return false;
-        };
-        if end > self.buf.len() {
-            return false;
+        self.mem.read_bytes(offset, out).is_ok()
+    }
+
+    /// Append `len` bytes from `offset` to `out` in one copy (the DMA
+    /// read that completes a wire frame); `false`, `out` untouched, if
+    /// out of bounds.
+    #[must_use]
+    pub fn append_to(&self, offset: usize, len: usize, out: &mut Vec<u8>) -> bool {
+        self.mem.append_to(offset, len, out).is_ok()
+    }
+
+    /// One wire frame around `len` bytes of this region, built in one
+    /// pass: length prefix, kind, `header`, then the payload copied
+    /// once, straight into the frame. `Err` if the range is out of
+    /// bounds.
+    fn frame(&self, kind: u8, header: &[u8], offset: usize, len: usize) -> io::Result<Vec<u8>> {
+        // A GET names `len` from the wire: bound it by the region
+        // before allocating for it.
+        if len > self.len() {
+            return Err(invalid_input(format!(
+                "{len} bytes of a {}-byte region",
+                self.len()
+            )));
         }
-        for (i, b) in out.iter_mut().enumerate() {
-            *b = self.buf[offset + i].load(Ordering::Relaxed);
-        }
-        true
+        let mut buf = frame::frame_prefix(kind, header.len() + len)?;
+        buf.extend_from_slice(header);
+        self.mem
+            .append_to(offset, len, &mut buf)
+            .map_err(|e| invalid_input(e.to_string()))?;
+        Ok(buf)
     }
 
     /// Copy `len` bytes from `offset` into a fresh `Vec` (panics on
     /// out-of-bounds; callers validate first).
     pub fn snapshot(&self, offset: usize, len: usize) -> Vec<u8> {
-        let mut v = vec![0u8; len];
-        assert!(self.read(offset, &mut v), "snapshot out of bounds");
-        v
+        self.mem
+            .snapshot(offset, len)
+            .expect("snapshot out of bounds")
     }
 }
 
@@ -190,6 +217,39 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(nranks: usize, nics: usize) -> Shared {
+        Shared {
+            regions: Mutex::new(HashMap::new()),
+            ctrl: Mutex::new(VecDeque::new()),
+            epoch: Mutex::new(0),
+            bell: Condvar::new(),
+            sink: OnceLock::new(),
+            pre_sink: Mutex::new(Vec::new()),
+            stopping: AtomicBool::new(false),
+            nics,
+            down: (0..nranks * nics).map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+
+    fn region(&self, id: u32) -> Option<Arc<NetRegion>> {
+        self.regions.lock().expect("regions lock").get(&id).cloned()
+    }
+
+    /// The receiving half of an emulated RMA write: `payload` into
+    /// `(region, offset)` of this rank. `false`, counted in
+    /// `unr.transport.bad_dma`, when the region is unknown or the range
+    /// is out of bounds — the caller then drops the notification that
+    /// rode with the payload.
+    #[must_use]
+    fn deposit(&self, met: &TransportMetrics, region: u32, offset: u64, payload: &[u8]) -> bool {
+        let landed = usize::try_from(offset)
+            .is_ok_and(|off| self.region(region).is_some_and(|r| r.write(off, payload)));
+        if !landed {
+            met.bad_dma.inc();
+        }
+        landed
+    }
+
     /// Latch `(peer, nic)` down; `true` if this call flipped it.
     fn latch_down(&self, peer: usize, nic: usize) -> bool {
         !self.down[peer * self.nics + nic].swap(true, Ordering::Relaxed)
@@ -259,21 +319,7 @@ impl NetFabric {
         assert_eq!(listeners.len(), nics, "one listener per NIC");
         let obs = Obs::new();
         let met = TransportMetrics::register(&obs);
-        let shared = Arc::new(Shared {
-            regions: Mutex::new(HashMap::new()),
-            ctrl: Mutex::new(VecDeque::new()),
-            epoch: Mutex::new(0),
-            bell: Condvar::new(),
-            sink: OnceLock::new(),
-            pre_sink: Mutex::new(Vec::new()),
-            stopping: AtomicBool::new(false),
-            nics,
-            down: {
-                let mut v = Vec::with_capacity(nranks * nics);
-                v.resize_with(nranks * nics, || AtomicBool::new(false));
-                v.into_boxed_slice()
-            },
-        });
+        let shared = Arc::new(Shared::new(nranks, nics));
 
         let mut conns: Vec<Vec<Option<Arc<Conn>>>> = (0..nranks)
             .map(|_| (0..nics).map(|_| None).collect())
@@ -303,7 +349,9 @@ impl NetFabric {
                     let mut r = &s;
                     frame::read_frame(&mut r)?
                 };
-                if hello.kind != frame::FRAME_HELLO {
+                if hello.kind != frame::FRAME_HELLO
+                    || hello.body.len() < frame::min_body_len(frame::FRAME_HELLO)
+                {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "expected HELLO as first frame",
@@ -410,12 +458,17 @@ impl NetFabric {
 
     /// Look up a registered region by id.
     pub fn region(&self, id: u32) -> Option<Arc<NetRegion>> {
-        self.shared
-            .regions
-            .lock()
-            .expect("regions lock")
-            .get(&id)
-            .cloned()
+        self.shared.region(id)
+    }
+
+    /// Deposit an inbound `payload` at `(region, offset)` of this rank
+    /// (the control-path twin of the reactor's PUT handling). `false`,
+    /// counted in `unr.transport.bad_dma`, when the region is unknown
+    /// or the range is out of bounds: the caller must then drop the
+    /// notification that rode with the payload.
+    #[must_use]
+    pub fn deposit(&self, region: u32, offset: u64, payload: &[u8]) -> bool {
+        self.shared.deposit(&self.met, region, offset, payload)
     }
 
     fn conn(&self, dst: usize, nic: usize) -> io::Result<&Arc<Conn>> {
@@ -438,13 +491,17 @@ impl NetFabric {
             })
     }
 
-    /// Queue one encoded frame for `(dst, nic)` and wake the owning
-    /// reactor. Lock-free on the fast path; above [`QUEUE_CAP_BYTES`]
-    /// the caller stalls (counted) until the reactor drains the queue —
-    /// backpressure instead of unbounded memory.
+    /// Encode one frame from `parts` and queue it for `(dst, nic)`.
     fn send(&self, dst: usize, nic: usize, kind: u8, parts: &[&[u8]]) -> io::Result<()> {
         let conn = self.conn(dst, nic)?;
-        let buf = frame::encode_frame(kind, parts)?;
+        self.enqueue(conn, frame::encode_frame(kind, parts)?)
+    }
+
+    /// Queue one encoded frame on `conn` and wake the owning reactor.
+    /// Lock-free on the fast path; above [`QUEUE_CAP_BYTES`] the caller
+    /// stalls (counted) until the reactor drains the queue —
+    /// backpressure instead of unbounded memory.
+    fn enqueue(&self, conn: &Conn, buf: Vec<u8>) -> io::Result<()> {
         if conn.queue.bytes() > QUEUE_CAP_BYTES {
             self.reactor_met.backpressure_stalls.inc();
             while conn.queue.bytes() > QUEUE_CAP_BYTES {
@@ -473,9 +530,13 @@ impl NetFabric {
         Ok(())
     }
 
-    /// Emulated RMA put: payload into `(region, offset)` on `dst`, with
-    /// the 128-bit custom bits delivered to `dst`'s atomic-add sink.
-    /// `dst == self.rank()` short-circuits through local memory.
+    /// Emulated RMA put: `len` bytes at `src_offset` of the local
+    /// region `src` into `(region, offset)` on `dst`, with the 128-bit
+    /// custom bits delivered to `dst`'s atomic-add sink. The wire frame
+    /// is built in one pass — prefix, kind, header, then the payload
+    /// copied once, straight out of `src`. `dst == self.rank()`
+    /// short-circuits through local memory.
+    #[allow(clippy::too_many_arguments)]
     pub fn put(
         &self,
         dst: usize,
@@ -483,24 +544,33 @@ impl NetFabric {
         region: u32,
         offset: u64,
         custom: u128,
-        payload: &[u8],
+        src: &NetRegion,
+        src_offset: usize,
+        len: usize,
     ) -> io::Result<()> {
-        self.met.tx_bytes.add(payload.len() as u64);
+        self.met.tx_bytes.add(len as u64);
+        let header = frame::put_header(region, offset, custom);
+        let buf = src.frame(frame::FRAME_PUT, &header, src_offset, len)?;
         if dst == self.rank {
-            let r = self.region(region).ok_or_else(|| {
-                io::Error::new(io::ErrorKind::NotFound, format!("unknown region {region}"))
-            })?;
-            r.write(offset as usize, payload);
+            self.deposit_local(region, offset, &buf[buf.len() - len..])?;
             self.deliver_custom(custom);
             self.shared.ring_bell();
             return Ok(());
         }
-        self.send(
-            dst,
-            nic,
-            frame::FRAME_PUT,
-            &[&frame::put_header(region, offset, custom), payload],
-        )
+        self.enqueue(self.conn(dst, nic)?, buf)
+    }
+
+    /// [`deposit`](NetFabric::deposit) for the `dst == self.rank()`
+    /// short-circuits, where a payload that cannot land is the
+    /// caller's error rather than a peer's.
+    fn deposit_local(&self, region: u32, offset: u64, payload: &[u8]) -> io::Result<()> {
+        if self.deposit(region, offset, payload) {
+            return Ok(());
+        }
+        Err(invalid_input(format!(
+            "{} bytes at offset {offset} do not fit local region {region}",
+            payload.len()
+        )))
     }
 
     /// Emulated RMA get: ask `dst` for `(region, offset, len)`; the
@@ -526,13 +596,7 @@ impl NetFabric {
             })?;
             let data = src.snapshot(offset as usize, len as usize);
             self.deliver_custom(custom_remote);
-            let dstr = self.region(reply_region).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("unknown region {reply_region}"),
-                )
-            })?;
-            dstr.write(reply_offset as usize, &data);
+            self.deposit_local(reply_region, reply_offset, &data)?;
             self.deliver_custom(custom_local);
             self.shared.ring_bell();
             return Ok(());
@@ -588,25 +652,36 @@ impl NetFabric {
         self.shared.apply_custom(custom);
     }
 
-    /// Bump the event epoch and wake every [`NetFabric::wait_event`]
+    /// Bump the event epoch and wake every [`NetFabric::wait_event_since`]
     /// sleeper. Reader threads ring after each applied frame; the
     /// engine rings after applying control messages.
     pub fn ring_bell(&self) {
         self.shared.ring_bell();
     }
 
-    /// Sleep until the event epoch changes or `timeout` elapses.
+    /// The current event epoch. A waiter samples it *before* testing
+    /// its predicate and sleeps with [`wait_event_since`]: an event
+    /// applied between the test and the sleep has already moved the
+    /// epoch, so the sleep returns at once instead of running into its
+    /// timeout.
+    ///
+    /// [`wait_event_since`]: NetFabric::wait_event_since
+    pub fn event_epoch(&self) -> u64 {
+        *self.shared.epoch.lock().expect("epoch lock")
+    }
+
+    /// Sleep until the event epoch differs from `since` (a value from
+    /// [`event_epoch`](NetFabric::event_epoch)) or `timeout` elapses.
     /// Returns `true` if an event arrived. Callers re-check their
     /// predicate in a loop; the epoch only orders the sleep.
-    pub fn wait_event(&self, timeout: Duration) -> bool {
+    pub fn wait_event_since(&self, since: u64, timeout: Duration) -> bool {
         let guard = self.shared.epoch.lock().expect("epoch lock");
-        let start = *guard;
         let (guard, _res) = self
             .shared
             .bell
-            .wait_timeout_while(guard, timeout, |e| *e == start)
+            .wait_timeout_while(guard, timeout, |e| *e == since)
             .expect("epoch condvar");
-        *guard != start
+        *guard != since
     }
 
     /// Whether teardown has begun (reader threads exiting is expected).
@@ -618,7 +693,11 @@ impl NetFabric {
     /// best-effort final flush of its writer queues first), then close
     /// every stream. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.stopping.store(true, Ordering::Relaxed);
+        // SeqCst, like the reactor's load: ordered before the wake
+        // below, so a reactor that consumes that wake (or the one it
+        // coalesced into) sees the flag on its next pass instead of
+        // sleeping out the poll timeout.
+        self.shared.stopping.store(true, Ordering::SeqCst);
         self.pool.shutdown();
         for row in &self.conns {
             for c in row.iter().flatten() {
@@ -627,6 +706,10 @@ impl NetFabric {
         }
         self.shared.ring_bell();
     }
+}
+
+fn invalid_input(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg)
 }
 
 impl Drop for NetFabric {
@@ -645,62 +728,62 @@ struct FabricDispatch {
     met: TransportMetrics,
 }
 
+impl FabricDispatch {
+    /// Deposit an inbound payload, then apply the custom bits that rode
+    /// with it — or neither, when the payload cannot land.
+    fn land(&self, region: u32, offset: u64, payload: &[u8], custom: u128) {
+        self.met.rx_bytes.add(payload.len() as u64);
+        if self.shared.deposit(&self.met, region, offset, payload) {
+            self.met.atomic_adds.inc();
+            self.shared.apply_custom(custom);
+        }
+    }
+
+    /// The `GET_REP` frame answering `g`; `None` if the request names
+    /// no region of this rank or a range outside it.
+    fn get_reply(&self, g: &frame::GetReq) -> Option<Vec<u8>> {
+        let off = usize::try_from(g.offset).ok()?;
+        let len = usize::try_from(g.len).ok()?;
+        let header = frame::get_rep_header(g.reply_region, g.reply_offset, g.custom_local);
+        let src = self.shared.region(g.region)?;
+        src.frame(frame::FRAME_GET_REP, &header, off, len).ok()
+    }
+}
+
 impl FrameDispatch for FabricDispatch {
-    fn on_frame(&self, peer: usize, _nic: usize, f: frame::Frame, replies: &mut Vec<Vec<u8>>) {
+    fn on_frame(&self, peer: usize, nic: usize, f: frame::Frame, replies: &mut Vec<Vec<u8>>) {
         let shared = &self.shared;
+        // Peer bytes: the fixed-offset parsers below index up to the
+        // kind's header length, so a shorter body is a protocol error,
+        // not a panic on the reactor thread.
+        if f.body.len() < frame::min_body_len(f.kind) {
+            self.on_corrupt(peer, nic);
+            return;
+        }
         self.met.rx_frames.inc();
-        let region_of = |id: u32| {
-            shared
-                .regions
-                .lock()
-                .expect("regions lock")
-                .get(&id)
-                .cloned()
-        };
         match f.kind {
             frame::FRAME_PUT => {
                 let (region, offset, custom, payload) = frame::parse_put(&f.body);
-                self.met.rx_bytes.add(payload.len() as u64);
-                if let Some(r) = region_of(region) {
-                    r.write(offset as usize, payload);
-                }
-                self.met.atomic_adds.inc();
-                shared.apply_custom(custom);
+                self.land(region, offset, payload, custom);
             }
             frame::FRAME_GET_REQ => {
                 let g = frame::parse_get_req(&f.body);
-                let data = match region_of(g.region) {
-                    Some(r) if (g.offset as usize).checked_add(g.len as usize)
-                        .is_some_and(|end| end <= r.len()) =>
-                    {
-                        r.snapshot(g.offset as usize, g.len as usize)
-                    }
-                    _ => Vec::new(), // bad request: drop, like a NIC NAK
-                };
-                if !data.is_empty() || g.len == 0 {
-                    self.met.atomic_adds.inc();
-                    shared.apply_custom(g.custom_remote);
-                    if let Ok(rep) = frame::encode_frame(
-                        frame::FRAME_GET_REP,
-                        &[
-                            &frame::get_rep_header(g.reply_region, g.reply_offset, g.custom_local),
-                            &data,
-                        ],
-                    ) {
+                match self.get_reply(&g) {
+                    Some(rep) => {
+                        self.met.atomic_adds.inc();
+                        shared.apply_custom(g.custom_remote);
                         self.met.tx_frames.inc();
-                        self.met.tx_bytes.add(data.len() as u64);
+                        self.met.tx_bytes.add(g.len);
                         replies.push(rep);
                     }
+                    // Bad request: drop it whole, like a NIC NAK — no
+                    // reply, no remote addend.
+                    None => self.met.bad_dma.inc(),
                 }
             }
             frame::FRAME_GET_REP => {
                 let (region, offset, custom, payload) = frame::parse_get_rep(&f.body);
-                self.met.rx_bytes.add(payload.len() as u64);
-                if let Some(r) = region_of(region) {
-                    r.write(offset as usize, payload);
-                }
-                self.met.atomic_adds.inc();
-                shared.apply_custom(custom);
+                self.land(region, offset, payload, custom);
             }
             frame::FRAME_ATOMIC => {
                 self.met.atomic_adds.inc();
@@ -727,6 +810,212 @@ impl FrameDispatch for FabricDispatch {
     }
 
     fn stopping(&self) -> bool {
-        self.shared.stopping.load(Ordering::Relaxed)
+        self.shared.stopping.load(Ordering::SeqCst)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
+    use unr_simnet::SimRng;
+
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut rng = SimRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    #[test]
+    fn region_rejects_ranges_past_the_end_and_overflowing_ones() {
+        let r = NetRegion::new(64);
+        let mut out = [0u8; 8];
+        let mut frame = vec![7u8];
+        // `end == len` is the last range in bounds ...
+        assert!(r.write(56, &[1; 8]));
+        assert!(r.read(56, &mut out));
+        assert_eq!(out, [1; 8]);
+        assert!(r.append_to(56, 8, &mut frame));
+        assert!(r.write(64, &[]) && r.read(64, &mut []) && r.append_to(64, 0, &mut frame));
+        // ... one byte more is refused and moves nothing ...
+        assert!(!r.write(57, &[2; 8]));
+        assert!(!r.read(57, &mut out));
+        assert!(!r.append_to(57, 8, &mut frame));
+        // ... and so is `offset + len` wrapping round `usize`.
+        assert!(!r.write(usize::MAX - 3, &[2; 8]));
+        assert!(!r.read(usize::MAX - 3, &mut out));
+        assert!(!r.append_to(usize::MAX, 2, &mut frame));
+        assert_eq!(r.snapshot(56, 8), [1; 8]);
+        assert_eq!(frame, [7, 1, 1, 1, 1, 1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn region_round_trips_every_offset_and_length() {
+        const N: usize = 257;
+        let pattern = seeded_bytes(14, N);
+        let r = NetRegion::new(N);
+        let mut out = vec![0u8; N];
+        let mut frame = Vec::new();
+        for off in 0..=N {
+            for len in 0..=N {
+                let fits = off + len <= N;
+                // Fresh background each time, so bytes left behind by a
+                // neighbouring pair cannot pass for this one's.
+                assert!(r.write(0, &vec![!(off as u8); N]));
+                assert_eq!(r.write(off, &pattern[..len]), fits, "write {off}+{len}");
+                assert_eq!(r.read(off, &mut out[..len]), fits, "read {off}+{len}");
+                frame.clear();
+                assert_eq!(r.append_to(off, len, &mut frame), fits, "add {off}+{len}");
+                if fits {
+                    assert_eq!(out[..len], pattern[..len], "read back {off}+{len}");
+                    assert_eq!(frame, pattern[..len], "appended {off}+{len}");
+                    // Nothing outside the range moved.
+                    let all = r.snapshot(0, N);
+                    assert!(all[..off].iter().all(|&b| b == !(off as u8)));
+                    assert!(all[off + len..].iter().all(|&b| b == !(off as u8)));
+                } else {
+                    assert!(frame.is_empty());
+                    assert!(r.snapshot(0, N).iter().all(|&b| b == !(off as u8)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn region_takes_concurrent_writers_on_disjoint_halves() {
+        const HALF: usize = 1 << 20;
+        let r = NetRegion::new(2 * HALF);
+        let halves = [seeded_bytes(1, HALF), seeded_bytes(2, HALF)];
+        let gate = Barrier::new(2);
+        std::thread::scope(|s| {
+            for (i, data) in halves.iter().enumerate() {
+                let (r, gate) = (&r, &gate);
+                s.spawn(move || {
+                    gate.wait();
+                    for chunk in 0..16 {
+                        let at = chunk * (HALF / 16);
+                        assert!(r.write(i * HALF + at, &data[at..at + HALF / 16]));
+                    }
+                });
+            }
+        });
+        assert_eq!(r.snapshot(0, HALF), halves[0]);
+        assert_eq!(r.snapshot(HALF, HALF), halves[1]);
+    }
+
+    /// Sums what reaches the atomic-add unit.
+    #[derive(Default)]
+    struct CountingSink {
+        applies: AtomicU64,
+    }
+
+    impl NetAddSink for CountingSink {
+        fn apply(&self, _custom: u128) {
+            self.applies.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A dispatcher over one registered 64-byte region (id 1), with a
+    /// counting sink installed — no sockets, no reactor.
+    fn dispatcher() -> (FabricDispatch, Arc<NetRegion>, Arc<CountingSink>) {
+        let shared = Arc::new(Shared::new(2, 1));
+        let region = Arc::new(NetRegion::new(64));
+        shared
+            .regions
+            .lock()
+            .unwrap()
+            .insert(1, Arc::clone(&region));
+        let sink = Arc::new(CountingSink::default());
+        let installed = shared.sink.set(Arc::clone(&sink) as Arc<dyn NetAddSink>);
+        assert!(installed.is_ok());
+        let met = TransportMetrics::register(&Obs::new());
+        (FabricDispatch { shared, met }, region, sink)
+    }
+
+    fn frame_of(kind: u8, body: &[u8]) -> frame::Frame {
+        frame::Frame {
+            kind,
+            body: body.to_vec(),
+        }
+    }
+
+    #[test]
+    fn short_bodies_from_a_peer_are_frame_errors_not_panics() {
+        let (d, _region, sink) = dispatcher();
+        let mut replies = Vec::new();
+        let mut errors = 0;
+        for kind in [
+            frame::FRAME_PUT,
+            frame::FRAME_GET_REQ,
+            frame::FRAME_GET_REP,
+            frame::FRAME_ATOMIC,
+        ] {
+            let min = frame::min_body_len(kind);
+            assert!(min > 0);
+            let body = seeded_bytes(kind as u64, min);
+            for cut in 0..min {
+                d.on_frame(1, 0, frame_of(kind, &body[..cut]), &mut replies);
+                errors += 1;
+                assert_eq!(d.met.frame_errors.get(), errors, "kind {kind} cut at {cut}");
+            }
+            // The shortest whole frame parses (random fields name no
+            // region here, so at most it is a refused DMA).
+            d.on_frame(1, 0, frame_of(kind, &body), &mut replies);
+            assert_eq!(d.met.frame_errors.get(), errors, "kind {kind} whole");
+        }
+        assert!(d.shared.is_down(1, 0), "a short frame latches the stream");
+        assert_eq!(d.met.streams_down.get(), 1);
+        // Only the whole ATOMIC frame carried custom bits that could
+        // land; no truncated frame reached the sink.
+        assert_eq!(sink.applies.load(Ordering::Relaxed), 1);
+        assert!(replies.is_empty());
+    }
+
+    #[test]
+    fn a_payload_that_cannot_land_drops_its_notification() {
+        let (d, region, sink) = dispatcher();
+        let applies = || sink.applies.load(Ordering::Relaxed);
+        let mut replies = Vec::new();
+        let put = |region: u32, offset: u64, payload: &[u8]| {
+            let mut body = frame::put_header(region, offset, 0xfeed).to_vec();
+            body.extend_from_slice(payload);
+            body
+        };
+        // In bounds: bytes land, addend applied.
+        let kind = frame::FRAME_PUT;
+        d.on_frame(1, 0, frame_of(kind, &put(1, 60, &[9; 4])), &mut replies);
+        assert_eq!((applies(), d.met.bad_dma.get()), (1, 0));
+        assert_eq!(region.snapshot(60, 4), [9; 4]);
+        // Unknown region, range past the end, offset past `usize`: no
+        // bytes, no addend, one count each — for PUT and GET_REP alike.
+        for kind in [frame::FRAME_PUT, frame::FRAME_GET_REP] {
+            let before = d.met.bad_dma.get();
+            d.on_frame(1, 0, frame_of(kind, &put(2, 0, &[5; 4])), &mut replies);
+            d.on_frame(1, 0, frame_of(kind, &put(1, 61, &[5; 4])), &mut replies);
+            d.on_frame(1, 0, frame_of(kind, &put(1, !0, &[5; 4])), &mut replies);
+            assert_eq!((applies(), d.met.bad_dma.get()), (1, before + 3));
+        }
+        assert_eq!(region.snapshot(60, 4), [9; 4]);
+        // A GET for bytes that are not there: no reply, no remote addend.
+        let get = |region: u32, offset: u64, len: u64| {
+            frame_of(
+                frame::FRAME_GET_REQ,
+                &frame::get_req_body(region, offset, len, 0xbeef, 1, 0, 0xcafe),
+            )
+        };
+        d.on_frame(1, 0, get(2, 0, 4), &mut replies);
+        d.on_frame(1, 0, get(1, 61, 4), &mut replies);
+        d.on_frame(1, 0, get(1, 0, u64::MAX), &mut replies);
+        assert_eq!((applies(), d.met.bad_dma.get(), replies.len()), (1, 9, 0));
+        // One that is: the reply is the header plus exactly those bytes.
+        d.on_frame(1, 0, get(1, 60, 4), &mut replies);
+        assert_eq!((applies(), replies.len()), (2, 1));
+        let mut want = frame::get_rep_header(1, 0, 0xcafe).to_vec();
+        want.extend_from_slice(&[9; 4]);
+        assert_eq!(
+            replies[0],
+            frame::encode_frame(frame::FRAME_GET_REP, &[&want]).unwrap()
+        );
+        assert_eq!(d.met.frame_errors.get(), 0);
     }
 }

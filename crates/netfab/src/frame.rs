@@ -81,12 +81,11 @@ pub struct Frame {
     pub body: Vec<u8>,
 }
 
-/// Encode one frame (prefix + kind + body parts) into a fresh buffer —
-/// the unit the reactor's writer queues carry. A queued buffer is
-/// always a whole frame, so the write state machine can park mid-buffer
-/// on `WouldBlock` and resume without ever interleaving frames.
-pub fn encode_frame(kind: u8, parts: &[&[u8]]) -> io::Result<Vec<u8>> {
-    let body_len: usize = parts.iter().map(|p| p.len()).sum();
+/// Start a frame whose body will be `body_len` bytes: the length prefix
+/// and kind byte, in a buffer with room for the whole frame, so the
+/// caller appends the body — header fields, then payload straight from
+/// registered memory — without a second copy or a reallocation.
+pub fn frame_prefix(kind: u8, body_len: usize) -> io::Result<Vec<u8>> {
     let len = 1 + body_len;
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
@@ -97,6 +96,15 @@ pub fn encode_frame(kind: u8, parts: &[&[u8]]) -> io::Result<Vec<u8>> {
     let mut buf = Vec::with_capacity(4 + len);
     buf.extend_from_slice(&(len as u32).to_le_bytes());
     buf.push(kind);
+    Ok(buf)
+}
+
+/// Encode one frame (prefix + kind + body parts) into a fresh buffer —
+/// the unit the reactor's writer queues carry. A queued buffer is
+/// always a whole frame, so the write state machine can park mid-buffer
+/// on `WouldBlock` and resume without ever interleaving frames.
+pub fn encode_frame(kind: u8, parts: &[&[u8]]) -> io::Result<Vec<u8>> {
+    let mut buf = frame_prefix(kind, parts.iter().map(|p| p.len()).sum())?;
     for p in parts {
         buf.extend_from_slice(p);
     }
@@ -320,6 +328,19 @@ impl FrameAssembler {
             self.need = 0;
             self.have_kind = false;
         }
+    }
+}
+
+/// Shortest body a frame of `kind` can have: the fixed header its
+/// `parse_*` function indexes. A receiver checks this before parsing,
+/// so a short body from a peer is a protocol error instead of a panic.
+pub fn min_body_len(kind: u8) -> usize {
+    match kind {
+        FRAME_HELLO => 8,
+        FRAME_PUT | FRAME_GET_REP => 28,
+        FRAME_GET_REQ => 64,
+        FRAME_ATOMIC => 16,
+        _ => 0,
     }
 }
 

@@ -160,9 +160,12 @@ impl FrameQueue {
             // Safety: `node` came from Box::into_raw above and is not
             // yet shared; writing its `next` is exclusive.
             unsafe { (*node).next = head };
+            // SeqCst (not just Release): the publish takes part in the
+            // wake channel's no-lost-wake-up argument, which orders it
+            // against `WakeHandle::pending` (see [`WakeHandle`]).
             match self
                 .head
-                .compare_exchange_weak(head, node, Ordering::Release, Ordering::Relaxed)
+                .compare_exchange_weak(head, node, Ordering::SeqCst, Ordering::Relaxed)
             {
                 Ok(_) => return,
                 Err(h) => head = h,
@@ -173,7 +176,8 @@ impl FrameQueue {
     /// Detach everything and append it to `out` oldest-first. Single
     /// consumer only. Returns the number of frames taken.
     pub fn drain_into(&self, out: &mut VecDeque<Vec<u8>>) -> usize {
-        let mut p = self.head.swap(std::ptr::null_mut(), Ordering::Acquire);
+        // SeqCst for the same reason as the publish in `push`.
+        let mut p = self.head.swap(std::ptr::null_mut(), Ordering::SeqCst);
         if p.is_null() {
             return 0;
         }
@@ -341,6 +345,18 @@ pub fn poll_wait(slots: &mut [PollSlot], timeout_ms: i32) -> io::Result<usize> {
 /// Producer side of a reactor's wake channel: a self-connected loopback
 /// stream pair. `wake` writes one byte iff no wake is already pending,
 /// so the channel holds at most one unread byte per poller pass.
+///
+/// The no-lost-wake-up argument is one SeqCst total order over four
+/// operations. A producer publishes its frame ([`FrameQueue::push`])
+/// and *then* `pending.swap(true)`s; the reactor (`consume_wake`)
+/// empties the channel, *then* `pending.store(false)`s, and only then
+/// detaches the writer queues ([`FrameQueue::drain_into`]). If the
+/// swap returns `true`, some wake is still unconsumed: the reactor's
+/// `store(false)` — and the queue drain after it — comes later in that
+/// order and finds the frame. If it returns `false`, the reactor's
+/// channel drain for this pass is already over, so the byte written now
+/// stays readable and the next poll returns at once. Either way the
+/// frame is seen without waiting for the poll timeout.
 pub struct WakeHandle {
     tx: TcpStream,
     pending: Arc<AtomicBool>,
@@ -348,12 +364,29 @@ pub struct WakeHandle {
 
 impl WakeHandle {
     /// Nudge the reactor out of its poller (idempotent until consumed).
+    /// Call *after* the work it announces is visible to the reactor.
     pub fn wake(&self, met: &ReactorMetrics) {
-        if !self.pending.swap(true, Ordering::AcqRel) {
+        if !self.pending.swap(true, Ordering::SeqCst) {
             met.wakeups.inc();
             let _ = (&self.tx).write(&[1u8]);
         }
     }
+}
+
+/// Reactor side of the wake channel: swallow every byte in it, *then*
+/// re-arm the producers. The order is the point (see [`WakeHandle`]):
+/// clearing `pending` first would let a producer's fresh byte be eaten
+/// by this same read loop, leaving `pending == true` over an empty
+/// channel — every later wake skipped, every queued frame waiting for
+/// the poll timeout. The caller drains the writer queues afterwards.
+fn consume_wake(mut rx: impl Read, pending: &AtomicBool) {
+    let mut sink = [0u8; 64];
+    while let Ok(n) = rx.read(&mut sink) {
+        if n == 0 {
+            break;
+        }
+    }
+    pending.store(false, Ordering::SeqCst);
 }
 
 /// Build a loopback stream pair for the wake channel: `(tx, rx)`, with
@@ -458,10 +491,7 @@ impl ReactorPool {
     /// thread.
     pub fn shutdown(&self) {
         for w in &self.wakes {
-            // Bypass the pending flag: an unread byte guarantees the
-            // poller returns even if a previous wake was half-consumed.
-            self.met.wakeups.inc();
-            let _ = (&w.tx).write(&[1u8]);
+            w.wake(&self.met);
         }
         let handles = std::mem::take(&mut *self.threads.lock().expect("reactor threads lock"));
         let me = std::thread::current().id();
@@ -565,17 +595,8 @@ fn reactor_loop(
             met.poll_batch.record(ready as u64);
         }
 
-        // Wake channel: clear the pending flag *before* draining the
-        // queues, so a producer pushing after our drain writes a fresh
-        // byte and the next poll returns immediately.
         if slots[0].revents & (POLL_IN | POLL_ERR | POLL_HUP) != 0 {
-            wake_pending.store(false, Ordering::Release);
-            let mut sink = [0u8; 64];
-            while let Ok(n) = (&wake_rx).read(&mut sink) {
-                if n == 0 {
-                    break;
-                }
-            }
+            consume_wake(&wake_rx, &wake_pending);
         }
 
         // Reads: only where the poller reported readiness.
@@ -848,6 +869,74 @@ mod tests {
         let mut b = [0u8; 8];
         let got = (&rx).read(&mut b).unwrap();
         assert_eq!(got, 1);
+    }
+
+    /// The wake receiver with a producer firing at the worst moments: a
+    /// `wake` lands before every read of the channel and once more the
+    /// instant it is found empty — between `consume_wake`'s drain and
+    /// its clear, the window in which the old clear-then-drain order
+    /// swallowed the byte of a wake it had just re-armed.
+    struct WakeAtEveryRead<'a> {
+        rx: &'a TcpStream,
+        h: &'a WakeHandle,
+        met: &'a ReactorMetrics,
+    }
+
+    impl Read for WakeAtEveryRead<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.h.wake(self.met);
+            let got = self.rx.read(buf);
+            if got.is_err() {
+                self.h.wake(self.met);
+            }
+            got
+        }
+    }
+
+    #[test]
+    fn wake_racing_the_consume_is_never_swallowed() {
+        let obs = Obs::new();
+        let met = ReactorMetrics::register(&obs);
+        let (tx, rx) = wake_pair().unwrap();
+        let pending = Arc::new(AtomicBool::new(false));
+        let h = WakeHandle {
+            tx,
+            pending: Arc::clone(&pending),
+        };
+        let readable = |timeout_ms| {
+            let mut slots = [PollSlot {
+                fd: raw_fd(&rx),
+                events: POLL_IN,
+                revents: 0,
+            }];
+            poll_wait(&mut slots, timeout_ms).unwrap() == 1
+        };
+        for _ in 0..100 {
+            h.wake(&met);
+            assert!(readable(1000), "a wake from idle must reach the poller");
+            consume_wake(
+                WakeAtEveryRead {
+                    rx: &rx,
+                    h: &h,
+                    met: &met,
+                },
+                &pending,
+            );
+            // Whatever raced the consume is either re-armed (the
+            // reactor drains the queues next, so it is seen) or has its
+            // own byte in the channel. `pending` over an empty channel
+            // is the lost wake-up: every later wake would be skipped.
+            assert!(
+                !pending.load(Ordering::SeqCst) || readable(1000),
+                "pending set with no byte to wake the poller"
+            );
+            // The next producer gets through either way.
+            h.wake(&met);
+            assert!(readable(1000));
+            consume_wake(&rx, &pending);
+            assert!(!pending.load(Ordering::SeqCst));
+            assert!(!readable(0), "channel left empty for the next round");
+        }
     }
 
     #[test]

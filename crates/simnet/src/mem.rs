@@ -17,7 +17,15 @@
 //! outlives every in-flight operation, so there is no UB-by-dangling).
 //! The whole point of the UNR library built on top is to give
 //! applications the notification discipline that makes such races
-//! impossible.
+//! impossible: the writer's bulk copy is sequenced before its SeqCst
+//! `fetch_add` on the MMAS signal counter, and a reader that has seen
+//! that counter reach zero through a SeqCst `load` (`Signal::test`)
+//! therefore sees every byte — the signal counter, not the buffer, is
+//! the happens-before edge.
+//!
+//! Both fabrics share this one buffer type: the simulated fabric
+//! registers regions with an [`RKey`]; the TCP fabric (`unr-netfab`)
+//! wraps a [`MemRegion::detached`] one per `NetRegion`.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::sync::Arc;
@@ -117,7 +125,7 @@ impl std::fmt::Display for OutOfBounds {
             f,
             "access [{}, {}) out of bounds of {}-byte region",
             self.offset,
-            self.offset + self.len,
+            self.offset.saturating_add(self.len),
             self.region_len
         )
     }
@@ -152,6 +160,12 @@ impl MemRegion {
         }
     }
 
+    /// A zeroed region registered with no simulated fabric (rank 0,
+    /// id 0): the buffer alone, for a fabric that names regions itself.
+    pub fn detached(len: usize) -> Self {
+        MemRegion::new(0, 0, len)
+    }
+
     /// Region length in bytes.
     pub fn len(&self) -> usize {
         self.buf.len
@@ -176,7 +190,12 @@ impl MemRegion {
     /// Copy `data` into the region at `offset` (bounds-checked).
     pub fn write_bytes(&self, offset: usize, data: &[u8]) -> Result<(), OutOfBounds> {
         self.check(offset, data.len())?;
-        // SAFETY: bounds checked; see module-level race contract.
+        // SAFETY: `check` proved `offset + len <= buf.len` without
+        // overflow, `data` cannot alias the private allocation, and the
+        // allocation lives as long as `self`. A concurrent reader of the
+        // range is ordered by the module-level race contract: this copy
+        // happens-before the writer's SeqCst `fetch_add` on the signal
+        // counter, which the reader's SeqCst `load` observes first.
         unsafe {
             std::ptr::copy_nonoverlapping(data.as_ptr(), self.buf.ptr.add(offset), data.len());
         }
@@ -186,9 +205,37 @@ impl MemRegion {
     /// Copy bytes out of the region at `offset` (bounds-checked).
     pub fn read_bytes(&self, offset: usize, out: &mut [u8]) -> Result<(), OutOfBounds> {
         self.check(offset, out.len())?;
-        // SAFETY: bounds checked; see module-level race contract.
+        // SAFETY: bounds checked as in `write_bytes`; `out` is an
+        // exclusive borrow outside the allocation. Same race contract:
+        // the reader gets here only after its SeqCst `load` of the
+        // signal counter saw the writer's SeqCst `fetch_add`.
         unsafe {
             std::ptr::copy_nonoverlapping(self.buf.ptr.add(offset), out.as_mut_ptr(), out.len());
+        }
+        Ok(())
+    }
+
+    /// Append `len` bytes starting at `offset` to `out` in one copy,
+    /// straight into the vector's spare capacity (no zero-fill, no
+    /// intermediate buffer) — the DMA read that builds a wire frame
+    /// around a payload.
+    pub fn append_to(
+        &self,
+        offset: usize,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), OutOfBounds> {
+        self.check(offset, len)?;
+        out.reserve(len);
+        let at = out.len();
+        // SAFETY: bounds checked as in `write_bytes`; `reserve`
+        // guarantees `capacity >= at + len`, so the destination range
+        // is inside the vector's allocation, which cannot alias the
+        // region's; `set_len` runs only after those `len` bytes are
+        // initialised by the copy. Same race contract as `read_bytes`.
+        unsafe {
+            std::ptr::copy_nonoverlapping(self.buf.ptr.add(offset), out.as_mut_ptr().add(at), len);
+            out.set_len(at + len);
         }
         Ok(())
     }
@@ -196,9 +243,8 @@ impl MemRegion {
     /// Snapshot a byte range into a fresh `Vec` (used by the fabric's
     /// DMA-read step).
     pub fn snapshot(&self, offset: usize, len: usize) -> Result<Vec<u8>, OutOfBounds> {
-        self.check(offset, len)?;
-        let mut v = vec![0u8; len];
-        self.read_bytes(offset, &mut v)?;
+        let mut v = Vec::new();
+        self.append_to(offset, len, &mut v)?;
         Ok(v)
     }
 
@@ -338,6 +384,25 @@ mod tests {
         assert_eq!(s, vec![7u8; 8]);
         r.write_bytes(4, &[1; 8]).unwrap();
         assert_eq!(s, vec![7u8; 8], "snapshot must be a copy");
+    }
+
+    #[test]
+    fn append_to_extends_without_touching_the_prefix() {
+        let r = MemRegion::detached(32);
+        let data: Vec<u8> = (0..32).collect();
+        r.write_bytes(0, &data).unwrap();
+        let mut out = vec![0xaa, 0xbb];
+        r.append_to(4, 8, &mut out).unwrap();
+        assert_eq!(out[..2], [0xaa, 0xbb]);
+        assert_eq!(out[2..], data[4..12]);
+        // Zero bytes at the very end of the region is in bounds.
+        r.append_to(32, 0, &mut out).unwrap();
+        assert_eq!(out.len(), 10);
+        // Out of bounds (by length, then by overflow): `out` untouched.
+        assert!(r.append_to(30, 3, &mut out).is_err());
+        let e = r.append_to(usize::MAX, 2, &mut out).unwrap_err();
+        assert!(e.to_string().contains("out of bounds"));
+        assert_eq!(out.len(), 10);
     }
 
     #[test]

@@ -120,7 +120,8 @@ fn intra_node_put_faster_than_inter_node() {
         let port = ep.open_port(1);
         if ep.rank() == 0 {
             let mut keys = std::collections::HashMap::new();
-            for _ in 0..2 {
+            // All three other ranks announce themselves, in any order.
+            for _ in 0..3 {
                 let d = ep.recv_dgram(&port);
                 let id = u32::from_le_bytes(d.bytes[..4].try_into().unwrap());
                 keys.insert(d.src, id);
