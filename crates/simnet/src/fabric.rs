@@ -324,7 +324,11 @@ impl std::error::Error for FabricError {}
 impl Fabric {
     pub fn new(cfg: FabricConfig) -> Arc<Self> {
         assert!(cfg.nodes > 0 && cfg.ranks_per_node > 0 && cfg.nics_per_node > 0);
-        let core = SimCore::new(cfg.virtual_time_cap);
+        let obs = Arc::new(unr_obs::Obs::new());
+        let core = SimCore::with_switch_counter(
+            cfg.virtual_time_cap,
+            obs.metrics.counter("simnet.sched.switches"),
+        );
         let nodes = (0..cfg.nodes)
             .map(|_| NodeState {
                 nics: (0..cfg.nics_per_node).map(|_| NicState::default()).collect(),
@@ -342,7 +346,6 @@ impl Fabric {
             .collect();
         let seed = cfg.seed;
         let tracer = cfg.trace.then(crate::trace::TraceRecorder::default);
-        let obs = Arc::new(unr_obs::Obs::new());
         if cfg.trace {
             obs.spans.enable();
         }

@@ -17,13 +17,23 @@
 //! Events are boxed closures run *inside* the scheduler loop with the
 //! scheduler state borrowed mutably; they perform fabric effects (memory
 //! writes, queue pushes) and wake blocked actors.
+//!
+//! One actor thread runs at a time; the others wait, each on its own
+//! baton (a `Condvar` per actor, all paired with the one state mutex).
+//! `current` only ever changes inside `Sched::dispatch`, which tells
+//! its caller whom it newly selected; the caller notifies exactly that
+//! baton, or none if it selected the caller again. Waiters test
+//! `current` under the mutex, so a notify that finds its target not yet
+//! waiting is not needed either (DESIGN.md §5, "Time model").
 
 use crate::sync::{Condvar, Mutex, MutexGuard};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+
+use unr_obs::Counter;
 
 use crate::time::Ns;
 
@@ -79,16 +89,26 @@ struct ActorSlot {
     t: Ns,
     state: ActorState,
     name: String,
+    /// What the actor's thread waits on until it is `current`.
+    baton: Arc<Condvar>,
 }
 
 /// Scheduler state. All mutation happens under one mutex; events run with
 /// this borrowed mutably.
 pub struct Sched {
     actors: Vec<ActorSlot>,
-    /// Min-heap of (time, actor-id) for Ready actors.
+    /// Min-heap of (time, actor-id) for Ready actors. A `Ready` slot
+    /// always has an entry at its `t` here (`t` only changes while
+    /// `Running`), so only the transition into `Ready` pushes.
     ready: BinaryHeap<Reverse<(Ns, usize)>>,
     events: BinaryHeap<Reverse<EventEntry>>,
     current: Option<usize>,
+    last_selected: Option<usize>,
+    /// Selections that differed from `last_selected`.
+    switches: Arc<Counter>,
+    /// Smallest (start time, id) among registered actors whose thread
+    /// has not called `begin()` yet; `None` once all have.
+    gate: Option<(Ns, usize)>,
     live: usize,
     event_seq: u64,
     /// Total events executed (for diagnostics).
@@ -152,30 +172,36 @@ impl Sched {
         None
     }
 
+    fn start_gate(&self) -> Option<(Ns, usize)> {
+        self.actors
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.state == ActorState::NotStarted)
+            .map(|(id, s)| (s.t, id))
+            .min()
+    }
+
     /// Core dispatch loop: run due events and select the next actor.
     /// Events win ties against actors (an arrival "at" time t is visible
     /// to an actor acting at t).
     ///
     /// Registered-but-not-started actors gate progress: nothing may
-    /// execute past the earliest pending start time, otherwise a slow OS
-    /// thread spawn would let the simulation run ahead of an actor's
-    /// causal past.
-    fn dispatch(&mut self) {
+    /// execute past the earliest pending (start time, id), otherwise a
+    /// slow OS thread spawn would let the simulation run ahead of an
+    /// actor's causal past — or, at equal times, let the order in which
+    /// the OS gets threads to `begin()` decide who runs first.
+    ///
+    /// Returns the actor this call selected, for `hand_off` to notify;
+    /// `None` if an actor was already running or nothing can run yet.
+    fn dispatch(&mut self) -> Option<usize> {
         if self.current.is_some() {
-            return;
+            return None;
         }
         loop {
-            let gate = self
-                .actors
-                .iter()
-                .filter(|s| s.state == ActorState::NotStarted)
-                .map(|s| s.t)
-                .min();
-            let a = self.ready_min();
-            let a = match (a, gate) {
-                (Some((ta, _)), Some(g)) if ta > g => None,
-                (a, _) => a,
-            };
+            let a = self
+                .ready_min()
+                .filter(|&a| self.gate.is_none_or(|g| a < g));
+            let gate = self.gate.map(|(g, _)| g);
             let run_event = match (self.events.peek(), a) {
                 (Some(Reverse(e)), Some((ta, _))) => {
                     e.t <= ta && gate.is_none_or(|g| e.t <= g)
@@ -196,45 +222,40 @@ impl Sched {
                 (ev.f)(self);
                 continue;
             }
-            match a {
-                Some((_, id)) => {
-                    // Re-fetch; the heap entry was validated by ready_min.
-                    self.ready.pop();
-                    self.actors[id].state = ActorState::Running;
-                    self.current = Some(id);
-                    return;
-                }
-                None => {
-                    // No events, no ready actors. If some actor has not
-                    // started yet, simply wait for its begin() (it will
-                    // re-dispatch); only report deadlock when every live
-                    // actor is genuinely blocked.
-                    let not_started = self
-                        .actors
-                        .iter()
-                        .any(|s| s.state == ActorState::NotStarted);
-                    let blocked: Vec<&ActorSlot> = self
+            let Some((_, id)) = a else {
+                // No events, no ready actors. If some actor has not
+                // started yet, simply wait for its begin() (it will
+                // re-dispatch); only report deadlock when every live
+                // actor is genuinely blocked.
+                if gate.is_none() {
+                    let blocked: Vec<String> = self
                         .actors
                         .iter()
                         .filter(|s| s.state == ActorState::Blocked)
+                        .map(|s| format!("{} (t={} ns)", s.name, s.t))
                         .collect();
-                    if !blocked.is_empty() && !not_started {
-                        let names: Vec<String> = blocked
-                            .iter()
-                            .map(|s| format!("{} (t={} ns)", s.name, s.t))
-                            .collect();
+                    if !blocked.is_empty() {
                         panic!(
                             "virtual-time deadlock: {} actor(s) blocked with no pending \
                              events: [{}]. This usually means a synchronization bug \
                              (a signal that is never triggered, or a receive without \
                              a matching send).",
-                            names.len(),
-                            names.join(", ")
+                            blocked.len(),
+                            blocked.join(", ")
                         );
                     }
-                    return; // all finished
                 }
+                return None; // all finished, or waiting for a begin()
+            };
+            // Re-fetch; the heap entry was validated by ready_min.
+            self.ready.pop();
+            self.actors[id].state = ActorState::Running;
+            self.current = Some(id);
+            if self.last_selected != Some(id) {
+                self.last_selected = Some(id);
+                self.switches.inc();
             }
+            return Some(id);
         }
     }
 }
@@ -242,26 +263,40 @@ impl Sched {
 /// The shared scheduler.
 pub struct SimCore {
     state: Mutex<Sched>,
-    cv: Condvar,
     poisoned: AtomicBool,
+    /// Batons notified, and waits that returned when it was not the
+    /// actor's turn: wall-clock facts, so tests read them and the
+    /// (deterministic) metrics registry does not.
+    wakes: AtomicU64,
+    spurious_wakes: AtomicU64,
 }
 
 impl SimCore {
     /// Create a scheduler with a virtual-time ceiling (runaway guard).
     pub fn new(virtual_time_cap: Ns) -> Arc<Self> {
+        Self::with_switch_counter(virtual_time_cap, Arc::default())
+    }
+
+    /// Like [`SimCore::new`], counting [`SimCore::switches`] in a
+    /// caller-provided counter (the fabric's `simnet.sched.switches`).
+    pub fn with_switch_counter(virtual_time_cap: Ns, switches: Arc<Counter>) -> Arc<Self> {
         Arc::new(SimCore {
             state: Mutex::new(Sched {
                 actors: Vec::new(),
                 ready: BinaryHeap::new(),
                 events: BinaryHeap::new(),
                 current: None,
+                last_selected: None,
+                switches,
+                gate: None,
                 live: 0,
                 event_seq: 0,
                 events_run: 0,
                 cap: virtual_time_cap,
             }),
-            cv: Condvar::new(),
             poisoned: AtomicBool::new(false),
+            wakes: AtomicU64::new(0),
+            spurious_wakes: AtomicU64::new(0),
         })
     }
 
@@ -274,7 +309,9 @@ impl SimCore {
             t: t0,
             state: ActorState::NotStarted,
             name: name.to_string(),
+            baton: Arc::default(),
         });
+        st.gate = Some(st.gate.map_or((t0, id), |g| g.min((t0, id))));
         st.live += 1;
         ActorHandle {
             core: Arc::clone(self),
@@ -287,63 +324,76 @@ impl SimCore {
         self.state.lock().events_run
     }
 
+    /// Selections so far that changed the running actor: a function of
+    /// the seed, like every simulated timestamp.
+    pub fn switches(&self) -> u64 {
+        self.state.lock().switches.get()
+    }
+
     fn check_poison(&self) {
         if self.poisoned.load(Ordering::Relaxed) {
             panic!("simulation previously panicked; scheduler is poisoned");
         }
     }
 
+    /// Dispatch, unlock, then notify the actor that was newly selected —
+    /// nobody if that is `me` or no one. In that order: a thread woken
+    /// while we still hold the lock runs into it and sleeps a second
+    /// time, which halved `sim-serve`'s rate on one core.
+    fn hand_off(&self, mut st: MutexGuard<'_, Sched>, me: ActorId) {
+        let selected = st.dispatch().filter(|&id| id != me.0);
+        let baton = selected.map(|id| Arc::clone(&st.actors[id].baton));
+        drop(st);
+        if let Some(baton) = baton {
+            self.wakes.fetch_add(1, Ordering::Relaxed);
+            baton.notify_one();
+        }
+    }
+
+    /// [`SimCore::hand_off`], then wait until `current == me`; returns
+    /// with the lock held. Poison is checked under the lock before every
+    /// wait, see [`ActorHandle::poison`]: a panicked rank never yields
+    /// currency, so no later dispatch would ever pick us.
+    fn park(&self, st: MutexGuard<'_, Sched>, me: ActorId) -> MutexGuard<'_, Sched> {
+        let baton = Arc::clone(&st.actors[me.0].baton);
+        self.hand_off(st, me);
+        let mut st = self.state.lock();
+        loop {
+            self.check_poison();
+            if st.current == Some(me.0) {
+                return st;
+            }
+            st = baton.wait(st);
+            if st.current != Some(me.0) {
+                self.spurious_wakes.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// Become the scheduled (minimum-time) entity. Returns with the lock
     /// held and `current == me`.
     fn acquire(&self, me: ActorId) -> MutexGuard<'_, Sched> {
-        let mut st = self.state.lock();
-        // Checked under the lock: poison() stores the flag before taking
-        // the lock, so we either see it here or are parked (atomically
-        // with the lock release) when its notify_all arrives. A check
-        // outside the lock can miss the notify and park forever — a
-        // panicked rank never yields currency, so no later dispatch would
-        // ever pick us.
+        let st = self.state.lock();
         self.check_poison();
-        debug_assert!(
-            st.actors[me.0].state == ActorState::Running || st.current != Some(me.0),
-            "re-entrant acquire"
-        );
         if st.current == Some(me.0) {
             return st;
         }
-        let t = st.actors[me.0].t;
-        st.actors[me.0].state = ActorState::Ready;
-        st.ready.push(Reverse((t, me.0)));
-        st.dispatch();
-        while st.current != Some(me.0) {
-            self.cv.notify_all();
-            st = self.cv.wait(st);
-            self.check_poison();
-        }
-        st
+        // Not current, so release() left us Ready: our heap entry stands.
+        debug_assert_eq!(st.actors[me.0].state, ActorState::Ready);
+        self.park(st, me)
     }
 
     /// Release the scheduler after an op; pick the next entity.
     fn release(&self, mut st: MutexGuard<'_, Sched>, me: ActorId) {
         debug_assert_eq!(st.current, Some(me.0));
-        // Stay "current": the next acquire() by this actor is then a
-        // no-op fast path. Other actors steal currency via acquire()'s
-        // dispatch only when this actor really yields (park/advance).
-        // However, leaving current set would starve smaller-time actors,
-        // so we must genuinely yield whenever someone earlier is waiting.
+        // Yield for real whenever someone earlier is waiting; if we are
+        // still the global minimum, dispatch re-selects us and the next
+        // acquire() is the no-op fast path with no context switch.
         st.current = None;
         st.actors[me.0].state = ActorState::Ready;
         let t = st.actors[me.0].t;
         st.ready.push(Reverse((t, me.0)));
-        st.dispatch();
-        // If we are still the global minimum, dispatch re-selected us and
-        // we keep running with no context switch; otherwise wake whoever
-        // was selected.
-        let chosen_other = st.current != Some(me.0);
-        drop(st);
-        if chosen_other {
-            self.cv.notify_all();
-        }
+        self.hand_off(st, me);
     }
 
     /// Run `f` as a scheduled op at the actor's current time.
@@ -384,21 +434,18 @@ impl ActorHandle {
     /// First synchronization: call once at thread start.
     pub fn begin(&self) {
         let core = &self.core;
+        let me = self.id;
         let mut st = core.state.lock();
-        // Same contract as acquire(): must be checked under the lock, or
-        // a rank whose sibling panicked before our thread got here parks
-        // with no wakeup ever coming.
         core.check_poison();
-        let t = st.actors[self.id.0].t;
-        st.actors[self.id.0].state = ActorState::Ready;
-        st.ready.push(Reverse((t, self.id.0)));
-        st.dispatch();
-        while st.current != Some(self.id.0) {
-            core.cv.notify_all();
-            st = core.cv.wait(st);
-            core.check_poison();
-        }
-        drop(st);
+        let slot = &mut st.actors[me.0];
+        debug_assert_eq!(slot.state, ActorState::NotStarted, "begin() called twice");
+        slot.state = ActorState::Ready;
+        let t = slot.t;
+        st.ready.push(Reverse((t, me.0)));
+        st.gate = st.start_gate();
+        // Dispatch selects us (the gate held back nothing smaller) or
+        // nobody; actors waiting at the gate are woken by our first yield.
+        drop(core.park(st, me));
     }
 
     /// Final synchronization: call once when the actor's work is done.
@@ -407,9 +454,7 @@ impl ActorHandle {
         st.actors[self.id.0].state = ActorState::Finished;
         st.live -= 1;
         st.current = None;
-        st.dispatch();
-        drop(st);
-        self.core.cv.notify_all();
+        self.core.hand_off(st, self.id);
     }
 
     /// Local virtual time.
@@ -475,12 +520,7 @@ impl ActorHandle {
             register(&mut st, self.id);
             st.actors[self.id.0].state = ActorState::Blocked;
             st.current = None;
-            st.dispatch();
-            core.cv.notify_all();
-            while st.current != Some(self.id.0) {
-                st = core.cv.wait(st);
-                core.check_poison();
-            }
+            st = core.park(st, self.id);
         }
     }
 
@@ -509,14 +549,15 @@ impl ActorHandle {
     /// world runner so sibling actors do not hang forever).
     pub fn poison(&self) {
         self.core.poisoned.store(true, Ordering::Relaxed);
-        // Serialize with waiters that have checked their wake condition
-        // but not yet parked: they hold the state lock until the park is
-        // atomic with its release, so acquiring it here guarantees every
-        // such waiter is parked before we notify — the wakeup cannot be
-        // lost. Threads not yet in the scheduler hit check_poison() on
-        // their next acquire() instead.
-        drop(self.core.state.lock());
-        self.core.cv.notify_all();
+        // Serialize with actors that have read the flag as clear but are
+        // not waiting yet: they hold the state lock until the wait
+        // releases it atomically, so once we have had it every one of
+        // them is on its baton and the notify cannot be lost. Threads
+        // not in the scheduler see the flag at their next acquire().
+        let st = self.core.state.lock();
+        for slot in &st.actors {
+            slot.baton.notify_all();
+        }
     }
 }
 
@@ -688,5 +729,241 @@ mod tests {
             assert!(h.now() > before);
             h.end();
         })]);
+    }
+
+    /// One storm-shaped world: 8 "ranks" that compute for seeded times
+    /// and ring their "agent" with a fabric event, 8 agents that block
+    /// until rung. Returns (switches, batons notified, spurious wake-ups).
+    fn storm_world(seed: u64) -> (u64, u64, u64) {
+        const PAIRS: usize = 8;
+        const ROUNDS: u64 = 50;
+        let core = SimCore::new(100 * SEC);
+        let handles: Vec<ActorHandle> = (0..2 * PAIRS)
+            .map(|i| core.register_actor(&format!("a{i}"), 0))
+            .collect();
+        let bells: Vec<Arc<AtomicU64>> = (0..PAIRS).map(|_| Arc::default()).collect();
+        let joins: Vec<_> = handles
+            .into_iter()
+            .enumerate()
+            .map(|(i, h)| {
+                let bell = Arc::clone(&bells[i % PAIRS]);
+                let agent = ActorId(PAIRS + i % PAIRS);
+                std::thread::spawn(move || {
+                    h.begin();
+                    if i < PAIRS {
+                        let mut rng = crate::rng::SimRng::seed_from_u64(seed + i as u64);
+                        for _ in 0..ROUNDS {
+                            h.advance(rng.gen_range_u64(50, 500));
+                            let bell = Arc::clone(&bell);
+                            h.with_sched(move |st, t| {
+                                st.schedule_at(t + 100, move |st2| {
+                                    bell.fetch_add(1, AO::Relaxed);
+                                    st2.wake(agent, t + 100);
+                                });
+                            });
+                        }
+                    } else {
+                        for rung in 1..=ROUNDS {
+                            h.wait_until(|_| bell.load(AO::Relaxed) >= rung, |_, _| {});
+                            h.advance(20);
+                        }
+                    }
+                    h.end();
+                })
+            })
+            .collect();
+        for j in joins {
+            j.join().unwrap();
+        }
+        (
+            core.switches(),
+            core.wakes.load(AO::Relaxed),
+            core.spurious_wakes.load(AO::Relaxed),
+        )
+    }
+
+    #[test]
+    fn one_wake_per_switch_and_switches_follow_the_seed() {
+        let one_core = std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
+        let (switches, ..) = storm_world(7);
+        assert!(switches > 1_000, "the world must interleave: {switches}");
+        for run in 0..20 {
+            let (s, wakes, spurious) = storm_world(7);
+            assert_eq!(s, switches, "run {run}: switches must follow the seed");
+            assert!(wakes <= s + 16, "run {run}: {wakes} wakes for {s} switches");
+            // With a second core the target can take its whole turn
+            // between the waker's unlock and notify, and be woken from
+            // its next wait; on one core the waker gets there first.
+            if one_core {
+                assert_eq!(spurious, 0, "run {run}: an actor woke out of turn");
+            }
+        }
+    }
+
+    /// Run `victim` on a fresh thread and require it to die of the
+    /// scheduler's poison panic. A lost wake-up leaves it parked for
+    /// good, so wait with a deadline instead of joining.
+    fn assert_poison_reaches(
+        round: usize,
+        victim: impl FnOnce() + Send + 'static,
+        poisoner: impl FnOnce(),
+    ) {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(victim));
+            let _ = done.send(r.map_err(|p| p.downcast_ref::<&str>().copied()));
+        });
+        poisoner();
+        match outcome.recv_timeout(std::time::Duration::from_secs(20)) {
+            Ok(Err(Some(msg))) if msg.contains("scheduler is poisoned") => {}
+            Ok(other) => panic!("round {round}: victim ended with {other:?}"),
+            Err(_) => panic!("round {round}: victim is stranded — poison never woke it"),
+        }
+    }
+
+    #[test]
+    fn poison_reaches_an_actor_parked_in_begin() {
+        for round in 0..100 {
+            let core = SimCore::new(SEC);
+            // The gate: registered at t=0, its thread never arrives.
+            let absent = core.register_actor("absent", 0);
+            let victim = core.register_actor("victim", 10);
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let start2 = Arc::clone(&start);
+            assert_poison_reaches(
+                round,
+                move || {
+                    start2.wait();
+                    victim.begin(); // t=10 is past the gate: parks
+                    unreachable!("began past the start gate");
+                },
+                || {
+                    start.wait();
+                    absent.poison();
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn poison_reaches_an_actor_parked_in_acquire() {
+        for round in 0..100 {
+            let core = SimCore::new(SEC);
+            let victim = core.register_actor("victim", 0);
+            let holder = core.register_actor("holder", 5);
+            let (yielded, after_yield) = std::sync::mpsc::channel();
+            assert_poison_reaches(
+                round,
+                move || {
+                    victim.begin();
+                    victim.advance(10); // now behind the holder's t=5
+                    yielded.send(()).unwrap();
+                    victim.now(); // not current: parks in acquire
+                    unreachable!("ran while the holder was current");
+                },
+                || {
+                    after_yield.recv().unwrap();
+                    // Like a rank that panics mid-run: it holds currency
+                    // and never yields it.
+                    holder.begin();
+                    holder.poison();
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn poison_reaches_an_actor_blocked_in_wait_until() {
+        for round in 0..100 {
+            let core = SimCore::new(SEC);
+            let victim = core.register_actor("victim", 0);
+            // Keeps the world from being a deadlock: it may yet start.
+            let absent = core.register_actor("absent", 0);
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let start2 = Arc::clone(&start);
+            assert_poison_reaches(
+                round,
+                move || {
+                    victim.begin();
+                    start2.wait();
+                    victim.wait_until(|_| false, |_, _| {});
+                    unreachable!("a wait on nothing returned");
+                },
+                || {
+                    start.wait();
+                    absent.poison();
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn late_begin_holds_the_world_at_its_start_time_then_wakes_it() {
+        // `spawner` registers `late` at t=100 mid-run (what attach_at
+        // does for a polling agent) and finishes; `runner` ticks every
+        // 30 ns. Until late's thread calls begin(), nothing may run past
+        // t=100 — the runner parks at the gate — and late's begin()
+        // selects late itself, so it is late's first yield that has to
+        // wake the runner: a hand-off by an actor the runner never
+        // yielded to.
+        let core = SimCore::new(SEC);
+        let spawner = core.register_actor("spawner", 0);
+        let runner = core.register_actor("runner", 0);
+        let log = Arc::new(Mutex::new(Vec::<(&str, Ns)>::new()));
+        let (to_main, late_handle) = std::sync::mpsc::channel();
+
+        let core2 = Arc::clone(&core);
+        let spawner = std::thread::spawn(move || {
+            spawner.begin();
+            spawner.advance(100);
+            to_main.send(core2.register_actor("late", 100)).unwrap();
+            spawner.end();
+        });
+        let log2 = Arc::clone(&log);
+        let runner = std::thread::spawn(move || {
+            runner.begin();
+            for _ in 0..6 {
+                runner.advance(30);
+                runner.with_sched(|_, t| log2.lock().push(("runner", t)));
+            }
+            runner.end();
+        });
+
+        let late = late_handle.recv().unwrap();
+        // The spawner ends at t=100, which the scheduler lets happen only
+        // once the runner has advanced beyond it: from here on the runner
+        // is at t=120, held by the gate.
+        spawner.join().unwrap();
+        assert_eq!(
+            *log.lock(),
+            [("runner", 30), ("runner", 60), ("runner", 90)]
+        );
+        let wakes_before = core.wakes.load(AO::Relaxed);
+
+        let log3 = Arc::clone(&log);
+        let late = std::thread::spawn(move || {
+            late.begin();
+            late.with_sched(|_, t| log3.lock().push(("late", t)));
+            late.advance(35);
+            late.with_sched(|_, t| log3.lock().push(("late", t)));
+            late.end();
+        });
+        late.join().unwrap();
+        runner.join().unwrap();
+        assert_eq!(
+            *log.lock(),
+            [
+                ("runner", 30),
+                ("runner", 60),
+                ("runner", 90),
+                ("late", 100),
+                ("runner", 120),
+                ("late", 135),
+                ("runner", 150),
+                ("runner", 180),
+            ]
+        );
+        // late → runner at 120, → late at 135, → runner at 150.
+        assert_eq!(core.wakes.load(AO::Relaxed) - wakes_before, 3);
     }
 }
