@@ -319,29 +319,32 @@ impl NetUnr {
             };
             std::thread::Builder::new()
                 .name(name)
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        // Epoch first, work second: a frame applied
-                        // during the pass moves the epoch past `seen`
-                        // and the sleep below returns at once.
-                        let seen = fabric.event_epoch();
-                        let mut drained = 0u64;
-                        while let Some((src, bytes)) = fabric.pop_ctrl() {
-                            handle_ctrl(&fabric, &table, &rel, epoch, src, &bytes);
-                            drained += 1;
+                .spawn(move || loop {
+                    // Epoch first, then the stop flag and the work:
+                    // whatever changes during the pass — a control
+                    // message queued, `finalize` — rings the control
+                    // bell past `seen`, and the sleep below returns at
+                    // once. Data frames ring another bell.
+                    let seen = fabric.ctrl_epoch();
+                    if stop.load(Ordering::Relaxed) {
+                        return;
+                    }
+                    let mut drained = 0u64;
+                    while let Some((src, bytes)) = fabric.pop_ctrl() {
+                        handle_ctrl(&fabric, &table, &rel, epoch, src, &bytes);
+                        drained += 1;
+                    }
+                    let next_sweep = sweep_retries(&fabric, &rel, rto, cap, max_retries);
+                    if drained > 0 {
+                        if let Some(c) = &ctrl_msgs {
+                            c.add(drained);
                         }
-                        sweep_retries(&fabric, &rel, rto, cap, max_retries);
-                        if drained > 0 {
-                            if let Some(c) = &ctrl_msgs {
-                                c.add(drained);
-                            }
-                            // Signals may have fired: wake sig_wait
-                            // parkers — and go round again rather than
-                            // sleep, more is likely on its way.
-                            fabric.ring_bell();
-                        } else if !fabric.wait_event_since(seen, Duration::from_millis(1)) {
-                            fabric.met.wait_timeouts.inc();
-                        }
+                        // Signals may have fired: wake sig_wait
+                        // parkers — and go round again rather than
+                        // sleep, more is likely on its way.
+                        fabric.ring_bell();
+                    } else {
+                        fabric.wait_ctrl_since(seen, next_sweep);
                     }
                 })
                 .expect("spawn progress thread")
@@ -693,16 +696,7 @@ impl NetUnr {
             self.epoch,
             wire::seq_data_msg(seq, region_id, offset as u64, key, addend, payload),
         );
-        let rto = MIN_RTO.max(Duration::from_nanos(self.cfg.retry_timeout));
-        self.rel.pending.lock().expect("pending lock").insert(
-            (dst, seq),
-            Pending {
-                bytes: msg.clone(),
-                nic,
-                deadline: Instant::now() + rto,
-                attempts: 0,
-            },
-        );
+        self.track_unacked(dst, seq, nic, &msg);
         let nth = self.rel.sends.fetch_add(1, Ordering::Relaxed) + 1;
         let dropped = self
             .faults
@@ -716,6 +710,27 @@ impl NetUnr {
                 .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))?;
         }
         Ok(())
+    }
+
+    /// Buffer one reliable sub-message for replay, before it is sent.
+    /// The progress thread sleeps without a deadline while nothing is
+    /// unacked; the entry that ends that rings it awake to start
+    /// watching (later ones it finds by itself, see `sweep_retries`).
+    fn track_unacked(&self, dst: usize, seq: u64, nic: usize, msg: &[u8]) {
+        let rto = MIN_RTO.max(Duration::from_nanos(self.cfg.retry_timeout));
+        let entry = Pending {
+            bytes: msg.to_vec(),
+            nic,
+            deadline: Instant::now() + rto,
+            attempts: 0,
+        };
+        let mut pend = self.rel.pending.lock().expect("pending lock");
+        let first = pend.is_empty();
+        pend.insert((dst, seq), entry);
+        drop(pend);
+        if first {
+            self.fabric.ring_ctrl();
+        }
     }
 
     /// Append one eligible small put to its destination's aggregate
@@ -808,19 +823,10 @@ impl NetUnr {
                 self.epoch,
                 wire::agg_msg(seq, true, &fl.spans, &fl.sigs, &fl.payload),
             );
-            let rto = MIN_RTO.max(Duration::from_nanos(self.cfg.retry_timeout));
             // Register before sending: the progress thread's sweep
             // resends the stored frame verbatim, so one entry covers
             // every put packed inside the aggregate.
-            self.rel.pending.lock().expect("pending lock").insert(
-                (dst, seq),
-                Pending {
-                    bytes: msg.clone(),
-                    nic,
-                    deadline: Instant::now() + rto,
-                    attempts: 0,
-                },
-            );
+            self.track_unacked(dst, seq, nic, &msg);
             let nth = self.rel.sends.fetch_add(1, Ordering::Relaxed) + 1;
             let dropped = self
                 .faults
@@ -929,7 +935,7 @@ impl NetUnr {
         // (a latched-down channel cannot deliver it anyway).
         let _ = self.agg_flush_all(FlushWhy::Explicit);
         self.stop.store(true, Ordering::Relaxed);
-        self.fabric.ring_bell();
+        self.fabric.ring_ctrl();
         if let Some(h) = self.progress.lock().expect("progress lock").take() {
             let _ = h.join();
         }
@@ -1078,19 +1084,25 @@ fn handle_ctrl(
     }
 }
 
-/// Retransmit timed-out reliable sub-messages (progress-thread context).
+/// Retransmit timed-out reliable sub-messages (progress-thread
+/// context). Returns when to sweep again: at the earliest deadline
+/// left, but within one `rto` — a sub-message posted after this sweep
+/// is due `rto` after its post, so not before that — or `None` with
+/// nothing unacked (the post that changes that rings the control bell).
 fn sweep_retries(
     fabric: &Arc<NetFabric>,
     rel: &Arc<RelState>,
     rto: Duration,
     cap: Duration,
     max_retries: u32,
-) {
+) -> Option<Instant> {
     let now = Instant::now();
     let mut pend = rel.pending.lock().expect("pending lock");
     let mut dead: Option<(usize, u64, u32)> = None;
+    let mut next = now + rto;
     for ((dst, seq), p) in pend.iter_mut() {
         if p.deadline > now {
+            next = next.min(p.deadline);
             continue;
         }
         p.attempts += 1;
@@ -1107,6 +1119,7 @@ fn sweep_retries(
             .saturating_mul(1u32 << p.attempts.min(16))
             .min(cap);
         p.deadline = now + backoff;
+        next = next.min(p.deadline);
     }
     if let Some((dst, seq, attempts)) = dead {
         pend.remove(&(dst, seq));
@@ -1116,7 +1129,10 @@ fn sweep_retries(
             *failed = Some((dst, attempts));
         }
         fabric.ring_bell();
+        // The sweep stopped short: finish it before sleeping.
+        return Some(now);
     }
+    (!pend.is_empty()).then_some(next)
 }
 
 #[cfg(test)]

@@ -3,16 +3,26 @@
 //!
 //! A [`NetFabric`] owns, for each `(peer, nic)` pair, one bidirectional
 //! **nonblocking** `TcpStream` registered with exactly one reactor
-//! thread ([`crate::reactor`]). Sends encode the whole frame up front
-//! and push it onto the connection's lock-free writer queue (waking the
-//! owning reactor); the reactor's write state machine puts it on the
-//! wire, surviving partial writes. Inbound bytes are reassembled by a
+//! thread ([`crate::reactor`]). Sends encode the whole frame up front,
+//! push it onto the connection's lock-free writer queue and, when
+//! nobody else is writing that socket and it is not full, write it from
+//! the posting thread; otherwise the owning reactor is woken to do it
+//! (one write state machine, surviving partial writes, serves both).
+//! Inbound bytes are reassembled by a
 //! per-connection [`frame::FrameAssembler`] and *applied* by the
 //! reactor — payloads land in the destination [`NetRegion`], custom
 //! bits go to the installed [`NetAddSink`] — which is exactly the
 //! paper's level-2 emulation: an agent thread performs the `*p += a`
 //! the level-4 NIC would do in hardware. The thread budget is flat in
 //! world size: `main + progress + nreactors` regardless of rank count.
+//!
+//! Two bells wake sleepers. The **event bell** rings whenever a
+//! waiter's predicate may have changed — a data frame applied, control
+//! messages handled, a stream latched down — and is what `sig_wait`
+//! sleeps on. The **control bell** rings when there is work for the
+//! engine's progress thread — a control message queued, a retransmit
+//! deadline to start watching, teardown — so that thread sleeps through
+//! data frames, which it has no part in.
 //!
 //! A [`NetRegion`] is the workspace's one raw region buffer
 //! ([`unr_simnet::MemRegion`], the only raw-memory module) under a
@@ -31,7 +41,7 @@ use std::io;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use unr_obs::metrics::Counter;
 use unr_obs::Obs;
@@ -76,7 +86,7 @@ pub struct TransportMetrics {
     /// First transmissions silently dropped by fault injection.
     pub drops_injected: Arc<Counter>,
     /// [`NetFabric::wait_event_since`] sleeps that elapsed without an
-    /// event.
+    /// event (counted by the waiters; the control bell has no poll).
     pub wait_timeouts: Arc<Counter>,
     /// Unframeable inbound data: corrupt length prefixes or streams
     /// that died mid-frame (teardown excluded).
@@ -189,6 +199,43 @@ impl NetRegion {
     }
 }
 
+/// An epoch + condvar pair. A sleeper samples the epoch *before*
+/// looking for work and sleeps only while it still reads the same, so a
+/// ring between the look and the sleep is never slept through.
+#[derive(Default)]
+struct Bell {
+    epoch: Mutex<u64>,
+    cv: Condvar,
+}
+
+impl Bell {
+    fn ring(&self) {
+        let mut e = self.epoch.lock().expect("bell lock");
+        *e += 1;
+        self.cv.notify_all();
+    }
+
+    fn epoch(&self) -> u64 {
+        *self.epoch.lock().expect("bell lock")
+    }
+
+    /// Sleep until the epoch differs from `since` or `deadline` passes
+    /// (`None`: for as long as it takes); `true` if it rang.
+    fn wait_since(&self, since: u64, deadline: Option<Instant>) -> bool {
+        let mut e = self.epoch.lock().expect("bell lock");
+        while *e == since {
+            e = match deadline {
+                None => self.cv.wait(e).expect("bell condvar"),
+                Some(d) => match d.checked_duration_since(Instant::now()) {
+                    None | Some(Duration::ZERO) => return false,
+                    Some(left) => self.cv.wait_timeout(e, left).expect("bell condvar").0,
+                },
+            };
+        }
+        true
+    }
+}
+
 /// State shared between the fabric handle and its reader threads.
 /// Readers hold this `Arc` (plus a `Weak<NetFabric>` for replies), so
 /// dropping the last application-side `NetFabric` reference can never
@@ -198,10 +245,12 @@ struct Shared {
     regions: Mutex<HashMap<u32, Arc<NetRegion>>>,
     /// Inbound control messages: `(src_rank, wire bytes)`.
     ctrl: Mutex<VecDeque<(usize, Vec<u8>)>>,
-    /// Event epoch + condvar: bumped after every applied frame so
-    /// waiters (`sig_wait`, progress loops) can sleep between events.
-    epoch: Mutex<u64>,
-    bell: Condvar,
+    /// Rung after every applied data frame and every batch of handled
+    /// control messages, so `sig_wait` can sleep between events.
+    events: Bell,
+    /// Rung when `ctrl` gains a message and when the progress thread's
+    /// sleep must be cut short for another reason.
+    ctrl_bell: Bell,
     /// The emulated atomic-add unit; installed once by the engine.
     sink: OnceLock<Arc<dyn NetAddSink>>,
     /// Custom bits that arrived before the sink was installed — drained
@@ -221,8 +270,8 @@ impl Shared {
         Shared {
             regions: Mutex::new(HashMap::new()),
             ctrl: Mutex::new(VecDeque::new()),
-            epoch: Mutex::new(0),
-            bell: Condvar::new(),
+            events: Bell::default(),
+            ctrl_bell: Bell::default(),
             sink: OnceLock::new(),
             pre_sink: Mutex::new(Vec::new()),
             stopping: AtomicBool::new(false),
@@ -276,9 +325,13 @@ impl Shared {
     }
 
     fn ring_bell(&self) {
-        let mut e = self.epoch.lock().expect("epoch lock");
-        *e += 1;
-        self.bell.notify_all();
+        self.events.ring();
+    }
+
+    /// Queue one inbound control message for the progress thread.
+    fn push_ctrl(&self, src: usize, bytes: Vec<u8>) {
+        self.ctrl.lock().expect("ctrl lock").push_back((src, bytes));
+        self.ctrl_bell.ring();
     }
 }
 
@@ -497,14 +550,15 @@ impl NetFabric {
         self.enqueue(conn, frame::encode_frame(kind, parts)?)
     }
 
-    /// Queue one encoded frame on `conn` and wake the owning reactor.
-    /// Lock-free on the fast path; above [`QUEUE_CAP_BYTES`] the caller
-    /// stalls (counted) until the reactor drains the queue —
-    /// backpressure instead of unbounded memory.
+    /// Post one encoded frame on `conn` ([`ReactorPool::post`]: written
+    /// by this thread if the writer is idle, else by the reactor). With
+    /// more than [`QUEUE_CAP_BYTES`] queued behind a full socket the
+    /// caller stalls (counted) until the reactor has written the backlog
+    /// down — backpressure instead of unbounded memory.
     fn enqueue(&self, conn: &Conn, buf: Vec<u8>) -> io::Result<()> {
-        if conn.queue.bytes() > QUEUE_CAP_BYTES {
+        if conn.queued_bytes() > QUEUE_CAP_BYTES {
             self.reactor_met.backpressure_stalls.inc();
-            while conn.queue.bytes() > QUEUE_CAP_BYTES {
+            while conn.queued_bytes() > QUEUE_CAP_BYTES {
                 if self.shared.stopping.load(Ordering::Relaxed) {
                     return Err(io::Error::new(
                         io::ErrorKind::BrokenPipe,
@@ -524,8 +578,7 @@ impl NetFabric {
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
-        conn.queue.push(buf);
-        self.pool.wake(conn.reactor);
+        self.pool.post(conn, buf);
         self.met.tx_frames.inc();
         Ok(())
     }
@@ -631,12 +684,7 @@ impl NetFabric {
     /// Send an opaque `unr_core::wire` control message to `dst`.
     pub fn send_ctrl(&self, dst: usize, nic: usize, bytes: &[u8]) -> io::Result<()> {
         if dst == self.rank {
-            self.shared
-                .ctrl
-                .lock()
-                .expect("ctrl lock")
-                .push_back((self.rank, bytes.to_vec()));
-            self.shared.ring_bell();
+            self.shared.push_ctrl(self.rank, bytes.to_vec());
             return Ok(());
         }
         self.send(dst, nic, frame::FRAME_CTRL, &[bytes])
@@ -653,10 +701,30 @@ impl NetFabric {
     }
 
     /// Bump the event epoch and wake every [`NetFabric::wait_event_since`]
-    /// sleeper. Reader threads ring after each applied frame; the
+    /// sleeper. Reactor threads ring after each applied data frame; the
     /// engine rings after applying control messages.
     pub fn ring_bell(&self) {
         self.shared.ring_bell();
+    }
+
+    /// The control bell's epoch: the progress thread samples it, looks
+    /// for work, then sleeps in [`wait_ctrl_since`](Self::wait_ctrl_since).
+    pub fn ctrl_epoch(&self) -> u64 {
+        self.shared.ctrl_bell.epoch()
+    }
+
+    /// Ring the control bell for work no queued control message
+    /// announces (queueing one rings it): the progress thread's stop
+    /// flag, or a first unacked sub-message to start watching.
+    pub fn ring_ctrl(&self) {
+        self.shared.ctrl_bell.ring();
+    }
+
+    /// Sleep until the control bell has rung since `since` was sampled
+    /// or `deadline` passes — with `None`, until it rings, which data
+    /// frames never do. `true` if it rang.
+    pub fn wait_ctrl_since(&self, since: u64, deadline: Option<Instant>) -> bool {
+        self.shared.ctrl_bell.wait_since(since, deadline)
     }
 
     /// The current event epoch. A waiter samples it *before* testing
@@ -667,7 +735,7 @@ impl NetFabric {
     ///
     /// [`wait_event_since`]: NetFabric::wait_event_since
     pub fn event_epoch(&self) -> u64 {
-        *self.shared.epoch.lock().expect("epoch lock")
+        self.shared.events.epoch()
     }
 
     /// Sleep until the event epoch differs from `since` (a value from
@@ -675,13 +743,7 @@ impl NetFabric {
     /// Returns `true` if an event arrived. Callers re-check their
     /// predicate in a loop; the epoch only orders the sleep.
     pub fn wait_event_since(&self, since: u64, timeout: Duration) -> bool {
-        let guard = self.shared.epoch.lock().expect("epoch lock");
-        let (guard, _res) = self
-            .shared
-            .bell
-            .wait_timeout_while(guard, timeout, |e| *e == since)
-            .expect("epoch condvar");
-        *guard != since
+        self.shared.events.wait_since(since, Some(Instant::now() + timeout))
     }
 
     /// Whether teardown has begun (reader threads exiting is expected).
@@ -705,6 +767,7 @@ impl NetFabric {
             }
         }
         self.shared.ring_bell();
+        self.shared.ctrl_bell.ring();
     }
 }
 
@@ -790,11 +853,10 @@ impl FrameDispatch for FabricDispatch {
                 shared.apply_custom(frame::parse_atomic(&f.body));
             }
             frame::FRAME_CTRL => {
-                shared
-                    .ctrl
-                    .lock()
-                    .expect("ctrl lock")
-                    .push_back((peer, f.body));
+                // No waiter's predicate moves until the progress thread
+                // has handled it (and rings the event bell itself).
+                shared.push_ctrl(peer, f.body);
+                return;
             }
             _ => {} // unknown kind post-handshake: ignore
         }
@@ -901,6 +963,70 @@ mod tests {
         });
         assert_eq!(r.snapshot(0, HALF), halves[0]);
         assert_eq!(r.snapshot(HALF, HALF), halves[1]);
+    }
+
+    /// A peer that stops reading must cost this process the kernel's
+    /// socket buffers plus [`QUEUE_CAP_BYTES`], not everything its
+    /// posters can produce: rank 0 of a two-rank world posts at a
+    /// "rank 1" that is a raw socket in this test's hands.
+    #[test]
+    fn a_peer_that_stops_reading_stalls_posters_at_the_cap() {
+        const BODY: usize = 64 * 1024;
+        // Four caps' worth: without backpressure all of it is accepted.
+        const FRAMES: usize = 4 * QUEUE_CAP_BYTES / BODY;
+        let body = |i: usize| {
+            let mut b = vec![i as u8; BODY];
+            b[..8].copy_from_slice(&(i as u64).to_le_bytes());
+            b
+        };
+        let listen = || std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let (l0, l1) = (listen(), listen());
+        let port = |l: &std::net::TcpListener| l.local_addr().unwrap().port();
+        let ports = [vec![port(&l0)], vec![port(&l1)]];
+        let fabric = NetFabric::connect(0, 2, 1, &ports, vec![l0]).unwrap();
+        let (peer, _) = l1.accept().unwrap();
+        let mut peer = &peer;
+        assert_eq!(frame::read_frame(&mut peer).unwrap().kind, frame::FRAME_HELLO);
+        let conn = Arc::clone(fabric.conn(1, 0).unwrap());
+        let stalls = &fabric.reactor_met.backpressure_stalls;
+
+        let posted = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..FRAMES {
+                    // Fails once the main thread has given up (shutdown).
+                    if fabric.send_ctrl(1, 0, &body(i)).is_err() {
+                        return;
+                    }
+                    posted.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            while stalls.get() == 0 {
+                if posted.load(Ordering::SeqCst) == FRAMES as u64 {
+                    fabric.shutdown();
+                    panic!("{FRAMES} frames posted at a peer that reads nothing, no stall");
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // The poster sits in its stall: at most one frame above the
+            // cap is queued, and one more is half-written in `pending`.
+            let (backlog, socket_full) = conn.backlog();
+            let frame_len = 4 + 1 + BODY; // length prefix, kind
+            assert!(socket_full);
+            assert!(
+                backlog > QUEUE_CAP_BYTES && backlog <= QUEUE_CAP_BYTES + 2 * frame_len,
+                "{backlog} bytes held for a peer that stopped reading"
+            );
+            // The peer reads again: every frame, whole, in post order.
+            for i in 0..FRAMES {
+                let f = frame::read_frame(&mut peer).expect("a whole frame");
+                assert_eq!(f.kind, frame::FRAME_CTRL);
+                assert!(f.body == body(i), "frame {i} differs");
+            }
+        });
+        assert_eq!(posted.load(Ordering::SeqCst), FRAMES as u64);
+        assert_eq!(conn.backlog(), (0, false));
+        fabric.shutdown();
     }
 
     /// Sums what reaches the atomic-add unit.

@@ -18,10 +18,15 @@
 //!   elsewhere) over its streams plus one **wake channel**;
 //! * reads feed a per-connection [`FrameAssembler`] that reassembles
 //!   length-prefixed frames across arbitrary partial reads;
-//! * writes drain a per-connection lock-free [`FrameQueue`] (a Treiber
-//!   stack reversed on consume, so completion order equals push order)
-//!   through a per-connection write state machine that survives
-//!   partial writes.
+//! * sends push onto a per-connection lock-free [`FrameQueue`] (a
+//!   Treiber stack reversed on consume, so completion order equals push
+//!   order) and are put on the wire by a per-connection write state
+//!   machine that survives partial writes. **Whoever finds that writer
+//!   idle writes**: the posting thread itself when it can take the
+//!   writer lock and the socket is not known to be full
+//!   ([`ReactorPool::post`]), the owning reactor otherwise — after a
+//!   `WouldBlock` (it polls for writability), or when a poster found
+//!   another thread writing and handed its frame over with a wake.
 //!
 //! The pool size is fixed at construction (default
 //! [`DEFAULT_REACTORS`], env `UNR_NETFAB_REACTORS`), so the thread
@@ -31,15 +36,16 @@
 //! The reactor knows nothing about regions, signals or the reliable
 //! protocol: inbound frames are handed to a [`FrameDispatch`]
 //! implemented by the fabric, which may return already-encoded reply
-//! frames (GET replies) that the reactor queues on the same connection
-//! — replies bypass the backpressure cap because the reactor cannot
-//! wait on the queue it is itself responsible for draining.
+//! frames (GET replies) that the reactor appends to the same
+//! connection's write state — replies bypass the backpressure cap
+//! because the reactor cannot wait on a backlog it is itself
+//! responsible for draining.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 
 use unr_obs::metrics::{Counter, Gauge, Histogram};
@@ -51,7 +57,10 @@ use crate::frame::{Frame, FrameAssembler};
 pub const DEFAULT_REACTORS: usize = 2;
 
 /// Per-connection writer-queue cap in bytes; producers stall (counted
-/// in `unr.transport.reactor.backpressure_stalls`) above this.
+/// in `unr.transport.reactor.backpressure_stalls`) above this. The
+/// queue is the backlog — nothing leaves it while the socket is full
+/// (see `Writer::flush`) — so this bounds what a peer that stops
+/// reading can make this process hold.
 pub const QUEUE_CAP_BYTES: usize = 8 * 1024 * 1024;
 
 /// Read scratch per connection per loop iteration — also the fairness
@@ -60,8 +69,9 @@ pub const QUEUE_CAP_BYTES: usize = 8 * 1024 * 1024;
 const READ_CHUNK: usize = 256 * 1024;
 
 /// Poller timeout; the wake channel makes wakeups instant, this only
-/// bounds how long a reactor can miss a `stopping` flag.
-const POLL_TIMEOUT_MS: i32 = 250;
+/// bounds how long a reactor can miss a `stopping` flag — and is what a
+/// lost wake-up would cost, which is how tests recognise one.
+pub const POLL_TIMEOUT_MS: i32 = 250;
 
 /// `unr.transport.reactor.*` instruments.
 #[derive(Clone)]
@@ -72,13 +82,14 @@ pub struct ReactorMetrics {
     /// Ready descriptors per poller return (batch size).
     pub poll_batch: Arc<Histogram>,
     /// Frames taken per non-empty writer-queue drain (queue depth seen
-    /// by the consumer).
+    /// by whoever writes: a posting thread or the reactor).
     pub queue_depth: Arc<Histogram>,
     /// Reads that ended (`WouldBlock`) with a frame still mid-assembly.
     pub partial_reads: Arc<Counter>,
     /// Producer stalls on a full writer queue.
     pub backpressure_stalls: Arc<Counter>,
-    /// Wake bytes written to reactor wake channels.
+    /// Wake bytes written to reactor wake channels: posts that could
+    /// not finish on the posting thread, plus teardown.
     pub wakeups: Arc<Counter>,
 }
 
@@ -106,11 +117,11 @@ struct Node {
 }
 
 /// A lock-free MPSC queue of encoded frames: any thread pushes, the
-/// owning reactor drains. Implemented as a Treiber stack (CAS push onto
-/// an atomic head); the single consumer detaches the whole stack and
-/// reverses it, so frames come out in push-linearization order — the
-/// FIFO guarantee the unreliable path's "TCP delivers in order"
-/// assumption needs.
+/// holder of the connection's writer lock drains. Implemented as a
+/// Treiber stack (CAS push onto an atomic head); the single consumer
+/// detaches the whole stack and reverses it, so frames come out in
+/// push-linearization order — the FIFO guarantee the unreliable path's
+/// "TCP delivers in order" assumption needs.
 pub struct FrameQueue {
     head: AtomicPtr<Node>,
     bytes: AtomicUsize,
@@ -217,8 +228,9 @@ unsafe impl Sync for FrameQueue {}
 // Connections
 // ---------------------------------------------------------------------
 
-/// One mesh stream in the registry: the nonblocking socket plus its
-/// writer queue, owned (for I/O) by reactor `self.reactor`.
+/// One mesh stream in the registry: the nonblocking socket, its writer
+/// queue and its write state machine. Reads belong to reactor
+/// `self.reactor`; writes to whoever holds the writer lock.
 pub struct Conn {
     /// Remote rank.
     pub peer: usize,
@@ -226,12 +238,19 @@ pub struct Conn {
     pub nic: usize,
     /// Index of the owning reactor in the pool.
     pub reactor: usize,
-    /// The nonblocking stream. The reactor reads and writes; the fabric
-    /// only ever calls `shutdown` on it (safe concurrently — both are
-    /// plain syscalls on the same descriptor).
+    /// The nonblocking stream. The reactor reads; the fabric also calls
+    /// `shutdown` on it (safe concurrently — both are plain syscalls on
+    /// the same descriptor).
     pub stream: TcpStream,
-    /// Encoded frames awaiting transmission.
-    pub queue: FrameQueue,
+    /// Encoded frames awaiting transmission, in the order they will
+    /// reach the wire. Filled only by [`ReactorPool::post`], so every
+    /// frame in it has someone who will write it.
+    queue: FrameQueue,
+    /// The write state machine. A plain mutex, `try_lock`ed by posters
+    /// (who never wait for it) and `lock`ed by the reactor: every
+    /// socket write and every [`FrameQueue::drain_into`] happens under
+    /// it, so wire order is push-linearization order.
+    writer: Mutex<Writer>,
 }
 
 impl Conn {
@@ -244,7 +263,101 @@ impl Conn {
             reactor,
             stream,
             queue: FrameQueue::new(),
+            writer: Mutex::new(Writer {
+                pending: VecDeque::new(),
+                front_off: 0,
+                want_write: false,
+                open_write: true,
+            }),
         })
+    }
+
+    /// Bytes posted and not yet taken up for writing — what
+    /// [`QUEUE_CAP_BYTES`] bounds.
+    pub fn queued_bytes(&self) -> usize {
+        self.queue.bytes()
+    }
+
+    fn writer(&self) -> MutexGuard<'_, Writer> {
+        self.writer.lock().expect("writer lock")
+    }
+
+    /// `(queued + unwritten bytes, socket known full)`.
+    #[cfg(test)]
+    pub(crate) fn backlog(&self) -> (usize, bool) {
+        let w = self.writer();
+        let unwritten = w.pending.iter().map(Vec::len).sum::<usize>() - w.front_off;
+        (self.queue.bytes() + unwritten, w.want_write)
+    }
+}
+
+/// Per-connection write state machine, behind [`Conn`]'s writer lock.
+struct Writer {
+    /// Frames taken from the queue (plus dispatcher replies), oldest
+    /// first; front may be partially written.
+    pending: VecDeque<Vec<u8>>,
+    /// Bytes of `pending.front()` already on the wire.
+    front_off: usize,
+    /// Saw `WouldBlock` with bytes pending: the socket is full and the
+    /// reactor polls for writability. Set only by a pass that is the
+    /// reactor's own or that ends by waking it, and cleared only by the
+    /// reactor — so a poster that sees it may leave its frame queued.
+    want_write: bool,
+    /// Write side open (false after a write error latched the conn).
+    open_write: bool,
+}
+
+impl Writer {
+    /// Put queued frames on the wire until the queue is empty or the
+    /// socket is full. The queue hands over its frames only when
+    /// `pending` has been written out: while the socket is full they
+    /// stay queued, where [`QUEUE_CAP_BYTES`] counts them.
+    fn flush(&mut self, conn: &Conn, dispatch: &dyn FrameDispatch, met: &ReactorMetrics) {
+        while self.open_write {
+            self.service_write(conn, dispatch);
+            if self.want_write || !self.open_write {
+                return;
+            }
+            let taken = conn.queue.drain_into(&mut self.pending);
+            if taken == 0 {
+                return;
+            }
+            met.queue_depth.record(taken as u64);
+        }
+    }
+
+    /// Push pending frames until empty or `WouldBlock`; partial writes
+    /// park in `front_off` and set `want_write`.
+    fn service_write(&mut self, conn: &Conn, dispatch: &dyn FrameDispatch) {
+        while let Some(front) = self.pending.front() {
+            match (&conn.stream).write(&front[self.front_off..]) {
+                Ok(n) => {
+                    self.front_off += n;
+                    if self.front_off >= front.len() {
+                        self.pending.pop_front();
+                        self.front_off = 0;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    self.want_write = true;
+                    return;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    // Peer gone. Outside teardown, latch the stream so
+                    // writers get clean errors; either way stop writing.
+                    if !dispatch.stopping() {
+                        dispatch.on_corrupt(conn.peer, conn.nic);
+                    }
+                    let _ = conn.stream.shutdown(Shutdown::Both);
+                    self.open_write = false;
+                    self.pending.clear();
+                    self.front_off = 0;
+                    break;
+                }
+            }
+        }
+        self.want_write = false;
     }
 }
 
@@ -255,10 +368,12 @@ pub trait FrameDispatch: Send + Sync + 'static {
     /// One fully reassembled inbound frame from `(peer, nic)`. Encoded
     /// reply frames pushed into `replies` are transmitted on the same
     /// connection, ahead of backpressure (the reactor cannot park on
-    /// the queue it drains).
+    /// the queue it drains). Runs on a reactor thread and must not
+    /// post: replies are returned, never sent from here.
     fn on_frame(&self, peer: usize, nic: usize, frame: Frame, replies: &mut Vec<Vec<u8>>);
     /// The stream delivered unframeable bytes (corrupt prefix or death
-    /// mid-frame) outside teardown; the dispatcher latches it down.
+    /// mid-frame) or refused a write, outside teardown; the dispatcher
+    /// latches it down. Called by the reactor and by posting threads.
     fn on_corrupt(&self, peer: usize, nic: usize);
     /// Whether fabric teardown has begun (reactors exit their loops).
     fn stopping(&self) -> bool;
@@ -347,16 +462,18 @@ pub fn poll_wait(slots: &mut [PollSlot], timeout_ms: i32) -> io::Result<usize> {
 /// so the channel holds at most one unread byte per poller pass.
 ///
 /// The no-lost-wake-up argument is one SeqCst total order over four
-/// operations. A producer publishes its frame ([`FrameQueue::push`])
-/// and *then* `pending.swap(true)`s; the reactor (`consume_wake`)
-/// empties the channel, *then* `pending.store(false)`s, and only then
-/// detaches the writer queues ([`FrameQueue::drain_into`]). If the
+/// operations. A producer publishes its work — a pushed frame
+/// ([`FrameQueue::push`]), or `want_write` set under the writer lock it
+/// has since released — and *then* `pending.swap(true)`s; the reactor
+/// (`consume_wake`) empties the channel, *then* `pending.store(false)`s,
+/// and only then takes each writer lock and detaches the writer queues
+/// ([`FrameQueue::drain_into`]). If the
 /// swap returns `true`, some wake is still unconsumed: the reactor's
-/// `store(false)` — and the queue drain after it — comes later in that
-/// order and finds the frame. If it returns `false`, the reactor's
+/// `store(false)` — and the write pass after it — comes later in that
+/// order and finds the work. If it returns `false`, the reactor's
 /// channel drain for this pass is already over, so the byte written now
 /// stays readable and the next poll returns at once. Either way the
-/// frame is seen without waiting for the poll timeout.
+/// work is seen without waiting for the poll timeout.
 pub struct WakeHandle {
     tx: TcpStream,
     pending: Arc<AtomicBool>,
@@ -427,6 +544,7 @@ pub fn pool_size_from_env() -> usize {
 pub struct ReactorPool {
     wakes: Vec<WakeHandle>,
     threads: Mutex<Vec<JoinHandle<()>>>,
+    dispatch: Arc<dyn FrameDispatch>,
     met: ReactorMetrics,
 }
 
@@ -467,6 +585,7 @@ impl ReactorPool {
         Ok(ReactorPool {
             wakes,
             threads: Mutex::new(threads),
+            dispatch,
             met,
         })
     }
@@ -481,9 +600,39 @@ impl ReactorPool {
         self.wakes.is_empty()
     }
 
-    /// Nudge reactor `idx` (new frames queued on one of its conns).
+    /// Nudge reactor `idx` (work it must see on one of its conns).
     pub fn wake(&self, idx: usize) {
         self.wakes[idx % self.wakes.len()].wake(&self.met);
+    }
+
+    /// Queue `frame` on `conn` and see that it gets written: here and
+    /// now when the writer is idle and the socket not known to be full,
+    /// by the owning reactor otherwise. The frame is pushed first either
+    /// way and whoever writes takes it from the queue, so it never
+    /// overtakes one posted before it. Not for reactor threads.
+    ///
+    /// Every frame keeps an owner. This thread gets the lock: it writes
+    /// until the queue is empty, and if the socket fills up first wakes
+    /// the reactor to poll for writability. The lock is taken: the
+    /// holder may be past its last look at the queue, so the reactor is
+    /// woken, and drains it once the holder lets go. The socket is
+    /// already full (`want_write`, read under the lock): the reactor
+    /// polls, or is being woken to poll, for writability, and its pass
+    /// on `POLLOUT` drains the queue after this push.
+    pub fn post(&self, conn: &Conn, frame: Vec<u8>) {
+        conn.queue.push(frame);
+        let wake = match conn.writer.try_lock() {
+            Ok(w) if w.want_write => false,
+            Ok(mut w) => {
+                w.flush(conn, &*self.dispatch, &self.met);
+                w.want_write
+            }
+            Err(TryLockError::WouldBlock) => true,
+            Err(TryLockError::Poisoned(_)) => panic!("writer lock poisoned"),
+        };
+        if wake {
+            self.wake(conn.reactor);
+        }
     }
 
     /// Wake everyone and join the threads (callers set the dispatcher's
@@ -507,29 +656,16 @@ impl ReactorPool {
 // The event loop
 // ---------------------------------------------------------------------
 
-/// Per-connection reactor-local state: the read state machine and the
-/// write state machine (pending frames + a partial-write cursor).
+/// Per-connection reactor-local state: the read state machine, and
+/// what the last write pass saw under the writer lock.
 struct ConnState {
     conn: Arc<Conn>,
     asm: FrameAssembler,
-    /// Frames drained from the queue (plus dispatcher replies), oldest
-    /// first; front may be partially written.
-    pending: VecDeque<Vec<u8>>,
-    /// Bytes of `pending.front()` already on the wire.
-    front_off: usize,
-    /// Saw `WouldBlock` with bytes pending: poll for writability.
-    want_write: bool,
     /// Read side open (false after EOF or corruption).
     open_read: bool,
-    /// Write side open (false after a write error latched the conn).
-    open_write: bool,
-}
-
-impl ConnState {
-    fn finished(&self) -> bool {
-        !self.open_read
-            && (!self.open_write || (self.pending.is_empty() && self.conn.queue.frames() == 0))
-    }
+    /// The socket was full at the end of the last write pass: poll for
+    /// writability. A poster that fills it later says so with a wake.
+    poll_out: bool,
 }
 
 fn reactor_loop(
@@ -544,11 +680,8 @@ fn reactor_loop(
         .map(|conn| ConnState {
             conn,
             asm: FrameAssembler::new(),
-            pending: VecDeque::new(),
-            front_off: 0,
-            want_write: false,
             open_read: true,
-            open_write: true,
+            poll_out: false,
         })
         .collect();
     let mut buf = vec![0u8; READ_CHUNK];
@@ -558,7 +691,7 @@ fn reactor_loop(
 
     loop {
         if dispatch.stopping() {
-            final_flush(&mut states);
+            final_flush(&states, &*dispatch, &met);
             return;
         }
 
@@ -574,7 +707,7 @@ fn reactor_loop(
             if st.open_read {
                 ev |= POLL_IN;
             }
-            if st.want_write && st.open_write {
+            if st.poll_out {
                 ev |= POLL_OUT;
             }
             if ev != 0 {
@@ -610,26 +743,30 @@ fn reactor_loop(
                 continue; // POLLHUP on a write-only slot
             }
             service_read(st, &mut buf, &dispatch, &met, &mut replies);
-            for r in replies.drain(..) {
-                st.pending.push_back(r);
+            if !replies.is_empty() {
+                st.conn.writer().pending.extend(replies.drain(..));
             }
         }
 
-        // Writes: drain every queue (one atomic load each when idle) and
-        // push bytes until the kernel pushes back.
-        for st in states.iter_mut() {
-            if !st.open_write {
-                continue;
-            }
-            let taken = st.conn.queue.drain_into(&mut st.pending);
-            if taken > 0 {
-                met.queue_depth.record(taken as u64);
-            }
-            service_write(st, &dispatch);
-        }
-
-        states.retain(|st| !st.finished());
+        // Writes: whatever is owed on any connection — replies from the
+        // reads above, frames a poster handed over, residue a full
+        // socket left behind — until the kernel pushes back. Waiting
+        // for the lock is waiting out a poster's nonblocking write.
+        // A connection with nothing left to read and nothing left (or
+        // possible) to write leaves the loop.
+        states.retain_mut(|st| {
+            let mut w = st.conn.writer();
+            w.flush(&st.conn, &*dispatch, &met);
+            st.poll_out = w.want_write && w.open_write;
+            st.open_read
+                || (w.open_write && !(w.pending.is_empty() && st.conn.queue.frames() == 0))
+        });
     }
+}
+
+/// The read side found the stream unusable: stop writing to it too.
+fn close_write(conn: &Conn) {
+    conn.writer().open_write = false;
 }
 
 /// Read until `WouldBlock` (or the fairness chunk is consumed once),
@@ -650,7 +787,7 @@ fn service_read(
                 if st.asm.mid_frame() && !dispatch.stopping() {
                     dispatch.on_corrupt(peer, nic);
                     let _ = st.conn.stream.shutdown(Shutdown::Both);
-                    st.open_write = false;
+                    close_write(&st.conn);
                 }
                 st.open_read = false;
                 return;
@@ -667,7 +804,7 @@ fn service_read(
                     }
                     let _ = st.conn.stream.shutdown(Shutdown::Both);
                     st.open_read = false;
-                    st.open_write = false;
+                    close_write(&st.conn);
                     return;
                 }
                 if n < buf.len() {
@@ -697,7 +834,7 @@ fn service_read(
                 // data surfaces as a reset).
                 if st.asm.mid_frame() && !dispatch.stopping() {
                     dispatch.on_corrupt(peer, nic);
-                    st.open_write = false;
+                    close_write(&st.conn);
                 }
                 let _ = st.conn.stream.shutdown(Shutdown::Both);
                 st.open_read = false;
@@ -707,67 +844,19 @@ fn service_read(
     }
 }
 
-/// Push pending frames until empty or `WouldBlock`; partial writes park
-/// in `front_off` and re-arm `POLL_OUT`.
-fn service_write(st: &mut ConnState, dispatch: &Arc<dyn FrameDispatch>) {
-    while let Some(front) = st.pending.front() {
-        match (&st.conn.stream).write(&front[st.front_off..]) {
-            Ok(n) => {
-                st.front_off += n;
-                if st.front_off >= front.len() {
-                    st.pending.pop_front();
-                    st.front_off = 0;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                st.want_write = true;
-                return;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                // Peer gone. Outside teardown, latch the stream so
-                // writers get clean errors; either way stop writing.
-                if !dispatch.stopping() {
-                    dispatch.on_corrupt(st.conn.peer, st.conn.nic);
-                }
-                let _ = st.conn.stream.shutdown(Shutdown::Both);
-                st.open_write = false;
-                st.pending.clear();
-                st.front_off = 0;
-                return;
-            }
-        }
-    }
-    st.want_write = false;
-}
-
 /// Best-effort flush at teardown: everything protocol-critical was
 /// flushed before the storm's final barrier, so this only covers stray
 /// acks. Bounded by attempts, not time — never blocks shutdown.
-fn final_flush(states: &mut [ConnState]) {
-    for st in states.iter_mut() {
-        if !st.open_write {
-            continue;
-        }
-        st.conn.queue.drain_into(&mut st.pending);
+fn final_flush(states: &[ConnState], dispatch: &dyn FrameDispatch, met: &ReactorMetrics) {
+    for st in states {
         for _ in 0..64 {
-            let Some(front) = st.pending.front() else {
+            let mut w = st.conn.writer();
+            w.flush(&st.conn, dispatch, met);
+            if !w.want_write {
                 break;
-            };
-            match (&st.conn.stream).write(&front[st.front_off..]) {
-                Ok(n) => {
-                    st.front_off += n;
-                    if st.front_off >= front.len() {
-                        st.pending.pop_front();
-                        st.front_off = 0;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                Err(_) => break,
             }
+            drop(w);
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
 }
@@ -808,43 +897,89 @@ mod tests {
         assert_eq!(q.bytes(), 0);
     }
 
+    /// A dispatcher for a connection nobody talks back on.
+    #[derive(Default)]
+    struct CountCorrupt {
+        corrupt: AtomicUsize,
+        stopping: AtomicBool,
+    }
+
+    impl FrameDispatch for CountCorrupt {
+        fn on_frame(&self, _: usize, _: usize, _: Frame, _: &mut Vec<Vec<u8>>) {}
+        fn on_corrupt(&self, _: usize, _: usize) {
+            self.corrupt.fetch_add(1, Ordering::SeqCst);
+        }
+        fn stopping(&self) -> bool {
+            self.stopping.load(Ordering::SeqCst)
+        }
+    }
+
+    /// Four posters on one connection whose peer reads nothing until the
+    /// socket is full, so frames go out every way there is: written by
+    /// their poster, handed to the reactor by a poster that found the
+    /// writer taken, left queued behind `want_write`, written in pieces
+    /// on `POLLOUT`. The byte stream must still decode to every frame
+    /// exactly once, whole, in each producer's order.
     #[test]
     fn queue_concurrent_producers_lose_nothing() {
-        let q = Arc::new(FrameQueue::new());
-        let mut threads = Vec::new();
-        for t in 0..4u8 {
-            let q = Arc::clone(&q);
-            threads.push(std::thread::spawn(move || {
-                for i in 0..250u32 {
-                    q.push(vec![t, (i >> 8) as u8, i as u8]);
-                }
-            }));
-        }
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut out = VecDeque::new();
-                let mut last_seen = [i64::MIN; 4];
-                let mut total = 0;
-                while total < 1000 {
-                    q.drain_into(&mut out);
-                    for f in out.drain(..) {
-                        let t = f[0] as usize;
-                        let i = ((f[1] as i64) << 8) | f[2] as i64;
-                        // Per-producer order must survive the reversal.
-                        assert!(i > last_seen[t], "producer {t} reordered");
-                        last_seen[t] = i;
-                        total += 1;
-                    }
-                }
-                total
-            })
+        const PRODUCERS: u64 = 4;
+        const FRAMES: u64 = 250;
+        // Body sizes from 41 B to 256 KiB, small ones as likely as
+        // large ones; ~38 MB in all, several socket buffers' worth.
+        let body_len = |t: u64, i: u64| {
+            let mut rng = unr_simnet::SimRng::seed_from_u64(0x5eed_0018 ^ t << 32 ^ i);
+            let base = 41usize << (rng.next_u64() % 13);
+            (base + rng.next_u64() as usize % base).min(256 * 1024)
         };
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(consumer.join().unwrap(), 1000);
-        assert_eq!(q.frames(), 0);
+        let fill = |t: u64, i: u64| (t * 61 + i * 7) as u8;
+
+        let (tx, rx) = wake_pair().unwrap();
+        rx.set_nonblocking(false).unwrap();
+        let conn = Arc::new(Conn::new(1, 0, 0, tx).unwrap());
+        let dispatch = Arc::new(CountCorrupt::default());
+        let met = ReactorMetrics::register(&Obs::new());
+        let conns = vec![Arc::clone(&conn)];
+        let pool = ReactorPool::spawn(1, conns, dispatch.clone(), met.clone(), "test").unwrap();
+
+        std::thread::scope(|s| {
+            for t in 0..PRODUCERS {
+                let (pool, conn) = (&pool, &conn);
+                s.spawn(move || {
+                    for i in 0..FRAMES {
+                        let mut body = vec![fill(t, i); body_len(t, i)];
+                        body[..8].copy_from_slice(&(t << 32 | i).to_le_bytes());
+                        let f = crate::frame::encode_frame(crate::frame::FRAME_CTRL, &[&body]);
+                        pool.post(conn, f.unwrap());
+                    }
+                });
+            }
+            // The reader starts once the socket has filled up.
+            let t0 = std::time::Instant::now();
+            while !conn.backlog().1 {
+                assert!(t0.elapsed().as_secs() < 60, "the socket never filled");
+                std::thread::yield_now();
+            }
+            let mut next = [0u64; PRODUCERS as usize];
+            let mut r = &rx;
+            for _ in 0..PRODUCERS * FRAMES {
+                let f = crate::frame::read_frame(&mut r).expect("a whole frame");
+                let tag = u64::from_le_bytes(f.body[..8].try_into().unwrap());
+                let (t, i) = (tag >> 32, tag & 0xffff_ffff);
+                assert_eq!(i, next[t as usize], "producer {t} reordered or repeated");
+                next[t as usize] += 1;
+                assert_eq!(f.body.len(), body_len(t, i), "frame {t}/{i} length");
+                assert!(f.body[8..].iter().all(|&b| b == fill(t, i)), "frame {t}/{i} torn");
+            }
+            assert_eq!(next, [FRAMES; PRODUCERS as usize]);
+        });
+        // Everything was read, so everything was written: the writer is
+        // idle again, with nothing owed and nothing left queued.
+        assert_eq!(conn.backlog(), (0, false));
+        assert_eq!(conn.queue.frames(), 0);
+        assert!(met.wakeups.get() > 0, "no poster ever needed the reactor");
+        dispatch.stopping.store(true, Ordering::SeqCst);
+        pool.shutdown();
+        assert_eq!(dispatch.corrupt.load(Ordering::SeqCst), 0);
     }
 
     #[test]

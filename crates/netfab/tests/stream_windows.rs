@@ -3,18 +3,23 @@
 //! every window and answers with one 8 B notified put.
 //!
 //! This is the per-byte path end to end — bulk region copies, the
-//! one-pass PUT frame, partial writes, reassembly, deposit — and the
-//! regression test for the reactor's lost wake-up: before the
+//! one-pass PUT frame, partial writes (by the posting thread until the
+//! socket fills, by the reactor from there), reassembly, deposit — and
+//! the regression test for the reactor's lost wake-up: before the
 //! `consume_wake` ordering fix a few rounds in every thousand waited
 //! for the 250 ms poll timeout — a third of the rounds of this test.
-//! Ninety-nine rounds in a hundred must finish within [`ROUND_LIMIT`].
-//! Not all of them: the 2-vCPU sandbox this grew up on freezes a core,
-//! or both, for 50–150 ms a few times a minute while both are busy (a
-//! spinning probe per core sees the gaps with nothing else running),
-//! sometimes in bursts, which lands in about one run in ten of this
-//! test as one to three slow rounds. The healthy tail ends near 8 ms;
-//! the exact interleaving behind the lost wake-up is forced, without
-//! timing, by the reactor's own unit test.
+//! So [`ROUND_LIMIT`] is keyed to that timeout, not to how fast a
+//! healthy round is (near 8 ms at the tail): ninety-nine rounds in a
+//! hundred must finish well inside one poll timeout. A tighter limit
+//! also catches the host — the 2-vCPU sandbox this grew up on freezes
+//! a core, or both, for 30–150 ms a few times a minute while both are
+//! busy (a spinning probe per core sees the gaps with nothing else
+//! running; the slow time sits inside single nonblocking `write`
+//! calls), sometimes in bursts — and at 50 ms failed three release
+//! runs in six on a tree with no lost wake-up in it. Rounds over
+//! [`REPORT_OVER`] are still counted in the `STREAM_OK` line, as
+//! information. The exact interleaving behind the lost wake-up is
+//! forced, without timing, by the reactor's own unit test.
 //!
 //! Runs without the libtest harness (`harness = false`): the launcher
 //! re-executes this binary as the rank processes.
@@ -24,13 +29,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use unr_core::{Backend, Reliability, UnrConfig};
+use unr_netfab::reactor::POLL_TIMEOUT_MS;
 use unr_netfab::{spawn_world, NetFaults, NetUnr, NetWorld};
 use unr_simnet::SimRng;
 
 const ROUNDS: u64 = 2_000;
 const WINDOW: usize = 8;
 const MSG: usize = 256 * 1024;
-const ROUND_LIMIT: Duration = Duration::from_millis(50);
+/// A lost wake-up costs one poll timeout; nothing healthy comes close.
+const ROUND_LIMIT: Duration = Duration::from_millis(POLL_TIMEOUT_MS as u64 * 4 / 5);
+const REPORT_OVER: Duration = Duration::from_millis(50);
 const SLOW_ROUNDS_TOLERATED: u64 = ROUNDS / 100;
 const SEED: u64 = 0x5eed_0014;
 
@@ -79,7 +87,7 @@ fn rank_main(world: NetWorld) -> Result<String, String> {
     world.barrier().map_err(|e| format!("barrier: {e}"))?;
 
     let mut got = vec![0u8; recv_bytes];
-    let (mut slowest, mut slow_rounds) = (Duration::ZERO, 0u64);
+    let (mut slowest, mut slow_rounds, mut reported) = (Duration::ZERO, 0u64, 0u64);
     for round in 0..ROUNDS {
         let parity = (round & 1) as usize;
         let base = parity * send_bytes;
@@ -95,6 +103,7 @@ fn rank_main(world: NetWorld) -> Result<String, String> {
             let took = t0.elapsed();
             slowest = slowest.max(took);
             slow_rounds += u64::from(took > ROUND_LIMIT);
+            reported += u64::from(took > REPORT_OVER);
             recv_sig
                 .reset()
                 .map_err(|e| format!("round {round}: reset: {e}"))?;
@@ -131,7 +140,7 @@ fn rank_main(world: NetWorld) -> Result<String, String> {
         ));
     }
     Ok(format!(
-        "STREAM_OK rank {me}: {ROUNDS} rounds, {slow_rounds} over {ROUND_LIMIT:?}, slowest {slowest:?}"
+        "STREAM_OK rank {me}: {ROUNDS} rounds, {reported} over {REPORT_OVER:?}, slowest {slowest:?}"
     ))
 }
 
