@@ -5,15 +5,20 @@
 //!
 //! * **Unreliable** (default): each message (or stripe) rides one `PUT`
 //!   frame whose header carries the remote notification as 128-bit
-//!   custom bits; the receiver's reader thread deposits the payload and
-//!   applies the custom bits through the fabric's atomic-add sink —
-//!   level-2 emulation of the paper's level-4 hardware.
+//!   custom bits; whichever receiver thread reads it — the one waiting
+//!   for it, else a reactor — deposits the payload and applies the
+//!   custom bits through the fabric's atomic-add sink — level-2
+//!   emulation of the paper's level-4 hardware.
 //! * **Reliable** ([`Reliability::On`], or `Auto` with fault injection
 //!   enabled): stripes become `unr_core::wire` `SEQ_DATA` control
 //!   messages with per-destination sequence numbers, buffered until
 //!   acked, deduplicated at the receiver with
 //!   [`unr_core::DedupWindow`], and retransmitted with
-//!   exponential backoff by a progress thread. Exhausted retries latch
+//!   exponential backoff by a progress thread. Control messages are
+//!   handled by the thread that read them when that is a rank thread
+//!   inside a wait, by the progress thread otherwise; the handling is
+//!   order-independent (per-sequence dedup, commutative addends), so
+//!   the two may race. Exhausted retries latch
 //!   the transport down and surface as structured
 //!   [`UnrError::PeerFailed`] errors naming the dead rank, its cause
 //!   and the membership epoch.
@@ -28,15 +33,18 @@
 //!
 //! Signals come from the same lock-free
 //! [`unr_core::SignalTable`] the simnet engine uses;
-//! `sig_wait` parks on the fabric's event bell instead of a simulated
-//! scheduler. Local PUT completion is buffered-send: the local signal
-//! receives a single `-1` when the message has been posted (payload
-//! copied out of the region into its frame), matching the simnet
-//! engine's buffered semantics.
+//! `sig_wait` has no scheduler to park on and no thread to be woken by:
+//! while its signal has not fired it progresses the rank's sockets
+//! itself ([`NetFabric::wait_progress`]) — reads, deposits, applies the
+//! addend, handles the control messages it read — and re-tests, so the
+//! put it waits for completes on the waiting thread. Local PUT
+//! completion is buffered-send: the local signal receives a single `-1`
+//! when the message has been posted (payload copied out of the region
+//! into its frame), matching the simnet engine's buffered semantics.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -75,6 +83,15 @@ struct Pending {
     nic: usize,
     deadline: Instant,
     attempts: u32,
+}
+
+/// Lock reliable-transport state, poisoned or not. Every field of
+/// [`RelState`] is plain data that each update leaves valid at every
+/// step (a counter bumped, a map entry inserted or removed, an option
+/// set), so a panic elsewhere while one was held is no reason to turn
+/// every later wait and control message into a second panic.
+fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Reliable-transport state shared with the progress thread.
@@ -232,6 +249,8 @@ pub struct NetUnr {
     progress_mode: ProgressMode,
     /// Control-path drainer — `None` under pure hardware progress.
     progress: Mutex<Option<JoinHandle<()>>>,
+    /// `unr.hw.ctrl_msgs`, under [`ProgressMode::Hardware`].
+    ctrl_msgs: Option<Arc<unr_obs::Counter>>,
     next_nic: AtomicUsize,
     /// Wall-clock cap on one `sig_wait`.
     wait_timeout: Duration,
@@ -304,6 +323,7 @@ impl NetUnr {
         // (hardware + reliable/agg, DESIGN.md §5g) spawn it as the
         // ctrl-only drainer under the `netfab-hwctrl-*` name.
         let hardware = progress_mode == ProgressMode::Hardware;
+        let ctrl_msgs = hw.as_ref().map(|h| Arc::clone(&h.ctrl_msgs));
         let need_ctrl = !hardware || reliable || cfg.agg_eager_max > 0;
         let progress = need_ctrl.then(|| {
             let fabric = Arc::clone(&fabric);
@@ -311,7 +331,7 @@ impl NetUnr {
             let rel = Arc::clone(&rel);
             let stop = Arc::clone(&stop);
             let max_retries = cfg.max_retries;
-            let ctrl_msgs = hw.as_ref().map(|h| Arc::clone(&h.ctrl_msgs));
+            let ctrl_msgs = ctrl_msgs.clone();
             let name = if hardware {
                 format!("netfab-hwctrl-r{}", fabric.rank())
             } else {
@@ -322,23 +342,18 @@ impl NetUnr {
                 .spawn(move || loop {
                     // Epoch first, then the stop flag and the work:
                     // whatever changes during the pass — a control
-                    // message queued, `finalize` — rings the control
-                    // bell past `seen`, and the sleep below returns at
-                    // once. Data frames ring another bell.
+                    // message a reactor queued, `finalize` — rings the
+                    // control bell past `seen`, and the sleep below
+                    // returns at once. Data frames ring another bell,
+                    // and control frames a waiting rank thread read
+                    // ring none: it handles them itself.
                     let seen = fabric.ctrl_epoch();
                     if stop.load(Ordering::Relaxed) {
                         return;
                     }
-                    let mut drained = 0u64;
-                    while let Some((src, bytes)) = fabric.pop_ctrl() {
-                        handle_ctrl(&fabric, &table, &rel, epoch, src, &bytes);
-                        drained += 1;
-                    }
+                    let drained = drain_ctrl(&fabric, &table, &rel, epoch, ctrl_msgs.as_deref());
                     let next_sweep = sweep_retries(&fabric, &rel, rto, cap, max_retries);
                     if drained > 0 {
-                        if let Some(c) = &ctrl_msgs {
-                            c.add(drained);
-                        }
                         // Signals may have fired: wake sig_wait
                         // parkers — and go round again rather than
                         // sleep, more is likely on its way.
@@ -385,6 +400,7 @@ impl NetUnr {
             stop,
             progress_mode,
             progress: Mutex::new(progress),
+            ctrl_msgs,
             next_nic: AtomicUsize::new(0),
             wait_timeout,
             agg,
@@ -497,7 +513,7 @@ impl NetUnr {
     }
 
     fn check_peer_up(&self) -> Result<(), UnrError> {
-        if let Some((dst, attempts)) = *self.rel.failed.lock().expect("failed lock") {
+        if let Some((dst, attempts)) = *relock(&self.rel.failed) {
             return Err(self.peer_failed(dst, PeerFailedCause::RetryExhausted { attempts }));
         }
         Ok(())
@@ -684,7 +700,7 @@ impl NetUnr {
         nic: usize,
     ) -> Result<(), UnrError> {
         let seq = {
-            let mut ns = self.rel.next_seq.lock().expect("next_seq lock");
+            let mut ns = relock(&self.rel.next_seq);
             let s = ns[dst];
             ns[dst] += 1;
             s
@@ -724,7 +740,7 @@ impl NetUnr {
             deadline: Instant::now() + rto,
             attempts: 0,
         };
-        let mut pend = self.rel.pending.lock().expect("pending lock");
+        let mut pend = relock(&self.rel.pending);
         let first = pend.is_empty();
         pend.insert((dst, seq), entry);
         drop(pend);
@@ -814,7 +830,7 @@ impl NetUnr {
         let nic = self.pick_nic(0);
         if self.reliable {
             let seq = {
-                let mut ns = self.rel.next_seq.lock().expect("next_seq lock");
+                let mut ns = relock(&self.rel.next_seq);
                 let s = ns[dst];
                 ns[dst] += 1;
                 s
@@ -882,7 +898,7 @@ impl NetUnr {
             if sig.test() {
                 return Ok(());
             }
-            if let Some((dst, attempts)) = *self.rel.failed.lock().expect("failed lock") {
+            if let Some((dst, attempts)) = *relock(&self.rel.failed) {
                 return Err(self.peer_failed(dst, PeerFailedCause::RetryExhausted { attempts }));
             }
             let waited = start.elapsed();
@@ -891,15 +907,28 @@ impl NetUnr {
                     waited: waited.as_nanos() as unr_simnet::Ns,
                 });
             }
-            if !self.fabric.wait_event_since(seen, Duration::from_millis(1)) {
-                self.fabric.met.wait_timeouts.inc();
-            }
+            self.wait_progress(seen);
+        }
+    }
+
+    /// One sleep of a wait loop, `seen` being the event epoch sampled
+    /// before the predicate was tested: progress the rank's sockets on
+    /// this thread until something may have changed, and handle the
+    /// control messages this thread read (acks, `SEQ_DATA`, `MSG_AGG`)
+    /// before the caller re-tests — they were rung to nobody. The 1 ms
+    /// is the safety poll: what moves a predicate either arrives on a
+    /// socket polled here or rings the event bell.
+    fn wait_progress(&self, seen: u64) {
+        let reads = self.fabric.wait_progress(seen, Duration::from_millis(1));
+        if reads.queued > 0 {
+            let (fabric, ctrl_msgs) = (&self.fabric, self.ctrl_msgs.as_deref());
+            drain_ctrl(fabric, &self.table, &self.rel, self.epoch, ctrl_msgs);
         }
     }
 
     /// Number of unacked reliable sub-messages currently buffered.
     pub fn pending_len(&self) -> usize {
-        self.rel.pending.lock().expect("pending lock").len()
+        relock(&self.rel.pending).len()
     }
 
     /// Wait until every reliable sub-message has been acked (true) or
@@ -916,15 +945,13 @@ impl NetUnr {
             if self.pending_len() == 0 {
                 return true;
             }
-            if self.rel.failed.lock().expect("failed lock").is_some() {
+            if relock(&self.rel.failed).is_some() {
                 return false;
             }
             if start.elapsed() >= timeout {
                 return false;
             }
-            if !self.fabric.wait_event_since(seen, Duration::from_millis(1)) {
-                self.fabric.met.wait_timeouts.inc();
-            }
+            self.wait_progress(seen);
         }
     }
 
@@ -972,9 +999,35 @@ fn stamp_ctrl(epoch: u64, msg: Vec<u8>) -> Vec<u8> {
     }
 }
 
-/// Apply one inbound control message (progress-thread context). Frames
-/// wrapped in the epoch envelope are fenced first: a stale epoch (older
-/// than this engine's) is dropped and counted, never parsed.
+/// Handle every queued control message, on the calling thread — the
+/// progress thread, or a rank thread in a wait that read some itself;
+/// the two may run this at once and split the queue between them.
+/// Returns how many this call handled (counted in `unr.hw.ctrl_msgs`
+/// under hardware progress).
+fn drain_ctrl(
+    fabric: &Arc<NetFabric>,
+    table: &Arc<SignalTable>,
+    rel: &Arc<RelState>,
+    epoch: u64,
+    ctrl_msgs: Option<&unr_obs::Counter>,
+) -> u64 {
+    let mut drained = 0u64;
+    while let Some((src, bytes)) = fabric.pop_ctrl() {
+        handle_ctrl(fabric, table, rel, epoch, src, &bytes);
+        drained += 1;
+    }
+    if let (Some(c), true) = (ctrl_msgs, drained > 0) {
+        c.add(drained);
+    }
+    drained
+}
+
+/// Apply one inbound control message. Order-independent against other
+/// messages — a sequenced one is fresh exactly once whichever thread
+/// sees it first, addends commute, an ack removes one entry — so the
+/// progress thread and a waiting rank thread may each be handling some.
+/// Frames wrapped in the epoch envelope are fenced first: a stale epoch
+/// (older than this engine's) is dropped and counted, never parsed.
 fn handle_ctrl(
     fabric: &Arc<NetFabric>,
     table: &Arc<SignalTable>,
@@ -1002,7 +1055,7 @@ fn handle_ctrl(
             addend,
             payload,
         } => {
-            let fresh = rel.dedup.lock().expect("dedup lock")[src].insert(seq);
+            let fresh = relock(&rel.dedup)[src].insert(seq);
             if fresh {
                 // The addend rides with the payload: no data, no signal.
                 if fabric.deposit(region_id, offset as u64, payload) {
@@ -1015,7 +1068,7 @@ fn handle_ctrl(
             let _ = fabric.send_ctrl(src, 0, &stamp_ctrl(epoch, wire::ack_msg(seq)));
         }
         CtrlMsg::SeqNotif { seq, key, addend } => {
-            let fresh = rel.dedup.lock().expect("dedup lock")[src].insert(seq);
+            let fresh = relock(&rel.dedup)[src].insert(seq);
             if fresh {
                 table.apply_counted(key, addend);
             } else {
@@ -1024,13 +1077,7 @@ fn handle_ctrl(
             let _ = fabric.send_ctrl(src, 0, &stamp_ctrl(epoch, wire::ack_msg(seq)));
         }
         CtrlMsg::Ack { seq } => {
-            if rel
-                .pending
-                .lock()
-                .expect("pending lock")
-                .remove(&(src, seq))
-                .is_some()
-            {
+            if relock(&rel.pending).remove(&(src, seq)).is_some() {
                 fabric.met.acks.inc();
             }
         }
@@ -1057,7 +1104,7 @@ fn handle_ctrl(
             body,
         } => {
             let fresh = if sequenced {
-                let fresh = rel.dedup.lock().expect("dedup lock")[src].insert(seq);
+                let fresh = relock(&rel.dedup)[src].insert(seq);
                 if !fresh {
                     fabric.met.dup_suppressed.inc();
                 }
@@ -1097,7 +1144,7 @@ fn sweep_retries(
     max_retries: u32,
 ) -> Option<Instant> {
     let now = Instant::now();
-    let mut pend = rel.pending.lock().expect("pending lock");
+    let mut pend = relock(&rel.pending);
     let mut dead: Option<(usize, u64, u32)> = None;
     let mut next = now + rto;
     for ((dst, seq), p) in pend.iter_mut() {
@@ -1124,7 +1171,7 @@ fn sweep_retries(
     if let Some((dst, seq, attempts)) = dead {
         pend.remove(&(dst, seq));
         drop(pend);
-        let mut failed = rel.failed.lock().expect("failed lock");
+        let mut failed = relock(&rel.failed);
         if failed.is_none() {
             *failed = Some((dst, attempts));
         }
@@ -1158,6 +1205,66 @@ mod tests {
             sends: AtomicU64::new(0),
         });
         (fabric, region_id, table, sig, rel)
+    }
+
+    /// A panic on some other thread while it held reliable-transport
+    /// state must not turn every later wait, post and control message
+    /// into a second panic: the data under those locks is valid at
+    /// every step.
+    #[test]
+    fn poisoned_transport_state_does_not_panic_the_wait_path() {
+        let (fabric, region, _, _, _) = ctrl_fixture();
+        let world = Arc::new(NetWorld::without_launcher(fabric));
+        let cfg = UnrConfig::builder()
+            .backend(Backend::Netfab)
+            .reliability(Reliability::On)
+            .build()
+            .unwrap();
+        let unr = NetUnr::init(world, cfg, NetFaults::default()).unwrap();
+        fn poison<T: Send>(m: &Mutex<T>) {
+            let died = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _held = m.lock().unwrap();
+                    panic!("poisoning a lock on purpose");
+                })
+                .join()
+            });
+            assert!(died.is_err() && m.is_poisoned());
+        }
+        poison(&unr.rel.failed);
+        poison(&unr.rel.pending);
+        poison(&unr.rel.dedup);
+        poison(&unr.rel.next_seq);
+
+        // A wait whose signal fires only later goes round its loop, and
+        // so past `rel.failed`, before it returns.
+        let sig = unr.sig_init(1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                unr.table.apply_counted(sig.key().raw(), -1);
+                unr.fabric.ring_bell();
+            });
+            assert!(unr.sig_wait(&sig).is_ok());
+        });
+        assert!(unr.check_peer_up().is_ok());
+        assert!(unr.drain_pending(Duration::from_millis(10)));
+        // Rank threads handle control messages too: a reliable put to
+        // this rank itself goes through the sequence counter, the
+        // replay buffer and the dedup window, and back as an ack.
+        let mem = unr.mem_reg(8);
+        mem.write_bytes(0, &[5; 8]);
+        let landed = unr.sig_init(1);
+        let remote = Blk {
+            region_id: region,
+            region_len: 64,
+            ..mem.blk(0, 8, Some(&landed))
+        };
+        unr.put(&mem.blk(0, 8, None), &remote).unwrap();
+        assert!(unr.sig_wait(&landed).is_ok());
+        assert!(unr.drain_pending(Duration::from_secs(10)), "the ack never came");
+        assert_eq!(unr.fabric.region(region).unwrap().snapshot(0, 8), [5; 8]);
+        unr.finalize();
     }
 
     #[test]

@@ -9,24 +9,34 @@
 //! the posting thread; otherwise the owning reactor is woken to do it
 //! (one write state machine, surviving partial writes, serves both).
 //! Inbound bytes are reassembled by a
-//! per-connection [`frame::FrameAssembler`] and *applied* by the
-//! reactor — payloads land in the destination [`NetRegion`], custom
+//! per-connection [`frame::FrameAssembler`] and *applied* by whoever
+//! read them — payloads land in the destination [`NetRegion`], custom
 //! bits go to the installed [`NetAddSink`] — which is exactly the
-//! paper's level-2 emulation: an agent thread performs the `*p += a`
-//! the level-4 NIC would do in hardware. The thread budget is flat in
-//! world size: `main + progress + nreactors` regardless of rank count.
+//! paper's level-2 emulation: an agent performs the `*p += a` the
+//! level-4 NIC would do in hardware. **Whoever waits reads**: a rank
+//! thread in [`NetFabric::wait_progress`] polls the rank's sockets
+//! itself and applies what arrives on its own thread, so the waiter
+//! runs the moment the bytes do, with no wake-up in between; the
+//! reactors read only while no rank thread waits. The thread budget is
+//! flat in world size: `main + progress + nreactors` regardless of rank
+//! count.
 //!
 //! Two bells wake sleepers. The **event bell** rings whenever a
-//! waiter's predicate may have changed — a data frame applied, control
-//! messages handled, a stream latched down — and is what `sig_wait`
-//! sleeps on. The **control bell** rings when there is work for the
-//! engine's progress thread — a control message queued, a retransmit
-//! deadline to start watching, teardown — so that thread sleeps through
-//! data frames, which it has no part in.
+//! waiter's predicate may have changed behind its back — a reactor's
+//! read pass applied data frames, the progress thread handled control
+//! messages, a stream latched down, teardown. It has no condvar: it is
+//! an atomic epoch plus one wake channel, because its sleepers sleep in
+//! `poll(2)` over the sockets, and a ring costs a byte on that channel
+//! only when a waiter is parked there. What a waiter reads itself rings
+//! nothing. The **control bell** (epoch + condvar) rings when there is
+//! work for the engine's progress thread — a control message a reactor
+//! queued, a retransmit deadline to start watching, teardown — so that
+//! thread sleeps through data frames, which it has no part in, and
+//! through control frames a waiter read, which that waiter handles.
 //!
 //! A [`NetRegion`] is the workspace's one raw region buffer
 //! ([`unr_simnet::MemRegion`], the only raw-memory module) under a
-//! fabric-local id: a reactor thread deposits a payload with one bulk
+//! fabric-local id: the reading thread deposits a payload with one bulk
 //! copy and application threads read it with another, under the RMA
 //! race contract documented there — the MMAS signal counter (SeqCst
 //! `fetch_add` by the applier, SeqCst `load` by the waiter), not the
@@ -39,7 +49,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -49,7 +59,8 @@ use unr_simnet::MemRegion;
 
 use crate::frame;
 use crate::reactor::{
-    pool_size_from_env, Conn, FrameDispatch, ReactorMetrics, ReactorPool, QUEUE_CAP_BYTES,
+    pool_size_from_env, Conn, Delivery, FrameDispatch, ReactorMetrics, ReactorPool, ReadPass,
+    Waiting, WakeHandle, QUEUE_CAP_BYTES,
 };
 
 /// Consumer of inbound 128-bit custom bits — the emulated atomic-add
@@ -85,8 +96,8 @@ pub struct TransportMetrics {
     pub dup_suppressed: Arc<Counter>,
     /// First transmissions silently dropped by fault injection.
     pub drops_injected: Arc<Counter>,
-    /// [`NetFabric::wait_event_since`] sleeps that elapsed without an
-    /// event (counted by the waiters; the control bell has no poll).
+    /// [`NetFabric::wait_progress`] polls that ran out with nothing
+    /// readable and no ring (the control bell has no poll).
     pub wait_timeouts: Arc<Counter>,
     /// Unframeable inbound data: corrupt length prefixes or streams
     /// that died mid-frame (teardown excluded).
@@ -199,9 +210,58 @@ impl NetRegion {
     }
 }
 
-/// An epoch + condvar pair. A sleeper samples the epoch *before*
-/// looking for work and sleeps only while it still reads the same, so a
-/// ring between the look and the sleep is never slept through.
+/// The event bell: an atomic epoch for sleepers that sleep in `poll(2)`
+/// over the rank's sockets, not on a condvar. A waiter samples the
+/// epoch *before* testing its predicate; to sleep it publishes itself
+/// parked, re-reads the epoch, and only then polls, with `rx` in its
+/// set. A ringer bumps the epoch and then looks for parked waiters.
+/// Both steps on both sides are SeqCst, so of a ring and a park that
+/// cross, either the waiter sees the new epoch and does not sleep, or
+/// the ringer sees it parked and writes the wake byte. From there it is
+/// [`WakeHandle`]'s argument: the byte stays readable until the waiter
+/// consumes it, and a ring that finds `pending` set comes before that
+/// consumer's re-arm, after which the waiter samples the epoch again.
+/// While nobody is parked — a waiter reading its own sockets is not —
+/// a ring is one atomic add and one load, and the channel stays empty.
+struct EventBell {
+    epoch: AtomicU64,
+    /// Shared with the reactors, who yield their read interest to
+    /// parked waiters.
+    waiting: Arc<Waiting>,
+    wake: WakeHandle,
+    rx: TcpStream,
+    /// Wake bytes count in `unr.transport.reactor.wakeups`.
+    met: ReactorMetrics,
+}
+
+impl EventBell {
+    fn new(met: ReactorMetrics) -> io::Result<EventBell> {
+        let (wake, rx) = WakeHandle::channel()?;
+        Ok(EventBell {
+            epoch: AtomicU64::new(0),
+            waiting: Arc::new(Waiting::default()),
+            wake,
+            rx,
+            met,
+        })
+    }
+
+    fn ring(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.waiting.parked() > 0 {
+            self.wake.wake(&self.met);
+        }
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::SeqCst)
+    }
+}
+
+/// The control bell: an epoch + condvar pair. A sleeper samples the
+/// epoch *before* looking for work and sleeps only while it still reads
+/// the same, so a ring between the look and the sleep is never slept
+/// through.
 #[derive(Default)]
 struct Bell {
     epoch: Mutex<u64>,
@@ -245,11 +305,12 @@ struct Shared {
     regions: Mutex<HashMap<u32, Arc<NetRegion>>>,
     /// Inbound control messages: `(src_rank, wire bytes)`.
     ctrl: Mutex<VecDeque<(usize, Vec<u8>)>>,
-    /// Rung after every applied data frame and every batch of handled
-    /// control messages, so `sig_wait` can sleep between events.
-    events: Bell,
-    /// Rung when `ctrl` gains a message and when the progress thread's
-    /// sleep must be cut short for another reason.
+    /// Rung when a waiter's predicate may have moved by another
+    /// thread's doing, so `sig_wait` can sleep between events.
+    events: EventBell,
+    /// Rung when `ctrl` gains a message its reader will not handle
+    /// itself and when the progress thread's sleep must be cut short
+    /// for another reason.
     ctrl_bell: Bell,
     /// The emulated atomic-add unit; installed once by the engine.
     sink: OnceLock<Arc<dyn NetAddSink>>,
@@ -266,18 +327,18 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(nranks: usize, nics: usize) -> Shared {
-        Shared {
+    fn new(nranks: usize, nics: usize, reactor_met: ReactorMetrics) -> io::Result<Shared> {
+        Ok(Shared {
             regions: Mutex::new(HashMap::new()),
             ctrl: Mutex::new(VecDeque::new()),
-            events: Bell::default(),
+            events: EventBell::new(reactor_met)?,
             ctrl_bell: Bell::default(),
             sink: OnceLock::new(),
             pre_sink: Mutex::new(Vec::new()),
             stopping: AtomicBool::new(false),
             nics,
             down: (0..nranks * nics).map(|_| AtomicBool::new(false)).collect(),
-        }
+        })
     }
 
     fn region(&self, id: u32) -> Option<Arc<NetRegion>> {
@@ -328,10 +389,11 @@ impl Shared {
         self.events.ring();
     }
 
-    /// Queue one inbound control message for the progress thread.
-    fn push_ctrl(&self, src: usize, bytes: Vec<u8>) {
+    /// Queue one inbound control message; whoever read it sees that it
+    /// is handled (a waiter by itself, a reactor by ringing the control
+    /// bell once its pass is over).
+    fn queue_ctrl(&self, src: usize, bytes: Vec<u8>) {
         self.ctrl.lock().expect("ctrl lock").push_back((src, bytes));
-        self.ctrl_bell.ring();
     }
 }
 
@@ -344,6 +406,8 @@ pub struct NetFabric {
     /// Connection registry: `conns[peer][nic]`; `None` on the diagonal
     /// (self). Static after `connect` — lookups are lock-free.
     conns: Vec<Vec<Option<Arc<Conn>>>>,
+    /// The same connections in one row: a waiter's poll set.
+    all_conns: Vec<Arc<Conn>>,
     /// The event-loop threads driving every stream above.
     pool: ReactorPool,
     next_region: AtomicU32,
@@ -372,7 +436,8 @@ impl NetFabric {
         assert_eq!(listeners.len(), nics, "one listener per NIC");
         let obs = Obs::new();
         let met = TransportMetrics::register(&obs);
-        let shared = Arc::new(Shared::new(nranks, nics));
+        let reactor_met = ReactorMetrics::register(&obs);
+        let shared = Arc::new(Shared::new(nranks, nics, reactor_met.clone())?);
 
         let mut conns: Vec<Vec<Option<Arc<Conn>>>> = (0..nranks)
             .map(|_| (0..nics).map(|_| None).collect())
@@ -424,7 +489,6 @@ impl NetFabric {
         // Register every stream with its reactor: nonblocking from here
         // on, assignment static by `(peer × nics + nic) % nreactors`.
         let nreactors = pool_size_from_env();
-        let reactor_met = ReactorMetrics::register(&obs);
         let mut all_conns: Vec<Arc<Conn>> = Vec::with_capacity(streams.len());
         for (peer, nic, s) in streams {
             met.conns.inc();
@@ -439,7 +503,8 @@ impl NetFabric {
         });
         let pool = ReactorPool::spawn(
             nreactors,
-            all_conns,
+            all_conns.clone(),
+            Arc::clone(&shared.events.waiting),
             dispatch,
             reactor_met.clone(),
             &format!("r{rank}"),
@@ -450,6 +515,7 @@ impl NetFabric {
             nranks,
             nics,
             conns,
+            all_conns,
             pool,
             next_region: AtomicU32::new(1),
             shared,
@@ -684,7 +750,8 @@ impl NetFabric {
     /// Send an opaque `unr_core::wire` control message to `dst`.
     pub fn send_ctrl(&self, dst: usize, nic: usize, bytes: &[u8]) -> io::Result<()> {
         if dst == self.rank {
-            self.shared.push_ctrl(self.rank, bytes.to_vec());
+            self.shared.queue_ctrl(self.rank, bytes.to_vec());
+            self.shared.ctrl_bell.ring();
             return Ok(());
         }
         self.send(dst, nic, frame::FRAME_CTRL, &[bytes])
@@ -700,9 +767,11 @@ impl NetFabric {
         self.shared.apply_custom(custom);
     }
 
-    /// Bump the event epoch and wake every [`NetFabric::wait_event_since`]
-    /// sleeper. Reactor threads ring after each applied data frame; the
-    /// engine rings after applying control messages.
+    /// Bump the event epoch and wake any thread parked in
+    /// [`NetFabric::wait_progress`]: for a thread that moved a waiter's
+    /// predicate from outside the wait — the progress thread after
+    /// handling control messages, a poster after a local completion.
+    /// (A reactor's read pass rings through the dispatcher.)
     pub fn ring_bell(&self) {
         self.shared.ring_bell();
     }
@@ -728,22 +797,51 @@ impl NetFabric {
     }
 
     /// The current event epoch. A waiter samples it *before* testing
-    /// its predicate and sleeps with [`wait_event_since`]: an event
-    /// applied between the test and the sleep has already moved the
-    /// epoch, so the sleep returns at once instead of running into its
-    /// timeout.
+    /// its predicate and sleeps in [`wait_progress`]: an event another
+    /// thread applied between the test and the sleep has already moved
+    /// the epoch, so the sleep returns at once instead of running into
+    /// its timeout.
     ///
-    /// [`wait_event_since`]: NetFabric::wait_event_since
+    /// [`wait_progress`]: NetFabric::wait_progress
     pub fn event_epoch(&self) -> u64 {
         self.shared.events.epoch()
     }
 
-    /// Sleep until the event epoch differs from `since` (a value from
-    /// [`event_epoch`](NetFabric::event_epoch)) or `timeout` elapses.
-    /// Returns `true` if an event arrived. Callers re-check their
-    /// predicate in a loop; the epoch only orders the sleep.
-    pub fn wait_event_since(&self, since: u64, timeout: Duration) -> bool {
-        self.shared.events.wait_since(since, Some(Instant::now() + timeout))
+    /// Wait for something to re-test a predicate for, progressing the
+    /// rank's sockets on the calling thread meanwhile. Returns at once
+    /// if the event epoch has moved past `since` (a value from
+    /// [`event_epoch`](NetFabric::event_epoch)). Otherwise the thread
+    /// parks — the reactors stand back from the sockets — and polls
+    /// them together with the event bell's wake channel for at most
+    /// `timeout`; what arrives it reads, reassembles and applies right
+    /// here, through the same dispatcher a reactor uses, and then
+    /// returns what it dispatched. Control messages among that
+    /// ([`ReadPass::queued`]) are queued and *not* announced to the
+    /// progress thread: the caller handles them ([`pop_ctrl`]). Callers
+    /// re-check their predicate in a loop; the epoch only orders the
+    /// sleep.
+    ///
+    /// [`pop_ctrl`]: NetFabric::pop_ctrl
+    pub fn wait_progress(&self, since: u64, timeout: Duration) -> ReadPass {
+        let bell = &self.shared.events;
+        if bell.epoch() != since {
+            return ReadPass::default();
+        }
+        // Parked *then* the epoch again (see [`EventBell`]): a ring
+        // from here on finds this thread and writes the wake byte.
+        let parked = bell.waiting.park();
+        if bell.epoch() != since {
+            return ReadPass::default();
+        }
+        let got = self.pool.wait_readable(&self.all_conns, &bell.rx, timeout);
+        if got.woken {
+            bell.wake.consume(&bell.rx);
+        }
+        drop(parked);
+        if got.expired {
+            self.met.wait_timeouts.inc();
+        }
+        got.reads
     }
 
     /// Whether teardown has begun (reader threads exiting is expected).
@@ -781,11 +879,12 @@ impl Drop for NetFabric {
     }
 }
 
-/// The reactor-side protocol handler: applies each reassembled inbound
-/// frame against the shared state. Holds no `NetFabric` reference —
-/// GET replies ride back to the reactor as pre-encoded frames for the
-/// same connection — so reactor threads never keep the fabric alive and
-/// teardown joins them without self-join hazards.
+/// The reader-side protocol handler: applies each reassembled inbound
+/// frame against the shared state, on whichever thread read it. Holds
+/// no `NetFabric` reference — GET replies ride back to the reader as
+/// pre-encoded frames for the same connection — so reactor threads
+/// never keep the fabric alive and teardown joins them without
+/// self-join hazards.
 struct FabricDispatch {
     shared: Arc<Shared>,
     met: TransportMetrics,
@@ -814,14 +913,20 @@ impl FabricDispatch {
 }
 
 impl FrameDispatch for FabricDispatch {
-    fn on_frame(&self, peer: usize, nic: usize, f: frame::Frame, replies: &mut Vec<Vec<u8>>) {
+    fn on_frame(
+        &self,
+        peer: usize,
+        nic: usize,
+        f: frame::Frame,
+        replies: &mut Vec<Vec<u8>>,
+    ) -> Delivery {
         let shared = &self.shared;
         // Peer bytes: the fixed-offset parsers below index up to the
         // kind's header length, so a shorter body is a protocol error,
-        // not a panic on the reactor thread.
+        // not a panic on the reading thread.
         if f.body.len() < frame::min_body_len(f.kind) {
             self.on_corrupt(peer, nic);
-            return;
+            return Delivery::Dropped;
         }
         self.met.rx_frames.inc();
         match f.kind {
@@ -853,14 +958,23 @@ impl FrameDispatch for FabricDispatch {
                 shared.apply_custom(frame::parse_atomic(&f.body));
             }
             frame::FRAME_CTRL => {
-                // No waiter's predicate moves until the progress thread
-                // has handled it (and rings the event bell itself).
-                shared.push_ctrl(peer, f.body);
-                return;
+                // No waiter's predicate moves until the engine has
+                // handled it.
+                shared.queue_ctrl(peer, f.body);
+                return Delivery::Queued;
             }
-            _ => {} // unknown kind post-handshake: ignore
+            _ => return Delivery::Dropped, // unknown kind post-handshake
         }
-        shared.ring_bell();
+        Delivery::Applied
+    }
+
+    fn announce(&self, reads: &ReadPass) {
+        if reads.applied > 0 {
+            self.shared.events.ring();
+        }
+        if reads.queued > 0 {
+            self.shared.ctrl_bell.ring();
+        }
     }
 
     fn on_corrupt(&self, peer: usize, nic: usize) {
@@ -1044,7 +1158,8 @@ mod tests {
     /// A dispatcher over one registered 64-byte region (id 1), with a
     /// counting sink installed — no sockets, no reactor.
     fn dispatcher() -> (FabricDispatch, Arc<NetRegion>, Arc<CountingSink>) {
-        let shared = Arc::new(Shared::new(2, 1));
+        let reactor_met = ReactorMetrics::register(&Obs::new());
+        let shared = Arc::new(Shared::new(2, 1, reactor_met).unwrap());
         let region = Arc::new(NetRegion::new(64));
         shared
             .regions

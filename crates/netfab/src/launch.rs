@@ -197,6 +197,20 @@ impl NetWorld {
         NetFabric::connect(rank, nranks, nics, &all_ports, listeners)
     }
 
+    /// A world around `fabric` with no launcher behind it, for engine
+    /// unit tests: collectives fail, everything else works.
+    #[cfg(test)]
+    pub(crate) fn without_launcher(fabric: Arc<NetFabric>) -> NetWorld {
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let parent = TcpStream::connect(l.local_addr().expect("addr")).expect("connect");
+        NetWorld {
+            fabric,
+            parent: Mutex::new(parent),
+            generation: 0,
+            epoch: 0,
+        }
+    }
+
     /// This process's world rank.
     pub fn rank(&self) -> usize {
         self.fabric.rank()

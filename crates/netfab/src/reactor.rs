@@ -17,7 +17,13 @@
 //!   *crates*, not syscalls — with a portable park-and-scan fallback
 //!   elsewhere) over its streams plus one **wake channel**;
 //! * reads feed a per-connection [`FrameAssembler`] that reassembles
-//!   length-prefixed frames across arbitrary partial reads;
+//!   length-prefixed frames across arbitrary partial reads, behind a
+//!   per-connection reader lock. **Whoever waits reads**: a rank thread
+//!   with nothing to do but wait polls the rank's sockets itself
+//!   ([`ReactorPool::wait_readable`]) and reads and dispatches on its
+//!   own thread, so nothing has to wake it; the owning reactor keeps
+//!   read interest only while no rank thread waits (the yield and
+//!   look-again rule is on `reactor_loop`);
 //! * sends push onto a per-connection lock-free [`FrameQueue`] (a
 //!   Treiber stack reversed on consume, so completion order equals push
 //!   order) and are put on the wire by a per-connection write state
@@ -31,14 +37,15 @@
 //! The pool size is fixed at construction (default
 //! [`DEFAULT_REACTORS`], env `UNR_NETFAB_REACTORS`), so the thread
 //! budget is **flat in world size**: `main + progress + nreactors`
-//! threads per process whether the world has 4 ranks or 64.
+//! threads per process whether the world has 4 ranks or 64 — a waiting
+//! rank thread that reads is a thread the rank already had.
 //!
 //! The reactor knows nothing about regions, signals or the reliable
 //! protocol: inbound frames are handed to a [`FrameDispatch`]
 //! implemented by the fabric, which may return already-encoded reply
-//! frames (GET replies) that the reactor appends to the same
+//! frames (GET replies) that the reader appends to the same
 //! connection's write state — replies bypass the backpressure cap
-//! because the reactor cannot wait on a backlog it is itself
+//! because a reader cannot wait on a backlog it may itself be
 //! responsible for draining.
 
 use std::collections::VecDeque;
@@ -47,6 +54,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use unr_obs::metrics::{Counter, Gauge, Histogram};
 use unr_obs::Obs;
@@ -63,7 +71,7 @@ pub const DEFAULT_REACTORS: usize = 2;
 /// reading can make this process hold.
 pub const QUEUE_CAP_BYTES: usize = 8 * 1024 * 1024;
 
-/// Read scratch per connection per loop iteration — also the fairness
+/// Read scratch per connection per read pass — also the fairness
 /// bound: one connection cannot starve its siblings for longer than one
 /// buffer fill.
 const READ_CHUNK: usize = 256 * 1024;
@@ -73,13 +81,20 @@ const READ_CHUNK: usize = 256 * 1024;
 /// lost wake-up would cost, which is how tests recognise one.
 pub const POLL_TIMEOUT_MS: i32 = 250;
 
+/// Poller timeout of a reactor that has yielded its read interest to
+/// waiting rank threads: how soon it looks again, so the longest an
+/// arrival can sit unread after the last wait. The same 1 ms the
+/// waiters themselves poll with.
+pub const YIELD_POLL_MS: i32 = 1;
+
 /// `unr.transport.reactor.*` instruments.
 #[derive(Clone)]
 pub struct ReactorMetrics {
     /// Reactor threads in the pool (a gauge: constant per process, the
     /// flat-in-world-size claim made observable).
     pub threads: Arc<Gauge>,
-    /// Ready descriptors per poller return (batch size).
+    /// Ready descriptors per reactor poller return (batch size; a
+    /// waiting rank thread's poll is not a reactor batch).
     pub poll_batch: Arc<Histogram>,
     /// Frames taken per non-empty writer-queue drain (queue depth seen
     /// by whoever writes: a posting thread or the reactor).
@@ -88,9 +103,15 @@ pub struct ReactorMetrics {
     pub partial_reads: Arc<Counter>,
     /// Producer stalls on a full writer queue.
     pub backpressure_stalls: Arc<Counter>,
-    /// Wake bytes written to reactor wake channels: posts that could
-    /// not finish on the posting thread, plus teardown.
+    /// Wake bytes written: to reactor wake channels (posts that could
+    /// not finish on the posting thread, teardown) and to the fabric's
+    /// event wake channel (a ring that found a rank thread parked).
     pub wakeups: Arc<Counter>,
+    /// Read passes that consumed at least one byte, run by a waiting
+    /// rank thread ([`ReactorPool::wait_readable`]).
+    pub reads_by_waiter: Arc<Counter>,
+    /// Read passes that consumed at least one byte, run by a reactor.
+    pub reads_by_reactor: Arc<Counter>,
 }
 
 impl ReactorMetrics {
@@ -103,6 +124,8 @@ impl ReactorMetrics {
             partial_reads: obs.metrics.counter("unr.transport.reactor.partial_reads"),
             backpressure_stalls: obs.metrics.counter("unr.transport.reactor.backpressure_stalls"),
             wakeups: obs.metrics.counter("unr.transport.reactor.wakeups"),
+            reads_by_waiter: obs.metrics.counter("unr.transport.reactor.reads_by_waiter"),
+            reads_by_reactor: obs.metrics.counter("unr.transport.reactor.reads_by_reactor"),
         }
     }
 }
@@ -228,20 +251,31 @@ unsafe impl Sync for FrameQueue {}
 // Connections
 // ---------------------------------------------------------------------
 
-/// One mesh stream in the registry: the nonblocking socket, its writer
-/// queue and its write state machine. Reads belong to reactor
-/// `self.reactor`; writes to whoever holds the writer lock.
+/// One mesh stream in the registry: the nonblocking socket, its read
+/// state machine, its writer queue and its write state machine. Reads
+/// belong to whoever holds the reader lock, writes to whoever holds the
+/// writer lock; a thread that needs both takes the reader lock first.
 pub struct Conn {
     /// Remote rank.
     pub peer: usize,
     /// NIC (socket index) of this stream.
     pub nic: usize,
-    /// Index of the owning reactor in the pool.
+    /// Index of the owning reactor in the pool: the one that polls this
+    /// stream when no rank thread does, and for writability always.
     pub reactor: usize,
-    /// The nonblocking stream. The reactor reads; the fabric also calls
-    /// `shutdown` on it (safe concurrently — both are plain syscalls on
-    /// the same descriptor).
+    /// The nonblocking stream. Lock holders read and write; the fabric
+    /// also calls `shutdown` on it (safe concurrently — all are plain
+    /// syscalls on the same descriptor).
     pub stream: TcpStream,
+    /// Read side open (false after EOF or corruption). Written under
+    /// the reader lock; read without it to build poll sets, so a stale
+    /// `true` costs one empty read pass and nothing else.
+    open_read: AtomicBool,
+    /// The read state machine. Every socket read and every
+    /// [`FrameAssembler::feed`] happens under this lock, whoever holds
+    /// it, so per-connection frame order is byte order, and a frame one
+    /// reader left half-assembled is finished by the next.
+    reader: Mutex<Reader>,
     /// Encoded frames awaiting transmission, in the order they will
     /// reach the wire. Filled only by [`ReactorPool::post`], so every
     /// frame in it has someone who will write it.
@@ -262,6 +296,11 @@ impl Conn {
             nic,
             reactor,
             stream,
+            open_read: AtomicBool::new(true),
+            reader: Mutex::new(Reader {
+                asm: FrameAssembler::new(),
+                buf: vec![0u8; READ_CHUNK],
+            }),
             queue: FrameQueue::new(),
             writer: Mutex::new(Writer {
                 pending: VecDeque::new(),
@@ -278,6 +317,12 @@ impl Conn {
         self.queue.bytes()
     }
 
+    /// Whether the read side is still open: no EOF, reset or corrupt
+    /// prefix seen yet. May be a moment out of date.
+    pub fn open_read(&self) -> bool {
+        self.open_read.load(Ordering::SeqCst)
+    }
+
     fn writer(&self) -> MutexGuard<'_, Writer> {
         self.writer.lock().expect("writer lock")
     }
@@ -291,6 +336,13 @@ impl Conn {
     }
 }
 
+/// Per-connection read state machine, behind [`Conn`]'s reader lock.
+struct Reader {
+    asm: FrameAssembler,
+    /// Read scratch, [`READ_CHUNK`] bytes (zero pages until touched).
+    buf: Vec<u8>,
+}
+
 /// Per-connection write state machine, behind [`Conn`]'s writer lock.
 struct Writer {
     /// Frames taken from the queue (plus dispatcher replies), oldest
@@ -300,8 +352,9 @@ struct Writer {
     front_off: usize,
     /// Saw `WouldBlock` with bytes pending: the socket is full and the
     /// reactor polls for writability. Set only by a pass that is the
-    /// reactor's own or that ends by waking it, and cleared only by the
-    /// reactor — so a poster that sees it may leave its frame queued.
+    /// reactor's own or that ends by waking it, and cleared only by a
+    /// pass that also emptied the queue — so a poster that sees it may
+    /// leave its frame queued.
     want_write: bool,
     /// Write side open (false after a write error latched the conn).
     open_write: bool,
@@ -361,19 +414,67 @@ impl Writer {
     }
 }
 
-/// What the reactor does with protocol events; implemented by the
+/// What became of one inbound frame ([`FrameDispatch::on_frame`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Delivery {
+    /// Applied to this rank's memory or signals: a waiter's predicate
+    /// may have moved.
+    Applied,
+    /// A control message, queued for the engine to handle.
+    Queued,
+    /// Nothing to act on (unknown kind, or a protocol error already
+    /// reported through [`FrameDispatch::on_corrupt`]).
+    Dropped,
+}
+
+/// What one read pass did, summed over the frames it completed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadPass {
+    /// Bytes taken off the socket.
+    pub bytes: usize,
+    /// Frames that came out [`Delivery::Applied`].
+    pub applied: usize,
+    /// Frames that came out [`Delivery::Queued`].
+    pub queued: usize,
+    /// Replies were appended and the socket filled up before they were
+    /// all written: the owning reactor must poll for writability.
+    reply_blocked: bool,
+}
+
+impl ReadPass {
+    fn add(&mut self, other: ReadPass) {
+        self.bytes += other.bytes;
+        self.applied += other.applied;
+        self.queued += other.queued;
+    }
+}
+
+/// What a reader does with protocol events; implemented by the
 /// fabric (which owns regions, the atomic-add sink and the down
 /// latches). The reactor itself stays protocol-agnostic.
 pub trait FrameDispatch: Send + Sync + 'static {
     /// One fully reassembled inbound frame from `(peer, nic)`. Encoded
     /// reply frames pushed into `replies` are transmitted on the same
-    /// connection, ahead of backpressure (the reactor cannot park on
-    /// the queue it drains). Runs on a reactor thread and must not
-    /// post: replies are returned, never sent from here.
-    fn on_frame(&self, peer: usize, nic: usize, frame: Frame, replies: &mut Vec<Vec<u8>>);
+    /// connection, ahead of backpressure (a reader cannot park on the
+    /// queue it may have to drain). Runs on whichever thread read the
+    /// frame — a reactor or a waiting rank thread — under that
+    /// connection's reader lock. It must not post (replies are
+    /// returned, never sent from here) and wakes nobody: the reader
+    /// decides who needs to hear of it from the [`Delivery`]s.
+    fn on_frame(
+        &self,
+        peer: usize,
+        nic: usize,
+        frame: Frame,
+        replies: &mut Vec<Vec<u8>>,
+    ) -> Delivery;
+    /// A reactor's read passes dispatched these frames (`applied` or
+    /// `queued` non-zero): wake whoever waits for them. Not called for
+    /// a waiting rank thread's own reads — it looks for itself.
+    fn announce(&self, reads: &ReadPass);
     /// The stream delivered unframeable bytes (corrupt prefix or death
     /// mid-frame) or refused a write, outside teardown; the dispatcher
-    /// latches it down. Called by the reactor and by posting threads.
+    /// latches it down. Called by readers and by posting threads.
     fn on_corrupt(&self, peer: usize, nic: usize);
     /// Whether fabric teardown has begun (reactors exit their loops).
     fn stopping(&self) -> bool;
@@ -393,6 +494,13 @@ pub struct PollSlot {
     pub events: i16,
     /// Returned events.
     pub revents: i16,
+}
+
+impl PollSlot {
+    /// Something to read, or an error or hang-up a read will surface.
+    fn readable(&self) -> bool {
+        self.revents & (POLL_IN | POLL_ERR | POLL_HUP) != 0
+    }
 }
 
 /// Readable readiness (POSIX `POLLIN`; identical value on Linux/BSD/macOS).
@@ -480,6 +588,21 @@ pub struct WakeHandle {
 }
 
 impl WakeHandle {
+    /// A fresh channel: the producer handle and the nonblocking read
+    /// end its consumer polls.
+    pub(crate) fn channel() -> io::Result<(WakeHandle, TcpStream)> {
+        let (tx, rx) = wake_pair()?;
+        let pending = Arc::new(AtomicBool::new(false));
+        Ok((WakeHandle { tx, pending }, rx))
+    }
+
+    /// Consumer side: empty the channel `rx`, then re-arm the producers
+    /// (see `consume_wake`). The caller looks for the announced work
+    /// afterwards.
+    pub(crate) fn consume(&self, rx: &TcpStream) {
+        consume_wake(rx, &self.pending);
+    }
+
     /// Nudge the reactor out of its poller (idempotent until consumed).
     /// Call *after* the work it announces is visible to the reactor.
     pub fn wake(&self, met: &ReactorMetrics) {
@@ -539,6 +662,53 @@ pub fn pool_size_from_env() -> usize {
         .unwrap_or(DEFAULT_REACTORS)
 }
 
+/// What the rank's waiting threads tell the reactors: two words, written
+/// by [`Waiting::park`], read at the top of every reactor pass.
+#[derive(Default)]
+pub struct Waiting {
+    /// Rank threads parked in a poll of the rank's sockets right now.
+    parked: AtomicUsize,
+    /// Parks ever begun: a reactor that finds this moved since its
+    /// previous pass knows a thread waited in between, however briefly.
+    entries: AtomicUsize,
+}
+
+impl Waiting {
+    /// Publish that the calling thread is about to poll the rank's
+    /// sockets itself, until the guard drops. SeqCst: the caller's next
+    /// step is to re-read the epoch a ringer bumps before it looks at
+    /// [`parked`](Self::parked).
+    pub fn park(&self) -> Parked<'_> {
+        self.entries.fetch_add(1, Ordering::SeqCst);
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        Parked(self)
+    }
+
+    /// Threads parked right now.
+    pub fn parked(&self) -> usize {
+        self.parked.load(Ordering::SeqCst)
+    }
+}
+
+/// A thread's [`Waiting::park`], ended on drop.
+pub struct Parked<'a>(&'a Waiting);
+
+impl Drop for Parked<'_> {
+    fn drop(&mut self) {
+        self.0.parked.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// What [`ReactorPool::wait_readable`] came back with.
+pub struct Waited {
+    /// What this thread read and dispatched.
+    pub reads: ReadPass,
+    /// The caller's wake channel was readable.
+    pub woken: bool,
+    /// The timeout ran out with nothing ready.
+    pub expired: bool,
+}
+
 /// A fixed pool of reactor threads plus their wake handles. Thread
 /// count is decided at construction and never changes.
 pub struct ReactorPool {
@@ -550,10 +720,13 @@ pub struct ReactorPool {
 
 impl ReactorPool {
     /// Spawn `nreactors` threads, partitioning `conns` by their
-    /// `reactor` index. `tag` distinguishes thread names per rank.
+    /// `reactor` index. `waiting` is where the rank's threads publish
+    /// that they poll the sockets themselves; `tag` distinguishes
+    /// thread names per rank.
     pub fn spawn(
         nreactors: usize,
         conns: Vec<Arc<Conn>>,
+        waiting: Arc<Waiting>,
         dispatch: Arc<dyn FrameDispatch>,
         met: ReactorMetrics,
         tag: &str,
@@ -563,12 +736,9 @@ impl ReactorPool {
         let mut wakes = Vec::with_capacity(nreactors);
         let mut threads = Vec::with_capacity(nreactors);
         for r in 0..nreactors {
-            let (tx, rx) = wake_pair()?;
-            let pending = Arc::new(AtomicBool::new(false));
-            wakes.push(WakeHandle {
-                tx,
-                pending: Arc::clone(&pending),
-            });
+            let (wake, rx) = WakeHandle::channel()?;
+            let pending = Arc::clone(&wake.pending);
+            wakes.push(wake);
             let mine: Vec<Arc<Conn>> = conns
                 .iter()
                 .filter(|c| c.reactor == r)
@@ -576,10 +746,11 @@ impl ReactorPool {
                 .collect();
             let dis = Arc::clone(&dispatch);
             let m = met.clone();
+            let waiting = Arc::clone(&waiting);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("netfab-reactor-{tag}-{r}"))
-                    .spawn(move || reactor_loop(mine, rx, pending, dis, m))?,
+                    .spawn(move || reactor_loop(mine, rx, pending, waiting, dis, m))?,
             );
         }
         Ok(ReactorPool {
@@ -635,6 +806,70 @@ impl ReactorPool {
         }
     }
 
+    /// Progress `conns` on the calling (rank) thread: block until one
+    /// of them is readable, `wake_rx` is, or `timeout` runs out (whole
+    /// milliseconds, at least one), then run one read pass on each
+    /// readable connection right here — same `service_read`, same
+    /// dispatcher as a reactor — so what arrives is applied by the
+    /// thread that waits for it, with no wake-up in between. A reply
+    /// that fills the socket is handed to the owning reactor with a
+    /// wake, like a post that could not finish. The caller consumes
+    /// `wake_rx` and acts on what the reads dispatched; nobody is rung.
+    ///
+    /// Callable from several threads at once, and beside the reactors:
+    /// the reader lock arbitrates, and a thread that loses the race
+    /// finds the socket empty. For the reactors to stand back the
+    /// caller brackets this in [`Waiting::park`].
+    pub fn wait_readable(
+        &self,
+        conns: &[Arc<Conn>],
+        wake_rx: &TcpStream,
+        timeout: Duration,
+    ) -> Waited {
+        // Slot 0 is the wake channel, slot i + 1 is `conns[i]`; a
+        // connection with its read side closed holds its place with a
+        // descriptor `poll(2)` ignores.
+        let mut slots = Vec::with_capacity(conns.len() + 1);
+        slots.push(PollSlot {
+            fd: raw_fd(wake_rx),
+            events: POLL_IN,
+            revents: 0,
+        });
+        slots.extend(conns.iter().map(|c| match c.open_read() {
+            true => PollSlot {
+                fd: raw_fd(&c.stream),
+                events: POLL_IN,
+                revents: 0,
+            },
+            false => PollSlot {
+                fd: -1,
+                events: 0,
+                revents: 0,
+            },
+        }));
+        let timeout_ms = timeout.as_millis().clamp(1, i32::MAX as u128) as i32;
+        let ready = poll_wait(&mut slots, timeout_ms).unwrap_or(0);
+        let mut reads = ReadPass::default();
+        for (conn, slot) in conns.iter().zip(&slots[1..]) {
+            if !slot.readable() {
+                continue;
+            }
+            let pass = service_read(conn, &*self.dispatch, &self.met);
+            if pass.bytes > 0 {
+                self.met.reads_by_waiter.inc();
+            }
+            if pass.reply_blocked {
+                self.wake(conn.reactor);
+            }
+            reads.add(pass);
+        }
+        Waited {
+            reads,
+            woken: slots[0].readable(),
+            expired: ready == 0,
+        }
+    }
+
     /// Wake everyone and join the threads (callers set the dispatcher's
     /// `stopping` flag first). Idempotent; never joins the current
     /// thread.
@@ -656,22 +891,39 @@ impl ReactorPool {
 // The event loop
 // ---------------------------------------------------------------------
 
-/// Per-connection reactor-local state: the read state machine, and
-/// what the last write pass saw under the writer lock.
+/// Per-connection reactor-local state: what the last write pass saw
+/// under the writer lock.
 struct ConnState {
     conn: Arc<Conn>,
-    asm: FrameAssembler,
-    /// Read side open (false after EOF or corruption).
-    open_read: bool,
     /// The socket was full at the end of the last write pass: poll for
     /// writability. A poster that fills it later says so with a wake.
     poll_out: bool,
 }
 
+/// One reactor. Writability, the wake channel and teardown are always
+/// its business; reads only while no rank thread waits.
+///
+/// **Yield, and take back by looking again.** A rank thread that waits
+/// reads the sockets itself ([`ReactorPool::wait_readable`]); were the
+/// reactor polling them too, every arrival would wake both and the
+/// reactor would usually get there first — the thread hop this design
+/// removes. So at the top of each pass a reactor that has connections
+/// leaves `POLLIN` out of its poll set if a waiter is parked *or* one
+/// came by since the previous pass ([`Waiting`]), and polls with
+/// [`YIELD_POLL_MS`] to look again soon; a pass that sees neither takes
+/// the sockets back with the long timeout. Nobody tells the reactor
+/// that a wait has ended — a wake byte at every wait exit would put the
+/// hop back — so the worst case is one [`YIELD_POLL_MS`] between the
+/// last wait and the reactor reading again: compute phases, a rank that
+/// only serves GETs and teardown keep their asynchronous progress. A
+/// reactor in its long poll when the first waiter arrives is woken by
+/// the same `POLLIN` as the waiter, once: it finds the waiter parked,
+/// leaves the read to it and yields from the next pass.
 fn reactor_loop(
     conns: Vec<Arc<Conn>>,
     wake_rx: TcpStream,
     wake_pending: Arc<AtomicBool>,
+    waiting: Arc<Waiting>,
     dispatch: Arc<dyn FrameDispatch>,
     met: ReactorMetrics,
 ) {
@@ -679,21 +931,23 @@ fn reactor_loop(
         .into_iter()
         .map(|conn| ConnState {
             conn,
-            asm: FrameAssembler::new(),
-            open_read: true,
             poll_out: false,
         })
         .collect();
-    let mut buf = vec![0u8; READ_CHUNK];
     let mut slots: Vec<PollSlot> = Vec::new();
     // slot index -> states index (slot 0 is the wake channel).
     let mut slot_conn: Vec<usize> = Vec::new();
+    let mut entries_seen = waiting.entries.load(Ordering::SeqCst);
 
     loop {
         if dispatch.stopping() {
             final_flush(&states, &*dispatch, &met);
             return;
         }
+
+        let entries = waiting.entries.load(Ordering::SeqCst);
+        let yielded = !states.is_empty() && (waiting.parked() > 0 || entries != entries_seen);
+        entries_seen = entries;
 
         slots.clear();
         slot_conn.clear();
@@ -704,7 +958,7 @@ fn reactor_loop(
         });
         for (i, st) in states.iter().enumerate() {
             let mut ev = 0i16;
-            if st.open_read {
+            if st.conn.open_read() && !yielded {
                 ev |= POLL_IN;
             }
             if st.poll_out {
@@ -720,7 +974,8 @@ fn reactor_loop(
             }
         }
 
-        let ready = match poll_wait(&mut slots, POLL_TIMEOUT_MS) {
+        let timeout = if yielded { YIELD_POLL_MS } else { POLL_TIMEOUT_MS };
+        let ready = match poll_wait(&mut slots, timeout) {
             Ok(n) => n,
             Err(_) => continue,
         };
@@ -728,29 +983,39 @@ fn reactor_loop(
             met.poll_batch.record(ready as u64);
         }
 
-        if slots[0].revents & (POLL_IN | POLL_ERR | POLL_HUP) != 0 {
+        if slots[0].readable() {
             consume_wake(&wake_rx, &wake_pending);
         }
 
-        // Reads: only where the poller reported readiness.
-        let mut replies: Vec<Vec<u8>> = Vec::new();
-        for (si, slot) in slots.iter().enumerate().skip(1) {
-            if slot.revents & (POLL_IN | POLL_ERR | POLL_HUP) == 0 {
-                continue;
-            }
-            let st = &mut states[slot_conn[si - 1]];
-            if !st.open_read {
-                continue; // POLLHUP on a write-only slot
-            }
-            service_read(st, &mut buf, &dispatch, &met, &mut replies);
-            if !replies.is_empty() {
-                st.conn.writer().pending.extend(replies.drain(..));
+        // Reads: only where the poller reported readiness, and only if
+        // no rank thread is parked on the same sockets — it was woken by
+        // the same readiness and applies what it reads without a hop.
+        let mut reads = ReadPass::default();
+        if waiting.parked() == 0 {
+            for (si, slot) in slots.iter().enumerate().skip(1) {
+                if !slot.readable() {
+                    continue;
+                }
+                let conn = &states[slot_conn[si - 1]].conn;
+                if !conn.open_read() {
+                    continue; // POLLHUP on a write-only slot
+                }
+                let pass = service_read(conn, &*dispatch, &met);
+                if pass.bytes > 0 {
+                    met.reads_by_reactor.inc();
+                }
+                reads.add(pass);
             }
         }
+        // One ring per pass, not per frame: nobody this could wake runs
+        // before the pass is over anyway on the rank's core.
+        if reads.applied + reads.queued > 0 {
+            dispatch.announce(&reads);
+        }
 
-        // Writes: whatever is owed on any connection — replies from the
-        // reads above, frames a poster handed over, residue a full
-        // socket left behind — until the kernel pushes back. Waiting
+        // Writes: whatever is owed on any connection — frames a poster
+        // handed over, residue a full socket left behind (a reader's
+        // replies included) — until the kernel pushes back. Waiting
         // for the lock is waiting out a poster's nonblocking write.
         // A connection with nothing left to read and nothing left (or
         // possible) to write leaves the loop.
@@ -758,7 +1023,7 @@ fn reactor_loop(
             let mut w = st.conn.writer();
             w.flush(&st.conn, &*dispatch, &met);
             st.poll_out = w.want_write && w.open_write;
-            st.open_read
+            st.conn.open_read()
                 || (w.open_write && !(w.pending.is_empty() && st.conn.queue.frames() == 0))
         });
     }
@@ -769,79 +1034,95 @@ fn close_write(conn: &Conn) {
     conn.writer().open_write = false;
 }
 
-/// Read until `WouldBlock` (or the fairness chunk is consumed once),
-/// feeding the frame assembler and dispatching completed frames.
-fn service_read(
-    st: &mut ConnState,
-    buf: &mut [u8],
-    dispatch: &Arc<dyn FrameDispatch>,
-    met: &ReactorMetrics,
-    replies: &mut Vec<Vec<u8>>,
-) {
-    let (peer, nic) = (st.conn.peer, st.conn.nic);
-    loop {
-        match (&st.conn.stream).read(buf) {
+/// One read pass on `conn`, by whoever calls — a reactor or a waiting
+/// rank thread: take the reader lock, read once (at most the fairness
+/// chunk), feed the frame assembler, dispatch completed frames, and
+/// append any replies to the write state and write them out. Everything
+/// happens under the reader lock (the writer lock nests inside it), so
+/// two readers of one connection take turns pass by pass: frames are
+/// dispatched in byte order, replies are appended in request order, and
+/// an addend is applied after the bytes it announces because both are
+/// the one `on_frame` call. Returns what the pass did.
+fn service_read(conn: &Conn, dispatch: &dyn FrameDispatch, met: &ReactorMetrics) -> ReadPass {
+    let mut pass = ReadPass::default();
+    let mut reader = conn.reader.lock().expect("reader lock");
+    if !conn.open_read() {
+        return pass; // closed by the reader we waited out
+    }
+    let close_read = || conn.open_read.store(false, Ordering::SeqCst);
+    let Reader { asm, buf } = &mut *reader;
+    let (peer, nic) = (conn.peer, conn.nic);
+    let n = loop {
+        match (&conn.stream).read(buf) {
             Ok(0) => {
                 // EOF. Clean only on a frame boundary; mid-frame it is a
                 // truncation (unless the world is tearing down).
-                if st.asm.mid_frame() && !dispatch.stopping() {
+                if asm.mid_frame() && !dispatch.stopping() {
                     dispatch.on_corrupt(peer, nic);
-                    let _ = st.conn.stream.shutdown(Shutdown::Both);
-                    close_write(&st.conn);
+                    let _ = conn.stream.shutdown(Shutdown::Both);
+                    close_write(conn);
                 }
-                st.open_read = false;
-                return;
+                close_read();
+                return pass;
             }
-            Ok(n) => {
-                let fed = st.asm.feed(&buf[..n], &mut |f: Frame| {
-                    dispatch.on_frame(peer, nic, f, replies);
-                });
-                if fed.is_err() {
-                    // Corrupt length prefix: nothing after this point
-                    // can be framed.
-                    if !dispatch.stopping() {
-                        dispatch.on_corrupt(peer, nic);
-                    }
-                    let _ = st.conn.stream.shutdown(Shutdown::Both);
-                    st.open_read = false;
-                    close_write(&st.conn);
-                    return;
-                }
-                if n < buf.len() {
-                    // Short read: the socket is drained. Stop here
-                    // rather than eating one more WouldBlock syscall.
-                    if st.asm.mid_frame() {
-                        met.partial_reads.inc();
-                    }
-                    return;
-                }
-                // Full buffer: yield to siblings, poll will re-arm.
-                if st.asm.mid_frame() {
-                    met.partial_reads.inc();
-                }
-                return;
-            }
+            // A short read means the socket is drained, a full buffer
+            // that siblings get their turn (poll re-arms): one read per
+            // pass either way, never one more just to see `WouldBlock`.
+            Ok(n) => break n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if st.asm.mid_frame() {
+                // Spurious readiness, or another reader got here first.
+                if asm.mid_frame() {
                     met.partial_reads.inc();
                 }
-                return;
+                return pass;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
                 // Reset / aborted: treated like EOF (clean on boundary —
                 // a racing close of a loopback socket with in-flight
                 // data surfaces as a reset).
-                if st.asm.mid_frame() && !dispatch.stopping() {
+                if asm.mid_frame() && !dispatch.stopping() {
                     dispatch.on_corrupt(peer, nic);
-                    close_write(&st.conn);
+                    close_write(conn);
                 }
-                let _ = st.conn.stream.shutdown(Shutdown::Both);
-                st.open_read = false;
-                return;
+                let _ = conn.stream.shutdown(Shutdown::Both);
+                close_read();
+                return pass;
             }
         }
+    };
+    pass.bytes = n;
+    let mut replies: Vec<Vec<u8>> = Vec::new();
+    let fed = asm.feed(&buf[..n], &mut |f: Frame| {
+        match dispatch.on_frame(peer, nic, f, &mut replies) {
+            Delivery::Applied => pass.applied += 1,
+            Delivery::Queued => pass.queued += 1,
+            Delivery::Dropped => {}
+        }
+    });
+    if fed.is_err() {
+        // Corrupt length prefix: nothing after this point can be
+        // framed.
+        if !dispatch.stopping() {
+            dispatch.on_corrupt(peer, nic);
+        }
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        close_read();
+        close_write(conn);
+        return pass;
     }
+    if asm.mid_frame() {
+        met.partial_reads.inc();
+    }
+    if !replies.is_empty() {
+        // Behind whatever is half-written, ahead of the queue and its
+        // cap, and on the wire now if the socket takes them.
+        let mut w = conn.writer();
+        w.pending.extend(replies);
+        w.flush(conn, dispatch, met);
+        pass.reply_blocked = w.want_write;
+    }
+    pass
 }
 
 /// Best-effort flush at teardown: everything protocol-critical was
@@ -905,7 +1186,10 @@ mod tests {
     }
 
     impl FrameDispatch for CountCorrupt {
-        fn on_frame(&self, _: usize, _: usize, _: Frame, _: &mut Vec<Vec<u8>>) {}
+        fn on_frame(&self, _: usize, _: usize, _: Frame, _: &mut Vec<Vec<u8>>) -> Delivery {
+            Delivery::Dropped
+        }
+        fn announce(&self, _: &ReadPass) {}
         fn on_corrupt(&self, _: usize, _: usize) {
             self.corrupt.fetch_add(1, Ordering::SeqCst);
         }
@@ -939,7 +1223,9 @@ mod tests {
         let dispatch = Arc::new(CountCorrupt::default());
         let met = ReactorMetrics::register(&Obs::new());
         let conns = vec![Arc::clone(&conn)];
-        let pool = ReactorPool::spawn(1, conns, dispatch.clone(), met.clone(), "test").unwrap();
+        let waiting = Arc::new(Waiting::default());
+        let pool =
+            ReactorPool::spawn(1, conns, waiting, dispatch.clone(), met.clone(), "test").unwrap();
 
         std::thread::scope(|s| {
             for t in 0..PRODUCERS {
@@ -980,6 +1266,183 @@ mod tests {
         dispatch.stopping.store(true, Ordering::SeqCst);
         pool.shutdown();
         assert_eq!(dispatch.corrupt.load(Ordering::SeqCst), 0);
+    }
+
+    /// A dispatcher that expects the frames of [`tagged_frame`] in
+    /// index order, `period` of them over and over. `on_frame` runs
+    /// under the connection's reader lock, so the order it is called in
+    /// is the order frames were dispatched in, whoever read them.
+    struct InOrder {
+        seen: AtomicUsize,
+        wrong: AtomicUsize,
+        corrupt: AtomicUsize,
+        stopping: AtomicBool,
+        period: u64,
+        body_len: fn(u64) -> usize,
+    }
+
+    impl InOrder {
+        fn new(period: u64, body_len: fn(u64) -> usize) -> InOrder {
+            InOrder {
+                seen: AtomicUsize::new(0),
+                wrong: AtomicUsize::new(0),
+                corrupt: AtomicUsize::new(0),
+                stopping: AtomicBool::new(false),
+                period,
+                body_len,
+            }
+        }
+    }
+
+    /// Frame `i` of a test stream: an 8-byte tag, then filler that
+    /// differs from its neighbours'.
+    fn tagged_frame(i: u64, body_len: usize) -> Vec<u8> {
+        let mut body = vec![(i * 7 + 3) as u8; body_len];
+        body[..8].copy_from_slice(&i.to_le_bytes());
+        crate::frame::encode_frame(crate::frame::FRAME_CTRL, &[&body]).unwrap()
+    }
+
+    impl FrameDispatch for InOrder {
+        fn on_frame(&self, _: usize, _: usize, f: Frame, _: &mut Vec<Vec<u8>>) -> Delivery {
+            let i = self.seen.fetch_add(1, Ordering::SeqCst) as u64 % self.period;
+            let whole = f.kind == crate::frame::FRAME_CTRL
+                && f.body.len() == (self.body_len)(i)
+                && f.body[..8] == i.to_le_bytes()
+                && f.body[8..].iter().all(|&b| b == (i * 7 + 3) as u8);
+            if !whole {
+                self.wrong.fetch_add(1, Ordering::SeqCst);
+            }
+            Delivery::Queued
+        }
+        fn announce(&self, _: &ReadPass) {}
+        fn on_corrupt(&self, _: usize, _: usize) {
+            self.corrupt.fetch_add(1, Ordering::SeqCst);
+        }
+        fn stopping(&self) -> bool {
+            self.stopping.load(Ordering::SeqCst)
+        }
+    }
+
+    /// Three readers on one connection — its reactor, which nobody
+    /// told to stand back, and two threads looping `wait_readable` —
+    /// while a raw peer writes 2 000 frames in pieces that end anywhere.
+    /// Whoever holds the reader lock reads, a frame one reader leaves
+    /// half-assembled is finished by another, and the dispatcher must
+    /// still see every frame once, whole, in order.
+    #[test]
+    fn two_readers_and_a_reactor_share_one_stream_in_order() {
+        const FRAMES: u64 = 2_000;
+        // 41 B to 256 KiB, small as likely as large; ~75 MB in all.
+        fn body_len(i: u64) -> usize {
+            let mut rng = unr_simnet::SimRng::seed_from_u64(0x5eed_0021 ^ i);
+            let base = 41usize << (rng.next_u64() % 13);
+            (base + rng.next_u64() as usize % base).min(256 * 1024)
+        }
+        let (peer, ours) = wake_pair().unwrap();
+        let conn = Arc::new(Conn::new(1, 0, 0, ours).unwrap());
+        let conns = vec![Arc::clone(&conn)];
+        let dispatch = Arc::new(InOrder::new(FRAMES, body_len));
+        let met = ReactorMetrics::register(&Obs::new());
+        let waiting = Arc::new(Waiting::default());
+        let (dis, m) = (dispatch.clone(), met.clone());
+        let pool = ReactorPool::spawn(1, conns.clone(), waiting, dis, m, "test").unwrap();
+        let (_idle, idle_rx) = WakeHandle::channel().unwrap();
+
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let t0 = std::time::Instant::now();
+                    while dispatch.seen.load(Ordering::SeqCst) < FRAMES as usize {
+                        assert!(t0.elapsed().as_secs() < 120, "the stream stopped coming");
+                        pool.wait_readable(&conns, &idle_rx, Duration::from_millis(1));
+                    }
+                });
+            }
+            // The peer: pieces of 1 B to 512 KiB, cut with no regard
+            // for where a frame starts or ends.
+            let mut rng = unr_simnet::SimRng::seed_from_u64(0x5eed_c075);
+            let cut = |rng: &mut unr_simnet::SimRng| {
+                let base = 1usize << (rng.next_u64() % 19);
+                base + rng.next_u64() as usize % base
+            };
+            let mut w = &peer;
+            let mut carry: Vec<u8> = Vec::new();
+            for i in 0..FRAMES {
+                carry.extend_from_slice(&tagged_frame(i, body_len(i)));
+                let mut at = 0;
+                let mut piece = cut(&mut rng);
+                while carry.len() - at >= piece {
+                    w.write_all(&carry[at..at + piece]).unwrap();
+                    at += piece;
+                    piece = cut(&mut rng);
+                }
+                carry.drain(..at);
+            }
+            w.write_all(&carry).unwrap();
+        });
+        assert_eq!(dispatch.seen.load(Ordering::SeqCst), FRAMES as usize);
+        assert_eq!(dispatch.wrong.load(Ordering::SeqCst), 0, "torn or reordered frames");
+        assert_eq!(dispatch.corrupt.load(Ordering::SeqCst), 0);
+        assert!(conn.open_read());
+        let (by_waiter, by_reactor) = (met.reads_by_waiter.get(), met.reads_by_reactor.get());
+        assert!(
+            by_waiter > 0 && by_reactor > 0,
+            "{by_waiter} waiter reads, {by_reactor} reactor reads: nobody contended"
+        );
+        dispatch.stopping.store(true, Ordering::SeqCst);
+        pool.shutdown();
+    }
+
+    /// The hand-over, at every byte: a short stream is written up to a
+    /// cut and read by one thread, the rest written and read by another
+    /// — for every cut there is. Whatever the first reader leaves in the
+    /// connection's assembler (part of a length prefix, a prefix without
+    /// its kind, half a body), the second must finish.
+    #[test]
+    fn a_frame_cut_anywhere_is_finished_by_the_next_reader() {
+        const FRAMES: u64 = 12;
+        fn body_len(i: u64) -> usize {
+            8 + (i as usize * 37) % 120
+        }
+        let stream: Vec<u8> = (0..FRAMES)
+            .flat_map(|i| tagged_frame(i, body_len(i)))
+            .collect();
+        let (peer, ours) = wake_pair().unwrap();
+        let conns = vec![Arc::new(Conn::new(1, 0, 0, ours).unwrap())];
+        let dispatch = Arc::new(InOrder::new(FRAMES, body_len));
+        let met = ReactorMetrics::register(&Obs::new());
+        // A reactor with no connection of its own: every read below is
+        // made by the thread the test chose.
+        let waiting = Arc::new(Waiting::default());
+        let pool =
+            ReactorPool::spawn(1, Vec::new(), waiting, dispatch.clone(), met.clone(), "test")
+                .unwrap();
+        let (_idle, idle_rx) = WakeHandle::channel().unwrap();
+        let read_exactly = |want: usize| {
+            let mut got = 0;
+            while got < want {
+                let timeout = Duration::from_millis(1000);
+                got += pool.wait_readable(&conns, &idle_rx, timeout).reads.bytes;
+            }
+            assert_eq!(got, want);
+        };
+
+        let mut w = &peer;
+        for cut in 0..=stream.len() {
+            w.write_all(&stream[..cut]).unwrap();
+            read_exactly(cut);
+            w.write_all(&stream[cut..]).unwrap();
+            std::thread::scope(|s| {
+                s.spawn(|| read_exactly(stream.len() - cut));
+            });
+            let passes = (cut + 1) * FRAMES as usize;
+            assert_eq!(dispatch.seen.load(Ordering::SeqCst), passes, "cut at {cut}");
+            assert_eq!(dispatch.wrong.load(Ordering::SeqCst), 0, "cut at {cut}");
+        }
+        assert_eq!(dispatch.corrupt.load(Ordering::SeqCst), 0);
+        assert_eq!(met.reads_by_reactor.get(), 0);
+        dispatch.stopping.store(true, Ordering::SeqCst);
+        pool.shutdown();
     }
 
     #[test]
