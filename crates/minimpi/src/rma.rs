@@ -294,11 +294,11 @@ impl Win {
         // Drain control messages addressed to this window.
         let wid = self.win_id;
         while let Some((hdr, payload)) = self.comm.take_rma_ctrl(|h, _| h.rdv_id == wid) {
-            self.handle_ctrl(hdr, payload);
+            self.handle_win_ctrl(hdr, payload);
         }
     }
 
-    fn handle_ctrl(&self, hdr: Header, payload: Vec<u8>) {
+    fn handle_win_ctrl(&self, hdr: Header, payload: Vec<u8>) {
         let origin_world = hdr.src as usize;
         let origin = self
             .comm

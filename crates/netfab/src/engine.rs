@@ -1,7 +1,11 @@
 //! `NetUnr` — the UNR engine over the TCP-loopback fabric.
 //!
-//! The data path mirrors `unr_core::Unr` on the netfab
-//! [`unr_core::Backend`]:
+//! The post path and the wait loop mirror `unr_core::Unr` on the
+//! netfab [`unr_core::Backend`]; the signal table, the coalescer, the
+//! wire format, the retry table ([`unr_core::RetryState`]) and the
+//! receive-side control handler ([`unr_core::handle_ctrl`]) are the
+//! simnet engine's own, parameterised here by a wall clock and a
+//! socket:
 //!
 //! * **Unreliable** (default): each message (or stripe) rides one `PUT`
 //!   frame whose header carries the remote notification as 128-bit
@@ -11,10 +15,11 @@
 //!   emulation of the paper's level-4 hardware.
 //! * **Reliable** ([`Reliability::On`], or `Auto` with fault injection
 //!   enabled): stripes become `unr_core::wire` `SEQ_DATA` control
-//!   messages with per-destination sequence numbers, buffered until
-//!   acked, deduplicated at the receiver with
-//!   [`unr_core::DedupWindow`], and retransmitted with
-//!   exponential backoff by a progress thread. Control messages are
+//!   messages registered in the shared retry table — per-destination
+//!   sequence numbers, buffered until acked, deduplicated at the
+//!   receiver, retransmitted with exponential backoff by a progress
+//!   thread that sleeps until the table's next deadline (time is
+//!   nanoseconds since the engine started). Control messages are
 //!   handled by the thread that read them when that is a rank thread
 //!   inside a wait, by the progress thread otherwise; the handling is
 //!   order-independent (per-sequence dedup, commutative addends), so
@@ -42,20 +47,21 @@
 //! when the message has been posted (payload copied out of the region
 //! into its frame), matching the simnet engine's buffered semantics.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use unr_core::ctrl::{self, CtrlEvent, CtrlSink};
 use unr_core::signal::{Signal, SignalError, SignalTable};
-use unr_core::wire::{self, CtrlMsg};
+use unr_core::wire;
 use unr_core::{
-    striped_addends, AggFlush, AggMetrics, Backend, Blk, Channel, Coalescer, DedupWindow,
-    Encoding, Epoch, FlushWhy, MemCheckpoint, Notif, PeerFailedCause, ProgressMode,
-    Reliability, SigKey, UnrConfig, UnrError,
+    striped_addends, AggFlush, AggMetrics, Backend, Blk, Channel, Coalescer, Encoding, Epoch,
+    FlushWhy, MemCheckpoint, Notif, PeerFailedCause, ProgressMode, Registered, Reliability,
+    Resend, RetryPolicy, RetryState, Route, SigKey, UnrConfig, UnrError,
 };
-use unr_simnet::FabricError;
+use unr_simnet::sync::Mutex;
+use unr_simnet::{Bytes, Ns};
 
 use crate::fabric::{NetAddSink, NetFabric, NetRegion, TransportMetrics};
 use crate::launch::NetWorld;
@@ -75,34 +81,6 @@ impl NetFaults {
     pub fn any(&self) -> bool {
         self.drop_every.is_some()
     }
-}
-
-/// One unacked reliable sub-message, buffered for replay.
-struct Pending {
-    bytes: Vec<u8>,
-    nic: usize,
-    deadline: Instant,
-    attempts: u32,
-}
-
-/// Lock reliable-transport state, poisoned or not. Every field of
-/// [`RelState`] is plain data that each update leaves valid at every
-/// step (a counter bumped, a map entry inserted or removed, an option
-/// set), so a panic elsewhere while one was held is no reason to turn
-/// every later wait and control message into a second panic.
-fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Reliable-transport state shared with the progress thread.
-struct RelState {
-    next_seq: Mutex<Vec<u64>>,
-    pending: Mutex<BTreeMap<(usize, u64), Pending>>,
-    dedup: Mutex<Vec<DedupWindow>>,
-    /// First exhausted destination: `(dst, attempts)`.
-    failed: Mutex<Option<(usize, u32)>>,
-    /// Reliable data messages posted (drop-injection cadence counter).
-    sends: AtomicU64,
 }
 
 /// A netfab-registered memory region (`UNR_Mem_Reg` over sockets).
@@ -236,21 +214,18 @@ pub struct NetUnr {
     cfg: UnrConfig,
     channel: Channel,
     table: Arc<SignalTable>,
-    reliable: bool,
     faults: NetFaults,
-    /// Membership epoch of the world incarnation this engine drives —
-    /// fixed for the engine's lifetime (netfab rebuilds the engine per
-    /// epoch). 0: no rank has ever died; control frames ride bare.
-    epoch: u64,
-    rel: Arc<RelState>,
+    /// Reliable data messages posted (drop-injection cadence counter).
+    sends: AtomicU64,
+    /// The receive side and the retry table, shared with the progress
+    /// thread.
+    ctrl: Arc<CtrlPath>,
     stop: Arc<AtomicBool>,
     /// The resolved progress mode ([`ProgressMode::Hardware`] skips the
     /// control thread entirely when nothing rides the control path).
     progress_mode: ProgressMode,
     /// Control-path drainer — `None` under pure hardware progress.
     progress: Mutex<Option<JoinHandle<()>>>,
-    /// `unr.hw.ctrl_msgs`, under [`ProgressMode::Hardware`].
-    ctrl_msgs: Option<Arc<unr_obs::Counter>>,
     next_nic: AtomicUsize,
     /// Wall-clock cap on one `sig_wait`.
     wait_timeout: Duration,
@@ -300,18 +275,31 @@ impl NetUnr {
             Reliability::Off => false,
             Reliability::Auto => faults.any(),
         };
-        let rel = Arc::new(RelState {
-            next_seq: Mutex::new(vec![0; fabric.nranks()]),
-            pending: Mutex::new(BTreeMap::new()),
-            dedup: Mutex::new((0..fabric.nranks()).map(|_| DedupWindow::default()).collect()),
-            failed: Mutex::new(None),
-            sends: AtomicU64::new(0),
+        // The retry table's clock is nanoseconds since this instant.
+        let retry = reliable.then(|| {
+            RetryState::new(
+                RetryPolicy {
+                    timeout: cfg.retry_timeout.max(MIN_RTO.as_nanos() as Ns),
+                    max_backoff: cfg.retry_max_backoff.max(MIN_BACKOFF_CAP.as_nanos() as Ns),
+                    max_retries: cfg.max_retries,
+                    fallback_after: cfg.fallback_after,
+                    nics: fabric.nics(),
+                    ns_per_byte: 0.0,
+                },
+                fabric.nranks(),
+            )
+        });
+        let hardware = progress_mode == ProgressMode::Hardware;
+        let ctrl = Arc::new(CtrlPath {
+            fabric: Arc::clone(&fabric),
+            table: Arc::clone(&table),
+            retry,
+            epoch: world.epoch(),
+            t0: Instant::now(),
+            ctrl_msgs: hw.map(|h| h.ctrl_msgs),
         });
         let stop = Arc::new(AtomicBool::new(false));
-        let epoch = world.epoch();
 
-        let rto = MIN_RTO.max(Duration::from_nanos(cfg.retry_timeout));
-        let cap = MIN_BACKOFF_CAP.max(Duration::from_nanos(cfg.retry_max_backoff));
         // On this backend the reactor threads apply notification custom
         // bits at frame-read time (the emulated level-4 atomic-add
         // unit), so the data path never needs the progress thread. It
@@ -322,16 +310,10 @@ impl NetUnr {
         // the paper's "no software progress at all"). Hybrid configs
         // (hardware + reliable/agg, DESIGN.md §5g) spawn it as the
         // ctrl-only drainer under the `netfab-hwctrl-*` name.
-        let hardware = progress_mode == ProgressMode::Hardware;
-        let ctrl_msgs = hw.as_ref().map(|h| Arc::clone(&h.ctrl_msgs));
         let need_ctrl = !hardware || reliable || cfg.agg_eager_max > 0;
         let progress = need_ctrl.then(|| {
-            let fabric = Arc::clone(&fabric);
-            let table = Arc::clone(&table);
-            let rel = Arc::clone(&rel);
+            let ctrl = Arc::clone(&ctrl);
             let stop = Arc::clone(&stop);
-            let max_retries = cfg.max_retries;
-            let ctrl_msgs = ctrl_msgs.clone();
             let name = if hardware {
                 format!("netfab-hwctrl-r{}", fabric.rank())
             } else {
@@ -342,24 +324,25 @@ impl NetUnr {
                 .spawn(move || loop {
                     // Epoch first, then the stop flag and the work:
                     // whatever changes during the pass — a control
-                    // message a reactor queued, `finalize` — rings the
-                    // control bell past `seen`, and the sleep below
-                    // returns at once. Data frames ring another bell,
-                    // and control frames a waiting rank thread read
-                    // ring none: it handles them itself.
-                    let seen = fabric.ctrl_epoch();
+                    // message a reactor queued, `finalize`, a first
+                    // unacked sub-message — rings the control bell past
+                    // `seen`, and the sleep below returns at once. Data
+                    // frames ring another bell, and control frames a
+                    // waiting rank thread read ring none: it handles
+                    // them itself.
+                    let seen = ctrl.fabric.ctrl_epoch();
                     if stop.load(Ordering::Relaxed) {
                         return;
                     }
-                    let drained = drain_ctrl(&fabric, &table, &rel, epoch, ctrl_msgs.as_deref());
-                    let next_sweep = sweep_retries(&fabric, &rel, rto, cap, max_retries);
+                    let drained = ctrl.drain();
+                    let next_sweep = ctrl.sweep();
                     if drained > 0 {
                         // Signals may have fired: wake sig_wait
                         // parkers — and go round again rather than
                         // sleep, more is likely on its way.
-                        fabric.ring_bell();
+                        ctrl.fabric.ring_bell();
                     } else {
-                        fabric.wait_ctrl_since(seen, next_sweep);
+                        ctrl.fabric.wait_ctrl_since(seen, next_sweep);
                     }
                 })
                 .expect("spawn progress thread")
@@ -393,14 +376,12 @@ impl NetUnr {
             cfg,
             channel,
             table,
-            reliable,
             faults,
-            epoch,
-            rel,
+            sends: AtomicU64::new(0),
+            ctrl,
             stop,
             progress_mode,
             progress: Mutex::new(progress),
-            ctrl_msgs,
             next_nic: AtomicUsize::new(0),
             wait_timeout,
             agg,
@@ -435,7 +416,7 @@ impl NetUnr {
 
     /// Whether the ack/replay protocol is active.
     pub fn reliable(&self) -> bool {
-        self.reliable
+        self.ctrl.retry.is_some()
     }
 
     /// The resolved progress mode.
@@ -463,7 +444,7 @@ impl NetUnr {
     /// for destination `dst`; `(0, 0)` when aggregation is off.
     pub fn agg_backlog(&self, dst: usize) -> (usize, usize) {
         match &self.agg {
-            Some(m) => m.lock().expect("agg lock").backlog(dst),
+            Some(m) => m.lock().backlog(dst),
             None => (0, 0),
         }
     }
@@ -491,14 +472,14 @@ impl NetUnr {
 
     /// The membership epoch this engine incarnation runs in.
     pub fn epoch(&self) -> Epoch {
-        Epoch::new(self.epoch)
+        Epoch::new(self.ctrl.epoch)
     }
 
     /// Structured peer-failure error naming this engine's epoch.
     /// `unr.recovery.peer_failures` counts only in post-recovery worlds
     /// (epoch > 0), keeping epoch-0 metric snapshots unchanged.
     fn peer_failed(&self, rank: usize, cause: PeerFailedCause) -> UnrError {
-        if self.epoch > 0 {
+        if self.ctrl.epoch > 0 {
             self.fabric
                 .obs
                 .metrics
@@ -507,56 +488,30 @@ impl NetUnr {
         }
         UnrError::PeerFailed {
             rank,
-            epoch: Epoch::new(self.epoch),
+            epoch: self.epoch(),
             cause,
         }
     }
 
+    /// `Err` once the reliable transport has latched a peer down (a
+    /// sub-message ran out of retransmissions).
     fn check_peer_up(&self) -> Result<(), UnrError> {
-        if let Some((dst, attempts)) = *relock(&self.rel.failed) {
-            return Err(self.peer_failed(dst, PeerFailedCause::RetryExhausted { attempts }));
-        }
-        Ok(())
+        let failure = self.ctrl.retry.as_ref().filter(|r| r.failed());
+        let Some((dst, attempts)) = failure.and_then(|r| r.failure()) else {
+            return Ok(());
+        };
+        Err(self.peer_failed(dst, PeerFailedCause::RetryExhausted { attempts }))
     }
 
-    fn validate_pair(&self, local: &Blk, remote: &Blk) -> Result<Arc<NetRegion>, UnrError> {
-        let my_rank = self.fabric.rank();
-        if local.rank != my_rank {
-            return Err(UnrError::NotMyBlock {
-                blk_rank: local.rank,
-                my_rank,
-            });
-        }
-        if local.len != remote.len {
-            return Err(UnrError::LenMismatch {
-                local: local.len,
-                remote: remote.len,
-            });
-        }
-        let region = self
-            .fabric
-            .region(local.region_id)
-            .ok_or(UnrError::RegionUnknown(local.region_id))?;
-        if local.offset + local.len > region.len() {
-            return Err(UnrError::Fabric(FabricError::OutOfBounds(format!(
-                "local block [{}, {}) exceeds region of {} bytes",
-                local.offset,
-                local.offset + local.len,
-                region.len()
-            ))));
-        }
-        if remote.offset + remote.len > remote.region_len {
-            return Err(UnrError::Fabric(FabricError::OutOfBounds(format!(
-                "remote block [{}, {}) exceeds region of {} bytes",
-                remote.offset,
-                remote.offset + remote.len,
-                remote.region_len
-            ))));
-        }
-        if remote.rank >= self.fabric.nranks() {
-            return Err(UnrError::Fabric(FabricError::BadRank(remote.rank)));
-        }
-        Ok(region)
+    /// [`Blk::check_pair`] against this rank's registered regions.
+    fn check_pair(&self, local: &Blk, remote: &Blk) -> Result<Arc<NetRegion>, UnrError> {
+        local.check_pair(
+            remote,
+            self.fabric.rank(),
+            self.fabric.nranks(),
+            self.fabric.region(local.region_id),
+            |r| r.len(),
+        )
     }
 
     fn pick_nic(&self, stripe: usize) -> usize {
@@ -592,10 +547,8 @@ impl NetUnr {
         local_sig: SigKey,
         remote_sig: SigKey,
     ) -> Result<(), UnrError> {
-        if self.reliable {
-            self.check_peer_up()?;
-        }
-        let region = self.validate_pair(local, remote)?;
+        self.check_peer_up()?;
+        let region = self.check_pair(local, remote)?;
         if self.agg.is_some() {
             if local.len <= self.cfg.agg_eager_max && remote.rank != self.fabric.rank() {
                 return self.put_agg(&region, local, remote, local_sig, remote_sig);
@@ -616,16 +569,17 @@ impl NetUnr {
         for (i, addend) in addends.iter().enumerate() {
             let chunk = base + usize::from(i < rem);
             let nic = self.pick_nic(i);
-            if self.reliable {
-                self.post_reliable(
-                    remote.rank,
-                    remote.region_id,
+            if let Some(retry) = &self.ctrl.retry {
+                let reg = retry.register_data(
+                    Route::Dgram,
+                    Bytes::from(region.snapshot(local.offset + off, chunk)),
+                    remote.rkey(),
                     remote.offset + off,
                     remote_sig.raw(),
                     *addend,
-                    &region.snapshot(local.offset + off, chunk),
                     nic,
-                )?;
+                );
+                self.post_registered(retry, remote.rank, nic, &reg)?;
             } else {
                 let custom = encode_sig(remote_sig, *addend)?;
                 self.fabric
@@ -664,7 +618,7 @@ impl NetUnr {
         local_sig: SigKey,
         remote_sig: SigKey,
     ) -> Result<(), UnrError> {
-        self.validate_pair(local, remote)?;
+        self.check_pair(local, remote)?;
         if self.agg.is_some() {
             // A GET must observe every put already buffered for its
             // target rank.
@@ -688,65 +642,43 @@ impl NetUnr {
             .map_err(|_| self.peer_failed(remote.rank, PeerFailedCause::Killed))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn post_reliable(
+    /// Put a sub-message the retry table has just registered on the
+    /// wire. The table holds it *before* it is sent, so its ack cannot
+    /// outrun it; the entry that ends "nothing unacked" rings the
+    /// progress thread — which sleeps without a deadline until then —
+    /// awake to start watching (later ones it finds by itself, see
+    /// [`CtrlPath::sweep`]). `frame` is stamped once, here: netfab
+    /// epochs are fixed per engine incarnation, so a retransmission
+    /// legitimately resends this exact envelope. Fault injection drops
+    /// first transmissions only.
+    fn post_registered<F: AsRef<[u8]>>(
         &self,
+        retry: &RetryState,
         dst: usize,
-        region_id: u32,
-        offset: usize,
-        key: u64,
-        addend: i64,
-        payload: &[u8],
         nic: usize,
+        reg: &Registered<F>,
     ) -> Result<(), UnrError> {
-        let seq = {
-            let mut ns = relock(&self.rel.next_seq);
-            let s = ns[dst];
-            ns[dst] += 1;
-            s
-        };
-        // Stamp once at build time: netfab epochs are fixed per engine
-        // incarnation, so retransmits legitimately resend this exact
-        // envelope.
-        let msg = stamp_ctrl(
-            self.epoch,
-            wire::seq_data_msg(seq, region_id, offset as u64, key, addend, payload),
-        );
-        self.track_unacked(dst, seq, nic, &msg);
-        let nth = self.rel.sends.fetch_add(1, Ordering::Relaxed) + 1;
+        retry.arm(self.ctrl.now(), &[(dst, reg.seq)]);
+        if reg.first {
+            self.fabric.ring_ctrl();
+        }
+        let nth = self.sends.fetch_add(1, Ordering::Relaxed) + 1;
         let dropped = self
             .faults
             .drop_every
             .is_some_and(|n| n > 0 && nth.is_multiple_of(n));
         if dropped {
             self.fabric.met.drops_injected.inc();
-        } else {
-            self.fabric
-                .send_ctrl(dst, nic, &msg)
-                .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))?;
+            return Ok(());
         }
-        Ok(())
+        self.send_ctrl(dst, nic, reg.frame.as_ref())
     }
 
-    /// Buffer one reliable sub-message for replay, before it is sent.
-    /// The progress thread sleeps without a deadline while nothing is
-    /// unacked; the entry that ends that rings it awake to start
-    /// watching (later ones it finds by itself, see `sweep_retries`).
-    fn track_unacked(&self, dst: usize, seq: u64, nic: usize, msg: &[u8]) {
-        let rto = MIN_RTO.max(Duration::from_nanos(self.cfg.retry_timeout));
-        let entry = Pending {
-            bytes: msg.to_vec(),
-            nic,
-            deadline: Instant::now() + rto,
-            attempts: 0,
-        };
-        let mut pend = relock(&self.rel.pending);
-        let first = pend.is_empty();
-        pend.insert((dst, seq), entry);
-        drop(pend);
-        if first {
-            self.fabric.ring_ctrl();
-        }
+    /// Stamp `frame` with this engine's epoch and send it to `dst`.
+    fn send_ctrl(&self, dst: usize, nic: usize, frame: &[u8]) -> Result<(), UnrError> {
+        self.fabric
+            .send_ctrl(dst, nic, &ctrl::stamp(self.ctrl.epoch, frame))
+            .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))
     }
 
     /// Append one eligible small put to its destination's aggregate
@@ -762,7 +694,7 @@ impl NetUnr {
     ) -> Result<(), UnrError> {
         let data = region.snapshot(local.offset, local.len);
         let trigger = {
-            let mut c = self.agg.as_ref().expect("agg enabled").lock().expect("agg lock");
+            let mut c = self.agg.as_ref().expect("agg enabled").lock();
             c.push(
                 remote.rank,
                 remote.region_id,
@@ -785,7 +717,7 @@ impl NetUnr {
     /// Flush one destination's aggregate ring, if non-empty.
     fn agg_flush_dst(&self, dst: usize, why: FlushWhy) -> Result<(), UnrError> {
         let Some(aggm) = &self.agg else { return Ok(()) };
-        let fl = aggm.lock().expect("agg lock").drain(dst);
+        let fl = aggm.lock().drain(dst);
         match fl {
             Some(fl) => self.send_aggregate(dst, fl, why),
             None => Ok(()),
@@ -797,7 +729,7 @@ impl NetUnr {
     fn agg_flush_all(&self, why: FlushWhy) -> Result<(), UnrError> {
         let Some(aggm) = &self.agg else { return Ok(()) };
         let flushes: Vec<(usize, AggFlush)> = {
-            let mut c = aggm.lock().expect("agg lock");
+            let mut c = aggm.lock();
             let dirty = c.take_dirty();
             dirty
                 .into_iter()
@@ -828,41 +760,18 @@ impl NetUnr {
             am.addends_summed.add(fl.sigs.len() as u64);
         }
         let nic = self.pick_nic(0);
-        if self.reliable {
-            let seq = {
-                let mut ns = relock(&self.rel.next_seq);
-                let s = ns[dst];
-                ns[dst] += 1;
-                s
-            };
-            let msg = stamp_ctrl(
-                self.epoch,
-                wire::agg_msg(seq, true, &fl.spans, &fl.sigs, &fl.payload),
-            );
-            // Register before sending: the progress thread's sweep
-            // resends the stored frame verbatim, so one entry covers
-            // every put packed inside the aggregate.
-            self.track_unacked(dst, seq, nic, &msg);
-            let nth = self.rel.sends.fetch_add(1, Ordering::Relaxed) + 1;
-            let dropped = self
-                .faults
-                .drop_every
-                .is_some_and(|n| n > 0 && nth.is_multiple_of(n));
-            if dropped {
-                self.fabric.met.drops_injected.inc();
-            } else {
-                self.fabric
-                    .send_ctrl(dst, nic, &msg)
-                    .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))?;
+        match &self.ctrl.retry {
+            // Registered before it is sent: the sweep resends the
+            // stored frame verbatim, so one entry covers every put
+            // packed inside the aggregate.
+            Some(retry) => {
+                let reg = retry.register_agg(dst, nic, &fl.spans, &fl.sigs, &fl.payload);
+                self.post_registered(retry, dst, nic, &reg)?;
             }
-        } else {
-            let msg = stamp_ctrl(
-                self.epoch,
-                wire::agg_msg(0, false, &fl.spans, &fl.sigs, &fl.payload),
-            );
-            self.fabric
-                .send_ctrl(dst, nic, &msg)
-                .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))?;
+            None => {
+                let msg = wire::agg_msg(0, false, &fl.spans, &fl.sigs, &fl.payload);
+                self.send_ctrl(dst, nic, &msg)?;
+            }
         }
         // The deferred local (source-completion) addends: buffered-send
         // semantics, applied once the aggregate is posted.
@@ -898,9 +807,7 @@ impl NetUnr {
             if sig.test() {
                 return Ok(());
             }
-            if let Some((dst, attempts)) = *relock(&self.rel.failed) {
-                return Err(self.peer_failed(dst, PeerFailedCause::RetryExhausted { attempts }));
-            }
+            self.check_peer_up()?;
             let waited = start.elapsed();
             if waited >= self.wait_timeout {
                 return Err(UnrError::Timeout {
@@ -921,14 +828,13 @@ impl NetUnr {
     fn wait_progress(&self, seen: u64) {
         let reads = self.fabric.wait_progress(seen, Duration::from_millis(1));
         if reads.queued > 0 {
-            let (fabric, ctrl_msgs) = (&self.fabric, self.ctrl_msgs.as_deref());
-            drain_ctrl(fabric, &self.table, &self.rel, self.epoch, ctrl_msgs);
+            self.ctrl.drain();
         }
     }
 
     /// Number of unacked reliable sub-messages currently buffered.
     pub fn pending_len(&self) -> usize {
-        relock(&self.rel.pending).len()
+        self.ctrl.retry.as_ref().map_or(0, |r| r.in_flight())
     }
 
     /// Wait until every reliable sub-message has been acked (true) or
@@ -945,7 +851,7 @@ impl NetUnr {
             if self.pending_len() == 0 {
                 return true;
             }
-            if relock(&self.rel.failed).is_some() {
+            if self.ctrl.retry.as_ref().is_some_and(|r| r.failed()) {
                 return false;
             }
             if start.elapsed() >= timeout {
@@ -963,7 +869,7 @@ impl NetUnr {
         let _ = self.agg_flush_all(FlushWhy::Explicit);
         self.stop.store(true, Ordering::Relaxed);
         self.fabric.ring_ctrl();
-        if let Some(h) = self.progress.lock().expect("progress lock").take() {
+        if let Some(h) = self.progress.lock().take() {
             let _ = h.join();
         }
         self.fabric.shutdown();
@@ -988,256 +894,167 @@ fn encode_sig(key: SigKey, addend: i64) -> Result<u128, UnrError> {
         .map_err(UnrError::Encode)
 }
 
-/// Wrap a control message in the epoch envelope when membership is
-/// active (epoch > 0); epoch-0 worlds keep the bare wire format, so
-/// fault-free runs are byte-identical to the pre-epoch protocol.
-fn stamp_ctrl(epoch: u64, msg: Vec<u8>) -> Vec<u8> {
-    if epoch == 0 {
-        msg
-    } else {
-        wire::epoch_wrap(epoch, &msg)
-    }
-}
-
-/// Handle every queued control message, on the calling thread — the
-/// progress thread, or a rank thread in a wait that read some itself;
-/// the two may run this at once and split the queue between them.
-/// Returns how many this call handled (counted in `unr.hw.ctrl_msgs`
-/// under hardware progress).
-fn drain_ctrl(
-    fabric: &Arc<NetFabric>,
-    table: &Arc<SignalTable>,
-    rel: &Arc<RelState>,
+/// The control path of one engine: what its receive side and its
+/// retransmit sweep need, shared by the rank thread (inside a wait) and
+/// the progress thread.
+struct CtrlPath {
+    fabric: Arc<NetFabric>,
+    table: Arc<SignalTable>,
+    /// Ack/replay state — `Some` iff the reliable transport is active.
+    retry: Option<RetryState>,
+    /// Membership epoch of the world incarnation this engine drives —
+    /// fixed for the engine's lifetime (netfab rebuilds the engine per
+    /// epoch). 0: no rank has ever died; control frames ride bare.
     epoch: u64,
-    ctrl_msgs: Option<&unr_obs::Counter>,
-) -> u64 {
-    let mut drained = 0u64;
-    while let Some((src, bytes)) = fabric.pop_ctrl() {
-        handle_ctrl(fabric, table, rel, epoch, src, &bytes);
-        drained += 1;
-    }
-    if let (Some(c), true) = (ctrl_msgs, drained > 0) {
-        c.add(drained);
-    }
-    drained
+    /// Engine start: the retry table's clock counts from here.
+    t0: Instant,
+    /// `unr.hw.ctrl_msgs`, under [`ProgressMode::Hardware`].
+    ctrl_msgs: Option<Arc<unr_obs::Counter>>,
 }
 
-/// Apply one inbound control message. Order-independent against other
-/// messages — a sequenced one is fresh exactly once whichever thread
-/// sees it first, addends commute, an ack removes one entry — so the
-/// progress thread and a waiting rank thread may each be handling some.
-/// Frames wrapped in the epoch envelope are fenced first: a stale epoch
-/// (older than this engine's) is dropped and counted, never parsed.
-fn handle_ctrl(
-    fabric: &Arc<NetFabric>,
-    table: &Arc<SignalTable>,
-    rel: &Arc<RelState>,
-    epoch: u64,
-    src: usize,
-    bytes: &[u8],
-) {
-    let bytes = match wire::epoch_unwrap(bytes) {
-        Some((msg_epoch, inner)) => {
-            if msg_epoch < epoch {
-                fabric.obs.metrics.counter("unr.epoch.stale_rejects").inc();
-                return;
+impl CtrlPath {
+    /// The retry table's time: wall-clock nanoseconds since `t0`.
+    fn now(&self) -> Ns {
+        self.t0.elapsed().as_nanos() as Ns
+    }
+
+    /// Handle every queued control message, on the calling thread — the
+    /// progress thread, or a rank thread in a wait that read some
+    /// itself; the two may run this at once and split the queue between
+    /// them ([`unr_core::handle_ctrl`] is order-independent). Frames
+    /// wrapped in the epoch envelope are fenced first: a stale epoch
+    /// (older than this engine's) is dropped and counted, never parsed.
+    /// Returns how many this call handled (counted in
+    /// `unr.hw.ctrl_msgs` under hardware progress).
+    fn drain(&self) -> u64 {
+        let mut sink = self;
+        let mut drained = 0u64;
+        while let Some((src, bytes)) = self.fabric.pop_ctrl() {
+            match ctrl::admit(&bytes, || self.epoch) {
+                Some(frame) => ctrl::handle_ctrl(self.retry.as_ref(), src, frame, &mut sink),
+                None => self.fabric.obs.metrics.counter("unr.epoch.stale_rejects").inc(),
             }
-            inner
+            drained += 1;
         }
-        None => bytes,
-    };
-    match CtrlMsg::parse(bytes) {
-        CtrlMsg::SeqData {
-            seq,
-            region_id,
-            offset,
-            key,
-            addend,
-            payload,
-        } => {
-            let fresh = relock(&rel.dedup)[src].insert(seq);
-            if fresh {
-                // The addend rides with the payload: no data, no signal.
-                if fabric.deposit(region_id, offset as u64, payload) {
-                    table.apply_counted(key, addend);
-                }
-            } else {
-                fabric.met.dup_suppressed.inc();
-            }
-            // Always ack — the first ack may have been lost.
-            let _ = fabric.send_ctrl(src, 0, &stamp_ctrl(epoch, wire::ack_msg(seq)));
+        if let (Some(c), true) = (&self.ctrl_msgs, drained > 0) {
+            c.add(drained);
         }
-        CtrlMsg::SeqNotif { seq, key, addend } => {
-            let fresh = relock(&rel.dedup)[src].insert(seq);
-            if fresh {
-                table.apply_counted(key, addend);
-            } else {
-                fabric.met.dup_suppressed.inc();
-            }
-            let _ = fabric.send_ctrl(src, 0, &stamp_ctrl(epoch, wire::ack_msg(seq)));
-        }
-        CtrlMsg::Ack { seq } => {
-            if relock(&rel.pending).remove(&(src, seq)).is_some() {
-                fabric.met.acks.inc();
+        drained
+    }
+
+    /// Retransmit timed-out reliable sub-messages (progress-thread
+    /// context). Returns when to sweep again: at the earliest deadline
+    /// left, but within one `rto` — a sub-message posted after this
+    /// sweep is due `rto` after its post, so not before that — or
+    /// `None` with nothing unacked (the post that changes that rings
+    /// the control bell).
+    fn sweep(&self) -> Option<Instant> {
+        let retry = self.retry.as_ref().filter(|r| r.in_flight() > 0)?;
+        let now = self.now();
+        let out = retry.sweep(now);
+        for resend in out.resends {
+            // Every netfab entry is a control frame (`Route::Dgram` or
+            // `Route::Agg`); the table has moved it to the next socket.
+            if let Resend::Dgram { dst, nic, bytes } = resend {
+                // Counted first: on one core the write below can hand
+                // the CPU to the peer, and its ack may reach a rank
+                // thread that reads this counter before we run again.
+                self.fabric.met.retransmits.inc();
+                let _ = self.fabric.send_ctrl(dst, nic, &ctrl::stamp(self.epoch, &bytes));
             }
         }
-        CtrlMsg::Companion { key, addend } => {
-            table.apply_counted(key, addend);
+        if out.exhausted > 0 {
+            // The table has latched the peer down: waiters must look.
+            self.fabric.ring_bell();
         }
-        CtrlMsg::FallbackData {
-            region_id,
-            offset,
-            key,
-            addend,
-            payload,
-        } => {
-            if fabric.deposit(region_id, offset as u64, payload) {
-                table.apply_counted(key, addend);
-            }
-        }
-        // Netfab GETs use the fabric's native GET_REQ/GET_REP frames;
-        // a fallback-get control message is never produced here.
-        CtrlMsg::FallbackGet { .. } => {}
-        CtrlMsg::Agg {
-            seq,
-            sequenced,
-            body,
-        } => {
-            let fresh = if sequenced {
-                let fresh = relock(&rel.dedup)[src].insert(seq);
-                if !fresh {
-                    fabric.met.dup_suppressed.inc();
-                }
-                // Always ack — the first ack may have been lost.
-                let _ = fabric.send_ctrl(src, 0, &stamp_ctrl(epoch, wire::ack_msg(seq)));
-                fresh
-            } else {
-                true
-            };
-            if fresh {
-                // The signal entries are sums over the packed puts, so
-                // one span that cannot land takes all of them down.
-                let mut landed = true;
-                for (region_id, offset, payload) in body.spans() {
-                    landed &= fabric.deposit(region_id, offset, payload);
-                }
-                if landed {
-                    for (key, addend) in body.sigs() {
-                        table.apply_counted(key, addend);
-                    }
-                }
-            }
-        }
+        // Counted after the sweep: an entry registered behind its back
+        // either shows here or found the table empty and rang the bell.
+        (retry.in_flight() > 0).then(|| {
+            let next = out.next_deadline.unwrap_or(Ns::MAX).min(now + retry.policy.timeout);
+            self.t0 + Duration::from_nanos(next)
+        })
     }
 }
 
-/// Retransmit timed-out reliable sub-messages (progress-thread
-/// context). Returns when to sweep again: at the earliest deadline
-/// left, but within one `rto` — a sub-message posted after this sweep
-/// is due `rto` after its post, so not before that — or `None` with
-/// nothing unacked (the post that changes that rings the control bell).
-fn sweep_retries(
-    fabric: &Arc<NetFabric>,
-    rel: &Arc<RelState>,
-    rto: Duration,
-    cap: Duration,
-    max_retries: u32,
-) -> Option<Instant> {
-    let now = Instant::now();
-    let mut pend = relock(&rel.pending);
-    let mut dead: Option<(usize, u64, u32)> = None;
-    let mut next = now + rto;
-    for ((dst, seq), p) in pend.iter_mut() {
-        if p.deadline > now {
-            next = next.min(p.deadline);
-            continue;
-        }
-        p.attempts += 1;
-        if p.attempts > max_retries {
-            dead = Some((*dst, *seq, p.attempts));
-            break;
-        }
-        // Rotate NICs across attempts (a stuck stream should not doom
-        // the sub-message) and back off exponentially.
-        p.nic = (p.nic + 1) % fabric.nics();
-        let _ = fabric.send_ctrl(*dst, p.nic, &p.bytes);
-        fabric.met.retransmits.inc();
-        let backoff = rto
-            .saturating_mul(1u32 << p.attempts.min(16))
-            .min(cap);
-        p.deadline = now + backoff;
-        next = next.min(p.deadline);
+/// The sockets under [`unr_core::handle_ctrl`].
+impl CtrlSink for &CtrlPath {
+    fn deposit(&mut self, region: u32, offset: u64, payload: &[u8]) -> bool {
+        self.fabric.deposit(region, offset, payload)
     }
-    if let Some((dst, seq, attempts)) = dead {
-        pend.remove(&(dst, seq));
-        drop(pend);
-        let mut failed = relock(&rel.failed);
-        if failed.is_none() {
-            *failed = Some((dst, attempts));
-        }
-        fabric.ring_bell();
-        // The sweep stopped short: finish it before sleeping.
-        return Some(now);
+
+    /// Netfab GETs use the fabric's native GET_REQ/GET_REP frames; a
+    /// fallback-get control message is never produced here.
+    fn read(&mut self, _region: u32, _offset: u64, _len: u64) -> Option<Vec<u8>> {
+        None
     }
-    (!pend.is_empty()).then_some(next)
+
+    fn apply(&mut self, key: u64, addend: i64) {
+        self.table.apply_counted(key, addend);
+    }
+
+    fn reply(&mut self, dst: usize, frame: Vec<u8>) {
+        let _ = self.fabric.send_ctrl(dst, 0, &ctrl::stamp(self.epoch, &frame));
+    }
+
+    fn count(&mut self, event: CtrlEvent) {
+        match event {
+            CtrlEvent::DupSuppressed => self.fabric.met.dup_suppressed.inc(),
+            CtrlEvent::Acked { .. } => self.fabric.met.acks.inc(),
+            // Registered on first use: peers that speak the protocol
+            // never produce one.
+            CtrlEvent::Malformed => self.fabric.obs.metrics.counter("unr.ctrl.malformed").inc(),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::net::TcpListener;
+    use unr_core::wire::CtrlMsg;
 
     /// A one-rank fabric (no peers, so no sockets beyond the reactors'
-    /// wake channels) with a 64-byte region, a signal expecting three
-    /// events, and fresh reliable-transport state.
-    fn ctrl_fixture() -> (Arc<NetFabric>, u32, Arc<SignalTable>, Signal, Arc<RelState>) {
+    /// wake channels) with a 64-byte region.
+    fn fixture() -> (Arc<NetFabric>, u32) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
         let fabric = NetFabric::connect(0, 1, 1, &[vec![port]], vec![listener]).unwrap();
         let (region_id, _) = fabric.register(64);
-        let table = SignalTable::with_key_capacity(8, Encoding::Full128.max_key());
-        let sig = table.alloc(3);
-        let rel = Arc::new(RelState {
-            next_seq: Mutex::new(vec![0]),
-            pending: Mutex::new(BTreeMap::new()),
-            dedup: Mutex::new(vec![DedupWindow::default()]),
-            failed: Mutex::new(None),
-            sends: AtomicU64::new(0),
-        });
-        (fabric, region_id, table, sig, rel)
+        (fabric, region_id)
     }
 
-    /// A panic on some other thread while it held reliable-transport
-    /// state must not turn every later wait, post and control message
-    /// into a second panic: the data under those locks is valid at
-    /// every step.
-    #[test]
-    fn poisoned_transport_state_does_not_panic_the_wait_path() {
-        let (fabric, region, _, _, _) = ctrl_fixture();
-        let world = Arc::new(NetWorld::without_launcher(fabric));
+    /// A reliable, coalescing engine on the one-rank fabric.
+    fn engine(fabric: Arc<NetFabric>) -> NetUnr {
         let cfg = UnrConfig::builder()
             .backend(Backend::Netfab)
             .reliability(Reliability::On)
+            .agg_eager_max(4)
             .build()
             .unwrap();
-        let unr = NetUnr::init(world, cfg, NetFaults::default()).unwrap();
-        fn poison<T: Send>(m: &Mutex<T>) {
-            let died = std::thread::scope(|s| {
-                s.spawn(|| {
-                    let _held = m.lock().unwrap();
-                    panic!("poisoning a lock on purpose");
-                })
-                .join()
-            });
-            assert!(died.is_err() && m.is_poisoned());
+        let world = Arc::new(NetWorld::without_launcher(fabric));
+        NetUnr::init(world, cfg, NetFaults::default()).unwrap()
+    }
+
+    /// A panic on some other thread while it held transport state must
+    /// not turn every later wait, post and control message into a
+    /// second panic: the data under those locks is valid at every step.
+    #[test]
+    fn poisoned_transport_state_does_not_panic_the_wait_path() {
+        let (fabric, region) = fixture();
+        let unr = engine(fabric);
+        fn dies(f: impl FnOnce() + Send) {
+            assert!(std::thread::scope(|s| s.spawn(f).join()).is_err());
         }
-        poison(&unr.rel.failed);
-        poison(&unr.rel.pending);
-        poison(&unr.rel.dedup);
-        poison(&unr.rel.next_seq);
+        // A send-side shard, a dedup window and the failure detail of
+        // the shared retry table; then the engine's own two locks.
+        dies(|| unr.ctrl.retry.as_ref().unwrap().poison_for_tests());
+        dies(|| {
+            let _held = (unr.agg.as_ref().unwrap().lock(), unr.progress.lock());
+            panic!("poisoning the engine's locks on purpose");
+        });
 
         // A wait whose signal fires only later goes round its loop, and
-        // so past `rel.failed`, before it returns.
+        // so past the failure latch, before it returns.
         let sig = unr.sig_init(1);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -1250,8 +1067,9 @@ mod tests {
         assert!(unr.check_peer_up().is_ok());
         assert!(unr.drain_pending(Duration::from_millis(10)));
         // Rank threads handle control messages too: a reliable put to
-        // this rank itself goes through the sequence counter, the
-        // replay buffer and the dedup window, and back as an ack.
+        // this rank itself goes past the coalescer, through the
+        // sequence counter, the replay buffer and the dedup window, and
+        // back as an ack.
         let mem = unr.mem_reg(8);
         mem.write_bytes(0, &[5; 8]);
         let landed = unr.sig_init(1);
@@ -1264,14 +1082,29 @@ mod tests {
         assert!(unr.sig_wait(&landed).is_ok());
         assert!(unr.drain_pending(Duration::from_secs(10)), "the ack never came");
         assert_eq!(unr.fabric.region(region).unwrap().snapshot(0, 8), [5; 8]);
+        assert_eq!(unr.agg_backlog(0), (0, 0));
         unr.finalize();
     }
 
+    /// The shared handler over the real sockets' sink (its own cases
+    /// are `unr_core::ctrl`'s tests): what cannot land is counted in
+    /// `unr.transport.bad_dma`, what cannot be decoded in
+    /// `unr.ctrl.malformed`, and the acks really leave.
     #[test]
     fn ctrl_payload_that_cannot_land_drops_its_addend_but_is_still_acked() {
-        let (fabric, region, table, sig, rel) = ctrl_fixture();
+        let (fabric, region) = fixture();
+        let unr = engine(Arc::clone(&fabric));
+        let sig = unr.sig_init(2);
         let key = sig.key().raw();
-        let ctrl = |msg: Vec<u8>| handle_ctrl(&fabric, &table, &rel, 0, 0, &msg);
+        // Stop the progress thread: this test is the only reader of the
+        // control queue (the fabric stays up until `finalize`).
+        unr.stop.store(true, Ordering::Relaxed);
+        fabric.ring_ctrl();
+        unr.progress.lock().take().unwrap().join().unwrap();
+        let ctrl = |msg: Vec<u8>| {
+            let mut sink = &*unr.ctrl;
+            ctrl::handle_ctrl(unr.ctrl.retry.as_ref(), 0, &msg, &mut sink)
+        };
         let acks = || {
             let mut seqs = Vec::new();
             while let Some((_, bytes)) = fabric.pop_ctrl() {
@@ -1283,35 +1116,27 @@ mod tests {
             seqs
         };
 
-        // Out of bounds, then an unknown region: no addend, one count
-        // each, and the sender still gets its ack (or it would replay
-        // the same bad write for ever).
+        // Out of bounds; an aggregate with one span that fits and one
+        // in an unknown region; a frame cut short.
         ctrl(wire::seq_data_msg(0, region, 61, key, -1, &[7; 4]));
-        ctrl(wire::seq_data_msg(1, region + 1, 0, key, -1, &[7; 4]));
-        ctrl(wire::fallback_data_msg(region, 61, key, -1, &[7; 4]));
-        assert_eq!(sig.counter(), 3);
-        assert_eq!(fabric.met.bad_dma.get(), 3);
+        let spans = [(region, 0, 4), (region + 1, 0, 4)];
+        ctrl(wire::agg_msg(1, true, &spans, &[(key, -2)], &[8; 8]));
+        ctrl(wire::seq_data_msg(2, region, 0, key, -1, &[7; 4])[..20].to_vec());
+        assert_eq!(sig.counter(), 2);
+        assert_eq!(fabric.met.bad_dma.get(), 2);
+        let malformed = fabric.obs.metrics.snapshot().counter("unr.ctrl.malformed");
+        assert_eq!(malformed, Some(1));
         assert_eq!(acks(), [0, 1]);
 
-        // An aggregate with one span that fits and one that does not:
-        // the summed signal entries cannot be split, so none is applied.
-        let spans = [(region, 0, 4), (region, 62, 4)];
-        ctrl(wire::agg_msg(2, true, &spans, &[(key, -2)], &[8; 8]));
-        assert_eq!(sig.counter(), 3);
-        assert_eq!(fabric.met.bad_dma.get(), 4);
-        assert_eq!(acks(), [2]);
-
-        // The same three shapes in bounds: bytes land, addends apply.
-        ctrl(wire::seq_data_msg(3, region, 60, key, -1, &[1; 4]));
-        ctrl(wire::fallback_data_msg(region, 56, key, -1, &[2; 4]));
-        let spans = [(region, 0, 4)];
-        ctrl(wire::agg_msg(4, true, &spans, &[(key, -1)], &[3; 4]));
+        // The same two shapes in bounds: bytes land, addends apply.
+        ctrl(wire::seq_data_msg(2, region, 60, key, -1, &[1; 4]));
+        ctrl(wire::agg_msg(3, true, &[(region, 0, 4)], &[(key, -1)], &[3; 4]));
         assert!(sig.test());
-        assert_eq!(fabric.met.bad_dma.get(), 4);
-        assert_eq!(acks(), [3, 4]);
+        assert_eq!(fabric.met.bad_dma.get(), 2);
+        assert_eq!(acks(), [2, 3]);
         let mem = fabric.region(region).unwrap();
-        assert_eq!(mem.snapshot(56, 8), [2, 2, 2, 2, 1, 1, 1, 1]);
+        assert_eq!(mem.snapshot(60, 4), [1; 4]);
         assert_eq!(mem.snapshot(0, 4), [3; 4]);
-        fabric.shutdown();
+        unr.finalize();
     }
 }

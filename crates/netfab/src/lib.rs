@@ -25,8 +25,9 @@
 //!   bootstrap (rank/port rendezvous) and out-of-band collectives;
 //! * [`engine`] — [`NetUnr`]: puts/gets with striping, MMAS signals
 //!   from the shared lock-free [`SignalTable`](unr_core::SignalTable),
-//!   and an ack/replay reliable transport reusing `unr_core::wire`
-//!   control messages and [`DedupWindow`](unr_core::DedupWindow).
+//!   and the ack/replay reliable transport of `unr-core` itself: its
+//!   [`RetryState`](unr_core::RetryState) table and its
+//!   [`handle_ctrl`](unr_core::handle_ctrl) receive side, over sockets.
 //!
 //! ## Quick start
 //!

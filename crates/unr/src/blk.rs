@@ -10,7 +10,8 @@
 
 use crate::epoch::Epoch;
 use crate::signal::SigKey;
-use unr_simnet::{MemRegion, RKey};
+use crate::UnrError;
+use unr_simnet::{FabricError, MemRegion, RKey};
 
 /// Serialized size of a [`Blk`] on the wire.
 pub const BLK_WIRE_LEN: usize = 48;
@@ -76,6 +77,53 @@ impl Blk {
             return None;
         }
         Some(blk)
+    }
+
+    /// The checks every put and get makes before anything touches the
+    /// wire, `self` being the local block of the pair: it belongs to
+    /// `my_rank`, both blocks are the same size, the local one lies
+    /// inside `region` — the region this rank really registered under
+    /// its id, of `region_len(&region)` bytes, not the length the handle
+    /// claims — the remote one inside the region its handle describes,
+    /// and the remote rank exists in the `nranks`-rank world. Hands the
+    /// region back for the transfer.
+    pub fn check_pair<R>(
+        &self,
+        remote: &Blk,
+        my_rank: usize,
+        nranks: usize,
+        region: Option<R>,
+        region_len: impl FnOnce(&R) -> usize,
+    ) -> Result<R, UnrError> {
+        if self.rank != my_rank {
+            return Err(UnrError::NotMyBlock {
+                blk_rank: self.rank,
+                my_rank,
+            });
+        }
+        if self.len != remote.len {
+            return Err(UnrError::LenMismatch {
+                local: self.len,
+                remote: remote.len,
+            });
+        }
+        let region = region.ok_or(UnrError::RegionUnknown(self.region_id))?;
+        let fits = |side: &str, blk: &Blk, region_len: usize| {
+            if blk.offset.checked_add(blk.len).is_some_and(|end| end <= region_len) {
+                return Ok(());
+            }
+            Err(UnrError::Fabric(FabricError::OutOfBounds(format!(
+                "{side} block [{}, {}) exceeds its region of {region_len} bytes",
+                blk.offset,
+                blk.offset.saturating_add(blk.len),
+            ))))
+        };
+        fits("local", self, region_len(&region))?;
+        fits("remote", remote, remote.region_len)?;
+        if remote.rank >= nranks {
+            return Err(UnrError::Fabric(FabricError::BadRank(remote.rank)));
+        }
+        Ok(region)
     }
 
     /// A sub-block at `rel_offset` within this block (bounds-checked),

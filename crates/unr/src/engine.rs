@@ -7,18 +7,17 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use unr_simnet::{
-    ActorId, AtomicAddSink, Bandwidth, Bytes, Completion, CompletionKind, CompletionQueue,
+    ActorId, AtomicAddSink, Bandwidth, Completion, CompletionKind, CompletionQueue,
     Endpoint, FabricError, GetOp, MemRegion, NicSel, Ns, Port, PutOp, Sched,
 };
 
 use crate::agg::{AggFlush, AggMetrics, Coalescer, FlushWhy};
 use crate::blk::{Blk, MemCheckpoint, UnrMem};
+use crate::ctrl::{self, CtrlEvent, CtrlSink};
 use crate::epoch::{Epoch, EpochMetrics, MembershipView, PeerFailedCause, RecoveryPolicy};
 use crate::channel::{Channel, ChannelSelect, DirEncodings, Mechanism};
 use crate::level::{EncodeError, Encoding, Notif, SupportLevel};
-use crate::retry::{
-    PendingSub, Reliability, Resend, RetryPolicy, RetryState, Route,
-};
+use crate::retry::{Reliability, Resend, RetryPolicy, RetryState, Route};
 use crate::signal::{striped_addends, SigKey, Signal, SignalError, SignalTable};
 use crate::transport::{Backend, SubPut, Transport};
 use crate::wire::{self, CtrlMsg};
@@ -780,22 +779,6 @@ pub(crate) struct UnrCore {
     pub last_epoch: AtomicU64,
 }
 
-/// A deferred reply computed inside scheduler context and sent after.
-enum Reply {
-    Dgram {
-        dst: usize,
-        bytes: Vec<u8>,
-    },
-    /// Retransmission of a buffered RMA sub-message.
-    RmaPut {
-        payload: Bytes,
-        dst_rkey: unr_simnet::RKey,
-        dst_offset: usize,
-        nic: usize,
-        companion: Vec<u8>,
-    },
-}
-
 impl UnrCore {
     // ---- membership / epoch fencing -------------------------------------
 
@@ -834,30 +817,21 @@ impl UnrCore {
     /// of the signal table's stale-generation reject). Returns the
     /// inner frame, or `None` when the frame was fenced.
     fn admit_ctrl<'a>(&self, bytes: &'a [u8]) -> Option<&'a [u8]> {
-        match wire::epoch_unwrap(bytes) {
-            // Bare frame: the epoch-0 era's wire format, admitted as-is.
-            None => Some(bytes),
-            Some((msg_epoch, inner)) => {
-                let current = self.observe_epoch();
-                match crate::epoch::admit(Epoch::new(msg_epoch), current) {
-                    Ok(()) => Some(inner),
-                    Err(_) => {
-                        self.emet().stale_rejects.inc();
-                        None
-                    }
-                }
-            }
+        let frame = ctrl::admit(bytes, || self.observe_epoch().raw());
+        if frame.is_none() {
+            self.emet().stale_rejects.inc();
         }
+        frame
     }
 
     /// Stamp an outgoing control frame with the sender's current epoch
     /// once membership is active; bare frames otherwise, so fault-free
     /// wire traffic is byte-identical to pre-epoch builds.
     fn stamp_ctrl(&self, bytes: Vec<u8>) -> Vec<u8> {
-        if bytes.is_empty() || !self.membership_on() {
+        if !self.membership_on() {
             return bytes;
         }
-        wire::epoch_wrap(self.observe_epoch().raw(), &bytes)
+        ctrl::stamp(self.observe_epoch().raw(), &bytes).into_owned()
     }
 
     /// Drain reliable in-flight traffic addressed to dead ranks so it
@@ -894,7 +868,7 @@ impl UnrCore {
         &self,
         sched: &mut Sched,
         t: Ns,
-        replies: &mut Vec<Reply>,
+        replies: &mut Vec<Resend>,
     ) -> (usize, usize, usize) {
         let mut n = 0;
         let mut fb_bytes = 0usize;
@@ -966,7 +940,7 @@ impl UnrCore {
         &self,
         sched: &mut Sched,
         t: Ns,
-        replies: &mut Vec<Reply>,
+        replies: &mut Vec<Resend>,
     ) -> (usize, usize, usize) {
         let mut n = 0;
         let mut fb_bytes = 0usize;
@@ -979,11 +953,17 @@ impl UnrCore {
             let Some(frame) = self.admit_ctrl(&d.bytes) else {
                 continue;
             };
-            if CtrlMsg::is_data_bearing(frame[0]) {
+            if frame.first().is_some_and(|&kind| CtrlMsg::is_data_bearing(kind)) {
                 fb_bytes += frame.len();
                 fb_msgs += 1;
             }
-            self.handle_ctrl(sched, t, d.src, frame, replies);
+            let mut sink = SimSink {
+                core: self,
+                sched: &mut *sched,
+                t,
+                replies: &mut *replies,
+            };
+            ctrl::handle_ctrl(self.retry.as_deref(), d.src, frame, &mut sink);
         }
         self.drain_dead(sched, t);
         self.sweep_retries(sched, t, replies);
@@ -994,12 +974,12 @@ impl UnrCore {
     /// NIC rotation / fallback rerouting, re-arm deadline wake-ups and
     /// wake waiters when the channel goes down. The actual (re)posts
     /// ride `replies` out of scheduler context.
-    fn sweep_retries(&self, sched: &mut Sched, t: Ns, replies: &mut Vec<Reply>) {
+    fn sweep_retries(&self, sched: &mut Sched, t: Ns, replies: &mut Vec<Resend>) {
         let Some(retry) = &self.retry else { return };
         if !retry.is_due() {
             return;
         }
-        let out = retry.sweep(t, Self::build_seq_data, Self::build_seq_notif);
+        let out = retry.sweep(t);
         if let Some(rm) = &self.rmet {
             rm.timeouts.add(out.resends.len() as u64 + out.exhausted);
             rm.retransmits.add(out.resends.len() as u64);
@@ -1021,209 +1001,78 @@ impl UnrCore {
                 sched.wake(w, t);
             }
         }
-        for rs in out.resends {
-            replies.push(match rs {
-                Resend::Rma {
-                    payload,
-                    dst_rkey,
-                    dst_offset,
-                    nic,
-                    companion,
-                } => Reply::RmaPut {
-                    payload,
-                    dst_rkey,
-                    dst_offset,
-                    nic,
-                    companion,
-                },
-                Resend::Dgram { dst, bytes } => Reply::Dgram { dst, bytes },
-            });
+        replies.extend(out.resends);
+    }
+}
+
+/// The simulator under [`ctrl::handle_ctrl`]: one control frame's view
+/// of a progress pass — scheduler context, the pass's virtual time and
+/// the replies it will send once out of that context.
+struct SimSink<'a> {
+    core: &'a UnrCore,
+    sched: &'a mut Sched,
+    t: Ns,
+    replies: &'a mut Vec<Resend>,
+}
+
+impl SimSink<'_> {
+    /// Count a span that could not land or be read. Registered on
+    /// first use, so a fault-free snapshot does not carry the series.
+    fn bad_dma(&self) {
+        self.core.fabric.obs.metrics.counter("unr.ctrl.bad_dma").inc();
+    }
+}
+
+impl CtrlSink for SimSink<'_> {
+    fn deposit(&mut self, region: u32, offset: u64, payload: &[u8]) -> bool {
+        let landed = self
+            .core
+            .regions
+            .get(region)
+            .is_some_and(|r| r.write_bytes(offset as usize, payload).is_ok());
+        if !landed {
+            self.bad_dma();
         }
+        landed
     }
 
-    /// [`wire::MSG_SEQ_DATA`] image of a buffered sub-message (fallback
-    /// route and retransmissions over it). An aggregate's buffered
-    /// payload already *is* its complete [`wire::MSG_AGG`] frame, so it
-    /// goes out verbatim.
-    fn build_seq_data(p: &PendingSub) -> Vec<u8> {
-        if p.route == Route::Agg {
-            return p.payload.as_ref().to_vec();
+    fn read(&mut self, region: u32, offset: u64, len: u64) -> Option<Vec<u8>> {
+        let data = self
+            .core
+            .regions
+            .get(region)
+            .and_then(|r| r.snapshot(offset as usize, len as usize).ok());
+        if data.is_none() {
+            self.bad_dma();
         }
-        wire::seq_data_msg(
-            p.seq,
-            p.dst_rkey.id,
-            p.dst_offset as u64,
-            p.remote_key,
-            p.addend,
-            &p.payload,
-        )
+        data
     }
 
-    /// [`wire::MSG_SEQ_NOTIF`] companion of a buffered RMA sub-message.
-    fn build_seq_notif(p: &PendingSub) -> Vec<u8> {
-        wire::seq_notif_msg(p.seq, p.remote_key, p.addend)
+    fn apply(&mut self, key: u64, addend: i64) {
+        self.core.table.apply(self.sched, self.t, key, addend);
+        self.core.met.sig_adds.inc();
     }
 
-    fn handle_ctrl(
-        &self,
-        sched: &mut Sched,
-        t: Ns,
-        src: usize,
-        bytes: &[u8],
-        replies: &mut Vec<Reply>,
-    ) {
-        match CtrlMsg::parse(bytes) {
-            CtrlMsg::Companion { key, addend } => {
-                self.table.apply(sched, t, key, addend);
-                self.met.sig_adds.inc();
+    fn reply(&mut self, dst: usize, bytes: Vec<u8>) {
+        // A simnet datagram picks its own NIC.
+        self.replies.push(Resend::Dgram { dst, nic: 0, bytes });
+    }
+
+    fn count(&mut self, event: CtrlEvent) {
+        match (event, &self.core.rmet) {
+            (CtrlEvent::Malformed, _) => {
+                self.core.fabric.obs.metrics.counter("unr.ctrl.malformed").inc()
             }
-            CtrlMsg::FallbackData {
-                region_id,
-                offset,
-                key,
-                addend,
-                payload,
-            } => {
-                let region = self.regions.get(region_id);
-                match region {
-                    Some(r) => {
-                        r.write_bytes(offset, payload)
-                            .expect("fallback write in bounds");
-                        self.table.apply(sched, t, key, addend);
-                        self.met.sig_adds.inc();
-                    }
-                    None => {
-                        // Data for an unregistered region: dropped, as on
-                        // real hardware.
-                    }
+            (CtrlEvent::DupSuppressed, Some(rm)) => rm.dup_suppressed.inc(),
+            (CtrlEvent::Acked { first_post }, Some(rm)) => {
+                rm.acks.inc();
+                // first_post == 0 means the ack beat `arm`; there is no
+                // meaningful post time to sample.
+                if first_post > 0 {
+                    rm.ack_latency.record(self.t.saturating_sub(first_post));
                 }
             }
-            CtrlMsg::FallbackGet {
-                region_id,
-                offset,
-                len,
-                reply_region,
-                reply_offset,
-                reply_key,
-                reply_addend,
-                remote_key,
-                remote_addend,
-            } => {
-                let region = self.regions.get(region_id);
-                if let Some(r) = region {
-                    let data = r.snapshot(offset, len).expect("fallback get in bounds");
-                    // Notify the exposer side (GET remote completion).
-                    self.table.apply(sched, t, remote_key, remote_addend);
-                    self.met.sig_adds.inc();
-                    let msg = wire::fallback_data_msg(
-                        reply_region,
-                        reply_offset,
-                        reply_key,
-                        reply_addend,
-                        &data,
-                    );
-                    replies.push(Reply::Dgram { dst: src, bytes: msg });
-                }
-            }
-            CtrlMsg::SeqData {
-                seq,
-                region_id,
-                offset,
-                key,
-                addend,
-                payload,
-            } => {
-                let retry = self
-                    .retry
-                    .as_ref()
-                    .expect("sequenced data on a rank without reliability (SPMD config skew)");
-                if retry.accept(src, seq) {
-                    let region = self.regions.get(region_id);
-                    if let Some(r) = region {
-                        r.write_bytes(offset, payload).expect("seq write in bounds");
-                        self.table.apply(sched, t, key, addend);
-                        if key != 0 {
-                            self.met.sig_adds.inc();
-                        }
-                    }
-                } else if let Some(rm) = &self.rmet {
-                    rm.dup_suppressed.inc();
-                }
-                // Always ack — the sender may be replaying because our
-                // previous ack was lost.
-                replies.push(Reply::Dgram {
-                    dst: src,
-                    bytes: wire::ack_msg(seq),
-                });
-            }
-            CtrlMsg::SeqNotif { seq, key, addend } => {
-                let retry = self
-                    .retry
-                    .as_ref()
-                    .expect("sequenced notif on a rank without reliability (SPMD config skew)");
-                if retry.accept(src, seq) {
-                    self.table.apply(sched, t, key, addend);
-                    if key != 0 {
-                        self.met.sig_adds.inc();
-                    }
-                } else if let Some(rm) = &self.rmet {
-                    rm.dup_suppressed.inc();
-                }
-                replies.push(Reply::Dgram {
-                    dst: src,
-                    bytes: wire::ack_msg(seq),
-                });
-            }
-            CtrlMsg::Agg { seq, sequenced, body } => {
-                let fresh = if sequenced {
-                    let retry = self.retry.as_ref().expect(
-                        "sequenced aggregate on a rank without reliability (SPMD config skew)",
-                    );
-                    let fresh = retry.accept(src, seq);
-                    if !fresh {
-                        if let Some(rm) = &self.rmet {
-                            rm.dup_suppressed.inc();
-                        }
-                    }
-                    // Always ack — the sender may be replaying because
-                    // our previous ack was lost.
-                    replies.push(Reply::Dgram {
-                        dst: src,
-                        bytes: wire::ack_msg(seq),
-                    });
-                    fresh
-                } else {
-                    true
-                };
-                if fresh {
-                    for (region_id, offset, payload) in body.spans() {
-                        if let Some(r) = self.regions.get(region_id) {
-                            r.write_bytes(offset as usize, payload)
-                                .expect("aggregate span in bounds");
-                        }
-                    }
-                    for (key, addend) in body.sigs() {
-                        self.table.apply(sched, t, key, addend);
-                        if key != 0 {
-                            self.met.sig_adds.inc();
-                        }
-                    }
-                }
-            }
-            CtrlMsg::Ack { seq } => {
-                if let Some(retry) = &self.retry {
-                    if let Some(first_post) = retry.ack(src, seq) {
-                        if let Some(rm) = &self.rmet {
-                            rm.acks.inc();
-                            // first_post == 0 means the ack beat `arm`;
-                            // there is no meaningful post time to sample.
-                            if first_post > 0 {
-                                rm.ack_latency.record(t.saturating_sub(first_post));
-                            }
-                        }
-                    }
-                }
-            }
+            (_, None) => {}
         }
     }
 }
@@ -1552,40 +1401,14 @@ impl Unr {
         let remote_sig = remote_sig.raw();
         self.check_peer_up(remote.rank)?;
         let my_rank = self.ep.rank();
-        if local.rank != my_rank {
-            return Err(UnrError::NotMyBlock {
-                blk_rank: local.rank,
-                my_rank,
-            });
-        }
-        if local.len != remote.len {
-            return Err(UnrError::LenMismatch {
-                local: local.len,
-                remote: remote.len,
-            });
-        }
-        let region = self
-            .core
-            .regions
-            .get(local.region_id)
-            .ok_or(UnrError::RegionUnknown(local.region_id))?;
+        let region = local.check_pair(
+            remote,
+            my_rank,
+            self.core.fabric.cfg.total_ranks(),
+            self.core.regions.get(local.region_id),
+            MemRegion::len,
+        )?;
         let len = local.len;
-        if local.offset + local.len > region.len() {
-            return Err(UnrError::Fabric(FabricError::OutOfBounds(format!(
-                "local block [{}, {}) exceeds its region of {} bytes",
-                local.offset,
-                local.offset + local.len,
-                region.len()
-            ))));
-        }
-        if remote.offset + remote.len > remote.region_len {
-            return Err(UnrError::Fabric(FabricError::OutOfBounds(format!(
-                "remote block [{}, {}) exceeds its region of {} bytes",
-                remote.offset,
-                remote.offset + remote.len,
-                remote.region_len
-            ))));
-        }
         self.core.stats.puts.fetch_add(1, Ordering::Relaxed);
         self.core
             .stats
@@ -1764,26 +1587,18 @@ impl Unr {
                 self.ep.advance(
                     self.core.copy_bw.transfer_time(len) + self.core.cfg.fallback_overhead,
                 );
-                let seq = retry.alloc_seq(dst);
-                let sub = PendingSub {
-                    dst_rank: dst,
-                    seq,
-                    payload: data,
-                    dst_rkey: remote.rkey(),
-                    dst_offset: remote.offset,
-                    remote_key: remote_sig,
-                    addend: -1,
-                    route: Route::Dgram,
-                    attempts: 0,
-                    nic: retry.first_nic(self.core.cfg.pin_nic),
-                    first_post: 0,
-                    deadline: 0,
-                };
-                let msg = UnrCore::build_seq_data(&sub);
-                retry.register(sub);
-                entries.push((dst, seq));
+                let reg = retry.register_data(
+                    Route::Dgram,
+                    data,
+                    remote.rkey(),
+                    remote.offset,
+                    remote_sig,
+                    -1,
+                    retry.first_nic(self.core.cfg.pin_nic),
+                );
+                entries.push((dst, reg.seq));
                 self.ep
-                    .send_ctrl(dst, self.core.stamp_ctrl(msg), self.default_nic());
+                    .send_ctrl(dst, self.core.stamp_ctrl(reg.frame), self.default_nic());
             }
             Mechanism::RmaCompanion | Mechanism::Rma(_) => {
                 let k = self.stripes_for_reliable(len);
@@ -1794,7 +1609,6 @@ impl Unr {
                 let mut off = 0usize;
                 for (i, &stripe_add) in remote_adds.iter().enumerate() {
                     let this = chunk + usize::from(i < rem);
-                    let seq = retry.alloc_seq(dst);
                     // One shared snapshot per stripe: the retry buffer,
                     // the wire post and any retransmission all alias it.
                     let payload = region
@@ -1805,37 +1619,29 @@ impl Unr {
                     } else {
                         i % self.nics()
                     };
-                    let sub = PendingSub {
-                        dst_rank: dst,
-                        seq,
-                        payload,
-                        dst_rkey: remote.rkey(),
-                        dst_offset: remote.offset + off,
-                        remote_key: remote_sig,
-                        addend: if remote_sig == 0 { 0 } else { stripe_add },
-                        route: Route::Rma,
-                        attempts: 0,
-                        nic,
-                        first_post: 0,
-                        deadline: 0,
-                    };
-                    let companion = self.core.stamp_ctrl(UnrCore::build_seq_notif(&sub));
-                    let payload = sub.payload.clone(); // refcount bump, not a copy
                     // Register before posting: the polling agent sweeps
                     // this state concurrently, and the ack must never be
                     // able to outrun the registration it settles.
-                    retry.register(sub);
+                    let reg = retry.register_data(
+                        Route::Rma,
+                        payload.clone(), // refcount bump, not a copy
+                        remote.rkey(),
+                        remote.offset + off,
+                        remote_sig,
+                        if remote_sig == 0 { 0 } else { stripe_add },
+                        nic,
+                    );
                     if let Err(e) = self.ep.post_put(SubPut {
                         payload,
                         dst: remote.rkey(),
                         dst_offset: remote.offset + off,
                         nic,
-                        companion,
+                        companion: self.core.stamp_ctrl(reg.frame),
                     }) {
-                        retry.unregister(dst, seq);
+                        retry.unregister(dst, reg.seq);
                         return Err(e.into());
                     }
-                    entries.push((dst, seq));
+                    entries.push((dst, reg.seq));
                     off += this;
                     self.core.stats.sub_messages.fetch_add(1, Ordering::Relaxed);
                     self.core.met.sub_messages.inc();
@@ -1981,34 +1787,15 @@ impl Unr {
                 }
             }
             Some(retry) => {
-                let seq = retry.alloc_seq(dst);
-                let frame =
-                    Bytes::from(wire::agg_msg(seq, true, &fl.spans, &fl.sigs, &fl.payload));
-                let sub = PendingSub {
-                    dst_rank: dst,
-                    seq,
-                    payload: frame.clone(),
-                    dst_rkey: unr_simnet::RKey {
-                        rank: dst,
-                        id: 0,
-                        len: 0,
-                    },
-                    dst_offset: 0,
-                    remote_key: 0,
-                    addend: 0,
-                    route: Route::Agg,
-                    attempts: 0,
-                    nic: retry.first_nic(self.core.cfg.pin_nic),
-                    first_post: 0,
-                    deadline: 0,
-                };
                 // Register before sending: the polling agent sweeps this
                 // state concurrently, and the ack must never be able to
                 // outrun the registration it settles.
-                retry.register(sub);
+                let nic = retry.first_nic(self.core.cfg.pin_nic);
+                let reg = retry.register_agg(dst, nic, &fl.spans, &fl.sigs, &fl.payload);
+                let seq = reg.seq;
                 self.ep.send_ctrl(
                     dst,
-                    self.core.stamp_ctrl(frame.as_ref().to_vec()),
+                    self.core.stamp_ctrl(reg.frame.to_vec()),
                     self.default_nic(),
                 );
                 // One scheduler entry arms the deadline wake-up AND
@@ -2129,40 +1916,14 @@ impl Unr {
         let remote_sig = remote_sig.raw();
         self.check_peer_up(remote.rank)?;
         let my_rank = self.ep.rank();
-        if local.rank != my_rank {
-            return Err(UnrError::NotMyBlock {
-                blk_rank: local.rank,
-                my_rank,
-            });
-        }
-        if local.len != remote.len {
-            return Err(UnrError::LenMismatch {
-                local: local.len,
-                remote: remote.len,
-            });
-        }
-        let region = self
-            .core
-            .regions
-            .get(local.region_id)
-            .ok_or(UnrError::RegionUnknown(local.region_id))?;
+        let region = local.check_pair(
+            remote,
+            my_rank,
+            self.core.fabric.cfg.total_ranks(),
+            self.core.regions.get(local.region_id),
+            MemRegion::len,
+        )?;
         let len = local.len;
-        if local.offset + local.len > region.len() {
-            return Err(UnrError::Fabric(FabricError::OutOfBounds(format!(
-                "local block [{}, {}) exceeds its region of {} bytes",
-                local.offset,
-                local.offset + local.len,
-                region.len()
-            ))));
-        }
-        if remote.offset + remote.len > remote.region_len {
-            return Err(UnrError::Fabric(FabricError::OutOfBounds(format!(
-                "remote block [{}, {}) exceeds its region of {} bytes",
-                remote.offset,
-                remote.offset + remote.len,
-                remote.region_len
-            ))));
-        }
         self.core.stats.gets.fetch_add(1, Ordering::Relaxed);
         self.core.met.gets.inc();
         self.core.met.channel_msgs.inc();
@@ -2407,7 +2168,7 @@ impl Unr {
     fn dispatch_progress(
         core: &Arc<UnrCore>,
         ep: &Endpoint,
-        replies: Vec<Reply>,
+        replies: Vec<Resend>,
         fb_bytes: usize,
         fb_msgs: usize,
     ) {
@@ -2425,10 +2186,10 @@ impl Unr {
                 // pre-kill sub-message goes out under the *current*
                 // epoch, which is how surviving ranks' traffic heals
                 // through the epoch fence after a membership bump.
-                Reply::Dgram { dst, bytes } => {
+                Resend::Dgram { dst, bytes, .. } => {
                     ep.send_ctrl(dst, core.stamp_ctrl(bytes), NicSel::Auto)
                 }
-                Reply::RmaPut {
+                Resend::Rma {
                     payload,
                     dst_rkey,
                     dst_offset,

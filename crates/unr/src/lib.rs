@@ -68,6 +68,7 @@ pub mod agg;
 pub mod blk;
 pub mod channel;
 pub mod convert;
+pub mod ctrl;
 pub mod engine;
 pub mod epoch;
 pub mod level;
@@ -88,7 +89,10 @@ pub use epoch::{Epoch, MembershipView, PeerFailedCause, RecoveryPolicy};
 pub use level::{EncodeError, Encoding, Notif, SupportLevel};
 pub use pack::{PackChannel, PackReceiver, PackSender};
 pub use plan::{PlanOp, RmaPlan};
-pub use retry::{DedupWindow, Reliability};
+pub use ctrl::{handle_ctrl, CtrlEvent, CtrlSink};
+pub use retry::{
+    DedupWindow, Registered, Reliability, Resend, RetryPolicy, RetryState, Route, SweepOutcome,
+};
 pub use signal::{
     striped_addends, Applied, SigKey, Signal, SignalError, SignalStats, SignalTable,
 };

@@ -31,15 +31,23 @@
 //! views — so buffering and every retransmission share one allocation
 //! with the original post instead of copying the payload.
 //!
-//! All bookkeeping is plain state guarded by the simulator-aware
-//! mutex; scheduling (deadline wake-ups) is done by the engine inside
-//! scheduler context, so the retry layer itself stays deterministic.
+//! All bookkeeping is plain state guarded by the poison-recovering
+//! mutex; the table never reads a clock and never schedules. Time is
+//! whatever `Ns` its caller hands to [`RetryState::arm`] and
+//! [`RetryState::sweep`]: the simnet engine passes virtual time from
+//! scheduler context and arms one wake-up event per new deadline, so
+//! the retry layer stays deterministic; `unr-netfab` passes wall-clock
+//! nanoseconds since its engine started and sleeps its progress thread
+//! until [`SweepOutcome::next_deadline`]. Both engines run this one
+//! table; only the wire under it differs.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use unr_simnet::sync::Mutex;
 use unr_simnet::{ActorId, Bytes, Ns, RKey};
+
+use crate::wire;
 
 /// Whether the engine runs the ack/replay protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -92,7 +100,7 @@ impl DedupWindow {
 
 /// How a buffered sub-message should be (re)sent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Route {
+pub enum Route {
     /// RMA put of the buffered payload + companion notification.
     Rma,
     /// `MSG_SEQ_DATA` datagram through the fallback channel.
@@ -100,54 +108,142 @@ pub(crate) enum Route {
     /// Coalesced aggregate (`MSG_AGG`): the buffered payload *is* the
     /// complete pre-built control frame — retransmissions resend it
     /// verbatim, so one entry covers every put packed inside it. Never
-    /// rerouted or NIC-rotated: it is already on the datagram channel.
+    /// rerouted: it is already on the datagram channel.
     Agg,
 }
 
 /// One unacked sub-message, buffered for replay.
-pub(crate) struct PendingSub {
-    pub dst_rank: usize,
-    pub seq: u64,
+struct PendingSub {
+    dst_rank: usize,
+    seq: u64,
     /// Payload snapshot taken at the original post (retransmits must
     /// resend these bytes even if the app reused its buffer since).
     /// A refcounted view: registration and every resend share the
     /// snapshot the post itself made — zero copies in the retry layer.
-    pub payload: Bytes,
-    pub dst_rkey: RKey,
-    pub dst_offset: usize,
+    payload: Bytes,
+    dst_rkey: RKey,
+    dst_offset: usize,
     /// Raw key of the remote signal (0 = none) and this sub-message's
     /// striped addend — replayed verbatim so accounting stays exact.
-    pub remote_key: u64,
-    pub addend: i64,
-    pub route: Route,
-    pub attempts: u32,
-    pub nic: usize,
-    pub first_post: Ns,
-    pub deadline: Ns,
+    remote_key: u64,
+    addend: i64,
+    route: Route,
+    attempts: u32,
+    nic: usize,
+    first_post: Ns,
+    deadline: Ns,
 }
 
-/// A retransmission the progress pass must post (executed outside
-/// scheduler context, like `Reply`).
-pub(crate) enum Resend {
-    Rma {
+impl PendingSub {
+    /// A fresh entry: never retransmitted, unarmed (see
+    /// [`RetryState::arm`]).
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        seq: u64,
+        route: Route,
         payload: Bytes,
         dst_rkey: RKey,
         dst_offset: usize,
+        remote_key: u64,
+        addend: i64,
         nic: usize,
+    ) -> PendingSub {
+        PendingSub {
+            dst_rank: dst_rkey.rank,
+            seq,
+            payload,
+            dst_rkey,
+            dst_offset,
+            remote_key,
+            addend,
+            route,
+            attempts: 0,
+            nic,
+            first_post: 0,
+            deadline: Ns::MAX,
+        }
+    }
+
+    /// The control frame that carries this sub-message on the datagram
+    /// channel: its [`wire::MSG_SEQ_DATA`] image, or — for an aggregate,
+    /// whose payload already *is* its [`wire::MSG_AGG`] frame — the
+    /// buffered bytes verbatim.
+    fn dgram_frame(&self) -> Vec<u8> {
+        if self.route == Route::Agg {
+            return self.payload.to_vec();
+        }
+        wire::seq_data_msg(
+            self.seq,
+            self.dst_rkey.id,
+            self.dst_offset as u64,
+            self.remote_key,
+            self.addend,
+            &self.payload,
+        )
+    }
+
+    /// The [`wire::MSG_SEQ_NOTIF`] companion of an RMA sub-message.
+    fn notif_frame(&self) -> Vec<u8> {
+        wire::seq_notif_msg(self.seq, self.remote_key, self.addend)
+    }
+}
+
+/// A sub-message the table has just buffered: what its poster needs to
+/// put it on the wire.
+pub struct Registered<F> {
+    /// Its per-destination sequence number.
+    pub seq: u64,
+    /// Whether the table was empty before it — the entry that starts a
+    /// wall-clock caller's retransmit watch (nothing else tells a
+    /// progress thread that sleeps without a deadline while nothing is
+    /// unacked).
+    pub first: bool,
+    /// The control frame announcing it: [`wire::MSG_SEQ_DATA`] for
+    /// [`Route::Dgram`], the [`wire::MSG_SEQ_NOTIF`] companion for
+    /// [`Route::Rma`], the whole [`wire::MSG_AGG`] frame (shared with
+    /// the replay buffer) for an aggregate.
+    pub frame: F,
+}
+
+/// A retransmission the progress pass must post (executed outside
+/// scheduler context on simnet).
+pub enum Resend {
+    /// Repost the payload as an RMA put with its companion.
+    Rma {
+        /// The buffered payload (shared, not copied).
+        payload: Bytes,
+        /// Destination region key.
+        dst_rkey: RKey,
+        /// Byte offset inside the destination region.
+        dst_offset: usize,
+        /// NIC to post on (already rotated).
+        nic: usize,
+        /// The [`wire::MSG_SEQ_NOTIF`] companion frame.
         companion: Vec<u8>,
     },
+    /// Resend a control frame on the datagram channel.
     Dgram {
+        /// Destination rank.
         dst: usize,
+        /// NIC to send on (already rotated; a fabric whose datagrams
+        /// pick their own NIC ignores it).
+        nic: usize,
+        /// The complete control frame.
         bytes: Vec<u8>,
     },
 }
 
 /// Outcome of one [`RetryState::sweep`].
-pub(crate) struct SweepOutcome {
+pub struct SweepOutcome {
+    /// Retransmissions to post, in `(dst, seq)` order.
     pub resends: Vec<Resend>,
     /// New deadlines to arm (one wake-up event each).
     pub new_deadlines: Vec<Ns>,
-    /// Deadline wake-ups that escalated to NIC rotation.
+    /// Earliest deadline still outstanding after the sweep — re-armed
+    /// and unexpired entries alike, unarmed ones excluded; `None` with
+    /// nothing armed. What a wall-clock caller sleeps until.
+    pub next_deadline: Option<Ns>,
+    /// Deadline wake-ups that escalated to NIC rotation of an RMA put.
     pub nic_rotations: u64,
     /// Deadline wake-ups that escalated to the fallback channel.
     pub fallback_reroutes: u64,
@@ -158,7 +254,7 @@ pub(crate) struct SweepOutcome {
 /// Retry/replay knobs resolved from
 /// [`UnrConfig`](crate::UnrConfig) at init.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RetryPolicy {
+pub struct RetryPolicy {
     /// Base retransmit timeout (before backoff and size scaling).
     pub timeout: Ns,
     /// Backoff is capped at this value.
@@ -171,7 +267,7 @@ pub(crate) struct RetryPolicy {
     /// NICs per node (for rotation).
     pub nics: usize,
     /// Approximate ns per byte on the wire, used to scale deadlines
-    /// with message size and queued bytes.
+    /// with message size and queued bytes (0: deadlines do not scale).
     pub ns_per_byte: f64,
 }
 
@@ -216,15 +312,20 @@ struct Ctl {
     failure: Option<(usize, u32)>,
 }
 
-/// Shared state of the self-healing transport (one per `Unr` instance
-/// when reliability is active). See the module docs for the shard map.
-pub(crate) struct RetryState {
+/// Shared state of the self-healing transport (one per engine when
+/// reliability is active). See the module docs for the shard map.
+pub struct RetryState {
+    /// The knobs this table was built with.
     pub policy: RetryPolicy,
     /// Send-side shards, indexed by destination rank.
     dst: Vec<Mutex<DstShard>>,
     /// Receive-side dedup windows, indexed by source rank.
     src: Vec<Mutex<DedupWindow>>,
     ctl: Mutex<Ctl>,
+    /// Unacked sub-messages over all shards; every change happens
+    /// under the entry's shard lock, so a reader that sees `n > 0` and
+    /// then takes the shards finds the entries.
+    in_flight: AtomicUsize,
     /// Latched when a sub-message exhausts its retries.
     failed: AtomicBool,
     /// Set by deadline wake-up events; progress passes clear it after
@@ -232,10 +333,11 @@ pub(crate) struct RetryState {
     /// due" from spurious wakes.
     due_flag: AtomicBool,
     /// Round-robin cursor for first-attempt NIC choice.
-    nic_rr: std::sync::atomic::AtomicUsize,
+    nic_rr: AtomicUsize,
 }
 
 impl RetryState {
+    /// An empty table for an `nranks`-rank world.
     pub fn new(policy: RetryPolicy, nranks: usize) -> RetryState {
         let nranks = nranks.max(1);
         RetryState {
@@ -243,9 +345,10 @@ impl RetryState {
             dst: (0..nranks).map(|_| Mutex::new(DstShard::default())).collect(),
             src: (0..nranks).map(|_| Mutex::new(DedupWindow::default())).collect(),
             ctl: Mutex::new(Ctl::default()),
+            in_flight: AtomicUsize::new(0),
             failed: AtomicBool::new(false),
             due_flag: AtomicBool::new(false),
-            nic_rr: std::sync::atomic::AtomicUsize::new(0),
+            nic_rr: AtomicUsize::new(0),
         }
     }
 
@@ -258,7 +361,7 @@ impl RetryState {
     // ---- sender side ----------------------------------------------------
 
     /// Allocate the next sequence number for `dst`.
-    pub fn alloc_seq(&self, dst: usize) -> u64 {
+    fn alloc_seq(&self, dst: usize) -> u64 {
         let mut sh = self.shard(dst).lock();
         let seq = sh.next_seq;
         sh.next_seq += 1;
@@ -275,36 +378,97 @@ impl RetryState {
 
     /// Bytes currently unacked toward `dst` (deadline scaling).
     #[cfg(test)]
-    pub fn queued_bytes(&self, dst: usize) -> u64 {
+    fn queued_bytes(&self, dst: usize) -> u64 {
         self.shard(dst).lock().queued_bytes
     }
 
-    /// Buffer a posted sub-message until its ack arrives.
+    /// Buffer one data sub-message — `payload` bound for `dst_offset`
+    /// of region `dst`, bumping signal `key` by `addend` there — until
+    /// its ack arrives: allocate its sequence number, build the control
+    /// frame that announces it on `route` ([`Registered::frame`]) and
+    /// register it, unarmed (see [`RetryState::arm`]). Registration
+    /// must precede the actual post so an ack can never outrun it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn register_data(
+        &self,
+        route: Route,
+        payload: Bytes,
+        dst: RKey,
+        dst_offset: usize,
+        key: u64,
+        addend: i64,
+        nic: usize,
+    ) -> Registered<Vec<u8>> {
+        let seq = self.alloc_seq(dst.rank);
+        let sub = PendingSub::new(seq, route, payload, dst, dst_offset, key, addend, nic);
+        let frame = match route {
+            Route::Rma => sub.notif_frame(),
+            Route::Dgram | Route::Agg => sub.dgram_frame(),
+        };
+        Registered {
+            seq,
+            first: self.register(sub),
+            frame,
+        }
+    }
+
+    /// Buffer one coalesced aggregate toward rank `dst`: allocate its
+    /// sequence number, build the sequenced [`wire::MSG_AGG`] frame
+    /// from the drained ring and register it as a [`Route::Agg`] entry
+    /// whose payload is that frame — one entry covers every put inside.
+    pub fn register_agg(
+        &self,
+        dst: usize,
+        nic: usize,
+        spans: &[(u32, u64, u32)],
+        sigs: &[(u64, i64)],
+        payload: &[u8],
+    ) -> Registered<Bytes> {
+        let seq = self.alloc_seq(dst);
+        let frame = Bytes::from(wire::agg_msg(seq, true, spans, sigs, payload));
+        let nowhere = RKey {
+            rank: dst,
+            id: 0,
+            len: 0,
+        };
+        let sub = PendingSub::new(seq, Route::Agg, frame.clone(), nowhere, 0, 0, 0, nic);
+        Registered {
+            seq,
+            first: self.register(sub),
+            frame,
+        }
+    }
+
+    /// Insert a built entry; `true` iff the table was empty before it.
     ///
-    /// The entry is *unarmed*: its deadline is forced to `Ns::MAX` so a
-    /// concurrent sweep (the polling agent shares this state with the
+    /// The entry is *unarmed*: its deadline is `Ns::MAX`, so a
+    /// concurrent sweep (the progress agent shares this state with the
     /// application rank) can never mistake it for expired before
-    /// [`RetryState::arm`] stamps the real post time and deadline in
-    /// scheduler context. Registration must precede the actual post so
-    /// an ack can never outrun it.
-    pub fn register(&self, mut sub: PendingSub) {
-        sub.deadline = Ns::MAX;
+    /// [`RetryState::arm`] stamps the real post time and deadline.
+    fn register(&self, sub: PendingSub) -> bool {
         let mut sh = self.shard(sub.dst_rank).lock();
         sh.queued_bytes += sub.payload.len() as u64;
         sh.pending.insert(sub.seq, sub);
+        self.in_flight.fetch_add(1, Ordering::SeqCst) == 0
+    }
+
+    /// Take `seq` out of a locked shard, keeping the byte gauge and the
+    /// in-flight count in step.
+    fn remove(&self, sh: &mut DstShard, seq: u64) -> Option<PendingSub> {
+        let p = sh.pending.remove(&seq)?;
+        sh.queued_bytes = sh.queued_bytes.saturating_sub(p.payload.len() as u64);
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        Some(p)
     }
 
     /// Roll back a registration whose post failed locally (bounds
     /// error): drop the entry so it is never retransmitted.
     pub fn unregister(&self, dst: usize, seq: u64) {
-        let mut sh = self.shard(dst).lock();
-        if let Some(p) = sh.pending.remove(&seq) {
-            sh.queued_bytes = sh.queued_bytes.saturating_sub(p.payload.len() as u64);
-        }
+        self.remove(&mut self.shard(dst).lock(), seq);
     }
 
     /// Stamp post time and deadline on freshly registered entries
-    /// (called in scheduler context right after the posts). Returns
+    /// (on simnet: in scheduler context right after the posts). Returns
     /// each entry's deadline so the caller can schedule wake-ups.
     pub fn arm(&self, t: Ns, entries: &[(usize, u64)]) -> Vec<Ns> {
         let mut deadlines = Vec::with_capacity(entries.len());
@@ -326,61 +490,65 @@ impl RetryState {
     /// when the entry was acked before [`RetryState::arm`] stamped it —
     /// callers should skip the latency sample then).
     pub fn ack(&self, src: usize, seq: u64) -> Option<Ns> {
-        let mut sh = self.shard(src).lock();
-        let p = sh.pending.remove(&seq)?;
-        sh.queued_bytes = sh.queued_bytes.saturating_sub(p.payload.len() as u64);
+        let p = self.remove(&mut self.shard(src).lock(), seq)?;
         Some(p.first_post)
     }
 
     /// Sweep expired entries at time `now`: bump attempts, rotate
     /// NICs, reroute to the fallback channel, build retransmissions,
     /// mark exhaustion. Pure bookkeeping — the caller posts the
-    /// resends and schedules wake-ups for `new_deadlines`.
+    /// resends and schedules wake-ups for `new_deadlines` (or sleeps
+    /// until `next_deadline`).
     ///
     /// Shards are visited in destination-rank order and entries in
     /// sequence order, reproducing the single-map implementation's
     /// `(dst, seq)` total order exactly.
-    pub fn sweep(&self, now: Ns, build_dgram: impl Fn(&PendingSub) -> Vec<u8>,
-                 build_companion: impl Fn(&PendingSub) -> Vec<u8>) -> SweepOutcome {
+    pub fn sweep(&self, now: Ns) -> SweepOutcome {
         self.due_flag.store(false, Ordering::SeqCst);
         let mut out = SweepOutcome {
             resends: Vec::new(),
             new_deadlines: Vec::new(),
+            next_deadline: None,
             nic_rotations: 0,
             fallback_reroutes: 0,
             exhausted: 0,
         };
+        // `Ns::MAX` marks an unarmed entry, so it can stand for "none".
+        let mut next = Ns::MAX;
         let mut first_failure: Option<usize> = None;
         for (dst, shard) in self.dst.iter().enumerate() {
             let mut sh = shard.lock();
-            let expired: Vec<u64> = sh
-                .pending
-                .iter()
-                .filter(|(_, p)| p.deadline <= now)
-                .map(|(&seq, _)| seq)
-                .collect();
+            let mut expired = Vec::new();
+            for (&seq, p) in &sh.pending {
+                if p.deadline <= now {
+                    expired.push(seq);
+                } else {
+                    next = next.min(p.deadline);
+                }
+            }
             for seq in expired {
                 let p = sh.pending.get_mut(&seq).expect("seq just listed");
                 p.attempts += 1;
                 if p.attempts > self.policy.max_retries {
                     out.exhausted += 1;
-                    if first_failure.is_none() {
-                        first_failure = Some(dst);
-                    }
-                    let p = sh.pending.remove(&seq).expect("still present");
-                    sh.queued_bytes = sh.queued_bytes.saturating_sub(p.payload.len() as u64);
+                    first_failure.get_or_insert(dst);
+                    self.remove(&mut sh, seq);
                     continue;
                 }
                 if p.route == Route::Rma && p.attempts >= self.policy.fallback_after {
                     p.route = Route::Dgram;
                     out.fallback_reroutes += 1;
                 }
-                if p.route == Route::Rma && self.policy.nics > 1 {
+                if self.policy.nics > 1 {
+                    // Every route moves on (a stuck stream should not
+                    // doom the sub-message); only an RMA put's move is
+                    // the failover the counter reports.
                     p.nic = (p.nic + 1) % self.policy.nics;
-                    out.nic_rotations += 1;
+                    out.nic_rotations += u64::from(p.route == Route::Rma);
                 }
                 let queued = 0; // backoff already covers congestion growth
                 p.deadline = now + self.policy.rto(p.payload.len(), queued, p.attempts);
+                next = next.min(p.deadline);
                 out.new_deadlines.push(p.deadline);
                 out.resends.push(match p.route {
                     Route::Rma => Resend::Rma {
@@ -388,30 +556,30 @@ impl RetryState {
                         dst_rkey: p.dst_rkey,
                         dst_offset: p.dst_offset,
                         nic: p.nic,
-                        companion: build_companion(p),
+                        companion: p.notif_frame(),
                     },
                     Route::Dgram | Route::Agg => Resend::Dgram {
                         dst: p.dst_rank,
-                        bytes: build_dgram(p),
+                        nic: p.nic,
+                        bytes: p.dgram_frame(),
                     },
                 });
             }
         }
-        if out.exhausted > 0 {
-            if let Some(dst) = first_failure {
-                self.ctl
-                    .lock()
-                    .failure
-                    .get_or_insert((dst, self.policy.max_retries));
-            }
+        out.next_deadline = (next != Ns::MAX).then_some(next);
+        if let Some(dst) = first_failure {
+            self.ctl
+                .lock()
+                .failure
+                .get_or_insert((dst, self.policy.max_retries));
             self.failed.store(true, Ordering::SeqCst);
         }
         out
     }
 
-    /// Number of unacked sub-messages (diagnostics, tests).
+    /// Number of unacked sub-messages: one atomic load, no shard lock.
     pub fn in_flight(&self) -> usize {
-        self.dst.iter().map(|s| s.lock().pending.len()).sum()
+        self.in_flight.load(Ordering::SeqCst)
     }
 
     /// Drain every pending sub-message addressed to `dst` without
@@ -429,6 +597,7 @@ impl RetryState {
         let drained = sh.pending.len();
         sh.pending.clear();
         sh.queued_bytes = 0;
+        self.in_flight.fetch_sub(drained, Ordering::SeqCst);
         drained
     }
 
@@ -481,6 +650,15 @@ impl RetryState {
     pub fn is_due(&self) -> bool {
         self.due_flag.load(Ordering::SeqCst)
     }
+
+    /// Panic while holding one lock of each kind — a send-side shard, a
+    /// dedup window, the control data — so a test in another crate can
+    /// check that a poisoned table still serves every caller.
+    #[doc(hidden)]
+    pub fn poison_for_tests(&self) -> ! {
+        let _held = (self.dst[0].lock(), self.src[0].lock(), self.ctl.lock());
+        panic!("poisoning the retry table on purpose");
+    }
 }
 
 #[cfg(test)]
@@ -528,24 +706,8 @@ mod tests {
     }
 
     fn sub(dst: usize, seq: u64, len: usize) -> PendingSub {
-        PendingSub {
-            dst_rank: dst,
-            seq,
-            payload: Bytes::from(vec![0xAB; len]),
-            dst_rkey: RKey {
-                rank: dst,
-                id: 0,
-                len: 1 << 20,
-            },
-            dst_offset: 0,
-            remote_key: 1,
-            addend: -1,
-            route: Route::Rma,
-            attempts: 0,
-            nic: 0,
-            first_post: 0,
-            deadline: 0,
-        }
+        let payload = Bytes::from(vec![0xAB; len]);
+        PendingSub::new(seq, Route::Rma, payload, rkey(dst), 0, 1, -1, 0)
     }
 
     #[test]
@@ -592,8 +754,7 @@ mod tests {
         s.payload = snap.clone();
         st.register(s);
         let dl = st.arm(0, &[(1, seq)]);
-        let bytes = |p: &PendingSub| vec![p.attempts as u8];
-        let o = st.sweep(dl[0], bytes, bytes);
+        let o = st.sweep(dl[0]);
         match &o.resends[0] {
             Resend::Rma { payload, .. } => {
                 assert!(
@@ -611,21 +772,20 @@ mod tests {
         let seq = st.alloc_seq(1);
         st.register(sub(1, seq, 64));
         let dl = st.arm(0, &[(1, seq)]);
-        let bytes = |p: &PendingSub| vec![p.attempts as u8];
         // Attempt 1: still RMA (fallback_after = 2), NIC rotated.
-        let o1 = st.sweep(dl[0], bytes, bytes);
+        let o1 = st.sweep(dl[0]);
         assert_eq!(o1.resends.len(), 1);
         assert!(matches!(o1.resends[0], Resend::Rma { nic: 1, .. }));
         assert_eq!(o1.nic_rotations, 1);
         // Attempt 2: rerouted to the fallback channel.
-        let o2 = st.sweep(o1.new_deadlines[0], bytes, bytes);
+        let o2 = st.sweep(o1.new_deadlines[0]);
         assert!(matches!(o2.resends[0], Resend::Dgram { dst: 1, .. }));
         assert_eq!(o2.fallback_reroutes, 1);
         // Attempt 3: final try; attempt 4 exhausts.
-        let o3 = st.sweep(o2.new_deadlines[0], bytes, bytes);
+        let o3 = st.sweep(o2.new_deadlines[0]);
         assert_eq!(o3.resends.len(), 1);
         assert!(!st.failed());
-        let o4 = st.sweep(o3.new_deadlines[0], bytes, bytes);
+        let o4 = st.sweep(o3.new_deadlines[0]);
         assert_eq!(o4.exhausted, 1);
         assert!(o4.resends.is_empty());
         assert!(st.failed());
@@ -637,8 +797,8 @@ mod tests {
     fn agg_route_resends_stored_frame_verbatim_without_escalation() {
         // An aggregate entry buffers the complete pre-built MSG_AGG
         // frame; every retransmission must resend those bytes verbatim
-        // (build_dgram hands them back) and never NIC-rotate or reroute
-        // — the aggregate is already on the datagram channel.
+        // and never reroute or count as an RMA failover — the aggregate
+        // is already on the datagram channel.
         let st = state();
         let seq = st.alloc_seq(3);
         let frame = Bytes::from(vec![7u8, 1, 2, 3, 4, 5]);
@@ -649,14 +809,13 @@ mod tests {
         p.addend = 0;
         st.register(p);
         let dl = st.arm(0, &[(3, seq)]);
-        let verbatim = |p: &PendingSub| p.payload.as_ref().to_vec();
         let mut at = dl[0];
         for attempt in 0..3 {
-            let o = st.sweep(at, verbatim, verbatim);
-            assert_eq!(o.nic_rotations, 0, "attempt {attempt}: Agg never rotates NICs");
+            let o = st.sweep(at);
+            assert_eq!(o.nic_rotations, 0, "attempt {attempt}: not an RMA failover");
             assert_eq!(o.fallback_reroutes, 0, "attempt {attempt}: Agg never reroutes");
             match &o.resends[..] {
-                [Resend::Dgram { dst: 3, bytes }] => {
+                [Resend::Dgram { dst: 3, bytes, .. }] => {
                     assert_eq!(&bytes[..], frame.as_ref(), "attempt {attempt}");
                 }
                 _ => panic!("attempt {attempt}: expected exactly one dgram resend to rank 3"),
@@ -678,13 +837,12 @@ mod tests {
         let s1 = st.alloc_seq(1);
         st.register(sub(1, s1, 64));
         let dl = st.arm(0, &[(2, s2), (1, s1)]);
-        let bytes = |p: &PendingSub| vec![p.dst_rank as u8];
         // Attempt 1 (both expired): still RMA, NICs rotate.
-        let o1 = st.sweep(*dl.iter().max().unwrap(), bytes, bytes);
+        let o1 = st.sweep(*dl.iter().max().unwrap());
         assert_eq!(o1.resends.len(), 2);
         // Attempt 2: both reroute to the fallback channel, which carries
         // the destination rank in the resend.
-        let o2 = st.sweep(*o1.new_deadlines.iter().max().unwrap(), bytes, bytes);
+        let o2 = st.sweep(*o1.new_deadlines.iter().max().unwrap());
         assert_eq!(o2.fallback_reroutes, 2);
         let dsts: Vec<usize> = o2
             .resends
@@ -703,8 +861,7 @@ mod tests {
         let seq = st.alloc_seq(2);
         st.register(sub(2, seq, 64));
         let dl = st.arm(0, &[(2, seq)]);
-        let bytes = |p: &PendingSub| vec![p.attempts as u8];
-        let o = st.sweep(dl[0] - 1, bytes, bytes);
+        let o = st.sweep(dl[0] - 1);
         assert!(o.resends.is_empty());
         assert_eq!(st.in_flight(), 1);
     }
@@ -720,8 +877,7 @@ mod tests {
         let st = state();
         let seq = st.alloc_seq(1);
         st.register(sub(1, seq, 64));
-        let bytes = |p: &PendingSub| vec![p.attempts as u8];
-        let o = st.sweep(Ns::MAX - 1, bytes, bytes);
+        let o = st.sweep(Ns::MAX - 1);
         assert!(o.resends.is_empty(), "unarmed entry must not retransmit");
         assert_eq!(st.in_flight(), 1);
         // An ack can legitimately beat `arm`; it settles the entry with
@@ -748,5 +904,218 @@ mod tests {
         assert!(st.accept(0, 0));
         assert!(st.accept(1, 0), "sources have independent windows");
         assert!(!st.accept(0, 0));
+    }
+
+    fn rkey(rank: usize) -> RKey {
+        RKey {
+            rank,
+            id: 3,
+            len: 1 << 20,
+        }
+    }
+
+    #[test]
+    fn constructors_build_the_frame_that_announces_the_entry() {
+        let st = state();
+        let payload = Bytes::from(vec![7u8; 5]);
+        let d = st.register_data(Route::Dgram, payload.clone(), rkey(1), 64, 9, -5, 0);
+        assert_eq!((d.seq, d.first), (0, true));
+        assert_eq!(d.frame, wire::seq_data_msg(0, 3, 64, 9, -5, &payload));
+        let r = st.register_data(Route::Rma, payload.clone(), rkey(1), 64, 9, -5, 1);
+        assert_eq!((r.seq, r.first), (1, false), "the table already held an entry");
+        assert_eq!(r.frame, wire::seq_notif_msg(1, 9, -5));
+        let a = st.register_agg(2, 0, &[(3, 0, 5)], &[(9, -1)], &payload);
+        assert_eq!((a.seq, a.first), (0, false), "sequences are per destination");
+        assert_eq!(a.frame.as_ref(), wire::agg_msg(0, true, &[(3, 0, 5)], &[(9, -1)], &payload));
+        // A datagram resend is rebuilt from the fields, an aggregate's is
+        // the stored frame: the same bytes as the first transmission.
+        st.arm(0, &[(1, d.seq), (1, r.seq), (2, a.seq)]);
+        let o = st.sweep(1 << 40);
+        let frames: Vec<&[u8]> = o
+            .resends
+            .iter()
+            .map(|r| match r {
+                Resend::Dgram { bytes, .. } => &bytes[..],
+                Resend::Rma { companion, .. } => &companion[..],
+            })
+            .collect();
+        assert_eq!(frames, [&d.frame[..], &r.frame[..], a.frame.as_ref()]);
+    }
+
+    #[test]
+    fn in_flight_count_follows_every_way_in_and_out() {
+        let st = state();
+        assert_eq!(st.in_flight(), 0);
+        let seqs: Vec<u64> = (0..5)
+            .map(|i| {
+                let reg = st.register_data(Route::Dgram, Bytes::new(), rkey(1), 0, 1, -1, 0);
+                assert_eq!(reg.first, i == 0, "only the entry that ends 'empty' says so");
+                reg.seq
+            })
+            .collect();
+        let other = st.register_agg(2, 0, &[], &[], &[]);
+        assert!(!other.first);
+        assert_eq!(st.in_flight(), 6);
+        // Acked (twice: the second finds nothing), rolled back, exhausted.
+        assert!(st.ack(1, seqs[0]).is_some());
+        assert!(st.ack(1, seqs[0]).is_none());
+        st.unregister(1, seqs[1]);
+        st.unregister(1, seqs[1]);
+        assert_eq!(st.in_flight(), 4);
+        let mut at = st.arm(0, &[(1, seqs[2])])[0];
+        for _ in 0..policy().max_retries {
+            at = st.sweep(at).new_deadlines[0];
+        }
+        assert_eq!(st.sweep(at).exhausted, 1);
+        assert_eq!(st.in_flight(), 3);
+        // The rank died: its shard is drained, the other's is not.
+        assert_eq!(st.drain_dst(1), 2);
+        assert_eq!(st.drain_dst(1), 0);
+        assert_eq!(st.in_flight(), 1);
+        assert!(st.ack(2, other.seq).is_some());
+        assert_eq!(st.in_flight(), 0);
+        // Empty again: the next entry is a first one again.
+        assert!(st.register_data(Route::Dgram, Bytes::new(), rkey(3), 0, 1, -1, 0).first);
+    }
+
+    #[test]
+    fn sweep_reports_the_earliest_deadline_still_outstanding() {
+        let st = state();
+        assert_eq!(st.sweep(0).next_deadline, None, "an empty table has none");
+        let seq = |dst: usize| st.register_data(Route::Dgram, Bytes::new(), rkey(dst), 0, 1, -1, 0).seq;
+        let (early, late, unarmed) = (seq(2), seq(1), seq(3));
+        assert_eq!(st.sweep(0).next_deadline, None, "unarmed entries have no deadline yet");
+        let d_early = st.arm(100, &[(2, early)])[0];
+        let d_late = st.arm(5_000, &[(1, late)])[0];
+        assert!(d_early < d_late);
+        // Nothing expired: the earliest of the unexpired ones.
+        let o = st.sweep(d_early - 1);
+        assert!(o.resends.is_empty());
+        assert_eq!(o.next_deadline, Some(d_early));
+        // One expired and re-armed behind the other: the other's.
+        let o = st.sweep(d_early);
+        assert_eq!(o.resends.len(), 1);
+        assert!(o.new_deadlines[0] > d_late, "backed off past the later entry");
+        assert_eq!(o.next_deadline, Some(d_late));
+        // Both expired: the earlier of the two new deadlines.
+        let o = st.sweep(o.new_deadlines[0]);
+        assert_eq!(o.resends.len(), 2);
+        assert_eq!(o.next_deadline, o.new_deadlines.iter().copied().min());
+        // All armed ones acked: the unarmed straggler alone reports none.
+        st.ack(2, early);
+        st.ack(1, late);
+        assert_eq!(st.in_flight(), 1);
+        assert_eq!(st.sweep(Ns::MAX - 1).next_deadline, None);
+        st.unregister(3, unarmed);
+    }
+
+    #[test]
+    fn datagram_and_aggregate_resends_rotate_nics_without_counting_failover() {
+        let st = state(); // two NICs
+        let d = st.register_data(Route::Dgram, Bytes::new(), rkey(1), 0, 1, -1, 0);
+        let a = st.register_agg(1, 1, &[], &[], &[]);
+        let mut at = *st.arm(0, &[(1, d.seq), (1, a.seq)]).iter().max().unwrap();
+        for attempt in 1..=3usize {
+            let o = st.sweep(at);
+            let nics: Vec<usize> = o
+                .resends
+                .iter()
+                .map(|r| match r {
+                    Resend::Dgram { nic, .. } => *nic,
+                    Resend::Rma { .. } => panic!("neither entry is an RMA put"),
+                })
+                .collect();
+            assert_eq!(nics, [attempt % 2, (1 + attempt) % 2], "attempt {attempt}");
+            assert_eq!(o.nic_rotations, 0, "unr.failover.nic_rotations counts RMA puts only");
+            assert_eq!(o.fallback_reroutes, 0);
+            at = *o.new_deadlines.iter().max().unwrap();
+        }
+        // With one NIC there is nowhere to rotate to.
+        let one = RetryState::new(RetryPolicy { nics: 1, ..policy() }, 2);
+        let seq = one.register_data(Route::Dgram, Bytes::new(), rkey(1), 0, 1, -1, 0).seq;
+        let at = one.arm(0, &[(1, seq)])[0];
+        assert!(matches!(one.sweep(at).resends[..], [Resend::Dgram { nic: 0, .. }]));
+    }
+
+    #[test]
+    fn a_poisoned_table_still_serves_every_caller() {
+        let st = state();
+        let died = std::thread::scope(|s| s.spawn(|| st.poison_for_tests()).join());
+        assert!(died.is_err());
+        let reg = st.register_data(Route::Dgram, Bytes::new(), rkey(0), 0, 1, -1, 0);
+        st.arm(1, &[(0, reg.seq)]);
+        assert!(st.accept(0, 0));
+        assert_eq!(st.sweep(0).resends.len(), 0);
+        assert_eq!(st.failure(), None);
+        assert_eq!(st.ack(0, reg.seq), Some(1));
+        assert_eq!(st.in_flight(), 0);
+    }
+
+    /// Until `unr-netfab` ran this table it only ever ran under the
+    /// simulator's scheduler, one thread at a time. Three OS threads —
+    /// a poster, an acker fed through a channel, a sweeper that never
+    /// stops — over one table: every sequence number is acked exactly
+    /// once, and the count the sleepers trust comes back to zero.
+    #[test]
+    fn poster_acker_and_sweeper_threads_settle_every_entry_once() {
+        const POSTS: usize = 20_000;
+        let st = RetryState::new(
+            RetryPolicy {
+                max_retries: u32::MAX,
+                fallback_after: u32::MAX,
+                ..policy()
+            },
+            4,
+        );
+        let (tx, rx) = std::sync::mpsc::channel::<(usize, u64)>();
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(3);
+        let (st, done, start) = (&st, &done, &start);
+        let (acked, resent) = std::thread::scope(|s| {
+            s.spawn(move || {
+                start.wait();
+                for i in 0..POSTS {
+                    let dst = i % 4;
+                    let seq = if i % 3 == 0 {
+                        st.register_agg(dst, 0, &[], &[], &[]).seq
+                    } else {
+                        st.register_data(Route::Dgram, Bytes::new(), rkey(dst), 0, 1, -1, 0).seq
+                    };
+                    st.arm(i as Ns, &[(dst, seq)]);
+                    tx.send((dst, seq)).unwrap();
+                }
+            });
+            let acker = s.spawn(move || {
+                start.wait();
+                let mut acked = 0usize;
+                for (dst, seq) in rx.iter() {
+                    assert!(st.ack(dst, seq).is_some(), "({dst}, {seq}) was registered before it was sent");
+                    assert!(st.ack(dst, seq).is_none(), "({dst}, {seq}) acked twice");
+                    acked += 1;
+                }
+                done.store(true, Ordering::SeqCst);
+                acked
+            });
+            let sweeper = s.spawn(move || {
+                start.wait();
+                let (mut now, mut resent) = (0 as Ns, 0usize);
+                while !done.load(Ordering::SeqCst) {
+                    // Far enough ahead that whatever is armed has expired.
+                    now += 1_000_000;
+                    let o = st.sweep(now);
+                    assert_eq!(o.exhausted, 0);
+                    assert!(o.next_deadline.is_none_or(|d| d > now));
+                    resent += o.resends.len();
+                }
+                resent
+            });
+            (acker.join().unwrap(), sweeper.join().unwrap())
+        });
+        assert_eq!(acked, POSTS);
+        assert_eq!(st.in_flight(), 0, "after {resent} retransmissions");
+        assert!(!st.failed());
+        for dst in 0..4 {
+            assert_eq!(st.queued_bytes(dst), 0);
+        }
     }
 }

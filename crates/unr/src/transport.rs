@@ -7,8 +7,15 @@
 //! it by forwarding to the simulated fabric — one call per method, in
 //! the same order as before the trait existed, so the deterministic
 //! schedule (and the golden traces locked in `tests/`) is untouched.
-//! The `unr-netfab` crate implements the same surface over real TCP
-//! sockets between OS processes.
+//!
+//! It is the trait's only implementor. The `unr-netfab` crate does not
+//! implement it yet: `NetUnr` is a second engine front-end with its own
+//! post path and wait loop over real TCP sockets. What the two engines
+//! share — one implementation each, in this crate — is everything
+//! stateful above the wire: the MMAS signal table ([`crate::signal`]),
+//! the small-message coalescer ([`crate::agg`]), the control wire
+//! format ([`crate::wire`]), the retry table ([`crate::retry`]) and the
+//! receive-side control handler ([`crate::ctrl`]).
 //!
 //! [`Backend`] is the user-facing switch: [`crate::UnrConfig`] carries
 //! it, [`crate::Unr::init`] requires [`Backend::Simnet`], and

@@ -203,13 +203,9 @@ impl<'a> AggBody<'a> {
     /// Iterate the spans as `(region_id, offset, payload)` — the
     /// payload slice is the span's packed bytes.
     pub fn spans(&self) -> impl Iterator<Item = (u32, u64, &'a [u8])> + '_ {
-        let payload_base = self.nspans as usize * AGG_SPAN_LEN + self.nsigs as usize * AGG_SIG_LEN;
-        let mut payload_at = payload_base;
+        let mut payload_at = self.tables_len();
         (0..self.nspans as usize).map(move |i| {
-            let at = i * AGG_SPAN_LEN;
-            let region = u32_at(self.rest, at, "agg span region");
-            let offset = u64_at(self.rest, at + 4, "agg span offset");
-            let len = u32_at(self.rest, at + 12, "agg span len") as usize;
+            let (region, offset, len) = self.span(i);
             let payload = &self.rest[payload_at..payload_at + len];
             payload_at += len;
             (region, offset, payload)
@@ -222,85 +218,120 @@ impl<'a> AggBody<'a> {
         (0..self.nsigs as usize).map(move |i| {
             let at = base + i * AGG_SIG_LEN;
             (
-                u64_at(self.rest, at, "agg sig key"),
-                i64_at(self.rest, at + 8, "agg sig addend"),
+                u64_at(self.rest, at).expect(VALIDATED),
+                i64_at(self.rest, at + 8).expect(VALIDATED),
             )
         })
     }
+
+    /// Bytes of the span and signal tables ahead of the payloads.
+    fn tables_len(&self) -> usize {
+        self.nspans as usize * AGG_SPAN_LEN + self.nsigs as usize * AGG_SIG_LEN
+    }
+
+    /// Span descriptor `i`: `(region, offset, len)`.
+    fn span(&self, i: usize) -> (u32, u64, usize) {
+        let at = i * AGG_SPAN_LEN;
+        (
+            u32_at(self.rest, at).expect(VALIDATED),
+            u64_at(self.rest, at + 4).expect(VALIDATED),
+            u32_at(self.rest, at + 12).expect(VALIDATED) as usize,
+        )
+    }
+
+    /// The only constructor: `rest` must hold both tables and exactly
+    /// the payload bytes the span table promises, so the iterators
+    /// above cannot run off its end.
+    fn checked(nspans: u16, nsigs: u16, rest: &'a [u8]) -> Option<AggBody<'a>> {
+        let body = AggBody { nspans, nsigs, rest };
+        if rest.len() < body.tables_len() {
+            return None;
+        }
+        let payloads = (0..nspans as usize)
+            .try_fold(0usize, |sum, i| sum.checked_add(body.span(i).2))?;
+        (rest.len() - body.tables_len() == payloads).then_some(body)
+    }
 }
 
-fn u32_at(bytes: &[u8], at: usize, what: &str) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().expect(what))
+/// Why an [`AggBody`] field read cannot fail.
+const VALIDATED: &str = "agg tables validated by AggBody::checked";
+
+fn u32_at(bytes: &[u8], at: usize) -> Option<u32> {
+    Some(u32::from_le_bytes(bytes.get(at..at + 4)?.try_into().ok()?))
 }
 
-fn u64_at(bytes: &[u8], at: usize, what: &str) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().expect(what))
+fn u64_at(bytes: &[u8], at: usize) -> Option<u64> {
+    Some(u64::from_le_bytes(bytes.get(at..at + 8)?.try_into().ok()?))
 }
 
-fn i64_at(bytes: &[u8], at: usize, what: &str) -> i64 {
-    i64::from_le_bytes(bytes[at..at + 8].try_into().expect(what))
+fn i64_at(bytes: &[u8], at: usize) -> Option<i64> {
+    u64_at(bytes, at).map(|v| v as i64)
 }
 
 impl<'a> CtrlMsg<'a> {
-    /// Parse a control frame. Panics on truncated frames or an unknown
-    /// kind tag — control traffic is library-internal, so a malformed
-    /// frame is a bug (or config skew between ranks), not an input.
-    pub fn parse(bytes: &'a [u8]) -> CtrlMsg<'a> {
-        match bytes[0] {
+    /// Decode a control frame; `None` for an empty or truncated frame,
+    /// an unknown kind tag (a nested [`MSG_EPOCH`] envelope included)
+    /// or an aggregate whose tables and payloads do not add up. On
+    /// `unr-netfab` these bytes come from another process, so this is
+    /// the decoder every receive path uses.
+    pub fn try_parse(bytes: &'a [u8]) -> Option<CtrlMsg<'a>> {
+        Some(match *bytes.first()? {
             MSG_COMPANION => CtrlMsg::Companion {
-                key: u64_at(bytes, 1, "companion key"),
-                addend: i64_at(bytes, 9, "companion addend"),
+                key: u64_at(bytes, 1)?,
+                addend: i64_at(bytes, 9)?,
             },
             MSG_FALLBACK_DATA => CtrlMsg::FallbackData {
-                region_id: u32_at(bytes, 1, "fallback region"),
-                offset: u64_at(bytes, 5, "fallback offset") as usize,
-                key: u64_at(bytes, 13, "fallback key"),
-                addend: i64_at(bytes, 21, "fallback addend"),
-                payload: &bytes[29..],
+                region_id: u32_at(bytes, 1)?,
+                offset: u64_at(bytes, 5)? as usize,
+                key: u64_at(bytes, 13)?,
+                addend: i64_at(bytes, 21)?,
+                payload: bytes.get(29..)?,
             },
             MSG_FALLBACK_GET => CtrlMsg::FallbackGet {
-                region_id: u32_at(bytes, 1, "get region"),
-                offset: u64_at(bytes, 5, "get off") as usize,
-                len: u64_at(bytes, 13, "get len") as usize,
-                reply_region: u32_at(bytes, 21, "reply r"),
-                reply_offset: u64_at(bytes, 25, "reply off"),
-                reply_key: u64_at(bytes, 33, "reply key"),
-                reply_addend: i64_at(bytes, 41, "reply add"),
-                remote_key: u64_at(bytes, 49, "rkey"),
-                remote_addend: i64_at(bytes, 57, "radd"),
+                region_id: u32_at(bytes, 1)?,
+                offset: u64_at(bytes, 5)? as usize,
+                len: u64_at(bytes, 13)? as usize,
+                reply_region: u32_at(bytes, 21)?,
+                reply_offset: u64_at(bytes, 25)?,
+                reply_key: u64_at(bytes, 33)?,
+                reply_addend: i64_at(bytes, 41)?,
+                remote_key: u64_at(bytes, 49)?,
+                remote_addend: i64_at(bytes, 57)?,
             },
             MSG_SEQ_DATA => CtrlMsg::SeqData {
-                seq: u64_at(bytes, 1, "seq"),
-                region_id: u32_at(bytes, 9, "seq region"),
-                offset: u64_at(bytes, 13, "seq offset") as usize,
-                key: u64_at(bytes, 21, "seq key"),
-                addend: i64_at(bytes, 29, "seq addend"),
-                payload: &bytes[37..],
+                seq: u64_at(bytes, 1)?,
+                region_id: u32_at(bytes, 9)?,
+                offset: u64_at(bytes, 13)? as usize,
+                key: u64_at(bytes, 21)?,
+                addend: i64_at(bytes, 29)?,
+                payload: bytes.get(37..)?,
             },
             MSG_SEQ_NOTIF => CtrlMsg::SeqNotif {
-                seq: u64_at(bytes, 1, "notif seq"),
-                key: u64_at(bytes, 9, "notif key"),
-                addend: i64_at(bytes, 17, "notif addend"),
+                seq: u64_at(bytes, 1)?,
+                key: u64_at(bytes, 9)?,
+                addend: i64_at(bytes, 17)?,
             },
             MSG_ACK => CtrlMsg::Ack {
-                seq: u64_at(bytes, 1, "ack seq"),
+                seq: u64_at(bytes, 1)?,
             },
             MSG_AGG => {
-                let flags = bytes[9];
-                let nspans = u16::from_le_bytes(bytes[10..12].try_into().expect("agg nspans"));
-                let nsigs = u16::from_le_bytes(bytes[12..14].try_into().expect("agg nsigs"));
+                let hdr = bytes.get(..AGG_HDR_LEN)?;
+                let nspans = u16::from_le_bytes([hdr[10], hdr[11]]);
+                let nsigs = u16::from_le_bytes([hdr[12], hdr[13]]);
                 CtrlMsg::Agg {
-                    seq: u64_at(bytes, 1, "agg seq"),
-                    sequenced: flags & AGG_FLAG_SEQUENCED != 0,
-                    body: AggBody {
-                        nspans,
-                        nsigs,
-                        rest: &bytes[AGG_HDR_LEN..],
-                    },
+                    seq: u64_at(hdr, 1)?,
+                    sequenced: hdr[9] & AGG_FLAG_SEQUENCED != 0,
+                    body: AggBody::checked(nspans, nsigs, &bytes[AGG_HDR_LEN..])?,
                 }
             }
-            other => panic!("unknown UNR control message kind {other}"),
-        }
+            _ => return None,
+        })
+    }
+
+    /// [`CtrlMsg::try_parse`] for frames this process built itself
+    /// (tests, probes): panics on a malformed frame.
+    pub fn parse(bytes: &'a [u8]) -> CtrlMsg<'a> {
+        CtrlMsg::try_parse(bytes).expect("malformed UNR control frame")
     }
 
     /// Whether a frame of this kind carries application data (used by

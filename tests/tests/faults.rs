@@ -227,6 +227,74 @@ fn fault_total_loss_exhausts_and_surfaces_peer_failed() {
     );
 }
 
+/// Offsets and region ids in a control frame are a peer's choice: a
+/// span that cannot land must not panic the polling agent (which
+/// poisons the world), must apply no addend — for an aggregate, none of
+/// its summed entries — and must still be acked, or a reliable sender
+/// replays the same bad write until it gives up on a live peer. Rank 0
+/// is a bare endpoint speaking the wire format at a reliable rank 1.
+#[test]
+fn ctrl_frames_that_cannot_land_are_counted_dropped_and_acked() {
+    let fabric = Fabric::new(Platform::th_xy().fabric_config(2, 1));
+    let ucfg = UnrConfig::builder()
+        .reliability(unr_core::Reliability::On)
+        .build()
+        .unwrap();
+    run_mpi_on_fabric(&fabric, MpiConfig::default(), move |comm| {
+        if comm.rank() == 1 {
+            let unr = Unr::init(comm.ep_shared(), ucfg);
+            let mem = unr.mem_reg(64);
+            let spared = unr.sig_init(4); // every bad frame aims one addend here
+            let done = unr.sig_init(1);
+            let blk = unr.blk_init(&mem, 0, 64, Some(&spared));
+            let mut hello = blk.to_bytes().to_vec();
+            hello.extend_from_slice(&done.key().raw().to_le_bytes());
+            comm.send(0, 1, &hello);
+            unr.sig_wait(&done).unwrap();
+            unr.ep().sleep(us(200.0)); // stragglers behind the good frame
+            assert_eq!(spared.counter(), 4, "an addend was applied for bytes that never landed");
+            let mut landed = [0u8; 4];
+            mem.read_bytes(60, &mut landed);
+            assert_eq!(landed, [1; 4]);
+            comm.send(0, 2, &[]);
+        } else {
+            let ep = comm.ep();
+            let acks = ep.open_port(UNR_PORT);
+            let hello = comm.recv(Some(1), 1).data;
+            let blk = unr_core::Blk::from_bytes(&hello).unwrap();
+            let (region, key) = (blk.region_id, blk.sig_key.raw());
+            let done = u64::from_le_bytes(hello[unr_core::BLK_WIRE_LEN..].try_into().unwrap());
+            let p = [7u8; 4];
+            let two = [p, p].concat();
+            let frames = [
+                wire::seq_data_msg(0, region, 61, key, -1, &p),
+                wire::seq_data_msg(1, region + 9, 0, key, -1, &p),
+                wire::fallback_data_msg(region, 61, key, -1, &p),
+                wire::fallback_data_msg(region + 9, 0, key, -1, &p),
+                wire::agg_msg(2, true, &[(region, 0, 4), (region, 62, 4)], &[(key, -2)], &two),
+                wire::agg_msg(3, true, &[(region + 9, 0, 4)], &[(key, -1)], &p),
+                // In bounds, last: fires the signal rank 1 waits on.
+                wire::seq_data_msg(4, region, 60, done, -1, &[1; 4]),
+            ];
+            for frame in frames {
+                ep.send_dgram(1, UNR_PORT, frame, NicSel::Auto);
+            }
+            let mut acked: Vec<u64> = (0..5)
+                .map(|_| match wire::CtrlMsg::parse(&ep.recv_dgram(&acks).bytes) {
+                    wire::CtrlMsg::Ack { seq } => seq,
+                    other => panic!("only acks come back, got {other:?}"),
+                })
+                .collect();
+            acked.sort_unstable();
+            assert_eq!(acked, [0, 1, 2, 3, 4], "every sequenced frame is acked");
+            comm.recv(Some(1), 2);
+        }
+    });
+    let snap = fabric.obs.metrics.snapshot();
+    assert_eq!(snap.counter("unr.ctrl.bad_dma"), Some(6), "one per span that bounced");
+    assert_eq!(snap.counter("unr.ctrl.malformed"), None);
+}
+
 /// One seeded mini-PowerLLEL step with tracing, under `faults`.
 fn seeded_solver_run(faults: FaultConfig) -> (Snapshot, String, f64) {
     let mut cfg = Platform::th_xy().fabric_config(2, 2);
