@@ -1,11 +1,15 @@
 //! `NetUnr` — the UNR engine over the TCP-loopback fabric.
 //!
-//! The post path and the wait loop mirror `unr_core::Unr` on the
-//! netfab [`unr_core::Backend`]; the signal table, the coalescer, the
-//! wire format, the retry table ([`unr_core::RetryState`]) and the
-//! receive-side control handler ([`unr_core::handle_ctrl`]) are the
-//! simnet engine's own, parameterised here by a wall clock and a
-//! socket:
+//! A put or a get here is `unr_core`'s own post path
+//! ([`unr_core::post`]: validate → coalesce → stripe → register →
+//! send), monomorphised over [`NetTransport`]; `NetUnr` holds that
+//! engine and derefs to it, so `put`, `get`, `flush`, `sig_init`, the
+//! statistics and every `unr.*` engine counter are the simnet engine's.
+//! The signal table, the coalescer, the wire format, the retry table
+//! ([`unr_core::RetryState`]) and the receive-side control handler
+//! ([`unr_core::handle_ctrl`]) are shared too. What this module keeps
+//! is what is still per fabric: bring-up ([`NetUnr::init`]), the wait
+//! loop, the progress thread and the receive side (`CtrlPath`).
 //!
 //! * **Unreliable** (default): each message (or stripe) rides one `PUT`
 //!   frame whose header carries the remote notification as 128-bit
@@ -36,128 +40,38 @@
 //! PUT/GET data frames are not stamped: on netfab the whole TCP mesh is
 //! rebuilt per epoch, so no data frame can cross an epoch boundary.
 //!
-//! Signals come from the same lock-free
-//! [`unr_core::SignalTable`] the simnet engine uses;
 //! `sig_wait` has no scheduler to park on and no thread to be woken by:
 //! while its signal has not fired it progresses the rank's sockets
 //! itself ([`NetFabric::wait_progress`]) — reads, deposits, applies the
 //! addend, handles the control messages it read — and re-tests, so the
 //! put it waits for completes on the waiting thread. Local PUT
-//! completion is buffered-send: the local signal receives a single `-1`
-//! when the message has been posted (payload copied out of the region
-//! into its frame), matching the simnet engine's buffered semantics.
+//! completion is buffered-send: each sub-message's share of the local
+//! signal's `-1` is applied when its payload has been copied out of the
+//! region into its frame.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use unr_core::ctrl::{self, CtrlEvent, CtrlSink};
 use unr_core::signal::{Signal, SignalError, SignalTable};
-use unr_core::wire;
 use unr_core::{
-    striped_addends, AggFlush, AggMetrics, Backend, Blk, Channel, Coalescer, Encoding, Epoch,
-    FlushWhy, MemCheckpoint, Notif, PeerFailedCause, ProgressMode, Registered, Reliability,
-    Resend, RetryPolicy, RetryState, Route, SigKey, UnrConfig, UnrError,
+    Backend, Channel, Encoding, Epoch, FlushWhy, Notif, ProgressMode, Reliability, Resend,
+    RetryPolicy, RetryState, Unr, UnrConfig, UnrError, UnrMem,
 };
 use unr_simnet::sync::Mutex;
-use unr_simnet::{Bytes, Ns};
+use unr_simnet::Ns;
 
-use crate::fabric::{NetAddSink, NetFabric, NetRegion, TransportMetrics};
+use crate::fabric::{NetAddSink, NetFabric, TransportMetrics};
 use crate::launch::NetWorld;
+use crate::transport::{NetFaults, NetTransport};
 
-/// Fault injection for the netfab transport: deterministic sender-side
-/// drops of *first transmissions* (retransmissions always go out), so a
-/// reliable-mode storm is guaranteed to exercise the replay path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NetFaults {
-    /// Silently drop every `n`-th first transmission of a reliable
-    /// data message. `None`: no drops.
-    pub drop_every: Option<u64>,
-}
-
-impl NetFaults {
-    /// Whether any fault injection is enabled.
-    pub fn any(&self) -> bool {
-        self.drop_every.is_some()
-    }
-}
-
-/// A netfab-registered memory region (`UNR_Mem_Reg` over sockets).
-#[derive(Clone)]
-pub struct NetMem {
-    rank: usize,
-    region_id: u32,
-    region: Arc<NetRegion>,
-}
-
-impl NetMem {
-    /// Registered size in bytes.
-    pub fn len(&self) -> usize {
-        self.region.len()
-    }
-
-    /// Always `false`: zero-length registrations are rejected.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Copy `data` into the region at `offset` (panics out of bounds).
-    pub fn write_bytes(&self, offset: usize, data: &[u8]) {
-        assert!(self.region.write(offset, data), "write_bytes out of bounds");
-    }
-
-    /// Copy `out.len()` bytes from `offset` (panics out of bounds).
-    pub fn read_bytes(&self, offset: usize, out: &mut [u8]) {
-        assert!(self.region.read(offset, out), "read_bytes out of bounds");
-    }
-
-    /// The underlying region buffer.
-    pub fn region(&self) -> &Arc<NetRegion> {
-        &self.region
-    }
-
-    /// Describe a block of this region with an optional bound signal.
-    pub fn blk(&self, offset: usize, len: usize, sig: Option<&Signal>) -> Blk {
-        assert!(offset + len <= self.region.len(), "blk out of bounds");
-        Blk {
-            rank: self.rank,
-            region_id: self.region_id,
-            region_len: self.region.len(),
-            offset,
-            len,
-            sig_key: sig.map(|s| s.key()).unwrap_or(SigKey::NULL),
-        }
-    }
-
-    /// Snapshot the whole region into an epoch-stamped in-memory
-    /// checkpoint — the netfab counterpart of
-    /// [`unr_core::UnrMem::checkpoint`]. A respawned incarnation calls
-    /// [`NetMem::restore`] on its freshly registered region before
-    /// re-exchanging BLKs, so the new epoch starts from the
-    /// checkpointed bytes.
-    pub fn checkpoint(&self, epoch: Epoch) -> MemCheckpoint {
-        MemCheckpoint {
-            epoch,
-            region_id: self.region_id,
-            offset: 0,
-            data: self.region.snapshot(0, self.region.len()),
-        }
-    }
-
-    /// Write a checkpoint back into the region at the offset it was
-    /// taken from. Panics if the checkpoint names a different region.
-    pub fn restore(&self, ckpt: &MemCheckpoint) {
-        assert_eq!(
-            ckpt.region_id, self.region_id,
-            "checkpoint belongs to a different region"
-        );
-        assert!(
-            self.region.write(ckpt.offset, &ckpt.data),
-            "checkpoint restore in bounds"
-        );
-    }
-}
+/// A netfab-registered memory region (`UNR_Mem_Reg` over sockets): the
+/// engine's own [`UnrMem`], registered under this rank's real
+/// `(rank, id, len)`.
+pub type NetMem = UnrMem;
 
 /// Sink that decodes inbound 128-bit custom bits into a [`Notif`] and
 /// applies it to the signal table — the emulated atomic-add unit.
@@ -207,33 +121,29 @@ impl NetAddSink for TableSink {
     }
 }
 
-/// The UNR engine for the netfab backend.
+/// The UNR engine for the netfab backend: the shared engine
+/// ([`Unr`], reached through `Deref`) over [`NetTransport`], plus what
+/// is still this fabric's own — bring-up, the wait loop, the progress
+/// thread.
 pub struct NetUnr {
+    eng: Unr<NetTransport>,
     world: Arc<NetWorld>,
-    fabric: Arc<NetFabric>,
-    cfg: UnrConfig,
-    channel: Channel,
-    table: Arc<SignalTable>,
-    faults: NetFaults,
-    /// Reliable data messages posted (drop-injection cadence counter).
-    sends: AtomicU64,
-    /// The receive side and the retry table, shared with the progress
-    /// thread.
-    ctrl: Arc<CtrlPath>,
     stop: Arc<AtomicBool>,
     /// The resolved progress mode ([`ProgressMode::Hardware`] skips the
     /// control thread entirely when nothing rides the control path).
     progress_mode: ProgressMode,
     /// Control-path drainer — `None` under pure hardware progress.
     progress: Mutex<Option<JoinHandle<()>>>,
-    next_nic: AtomicUsize,
     /// Wall-clock cap on one `sig_wait`.
     wait_timeout: Duration,
-    /// Sender-side small-message coalescer (`cfg.agg_eager_max > 0`).
-    /// Only the application rank touches it; the lock satisfies `Sync`.
-    agg: Option<Mutex<Coalescer>>,
-    /// `unr.agg.*` instruments, registered only when aggregation is on.
-    amet: Option<AggMetrics>,
+}
+
+impl Deref for NetUnr {
+    type Target = Unr<NetTransport>;
+
+    fn deref(&self) -> &Unr<NetTransport> {
+        &self.eng
+    }
 }
 
 /// Wall-clock floor for the retransmit timer: the config's virtual-time
@@ -259,7 +169,6 @@ impl NetUnr {
         );
         cfg.validate()?;
         let fabric = Arc::clone(&world.fabric);
-        let channel = Channel::netfab();
         let table = SignalTable::with_key_capacity(cfg.n_bits, Encoding::Full128.max_key());
         let progress_mode = cfg
             .progress
@@ -277,7 +186,7 @@ impl NetUnr {
         };
         // The retry table's clock is nanoseconds since this instant.
         let retry = reliable.then(|| {
-            RetryState::new(
+            Arc::new(RetryState::new(
                 RetryPolicy {
                     timeout: cfg.retry_timeout.max(MIN_RTO.as_nanos() as Ns),
                     max_backoff: cfg.retry_max_backoff.max(MIN_BACKOFF_CAP.as_nanos() as Ns),
@@ -287,17 +196,19 @@ impl NetUnr {
                     ns_per_byte: 0.0,
                 },
                 fabric.nranks(),
-            )
+            ))
         });
         let hardware = progress_mode == ProgressMode::Hardware;
         let ctrl = Arc::new(CtrlPath {
             fabric: Arc::clone(&fabric),
             table: Arc::clone(&table),
-            retry,
+            retry: retry.clone(),
             epoch: world.epoch(),
             t0: Instant::now(),
             ctrl_msgs: hw.map(|h| h.ctrl_msgs),
         });
+        let tx = NetTransport::new(Arc::clone(&ctrl), faults);
+        let eng = Unr::new(tx, cfg, Channel::netfab(), table, retry, &fabric.obs);
         let stop = Arc::new(AtomicBool::new(false));
 
         // On this backend the reactor threads apply notification custom
@@ -312,7 +223,6 @@ impl NetUnr {
         // ctrl-only drainer under the `netfab-hwctrl-*` name.
         let need_ctrl = !hardware || reliable || cfg.agg_eager_max > 0;
         let progress = need_ctrl.then(|| {
-            let ctrl = Arc::clone(&ctrl);
             let stop = Arc::clone(&stop);
             let name = if hardware {
                 format!("netfab-hwctrl-r{}", fabric.rank())
@@ -354,39 +264,18 @@ impl NetUnr {
             .map(Duration::from_millis)
             .unwrap_or(DEFAULT_WAIT);
 
-        // Same coalescer the simnet engine uses: netfab sends its
-        // flushes as FRAME_CTRL frames instead of datagrams, but the
-        // MSG_AGG bytes are identical.
-        let (agg, amet) = if cfg.agg_eager_max > 0 {
-            (
-                Some(Mutex::new(Coalescer::new(
-                    fabric.nranks(),
-                    cfg.agg_flush_bytes,
-                    cfg.agg_flush_puts,
-                ))),
-                Some(AggMetrics::new(&fabric.obs)),
-            )
-        } else {
-            (None, None)
-        };
-
         Ok(NetUnr {
+            eng,
             world,
-            fabric,
-            cfg,
-            channel,
-            table,
-            faults,
-            sends: AtomicU64::new(0),
-            ctrl,
             stop,
             progress_mode,
             progress: Mutex::new(progress),
-            next_nic: AtomicUsize::new(0),
             wait_timeout,
-            agg,
-            amet,
         })
+    }
+
+    fn ctrl(&self) -> &CtrlPath {
+        self.eng.transport().ctrl()
     }
 
     /// The world this engine runs in.
@@ -396,27 +285,12 @@ impl NetUnr {
 
     /// The underlying TCP fabric.
     pub fn fabric(&self) -> &Arc<NetFabric> {
-        &self.fabric
-    }
-
-    /// The selected transport channel (always [`Channel::netfab`]).
-    pub fn channel(&self) -> &Channel {
-        &self.channel
-    }
-
-    /// The engine's MMAS signal table.
-    pub fn table(&self) -> &Arc<SignalTable> {
-        &self.table
+        &self.ctrl().fabric
     }
 
     /// `unr.transport.*` counters.
     pub fn met(&self) -> &TransportMetrics {
-        &self.fabric.met
-    }
-
-    /// Whether the ack/replay protocol is active.
-    pub fn reliable(&self) -> bool {
-        self.ctrl.retry.is_some()
+        &self.fabric().met
     }
 
     /// The resolved progress mode.
@@ -424,362 +298,15 @@ impl NetUnr {
         self.progress_mode
     }
 
-    /// FNV-1a fingerprint of the signal table's observable state —
-    /// the hardware/software equivalence oracle's "final signal table"
-    /// term (see `unr_core::SignalTable::fingerprint`).
-    pub fn table_fingerprint(&self) -> u64 {
-        self.table.fingerprint()
-    }
-
-    /// Signal-table occupancy probe: `(live signals, materialized slot
-    /// capacity)` — `unr_core::SignalTable::occupancy`. Relaxed loads
-    /// only; the admission controller in `unr-serve` consults this
-    /// before every signal allocation so table pressure surfaces as a
-    /// typed shed, never as an allocation failure.
-    pub fn signal_occupancy(&self) -> (usize, usize) {
-        self.table.occupancy()
-    }
-
-    /// Bytes and puts buffered in the small-message coalescer's ring
-    /// for destination `dst`; `(0, 0)` when aggregation is off.
-    pub fn agg_backlog(&self, dst: usize) -> (usize, usize) {
-        match &self.agg {
-            Some(m) => m.lock().backlog(dst),
-            None => (0, 0),
-        }
-    }
-
     /// Register a memory region (`UNR_Mem_Reg`).
     pub fn mem_reg(&self, len: usize) -> NetMem {
-        assert!(len > 0, "cannot register an empty region");
-        let (region_id, region) = self.fabric.register(len);
-        NetMem {
-            rank: self.fabric.rank(),
-            region_id,
-            region,
-        }
-    }
-
-    /// Allocate a signal expecting `num_event` events (`UNR_Sig_init`).
-    pub fn sig_init(&self, num_event: i64) -> Signal {
-        self.table.alloc(num_event)
-    }
-
-    /// Describe a block with an optional bound signal (`UNR_Blk_Init`).
-    pub fn blk_init(&self, mem: &NetMem, offset: usize, len: usize, sig: Option<&Signal>) -> Blk {
-        mem.blk(offset, len, sig)
+        let (_, region) = self.fabric().register(len);
+        UnrMem::new(region.mem().clone())
     }
 
     /// The membership epoch this engine incarnation runs in.
     pub fn epoch(&self) -> Epoch {
-        Epoch::new(self.ctrl.epoch)
-    }
-
-    /// Structured peer-failure error naming this engine's epoch.
-    /// `unr.recovery.peer_failures` counts only in post-recovery worlds
-    /// (epoch > 0), keeping epoch-0 metric snapshots unchanged.
-    fn peer_failed(&self, rank: usize, cause: PeerFailedCause) -> UnrError {
-        if self.ctrl.epoch > 0 {
-            self.fabric
-                .obs
-                .metrics
-                .counter("unr.recovery.peer_failures")
-                .inc();
-        }
-        UnrError::PeerFailed {
-            rank,
-            epoch: self.epoch(),
-            cause,
-        }
-    }
-
-    /// `Err` once the reliable transport has latched a peer down (a
-    /// sub-message ran out of retransmissions).
-    fn check_peer_up(&self) -> Result<(), UnrError> {
-        let failure = self.ctrl.retry.as_ref().filter(|r| r.failed());
-        let Some((dst, attempts)) = failure.and_then(|r| r.failure()) else {
-            return Ok(());
-        };
-        Err(self.peer_failed(dst, PeerFailedCause::RetryExhausted { attempts }))
-    }
-
-    /// [`Blk::check_pair`] against this rank's registered regions.
-    fn check_pair(&self, local: &Blk, remote: &Blk) -> Result<Arc<NetRegion>, UnrError> {
-        local.check_pair(
-            remote,
-            self.fabric.rank(),
-            self.fabric.nranks(),
-            self.fabric.region(local.region_id),
-            |r| r.len(),
-        )
-    }
-
-    fn pick_nic(&self, stripe: usize) -> usize {
-        match self.cfg.pin_nic {
-            Some(n) => (n + stripe) % self.fabric.nics(),
-            None => {
-                (self.next_nic.fetch_add(1, Ordering::Relaxed) + stripe) % self.fabric.nics()
-            }
-        }
-    }
-
-    fn stripe_count(&self, len: usize) -> usize {
-        if len >= self.cfg.stripe_threshold
-            && self.cfg.max_stripes > 1
-            && self.channel.multi_channel
-        {
-            self.cfg.max_stripes.min(self.fabric.nics()).min(len).max(1)
-        } else {
-            1
-        }
-    }
-
-    /// `UNR_Put(local, remote)` using the blocks' bound signals.
-    pub fn put(&self, local: &Blk, remote: &Blk) -> Result<(), UnrError> {
-        self.put_keyed(local, remote, local.sig_key, remote.sig_key)
-    }
-
-    /// `UNR_Put` with explicit signal keys.
-    pub fn put_keyed(
-        &self,
-        local: &Blk,
-        remote: &Blk,
-        local_sig: SigKey,
-        remote_sig: SigKey,
-    ) -> Result<(), UnrError> {
-        self.check_peer_up()?;
-        let region = self.check_pair(local, remote)?;
-        if self.agg.is_some() {
-            if local.len <= self.cfg.agg_eager_max && remote.rank != self.fabric.rank() {
-                return self.put_agg(&region, local, remote, local_sig, remote_sig);
-            }
-            // Non-aggregable traffic to this destination must not
-            // overtake bytes already buffered for it.
-            self.agg_flush_dst(remote.rank, FlushWhy::Order)?;
-        }
-        let k = self.stripe_count(local.len);
-        let addends = if remote_sig.raw() != 0 {
-            striped_addends(k, self.cfg.n_bits)
-        } else {
-            vec![0; k]
-        };
-        let base = local.len / k;
-        let rem = local.len % k;
-        let mut off = 0usize;
-        for (i, addend) in addends.iter().enumerate() {
-            let chunk = base + usize::from(i < rem);
-            let nic = self.pick_nic(i);
-            if let Some(retry) = &self.ctrl.retry {
-                let reg = retry.register_data(
-                    Route::Dgram,
-                    Bytes::from(region.snapshot(local.offset + off, chunk)),
-                    remote.rkey(),
-                    remote.offset + off,
-                    remote_sig.raw(),
-                    *addend,
-                    nic,
-                );
-                self.post_registered(retry, remote.rank, nic, &reg)?;
-            } else {
-                let custom = encode_sig(remote_sig, *addend)?;
-                self.fabric
-                    .put(
-                        remote.rank,
-                        nic,
-                        remote.region_id,
-                        (remote.offset + off) as u64,
-                        custom,
-                        &region,
-                        local.offset + off,
-                        chunk,
-                    )
-                    .map_err(|_| self.peer_failed(remote.rank, PeerFailedCause::Killed))?;
-            }
-            off += chunk;
-        }
-        // Buffered-send local completion: every payload byte has been
-        // copied out of the region.
-        self.table.apply_counted(local_sig.raw(), -1);
-        self.fabric.ring_bell();
-        Ok(())
-    }
-
-    /// `UNR_Get(local, remote)` using the blocks' bound signals.
-    /// GETs always ride the unreliable path (as in the simnet engine).
-    pub fn get(&self, local: &Blk, remote: &Blk) -> Result<(), UnrError> {
-        self.get_keyed(local, remote, local.sig_key, remote.sig_key)
-    }
-
-    /// `UNR_Get` with explicit signal keys.
-    pub fn get_keyed(
-        &self,
-        local: &Blk,
-        remote: &Blk,
-        local_sig: SigKey,
-        remote_sig: SigKey,
-    ) -> Result<(), UnrError> {
-        self.check_pair(local, remote)?;
-        if self.agg.is_some() {
-            // A GET must observe every put already buffered for its
-            // target rank.
-            self.agg_flush_dst(remote.rank, FlushWhy::Order)?;
-        }
-        let custom_remote = encode_sig(remote_sig, -1)?;
-        let custom_local = encode_sig(local_sig, -1)?;
-        let nic = self.pick_nic(0);
-        self.fabric
-            .get(
-                remote.rank,
-                nic,
-                remote.region_id,
-                remote.offset as u64,
-                remote.len as u64,
-                custom_remote,
-                local.region_id,
-                local.offset as u64,
-                custom_local,
-            )
-            .map_err(|_| self.peer_failed(remote.rank, PeerFailedCause::Killed))
-    }
-
-    /// Put a sub-message the retry table has just registered on the
-    /// wire. The table holds it *before* it is sent, so its ack cannot
-    /// outrun it; the entry that ends "nothing unacked" rings the
-    /// progress thread — which sleeps without a deadline until then —
-    /// awake to start watching (later ones it finds by itself, see
-    /// [`CtrlPath::sweep`]). `frame` is stamped once, here: netfab
-    /// epochs are fixed per engine incarnation, so a retransmission
-    /// legitimately resends this exact envelope. Fault injection drops
-    /// first transmissions only.
-    fn post_registered<F: AsRef<[u8]>>(
-        &self,
-        retry: &RetryState,
-        dst: usize,
-        nic: usize,
-        reg: &Registered<F>,
-    ) -> Result<(), UnrError> {
-        retry.arm(self.ctrl.now(), &[(dst, reg.seq)]);
-        if reg.first {
-            self.fabric.ring_ctrl();
-        }
-        let nth = self.sends.fetch_add(1, Ordering::Relaxed) + 1;
-        let dropped = self
-            .faults
-            .drop_every
-            .is_some_and(|n| n > 0 && nth.is_multiple_of(n));
-        if dropped {
-            self.fabric.met.drops_injected.inc();
-            return Ok(());
-        }
-        self.send_ctrl(dst, nic, reg.frame.as_ref())
-    }
-
-    /// Stamp `frame` with this engine's epoch and send it to `dst`.
-    fn send_ctrl(&self, dst: usize, nic: usize, frame: &[u8]) -> Result<(), UnrError> {
-        self.fabric
-            .send_ctrl(dst, nic, &ctrl::stamp(self.ctrl.epoch, frame))
-            .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))
-    }
-
-    /// Append one eligible small put to its destination's aggregate
-    /// ring; the frame, the retry entry (when reliable) and the local
-    /// completion are all deferred to the flush.
-    fn put_agg(
-        &self,
-        region: &Arc<NetRegion>,
-        local: &Blk,
-        remote: &Blk,
-        local_sig: SigKey,
-        remote_sig: SigKey,
-    ) -> Result<(), UnrError> {
-        let data = region.snapshot(local.offset, local.len);
-        let trigger = {
-            let mut c = self.agg.as_ref().expect("agg enabled").lock();
-            c.push(
-                remote.rank,
-                remote.region_id,
-                remote.offset as u64,
-                &data,
-                (remote_sig.raw(), -1),
-                (local_sig.raw(), -1),
-            )
-        };
-        if let Some(am) = &self.amet {
-            am.puts_coalesced.inc();
-            am.bytes_packed.add(data.len() as u64);
-        }
-        if let Some(why) = trigger {
-            self.agg_flush_dst(remote.rank, why)?;
-        }
-        Ok(())
-    }
-
-    /// Flush one destination's aggregate ring, if non-empty.
-    fn agg_flush_dst(&self, dst: usize, why: FlushWhy) -> Result<(), UnrError> {
-        let Some(aggm) = &self.agg else { return Ok(()) };
-        let fl = aggm.lock().drain(dst);
-        match fl {
-            Some(fl) => self.send_aggregate(dst, fl, why),
-            None => Ok(()),
-        }
-    }
-
-    /// Flush every pending aggregate ring (blocking waits, drains,
-    /// explicit flushes, finalize).
-    fn agg_flush_all(&self, why: FlushWhy) -> Result<(), UnrError> {
-        let Some(aggm) = &self.agg else { return Ok(()) };
-        let flushes: Vec<(usize, AggFlush)> = {
-            let mut c = aggm.lock();
-            let dirty = c.take_dirty();
-            dirty
-                .into_iter()
-                .filter_map(|d| c.drain(d).map(|f| (d, f)))
-                .collect()
-        };
-        for (dst, fl) in flushes {
-            self.send_aggregate(dst, fl, why)?;
-        }
-        Ok(())
-    }
-
-    /// Flush all pending small-message aggregates now. Aggregated puts
-    /// are otherwise delivered when a ring crosses its threshold, when
-    /// this rank enters `sig_wait` or `drain_pending`, and at finalize —
-    /// a peer polling `Signal::test` without ever blocking observes
-    /// them only after one of those.
-    pub fn flush(&self) -> Result<(), UnrError> {
-        self.agg_flush_all(FlushWhy::Explicit)
-    }
-
-    /// Serialize one drained aggregate ring into a `MSG_AGG` control
-    /// frame and send it: one frame (and, when reliable, one retry
-    /// entry) for the whole aggregate.
-    fn send_aggregate(&self, dst: usize, fl: AggFlush, why: FlushWhy) -> Result<(), UnrError> {
-        if let Some(am) = &self.amet {
-            am.count_flush(why);
-            am.addends_summed.add(fl.sigs.len() as u64);
-        }
-        let nic = self.pick_nic(0);
-        match &self.ctrl.retry {
-            // Registered before it is sent: the sweep resends the
-            // stored frame verbatim, so one entry covers every put
-            // packed inside the aggregate.
-            Some(retry) => {
-                let reg = retry.register_agg(dst, nic, &fl.spans, &fl.sigs, &fl.payload);
-                self.post_registered(retry, dst, nic, &reg)?;
-            }
-            None => {
-                let msg = wire::agg_msg(0, false, &fl.spans, &fl.sigs, &fl.payload);
-                self.send_ctrl(dst, nic, &msg)?;
-            }
-        }
-        // The deferred local (source-completion) addends: buffered-send
-        // semantics, applied once the aggregate is posted.
-        for (key, addend) in fl.local_sigs {
-            self.table.apply_counted(key, addend);
-        }
-        self.fabric.ring_bell();
-        Ok(())
+        Epoch::new(self.ctrl().epoch)
     }
 
     /// Block until `sig` triggers. Errors: overflow, a latched reliable
@@ -794,9 +321,9 @@ impl NetUnr {
         loop {
             // Sampled before the predicate, so a frame applied between
             // `sig.test()` and the sleep is not slept through.
-            let seen = self.fabric.event_epoch();
+            let seen = self.fabric().event_epoch();
             if sig.overflowed() {
-                self.table
+                self.table()
                     .stats
                     .overflow_errors
                     .fetch_add(1, Ordering::Relaxed);
@@ -807,7 +334,7 @@ impl NetUnr {
             if sig.test() {
                 return Ok(());
             }
-            self.check_peer_up()?;
+            self.transport_up()?;
             let waited = start.elapsed();
             if waited >= self.wait_timeout {
                 return Err(UnrError::Timeout {
@@ -826,15 +353,15 @@ impl NetUnr {
     /// is the safety poll: what moves a predicate either arrives on a
     /// socket polled here or rings the event bell.
     fn wait_progress(&self, seen: u64) {
-        let reads = self.fabric.wait_progress(seen, Duration::from_millis(1));
+        let reads = self.fabric().wait_progress(seen, Duration::from_millis(1));
         if reads.queued > 0 {
-            self.ctrl.drain();
+            self.ctrl().drain();
         }
     }
 
     /// Number of unacked reliable sub-messages currently buffered.
     pub fn pending_len(&self) -> usize {
-        self.ctrl.retry.as_ref().map_or(0, |r| r.in_flight())
+        self.retries_in_flight()
     }
 
     /// Wait until every reliable sub-message has been acked (true) or
@@ -847,11 +374,11 @@ impl NetUnr {
         }
         let start = Instant::now();
         loop {
-            let seen = self.fabric.event_epoch();
+            let seen = self.fabric().event_epoch();
             if self.pending_len() == 0 {
                 return true;
             }
-            if self.ctrl.retry.as_ref().is_some_and(|r| r.failed()) {
+            if self.transport_up().is_err() {
                 return false;
             }
             if start.elapsed() >= timeout {
@@ -868,11 +395,11 @@ impl NetUnr {
         // (a latched-down channel cannot deliver it anyway).
         let _ = self.agg_flush_all(FlushWhy::Explicit);
         self.stop.store(true, Ordering::Relaxed);
-        self.fabric.ring_ctrl();
+        self.fabric().ring_ctrl();
         if let Some(h) = self.progress.lock().take() {
             let _ = h.join();
         }
-        self.fabric.shutdown();
+        self.fabric().shutdown();
     }
 }
 
@@ -882,30 +409,18 @@ impl Drop for NetUnr {
     }
 }
 
-fn encode_sig(key: SigKey, addend: i64) -> Result<u128, UnrError> {
-    if key.raw() == 0 {
-        return Ok(0);
-    }
-    Encoding::Full128
-        .encode(Notif {
-            key: key.raw(),
-            addend,
-        })
-        .map_err(UnrError::Encode)
-}
-
 /// The control path of one engine: what its receive side and its
 /// retransmit sweep need, shared by the rank thread (inside a wait) and
 /// the progress thread.
-struct CtrlPath {
-    fabric: Arc<NetFabric>,
-    table: Arc<SignalTable>,
+pub(crate) struct CtrlPath {
+    pub(crate) fabric: Arc<NetFabric>,
+    pub(crate) table: Arc<SignalTable>,
     /// Ack/replay state — `Some` iff the reliable transport is active.
-    retry: Option<RetryState>,
+    pub(crate) retry: Option<Arc<RetryState>>,
     /// Membership epoch of the world incarnation this engine drives —
     /// fixed for the engine's lifetime (netfab rebuilds the engine per
     /// epoch). 0: no rank has ever died; control frames ride bare.
-    epoch: u64,
+    pub(crate) epoch: u64,
     /// Engine start: the retry table's clock counts from here.
     t0: Instant,
     /// `unr.hw.ctrl_msgs`, under [`ProgressMode::Hardware`].
@@ -914,7 +429,7 @@ struct CtrlPath {
 
 impl CtrlPath {
     /// The retry table's time: wall-clock nanoseconds since `t0`.
-    fn now(&self) -> Ns {
+    pub(crate) fn now(&self) -> Ns {
         self.t0.elapsed().as_nanos() as Ns
     }
 
@@ -931,7 +446,7 @@ impl CtrlPath {
         let mut drained = 0u64;
         while let Some((src, bytes)) = self.fabric.pop_ctrl() {
             match ctrl::admit(&bytes, || self.epoch) {
-                Some(frame) => ctrl::handle_ctrl(self.retry.as_ref(), src, frame, &mut sink),
+                Some(frame) => ctrl::handle_ctrl(self.retry.as_deref(), src, frame, &mut sink),
                 None => self.fabric.obs.metrics.counter("unr.epoch.stale_rejects").inc(),
             }
             drained += 1;
@@ -1010,8 +525,12 @@ impl CtrlSink for &CtrlPath {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame;
+    use std::io::Write;
     use std::net::TcpListener;
-    use unr_core::wire::CtrlMsg;
+    use unr_core::wire::{self, CtrlMsg};
+    use unr_core::{Blk, PeerFailedCause, Route};
+    use unr_simnet::{Bytes, RKey};
 
     /// A one-rank fabric (no peers, so no sockets beyond the reactors'
     /// wake channels) with a 64-byte region.
@@ -1035,6 +554,92 @@ mod tests {
         NetUnr::init(world, cfg, NetFaults::default()).unwrap()
     }
 
+    /// Stop the progress thread, leaving the test the only reader of
+    /// the control queue (the fabric stays up until `finalize`).
+    fn stop_progress(unr: &NetUnr) {
+        unr.stop.store(true, Ordering::Relaxed);
+        unr.fabric().ring_ctrl();
+        unr.progress.lock().take().unwrap().join().unwrap();
+    }
+
+    /// Once the reliable transport has latched a peer down, new work is
+    /// refused whichever way it moves bytes.
+    #[test]
+    fn a_get_after_the_transport_latched_down_is_refused_like_a_put() {
+        let (fabric, region) = fixture();
+        let unr = engine(fabric);
+        // Nobody acks: the one entry runs out of retransmissions.
+        stop_progress(&unr);
+        let retry = unr.ctrl().retry.as_ref().unwrap();
+        let dst = RKey {
+            rank: 0,
+            id: region,
+            len: 64,
+        };
+        let reg = retry.register_data(Route::Dgram, Bytes::from(vec![1; 4]), dst, 0, 0, 0, 0);
+        retry.arm(0, &[(0, reg.seq)]);
+        for attempt in 1..=u64::from(retry.policy.max_retries) + 1 {
+            retry.sweep(attempt * (retry.policy.max_backoff + 1));
+        }
+        assert!(retry.failed());
+
+        let mem = unr.mem_reg(8);
+        let local = mem.blk(0, 8, None);
+        let remote = Blk {
+            region_id: region,
+            region_len: 64,
+            ..local
+        };
+        for refused in [unr.put(&local, &remote), unr.get(&local, &remote)] {
+            let Err(UnrError::PeerFailed { rank, cause, .. }) = refused else {
+                panic!("posted on a latched-down transport: {refused:?}");
+            };
+            assert_eq!(rank, 0);
+            assert!(matches!(cause, PeerFailedCause::RetryExhausted { .. }));
+        }
+        assert_eq!(unr.met().tx_frames.get(), 0);
+        unr.finalize();
+    }
+
+    /// The real-socket face of `unr_core::post`'s rule: a reliable put
+    /// or aggregate whose first write fails — here onto a stream that a
+    /// frame error has latched down — returns the error and leaves
+    /// nothing behind for the progress thread to retransmit.
+    #[test]
+    fn a_first_post_onto_a_dead_stream_leaves_nothing_pending() {
+        let listen = || TcpListener::bind("127.0.0.1:0").unwrap();
+        let (l0, l1) = (listen(), listen());
+        let port = |l: &TcpListener| l.local_addr().unwrap().port();
+        let ports = [vec![port(&l0)], vec![port(&l1)]];
+        let fabric = NetFabric::connect(0, 2, 1, &ports, vec![l0]).unwrap();
+        // "Rank 1" is a raw socket that answers HELLO with a length
+        // prefix no frame can have.
+        let (mut peer, _) = l1.accept().unwrap();
+        assert_eq!(frame::read_frame(&mut peer).unwrap().kind, frame::FRAME_HELLO);
+        peer.write_all(&[0xff; 8]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while fabric.met.streams_down.get() == 0 {
+            assert!(Instant::now() < deadline, "the stream never latched down");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let unr = engine(fabric);
+        let mem = unr.mem_reg(64);
+        for len in [8, 4] {
+            // 8 bytes go out at once, 4 are coalesced until the flush.
+            let local = mem.blk(0, len, None);
+            let sent = unr.put(&local, &Blk { rank: 1, ..local }).and_then(|()| unr.flush());
+            let Err(UnrError::PeerFailed { rank: 1, cause, .. }) = sent else {
+                panic!("{len} bytes onto a dead stream: {sent:?}");
+            };
+            assert_eq!(cause, PeerFailedCause::Killed);
+            assert_eq!(unr.pending_len(), 0, "{len} bytes left an entry behind");
+        }
+        assert!(unr.drain_pending(Duration::from_millis(50)));
+        assert_eq!(unr.met().retransmits.get(), 0);
+        unr.finalize();
+    }
+
     /// A panic on some other thread while it held transport state must
     /// not turn every later wait, post and control message into a
     /// second panic: the data under those locks is valid at every step.
@@ -1046,11 +651,12 @@ mod tests {
             assert!(std::thread::scope(|s| s.spawn(f).join()).is_err());
         }
         // A send-side shard, a dedup window and the failure detail of
-        // the shared retry table; then the engine's own two locks.
-        dies(|| unr.ctrl.retry.as_ref().unwrap().poison_for_tests());
+        // the shared retry table; then this front-end's own lock (the
+        // coalescer's is `unr_core::post`'s to test).
+        dies(|| unr.ctrl().retry.as_ref().unwrap().poison_for_tests());
         dies(|| {
-            let _held = (unr.agg.as_ref().unwrap().lock(), unr.progress.lock());
-            panic!("poisoning the engine's locks on purpose");
+            let _held = unr.progress.lock();
+            panic!("poisoning the engine's lock on purpose");
         });
 
         // A wait whose signal fires only later goes round its loop, and
@@ -1059,12 +665,12 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| {
                 std::thread::sleep(Duration::from_millis(5));
-                unr.table.apply_counted(sig.key().raw(), -1);
-                unr.fabric.ring_bell();
+                unr.table().apply_counted(sig.key().raw(), -1);
+                unr.fabric().ring_bell();
             });
             assert!(unr.sig_wait(&sig).is_ok());
         });
-        assert!(unr.check_peer_up().is_ok());
+        assert!(unr.transport_up().is_ok());
         assert!(unr.drain_pending(Duration::from_millis(10)));
         // Rank threads handle control messages too: a reliable put to
         // this rank itself goes past the coalescer, through the
@@ -1081,7 +687,7 @@ mod tests {
         unr.put(&mem.blk(0, 8, None), &remote).unwrap();
         assert!(unr.sig_wait(&landed).is_ok());
         assert!(unr.drain_pending(Duration::from_secs(10)), "the ack never came");
-        assert_eq!(unr.fabric.region(region).unwrap().snapshot(0, 8), [5; 8]);
+        assert_eq!(unr.fabric().region(region).unwrap().snapshot(0, 8), [5; 8]);
         assert_eq!(unr.agg_backlog(0), (0, 0));
         unr.finalize();
     }
@@ -1096,14 +702,10 @@ mod tests {
         let unr = engine(Arc::clone(&fabric));
         let sig = unr.sig_init(2);
         let key = sig.key().raw();
-        // Stop the progress thread: this test is the only reader of the
-        // control queue (the fabric stays up until `finalize`).
-        unr.stop.store(true, Ordering::Relaxed);
-        fabric.ring_ctrl();
-        unr.progress.lock().take().unwrap().join().unwrap();
+        stop_progress(&unr);
         let ctrl = |msg: Vec<u8>| {
-            let mut sink = &*unr.ctrl;
-            ctrl::handle_ctrl(unr.ctrl.retry.as_ref(), 0, &msg, &mut sink)
+            let mut sink = unr.ctrl();
+            ctrl::handle_ctrl(unr.ctrl().retry.as_deref(), 0, &msg, &mut sink)
         };
         let acks = || {
             let mut seqs = Vec::new();

@@ -134,8 +134,8 @@ impl TransportMetrics {
     }
 }
 
-/// A registered memory region: [`unr_simnet::MemRegion`]'s raw buffer
-/// without a simulated-fabric registration. Reactor threads (remote
+/// A registered memory region: a [`unr_simnet::MemRegion`] this fabric
+/// registered under its own `(rank, id)`. Reactor threads (remote
 /// "DMA") and application threads move bytes through it in bulk copies;
 /// see the module doc for the race contract.
 pub struct NetRegion {
@@ -143,10 +143,16 @@ pub struct NetRegion {
 }
 
 impl NetRegion {
-    fn new(len: usize) -> NetRegion {
+    fn new(rank: usize, id: u32, len: usize) -> NetRegion {
         NetRegion {
-            mem: MemRegion::detached(len),
+            mem: MemRegion::new(rank, id, len),
         }
+    }
+
+    /// The buffer and the `RKey` it is registered under — what the
+    /// engine's post path and `UnrMem` hold.
+    pub fn mem(&self) -> &MemRegion {
+        &self.mem
     }
 
     /// Region size in bytes.
@@ -180,27 +186,6 @@ impl NetRegion {
         self.mem.append_to(offset, len, out).is_ok()
     }
 
-    /// One wire frame around `len` bytes of this region, built in one
-    /// pass: length prefix, kind, `header`, then the payload copied
-    /// once, straight into the frame. `Err` if the range is out of
-    /// bounds.
-    fn frame(&self, kind: u8, header: &[u8], offset: usize, len: usize) -> io::Result<Vec<u8>> {
-        // A GET names `len` from the wire: bound it by the region
-        // before allocating for it.
-        if len > self.len() {
-            return Err(invalid_input(format!(
-                "{len} bytes of a {}-byte region",
-                self.len()
-            )));
-        }
-        let mut buf = frame::frame_prefix(kind, header.len() + len)?;
-        buf.extend_from_slice(header);
-        self.mem
-            .append_to(offset, len, &mut buf)
-            .map_err(|e| invalid_input(e.to_string()))?;
-        Ok(buf)
-    }
-
     /// Copy `len` bytes from `offset` into a fresh `Vec` (panics on
     /// out-of-bounds; callers validate first).
     pub fn snapshot(&self, offset: usize, len: usize) -> Vec<u8> {
@@ -208,6 +193,31 @@ impl NetRegion {
             .snapshot(offset, len)
             .expect("snapshot out of bounds")
     }
+}
+
+/// One wire frame around `len` bytes of `mem`, built in one pass:
+/// length prefix, kind, `header`, then the payload copied once, straight
+/// into the frame. `Err` if the range is out of bounds.
+fn region_frame(
+    mem: &MemRegion,
+    kind: u8,
+    header: &[u8],
+    offset: usize,
+    len: usize,
+) -> io::Result<Vec<u8>> {
+    // A GET names `len` from the wire: bound it by the region before
+    // allocating for it.
+    if len > mem.len() {
+        return Err(invalid_input(format!(
+            "{len} bytes of a {}-byte region",
+            mem.len()
+        )));
+    }
+    let mut buf = frame::frame_prefix(kind, header.len() + len)?;
+    buf.extend_from_slice(header);
+    mem.append_to(offset, len, &mut buf)
+        .map_err(|e| invalid_input(e.to_string()))?;
+    Ok(buf)
 }
 
 /// The event bell: an atomic epoch for sleepers that sleep in `poll(2)`
@@ -566,7 +576,7 @@ impl NetFabric {
     pub fn register(&self, len: usize) -> (u32, Arc<NetRegion>) {
         assert!(len > 0, "cannot register an empty region");
         let id = self.next_region.fetch_add(1, Ordering::Relaxed);
-        let region = Arc::new(NetRegion::new(len));
+        let region = Arc::new(NetRegion::new(self.rank, id, len));
         self.shared
             .regions
             .lock()
@@ -663,13 +673,13 @@ impl NetFabric {
         region: u32,
         offset: u64,
         custom: u128,
-        src: &NetRegion,
+        src: &MemRegion,
         src_offset: usize,
         len: usize,
     ) -> io::Result<()> {
         self.met.tx_bytes.add(len as u64);
         let header = frame::put_header(region, offset, custom);
-        let buf = src.frame(frame::FRAME_PUT, &header, src_offset, len)?;
+        let buf = region_frame(src, frame::FRAME_PUT, &header, src_offset, len)?;
         if dst == self.rank {
             self.deposit_local(region, offset, &buf[buf.len() - len..])?;
             self.deliver_custom(custom);
@@ -908,7 +918,7 @@ impl FabricDispatch {
         let len = usize::try_from(g.len).ok()?;
         let header = frame::get_rep_header(g.reply_region, g.reply_offset, g.custom_local);
         let src = self.shared.region(g.region)?;
-        src.frame(frame::FRAME_GET_REP, &header, off, len).ok()
+        region_frame(&src.mem, frame::FRAME_GET_REP, &header, off, len).ok()
     }
 }
 
@@ -1004,7 +1014,7 @@ mod tests {
 
     #[test]
     fn region_rejects_ranges_past_the_end_and_overflowing_ones() {
-        let r = NetRegion::new(64);
+        let r = NetRegion::new(0, 1, 64);
         let mut out = [0u8; 8];
         let mut frame = vec![7u8];
         // `end == len` is the last range in bounds ...
@@ -1029,7 +1039,7 @@ mod tests {
     fn region_round_trips_every_offset_and_length() {
         const N: usize = 257;
         let pattern = seeded_bytes(14, N);
-        let r = NetRegion::new(N);
+        let r = NetRegion::new(0, 1, N);
         let mut out = vec![0u8; N];
         let mut frame = Vec::new();
         for off in 0..=N {
@@ -1060,7 +1070,7 @@ mod tests {
     #[test]
     fn region_takes_concurrent_writers_on_disjoint_halves() {
         const HALF: usize = 1 << 20;
-        let r = NetRegion::new(2 * HALF);
+        let r = NetRegion::new(0, 1, 2 * HALF);
         let halves = [seeded_bytes(1, HALF), seeded_bytes(2, HALF)];
         let gate = Barrier::new(2);
         std::thread::scope(|s| {
@@ -1160,7 +1170,7 @@ mod tests {
     fn dispatcher() -> (FabricDispatch, Arc<NetRegion>, Arc<CountingSink>) {
         let reactor_met = ReactorMetrics::register(&Obs::new());
         let shared = Arc::new(Shared::new(2, 1, reactor_met).unwrap());
-        let region = Arc::new(NetRegion::new(64));
+        let region = Arc::new(NetRegion::new(0, 1, 64));
         shared
             .regions
             .lock()

@@ -23,11 +23,13 @@
 //!   the atomic-add sink, `unr.transport.*` metrics;
 //! * [`launch`] — [`spawn_world`] / [`NetWorld`]: multi-process
 //!   bootstrap (rank/port rendezvous) and out-of-band collectives;
-//! * [`engine`] — [`NetUnr`]: puts/gets with striping, MMAS signals
-//!   from the shared lock-free [`SignalTable`](unr_core::SignalTable),
-//!   and the ack/replay reliable transport of `unr-core` itself: its
+//! * [`transport`] — [`NetTransport`]: `unr_core::Transport` over the
+//!   mesh, i.e. the leaf operations under `unr-core`'s one post path;
+//! * [`engine`] — [`NetUnr`]: that shared engine (`Unr<NetTransport>`,
+//!   reached through `Deref`) plus what is still this fabric's own —
+//!   bring-up, the wait loop, the progress thread — over `unr-core`'s
 //!   [`RetryState`](unr_core::RetryState) table and its
-//!   [`handle_ctrl`](unr_core::handle_ctrl) receive side, over sockets.
+//!   [`handle_ctrl`](unr_core::handle_ctrl) receive side.
 //!
 //! ## Quick start
 //!
@@ -60,17 +62,21 @@
 
 #![deny(missing_docs)]
 
+#[cfg(test)]
+mod differential;
 pub mod engine;
 pub mod fabric;
 pub mod frame;
 pub mod launch;
 pub mod reactor;
 pub mod storm;
+pub mod transport;
 
-pub use engine::{NetFaults, NetMem, NetUnr};
+pub use engine::{NetMem, NetUnr};
 pub use fabric::{NetAddSink, NetFabric, NetRegion, TransportMetrics};
 pub use launch::{
     spawn_world, spawn_world_with_recovery, Gathered, NetWorld, RespawnSpec, WorldResult,
 };
 pub use reactor::{process_thread_count, FrameQueue, ReactorMetrics, DEFAULT_REACTORS};
 pub use storm::{run_storm, StormOpts, StormOutcome};
+pub use transport::{NetFaults, NetTransport};

@@ -38,7 +38,8 @@ use std::time::{Duration, Instant};
 
 use unr_core::{Backend, Reliability, UnrConfig};
 
-use crate::engine::{NetFaults, NetUnr};
+use crate::engine::NetUnr;
+use crate::transport::NetFaults;
 use crate::launch::{Gathered, NetWorld};
 
 /// Storm parameters.

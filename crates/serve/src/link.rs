@@ -135,8 +135,7 @@ impl RmaLink for SimLink {
         self.unr.sig_wait(sig)
     }
     fn flush(&self) -> Result<(), UnrError> {
-        self.unr.flush();
-        Ok(())
+        self.unr.flush()
     }
     fn progress(&self) {
         self.unr.progress();
@@ -200,11 +199,7 @@ impl RmaLink for NetLink {
         self.mem.read_bytes(offset, out);
     }
     fn local_blk(&self, offset: usize, len: usize, sig_key: SigKey) -> Blk {
-        // NetMem::blk binds signals by reference; the service works in
-        // raw keys, so stamp the field directly (Blk is plain data).
-        let mut b = self.mem.blk(offset, len, None);
-        b.sig_key = sig_key;
-        b
+        self.mem.blk(offset, len, sig_key)
     }
     fn sig_init(&self, num_event: i64) -> Signal {
         self.unr.sig_init(num_event)

@@ -25,7 +25,7 @@
 //!
 //! Both fabrics share this one buffer type: the simulated fabric
 //! registers regions with an [`RKey`]; the TCP fabric (`unr-netfab`)
-//! wraps a [`MemRegion::detached`] one per `NetRegion`.
+//! builds its own under the [`RKey`] it names each one by.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::sync::Arc;
@@ -153,17 +153,14 @@ pub struct RKey {
 }
 
 impl MemRegion {
-    pub(crate) fn new(rank: usize, id: u32, len: usize) -> Self {
+    /// A zeroed `len`-byte region that rank `rank` registers as `id`.
+    /// The simulated fabric calls this from `Endpoint::register`; a
+    /// fabric that keeps its own region table calls it directly.
+    pub fn new(rank: usize, id: u32, len: usize) -> Self {
         MemRegion {
             buf: Arc::new(RegionBuf::new(len)),
             rkey: RKey { rank, id, len },
         }
-    }
-
-    /// A zeroed region registered with no simulated fabric (rank 0,
-    /// id 0): the buffer alone, for a fabric that names regions itself.
-    pub fn detached(len: usize) -> Self {
-        MemRegion::new(0, 0, len)
     }
 
     /// Region length in bytes.
@@ -388,7 +385,7 @@ mod tests {
 
     #[test]
     fn append_to_extends_without_touching_the_prefix() {
-        let r = MemRegion::detached(32);
+        let r = MemRegion::new(0, 0, 32);
         let data: Vec<u8> = (0..32).collect();
         r.write_bytes(0, &data).unwrap();
         let mut out = vec![0xaa, 0xbb];

@@ -154,6 +154,11 @@ pub struct UnrMem {
 }
 
 impl UnrMem {
+    /// Wrap a region a fabric has registered under its [`RKey`].
+    pub fn new(region: MemRegion) -> UnrMem {
+        UnrMem { region }
+    }
+
     /// The underlying registered fabric memory region.
     pub fn region(&self) -> &MemRegion {
         &self.region
@@ -170,10 +175,10 @@ impl UnrMem {
         false
     }
 
-    /// Describe a block of this region with an optional bound signal.
-    /// (The free function form of `UNR_Blk_Init`; `Unr::blk_init` is the
-    /// usual entry point.)
-    pub fn blk(&self, offset: usize, len: usize, sig_key: SigKey) -> Blk {
+    /// Describe a block of this region with an optional bound signal —
+    /// a [`SigKey`], or an `Option<&Signal>`. (The free function form
+    /// of `UNR_Blk_Init`; `Unr::blk_init` is the usual entry point.)
+    pub fn blk(&self, offset: usize, len: usize, sig: impl Into<SigKey>) -> Blk {
         assert!(
             offset + len <= self.region.len(),
             "block [{offset}, {}) exceeds region of {} bytes",
@@ -186,7 +191,7 @@ impl UnrMem {
             region_len: self.region.rkey.len,
             offset,
             len,
-            sig_key,
+            sig_key: sig.into(),
         }
     }
 

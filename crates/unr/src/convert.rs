@@ -19,7 +19,7 @@
 use unr_minimpi::Comm;
 
 use crate::blk::{Blk, UnrMem, BLK_WIRE_LEN};
-use crate::engine::Unr;
+use crate::post::Unr;
 use crate::plan::RmaPlan;
 use crate::signal::Signal;
 

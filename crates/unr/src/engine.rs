@@ -7,20 +7,21 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use unr_simnet::{
-    ActorId, AtomicAddSink, Bandwidth, Completion, CompletionKind, CompletionQueue,
-    Endpoint, FabricError, GetOp, MemRegion, NicSel, Ns, Port, PutOp, Sched,
+    ActorId, AtomicAddSink, Completion, CompletionKind, CompletionQueue, Endpoint, FabricError,
+    GetOp, MemRegion, NicSel, Ns, Port, PutOp, Sched,
 };
 
-use crate::agg::{AggFlush, AggMetrics, Coalescer, FlushWhy};
-use crate::blk::{Blk, MemCheckpoint, UnrMem};
+use crate::agg::FlushWhy;
+use crate::blk::{MemCheckpoint, UnrMem};
 use crate::ctrl::{self, CtrlEvent, CtrlSink};
 use crate::epoch::{Epoch, EpochMetrics, MembershipView, PeerFailedCause, RecoveryPolicy};
-use crate::channel::{Channel, ChannelSelect, DirEncodings, Mechanism};
-use crate::level::{EncodeError, Encoding, Notif, SupportLevel};
+use crate::channel::{Channel, ChannelSelect, Mechanism};
+use crate::level::{EncodeError, Encoding};
+use crate::post::{Unr, UnrCore};
 use crate::retry::{Reliability, Resend, RetryPolicy, RetryState, Route};
-use crate::signal::{striped_addends, SigKey, Signal, SignalError, SignalTable};
-use crate::transport::{Backend, SubPut, Transport};
-use crate::wire::{self, CtrlMsg};
+use crate::signal::{Signal, SignalError, SignalTable};
+use crate::transport::{Backend, RmaOp, SeqPost, Transport};
+use crate::wire::CtrlMsg;
 
 /// Fabric port carrying UNR control traffic (fallback data, level-0
 /// companion messages, fallback GET requests, and the self-healing
@@ -552,28 +553,28 @@ pub struct UnrStats {
 /// adds the per-channel/per-level/striping/error series the paper's
 /// evaluation (§V) plots.
 pub(crate) struct UnrMetrics {
-    puts: Arc<unr_obs::Counter>,
-    gets: Arc<unr_obs::Counter>,
-    sub_messages: Arc<unr_obs::Counter>,
-    bytes_put: Arc<unr_obs::Counter>,
-    fallback_msgs: Arc<unr_obs::Counter>,
-    events_progressed: Arc<unr_obs::Counter>,
+    pub(crate) puts: Arc<unr_obs::Counter>,
+    pub(crate) gets: Arc<unr_obs::Counter>,
+    pub(crate) sub_messages: Arc<unr_obs::Counter>,
+    pub(crate) bytes_put: Arc<unr_obs::Counter>,
+    pub(crate) fallback_msgs: Arc<unr_obs::Counter>,
+    pub(crate) events_progressed: Arc<unr_obs::Counter>,
     /// Notifications applied to MMAS counters (signal adds).
-    sig_adds: Arc<unr_obs::Counter>,
+    pub(crate) sig_adds: Arc<unr_obs::Counter>,
     /// `UNR_Sig_Reset` calls that raced pending events (§IV-D).
-    sig_reset_errors: Arc<unr_obs::Counter>,
+    pub(crate) sig_reset_errors: Arc<unr_obs::Counter>,
     /// Waits that surfaced an overflow-detect-bit trip.
-    overflow_trips: Arc<unr_obs::Counter>,
+    pub(crate) overflow_trips: Arc<unr_obs::Counter>,
     /// Messages on this rank's selected channel (`unr.channel.<name>.msgs`).
-    channel_msgs: Arc<unr_obs::Counter>,
+    pub(crate) channel_msgs: Arc<unr_obs::Counter>,
     /// Messages at this channel's support level (`unr.level.<n>.msgs`).
-    level_msgs: Arc<unr_obs::Counter>,
+    pub(crate) level_msgs: Arc<unr_obs::Counter>,
     /// Sub-message fan-out `k` of each RMA put (1 = unstriped).
-    stripe_fanout: Arc<unr_obs::Histogram>,
+    pub(crate) stripe_fanout: Arc<unr_obs::Histogram>,
     /// Events + control messages drained per progress pass.
-    progress_batch: Arc<unr_obs::Histogram>,
+    pub(crate) progress_batch: Arc<unr_obs::Histogram>,
     /// Hot-path mutex acquisitions that found the lock held.
-    lock_contended: Arc<unr_obs::Counter>,
+    pub(crate) lock_contended: Arc<unr_obs::Counter>,
     /// Operations replayed through `UNR_Plan_Start`.
     pub(crate) plan_ops: Arc<unr_obs::Counter>,
     /// `UNR_Plan_Start` invocations (plan replays).
@@ -581,7 +582,7 @@ pub(crate) struct UnrMetrics {
 }
 
 impl UnrMetrics {
-    fn new(obs: &unr_obs::Obs, channel: &Channel) -> UnrMetrics {
+    pub(crate) fn new(obs: &unr_obs::Obs, channel: &Channel) -> UnrMetrics {
         let m = &obs.metrics;
         UnrMetrics {
             puts: m.counter("unr.puts"),
@@ -735,34 +736,19 @@ impl Drop for RegionMap {
     }
 }
 
-/// State shared between the application rank and the polling agent.
-pub(crate) struct UnrCore {
-    pub channel: Channel,
-    pub table: Arc<SignalTable>,
+/// The simulated rank under the seam: what only a simnet engine has,
+/// shared between the application rank's [`SimTransport`] and the
+/// polling agent.
+pub(crate) struct SimState {
+    /// The engine state above the seam.
+    pub core: Arc<UnrCore>,
     pub cq: Arc<CompletionQueue>,
     pub port: Arc<Port>,
     pub regions: RegionMap,
-    pub stats: UnrStats,
-    pub cfg: UnrConfig,
-    pub copy_bw: Bandwidth,
-    pub met: UnrMetrics,
-    /// Ack/replay state — `Some` iff reliability is active.
-    pub retry: Option<Arc<RetryState>>,
     pub rmet: Option<RetryMetrics>,
     /// `unr.hw.*` instruments — `Some` iff the selected channel is
     /// hardware-capable (level 4 with `hardware_atomic_add`).
     pub hwmet: Option<HwMetrics>,
-    /// Small-message coalescer — `Some` iff `cfg.agg_eager_max > 0`.
-    /// Only the application rank touches it (the polling agent never
-    /// flushes rings), so the mutex is uncontended.
-    pub agg: Option<Mutex<Coalescer>>,
-    pub amet: Option<AggMetrics>,
-    /// Virtual copy time owed by buffered-but-unflushed aggregated
-    /// puts. A per-put `ep.advance` is a global scheduler op — the
-    /// dominant wall cost of a sub-MTU put — so the pack loop only
-    /// accumulates here and the flush advances the clock once for the
-    /// whole aggregate.
-    pub agg_vcost: AtomicU64,
     /// Reusable completion-drain buffer: progress passes run many times
     /// per virtual microsecond, and re-allocating the event Vec each
     /// pass was measurable wall-clock churn. Shared between the rank
@@ -779,7 +765,7 @@ pub(crate) struct UnrCore {
     pub last_epoch: AtomicU64,
 }
 
-impl UnrCore {
+impl SimState {
     // ---- membership / epoch fencing -------------------------------------
 
     /// One relaxed load: has rank membership ever been armed on this
@@ -842,7 +828,7 @@ impl UnrCore {
         if !self.membership_on() {
             return;
         }
-        let Some(retry) = &self.retry else { return };
+        let Some(retry) = &self.core.retry else { return };
         if self.fabric.num_dead() == 0 {
             return;
         }
@@ -880,13 +866,13 @@ impl UnrCore {
         let mut events = match self.scratch.try_lock() {
             Some(g) => g,
             None => {
-                self.met.lock_contended.inc();
+                self.core.met.lock_contended.inc();
                 self.scratch.lock()
             }
         };
         events.clear();
         self.cq.drain(usize::MAX, &mut events);
-        if let Mechanism::Rma(enc) = self.channel.mech {
+        if let Mechanism::Rma(enc) = self.core.channel.mech {
             for e in events.iter() {
                 let encoding = match e.kind {
                     CompletionKind::PutLocal => Some(enc.put_local),
@@ -896,8 +882,8 @@ impl UnrCore {
                 };
                 if let Some(encoding) = encoding {
                     let notif = encoding.decode(e.custom);
-                    self.table.apply(sched, t, notif.key, notif.addend);
-                    self.met.sig_adds.inc();
+                    self.core.table.apply(sched, t, notif.key, notif.addend);
+                    self.core.met.sig_adds.inc();
                 }
                 n += 1;
             }
@@ -905,8 +891,8 @@ impl UnrCore {
             // Level-0: local completions carry Split64 custom bits.
             for e in events.iter() {
                 let notif = Encoding::Split64.decode(e.custom);
-                self.table.apply(sched, t, notif.key, notif.addend);
-                self.met.sig_adds.inc();
+                self.core.table.apply(sched, t, notif.key, notif.addend);
+                self.core.met.sig_adds.inc();
                 n += 1;
             }
         }
@@ -922,13 +908,13 @@ impl UnrCore {
         n += cn;
         fb_bytes += c_bytes;
         fb_msgs += c_msgs;
-        self.stats.events_progressed.fetch_add(n as u64, Ordering::Relaxed);
-        self.met.events_progressed.add(n as u64);
-        self.met.progress_batch.record(n as u64);
+        self.core.stats.events_progressed.fetch_add(n as u64, Ordering::Relaxed);
+        self.core.met.events_progressed.add(n as u64);
+        self.core.met.progress_batch.record(n as u64);
         (n, fb_bytes, fb_msgs)
     }
 
-    /// The control half of [`UnrCore::progress_pass`]: drain the control
+    /// The control half of [`SimState::progress_pass`]: drain the control
     /// port, retire traffic to dead ranks and sweep retransmit
     /// deadlines — without touching the CQ. This is the whole pass of
     /// the hybrid control drainer (DESIGN.md §5g): under a hardware
@@ -958,12 +944,12 @@ impl UnrCore {
                 fb_msgs += 1;
             }
             let mut sink = SimSink {
-                core: self,
+                sim: self,
                 sched: &mut *sched,
                 t,
                 replies: &mut *replies,
             };
-            ctrl::handle_ctrl(self.retry.as_deref(), d.src, frame, &mut sink);
+            ctrl::handle_ctrl(self.core.retry.as_deref(), d.src, frame, &mut sink);
         }
         self.drain_dead(sched, t);
         self.sweep_retries(sched, t, replies);
@@ -975,7 +961,7 @@ impl UnrCore {
     /// wake waiters when the channel goes down. The actual (re)posts
     /// ride `replies` out of scheduler context.
     fn sweep_retries(&self, sched: &mut Sched, t: Ns, replies: &mut Vec<Resend>) {
-        let Some(retry) = &self.retry else { return };
+        let Some(retry) = &self.core.retry else { return };
         if !retry.is_due() {
             return;
         }
@@ -1009,7 +995,7 @@ impl UnrCore {
 /// of a progress pass — scheduler context, the pass's virtual time and
 /// the replies it will send once out of that context.
 struct SimSink<'a> {
-    core: &'a UnrCore,
+    sim: &'a SimState,
     sched: &'a mut Sched,
     t: Ns,
     replies: &'a mut Vec<Resend>,
@@ -1019,14 +1005,14 @@ impl SimSink<'_> {
     /// Count a span that could not land or be read. Registered on
     /// first use, so a fault-free snapshot does not carry the series.
     fn bad_dma(&self) {
-        self.core.fabric.obs.metrics.counter("unr.ctrl.bad_dma").inc();
+        self.sim.fabric.obs.metrics.counter("unr.ctrl.bad_dma").inc();
     }
 }
 
 impl CtrlSink for SimSink<'_> {
     fn deposit(&mut self, region: u32, offset: u64, payload: &[u8]) -> bool {
         let landed = self
-            .core
+            .sim
             .regions
             .get(region)
             .is_some_and(|r| r.write_bytes(offset as usize, payload).is_ok());
@@ -1038,7 +1024,7 @@ impl CtrlSink for SimSink<'_> {
 
     fn read(&mut self, region: u32, offset: u64, len: u64) -> Option<Vec<u8>> {
         let data = self
-            .core
+            .sim
             .regions
             .get(region)
             .and_then(|r| r.snapshot(offset as usize, len as usize).ok());
@@ -1049,8 +1035,8 @@ impl CtrlSink for SimSink<'_> {
     }
 
     fn apply(&mut self, key: u64, addend: i64) {
-        self.core.table.apply(self.sched, self.t, key, addend);
-        self.core.met.sig_adds.inc();
+        self.sim.core.table.apply(self.sched, self.t, key, addend);
+        self.sim.core.met.sig_adds.inc();
     }
 
     fn reply(&mut self, dst: usize, bytes: Vec<u8>) {
@@ -1059,9 +1045,9 @@ impl CtrlSink for SimSink<'_> {
     }
 
     fn count(&mut self, event: CtrlEvent) {
-        match (event, &self.core.rmet) {
+        match (event, &self.sim.rmet) {
             (CtrlEvent::Malformed, _) => {
-                self.core.fabric.obs.metrics.counter("unr.ctrl.malformed").inc()
+                self.sim.fabric.obs.metrics.counter("unr.ctrl.malformed").inc()
             }
             (CtrlEvent::DupSuppressed, Some(rm)) => rm.dup_suppressed.inc(),
             (CtrlEvent::Acked { first_post }, Some(rm)) => {
@@ -1085,14 +1071,210 @@ struct AgentState {
     finalize_waiter: Arc<Mutex<Option<ActorId>>>,
 }
 
-/// The UNR library context for one rank (`UNR_Init`).
-pub struct Unr {
+/// Arm one retransmit-deadline wake-up: at `d` the table is marked due
+/// and whoever waits on it — a parked progress driver, a reliable
+/// signal waiter — runs.
+fn schedule_deadline(sched: &mut Sched, retry: &Arc<RetryState>, d: Ns) {
+    let r = Arc::clone(retry);
+    sched.schedule_at(d, move |st2| {
+        r.set_due();
+        for w in r.take_waiters() {
+            st2.wake(w, d);
+        }
+    });
+}
+
+/// The simulator under the post path — [`Transport`]'s simnet
+/// implementor: the application rank's endpoint, the state it shares
+/// with its polling agent, and that agent.
+pub struct SimTransport {
     ep: Arc<Endpoint>,
-    core: Arc<UnrCore>,
+    sim: Arc<SimState>,
     progress_mode: ProgressMode,
     agent: Mutex<Option<AgentState>>,
 }
 
+impl Transport for SimTransport {
+    fn rank(&self) -> usize {
+        self.ep.rank()
+    }
+
+    fn nranks(&self) -> usize {
+        self.sim.fabric.cfg.total_ranks()
+    }
+
+    fn nics(&self) -> usize {
+        self.sim.fabric.cfg.nics_per_node
+    }
+
+    fn region(&self, id: u32) -> Option<MemRegion> {
+        self.sim.regions.get(id)
+    }
+
+    fn put(&self, op: RmaOp<'_>, companion: Option<Vec<u8>>) -> Result<(), UnrError> {
+        self.ep.put(PutOp {
+            src: op.local,
+            src_offset: op.local_offset,
+            len: op.len,
+            dst: op.remote,
+            dst_offset: op.remote_offset,
+            nic: op.nic,
+            custom_local: op.custom_local,
+            custom_remote: op.custom_remote,
+            local_cq: op.notify_local.then(|| Arc::clone(&self.sim.cq)),
+            notify_remote: op.notify_remote,
+            companion: companion.map(|c| (UNR_PORT, self.sim.stamp_ctrl(c))),
+        })?;
+        Ok(())
+    }
+
+    fn get(&self, op: RmaOp<'_>) -> Result<(), UnrError> {
+        self.ep.get(GetOp {
+            dst: op.local,
+            dst_offset: op.local_offset,
+            len: op.len,
+            src: op.remote,
+            src_offset: op.remote_offset,
+            nic: op.nic,
+            custom_local: op.custom_local,
+            custom_remote: op.custom_remote,
+            local_cq: op.notify_local.then(|| Arc::clone(&self.sim.cq)),
+            notify_remote: op.notify_remote,
+        })?;
+        Ok(())
+    }
+
+    fn sub_route(&self) -> Route {
+        Route::Rma
+    }
+
+    fn post_seq(&self, post: SeqPost<'_>) -> Result<(), UnrError> {
+        let frame = self.sim.stamp_ctrl(post.frame.into_owned());
+        match post.route {
+            Route::Rma => self.ep.put_bytes(
+                post.payload.clone(),
+                post.dst,
+                post.dst_offset,
+                post.nic,
+                Some((UNR_PORT, frame)),
+            )?,
+            Route::Dgram | Route::Agg => {
+                self.ep.send_dgram(post.dst.rank, UNR_PORT, frame, post.nic)
+            }
+        }
+        Ok(())
+    }
+
+    fn send_ctrl(&self, dst: usize, nic: NicSel, frame: Vec<u8>) -> Result<(), UnrError> {
+        self.ep
+            .send_dgram(dst, UNR_PORT, self.sim.stamp_ctrl(frame), nic);
+        Ok(())
+    }
+
+    fn charge(&self, ns: Ns) {
+        self.ep.advance(ns);
+    }
+
+    fn complete(&self, entries: &[(usize, u64)], locals: &[(u64, i64)]) {
+        if entries.is_empty() && locals.iter().all(|&(key, _)| key == 0) {
+            return;
+        }
+        let core = &self.sim.core;
+        // One scheduler entry arms the deadline wake-ups AND applies
+        // the local addends.
+        self.ep.actor().with_sched(|st, t| {
+            if let Some(retry) = &core.retry {
+                for d in retry.arm(t, entries) {
+                    schedule_deadline(st, retry, d);
+                }
+            }
+            for &(key, addend) in locals {
+                if key != 0 {
+                    core.table.apply(st, t, key, addend);
+                    core.met.sig_adds.inc();
+                }
+            }
+        });
+    }
+
+    fn peer_alive(&self, dst: usize) -> bool {
+        !self.sim.membership_on() || self.sim.fabric.rank_alive(dst)
+    }
+
+    /// A membership kill beats retry exhaustion as the cause, and then
+    /// the lowest-numbered dead rank names the peer.
+    /// `unr.recovery.peer_failures` counts every surfaced failure — but
+    /// only once the membership layer is active, so packet-fault-only
+    /// runs keep their pre-epoch metric snapshot.
+    fn peer_failed(&self, rank: usize, cause: PeerFailedCause) -> UnrError {
+        let sim = &self.sim;
+        let (rank, cause) = match cause {
+            PeerFailedCause::RetryExhausted { .. } if sim.dead_peer() => (
+                sim.fabric.first_dead_rank().unwrap_or(0),
+                PeerFailedCause::Killed,
+            ),
+            _ => (rank, cause),
+        };
+        let epoch = if sim.membership_on() {
+            sim.emet().peer_failures.inc();
+            sim.observe_epoch()
+        } else {
+            Epoch::ZERO
+        };
+        UnrError::PeerFailed { rank, epoch, cause }
+    }
+}
+
+impl SimTransport {
+    /// Shut down the polling agent (idempotent).
+    fn stop_agent(&self) {
+        let mut guard = self.agent.lock();
+        let Some(agent) = guard.as_mut() else { return };
+        let stop = Arc::clone(&agent.stop);
+        let done = Arc::clone(&agent.done);
+        let waiter = Arc::clone(&agent.finalize_waiter);
+        let agent_actor = agent.actor_id;
+        // Signal stop and wake the agent inside the scheduler.
+        self.ep.actor().with_sched(move |st, t| {
+            stop.store(true, Ordering::Relaxed);
+            st.wake(agent_actor, t);
+        });
+        // Wait (in virtual time) for the agent to acknowledge.
+        let done2 = Arc::clone(&done);
+        self.ep.actor().wait_until(
+            move |_st| done2.load(Ordering::Relaxed),
+            move |_st, me| {
+                *waiter.lock() = Some(me);
+            },
+        );
+        // The agent still needs one scheduled turn to retire its actor
+        // (`end()`); yield virtual time so it can run, then join for
+        // real. Without the yield this rank would hold the scheduler
+        // while blocking in a real join — a real-time deadlock.
+        self.ep.sleep(1);
+        if let Some(j) = agent.join.take() {
+            j.join().expect("polling agent join");
+        }
+        *guard = None;
+    }
+}
+
+impl Drop for SimTransport {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // The world runner poisons the scheduler; the agent dies on
+            // its next wake-up.
+            if let Some(agent) = self.agent.lock().as_ref() {
+                agent.stop.store(true, Ordering::Relaxed);
+            }
+            return;
+        }
+        self.stop_agent();
+    }
+}
+
+/// What only the simnet engine has: `init`, membership, registration,
+/// the `sig_wait` family and the polling agent.
 impl Unr {
     /// Initialize UNR on this rank. The channel is selected from the
     /// fabric's interface (Table II) unless forced by `cfg.channel`.
@@ -1108,14 +1290,14 @@ impl Unr {
         let table = SignalTable::with_key_capacity(cfg.n_bits, Self::key_capacity(&channel));
         let cq = ep.create_cq();
         let port = ep.open_port(UNR_PORT);
-        let met = UnrMetrics::new(&ep.fabric().obs, &channel);
+        let fabric = Arc::clone(ep.fabric());
+        let fcfg = &fabric.cfg;
         let reliable = match cfg.reliability {
             Reliability::On => true,
             Reliability::Off => false,
-            Reliability::Auto => ep.fabric().cfg.faults.enabled(),
+            Reliability::Auto => fcfg.faults.enabled(),
         };
         let retry = reliable.then(|| {
-            let fcfg = &ep.fabric().cfg;
             // Approximate wire cost per byte for deadline scaling.
             let ns_per_byte = fcfg.nic.bandwidth.transfer_time(4096) as f64 / 4096.0;
             Arc::new(RetryState::new(
@@ -1127,34 +1309,26 @@ impl Unr {
                     nics: fcfg.nics_per_node,
                     ns_per_byte,
                 },
-                fcfg.nodes * fcfg.ranks_per_node,
+                fcfg.total_ranks(),
             ))
         });
-        let rmet = reliable.then(|| RetryMetrics::new(&ep.fabric().obs));
-        let hwmet = channel.hardware.then(|| HwMetrics::new(&ep.fabric().obs));
-        let world = ep.fabric().cfg.nodes * ep.fabric().cfg.ranks_per_node;
-        let agg = (cfg.agg_eager_max > 0).then(|| {
-            Mutex::new(Coalescer::new(world, cfg.agg_flush_bytes, cfg.agg_flush_puts))
-        });
-        let amet = (cfg.agg_eager_max > 0).then(|| AggMetrics::new(&ep.fabric().obs));
-        let core = Arc::new(UnrCore {
+        let core = Arc::new(UnrCore::new(
+            cfg,
             channel,
             table,
+            retry,
+            &fabric.obs,
+            fcfg.total_ranks(),
+        ));
+        let sim = Arc::new(SimState {
+            core: Arc::clone(&core),
             cq,
             port,
             regions: RegionMap::new(),
-            stats: UnrStats::default(),
-            cfg,
-            copy_bw: Bandwidth::gibps(cfg.copy_bw_gibps),
-            met,
-            retry,
-            rmet,
-            hwmet,
-            agg,
-            amet,
-            agg_vcost: AtomicU64::new(0),
+            rmet: reliable.then(|| RetryMetrics::new(&fabric.obs)),
+            hwmet: channel.hardware.then(|| HwMetrics::new(&fabric.obs)),
             scratch: Mutex::new(Vec::new()),
-            fabric: Arc::clone(ep.fabric()),
+            fabric: Arc::clone(&fabric),
             emet: OnceLock::new(),
             last_epoch: AtomicU64::new(0),
         });
@@ -1169,23 +1343,26 @@ impl Unr {
             ProgressMode::PollingAgent { interval: 0 }
         });
         let unr = Arc::new(Unr {
-            ep,
+            tx: SimTransport {
+                ep,
+                sim,
+                progress_mode,
+                agent: Mutex::new(None),
+            },
             core,
-            progress_mode,
-            agent: Mutex::new(None),
         });
         if channel.hardware {
             // A level-4 NIC applies *p += a itself, whatever the software
             // progress mode is; without the sink every notification would
             // be silently lost (hardware channels post no CQ events).
-            let hw = unr.core.hwmet.as_ref().expect("hwmet set for hardware channels");
+            let hw = unr.tx.sim.hwmet.as_ref().expect("hwmet set for hardware channels");
             let sink = Arc::new(TableSink {
                 table: Arc::clone(&unr.core.table),
                 sig_adds: Arc::clone(&unr.core.met.sig_adds),
                 sink_applies: Arc::clone(&hw.sink_applies),
                 cq_bypass: Arc::clone(&hw.cq_bypass),
             });
-            unr.ep.set_add_sink(sink);
+            unr.tx.ep.set_add_sink(sink);
         }
         match progress_mode {
             ProgressMode::Hardware => {
@@ -1212,81 +1389,12 @@ impl Unr {
 
     /// The endpoint this context is bound to.
     pub fn ep(&self) -> &Endpoint {
-        &self.ep
-    }
-
-    /// Pre-resolved metric handles (crate-internal instrumentation).
-    pub(crate) fn met(&self) -> &UnrMetrics {
-        &self.core.met
-    }
-
-    /// This rank's id.
-    pub fn rank(&self) -> usize {
-        self.ep.rank()
-    }
-
-    /// The selected transport channel.
-    pub fn channel(&self) -> Channel {
-        self.core.channel
-    }
-
-    /// The channel's support level.
-    pub fn support_level(&self) -> SupportLevel {
-        self.core.channel.level
-    }
-
-    /// Operation statistics.
-    pub fn stats(&self) -> &UnrStats {
-        &self.core.stats
-    }
-
-    /// Signal-table statistics (sync-error counters).
-    pub fn signal_stats(&self) -> &crate::signal::SignalStats {
-        &self.core.table.stats
-    }
-
-    /// FNV-1a fingerprint of the signal table's observable state
-    /// ([`SignalTable::fingerprint`]) — the "final signal table" term
-    /// of the hardware/software equivalence oracle.
-    pub fn table_fingerprint(&self) -> u64 {
-        self.core.table.fingerprint()
-    }
-
-    /// Signal-table occupancy probe: `(live signals, materialized slot
-    /// capacity)` — [`SignalTable::occupancy`]. Two relaxed loads, no
-    /// lock, no metric update: admission controllers (`unr-serve`) call
-    /// this before every allocation to shed load *before* signal-table
-    /// pressure can surface as an allocation failure, and a software
-    /// run that merely probes keeps a byte-identical metrics snapshot.
-    pub fn signal_occupancy(&self) -> (usize, usize) {
-        self.core.table.occupancy()
-    }
-
-    /// Bytes and puts buffered in the small-message coalescer's ring
-    /// for destination `dst` ([`Coalescer::backlog`]); `(0, 0)` when
-    /// aggregation is off. Takes the (uncontended) coalescer lock — the
-    /// caller is the same application rank that fills the ring.
-    pub fn agg_backlog(&self, dst: usize) -> (usize, usize) {
-        match &self.core.agg {
-            Some(m) => m.lock().backlog(dst),
-            None => (0, 0),
-        }
+        &self.tx.ep
     }
 
     /// The active progress mode.
     pub fn progress_mode(&self) -> ProgressMode {
-        self.progress_mode
-    }
-
-    /// Whether the self-healing (ack/replay) transport is active.
-    pub fn reliable(&self) -> bool {
-        self.core.retry.is_some()
-    }
-
-    /// Unacked reliable sub-messages currently buffered for replay
-    /// (always 0 on an unreliable context).
-    pub fn retries_in_flight(&self) -> usize {
-        self.core.retry.as_ref().map_or(0, |r| r.in_flight())
+        self.tx.progress_mode
     }
 
     // ---- membership & recovery --------------------------------------------
@@ -1297,7 +1405,7 @@ impl Unr {
     /// every revive/rejoin. Observing the epoch through this accessor
     /// also settles any pending advance into `unr.epoch.bumps`.
     pub fn epoch(&self) -> Epoch {
-        self.core.observe_epoch()
+        self.tx.sim.observe_epoch()
     }
 
     /// A consistent snapshot of rank membership: epoch, liveness and
@@ -1306,28 +1414,24 @@ impl Unr {
     /// Fault-free runs get the epoch-0 all-live view without touching
     /// any membership state.
     pub fn membership_view(&self) -> MembershipView {
-        let n = self.core.fabric.cfg.total_ranks();
-        if !self.core.membership_on() {
+        let sim = &self.tx.sim;
+        let n = sim.fabric.cfg.total_ranks();
+        if !sim.membership_on() {
             return MembershipView::world(n);
         }
-        let fabric = &self.core.fabric;
+        let fabric = &sim.fabric;
         MembershipView {
-            epoch: self.core.observe_epoch(),
+            epoch: sim.observe_epoch(),
             live: (0..n).map(|r| fabric.rank_alive(r)).collect(),
             generation: (0..n).map(|r| fabric.rank_generation(r)).collect(),
         }
-    }
-
-    /// The configured [`RecoveryPolicy`].
-    pub fn recovery(&self) -> RecoveryPolicy {
-        self.core.cfg.recovery
     }
 
     /// `UNR_Checkpoint`: snapshot a registered region into an in-memory
     /// checkpoint stamped with the current membership epoch (the Besta &
     /// Hoefler in-memory-checkpoint model — see [`crate::epoch`]).
     pub fn checkpoint(&self, mem: &UnrMem) -> MemCheckpoint {
-        mem.checkpoint(self.core.observe_epoch())
+        mem.checkpoint(self.tx.sim.observe_epoch())
     }
 
     /// `UNR_Restore`: write a checkpoint back into its region. On a
@@ -1338,741 +1442,11 @@ impl Unr {
         mem.restore(ckpt);
     }
 
-    // ---- resources -------------------------------------------------------
-
     /// `UNR_Mem_Reg`: register `len` bytes for RMA.
     pub fn mem_reg(&self, len: usize) -> UnrMem {
-        let region = self.ep.register(len, &self.core.cq);
-        self.core.regions.insert(region.rkey.id, region.clone());
-        UnrMem { region }
-    }
-
-    /// `UNR_Sig_Init`: allocate a signal triggered after `num_event`
-    /// events.
-    pub fn sig_init(&self, num_event: i64) -> Signal {
-        self.core.table.alloc(num_event)
-    }
-
-    /// `UNR_Blk_Init`: describe a block of a registered region, bound to
-    /// an optional signal.
-    pub fn blk_init(&self, mem: &UnrMem, offset: usize, len: usize, sig: Option<&Signal>) -> Blk {
-        mem.blk(offset, len, sig.map(Signal::key).unwrap_or(SigKey::NULL))
-    }
-
-    // ---- data movement ----------------------------------------------------
-
-    /// `UNR_Put(local_blk, remote_blk)`: write the local block into the
-    /// remote block. Triggers the local block's signal when the source
-    /// buffer is reusable and the remote block's signal when the data
-    /// has fully arrived (aggregated across sub-messages).
-    pub fn put(&self, local: &Blk, remote: &Blk) -> Result<(), UnrError> {
-        self.put_keyed(local, remote, local.sig_key, remote.sig_key)
-    }
-
-    /// `UNR_Put` with the signals chosen at call time instead of bound
-    /// to the BLKs (paper §IV-D). The local side hands in its own
-    /// [`Signal`]; the remote side's signal — which lives on the peer —
-    /// is named by the [`SigKey`] carried in its serialized `Blk`.
-    pub fn put_with(
-        &self,
-        local: &Blk,
-        remote: &Blk,
-        local_sig: Option<&Signal>,
-        remote_sig: SigKey,
-    ) -> Result<(), UnrError> {
-        self.put_keyed(
-            local,
-            remote,
-            local_sig.map(Signal::key).unwrap_or(SigKey::NULL),
-            remote_sig,
-        )
-    }
-
-    /// `UNR_Put` with both signals given as raw [`SigKey`]s (the
-    /// key-level surface used by [`RmaPlan`](crate::RmaPlan) replay).
-    pub fn put_keyed(
-        &self,
-        local: &Blk,
-        remote: &Blk,
-        local_sig: SigKey,
-        remote_sig: SigKey,
-    ) -> Result<(), UnrError> {
-        let local_sig = local_sig.raw();
-        let remote_sig = remote_sig.raw();
-        self.check_peer_up(remote.rank)?;
-        let my_rank = self.ep.rank();
-        let region = local.check_pair(
-            remote,
-            my_rank,
-            self.core.fabric.cfg.total_ranks(),
-            self.core.regions.get(local.region_id),
-            MemRegion::len,
-        )?;
-        let len = local.len;
-        self.core.stats.puts.fetch_add(1, Ordering::Relaxed);
-        self.core
-            .stats
-            .bytes_put
-            .fetch_add(len as u64, Ordering::Relaxed);
-        self.core.met.puts.inc();
-        self.core.met.bytes_put.add(len as u64);
-        self.core.met.channel_msgs.inc();
-        self.core.met.level_msgs.inc();
-
-        if self.core.agg.is_some() {
-            if len <= self.core.cfg.agg_eager_max && remote.rank != my_rank {
-                return self.put_agg(&region, local, remote, local_sig, remote_sig, len);
-            }
-            // A non-aggregable put to this destination must not overtake
-            // puts already buffered for it: force its ring out first.
-            self.agg_flush_dst(remote.rank, FlushWhy::Order);
-        }
-
-        if let Some(retry) = &self.core.retry {
-            return self.put_reliable(&region, local, remote, local_sig, remote_sig, len, retry);
-        }
-
-        match self.core.channel.mech {
-            Mechanism::Dgram => {
-                self.core.stats.fallback_msgs.fetch_add(1, Ordering::Relaxed);
-                self.core.stats.sub_messages.fetch_add(1, Ordering::Relaxed);
-                self.core.met.fallback_msgs.inc();
-                self.core.met.sub_messages.inc();
-                self.core.met.stripe_fanout.record(1);
-                // Two-sided emulation: pack (copy), send, notify locally.
-                let data = region
-                    .snapshot(local.offset, len)
-                    .expect("local block in bounds");
-                self.ep.advance(
-                    self.core.copy_bw.transfer_time(len) + self.core.cfg.fallback_overhead,
-                );
-                let msg = wire::fallback_data_msg(
-                    remote.region_id,
-                    remote.offset as u64,
-                    remote_sig,
-                    -1,
-                    &data,
-                );
-                self.ep
-                    .send_ctrl(remote.rank, self.core.stamp_ctrl(msg), self.default_nic());
-                self.apply_local_now(local_sig, -1);
-                Ok(())
-            }
-            Mechanism::RmaCompanion => {
-                self.core.stats.sub_messages.fetch_add(1, Ordering::Relaxed);
-                self.core.met.sub_messages.inc();
-                self.core.met.stripe_fanout.record(1);
-                let custom_local =
-                    Encoding::Split64.encode(Notif {
-                        key: local_sig,
-                        addend: if local_sig == 0 { 0 } else { -1 },
-                    })?;
-                let companion = (remote_sig != 0)
-                    .then(|| (UNR_PORT, self.core.stamp_ctrl(wire::companion_msg(remote_sig, -1))));
-                self.ep.put(PutOp {
-                    src: &region,
-                    src_offset: local.offset,
-                    len,
-                    dst: remote.rkey(),
-                    dst_offset: remote.offset,
-                    nic: self.default_nic(),
-                    custom_local,
-                    custom_remote: 0,
-                    local_cq: (local_sig != 0).then(|| Arc::clone(&self.core.cq)),
-                    notify_remote: false,
-                    companion,
-                })?;
-                Ok(())
-            }
-            Mechanism::Rma(enc) => self.put_rma(
-                &region, local, remote, local_sig, remote_sig, len, enc,
-            ),
-        }
-    }
-
-    /// Native notifiable-RMA put with multi-NIC striping (MMAS).
-    #[allow(clippy::too_many_arguments)]
-    fn put_rma(
-        &self,
-        region: &MemRegion,
-        local: &Blk,
-        remote: &Blk,
-        local_sig: u64,
-        remote_sig: u64,
-        len: usize,
-        enc: DirEncodings,
-    ) -> Result<(), UnrError> {
-        let k = self.stripes_for(len, local_sig, remote_sig, &enc);
-        self.core.met.stripe_fanout.record(k as u64);
-        let n_bits = self.core.table.n_bits();
-        let local_adds = striped_addends(k, n_bits);
-        let remote_adds = local_adds.clone();
-        let chunk = len / k;
-        let rem = len % k;
-        let mut off = 0usize;
-        for i in 0..k {
-            let this = chunk + usize::from(i < rem);
-            let custom_local = enc.put_local.encode(if local_sig == 0 {
-                Notif::NULL
-            } else {
-                Notif {
-                    key: local_sig,
-                    addend: local_adds[i],
-                }
-            })?;
-            let custom_remote = enc.put_remote.encode(if remote_sig == 0 {
-                Notif::NULL
-            } else {
-                Notif {
-                    key: remote_sig,
-                    addend: remote_adds[i],
-                }
-            })?;
-            self.ep.put(PutOp {
-                src: region,
-                src_offset: local.offset + off,
-                len: this,
-                dst: remote.rkey(),
-                dst_offset: remote.offset + off,
-                nic: if k == 1 {
-                    self.default_nic()
-                } else {
-                    NicSel::Index(i % self.nics())
-                },
-                custom_local,
-                custom_remote,
-                local_cq: (local_sig != 0 && !self.core.channel.hardware)
-                    .then(|| Arc::clone(&self.core.cq)),
-                notify_remote: remote_sig != 0,
-                companion: None,
-            })?;
-            off += this;
-            self.core.stats.sub_messages.fetch_add(1, Ordering::Relaxed);
-            self.core.met.sub_messages.inc();
-        }
-        Ok(())
-    }
-
-    /// `UNR_Put` through the self-healing transport: every sub-message
-    /// carries a per-destination sequence number, is buffered until the
-    /// receiver's ack and retransmitted on timeout (NIC rotation, then
-    /// datagram fallback). Notifications ride sequenced control
-    /// messages so the receiver's dedup window keeps the MMAS addend
-    /// accounting exact under duplicates and replays; the local signal
-    /// is applied once at post time (buffered-send semantics — the
-    /// source buffer is snapshotted and immediately reusable).
-    #[allow(clippy::too_many_arguments)]
-    fn put_reliable(
-        &self,
-        region: &MemRegion,
-        local: &Blk,
-        remote: &Blk,
-        local_sig: u64,
-        remote_sig: u64,
-        len: usize,
-        retry: &Arc<RetryState>,
-    ) -> Result<(), UnrError> {
-        let dst = remote.rank;
-        let mut entries: Vec<(usize, u64)> = Vec::new();
-        match self.core.channel.mech {
-            Mechanism::Dgram => {
-                self.core.stats.fallback_msgs.fetch_add(1, Ordering::Relaxed);
-                self.core.stats.sub_messages.fetch_add(1, Ordering::Relaxed);
-                self.core.met.fallback_msgs.inc();
-                self.core.met.sub_messages.inc();
-                self.core.met.stripe_fanout.record(1);
-                let data = region
-                    .snapshot_shared(local.offset, len)
-                    .expect("local block in bounds");
-                self.ep.advance(
-                    self.core.copy_bw.transfer_time(len) + self.core.cfg.fallback_overhead,
-                );
-                let reg = retry.register_data(
-                    Route::Dgram,
-                    data,
-                    remote.rkey(),
-                    remote.offset,
-                    remote_sig,
-                    -1,
-                    retry.first_nic(self.core.cfg.pin_nic),
-                );
-                entries.push((dst, reg.seq));
-                self.ep
-                    .send_ctrl(dst, self.core.stamp_ctrl(reg.frame), self.default_nic());
-            }
-            Mechanism::RmaCompanion | Mechanism::Rma(_) => {
-                let k = self.stripes_for_reliable(len);
-                self.core.met.stripe_fanout.record(k as u64);
-                let remote_adds = striped_addends(k, self.core.table.n_bits());
-                let chunk = len / k;
-                let rem = len % k;
-                let mut off = 0usize;
-                for (i, &stripe_add) in remote_adds.iter().enumerate() {
-                    let this = chunk + usize::from(i < rem);
-                    // One shared snapshot per stripe: the retry buffer,
-                    // the wire post and any retransmission all alias it.
-                    let payload = region
-                        .snapshot_shared(local.offset + off, this)
-                        .expect("local block in bounds");
-                    let nic = if k == 1 {
-                        retry.first_nic(self.core.cfg.pin_nic)
-                    } else {
-                        i % self.nics()
-                    };
-                    // Register before posting: the polling agent sweeps
-                    // this state concurrently, and the ack must never be
-                    // able to outrun the registration it settles.
-                    let reg = retry.register_data(
-                        Route::Rma,
-                        payload.clone(), // refcount bump, not a copy
-                        remote.rkey(),
-                        remote.offset + off,
-                        remote_sig,
-                        if remote_sig == 0 { 0 } else { stripe_add },
-                        nic,
-                    );
-                    if let Err(e) = self.ep.post_put(SubPut {
-                        payload,
-                        dst: remote.rkey(),
-                        dst_offset: remote.offset + off,
-                        nic,
-                        companion: self.core.stamp_ctrl(reg.frame),
-                    }) {
-                        retry.unregister(dst, reg.seq);
-                        return Err(e.into());
-                    }
-                    entries.push((dst, reg.seq));
-                    off += this;
-                    self.core.stats.sub_messages.fetch_add(1, Ordering::Relaxed);
-                    self.core.met.sub_messages.inc();
-                }
-            }
-        }
-        // Stamp post times and arm one deadline wake-up per sub-message
-        // — without these events a lost message would leave the virtual
-        // clock with nothing to run and the world would deadlock.
-        let retry2 = Arc::clone(retry);
-        self.ep.actor().with_sched(move |st, t| {
-            for d in retry2.arm(t, &entries) {
-                let r = Arc::clone(&retry2);
-                st.schedule_at(d, move |st2| {
-                    r.set_due();
-                    for w in r.take_waiters() {
-                        st2.wake(w, d);
-                    }
-                });
-            }
-        });
-        self.apply_local_now(local_sig, -1);
-        Ok(())
-    }
-
-    /// Append one eligible small put to its destination's aggregate
-    /// ring. Per-put cost is the pack memcpy plus a few vector pushes;
-    /// the per-message fallback overhead, the retry entry and every
-    /// scheduler entry are deferred to the flush and amortized across
-    /// the whole aggregate.
-    fn put_agg(
-        &self,
-        region: &MemRegion,
-        local: &Blk,
-        remote: &Blk,
-        local_sig: u64,
-        remote_sig: u64,
-        len: usize,
-    ) -> Result<(), UnrError> {
-        let data = region
-            .snapshot(local.offset, len)
-            .expect("local block in bounds");
-        self.core
-            .agg_vcost
-            .fetch_add(self.core.copy_bw.transfer_time(len), Ordering::Relaxed);
-        let trigger = {
-            let mut c = self.core.agg.as_ref().expect("agg enabled").lock();
-            c.push(
-                remote.rank,
-                remote.region_id,
-                remote.offset as u64,
-                &data,
-                (remote_sig, -1),
-                (local_sig, -1),
-            )
-        };
-        if let Some(am) = &self.core.amet {
-            am.puts_coalesced.inc();
-            am.bytes_packed.add(len as u64);
-        }
-        if let Some(why) = trigger {
-            self.agg_flush_dst(remote.rank, why);
-        }
-        Ok(())
-    }
-
-    /// Flush one destination's aggregate ring, if non-empty.
-    fn agg_flush_dst(&self, dst: usize, why: FlushWhy) {
-        let Some(aggm) = &self.core.agg else { return };
-        let fl = {
-            let mut c = aggm.lock();
-            if !c.has_pending(dst) {
-                return;
-            }
-            c.drain(dst)
-        };
-        if let Some(fl) = fl {
-            self.send_aggregate(dst, fl, why);
-        }
-    }
-
-    /// Flush every pending aggregate ring (blocking waits, plan
-    /// boundaries, explicit flushes, finalize).
-    pub(crate) fn agg_flush_all(&self, why: FlushWhy) {
-        let Some(aggm) = &self.core.agg else { return };
-        let flushes: Vec<(usize, AggFlush)> = {
-            let mut c = aggm.lock();
-            let dirty = c.take_dirty();
-            dirty
-                .into_iter()
-                .filter_map(|d| c.drain(d).map(|f| (d, f)))
-                .collect()
-        };
-        for (dst, fl) in flushes {
-            self.send_aggregate(dst, fl, why);
-        }
-    }
-
-    /// Flush all pending small-message aggregates now. Aggregated puts
-    /// are otherwise delivered when a ring crosses its threshold, when
-    /// this rank enters any blocking wait (`sig_wait` family), at plan
-    /// boundaries, and at finalize — a peer polling [`Signal::test`]
-    /// without ever blocking observes them only after one of those.
-    pub fn flush(&self) {
-        self.agg_flush_all(FlushWhy::Explicit);
-    }
-
-    /// Serialize one drained aggregate ring into a [`wire::MSG_AGG`]
-    /// control message and send it: one fallback sub-message (and, when
-    /// reliable, one retry entry) for the whole aggregate. The local
-    /// (source-completion) addends the coalescer deferred are applied
-    /// here, sharing the flush's single scheduler entry.
-    fn send_aggregate(&self, dst: usize, fl: AggFlush, why: FlushWhy) {
-        self.core.stats.fallback_msgs.fetch_add(1, Ordering::Relaxed);
-        self.core.stats.sub_messages.fetch_add(1, Ordering::Relaxed);
-        self.core.met.fallback_msgs.inc();
-        self.core.met.sub_messages.inc();
-        if let Some(am) = &self.core.amet {
-            am.count_flush(why);
-            am.addends_summed.add(fl.sigs.len() as u64);
-        }
-        // One per-message software overhead for the whole aggregate —
-        // this amortization is the modeled speedup — plus the pack
-        // copies' accumulated virtual time, settled in one clock op.
-        let owed = self.core.agg_vcost.swap(0, Ordering::Relaxed);
-        self.ep.advance(self.core.cfg.fallback_overhead + owed);
-        match &self.core.retry {
-            None => {
-                let msg = wire::agg_msg(0, false, &fl.spans, &fl.sigs, &fl.payload);
-                self.ep
-                    .send_ctrl(dst, self.core.stamp_ctrl(msg), self.default_nic());
-                if fl.local_sigs.iter().any(|&(k, _)| k != 0) {
-                    let core = Arc::clone(&self.core);
-                    let locals = fl.local_sigs;
-                    self.ep.actor().with_sched(move |st, t| {
-                        for (k, a) in locals {
-                            if k != 0 {
-                                core.table.apply(st, t, k, a);
-                                core.met.sig_adds.inc();
-                            }
-                        }
-                    });
-                }
-            }
-            Some(retry) => {
-                // Register before sending: the polling agent sweeps this
-                // state concurrently, and the ack must never be able to
-                // outrun the registration it settles.
-                let nic = retry.first_nic(self.core.cfg.pin_nic);
-                let reg = retry.register_agg(dst, nic, &fl.spans, &fl.sigs, &fl.payload);
-                let seq = reg.seq;
-                self.ep.send_ctrl(
-                    dst,
-                    self.core.stamp_ctrl(reg.frame.to_vec()),
-                    self.default_nic(),
-                );
-                // One scheduler entry arms the deadline wake-up AND
-                // applies the deferred local addends.
-                let retry2 = Arc::clone(retry);
-                let core = Arc::clone(&self.core);
-                let locals = fl.local_sigs;
-                self.ep.actor().with_sched(move |st, t| {
-                    for d in retry2.arm(t, &[(dst, seq)]) {
-                        let r = Arc::clone(&retry2);
-                        st.schedule_at(d, move |st2| {
-                            r.set_due();
-                            for w in r.take_waiters() {
-                                st2.wake(w, d);
-                            }
-                        });
-                    }
-                    for (k, a) in locals {
-                        if k != 0 {
-                            core.table.apply(st, t, k, a);
-                            core.met.sig_adds.inc();
-                        }
-                    }
-                });
-            }
-        }
-    }
-
-    /// Build the structured error for a failed peer: a membership kill
-    /// beats retry exhaustion as the cause, and the lowest-numbered dead
-    /// rank names the peer. `unr.recovery.peer_failures` counts every
-    /// surfaced failure — but only once the membership layer is active,
-    /// so packet-fault-only runs keep their pre-epoch metric snapshot.
-    fn peer_failed_error(&self) -> UnrError {
-        let core = &self.core;
-        if core.dead_peer() {
-            core.emet().peer_failures.inc();
-            return UnrError::PeerFailed {
-                rank: core.fabric.first_dead_rank().unwrap_or(0),
-                epoch: core.observe_epoch(),
-                cause: PeerFailedCause::Killed,
-            };
-        }
-        let (rank, attempts) = core
-            .retry
-            .as_ref()
-            .and_then(|r| r.failure())
-            .unwrap_or((0, core.cfg.max_retries));
-        if core.membership_on() {
-            core.emet().peer_failures.inc();
-        }
-        UnrError::PeerFailed {
-            rank,
-            epoch: if core.membership_on() {
-                core.observe_epoch()
-            } else {
-                Epoch::ZERO
-            },
-            cause: PeerFailedCause::RetryExhausted { attempts },
-        }
-    }
-
-    /// Refuse new work once the reliable transport has declared the
-    /// channel down, or the membership layer has declared the *target*
-    /// rank dead (traffic between surviving ranks stays allowed).
-    fn check_peer_up(&self, dst: usize) -> Result<(), UnrError> {
-        if matches!(&self.core.retry, Some(r) if r.failed()) {
-            return Err(self.peer_failed_error());
-        }
-        if self.core.membership_on() && !self.core.fabric.rank_alive(dst) {
-            self.core.emet().peer_failures.inc();
-            return Err(UnrError::PeerFailed {
-                rank: dst,
-                epoch: self.core.observe_epoch(),
-                cause: PeerFailedCause::Killed,
-            });
-        }
-        Ok(())
-    }
-
-    /// `UNR_Get(local_blk, remote_blk)`: read the remote block into the
-    /// local block. The local signal triggers when the data has landed;
-    /// the remote signal (if any) triggers at the exposer when its
-    /// memory has been read — unsupported on channels without remote
-    /// GET custom bits (Verbs).
-    pub fn get(&self, local: &Blk, remote: &Blk) -> Result<(), UnrError> {
-        self.get_keyed(local, remote, local.sig_key, remote.sig_key)
-    }
-
-    /// `UNR_Get` with the signals chosen at call time (see
-    /// [`Unr::put_with`] for the local-`Signal` / remote-`SigKey`
-    /// split). GETs bypass the self-healing transport: their data path
-    /// is pull-driven and is not subject to injected faults.
-    pub fn get_with(
-        &self,
-        local: &Blk,
-        remote: &Blk,
-        local_sig: Option<&Signal>,
-        remote_sig: SigKey,
-    ) -> Result<(), UnrError> {
-        self.get_keyed(
-            local,
-            remote,
-            local_sig.map(Signal::key).unwrap_or(SigKey::NULL),
-            remote_sig,
-        )
-    }
-
-    /// `UNR_Get` with both signals given as raw [`SigKey`]s.
-    pub fn get_keyed(
-        &self,
-        local: &Blk,
-        remote: &Blk,
-        local_sig: SigKey,
-        remote_sig: SigKey,
-    ) -> Result<(), UnrError> {
-        let local_sig = local_sig.raw();
-        let remote_sig = remote_sig.raw();
-        self.check_peer_up(remote.rank)?;
-        let my_rank = self.ep.rank();
-        let region = local.check_pair(
-            remote,
-            my_rank,
-            self.core.fabric.cfg.total_ranks(),
-            self.core.regions.get(local.region_id),
-            MemRegion::len,
-        )?;
-        let len = local.len;
-        self.core.stats.gets.fetch_add(1, Ordering::Relaxed);
-        self.core.met.gets.inc();
-        self.core.met.channel_msgs.inc();
-        self.core.met.level_msgs.inc();
-
-        // A GET must not overtake puts still buffered for its target.
-        self.agg_flush_dst(remote.rank, FlushWhy::Order);
-
-        match self.core.channel.mech {
-            Mechanism::Dgram => {
-                self.core.stats.fallback_msgs.fetch_add(1, Ordering::Relaxed);
-                self.core.met.fallback_msgs.inc();
-                let msg = wire::fallback_get_msg(
-                    remote.region_id,
-                    remote.offset as u64,
-                    len as u64,
-                    local.region_id,
-                    local.offset as u64,
-                    local_sig,
-                    -1,
-                    remote_sig,
-                    -1,
-                );
-                self.ep
-                    .send_ctrl(remote.rank, self.core.stamp_ctrl(msg), self.default_nic());
-                Ok(())
-            }
-            Mechanism::RmaCompanion => {
-                if remote_sig != 0 {
-                    // Level-0 remote GET notification: a plain control
-                    // message racing the remote read — correctness-
-                    // verification channel only.
-                    let msg = wire::companion_msg(remote_sig, -1);
-                    self.ep
-                        .send_ctrl(remote.rank, self.core.stamp_ctrl(msg), self.default_nic());
-                }
-                let custom_local = Encoding::Split64.encode(Notif {
-                    key: local_sig,
-                    addend: if local_sig == 0 { 0 } else { -1 },
-                })?;
-                self.ep.get(GetOp {
-                    dst: &region,
-                    dst_offset: local.offset,
-                    len,
-                    src: remote.rkey(),
-                    src_offset: remote.offset,
-                    nic: self.default_nic(),
-                    custom_local,
-                    custom_remote: 0,
-                    local_cq: (local_sig != 0).then(|| Arc::clone(&self.core.cq)),
-                    notify_remote: false,
-                })?;
-                Ok(())
-            }
-            Mechanism::Rma(enc) => {
-                let custom_remote = match (remote_sig, enc.get_remote) {
-                    (0, _) => 0,
-                    (_, None) => return Err(UnrError::GetRemoteNotifyUnsupported),
-                    (key, Some(e)) => e.encode(Notif { key, addend: -1 })?,
-                };
-                let custom_local = enc.get_local.encode(if local_sig == 0 {
-                    Notif::NULL
-                } else {
-                    Notif {
-                        key: local_sig,
-                        addend: -1,
-                    }
-                })?;
-                self.ep.get(GetOp {
-                    dst: &region,
-                    dst_offset: local.offset,
-                    len,
-                    src: remote.rkey(),
-                    src_offset: remote.offset,
-                    nic: self.default_nic(),
-                    custom_local,
-                    custom_remote,
-                    local_cq: (local_sig != 0 && !self.core.channel.hardware)
-                        .then(|| Arc::clone(&self.core.cq)),
-                    notify_remote: remote_sig != 0,
-                })?;
-                Ok(())
-            }
-        }
-    }
-
-    /// How many sub-messages a `len`-byte message is split into.
-    fn stripes_for(
-        &self,
-        len: usize,
-        local_sig: u64,
-        remote_sig: u64,
-        enc: &DirEncodings,
-    ) -> usize {
-        let cfg = &self.core.cfg;
-        if !self.core.channel.multi_channel
-            || cfg.max_stripes <= 1
-            || len < cfg.stripe_threshold
-            || self.nics() <= 1
-        {
-            return 1;
-        }
-        let k = self.nics().min(cfg.max_stripes).min(len);
-        if k <= 1 {
-            return 1;
-        }
-        // The largest-magnitude addend must be encodable for every
-        // direction that carries a real signal; otherwise fall back to a
-        // single message (Table I: limited multi-channel on mode 2).
-        let probe = striped_addends(k, self.core.table.n_bits())[0];
-        if local_sig != 0
-            && enc
-                .put_local
-                .encode(Notif {
-                    key: local_sig,
-                    addend: probe,
-                })
-                .is_err()
-        {
-            return 1;
-        }
-        if remote_sig != 0
-            && enc
-                .put_remote
-                .encode(Notif {
-                    key: remote_sig,
-                    addend: probe,
-                })
-                .is_err()
-        {
-            return 1;
-        }
-        k
-    }
-
-    /// Striping fan-out of the reliable path: same gating as
-    /// [`Unr::stripes_for`] minus the custom-bits encode probe — the
-    /// reliable transport carries notifications in sequenced control
-    /// messages, so the channel's addend width never constrains it.
-    fn stripes_for_reliable(&self, len: usize) -> usize {
-        let cfg = &self.core.cfg;
-        if !self.core.channel.multi_channel
-            || cfg.max_stripes <= 1
-            || len < cfg.stripe_threshold
-            || self.nics() <= 1
-        {
-            return 1;
-        }
-        self.nics().min(cfg.max_stripes).min(len).max(1)
+        let region = self.tx.ep.register(len, &self.tx.sim.cq);
+        self.tx.sim.regions.insert(region.rkey.id, region.clone());
+        UnrMem::new(region)
     }
 
     /// The largest signal key every direction of this channel can carry
@@ -2099,66 +1473,43 @@ impl Unr {
         }
     }
 
-    fn nics(&self) -> usize {
-        self.ep.fabric().cfg.nics_per_node
-    }
-
-    /// NIC selection for non-striped traffic.
-    fn default_nic(&self) -> NicSel {
-        match self.core.cfg.pin_nic {
-            Some(i) => NicSel::Index(i % self.nics()),
-            None => NicSel::Auto,
-        }
-    }
-
-    /// Apply a local notification immediately (buffered-send semantics
-    /// of the fallback channel).
-    fn apply_local_now(&self, key: u64, addend: i64) {
-        if key == 0 {
-            return;
-        }
-        let core = Arc::clone(&self.core);
-        self.core.met.sig_adds.inc();
-        self.ep
-            .actor()
-            .with_sched(move |st, t| core.table.apply(st, t, key, addend));
-    }
 
     // ---- progress -----------------------------------------------------------
 
     /// Drive progress from the application thread (one pass). Returns
     /// the number of events processed.
     pub fn progress(&self) -> usize {
-        Self::progress_on(&self.core, &self.ep)
+        Self::progress_on(&self.tx.sim, &self.tx.ep)
     }
 
-    fn progress_on(core: &Arc<UnrCore>, ep: &Endpoint) -> usize {
+    fn progress_on(sim: &SimState, ep: &Endpoint) -> usize {
         let mut replies = Vec::new();
         let (n, fb_bytes, fb_msgs) = ep
             .actor()
-            .with_sched(|st, t| core.progress_pass(st, t, &mut replies));
-        Self::dispatch_progress(core, ep, replies, fb_bytes, fb_msgs);
+            .with_sched(|st, t| sim.progress_pass(st, t, &mut replies));
+        Self::dispatch_progress(sim, ep, replies, fb_bytes, fb_msgs);
         n
     }
 
-    /// One pass of the hybrid control drainer: [`UnrCore::ctrl_pass`]
+    /// One pass of the hybrid control drainer: [`SimState::ctrl_pass`]
     /// only — the level-4 sink already owns the data path, so the CQ is
     /// never touched (DESIGN.md §5g). Accounts drained messages into
     /// `unr.hw.ctrl_msgs` on top of the usual progress series.
-    fn ctrl_on(core: &Arc<UnrCore>, ep: &Endpoint) -> usize {
+    fn ctrl_on(sim: &SimState, ep: &Endpoint) -> usize {
         let mut replies = Vec::new();
         let (n, fb_bytes, fb_msgs) = ep
             .actor()
-            .with_sched(|st, t| core.ctrl_pass(st, t, &mut replies));
+            .with_sched(|st, t| sim.ctrl_pass(st, t, &mut replies));
+        let core = &sim.core;
         core.stats
             .events_progressed
             .fetch_add(n as u64, Ordering::Relaxed);
         core.met.events_progressed.add(n as u64);
         core.met.progress_batch.record(n as u64);
-        if let Some(hw) = &core.hwmet {
+        if let Some(hw) = &sim.hwmet {
             hw.ctrl_msgs.add(n as u64);
         }
-        Self::dispatch_progress(core, ep, replies, fb_bytes, fb_msgs);
+        Self::dispatch_progress(sim, ep, replies, fb_bytes, fb_msgs);
         n
     }
 
@@ -2166,7 +1517,7 @@ impl Unr {
     /// fallback channel's receive-side costs and send the replies
     /// computed inside scheduler context.
     fn dispatch_progress(
-        core: &Arc<UnrCore>,
+        sim: &SimState,
         ep: &Endpoint,
         replies: Vec<Resend>,
         fb_bytes: usize,
@@ -2176,8 +1527,8 @@ impl Unr {
             // Receive-side bounce-buffer copy + per-message MPI-stack
             // overhead of the fallback channel.
             ep.advance(
-                core.copy_bw.transfer_time(fb_bytes)
-                    + fb_msgs as Ns * core.cfg.fallback_overhead,
+                sim.core.copy_bw.transfer_time(fb_bytes)
+                    + fb_msgs as Ns * sim.core.cfg.fallback_overhead,
             );
         }
         for r in replies {
@@ -2187,7 +1538,7 @@ impl Unr {
                 // epoch, which is how surviving ranks' traffic heals
                 // through the epoch fence after a membership bump.
                 Resend::Dgram { dst, bytes, .. } => {
-                    ep.send_ctrl(dst, core.stamp_ctrl(bytes), NicSel::Auto)
+                    ep.send_dgram(dst, UNR_PORT, sim.stamp_ctrl(bytes), NicSel::Auto)
                 }
                 Resend::Rma {
                     payload,
@@ -2196,13 +1547,13 @@ impl Unr {
                     nic,
                     companion,
                 } => {
-                    ep.post_put(SubPut {
+                    ep.put_bytes(
                         payload,
-                        dst: dst_rkey,
+                        dst_rkey,
                         dst_offset,
-                        nic,
-                        companion: core.stamp_ctrl(companion),
-                    })
+                        NicSel::Index(nic),
+                        Some((UNR_PORT, sim.stamp_ctrl(companion))),
+                    )
                     .expect("retransmit targets a validated region");
                 }
             }
@@ -2219,10 +1570,10 @@ impl Unr {
     pub fn sig_wait(&self, sig: &Signal) -> Result<(), UnrError> {
         // Entering a blocking wait flushes our own pending aggregates:
         // whatever the peer is waiting on may be sitting in a ring.
-        self.agg_flush_all(FlushWhy::Wait);
+        self.agg_flush_all(FlushWhy::Wait)?;
         let n_bits = sig.n_bits();
-        let core = &self.core;
-        match self.progress_mode {
+        let sim = &self.tx.sim;
+        match self.tx.progress_mode {
             ProgressMode::PollingAgent { .. } | ProgressMode::Hardware => {
                 match &self.core.retry {
                     None => {
@@ -2230,14 +1581,14 @@ impl Unr {
                         // source rank dies — the addend can never
                         // arrive, and `kill_rank` wakes every parked
                         // actor so this predicate re-evaluates.
-                        self.ep.actor().wait_until(
-                            |_st| sig.ready(n_bits) || core.dead_peer(),
+                        self.tx.ep.actor().wait_until(
+                            |_st| sig.ready(n_bits) || sim.dead_peer(),
                             |_st, me| sig.register_waiter(me),
                         );
                         if sig.ready(n_bits) {
                             // Predicate already true: this runs sig.wait's
                             // overflow accounting without re-parking.
-                            return sig.wait(&self.ep).map_err(|e| {
+                            return sig.wait(&self.tx.ep).map_err(|e| {
                                 self.core.met.overflow_trips.inc();
                                 UnrError::Signal(e)
                             });
@@ -2247,9 +1598,9 @@ impl Unr {
                     Some(retry) => {
                         // The wait closures only borrow: no Arc or probe
                         // clones per wait on this hot path.
-                        self.ep.actor().wait_until(
+                        self.tx.ep.actor().wait_until(
                             |_st| {
-                                sig.ready(n_bits) || retry.failed() || core.dead_peer()
+                                sig.ready(n_bits) || retry.failed() || sim.dead_peer()
                             },
                             |_st, me| {
                                 sig.register_waiter(me);
@@ -2261,10 +1612,10 @@ impl Unr {
             }
             ProgressMode::UserDriven => {
                 loop {
-                    Self::progress_on(&self.core, &self.ep);
+                    Self::progress_on(&self.tx.sim, &self.tx.ep);
                     if sig.ready(n_bits)
                         || self.core.retry.as_ref().is_some_and(|r| r.failed())
-                        || self.core.dead_peer()
+                        || self.tx.sim.dead_peer()
                     {
                         break;
                     }
@@ -2280,13 +1631,13 @@ impl Unr {
     /// `UNR_Sig_Wait` with a deadline: like [`Unr::sig_wait`] but gives
     /// up after `dt` virtual nanoseconds with [`UnrError::Timeout`].
     pub fn sig_wait_timeout(&self, sig: &Signal, dt: Ns) -> Result<(), UnrError> {
-        self.agg_flush_all(FlushWhy::Wait);
+        self.agg_flush_all(FlushWhy::Wait)?;
         let n_bits = sig.n_bits();
-        let me = self.ep.actor().id();
+        let me = self.tx.ep.actor().id();
         let fired = Arc::new(AtomicBool::new(false));
         {
             let f = Arc::clone(&fired);
-            self.ep.actor().with_sched(move |st, t| {
+            self.tx.ep.actor().with_sched(move |st, t| {
                 let deadline = t + dt;
                 st.schedule_at(deadline, move |st2| {
                     f.store(true, Ordering::SeqCst);
@@ -2294,16 +1645,16 @@ impl Unr {
                 });
             });
         }
-        match self.progress_mode {
+        match self.tx.progress_mode {
             ProgressMode::PollingAgent { .. } | ProgressMode::Hardware => {
-                let core = &self.core;
+                let sim = &self.tx.sim;
                 let retry = self.core.retry.as_deref();
-                self.ep.actor().wait_until(
+                self.tx.ep.actor().wait_until(
                     |_st| {
                         sig.ready(n_bits)
                             || fired.load(Ordering::SeqCst)
                             || retry.is_some_and(|r| r.failed())
-                            || core.dead_peer()
+                            || sim.dead_peer()
                     },
                     |_st, me2| {
                         sig.register_waiter(me2);
@@ -2314,11 +1665,11 @@ impl Unr {
                 );
             }
             ProgressMode::UserDriven => loop {
-                Self::progress_on(&self.core, &self.ep);
+                Self::progress_on(&self.tx.sim, &self.tx.ep);
                 if sig.ready(n_bits)
                     || fired.load(Ordering::SeqCst)
                     || self.core.retry.as_ref().is_some_and(|r| r.failed())
-                    || self.core.dead_peer()
+                    || self.tx.sim.dead_peer()
                 {
                     break;
                 }
@@ -2330,7 +1681,7 @@ impl Unr {
         if !sig.ready(n_bits)
             && fired.load(Ordering::SeqCst)
             && !self.core.retry.as_ref().is_some_and(|r| r.failed())
-            && !self.core.dead_peer()
+            && !self.tx.sim.dead_peer()
         {
             return Err(UnrError::Timeout { waited: dt });
         }
@@ -2340,18 +1691,18 @@ impl Unr {
     /// Block the calling progress driver until a CQ event, a control
     /// message, a retransmit deadline, or a transport failure shows up.
     fn park_progress_driver(&self) {
-        let core = &self.core;
-        let retry = core.retry.as_deref();
-        self.ep.actor().wait_until(
+        let sim = &self.tx.sim;
+        let retry = self.core.retry.as_deref();
+        self.tx.ep.actor().wait_until(
             |_st| {
-                !core.cq.is_empty()
-                    || !core.port.is_empty()
+                !sim.cq.is_empty()
+                    || !sim.port.is_empty()
                     || retry.is_some_and(|r| r.is_due() || r.failed())
-                    || core.dead_peer()
+                    || sim.dead_peer()
             },
             |_st, me| {
-                core.cq.add_waiter(me);
-                core.port.add_waiter(me);
+                sim.cq.add_waiter(me);
+                sim.port.add_waiter(me);
                 if let Some(r) = retry {
                     r.add_waiter(me);
                 }
@@ -2387,17 +1738,17 @@ impl Unr {
     /// first). Overflowed signals count as ready and surface the error.
     pub fn sig_wait_any(&self, sigs: &[&Signal]) -> Result<usize, UnrError> {
         assert!(!sigs.is_empty(), "sig_wait_any needs at least one signal");
-        self.agg_flush_all(FlushWhy::Wait);
+        self.agg_flush_all(FlushWhy::Wait)?;
         let n_bits = sigs[0].n_bits();
-        match self.progress_mode {
+        match self.tx.progress_mode {
             ProgressMode::PollingAgent { .. } | ProgressMode::Hardware => {
-                let core = &self.core;
+                let sim = &self.tx.sim;
                 let retry = self.core.retry.as_deref();
-                self.ep.actor().wait_until(
+                self.tx.ep.actor().wait_until(
                     |_st| {
                         sigs.iter().any(|s| s.ready(n_bits))
                             || retry.is_some_and(|r| r.failed())
-                            || core.dead_peer()
+                            || sim.dead_peer()
                     },
                     |_st, me| {
                         for s in sigs {
@@ -2410,10 +1761,10 @@ impl Unr {
                 );
             }
             ProgressMode::UserDriven => loop {
-                Self::progress_on(&self.core, &self.ep);
+                Self::progress_on(&self.tx.sim, &self.tx.ep);
                 if sigs.iter().any(|s| s.ready(n_bits))
                     || self.core.retry.as_ref().is_some_and(|r| r.failed())
-                    || self.core.dead_peer()
+                    || self.tx.sim.dead_peer()
                 {
                     break;
                 }
@@ -2443,18 +1794,18 @@ impl Unr {
     /// acks/retransmits/`MSG_AGG`/`MSG_EPOCH` — and idle-parks until
     /// the port bell or a retransmit deadline wakes it.
     fn spawn_agent(self: &Arc<Self>, interval: Ns, ctrl_only: bool) {
-        let rank = self.ep.rank();
+        let rank = self.tx.ep.rank();
         let name = if ctrl_only {
             format!("unr-hwctrl-{rank}")
         } else {
             format!("unr-poller-{rank}")
         };
-        let agent_ep = self.ep.fabric().attach_at(rank, &name, self.ep.now());
+        let agent_ep = self.tx.ep.fabric().attach_at(rank, &name, self.tx.ep.now());
         let actor_id = agent_ep.actor().id();
         let stop = Arc::new(AtomicBool::new(false));
         let done = Arc::new(AtomicBool::new(false));
         let finalize_waiter: Arc<Mutex<Option<ActorId>>> = Arc::new(Mutex::new(None));
-        let core = Arc::clone(&self.core);
+        let sim = Arc::clone(&self.tx.sim);
         let stop2 = Arc::clone(&stop);
         let done2 = Arc::clone(&done);
         let waiter2 = Arc::clone(&finalize_waiter);
@@ -2462,15 +1813,15 @@ impl Unr {
             .name(name)
             .spawn(move || {
                 agent_ep.actor().begin();
-                let cfg = core.cfg;
+                let cfg = sim.core.cfg;
                 loop {
                     if stop2.load(Ordering::Relaxed) {
                         break;
                     }
                     let n = if ctrl_only {
-                        Self::ctrl_on(&core, &agent_ep)
+                        Self::ctrl_on(&sim, &agent_ep)
                     } else {
-                        Self::progress_on(&core, &agent_ep)
+                        Self::progress_on(&sim, &agent_ep)
                     };
                     agent_ep
                         .advance(cfg.poll_cost_base + n as Ns * cfg.poll_cost_per_event);
@@ -2482,19 +1833,19 @@ impl Unr {
                         // Arc traffic was pure overhead. The ctrl-only
                         // drainer never registers on the CQ: under a
                         // hardware channel nothing is ever pushed there.
-                        let retry = core.retry.as_deref();
+                        let retry = sim.core.retry.as_deref();
                         agent_ep.actor().wait_until(
                             |_st| {
                                 stop2.load(Ordering::Relaxed)
-                                    || (!ctrl_only && !core.cq.is_empty())
-                                    || !core.port.is_empty()
+                                    || (!ctrl_only && !sim.cq.is_empty())
+                                    || !sim.port.is_empty()
                                     || retry.is_some_and(|r| r.is_due())
                             },
                             |_st, me| {
                                 if !ctrl_only {
-                                    core.cq.add_waiter(me);
+                                    sim.cq.add_waiter(me);
                                 }
-                                core.port.add_waiter(me);
+                                sim.port.add_waiter(me);
                                 if let Some(r) = retry {
                                     r.add_waiter(me);
                                 }
@@ -2534,7 +1885,7 @@ impl Unr {
                 agent_ep.actor().end();
             })
             .expect("spawn polling agent");
-        *self.agent.lock() = Some(AgentState {
+        *self.tx.agent.lock() = Some(AgentState {
             stop,
             done,
             actor_id,
@@ -2543,53 +1894,13 @@ impl Unr {
         });
     }
 
-    /// Shut down the polling agent (idempotent). Must be called before
-    /// the rank's actor ends; `Drop` calls it as a safety net.
+    /// Flush what is buffered and shut down the polling agent
+    /// (idempotent). Must be called before the rank's actor ends;
+    /// dropping the context does the same as a safety net.
     pub fn finalize(&self) {
         // Nothing buffered may die with the context.
-        self.agg_flush_all(FlushWhy::Explicit);
-        let mut guard = self.agent.lock();
-        let Some(agent) = guard.as_mut() else { return };
-        let stop = Arc::clone(&agent.stop);
-        let done = Arc::clone(&agent.done);
-        let waiter = Arc::clone(&agent.finalize_waiter);
-        let agent_actor = agent.actor_id;
-        // Signal stop and wake the agent inside the scheduler.
-        self.ep.actor().with_sched(move |st, t| {
-            stop.store(true, Ordering::Relaxed);
-            st.wake(agent_actor, t);
-        });
-        // Wait (in virtual time) for the agent to acknowledge.
-        let done2 = Arc::clone(&done);
-        self.ep.actor().wait_until(
-            move |_st| done2.load(Ordering::Relaxed),
-            move |_st, me| {
-                *waiter.lock() = Some(me);
-            },
-        );
-        // The agent still needs one scheduled turn to retire its actor
-        // (`end()`); yield virtual time so it can run, then join for
-        // real. Without the yield this rank would hold the scheduler
-        // while blocking in a real join — a real-time deadlock.
-        self.ep.sleep(1);
-        if let Some(j) = agent.join.take() {
-            j.join().expect("polling agent join");
-        }
-        *guard = None;
-    }
-}
-
-impl Drop for Unr {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            // The world runner poisons the scheduler; the agent dies on
-            // its next wake-up.
-            if let Some(agent) = self.agent.lock().as_ref() {
-                agent.stop.store(true, Ordering::Relaxed);
-            }
-            return;
-        }
-        self.finalize();
+        let _ = self.agg_flush_all(FlushWhy::Explicit);
+        self.tx.stop_agent();
     }
 }
 

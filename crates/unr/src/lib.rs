@@ -74,6 +74,7 @@ pub mod epoch;
 pub mod level;
 pub mod pack;
 pub mod plan;
+pub mod post;
 pub mod retry;
 pub mod signal;
 pub mod transport;
@@ -83,12 +84,13 @@ pub use agg::{AggFlush, AggMetrics, Coalescer, FlushWhy};
 pub use blk::{Blk, MemCheckpoint, UnrMem, BLK_WIRE_LEN};
 pub use channel::{Channel, ChannelSelect, Mechanism};
 pub use engine::{
-    ProgressMode, Unr, UnrConfig, UnrConfigBuilder, UnrError, UnrStats, UNR_PORT,
+    ProgressMode, SimTransport, UnrConfig, UnrConfigBuilder, UnrError, UnrStats, UNR_PORT,
 };
 pub use epoch::{Epoch, MembershipView, PeerFailedCause, RecoveryPolicy};
 pub use level::{EncodeError, Encoding, Notif, SupportLevel};
 pub use pack::{PackChannel, PackReceiver, PackSender};
 pub use plan::{PlanOp, RmaPlan};
+pub use post::Unr;
 pub use ctrl::{handle_ctrl, CtrlEvent, CtrlSink};
 pub use retry::{
     DedupWindow, Registered, Reliability, Resend, RetryPolicy, RetryState, Route, SweepOutcome,
@@ -96,4 +98,4 @@ pub use retry::{
 pub use signal::{
     striped_addends, Applied, SigKey, Signal, SignalError, SignalStats, SignalTable,
 };
-pub use transport::{Backend, SubPut, Transport};
+pub use transport::{Backend, RmaOp, SeqPost, Transport};

@@ -22,7 +22,8 @@ use unr_minimpi::Comm;
 
 use crate::blk::{Blk, UnrMem};
 use crate::convert;
-use crate::engine::{Unr, UnrError};
+use crate::engine::UnrError;
+use crate::post::Unr;
 use crate::plan::RmaPlan;
 use crate::signal::Signal;
 

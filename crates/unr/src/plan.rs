@@ -8,7 +8,8 @@
 
 use crate::agg::FlushWhy;
 use crate::blk::Blk;
-use crate::engine::{Unr, UnrError};
+use crate::engine::UnrError;
+use crate::post::Unr;
 use crate::signal::SigKey;
 
 /// One recorded operation.
@@ -52,11 +53,11 @@ impl RmaPlan {
 
     /// Record a put using the blocks' bound signals.
     pub fn put(&mut self, local: &Blk, remote: &Blk) -> &mut Self {
-        self.put_keyed(local, remote, local.sig_key, remote.sig_key)
+        self.put_with_keys(local, remote, local.sig_key, remote.sig_key)
     }
 
     /// Record a put with explicit signal keys.
-    pub fn put_keyed(
+    pub fn put_with_keys(
         &mut self,
         local: &Blk,
         remote: &Blk,
@@ -74,11 +75,11 @@ impl RmaPlan {
 
     /// Record a get using the blocks' bound signals.
     pub fn get(&mut self, local: &Blk, remote: &Blk) -> &mut Self {
-        self.get_keyed(local, remote, local.sig_key, remote.sig_key)
+        self.get_with_keys(local, remote, local.sig_key, remote.sig_key)
     }
 
     /// Record a get with explicit signal keys.
-    pub fn get_keyed(
+    pub fn get_with_keys(
         &mut self,
         local: &Blk,
         remote: &Blk,
@@ -131,7 +132,7 @@ impl RmaPlan {
         }
         // Plan boundary: a replayed iteration is complete as soon as
         // `start` returns, so nothing it buffered may linger.
-        unr.agg_flush_all(FlushWhy::Plan);
+        unr.agg_flush_all(FlushWhy::Plan)?;
         Ok(())
     }
 }
@@ -163,7 +164,7 @@ mod tests {
     #[test]
     fn plan_with_overrides() {
         let mut p = RmaPlan::new();
-        p.put_keyed(&blk(0), &blk(1), SigKey::from_raw(77), SigKey::from_raw(88));
+        p.put_with_keys(&blk(0), &blk(1), SigKey::from_raw(77), SigKey::from_raw(88));
         match p.ops()[0] {
             PlanOp::Put {
                 local_sig,

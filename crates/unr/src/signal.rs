@@ -179,6 +179,13 @@ impl From<u64> for SigKey {
     }
 }
 
+/// The key of an optionally bound signal ([`SigKey::NULL`] for none).
+impl From<Option<&Signal>> for SigKey {
+    fn from(sig: Option<&Signal>) -> SigKey {
+        sig.map_or(SigKey::NULL, Signal::key)
+    }
+}
+
 impl From<SigKey> for u64 {
     fn from(k: SigKey) -> u64 {
         k.0

@@ -53,7 +53,13 @@ fn snapshot_covers_every_layer() {
         );
     }
     // The run actually exercised the hot paths it claims to count.
-    assert!(snap.counter("unr.puts").unwrap() > 0);
+    for series in ["unr.puts", "unr.bytes_put", "unr.sub_messages"] {
+        assert!(snap.counter(series).unwrap() > 0, "{series}");
+    }
+    assert!(snap.counter("unr.sub_messages") >= snap.counter("unr.puts"));
+    assert!(snap.with_prefix("unr.stripe_fanout").next().is_some());
+    assert!(snap.with_prefix("unr.channel.").next().is_some());
+    assert!(snap.with_prefix("unr.level.").next().is_some());
     assert!(snap.counter("unr.signal.adds").unwrap() > 0);
     assert!(snap.counter("simnet.fabric.puts").unwrap() > 0);
     assert_eq!(snap.counter("unr.signal.reset_errors"), Some(0));
