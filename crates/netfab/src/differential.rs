@@ -1,9 +1,9 @@
 //! Cross-backend differential (ROADMAP item 8(4)): one generic script
 //! over `Unr<T>` runs on a 2-rank simnet world and on two in-process
 //! `NetFabric`s, and both must end in the same place — region bytes,
-//! signal counters, operation counts, wait outcomes. What the script
-//! needs that is still per fabric (registration, the out-of-band
-//! exchange) comes in as closures; the waits are the engine's own.
+//! signal counters, operation counts, wait outcomes. Only the
+//! out-of-band exchange comes in as closures; registration, progress,
+//! the waits and the clock are the engine's own.
 
 use std::net::TcpListener;
 use std::sync::atomic::Ordering;
@@ -33,7 +33,6 @@ const SHORT_WAIT: u64 = 2_000_000;
 /// What one rank of one fabric hands the script.
 struct Side<'a, T: Transport> {
     unr: &'a Unr<T>,
-    mem_reg: &'a dyn Fn(usize) -> UnrMem,
     /// Send bytes to the peer out of band, get the peer's.
     swap: &'a dyn Fn(&[u8]) -> Vec<u8>,
     barrier: &'a dyn Fn(),
@@ -92,9 +91,9 @@ fn script<T: Transport>(side: Side<'_, T>, seed: u64) -> Outcome {
     let Side { unr, .. } = side;
     let me = unr.rank();
     let (puts, gets) = plan(seed);
-    let src = (side.mem_reg)(AREA);
-    let landing = (side.mem_reg)(AREA);
-    let fetching = (side.mem_reg)(AREA);
+    let src = unr.mem_reg(AREA);
+    let landing = unr.mem_reg(AREA);
+    let fetching = unr.mem_reg(AREA);
     src.write_bytes(0, &source(seed, me));
 
     let sent = unr.sig_init(puts.len() as i64);
@@ -124,6 +123,7 @@ fn script<T: Transport>(side: Side<'_, T>, seed: u64) -> Outcome {
         let local = unr.blk_init(&fetching, off, len, Some(&fetched));
         unr.get(&local, &their_src.slice(off, len)).unwrap();
     }
+    unr.progress();
     // Every wait of the family: any-of with only the second ready to
     // be, a timed wait that succeeds, plain waits, then a timed wait and
     // a reset on the idle signal, still one event short.
@@ -137,6 +137,9 @@ fn script<T: Transport>(side: Side<'_, T>, seed: u64) -> Outcome {
         Err(UnrError::Timeout { waited: SHORT_WAIT })
     );
     assert!(unr.sig_reset(&idle).is_err());
+    let t0 = unr.now();
+    unr.sleep(SHORT_WAIT);
+    assert!(unr.now() - t0 >= SHORT_WAIT, "a sleep lets its time pass");
     (side.barrier)();
 
     let read = |mem: &UnrMem| {
@@ -182,7 +185,6 @@ fn on_simnet(seed: u64, reliable: bool, agg: bool) -> Vec<Outcome> {
         let out = script(
             Side {
                 unr: &unr,
-                mem_reg: &|len| unr.mem_reg(len),
                 swap: &|mine| comm.sendrecv(peer, 7, mine, Some(peer), 7).data,
                 barrier: &|| unr_minimpi::coll::barrier(comm),
             },
@@ -222,7 +224,6 @@ fn on_netfab(seed: u64, reliable: bool, agg: bool) -> Vec<Outcome> {
                     let out = script(
                         Side {
                             unr: &unr,
-                            mem_reg: &|len| unr.mem_reg(len),
                             swap: &|mine| {
                                 tx.send(mine.to_vec()).unwrap();
                                 rx.recv().unwrap()
@@ -235,7 +236,7 @@ fn on_netfab(seed: u64, reliable: bool, agg: bool) -> Vec<Outcome> {
                     );
                     // The engine series are this process's too
                     // (OBSERVABILITY.md, "UNR engine").
-                    let snap = unr.fabric().obs.metrics.snapshot();
+                    let snap = unr.obs().metrics.snapshot();
                     for (series, want) in [
                         ("unr.puts", out.puts),
                         ("unr.gets", out.gets),
@@ -247,6 +248,7 @@ fn on_netfab(seed: u64, reliable: bool, agg: bool) -> Vec<Outcome> {
                         assert_eq!(snap.counter(series), Some(want), "{series}");
                     }
                     assert!(snap.counter("unr.bytes_put").unwrap() > STRIPED as u64);
+                    assert!(snap.counter("unr.signal.adds").unwrap() > 0);
                     assert!(snap.with_prefix("unr.stripe_fanout").next().is_some());
                     if !reliable {
                         // One frame per sub-message, per GET request

@@ -1,16 +1,17 @@
-//! `NetUnr` — the UNR engine over the TCP-loopback fabric.
+//! `NetUnr` — bring-up of the UNR engine over the TCP-loopback fabric.
 //!
-//! A put or a get here is `unr_core`'s own post path
+//! Everything a rank does once it is up is `unr_core`'s own engine,
+//! monomorphised over [`NetTransport`]: the post path
 //! ([`unr_core::post`]: validate → coalesce → stripe → register →
-//! send), monomorphised over [`NetTransport`]; `NetUnr` holds that
-//! engine and derefs to it, so `put`, `get`, `flush`, `sig_init`, the
-//! `sig_wait` family ([`unr_core::wait`]), the statistics and every
-//! `unr.*` engine counter are the simnet engine's. The signal table,
-//! the coalescer, the wire format, the retry table
-//! ([`unr_core::RetryState`]) and the receive-side control handler
-//! ([`unr_core::handle_ctrl`]) are shared too. What this module keeps
-//! is what is still per fabric: bring-up ([`NetUnr::init`]), the
-//! progress thread and the receive side (`CtrlPath`).
+//! send), the `sig_wait` family ([`unr_core::wait`]), `mem_reg`,
+//! `progress`, `finalize`, the clock, the statistics and every `unr.*`
+//! engine counter. `NetUnr` holds that engine and derefs to it. The
+//! signal table, the coalescer, the wire format, the retry table
+//! ([`unr_core::RetryState`]), the receive-side control handler
+//! ([`unr_core::handle_ctrl`]) and the atomic-add sink
+//! ([`unr_core::TableSink`]) are shared too. What this module keeps is
+//! bring-up ([`NetUnr::init`]) and the control path (`CtrlPath`) that
+//! the transport's progress thread and waiting rank threads run.
 //!
 //! * **Unreliable** (default): each message (or stripe) rides one `PUT`
 //!   frame whose header carries the remote notification as 128-bit
@@ -55,16 +56,14 @@
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use unr_core::ctrl::{self, CtrlEvent, CtrlSink};
 use unr_core::signal::SignalTable;
 use unr_core::{
-    Backend, Channel, Encoding, Epoch, FlushWhy, Notif, ProgressMode, Reliability, Resend,
-    RetryPolicy, RetryState, Unr, UnrConfig, UnrError, UnrMem,
+    Backend, Channel, Encoding, HwMetrics, ProgressMode, Reliability, Resend, RetryPolicy,
+    RetryState, TableSink, Unr, UnrConfig, UnrError, UnrMem,
 };
-use unr_simnet::sync::Mutex;
 use unr_simnet::Ns;
 
 use crate::fabric::{NetAddSink, NetFabric, TransportMetrics};
@@ -76,66 +75,22 @@ use crate::transport::{NetFaults, NetTransport};
 /// `(rank, id, len)`.
 pub type NetMem = UnrMem;
 
-/// Sink that decodes inbound 128-bit custom bits into a [`Notif`] and
-/// applies it to the signal table — the emulated atomic-add unit.
-///
-/// Always the *terminal* step of a notification on this backend: the
-/// reactor thread that read the frame applies the addend straight into
-/// the generation-tagged slot; nothing is ever queued for a software
-/// progress pass to pick up. Under [`ProgressMode::Hardware`] the
-/// `unr.hw.*` series account this CQ-bypass explicitly.
-struct TableSink {
-    table: Arc<SignalTable>,
-    /// `Some` iff the engine runs hardware progress (the `unr.hw.*`
-    /// series stay absent from software-progress snapshots).
-    hw: Option<NetHwMetrics>,
-}
-
-/// Pre-resolved `unr.hw.*` instruments (see OBSERVABILITY.md),
-/// registered only under [`ProgressMode::Hardware`].
-#[derive(Clone)]
-struct NetHwMetrics {
-    sink_applies: Arc<unr_obs::Counter>,
-    cq_bypass: Arc<unr_obs::Counter>,
-    ctrl_msgs: Arc<unr_obs::Counter>,
-}
-
-impl NetHwMetrics {
-    fn new(obs: &unr_obs::Obs) -> NetHwMetrics {
-        let m = &obs.metrics;
-        NetHwMetrics {
-            sink_applies: m.counter("unr.hw.sink_applies"),
-            cq_bypass: m.counter("unr.hw.cq_bypass"),
-            ctrl_msgs: m.counter("unr.hw.ctrl_msgs"),
-        }
-    }
-}
-
+/// The emulated atomic-add unit: the thread that read the frame — a
+/// reactor, or a rank thread in a wait — applies the addend.
 impl NetAddSink for TableSink {
     fn apply(&self, custom: u128) {
-        let n: Notif = Encoding::Full128.decode(custom);
-        if let Some(hw) = &self.hw {
-            hw.cq_bypass.inc();
-            if n.key != 0 {
-                hw.sink_applies.inc();
-            }
+        if let Some(n) = self.decode(custom) {
+            self.table.apply_counted(n.key, n.addend);
         }
-        self.table.apply_counted(n.key, n.addend);
     }
 }
 
-/// The UNR engine for the netfab backend: the shared engine
-/// ([`Unr`], reached through `Deref`) over [`NetTransport`], plus what
-/// is still this fabric's own — bring-up and the progress thread.
+/// The UNR engine for the netfab backend: the shared engine ([`Unr`],
+/// reached through `Deref`) over [`NetTransport`], and the world it
+/// was brought up in.
 pub struct NetUnr {
     eng: Unr<NetTransport>,
     world: Arc<NetWorld>,
-    stop: Arc<AtomicBool>,
-    /// The resolved progress mode ([`ProgressMode::Hardware`] skips the
-    /// control thread entirely when nothing rides the control path).
-    progress_mode: ProgressMode,
-    /// Control-path drainer — `None` under pure hardware progress.
-    progress: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Deref for NetUnr {
@@ -169,21 +124,20 @@ impl NetUnr {
         );
         cfg.validate()?;
         let fabric = Arc::clone(&world.fabric);
+        let channel = Channel::netfab();
         let table = SignalTable::with_key_capacity(cfg.n_bits, Encoding::Full128.max_key());
-        let progress_mode = cfg
-            .progress
-            .unwrap_or(ProgressMode::PollingAgent { interval: 0 });
-        let hw = (progress_mode == ProgressMode::Hardware)
-            .then(|| NetHwMetrics::new(&fabric.obs));
-        fabric.set_add_sink(Arc::new(TableSink {
-            table: Arc::clone(&table),
-            hw: hw.clone(),
-        }));
         let reliable = match cfg.reliability {
             Reliability::On => true,
             Reliability::Off => false,
             Reliability::Auto => faults.any(),
         };
+        let hardware = cfg.resolve_progress(&channel, reliable) == ProgressMode::Hardware;
+        let sink = Arc::new(TableSink::new(
+            Arc::clone(&table),
+            &fabric.obs,
+            hardware.then(|| HwMetrics::new(&fabric.obs)),
+        ));
+        fabric.set_add_sink(Arc::clone(&sink) as Arc<dyn NetAddSink>);
         // The retry table's clock is nanoseconds since this instant.
         let retry = reliable.then(|| {
             Arc::new(RetryState::new(
@@ -198,24 +152,18 @@ impl NetUnr {
                 fabric.nranks(),
             ))
         });
-        let hardware = progress_mode == ProgressMode::Hardware;
         let ctrl = Arc::new(CtrlPath {
             fabric: Arc::clone(&fabric),
-            table: Arc::clone(&table),
+            sink,
             retry: retry.clone(),
             epoch: world.epoch(),
             t0: Instant::now(),
-            ctrl_msgs: hw.map(|h| h.ctrl_msgs),
         });
         let wait_cap = std::env::var("UNR_NETFAB_WAIT_MS")
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
             .map(Duration::from_millis)
             .unwrap_or(DEFAULT_WAIT);
-        let tx = NetTransport::new(Arc::clone(&ctrl), faults, wait_cap.as_nanos() as Ns);
-        let eng = Unr::new(tx, cfg, Channel::netfab(), table, retry, &fabric.obs);
-        let stop = Arc::new(AtomicBool::new(false));
-
         // On this backend the reactor threads apply notification custom
         // bits at frame-read time (the emulated level-4 atomic-add
         // unit), so the data path never needs the progress thread. It
@@ -226,50 +174,13 @@ impl NetUnr {
         // the paper's "no software progress at all"). Hybrid configs
         // (hardware + reliable/agg, DESIGN.md §5g) spawn it as the
         // ctrl-only drainer under the `netfab-hwctrl-*` name.
-        let need_ctrl = !hardware || reliable || cfg.agg_eager_max > 0;
-        let progress = need_ctrl.then(|| {
-            let stop = Arc::clone(&stop);
-            let name = if hardware {
-                format!("netfab-hwctrl-r{}", fabric.rank())
-            } else {
-                format!("netfab-progress-r{}", fabric.rank())
-            };
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(move || loop {
-                    // Epoch first, then the stop flag and the work:
-                    // whatever changes during the pass — a control
-                    // message a reactor queued, `finalize`, a first
-                    // unacked sub-message — rings the control bell past
-                    // `seen`, and the sleep below returns at once. Data
-                    // frames ring another bell, and control frames a
-                    // waiting rank thread read ring none: it handles
-                    // them itself.
-                    let seen = ctrl.fabric.ctrl_epoch();
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let drained = ctrl.drain();
-                    let next_sweep = ctrl.sweep();
-                    if drained > 0 {
-                        // Signals may have fired: wake sig_wait
-                        // parkers — and go round again rather than
-                        // sleep, more is likely on its way.
-                        ctrl.fabric.ring_bell();
-                    } else {
-                        ctrl.fabric.wait_ctrl_since(seen, next_sweep);
-                    }
-                })
-                .expect("spawn progress thread")
+        let progress = (!hardware || reliable || cfg.agg_eager_max > 0).then(|| {
+            let kind = if hardware { "hwctrl" } else { "progress" };
+            format!("netfab-{kind}-r{}", fabric.rank())
         });
-
-        Ok(NetUnr {
-            eng,
-            world,
-            stop,
-            progress_mode,
-            progress: Mutex::new(progress),
-        })
+        let tx = NetTransport::new(ctrl, faults, wait_cap.as_nanos() as Ns, progress);
+        let eng = Unr::new(tx, cfg, channel, table, retry);
+        Ok(NetUnr { eng, world })
     }
 
     fn ctrl(&self) -> &CtrlPath {
@@ -291,22 +202,6 @@ impl NetUnr {
         &self.fabric().met
     }
 
-    /// The resolved progress mode.
-    pub fn progress_mode(&self) -> ProgressMode {
-        self.progress_mode
-    }
-
-    /// Register a memory region (`UNR_Mem_Reg`).
-    pub fn mem_reg(&self, len: usize) -> NetMem {
-        let (_, region) = self.fabric().register(len);
-        UnrMem::new(region.mem().clone())
-    }
-
-    /// The membership epoch this engine incarnation runs in.
-    pub fn epoch(&self) -> Epoch {
-        Epoch::new(self.ctrl().epoch)
-    }
-
     /// Number of unacked reliable sub-messages currently buffered.
     pub fn pending_len(&self) -> usize {
         self.retries_in_flight()
@@ -318,26 +213,6 @@ impl NetUnr {
     pub fn drain_pending(&self, timeout: Duration) -> bool {
         self.wait_drained(timeout.as_nanos() as Ns).is_ok()
     }
-
-    /// Tear down: stop the progress thread and close the fabric.
-    /// Called automatically on drop; idempotent.
-    pub fn finalize(&self) {
-        // Best-effort: anything still buffered goes out before teardown
-        // (a latched-down channel cannot deliver it anyway).
-        let _ = self.agg_flush_all(FlushWhy::Explicit);
-        self.stop.store(true, Ordering::Relaxed);
-        self.fabric().ring_ctrl();
-        if let Some(h) = self.progress.lock().take() {
-            let _ = h.join();
-        }
-        self.fabric().shutdown();
-    }
-}
-
-impl Drop for NetUnr {
-    fn drop(&mut self) {
-        self.finalize();
-    }
 }
 
 /// The control path of one engine: what its receive side and its
@@ -345,7 +220,8 @@ impl Drop for NetUnr {
 /// the progress thread.
 pub(crate) struct CtrlPath {
     pub(crate) fabric: Arc<NetFabric>,
-    pub(crate) table: Arc<SignalTable>,
+    /// The atomic-add unit, which every apply on this rank goes through.
+    pub(crate) sink: Arc<TableSink>,
     /// Ack/replay state — `Some` iff the reliable transport is active.
     pub(crate) retry: Option<Arc<RetryState>>,
     /// Membership epoch of the world incarnation this engine drives —
@@ -354,14 +230,41 @@ pub(crate) struct CtrlPath {
     pub(crate) epoch: u64,
     /// Engine start: the retry table's clock counts from here.
     t0: Instant,
-    /// `unr.hw.ctrl_msgs`, under [`ProgressMode::Hardware`].
-    ctrl_msgs: Option<Arc<unr_obs::Counter>>,
 }
 
 impl CtrlPath {
     /// The retry table's time: wall-clock nanoseconds since `t0`.
     pub(crate) fn now(&self) -> Ns {
         self.t0.elapsed().as_nanos() as Ns
+    }
+
+    /// The progress thread, until `stop`: handle what the reactors
+    /// queued, retransmit what is due, sleep on the control bell in
+    /// between.
+    pub(crate) fn run(&self, stop: &AtomicBool) {
+        loop {
+            // Epoch first, then the stop flag and the work: whatever
+            // changes during the pass — a control message a reactor
+            // queued, `finalize`, a first unacked sub-message — rings
+            // the control bell past `seen`, and the sleep below returns
+            // at once. Data frames ring another bell, and control frames
+            // a waiting rank thread read ring none: it handles them
+            // itself.
+            let seen = self.fabric.ctrl_epoch();
+            if stop.load(Ordering::Relaxed) {
+                return;
+            }
+            let drained = self.drain();
+            let next_sweep = self.sweep();
+            if drained > 0 {
+                // Signals may have fired: wake sig_wait parkers — and go
+                // round again rather than sleep, more is likely on its
+                // way.
+                self.fabric.ring_bell();
+            } else {
+                self.fabric.wait_ctrl_since(seen, next_sweep);
+            }
+        }
     }
 
     /// Handle every queued control message, on the calling thread — the
@@ -382,8 +285,8 @@ impl CtrlPath {
             }
             drained += 1;
         }
-        if let (Some(c), true) = (&self.ctrl_msgs, drained > 0) {
-            c.add(drained);
+        if let (Some(hw), true) = (&self.sink.hw, drained > 0) {
+            hw.ctrl_msgs.add(drained);
         }
         drained
     }
@@ -435,7 +338,7 @@ impl CtrlSink for &CtrlPath {
     }
 
     fn apply(&mut self, key: u64, addend: i64) {
-        self.table.apply_counted(key, addend);
+        self.sink.apply_counted(key, addend);
     }
 
     fn reply(&mut self, dst: usize, frame: Vec<u8>) {
@@ -486,22 +389,15 @@ mod tests {
         NetUnr::init(world, cfg, NetFaults::default()).unwrap()
     }
 
-    /// Stop the progress thread, leaving the test the only reader of
-    /// the control queue (the fabric stays up until `finalize`).
-    fn stop_progress(unr: &NetUnr) {
-        unr.stop.store(true, Ordering::Relaxed);
-        unr.fabric().ring_ctrl();
-        unr.progress.lock().take().unwrap().join().unwrap();
-    }
-
     /// Once the reliable transport has latched a peer down, new work is
     /// refused whichever way it moves bytes.
     #[test]
     fn a_get_after_the_transport_latched_down_is_refused_like_a_put() {
         let (fabric, region) = fixture();
         let unr = engine(fabric);
-        // Nobody acks: the one entry runs out of retransmissions.
-        stop_progress(&unr);
+        // Nobody acks: the one entry runs out of retransmissions, and
+        // the test is the only reader of the control queue.
+        unr.transport().stop_progress();
         let retry = unr.ctrl().retry.as_ref().unwrap();
         let dst = RKey {
             rank: 0,
@@ -583,12 +479,14 @@ mod tests {
             assert!(std::thread::scope(|s| s.spawn(f).join()).is_err());
         }
         // A send-side shard, a dedup window and the failure detail of
-        // the shared retry table; then this front-end's own lock (the
+        // the shared retry table; the fabric's region map, early-custom
+        // buffer and control queue; then the transport's own lock (the
         // coalescer's is `unr_core::post`'s to test).
         dies(|| unr.ctrl().retry.as_ref().unwrap().poison_for_tests());
+        dies(|| unr.fabric().poison_for_tests());
         dies(|| {
-            let _held = unr.progress.lock();
-            panic!("poisoning the engine's lock on purpose");
+            let _held = unr.transport().progress.lock();
+            panic!("poisoning the transport's lock on purpose");
         });
 
         // A wait whose signal fires only later goes round its loop, and
@@ -745,7 +643,7 @@ mod tests {
         let unr = engine(Arc::clone(&fabric));
         let sig = unr.sig_init(2);
         let key = sig.key().raw();
-        stop_progress(&unr);
+        unr.transport().stop_progress();
         let ctrl = |msg: Vec<u8>| {
             let mut sink = unr.ctrl();
             ctrl::handle_ctrl(unr.ctrl().retry.as_deref(), 0, &msg, &mut sink)

@@ -66,8 +66,9 @@ use crate::reactor::{
 };
 
 /// Consumer of inbound 128-bit custom bits — the emulated atomic-add
-/// unit. `NetUnr` installs a sink that decodes the bits into a
-/// [`unr_core::Notif`] and applies it to its signal table.
+/// unit. `NetUnr` installs the engine's [`unr_core::TableSink`], which
+/// decodes the bits into a [`unr_core::Notif`] and applies it to its
+/// signal table.
 pub trait NetAddSink: Send + Sync {
     /// Apply one delivery of custom bits (`*p += a` on the MMAS table).
     fn apply(&self, custom: u128);
@@ -348,9 +349,9 @@ impl Bell {
 /// dead-lock on a reader joining itself.
 struct Shared {
     /// Registered regions by id.
-    regions: Mutex<HashMap<u32, Arc<NetRegion>>>,
+    regions: SyncMutex<HashMap<u32, Arc<NetRegion>>>,
     /// Inbound control messages: `(src_rank, wire bytes)`.
-    ctrl: Mutex<VecDeque<(usize, Vec<u8>)>>,
+    ctrl: SyncMutex<VecDeque<(usize, Vec<u8>)>>,
     /// Rung when a waiter's predicate may have moved by another
     /// thread's doing, so `sig_wait` can sleep between events.
     events: EventBell,
@@ -362,7 +363,7 @@ struct Shared {
     sink: OnceLock<Arc<dyn NetAddSink>>,
     /// Custom bits that arrived before the sink was installed — drained
     /// on installation so no addend is ever lost.
-    pre_sink: Mutex<Vec<u128>>,
+    pre_sink: SyncMutex<Vec<u128>>,
     stopping: AtomicBool,
     /// NICs per peer — the row stride of `down`.
     nics: usize,
@@ -375,12 +376,12 @@ struct Shared {
 impl Shared {
     fn new(nranks: usize, nics: usize, reactor_met: ReactorMetrics) -> io::Result<Shared> {
         Ok(Shared {
-            regions: Mutex::new(HashMap::new()),
-            ctrl: Mutex::new(VecDeque::new()),
+            regions: SyncMutex::new(HashMap::new()),
+            ctrl: SyncMutex::new(VecDeque::new()),
             events: EventBell::new(reactor_met)?,
             ctrl_bell: Bell::default(),
             sink: OnceLock::new(),
-            pre_sink: Mutex::new(Vec::new()),
+            pre_sink: SyncMutex::new(Vec::new()),
             stopping: AtomicBool::new(false),
             nics,
             down: (0..nranks * nics).map(|_| AtomicBool::new(false)).collect(),
@@ -388,7 +389,7 @@ impl Shared {
     }
 
     fn region(&self, id: u32) -> Option<Arc<NetRegion>> {
-        self.regions.lock().expect("regions lock").get(&id).cloned()
+        self.regions.lock().get(&id).cloned()
     }
 
     /// The receiving half of an emulated RMA write: `payload` into
@@ -422,7 +423,7 @@ impl Shared {
         }
         // Racy window before install: buffer, then re-check (the
         // installer drains under the same lock).
-        let mut pend = self.pre_sink.lock().expect("pre_sink lock");
+        let mut pend = self.pre_sink.lock();
         if let Some(s) = self.sink.get() {
             drop(pend);
             s.apply(custom);
@@ -439,7 +440,7 @@ impl Shared {
     /// is handled (a waiter by itself, a reactor by ringing the control
     /// bell once its pass is over).
     fn queue_ctrl(&self, src: usize, bytes: Vec<u8>) {
-        self.ctrl.lock().expect("ctrl lock").push_back((src, bytes));
+        self.ctrl.lock().push_back((src, bytes));
     }
 }
 
@@ -595,7 +596,7 @@ impl NetFabric {
     /// Install the atomic-add sink (once), draining any deliveries that
     /// raced ahead of installation.
     pub fn set_add_sink(&self, sink: Arc<dyn NetAddSink>) {
-        let mut pend = self.shared.pre_sink.lock().expect("pre_sink lock");
+        let mut pend = self.shared.pre_sink.lock();
         self.shared
             .sink
             .set(sink)
@@ -613,11 +614,7 @@ impl NetFabric {
         assert!(len > 0, "cannot register an empty region");
         let id = self.next_region.fetch_add(1, Ordering::Relaxed);
         let region = Arc::new(NetRegion::new(self.rank, id, len));
-        self.shared
-            .regions
-            .lock()
-            .expect("regions lock")
-            .insert(id, Arc::clone(&region));
+        self.shared.regions.lock().insert(id, Arc::clone(&region));
         (id, region)
     }
 
@@ -805,7 +802,7 @@ impl NetFabric {
 
     /// Pop one inbound control message: `(src_rank, wire bytes)`.
     pub fn pop_ctrl(&self) -> Option<(usize, Vec<u8>)> {
-        self.shared.ctrl.lock().expect("ctrl lock").pop_front()
+        self.shared.ctrl.lock().pop_front()
     }
 
     fn deliver_custom(&self, custom: u128) {
@@ -903,6 +900,15 @@ impl NetFabric {
     #[cfg(test)]
     pub(crate) fn parked(&self) -> usize {
         self.shared.events.waiting.parked()
+    }
+
+    /// Panic holding the region map, the early-custom buffer and the
+    /// control queue: every one of them must serve its next caller.
+    #[cfg(test)]
+    pub(crate) fn poison_for_tests(&self) {
+        let s = &self.shared;
+        let _held = (s.regions.lock(), s.pre_sink.lock(), s.ctrl.lock());
+        panic!("poisoning the fabric's locks on purpose");
     }
 
     /// Whether teardown has begun (reader threads exiting is expected).
@@ -1260,11 +1266,7 @@ mod tests {
         let reactor_met = ReactorMetrics::register(&Obs::new());
         let shared = Arc::new(Shared::new(2, 1, reactor_met).unwrap());
         let region = Arc::new(NetRegion::new(0, 1, 64));
-        shared
-            .regions
-            .lock()
-            .unwrap()
-            .insert(1, Arc::clone(&region));
+        shared.regions.lock().insert(1, Arc::clone(&region));
         let sink = Arc::new(CountingSink::default());
         let installed = shared.sink.set(Arc::clone(&sink) as Arc<dyn NetAddSink>);
         assert!(installed.is_ok());

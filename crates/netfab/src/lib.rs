@@ -24,13 +24,15 @@
 //! * [`launch`] — [`spawn_world`] / [`NetWorld`]: multi-process
 //!   bootstrap (rank/port rendezvous) and out-of-band collectives;
 //! * [`transport`] — [`NetTransport`]: `unr_core::Transport` over the
-//!   mesh, i.e. the leaf operations under `unr-core`'s one post path and
-//!   the park under its one wait loop;
+//!   mesh, i.e. the leaf operations under `unr-core`'s one post path,
+//!   the park under its one wait loop, registration, the wall clock and
+//!   the progress thread;
 //! * [`engine`] — [`NetUnr`]: that shared engine (`Unr<NetTransport>`,
 //!   reached through `Deref`) plus what is still this fabric's own —
-//!   bring-up and the progress thread — over `unr-core`'s
-//!   [`RetryState`](unr_core::RetryState) table and its
-//!   [`handle_ctrl`](unr_core::handle_ctrl) receive side.
+//!   bring-up — over `unr-core`'s
+//!   [`RetryState`](unr_core::RetryState) table, its
+//!   [`handle_ctrl`](unr_core::handle_ctrl) receive side and its
+//!   [`TableSink`](unr_core::TableSink).
 //!
 //! ## Quick start
 //!

@@ -1,18 +1,22 @@
 //! `NetTransport` — the sockets under the shared post path.
 //!
 //! `unr_core::Transport`'s netfab implementor: what a put, a get, a
-//! reliable sub-message, a control frame and a wait's park are on a TCP
-//! mesh, and nothing else. [`crate::engine`] builds it and keeps what
-//! the seam does not cover — bring-up and the progress thread.
+//! reliable sub-message, a control frame, a wait's park, registration,
+//! the clock and teardown are on a TCP mesh. It owns the progress
+//! thread that runs the control path beside the rank. [`crate::engine`]
+//! builds it (bring-up is all the seam does not cover).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use unr_core::ctrl;
 use unr_core::{
     Encoding, Epoch, PeerFailedCause, RmaOp, Route, SeqPost, Transport, UnrError, Until, Woke,
 };
+use unr_obs::Obs;
+use unr_simnet::sync::Mutex;
 use unr_simnet::{MemRegion, NicSel, Ns};
 
 use crate::engine::CtrlPath;
@@ -36,7 +40,8 @@ impl NetFaults {
 
 /// The sockets under the post path — [`Transport`]'s netfab
 /// implementor: `PUT`/`GET_REQ` frames for native operations, one `CTRL`
-/// frame per reliable sub-message or aggregate, a wall clock.
+/// frame per reliable sub-message or aggregate, a wall clock, and the
+/// progress thread.
 pub struct NetTransport {
     ctrl: Arc<CtrlPath>,
     faults: NetFaults,
@@ -46,16 +51,48 @@ pub struct NetTransport {
     next_nic: AtomicUsize,
     /// Wall-clock cap on a wait that has no deadline of its own, in ns.
     wait_cap: Ns,
+    /// Tells the progress thread to return.
+    stop: Arc<AtomicBool>,
+    /// The progress thread — `None` under pure hardware progress, and
+    /// once stopped.
+    pub(crate) progress: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl NetTransport {
-    pub(crate) fn new(ctrl: Arc<CtrlPath>, faults: NetFaults, wait_cap: Ns) -> NetTransport {
+    /// The transport over `ctrl`, with a progress thread named
+    /// `progress` running it, if any.
+    pub(crate) fn new(
+        ctrl: Arc<CtrlPath>,
+        faults: NetFaults,
+        wait_cap: Ns,
+        progress: Option<String>,
+    ) -> NetTransport {
+        let stop = Arc::new(AtomicBool::new(false));
+        let progress = progress.map(|name| {
+            let (ctrl, stop) = (Arc::clone(&ctrl), Arc::clone(&stop));
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(move || ctrl.run(&stop))
+                .expect("spawn progress thread")
+        });
         NetTransport {
             ctrl,
             faults,
             sends: AtomicU64::new(0),
             next_nic: AtomicUsize::new(0),
             wait_cap,
+            stop,
+            progress: Mutex::new(progress),
+        }
+    }
+
+    /// Stop and join the progress thread (idempotent); the sockets stay
+    /// up until [`Transport::shutdown`].
+    pub(crate) fn stop_progress(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.ctrl.fabric.ring_ctrl();
+        if let Some(h) = self.progress.lock().take() {
+            let _ = h.join();
         }
     }
 
@@ -85,7 +122,7 @@ impl NetTransport {
     fn apply_local(&self, custom: u128) {
         let n = Encoding::Full128.decode(custom);
         if n.key != 0 {
-            self.ctrl.table.apply_counted(n.key, n.addend);
+            self.ctrl.sink.apply_counted(n.key, n.addend);
             self.ctrl.fabric.ring_bell();
         }
     }
@@ -102,6 +139,10 @@ impl Transport for NetTransport {
 
     fn nics(&self) -> usize {
         self.ctrl.fabric.nics()
+    }
+
+    fn register(&self, len: usize) -> MemRegion {
+        self.ctrl.fabric.register(len).1.mem().clone()
     }
 
     fn region(&self, id: u32) -> Option<MemRegion> {
@@ -191,7 +232,7 @@ impl Transport for NetTransport {
         }
         let mut applied = false;
         for &(key, addend) in locals.iter().filter(|&&(key, _)| key != 0) {
-            ctrl.table.apply_counted(key, addend);
+            ctrl.sink.apply_counted(key, addend);
             applied = true;
         }
         if applied {
@@ -249,5 +290,45 @@ impl Transport for NetTransport {
         } else {
             Woke::Retest
         }
+    }
+
+    /// Nothing to do: the thread that reads a frame applies it, and the
+    /// progress thread handles the control messages no waiter read.
+    fn progress_once(&self) -> usize {
+        0
+    }
+
+    /// Stop the progress thread, then close the fabric.
+    fn shutdown(&self) {
+        self.stop_progress();
+        self.ctrl.fabric.shutdown();
+    }
+
+    fn now(&self) -> Ns {
+        self.ctrl.now()
+    }
+
+    /// Open-loop pacing needs sub-OS-quantum resolution: below 500 µs a
+    /// yield loop against the wall deadline is the only way to keep an
+    /// arrival schedule honest.
+    fn sleep(&self, dt: Ns) {
+        if dt >= 500_000 {
+            std::thread::sleep(Duration::from_nanos(dt));
+            return;
+        }
+        let deadline = self.now() + dt;
+        while self.now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
+    fn obs(&self) -> &Obs {
+        &self.ctrl.fabric.obs
+    }
+}
+
+impl Drop for NetTransport {
+    fn drop(&mut self) {
+        self.shutdown();
     }
 }

@@ -23,8 +23,7 @@ use std::time::Duration;
 use unr_core::{Backend, Blk, Reliability, UnrConfig};
 use unr_netfab::{NetFaults, NetUnr, NetWorld};
 use unr_serve::harness::run_simnet;
-use unr_serve::link::{NetLink, RmaLink};
-use unr_serve::{run_open_loop, KvService, RankReport, ServeConfig};
+use unr_serve::{run_open_loop, RankReport, ServeConfig};
 
 const NETFAB_RANKS: usize = 4;
 const NETFAB_NICS: usize = 2;
@@ -138,29 +137,25 @@ fn netfab_child(world: NetWorld, cfg: &ServeConfig) {
         .build()
         .expect("netfab serve config");
     let unr = NetUnr::init(Arc::clone(&world), ucfg, NetFaults::default()).expect("netfab engine");
-    let link = NetLink::new(unr, KvService::region_len(cfg));
+    let mem = unr.mem_reg(cfg.region_len());
 
-    let window_sig = link.sig_init(WINDOW_EVENTS);
-    let rec = unr_serve::rec_len(cfg.value_len);
-    let win = link.local_blk(0, cfg.slots_per_rank * rec, window_sig.key());
+    let window_sig = unr.sig_init(WINDOW_EVENTS);
+    let win = mem.blk(0, cfg.window_len(), Some(&window_sig));
     let windows: Vec<Blk> = world.exchange_blks(&win).expect("window exchange");
-    let base_live = link.signal_occupancy().0;
+    let base_live = unr.signal_occupancy().0;
 
     world.barrier().expect("pre-run barrier");
-    let mut report = run_open_loop(&link, cfg, windows, base_live).expect("serve rank");
+    let mut report = run_open_loop(&unr, mem, cfg, windows, base_live).expect("serve rank");
     // Settle: wait for our reliable sends to be acked (=> applied at
     // the replicas), then a barrier so every rank's writes are in
     // before window counters are read.
-    assert!(
-        link.engine().drain_pending(Duration::from_secs(10)),
-        "reliable drain"
-    );
+    assert!(unr.drain_pending(Duration::from_secs(10)), "reliable drain");
     world.barrier().expect("post-run barrier");
     report.window_writes = (WINDOW_EVENTS - window_sig.counter()) as u64;
-    report.fingerprint = link.table_fingerprint();
+    report.fingerprint = unr.table_fingerprint();
     println!("NETFAB_SERVE_JSON {}", report.to_wire());
     world.barrier().expect("exit barrier");
-    link.engine().finalize();
+    unr.finalize();
 }
 
 /// Parent side: launch the world, merge the per-rank reports.

@@ -1,4 +1,4 @@
-//! The open-loop driver: pace arrivals against the backend clock,
+//! The open-loop driver: pace arrivals against the engine's clock,
 //! submit, reap, and drain — then report.
 //!
 //! The loop is *open*: requests are issued at their scheduled arrival
@@ -7,9 +7,9 @@
 //! queueing delay under load is part of the number — the
 //! coordinated-omission-free convention.
 
+use unr_core::{Blk, Transport, Unr, UnrMem};
 use unr_obs::{percentile_from_buckets, HIST_BUCKETS};
 
-use crate::link::RmaLink;
 use crate::service::KvService;
 use crate::workload::{mix64, ClientGen};
 use crate::{ServeConfig, ServeError};
@@ -158,21 +158,22 @@ impl RankReport {
     }
 }
 
-/// Run the full open-loop workload on one rank.
+/// Run the full open-loop workload on one rank of either fabric.
 ///
-/// `windows` are the exchanged per-rank shard-window blocks;
-/// `window_writes` is read from the rank's window signal by the caller
-/// afterwards (backend harnesses own that signal), so it enters the
-/// report via [`RankReport::window_writes`] post-hoc — this function
-/// leaves it 0.
-pub fn run_open_loop<L: RmaLink>(
-    link: &L,
+/// `mem` is the rank's [`ServeConfig::region_len`] region and `windows`
+/// the exchanged per-rank shard-window blocks; `window_writes` is read
+/// from the rank's window signal by the caller afterwards (backend
+/// harnesses own that signal), so it enters the report via
+/// [`RankReport::window_writes`] post-hoc — this function leaves it 0.
+pub fn run_open_loop<T: Transport>(
+    unr: &Unr<T>,
+    mem: UnrMem,
     cfg: &ServeConfig,
-    windows: Vec<unr_core::Blk>,
+    windows: Vec<Blk>,
     base_live: usize,
 ) -> Result<RankReport, ServeError> {
-    let me = link.rank();
-    let mut svc = KvService::new(link, cfg.clone(), windows, base_live);
+    let me = unr.rank();
+    let mut svc = KvService::new(unr, mem, cfg.clone(), windows, base_live);
     let mut gen = ClientGen::new(
         cfg.seed ^ mix64(me as u64),
         cfg.clients,
@@ -183,42 +184,42 @@ pub fn run_open_loop<L: RmaLink>(
     );
 
     let wall_t0 = std::time::Instant::now();
-    let t0 = link.now_ns();
+    let t0 = unr.now();
     for _ in 0..cfg.ops_per_rank {
         let arr = gen.next_arrival();
         let target = t0 + arr.at_ns;
         // Pace: reap and progress until the scheduled arrival instant.
         loop {
-            let now = link.now_ns();
+            let now = unr.now();
             if now >= target {
                 break;
             }
-            svc.reap(link);
-            link.progress();
-            link.sleep_ns((target - now).min(5_000));
+            svc.reap();
+            unr.progress();
+            unr.sleep((target - now).min(5_000));
         }
-        match svc.submit(link, arr) {
+        match svc.submit(arr) {
             Ok(()) => {}
             Err(ServeError::Overloaded(_)) => {} // typed shed, tallied
             Err(e) => return Err(e),
         }
         // Keep coalesced puts moving toward their replicas.
-        link.flush()?;
-        svc.reap(link);
+        unr.flush()?;
+        svc.reap();
     }
 
     // Drain: bounded, so saturation can never become a hang.
-    let drain_t0 = link.now_ns();
+    let drain_t0 = unr.now();
     while svc.inflight() > 0 {
-        if link.now_ns().saturating_sub(drain_t0) > DRAIN_BUDGET_NS {
+        if unr.now().saturating_sub(drain_t0) > DRAIN_BUDGET_NS {
             return Err(ServeError::DrainTimeout {
                 pending: svc.inflight(),
             });
         }
-        link.flush()?;
-        link.progress();
-        if svc.reap(link) == 0 {
-            link.sleep_ns(2_000);
+        unr.flush()?;
+        unr.progress();
+        if svc.reap() == 0 {
+            unr.sleep(2_000);
         }
     }
     let wall_ns = wall_t0.elapsed().as_nanos() as u64;
@@ -236,7 +237,7 @@ pub fn run_open_loop<L: RmaLink>(
         window_writes: 0,
         wall_ns,
         lat: t.lat,
-        fingerprint: link.table_fingerprint(),
+        fingerprint: unr.table_fingerprint(),
     })
 }
 

@@ -10,8 +10,6 @@ use unr_obs::Snapshot;
 use unr_simnet::{Fabric, Platform, MS};
 
 use crate::driver::{run_open_loop, RankReport};
-use crate::link::{RmaLink, SimLink};
-use crate::service::KvService;
 use crate::{ServeConfig, ServeError};
 
 /// Simnet world shape for serve runs: 2 nodes × 2 ranks on the TH-XY
@@ -53,33 +51,31 @@ pub fn run_simnet(cfg: &ServeConfig, ucfg: UnrConfig, fabric_seed: u64) -> SimSe
         run_mpi_on_fabric(&fabric, MpiConfig::default(), move |comm| {
             let cfg = cfg_in.clone();
             let unr = Unr::init(comm.ep_shared(), ucfg);
-            let link = SimLink::new(unr, KvService::region_len(&cfg), comm.size());
+            let mem = unr.mem_reg(cfg.region_len());
 
             // Shard window: armed with a never-firing signal whose
             // residual counter tallies every remote replica write.
-            let window_sig = link.sig_init(WINDOW_EVENTS);
-            let rec = crate::store::rec_len(cfg.value_len);
-            let win = link.local_blk(0, cfg.slots_per_rank * rec, window_sig.key());
-            let mine = win.to_bytes();
+            let window_sig = unr.sig_init(WINDOW_EVENTS);
+            let mine = mem.blk(0, cfg.window_len(), Some(&window_sig)).to_bytes();
             let windows: Vec<Blk> = allgather_bytes(comm, &mine)
                 .into_iter()
                 .map(|b| Blk::from_bytes(&b).expect("peer window blk"))
                 .collect();
-            let base_live = link.signal_occupancy().0;
+            let base_live = unr.signal_occupancy().0;
 
             barrier(comm);
-            let report = run_open_loop(&link, &cfg, windows, base_live)
+            let report = run_open_loop(&unr, mem, &cfg, windows, base_live)
                 .map_err(|e: ServeError| e.to_string());
             // Settle: our own drain only covers our acks; peers may
             // still have writes in flight toward our window. A barrier
             // plus a virtual-time grace period lets every last addend
             // land before counters and fingerprints are read.
             barrier(comm);
-            link.engine().ep().sleep(5 * MS);
+            unr.sleep(5 * MS);
             barrier(comm);
             report.map(|mut r| {
                 r.window_writes = (WINDOW_EVENTS - window_sig.counter()) as u64;
-                r.fingerprint = link.table_fingerprint();
+                r.fingerprint = unr.table_fingerprint();
                 r
             })
         });

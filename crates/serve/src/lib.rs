@@ -36,8 +36,9 @@
 //!   time and entries expire after a bounded age (see
 //!   [`cache::ResponseCache`] for the exact invalidation rule).
 //!
-//! The same service core runs on both backends behind the
-//! [`link::RmaLink`] seam: `Backend::Simnet` (deterministic virtual
+//! The same service core runs on both backends, over the engine itself
+//! — [`KvService`] and [`run_open_loop`] are generic over the
+//! engine's `Transport`: `Backend::Simnet` (deterministic virtual
 //! time — two same-seed runs produce byte-identical metrics snapshots
 //! and signal-table fingerprints) and `Backend::Netfab` (real OS
 //! processes over the TCP-loopback fabric, launched with the
@@ -50,7 +51,6 @@
 pub mod cache;
 pub mod driver;
 pub mod harness;
-pub mod link;
 pub mod service;
 pub mod store;
 pub mod workload;
@@ -58,7 +58,6 @@ pub mod workload;
 pub use cache::ResponseCache;
 pub use driver::{run_open_loop, RankReport};
 pub use harness::{run_simnet, SimServeRun};
-pub use link::{NetLink, RmaLink, SimLink};
 pub use service::{KvService, ServeMetrics};
 pub use store::{decode_record, encode_record, rec_len, Placement};
 pub use workload::{Arrival, ClientGen, OpKind, PoissonGaps, ZipfKeys};
@@ -238,6 +237,18 @@ impl ServeConfig {
             sig_budget: 64,
             ..ServeConfig::default()
         }
+    }
+
+    /// Byte length of the region one rank's [`KvService`] runs over:
+    /// its shard window, then `max_inflight` scratch slots.
+    pub fn region_len(&self) -> usize {
+        self.window_len() + rec_len(self.value_len) * self.max_inflight
+    }
+
+    /// Byte length of one rank's shard window: `slots_per_rank` records
+    /// at the start of its region.
+    pub fn window_len(&self) -> usize {
+        rec_len(self.value_len) * self.slots_per_rank
     }
 
     /// The replication factor after clamping to `world` ranks.

@@ -20,19 +20,18 @@
 //! only then consulted the high-water marks; under burst load the
 //! signal table hit its hard budget and clients saw raw allocation
 //! failures instead of typed backpressure. The invariant now: every
-//! resource probe ([`RmaLink::signal_occupancy`],
-//! [`RmaLink::agg_backlog`], the scratch free-list) runs **before**
-//! `sig_init`, and the high-water mark is strictly below the hard
+//! resource probe ([`Unr::signal_occupancy`], [`Unr::agg_backlog`],
+//! the scratch free-list) runs **before** `sig_init`, and the
+//! high-water mark is strictly below the hard
 //! budget — so saturation always surfaces as
 //! [`ServeError::Overloaded`] and the regression suite asserts
 //! `sig_alloc_fails == 0` under a load that sheds thousands of
 //! requests.
 
-use unr_core::{Blk, SigKey, Signal};
+use unr_core::{Blk, SigKey, Signal, Transport, Unr, UnrMem};
 use unr_obs::{Counter, Histogram, Obs, HIST_BUCKETS};
 
 use crate::cache::ResponseCache;
-use crate::link::RmaLink;
 use crate::store::{decode_record, encode_record, rec_len, Placement};
 use crate::workload::{Arrival, OpKind};
 use crate::{OverloadCause, ServeConfig, ServeError};
@@ -154,10 +153,13 @@ struct InFlight {
     remote_legs: usize,
 }
 
-/// The per-rank service state machine. Drive it with
+/// The per-rank service state machine over one engine. Drive it with
 /// [`KvService::submit`] per arrival and [`KvService::reap`] in every
 /// idle moment; finish with [`crate::driver::run_open_loop`]'s drain.
-pub struct KvService {
+pub struct KvService<'u, T: Transport> {
+    unr: &'u Unr<T>,
+    /// This rank's region: the shard window, then the scratch ring.
+    mem: UnrMem,
     cfg: ServeConfig,
     rec: usize,
     r_eff: usize,
@@ -183,37 +185,36 @@ pub struct KvService {
     enc_buf: Vec<u8>,
 }
 
-impl KvService {
-    /// Byte length of the region [`KvService`] needs:
-    /// `slots_per_rank` window slots plus `max_inflight` scratch slots.
-    pub fn region_len(cfg: &ServeConfig) -> usize {
-        rec_len(cfg.value_len) * (cfg.slots_per_rank + cfg.max_inflight)
-    }
-
-    /// Offset of the scratch ring inside the region.
-    pub fn scratch_base(cfg: &ServeConfig) -> usize {
-        rec_len(cfg.value_len) * cfg.slots_per_rank
-    }
-
-    /// Build the service over exchanged `windows` (one [`Blk`] per
-    /// rank, covering that rank's whole shard window). `base_live` is
-    /// the occupancy reading taken after engine + window-signal setup.
-    pub fn new<L: RmaLink>(link: &L, cfg: ServeConfig, windows: Vec<Blk>, base_live: usize) -> KvService {
-        let nranks = link.nranks();
+impl<'u, T: Transport> KvService<'u, T> {
+    /// Build the service on `unr` over its region `mem`
+    /// ([`ServeConfig::region_len`] bytes) and the exchanged `windows`
+    /// (one [`Blk`] per rank, covering that rank's whole shard window).
+    /// `base_live` is the occupancy reading taken after engine +
+    /// window-signal setup.
+    pub fn new(
+        unr: &'u Unr<T>,
+        mem: UnrMem,
+        cfg: ServeConfig,
+        windows: Vec<Blk>,
+        base_live: usize,
+    ) -> KvService<'u, T> {
+        let nranks = unr.nranks();
         assert_eq!(windows.len(), nranks, "one window blk per rank");
         let rec = rec_len(cfg.value_len);
         for w in &windows {
             assert!(w.len >= cfg.slots_per_rank * rec, "window too small");
         }
-        let met = ServeMetrics::register(link.obs());
-        let me = link.rank();
+        let met = ServeMetrics::register(unr.obs());
+        let me = unr.rank();
         KvService {
+            unr,
+            mem,
             rec,
             r_eff: cfg.effective_replicas(nranks),
             me,
             nranks,
             windows,
-            scratch_base: Self::scratch_base(&cfg),
+            scratch_base: cfg.window_len(),
             scratch_free: (0..cfg.max_inflight).rev().collect(),
             pending: Vec::with_capacity(cfg.max_inflight),
             cache: ResponseCache::new(cfg.cache_slots, cfg.cache_max_age_ops),
@@ -260,15 +261,11 @@ impl KvService {
 
     /// The admission check — every probe runs before any allocation.
     /// `dsts` are the remote ranks the request would touch.
-    fn admit<L: RmaLink>(
-        &mut self,
-        link: &L,
-        dsts: impl Iterator<Item = usize>,
-    ) -> Result<(), ServeError> {
+    fn admit(&mut self, dsts: impl Iterator<Item = usize>) -> Result<(), ServeError> {
         if self.scratch_free.is_empty() {
             return Err(self.shed(OverloadCause::Inflight));
         }
-        let (live, _cap) = link.signal_occupancy();
+        let (live, _cap) = self.unr.signal_occupancy();
         let used = live.saturating_sub(self.base_live);
         if used >= self.cfg.sig_hwm {
             return Err(self.shed(OverloadCause::SignalTable));
@@ -284,7 +281,7 @@ impl KvService {
             });
         }
         for dst in dsts {
-            let (bytes, _puts) = link.agg_backlog(dst);
+            let (bytes, _puts) = self.unr.agg_backlog(dst);
             if bytes >= self.cfg.agg_hwm_bytes {
                 return Err(self.shed(OverloadCause::AggRing));
             }
@@ -299,22 +296,22 @@ impl KvService {
 
     /// Handle one arrival. `Ok(())` means the request completed or is
     /// in flight; `Err(Overloaded)` is a typed shed (already tallied).
-    pub fn submit<L: RmaLink>(&mut self, link: &L, arr: Arrival) -> Result<(), ServeError> {
+    pub fn submit(&mut self, arr: Arrival) -> Result<(), ServeError> {
         self.arrivals += 1;
         match arr.kind {
-            OpKind::Get => self.submit_get(link, arr),
-            OpKind::Put => self.submit_put(link, arr),
+            OpKind::Get => self.submit_get(arr),
+            OpKind::Put => self.submit_put(arr),
         }
     }
 
-    fn submit_put<L: RmaLink>(&mut self, link: &L, arr: Arrival) -> Result<(), ServeError> {
+    fn submit_put(&mut self, arr: Arrival) -> Result<(), ServeError> {
         let p = Placement::of(arr.key, self.nranks, self.cfg.slots_per_rank);
         let me = self.me;
         let remote_legs = p.replicas(self.nranks, self.r_eff).filter(|&d| d != me).count();
         if remote_legs > 0 {
             let remotes: Vec<usize> =
                 p.replicas(self.nranks, self.r_eff).filter(|&d| d != me).collect();
-            self.admit(link, remotes.iter().copied())?;
+            self.admit(remotes.iter().copied())?;
         }
         let ver = self.next_ver;
         self.next_ver += self.nranks as u64;
@@ -323,26 +320,26 @@ impl KvService {
 
         // Local replica leg: straight into the window, no loopback RMA.
         if p.replicas(self.nranks, self.r_eff).any(|d| d == me) {
-            link.write_local(p.slot * self.rec, &buf);
+            self.mem.write_bytes(p.slot * self.rec, &buf);
         }
 
         if remote_legs == 0 {
             self.enc_buf = buf;
-            self.complete_put(link.now_ns(), arr, ver, 0);
+            self.complete_put(self.unr.now(), arr, ver, 0);
             return Ok(());
         }
 
         let slot = self.scratch_free.pop().expect("admit checked scratch");
         let off = self.scratch_base + slot * self.rec;
-        link.write_local(off, &buf);
+        self.mem.write_bytes(off, &buf);
         self.enc_buf = buf;
         // One ack signal, num_event = remote legs: the summed-MMAS
         // quorum (each leg's source-completion addend totals -1).
-        let sig = link.sig_init(remote_legs as i64);
-        let local = link.local_blk(off, self.rec, SigKey::NULL);
+        let sig = self.unr.sig_init(remote_legs as i64);
+        let local = self.mem.blk(off, self.rec, SigKey::NULL);
         for dst in p.replicas(self.nranks, self.r_eff).filter(|&d| d != me) {
             let remote = self.window_slot(dst, p.slot);
-            if let Err(e) = link.put_keyed(&local, &remote, sig.key(), remote.sig_key) {
+            if let Err(e) = self.unr.put_keyed(&local, &remote, sig.key(), remote.sig_key) {
                 // A failed leg can never fire its addend; give the slot
                 // back rather than leaking it into pending forever.
                 self.scratch_free.push(slot);
@@ -361,7 +358,7 @@ impl KvService {
         Ok(())
     }
 
-    fn submit_get<L: RmaLink>(&mut self, link: &L, arr: Arrival) -> Result<(), ServeError> {
+    fn submit_get(&mut self, arr: Arrival) -> Result<(), ServeError> {
         // The cache is checked before admission on purpose: a hit
         // consumes no fabric resource, so it must keep serving even
         // while the admission controller is shedding.
@@ -370,7 +367,7 @@ impl KvService {
             self.tallies.hits += 1;
             self.met.gets.inc();
             self.tallies.gets += 1;
-            self.record_latency(link.now_ns(), arr.at_ns);
+            self.record_latency(self.unr.now(), arr.at_ns);
             return Ok(());
         }
 
@@ -380,7 +377,7 @@ impl KvService {
             self.tallies.misses += 1;
             // Home is local: serve from the window directly.
             let mut buf = std::mem::take(&mut self.enc_buf);
-            link.read_local(p.slot * self.rec, &mut buf);
+            self.mem.read_bytes(p.slot * self.rec, &mut buf);
             if let Some((k, ver)) = decode_record(&buf) {
                 if k == arr.key {
                     self.cache.fill(arr.key, ver, self.arrivals);
@@ -389,23 +386,23 @@ impl KvService {
             self.enc_buf = buf;
             self.met.gets.inc();
             self.tallies.gets += 1;
-            self.record_latency(link.now_ns(), arr.at_ns);
+            self.record_latency(self.unr.now(), arr.at_ns);
             return Ok(());
         }
 
-        self.admit(link, std::iter::once(p.home))?;
+        self.admit(std::iter::once(p.home))?;
         // Counted here, not at lookup time: a shed request is neither a
         // hit nor a miss, so `hits + misses == gets` holds after drain.
         self.met.misses.inc();
         self.tallies.misses += 1;
         let slot = self.scratch_free.pop().expect("admit checked scratch");
         let off = self.scratch_base + slot * self.rec;
-        let sig = link.sig_init(1);
-        let local = link.local_blk(off, self.rec, SigKey::NULL);
+        let sig = self.unr.sig_init(1);
+        let local = self.mem.blk(off, self.rec, SigKey::NULL);
         let remote = self.window_slot(p.home, p.slot);
         // GETs read without notifying the home's window signal (its
         // count stays an exact tally of replica *writes*).
-        if let Err(e) = link.get_keyed(&local, &remote, sig.key(), SigKey::NULL) {
+        if let Err(e) = self.unr.get_keyed(&local, &remote, sig.key(), SigKey::NULL) {
             self.scratch_free.push(slot);
             return Err(e.into());
         }
@@ -435,7 +432,7 @@ impl KvService {
 
     /// Collect completed requests (non-blocking). Returns how many
     /// finished.
-    pub fn reap<L: RmaLink>(&mut self, link: &L) -> usize {
+    pub fn reap(&mut self) -> usize {
         let mut done = 0;
         let mut i = 0;
         while i < self.pending.len() {
@@ -444,7 +441,7 @@ impl KvService {
                 continue;
             }
             let fin = self.pending.swap_remove(i);
-            let now = link.now_ns();
+            let now = self.unr.now();
             match fin.kind {
                 OpKind::Put => {
                     self.complete_put(
@@ -461,7 +458,7 @@ impl KvService {
                 OpKind::Get => {
                     let off = self.scratch_base + fin.slot * self.rec;
                     let mut buf = std::mem::take(&mut self.enc_buf);
-                    link.read_local(off, &mut buf);
+                    self.mem.read_bytes(off, &mut buf);
                     match decode_record(&buf) {
                         Some((k, ver)) if k == fin.key => {
                             self.cache.fill(fin.key, ver, self.arrivals);

@@ -6,7 +6,6 @@
 use unr_core::{Backend, Unr, UnrConfig};
 use unr_minimpi::{barrier, run_mpi_on_fabric, MpiConfig};
 use unr_serve::harness::run_simnet;
-use unr_serve::link::{RmaLink, SimLink};
 use unr_serve::workload::{Arrival, OpKind};
 use unr_serve::{KvService, OverloadCause, ServeConfig, ServeError};
 use unr_simnet::{Fabric, Platform, MS};
@@ -143,13 +142,12 @@ fn agg_ring_pressure_sheds_and_then_drains() {
                 ..ServeConfig::default()
             };
             let unr = Unr::init(comm.ep_shared(), ucfg);
-            let link = SimLink::new(unr, KvService::region_len(&cfg), comm.size());
-            let win_sig = link.sig_init(1 << 20);
-            let rec = unr_serve::rec_len(cfg.value_len);
-            let win = link.local_blk(0, cfg.slots_per_rank * rec, win_sig.key());
+            let mem = unr.mem_reg(cfg.region_len());
+            let win_sig = unr.sig_init(1 << 20);
+            let win = mem.blk(0, cfg.window_len(), Some(&win_sig));
             let windows = unr_serve::harness::exchange_pairwise(comm, 7, &win);
-            let base_live = link.signal_occupancy().0;
-            let mut svc = KvService::new(&link, cfg.clone(), windows, base_live);
+            let base_live = unr.signal_occupancy().0;
+            let mut svc = KvService::new(&unr, mem, cfg.clone(), windows, base_live);
 
             barrier(comm);
             // Submit PUTs without ever flushing: the coalescer buffers
@@ -158,11 +156,11 @@ fn agg_ring_pressure_sheds_and_then_drains() {
             let mut issued = 0u64;
             for i in 0..64u64 {
                 let arr = Arrival {
-                    at_ns: link.now_ns(),
+                    at_ns: unr.now(),
                     kind: OpKind::Put,
                     key: i,
                 };
-                match svc.submit(&link, arr) {
+                match svc.submit(arr) {
                     Ok(()) => issued += 1,
                     Err(ServeError::Overloaded(OverloadCause::AggRing)) => agg_sheds += 1,
                     Err(ServeError::Overloaded(_)) => {}
@@ -171,13 +169,13 @@ fn agg_ring_pressure_sheds_and_then_drains() {
             }
             // Now flush and drain: buffered puts and their deferred
             // ack addends must all complete.
-            let deadline = link.now_ns() + 500 * MS;
+            let deadline = unr.now() + 500 * MS;
             while svc.inflight() > 0 {
-                assert!(link.now_ns() < deadline, "agg drain must not hang");
-                link.flush().expect("flush");
-                link.progress();
-                if svc.reap(&link) == 0 {
-                    link.sleep_ns(10_000);
+                assert!(unr.now() < deadline, "agg drain must not hang");
+                unr.flush().expect("flush");
+                unr.progress();
+                if svc.reap() == 0 {
+                    unr.sleep(10_000);
                 }
             }
             barrier(comm);

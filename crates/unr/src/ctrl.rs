@@ -18,13 +18,20 @@
 //!
 //! The membership-epoch envelope is fenced *before* a frame gets here:
 //! [`stamp`] wraps on the way out, [`admit`] unwraps on the way in.
+//!
+//! The other half of the receive side, the atomic-add unit that applies
+//! a native operation's custom bits, is one [`TableSink`] too.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
+use unr_obs::{Counter, Obs};
 use unr_simnet::Ns;
 
 use crate::epoch::{self, Epoch};
+use crate::level::{Encoding, Notif};
 use crate::retry::RetryState;
+use crate::signal::SignalTable;
 use crate::wire::{self, CtrlMsg};
 
 /// What [`handle_ctrl`] reports to a fabric's instruments.
@@ -201,6 +208,90 @@ pub fn handle_ctrl<S: CtrlSink>(
     }
     if let Some(seq) = seq {
         sink.reply(src, wire::ack_msg(seq));
+    }
+}
+
+/// Pre-resolved `unr.hw.*` instruments of the level-4 fast path,
+/// registered only on a hardware engine so software runs keep a
+/// byte-identical metrics snapshot. See OBSERVABILITY.md.
+#[derive(Clone)]
+pub struct HwMetrics {
+    /// Notification addends the sink applied directly against the
+    /// signal table (the terminal step of a level-4 completion).
+    pub sink_applies: Arc<Counter>,
+    /// Deliveries that skipped the CQ round-trip because the sink was
+    /// terminal (null ones included, so it can be asserted on its own).
+    pub cq_bypass: Arc<Counter>,
+    /// Control messages drained by the hybrid control drainer (acks,
+    /// retransmit traffic, `MSG_AGG`, `MSG_EPOCH`) while the sink owned
+    /// the data path.
+    pub ctrl_msgs: Arc<Counter>,
+}
+
+impl HwMetrics {
+    /// Register (or re-attach to) the `unr.hw.*` instruments.
+    pub fn new(obs: &Obs) -> HwMetrics {
+        let m = &obs.metrics;
+        HwMetrics {
+            sink_applies: m.counter("unr.hw.sink_applies"),
+            cq_bypass: m.counter("unr.hw.cq_bypass"),
+            ctrl_msgs: m.counter("unr.hw.ctrl_msgs"),
+        }
+    }
+}
+
+/// The atomic-add unit, on every fabric: inbound 128-bit custom bits
+/// ([`Encoding::Full128`]) decoded into a [`Notif`] for the signal
+/// table. It is the *terminal* step of a notification (DESIGN.md §5g):
+/// the addend lands in the generation-tagged slot and nothing is queued
+/// for a progress pass. Each fabric's sink trait is a one-line impl over
+/// [`TableSink::decode`], because only the fabric knows the context an
+/// apply runs in (simnet's wakes waiters inside its scheduler).
+pub struct TableSink {
+    /// The signal table the addends land in.
+    pub table: Arc<SignalTable>,
+    /// `unr.signal.adds`.
+    sig_adds: Arc<Counter>,
+    /// `unr.hw.*`, on a hardware engine.
+    pub hw: Option<HwMetrics>,
+}
+
+impl TableSink {
+    /// The sink over `table`, counting in `obs`.
+    pub fn new(table: Arc<SignalTable>, obs: &Obs, hw: Option<HwMetrics>) -> TableSink {
+        TableSink {
+            table,
+            sig_adds: obs.metrics.counter("unr.signal.adds"),
+            hw,
+        }
+    }
+
+    /// Decode one delivery and count it: every one bypassed a CQ, and a
+    /// non-null one is a signal add, handed back for the caller to apply.
+    pub fn decode(&self, custom: u128) -> Option<Notif> {
+        let n = Encoding::Full128.decode(custom);
+        if let Some(hw) = &self.hw {
+            hw.cq_bypass.inc();
+        }
+        if n.key == 0 {
+            // Null signal: unnotified traffic, nothing to apply.
+            return None;
+        }
+        self.sig_adds.inc();
+        if let Some(hw) = &self.hw {
+            hw.sink_applies.inc();
+        }
+        Some(n)
+    }
+
+    /// `*key += addend` from outside a simulator's scheduler — a real
+    /// fabric's receive side and local completions — counted as a signal
+    /// add unless `key` is null.
+    pub fn apply_counted(&self, key: u64, addend: i64) {
+        if key != 0 {
+            self.sig_adds.inc();
+        }
+        self.table.apply_counted(key, addend);
     }
 }
 

@@ -1,5 +1,8 @@
-//! The UNR context: registration, notifiable PUT/GET with multi-NIC
-//! striping, the progress engine and the polling agent (paper §IV).
+//! Configuration, errors and metrics of the UNR context, and its
+//! simulator side (paper §IV): [`SimTransport`] — registration, the
+//! progress pass and the polling agent on a simulated rank — and
+//! `Unr::init`. The put, get, wait and rank-level calls over it are
+//! [`crate::post`]'s and [`crate::wait`]'s.
 
 use unr_simnet::sync::Mutex;
 use std::collections::HashMap;
@@ -11,9 +14,8 @@ use unr_simnet::{
     GetOp, MemRegion, NicSel, Ns, Port, PutOp, Sched,
 };
 
-use crate::agg::FlushWhy;
 use crate::blk::{MemCheckpoint, UnrMem};
-use crate::ctrl::{self, CtrlEvent, CtrlSink};
+use crate::ctrl::{self, CtrlEvent, CtrlSink, HwMetrics, TableSink};
 use crate::epoch::{Epoch, EpochMetrics, MembershipView, PeerFailedCause, RecoveryPolicy};
 use crate::channel::{Channel, ChannelSelect, Mechanism};
 use crate::level::{EncodeError, Encoding};
@@ -407,6 +409,21 @@ impl UnrConfig {
         }
         1.0 + (self.poll_cost_base + 4 * self.poll_cost_per_event) as f64 / interval as f64
     }
+
+    /// The progress mode an engine on `channel` runs: `progress` if set,
+    /// else hardware progress on a level-4 channel without the reliable
+    /// transport, else a dedicated busy-polling thread (interval 0) —
+    /// the conservative choice for reliable/software channels. Hardware
+    /// stays requestable alongside the reliable transport or the
+    /// coalescer: the hybrid drainer keeps the control port flowing
+    /// (DESIGN.md §5g).
+    pub fn resolve_progress(&self, channel: &Channel, reliable: bool) -> ProgressMode {
+        self.progress.unwrap_or(if channel.hardware && !reliable {
+            ProgressMode::Hardware
+        } else {
+            ProgressMode::PollingAgent { interval: 0 }
+        })
+    }
 }
 
 /// UNR errors.
@@ -644,36 +661,6 @@ impl RetryMetrics {
             ack_latency: m.histogram("unr.retry.ack_latency_ns"),
             nic_rotations: m.counter("unr.failover.nic_rotations"),
             fallback_msgs: m.counter("unr.failover.fallback_msgs"),
-        }
-    }
-}
-
-/// Pre-resolved `unr.hw.*` instruments of the level-4 fast path,
-/// registered only when the selected channel is hardware-capable so
-/// software-channel runs keep a byte-identical metrics snapshot.
-///
-/// See OBSERVABILITY.md for the catalogue.
-pub(crate) struct HwMetrics {
-    /// Notification addends the hardware sink applied directly against
-    /// the signal table (the terminal step of a level-4 completion).
-    pub sink_applies: Arc<unr_obs::Counter>,
-    /// Completions that skipped the CQ round-trip entirely because the
-    /// sink was terminal (one per `sink_applies`; kept as a separate
-    /// series so CQ-bypass accounting can be asserted independently).
-    pub cq_bypass: Arc<unr_obs::Counter>,
-    /// Control-port messages drained by the hybrid control drainer
-    /// (acks, retransmit traffic, `MSG_AGG`, `MSG_EPOCH`) while the
-    /// hardware sink owned the data path.
-    pub ctrl_msgs: Arc<unr_obs::Counter>,
-}
-
-impl HwMetrics {
-    fn new(obs: &unr_obs::Obs) -> HwMetrics {
-        let m = &obs.metrics;
-        HwMetrics {
-            sink_applies: m.counter("unr.hw.sink_applies"),
-            cq_bypass: m.counter("unr.hw.cq_bypass"),
-            ctrl_msgs: m.counter("unr.hw.ctrl_msgs"),
         }
     }
 }
@@ -991,6 +978,86 @@ impl SimState {
         }
         replies.extend(out.resends);
     }
+
+    /// One [`SimState::progress_pass`] on `ep`'s actor — the rank's or
+    /// its agent's. Returns the number of events processed.
+    fn progress_on(&self, ep: &Endpoint) -> usize {
+        let mut replies = Vec::new();
+        let (n, fb_bytes, fb_msgs) = ep
+            .actor()
+            .with_sched(|st, t| self.progress_pass(st, t, &mut replies));
+        self.dispatch_progress(ep, replies, fb_bytes, fb_msgs);
+        n
+    }
+
+    /// One pass of the hybrid control drainer: [`SimState::ctrl_pass`]
+    /// only — the level-4 sink already owns the data path, so the CQ is
+    /// never touched (DESIGN.md §5g). Accounts drained messages into
+    /// `unr.hw.ctrl_msgs` on top of the usual progress series.
+    fn ctrl_on(&self, ep: &Endpoint) -> usize {
+        let mut replies = Vec::new();
+        let (n, fb_bytes, fb_msgs) = ep
+            .actor()
+            .with_sched(|st, t| self.ctrl_pass(st, t, &mut replies));
+        let core = &self.core;
+        core.stats
+            .events_progressed
+            .fetch_add(n as u64, Ordering::Relaxed);
+        core.met.events_progressed.add(n as u64);
+        core.met.progress_batch.record(n as u64);
+        if let Some(hw) = &self.hwmet {
+            hw.ctrl_msgs.add(n as u64);
+        }
+        self.dispatch_progress(ep, replies, fb_bytes, fb_msgs);
+        n
+    }
+
+    /// Post-pass tail shared by every progress driver: charge the
+    /// fallback channel's receive-side costs and send the replies
+    /// computed inside scheduler context.
+    fn dispatch_progress(
+        &self,
+        ep: &Endpoint,
+        replies: Vec<Resend>,
+        fb_bytes: usize,
+        fb_msgs: usize,
+    ) {
+        if fb_msgs > 0 {
+            // Receive-side bounce-buffer copy + per-message MPI-stack
+            // overhead of the fallback channel.
+            ep.advance(
+                self.core.copy_bw.transfer_time(fb_bytes)
+                    + fb_msgs as Ns * self.core.cfg.fallback_overhead,
+            );
+        }
+        for r in replies {
+            match r {
+                // Re-stamp at dispatch time: a retransmission of a
+                // pre-kill sub-message goes out under the *current*
+                // epoch, which is how surviving ranks' traffic heals
+                // through the epoch fence after a membership bump.
+                Resend::Dgram { dst, bytes, .. } => {
+                    ep.send_dgram(dst, UNR_PORT, self.stamp_ctrl(bytes), NicSel::Auto)
+                }
+                Resend::Rma {
+                    payload,
+                    dst_rkey,
+                    dst_offset,
+                    nic,
+                    companion,
+                } => {
+                    ep.put_bytes(
+                        payload,
+                        dst_rkey,
+                        dst_offset,
+                        NicSel::Index(nic),
+                        Some((UNR_PORT, self.stamp_ctrl(companion))),
+                    )
+                    .expect("retransmit targets a validated region");
+                }
+            }
+        }
+    }
 }
 
 /// The simulator under [`ctrl::handle_ctrl`]: one control frame's view
@@ -1092,7 +1159,6 @@ fn schedule_deadline(sched: &mut Sched, retry: &Arc<RetryState>, d: Ns) {
 pub struct SimTransport {
     ep: Arc<Endpoint>,
     sim: Arc<SimState>,
-    progress_mode: ProgressMode,
     agent: Mutex<Option<AgentState>>,
     /// The latest wait deadline whose wake-up has run: a timed wait has
     /// expired once this reaches its own.
@@ -1110,6 +1176,12 @@ impl Transport for SimTransport {
 
     fn nics(&self) -> usize {
         self.sim.fabric.cfg.nics_per_node
+    }
+
+    fn register(&self, len: usize) -> MemRegion {
+        let region = self.ep.register(len, &self.sim.cq);
+        self.sim.regions.insert(region.rkey.id, region.clone());
+        region
     }
 
     fn region(&self, id: u32) -> Option<MemRegion> {
@@ -1250,7 +1322,7 @@ impl Transport for SimTransport {
         });
         let expired = || deadline.is_some_and(|d| self.timer.load(Ordering::SeqCst) >= d);
         let over = || until.met(retry) || expired() || sim.dead_peer();
-        match self.progress_mode {
+        match sim.core.progress_mode {
             ProgressMode::PollingAgent { .. } | ProgressMode::Hardware => {
                 actor.wait_until(
                     |_st| over(),
@@ -1265,7 +1337,7 @@ impl Transport for SimTransport {
                 );
             }
             ProgressMode::UserDriven => {
-                Unr::progress_on(sim, &self.ep);
+                sim.progress_on(&self.ep);
                 if !over() {
                     // Until anything arrives that could progress us —
                     // a retransmit deadline and the wait's own included.
@@ -1296,11 +1368,13 @@ impl Transport for SimTransport {
             Woke::Retest
         }
     }
-}
 
-impl SimTransport {
+    fn progress_once(&self) -> usize {
+        self.sim.progress_on(&self.ep)
+    }
+
     /// Shut down the polling agent (idempotent).
-    fn stop_agent(&self) {
+    fn shutdown(&self) {
         let mut guard = self.agent.lock();
         let Some(agent) = guard.as_mut() else { return };
         let stop = Arc::clone(&agent.stop);
@@ -1330,312 +1404,21 @@ impl SimTransport {
         }
         *guard = None;
     }
-}
 
-impl Drop for SimTransport {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            // The world runner poisons the scheduler; the agent dies on
-            // its next wake-up.
-            if let Some(agent) = self.agent.lock().as_ref() {
-                agent.stop.store(true, Ordering::Relaxed);
-            }
-            return;
-        }
-        self.stop_agent();
+    fn now(&self) -> Ns {
+        self.ep.now()
+    }
+
+    fn sleep(&self, dt: Ns) {
+        self.ep.sleep(dt);
+    }
+
+    fn obs(&self) -> &unr_obs::Obs {
+        &self.sim.fabric.obs
     }
 }
 
-/// What only the simnet engine has: `init`, membership, registration
-/// and the polling agent.
-impl Unr {
-    /// Initialize UNR on this rank. The channel is selected from the
-    /// fabric's interface (Table II) unless forced by `cfg.channel`.
-    pub fn init(ep: Arc<Endpoint>, cfg: UnrConfig) -> Arc<Unr> {
-        assert_eq!(
-            cfg.backend,
-            Backend::Simnet,
-            "Unr::init drives the simnet backend; for Backend::Netfab \
-             use unr-netfab's NetUnr::init"
-        );
-        let spec = ep.iface();
-        let channel = Channel::select(&spec, cfg.channel);
-        let table = SignalTable::with_key_capacity(cfg.n_bits, Self::key_capacity(&channel));
-        let cq = ep.create_cq();
-        let port = ep.open_port(UNR_PORT);
-        let fabric = Arc::clone(ep.fabric());
-        let fcfg = &fabric.cfg;
-        let reliable = match cfg.reliability {
-            Reliability::On => true,
-            Reliability::Off => false,
-            Reliability::Auto => fcfg.faults.enabled(),
-        };
-        let retry = reliable.then(|| {
-            // Approximate wire cost per byte for deadline scaling.
-            let ns_per_byte = fcfg.nic.bandwidth.transfer_time(4096) as f64 / 4096.0;
-            Arc::new(RetryState::new(
-                RetryPolicy {
-                    timeout: cfg.retry_timeout,
-                    max_backoff: cfg.retry_max_backoff,
-                    max_retries: cfg.max_retries,
-                    fallback_after: cfg.fallback_after,
-                    nics: fcfg.nics_per_node,
-                    ns_per_byte,
-                },
-                fcfg.total_ranks(),
-            ))
-        });
-        let core = Arc::new(UnrCore::new(
-            cfg,
-            channel,
-            table,
-            retry,
-            &fabric.obs,
-            fcfg.total_ranks(),
-        ));
-        let sim = Arc::new(SimState {
-            core: Arc::clone(&core),
-            cq,
-            port,
-            regions: RegionMap::new(),
-            rmet: reliable.then(|| RetryMetrics::new(&fabric.obs)),
-            hwmet: channel.hardware.then(|| HwMetrics::new(&fabric.obs)),
-            scratch: Mutex::new(Vec::new()),
-            fabric: Arc::clone(&fabric),
-            emet: OnceLock::new(),
-            last_epoch: AtomicU64::new(0),
-        });
-        let progress_mode = cfg.progress.unwrap_or(if channel.hardware && !reliable {
-            ProgressMode::Hardware
-        } else {
-            // Default: dedicated busy-polling thread (interval 0) —
-            // the conservative choice for reliable/software channels.
-            // Hardware is still explicitly requestable alongside the
-            // reliable transport or the coalescer: the hybrid drainer
-            // below keeps the control port flowing (DESIGN.md §5g).
-            ProgressMode::PollingAgent { interval: 0 }
-        });
-        let unr = Arc::new(Unr {
-            tx: SimTransport {
-                ep,
-                sim,
-                progress_mode,
-                agent: Mutex::new(None),
-                timer: Arc::new(AtomicU64::new(0)),
-            },
-            core,
-        });
-        if channel.hardware {
-            // A level-4 NIC applies *p += a itself, whatever the software
-            // progress mode is; without the sink every notification would
-            // be silently lost (hardware channels post no CQ events).
-            let hw = unr.tx.sim.hwmet.as_ref().expect("hwmet set for hardware channels");
-            let sink = Arc::new(TableSink {
-                table: Arc::clone(&unr.core.table),
-                sig_adds: Arc::clone(&unr.core.met.sig_adds),
-                sink_applies: Arc::clone(&hw.sink_applies),
-                cq_bypass: Arc::clone(&hw.cq_bypass),
-            });
-            unr.tx.ep.set_add_sink(sink);
-        }
-        match progress_mode {
-            ProgressMode::Hardware => {
-                assert!(
-                    channel.hardware,
-                    "Hardware progress requires a level-4 fabric (hardware atomic add)"
-                );
-                // Hybrid progress (DESIGN.md §5g): the sink above owns
-                // the data path; if the config also runs the reliable
-                // transport or the coalescer, a ctrl-only drainer keeps
-                // acks/retransmits/`MSG_AGG`/`MSG_EPOCH` flowing. Pure
-                // notified-RMA traffic spawns no software thread at all.
-                if reliable || cfg.agg_eager_max > 0 {
-                    unr.spawn_agent(0, true);
-                }
-            }
-            ProgressMode::PollingAgent { interval } => {
-                unr.spawn_agent(interval, false);
-            }
-            ProgressMode::UserDriven => {}
-        }
-        unr
-    }
-
-    /// The endpoint this context is bound to.
-    pub fn ep(&self) -> &Endpoint {
-        &self.tx.ep
-    }
-
-    /// The active progress mode.
-    pub fn progress_mode(&self) -> ProgressMode {
-        self.tx.progress_mode
-    }
-
-    // ---- membership & recovery --------------------------------------------
-
-    /// The current membership epoch (see [`crate::epoch`]).
-    ///
-    /// [`Epoch::ZERO`] until a rank is killed; bumped on every kill and
-    /// every revive/rejoin. Observing the epoch through this accessor
-    /// also settles any pending advance into `unr.epoch.bumps`.
-    pub fn epoch(&self) -> Epoch {
-        self.tx.sim.observe_epoch()
-    }
-
-    /// A consistent snapshot of rank membership: epoch, liveness and
-    /// incarnation generation of every rank.
-    ///
-    /// Fault-free runs get the epoch-0 all-live view without touching
-    /// any membership state.
-    pub fn membership_view(&self) -> MembershipView {
-        let sim = &self.tx.sim;
-        let n = sim.fabric.cfg.total_ranks();
-        if !sim.membership_on() {
-            return MembershipView::world(n);
-        }
-        let fabric = &sim.fabric;
-        MembershipView {
-            epoch: sim.observe_epoch(),
-            live: (0..n).map(|r| fabric.rank_alive(r)).collect(),
-            generation: (0..n).map(|r| fabric.rank_generation(r)).collect(),
-        }
-    }
-
-    /// `UNR_Checkpoint`: snapshot a registered region into an in-memory
-    /// checkpoint stamped with the current membership epoch (the Besta &
-    /// Hoefler in-memory-checkpoint model — see [`crate::epoch`]).
-    pub fn checkpoint(&self, mem: &UnrMem) -> MemCheckpoint {
-        mem.checkpoint(self.tx.sim.observe_epoch())
-    }
-
-    /// `UNR_Restore`: write a checkpoint back into its region. On a
-    /// respawned/revived rank this runs *before* re-registering with
-    /// peers, so the new epoch starts from the checkpointed bytes;
-    /// survivors use it to roll back to the last epoch boundary.
-    pub fn restore(&self, mem: &UnrMem, ckpt: &MemCheckpoint) {
-        mem.restore(ckpt);
-    }
-
-    /// `UNR_Mem_Reg`: register `len` bytes for RMA.
-    pub fn mem_reg(&self, len: usize) -> UnrMem {
-        let region = self.tx.ep.register(len, &self.tx.sim.cq);
-        self.tx.sim.regions.insert(region.rkey.id, region.clone());
-        UnrMem::new(region)
-    }
-
-    /// The largest signal key every direction of this channel can carry
-    /// in custom bits. Sizes the signal table's generation field so
-    /// generation-tagged keys always encode on the selected wire
-    /// (narrow wires get no tag and keep the historical semantics).
-    fn key_capacity(channel: &Channel) -> u64 {
-        match channel.mech {
-            // Keys ride full-width datagram payloads.
-            Mechanism::Dgram => u64::MAX,
-            // Level-0 local completions carry Split64 custom bits.
-            Mechanism::RmaCompanion => Encoding::Split64.max_key(),
-            Mechanism::Rma(enc) => {
-                let mut cap = enc
-                    .put_local
-                    .max_key()
-                    .min(enc.put_remote.max_key())
-                    .min(enc.get_local.max_key());
-                if let Some(g) = enc.get_remote {
-                    cap = cap.min(g.max_key());
-                }
-                cap
-            }
-        }
-    }
-
-
-    // ---- progress -----------------------------------------------------------
-
-    /// Drive progress from the application thread (one pass). Returns
-    /// the number of events processed.
-    pub fn progress(&self) -> usize {
-        Self::progress_on(&self.tx.sim, &self.tx.ep)
-    }
-
-    fn progress_on(sim: &SimState, ep: &Endpoint) -> usize {
-        let mut replies = Vec::new();
-        let (n, fb_bytes, fb_msgs) = ep
-            .actor()
-            .with_sched(|st, t| sim.progress_pass(st, t, &mut replies));
-        Self::dispatch_progress(sim, ep, replies, fb_bytes, fb_msgs);
-        n
-    }
-
-    /// One pass of the hybrid control drainer: [`SimState::ctrl_pass`]
-    /// only — the level-4 sink already owns the data path, so the CQ is
-    /// never touched (DESIGN.md §5g). Accounts drained messages into
-    /// `unr.hw.ctrl_msgs` on top of the usual progress series.
-    fn ctrl_on(sim: &SimState, ep: &Endpoint) -> usize {
-        let mut replies = Vec::new();
-        let (n, fb_bytes, fb_msgs) = ep
-            .actor()
-            .with_sched(|st, t| sim.ctrl_pass(st, t, &mut replies));
-        let core = &sim.core;
-        core.stats
-            .events_progressed
-            .fetch_add(n as u64, Ordering::Relaxed);
-        core.met.events_progressed.add(n as u64);
-        core.met.progress_batch.record(n as u64);
-        if let Some(hw) = &sim.hwmet {
-            hw.ctrl_msgs.add(n as u64);
-        }
-        Self::dispatch_progress(sim, ep, replies, fb_bytes, fb_msgs);
-        n
-    }
-
-    /// Post-pass tail shared by every progress driver: charge the
-    /// fallback channel's receive-side costs and send the replies
-    /// computed inside scheduler context.
-    fn dispatch_progress(
-        sim: &SimState,
-        ep: &Endpoint,
-        replies: Vec<Resend>,
-        fb_bytes: usize,
-        fb_msgs: usize,
-    ) {
-        if fb_msgs > 0 {
-            // Receive-side bounce-buffer copy + per-message MPI-stack
-            // overhead of the fallback channel.
-            ep.advance(
-                sim.core.copy_bw.transfer_time(fb_bytes)
-                    + fb_msgs as Ns * sim.core.cfg.fallback_overhead,
-            );
-        }
-        for r in replies {
-            match r {
-                // Re-stamp at dispatch time: a retransmission of a
-                // pre-kill sub-message goes out under the *current*
-                // epoch, which is how surviving ranks' traffic heals
-                // through the epoch fence after a membership bump.
-                Resend::Dgram { dst, bytes, .. } => {
-                    ep.send_dgram(dst, UNR_PORT, sim.stamp_ctrl(bytes), NicSel::Auto)
-                }
-                Resend::Rma {
-                    payload,
-                    dst_rkey,
-                    dst_offset,
-                    nic,
-                    companion,
-                } => {
-                    ep.put_bytes(
-                        payload,
-                        dst_rkey,
-                        dst_offset,
-                        NicSel::Index(nic),
-                        Some((UNR_PORT, sim.stamp_ctrl(companion))),
-                    )
-                    .expect("retransmit targets a validated region");
-                }
-            }
-        }
-    }
-
-    // ---- polling agent ------------------------------------------------------
-
+impl SimTransport {
     /// Spawn the software progress thread. `ctrl_only == false` is the
     /// classic polling agent (drains CQ + control port every pass);
     /// `ctrl_only == true` is the hybrid control drainer of
@@ -1643,19 +1426,19 @@ impl Unr {
     /// the data path, this thread only drains the control port —
     /// acks/retransmits/`MSG_AGG`/`MSG_EPOCH` — and idle-parks until
     /// the port bell or a retransmit deadline wakes it.
-    fn spawn_agent(self: &Arc<Self>, interval: Ns, ctrl_only: bool) {
-        let rank = self.tx.ep.rank();
+    fn spawn_agent(&self, interval: Ns, ctrl_only: bool) {
+        let rank = self.ep.rank();
         let name = if ctrl_only {
             format!("unr-hwctrl-{rank}")
         } else {
             format!("unr-poller-{rank}")
         };
-        let agent_ep = self.tx.ep.fabric().attach_at(rank, &name, self.tx.ep.now());
+        let agent_ep = self.ep.fabric().attach_at(rank, &name, self.ep.now());
         let actor_id = agent_ep.actor().id();
         let stop = Arc::new(AtomicBool::new(false));
         let done = Arc::new(AtomicBool::new(false));
         let finalize_waiter: Arc<Mutex<Option<ActorId>>> = Arc::new(Mutex::new(None));
-        let sim = Arc::clone(&self.tx.sim);
+        let sim = Arc::clone(&self.sim);
         let stop2 = Arc::clone(&stop);
         let done2 = Arc::clone(&done);
         let waiter2 = Arc::clone(&finalize_waiter);
@@ -1669,9 +1452,9 @@ impl Unr {
                         break;
                     }
                     let n = if ctrl_only {
-                        Self::ctrl_on(&sim, &agent_ep)
+                        sim.ctrl_on(&agent_ep)
                     } else {
-                        Self::progress_on(&sim, &agent_ep)
+                        sim.progress_on(&agent_ep)
                     };
                     agent_ep
                         .advance(cfg.poll_cost_base + n as Ns * cfg.poll_cost_per_event);
@@ -1735,7 +1518,7 @@ impl Unr {
                 agent_ep.actor().end();
             })
             .expect("spawn polling agent");
-        *self.tx.agent.lock() = Some(AgentState {
+        *self.agent.lock() = Some(AgentState {
             stop,
             done,
             actor_id,
@@ -1743,41 +1526,199 @@ impl Unr {
             finalize_waiter,
         });
     }
+}
 
-    /// Flush what is buffered and shut down the polling agent
-    /// (idempotent). Must be called before the rank's actor ends;
-    /// dropping the context does the same as a safety net.
-    pub fn finalize(&self) {
-        // Nothing buffered may die with the context.
-        let _ = self.agg_flush_all(FlushWhy::Explicit);
-        self.tx.stop_agent();
+impl Drop for SimTransport {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // The world runner poisons the scheduler; the agent dies on
+            // its next wake-up.
+            if let Some(agent) = self.agent.lock().as_ref() {
+                agent.stop.store(true, Ordering::Relaxed);
+            }
+            return;
+        }
+        self.shutdown();
     }
 }
 
-/// Level-4 sink: the "NIC" applies `*p += a` (paper §IV-C).
-///
-/// This is the *terminal* step of a level-4 completion (DESIGN.md §5g):
-/// the MMAS addend lands directly in the generation-tagged lock-free
-/// slot and no CQ round-trip follows — the fabric never pushes a
-/// completion for sink-routed traffic, which `unr.hw.cq_bypass`
-/// accounts one-for-one.
-struct TableSink {
-    table: Arc<SignalTable>,
-    sig_adds: Arc<unr_obs::Counter>,
-    sink_applies: Arc<unr_obs::Counter>,
-    cq_bypass: Arc<unr_obs::Counter>,
+/// What only the simnet engine has: `init` and membership.
+impl Unr {
+    /// Initialize UNR on this rank. The channel is selected from the
+    /// fabric's interface (Table II) unless forced by `cfg.channel`.
+    pub fn init(ep: Arc<Endpoint>, cfg: UnrConfig) -> Arc<Unr> {
+        assert_eq!(
+            cfg.backend,
+            Backend::Simnet,
+            "Unr::init drives the simnet backend; for Backend::Netfab \
+             use unr-netfab's NetUnr::init"
+        );
+        let spec = ep.iface();
+        let channel = Channel::select(&spec, cfg.channel);
+        let table = SignalTable::with_key_capacity(cfg.n_bits, Self::key_capacity(&channel));
+        let cq = ep.create_cq();
+        let port = ep.open_port(UNR_PORT);
+        let fabric = Arc::clone(ep.fabric());
+        let fcfg = &fabric.cfg;
+        let reliable = match cfg.reliability {
+            Reliability::On => true,
+            Reliability::Off => false,
+            Reliability::Auto => fcfg.faults.enabled(),
+        };
+        let retry = reliable.then(|| {
+            // Approximate wire cost per byte for deadline scaling.
+            let ns_per_byte = fcfg.nic.bandwidth.transfer_time(4096) as f64 / 4096.0;
+            Arc::new(RetryState::new(
+                RetryPolicy {
+                    timeout: cfg.retry_timeout,
+                    max_backoff: cfg.retry_max_backoff,
+                    max_retries: cfg.max_retries,
+                    fallback_after: cfg.fallback_after,
+                    nics: fcfg.nics_per_node,
+                    ns_per_byte,
+                },
+                fcfg.total_ranks(),
+            ))
+        });
+        let core = Arc::new(UnrCore::new(
+            cfg,
+            channel,
+            table,
+            retry,
+            &fabric.obs,
+            fcfg.total_ranks(),
+        ));
+        let hwmet = channel.hardware.then(|| HwMetrics::new(&fabric.obs));
+        if let Some(hw) = &hwmet {
+            // A level-4 NIC applies *p += a itself, whatever the software
+            // progress mode is; without the sink every notification would
+            // be silently lost (hardware channels post no CQ events).
+            let sink = TableSink::new(Arc::clone(&core.table), &fabric.obs, Some(hw.clone()));
+            ep.set_add_sink(Arc::new(sink));
+        }
+        let progress_mode = core.progress_mode;
+        let sim = Arc::new(SimState {
+            core: Arc::clone(&core),
+            cq,
+            port,
+            regions: RegionMap::new(),
+            rmet: reliable.then(|| RetryMetrics::new(&fabric.obs)),
+            hwmet,
+            scratch: Mutex::new(Vec::new()),
+            fabric: Arc::clone(&fabric),
+            emet: OnceLock::new(),
+            last_epoch: AtomicU64::new(0),
+        });
+        let tx = SimTransport {
+            ep,
+            sim,
+            agent: Mutex::new(None),
+            timer: Arc::new(AtomicU64::new(0)),
+        };
+        match progress_mode {
+            ProgressMode::Hardware => {
+                assert!(
+                    channel.hardware,
+                    "Hardware progress requires a level-4 fabric (hardware atomic add)"
+                );
+                // Hybrid progress (DESIGN.md §5g): the sink above owns
+                // the data path; if the config also runs the reliable
+                // transport or the coalescer, a ctrl-only drainer keeps
+                // acks/retransmits/`MSG_AGG`/`MSG_EPOCH` flowing. Pure
+                // notified-RMA traffic spawns no software thread at all.
+                if reliable || cfg.agg_eager_max > 0 {
+                    tx.spawn_agent(0, true);
+                }
+            }
+            ProgressMode::PollingAgent { interval } => tx.spawn_agent(interval, false),
+            ProgressMode::UserDriven => {}
+        }
+        Arc::new(Unr { tx, core })
+    }
+
+    /// The endpoint this context is bound to.
+    pub fn ep(&self) -> &Endpoint {
+        &self.tx.ep
+    }
+
+    // ---- membership & recovery --------------------------------------------
+
+    /// The current membership epoch (see [`crate::epoch`]).
+    ///
+    /// [`Epoch::ZERO`] until a rank is killed; bumped on every kill and
+    /// every revive/rejoin. Observing the epoch through this accessor
+    /// also settles any pending advance into `unr.epoch.bumps`.
+    pub fn epoch(&self) -> Epoch {
+        self.tx.sim.observe_epoch()
+    }
+
+    /// A consistent snapshot of rank membership: epoch, liveness and
+    /// incarnation generation of every rank.
+    ///
+    /// Fault-free runs get the epoch-0 all-live view without touching
+    /// any membership state.
+    pub fn membership_view(&self) -> MembershipView {
+        let sim = &self.tx.sim;
+        let n = sim.fabric.cfg.total_ranks();
+        if !sim.membership_on() {
+            return MembershipView::world(n);
+        }
+        let fabric = &sim.fabric;
+        MembershipView {
+            epoch: sim.observe_epoch(),
+            live: (0..n).map(|r| fabric.rank_alive(r)).collect(),
+            generation: (0..n).map(|r| fabric.rank_generation(r)).collect(),
+        }
+    }
+
+    /// `UNR_Checkpoint`: snapshot a registered region into an in-memory
+    /// checkpoint stamped with the current membership epoch (the Besta &
+    /// Hoefler in-memory-checkpoint model — see [`crate::epoch`]).
+    pub fn checkpoint(&self, mem: &UnrMem) -> MemCheckpoint {
+        mem.checkpoint(self.tx.sim.observe_epoch())
+    }
+
+    /// `UNR_Restore`: write a checkpoint back into its region. On a
+    /// respawned/revived rank this runs *before* re-registering with
+    /// peers, so the new epoch starts from the checkpointed bytes;
+    /// survivors use it to roll back to the last epoch boundary.
+    pub fn restore(&self, mem: &UnrMem, ckpt: &MemCheckpoint) {
+        mem.restore(ckpt);
+    }
+
+    /// The largest signal key every direction of this channel can carry
+    /// in custom bits. Sizes the signal table's generation field so
+    /// generation-tagged keys always encode on the selected wire
+    /// (narrow wires get no tag and keep the historical semantics).
+    fn key_capacity(channel: &Channel) -> u64 {
+        match channel.mech {
+            // Keys ride full-width datagram payloads.
+            Mechanism::Dgram => u64::MAX,
+            // Level-0 local completions carry Split64 custom bits.
+            Mechanism::RmaCompanion => Encoding::Split64.max_key(),
+            Mechanism::Rma(enc) => {
+                let mut cap = enc
+                    .put_local
+                    .max_key()
+                    .min(enc.put_remote.max_key())
+                    .min(enc.get_local.max_key());
+                if let Some(g) = enc.get_remote {
+                    cap = cap.min(g.max_key());
+                }
+                cap
+            }
+        }
+    }
 }
 
+/// Level-4 sink: the "NIC" applies `*p += a` (paper §IV-C) in
+/// scheduler context, waking the signal's waiter. The fabric never
+/// pushes a completion for sink-routed traffic, which
+/// `unr.hw.cq_bypass` accounts one-for-one.
 impl AtomicAddSink for TableSink {
     fn apply(&self, sched: &mut Sched, t: Ns, custom: u128) {
-        self.cq_bypass.inc();
-        let notif = Encoding::Full128.decode(custom);
-        if notif.key == 0 {
-            // Null signal: unnotified traffic, nothing to apply.
-            return;
+        if let Some(n) = self.decode(custom) {
+            self.table.apply(sched, t, n.key, n.addend);
         }
-        self.table.apply(sched, t, notif.key, notif.addend);
-        self.sig_adds.inc();
-        self.sink_applies.inc();
     }
 }

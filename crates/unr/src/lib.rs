@@ -92,7 +92,7 @@ pub use level::{EncodeError, Encoding, Notif, SupportLevel};
 pub use pack::{PackChannel, PackReceiver, PackSender};
 pub use plan::{PlanOp, RmaPlan};
 pub use post::Unr;
-pub use ctrl::{handle_ctrl, CtrlEvent, CtrlSink};
+pub use ctrl::{handle_ctrl, CtrlEvent, CtrlSink, HwMetrics, TableSink};
 pub use retry::{
     DedupWindow, Registered, Reliability, Resend, RetryPolicy, RetryState, Route, SweepOutcome,
 };

@@ -4,21 +4,23 @@
 //! over the [`Transport`] under it (see [`crate::transport`] for the
 //! seam). [`Unr`] with the default parameter is the simnet engine;
 //! `unr-netfab`'s `NetUnr` holds a `Unr<NetTransport>` and derefs to
-//! it. The `sig_wait` family is written once too ([`crate::wait`]);
-//! what is fabric-specific and not a seam call — `init`, the progress
-//! driver — lives with the fabric ([`crate::engine`] for simnet).
+//! it. The `sig_wait` family is written once too ([`crate::wait`]), and
+//! so are the rank-level calls around them — `mem_reg`, `progress`,
+//! `finalize`, the clock. Only bring-up (`init`) lives with the fabric
+//! ([`crate::engine`] for simnet).
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use unr_obs::Obs;
 use unr_simnet::sync::Mutex;
-use unr_simnet::{Bandwidth, MemRegion, NicSel, RKey};
+use unr_simnet::{Bandwidth, MemRegion, NicSel, Ns, RKey};
 
 use crate::agg::{AggFlush, AggMetrics, Coalescer, FlushWhy};
 use crate::blk::{Blk, UnrMem};
 use crate::channel::{Channel, DirEncodings, Mechanism};
-use crate::engine::{SimTransport, UnrConfig, UnrError, UnrMetrics, UnrStats};
+use crate::engine::{ProgressMode, SimTransport, UnrConfig, UnrError, UnrMetrics, UnrStats};
 use crate::epoch::{PeerFailedCause, RecoveryPolicy};
 use crate::level::{Encoding, Notif, SupportLevel};
 use crate::retry::{RetryState, Route};
@@ -33,6 +35,8 @@ pub(crate) struct UnrCore {
     pub table: Arc<SignalTable>,
     pub stats: UnrStats,
     pub cfg: UnrConfig,
+    /// `cfg.progress`, resolved ([`UnrConfig::resolve_progress`]).
+    pub progress_mode: ProgressMode,
     pub copy_bw: Bandwidth,
     pub met: UnrMetrics,
     /// Ack/replay state — `Some` iff reliability is active.
@@ -61,6 +65,7 @@ impl UnrCore {
     ) -> UnrCore {
         let on = cfg.agg_eager_max > 0;
         UnrCore {
+            progress_mode: cfg.resolve_progress(&channel, retry.is_some()),
             channel,
             table,
             stats: UnrStats::default(),
@@ -94,9 +99,8 @@ impl<T: Transport> Unr<T> {
         channel: Channel,
         table: Arc<SignalTable>,
         retry: Option<Arc<RetryState>>,
-        obs: &unr_obs::Obs,
     ) -> Unr<T> {
-        let core = UnrCore::new(cfg, channel, table, retry, obs, tx.nranks());
+        let core = UnrCore::new(cfg, channel, table, retry, tx.obs(), tx.nranks());
         Unr {
             tx,
             core: Arc::new(core),
@@ -116,6 +120,54 @@ impl<T: Transport> Unr<T> {
     /// This rank's id.
     pub fn rank(&self) -> usize {
         self.tx.rank()
+    }
+
+    /// World size.
+    pub fn nranks(&self) -> usize {
+        self.tx.nranks()
+    }
+
+    /// The resolved progress mode.
+    pub fn progress_mode(&self) -> ProgressMode {
+        self.core.progress_mode
+    }
+
+    /// `UNR_Mem_Reg`: register `len` bytes for RMA.
+    pub fn mem_reg(&self, len: usize) -> UnrMem {
+        UnrMem::new(self.tx.register(len))
+    }
+
+    /// Drive progress from the calling thread: one pass. Returns the
+    /// number of events processed (0 on a fabric whose receive side
+    /// needs no help from the rank).
+    pub fn progress(&self) -> usize {
+        self.tx.progress_once()
+    }
+
+    /// Flush what is buffered and shut the transport down — its polling
+    /// agent or progress thread, its sockets (idempotent). Must be
+    /// called before a simulated rank's actor ends; dropping the context
+    /// does the same as a safety net.
+    pub fn finalize(&self) {
+        // Nothing buffered may die with the context.
+        let _ = self.agg_flush_all(FlushWhy::Explicit);
+        self.tx.shutdown();
+    }
+
+    /// Now, in nanoseconds on the transport's clock (virtual on simnet,
+    /// wall since bring-up on netfab).
+    pub fn now(&self) -> Ns {
+        self.tx.now()
+    }
+
+    /// Let `dt` nanoseconds pass on the transport's clock.
+    pub fn sleep(&self, dt: Ns) {
+        self.tx.sleep(dt)
+    }
+
+    /// The registry every `unr.*` instrument of this rank lives in.
+    pub fn obs(&self) -> &Obs {
+        self.tx.obs()
     }
 
     /// The selected transport channel.
@@ -792,9 +844,8 @@ fn notif_for(key: u64, addend: i64) -> Notif {
 }
 
 impl<T: Transport> Drop for Unr<T> {
-    /// Nothing buffered may die with the context. (What the fabric's
-    /// front-end owns — the polling agent, the progress thread — it
-    /// tears down itself.)
+    /// Nothing buffered may die with the context. (The transport drops
+    /// next and stops what it runs beside the rank.)
     fn drop(&mut self) {
         if !std::thread::panicking() {
             let _ = self.agg_flush_all(FlushWhy::Explicit);
@@ -810,8 +861,6 @@ pub(crate) mod tests {
     use crate::wire::CtrlMsg;
     use std::collections::HashMap;
     use std::sync::atomic::AtomicUsize;
-    use unr_obs::Obs;
-    use unr_simnet::Ns;
 
     const NICS: usize = 2;
     const REGION: u32 = 7;
@@ -868,6 +917,7 @@ pub(crate) mod tests {
         retry: Option<Arc<RetryState>>,
         fail_send: Option<usize>,
         sends: AtomicUsize,
+        obs: Obs,
         pub(crate) log: Mutex<Vec<Call>>,
         pub(crate) park: Mutex<ParkHook>,
     }
@@ -892,6 +942,9 @@ pub(crate) mod tests {
         }
         fn nics(&self) -> usize {
             NICS
+        }
+        fn register(&self, _len: usize) -> MemRegion {
+            unreachable!("the post path registers nothing")
         }
         fn region(&self, id: u32) -> Option<MemRegion> {
             (id == REGION).then(|| self.region.clone())
@@ -952,10 +1005,20 @@ pub(crate) mod tests {
             self.log.lock().push(Call::Park);
             (self.park.lock())(until)
         }
+        fn progress_once(&self) -> usize {
+            0
+        }
+        fn shutdown(&self) {}
+        fn now(&self) -> Ns {
+            0
+        }
+        fn sleep(&self, _dt: Ns) {}
+        fn obs(&self) -> &Obs {
+            &self.obs
+        }
     }
 
     pub(crate) fn engine(
-        obs: &Obs,
         channel: Channel,
         reliable: bool,
         agg: bool,
@@ -987,11 +1050,12 @@ pub(crate) mod tests {
             retry: retry.clone(),
             fail_send,
             sends: AtomicUsize::new(0),
+            obs: Obs::new(),
             log: Mutex::new(Vec::new()),
             park: Mutex::new(Box::new(|_| panic!("nothing here waits"))),
         };
         let table = SignalTable::with_key_capacity(cfg.n_bits, u64::MAX);
-        Unr::new(tx, cfg, channel, table, retry, obs)
+        Unr::new(tx, cfg, channel, table, retry)
     }
 
     /// A block of this rank's region and one of `dst`'s.
@@ -1108,8 +1172,7 @@ pub(crate) mod tests {
                             "{} reliable={reliable} route={route:?} len={len} agg={agg}",
                             channel.name
                         );
-                        let obs = Obs::new();
-                        let unr = engine(&obs, channel, reliable, agg, route, None);
+                        let unr = engine(channel, reliable, agg, route, None);
                         let sig = unr.sig_init(1);
                         let (local, remote) = pair(len, sig.key(), REMOTE_KEY, PEER);
                         unr.put(&local, &remote).unwrap();
@@ -1213,13 +1276,12 @@ pub(crate) mod tests {
     /// without remote GET bits refuses a remote signal.
     #[test]
     fn gets_and_null_keys_cross_the_seam_as_the_channel_says() {
-        let obs = Obs::new();
         for (channel, enc, want) in [
             (Channel::fallback(), Encoding::Split64, "C"),
             (Channel::level0(), Encoding::Split64, "CG"),
             (Channel::glex(), Encoding::Full128, "G"),
         ] {
-            let unr = engine(&obs, channel, false, false, Route::Rma, None);
+            let unr = engine(channel, false, false, Route::Rma, None);
             let sig = unr.sig_init(1);
             let (local, remote) = pair(SMALL, sig.key(), REMOTE_KEY, PEER);
             unr.get(&local, &remote).unwrap();
@@ -1231,7 +1293,7 @@ pub(crate) mod tests {
             assert_eq!(unr.stats().gets.load(Ordering::Relaxed), 1);
         }
 
-        let unr = engine(&obs, Channel::glex(), false, false, Route::Rma, None);
+        let unr = engine(Channel::glex(), false, false, Route::Rma, None);
         let (local, remote) = pair(BIG, SigKey::NULL, 0, PEER);
         unr.put(&local, &remote).unwrap();
         unr.get(&local, &remote).unwrap();
@@ -1244,7 +1306,7 @@ pub(crate) mod tests {
             assert_eq!((custom, notify), ((0, 0), (false, false)));
         }
 
-        let unr = engine(&obs, Channel::verbs_mode1(), false, false, Route::Rma, None);
+        let unr = engine(Channel::verbs_mode1(), false, false, Route::Rma, None);
         let (local, remote) = pair(SMALL, SigKey::NULL, 3, PEER);
         let refused = unr.get(&local, &remote);
         assert!(matches!(refused, Err(UnrError::GetRemoteNotifyUnsupported)));
@@ -1255,9 +1317,8 @@ pub(crate) mod tests {
     /// coalesce, or a get, to the ring's destination — and to no other.
     #[test]
     fn a_put_or_get_behind_a_ring_flushes_it_first() {
-        let obs = Obs::new();
-        let order_flushes = || obs.metrics.counter("unr.agg.flush.order").get();
-        let unr = engine(&obs, Channel::glex(), false, true, Route::Rma, None);
+        let unr = engine(Channel::glex(), false, true, Route::Rma, None);
+        let order_flushes = || unr.obs().metrics.counter("unr.agg.flush.order").get();
         let (small, small_rmt) = pair(SMALL, SigKey::NULL, REMOTE_KEY, PEER);
         let (big, big_rmt) = pair(BIG, SigKey::NULL, REMOTE_KEY, PEER);
         let (_, elsewhere) = pair(BIG, SigKey::NULL, REMOTE_KEY, 2);
@@ -1285,9 +1346,8 @@ pub(crate) mod tests {
     /// holds — the stripes sent before it stay registered and armed.
     #[test]
     fn a_sub_message_whose_first_post_fails_is_unregistered() {
-        let obs = Obs::new();
         for route in [Route::Rma, Route::Dgram] {
-            let unr = engine(&obs, Channel::glex(), true, false, route, Some(2));
+            let unr = engine(Channel::glex(), true, false, route, Some(2));
             let sig = unr.sig_init(1);
             let (local, remote) = pair(BIG, sig.key(), REMOTE_KEY, PEER);
             let failed = unr.put(&local, &remote);
@@ -1302,7 +1362,7 @@ pub(crate) mod tests {
             assert_eq!(sig.counter(), 1, "no local completion for a failed put");
         }
 
-        let unr = engine(&obs, Channel::glex(), true, true, Route::Dgram, Some(1));
+        let unr = engine(Channel::glex(), true, true, Route::Dgram, Some(1));
         let (local, remote) = pair(SMALL, SigKey::NULL, REMOTE_KEY, PEER);
         unr.put(&local, &remote).unwrap();
         assert!(matches!(unr.flush(), Err(UnrError::PeerFailed { .. })));
@@ -1316,8 +1376,7 @@ pub(crate) mod tests {
     /// with it (the ring is valid at every step).
     #[test]
     fn a_poisoned_coalescer_lock_does_not_panic_the_post_path() {
-        let obs = Obs::new();
-        let unr = engine(&obs, Channel::glex(), false, true, Route::Rma, None);
+        let unr = engine(Channel::glex(), false, true, Route::Rma, None);
         let died = std::thread::scope(|s| {
             s.spawn(|| {
                 let _held = unr.core.agg.as_ref().unwrap().lock();

@@ -861,9 +861,9 @@ mod tests {
 
     /// An engine over the recording transport whose park only asks the
     /// wait loop to test its signals again.
-    fn waiting_engine(obs: &unr_obs::Obs) -> crate::post::Unr<crate::post::tests::Fake> {
+    fn waiting_engine() -> crate::post::Unr<crate::post::tests::Fake> {
         use crate::{channel::Channel, retry::Route, wait::Woke};
-        let unr = crate::post::tests::engine(obs, Channel::glex(), false, false, Route::Rma, None);
+        let unr = crate::post::tests::engine(Channel::glex(), false, false, Route::Rma, None);
         *unr.tx.park.lock() = Box::new(|_| Woke::Retest);
         unr
     }
@@ -873,8 +873,7 @@ mod tests {
         // num_event + 1 arrivals: the overflow-detect bit must be set and
         // a wait observing it must return EventOverflow and bump
         // SignalStats::overflow_errors.
-        let obs = unr_obs::Obs::new();
-        let unr = waiting_engine(&obs);
+        let unr = waiting_engine();
         let sig = unr.sig_init(1);
         unr.table().apply_counted(sig.key().raw(), -1);
         unr.table().apply_counted(sig.key().raw(), -1); // the extra event
@@ -892,8 +891,7 @@ mod tests {
 
     #[test]
     fn clean_wait_leaves_overflow_stats_untouched() {
-        let obs = unr_obs::Obs::new();
-        let unr = waiting_engine(&obs);
+        let unr = waiting_engine();
         let sig = unr.sig_init(2);
         unr.table().apply_counted(sig.key().raw(), -1);
         unr.table().apply_counted(sig.key().raw(), -1);

@@ -15,23 +15,28 @@
 //! bytes out of the region once, into the frame), the first
 //! transmission of a sub-message the retry table has just buffered,
 //! a standalone control frame, a virtual-time host charge, local
-//! completion plus deadline arming, peer liveness, and the one park a
-//! wait needs ([`crate::wait`] writes the `sig_wait` family over it).
+//! completion plus deadline arming, peer liveness, the one park a
+//! wait needs ([`crate::wait`] writes the `sig_wait` family over it),
+//! and the rank-level calls `Unr` writes once over them: registration,
+//! one progress pass, shutdown, the clock and the metrics sink.
 //!
 //! Two implementors:
 //!
 //! * [`crate::engine::SimTransport`] — the deterministic simulator:
 //!   one `unr_simnet::Endpoint` call per method, in the order the
 //!   golden traces in `tests/` lock. It owns what only a simulated rank
-//!   has: the completion queue, the control port, the region map and
-//!   the membership view. Its park is a scheduler wait.
+//!   has: the completion queue, the control port, the region map, the
+//!   membership view and the polling agent. Its park is a scheduler
+//!   wait; its clock is virtual.
 //! * `unr_netfab::NetTransport` — real TCP sockets: `PUT`/`GET_REQ`
 //!   frames for native operations, one `CTRL` frame per reliable
-//!   sub-message or aggregate, a wall clock. Its park polls the rank's
-//!   sockets and reads them on the waiting thread.
+//!   sub-message or aggregate, the progress thread, a wall clock. Its
+//!   park polls the rank's sockets and reads them on the waiting
+//!   thread.
 //!
-//! **Still per fabric**: the progress driver (polling agent vs progress
-//! thread), `init`, and the two atomic-add sinks.
+//! What each fabric still writes for itself is bring-up — `Unr::init`
+//! and `NetUnr::init` build the signal table, the retry table and the
+//! atomic-add sink ([`crate::ctrl::TableSink`]) the receive side shares.
 //!
 //! [`Backend`] is the user-facing switch: [`crate::UnrConfig`] carries
 //! it, [`crate::Unr::init`] requires [`Backend::Simnet`], and
@@ -39,6 +44,7 @@
 
 use std::borrow::Cow;
 
+use unr_obs::Obs;
 use unr_simnet::{Bytes, MemRegion, NicSel, Ns, RKey};
 
 use crate::epoch::PeerFailedCause;
@@ -135,6 +141,9 @@ pub trait Transport: Send + Sync {
     /// NICs per rank (the striping fan-out bound).
     fn nics(&self) -> usize;
 
+    /// Register `len` bytes for RMA under a fresh region id.
+    fn register(&self, len: usize) -> MemRegion;
+
     /// The region this rank registered under `id`.
     fn region(&self, id: u32) -> Option<MemRegion>;
 
@@ -182,4 +191,23 @@ pub trait Transport: Send + Sync {
     /// the fabric needs meanwhile. It may return early: the caller tests
     /// the wait and parks again.
     fn park(&self, until: &Until<'_>) -> Woke;
+
+    /// One progress pass on the calling thread; returns the events it
+    /// handled (0 where progress needs no help from the rank).
+    fn progress_once(&self) -> usize;
+
+    /// Stop whatever runs beside the rank — a polling agent, a progress
+    /// thread, the sockets. Idempotent; dropping the transport does the
+    /// same.
+    fn shutdown(&self);
+
+    /// Now, in nanoseconds on this transport's clock: virtual on the
+    /// simulator, wall since bring-up on real sockets.
+    fn now(&self) -> Ns;
+
+    /// Let `dt` nanoseconds pass on this transport's clock.
+    fn sleep(&self, dt: Ns);
+
+    /// The registry this rank's instruments live in.
+    fn obs(&self) -> &Obs;
 }

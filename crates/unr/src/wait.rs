@@ -169,7 +169,6 @@ mod tests {
     use crate::retry::Route;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
-    use unr_obs::Obs;
     use unr_simnet::{Bytes, RKey};
 
     fn parks(unr: &Unr<Fake>) -> usize {
@@ -197,10 +196,9 @@ mod tests {
     /// once in each series by every wait of the family.
     #[test]
     fn a_ready_signal_beats_the_deadline_and_an_overflow_counts_once_in_each_series() {
-        let obs = Obs::new();
-        let unr = engine(&obs, Channel::glex(), false, false, Route::Rma, None);
+        let unr = engine(Channel::glex(), false, false, Route::Rma, None);
         set_park(&unr, |_| Woke::Expired);
-        let trips = || obs.metrics.counter("unr.signal.overflow_trips").get();
+        let trips = || unr.obs().metrics.counter("unr.signal.overflow_trips").get();
         let errors = || unr.signal_stats().overflow_errors.load(Ordering::Relaxed);
         let (idle, sig) = (unr.sig_init(1), unr.sig_init(1));
         unr.table().apply_counted(sig.key().raw(), -1);
@@ -232,8 +230,7 @@ mod tests {
     /// both beat an expired deadline.
     #[test]
     fn a_failed_peer_beats_the_deadline() {
-        let obs = Obs::new();
-        let unr = engine(&obs, Channel::glex(), true, false, Route::Rma, None);
+        let unr = engine(Channel::glex(), true, false, Route::Rma, None);
         let sig = unr.sig_init(1);
         set_park(&unr, |_| Woke::PeerDead);
         let got = unr.sig_wait(&sig);
@@ -258,8 +255,7 @@ mod tests {
     /// arms; the next timed wait arms afresh.
     #[test]
     fn the_deadline_is_armed_once_per_wait() {
-        let obs = Obs::new();
-        let unr = engine(&obs, Channel::glex(), false, false, Route::Rma, None);
+        let unr = engine(Channel::glex(), false, false, Route::Rma, None);
         let sig = unr.sig_init(1);
         let arms = Arc::new(AtomicUsize::new(0));
         let park = |expire_at: usize| {
@@ -302,8 +298,7 @@ mod tests {
     /// A drain ends once nothing is unacked, whatever the deadline.
     #[test]
     fn a_drain_ends_when_the_retry_table_empties() {
-        let obs = Obs::new();
-        let unr = engine(&obs, Channel::glex(), true, false, Route::Rma, None);
+        let unr = engine(Channel::glex(), true, false, Route::Rma, None);
         let retry = Arc::clone(unr.core.retry.as_ref().unwrap());
         let seq = in_flight(&retry);
         set_park(&unr, move |_| {
