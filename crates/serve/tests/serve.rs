@@ -63,6 +63,31 @@ fn seeded_serve_runs_are_reproducible() {
     );
 }
 
+/// The same lock at the service's default shape (2 000 clients, 16 384
+/// keys), where a rank reads its signals between two scheduler calls
+/// (`reap`): that code now runs alone, whatever the OS does with the
+/// threads, so same-seed worlds end with the same signal tables and
+/// the same latency sums.
+#[test]
+fn default_shape_serve_runs_are_reproducible() {
+    for seed in [1, 5, 106] {
+        let cfg = ServeConfig {
+            seed,
+            ..ServeConfig::default()
+        };
+        let a = run_simnet(&cfg, UnrConfig::default(), seed);
+        let b = run_simnet(&cfg, UnrConfig::default(), seed);
+        for (ra, rb) in a.per_rank.iter().zip(b.per_rank.iter()) {
+            assert_eq!(
+                digest(ra),
+                digest(rb),
+                "seed {seed}: per-rank reports differ"
+            );
+        }
+        assert_eq!(a.table, b.table, "seed {seed}: rendered tables differ");
+    }
+}
+
 /// Every request is accounted for: completed + shed == arrivals,
 /// cache hits + misses == completed GETs, and every remote replica
 /// leg acknowledged by a writer landed in some window (summed-MMAS

@@ -458,16 +458,19 @@ impl Fabric {
         &self.core
     }
 
-    /// Attach an actor to a rank, producing an [`Endpoint`]. A rank may
-    /// have several endpoints (e.g. the application actor and a library
-    /// polling agent).
+    /// Attach a thread actor to a rank, producing an [`Endpoint`]. A rank
+    /// may have several endpoints.
     pub fn attach(self: &Arc<Self>, rank: usize, actor_name: &str) -> Endpoint {
         self.attach_at(rank, actor_name, 0)
     }
 
-    /// Attach an actor starting at virtual time `t0` — used when an
-    /// already-running actor spawns a library agent mid-simulation (the
-    /// agent's clock must start at the spawner's present, not at 0).
+    /// Attach a thread actor starting at virtual time `t0` — one whose
+    /// thread joins mid-simulation, so its clock must start at the
+    /// spawner's present, not at 0. A library agent with no thread of
+    /// its own (the UNR polling agent) is a callback actor instead
+    /// ([`SimCore::register_callback`]), and posts through its rank's
+    /// endpoint with the `*_at` bodies ([`Endpoint::send_dgram_at`],
+    /// [`Endpoint::put_bytes_at`]).
     pub fn attach_at(self: &Arc<Self>, rank: usize, actor_name: &str, t0: Ns) -> Endpoint {
         assert!(rank < self.cfg.total_ranks(), "rank out of range");
         let actor = self.core.register_actor(actor_name, t0);
@@ -585,8 +588,8 @@ impl Fabric {
 
 /// A rank-scoped, actor-bound handle to the fabric.
 ///
-/// Not `Clone`: each endpoint is bound to one actor (OS thread). Library
-/// agents get their own endpoint via [`Fabric::attach`].
+/// Not `Clone`: each endpoint is bound to one thread actor. A second
+/// thread on the same rank gets its own endpoint via [`Fabric::attach`].
 pub struct Endpoint {
     fabric: Arc<Fabric>,
     rank: usize,
@@ -912,6 +915,10 @@ impl Endpoint {
     /// is resent verbatim, with notification riding the optional
     /// companion datagram. Subject to the same NIC serialization,
     /// jitter and fault injection as [`Endpoint::put`].
+    ///
+    /// Two scheduler entries, like every post: [`Endpoint::put_bytes_at`]
+    /// and then the post overhead it returns (an invalid put fails in
+    /// the first).
     pub fn put_bytes(
         &self,
         data: impl Into<Bytes>,
@@ -920,9 +927,31 @@ impl Endpoint {
         nic: NicSel,
         companion: Option<(u32, Vec<u8>)>,
     ) -> Result<(), FabricError> {
-        let data: Bytes = data.into();
-        let fabric = Arc::clone(&self.fabric);
-        let cfg = fabric.cfg.clone();
+        let data = data.into();
+        let overhead = self
+            .actor
+            .with_sched(|st, t| self.put_bytes_at(st, t, data, dst, dst_offset, nic, companion))?;
+        self.actor.advance(overhead);
+        Ok(())
+    }
+
+    /// The body of [`Endpoint::put_bytes`] in scheduler context, posted
+    /// at `t_post` on behalf of this endpoint's rank — by its actor, or
+    /// by a callback actor of the same rank. Returns the post overhead
+    /// the poster still has to charge itself.
+    #[allow(clippy::too_many_arguments)]
+    pub fn put_bytes_at(
+        &self,
+        st: &mut Sched,
+        t_post: Ns,
+        data: Bytes,
+        dst: RKey,
+        dst_offset: usize,
+        nic: NicSel,
+        companion: Option<(u32, Vec<u8>)>,
+    ) -> Result<Ns, FabricError> {
+        let fabric = &self.fabric;
+        let cfg = &fabric.cfg;
         let src_rank = self.rank;
         if dst.rank >= cfg.total_ranks() {
             return Err(FabricError::BadRank(dst.rank));
@@ -941,86 +970,75 @@ impl Endpoint {
         let len = data.len();
 
         fabric.stats.puts.fetch_add(1, Ordering::Relaxed);
-        fabric.stats.bytes_put.fetch_add(len as u64, Ordering::Relaxed);
+        fabric
+            .stats
+            .bytes_put
+            .fetch_add(len as u64, Ordering::Relaxed);
         fabric.metrics.puts.inc();
         fabric.metrics.bytes_put.add(len as u64);
 
-        self.actor.with_sched(move |st, t_post| {
-            let mut inner = fabric.inner.lock();
-            let nic_idx = Self::pick_nic(&mut inner, &cfg, src_rank, nic);
-            let node = cfg.node_of(src_rank);
-            let (start, end) = if intra {
-                inner.nodes[node].loopback.reserve(t_post, len, &model)
-            } else {
-                inner.nodes[node].nics[nic_idx].reserve(t_post, len, &model)
-            };
-            let mut arrival = end + model.latency + Self::jitter(&mut inner, &model);
-            let action = match inner.faults.as_mut() {
-                Some(fs) => fs.decide(
-                    &cfg.faults,
-                    (!intra).then_some((node, nic_idx)),
-                    start,
-                    model.latency,
-                ),
-                None => FaultAction::CLEAN,
-            };
-            drop(inner);
-            fabric.metrics.count_fault(&action);
-            fabric.metrics.inject_ns.record(end - t_post);
-            if let FaultAction::Deliver { extra_delay, .. } = action {
-                arrival += extra_delay;
-                fabric.metrics.deliver_ns.record(arrival - t_post);
-            }
-            if let Some(tr) = &fabric.tracer {
-                tr.record(crate::trace::TraceEvent {
-                    kind: "put",
-                    src: src_rank,
-                    dst: dst.rank,
-                    nic: nic_idx,
-                    bytes: len,
-                    t_post,
-                    t_service_start: start,
-                    t_service_end: end,
-                    t_arrival: arrival,
-                });
-            }
-            if let FaultAction::Deliver { duplicate, .. } = action {
-                if let Some(dt) = duplicate {
-                    Fabric::schedule_put_delivery(
-                        &fabric,
-                        st,
-                        arrival + dt,
-                        dst,
-                        dst_offset,
-                        data.clone(),
-                        spec,
-                        false,
-                        0,
-                        0,
-                        nic_idx,
-                        src_rank,
-                        companion.clone(),
-                    );
-                }
+        let mut inner = fabric.inner.lock();
+        let nic_idx = Self::pick_nic(&mut inner, cfg, src_rank, nic);
+        let node = cfg.node_of(src_rank);
+        let (start, end) = if intra {
+            inner.nodes[node].loopback.reserve(t_post, len, &model)
+        } else {
+            inner.nodes[node].nics[nic_idx].reserve(t_post, len, &model)
+        };
+        let mut arrival = end + model.latency + Self::jitter(&mut inner, &model);
+        let action = match inner.faults.as_mut() {
+            Some(fs) => fs.decide(
+                &cfg.faults,
+                (!intra).then_some((node, nic_idx)),
+                start,
+                model.latency,
+            ),
+            None => FaultAction::CLEAN,
+        };
+        drop(inner);
+        fabric.metrics.count_fault(&action);
+        fabric.metrics.inject_ns.record(end - t_post);
+        if let FaultAction::Deliver { extra_delay, .. } = action {
+            arrival += extra_delay;
+            fabric.metrics.deliver_ns.record(arrival - t_post);
+        }
+        if let Some(tr) = &fabric.tracer {
+            tr.record(crate::trace::TraceEvent {
+                kind: "put",
+                src: src_rank,
+                dst: dst.rank,
+                nic: nic_idx,
+                bytes: len,
+                t_post,
+                t_service_start: start,
+                t_service_end: end,
+                t_arrival: arrival,
+            });
+        }
+        if let FaultAction::Deliver { duplicate, .. } = action {
+            if let Some(dt) = duplicate {
                 Fabric::schedule_put_delivery(
-                    &fabric,
+                    fabric,
                     st,
-                    arrival,
+                    arrival + dt,
                     dst,
                     dst_offset,
-                    data,
+                    data.clone(),
                     spec,
                     false,
                     0,
                     0,
                     nic_idx,
                     src_rank,
-                    companion,
+                    companion.clone(),
                 );
             }
-        });
-        self.actor.advance(model.post_overhead);
-        Ok(())
+            Fabric::schedule_put_delivery(
+                fabric, st, arrival, dst, dst_offset, data, spec, false, 0, 0, nic_idx, src_rank,
+                companion,
+            );
+        }
+        Ok(model.post_overhead)
     }
 
     /// Post a GET (RMA read). The request travels to the target, the
@@ -1184,10 +1202,30 @@ impl Endpoint {
     }
 
     /// Send a small control datagram to `dst`'s `port`. Shares NIC
-    /// bandwidth with RMA traffic.
+    /// bandwidth with RMA traffic. Two scheduler entries:
+    /// [`Endpoint::send_dgram_at`] and the post overhead it returns.
     pub fn send_dgram(&self, dst: usize, port: u32, bytes: Vec<u8>, nic: NicSel) {
-        let fabric = Arc::clone(&self.fabric);
-        let cfg = fabric.cfg.clone();
+        let overhead = self
+            .actor
+            .with_sched(|st, t| self.send_dgram_at(st, t, dst, port, bytes, nic));
+        self.actor.advance(overhead);
+    }
+
+    /// The body of [`Endpoint::send_dgram`] in scheduler context, sent
+    /// at `t_post` on behalf of this endpoint's rank — by its actor, or
+    /// by a callback actor of the same rank. Returns the post overhead
+    /// the sender still has to charge itself.
+    pub fn send_dgram_at(
+        &self,
+        st: &mut Sched,
+        t_post: Ns,
+        dst: usize,
+        port: u32,
+        bytes: Vec<u8>,
+        nic: NicSel,
+    ) -> Ns {
+        let fabric = &self.fabric;
+        let cfg = &fabric.cfg;
         let src_rank = self.rank;
         assert!(dst < cfg.total_ranks(), "dgram rank out of range");
         let intra = cfg.node_of(src_rank) == cfg.node_of(dst);
@@ -1195,85 +1233,83 @@ impl Endpoint {
         fabric.stats.dgrams.fetch_add(1, Ordering::Relaxed);
         fabric.metrics.dgrams.inc();
 
-        self.actor.with_sched(move |st, t_post| {
-            let mut inner = fabric.inner.lock();
-            let nic_idx = Self::pick_nic(&mut inner, &cfg, src_rank, nic);
-            let node = cfg.node_of(src_rank);
-            let len = bytes.len();
-            let (start, end) = if intra {
-                inner.nodes[node].loopback.reserve(t_post, len, &model)
-            } else {
-                inner.nodes[node].nics[nic_idx].reserve(t_post, len, &model)
-            };
-            let mut arrival = end + model.latency + Self::jitter(&mut inner, &model);
-            // Datagram faults can be scoped to a port list so one
-            // protocol's control traffic is lossy while another's
-            // (e.g. the bootstrap runtime) stays reliable.
-            let action = match inner.faults.as_mut() {
-                Some(fs) if cfg.faults.port_in_scope(port) => fs.decide(
-                    &cfg.faults,
-                    (!intra).then_some((node, nic_idx)),
-                    start,
-                    model.latency,
-                ),
-                _ => FaultAction::CLEAN,
-            };
-            drop(inner);
-            fabric.metrics.count_fault(&action);
-            fabric.metrics.inject_ns.record(end - t_post);
-            if let FaultAction::Deliver { extra_delay, .. } = action {
-                arrival += extra_delay;
-                fabric.metrics.deliver_ns.record(arrival - t_post);
-            }
-            if let Some(tr) = &fabric.tracer {
-                tr.record(crate::trace::TraceEvent {
-                    kind: "dgram",
-                    src: src_rank,
-                    dst,
-                    nic: nic_idx,
-                    bytes: len,
-                    t_post,
-                    t_service_start: start,
-                    t_service_end: end,
-                    t_arrival: arrival,
-                });
-            }
-            if let FaultAction::Deliver { duplicate, .. } = action {
-                let deliver = |f2: Arc<Fabric>, bytes: Vec<u8>, at: Ns| {
-                    move |st2: &mut Sched| {
-                        if f2.delivery_killed(src_rank, dst) {
-                            f2.count_killed_drop();
-                            return;
-                        }
-                        let port_arc = {
-                            let mut inner = f2.inner.lock();
-                            Arc::clone(
-                                inner.ranks[dst]
-                                    .ports
-                                    .entry(port)
-                                    .or_insert_with(|| Arc::new(Port::new())),
-                            )
-                        };
-                        port_arc.push(
-                            st2,
-                            Dgram {
-                                src: src_rank,
-                                t: at,
-                                bytes,
-                            },
-                        );
+        let mut inner = fabric.inner.lock();
+        let nic_idx = Self::pick_nic(&mut inner, cfg, src_rank, nic);
+        let node = cfg.node_of(src_rank);
+        let len = bytes.len();
+        let (start, end) = if intra {
+            inner.nodes[node].loopback.reserve(t_post, len, &model)
+        } else {
+            inner.nodes[node].nics[nic_idx].reserve(t_post, len, &model)
+        };
+        let mut arrival = end + model.latency + Self::jitter(&mut inner, &model);
+        // Datagram faults can be scoped to a port list so one
+        // protocol's control traffic is lossy while another's
+        // (e.g. the bootstrap runtime) stays reliable.
+        let action = match inner.faults.as_mut() {
+            Some(fs) if cfg.faults.port_in_scope(port) => fs.decide(
+                &cfg.faults,
+                (!intra).then_some((node, nic_idx)),
+                start,
+                model.latency,
+            ),
+            _ => FaultAction::CLEAN,
+        };
+        drop(inner);
+        fabric.metrics.count_fault(&action);
+        fabric.metrics.inject_ns.record(end - t_post);
+        if let FaultAction::Deliver { extra_delay, .. } = action {
+            arrival += extra_delay;
+            fabric.metrics.deliver_ns.record(arrival - t_post);
+        }
+        if let Some(tr) = &fabric.tracer {
+            tr.record(crate::trace::TraceEvent {
+                kind: "dgram",
+                src: src_rank,
+                dst,
+                nic: nic_idx,
+                bytes: len,
+                t_post,
+                t_service_start: start,
+                t_service_end: end,
+                t_arrival: arrival,
+            });
+        }
+        if let FaultAction::Deliver { duplicate, .. } = action {
+            let deliver = |f2: Arc<Fabric>, bytes: Vec<u8>, at: Ns| {
+                move |st2: &mut Sched| {
+                    if f2.delivery_killed(src_rank, dst) {
+                        f2.count_killed_drop();
+                        return;
                     }
-                };
-                if let Some(dt) = duplicate {
-                    st.schedule_at(
-                        arrival + dt,
-                        deliver(Arc::clone(&fabric), bytes.clone(), arrival + dt),
+                    let port_arc = {
+                        let mut inner = f2.inner.lock();
+                        Arc::clone(
+                            inner.ranks[dst]
+                                .ports
+                                .entry(port)
+                                .or_insert_with(|| Arc::new(Port::new())),
+                        )
+                    };
+                    port_arc.push(
+                        st2,
+                        Dgram {
+                            src: src_rank,
+                            t: at,
+                            bytes,
+                        },
                     );
                 }
-                st.schedule_at(arrival, deliver(Arc::clone(&fabric), bytes, arrival));
+            };
+            if let Some(dt) = duplicate {
+                st.schedule_at(
+                    arrival + dt,
+                    deliver(Arc::clone(fabric), bytes.clone(), arrival + dt),
+                );
             }
-        });
-        self.actor.advance(model.post_overhead);
+            st.schedule_at(arrival, deliver(Arc::clone(fabric), bytes, arrival));
+        }
+        model.post_overhead
     }
 
     // ---- membership (actor context) ---------------------------------------

@@ -7,10 +7,10 @@
 //! control-datagram ports.
 //!
 //! The simulator is a conservative sequential discrete-event machine
-//! (see [`sched`]): every rank and library agent is an OS thread with a
-//! virtual clock, executed strictly in virtual-time order, so runs are
-//! deterministic and performance results are noise-free even on a
-//! single-core host.
+//! (see [`sched`]): every rank is an OS thread and every library agent
+//! a threadless callback, each with a virtual clock, executed strictly
+//! in virtual-time order, so runs are deterministic and performance
+//! results are noise-free even on a single-core host.
 //!
 //! ## Layering
 //!
@@ -64,7 +64,7 @@ pub use nic::{CustomBits, InterfaceKind, InterfaceSpec, NicModel};
 pub use platform::Platform;
 pub use queues::{Completion, CompletionKind, CompletionQueue, Dgram, Port};
 pub use rng::SimRng;
-pub use sched::{ActorHandle, ActorId, Sched, SimCore};
+pub use sched::{ActorHandle, ActorId, Sched, SimCore, Step};
 pub use sync::{Condvar, Mutex, MutexGuard};
 pub use time::{to_ms, to_sec, to_us, us, Bandwidth, Ns, MS, SEC, US};
 pub use trace::{TraceEvent, TraceRecorder};

@@ -1,35 +1,49 @@
 //! The conservative discrete-event scheduler.
 //!
-//! Every participant in a simulation — application ranks, library-internal
-//! agents such as the UNR polling thread — is an **actor**: a real OS
-//! thread with a *local virtual clock*. The scheduler enforces a single
-//! global rule: at any instant, the runnable entity (ready actor or
-//! pending fabric event) with the smallest virtual timestamp executes.
-//! Because nothing ever executes "in the past" of anything else, the
-//! simulation is causally exact and — ties broken deterministically —
-//! bit-reproducible across runs.
+//! Every participant in a simulation is an **actor** with a *local
+//! virtual clock*. The scheduler enforces a single global rule: at any
+//! instant, the runnable entity (ready actor or pending fabric event)
+//! with the smallest virtual timestamp executes. Because nothing ever
+//! executes "in the past" of anything else, the simulation is causally
+//! exact and — ties broken deterministically — bit-reproducible across
+//! runs.
 //!
-//! Actors interact with the simulation only through the methods on
-//! [`SimCore`] (via their [`ActorHandle`]). Between calls they run
-//! arbitrary Rust code; that code cannot observe simulation state, so its
-//! real-time interleaving is irrelevant.
+//! An actor is one of two kinds:
+//!
+//! * a **thread actor** — an application rank: a real OS thread that
+//!   interacts with the simulation only through the methods on
+//!   [`SimCore`] (via its [`ActorHandle`]). Between calls it runs
+//!   arbitrary Rust code — alone, once every thread has begun: nothing
+//!   else in the simulation runs until its next call.
+//! * a **callback actor** ([`SimCore::register_callback`]) — a
+//!   library-internal agent such as the UNR polling agent: a state
+//!   machine with no thread. Each time it is selected, `dispatch` runs
+//!   one step of it in place, on whichever thread is dispatching, and
+//!   the [`Step`] it returns stands for what a thread's op would have
+//!   done on release: yield (after advancing its clock), block, or end.
 //!
 //! Events are boxed closures run *inside* the scheduler loop with the
 //! scheduler state borrowed mutably; they perform fabric effects (memory
 //! writes, queue pushes) and wake blocked actors.
 //!
 //! One actor thread runs at a time; the others wait, each on its own
-//! baton (a `Condvar` per actor, all paired with the one state mutex).
-//! `current` only ever changes inside `Sched::dispatch`, which tells
-//! its caller whom it newly selected; the caller notifies exactly that
-//! baton, or none if it selected the caller again. Waiters test
+//! baton (a `Condvar` per thread actor, all paired with the one state
+//! mutex). `current` only ever changes inside `Sched::dispatch`, which
+//! tells its caller which thread it newly selected; the caller notifies
+//! exactly that baton, or none if it selected the caller again. A
+//! callback has no baton: `dispatch` runs it where it stands. What a
+//! thread's *release* selects, thread or callback, that thread holds
+//! until its next call, so its own code between two calls runs alone
+//! and the interleaving does not depend on the OS. Waiters test
 //! `current` under the mutex, so a notify that finds its target not yet
 //! waiting is not needed either (DESIGN.md §5, "Time model").
 
 use crate::sync::{Condvar, Mutex, MutexGuard};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -85,12 +99,65 @@ enum ActorState {
     Finished,
 }
 
+/// What a callback actor asks for at the end of a step — the three ways
+/// a thread actor's turn ends.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Advance the clock by `advance` and be ready again: a scheduler
+    /// entry and its release (`advance: 0`), or `ActorHandle::advance`.
+    Yield {
+        /// Virtual time charged to the actor's clock.
+        advance: Ns,
+    },
+    /// Park until a [`Sched::wake`]; the step registered its waiters.
+    Block,
+    /// Retire the actor, as `ActorHandle::end` does; the step is dropped.
+    Finish,
+}
+
+/// A callback actor's body: its state machine, stepped once per turn at
+/// the actor's virtual time.
+type StepFn = Box<dyn FnMut(&mut Sched, ActorId, Ns) -> Step + Send>;
+
+enum Body {
+    /// An OS thread; it waits on this baton until it is `current`.
+    Thread(Arc<Condvar>),
+    /// Run in place by `dispatch`; `None` only while it runs.
+    Callback(Option<StepFn>),
+}
+
 struct ActorSlot {
     t: Ns,
     state: ActorState,
     name: String,
-    /// What the actor's thread waits on until it is `current`.
-    baton: Arc<Condvar>,
+    body: Body,
+}
+
+thread_local! {
+    /// Set, in debug builds, while this thread runs `Sched::dispatch`
+    /// and so holds the scheduler lock.
+    static IN_DISPATCH: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as dispatching for the mark's lifetime
+/// (debug builds only; unwinding clears it too).
+struct DispatchMark;
+
+impl DispatchMark {
+    fn enter() -> DispatchMark {
+        if cfg!(debug_assertions) {
+            IN_DISPATCH.set(true);
+        }
+        DispatchMark
+    }
+}
+
+impl Drop for DispatchMark {
+    fn drop(&mut self) {
+        if cfg!(debug_assertions) {
+            IN_DISPATCH.set(false);
+        }
+    }
 }
 
 /// Scheduler state. All mutation happens under one mutex; events run with
@@ -103,13 +170,19 @@ pub struct Sched {
     ready: BinaryHeap<Reverse<(Ns, usize)>>,
     events: BinaryHeap<Reverse<EventEntry>>,
     current: Option<usize>,
+    /// The thread whose release selected `current` and that is still
+    /// running its own code until its next call: the selected actor's
+    /// turn starts only when that thread hands it over.
+    held: Option<usize>,
     last_selected: Option<usize>,
     /// Selections that differed from `last_selected`.
     switches: Arc<Counter>,
+    /// The actor each of those selections picked, for the tests.
+    #[cfg(test)]
+    switch_log: Vec<usize>,
     /// Smallest (start time, id) among registered actors whose thread
     /// has not called `begin()` yet; `None` once all have.
     gate: Option<(Ns, usize)>,
-    live: usize,
     event_seq: u64,
     /// Total events executed (for diagnostics).
     pub(crate) events_run: u64,
@@ -181,9 +254,70 @@ impl Sched {
             .min()
     }
 
-    /// Core dispatch loop: run due events and select the next actor.
-    /// Events win ties against actors (an arrival "at" time t is visible
-    /// to an actor acting at t).
+    /// The baton of a thread actor.
+    fn baton(&self, id: usize) -> &Arc<Condvar> {
+        match &self.actors[id].body {
+            Body::Thread(baton) => baton,
+            Body::Callback(_) => unreachable!("a callback actor has no baton"),
+        }
+    }
+
+    /// Every thread actor's baton.
+    fn batons(&self) -> impl Iterator<Item = &Arc<Condvar>> {
+        self.actors.iter().filter_map(|s| match &s.body {
+            Body::Thread(baton) => Some(baton),
+            Body::Callback(_) => None,
+        })
+    }
+
+    /// Run one step of the selected callback actor `id` (which is
+    /// `current`) and apply what it returns.
+    fn run_step(&mut self, id: usize) {
+        let Body::Callback(body) = &mut self.actors[id].body else {
+            unreachable!("run_step on a thread actor");
+        };
+        let mut step = body.take().expect("a callback step never re-enters itself");
+        let t = self.actors[id].t;
+        let next = step(self, ActorId(id), t);
+        self.current = None;
+        let slot = &mut self.actors[id];
+        match next {
+            Step::Yield { advance } => {
+                slot.t += advance;
+                slot.state = ActorState::Ready;
+                let t = slot.t;
+                slot.body = Body::Callback(Some(step));
+                self.ready.push(Reverse((t, id)));
+            }
+            Step::Block => {
+                slot.state = ActorState::Blocked;
+                slot.body = Body::Callback(Some(step));
+            }
+            Step::Finish => slot.state = ActorState::Finished,
+        }
+    }
+
+    /// Is it thread `me`'s turn: selected, and handed over?
+    fn turn_of(&self, me: ActorId) -> bool {
+        self.current == Some(me.0) && self.held.is_none()
+    }
+
+    fn is_callback(&self, id: usize) -> bool {
+        matches!(self.actors[id].body, Body::Callback(_))
+    }
+
+    /// Core dispatch loop, called by thread `me`: run due events and
+    /// select the next actor. Events win ties against actors (an arrival
+    /// "at" time t is visible to an actor acting at t). A selected
+    /// callback actor's step runs right here, and the loop goes on.
+    ///
+    /// `hold` is set when `me` has just released and goes on to run its
+    /// own code until its next call. That code runs alone: an actor this
+    /// dispatch selects other than `me` becomes `current`, but `me`
+    /// *holds* it — a callback's step does not run, a thread is not
+    /// notified — and `me`'s next dispatch hands it over first. So no
+    /// other thread's turn, and no step, runs beside a thread's code
+    /// between two calls, on any number of cores.
     ///
     /// Registered-but-not-started actors gate progress: nothing may
     /// execute past the earliest pending (start time, id), otherwise a
@@ -191,11 +325,20 @@ impl Sched {
     /// actor's causal past — or, at equal times, let the order in which
     /// the OS gets threads to `begin()` decide who runs first.
     ///
-    /// Returns the actor this call selected, for `hand_off` to notify;
-    /// `None` if an actor was already running or nothing can run yet.
-    fn dispatch(&mut self) -> Option<usize> {
-        if self.current.is_some() {
-            return None;
+    /// Returns the thread actor whose turn this call started, for
+    /// `hand_off` to notify; `None` if another turn is on (or held by
+    /// another thread), `me` holds the one it selected, or nothing can
+    /// run yet.
+    fn dispatch(&mut self, me: usize, hold: bool) -> Option<usize> {
+        if let Some(id) = self.current {
+            if self.held != Some(me) {
+                return None;
+            }
+            self.held = None;
+            if !self.is_callback(id) {
+                return Some(id);
+            }
+            self.run_step(id);
         }
         loop {
             let a = self
@@ -254,6 +397,16 @@ impl Sched {
             if self.last_selected != Some(id) {
                 self.last_selected = Some(id);
                 self.switches.inc();
+                #[cfg(test)]
+                self.switch_log.push(id);
+            }
+            if hold && id != me {
+                self.held = Some(me);
+                return None;
+            }
+            if self.is_callback(id) {
+                self.run_step(id);
+                continue;
             }
             return Some(id);
         }
@@ -286,10 +439,12 @@ impl SimCore {
                 ready: BinaryHeap::new(),
                 events: BinaryHeap::new(),
                 current: None,
+                held: None,
                 last_selected: None,
                 switches,
+                #[cfg(test)]
+                switch_log: Vec::new(),
                 gate: None,
-                live: 0,
                 event_seq: 0,
                 events_run: 0,
                 cap: virtual_time_cap,
@@ -300,34 +455,73 @@ impl SimCore {
         })
     }
 
-    /// Register a new actor starting at virtual time `t0`. The actor does
-    /// not run until its thread calls [`ActorHandle::begin`].
+    /// Take the scheduler lock. Debug builds first check that this
+    /// thread is not the one inside `dispatch` — a callback step or an
+    /// event calling back into [`SimCore`] would otherwise wait for ever
+    /// on the lock its own thread holds.
+    fn lock(&self) -> MutexGuard<'_, Sched> {
+        debug_assert!(
+            !IN_DISPATCH.get(),
+            "scheduler call from inside a callback step or an event: \
+             the dispatching thread already holds the scheduler lock"
+        );
+        self.state.lock()
+    }
+
+    /// Register a new thread actor starting at virtual time `t0`. The
+    /// actor does not run until its thread calls [`ActorHandle::begin`].
     pub fn register_actor(self: &Arc<Self>, name: &str, t0: Ns) -> ActorHandle {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         let id = st.actors.len();
         st.actors.push(ActorSlot {
             t: t0,
             state: ActorState::NotStarted,
             name: name.to_string(),
-            baton: Arc::default(),
+            body: Body::Thread(Arc::default()),
         });
         st.gate = Some(st.gate.map_or((t0, id), |g| g.min((t0, id))));
-        st.live += 1;
         ActorHandle {
             core: Arc::clone(self),
             id: ActorId(id),
         }
     }
 
+    /// Register a callback actor: one with no thread, whose `step` runs
+    /// inside `dispatch` — on whichever thread is dispatching, with the
+    /// scheduler lock held — each time it is selected, at its own
+    /// virtual time. One step is one turn, as one op is for a thread
+    /// actor; the [`Step`] it returns ends the turn. It is Ready at `t0`
+    /// at once, the order a world whose every thread has begun would
+    /// give. A step must not call back into [`SimCore`] or an
+    /// [`ActorHandle`] (debug builds panic): it already has the
+    /// scheduler.
+    pub fn register_callback(
+        &self,
+        name: &str,
+        t0: Ns,
+        step: impl FnMut(&mut Sched, ActorId, Ns) -> Step + Send + 'static,
+    ) -> ActorId {
+        let mut st = self.lock();
+        let id = st.actors.len();
+        st.actors.push(ActorSlot {
+            t: t0,
+            state: ActorState::Ready,
+            name: name.to_string(),
+            body: Body::Callback(Some(Box::new(step))),
+        });
+        st.ready.push(Reverse((t0, id)));
+        ActorId(id)
+    }
+
     /// Total events executed so far (diagnostic).
     pub fn events_run(&self) -> u64 {
-        self.state.lock().events_run
+        self.lock().events_run
     }
 
     /// Selections so far that changed the running actor: a function of
     /// the seed, like every simulated timestamp.
     pub fn switches(&self) -> u64 {
-        self.state.lock().switches.get()
+        self.lock().switches.get()
     }
 
     fn check_poison(&self) {
@@ -336,17 +530,37 @@ impl SimCore {
         }
     }
 
-    /// Dispatch, unlock, then notify the actor that was newly selected —
+    /// Dispatch, unlock, then notify the thread that was newly selected —
     /// nobody if that is `me` or no one. In that order: a thread woken
     /// while we still hold the lock runs into it and sleeps a second
-    /// time, which halved `sim-serve`'s rate on one core.
-    fn hand_off(&self, mut st: MutexGuard<'_, Sched>, me: ActorId) {
-        let selected = st.dispatch().filter(|&id| id != me.0);
-        let baton = selected.map(|id| Arc::clone(&st.actors[id].baton));
+    /// time, which halved `sim-serve`'s rate on one core. `hold` is
+    /// [`Sched::dispatch`]'s: set when `me` goes on running.
+    fn hand_off(&self, mut st: MutexGuard<'_, Sched>, me: ActorId, hold: bool) {
+        let selected = self.dispatch(&mut st, me, hold).filter(|&id| id != me.0);
+        let baton = selected.map(|id| Arc::clone(st.baton(id)));
         drop(st);
         if let Some(baton) = baton {
             self.wakes.fetch_add(1, Ordering::Relaxed);
             baton.notify_one();
+        }
+    }
+
+    /// [`Sched::dispatch`], poisoning the world if it panics. A callback
+    /// step (or an event) runs on whichever thread dispatches, so its
+    /// panic unwinds that thread while every other one waits on its
+    /// baton; the lock is still held here, so none of them is between
+    /// its poison check and its wait, and the notify cannot be lost.
+    fn dispatch(&self, st: &mut Sched, me: ActorId, hold: bool) -> Option<usize> {
+        let _mark = DispatchMark::enter();
+        match panic::catch_unwind(AssertUnwindSafe(|| st.dispatch(me.0, hold))) {
+            Ok(selected) => selected,
+            Err(cause) => {
+                self.poisoned.store(true, Ordering::Relaxed);
+                for baton in st.batons() {
+                    baton.notify_all();
+                }
+                panic::resume_unwind(cause)
+            }
         }
     }
 
@@ -355,16 +569,16 @@ impl SimCore {
     /// wait, see [`ActorHandle::poison`]: a panicked rank never yields
     /// currency, so no later dispatch would ever pick us.
     fn park(&self, st: MutexGuard<'_, Sched>, me: ActorId) -> MutexGuard<'_, Sched> {
-        let baton = Arc::clone(&st.actors[me.0].baton);
-        self.hand_off(st, me);
-        let mut st = self.state.lock();
+        let baton = Arc::clone(st.baton(me.0));
+        self.hand_off(st, me, false);
+        let mut st = self.lock();
         loop {
             self.check_poison();
-            if st.current == Some(me.0) {
+            if st.turn_of(me) {
                 return st;
             }
             st = baton.wait(st);
-            if st.current != Some(me.0) {
+            if !st.turn_of(me) {
                 self.spurious_wakes.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -373,13 +587,18 @@ impl SimCore {
     /// Become the scheduled (minimum-time) entity. Returns with the lock
     /// held and `current == me`.
     fn acquire(&self, me: ActorId) -> MutexGuard<'_, Sched> {
-        let st = self.state.lock();
+        let st = self.lock();
         self.check_poison();
-        if st.current == Some(me.0) {
+        if st.turn_of(me) {
             return st;
         }
-        // Not current, so release() left us Ready: our heap entry stands.
-        debug_assert_eq!(st.actors[me.0].state, ActorState::Ready);
+        // Our release left us Ready (our heap entry stands) and park's
+        // dispatch first hands over whatever it selected and we held —
+        // or another thread's release selected us and holds us.
+        debug_assert!(
+            st.actors[me.0].state == ActorState::Ready || st.current == Some(me.0),
+            "acquire by an actor that is neither ready nor selected"
+        );
         self.park(st, me)
     }
 
@@ -388,12 +607,13 @@ impl SimCore {
         debug_assert_eq!(st.current, Some(me.0));
         // Yield for real whenever someone earlier is waiting; if we are
         // still the global minimum, dispatch re-selects us and the next
-        // acquire() is the no-op fast path with no context switch.
+        // acquire() is the no-op fast path with no context switch. Any
+        // other actor it selects we hold until that acquire() (or end()).
         st.current = None;
         st.actors[me.0].state = ActorState::Ready;
         let t = st.actors[me.0].t;
         st.ready.push(Reverse((t, me.0)));
-        self.hand_off(st, me);
+        self.hand_off(st, me, true);
     }
 
     /// Run `f` as a scheduled op at the actor's current time.
@@ -405,10 +625,12 @@ impl SimCore {
     }
 }
 
-/// Per-thread handle an actor uses to talk to the scheduler.
+/// Per-thread handle a thread actor uses to talk to the scheduler.
 ///
-/// Not `Clone`: a handle identifies one OS thread's actor. Spawn agents
-/// with [`SimCore::register_actor`] instead of sharing handles.
+/// Not `Clone`: a handle identifies one OS thread's actor. Register
+/// another actor with [`SimCore::register_actor`] (a thread) or
+/// [`SimCore::register_callback`] (a state machine) instead of sharing
+/// handles.
 pub struct ActorHandle {
     core: Arc<SimCore>,
     id: ActorId,
@@ -435,7 +657,7 @@ impl ActorHandle {
     pub fn begin(&self) {
         let core = &self.core;
         let me = self.id;
-        let mut st = core.state.lock();
+        let mut st = core.lock();
         core.check_poison();
         let slot = &mut st.actors[me.0];
         debug_assert_eq!(slot.state, ActorState::NotStarted, "begin() called twice");
@@ -452,9 +674,8 @@ impl ActorHandle {
     pub fn end(&self) {
         let mut st = self.core.acquire(self.id);
         st.actors[self.id.0].state = ActorState::Finished;
-        st.live -= 1;
         st.current = None;
-        self.core.hand_off(st, self.id);
+        self.core.hand_off(st, self.id, false);
     }
 
     /// Local virtual time.
@@ -525,21 +746,19 @@ impl ActorHandle {
     }
 
     /// Sleep for `dt` virtual nanoseconds (yields to other entities).
+    ///
+    /// The timer event wakes us at `t + dt`, and our clock reaching that
+    /// time is the sign it has run: a wake at or after it comes from an
+    /// entity that the timer, an event, precedes.
     pub fn sleep(&self, dt: Ns) {
-        let fired = Arc::new(AtomicBool::new(false));
-        let mut armed = false;
-        let fired_pred = Arc::clone(&fired);
+        let until = Cell::new(None);
         self.wait_until(
-            |_st| fired_pred.load(Ordering::Relaxed),
+            |st| until.get().is_some_and(|u| st.actor_time(self.id) >= u),
             |st, me| {
-                if !armed {
-                    armed = true;
-                    let t = st.actors[me.0].t + dt;
-                    let flag = Arc::clone(&fired);
-                    st.schedule_at(t, move |st2| {
-                        flag.store(true, Ordering::Relaxed);
-                        st2.wake(me, t);
-                    });
+                if until.get().is_none() {
+                    let t = st.actor_time(me) + dt;
+                    until.set(Some(t));
+                    st.schedule_at(t, move |st2| st2.wake(me, t));
                 }
             },
         );
@@ -554,9 +773,9 @@ impl ActorHandle {
         // releases it atomically, so once we have had it every one of
         // them is on its baton and the notify cannot be lost. Threads
         // not in the scheduler see the flag at their next acquire().
-        let st = self.core.state.lock();
-        for slot in &st.actors {
-            slot.baton.notify_all();
+        let st = self.core.lock();
+        for baton in st.batons() {
+            baton.notify_all();
         }
     }
 }
@@ -731,23 +950,65 @@ mod tests {
         })]);
     }
 
-    /// One storm-shaped world: 8 "ranks" that compute for seeded times
-    /// and ring their "agent" with a fabric event, 8 agents that block
-    /// until rung. Returns (switches, batons notified, spurious wake-ups).
-    fn storm_world(seed: u64) -> (u64, u64, u64) {
-        const PAIRS: usize = 8;
-        const ROUNDS: u64 = 50;
+    const PAIRS: usize = 8;
+    const ROUNDS: u64 = 50;
+
+    /// What one [`storm_world`] did.
+    struct StormRun {
+        switches: u64,
+        /// Batons notified.
+        wakes: u64,
+        spurious: u64,
+        /// (actor, virtual time) of every ring and every answered ring,
+        /// in the order the scheduler ran them.
+        log: Vec<(usize, Ns)>,
+        /// The actor each switch selected.
+        switch_log: Vec<usize>,
+    }
+
+    /// One storm-shaped world: 8 "ranks" (actors 0–7) that compute for
+    /// seeded times and ring their "agent" (actor 8 + rank) with a
+    /// fabric event, and 8 agents that block until rung, then charge
+    /// 20 ns per ring. The agents are thread actors or, with
+    /// `callbacks`, callback actors cut at the same scheduler entries.
+    fn storm_world(seed: u64, callbacks: bool) -> StormRun {
         let core = SimCore::new(100 * SEC);
-        let handles: Vec<ActorHandle> = (0..2 * PAIRS)
+        let n_threads = if callbacks { PAIRS } else { 2 * PAIRS };
+        let handles: Vec<ActorHandle> = (0..n_threads)
             .map(|i| core.register_actor(&format!("a{i}"), 0))
             .collect();
         let bells: Vec<Arc<AtomicU64>> = (0..PAIRS).map(|_| Arc::default()).collect();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        if callbacks {
+            for (i, bell) in bells.iter().enumerate() {
+                let (bell, log) = (Arc::clone(bell), Arc::clone(&log));
+                // Each thread turn, as a step: the wait check that
+                // `begin()` or a wake-up leads into, then `advance(20)`,
+                // and after the last ring `end()`.
+                let (mut rung, mut answered) = (1, false);
+                core.register_callback(&format!("a{}", PAIRS + i), 0, move |_, me, t| {
+                    if rung > ROUNDS {
+                        Step::Finish
+                    } else if answered {
+                        (rung, answered) = (rung + 1, false);
+                        Step::Yield { advance: 20 }
+                    } else if bell.load(AO::Relaxed) >= rung {
+                        log.lock().push((me.0, t));
+                        answered = true;
+                        Step::Yield { advance: 0 }
+                    } else {
+                        Step::Block
+                    }
+                });
+            }
+        }
         let joins: Vec<_> = handles
             .into_iter()
             .enumerate()
             .map(|(i, h)| {
                 let bell = Arc::clone(&bells[i % PAIRS]);
                 let agent = ActorId(PAIRS + i % PAIRS);
+                let log = Arc::clone(&log);
                 std::thread::spawn(move || {
                     h.begin();
                     if i < PAIRS {
@@ -755,7 +1016,8 @@ mod tests {
                         for _ in 0..ROUNDS {
                             h.advance(rng.gen_range_u64(50, 500));
                             let bell = Arc::clone(&bell);
-                            h.with_sched(move |st, t| {
+                            h.with_sched(|st, t| {
+                                log.lock().push((i, t));
                                 st.schedule_at(t + 100, move |st2| {
                                     bell.fetch_add(1, AO::Relaxed);
                                     st2.wake(agent, t + 100);
@@ -764,7 +1026,16 @@ mod tests {
                         }
                     } else {
                         for rung in 1..=ROUNDS {
-                            h.wait_until(|_| bell.load(AO::Relaxed) >= rung, |_, _| {});
+                            h.wait_until(
+                                |st| {
+                                    let rang = bell.load(AO::Relaxed) >= rung;
+                                    if rang {
+                                        log.lock().push((i, st.actor_time(h.id())));
+                                    }
+                                    rang
+                                },
+                                |_, _| {},
+                            );
                             h.advance(20);
                         }
                     }
@@ -775,20 +1046,29 @@ mod tests {
         for j in joins {
             j.join().unwrap();
         }
-        (
-            core.switches(),
-            core.wakes.load(AO::Relaxed),
-            core.spurious_wakes.load(AO::Relaxed),
-        )
+        let switch_log = core.state.lock().switch_log.clone();
+        let log = log.lock().clone();
+        StormRun {
+            switches: core.switches(),
+            wakes: core.wakes.load(AO::Relaxed),
+            spurious: core.spurious_wakes.load(AO::Relaxed),
+            log,
+            switch_log,
+        }
     }
 
     #[test]
     fn one_wake_per_switch_and_switches_follow_the_seed() {
         let one_core = std::thread::available_parallelism().is_ok_and(|n| n.get() == 1);
-        let (switches, ..) = storm_world(7);
+        let switches = storm_world(7, false).switches;
         assert!(switches > 1_000, "the world must interleave: {switches}");
         for run in 0..20 {
-            let (s, wakes, spurious) = storm_world(7);
+            let StormRun {
+                switches: s,
+                wakes,
+                spurious,
+                ..
+            } = storm_world(7, false);
             assert_eq!(s, switches, "run {run}: switches must follow the seed");
             assert!(wakes <= s + 16, "run {run}: {wakes} wakes for {s} switches");
             // With a second core the target can take its whole turn
@@ -797,6 +1077,36 @@ mod tests {
             if one_core {
                 assert_eq!(spurious, 0, "run {run}: an actor woke out of turn");
             }
+        }
+    }
+
+    #[test]
+    fn callback_agents_run_the_thread_agents_schedule_with_a_wake_per_rank_change() {
+        let threads = storm_world(7, false);
+        for run in 0..10 {
+            let callbacks = storm_world(7, true);
+            assert_eq!(callbacks.log.len(), 2 * PAIRS * ROUNDS as usize);
+            assert!(
+                callbacks.log == threads.log,
+                "run {run}: the (actor, time) logs differ"
+            );
+            assert_eq!(callbacks.switches, threads.switches, "run {run}");
+            assert!(callbacks.switch_log == threads.switch_log, "run {run}");
+            // Only a change from one rank to another is a hand-off now:
+            // a rank → its agent → the same rank round trip notifies no one.
+            let mut ranks: Vec<usize> = callbacks
+                .switch_log
+                .iter()
+                .copied()
+                .filter(|&id| id < PAIRS)
+                .collect();
+            ranks.dedup();
+            assert!(
+                callbacks.wakes <= ranks.len() as u64,
+                "run {run}: {} wakes for {} rank-to-rank changes",
+                callbacks.wakes,
+                ranks.len()
+            );
         }
     }
 
@@ -965,5 +1275,114 @@ mod tests {
         );
         // late → runner at 120, → late at 135, → runner at 150.
         assert_eq!(core.wakes.load(AO::Relaxed) - wakes_before, 3);
+    }
+
+    /// The panic message of a thread that died, or `None` if it ended.
+    fn panic_message(r: std::thread::Result<()>) -> Option<String> {
+        let p = r.err()?;
+        p.downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| p.downcast_ref::<String>().cloned())
+    }
+
+    #[test]
+    fn poison_reaches_a_world_whose_only_runnable_actor_is_a_callback() {
+        const RANKS: usize = 3;
+        for round in 0..50 {
+            let core = SimCore::new(SEC);
+            let ranks: Vec<ActorHandle> = (0..RANKS)
+                .map(|i| core.register_actor(&format!("rank{i}"), 0))
+                .collect();
+            // Runs on the thread of whichever rank blocks last.
+            let mut steps = 0;
+            core.register_callback("doomed", 0, move |_, _, _| {
+                steps += 1;
+                assert!(steps < 3, "the step failed");
+                Step::Yield { advance: 10 }
+            });
+            let (done, outcomes) = std::sync::mpsc::channel();
+            for h in ranks {
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        h.begin();
+                        h.wait_until(|_| false, |_, _| {});
+                    }));
+                    let _ = done.send(panic_message(r));
+                });
+            }
+            let deadline = std::time::Duration::from_secs(20);
+            let mut messages: Vec<String> = (0..RANKS)
+                .map(|_| match outcomes.recv_timeout(deadline) {
+                    Ok(Some(msg)) => msg,
+                    Ok(None) => panic!("round {round}: a wait on nothing returned"),
+                    Err(_) => panic!("round {round}: a rank is stranded — poison never woke it"),
+                })
+                .collect();
+            messages.sort();
+            let poisoned = |m: &String| m.contains("scheduler is poisoned");
+            assert!(
+                poisoned(&messages[0]) && poisoned(&messages[1]),
+                "{messages:?}"
+            );
+            assert!(messages[2].contains("the step failed"), "{messages:?}");
+        }
+    }
+
+    #[test]
+    fn a_turn_a_release_selects_starts_at_the_releasing_threads_next_call() {
+        // What a thread does between two calls sees the world as its
+        // release left it, on any number of cores: neither a thread nor
+        // a callback that release selected runs before its next call.
+        let core = SimCore::new(SEC);
+        let rank = core.register_actor("rank", 0);
+        let other = core.register_actor("other", 0);
+        let ran = Arc::new(AtomicU64::new(0));
+        let (by_agent, by_other) = (Arc::clone(&ran), Arc::clone(&ran));
+        core.register_callback("agent", 0, move |_, _, _| {
+            by_agent.fetch_add(1, AO::Relaxed);
+            Step::Finish
+        });
+        let other = std::thread::spawn(move || {
+            other.begin();
+            other.with_sched(|_, _| by_other.fetch_add(10, AO::Relaxed));
+            other.end();
+        });
+        let pause = std::time::Duration::from_millis(50);
+        rank.begin();
+        std::thread::sleep(pause); // lets `other` reach its begin()
+        rank.advance(5); // selects `other` at t=0, and then the agent
+        std::thread::sleep(pause); // `other` would run now, were it woken
+        assert_eq!(ran.load(AO::Relaxed), 0, "a turn ran beside the releaser");
+        assert_eq!(rank.now(), 5);
+        assert_eq!(ran.load(AO::Relaxed), 11);
+        rank.end();
+        other.join().unwrap();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_scheduler_call_from_a_step_panics_instead_of_deadlocking() {
+        let core = SimCore::new(SEC);
+        let rank = core.register_actor("rank", 0);
+        let core2 = Arc::clone(&core);
+        core.register_callback("reentrant", 0, move |_, _, _| {
+            core2.switches();
+            Step::Finish
+        });
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rank.begin();
+                rank.advance(1); // selects the callback at t=0 …
+                rank.now(); // … which runs here
+            }));
+            let _ = done.send(panic_message(r));
+        });
+        match outcome.recv_timeout(std::time::Duration::from_secs(20)) {
+            Ok(Some(msg)) => assert!(msg.contains("inside a callback step"), "{msg}"),
+            Ok(None) => panic!("the re-entrant step returned"),
+            Err(_) => panic!("the re-entrant step deadlocked"),
+        }
     }
 }

@@ -29,18 +29,6 @@ impl<T> Mutex<T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Try to acquire the lock without blocking; `None` if it is held.
-    /// Lets callers count contention (e.g. the engine's
-    /// `unr.lock.contended` metric) before falling back to a blocking
-    /// `lock()`.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
     /// Consume the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
         self.0.into_inner().unwrap_or_else(PoisonError::into_inner)

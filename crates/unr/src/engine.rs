@@ -6,12 +6,12 @@
 
 use unr_simnet::sync::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use unr_simnet::{
     ActorId, AtomicAddSink, Completion, CompletionKind, CompletionQueue, Endpoint, FabricError,
-    GetOp, MemRegion, NicSel, Ns, Port, PutOp, Sched,
+    GetOp, MemRegion, NicSel, Ns, Port, PutOp, Sched, Step,
 };
 
 use crate::blk::{MemCheckpoint, UnrMem};
@@ -592,8 +592,6 @@ pub(crate) struct UnrMetrics {
     pub(crate) stripe_fanout: Arc<unr_obs::Histogram>,
     /// Events + control messages drained per progress pass.
     pub(crate) progress_batch: Arc<unr_obs::Histogram>,
-    /// Hot-path mutex acquisitions that found the lock held.
-    pub(crate) lock_contended: Arc<unr_obs::Counter>,
     /// Operations replayed through `UNR_Plan_Start`.
     pub(crate) plan_ops: Arc<unr_obs::Counter>,
     /// `UNR_Plan_Start` invocations (plan replays).
@@ -620,7 +618,6 @@ impl UnrMetrics {
             )),
             stripe_fanout: m.histogram("unr.stripe_fanout"),
             progress_batch: m.histogram("unr.progress.batch_size"),
-            lock_contended: m.counter("unr.lock.contended"),
             plan_ops: m.counter("unr.plan.ops"),
             plan_starts: m.counter("unr.plan.starts"),
         }
@@ -740,8 +737,9 @@ pub(crate) struct SimState {
     pub hwmet: Option<HwMetrics>,
     /// Reusable completion-drain buffer: progress passes run many times
     /// per virtual microsecond, and re-allocating the event Vec each
-    /// pass was measurable wall-clock churn. Shared between the rank
-    /// and the agent; contention is counted, never waited-for silently.
+    /// pass was measurable wall-clock churn. Every pass — the rank's or
+    /// its agent's — runs inside a scheduler entry, so the lock is never
+    /// contended.
     pub scratch: Mutex<Vec<Completion>>,
     /// The fabric this core runs on — membership/epoch queries on the
     /// control path read its lock-free membership atomics directly.
@@ -848,17 +846,9 @@ impl SimState {
         let mut n = 0;
         let mut fb_bytes = 0usize;
         let mut fb_msgs = 0usize;
-        // Reuse the drain buffer across passes; count (don't silently
-        // absorb) the rare cases where the rank and the agent race for
-        // it. Batching the whole CQ into one drain keeps the per-event
-        // cost to a slice iteration.
-        let mut events = match self.scratch.try_lock() {
-            Some(g) => g,
-            None => {
-                self.core.met.lock_contended.inc();
-                self.scratch.lock()
-            }
-        };
+        // Reuse the drain buffer across passes. Batching the whole CQ
+        // into one drain keeps the per-event cost to a slice iteration.
+        let mut events = self.scratch.lock();
         events.clear();
         self.cq.drain(usize::MAX, &mut events);
         if let Mechanism::Rma(enc) = self.core.channel.mech {
@@ -897,10 +887,18 @@ impl SimState {
         n += cn;
         fb_bytes += c_bytes;
         fb_msgs += c_msgs;
-        self.core.stats.events_progressed.fetch_add(n as u64, Ordering::Relaxed);
-        self.core.met.events_progressed.add(n as u64);
-        self.core.met.progress_batch.record(n as u64);
+        self.count_pass(n);
         (n, fb_bytes, fb_msgs)
+    }
+
+    /// Account one pass's drained completions and control messages.
+    fn count_pass(&self, n: usize) {
+        let core = &self.core;
+        core.stats
+            .events_progressed
+            .fetch_add(n as u64, Ordering::Relaxed);
+        core.met.events_progressed.add(n as u64);
+        core.met.progress_batch.record(n as u64);
     }
 
     /// The control half of [`SimState::progress_pass`]: drain the control
@@ -979,84 +977,86 @@ impl SimState {
         replies.extend(out.resends);
     }
 
-    /// One [`SimState::progress_pass`] on `ep`'s actor — the rank's or
-    /// its agent's. Returns the number of events processed.
-    fn progress_on(&self, ep: &Endpoint) -> usize {
-        let mut replies = Vec::new();
-        let (n, fb_bytes, fb_msgs) = ep
-            .actor()
-            .with_sched(|st, t| self.progress_pass(st, t, &mut replies));
-        self.dispatch_progress(ep, replies, fb_bytes, fb_msgs);
-        n
-    }
-
-    /// One pass of the hybrid control drainer: [`SimState::ctrl_pass`]
-    /// only — the level-4 sink already owns the data path, so the CQ is
-    /// never touched (DESIGN.md §5g). Accounts drained messages into
-    /// `unr.hw.ctrl_msgs` on top of the usual progress series.
-    fn ctrl_on(&self, ep: &Endpoint) -> usize {
-        let mut replies = Vec::new();
-        let (n, fb_bytes, fb_msgs) = ep
-            .actor()
-            .with_sched(|st, t| self.ctrl_pass(st, t, &mut replies));
-        let core = &self.core;
-        core.stats
-            .events_progressed
-            .fetch_add(n as u64, Ordering::Relaxed);
-        core.met.events_progressed.add(n as u64);
-        core.met.progress_batch.record(n as u64);
-        if let Some(hw) = &self.hwmet {
-            hw.ctrl_msgs.add(n as u64);
-        }
-        self.dispatch_progress(ep, replies, fb_bytes, fb_msgs);
-        n
-    }
-
-    /// Post-pass tail shared by every progress driver: charge the
-    /// fallback channel's receive-side costs and send the replies
-    /// computed inside scheduler context.
-    fn dispatch_progress(
+    /// One pass of the rank's agent: the whole
+    /// [`SimState::progress_pass`], or — the hybrid control drainer —
+    /// [`SimState::ctrl_pass`] only: the level-4 sink already owns the
+    /// data path, so the CQ is never touched (DESIGN.md §5g), and the
+    /// drained messages also count in `unr.hw.ctrl_msgs`.
+    fn agent_pass(
         &self,
-        ep: &Endpoint,
-        replies: Vec<Resend>,
-        fb_bytes: usize,
-        fb_msgs: usize,
-    ) {
-        if fb_msgs > 0 {
-            // Receive-side bounce-buffer copy + per-message MPI-stack
-            // overhead of the fallback channel.
-            ep.advance(
-                self.core.copy_bw.transfer_time(fb_bytes)
-                    + fb_msgs as Ns * self.core.cfg.fallback_overhead,
-            );
+        sched: &mut Sched,
+        t: Ns,
+        ctrl_only: bool,
+        replies: &mut Vec<Resend>,
+    ) -> (usize, usize, usize) {
+        if !ctrl_only {
+            return self.progress_pass(sched, t, replies);
         }
-        for r in replies {
-            match r {
-                // Re-stamp at dispatch time: a retransmission of a
-                // pre-kill sub-message goes out under the *current*
-                // epoch, which is how surviving ranks' traffic heals
-                // through the epoch fence after a membership bump.
-                Resend::Dgram { dst, bytes, .. } => {
-                    ep.send_dgram(dst, UNR_PORT, self.stamp_ctrl(bytes), NicSel::Auto)
-                }
-                Resend::Rma {
+        let pass = self.ctrl_pass(sched, t, replies);
+        self.count_pass(pass.0);
+        if let Some(hw) = &self.hwmet {
+            hw.ctrl_msgs.add(pass.0 as u64);
+        }
+        pass
+    }
+
+    /// The fallback channel's receive side for `msgs` messages of
+    /// `bytes` in all: the bounce-buffer copy plus the per-message
+    /// MPI-stack overhead.
+    fn fallback_cost(&self, bytes: usize, msgs: usize) -> Ns {
+        self.core.copy_bw.transfer_time(bytes) + msgs as Ns * self.core.cfg.fallback_overhead
+    }
+
+    /// Send one reply a pass computed, at `t` from `ep`'s rank
+    /// (scheduler context); returns the post overhead to charge next.
+    /// Stamped at send time: a retransmission of a pre-kill sub-message
+    /// goes out under the *current* epoch, which is how surviving ranks'
+    /// traffic heals through the epoch fence after a membership bump.
+    fn send_reply_at(&self, ep: &Endpoint, sched: &mut Sched, t: Ns, reply: Resend) -> Ns {
+        match reply {
+            Resend::Dgram { dst, bytes, .. } => {
+                let frame = self.stamp_ctrl(bytes);
+                ep.send_dgram_at(sched, t, dst, UNR_PORT, frame, NicSel::Auto)
+            }
+            Resend::Rma {
+                payload,
+                dst_rkey,
+                dst_offset,
+                nic,
+                companion,
+            } => {
+                let companion = Some((UNR_PORT, self.stamp_ctrl(companion)));
+                ep.put_bytes_at(
+                    sched,
+                    t,
                     payload,
                     dst_rkey,
                     dst_offset,
-                    nic,
+                    NicSel::Index(nic),
                     companion,
-                } => {
-                    ep.put_bytes(
-                        payload,
-                        dst_rkey,
-                        dst_offset,
-                        NicSel::Index(nic),
-                        Some((UNR_PORT, self.stamp_ctrl(companion))),
-                    )
-                    .expect("retransmit targets a validated region");
-                }
+                )
+                .expect("retransmit targets a validated region")
             }
         }
+    }
+
+    /// One [`SimState::progress_pass`] on the rank's own actor (the
+    /// progress of `UserDriven` mode), then its fallback copy and each
+    /// reply, one scheduler entry each — the agent's steps, on a
+    /// thread. Returns the number of events processed.
+    fn progress_on(&self, ep: &Endpoint) -> usize {
+        let actor = ep.actor();
+        let mut replies = Vec::new();
+        let (n, fb_bytes, fb_msgs) =
+            actor.with_sched(|st, t| self.progress_pass(st, t, &mut replies));
+        if fb_msgs > 0 {
+            actor.advance(self.fallback_cost(fb_bytes, fb_msgs));
+        }
+        for reply in replies {
+            let overhead = actor.with_sched(|st, t| self.send_reply_at(ep, st, t, reply));
+            actor.advance(overhead);
+        }
+        n
     }
 }
 
@@ -1132,12 +1132,186 @@ impl CtrlSink for SimSink<'_> {
     }
 }
 
+/// An agent's life, shared with its rank and touched by both only
+/// inside scheduler entries: running; asked to stop (by the rank's
+/// shutdown, in the entry that also wakes the agent); stopped (by the
+/// agent's last pass, which wakes the rank).
+const RUNNING: u8 = 0;
+const STOPPING: u8 = 1;
+const STOPPED: u8 = 2;
+
+/// What a rank keeps of its agent.
 struct AgentState {
-    stop: Arc<AtomicBool>,
-    done: Arc<AtomicBool>,
-    actor_id: ActorId,
-    join: Option<std::thread::JoinHandle<()>>,
-    finalize_waiter: Arc<Mutex<Option<ActorId>>>,
+    id: ActorId,
+    life: Arc<AtomicU8>,
+}
+
+/// Where an [`Agent`] is in its loop: the scheduler entry its next step
+/// makes.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// The first turn: the loop top, then what it chose.
+    Begin,
+    /// A progress (or control) pass.
+    Pass,
+    /// Charge the pass's fallback-channel receive copy.
+    Fallback(Ns),
+    /// Send the next reply.
+    Reply,
+    /// Charge that reply's post overhead.
+    ReplyCost(Ns),
+    /// Charge the pass's polling cost.
+    PollCost,
+    /// Check the wait; a periodic agent's sleep ends at `Some(deadline)`
+    /// once armed.
+    Wait(Option<Ns>),
+    /// Acknowledge the stop and wake the rank.
+    Ack,
+    /// Retire the actor.
+    Retire,
+}
+
+/// A rank's progress agent — the polling agent, or with `ctrl_only` the
+/// hybrid control drainer of `ProgressMode::Hardware` (DESIGN.md §5g) —
+/// as a callback actor: no thread, a virtual clock and a wake predicate
+/// of its own. Its loop is the paper's polling thread: a pass, the
+/// fallback copy, each reply and its post overhead, the polling cost,
+/// then a wait (`interval == 0`: until the CQ, the control port or the
+/// retry table has work; otherwise a sleep of `interval`). It is cut at
+/// exactly the scheduler entries that thread made, one per step: a
+/// coarser cut would reorder same-time entities and move every golden
+/// trace.
+struct Agent {
+    sim: Arc<SimState>,
+    /// The rank's endpoint: the agent posts as its rank.
+    ep: Arc<Endpoint>,
+    /// The rank's actor.
+    owner: ActorId,
+    life: Arc<AtomicU8>,
+    interval: Ns,
+    ctrl_only: bool,
+    phase: Phase,
+    /// The last pass's replies not yet sent, and its event count.
+    replies: std::vec::IntoIter<Resend>,
+    polled: usize,
+}
+
+impl Agent {
+    fn step(&mut self, sched: &mut Sched, me: ActorId, t: Ns) -> Step {
+        const NEXT: Step = Step::Yield { advance: 0 };
+        match self.phase {
+            Phase::Begin => {
+                self.phase = self.loop_top();
+                self.step(sched, me, t)
+            }
+            Phase::Pass => {
+                let mut replies = Vec::new();
+                let (n, fb_bytes, fb_msgs) =
+                    self.sim.agent_pass(sched, t, self.ctrl_only, &mut replies);
+                self.polled = n;
+                self.replies = replies.into_iter();
+                self.phase = if fb_msgs > 0 {
+                    Phase::Fallback(self.sim.fallback_cost(fb_bytes, fb_msgs))
+                } else {
+                    self.next_reply()
+                };
+                NEXT
+            }
+            Phase::Fallback(advance) | Phase::ReplyCost(advance) => {
+                self.phase = self.next_reply();
+                Step::Yield { advance }
+            }
+            Phase::Reply => {
+                let reply = self.replies.next().expect("a reply is pending");
+                let overhead = self.sim.send_reply_at(&self.ep, sched, t, reply);
+                self.phase = Phase::ReplyCost(overhead);
+                NEXT
+            }
+            Phase::PollCost => {
+                self.phase = Phase::Wait(None);
+                let cfg = &self.sim.core.cfg;
+                Step::Yield {
+                    advance: cfg.poll_cost_base + self.polled as Ns * cfg.poll_cost_per_event,
+                }
+            }
+            Phase::Wait(until) => {
+                if self.waited(t, until) {
+                    self.phase = self.loop_top();
+                    return NEXT;
+                }
+                self.arm(sched, me, t, until);
+                Step::Block
+            }
+            Phase::Ack => {
+                self.life.store(STOPPED, Ordering::Relaxed);
+                sched.wake(self.owner, t);
+                self.phase = Phase::Retire;
+                NEXT
+            }
+            Phase::Retire => Step::Finish,
+        }
+    }
+
+    /// The top of the loop: stop, or pass again — decided in the turn
+    /// that ends the wait (or the first turn), like a thread's code
+    /// between that turn and its next call; a later stop is seen at the
+    /// next wait check.
+    fn loop_top(&self) -> Phase {
+        if self.life.load(Ordering::Relaxed) == RUNNING {
+            Phase::Pass
+        } else {
+            Phase::Ack
+        }
+    }
+
+    /// After a pass, its fallback copy or a reply: the next reply, else
+    /// the polling cost.
+    fn next_reply(&self) -> Phase {
+        if self.replies.len() > 0 {
+            Phase::Reply
+        } else {
+            Phase::PollCost
+        }
+    }
+
+    /// Is the wait over? A periodic agent's timer wakes it at the
+    /// deadline, so its clock reaching that is the timer having run.
+    fn waited(&self, t: Ns, until: Option<Ns>) -> bool {
+        if self.life.load(Ordering::Relaxed) != RUNNING {
+            return true;
+        }
+        if self.interval > 0 {
+            return until.is_some_and(|u| t >= u);
+        }
+        // Busy-spin model: anything to process, or a retransmit
+        // deadline due. The control drainer never looks at the CQ:
+        // under a hardware channel nothing is ever pushed there.
+        let sim = &self.sim;
+        (!self.ctrl_only && !sim.cq.is_empty())
+            || !sim.port.is_empty()
+            || sim.core.retry.as_ref().is_some_and(|r| r.is_due())
+    }
+
+    /// Arrange to be woken when the wait may be over: by the CQ, the
+    /// port and the retry table, or by a timer armed once per sleep.
+    fn arm(&mut self, sched: &mut Sched, me: ActorId, t: Ns, until: Option<Ns>) {
+        let sim = &self.sim;
+        if self.interval > 0 {
+            if until.is_none() {
+                let u = t + self.interval;
+                sched.schedule_at(u, move |st| st.wake(me, u));
+                self.phase = Phase::Wait(Some(u));
+            }
+            return;
+        }
+        if !self.ctrl_only {
+            sim.cq.add_waiter(me);
+        }
+        sim.port.add_waiter(me);
+        if let Some(r) = &sim.core.retry {
+            r.add_waiter(me);
+        }
+    }
 }
 
 /// Arm one retransmit-deadline wake-up: at `d` the table is marked due
@@ -1373,36 +1547,21 @@ impl Transport for SimTransport {
         self.sim.progress_on(&self.ep)
     }
 
-    /// Shut down the polling agent (idempotent).
+    /// Stop the agent (idempotent): set stop and wake it in one
+    /// scheduler entry, then wait until its last pass acknowledges.
     fn shutdown(&self) {
-        let mut guard = self.agent.lock();
-        let Some(agent) = guard.as_mut() else { return };
-        let stop = Arc::clone(&agent.stop);
-        let done = Arc::clone(&agent.done);
-        let waiter = Arc::clone(&agent.finalize_waiter);
-        let agent_actor = agent.actor_id;
-        // Signal stop and wake the agent inside the scheduler.
-        self.ep.actor().with_sched(move |st, t| {
-            stop.store(true, Ordering::Relaxed);
-            st.wake(agent_actor, t);
+        let Some(AgentState { id, life }) = self.agent.lock().take() else {
+            return;
+        };
+        let actor = self.ep.actor();
+        actor.with_sched(|st, t| {
+            life.store(STOPPING, Ordering::Relaxed);
+            st.wake(id, t);
         });
-        // Wait (in virtual time) for the agent to acknowledge.
-        let done2 = Arc::clone(&done);
-        self.ep.actor().wait_until(
-            move |_st| done2.load(Ordering::Relaxed),
-            move |_st, me| {
-                *waiter.lock() = Some(me);
-            },
-        );
-        // The agent still needs one scheduled turn to retire its actor
-        // (`end()`); yield virtual time so it can run, then join for
-        // real. Without the yield this rank would hold the scheduler
-        // while blocking in a real join — a real-time deadlock.
+        actor.wait_until(|_st| life.load(Ordering::Relaxed) == STOPPED, |_st, _me| {});
+        // The agent retires one step later at the same time; yielding
+        // 1 ns lets that step run first. The golden traces lock the 1 ns.
         self.ep.sleep(1);
-        if let Some(j) = agent.join.take() {
-            j.join().expect("polling agent join");
-        }
-        *guard = None;
     }
 
     fn now(&self) -> Ns {
@@ -1419,13 +1578,13 @@ impl Transport for SimTransport {
 }
 
 impl SimTransport {
-    /// Spawn the software progress thread. `ctrl_only == false` is the
-    /// classic polling agent (drains CQ + control port every pass);
-    /// `ctrl_only == true` is the hybrid control drainer of
-    /// `ProgressMode::Hardware` (DESIGN.md §5g): the level-4 sink owns
-    /// the data path, this thread only drains the control port —
-    /// acks/retransmits/`MSG_AGG`/`MSG_EPOCH` — and idle-parks until
-    /// the port bell or a retransmit deadline wakes it.
+    /// Start the rank's [`Agent`], its clock at the rank's present.
+    /// `ctrl_only == false` is the classic polling agent (drains CQ +
+    /// control port every pass); `ctrl_only == true` is the hybrid
+    /// control drainer of `ProgressMode::Hardware` (DESIGN.md §5g): the
+    /// level-4 sink owns the data path, the drainer only drains the
+    /// control port — acks/retransmits/`MSG_AGG`/`MSG_EPOCH` — and
+    /// idle-parks until the port bell or a retransmit deadline wakes it.
     fn spawn_agent(&self, interval: Ns, ctrl_only: bool) {
         let rank = self.ep.rank();
         let name = if ctrl_only {
@@ -1433,112 +1592,33 @@ impl SimTransport {
         } else {
             format!("unr-poller-{rank}")
         };
-        let agent_ep = self.ep.fabric().attach_at(rank, &name, self.ep.now());
-        let actor_id = agent_ep.actor().id();
-        let stop = Arc::new(AtomicBool::new(false));
-        let done = Arc::new(AtomicBool::new(false));
-        let finalize_waiter: Arc<Mutex<Option<ActorId>>> = Arc::new(Mutex::new(None));
-        let sim = Arc::clone(&self.sim);
-        let stop2 = Arc::clone(&stop);
-        let done2 = Arc::clone(&done);
-        let waiter2 = Arc::clone(&finalize_waiter);
-        let join = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                agent_ep.actor().begin();
-                let cfg = sim.core.cfg;
-                loop {
-                    if stop2.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let n = if ctrl_only {
-                        sim.ctrl_on(&agent_ep)
-                    } else {
-                        sim.progress_on(&agent_ep)
-                    };
-                    agent_ep
-                        .advance(cfg.poll_cost_base + n as Ns * cfg.poll_cost_per_event);
-                    if interval == 0 {
-                        // Busy-spin model: block until there is anything
-                        // to process (the CQ/port wake us), a retransmit
-                        // deadline expires, or stop. Borrow-only closures
-                        // — this parks once per quiet spell, so per-park
-                        // Arc traffic was pure overhead. The ctrl-only
-                        // drainer never registers on the CQ: under a
-                        // hardware channel nothing is ever pushed there.
-                        let retry = sim.core.retry.as_deref();
-                        agent_ep.actor().wait_until(
-                            |_st| {
-                                stop2.load(Ordering::Relaxed)
-                                    || (!ctrl_only && !sim.cq.is_empty())
-                                    || !sim.port.is_empty()
-                                    || retry.is_some_and(|r| r.is_due())
-                            },
-                            |_st, me| {
-                                if !ctrl_only {
-                                    sim.cq.add_waiter(me);
-                                }
-                                sim.port.add_waiter(me);
-                                if let Some(r) = retry {
-                                    r.add_waiter(me);
-                                }
-                            },
-                        );
-                    } else {
-                        // Periodic model: interruptible sleep.
-                        let fired = Arc::new(AtomicBool::new(false));
-                        let mut armed = false;
-                        let fired2 = Arc::clone(&fired);
-                        let stop3 = Arc::clone(&stop2);
-                        agent_ep.actor().wait_until(
-                            move |_st| {
-                                fired2.load(Ordering::Relaxed) || stop3.load(Ordering::Relaxed)
-                            },
-                            move |st, me| {
-                                if !armed {
-                                    armed = true;
-                                    let t = st.actor_time(me) + interval;
-                                    let f = Arc::clone(&fired);
-                                    st.schedule_at(t, move |st2| {
-                                        f.store(true, Ordering::Relaxed);
-                                        st2.wake(me, t);
-                                    });
-                                }
-                            },
-                        );
-                    }
-                }
-                // Hand-shake with finalize, then retire the actor.
-                agent_ep.actor().with_sched(|st, t| {
-                    done2.store(true, Ordering::Relaxed);
-                    if let Some(w) = waiter2.lock().take() {
-                        st.wake(w, t);
-                    }
-                });
-                agent_ep.actor().end();
-            })
-            .expect("spawn polling agent");
-        *self.agent.lock() = Some(AgentState {
-            stop,
-            done,
-            actor_id,
-            join: Some(join),
-            finalize_waiter,
-        });
+        let life = Arc::new(AtomicU8::new(RUNNING));
+        let mut agent = Agent {
+            sim: Arc::clone(&self.sim),
+            ep: Arc::clone(&self.ep),
+            owner: self.ep.actor().id(),
+            life: Arc::clone(&life),
+            interval,
+            ctrl_only,
+            phase: Phase::Begin,
+            replies: Vec::new().into_iter(),
+            polled: 0,
+        };
+        let core = self.ep.fabric().core();
+        let id =
+            core.register_callback(&name, self.ep.now(), move |st, me, t| agent.step(st, me, t));
+        *self.agent.lock() = Some(AgentState { id, life });
     }
 }
 
 impl Drop for SimTransport {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            // The world runner poisons the scheduler; the agent dies on
-            // its next wake-up.
-            if let Some(agent) = self.agent.lock().as_ref() {
-                agent.stop.store(true, Ordering::Relaxed);
-            }
-            return;
+        // An unwinding rank leaves its agent be: the world runner is
+        // about to poison the scheduler, and a callback has no thread to
+        // stop. A shutdown would wait in a world that may never run it.
+        if !std::thread::panicking() {
+            self.shutdown();
         }
-        self.shutdown();
     }
 }
 
@@ -1625,7 +1705,7 @@ impl Unr {
                 // the data path; if the config also runs the reliable
                 // transport or the coalescer, a ctrl-only drainer keeps
                 // acks/retransmits/`MSG_AGG`/`MSG_EPOCH` flowing. Pure
-                // notified-RMA traffic spawns no software thread at all.
+                // notified-RMA traffic starts no software agent at all.
                 if reliable || cfg.agg_eager_max > 0 {
                     tx.spawn_agent(0, true);
                 }

@@ -25,7 +25,7 @@
 //!
 //! Signals live in a [`SignalTable`]; the table key (the paper's
 //! pointer `p`) is what travels in the NIC custom bits, and
-//! [`SignalTable::apply`] is the polling thread's / level-4 NIC's
+//! [`SignalTable::apply`] is the polling agent's / level-4 NIC's
 //! `*p += a`.
 //!
 //! # Lock-free completion path

@@ -1,10 +1,10 @@
 //! Multi-thread stress: the lock-free data path under a real OS-thread
 //! storm, with exact counter accounting.
 //!
-//! Every rank is an OS thread, and the interval-0 polling agent adds a
-//! second library thread per rank, so the sharded signal table, the
-//! per-destination retry shards and the region-map snapshot all see
-//! genuine cross-thread traffic. The assertions are exact — not
+//! Every rank is an OS thread, and the interval-0 polling agent's steps
+//! run on whichever rank thread dispatches them, so the sharded signal
+//! table, the per-destination retry shards and the region-map snapshot
+//! all see genuine cross-thread traffic. The assertions are exact — not
 //! `>=` — because the conservative scheduler delivers every
 //! sub-message exactly once (reliable mode dedups retransmits before
 //! the signal apply), so any lost or double-counted update under the
@@ -65,7 +65,7 @@ fn storm_counters(reliability: Reliability) -> Vec<Counters> {
             // Churn the signal table's free list alongside the storm:
             // every iteration allocates and frees a scratch signal, so
             // slots recycle under new generations while the hot signal
-            // keeps taking lock-free applies from the agent thread.
+            // keeps taking lock-free applies from the agent's passes.
             let scratch = unr.sig_init(1);
             drop(scratch);
             unr.put(&send_blk, &rmt).unwrap();
@@ -74,7 +74,7 @@ fn storm_counters(reliability: Reliability) -> Vec<Counters> {
         assert!(!recv_sig.overflowed());
         // The receive signal only proves *inbound* traffic landed; our
         // own last ACKs may still be in flight. Quiesce before the
-        // snapshot (the agent thread drains them while we sleep).
+        // snapshot (the agent drains them while we sleep).
         while unr.retries_in_flight() > 0 {
             unr.ep().sleep(unr_simnet::us(10.0));
         }
