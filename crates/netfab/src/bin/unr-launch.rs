@@ -81,9 +81,9 @@ fn parse_cli(args: &[String]) -> Cli {
             "--reliable" => cli.opts.reliable = true,
             "--drop-every" => cli.opts.drop_every = Some(num("--drop-every")),
             "--agg-max" => cli.opts.agg_eager_max = num("--agg-max") as usize,
-            // Hardware progress: the reactor-side sink is terminal; no
-            // control thread unless --reliable/--agg-max also asks for
-            // the hybrid drainer (DESIGN.md §5g).
+            // Hardware progress: the reading thread's sink is terminal;
+            // with --reliable/--agg-max it handles control frames too
+            // (DESIGN.md §5g).
             "--hardware" => cli.opts.hardware = true,
             "--min-ops-per-sec" => cli.min_ops_per_sec = Some(num("--min-ops-per-sec") as f64),
             "--kill-rank" => cli.opts.kill_rank = Some(num("--kill-rank") as usize),

@@ -195,7 +195,7 @@ fn on_simnet(seed: u64, reliable: bool, agg: bool) -> Vec<Outcome> {
     })
 }
 
-fn on_netfab(seed: u64, reliable: bool, agg: bool) -> Vec<Outcome> {
+fn on_netfab(seed: u64, reliable: bool, agg: bool, faults: NetFaults) -> Vec<Outcome> {
     let listeners: Vec<Vec<TcpListener>> = (0..2)
         .map(|_| (0..NICS).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect())
         .collect();
@@ -220,7 +220,7 @@ fn on_netfab(seed: u64, reliable: bool, agg: bool) -> Vec<Outcome> {
                     // Rank 0 dials into rank 1's backlog; rank 1 accepts.
                     let fabric = NetFabric::connect(rank, 2, NICS, ports, mine).unwrap();
                     let world = Arc::new(NetWorld::without_launcher(fabric));
-                    let unr = NetUnr::init(world, cfg, NetFaults::default()).unwrap();
+                    let unr = NetUnr::init(world, cfg, faults).unwrap();
                     let out = script(
                         Side {
                             unr: &unr,
@@ -260,6 +260,14 @@ fn on_netfab(seed: u64, reliable: bool, agg: bool) -> Vec<Outcome> {
                     }
                     // Nobody tears its sockets down under the other's acks.
                     assert!(unr.drain_pending(Duration::from_secs(10)));
+                    if faults.any() {
+                        // Acked, so every drop has been retransmitted —
+                        // by reactor 0's sweep.
+                        let met = unr.met();
+                        let drops = met.drops_injected.get();
+                        assert!(drops > 0, "no first transmission dropped");
+                        assert!(met.retransmits.get() >= drops, "a drop never resent");
+                    }
                     barrier.wait();
                     unr.finalize();
                     out
@@ -270,21 +278,24 @@ fn on_netfab(seed: u64, reliable: bool, agg: bool) -> Vec<Outcome> {
     })
 }
 
-/// Unreliable and reliable, coalescing and not: the two fabrics move
-/// the same bytes, bring the same signals to zero, count the same puts,
-/// gets and sub-messages and end every wait the same way — and the
-/// bytes are the peer's.
+/// Unreliable and reliable, coalescing and not, and reliable with
+/// every third first transmission dropped on the sockets: the two
+/// fabrics move the same bytes, bring the same signals to zero, count
+/// the same puts, gets and sub-messages and end every wait the same
+/// way — and the bytes are the peer's. The simulator runs fault-free.
 #[test]
 fn simnet_and_netfab_run_the_same_script_to_the_same_end() {
-    for (seed, reliable, agg) in [
-        (0x5eed_0001, false, false),
-        (0x5eed_0002, false, true),
-        (0x5eed_0003, true, false),
-        (0x5eed_0004, true, true),
+    for (seed, reliable, agg, drop_every) in [
+        (0x5eed_0001, false, false, None),
+        (0x5eed_0002, false, true, None),
+        (0x5eed_0003, true, false, None),
+        (0x5eed_0004, true, true, None),
+        (0x5eed_0005, true, true, Some(3)),
     ] {
-        let case = format!("seed {seed:#x} reliable={reliable} agg={agg}");
+        let case =
+            format!("seed {seed:#x} reliable={reliable} agg={agg} drop_every={drop_every:?}");
         let sim = on_simnet(seed, reliable, agg);
-        let net = on_netfab(seed, reliable, agg);
+        let net = on_netfab(seed, reliable, agg, NetFaults { drop_every });
         assert_eq!(sim, net, "{case}");
 
         let (puts, gets) = plan(seed);

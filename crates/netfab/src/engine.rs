@@ -11,25 +11,28 @@
 //! ([`unr_core::handle_ctrl`]) and the atomic-add sink
 //! ([`unr_core::TableSink`]) are shared too. What this module keeps is
 //! bring-up ([`NetUnr::init`]) and the control path (`CtrlPath`) that
-//! the transport's progress thread and waiting rank threads run.
+//! the fabric runs as its receive side ([`NetSink`]), on whichever
+//! thread reads a frame, and whose retransmit sweep reactor 0 runs.
+//! The engine has no thread of its own: a process is main + reactors.
 //!
 //! * **Unreliable** (default): each message (or stripe) rides one `PUT`
 //!   frame whose header carries the remote notification as 128-bit
 //!   custom bits; whichever receiver thread reads it — the one waiting
 //!   for it, else a reactor — deposits the payload and applies the
-//!   custom bits through the fabric's atomic-add sink — level-2
-//!   emulation of the paper's level-4 hardware.
+//!   custom bits through the installed sink — level-2 emulation of the
+//!   paper's level-4 hardware.
 //! * **Reliable** ([`Reliability::On`], or `Auto` with fault injection
 //!   enabled): stripes become `unr_core::wire` `SEQ_DATA` control
 //!   messages registered in the shared retry table — per-destination
 //!   sequence numbers, buffered until acked, deduplicated at the
-//!   receiver, retransmitted with exponential backoff by a progress
-//!   thread that sleeps until the table's next deadline (time is
-//!   nanoseconds since the engine started). Control messages are
-//!   handled by the thread that read them when that is a rank thread
-//!   inside a wait, by the progress thread otherwise; the handling is
+//!   receiver, retransmitted with exponential backoff by reactor 0,
+//!   which polls no longer than the table's next deadline (time is
+//!   nanoseconds since the engine started). A control message is
+//!   handled by the thread that read it — a rank thread inside a wait,
+//!   else a reactor — and acked on the connection it came in on; one a
+//!   rank sends itself is handled by the posting thread. The handling is
 //!   order-independent (per-sequence dedup, commutative addends), so
-//!   the two may race. Exhausted retries latch
+//!   those threads may race. Exhausted retries latch
 //!   the transport down and surface as structured
 //!   [`UnrError::PeerFailed`] errors naming the dead rank, its cause
 //!   and the membership epoch.
@@ -54,8 +57,8 @@
 //! region into its frame.
 
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use unr_core::ctrl::{self, CtrlEvent, CtrlSink};
@@ -64,9 +67,10 @@ use unr_core::{
     Backend, Channel, Encoding, HwMetrics, ProgressMode, Reliability, Resend, RetryPolicy,
     RetryState, TableSink, Unr, UnrConfig, UnrError, UnrMem,
 };
+use unr_obs::Obs;
 use unr_simnet::Ns;
 
-use crate::fabric::{NetAddSink, NetFabric, TransportMetrics};
+use crate::fabric::{CtrlRx, NetFabric, NetSink, TransportMetrics};
 use crate::launch::NetWorld;
 use crate::transport::{NetFaults, NetTransport};
 
@@ -74,16 +78,6 @@ use crate::transport::{NetFaults, NetTransport};
 /// engine's own [`UnrMem`], registered under this rank's real
 /// `(rank, id, len)`.
 pub type NetMem = UnrMem;
-
-/// The emulated atomic-add unit: the thread that read the frame — a
-/// reactor, or a rank thread in a wait — applies the addend.
-impl NetAddSink for TableSink {
-    fn apply(&self, custom: u128) {
-        if let Some(n) = self.decode(custom) {
-            self.table.apply_counted(n.key, n.addend);
-        }
-    }
-}
 
 /// The UNR engine for the netfab backend: the shared engine ([`Unr`],
 /// reached through `Deref`) over [`NetTransport`], and the world it
@@ -132,12 +126,11 @@ impl NetUnr {
             Reliability::Auto => faults.any(),
         };
         let hardware = cfg.resolve_progress(&channel, reliable) == ProgressMode::Hardware;
-        let sink = Arc::new(TableSink::new(
+        let sink = TableSink::new(
             Arc::clone(&table),
             &fabric.obs,
             hardware.then(|| HwMetrics::new(&fabric.obs)),
-        ));
-        fabric.set_add_sink(Arc::clone(&sink) as Arc<dyn NetAddSink>);
+        );
         // The retry table's clock is nanoseconds since this instant.
         let retry = reliable.then(|| {
             Arc::new(RetryState::new(
@@ -153,36 +146,32 @@ impl NetUnr {
             ))
         });
         let ctrl = Arc::new(CtrlPath {
-            fabric: Arc::clone(&fabric),
+            fabric: Arc::downgrade(&fabric),
+            met: fabric.met.clone(),
+            obs: Arc::clone(&fabric.obs),
             sink,
             retry: retry.clone(),
             epoch: world.epoch(),
             t0: Instant::now(),
+            next_sweep: AtomicU64::new(0),
         });
+        // Every config, pure hardware or hybrid: the threads that read
+        // frames apply their custom bits (the emulated level-4 atomic-add
+        // unit) and handle the control messages among them, and reactor
+        // 0 runs the retransmit sweep — main + reactors, no thread of
+        // the engine's own (DESIGN.md §5g).
+        fabric.install(Arc::clone(&ctrl) as Arc<dyn NetSink>);
         let wait_cap = std::env::var("UNR_NETFAB_WAIT_MS")
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
             .map(Duration::from_millis)
             .unwrap_or(DEFAULT_WAIT);
-        // On this backend the reactor threads apply notification custom
-        // bits at frame-read time (the emulated level-4 atomic-add
-        // unit), so the data path never needs the progress thread. It
-        // exists for the *control* path: acks, retransmits, `MSG_AGG`
-        // and `MSG_EPOCH`. Under hardware progress with neither the
-        // reliable transport nor the coalescer there is no control
-        // traffic to drain — spawn nothing (threads = main + reactors,
-        // the paper's "no software progress at all"). Hybrid configs
-        // (hardware + reliable/agg, DESIGN.md §5g) spawn it as the
-        // ctrl-only drainer under the `netfab-hwctrl-*` name.
-        let progress = (!hardware || reliable || cfg.agg_eager_max > 0).then(|| {
-            let kind = if hardware { "hwctrl" } else { "progress" };
-            format!("netfab-{kind}-r{}", fabric.rank())
-        });
-        let tx = NetTransport::new(ctrl, faults, wait_cap.as_nanos() as Ns, progress);
+        let tx = NetTransport::new(fabric, ctrl, faults, wait_cap.as_nanos() as Ns);
         let eng = Unr::new(tx, cfg, channel, table, retry);
         Ok(NetUnr { eng, world })
     }
 
+    #[cfg(test)]
     fn ctrl(&self) -> &CtrlPath {
         self.eng.transport().ctrl()
     }
@@ -194,7 +183,7 @@ impl NetUnr {
 
     /// The underlying TCP fabric.
     pub fn fabric(&self) -> &Arc<NetFabric> {
-        &self.ctrl().fabric
+        self.eng.transport().fabric()
     }
 
     /// `unr.transport.*` counters.
@@ -215,13 +204,17 @@ impl NetUnr {
     }
 }
 
-/// The control path of one engine: what its receive side and its
-/// retransmit sweep need, shared by the rank thread (inside a wait) and
-/// the progress thread.
+/// The control path of one engine: the fabric's receive side
+/// ([`NetSink`]) and the transport's state for the same. The fabric's
+/// reader threads hold it, so it holds the fabric only weakly: a
+/// reactor must never keep the fabric alive.
 pub(crate) struct CtrlPath {
-    pub(crate) fabric: Arc<NetFabric>,
+    /// For the sweep's retransmissions.
+    fabric: Weak<NetFabric>,
+    met: TransportMetrics,
+    obs: Arc<Obs>,
     /// The atomic-add unit, which every apply on this rank goes through.
-    pub(crate) sink: Arc<TableSink>,
+    pub(crate) sink: TableSink,
     /// Ack/replay state — `Some` iff the reliable transport is active.
     pub(crate) retry: Option<Arc<RetryState>>,
     /// Membership epoch of the world incarnation this engine drives —
@@ -230,6 +223,9 @@ pub(crate) struct CtrlPath {
     pub(crate) epoch: u64,
     /// Engine start: the retry table's clock counts from here.
     t0: Instant,
+    /// When the sweep is next due, on that clock; 0 while the timer is
+    /// disarmed. Only reactor 0's [`NetSink::tick`] writes it.
+    next_sweep: AtomicU64,
 }
 
 impl CtrlPath {
@@ -238,97 +234,110 @@ impl CtrlPath {
         self.t0.elapsed().as_nanos() as Ns
     }
 
-    /// The progress thread, until `stop`: handle what the reactors
-    /// queued, retransmit what is due, sleep on the control bell in
-    /// between.
-    pub(crate) fn run(&self, stop: &AtomicBool) {
-        loop {
-            // Epoch first, then the stop flag and the work: whatever
-            // changes during the pass — a control message a reactor
-            // queued, `finalize`, a first unacked sub-message — rings
-            // the control bell past `seen`, and the sleep below returns
-            // at once. Data frames ring another bell, and control frames
-            // a waiting rank thread read ring none: it handles them
-            // itself.
-            let seen = self.fabric.ctrl_epoch();
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let drained = self.drain();
-            let next_sweep = self.sweep();
-            if drained > 0 {
-                // Signals may have fired: wake sig_wait parkers — and go
-                // round again rather than sleep, more is likely on its
-                // way.
-                self.fabric.ring_bell();
-            } else {
-                self.fabric.wait_ctrl_since(seen, next_sweep);
-            }
-        }
+    /// Whether reactor 0 will sweep by itself: a post that ends
+    /// "nothing unacked" need not wake it then, because no new entry's
+    /// deadline can precede the cached one (see [`CtrlPath::sweep`]).
+    /// SeqCst against the disarm in [`NetSink::tick`].
+    pub(crate) fn timer_armed(&self) -> bool {
+        self.next_sweep.load(Ordering::SeqCst) != 0
     }
 
-    /// Handle every queued control message, on the calling thread — the
-    /// progress thread, or a rank thread in a wait that read some
-    /// itself; the two may run this at once and split the queue between
-    /// them ([`unr_core::handle_ctrl`] is order-independent). Frames
-    /// wrapped in the epoch envelope are fenced first: a stale epoch
-    /// (older than this engine's) is dropped and counted, never parsed.
-    /// Returns how many this call handled (counted in
-    /// `unr.hw.ctrl_msgs` under hardware progress).
-    pub(crate) fn drain(&self) -> u64 {
-        let mut sink = self;
-        let mut drained = 0u64;
-        while let Some((src, bytes)) = self.fabric.pop_ctrl() {
-            match ctrl::admit(&bytes, || self.epoch) {
-                Some(frame) => ctrl::handle_ctrl(self.retry.as_deref(), src, frame, &mut sink),
-                None => self.fabric.obs.metrics.counter("unr.epoch.stale_rejects").inc(),
-            }
-            drained += 1;
-        }
-        if let (Some(hw), true) = (&self.sink.hw, drained > 0) {
-            hw.ctrl_msgs.add(drained);
-        }
-        drained
-    }
-
-    /// Retransmit timed-out reliable sub-messages (progress-thread
-    /// context). Returns when to sweep again: at the earliest deadline
-    /// left, but within one `rto` — a sub-message posted after this
-    /// sweep is due `rto` after its post, so not before that — or
-    /// `None` with nothing unacked (the post that changes that rings
-    /// the control bell).
-    fn sweep(&self) -> Option<Instant> {
-        let retry = self.retry.as_ref().filter(|r| r.in_flight() > 0)?;
-        let now = self.now();
+    /// Retransmit what is due at `now`. Returns when to sweep again: at
+    /// the earliest deadline left, but within one `rto` — a sub-message
+    /// posted after this sweep is due `rto` after its post, so not
+    /// before that — or `None` with nothing unacked.
+    fn sweep(&self, retry: &RetryState, now: Ns) -> Option<Ns> {
         let out = retry.sweep(now);
-        for resend in out.resends {
-            // Every netfab entry is a control frame (`Route::Dgram` or
-            // `Route::Agg`); the table has moved it to the next socket.
-            if let Resend::Dgram { dst, nic, bytes } = resend {
-                // Counted first: on one core the write below can hand
-                // the CPU to the peer, and its ack may reach a rank
-                // thread that reads this counter before we run again.
-                self.fabric.met.retransmits.inc();
-                let _ = self.fabric.send_ctrl(dst, nic, &ctrl::stamp(self.epoch, &bytes));
+        if let Some(fabric) = self.fabric.upgrade() {
+            for resend in out.resends {
+                // Every netfab entry is a control frame (`Route::Dgram`
+                // or `Route::Agg`); the table has moved it to the next
+                // socket.
+                if let Resend::Dgram { dst, nic, bytes } = resend {
+                    // Counted first: on one core the write below can
+                    // hand the CPU to the peer, and its ack may reach a
+                    // rank thread that reads this counter before we run
+                    // again.
+                    self.met.retransmits.inc();
+                    let _ = fabric.resend_ctrl(dst, nic, &ctrl::stamp(self.epoch, &bytes));
+                }
             }
-        }
-        if out.exhausted > 0 {
-            // The table has latched the peer down: waiters must look.
-            self.fabric.ring_bell();
+            if out.exhausted > 0 {
+                // The table has latched the peer down: waiters must look.
+                fabric.ring_bell();
+            }
         }
         // Counted after the sweep: an entry registered behind its back
-        // either shows here or found the table empty and rang the bell.
+        // either shows here or is due no sooner than what this returns.
         (retry.in_flight() > 0).then(|| {
-            let next = out.next_deadline.unwrap_or(Ns::MAX).min(now + retry.policy.timeout);
-            self.t0 + Duration::from_nanos(next)
+            let next = out.next_deadline.unwrap_or(Ns::MAX);
+            next.min(now + retry.policy.timeout)
         })
     }
 }
 
+/// The receive side every reading thread runs.
+impl NetSink for CtrlPath {
+    /// The emulated atomic-add unit.
+    fn apply(&self, custom: u128) {
+        if let Some(n) = self.sink.decode(custom) {
+            self.sink.table.apply_counted(n.key, n.addend);
+        }
+    }
+
+    /// Frames wrapped in the epoch envelope are fenced first: a stale
+    /// epoch (older than this engine's) is dropped and counted, never
+    /// parsed. Counted in `unr.hw.ctrl_msgs` under hardware progress.
+    fn on_ctrl(&self, src: usize, msg: &[u8], rx: &mut CtrlRx<'_>) {
+        match ctrl::admit(msg, || self.epoch) {
+            Some(frame) => {
+                let mut sink = Handling { path: self, rx };
+                ctrl::handle_ctrl(self.retry.as_deref(), src, frame, &mut sink);
+            }
+            None => self.obs.metrics.counter("unr.epoch.stale_rejects").inc(),
+        }
+        if let Some(hw) = &self.sink.hw {
+            hw.ctrl_msgs.inc();
+        }
+    }
+
+    /// Sweep once the cached deadline is due. With nothing unacked the
+    /// timer disarms, then looks again: a post that found it still
+    /// armed did not wake it, and the SeqCst store-then-load here
+    /// against the post's register-then-[`timer_armed`] means one of
+    /// the two sees the other.
+    ///
+    /// [`timer_armed`]: CtrlPath::timer_armed
+    fn tick(&self) -> Option<Duration> {
+        let retry = self.retry.as_deref()?;
+        loop {
+            let now = self.now();
+            let due = self.next_sweep.load(Ordering::SeqCst);
+            if due > now {
+                return Some(Duration::from_nanos(due - now));
+            }
+            let next = (retry.in_flight() > 0)
+                .then(|| self.sweep(retry, now))
+                .flatten();
+            self.next_sweep.store(next.unwrap_or(0), Ordering::SeqCst);
+            if next.is_none() && retry.in_flight() == 0 {
+                return None;
+            }
+        }
+    }
+}
+
+/// One control message's handling: the engine's side and what the
+/// fabric lent for it.
+struct Handling<'a, 'b> {
+    path: &'a CtrlPath,
+    rx: &'a mut CtrlRx<'b>,
+}
+
 /// The sockets under [`unr_core::handle_ctrl`].
-impl CtrlSink for &CtrlPath {
+impl CtrlSink for Handling<'_, '_> {
     fn deposit(&mut self, region: u32, offset: u64, payload: &[u8]) -> bool {
-        self.fabric.deposit(region, offset, payload)
+        self.rx.deposit(region, offset, payload)
     }
 
     /// Netfab GETs use the fabric's native GET_REQ/GET_REP frames; a
@@ -338,20 +347,22 @@ impl CtrlSink for &CtrlPath {
     }
 
     fn apply(&mut self, key: u64, addend: i64) {
-        self.sink.apply_counted(key, addend);
+        self.path.sink.apply_counted(key, addend);
     }
 
-    fn reply(&mut self, dst: usize, frame: Vec<u8>) {
-        let _ = self.fabric.send_ctrl(dst, 0, &ctrl::stamp(self.epoch, &frame));
+    /// `handle_ctrl` answers only the message's source.
+    fn reply(&mut self, _dst: usize, frame: Vec<u8>) {
+        self.rx.reply(&ctrl::stamp(self.path.epoch, &frame));
     }
 
     fn count(&mut self, event: CtrlEvent) {
+        let met = &self.path.met;
         match event {
-            CtrlEvent::DupSuppressed => self.fabric.met.dup_suppressed.inc(),
-            CtrlEvent::Acked { .. } => self.fabric.met.acks.inc(),
+            CtrlEvent::DupSuppressed => met.dup_suppressed.inc(),
+            CtrlEvent::Acked { .. } => met.acks.inc(),
             // Registered on first use: peers that speak the protocol
             // never produce one.
-            CtrlEvent::Malformed => self.fabric.obs.metrics.counter("unr.ctrl.malformed").inc(),
+            CtrlEvent::Malformed => self.path.obs.metrics.counter("unr.ctrl.malformed").inc(),
         }
     }
 }
@@ -363,7 +374,7 @@ mod tests {
     use std::io::Write;
     use std::net::TcpListener;
     use std::sync::Barrier;
-    use unr_core::wire::{self, CtrlMsg};
+    use unr_core::wire;
     use unr_core::{Blk, PeerFailedCause, Route, SignalError};
     use unr_simnet::{Bytes, RKey};
 
@@ -377,7 +388,19 @@ mod tests {
         (fabric, region_id)
     }
 
-    /// A reliable, coalescing engine on the one-rank fabric.
+    /// Two fabrics of a two-rank world, one NIC each.
+    fn pair() -> (Arc<NetFabric>, Arc<NetFabric>) {
+        let listen = || TcpListener::bind("127.0.0.1:0").unwrap();
+        let (l0, l1) = (listen(), listen());
+        let port = |l: &TcpListener| l.local_addr().unwrap().port();
+        let ports = [vec![port(&l0)], vec![port(&l1)]];
+        // Rank 0 dials into rank 1's backlog; rank 1 accepts.
+        let f0 = NetFabric::connect(0, 2, 1, &ports, vec![l0]).unwrap();
+        let f1 = NetFabric::connect(1, 2, 1, &ports, vec![l1]).unwrap();
+        (f0, f1)
+    }
+
+    /// A reliable, coalescing engine on `fabric`.
     fn engine(fabric: Arc<NetFabric>) -> NetUnr {
         let cfg = UnrConfig::builder()
             .backend(Backend::Netfab)
@@ -395,9 +418,10 @@ mod tests {
     fn a_get_after_the_transport_latched_down_is_refused_like_a_put() {
         let (fabric, region) = fixture();
         let unr = engine(fabric);
-        // Nobody acks: the one entry runs out of retransmissions, and
-        // the test is the only reader of the control queue.
-        unr.transport().stop_progress();
+        // Nobody acks: the one entry runs out of retransmissions. It is
+        // armed far in the engine's future, so only the sweeps below —
+        // not reactor 0's, on the wall clock — ever find it due.
+        const LATER: Ns = 1 << 62;
         let retry = unr.ctrl().retry.as_ref().unwrap();
         let dst = RKey {
             rank: 0,
@@ -405,9 +429,9 @@ mod tests {
             len: 64,
         };
         let reg = retry.register_data(Route::Dgram, Bytes::from(vec![1; 4]), dst, 0, 0, 0, 0);
-        retry.arm(0, &[(0, reg.seq)]);
+        retry.arm(LATER, &[(0, reg.seq)]);
         for attempt in 1..=u64::from(retry.policy.max_retries) + 1 {
-            retry.sweep(attempt * (retry.policy.max_backoff + 1));
+            retry.sweep(LATER + attempt * (retry.policy.max_backoff + 1));
         }
         assert!(retry.failed());
 
@@ -432,7 +456,7 @@ mod tests {
     /// The real-socket face of `unr_core::post`'s rule: a reliable put
     /// or aggregate whose first write fails — here onto a stream that a
     /// frame error has latched down — returns the error and leaves
-    /// nothing behind for the progress thread to retransmit.
+    /// nothing behind for the sweep to retransmit.
     #[test]
     fn a_first_post_onto_a_dead_stream_leaves_nothing_pending() {
         let listen = || TcpListener::bind("127.0.0.1:0").unwrap();
@@ -479,15 +503,10 @@ mod tests {
             assert!(std::thread::scope(|s| s.spawn(f).join()).is_err());
         }
         // A send-side shard, a dedup window and the failure detail of
-        // the shared retry table; the fabric's region map, early-custom
-        // buffer and control queue; then the transport's own lock (the
-        // coalescer's is `unr_core::post`'s to test).
+        // the shared retry table; the fabric's region map and pre-install
+        // buffer (the coalescer's lock is `unr_core::post`'s to test).
         dies(|| unr.ctrl().retry.as_ref().unwrap().poison_for_tests());
         dies(|| unr.fabric().poison_for_tests());
-        dies(|| {
-            let _held = unr.transport().progress.lock();
-            panic!("poisoning the transport's lock on purpose");
-        });
 
         // A wait whose signal fires only later goes round its loop, and
         // so past the failure latch, before it returns.
@@ -501,10 +520,9 @@ mod tests {
             assert!(unr.sig_wait(&sig).is_ok());
         });
         assert!(unr.drain_pending(Duration::from_millis(10)));
-        // Rank threads handle control messages too: a reliable put to
-        // this rank itself goes past the coalescer, through the
-        // sequence counter, the replay buffer and the dedup window, and
-        // back as an ack.
+        // A reliable put to this rank itself goes past the coalescer,
+        // through the sequence counter, the replay buffer and the dedup
+        // window, and back as an ack — all on the posting thread.
         let mem = unr.mem_reg(8);
         mem.write_bytes(0, &[5; 8]);
         let landed = unr.sig_init(1);
@@ -564,13 +582,7 @@ mod tests {
     #[test]
     fn two_waiters_whose_frames_cross_both_return_at_once() {
         const ROUNDS: usize = 50;
-        let listen = || TcpListener::bind("127.0.0.1:0").unwrap();
-        let (l0, l1) = (listen(), listen());
-        let port = |l: &TcpListener| l.local_addr().unwrap().port();
-        let ports = [vec![port(&l0)], vec![port(&l1)]];
-        // Rank 0 dials into rank 1's backlog; rank 1 accepts.
-        let f0 = NetFabric::connect(0, 2, 1, &ports, vec![l0]).unwrap();
-        let f1 = NetFabric::connect(1, 2, 1, &ports, vec![l1]).unwrap();
+        let (f0, f1) = pair();
         let cfg = UnrConfig::builder()
             .backend(Backend::Netfab)
             .build()
@@ -634,30 +646,31 @@ mod tests {
     }
 
     /// The shared handler over the real sockets' sink (its own cases
-    /// are `unr_core::ctrl`'s tests): what cannot land is counted in
-    /// `unr.transport.bad_dma`, what cannot be decoded in
-    /// `unr.ctrl.malformed`, and the acks really leave.
+    /// are `unr_core::ctrl`'s tests), fed messages this rank sends
+    /// itself — which the posting thread handles, acks and all: what
+    /// cannot land is counted in `unr.transport.bad_dma`, what cannot be
+    /// decoded in `unr.ctrl.malformed`, and each ack settles an entry of
+    /// the retry table without a frame going out.
     #[test]
     fn ctrl_payload_that_cannot_land_drops_its_addend_but_is_still_acked() {
         let (fabric, region) = fixture();
         let unr = engine(Arc::clone(&fabric));
         let sig = unr.sig_init(2);
         let key = sig.key().raw();
-        unr.transport().stop_progress();
-        let ctrl = |msg: Vec<u8>| {
-            let mut sink = unr.ctrl();
-            ctrl::handle_ctrl(unr.ctrl().retry.as_deref(), 0, &msg, &mut sink)
+        // Entries 0..4 toward this rank for the acks to settle, unarmed
+        // so that no sweep resends them.
+        let retry = unr.ctrl().retry.as_ref().unwrap();
+        let dst = RKey {
+            rank: 0,
+            id: region,
+            len: 64,
         };
-        let acks = || {
-            let mut seqs = Vec::new();
-            while let Some((_, bytes)) = fabric.pop_ctrl() {
-                match CtrlMsg::parse(&bytes) {
-                    CtrlMsg::Ack { seq } => seqs.push(seq),
-                    _ => panic!("only acks are sent back"),
-                }
-            }
-            seqs
-        };
+        for seq in 0..4 {
+            let reg = retry.register_data(Route::Dgram, Bytes::from(vec![0; 4]), dst, 0, 0, 0, 0);
+            assert_eq!(reg.seq, seq);
+        }
+        let ctrl = |msg: Vec<u8>| fabric.send_ctrl(0, 0, &msg).unwrap();
+        let acked = || (fabric.met.acks.get(), retry.in_flight());
 
         // Out of bounds; an aggregate with one span that fits and one
         // in an unknown region; a frame cut short.
@@ -669,17 +682,108 @@ mod tests {
         assert_eq!(fabric.met.bad_dma.get(), 2);
         let malformed = fabric.obs.metrics.snapshot().counter("unr.ctrl.malformed");
         assert_eq!(malformed, Some(1));
-        assert_eq!(acks(), [0, 1]);
+        assert_eq!(acked(), (2, 2), "0 and 1 acked, 2 and 3 not");
 
         // The same two shapes in bounds: bytes land, addends apply.
         ctrl(wire::seq_data_msg(2, region, 60, key, -1, &[1; 4]));
         ctrl(wire::agg_msg(3, true, &[(region, 0, 4)], &[(key, -1)], &[3; 4]));
         assert!(sig.test());
         assert_eq!(fabric.met.bad_dma.get(), 2);
-        assert_eq!(acks(), [2, 3]);
+        assert_eq!(acked(), (4, 0));
         let mem = fabric.region(region).unwrap();
         assert_eq!(mem.snapshot(60, 4), [1; 4]);
         assert_eq!(mem.snapshot(0, 4), [3; 4]);
+        assert_eq!(fabric.met.tx_frames.get(), 0, "a rank answers itself without a socket");
         unr.finalize();
+    }
+
+    /// A `SEQ_DATA` and a `MSG_AGG` that reach a rank before its engine
+    /// does wait in the fabric's pre-install buffer, and installation
+    /// handles each exactly once: the bytes land, each addend reaches
+    /// the table once, both are acked — and a copy sent after install is
+    /// a duplicate.
+    #[test]
+    fn ctrl_messages_that_beat_init_are_handled_once_on_install() {
+        const KEY: u64 = 1;
+        let (f0, f1) = pair();
+        let sender = engine(f0);
+        let (region, mem) = f1.register(64);
+        let retry = sender.ctrl().retry.as_ref().unwrap();
+        let dst = RKey {
+            rank: 1,
+            id: region,
+            len: 64,
+        };
+        let data = retry.register_data(Route::Dgram, Bytes::from(vec![5; 8]), dst, 8, KEY, -1, 0);
+        let agg = retry.register_agg(1, 0, &[(region, 32, 4)], &[(KEY, -2)], &[6; 4]);
+        for frame in [&data.frame[..], &agg.frame[..]] {
+            sender.fabric().send_ctrl(1, 0, frame).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while f1.met.rx_frames.get() < 2 {
+            assert!(Instant::now() < deadline, "rank 1's reactor never read them");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(mem.snapshot(0, 64), [0; 64], "handled before install");
+
+        let receiver = engine(f1);
+        assert_eq!(mem.snapshot(8, 8), [5; 8]);
+        assert_eq!(mem.snapshot(32, 4), [6; 4]);
+        // No signal of this rank's can exist before its engine does, so
+        // each addend finds its key unallocated: what counts is that it
+        // reached the table once.
+        let adds = receiver.obs().metrics.snapshot().counter("unr.signal.adds");
+        let stale = receiver.table().stats.stale_rejects.load(Ordering::Relaxed);
+        assert_eq!((adds, stale), (Some(2), 2));
+        assert!(sender.drain_pending(Duration::from_secs(10)), "not acked");
+        assert_eq!(sender.met().acks.get(), 2);
+
+        // The dedup window saw the first copy: a second is acked, not
+        // applied.
+        sender.fabric().send_ctrl(1, 0, &data.frame).unwrap();
+        while receiver.met().dup_suppressed.get() == 0 {
+            assert!(Instant::now() < deadline, "the copy was never read");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let adds = receiver.obs().metrics.snapshot().counter("unr.signal.adds");
+        assert_eq!(adds, Some(2));
+        sender.finalize();
+        receiver.finalize();
+    }
+
+    /// Progress is a function on this fabric too: software or hardware
+    /// progress, reliable or coalescing, bring-up starts no thread of
+    /// the engine's own — a process is main plus reactors. Names rather
+    /// than `Threads:`, because the harness runs other tests' threads in
+    /// this process (`comm` keeps 15 bytes of a name).
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn no_config_runs_a_progress_thread() {
+        let progress_threads = || -> Vec<String> {
+            std::fs::read_dir("/proc/self/task")
+                .unwrap()
+                .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+                .map(|comm| comm.trim_end().to_string())
+                .filter(|n| n.starts_with("netfab-progress") || n.starts_with("netfab-hwctrl"))
+                .collect()
+        };
+        let software = ProgressMode::PollingAgent { interval: 0 };
+        for progress in [software, ProgressMode::Hardware] {
+            for (reliability, agg) in [(Reliability::On, 0), (Reliability::Off, 512)] {
+                let cfg = UnrConfig::builder()
+                    .backend(Backend::Netfab)
+                    .progress(progress)
+                    .reliability(reliability)
+                    .agg_eager_max(agg)
+                    .build()
+                    .unwrap();
+                let (fabric, _) = fixture();
+                let world = Arc::new(NetWorld::without_launcher(fabric));
+                let unr = NetUnr::init(world, cfg, NetFaults::default()).unwrap();
+                let seen = progress_threads();
+                unr.finalize();
+                assert!(seen.is_empty(), "{progress:?} {reliability:?} agg {agg}: {seen:?}");
+            }
+        }
     }
 }

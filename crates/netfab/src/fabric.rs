@@ -1,5 +1,6 @@
 //! The TCP-loopback fabric: per-rank NIC sockets, emulated RMA regions,
-//! and the atomic-add sink — all I/O driven by the reactor pool.
+//! and the engine's installed receive side — all I/O driven by the
+//! reactor pool.
 //!
 //! A [`NetFabric`] owns, for each `(peer, nic)` pair, one bidirectional
 //! **nonblocking** `TcpStream` registered with exactly one reactor
@@ -9,31 +10,28 @@
 //! the posting thread; otherwise the owning reactor is woken to do it
 //! (one write state machine, surviving partial writes, serves both).
 //! Inbound bytes are reassembled by a
-//! per-connection [`frame::FrameAssembler`] and *applied* by whoever
+//! per-connection [`frame::FrameAssembler`] and *handled* by whoever
 //! read them — payloads land in the destination [`NetRegion`], custom
-//! bits go to the installed [`NetAddSink`] — which is exactly the
-//! paper's level-2 emulation: an agent performs the `*p += a` the
-//! level-4 NIC would do in hardware. **Whoever waits reads**: a rank
-//! thread in [`NetFabric::wait_progress`] polls the rank's sockets
-//! itself and applies what arrives on its own thread, so the waiter
-//! runs the moment the bytes do, with no wake-up in between; the
-//! reactors read only while no rank thread waits. The thread budget is
-//! flat in world size: `main + progress + nreactors` regardless of rank
-//! count.
+//! bits and `CTRL` frames go to the installed [`NetSink`], whose acks
+//! ride back on the same connection — which is exactly the paper's
+//! level-2 emulation: an agent performs the `*p += a` the level-4 NIC
+//! would do in hardware. **Whoever waits reads**: a rank thread in
+//! [`NetFabric::wait_progress`] polls the rank's sockets itself and
+//! handles what arrives on its own thread, so the waiter runs the
+//! moment the bytes do, with no wake-up in between; the reactors read
+//! only while no rank thread waits, and reactor 0 also runs the sink's
+//! retransmit timer ([`NetSink::tick`]). The thread budget is flat in
+//! world size: `main + nreactors` regardless of rank count.
 //!
-//! Two bells wake sleepers. The **event bell** rings whenever a
-//! waiter's predicate may have changed behind its back — a reactor's
-//! read pass applied data frames, the progress thread handled control
-//! messages, a stream latched down, teardown, and a waiter that read
-//! frames itself, once it is done (another waiter may have been waiting
-//! for them). It has no condvar: it is an atomic epoch plus a wake
-//! channel per sleeper, because its sleepers sleep in `poll(2)` over the
-//! sockets, and a ring costs a byte only when a waiter is parked. The
-//! **control bell** (epoch + condvar) rings when there is
-//! work for the engine's progress thread — a control message a reactor
-//! queued, a retransmit deadline to start watching, teardown — so that
-//! thread sleeps through data frames, which it has no part in, and
-//! through control frames a waiter read, which that waiter handles.
+//! The **event bell** wakes sleepers: it rings whenever a waiter's
+//! predicate may have changed behind its back — a reactor's read pass
+//! handled frames, a control message this rank sent itself was
+//! handled, a retry ran out, a stream latched down, teardown, and a
+//! waiter that read frames itself, once it is done (another waiter may
+//! have been waiting for them). It has no condvar: it is an atomic epoch
+//! plus a wake channel per sleeper, because its sleepers sleep in
+//! `poll(2)` over the sockets, and a ring costs a byte only when a
+//! waiter is parked.
 //!
 //! A [`NetRegion`] is the workspace's one raw region buffer
 //! ([`unr_simnet::MemRegion`], the only raw-memory module) under a
@@ -47,12 +45,12 @@
 //! (`unr.transport.bad_dma`): a signal never fires for bytes that
 //! never arrived.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use unr_obs::metrics::Counter;
 use unr_obs::Obs;
@@ -61,17 +59,50 @@ use unr_simnet::MemRegion;
 
 use crate::frame;
 use crate::reactor::{
-    pool_size_from_env, Conn, Delivery, FrameDispatch, ReactorMetrics, ReactorPool, ReadPass,
-    Waiting, WakeHandle, QUEUE_CAP_BYTES,
+    pool_size_from_env, Conn, FrameDispatch, ReactorMetrics, ReactorPool, Waiting, WakeHandle,
+    QUEUE_CAP_BYTES,
 };
 
-/// Consumer of inbound 128-bit custom bits — the emulated atomic-add
-/// unit. `NetUnr` installs the engine's [`unr_core::TableSink`], which
-/// decodes the bits into a [`unr_core::Notif`] and applies it to its
-/// signal table.
-pub trait NetAddSink: Send + Sync {
+/// The engine's receive side, installed once ([`NetFabric::install`])
+/// and run by whichever thread read the frame — a reactor, or a rank
+/// thread in a wait. `NetUnr` installs its control path: the emulated
+/// atomic-add unit ([`unr_core::TableSink`]), the control handler
+/// ([`unr_core::handle_ctrl`]) and the retry table's sweep.
+pub trait NetSink: Send + Sync {
     /// Apply one delivery of custom bits (`*p += a` on the MMAS table).
     fn apply(&self, custom: u128);
+
+    /// Handle control message `msg` from rank `src`, landing its
+    /// payloads and answering `src` through `rx`.
+    fn on_ctrl(&self, src: usize, msg: &[u8], rx: &mut CtrlRx<'_>);
+
+    /// Retransmit what is due (reactor 0 calls this at the top of every
+    /// pass); how long until something is next due, `None` with nothing
+    /// to watch.
+    fn tick(&self) -> Option<Duration>;
+}
+
+/// What the fabric lends a [`NetSink`] to handle one control message
+/// with: the rank's regions, and the way back to the message's source.
+pub struct CtrlRx<'a> {
+    shared: &'a Shared,
+    met: &'a TransportMetrics,
+    reply: &'a mut dyn FnMut(&[u8]),
+}
+
+impl CtrlRx<'_> {
+    /// Land `payload` at `(region, offset)` of this rank; `false`,
+    /// counted in `unr.transport.bad_dma`, when it cannot.
+    #[must_use]
+    pub fn deposit(&self, region: u32, offset: u64, payload: &[u8]) -> bool {
+        self.shared.deposit(self.met, region, offset, payload)
+    }
+
+    /// Send control message `msg` back to the source: on the connection
+    /// the message came in on, once it has been handled.
+    pub fn reply(&mut self, msg: &[u8]) {
+        (self.reply)(msg);
+    }
 }
 
 /// `unr.transport.*` counters registered in the fabric's [`Obs`].
@@ -100,7 +131,7 @@ pub struct TransportMetrics {
     /// First transmissions silently dropped by fault injection.
     pub drops_injected: Arc<Counter>,
     /// [`NetFabric::wait_progress`] polls that ran out with nothing
-    /// readable and no ring (the control bell has no poll).
+    /// readable and no ring (a reactor's poll is not counted).
     pub wait_timeouts: Arc<Counter>,
     /// Unframeable inbound data: corrupt length prefixes or streams
     /// that died mid-frame (teardown excluded).
@@ -305,65 +336,29 @@ impl EventBell {
     }
 }
 
-/// The control bell: an epoch + condvar pair. A sleeper samples the
-/// epoch *before* looking for work and sleeps only while it still reads
-/// the same, so a ring between the look and the sleep is never slept
-/// through.
-#[derive(Default)]
-struct Bell {
-    epoch: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl Bell {
-    fn ring(&self) {
-        let mut e = self.epoch.lock().expect("bell lock");
-        *e += 1;
-        self.cv.notify_all();
-    }
-
-    fn epoch(&self) -> u64 {
-        *self.epoch.lock().expect("bell lock")
-    }
-
-    /// Sleep until the epoch differs from `since` or `deadline` passes
-    /// (`None`: for as long as it takes); `true` if it rang.
-    fn wait_since(&self, since: u64, deadline: Option<Instant>) -> bool {
-        let mut e = self.epoch.lock().expect("bell lock");
-        while *e == since {
-            e = match deadline {
-                None => self.cv.wait(e).expect("bell condvar"),
-                Some(d) => match d.checked_duration_since(Instant::now()) {
-                    None | Some(Duration::ZERO) => return false,
-                    Some(left) => self.cv.wait_timeout(e, left).expect("bell condvar").0,
-                },
-            };
-        }
-        true
-    }
+/// What reached the fabric before its [`NetSink`] did: custom bits, or
+/// a control message from `(src, nic)`.
+enum Early {
+    Custom(u128),
+    Ctrl(usize, usize, Vec<u8>),
 }
 
 /// State shared between the fabric handle and its reader threads.
-/// Readers hold this `Arc` (plus a `Weak<NetFabric>` for replies), so
-/// dropping the last application-side `NetFabric` reference can never
-/// dead-lock on a reader joining itself.
+/// Readers hold this `Arc` and no `NetFabric`, so dropping the last
+/// application-side `NetFabric` reference can never dead-lock on a
+/// reader joining itself.
 struct Shared {
     /// Registered regions by id.
     regions: SyncMutex<HashMap<u32, Arc<NetRegion>>>,
-    /// Inbound control messages: `(src_rank, wire bytes)`.
-    ctrl: SyncMutex<VecDeque<(usize, Vec<u8>)>>,
     /// Rung when a waiter's predicate may have moved by another
     /// thread's doing, so `sig_wait` can sleep between events.
     events: EventBell,
-    /// Rung when `ctrl` gains a message its reader will not handle
-    /// itself and when the progress thread's sleep must be cut short
-    /// for another reason.
-    ctrl_bell: Bell,
-    /// The emulated atomic-add unit; installed once by the engine.
-    sink: OnceLock<Arc<dyn NetAddSink>>,
-    /// Custom bits that arrived before the sink was installed — drained
-    /// on installation so no addend is ever lost.
-    pre_sink: SyncMutex<Vec<u128>>,
+    /// The engine's receive side; installed once.
+    sink: OnceLock<Arc<dyn NetSink>>,
+    /// What arrived before the sink was installed, in arrival order —
+    /// handled on installation, so no addend or control message is
+    /// ever lost.
+    early: SyncMutex<Vec<Early>>,
     stopping: AtomicBool,
     /// NICs per peer — the row stride of `down`.
     nics: usize,
@@ -377,11 +372,9 @@ impl Shared {
     fn new(nranks: usize, nics: usize, reactor_met: ReactorMetrics) -> io::Result<Shared> {
         Ok(Shared {
             regions: SyncMutex::new(HashMap::new()),
-            ctrl: SyncMutex::new(VecDeque::new()),
             events: EventBell::new(reactor_met)?,
-            ctrl_bell: Bell::default(),
             sink: OnceLock::new(),
-            pre_sink: SyncMutex::new(Vec::new()),
+            early: SyncMutex::new(Vec::new()),
             stopping: AtomicBool::new(false),
             nics,
             down: (0..nranks * nics).map(|_| AtomicBool::new(false)).collect(),
@@ -416,31 +409,45 @@ impl Shared {
         self.down[peer * self.nics + nic].load(Ordering::Relaxed)
     }
 
-    fn apply_custom(&self, custom: u128) {
+    /// The installed sink — or, before installation, `None` with
+    /// `early()` kept for it. The miss is re-checked under the buffer's
+    /// lock, which the installer takes the buffer under.
+    fn sink_or_keep(&self, early: impl FnOnce() -> Early) -> Option<&Arc<dyn NetSink>> {
         if let Some(s) = self.sink.get() {
-            s.apply(custom);
-            return;
+            return Some(s);
         }
-        // Racy window before install: buffer, then re-check (the
-        // installer drains under the same lock).
-        let mut pend = self.pre_sink.lock();
-        if let Some(s) = self.sink.get() {
-            drop(pend);
+        let mut kept = self.early.lock();
+        let sink = self.sink.get();
+        if sink.is_none() {
+            kept.push(early());
+        }
+        sink
+    }
+
+    fn apply_custom(&self, custom: u128) {
+        if let Some(s) = self.sink_or_keep(|| Early::Custom(custom)) {
             s.apply(custom);
-        } else {
-            pend.push(custom);
+        }
+    }
+
+    /// Handle control message `msg` from `(src, nic)` on the calling
+    /// thread, handing what goes back to `src` to `reply` — or keep it
+    /// for the sink, which answers it on installation.
+    fn on_ctrl(
+        &self,
+        met: &TransportMetrics,
+        (src, nic): (usize, usize),
+        msg: &[u8],
+        reply: &mut dyn FnMut(&[u8]),
+    ) {
+        if let Some(sink) = self.sink_or_keep(|| Early::Ctrl(src, nic, msg.to_vec())) {
+            let shared = self;
+            sink.on_ctrl(src, msg, &mut CtrlRx { shared, met, reply });
         }
     }
 
     fn ring_bell(&self) {
         self.events.ring();
-    }
-
-    /// Queue one inbound control message; whoever read it sees that it
-    /// is handled (a waiter by itself, a reactor by ringing the control
-    /// bell once its pass is over).
-    fn queue_ctrl(&self, src: usize, bytes: Vec<u8>) {
-        self.ctrl.lock().push_back((src, bytes));
     }
 }
 
@@ -460,7 +467,7 @@ pub struct NetFabric {
     next_region: AtomicU32,
     shared: Arc<Shared>,
     /// Metrics registry shared by the fabric and its engine.
-    pub obs: Obs,
+    pub obs: Arc<Obs>,
     /// `unr.transport.*` counters.
     pub met: TransportMetrics,
     /// `unr.transport.reactor.*` instruments.
@@ -481,7 +488,7 @@ impl NetFabric {
     ) -> io::Result<Arc<NetFabric>> {
         assert_eq!(ports.len(), nranks, "one port row per rank");
         assert_eq!(listeners.len(), nics, "one listener per NIC");
-        let obs = Obs::new();
+        let obs = Arc::new(Obs::new());
         let met = TransportMetrics::register(&obs);
         let reactor_met = ReactorMetrics::register(&obs);
         let shared = Arc::new(Shared::new(nranks, nics, reactor_met.clone())?);
@@ -593,19 +600,28 @@ impl NetFabric {
         self.nics
     }
 
-    /// Install the atomic-add sink (once), draining any deliveries that
-    /// raced ahead of installation.
-    pub fn set_add_sink(&self, sink: Arc<dyn NetAddSink>) {
-        let mut pend = self.shared.pre_sink.lock();
-        self.shared
-            .sink
-            .set(sink)
-            .unwrap_or_else(|_| panic!("atomic-add sink installed twice"));
-        let sink = self.shared.sink.get().expect("just installed");
-        for custom in pend.drain(..) {
-            sink.apply(custom);
+    /// Install the engine's receive side (once), then handle on this
+    /// thread what raced ahead of it: addends are applied, control
+    /// messages handled and answered.
+    pub fn install(&self, sink: Arc<dyn NetSink>) {
+        let early = {
+            let mut kept = self.shared.early.lock();
+            self.shared
+                .sink
+                .set(sink)
+                .unwrap_or_else(|_| panic!("receive side installed twice"));
+            std::mem::take(&mut *kept)
+        };
+        for e in early {
+            match e {
+                Early::Custom(custom) => self.shared.apply_custom(custom),
+                Early::Ctrl(src, nic, msg) => {
+                    let mut answer = |reply: &[u8]| drop(self.send_ctrl(src, nic, reply));
+                    self.shared
+                        .on_ctrl(&self.met, (src, nic), &msg, &mut answer);
+                }
+            }
         }
-        drop(pend);
         self.shared.ring_bell();
     }
 
@@ -790,19 +806,43 @@ impl NetFabric {
         self.send(dst, nic, frame::FRAME_ATOMIC, &[&frame::atomic_body(custom)])
     }
 
-    /// Send an opaque `unr_core::wire` control message to `dst`.
+    /// Send an opaque `unr_core::wire` control message to `dst`. One to
+    /// this rank itself is handled here and now, on the calling thread,
+    /// and so are its replies.
     pub fn send_ctrl(&self, dst: usize, nic: usize, bytes: &[u8]) -> io::Result<()> {
         if dst == self.rank {
-            self.shared.queue_ctrl(self.rank, bytes.to_vec());
-            self.shared.ctrl_bell.ring();
+            self.loopback(bytes);
             return Ok(());
         }
         self.send(dst, nic, frame::FRAME_CTRL, &[bytes])
     }
 
-    /// Pop one inbound control message: `(src_rank, wire bytes)`.
-    pub fn pop_ctrl(&self) -> Option<(usize, Vec<u8>)> {
-        self.shared.ctrl.lock().pop_front()
+    /// [`send_ctrl`](Self::send_ctrl) past the backpressure cap, for a
+    /// reactor — which would wait on a backlog only it drains. The
+    /// retransmit sweep sends this way.
+    pub fn resend_ctrl(&self, dst: usize, nic: usize, bytes: &[u8]) -> io::Result<()> {
+        if dst == self.rank {
+            return self.send_ctrl(dst, nic, bytes);
+        }
+        let frame = frame::encode_frame(frame::FRAME_CTRL, &[bytes])?;
+        self.pool.post(self.conn(dst, nic)?, frame);
+        self.met.tx_frames.inc();
+        Ok(())
+    }
+
+    /// Handle a control message this rank sent itself, and the replies
+    /// to it, then ring for what they moved.
+    fn loopback(&self, msg: &[u8]) {
+        let mut answer = |reply: &[u8]| self.loopback(reply);
+        self.shared
+            .on_ctrl(&self.met, (self.rank, 0), msg, &mut answer);
+        self.shared.ring_bell();
+    }
+
+    /// Wake the reactor that runs the sink's retransmit timer
+    /// ([`NetSink::tick`]): something new is due to be watched.
+    pub fn wake_timer(&self) {
+        self.pool.wake(0);
     }
 
     fn deliver_custom(&self, custom: u128) {
@@ -812,32 +852,11 @@ impl NetFabric {
 
     /// Bump the event epoch and wake any thread parked in
     /// [`NetFabric::wait_progress`]: for a thread that moved a waiter's
-    /// predicate from outside its wait — the progress thread after
-    /// handling control messages, a poster after a local completion, a
-    /// waiter after applying frames it read. (A reactor's read pass
-    /// rings through the dispatcher.)
+    /// predicate from outside its wait — a sweep that ran a retry out, a
+    /// poster after a local completion, a waiter after handling frames
+    /// it read. (A reactor's read pass rings through the dispatcher.)
     pub fn ring_bell(&self) {
         self.shared.ring_bell();
-    }
-
-    /// The control bell's epoch: the progress thread samples it, looks
-    /// for work, then sleeps in [`wait_ctrl_since`](Self::wait_ctrl_since).
-    pub fn ctrl_epoch(&self) -> u64 {
-        self.shared.ctrl_bell.epoch()
-    }
-
-    /// Ring the control bell for work no queued control message
-    /// announces (queueing one rings it): the progress thread's stop
-    /// flag, or a first unacked sub-message to start watching.
-    pub fn ring_ctrl(&self) {
-        self.shared.ctrl_bell.ring();
-    }
-
-    /// Sleep until the control bell has rung since `since` was sampled
-    /// or `deadline` passes — with `None`, until it rings, which data
-    /// frames never do. `true` if it rang.
-    pub fn wait_ctrl_since(&self, since: u64, deadline: Option<Instant>) -> bool {
-        self.shared.ctrl_bell.wait_since(since, deadline)
     }
 
     /// The current event epoch. A waiter samples it *before* testing
@@ -857,20 +876,16 @@ impl NetFabric {
     /// [`event_epoch`](NetFabric::event_epoch)). Otherwise the thread
     /// parks — the reactors stand back from the sockets — and polls
     /// them together with a wake channel of its own for at most
-    /// `timeout`; what arrives it reads, reassembles and applies right
-    /// here, through the same dispatcher a reactor uses, and then
-    /// returns what it dispatched. Control messages among that
-    /// ([`ReadPass::queued`]) are queued and *not* announced to the
-    /// progress thread: the caller handles them ([`pop_ctrl`]), and
-    /// rings the event bell for what it applied or handled, since
-    /// nobody else will. Callers re-check their predicate in a loop; the
-    /// epoch only orders the sleep.
-    ///
-    /// [`pop_ctrl`]: NetFabric::pop_ctrl
-    pub fn wait_progress(&self, since: u64, timeout: Duration) -> ReadPass {
+    /// `timeout`; what arrives it reads, reassembles and handles right
+    /// here, control messages included, through the same dispatcher a
+    /// reactor uses, and then returns how many frames it handled. The
+    /// caller rings the event bell for those, since nobody else will.
+    /// Callers re-check their predicate in a loop; the epoch only orders
+    /// the sleep.
+    pub fn wait_progress(&self, since: u64, timeout: Duration) -> usize {
         let bell = &self.shared.events;
         if bell.epoch() != since {
-            return ReadPass::default();
+            return 0;
         }
         let parked = bell.waiting.park();
         // Parked *then* the epoch again (see [`EventBell`]): a ring
@@ -878,9 +893,9 @@ impl NetFabric {
         let Ok(chan) = bell.park() else {
             // No descriptor for a channel of its own: test again.
             std::thread::yield_now();
-            return ReadPass::default();
+            return 0;
         };
-        let mut reads = ReadPass::default();
+        let mut handled = 0;
         if bell.epoch() == since {
             let got = self.pool.wait_readable(&self.all_conns, &chan.rx, timeout);
             if got.woken {
@@ -889,11 +904,11 @@ impl NetFabric {
             if got.expired {
                 self.met.wait_timeouts.inc();
             }
-            reads = got.reads;
+            handled = got.reads.applied;
         }
         chan.parked.store(false, Ordering::SeqCst);
         drop(parked);
-        reads
+        handled
     }
 
     /// Threads parked in [`NetFabric::wait_progress`] right now.
@@ -902,12 +917,12 @@ impl NetFabric {
         self.shared.events.waiting.parked()
     }
 
-    /// Panic holding the region map, the early-custom buffer and the
-    /// control queue: every one of them must serve its next caller.
+    /// Panic holding the region map and the pre-install buffer: each
+    /// must serve its next caller.
     #[cfg(test)]
     pub(crate) fn poison_for_tests(&self) {
         let s = &self.shared;
-        let _held = (s.regions.lock(), s.pre_sink.lock(), s.ctrl.lock());
+        let _held = (s.regions.lock(), s.early.lock());
         panic!("poisoning the fabric's locks on purpose");
     }
 
@@ -932,7 +947,6 @@ impl NetFabric {
             }
         }
         self.shared.ring_bell();
-        self.shared.ctrl_bell.ring();
     }
 }
 
@@ -948,9 +962,9 @@ impl Drop for NetFabric {
 
 /// The reader-side protocol handler: applies each reassembled inbound
 /// frame against the shared state, on whichever thread read it. Holds
-/// no `NetFabric` reference — GET replies ride back to the reader as
-/// pre-encoded frames for the same connection — so reactor threads
-/// never keep the fabric alive and teardown joins them without
+/// no `NetFabric` reference — GET replies and acks ride back to the
+/// reader as pre-encoded frames for the same connection — so reactor
+/// threads never keep the fabric alive and teardown joins them without
 /// self-join hazards.
 struct FabricDispatch {
     shared: Arc<Shared>,
@@ -986,14 +1000,14 @@ impl FrameDispatch for FabricDispatch {
         nic: usize,
         f: frame::Frame,
         replies: &mut Vec<Vec<u8>>,
-    ) -> Delivery {
+    ) -> bool {
         let shared = &self.shared;
         // Peer bytes: the fixed-offset parsers below index up to the
         // kind's header length, so a shorter body is a protocol error,
         // not a panic on the reading thread.
         if f.body.len() < frame::min_body_len(f.kind) {
             self.on_corrupt(peer, nic);
-            return Delivery::Dropped;
+            return false;
         }
         self.met.rx_frames.inc();
         match f.kind {
@@ -1025,23 +1039,25 @@ impl FrameDispatch for FabricDispatch {
                 shared.apply_custom(frame::parse_atomic(&f.body));
             }
             frame::FRAME_CTRL => {
-                // No waiter's predicate moves until the engine has
-                // handled it.
-                shared.queue_ctrl(peer, f.body);
-                return Delivery::Queued;
+                let mut ack = |reply: &[u8]| {
+                    if let Ok(rep) = frame::encode_frame(frame::FRAME_CTRL, &[reply]) {
+                        self.met.tx_frames.inc();
+                        replies.push(rep);
+                    }
+                };
+                shared.on_ctrl(&self.met, (peer, nic), &f.body, &mut ack);
             }
-            _ => return Delivery::Dropped, // unknown kind post-handshake
+            _ => return false, // unknown kind post-handshake
         }
-        Delivery::Applied
+        true
     }
 
-    fn announce(&self, reads: &ReadPass) {
-        if reads.applied > 0 {
-            self.shared.events.ring();
-        }
-        if reads.queued > 0 {
-            self.shared.ctrl_bell.ring();
-        }
+    fn announce(&self) {
+        self.shared.events.ring();
+    }
+
+    fn tick(&self) -> Option<Duration> {
+        self.shared.sink.get()?.tick()
     }
 
     fn on_corrupt(&self, peer: usize, nic: usize) {
@@ -1062,6 +1078,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::Barrier;
+    use std::time::Instant;
     use unr_simnet::SimRng;
 
     fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
@@ -1254,9 +1271,15 @@ mod tests {
         applies: AtomicU64,
     }
 
-    impl NetAddSink for CountingSink {
+    impl NetSink for CountingSink {
         fn apply(&self, _custom: u128) {
             self.applies.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn on_ctrl(&self, _: usize, _: &[u8], _: &mut CtrlRx<'_>) {}
+
+        fn tick(&self) -> Option<Duration> {
+            None
         }
     }
 
@@ -1268,7 +1291,7 @@ mod tests {
         let region = Arc::new(NetRegion::new(0, 1, 64));
         shared.regions.lock().insert(1, Arc::clone(&region));
         let sink = Arc::new(CountingSink::default());
-        let installed = shared.sink.set(Arc::clone(&sink) as Arc<dyn NetAddSink>);
+        let installed = shared.sink.set(Arc::clone(&sink) as Arc<dyn NetSink>);
         assert!(installed.is_ok());
         let met = TransportMetrics::register(&Obs::new());
         (FabricDispatch { shared, met }, region, sink)

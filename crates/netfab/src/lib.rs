@@ -8,8 +8,9 @@
 //! ([`frame`]). The result is the paper's software emulation story
 //! (§V): a level-3 interface (full 128-bit custom bits both ways,
 //! [`Channel::netfab`](unr_core::Channel::netfab)) whose receiving side
-//! applies `*p += a` in an agent thread — the [`NetAddSink`] — exactly
-//! as a level-2 system emulates the proposed level-4 hardware.
+//! applies `*p += a` on whichever thread read the frame — the
+//! [`NetSink`] — exactly as a level-2 system emulates the proposed
+//! level-4 hardware, with no progress thread of its own.
 //!
 //! ## Layers
 //!
@@ -20,16 +21,16 @@
 //!   queues, `unr.transport.reactor.*` metrics (thread budget flat in
 //!   world size);
 //! * [`fabric`] — [`NetFabric`]: the socket mesh, emulated RMA regions,
-//!   the atomic-add sink, `unr.transport.*` metrics;
+//!   the installed receive side (atomic adds, control frames, the
+//!   retransmit timer reactor 0 ticks), `unr.transport.*` metrics;
 //! * [`launch`] — [`spawn_world`] / [`NetWorld`]: multi-process
 //!   bootstrap (rank/port rendezvous) and out-of-band collectives;
 //! * [`transport`] — [`NetTransport`]: `unr_core::Transport` over the
 //!   mesh, i.e. the leaf operations under `unr-core`'s one post path,
-//!   the park under its one wait loop, registration, the wall clock and
-//!   the progress thread;
+//!   the park under its one wait loop, registration and the wall clock;
 //! * [`engine`] — [`NetUnr`]: that shared engine (`Unr<NetTransport>`,
 //!   reached through `Deref`) plus what is still this fabric's own —
-//!   bring-up — over `unr-core`'s
+//!   bring-up and the control path it installs — over `unr-core`'s
 //!   [`RetryState`](unr_core::RetryState) table, its
 //!   [`handle_ctrl`](unr_core::handle_ctrl) receive side and its
 //!   [`TableSink`](unr_core::TableSink).
@@ -76,7 +77,7 @@ pub mod storm;
 pub mod transport;
 
 pub use engine::{NetMem, NetUnr};
-pub use fabric::{NetAddSink, NetFabric, NetRegion, TransportMetrics};
+pub use fabric::{NetFabric, NetRegion, NetSink, TransportMetrics};
 pub use launch::{
     spawn_world, spawn_world_with_recovery, Gathered, NetWorld, RespawnSpec, WorldResult,
 };

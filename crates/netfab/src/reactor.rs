@@ -36,14 +36,15 @@
 //!
 //! The pool size is fixed at construction (default
 //! [`DEFAULT_REACTORS`], env `UNR_NETFAB_REACTORS`), so the thread
-//! budget is **flat in world size**: `main + progress + nreactors`
-//! threads per process whether the world has 4 ranks or 64 — a waiting
-//! rank thread that reads is a thread the rank already had.
+//! budget is **flat in world size**: `main + nreactors` threads per
+//! process whether the world has 4 ranks or 64 — a waiting rank thread
+//! that reads is a thread the rank already had, and the protocol's
+//! timers run on reactor 0 ([`FrameDispatch::tick`]).
 //!
 //! The reactor knows nothing about regions, signals or the reliable
 //! protocol: inbound frames are handed to a [`FrameDispatch`]
 //! implemented by the fabric, which may return already-encoded reply
-//! frames (GET replies) that the reader appends to the same
+//! frames (GET replies, acks) that the reader appends to the same
 //! connection's write state — replies bypass the backpressure cap
 //! because a reader cannot wait on a backlog it may itself be
 //! responsible for draining.
@@ -413,28 +414,13 @@ impl Writer {
     }
 }
 
-/// What became of one inbound frame ([`FrameDispatch::on_frame`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// Applied to this rank's memory or signals: a waiter's predicate
-    /// may have moved.
-    Applied,
-    /// A control message, queued for the engine to handle.
-    Queued,
-    /// Nothing to act on (unknown kind, or a protocol error already
-    /// reported through [`FrameDispatch::on_corrupt`]).
-    Dropped,
-}
-
 /// What one read pass did, summed over the frames it completed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadPass {
     /// Bytes taken off the socket.
     pub bytes: usize,
-    /// Frames that came out [`Delivery::Applied`].
+    /// Frames [`FrameDispatch::on_frame`] applied.
     pub applied: usize,
-    /// Frames that came out [`Delivery::Queued`].
-    pub queued: usize,
     /// Replies were appended and the socket filled up before they were
     /// all written: the owning reactor must poll for writability.
     reply_blocked: bool,
@@ -444,7 +430,6 @@ impl ReadPass {
     fn add(&mut self, other: ReadPass) {
         self.bytes += other.bytes;
         self.applied += other.applied;
-        self.queued += other.queued;
     }
 }
 
@@ -458,25 +443,29 @@ pub trait FrameDispatch: Send + Sync + 'static {
     /// queue it may have to drain). Runs on whichever thread read the
     /// frame — a reactor or a waiting rank thread — under that
     /// connection's reader lock. It must not post (replies are
-    /// returned, never sent from here) and wakes nobody: the reader
-    /// decides who needs to hear of it from the [`Delivery`]s.
-    fn on_frame(
-        &self,
-        peer: usize,
-        nic: usize,
-        frame: Frame,
-        replies: &mut Vec<Vec<u8>>,
-    ) -> Delivery;
-    /// A reactor's read passes dispatched these frames (`applied` or
-    /// `queued` non-zero): wake whoever waits for them. Not called for
-    /// a waiting rank thread's own reads — it looks for itself.
-    fn announce(&self, reads: &ReadPass);
+    /// returned, never sent from here) and wakes nobody: it returns
+    /// whether it applied anything to this rank's memory, signals or
+    /// retry state — `false` for an unknown kind or a protocol error
+    /// reported through [`on_corrupt`](Self::on_corrupt) — and the
+    /// reader decides who needs to hear of it.
+    fn on_frame(&self, peer: usize, nic: usize, frame: Frame, replies: &mut Vec<Vec<u8>>) -> bool;
+    /// A reactor's read pass applied frames: wake whoever waits for
+    /// them. Not called for a waiting rank thread's own reads — it
+    /// looks for itself.
+    fn announce(&self);
     /// The stream delivered unframeable bytes (corrupt prefix or death
     /// mid-frame) or refused a write, outside teardown; the dispatcher
     /// latches it down. Called by readers and by posting threads.
     fn on_corrupt(&self, peer: usize, nic: usize);
     /// Whether fabric teardown has begun (reactors exit their loops).
     fn stopping(&self) -> bool;
+    /// Do what the protocol has falling due, on reactor 0 at the top of
+    /// each pass; returns how soon to be called again, `None` for not
+    /// before the poll timeout. Posts it makes must not wait on
+    /// backpressure. Nothing, by default.
+    fn tick(&self) -> Option<Duration> {
+        None
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -746,10 +735,11 @@ impl ReactorPool {
             let dis = Arc::clone(&dispatch);
             let m = met.clone();
             let waiting = Arc::clone(&waiting);
+            let ticks = r == 0;
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("netfab-reactor-{tag}-{r}"))
-                    .spawn(move || reactor_loop(mine, rx, pending, waiting, dis, m))?,
+                    .spawn(move || reactor_loop(mine, rx, pending, waiting, dis, m, ticks))?,
             );
         }
         Ok(ReactorPool {
@@ -779,7 +769,8 @@ impl ReactorPool {
     /// now when the writer is idle and the socket not known to be full,
     /// by the owning reactor otherwise. The frame is pushed first either
     /// way and whoever writes takes it from the queue, so it never
-    /// overtakes one posted before it. Not for reactor threads.
+    /// overtakes one posted before it. It never waits, so a reactor may
+    /// post too (a [`FrameDispatch::tick`]'s retransmissions).
     ///
     /// Every frame keeps an owner. This thread gets the lock: it writes
     /// until the queue is empty, and if the socket fills up first wakes
@@ -903,7 +894,10 @@ struct ConnState {
 }
 
 /// One reactor. Writability, the wake channel and teardown are always
-/// its business; reads only while no rank thread waits.
+/// its business; reads only while no rank thread waits. Reactor 0
+/// (`ticks`) also calls [`FrameDispatch::tick`] at the top of each pass
+/// and polls no longer than the tick asks: the protocol's timers need
+/// no thread of their own.
 ///
 /// **Yield, and take back by looking again.** A rank thread that waits
 /// reads the sockets itself ([`ReactorPool::wait_readable`]); were the
@@ -928,6 +922,7 @@ fn reactor_loop(
     waiting: Arc<Waiting>,
     dispatch: Arc<dyn FrameDispatch>,
     met: ReactorMetrics,
+    ticks: bool,
 ) {
     let mut states: Vec<ConnState> = conns
         .into_iter()
@@ -947,6 +942,9 @@ fn reactor_loop(
             return;
         }
 
+        // Ticked before the poll set is built: what the tick posts is
+        // written by this pass or waits in the queue with a wake.
+        let due = if ticks { dispatch.tick() } else { None };
         let entries = waiting.entries.load(Ordering::SeqCst);
         let yielded = !states.is_empty() && (waiting.parked() > 0 || entries != entries_seen);
         entries_seen = entries;
@@ -977,6 +975,9 @@ fn reactor_loop(
         }
 
         let timeout = if yielded { YIELD_POLL_MS } else { POLL_TIMEOUT_MS };
+        let timeout = due.map_or(timeout, |due| {
+            due.as_nanos().div_ceil(1_000_000).min(timeout as u128) as i32
+        });
         let ready = match poll_wait(&mut slots, timeout) {
             Ok(n) => n,
             Err(_) => continue,
@@ -1011,8 +1012,8 @@ fn reactor_loop(
         }
         // One ring per pass, not per frame: nobody this could wake runs
         // before the pass is over anyway on the rank's core.
-        if reads.applied + reads.queued > 0 {
-            dispatch.announce(&reads);
+        if reads.applied > 0 {
+            dispatch.announce();
         }
 
         // Writes: whatever is owed on any connection — frames a poster
@@ -1096,11 +1097,7 @@ fn service_read(conn: &Conn, dispatch: &dyn FrameDispatch, met: &ReactorMetrics)
     pass.bytes = n;
     let mut replies: Vec<Vec<u8>> = Vec::new();
     let fed = asm.feed(&buf[..n], &mut |f: Frame| {
-        match dispatch.on_frame(peer, nic, f, &mut replies) {
-            Delivery::Applied => pass.applied += 1,
-            Delivery::Queued => pass.queued += 1,
-            Delivery::Dropped => {}
-        }
+        pass.applied += usize::from(dispatch.on_frame(peer, nic, f, &mut replies));
     });
     if fed.is_err() {
         // Corrupt length prefix: nothing after this point can be
@@ -1188,10 +1185,10 @@ mod tests {
     }
 
     impl FrameDispatch for CountCorrupt {
-        fn on_frame(&self, _: usize, _: usize, _: Frame, _: &mut Vec<Vec<u8>>) -> Delivery {
-            Delivery::Dropped
+        fn on_frame(&self, _: usize, _: usize, _: Frame, _: &mut Vec<Vec<u8>>) -> bool {
+            false
         }
-        fn announce(&self, _: &ReadPass) {}
+        fn announce(&self) {}
         fn on_corrupt(&self, _: usize, _: usize) {
             self.corrupt.fetch_add(1, Ordering::SeqCst);
         }
@@ -1305,7 +1302,7 @@ mod tests {
     }
 
     impl FrameDispatch for InOrder {
-        fn on_frame(&self, _: usize, _: usize, f: Frame, _: &mut Vec<Vec<u8>>) -> Delivery {
+        fn on_frame(&self, _: usize, _: usize, f: Frame, _: &mut Vec<Vec<u8>>) -> bool {
             let i = self.seen.fetch_add(1, Ordering::SeqCst) as u64 % self.period;
             let whole = f.kind == crate::frame::FRAME_CTRL
                 && f.body.len() == (self.body_len)(i)
@@ -1314,9 +1311,9 @@ mod tests {
             if !whole {
                 self.wrong.fetch_add(1, Ordering::SeqCst);
             }
-            Delivery::Queued
+            true
         }
-        fn announce(&self, _: &ReadPass) {}
+        fn announce(&self) {}
         fn on_corrupt(&self, _: usize, _: usize) {
             self.corrupt.fetch_add(1, Ordering::SeqCst);
         }

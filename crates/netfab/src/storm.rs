@@ -58,10 +58,9 @@ pub struct StormOpts {
     /// Coalesce puts of at most this many bytes into aggregate frames
     /// (0: aggregation off).
     pub agg_eager_max: usize,
-    /// Run under [`unr_core::ProgressMode::Hardware`]: the reactor-side
-    /// sink is the terminal applier and no control thread is spawned
-    /// unless the reliable transport or the coalescer needs one (the
-    /// hybrid drainer, DESIGN.md §5g).
+    /// Run under [`unr_core::ProgressMode::Hardware`]: the reading
+    /// thread's sink is the terminal applier (DESIGN.md §5g). Like every
+    /// config, it runs no thread beside main and the reactors.
     pub hardware: bool,
     /// `SIGKILL` this rank's generation-0 incarnation at the end of
     /// storm epoch [`StormOpts::kill_epoch`] (requires reliable mode
@@ -102,8 +101,8 @@ pub struct StormOutcome {
     /// First transmissions dropped by fault injection.
     pub drops_injected: u64,
     /// OS threads in this process at storm end (0 where unreadable).
-    /// The reactor keeps this flat in world size — `main + progress +
-    /// nreactors` — which the scaling soak test asserts across
+    /// The reactor keeps this flat in world size — `main + nreactors`
+    /// under every config — which the scaling soak test asserts across
     /// 4/16/64-rank worlds.
     pub threads: u64,
 }

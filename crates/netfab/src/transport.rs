@@ -2,13 +2,14 @@
 //!
 //! `unr_core::Transport`'s netfab implementor: what a put, a get, a
 //! reliable sub-message, a control frame, a wait's park, registration,
-//! the clock and teardown are on a TCP mesh. It owns the progress
-//! thread that runs the control path beside the rank. [`crate::engine`]
-//! builds it (bring-up is all the seam does not cover).
+//! the clock and teardown are on a TCP mesh. It runs no thread: the
+//! control path it shares with the receive side (`CtrlPath`) runs on
+//! whichever thread reads a frame, and its retransmit sweep on
+//! reactor 0. [`crate::engine`] builds it (bring-up is all the seam
+//! does not cover).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use unr_core::ctrl;
@@ -16,10 +17,10 @@ use unr_core::{
     Encoding, Epoch, PeerFailedCause, RmaOp, Route, SeqPost, Transport, UnrError, Until, Woke,
 };
 use unr_obs::Obs;
-use unr_simnet::sync::Mutex;
 use unr_simnet::{MemRegion, NicSel, Ns};
 
 use crate::engine::CtrlPath;
+use crate::fabric::NetFabric;
 
 /// Fault injection for the netfab transport: deterministic sender-side
 /// drops of *first transmissions* (retransmissions always go out), so a
@@ -40,9 +41,9 @@ impl NetFaults {
 
 /// The sockets under the post path — [`Transport`]'s netfab
 /// implementor: `PUT`/`GET_REQ` frames for native operations, one `CTRL`
-/// frame per reliable sub-message or aggregate, a wall clock, and the
-/// progress thread.
+/// frame per reliable sub-message or aggregate, and a wall clock.
 pub struct NetTransport {
+    fabric: Arc<NetFabric>,
     ctrl: Arc<CtrlPath>,
     faults: NetFaults,
     /// Registered sub-messages posted (drop-injection cadence counter).
@@ -51,51 +52,31 @@ pub struct NetTransport {
     next_nic: AtomicUsize,
     /// Wall-clock cap on a wait that has no deadline of its own, in ns.
     wait_cap: Ns,
-    /// Tells the progress thread to return.
-    stop: Arc<AtomicBool>,
-    /// The progress thread — `None` under pure hardware progress, and
-    /// once stopped.
-    pub(crate) progress: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl NetTransport {
-    /// The transport over `ctrl`, with a progress thread named
-    /// `progress` running it, if any.
+    /// The transport over `fabric`, whose receive side `ctrl` is.
     pub(crate) fn new(
+        fabric: Arc<NetFabric>,
         ctrl: Arc<CtrlPath>,
         faults: NetFaults,
         wait_cap: Ns,
-        progress: Option<String>,
     ) -> NetTransport {
-        let stop = Arc::new(AtomicBool::new(false));
-        let progress = progress.map(|name| {
-            let (ctrl, stop) = (Arc::clone(&ctrl), Arc::clone(&stop));
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(move || ctrl.run(&stop))
-                .expect("spawn progress thread")
-        });
         NetTransport {
+            fabric,
             ctrl,
             faults,
             sends: AtomicU64::new(0),
             next_nic: AtomicUsize::new(0),
             wait_cap,
-            stop,
-            progress: Mutex::new(progress),
         }
     }
 
-    /// Stop and join the progress thread (idempotent); the sockets stay
-    /// up until [`Transport::shutdown`].
-    pub(crate) fn stop_progress(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.ctrl.fabric.ring_ctrl();
-        if let Some(h) = self.progress.lock().take() {
-            let _ = h.join();
-        }
+    pub(crate) fn fabric(&self) -> &Arc<NetFabric> {
+        &self.fabric
     }
 
+    #[cfg(test)]
     pub(crate) fn ctrl(&self) -> &CtrlPath {
         &self.ctrl
     }
@@ -105,15 +86,14 @@ impl NetTransport {
             NicSel::Index(i) => i,
             NicSel::Auto => self.next_nic.fetch_add(1, Ordering::Relaxed),
         };
-        nic % self.ctrl.fabric.nics()
+        nic % self.fabric.nics()
     }
 
     /// Stamp `frame` with this engine's epoch and write it to `dst`. A
     /// dead socket is how a dead peer shows on this fabric.
     fn send_frame(&self, dst: usize, nic: NicSel, frame: &[u8]) -> Result<(), UnrError> {
-        let ctrl = &self.ctrl;
-        ctrl.fabric
-            .send_ctrl(dst, self.nic(nic), &ctrl::stamp(ctrl.epoch, frame))
+        self.fabric
+            .send_ctrl(dst, self.nic(nic), &ctrl::stamp(self.ctrl.epoch, frame))
             .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))
     }
 
@@ -123,37 +103,36 @@ impl NetTransport {
         let n = Encoding::Full128.decode(custom);
         if n.key != 0 {
             self.ctrl.sink.apply_counted(n.key, n.addend);
-            self.ctrl.fabric.ring_bell();
+            self.fabric.ring_bell();
         }
     }
 }
 
 impl Transport for NetTransport {
     fn rank(&self) -> usize {
-        self.ctrl.fabric.rank()
+        self.fabric.rank()
     }
 
     fn nranks(&self) -> usize {
-        self.ctrl.fabric.nranks()
+        self.fabric.nranks()
     }
 
     fn nics(&self) -> usize {
-        self.ctrl.fabric.nics()
+        self.fabric.nics()
     }
 
     fn register(&self, len: usize) -> MemRegion {
-        self.ctrl.fabric.register(len).1.mem().clone()
+        self.fabric.register(len).1.mem().clone()
     }
 
     fn region(&self, id: u32) -> Option<MemRegion> {
-        self.ctrl.fabric.region(id).map(|r| r.mem().clone())
+        self.fabric.region(id).map(|r| r.mem().clone())
     }
 
     fn put(&self, op: RmaOp<'_>, companion: Option<Vec<u8>>) -> Result<(), UnrError> {
         let dst = op.remote.rank;
         let nic = self.nic(op.nic);
-        self.ctrl
-            .fabric
+        self.fabric
             .put(
                 dst,
                 nic,
@@ -175,8 +154,7 @@ impl Transport for NetTransport {
 
     fn get(&self, op: RmaOp<'_>) -> Result<(), UnrError> {
         let dst = op.remote.rank;
-        self.ctrl
-            .fabric
+        self.fabric
             .get(
                 dst,
                 self.nic(op.nic),
@@ -196,16 +174,17 @@ impl Transport for NetTransport {
     }
 
     /// The table holds the entry *before* this runs, so its ack cannot
-    /// outrun it; the entry that ends "nothing unacked" rings the
-    /// progress thread — which sleeps without a deadline until then —
-    /// awake to start watching (later ones it finds by itself, see
-    /// `CtrlPath::sweep`). The frame is stamped once, here: netfab
+    /// outrun it; the entry that ends "nothing unacked" wakes the
+    /// reactor that runs the sweep, unless that reactor's timer is
+    /// still armed — it then sweeps by a deadline no new entry's can
+    /// precede, and finds every later entry by itself (see
+    /// `CtrlPath::tick`). The frame is stamped once, here: netfab
     /// epochs are fixed per engine incarnation, so a retransmission
     /// legitimately resends this exact envelope. Fault injection drops
     /// first transmissions only.
     fn post_seq(&self, post: SeqPost<'_>) -> Result<(), UnrError> {
-        if post.first {
-            self.ctrl.fabric.ring_ctrl();
+        if post.first && !self.ctrl.timer_armed() {
+            self.fabric.wake_timer();
         }
         let nth = self.sends.fetch_add(1, Ordering::Relaxed) + 1;
         let dropped = self
@@ -213,7 +192,7 @@ impl Transport for NetTransport {
             .drop_every
             .is_some_and(|n| n > 0 && nth.is_multiple_of(n));
         if dropped {
-            self.ctrl.fabric.met.drops_injected.inc();
+            self.fabric.met.drops_injected.inc();
             return Ok(());
         }
         self.send_frame(post.dst.rank, post.nic, &post.frame)
@@ -236,7 +215,7 @@ impl Transport for NetTransport {
             applied = true;
         }
         if applied {
-            ctrl.fabric.ring_bell();
+            self.fabric.ring_bell();
         }
     }
 
@@ -247,9 +226,9 @@ impl Transport for NetTransport {
     /// `unr.recovery.peer_failures` counts only in post-recovery worlds
     /// (epoch > 0), keeping epoch-0 metric snapshots unchanged.
     fn peer_failed(&self, rank: usize, cause: PeerFailedCause) -> UnrError {
-        let ctrl = &self.ctrl;
-        if ctrl.epoch > 0 {
-            ctrl.fabric
+        let epoch = self.ctrl.epoch;
+        if epoch > 0 {
+            self.fabric
                 .obs
                 .metrics
                 .counter("unr.recovery.peer_failures")
@@ -257,18 +236,17 @@ impl Transport for NetTransport {
         }
         UnrError::PeerFailed {
             rank,
-            epoch: Epoch::new(ctrl.epoch),
+            epoch: Epoch::new(epoch),
             cause,
         }
     }
 
     /// Poll the rank's sockets on this thread until something arrives, a
     /// bell rings or the deadline (the wait's own, else the cap) passes,
-    /// applying what arrives and handling its control messages here —
-    /// then ring for it once unparked: another thread may wait on it.
+    /// handling what arrives here, control messages included — then
+    /// ring for it once unparked: another thread may wait on it.
     fn park(&self, until: &Until<'_>) -> Woke {
-        let ctrl = &self.ctrl;
-        let fabric = &ctrl.fabric;
+        let (ctrl, fabric) = (&self.ctrl, &self.fabric);
         // Sampled before the test, so a frame another thread applies in
         // between is not slept through.
         let seen = fabric.event_epoch();
@@ -276,14 +254,11 @@ impl Transport for NetTransport {
         let deadline = until
             .deadline(Some(self.wait_cap), |dt| now.saturating_add(dt))
             .unwrap_or(Ns::MAX);
-        if now < deadline && !until.met(ctrl.retry.as_deref()) {
-            let reads = fabric.wait_progress(seen, Duration::from_nanos(deadline - now));
-            if reads.queued > 0 {
-                ctrl.drain();
-            }
-            if reads.applied + reads.queued > 0 {
-                fabric.ring_bell();
-            }
+        if now < deadline
+            && !until.met(ctrl.retry.as_deref())
+            && fabric.wait_progress(seen, Duration::from_nanos(deadline - now)) > 0
+        {
+            fabric.ring_bell();
         }
         if ctrl.now() >= deadline {
             Woke::Expired
@@ -292,16 +267,15 @@ impl Transport for NetTransport {
         }
     }
 
-    /// Nothing to do: the thread that reads a frame applies it, and the
-    /// progress thread handles the control messages no waiter read.
+    /// Nothing to do: the thread that reads a frame handles it, and
+    /// reactor 0 retransmits what is due.
     fn progress_once(&self) -> usize {
         0
     }
 
-    /// Stop the progress thread, then close the fabric.
+    /// Close the fabric: nothing else runs beside the rank.
     fn shutdown(&self) {
-        self.stop_progress();
-        self.ctrl.fabric.shutdown();
+        self.fabric.shutdown();
     }
 
     fn now(&self) -> Ns {
@@ -323,7 +297,7 @@ impl Transport for NetTransport {
     }
 
     fn obs(&self) -> &Obs {
-        &self.ctrl.fabric.obs
+        &self.fabric.obs
     }
 }
 

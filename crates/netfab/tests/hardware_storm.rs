@@ -1,9 +1,10 @@
 //! Level-4 hardware progress over real TCP-loopback processes
-//! (DESIGN.md §5g): the reactor-side sink applies MMAS addends
-//! terminally, so a pure-hardware world runs one thread *fewer* per
-//! process (no progress thread), while the reliable and aggregated
-//! hybrids keep a ctrl-only drainer and still complete under injected
-//! drops.
+//! (DESIGN.md §5g): the reading thread's sink applies MMAS addends
+//! terminally and handles control frames, and reactor 0 runs the
+//! retransmit sweep, so every world — software or hardware progress,
+//! pure or hybridized with the reliable transport and the coalescer —
+//! runs main + reactors per process, and the hybrids still complete
+//! under injected drops.
 
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -30,9 +31,10 @@ fn wait_bounded(mut child: Child, what: &str) -> std::process::Output {
     }
 }
 
-/// Launch a 4-rank storm with the given extra flags; assert it passes
-/// and return the maximum per-rank thread count from the STORM_OK lines.
-fn storm_max_threads(extra: &[&str], what: &str) -> u64 {
+/// Launch a 4-rank storm with the given extra flags, assert it passes,
+/// and assert that every rank reports main + reactors in its
+/// `STORM_OK` line (where `/proc/self/status` can be read).
+fn storm_runs_main_and_reactors(extra: &[&str], what: &str) {
     let mut args = vec![
         "storm", "--ranks", "4", "--nics", "2", "--iters", "4", "--epochs", "2", "--msg", "512",
     ];
@@ -50,7 +52,7 @@ fn storm_max_threads(extra: &[&str], what: &str) -> u64 {
         "{what} failed\nstdout:\n{stdout}\nstderr:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    stdout
+    let threads: Vec<u64> = stdout
         .lines()
         .filter(|l| l.contains("STORM_OK"))
         .map(|l| {
@@ -62,33 +64,44 @@ fn storm_max_threads(extra: &[&str], what: &str) -> u64 {
                 .parse::<u64>()
                 .expect("threads value")
         })
-        .max()
-        .expect("at least one STORM_OK line")
-}
-
-/// Pure hardware drops the progress thread entirely: same world, same
-/// reactor pool, exactly one software thread fewer per process.
-#[test]
-fn pure_hardware_world_runs_without_progress_thread() {
-    if unr_netfab::process_thread_count().is_none() {
-        eprintln!("skipping: no /proc/self/status on this platform");
-        return;
+        .collect();
+    assert_eq!(threads.len(), 4, "{what}: one STORM_OK per rank\n{stdout}");
+    if unr_netfab::process_thread_count().is_some() {
+        let budget = 1 + unr_netfab::reactor::pool_size_from_env() as u64;
+        assert!(
+            threads.iter().all(|&t| t == budget),
+            "{what}: threads {threads:?}, want main + reactors = {budget} each"
+        );
     }
-    let software = storm_max_threads(&[], "software storm");
-    let hardware = storm_max_threads(&["--hardware"], "pure hardware storm");
-    assert!(
-        hardware < software,
-        "hardware world must shed the progress thread \
-         (hardware {hardware} >= software {software} threads)"
-    );
 }
 
-/// The hybrid drainer composes level 4 with the reliable transport:
-/// injected drops are replayed and the storm's per-epoch MMAS verify
-/// still passes end to end.
+/// Progress is a function on every config: the software and the pure
+/// hardware world, reliable with drops, coalesced — the same reactor
+/// pool and no engine thread beside it.
+#[test]
+fn every_config_runs_main_and_reactors() {
+    for (extra, what) in [
+        (&[][..], "software storm"),
+        (&["--hardware"][..], "pure hardware storm"),
+        (
+            &["--reliable", "--drop-every", "7"][..],
+            "reliable storm with drops",
+        ),
+        (
+            &["--agg-max", "512", "--reliable", "--msg", "256"][..],
+            "aggregated storm",
+        ),
+    ] {
+        storm_runs_main_and_reactors(extra, what);
+    }
+}
+
+/// Level 4 composes with the reliable transport: injected drops are
+/// replayed and the storm's per-epoch MMAS verify still passes end to
+/// end.
 #[test]
 fn hardware_reliable_storm_survives_drops() {
-    storm_max_threads(
+    storm_runs_main_and_reactors(
         &["--hardware", "--reliable", "--drop-every", "7"],
         "hardware reliable storm with drops",
     );
@@ -98,7 +111,7 @@ fn hardware_reliable_storm_survives_drops() {
 /// ctrl port as MSG_AGG while the sink owns the data path.
 #[test]
 fn hardware_aggregated_storm_completes() {
-    storm_max_threads(
+    storm_runs_main_and_reactors(
         &["--hardware", "--reliable", "--agg-max", "512", "--msg", "256"],
         "hardware aggregated storm",
     );

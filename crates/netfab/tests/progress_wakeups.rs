@@ -1,26 +1,26 @@
-//! Who wakes for what: the progress thread is idle when idle and
+//! Who wakes for what: the retransmit sweep is idle when idle and
 //! punctual when not, the thread that waits is the thread that reads,
 //! and the reactors read when nobody waits — in four real two-process
-//! worlds.
+//! worlds. There is no progress thread: a process is main + reactors,
+//! and reactor 0 runs the sweep.
 //!
 //! **`idle`** — unreliable, 1 000 rounds of 64 B notified ping-pong.
-//! Nothing rides the control path, so the `netfab-progress-r*` thread
-//! has nothing to do: it must sleep through every data frame (it used
-//! to be woken by each, on the waiter's core, just ahead of the
-//! waiter) and through a quiet spell afterwards (it used to poll at
-//! 1 ms). With one poster per socket every frame is written by the
-//! thread that posts it, so the reactors' wake channels stay all but
-//! silent (they used to carry a byte per frame). And every frame is
-//! read by the thread waiting for it — the reactor stands back, nobody
-//! rings the event bell while the waiter is parked — so a round has no
-//! thread hop left on either side (counted after 100 warm-up rounds:
-//! the sockets are the reactor's until the rank has waited once).
+//! Nothing rides the control path, so the sweep has nothing to watch:
+//! nothing may be woken for it by a data frame, and nothing may poll
+//! through a quiet spell afterwards. With one poster per socket every
+//! frame is written by the thread that posts it, so the reactors' wake
+//! channels stay all but silent (they used to carry a byte per frame).
+//! And every frame is read by the thread waiting for it — the reactor
+//! stands back, nobody rings the event bell while the waiter is parked
+//! — so a round has no thread hop left on either side (counted after
+//! 100 warm-up rounds: the sockets are the reactor's until the rank has
+//! waited once).
 //!
 //! **`punctual`** — reliable, every first transmission dropped, one put
-//! at a time with nothing else unacked. The thread that sleeps without
-//! a deadline while nothing is unacked must still send the retransmit
-//! when it is due: a design that naps "long when idle" gets the first
-//! half right and this half wrong.
+//! at a time with nothing else unacked. Reactor 0, which polls without
+//! a deadline of the sweep's while nothing is unacked, must still send
+//! the retransmit when it is due: a design that naps "long when idle"
+//! gets the first half right and this half wrong.
 //!
 //! **`compute`** — rank 1 waits once, so its reactor has yielded the
 //! sockets, then leaves the engine alone for 200 ms. Rank 0 puts to it
@@ -32,9 +32,9 @@
 //! coalesced below 512 B, windows of 64 × 256 B) with every seventh
 //! first transmission dropped, 200 windows: every aggregate, ack and
 //! retransmission is a control frame, handled by whichever thread read
-//! it — the waiter inline, the progress thread for what a reactor read
-//! and for the retransmit deadlines — and the MMAS accounting must come
-//! out exact all the same. Rank 1 also GETs from rank 0 while rank 0
+//! it — the waiter inline, else a reactor, with reactor 0 on the
+//! retransmit deadlines — and the MMAS accounting must come out exact
+//! all the same. Rank 1 also GETs from rank 0 while rank 0
 //! sits in `sig_wait`, so the reply is built and written by a waiter.
 //!
 //! Runs without the libtest harness (`harness = false`): the launcher
@@ -97,8 +97,7 @@ fn idle_rank(world: Arc<NetWorld>) -> Result<String, String> {
         }
     }
     // Both sides are out of `sig_wait` (a poll of its that reached the
-    // cap would count in the same series): from here only the progress
-    // thread could.
+    // cap would count in the same series): from here nothing may poll.
     world.barrier().map_err(|e| format!("barrier: {e}"))?;
     let met = unr.met();
     let before = met.wait_timeouts.get();
@@ -112,7 +111,7 @@ fn idle_rank(world: Arc<NetWorld>) -> Result<String, String> {
     world.barrier().map_err(|e| format!("final barrier: {e}"))?;
     unr.finalize();
     if polled != 0 {
-        return Err(format!("progress thread polled {polled} times in a quiet {QUIET:?}"));
+        return Err(format!("{polled} polls ran out in a quiet {QUIET:?}"));
     }
     // Wake bytes on any channel: a reactor's (a post that could not
     // finish on its own thread) or the event bell's (a ring that found
@@ -165,13 +164,12 @@ fn punctual_rank(world: Arc<NetWorld>) -> Result<String, String> {
         let local = send_mem.blk(0, MSG, None);
         let mut took = Vec::with_capacity(TRIALS);
         for trial in 0..TRIALS {
-            // Nothing unacked, nothing queued: the thread must be
-            // asleep, not polling ...
+            // Nothing unacked, nothing queued: nothing may poll ...
             let before = met.wait_timeouts.get();
             std::thread::sleep(RTO);
             let polled = met.wait_timeouts.get() - before;
             if polled != 0 {
-                return Err(format!("trial {trial}: progress thread polled {polled} times idle"));
+                return Err(format!("trial {trial}: {polled} polls ran out idle"));
             }
             // ... and yet up in time for the one retransmit that can
             // deliver this put (its first transmission is dropped).

@@ -222,9 +222,10 @@ pub struct HwMetrics {
     /// Deliveries that skipped the CQ round-trip because the sink was
     /// terminal (null ones included, so it can be asserted on its own).
     pub cq_bypass: Arc<Counter>,
-    /// Control messages drained by the hybrid control drainer (acks,
-    /// retransmit traffic, `MSG_AGG`, `MSG_EPOCH`) while the sink owned
-    /// the data path.
+    /// Control messages handled beside the sink (acks, retransmit
+    /// traffic, `MSG_AGG`, `MSG_EPOCH`) while it owned the data path:
+    /// by the hybrid control drainer on simnet, by whichever thread read
+    /// them on netfab.
     pub ctrl_msgs: Arc<Counter>,
 }
 

@@ -145,7 +145,7 @@ impl<T: Transport> Unr<T> {
     }
 
     /// Flush what is buffered and shut the transport down — its polling
-    /// agent or progress thread, its sockets (idempotent). Must be
+    /// agent, its sockets (idempotent). Must be
     /// called before a simulated rank's actor ends; dropping the context
     /// does the same as a safety net.
     pub fn finalize(&self) {

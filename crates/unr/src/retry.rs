@@ -37,9 +37,9 @@
 //! [`RetryState::sweep`]: the simnet engine passes virtual time from
 //! scheduler context and arms one wake-up event per new deadline, so
 //! the retry layer stays deterministic; `unr-netfab` passes wall-clock
-//! nanoseconds since its engine started and sleeps its progress thread
-//! until [`SweepOutcome::next_deadline`]. Both engines run this one
-//! table; only the wire under it differs.
+//! nanoseconds since its engine started, and its reactor 0 sweeps and
+//! polls no longer than [`SweepOutcome::next_deadline`]. Both engines
+//! run this one table; only the wire under it differs.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -194,9 +194,8 @@ pub struct Registered<F> {
     /// Its per-destination sequence number.
     pub seq: u64,
     /// Whether the table was empty before it — the entry that starts a
-    /// wall-clock caller's retransmit watch (nothing else tells a
-    /// progress thread that sleeps without a deadline while nothing is
-    /// unacked).
+    /// wall-clock caller's retransmit watch (nothing else tells a sweep
+    /// that waits without a deadline while nothing is unacked).
     pub first: bool,
     /// The control frame announcing it: [`wire::MSG_SEQ_DATA`] for
     /// [`Route::Dgram`], the [`wire::MSG_SEQ_NOTIF`] companion for

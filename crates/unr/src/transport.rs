@@ -30,9 +30,10 @@
 //!   wait; its clock is virtual.
 //! * `unr_netfab::NetTransport` — real TCP sockets: `PUT`/`GET_REQ`
 //!   frames for native operations, one `CTRL` frame per reliable
-//!   sub-message or aggregate, the progress thread, a wall clock. Its
-//!   park polls the rank's sockets and reads them on the waiting
-//!   thread.
+//!   sub-message or aggregate, a wall clock, and no thread: the thread
+//!   that reads a frame handles it, and a reactor runs the retransmit
+//!   sweep. Its park polls the rank's sockets and reads them on the
+//!   waiting thread.
 //!
 //! What each fabric still writes for itself is bring-up — `Unr::init`
 //! and `NetUnr::init` build the signal table, the retry table and the
@@ -196,9 +197,8 @@ pub trait Transport: Send + Sync {
     /// handled (0 where progress needs no help from the rank).
     fn progress_once(&self) -> usize;
 
-    /// Stop whatever runs beside the rank — a polling agent, a progress
-    /// thread, the sockets. Idempotent; dropping the transport does the
-    /// same.
+    /// Stop whatever runs beside the rank — a polling agent, the
+    /// sockets. Idempotent; dropping the transport does the same.
     fn shutdown(&self);
 
     /// Now, in nanoseconds on this transport's clock: virtual on the
