@@ -1,12 +1,15 @@
 //! Cheaply clonable, immutable byte payloads.
 //!
 //! The fabric and the UNR engine hand one payload to several consumers:
-//! a striped PUT posts the same snapshot region to multiple NICs, a
-//! reliable sub-message keeps a copy for retransmission, and a fault
-//! injector may deliver a duplicate. [`Bytes`] makes every one of those
-//! hand-offs a reference-count bump over a shared `Arc<[u8]>` instead
-//! of a deep copy; slicing is zero-copy too (offset + length into the
-//! shared buffer).
+//! a reliable put snapshots its block once and gives each stripe a
+//! [`Bytes::slice`] of it, the retry table keeps each stripe for
+//! retransmission, and a fault injector may deliver a duplicate.
+//! [`Bytes`] makes every one of those hand-offs a reference-count bump
+//! over one shared `Arc<[u8]>` instead of a deep copy. Building one
+//! copies at most once: [`MemRegion::snapshot_shared`](crate::MemRegion::snapshot_shared)
+//! reads the region straight into the shared buffer, and
+//! `From<&[u8]>` is one `Arc::from`. When the last view drops,
+//! [`Bytes::into_unique`] hands the buffer back for reuse.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -60,6 +63,15 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
     }
+
+    /// The whole buffer behind this view, if this is its last view
+    /// (no clone, no other slice): `Arc::get_mut` proves nobody else
+    /// can read it, so the caller may overwrite it and share it again
+    /// through `From<Arc<[u8]>>`. `None` while any other view lives.
+    pub fn into_unique(self) -> Option<Arc<[u8]>> {
+        let mut buf = self.buf;
+        Arc::get_mut(&mut buf).is_some().then_some(buf)
+    }
 }
 
 impl Default for Bytes {
@@ -92,9 +104,18 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+impl From<Arc<[u8]>> for Bytes {
+    /// The whole of `buf`, shared as is (no copy).
+    fn from(buf: Arc<[u8]>) -> Bytes {
+        let len = buf.len();
+        Bytes { buf, off: 0, len }
+    }
+}
+
 impl From<&[u8]> for Bytes {
+    /// One copy, straight into the shared buffer.
     fn from(s: &[u8]) -> Bytes {
-        s.to_vec().into()
+        Bytes::from(Arc::<[u8]>::from(s))
     }
 }
 
@@ -157,6 +178,28 @@ mod tests {
     fn slice_bounds_checked() {
         let b: Bytes = vec![0u8; 8].into();
         let _ = b.slice(4, 5);
+    }
+
+    #[test]
+    fn from_slice_copies_once_into_a_buffer_of_its_own() {
+        let src = [3u8, 1, 4, 1, 5];
+        let b = Bytes::from(&src[..]);
+        assert_eq!(b, src.to_vec());
+        assert_ne!(b.as_ptr(), src.as_ptr());
+    }
+
+    #[test]
+    fn into_unique_returns_the_buffer_only_from_its_last_view() {
+        let b: Bytes = (0u8..16).collect::<Vec<_>>().into();
+        let (head, tail) = (b.slice(0, 8), b.slice(8, 8));
+        drop(b);
+        assert!(head.into_unique().is_none(), "the tail still reads it");
+        let buf = tail.into_unique().expect("the last view");
+        assert_eq!(buf.len(), 16, "the whole buffer, not the view");
+        let again = Bytes::from(buf);
+        let clone = again.clone();
+        assert!(again.into_unique().is_none(), "a clone still reads it");
+        assert!(clone.into_unique().is_some());
     }
 
     #[test]

@@ -23,6 +23,13 @@
 //! therefore sees every byte — the signal counter, not the buffer, is
 //! the happens-before edge.
 //!
+//! Every way out of a region is exactly one copy: `read_bytes` into a
+//! caller's slice (also how a reused snapshot buffer is refilled),
+//! `append_to` onto a `Vec` (a wire frame, an aggregation ring) and
+//! `snapshot_shared` into a fresh shared [`Bytes`] — written in place
+//! through `Arc::new_uninit_slice`, so the DMA read of a put costs one
+//! allocation and one copy however many stripes slice it.
+//!
 //! Both fabrics share this one buffer type: the simulated fabric
 //! registers regions with an [`RKey`]; the TCP fabric (`unr-netfab`)
 //! builds its own under the [`RKey`] it names each one by.
@@ -246,11 +253,25 @@ impl MemRegion {
     }
 
     /// Snapshot a byte range into a shared, cheaply-clonable
-    /// [`Bytes`] payload. One copy happens here (the DMA read); every
-    /// downstream consumer — striped NIC posts, retransmit buffers,
-    /// fault-injected duplicates — then shares the same allocation.
+    /// [`Bytes`] payload: one allocation, and one copy straight from
+    /// the region into the shared buffer (the DMA read; no intermediate
+    /// `Vec`). Every downstream consumer — the stripes of a reliable
+    /// put ([`Bytes::slice`]), retransmit buffers, fault-injected
+    /// duplicates — then shares that allocation.
     pub fn snapshot_shared(&self, offset: usize, len: usize) -> Result<Bytes, OutOfBounds> {
-        Ok(Bytes::from(self.snapshot(offset, len)?))
+        self.check(offset, len)?;
+        let mut buf = Arc::<[u8]>::new_uninit_slice(len);
+        let dst = Arc::get_mut(&mut buf).expect("a fresh Arc has no other owner");
+        // SAFETY: bounds checked as in `write_bytes`; `dst` is the
+        // `len`-byte uninitialised body of a fresh allocation, which
+        // cannot alias the region's, and `assume_init` runs only after
+        // the copy has initialised all `len` bytes of it. Same race
+        // contract as `read_bytes`.
+        let buf = unsafe {
+            std::ptr::copy_nonoverlapping(self.buf.ptr.add(offset), dst.as_mut_ptr().cast::<u8>(), len);
+            buf.assume_init()
+        };
+        Ok(Bytes::from(buf))
     }
 
     /// Write a typed slice at an element offset.
@@ -381,6 +402,31 @@ mod tests {
         assert_eq!(s, vec![7u8; 8]);
         r.write_bytes(4, &[1; 8]).unwrap();
         assert_eq!(s, vec![7u8; 8], "snapshot must be a copy");
+    }
+
+    #[test]
+    fn snapshot_shared_equals_read_bytes_and_checks_bounds() {
+        let r = MemRegion::new(0, 0, 64);
+        let data: Vec<u8> = (100..164).collect();
+        r.write_bytes(0, &data).unwrap();
+        let read = |offset: usize, len: usize| {
+            let mut out = vec![0u8; len];
+            r.read_bytes(offset, &mut out).map(|()| out)
+        };
+        // At offset 0, ending exactly at the region's end, and empty there.
+        for (offset, len) in [(0, 16), (0, 64), (40, 24), (64, 0)] {
+            let snap = r.snapshot_shared(offset, len).unwrap();
+            assert_eq!(snap, read(offset, len).unwrap(), "[{offset}, +{len})");
+            assert_eq!(snap.len(), len);
+        }
+        // A copy, not a view of the region.
+        let snap = r.snapshot_shared(0, 8).unwrap();
+        r.write_bytes(0, &[0; 8]).unwrap();
+        assert_eq!(snap, data[..8].to_vec());
+        // Out of bounds, by length and by overflow: the same `Err` as a read.
+        for (offset, len) in [(60, 5), (65, 0), (usize::MAX, 2)] {
+            assert_eq!(r.snapshot_shared(offset, len).unwrap_err(), read(offset, len).unwrap_err());
+        }
     }
 
     #[test]

@@ -25,6 +25,10 @@
 
 use std::sync::Arc;
 
+use unr_simnet::{MemRegion, OutOfBounds};
+
+use crate::blk::Blk;
+
 /// What triggered a flush (each has its own `unr.agg.flush.*` counter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushWhy {
@@ -109,8 +113,8 @@ impl Coalescer {
         }
     }
 
-    /// Append one put to `dst`'s ring. Returns the threshold trigger if
-    /// this push filled the ring — the caller must then
+    /// Append one put of `data` to `dst`'s ring. Returns the threshold
+    /// trigger if this push filled the ring — the caller must then
     /// [`Coalescer::drain`] and send it.
     pub fn push(
         &mut self,
@@ -121,12 +125,41 @@ impl Coalescer {
         remote_sig: (u64, i64),
         local_sig: (u64, i64),
     ) -> Option<FlushWhy> {
+        self.rings[dst].buf.extend_from_slice(data);
+        self.pushed(dst, (region, offset, data.len() as u32), remote_sig, local_sig)
+    }
+
+    /// [`Coalescer::push`] of the put `local` → `remote`, its bytes
+    /// read out of `src` (the region `local` names) straight into the
+    /// ring: one copy, no snapshot. `Err`, ring untouched, if `local`
+    /// does not fit `src`.
+    pub fn push_blk(
+        &mut self,
+        src: &MemRegion,
+        local: &Blk,
+        remote: &Blk,
+        remote_sig: (u64, i64),
+        local_sig: (u64, i64),
+    ) -> Result<Option<FlushWhy>, OutOfBounds> {
+        let dst = remote.rank;
+        src.append_to(local.offset, local.len, &mut self.rings[dst].buf)?;
+        let span = (remote.region_id, remote.offset as u64, local.len as u32);
+        Ok(self.pushed(dst, span, remote_sig, local_sig))
+    }
+
+    /// The bookkeeping of a put whose bytes are already in `dst`'s ring.
+    fn pushed(
+        &mut self,
+        dst: usize,
+        span: (u32, u64, u32),
+        remote_sig: (u64, i64),
+        local_sig: (u64, i64),
+    ) -> Option<FlushWhy> {
         let ring = &mut self.rings[dst];
         if ring.puts == 0 {
             self.dirty.push(dst);
         }
-        ring.spans.push((region, offset, data.len() as u32));
-        ring.buf.extend_from_slice(data);
+        ring.spans.push(span);
         fold(&mut ring.sigs, remote_sig.0, remote_sig.1);
         fold(&mut ring.local_sigs, local_sig.0, local_sig.1);
         ring.puts += 1;
@@ -242,6 +275,35 @@ mod tests {
         assert_eq!(fl.sigs, vec![(10, -2), (11, -1)]);
         assert_eq!(fl.local_sigs, vec![(5, -2)]);
         assert!(c.drain(2).is_none(), "drain empties the ring");
+    }
+
+    /// Reading the block out of its region is the same push as handing
+    /// over its bytes, and a block past the region's end leaves the
+    /// ring as it was.
+    #[test]
+    fn push_blk_reads_the_region_into_the_ring() {
+        let src = MemRegion::new(0, 4, 64);
+        src.write_bytes(0, &(0u8..64).collect::<Vec<_>>()).unwrap();
+        let blk = |rank, region_id, offset, len| Blk {
+            rank,
+            region_id,
+            region_len: 64,
+            offset,
+            len,
+            sig_key: crate::signal::SigKey::NULL,
+        };
+        let (mut by_blk, mut by_slice) = (Coalescer::new(4, 16, 100), Coalescer::new(4, 16, 100));
+        for (off, len, to) in [(8, 4, 40), (30, 12, 0)] {
+            let (local, remote) = (blk(0, 4, off, len), blk(2, 1, to, len));
+            let why = by_blk.push_blk(&src, &local, &remote, (10, -1), (5, -1)).unwrap();
+            let data: Vec<u8> = (off as u8..(off + len) as u8).collect();
+            assert_eq!(why, by_slice.push(2, 1, to as u64, &data, (10, -1), (5, -1)));
+        }
+        let outside = blk(0, 4, 60, 8);
+        assert!(by_blk.push_blk(&src, &outside, &blk(2, 1, 0, 8), (10, -1), (5, -1)).is_err());
+        assert_eq!(by_blk.backlog(2), (16, 2));
+        let (a, b) = (by_blk.drain(2).unwrap(), by_slice.drain(2).unwrap());
+        assert_eq!((a.spans, a.sigs, a.local_sigs, a.payload, a.puts), (b.spans, b.sigs, b.local_sigs, b.payload, b.puts));
     }
 
     #[test]

@@ -464,13 +464,16 @@ impl<T: Transport> Unr<T> {
         let rem = len % k;
         let mut off = 0usize;
         let mut entries: Vec<(usize, u64)> = Vec::with_capacity(k);
+        // One snapshot of the whole block, one copy: each stripe is a
+        // slice of it, and its retry entry, its wire post and any
+        // retransmission all alias that one buffer, which the last ack
+        // hands back to the table for the next put of this size.
+        let snap = retry
+            .snapshot(region, local.offset, len)
+            .expect("local block in bounds");
         for (i, &add) in adds.iter().enumerate() {
             let this = chunk + usize::from(i < rem);
-            // One shared snapshot per stripe: the retry buffer, the
-            // wire post and any retransmission all alias it.
-            let payload = region
-                .snapshot_shared(local.offset + off, this)
-                .expect("local block in bounds");
+            let payload = snap.slice(off, this);
             if two_sided {
                 self.tx
                     .charge(core.copy_bw.transfer_time(len) + core.cfg.fallback_overhead);
@@ -541,22 +544,13 @@ impl<T: Transport> Unr<T> {
         remote_sig: u64,
         len: usize,
     ) -> Result<(), UnrError> {
-        let data = region
-            .snapshot(local.offset, len)
-            .expect("local block in bounds");
         self.core
             .agg_vcost
             .fetch_add(self.core.copy_bw.transfer_time(len), Ordering::Relaxed);
         let trigger = {
             let mut c = self.core.agg.as_ref().expect("agg enabled").lock();
-            c.push(
-                remote.rank,
-                remote.region_id,
-                remote.offset as u64,
-                &data,
-                (remote_sig, -1),
-                (local_sig, -1),
-            )
+            c.push_blk(region, local, remote, (remote_sig, -1), (local_sig, -1))
+                .expect("local block in bounds")
         };
         if let Some(am) = &self.core.amet {
             am.puts_coalesced.inc();
@@ -889,6 +883,8 @@ pub(crate) mod tests {
             nic: NicSel,
             dst_offset: usize,
             payload: Vec<u8>,
+            /// Where the payload's bytes live: which allocation it views.
+            payload_at: usize,
             frame: Vec<u8>,
             /// Retry-table entries when the post reached the transport.
             in_flight: usize,
@@ -912,6 +908,7 @@ pub(crate) mod tests {
     /// the `fail_send`-th frame it is asked to send, and parks by
     /// running `park`.
     pub(crate) struct Fake {
+        nics: usize,
         route: Route,
         region: MemRegion,
         retry: Option<Arc<RetryState>>,
@@ -941,7 +938,7 @@ pub(crate) mod tests {
             4
         }
         fn nics(&self) -> usize {
-            NICS
+            self.nics
         }
         fn register(&self, _len: usize) -> MemRegion {
             unreachable!("the post path registers nothing")
@@ -975,6 +972,7 @@ pub(crate) mod tests {
                 nic: post.nic,
                 dst_offset: post.dst_offset,
                 payload: post.payload.to_vec(),
+                payload_at: post.payload.as_ptr() as usize,
                 frame: post.frame.into_owned(),
                 in_flight: self.retry.as_ref().map_or(0, |r| r.in_flight()),
             })
@@ -1045,6 +1043,7 @@ pub(crate) mod tests {
         let pattern: Vec<u8> = (0..REGION_LEN).map(|i| i as u8).collect();
         region.write_bytes(0, &pattern).unwrap();
         let tx = Fake {
+            nics: NICS,
             route,
             region,
             retry: retry.clone(),
@@ -1268,6 +1267,47 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// A striped reliable put copies its block once: the stripes'
+    /// payloads are consecutive views of one allocation holding the
+    /// region's bytes. Once every stripe is acked, the next put of that
+    /// size reads into the same allocation.
+    #[test]
+    fn a_striped_reliable_put_slices_one_snapshot() {
+        let mut unr = engine(Channel::glex(), true, false, Route::Rma, None);
+        unr.tx.nics = 4;
+        let (local, remote) = pair(BIG, SigKey::NULL, REMOTE_KEY, PEER);
+        let stripes = |unr: &Unr<Fake>| -> Vec<(usize, Vec<u8>)> {
+            take_log(unr)
+                .into_iter()
+                .filter_map(|call| match call {
+                    Call::Seq {
+                        payload_at, payload, ..
+                    } => Some((payload_at, payload)),
+                    _ => None,
+                })
+                .collect()
+        };
+        unr.put(&local, &remote).unwrap();
+        let first = stripes(&unr);
+        assert_eq!(first.len(), 4);
+        let (mut at, mut covered) = (first[0].0, local.offset);
+        for (payload_at, payload) in &first {
+            assert_eq!(*payload_at, at, "the next bytes of the same buffer");
+            let src: Vec<u8> = (covered..covered + payload.len()).map(|i| i as u8).collect();
+            assert_eq!(*payload, src, "the region's bytes");
+            at += payload.len();
+            covered += payload.len();
+        }
+        assert_eq!(covered, local.offset + BIG);
+
+        let retry = unr.core.retry.as_ref().unwrap();
+        (0..4).for_each(|seq| assert!(retry.ack(PEER, seq).is_some()));
+        unr.put(&local, &remote).unwrap();
+        let second = stripes(&unr);
+        assert_eq!(second[0].0, first[0].0, "the acked buffer, reused");
+        assert_eq!(second, first);
     }
 
     /// A get is one native operation, one control frame on the

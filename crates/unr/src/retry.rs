@@ -31,6 +31,19 @@
 //! views — so buffering and every retransmission share one allocation
 //! with the original post instead of copying the payload.
 //!
+//! # Snapshot buffers
+//!
+//! The table owns a reliable put's payload from post to ack:
+//! [`RetryState::snapshot`] copies the block once into one shared
+//! buffer, whose stripes the poster slices, and the ack that removes
+//! the buffer's last view keeps the buffer for the next snapshot of the
+//! same length if `Arc::get_mut` proves nobody else holds it (a
+//! scheduled fault duplicate or a retransmission in flight still does).
+//! A steady stream of same-size puts then allocates nothing. The spare
+//! list holds only buffers of the last snapshot's length (a snapshot of
+//! another length clears it), never more than snapshots were out at
+//! once, and dies with the table; it has no knob.
+//!
 //! All bookkeeping is plain state guarded by the poison-recovering
 //! mutex; the table never reads a clock and never schedules. Time is
 //! whatever `Ns` its caller hands to [`RetryState::arm`] and
@@ -43,9 +56,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use unr_simnet::sync::Mutex;
-use unr_simnet::{ActorId, Bytes, Ns, RKey};
+use unr_simnet::{ActorId, Bytes, MemRegion, Ns, OutOfBounds, RKey};
 
 use crate::wire;
 
@@ -311,6 +325,19 @@ struct Ctl {
     failure: Option<(usize, u32)>,
 }
 
+/// Snapshot buffers acks freed, kept for the next snapshot of their
+/// length (see the module docs).
+#[derive(Default)]
+struct Spares {
+    /// The length of the last snapshot; only buffers of it are kept.
+    len: usize,
+    /// Buffers of `len` bytes handed out by [`RetryState::snapshot`]
+    /// and not yet back. Only that many may come back, so a payload
+    /// that did not come from a snapshot never grows the list.
+    lent: usize,
+    bufs: Vec<Arc<[u8]>>,
+}
+
 /// Shared state of the self-healing transport (one per engine when
 /// reliability is active). See the module docs for the shard map.
 pub struct RetryState {
@@ -321,6 +348,9 @@ pub struct RetryState {
     /// Receive-side dedup windows, indexed by source rank.
     src: Vec<Mutex<DedupWindow>>,
     ctl: Mutex<Ctl>,
+    /// Freed snapshot buffers. Taken inside a shard lock when an entry
+    /// leaves, alone by a snapshot; never the other way round.
+    spares: Mutex<Spares>,
     /// Unacked sub-messages over all shards; every change happens
     /// under the entry's shard lock, so a reader that sees `n > 0` and
     /// then takes the shards finds the entries.
@@ -344,6 +374,7 @@ impl RetryState {
             dst: (0..nranks).map(|_| Mutex::new(DstShard::default())).collect(),
             src: (0..nranks).map(|_| Mutex::new(DedupWindow::default())).collect(),
             ctl: Mutex::new(Ctl::default()),
+            spares: Mutex::new(Spares::default()),
             in_flight: AtomicUsize::new(0),
             failed: AtomicBool::new(false),
             due_flag: AtomicBool::new(false),
@@ -372,6 +403,39 @@ impl RetryState {
         match pin {
             Some(n) => n,
             None => self.nic_rr.fetch_add(1, Ordering::Relaxed) % self.policy.nics.max(1),
+        }
+    }
+
+    /// Copy `len` bytes of `region` at `offset` into one shared buffer
+    /// for a reliable put, whose stripes are slices of it: into a
+    /// spare buffer of this length if an ack freed one (one copy, no
+    /// allocation), else into a fresh one
+    /// ([`MemRegion::snapshot_shared`]).
+    pub fn snapshot(&self, region: &MemRegion, offset: usize, len: usize) -> Result<Bytes, OutOfBounds> {
+        let spare = {
+            let mut sp = self.spares.lock();
+            if sp.len != len {
+                *sp = Spares { len, ..Spares::default() };
+            }
+            sp.lent += 1;
+            sp.bufs.pop()
+        };
+        let Some(mut buf) = spare else {
+            return region.snapshot_shared(offset, len);
+        };
+        let out = Arc::get_mut(&mut buf).expect("a spare buffer has no other owner");
+        region.read_bytes(offset, out)?;
+        Ok(Bytes::from(buf))
+    }
+
+    /// Keep the buffer behind a payload that just left the table, if
+    /// this was its last view and a snapshot of its length lent it.
+    fn recycle(&self, p: PendingSub) {
+        let Some(buf) = p.payload.into_unique() else { return };
+        let mut sp = self.spares.lock();
+        if buf.len() == sp.len && sp.lent > 0 {
+            sp.lent -= 1;
+            sp.bufs.push(buf);
         }
     }
 
@@ -452,12 +516,15 @@ impl RetryState {
     }
 
     /// Take `seq` out of a locked shard, keeping the byte gauge and the
-    /// in-flight count in step.
-    fn remove(&self, sh: &mut DstShard, seq: u64) -> Option<PendingSub> {
+    /// in-flight count in step, and recycle its payload's buffer;
+    /// returns the entry's post time.
+    fn remove(&self, sh: &mut DstShard, seq: u64) -> Option<Ns> {
         let p = sh.pending.remove(&seq)?;
         sh.queued_bytes = sh.queued_bytes.saturating_sub(p.payload.len() as u64);
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        Some(p)
+        let first_post = p.first_post;
+        self.recycle(p);
+        Some(first_post)
     }
 
     /// Roll back a registration whose post failed locally (bounds
@@ -489,8 +556,7 @@ impl RetryState {
     /// when the entry was acked before [`RetryState::arm`] stamped it —
     /// callers should skip the latency sample then).
     pub fn ack(&self, src: usize, seq: u64) -> Option<Ns> {
-        let p = self.remove(&mut self.shard(src).lock(), seq)?;
-        Some(p.first_post)
+        self.remove(&mut self.shard(src).lock(), seq)
     }
 
     /// Sweep expired entries at time `now`: bump attempts, rotate
@@ -593,10 +659,11 @@ impl RetryState {
     /// shard (its dedup floor restarts with the new epoch's traffic).
     pub fn drain_dst(&self, dst: usize) -> usize {
         let mut sh = self.shard(dst).lock();
-        let drained = sh.pending.len();
-        sh.pending.clear();
+        let pending = std::mem::take(&mut sh.pending);
+        let drained = pending.len();
         sh.queued_bytes = 0;
         self.in_flight.fetch_sub(drained, Ordering::SeqCst);
+        pending.into_values().for_each(|p| self.recycle(p));
         drained
     }
 
@@ -1034,6 +1101,118 @@ mod tests {
         let seq = one.register_data(Route::Dgram, Bytes::new(), rkey(1), 0, 1, -1, 0).seq;
         let at = one.arm(0, &[(1, seq)])[0];
         assert!(matches!(one.sweep(at).resends[..], [Resend::Dgram { nic: 0, .. }]));
+    }
+
+    /// A region of `len` bytes holding `0, 1, 2, …` (mod 256).
+    fn counting_region(len: usize) -> MemRegion {
+        let region = MemRegion::new(0, 1, len);
+        region.write_bytes(0, &(0..len).map(|i| i as u8).collect::<Vec<_>>()).unwrap();
+        region
+    }
+
+    /// Register `snap` as two stripes toward rank 1, as a put would.
+    fn register_stripes(st: &RetryState, snap: &Bytes) -> [u64; 2] {
+        let half = snap.len() / 2;
+        [0, half].map(|off| {
+            let stripe = snap.slice(off, half);
+            st.register_data(Route::Rma, stripe, rkey(1), off, 1, -1, 0).seq
+        })
+    }
+
+    fn spares(st: &RetryState) -> usize {
+        st.spares.lock().bufs.len()
+    }
+
+    /// The ack that removes a buffer's last view hands it to the next
+    /// snapshot of its length, which overwrites it with the region's
+    /// current bytes; a snapshot of another length starts afresh.
+    #[test]
+    fn an_acked_snapshot_buffer_is_reused_by_the_next_of_its_length() {
+        let region = counting_region(512);
+        for dead_peer in [false, true] {
+            let st = state();
+            let snap = st.snapshot(&region, 0, 128).unwrap();
+            let at = snap.as_ptr();
+            let seqs = register_stripes(&st, &snap);
+            drop(snap);
+            if dead_peer {
+                assert_eq!(st.drain_dst(1), 2);
+            } else {
+                assert!(st.ack(1, seqs[0]).is_some());
+                assert_eq!(spares(&st), 0, "the second stripe still reads it");
+                assert!(st.ack(1, seqs[1]).is_some());
+            }
+            assert_eq!(spares(&st), 1, "dead_peer={dead_peer}");
+            let next = st.snapshot(&region, 128, 128).unwrap();
+            assert_eq!(next.as_ptr(), at, "dead_peer={dead_peer}: the same buffer");
+            assert_eq!(next, (128..256).map(|i| i as u8).collect::<Vec<_>>());
+            assert_eq!(spares(&st), 0);
+            // Another length clears the list and allocates.
+            register_stripes(&st, &next);
+            drop(next);
+            st.drain_dst(1);
+            assert_eq!(spares(&st), 1);
+            let other = st.snapshot(&region, 0, 64).unwrap();
+            assert_ne!(other.as_ptr(), at);
+            assert_eq!(spares(&st), 0, "dead_peer={dead_peer}");
+        }
+    }
+
+    /// A buffer something else still reads — here the duplicate a fault
+    /// injector scheduled — is never handed out again, whether its entry
+    /// leaves by ack or by a dead peer: the duplicate delivers the bytes
+    /// it was posted with.
+    #[test]
+    fn a_buffer_a_pending_duplicate_reads_is_never_reused() {
+        let region = counting_region(512);
+        for dead_peer in [false, true] {
+            let st = state();
+            let snap = st.snapshot(&region, 0, 128).unwrap();
+            let duplicate = snap.slice(64, 64);
+            let seqs = register_stripes(&st, &snap);
+            drop(snap);
+            if dead_peer {
+                st.drain_dst(1);
+            } else {
+                seqs.iter().for_each(|&seq| assert!(st.ack(1, seq).is_some()));
+            }
+            assert_eq!(spares(&st), 0, "dead_peer={dead_peer}");
+            region.write_bytes(0, &[0xEE; 128]).unwrap();
+            let next = st.snapshot(&region, 0, 128).unwrap();
+            assert_ne!(next.as_ptr(), duplicate.as_ptr().wrapping_sub(64));
+            assert_eq!(next, vec![0xEE; 128]);
+            assert_eq!(duplicate, (64..128).map(|i| i as u8).collect::<Vec<_>>());
+            region.write_bytes(0, &(0..128).map(|i| i as u8).collect::<Vec<_>>()).unwrap();
+        }
+    }
+
+    /// The list never outgrows what snapshots lent: a payload that did
+    /// not come from a snapshot — a foreign buffer, an aggregate's
+    /// frame — is dropped once the snapshots' buffers are back, and so
+    /// is one of another length.
+    #[test]
+    fn the_spare_list_holds_only_what_snapshots_lent() {
+        let region = counting_region(512);
+        let st = state();
+        let snaps: Vec<Bytes> = (0..3).map(|_| st.snapshot(&region, 0, 128).unwrap()).collect();
+        let seqs: Vec<u64> = snaps
+            .into_iter()
+            .map(|snap| st.register_data(Route::Dgram, snap, rkey(2), 0, 1, -1, 0).seq)
+            .collect();
+        let foreign = [
+            st.register_data(Route::Dgram, Bytes::from(vec![0; 128]), rkey(2), 0, 1, -1, 0).seq,
+            st.register_data(Route::Dgram, Bytes::from(vec![0; 96]), rkey(2), 0, 1, -1, 0).seq,
+            st.register_agg(2, 0, &[(3, 0, 100)], &[], &[0; 100]).seq,
+        ];
+        for seq in seqs.iter().chain(&foreign) {
+            st.ack(2, *seq).unwrap();
+        }
+        assert_eq!(spares(&st), 3, "three lent, three back, nothing else");
+        let again = st.register_data(Route::Dgram, Bytes::from(vec![0; 128]), rkey(2), 0, 1, -1, 0);
+        st.ack(2, again.seq).unwrap();
+        assert_eq!(spares(&st), 3);
+        let _taken = st.snapshot(&region, 0, 128).unwrap();
+        assert_eq!(spares(&st), 2);
     }
 
     #[test]
