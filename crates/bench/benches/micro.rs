@@ -11,7 +11,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use unr_core::{striped_addends, Blk, Encoding, Notif};
-use unr_powerllel::{thomas_bench_system, C64, Fft};
+use unr_powerllel::{thomas_bench_system, Fft, C64};
 
 const WARMUP: Duration = Duration::from_millis(50);
 const MEASURE: Duration = Duration::from_millis(200);

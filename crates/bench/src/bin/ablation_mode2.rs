@@ -20,7 +20,13 @@ fn main() {
         let mut max_n = 0u32;
         for n in 1..32 {
             let probe = striped_addends(2, n)[0];
-            if enc.encode(Notif { key: 1, addend: probe }).is_ok() {
+            if enc
+                .encode(Notif {
+                    key: 1,
+                    addend: probe,
+                })
+                .is_ok()
+            {
                 max_n = n;
             }
         }
@@ -28,7 +34,13 @@ fn main() {
         let mut max_k = 1usize;
         for k in 2..=64 {
             let probe = striped_addends(k, 4)[0];
-            if enc.encode(Notif { key: 1, addend: probe }).is_ok() {
+            if enc
+                .encode(Notif {
+                    key: 1,
+                    addend: probe,
+                })
+                .is_ok()
+            {
                 max_k = k;
             } else {
                 break;

@@ -90,8 +90,7 @@ fn main() {
     ]);
     for interval_us in [1.0, 2.0, 5.0, 10.0, 20.0, 50.0] {
         let lat = pingpong_latency(interval_us, false, false);
-        let inflation =
-            ucfg.polling_compute_inflation((interval_us * US as f64) as u64, false);
+        let inflation = ucfg.polling_compute_inflation((interval_us * US as f64) as u64, false);
         rows.push(vec![
             format!("co-located, poll every {interval_us} us"),
             format!("{:.2}", to_us(lat as u64)),

@@ -134,7 +134,13 @@ fn main() {
     }
     print_table(
         "Extension — allgather: gather+bcast (two-sided) vs notified ring (per epoch)",
-        &["ranks", "block", "mini-MPI (us)", "unr-coll (us)", "speedup"],
+        &[
+            "ranks",
+            "block",
+            "mini-MPI (us)",
+            "unr-coll (us)",
+            "speedup",
+        ],
         &rows,
     );
 

@@ -11,7 +11,6 @@
 //! everywhere; PSCW competitive with UNR at small sizes on the Verbs
 //! platforms because it degenerates to two-sided messaging.
 
-
 use unr_bench::{fmt_size, print_table};
 use unr_core::{convert, Unr, UnrConfig};
 use unr_minimpi::{run_mpi_world, Comm, Win};
@@ -207,7 +206,10 @@ fn main() {
             ]);
         }
         print_table(
-            &format!("Figure 4 — latency on {} ({})", platform.abbrev, platform.nic_desc),
+            &format!(
+                "Figure 4 — latency on {} ({})",
+                platform.abbrev, platform.nic_desc
+            ),
             &[
                 "size",
                 "UNR (us)",

@@ -169,12 +169,7 @@ fn main() {
         }
         print_table(
             "Figure 5(b) — compute ~ N(T, 0.3T): sharing absorbs load imbalance",
-            &[
-                "size",
-                "exclusive NICs",
-                "shared NICs",
-                "throughput gain",
-            ],
+            &["size", "exclusive NICs", "shared NICs", "throughput gain"],
             &rows,
         );
     }

@@ -15,7 +15,6 @@
 //!   interval-dependent inflation of `UnrConfig::polling_compute_
 //!   inflation` plus the notification delay of a periodic poller.
 
-
 use unr_bench::{emit_metrics, print_table};
 use unr_core::{ChannelSelect, ProgressMode, Unr, UnrConfig};
 use unr_minimpi::{run_mpi_on_fabric, MpiConfig};
@@ -117,8 +116,7 @@ fn run_variant(p: &Platform, v: Variant) -> (Timers, f64, unr_obs::Snapshot) {
             scfg.flop_ns *= cores / (cores - v.reserved_cores as f64);
         } else if v.interval_us > 0.0 {
             let ucfg = UnrConfig::default();
-            scfg.flop_ns *=
-                ucfg.polling_compute_inflation((v.interval_us * 1000.0) as u64, false);
+            scfg.flop_ns *= ucfg.polling_compute_inflation((v.interval_us * 1000.0) as u64, false);
         }
     }
     let mpi_cfg = mpi_tuning(p);

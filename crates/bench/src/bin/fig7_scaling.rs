@@ -46,7 +46,13 @@ enum Case {
     Unr { agg_eager_max: usize },
 }
 
-fn run_case(p: &Platform, ranks: usize, rpn: usize, grid: (usize, usize, usize), case: Case) -> Timers {
+fn run_case(
+    p: &Platform,
+    ranks: usize,
+    rpn: usize,
+    grid: (usize, usize, usize),
+    case: Case,
+) -> Timers {
     let (py, pz) = proc_grid(ranks);
     let mut fabric = p.fabric_config(ranks / rpn, rpn);
     fabric.seed = 7;

@@ -103,7 +103,6 @@ fn storm(iters: usize, msg: usize, ucfg: UnrConfig, hardware: bool) -> StormResu
 }
 
 fn summarize(per_rank: Vec<RankStorm>) -> StormResult {
-
     let ops = per_rank.iter().map(|r| r.put_ns.len() as u64).sum::<u64>();
     let wall_ns = per_rank.iter().map(|r| r.wall_ns).max().unwrap_or(1).max(1);
     let mut lats: Vec<u64> = per_rank.into_iter().flat_map(|r| r.put_ns).collect();

@@ -13,7 +13,10 @@ fn main() {
                 p.nic_desc.to_string(),
                 p.paper_nodes.to_string(),
                 format!("{:?}", p.iface),
-                format!("{:.1} us / {:.0} Gbps x{}", p.latency_us, p.gbps, p.nics_per_node),
+                format!(
+                    "{:.1} us / {:.0} Gbps x{}",
+                    p.latency_us, p.gbps, p.nics_per_node
+                ),
             ]
         })
         .collect();

@@ -122,7 +122,10 @@ impl NotifiedAllgatherRd {
             let src = self.mem.blk(
                 my_base,
                 range,
-                self.send_sig.as_ref().map(|s| s.key()).unwrap_or(unr_core::SigKey::NULL),
+                self.send_sig
+                    .as_ref()
+                    .map(|s| s.key())
+                    .unwrap_or(unr_core::SigKey::NULL),
             );
             self.unr.put(&src, &self.round_targets[k])?;
             self.unr.sig_wait(&self.round_sigs[k])?;

@@ -132,7 +132,8 @@ pub fn tag_range_epoch(kind: TagKind, n: usize, instance: i32, epoch: Epoch) -> 
         span <= stride,
         "{kind:?} consumes {span} tags at n={n}, more than its {stride}-tag stride"
     );
-    let start = TAG_BASE + epoch.raw() as i32 * EPOCH_TAG_STRIDE + kind.region() + stride * instance;
+    let start =
+        TAG_BASE + epoch.raw() as i32 * EPOCH_TAG_STRIDE + kind.region() + stride * instance;
     assert!(
         start + span <= TAG_BASE + (epoch.raw() as i32 + 1) * EPOCH_TAG_STRIDE,
         "{kind:?} instance {instance} overflows {epoch}'s tag generation"

@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-use unr_coll::{tag_range, NotifiedAllgather, NotifiedAllreduce, NotifiedBarrier, NotifiedBcast, TagKind};
+use unr_coll::{
+    tag_range, NotifiedAllgather, NotifiedAllreduce, NotifiedBarrier, NotifiedBcast, TagKind,
+};
 use unr_core::{Unr, UnrConfig};
 use unr_minimpi::run_mpi_world;
 use unr_simnet::{FabricConfig, InterfaceKind, InterfaceSpec};
@@ -96,7 +98,9 @@ fn allgather_fills_every_slot() {
         for (r, buf) in results.iter().enumerate() {
             for src in 0..n {
                 assert!(
-                    buf[src * 8..(src + 1) * 8].iter().all(|&b| b == src as u8 + 1),
+                    buf[src * 8..(src + 1) * 8]
+                        .iter()
+                        .all(|&b| b == src as u8 + 1),
                     "n={n} rank {r} slot {src}: {buf:?}"
                 );
             }
@@ -113,8 +117,7 @@ fn allgather_repeated_epochs() {
         let me = comm.rank();
         let mut ok = true;
         for epoch in 0..6u8 {
-            ag.mem
-                .write_bytes(me * 4, &[10 * epoch + me as u8 + 1; 4]);
+            ag.mem.write_bytes(me * 4, &[10 * epoch + me as u8 + 1; 4]);
             ag.run().unwrap();
             let mut buf = vec![0u8; n * 4];
             ag.mem.read_bytes(0, &mut buf);

@@ -60,7 +60,11 @@ pub fn bcast(comm: &Comm, root: usize, data: &[u8]) -> Vec<u8> {
     }
     // Rotate ranks so the root is virtual rank 0.
     let vrank = (me + n - root) % n;
-    let mut buf = if me == root { data.to_vec() } else { Vec::new() };
+    let mut buf = if me == root {
+        data.to_vec()
+    } else {
+        Vec::new()
+    };
 
     // `mask` becomes the first power of two strictly greater than vrank;
     // vrank receives from vrank - mask/2 and then feeds vrank + mask,
@@ -208,8 +212,11 @@ pub fn alltoallv_bytes(
         let to = (me + s) % n;
         let from = (me + n - s) % n;
         let rreq = comm.irecv(Some(from), TAG_ALLTOALL);
-        let sreq =
-            comm.isend_internal(to, TAG_ALLTOALL, &send[send_displs[to]..send_displs[to + 1]]);
+        let sreq = comm.isend_internal(
+            to,
+            TAG_ALLTOALL,
+            &send[send_displs[to]..send_displs[to + 1]],
+        );
         let msg = comm.wait_recv(rreq);
         assert_eq!(
             msg.data.len(),

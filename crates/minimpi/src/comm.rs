@@ -25,10 +25,10 @@
 //! sequence — MPI's non-overtaking rule holds even over an adaptively
 //! routed fabric.
 
-use unr_simnet::sync::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use unr_simnet::sync::Mutex;
 
 use unr_simnet::{Bandwidth, Dgram, Endpoint, NicSel, Ns, Port};
 
@@ -380,11 +380,7 @@ impl Comm {
         });
         let mut inner = self.state.inner.lock();
         // Try the unexpected queue first (arrival order).
-        if let Some(pos) = inner
-            .unexpected
-            .iter()
-            .position(|e| slot.matches(&e.hdr))
-        {
+        if let Some(pos) = inner.unexpected.iter().position(|e| slot.matches(&e.hdr)) {
             let env = inner.unexpected.remove(pos).expect("index valid");
             self.satisfy(&mut inner, &slot, env);
         } else {
@@ -454,7 +450,10 @@ impl Comm {
     /// Drain and process every pending datagram (non-blocking).
     pub fn progress(&self) {
         loop {
-            let d = self.ep.actor().with_sched(|_st, _t| self.state.port.try_pop());
+            let d = self
+                .ep
+                .actor()
+                .with_sched(|_st, _t| self.state.port.try_pop());
             match d {
                 Some(d) => self.handle_dgram(d),
                 None => break,
@@ -557,9 +556,10 @@ impl Comm {
             }
             MsgKind::RdvData => {
                 let key = (hdr.src, hdr.rdv_id);
-                let slot = inner.rdv_recvs.remove(&key).unwrap_or_else(|| {
-                    panic!("rendezvous data for unknown (src, id) {key:?}")
-                });
+                let slot = inner
+                    .rdv_recvs
+                    .remove(&key)
+                    .unwrap_or_else(|| panic!("rendezvous data for unknown (src, id) {key:?}"));
                 *slot.result.lock() = Some((hdr, payload));
             }
             MsgKind::RmaCtrl => {

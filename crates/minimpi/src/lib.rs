@@ -18,8 +18,8 @@
 
 pub mod coll;
 pub mod comm;
-pub mod harness;
 pub mod datatype;
+pub mod harness;
 pub mod rma;
 pub mod wire;
 
@@ -27,8 +27,8 @@ pub use coll::{
     allgather_bytes, allgather_fixed, allreduce_f64, alltoall_bytes, alltoallv_bytes, barrier,
     bcast, gather_bytes, reduce_f64, ReduceOp,
 };
-pub use comm::{Comm, Msg, MpiConfig, RecvReq, SendReq};
-pub use harness::{run_mpi_on_fabric, run_mpi_world, run_mpi_world_cfg};
+pub use comm::{Comm, MpiConfig, Msg, RecvReq, SendReq};
 pub use datatype::StridedView;
+pub use harness::{run_mpi_on_fabric, run_mpi_world, run_mpi_world_cfg};
 pub use rma::Win;
 pub use wire::{ANY_TAG, MPI_PORT};

@@ -23,13 +23,11 @@
 //! data (and it fits: the paper notes foMPI/dCUDA split those bits into
 //! rank+tag).
 
-use unr_simnet::sync::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
+use unr_simnet::sync::Mutex;
 
-use unr_simnet::{
-    CompletionKind, CompletionQueue, GetOp, MemRegion, NicSel, PutOp, RKey,
-};
+use unr_simnet::{CompletionKind, CompletionQueue, GetOp, MemRegion, NicSel, PutOp, RKey};
 
 use crate::comm::Comm;
 use crate::wire::Header;
@@ -370,7 +368,8 @@ impl Win {
 
     fn send_ctrl(&self, target: usize, tag: i32, _aux: u64, payload: &[u8]) {
         let dst_world = self.comm.world_rank(target);
-        self.comm.send_rma_ctrl(dst_world, tag, self.win_id, payload);
+        self.comm
+            .send_rma_ctrl(dst_world, tag, self.win_id, payload);
     }
 
     /// Block until `pred(self)` is true, progressing the window.
@@ -428,8 +427,7 @@ impl Win {
         let me = self.comm.rank();
         let mut expect_total = 0u64;
         for row in all.iter() {
-            expect_total +=
-                u64::from_le_bytes(row[8 * me..8 * me + 8].try_into().expect("count"));
+            expect_total += u64::from_le_bytes(row[8 * me..8 * me + 8].try_into().expect("count"));
         }
         // Cumulative wait: immune to early next-epoch arrivals.
         {

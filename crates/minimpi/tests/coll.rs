@@ -1,15 +1,12 @@
 //! Collective-operation tests across several world sizes.
 
 use unr_minimpi::{
-    allgather_bytes, allreduce_f64, alltoall_bytes, alltoallv_bytes, barrier, bcast,
-    gather_bytes, reduce_f64, run_mpi_world, Comm, ReduceOp,
+    allgather_bytes, allreduce_f64, alltoall_bytes, alltoallv_bytes, barrier, bcast, gather_bytes,
+    reduce_f64, run_mpi_world, Comm, ReduceOp,
 };
 use unr_simnet::FabricConfig;
 
-fn run<R: Send + 'static>(
-    n: usize,
-    f: impl Fn(&Comm) -> R + Send + Sync + 'static,
-) -> Vec<R> {
+fn run<R: Send + 'static>(n: usize, f: impl Fn(&Comm) -> R + Send + Sync + 'static) -> Vec<R> {
     run_mpi_world(FabricConfig::test_default(n), f)
 }
 
@@ -129,9 +126,7 @@ fn alltoall_permutes_blocks() {
     let n = 4;
     let results = run(n, move |comm| {
         // Block for destination d = [me, d].
-        let send: Vec<u8> = (0..n)
-            .flat_map(|d| [comm.rank() as u8, d as u8])
-            .collect();
+        let send: Vec<u8> = (0..n).flat_map(|d| [comm.rank() as u8, d as u8]).collect();
         alltoall_bytes(comm, &send, 2)
     });
     for (me, r) in results.iter().enumerate() {

@@ -3,10 +3,7 @@
 use unr_minimpi::{barrier, run_mpi_world, Comm, Win};
 use unr_simnet::FabricConfig;
 
-fn run<R: Send + 'static>(
-    n: usize,
-    f: impl Fn(&Comm) -> R + Send + Sync + 'static,
-) -> Vec<R> {
+fn run<R: Send + 'static>(n: usize, f: impl Fn(&Comm) -> R + Send + Sync + 'static) -> Vec<R> {
     run_mpi_world(FabricConfig::test_default(n), f)
 }
 

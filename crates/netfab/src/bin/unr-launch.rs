@@ -32,9 +32,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use unr_netfab::{
-    run_storm, spawn_world_with_recovery, NetWorld, RespawnSpec, StormOpts,
-};
+use unr_netfab::{run_storm, spawn_world_with_recovery, NetWorld, RespawnSpec, StormOpts};
 
 struct Cli {
     ranks: usize,
@@ -65,12 +63,10 @@ fn parse_cli(args: &[String]) -> Cli {
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         let mut num = |what: &str| -> u64 {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| {
-                    eprintln!("{what} needs a number");
-                    usage()
-                })
+            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                eprintln!("{what} needs a number");
+                usage()
+            })
         };
         match a.as_str() {
             "--ranks" => cli.ranks = num("--ranks") as usize,
@@ -132,7 +128,10 @@ fn child(world: NetWorld, cli: &Cli) -> ExitCode {
 fn json_u64(line: &str, key: &str) -> Option<u64> {
     let pat = format!("\"{key}\":");
     let at = line.find(&pat)? + pat.len();
-    let digits: String = line[at..].chars().take_while(|c| c.is_ascii_digit()).collect();
+    let digits: String = line[at..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit())
+        .collect();
     digits.parse().ok()
 }
 

@@ -197,7 +197,11 @@ fn on_simnet(seed: u64, reliable: bool, agg: bool) -> Vec<Outcome> {
 
 fn on_netfab(seed: u64, reliable: bool, agg: bool, faults: NetFaults) -> Vec<Outcome> {
     let listeners: Vec<Vec<TcpListener>> = (0..2)
-        .map(|_| (0..NICS).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect())
+        .map(|_| {
+            (0..NICS)
+                .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+                .collect()
+        })
         .collect();
     let ports: Vec<Vec<u16>> = listeners
         .iter()
@@ -305,11 +309,23 @@ fn simnet_and_netfab_run_the_same_script_to_the_same_end() {
                 assert_eq!(out.landed[off..off + len], theirs[off..off + len], "{case}");
             }
             for &(off, len) in &gets {
-                assert_eq!(out.fetched[off..off + len], theirs[off..off + len], "{case}");
+                assert_eq!(
+                    out.fetched[off..off + len],
+                    theirs[off..off + len],
+                    "{case}"
+                );
             }
             assert_eq!(out.counters, [0; 4], "{case}");
-            assert_eq!((out.any, out.timed_out, out.reset_errors), (1, true, 1), "{case}");
-            assert_eq!((out.puts, out.gets), (puts.len() as u64, GETS as u64), "{case}");
+            assert_eq!(
+                (out.any, out.timed_out, out.reset_errors),
+                (1, true, 1),
+                "{case}"
+            );
+            assert_eq!(
+                (out.puts, out.gets),
+                (puts.len() as u64, GETS as u64),
+                "{case}"
+            );
             // Every small put is its own sub-message unless coalesced;
             // the big one is a stripe per NIC either way.
             assert!(out.sub_messages > NICS as u64, "{case}");

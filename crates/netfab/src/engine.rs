@@ -110,7 +110,11 @@ impl NetUnr {
     /// `cfg.backend` must be [`Backend::Netfab`]; reliability follows
     /// [`Reliability`]: `Auto` turns the ack/replay protocol on iff
     /// `faults` injects drops, mirroring the simnet engine's rule.
-    pub fn init(world: Arc<NetWorld>, cfg: UnrConfig, faults: NetFaults) -> Result<NetUnr, UnrError> {
+    pub fn init(
+        world: Arc<NetWorld>,
+        cfg: UnrConfig,
+        faults: NetFaults,
+    ) -> Result<NetUnr, UnrError> {
         assert_eq!(
             cfg.backend,
             Backend::Netfab,
@@ -467,7 +471,10 @@ mod tests {
         // "Rank 1" is a raw socket that answers HELLO with a length
         // prefix no frame can have.
         let (mut peer, _) = l1.accept().unwrap();
-        assert_eq!(frame::read_frame(&mut peer).unwrap().kind, frame::FRAME_HELLO);
+        assert_eq!(
+            frame::read_frame(&mut peer).unwrap().kind,
+            frame::FRAME_HELLO
+        );
         peer.write_all(&[0xff; 8]).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         while fabric.met.streams_down.get() == 0 {
@@ -480,7 +487,9 @@ mod tests {
         for len in [8, 4] {
             // 8 bytes go out at once, 4 are coalesced until the flush.
             let local = mem.blk(0, len, None);
-            let sent = unr.put(&local, &Blk { rank: 1, ..local }).and_then(|()| unr.flush());
+            let sent = unr
+                .put(&local, &Blk { rank: 1, ..local })
+                .and_then(|()| unr.flush());
             let Err(UnrError::PeerFailed { rank: 1, cause, .. }) = sent else {
                 panic!("{len} bytes onto a dead stream: {sent:?}");
             };
@@ -533,7 +542,10 @@ mod tests {
         };
         unr.put(&mem.blk(0, 8, None), &remote).unwrap();
         assert!(unr.sig_wait(&landed).is_ok());
-        assert!(unr.drain_pending(Duration::from_secs(10)), "the ack never came");
+        assert!(
+            unr.drain_pending(Duration::from_secs(10)),
+            "the ack never came"
+        );
         assert_eq!(unr.fabric().region(region).unwrap().snapshot(0, 8), [5; 8]);
         assert_eq!(unr.agg_backlog(0), (0, 0));
         unr.finalize();
@@ -686,14 +698,24 @@ mod tests {
 
         // The same two shapes in bounds: bytes land, addends apply.
         ctrl(wire::seq_data_msg(2, region, 60, key, -1, &[1; 4]));
-        ctrl(wire::agg_msg(3, true, &[(region, 0, 4)], &[(key, -1)], &[3; 4]));
+        ctrl(wire::agg_msg(
+            3,
+            true,
+            &[(region, 0, 4)],
+            &[(key, -1)],
+            &[3; 4],
+        ));
         assert!(sig.test());
         assert_eq!(fabric.met.bad_dma.get(), 2);
         assert_eq!(acked(), (4, 0));
         let mem = fabric.region(region).unwrap();
         assert_eq!(mem.snapshot(60, 4), [1; 4]);
         assert_eq!(mem.snapshot(0, 4), [3; 4]);
-        assert_eq!(fabric.met.tx_frames.get(), 0, "a rank answers itself without a socket");
+        assert_eq!(
+            fabric.met.tx_frames.get(),
+            0,
+            "a rank answers itself without a socket"
+        );
         unr.finalize();
     }
 
@@ -721,7 +743,10 @@ mod tests {
         }
         let deadline = Instant::now() + Duration::from_secs(10);
         while f1.met.rx_frames.get() < 2 {
-            assert!(Instant::now() < deadline, "rank 1's reactor never read them");
+            assert!(
+                Instant::now() < deadline,
+                "rank 1's reactor never read them"
+            );
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(mem.snapshot(0, 64), [0; 64], "handled before install");
@@ -782,7 +807,10 @@ mod tests {
                 let unr = NetUnr::init(world, cfg, NetFaults::default()).unwrap();
                 let seen = progress_threads();
                 unr.finalize();
-                assert!(seen.is_empty(), "{progress:?} {reliability:?} agg {agg}: {seen:?}");
+                assert!(
+                    seen.is_empty(),
+                    "{progress:?} {reliability:?} agg {agg}: {seen:?}"
+                );
             }
         }
     }

@@ -507,7 +507,11 @@ impl NetFabric {
                 s.set_nodelay(true)?;
                 {
                     let mut w = &s;
-                    frame::write_frame(&mut w, frame::FRAME_HELLO, &[&frame::hello_body(rank, nic)])?;
+                    frame::write_frame(
+                        &mut w,
+                        frame::FRAME_HELLO,
+                        &[&frame::hello_body(rank, nic)],
+                    )?;
                 }
                 streams.push((peer, nic, s));
             }
@@ -803,7 +807,12 @@ impl NetFabric {
             self.shared.ring_bell();
             return Ok(());
         }
-        self.send(dst, nic, frame::FRAME_ATOMIC, &[&frame::atomic_body(custom)])
+        self.send(
+            dst,
+            nic,
+            frame::FRAME_ATOMIC,
+            &[&frame::atomic_body(custom)],
+        )
     }
 
     /// Send an opaque `unr_core::wire` control message to `dst`. One to
@@ -1184,7 +1193,10 @@ mod tests {
         let fabric = NetFabric::connect(0, 2, 1, &ports, vec![l0]).unwrap();
         let (peer, _) = l1.accept().unwrap();
         let mut peer = &peer;
-        assert_eq!(frame::read_frame(&mut peer).unwrap().kind, frame::FRAME_HELLO);
+        assert_eq!(
+            frame::read_frame(&mut peer).unwrap().kind,
+            frame::FRAME_HELLO
+        );
         let conn = Arc::clone(fabric.conn(1, 0).unwrap());
         let stalls = &fabric.reactor_met.backpressure_stalls;
 

@@ -281,8 +281,7 @@ impl FrameAssembler {
                     return Ok(());
                 }
                 let take = (4 - self.prefix_got).min(data.len());
-                self.prefix[self.prefix_got..self.prefix_got + take]
-                    .copy_from_slice(&data[..take]);
+                self.prefix[self.prefix_got..self.prefix_got + take].copy_from_slice(&data[..take]);
                 self.prefix_got += take;
                 data = &data[take..];
                 if self.prefix_got < 4 {
@@ -470,7 +469,12 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, FRAME_PUT, &[&put_header(7, 96, 0xabcd), b"payload"]).unwrap();
+        write_frame(
+            &mut buf,
+            FRAME_PUT,
+            &[&put_header(7, 96, 0xabcd), b"payload"],
+        )
+        .unwrap();
         let f = read_frame(&mut buf.as_slice()).unwrap();
         assert_eq!(f.kind, FRAME_PUT);
         let (region, offset, custom, payload) = parse_put(&f.body);
@@ -594,7 +598,10 @@ mod tests {
         write_frame(&mut buf, FRAME_CTRL, &[b"hello"]).unwrap();
         let mut r = buf.as_slice();
         let f = read_frame_classified(&mut r).unwrap();
-        assert_eq!((f.kind, f.body.as_slice()), (FRAME_CTRL, b"hello".as_slice()));
+        assert_eq!(
+            (f.kind, f.body.as_slice()),
+            (FRAME_CTRL, b"hello".as_slice())
+        );
         assert!(matches!(
             read_frame_classified(&mut r),
             Err(ReadEnd::CleanClose)

@@ -62,9 +62,7 @@ use std::time::{Duration, Instant};
 use unr_core::{Blk, BLK_WIRE_LEN};
 
 use crate::fabric::NetFabric;
-use crate::frame::{
-    self, FRAME_ALLDATA, FRAME_GATHER, FRAME_JOIN, FRAME_REJOIN, FRAME_TABLE,
-};
+use crate::frame::{self, FRAME_ALLDATA, FRAME_GATHER, FRAME_JOIN, FRAME_REJOIN, FRAME_TABLE};
 
 /// Child-side env var: this process's rank.
 pub const ENV_RANK: &str = "UNR_NETFAB_RANK";
@@ -121,7 +119,9 @@ impl NetWorld {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(0);
-        Some(Self::bootstrap(rank, nranks, nics, &bootstrap, generation, epoch))
+        Some(Self::bootstrap(
+            rank, nranks, nics, &bootstrap, generation, epoch,
+        ))
     }
 
     fn bootstrap(

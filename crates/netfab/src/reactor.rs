@@ -122,10 +122,14 @@ impl ReactorMetrics {
             poll_batch: obs.metrics.histogram("unr.transport.reactor.poll_batch"),
             queue_depth: obs.metrics.histogram("unr.transport.reactor.queue_depth"),
             partial_reads: obs.metrics.counter("unr.transport.reactor.partial_reads"),
-            backpressure_stalls: obs.metrics.counter("unr.transport.reactor.backpressure_stalls"),
+            backpressure_stalls: obs
+                .metrics
+                .counter("unr.transport.reactor.backpressure_stalls"),
             wakeups: obs.metrics.counter("unr.transport.reactor.wakeups"),
             reads_by_waiter: obs.metrics.counter("unr.transport.reactor.reads_by_waiter"),
-            reads_by_reactor: obs.metrics.counter("unr.transport.reactor.reads_by_reactor"),
+            reads_by_reactor: obs
+                .metrics
+                .counter("unr.transport.reactor.reads_by_reactor"),
         }
     }
 }
@@ -542,7 +546,9 @@ pub fn poll_wait(slots: &mut [PollSlot], timeout_ms: i32) -> io::Result<usize> {
 /// Portable fallback poller (non-Unix): park briefly, claim readiness.
 #[cfg(not(unix))]
 pub fn poll_wait(slots: &mut [PollSlot], timeout_ms: i32) -> io::Result<usize> {
-    std::thread::sleep(std::time::Duration::from_millis(timeout_ms.clamp(0, 1) as u64));
+    std::thread::sleep(std::time::Duration::from_millis(
+        timeout_ms.clamp(0, 1) as u64
+    ));
     for s in slots.iter_mut() {
         s.revents = s.events;
     }
@@ -974,7 +980,11 @@ fn reactor_loop(
             }
         }
 
-        let timeout = if yielded { YIELD_POLL_MS } else { POLL_TIMEOUT_MS };
+        let timeout = if yielded {
+            YIELD_POLL_MS
+        } else {
+            POLL_TIMEOUT_MS
+        };
         let timeout = due.map_or(timeout, |due| {
             due.as_nanos().div_ceil(1_000_000).min(timeout as u128) as i32
         });
@@ -1253,7 +1263,10 @@ mod tests {
                 assert_eq!(i, next[t as usize], "producer {t} reordered or repeated");
                 next[t as usize] += 1;
                 assert_eq!(f.body.len(), body_len(t, i), "frame {t}/{i} length");
-                assert!(f.body[8..].iter().all(|&b| b == fill(t, i)), "frame {t}/{i} torn");
+                assert!(
+                    f.body[8..].iter().all(|&b| b == fill(t, i)),
+                    "frame {t}/{i} torn"
+                );
             }
             assert_eq!(next, [FRAMES; PRODUCERS as usize]);
         });
@@ -1380,7 +1393,11 @@ mod tests {
             w.write_all(&carry).unwrap();
         });
         assert_eq!(dispatch.seen.load(Ordering::SeqCst), FRAMES as usize);
-        assert_eq!(dispatch.wrong.load(Ordering::SeqCst), 0, "torn or reordered frames");
+        assert_eq!(
+            dispatch.wrong.load(Ordering::SeqCst),
+            0,
+            "torn or reordered frames"
+        );
         assert_eq!(dispatch.corrupt.load(Ordering::SeqCst), 0);
         assert!(conn.open_read());
         let (by_waiter, by_reactor) = (met.reads_by_waiter.get(), met.reads_by_reactor.get());
@@ -1413,9 +1430,15 @@ mod tests {
         // A reactor with no connection of its own: every read below is
         // made by the thread the test chose.
         let waiting = Arc::new(Waiting::default());
-        let pool =
-            ReactorPool::spawn(1, Vec::new(), waiting, dispatch.clone(), met.clone(), "test")
-                .unwrap();
+        let pool = ReactorPool::spawn(
+            1,
+            Vec::new(),
+            waiting,
+            dispatch.clone(),
+            met.clone(),
+            "test",
+        )
+        .unwrap();
         let (_idle, idle_rx) = WakeHandle::channel().unwrap();
         let read_exactly = |want: usize| {
             let mut got = 0;

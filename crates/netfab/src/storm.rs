@@ -39,8 +39,8 @@ use std::time::{Duration, Instant};
 use unr_core::{Backend, Reliability, UnrConfig};
 
 use crate::engine::NetUnr;
-use crate::transport::NetFaults;
 use crate::launch::{Gathered, NetWorld};
+use crate::transport::NetFaults;
 
 /// Storm parameters.
 #[derive(Debug, Clone, Copy)]
@@ -320,7 +320,9 @@ pub fn run_storm(world: Arc<NetWorld>, opts: StormOpts) -> Result<StormOutcome, 
 
         // Final rendezvous before sockets close, so no rank tears down
         // the mesh while a peer still owes it traffic.
-        world.barrier().map_err(|e| err(format!("final barrier: {e}")))?;
+        world
+            .barrier()
+            .map_err(|e| err(format!("final barrier: {e}")))?;
         unr.finalize();
         break 'world;
     }

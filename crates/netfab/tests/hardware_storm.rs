@@ -112,7 +112,14 @@ fn hardware_reliable_storm_survives_drops() {
 #[test]
 fn hardware_aggregated_storm_completes() {
     storm_runs_main_and_reactors(
-        &["--hardware", "--reliable", "--agg-max", "512", "--msg", "256"],
+        &[
+            "--hardware",
+            "--reliable",
+            "--agg-max",
+            "512",
+            "--msg",
+            "256",
+        ],
         "hardware aggregated storm",
     );
 }

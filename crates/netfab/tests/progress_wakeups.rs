@@ -84,16 +84,23 @@ fn idle_rank(world: Arc<NetWorld>) -> Result<String, String> {
     let mut read_before = (0, 0);
     for round in 0..WARM_ROUNDS + ROUNDS {
         if round == WARM_ROUNDS {
-            read_before = (reactor_met.reads_by_waiter.get(), reactor_met.reads_by_reactor.get());
+            read_before = (
+                reactor_met.reads_by_waiter.get(),
+                reactor_met.reads_by_reactor.get(),
+            );
         }
         if me == 0 {
-            unr.put(&local, &rmt).map_err(|e| format!("round {round} ping: {e}"))?;
+            unr.put(&local, &rmt)
+                .map_err(|e| format!("round {round} ping: {e}"))?;
         }
         unr.sig_wait(&recv_sig)
             .map_err(|e| format!("round {round}: nothing came: {e}"))?;
-        recv_sig.reset().map_err(|e| format!("round {round}: reset: {e}"))?;
+        recv_sig
+            .reset()
+            .map_err(|e| format!("round {round}: reset: {e}"))?;
         if me == 1 {
-            unr.put(&local, &rmt).map_err(|e| format!("round {round} pong: {e}"))?;
+            unr.put(&local, &rmt)
+                .map_err(|e| format!("round {round} pong: {e}"))?;
         }
     }
     // Both sides are out of `sig_wait` (a poll of its that reached the
@@ -146,9 +153,10 @@ fn punctual_rank(world: Arc<NetWorld>) -> Result<String, String> {
         .max_backoff(10 * RTO.as_nanos() as u64)
         .build()
         .map_err(|e| format!("config: {e}"))?;
-    let faults = NetFaults { drop_every: Some(1) };
-    let unr =
-        NetUnr::init(Arc::clone(&world), cfg, faults).map_err(|e| format!("init: {e}"))?;
+    let faults = NetFaults {
+        drop_every: Some(1),
+    };
+    let unr = NetUnr::init(Arc::clone(&world), cfg, faults).map_err(|e| format!("init: {e}"))?;
     let send_mem = unr.mem_reg(MSG);
     let recv_mem = unr.mem_reg(MSG);
     let recv_sig = unr.sig_init(TRIALS as i64);
@@ -175,7 +183,8 @@ fn punctual_rank(world: Arc<NetWorld>) -> Result<String, String> {
             // deliver this put (its first transmission is dropped).
             let sent = met.retransmits.get();
             let t0 = Instant::now();
-            unr.put(&local, &rmt).map_err(|e| format!("trial {trial} put: {e}"))?;
+            unr.put(&local, &rmt)
+                .map_err(|e| format!("trial {trial} put: {e}"))?;
             while met.retransmits.get() == sent {
                 if t0.elapsed() > 50 * RTO {
                     return Err(format!("trial {trial}: no retransmit in {:?}", 50 * RTO));
@@ -184,7 +193,9 @@ fn punctual_rank(world: Arc<NetWorld>) -> Result<String, String> {
             }
             let t = t0.elapsed();
             if t < RTO {
-                return Err(format!("trial {trial}: retransmit after {t:?}, before the RTO"));
+                return Err(format!(
+                    "trial {trial}: retransmit after {t:?}, before the RTO"
+                ));
             }
             took.push(t);
             if !unr.drain_pending(Duration::from_secs(10)) || unr.pending_len() != 0 {
@@ -193,10 +204,16 @@ fn punctual_rank(world: Arc<NetWorld>) -> Result<String, String> {
         }
         let late = took.iter().filter(|&&t| t > 2 * RTO).count();
         if late > LATE_TOLERATED {
-            return Err(format!("{late} of {TRIALS} retransmits later than {:?}: {took:?}", 2 * RTO));
+            return Err(format!(
+                "{late} of {TRIALS} retransmits later than {:?}: {took:?}",
+                2 * RTO
+            ));
         }
         if met.drops_injected.get() != TRIALS as u64 {
-            return Err(format!("{} drops for {TRIALS} puts", met.drops_injected.get()));
+            return Err(format!(
+                "{} drops for {TRIALS} puts",
+                met.drops_injected.get()
+            ));
         }
         line += &format!(": retransmits after {took:?}");
     } else {
@@ -239,8 +256,11 @@ fn compute_rank(world: Arc<NetWorld>) -> Result<String, String> {
     if me == 0 {
         unr.put(&local, &rmt).map_err(|e| format!("ping: {e}"))?;
     }
-    unr.sig_wait(&recv_sig).map_err(|e| format!("warm-up: {e}"))?;
-    recv_sig.reset().map_err(|e| format!("warm-up reset: {e}"))?;
+    unr.sig_wait(&recv_sig)
+        .map_err(|e| format!("warm-up: {e}"))?;
+    recv_sig
+        .reset()
+        .map_err(|e| format!("warm-up reset: {e}"))?;
     if me == 1 {
         unr.put(&local, &rmt).map_err(|e| format!("pong: {e}"))?;
     }
@@ -266,7 +286,8 @@ fn compute_rank(world: Arc<NetWorld>) -> Result<String, String> {
         let t0 = Instant::now();
         unr.get_keyed(&mine, &rmt, got_sig.key(), SigKey::NULL)
             .map_err(|e| format!("get: {e}"))?;
-        unr.sig_wait(&got_sig).map_err(|e| format!("the GET never came back: {e}"))?;
+        unr.sig_wait(&got_sig)
+            .map_err(|e| format!("the GET never came back: {e}"))?;
         let took = t0.elapsed();
         let mut got = [0u8; MSG];
         recv_mem.read_bytes(0, &mut got);
@@ -302,9 +323,10 @@ fn hybrid_rank(world: Arc<NetWorld>) -> Result<String, String> {
         .agg_eager_max(512)
         .build()
         .map_err(|e| format!("config: {e}"))?;
-    let faults = NetFaults { drop_every: Some(7) };
-    let unr =
-        NetUnr::init(Arc::clone(&world), cfg, faults).map_err(|e| format!("init: {e}"))?;
+    let faults = NetFaults {
+        drop_every: Some(7),
+    };
+    let unr = NetUnr::init(Arc::clone(&world), cfg, faults).map_err(|e| format!("init: {e}"))?;
     // Rank 0 sends windows and exposes `GET_BYTES` of pattern for rank
     // 1 to fetch; rank 1 receives windows and answers with 8 bytes.
     let send_mem = unr.mem_reg(WINDOW * SMALL);
@@ -341,7 +363,9 @@ fn hybrid_rank(world: Arc<NetWorld>) -> Result<String, String> {
             // answers it) and finally rank 1's answer, all by itself.
             unr.sig_wait(&recv_sig)
                 .map_err(|e| format!("round {round}: answer never came: {e}"))?;
-            recv_sig.reset().map_err(|e| format!("round {round}: reset: {e}"))?;
+            recv_sig
+                .reset()
+                .map_err(|e| format!("round {round}: reset: {e}"))?;
             let mut got = [0u8; 8];
             recv_mem.read_bytes(0, &mut got);
             if got != round.to_le_bytes() {
@@ -356,13 +380,22 @@ fn hybrid_rank(world: Arc<NetWorld>) -> Result<String, String> {
             }
             // Exactly `WINDOW` addends, no more (a duplicate applied
             // twice) and no fewer: the counter is back at zero.
-            recv_sig.reset().map_err(|e| format!("round {round}: reset: {e}"))?;
+            recv_sig
+                .reset()
+                .map_err(|e| format!("round {round}: reset: {e}"))?;
             get_mem.write_bytes(0, &[0; GET_BYTES]);
-            unr.get_keyed(&get_mem.blk(0, GET_BYTES, None), &rmt_get, get_sig.key(), SigKey::NULL)
-                .map_err(|e| format!("round {round}: get: {e}"))?;
+            unr.get_keyed(
+                &get_mem.blk(0, GET_BYTES, None),
+                &rmt_get,
+                get_sig.key(),
+                SigKey::NULL,
+            )
+            .map_err(|e| format!("round {round}: get: {e}"))?;
             unr.sig_wait(&get_sig)
                 .map_err(|e| format!("round {round}: GET never came back: {e}"))?;
-            get_sig.reset().map_err(|e| format!("round {round}: GET reset: {e}"))?;
+            get_sig
+                .reset()
+                .map_err(|e| format!("round {round}: GET reset: {e}"))?;
             let mut got = vec![0u8; GET_BYTES];
             get_mem.read_bytes(0, &mut got);
             if got != pattern {
@@ -388,23 +421,33 @@ fn hybrid_rank(world: Arc<NetWorld>) -> Result<String, String> {
         met.bad_dma.get(),
     ];
     let bytes: Vec<u8> = mine.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let all = world.allgather(&bytes).map_err(|e| format!("allgather: {e}"))?;
+    let all = world
+        .allgather(&bytes)
+        .map_err(|e| format!("allgather: {e}"))?;
     let theirs: Vec<u64> = all[peer]
         .chunks_exact(8)
         .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
         .collect();
     let by_waiter = unr.fabric().reactor_met.reads_by_waiter.get();
-    let stale = unr.table().stats.stale_rejects.load(std::sync::atomic::Ordering::Relaxed);
+    let stale = unr
+        .table()
+        .stats
+        .stale_rejects
+        .load(std::sync::atomic::Ordering::Relaxed);
     world.barrier().map_err(|e| format!("final barrier: {e}"))?;
     unr.finalize();
 
     let [retransmits, drops, dups, bad_dma] = mine;
     let (their_retransmits, their_drops) = (theirs[0], theirs[1]);
     if stale != 0 || bad_dma != 0 {
-        return Err(format!("{stale} stale-key rejects, {bad_dma} refused payloads"));
+        return Err(format!(
+            "{stale} stale-key rejects, {bad_dma} refused payloads"
+        ));
     }
     if drops == 0 || retransmits < drops {
-        return Err(format!("{drops} first transmissions dropped, {retransmits} retransmissions"));
+        return Err(format!(
+            "{drops} first transmissions dropped, {retransmits} retransmissions"
+        ));
     }
     // Each dropped message is delivered by one retransmission of it;
     // every other retransmission the peer made duplicates something
@@ -416,7 +459,9 @@ fn hybrid_rank(world: Arc<NetWorld>) -> Result<String, String> {
         ));
     }
     if by_waiter < WINDOWS {
-        return Err(format!("{by_waiter} reads by the waiter in {WINDOWS} rounds"));
+        return Err(format!(
+            "{by_waiter} reads by the waiter in {WINDOWS} rounds"
+        ));
     }
     Ok(format!(
         "HYBRID_OK rank {me}: {drops} drops, {retransmits} retransmissions, \
@@ -459,7 +504,10 @@ fn main() -> ExitCode {
     ] {
         let res = spawn_world(2, 1, &[mode.to_string()]).expect("launch the 2-rank world");
         if !(res.success() && res.outputs.iter().all(|o| o.contains(ok))) {
-            eprintln!("progress_wakeups {mode} failed: exit codes {:?}", res.statuses);
+            eprintln!(
+                "progress_wakeups {mode} failed: exit codes {:?}",
+                res.statuses
+            );
             return ExitCode::FAILURE;
         }
     }

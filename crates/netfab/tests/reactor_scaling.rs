@@ -113,7 +113,9 @@ fn reassembly_survives_random_coalesced_chunks() {
     // several whole frames plus a partial tail.
     let mut state = 0x2545F4914F6CDD1Du64;
     let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         (state >> 33) as usize
     };
     for round in 0..200 {

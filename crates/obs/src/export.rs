@@ -102,7 +102,10 @@ mod tests {
         let mut e = ev("put", 0, 10, 20);
         e.args = vec![("bytes", 4096), ("stripes", 3)];
         let j = chrome_trace_json(&[e]);
-        assert!(j.contains("\"args\": {\"bytes\": 4096, \"stripes\": 3}"), "{j}");
+        assert!(
+            j.contains("\"args\": {\"bytes\": 4096, \"stripes\": 3}"),
+            "{j}"
+        );
     }
 
     #[test]

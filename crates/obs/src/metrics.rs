@@ -352,7 +352,9 @@ impl Snapshot {
         &'a self,
         prefix: &'a str,
     ) -> impl Iterator<Item = &'a (String, MetricValue)> + 'a {
-        self.entries.iter().filter(move |(n, _)| n.starts_with(prefix))
+        self.entries
+            .iter()
+            .filter(move |(n, _)| n.starts_with(prefix))
     }
 
     /// Render as a human-readable aligned table, one instrument per
@@ -376,8 +378,7 @@ impl Snapshot {
                     } else {
                         *sum as f64 / *count as f64
                     };
-                    let pct =
-                        |q: f64| percentile_from_buckets(buckets, q).min(*max as f64);
+                    let pct = |q: f64| percentile_from_buckets(buckets, q).min(*max as f64);
                     let (p50, p99, p999) = (pct(0.50), pct(0.99), pct(0.999));
                     let mut spark = String::new();
                     let lo = buckets.iter().position(|&b| b != 0);
@@ -393,11 +394,7 @@ impl Snapshot {
                             };
                             spark.push(LEVELS[l.min(4)]);
                         }
-                        spark = format!(
-                            "  [2^{}..2^{}) |{spark}|",
-                            lo.saturating_sub(1),
-                            hi
-                        );
+                        spark = format!("  [2^{}..2^{}) |{spark}|", lo.saturating_sub(1), hi);
                     }
                     format!(
                         "n={count} mean={mean:.1} p50={p50:.0} p99={p99:.0} \
@@ -439,8 +436,7 @@ impl Snapshot {
                     max,
                     buckets,
                 } => {
-                    let pct =
-                        |q: f64| percentile_from_buckets(buckets, q).min(*max as f64);
+                    let pct = |q: f64| percentile_from_buckets(buckets, q).min(*max as f64);
                     out.push_str(&format!(
                         "{{\"count\":{count},\"sum\":{sum},\"max\":{max},\
                          \"p50\":{:.1},\"p99\":{:.1},\"p999\":{:.1},\"buckets\":{{",
@@ -675,7 +671,10 @@ mod tests {
         }
         let s = r.snapshot();
         let t = s.render_table();
-        assert!(t.contains("p50=") && t.contains("p99=") && t.contains("p999="), "{t}");
+        assert!(
+            t.contains("p50=") && t.contains("p99=") && t.contains("p999="),
+            "{t}"
+        );
         let j = s.to_json();
         assert!(
             j.contains("\"p50\":") && j.contains("\"p99\":") && j.contains("\"p999\":"),

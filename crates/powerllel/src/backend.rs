@@ -131,11 +131,7 @@ impl PddExchange {
 
     /// Exchange interface payloads. `up` is sent to the above neighbor,
     /// `down` to the below neighbor; returns `(from_below, from_above)`.
-    pub fn exchange(
-        &mut self,
-        up: &[f64],
-        down: &[f64],
-    ) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
+    pub fn exchange(&mut self, up: &[f64], down: &[f64]) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
         assert_eq!(up.len(), self.count);
         assert_eq!(down.len(), self.count);
         match &mut self.imp {

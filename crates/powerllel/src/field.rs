@@ -92,7 +92,8 @@ impl Field3 {
         for k in 0..self.nz {
             for j in 0..self.ny {
                 for i in 0..self.nx {
-                    m = m.max((self.data[self.idx(i, j, k)] - other.data[other.idx(i, j, k)]).abs());
+                    m = m
+                        .max((self.data[self.idx(i, j, k)] - other.data[other.idx(i, j, k)]).abs());
                 }
             }
         }

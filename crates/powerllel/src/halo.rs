@@ -156,10 +156,10 @@ impl HaloOp {
         let yb = shape.y_elems() * 8;
         let zb = shape.z_elems() * 8;
         let cb = 2 * shape.corner_elems() * 8; // [below|above] strips
-        // Send layout:  [y->lo | y->hi | z->below | z->above | c->lo | c->hi]
-        // Recv layout:  [y upper ghost | y lower ghost
-        //                | z above ghost | z below ghost
-        //                | c from hi | c from lo]
+                                               // Send layout:  [y->lo | y->hi | z->below | z->above | c->lo | c->hi]
+                                               // Recv layout:  [y upper ghost | y lower ghost
+                                               //                | z above ghost | z below ghost
+                                               //                | c from hi | c from lo]
         let send_mem = unr.mem_reg(2 * yb + 2 * zb + 2 * cb + 64);
         let recv_mem = unr.mem_reg(2 * yb + 2 * zb + 2 * cb + 64);
         let comm = &d.world;
@@ -183,8 +183,14 @@ impl HaloOp {
         let bottom_tgt = convert::recv_blk(comm, nb.y_lo, ty);
         let top_tgt = convert::recv_blk(comm, nb.y_hi, ty + 1);
         let mut y_plan = RmaPlan::new();
-        y_plan.put(&unr.blk_init(&send_mem, 0, yb, Some(&y_send_sig)), &bottom_tgt);
-        y_plan.put(&unr.blk_init(&send_mem, yb, yb, Some(&y_send_sig)), &top_tgt);
+        y_plan.put(
+            &unr.blk_init(&send_mem, 0, yb, Some(&y_send_sig)),
+            &bottom_tgt,
+        );
+        y_plan.put(
+            &unr.blk_init(&send_mem, yb, yb, Some(&y_send_sig)),
+            &top_tgt,
+        );
 
         // --- z faces --------------------------------------------------
         let mut z_plan = RmaPlan::new();
@@ -375,20 +381,29 @@ impl HaloOp {
                     sends: Vec::new(),
                 };
                 if let Some(below) = self.nb.z_below {
-                    p.z_recvs.push((comm.irecv(Some(below), self.tz), -(g as isize)));
-                    p.sends.push(comm.isend(below, self.tz + 1, as_bytes(&to_below)));
+                    p.z_recvs
+                        .push((comm.irecv(Some(below), self.tz), -(g as isize)));
+                    p.sends
+                        .push(comm.isend(below, self.tz + 1, as_bytes(&to_below)));
                 }
                 if let Some(above) = self.nb.z_above {
                     p.z_recvs.push((comm.irecv(Some(above), self.tz + 1), lz));
-                    p.sends.push(comm.isend(above, self.tz, as_bytes(&to_above)));
+                    p.sends
+                        .push(comm.isend(above, self.tz, as_bytes(&to_above)));
                 }
-                p.y_recvs.push((comm.irecv(Some(self.nb.y_lo), self.ty), true));
-                p.y_recvs.push((comm.irecv(Some(self.nb.y_hi), self.ty + 1), false));
-                p.sends.push(comm.isend(self.nb.y_lo, self.ty + 1, as_bytes(&bottom)));
-                p.sends.push(comm.isend(self.nb.y_hi, self.ty, as_bytes(&top)));
+                p.y_recvs
+                    .push((comm.irecv(Some(self.nb.y_lo), self.ty), true));
+                p.y_recvs
+                    .push((comm.irecv(Some(self.nb.y_hi), self.ty + 1), false));
+                p.sends
+                    .push(comm.isend(self.nb.y_lo, self.ty + 1, as_bytes(&bottom)));
+                p.sends
+                    .push(comm.isend(self.nb.y_hi, self.ty, as_bytes(&top)));
                 if self.corners {
-                    p.c_recvs.push((comm.irecv(Some(self.nb.y_lo), self.tc), true));
-                    p.c_recvs.push((comm.irecv(Some(self.nb.y_hi), self.tc + 1), false));
+                    p.c_recvs
+                        .push((comm.irecv(Some(self.nb.y_lo), self.tc), true));
+                    p.c_recvs
+                        .push((comm.irecv(Some(self.nb.y_hi), self.tc + 1), false));
                 }
                 *pending = Some(p);
             }
@@ -430,7 +445,13 @@ impl HaloOp {
                     let mut strip_lo = Vec::new();
                     let mut strip_hi = Vec::new();
                     Self::pack_corner(&self.shape, &self.nb, fields, 0, &mut strip_lo);
-                    Self::pack_corner(&self.shape, &self.nb, fields, ly - g as isize, &mut strip_hi);
+                    Self::pack_corner(
+                        &self.shape,
+                        &self.nb,
+                        fields,
+                        ly - g as isize,
+                        &mut strip_hi,
+                    );
                     csends.push(comm.isend(self.nb.y_lo, self.tc + 1, as_bytes(&strip_lo)));
                     csends.push(comm.isend(self.nb.y_hi, self.tc, as_bytes(&strip_hi)));
                 }
@@ -478,7 +499,13 @@ impl HaloOp {
                     let mut strip_lo = Vec::new();
                     let mut strip_hi = Vec::new();
                     Self::pack_corner(&self.shape, &self.nb, fields, 0, &mut strip_lo);
-                    Self::pack_corner(&self.shape, &self.nb, fields, ly - g as isize, &mut strip_hi);
+                    Self::pack_corner(
+                        &self.shape,
+                        &self.nb,
+                        fields,
+                        ly - g as isize,
+                        &mut strip_hi,
+                    );
                     u.send_mem.write_slice(2 * yb + 2 * zb, &strip_lo);
                     u.send_mem.write_slice(2 * yb + 2 * zb + cb, &strip_hi);
                     u.c_plan.start(&u.unr).expect("corner puts");

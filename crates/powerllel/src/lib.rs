@@ -18,22 +18,22 @@
 
 pub mod backend;
 pub mod decomp;
-pub mod halo;
-pub mod transpose;
 pub mod fft;
 pub mod field;
+pub mod halo;
 pub mod poisson;
 pub mod solver;
 pub mod timing;
+pub mod transpose;
 pub mod tridiag;
 
 pub use backend::{Backend, PddExchange};
-pub use halo::HaloOp;
-pub use transpose::TransposeOp;
 pub use decomp::{chunk, Decomp};
-pub use fft::{fd_eigenvalue, C64, Fft};
+pub use fft::{fd_eigenvalue, Fft, C64};
 pub use field::Field3;
+pub use halo::HaloOp;
 pub use poisson::PoissonSolver;
 pub use solver::{Solver, SolverConfig};
 pub use timing::Timers;
+pub use transpose::TransposeOp;
 pub use tridiag::bench_system as thomas_bench_system;

@@ -13,11 +13,11 @@ use unr_simnet::mem::{as_bytes, vec_from_bytes};
 use unr_simnet::Ns;
 
 use crate::backend::{Backend, PddExchange};
-use crate::transpose::TransposeOp;
 use crate::decomp::Decomp;
-use crate::fft::{fd_eigenvalue, C64, Fft};
+use crate::fft::{fd_eigenvalue, Fft, C64};
 use crate::field::Field3;
 use crate::timing::{Phase, PhaseObs, Timers};
+use crate::transpose::TransposeOp;
 use crate::tridiag::{pdd_correct, pdd_interface, pdd_local, thomas};
 
 pub struct PoissonSolver {
@@ -109,7 +109,8 @@ impl PoissonSolver {
                 self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
                 let t = now();
                 self.transpose.fwd_send_slab(s, &self.xp.clone());
-                self.pobs.acc(Phase::Transpose, t, now(), &mut timers.transpose);
+                self.pobs
+                    .acc(Phase::Transpose, t, now(), &mut timers.transpose);
             }
             // Consume slabs as they arrive (multi-rail jitter reorders
             // them); each slab's y-FFT runs as soon as its MMAS signal
@@ -123,7 +124,8 @@ impl PoissonSolver {
                 let mut yp = std::mem::take(&mut self.yp);
                 self.transpose.fwd_recv_slab(s, &mut yp);
                 self.yp = yp;
-                self.pobs.acc(Phase::Transpose, t, now(), &mut timers.transpose);
+                self.pobs
+                    .acc(Phase::Transpose, t, now(), &mut timers.transpose);
                 let (k0, k1) = self.transpose.slab_range(s);
                 let t = now();
                 self.ffty_slab(k0, k1, false);
@@ -132,7 +134,8 @@ impl PoissonSolver {
             }
             let t = now();
             self.transpose.fwd_complete();
-            self.pobs.acc(Phase::Transpose, t, now(), &mut timers.transpose);
+            self.pobs
+                .acc(Phase::Transpose, t, now(), &mut timers.transpose);
         } else {
             let t = now();
             self.fftx_fwd_slab(rhs, 0, lz);
@@ -140,7 +143,8 @@ impl PoissonSolver {
             self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
             let t = now();
             self.transpose.forward(&self.xp.clone(), &mut self.yp);
-            self.pobs.acc(Phase::Transpose, t, now(), &mut timers.transpose);
+            self.pobs
+                .acc(Phase::Transpose, t, now(), &mut timers.transpose);
             let t = now();
             self.ffty_slab(0, lz, false);
             self.charge(comm.ep(), self.lx_t * self.ny * lz);
@@ -163,7 +167,8 @@ impl PoissonSolver {
                 self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
                 let t = now();
                 self.transpose.bwd_send_slab(s, &self.yp.clone());
-                self.pobs.acc(Phase::Transpose, t, now(), &mut timers.transpose);
+                self.pobs
+                    .acc(Phase::Transpose, t, now(), &mut timers.transpose);
             }
             let mut pending = vec![true; slabs];
             for _ in 0..slabs {
@@ -173,7 +178,8 @@ impl PoissonSolver {
                 let mut xp = std::mem::take(&mut self.xp);
                 self.transpose.bwd_recv_slab(s, &mut xp);
                 self.xp = xp;
-                self.pobs.acc(Phase::Transpose, t, now(), &mut timers.transpose);
+                self.pobs
+                    .acc(Phase::Transpose, t, now(), &mut timers.transpose);
                 let (k0, k1) = self.transpose.slab_range(s);
                 let t = now();
                 self.fftx_inv_slab(p, k0, k1);
@@ -182,7 +188,8 @@ impl PoissonSolver {
             }
             let t = now();
             self.transpose.bwd_complete();
-            self.pobs.acc(Phase::Transpose, t, now(), &mut timers.transpose);
+            self.pobs
+                .acc(Phase::Transpose, t, now(), &mut timers.transpose);
         } else {
             let t = now();
             self.ffty_slab(0, lz, true);
@@ -190,7 +197,8 @@ impl PoissonSolver {
             self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
             let t = now();
             self.transpose.backward(&self.yp.clone(), &mut self.xp);
-            self.pobs.acc(Phase::Transpose, t, now(), &mut timers.transpose);
+            self.pobs
+                .acc(Phase::Transpose, t, now(), &mut timers.transpose);
             let t = now();
             self.fftx_inv_slab(p, 0, lz);
             self.charge(comm.ep(), nx * ly * lz);
@@ -343,13 +351,20 @@ impl PoissonSolver {
         // Neighbor exchange + interface resolution + correction.
         let (from_below, from_above) = self.pdd.exchange(&up, &down);
         for s in 0..nsys {
-            let Some(loc) = &locals_aligned[s] else { continue };
+            let Some(loc) = &locals_aligned[s] else {
+                continue;
+            };
             let xs = &mut x0[s * lz..(s + 1) * lz];
             let mut xi_left = 0.0;
             let mut xi_right = 0.0;
             if let Some(fb) = &from_below {
                 // Interface with the below rank: (its last row, my first).
-                let (xi, _eta) = pdd_interface(fb[2 * s], fb[2 * s + 1], xs[0], loc.v.as_ref().expect("v")[0]);
+                let (xi, _eta) = pdd_interface(
+                    fb[2 * s],
+                    fb[2 * s + 1],
+                    xs[0],
+                    loc.v.as_ref().expect("v")[0],
+                );
                 xi_left = xi;
             }
             if let Some(fa) = &from_above {

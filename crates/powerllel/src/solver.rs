@@ -12,9 +12,9 @@
 use unr_simnet::Ns;
 
 use crate::backend::Backend;
-use crate::halo::HaloOp;
 use crate::decomp::Decomp;
 use crate::field::Field3;
+use crate::halo::HaloOp;
 use crate::poisson::PoissonSolver;
 use crate::timing::{Phase, PhaseObs, Timers};
 
@@ -113,10 +113,7 @@ impl Solver {
         let halo_p = HaloOp::new(backend, &d, 1, 1, 2);
         let poisson = PoissonSolver::new(backend, &d, cfg.hx(), cfg.hy(), cfg.hz(), cfg.flop_ns);
         let overlap = cfg.overlap.unwrap_or(matches!(backend, Backend::Unr(_)));
-        let pobs = PhaseObs::new(
-            std::sync::Arc::clone(&comm.ep().fabric().obs),
-            comm.rank(),
-        );
+        let pobs = PhaseObs::new(std::sync::Arc::clone(&comm.ep().fabric().obs), comm.rank());
         Solver {
             cfg,
             overlap,
@@ -637,9 +634,8 @@ impl Solver {
             for j in 0..self.d.ly {
                 for i in 0..self.cfg.nx {
                     let at = self.u.idx(i, j, k);
-                    e += self.u.data[at].powi(2)
-                        + self.v.data[at].powi(2)
-                        + self.w.data[at].powi(2);
+                    e +=
+                        self.u.data[at].powi(2) + self.v.data[at].powi(2) + self.w.data[at].powi(2);
                 }
             }
         }

@@ -111,8 +111,10 @@ pub struct PhaseObs {
 impl PhaseObs {
     /// Resolve the phase histograms in `obs` for world rank `rank`.
     pub fn new(obs: Arc<unr_obs::Obs>, rank: usize) -> PhaseObs {
-        let hists = Phase::ALL
-            .map(|ph| obs.metrics.histogram(&format!("powerllel.{}_ns", ph.name())));
+        let hists = Phase::ALL.map(|ph| {
+            obs.metrics
+                .histogram(&format!("powerllel.{}_ns", ph.name()))
+        });
         PhaseObs {
             obs,
             rank: rank as u32,

@@ -39,9 +39,7 @@ pub struct TransposeOp {
 }
 
 enum Imp {
-    Mpi {
-        row: Comm,
-    },
+    Mpi { row: Comm },
     Unr(Box<UnrT>),
 }
 
@@ -67,18 +65,24 @@ impl TransposeOp {
         let py = d.py;
         let x_chunks: Vec<(usize, usize)> = (0..py).map(|q| d.x_chunk_of(q)).collect();
         let y_chunks: Vec<(usize, usize)> = (0..py).map(|q| d.y_chunk_of(q)).collect();
-        let send_counts: Vec<usize> =
-            (0..py).map(|q| 2 * x_chunks[q].1 * d.ly * d.lz * 8).collect();
-        let recv_counts: Vec<usize> =
-            (0..py).map(|q| 2 * d.lx_t * y_chunks[q].1 * d.lz * 8).collect();
+        let send_counts: Vec<usize> = (0..py)
+            .map(|q| 2 * x_chunks[q].1 * d.ly * d.lz * 8)
+            .collect();
+        let recv_counts: Vec<usize> = (0..py)
+            .map(|q| 2 * d.lx_t * y_chunks[q].1 * d.lz * 8)
+            .collect();
         let slabs = slabs.clamp(1, d.lz.max(1));
         let imp = match backend {
             Backend::Mpi => Imp::Mpi { row: d.row.clone() },
-            Backend::Unr(unr) => {
-                Imp::Unr(Box::new(Self::build_unr(
-                    unr, d, slabs, &x_chunks, &y_chunks, &send_counts, &recv_counts,
-                )))
-            }
+            Backend::Unr(unr) => Imp::Unr(Box::new(Self::build_unr(
+                unr,
+                d,
+                slabs,
+                &x_chunks,
+                &y_chunks,
+                &send_counts,
+                &recv_counts,
+            ))),
         };
         TransposeOp {
             d_nx: d.nx,
@@ -126,10 +130,8 @@ impl TransposeOp {
         let fwd_recv = unr.mem_reg(total_recv.max(8));
         let bwd_send = unr.mem_reg(total_recv.max(8));
         let bwd_recv = unr.mem_reg(total_send.max(8));
-        let fwd_recv_sigs: Vec<Signal> =
-            (0..slabs).map(|_| unr.sig_init(py as i64)).collect();
-        let bwd_recv_sigs: Vec<Signal> =
-            (0..slabs).map(|_| unr.sig_init(py as i64)).collect();
+        let fwd_recv_sigs: Vec<Signal> = (0..slabs).map(|_| unr.sig_init(py as i64)).collect();
+        let bwd_recv_sigs: Vec<Signal> = (0..slabs).map(|_| unr.sig_init(py as i64)).collect();
         let fwd_send_sig = unr.sig_init((py * slabs) as i64);
         let bwd_send_sig = unr.sig_init((py * slabs) as i64);
 
@@ -158,13 +160,15 @@ impl TransposeOp {
                 let off = rd[q] + k0 * ylq * 2 * d.lx_t * 8;
                 let len = nk * ylq * 2 * d.lx_t * 8;
                 fwd_flat.extend_from_slice(
-                    &unr.blk_init(&fwd_recv, off, len, Some(&fwd_recv_sigs[s])).to_bytes(),
+                    &unr.blk_init(&fwd_recv, off, len, Some(&fwd_recv_sigs[s]))
+                        .to_bytes(),
                 );
                 let xlq = x_chunks[q].1;
                 let boff = sd[q] + k0 * d.ly * 2 * xlq * 8;
                 let blen = nk * d.ly * 2 * xlq * 8;
                 bwd_flat.extend_from_slice(
-                    &unr.blk_init(&bwd_recv, boff, blen, Some(&bwd_recv_sigs[s])).to_bytes(),
+                    &unr.blk_init(&bwd_recv, boff, blen, Some(&bwd_recv_sigs[s]))
+                        .to_bytes(),
                 );
             }
         }
@@ -190,7 +194,10 @@ impl TransposeOp {
                 let xlq = x_chunks[q].1;
                 let off = sd[q] + k0 * d.ly * 2 * xlq * 8;
                 let len = nk * d.ly * 2 * xlq * 8;
-                fp.put(&unr.blk_init(&fwd_send, off, len, Some(&fwd_send_sig)), &tgt);
+                fp.put(
+                    &unr.blk_init(&fwd_send, off, len, Some(&fwd_send_sig)),
+                    &tgt,
+                );
 
                 let btgt = unr_core::Blk::from_bytes(
                     &all_bwd[q][(s * py + me) * wire..(s * py + me + 1) * wire],
@@ -199,7 +206,10 @@ impl TransposeOp {
                 let ylq = y_chunks[q].1;
                 let boff = rd[q] + k0 * ylq * 2 * d.lx_t * 8;
                 let blen = nk * ylq * 2 * d.lx_t * 8;
-                bp.put(&unr.blk_init(&bwd_send, boff, blen, Some(&bwd_send_sig)), &btgt);
+                bp.put(
+                    &unr.blk_init(&bwd_send, boff, blen, Some(&bwd_send_sig)),
+                    &btgt,
+                );
             }
             fwd_plans.push(fp);
             bwd_plans.push(bp);

@@ -130,14 +130,7 @@ pub fn pdd_reference(a: &[f64], b: &[f64], c: &[f64], d: &[f64], parts: usize) -
     let mut locals: Vec<PddLocal> = Vec::with_capacity(parts);
     for (p, &(s, e)) in bounds.iter().enumerate() {
         let mut dd = d[s..e].to_vec();
-        let loc = pdd_local(
-            &a[s..e],
-            &b[s..e],
-            &c[s..e],
-            &mut dd,
-            p > 0,
-            p < parts - 1,
-        );
+        let loc = pdd_local(&a[s..e], &b[s..e], &c[s..e], &mut dd, p > 0, p < parts - 1);
         x0s.push(dd);
         locals.push(loc);
     }
@@ -172,7 +165,9 @@ pub fn bench_system(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
     let a = vec![1.0; n];
     let c = vec![1.0; n];
     let b = vec![-4.5; n];
-    let d: Vec<f64> = (0..n).map(|i| ((i * 37 + 11) % 97) as f64 / 97.0 - 0.5).collect();
+    let d: Vec<f64> = (0..n)
+        .map(|i| ((i * 37 + 11) % 97) as f64 / 97.0 - 0.5)
+        .collect();
     (a, b, c, d)
 }
 

@@ -42,18 +42,13 @@ fn solve_error(n: usize) -> f64 {
                 }
             }
         }
-        let all = unr_minimpi::allreduce_f64(
-            &d.world,
-            &[sum, cnt],
-            unr_minimpi::ReduceOp::Sum,
-        );
+        let all = unr_minimpi::allreduce_f64(&d.world, &[sum, cnt], unr_minimpi::ReduceOp::Sum);
         let shift = all[0] / all[1];
         let mut err: f64 = 0.0;
         for k in 0..d.lz {
             for j in 0..d.ly {
                 for i in 0..nx {
-                    let e =
-                        p.data[p.idx(i, j, k)] - shift - exact(i, j + d.off_y, k + d.off_z);
+                    let e = p.data[p.idx(i, j, k)] - shift - exact(i, j + d.off_y, k + d.off_z);
                     err = err.max(e.abs());
                 }
             }

@@ -3,7 +3,7 @@
 //! packing, decomposition chunking.
 
 use unr_integration::{run_cases, Gen};
-use unr_powerllel::{chunk, fd_eigenvalue, C64, Fft};
+use unr_powerllel::{chunk, fd_eigenvalue, Fft, C64};
 
 fn rand_complex(n: usize, g: &mut Gen) -> Vec<C64> {
     (0..n)
@@ -131,7 +131,12 @@ fn pdd_close_to_thomas() {
             (100.0 * rho.powi((n / parts) as i32)).max(1e-10)
         };
         for (gv, w) in got.iter().zip(&want) {
-            assert!((gv - w).abs() < bound, "err {} bound {}", (gv - w).abs(), bound);
+            assert!(
+                (gv - w).abs() < bound,
+                "err {} bound {}",
+                (gv - w).abs(),
+                bound
+            );
         }
     });
 }

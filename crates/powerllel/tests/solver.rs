@@ -35,7 +35,11 @@ fn discrete_laplacian(p: &Field3, hx: f64, hy: f64, hz: f64, cz: usize, pz: usiz
                 let ym = p.get(i, j - 1, k);
                 let yp_ = p.get(i, j + 1, k);
                 // Neumann in z at the global walls.
-                let zm = if k == 0 && cz == 0 { c } else { p.get(i, j, k - 1) };
+                let zm = if k == 0 && cz == 0 {
+                    c
+                } else {
+                    p.get(i, j, k - 1)
+                };
                 let zp_ = if k == nz - 1 && cz + 1 == pz {
                     c
                 } else {
@@ -63,7 +67,9 @@ fn poisson_exact_single_rank() {
         let mut ps = PoissonSolver::new(&backend, &d, hx, hy, hz, 1.0);
         // Zero-mean rhs.
         let mut rhs = Field3::new(nx, ny, nz, 1);
-        rhs.fill(0, 0, |i, j, k| ((i * 31 + j * 17 + k * 7) % 13) as f64 - 6.0);
+        rhs.fill(0, 0, |i, j, k| {
+            ((i * 31 + j * 17 + k * 7) % 13) as f64 - 6.0
+        });
         let mut sum = 0.0;
         for k in 0..nz {
             for j in 0..ny {
@@ -107,7 +113,14 @@ fn poisson_exact_single_rank() {
 }
 
 /// Projection drives divergence to (near) zero; MPI and UNR agree.
-fn run_solver(nodes: usize, rpn: usize, py: usize, pz: usize, unr: bool, steps: usize) -> Vec<(f64, f64, f64)> {
+fn run_solver(
+    nodes: usize,
+    rpn: usize,
+    py: usize,
+    pz: usize,
+    unr: bool,
+    steps: usize,
+) -> Vec<(f64, f64, f64)> {
     run_mpi_world(fabric(nodes, rpn), move |comm| {
         let backend = make_backend(comm, unr);
         let mut cfg = SolverConfig::small(py, pz);
@@ -132,8 +145,7 @@ fn run_solver(nodes: usize, rpn: usize, py: usize, pz: usize, unr: bool, steps: 
                 }
             }
         }
-        let total =
-            unr_minimpi::allreduce_f64(&s.d.world, &[sum], unr_minimpi::ReduceOp::Sum)[0];
+        let total = unr_minimpi::allreduce_f64(&s.d.world, &[sum], unr_minimpi::ReduceOp::Sum)[0];
         (div, ke, total)
     })
 }
@@ -241,7 +253,11 @@ fn asymmetric_process_grid() {
     // rank) make this negligible -- see pdd_matches_thomas_for_
     // dominant_system for the analytic bound.
     let b = run_solver(4, 1, 1, 4, false, 1);
-    assert!(b[0].0.is_finite() && b[0].0 < 0.5, "py=1 pz=4 divergence {}", b[0].0);
+    assert!(
+        b[0].0.is_finite() && b[0].0 < 0.5,
+        "py=1 pz=4 divergence {}",
+        b[0].0
+    );
     // Same grid (same spacing, hence same per-mode dominance) split
     // over half as many z ranks doubles the rows per rank, which must
     // shrink the truncation error by orders of magnitude.

@@ -129,7 +129,10 @@ impl RankReport {
         fn field(line: &str, key: &str) -> Option<u64> {
             let pat = format!("\"{key}\":");
             let at = line.find(&pat)? + pat.len();
-            let digits: String = line[at..].chars().take_while(|c| c.is_ascii_digit()).collect();
+            let digits: String = line[at..]
+                .chars()
+                .take_while(|c| c.is_ascii_digit())
+                .collect();
             digits.parse().ok()
         }
         let lat_at = line.find("\"lat\":[")? + "\"lat\":[".len();

@@ -307,10 +307,15 @@ impl<'u, T: Transport> KvService<'u, T> {
     fn submit_put(&mut self, arr: Arrival) -> Result<(), ServeError> {
         let p = Placement::of(arr.key, self.nranks, self.cfg.slots_per_rank);
         let me = self.me;
-        let remote_legs = p.replicas(self.nranks, self.r_eff).filter(|&d| d != me).count();
+        let remote_legs = p
+            .replicas(self.nranks, self.r_eff)
+            .filter(|&d| d != me)
+            .count();
         if remote_legs > 0 {
-            let remotes: Vec<usize> =
-                p.replicas(self.nranks, self.r_eff).filter(|&d| d != me).collect();
+            let remotes: Vec<usize> = p
+                .replicas(self.nranks, self.r_eff)
+                .filter(|&d| d != me)
+                .collect();
             self.admit(remotes.iter().copied())?;
         }
         let ver = self.next_ver;
@@ -339,7 +344,10 @@ impl<'u, T: Transport> KvService<'u, T> {
         let local = self.mem.blk(off, self.rec, SigKey::NULL);
         for dst in p.replicas(self.nranks, self.r_eff).filter(|&d| d != me) {
             let remote = self.window_slot(dst, p.slot);
-            if let Err(e) = self.unr.put_keyed(&local, &remote, sig.key(), remote.sig_key) {
+            if let Err(e) = self
+                .unr
+                .put_keyed(&local, &remote, sig.key(), remote.sig_key)
+            {
                 // A failed leg can never fire its addend; give the slot
                 // back rather than leaking it into pending forever.
                 self.scratch_free.push(slot);

@@ -259,7 +259,9 @@ mod tests {
     fn read_mix_is_respected() {
         let mut g = ClientGen::new(3, 10, 1_000_000, 128, 0.5, 0.9);
         let n = 20_000;
-        let gets = (0..n).filter(|_| g.next_arrival().kind == OpKind::Get).count();
+        let gets = (0..n)
+            .filter(|_| g.next_arrival().kind == OpKind::Get)
+            .count();
         let frac = gets as f64 / n as f64;
         assert!((frac - 0.9).abs() < 0.02, "read fraction {frac} vs 0.9");
     }

@@ -239,6 +239,12 @@ fn serve_metrics_are_registered_under_unr_serve() {
         run.snapshot.get("unr.serve.request_ns").is_some(),
         "latency histogram missing"
     );
-    assert_eq!(run.snapshot.counter("unr.serve.puts"), Some(run.merged.puts));
-    assert_eq!(run.snapshot.counter("unr.serve.gets"), Some(run.merged.gets));
+    assert_eq!(
+        run.snapshot.counter("unr.serve.puts"),
+        Some(run.merged.puts)
+    );
+    assert_eq!(
+        run.snapshot.counter("unr.serve.gets"),
+        Some(run.merged.gets)
+    );
 }

@@ -314,7 +314,10 @@ impl std::fmt::Display for FabricError {
                 write!(f, "interface has no remote custom bits for this op")
             }
             FabricError::RmaUnsupported => {
-                write!(f, "interface has no RMA primitives (use the fallback channel)")
+                write!(
+                    f,
+                    "interface has no RMA primitives (use the fallback channel)"
+                )
             }
         }
     }
@@ -331,7 +334,9 @@ impl Fabric {
         );
         let nodes = (0..cfg.nodes)
             .map(|_| NodeState {
-                nics: (0..cfg.nics_per_node).map(|_| NicState::default()).collect(),
+                nics: (0..cfg.nics_per_node)
+                    .map(|_| NicState::default())
+                    .collect(),
                 loopback: NicState::default(),
             })
             .collect();
@@ -491,10 +496,7 @@ impl Fabric {
         }
     }
 
-    fn lookup_region(
-        inner: &FabricInner,
-        key: RKey,
-    ) -> Option<(MemRegion, Arc<CompletionQueue>)> {
+    fn lookup_region(inner: &FabricInner, key: RKey) -> Option<(MemRegion, Arc<CompletionQueue>)> {
         inner
             .ranks
             .get(key.rank)?
@@ -782,7 +784,10 @@ impl Endpoint {
         let len = op.len;
 
         fabric.stats.puts.fetch_add(1, Ordering::Relaxed);
-        fabric.stats.bytes_put.fetch_add(len as u64, Ordering::Relaxed);
+        fabric
+            .stats
+            .bytes_put
+            .fetch_add(len as u64, Ordering::Relaxed);
         fabric.metrics.puts.inc();
         fabric.metrics.bytes_put.add(len as u64);
 
@@ -1088,7 +1093,10 @@ impl Endpoint {
         let nic_sel = op.nic;
 
         fabric.stats.gets.fetch_add(1, Ordering::Relaxed);
-        fabric.stats.bytes_get.fetch_add(len as u64, Ordering::Relaxed);
+        fabric
+            .stats
+            .bytes_get
+            .fetch_add(len as u64, Ordering::Relaxed);
         fabric.metrics.gets.inc();
         fabric.metrics.bytes_get.add(len as u64);
 
@@ -1342,20 +1350,16 @@ impl Endpoint {
     pub fn wait_cq(&self, cq: &Arc<CompletionQueue>) -> Ns {
         let c1 = Arc::clone(cq);
         let c2 = Arc::clone(cq);
-        self.actor.wait_until(
-            move |_st| !c1.is_empty(),
-            move |_st, me| c2.add_waiter(me),
-        )
+        self.actor
+            .wait_until(move |_st| !c1.is_empty(), move |_st, me| c2.add_waiter(me))
     }
 
     /// Block until `port` has a datagram, then pop it.
     pub fn recv_dgram(&self, port: &Arc<Port>) -> Dgram {
         let p1 = Arc::clone(port);
         let p2 = Arc::clone(port);
-        self.actor.wait_until(
-            move |_st| !p1.is_empty(),
-            move |_st, me| p2.add_waiter(me),
-        );
+        self.actor
+            .wait_until(move |_st| !p1.is_empty(), move |_st, me| p2.add_waiter(me));
         port.try_pop().expect("woken with message present")
     }
 

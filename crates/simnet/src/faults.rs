@@ -256,7 +256,10 @@ mod tests {
         };
         assert_eq!(run(), run(), "same seed must give the same fault trace");
         let other = {
-            let cfg2 = FaultConfig { seed: 99, ..cfg.clone() };
+            let cfg2 = FaultConfig {
+                seed: 99,
+                ..cfg.clone()
+            };
             let mut st = FaultState::new(&cfg2);
             (0..200)
                 .map(|i| st.decide(&cfg2, None, i as Ns * 10, 1_200))

@@ -54,10 +54,10 @@ pub mod time;
 pub mod trace;
 pub mod world;
 
+pub use bytes::Bytes;
 pub use fabric::{
     AtomicAddSink, Endpoint, Fabric, FabricConfig, FabricError, GetOp, NicSel, PutOp,
 };
-pub use bytes::Bytes;
 pub use faults::{FaultConfig, FlapConfig};
 pub use mem::{MemRegion, OutOfBounds, Pod, RKey};
 pub use nic::{CustomBits, InterfaceKind, InterfaceSpec, NicModel};

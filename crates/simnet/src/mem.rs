@@ -268,7 +268,11 @@ impl MemRegion {
         // the copy has initialised all `len` bytes of it. Same race
         // contract as `read_bytes`.
         let buf = unsafe {
-            std::ptr::copy_nonoverlapping(self.buf.ptr.add(offset), dst.as_mut_ptr().cast::<u8>(), len);
+            std::ptr::copy_nonoverlapping(
+                self.buf.ptr.add(offset),
+                dst.as_mut_ptr().cast::<u8>(),
+                len,
+            );
             buf.assume_init()
         };
         Ok(Bytes::from(buf))
@@ -281,11 +285,7 @@ impl MemRegion {
         self.check(off, bytes)?;
         // SAFETY: T: Pod, bounds checked.
         unsafe {
-            std::ptr::copy_nonoverlapping(
-                data.as_ptr().cast::<u8>(),
-                self.buf.ptr.add(off),
-                bytes,
-            );
+            std::ptr::copy_nonoverlapping(data.as_ptr().cast::<u8>(), self.buf.ptr.add(off), bytes);
         }
         Ok(())
     }
@@ -425,7 +425,10 @@ mod tests {
         assert_eq!(snap, data[..8].to_vec());
         // Out of bounds, by length and by overflow: the same `Err` as a read.
         for (offset, len) in [(60, 5), (65, 0), (usize::MAX, 2)] {
-            assert_eq!(r.snapshot_shared(offset, len).unwrap_err(), read(offset, len).unwrap_err());
+            assert_eq!(
+                r.snapshot_shared(offset, len).unwrap_err(),
+                read(offset, len).unwrap_err()
+            );
         }
     }
 

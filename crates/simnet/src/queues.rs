@@ -328,13 +328,10 @@ mod tests {
             consumer.begin();
             let got = {
                 let p = Arc::clone(&p2);
-                consumer.wait_until(
-                    move |_st| !p.is_empty(),
-                    {
-                        let p = Arc::clone(&p2);
-                        move |_st, me| p.add_waiter(me)
-                    },
-                )
+                consumer.wait_until(move |_st| !p.is_empty(), {
+                    let p = Arc::clone(&p2);
+                    move |_st, me| p.add_waiter(me)
+                })
             };
             assert_eq!(got, 100, "consumer woken at producer's send time");
             let d = p2.try_pop().expect("message present");

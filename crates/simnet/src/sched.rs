@@ -346,9 +346,7 @@ impl Sched {
                 .filter(|&a| self.gate.is_none_or(|g| a < g));
             let gate = self.gate.map(|(g, _)| g);
             let run_event = match (self.events.peek(), a) {
-                (Some(Reverse(e)), Some((ta, _))) => {
-                    e.t <= ta && gate.is_none_or(|g| e.t <= g)
-                }
+                (Some(Reverse(e)), Some((ta, _))) => e.t <= ta && gate.is_none_or(|g| e.t <= g),
                 (Some(Reverse(e)), None) => gate.is_none_or(|g| e.t <= g),
                 (None, _) => false,
             };

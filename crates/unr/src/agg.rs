@@ -104,7 +104,10 @@ pub struct Coalescer {
 impl Coalescer {
     /// An empty coalescer for `world` ranks with the given thresholds.
     pub fn new(world: usize, flush_bytes: usize, flush_puts: usize) -> Coalescer {
-        assert!(flush_bytes > 0 && flush_puts > 0, "flush thresholds must be positive");
+        assert!(
+            flush_bytes > 0 && flush_puts > 0,
+            "flush thresholds must be positive"
+        );
         Coalescer {
             rings: (0..world).map(|_| DstRing::default()).collect(),
             dirty: Vec::new(),
@@ -126,7 +129,12 @@ impl Coalescer {
         local_sig: (u64, i64),
     ) -> Option<FlushWhy> {
         self.rings[dst].buf.extend_from_slice(data);
-        self.pushed(dst, (region, offset, data.len() as u32), remote_sig, local_sig)
+        self.pushed(
+            dst,
+            (region, offset, data.len() as u32),
+            remote_sig,
+            local_sig,
+        )
     }
 
     /// [`Coalescer::push`] of the put `local` → `remote`, its bytes
@@ -295,15 +303,25 @@ mod tests {
         let (mut by_blk, mut by_slice) = (Coalescer::new(4, 16, 100), Coalescer::new(4, 16, 100));
         for (off, len, to) in [(8, 4, 40), (30, 12, 0)] {
             let (local, remote) = (blk(0, 4, off, len), blk(2, 1, to, len));
-            let why = by_blk.push_blk(&src, &local, &remote, (10, -1), (5, -1)).unwrap();
+            let why = by_blk
+                .push_blk(&src, &local, &remote, (10, -1), (5, -1))
+                .unwrap();
             let data: Vec<u8> = (off as u8..(off + len) as u8).collect();
-            assert_eq!(why, by_slice.push(2, 1, to as u64, &data, (10, -1), (5, -1)));
+            assert_eq!(
+                why,
+                by_slice.push(2, 1, to as u64, &data, (10, -1), (5, -1))
+            );
         }
         let outside = blk(0, 4, 60, 8);
-        assert!(by_blk.push_blk(&src, &outside, &blk(2, 1, 0, 8), (10, -1), (5, -1)).is_err());
+        assert!(by_blk
+            .push_blk(&src, &outside, &blk(2, 1, 0, 8), (10, -1), (5, -1))
+            .is_err());
         assert_eq!(by_blk.backlog(2), (16, 2));
         let (a, b) = (by_blk.drain(2).unwrap(), by_slice.drain(2).unwrap());
-        assert_eq!((a.spans, a.sigs, a.local_sigs, a.payload, a.puts), (b.spans, b.sigs, b.local_sigs, b.payload, b.puts));
+        assert_eq!(
+            (a.spans, a.sigs, a.local_sigs, a.payload, a.puts),
+            (b.spans, b.sigs, b.local_sigs, b.payload, b.puts)
+        );
     }
 
     #[test]

@@ -109,7 +109,11 @@ impl Blk {
         }
         let region = region.ok_or(UnrError::RegionUnknown(self.region_id))?;
         let fits = |side: &str, blk: &Blk, region_len: usize| {
-            if blk.offset.checked_add(blk.len).is_some_and(|end| end <= region_len) {
+            if blk
+                .offset
+                .checked_add(blk.len)
+                .is_some_and(|end| end <= region_len)
+            {
                 return Ok(());
             }
             Err(UnrError::Fabric(FabricError::OutOfBounds(format!(

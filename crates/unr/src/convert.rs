@@ -19,8 +19,8 @@
 use unr_minimpi::Comm;
 
 use crate::blk::{Blk, UnrMem, BLK_WIRE_LEN};
-use crate::post::Unr;
 use crate::plan::RmaPlan;
+use crate::post::Unr;
 use crate::signal::Signal;
 
 /// Reserved mini-MPI tag space for conversion-time BLK exchanges.
@@ -158,7 +158,12 @@ pub fn alltoallv_convert(
     // recv_displs[i], triggering recv_finish_sig.
     let mut flat = Vec::with_capacity(n * BLK_WIRE_LEN);
     for i in 0..n {
-        let blk = unr.blk_init(recv_mem, recv_displs[i], recv_counts[i], Some(recv_finish_sig));
+        let blk = unr.blk_init(
+            recv_mem,
+            recv_displs[i],
+            recv_counts[i],
+            Some(recv_finish_sig),
+        );
         flat.extend_from_slice(&blk.to_bytes());
     }
     let all = unr_minimpi::allgather_bytes(comm, &flat);
@@ -175,7 +180,12 @@ pub fn alltoallv_convert(
             b.len, send_counts[dst],
             "peer {dst}'s receive count must match my send count"
         );
-        let local = unr.blk_init(send_mem, send_displs[dst], send_counts[dst], send_finish_sig);
+        let local = unr.blk_init(
+            send_mem,
+            send_displs[dst],
+            send_counts[dst],
+            send_finish_sig,
+        );
         plan.put(&local, &b);
     }
     plan

@@ -4,10 +4,10 @@
 //! `Unr::init`. The put, get, wait and rank-level calls over it are
 //! [`crate::post`]'s and [`crate::wait`]'s.
 
-use unr_simnet::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
+use unr_simnet::sync::Mutex;
 
 use unr_simnet::{
     ActorId, AtomicAddSink, Completion, CompletionKind, CompletionQueue, Endpoint, FabricError,
@@ -15,9 +15,9 @@ use unr_simnet::{
 };
 
 use crate::blk::{MemCheckpoint, UnrMem};
+use crate::channel::{Channel, ChannelSelect, Mechanism};
 use crate::ctrl::{self, CtrlEvent, CtrlSink, HwMetrics, TableSink};
 use crate::epoch::{Epoch, EpochMetrics, MembershipView, PeerFailedCause, RecoveryPolicy};
-use crate::channel::{Channel, ChannelSelect, Mechanism};
 use crate::level::{EncodeError, Encoding};
 use crate::post::{Unr, UnrCore};
 use crate::retry::{Reliability, Resend, RetryPolicy, RetryState, Route};
@@ -612,10 +612,7 @@ impl UnrMetrics {
             sig_reset_errors: m.counter("unr.signal.reset_errors"),
             overflow_trips: m.counter("unr.signal.overflow_trips"),
             channel_msgs: m.counter(&format!("unr.channel.{}.msgs", channel.name)),
-            level_msgs: m.counter(&format!(
-                "unr.level.{}.msgs",
-                channel.level.as_index()
-            )),
+            level_msgs: m.counter(&format!("unr.level.{}.msgs", channel.level.as_index())),
             stripe_fanout: m.histogram("unr.stripe_fanout"),
             progress_batch: m.histogram("unr.progress.batch_size"),
             plan_ops: m.counter("unr.plan.ops"),
@@ -771,7 +768,8 @@ impl SimState {
 
     /// The lazily-registered epoch/recovery instruments.
     pub(crate) fn emet(&self) -> &EpochMetrics {
-        self.emet.get_or_init(|| EpochMetrics::new(&self.fabric.obs))
+        self.emet
+            .get_or_init(|| EpochMetrics::new(&self.fabric.obs))
     }
 
     /// Read the fabric's membership epoch, counting any advance since
@@ -815,7 +813,9 @@ impl SimState {
         if !self.membership_on() {
             return;
         }
-        let Some(retry) = &self.core.retry else { return };
+        let Some(retry) = &self.core.retry else {
+            return;
+        };
         if self.fabric.num_dead() == 0 {
             return;
         }
@@ -926,7 +926,10 @@ impl SimState {
             let Some(frame) = self.admit_ctrl(&d.bytes) else {
                 continue;
             };
-            if frame.first().is_some_and(|&kind| CtrlMsg::is_data_bearing(kind)) {
+            if frame
+                .first()
+                .is_some_and(|&kind| CtrlMsg::is_data_bearing(kind))
+            {
                 fb_bytes += frame.len();
                 fb_msgs += 1;
             }
@@ -948,7 +951,9 @@ impl SimState {
     /// wake waiters when the channel goes down. The actual (re)posts
     /// ride `replies` out of scheduler context.
     fn sweep_retries(&self, sched: &mut Sched, t: Ns, replies: &mut Vec<Resend>) {
-        let Some(retry) = &self.core.retry else { return };
+        let Some(retry) = &self.core.retry else {
+            return;
+        };
         if !retry.is_due() {
             return;
         }
@@ -1074,7 +1079,12 @@ impl SimSink<'_> {
     /// Count a span that could not land or be read. Registered on
     /// first use, so a fault-free snapshot does not carry the series.
     fn bad_dma(&self) {
-        self.sim.fabric.obs.metrics.counter("unr.ctrl.bad_dma").inc();
+        self.sim
+            .fabric
+            .obs
+            .metrics
+            .counter("unr.ctrl.bad_dma")
+            .inc();
     }
 }
 
@@ -1115,9 +1125,13 @@ impl CtrlSink for SimSink<'_> {
 
     fn count(&mut self, event: CtrlEvent) {
         match (event, &self.sim.rmet) {
-            (CtrlEvent::Malformed, _) => {
-                self.sim.fabric.obs.metrics.counter("unr.ctrl.malformed").inc()
-            }
+            (CtrlEvent::Malformed, _) => self
+                .sim
+                .fabric
+                .obs
+                .metrics
+                .counter("unr.ctrl.malformed")
+                .inc(),
             (CtrlEvent::DupSuppressed, Some(rm)) => rm.dup_suppressed.inc(),
             (CtrlEvent::Acked { first_post }, Some(rm)) => {
                 rm.acks.inc();

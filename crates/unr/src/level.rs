@@ -117,7 +117,10 @@ impl std::fmt::Display for EncodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             EncodeError::KeyTooLarge { key, bits } => {
-                write!(f, "signal key {key} exceeds the {bits} custom bits available")
+                write!(
+                    f,
+                    "signal key {key} exceeds the {bits} custom bits available"
+                )
             }
             EncodeError::AddendOutOfRange { addend, bits } => {
                 write!(f, "addend {addend} does not fit in {bits} bits")
@@ -350,7 +353,13 @@ mod tests {
     fn keyonly_requires_minus_one() {
         let e = Encoding::KeyOnly { bits: 8 };
         assert_eq!(
-            e.decode(e.encode(Notif { key: 200, addend: -1 }).unwrap()),
+            e.decode(
+                e.encode(Notif {
+                    key: 200,
+                    addend: -1
+                })
+                .unwrap()
+            ),
             Notif {
                 key: 200,
                 addend: -1
@@ -379,7 +388,10 @@ mod tests {
         };
         let adds = crate::signal::striped_addends(4, 8);
         for a in adds {
-            let n = Notif { key: 513, addend: a };
+            let n = Notif {
+                key: 513,
+                addend: a,
+            };
             let w = e.encode(n).unwrap();
             assert_eq!(e.decode(w), n, "addend {a}");
         }

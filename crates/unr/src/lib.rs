@@ -84,6 +84,7 @@ pub mod wire;
 pub use agg::{AggFlush, AggMetrics, Coalescer, FlushWhy};
 pub use blk::{Blk, MemCheckpoint, UnrMem, BLK_WIRE_LEN};
 pub use channel::{Channel, ChannelSelect, Mechanism};
+pub use ctrl::{handle_ctrl, CtrlEvent, CtrlSink, HwMetrics, TableSink};
 pub use engine::{
     ProgressMode, SimTransport, UnrConfig, UnrConfigBuilder, UnrError, UnrStats, UNR_PORT,
 };
@@ -92,12 +93,9 @@ pub use level::{EncodeError, Encoding, Notif, SupportLevel};
 pub use pack::{PackChannel, PackReceiver, PackSender};
 pub use plan::{PlanOp, RmaPlan};
 pub use post::Unr;
-pub use ctrl::{handle_ctrl, CtrlEvent, CtrlSink, HwMetrics, TableSink};
 pub use retry::{
     DedupWindow, Registered, Reliability, Resend, RetryPolicy, RetryState, Route, SweepOutcome,
 };
-pub use signal::{
-    striped_addends, Applied, SigKey, Signal, SignalError, SignalStats, SignalTable,
-};
+pub use signal::{striped_addends, Applied, SigKey, Signal, SignalError, SignalStats, SignalTable};
 pub use transport::{Backend, RmaOp, SeqPost, Transport};
 pub use wait::{Until, Woke};

@@ -23,8 +23,8 @@ use unr_minimpi::Comm;
 use crate::blk::{Blk, UnrMem};
 use crate::convert;
 use crate::engine::UnrError;
-use crate::post::Unr;
 use crate::plan::RmaPlan;
+use crate::post::Unr;
 use crate::signal::Signal;
 
 /// Reserved tag space for pack-channel setup.
@@ -161,9 +161,7 @@ impl PackSender {
         }
         self.staging.write_bytes(0, &self.count.to_le_bytes());
         let used = self.cursor;
-        let local = self
-            .staging
-            .blk(0, used, self.send_sig.key());
+        let local = self.staging.blk(0, used, self.send_sig.key());
         let remote = Blk {
             len: used,
             ..self.target

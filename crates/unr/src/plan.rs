@@ -177,5 +177,4 @@ mod tests {
             _ => unreachable!(),
         }
     }
-
 }

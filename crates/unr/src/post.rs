@@ -74,7 +74,11 @@ impl UnrCore {
             met: UnrMetrics::new(obs, &channel),
             retry,
             agg: on.then(|| {
-                Mutex::new(Coalescer::new(nranks, cfg.agg_flush_bytes, cfg.agg_flush_puts))
+                Mutex::new(Coalescer::new(
+                    nranks,
+                    cfg.agg_flush_bytes,
+                    cfg.agg_flush_puts,
+                ))
             }),
             amet: on.then(|| AggMetrics::new(obs)),
             agg_vcost: AtomicU64::new(0),
@@ -305,7 +309,9 @@ impl<T: Transport> Unr<T> {
         let core = &self.core;
         let len = local.len;
         core.stats.puts.fetch_add(1, Ordering::Relaxed);
-        core.stats.bytes_put.fetch_add(len as u64, Ordering::Relaxed);
+        core.stats
+            .bytes_put
+            .fetch_add(len as u64, Ordering::Relaxed);
         core.met.puts.inc();
         core.met.bytes_put.add(len as u64);
         core.met.channel_msgs.inc();
@@ -564,7 +570,9 @@ impl<T: Transport> Unr<T> {
 
     /// Flush one destination's aggregate ring, if non-empty.
     fn agg_flush_dst(&self, dst: usize, why: FlushWhy) -> Result<(), UnrError> {
-        let Some(aggm) = &self.core.agg else { return Ok(()) };
+        let Some(aggm) = &self.core.agg else {
+            return Ok(());
+        };
         let fl = {
             let mut c = aggm.lock();
             if !c.has_pending(dst) {
@@ -582,7 +590,9 @@ impl<T: Transport> Unr<T> {
     /// `why` (blocking waits, plan boundaries, explicit flushes,
     /// finalize).
     pub fn agg_flush_all(&self, why: FlushWhy) -> Result<(), UnrError> {
-        let Some(aggm) = &self.core.agg else { return Ok(()) };
+        let Some(aggm) = &self.core.agg else {
+            return Ok(());
+        };
         let flushes: Vec<(usize, AggFlush)> = {
             let mut c = aggm.lock();
             let dirty = c.take_dirty();
@@ -760,7 +770,10 @@ impl<T: Transport> Unr<T> {
                     (_, None) => return Err(UnrError::GetRemoteNotifyUnsupported),
                     (key, Some(e)) => e.encode(Notif { key, addend: -1 })?,
                 };
-                (enc.get_local.encode(notif_for(local_sig, -1))?, custom_remote)
+                (
+                    enc.get_local.encode(notif_for(local_sig, -1))?,
+                    custom_remote,
+                )
             }
         };
         self.tx.get(RmaOp {
@@ -794,7 +807,8 @@ impl<T: Transport> Unr<T> {
             return 1;
         }
         let probe = striped_addends(k, self.core.table.n_bits())[0];
-        let fits = |e: Encoding, key: u64| key == 0 || e.encode(Notif { key, addend: probe }).is_ok();
+        let fits =
+            |e: Encoding, key: u64| key == 0 || e.encode(Notif { key, addend: probe }).is_ok();
         if fits(enc.put_local, local_sig) && fits(enc.put_remote, remote_sig) {
             k
         } else {
@@ -1102,7 +1116,8 @@ pub(crate) mod tests {
                 *sums[side].entry(key).or_insert(0) += addend;
             }
         };
-        let frame = |add: &mut dyn FnMut(usize, u64, i64), bytes: &[u8]| match CtrlMsg::parse(bytes) {
+        let frame = |add: &mut dyn FnMut(usize, u64, i64), bytes: &[u8]| match CtrlMsg::parse(bytes)
+        {
             CtrlMsg::Companion { key, addend }
             | CtrlMsg::FallbackData { key, addend, .. }
             | CtrlMsg::SeqData { key, addend, .. }
@@ -1184,7 +1199,11 @@ pub(crate) mod tests {
                         let log = take_log(&unr);
 
                         let two_sided = matches!(channel.mech, Mechanism::Dgram);
-                        let k = if channel.multi_channel && len == BIG { NICS } else { 1 };
+                        let k = if channel.multi_channel && len == BIG {
+                            NICS
+                        } else {
+                            1
+                        };
                         let want = match (coalesced, reliable) {
                             (true, false) => "$CL".to_string(),
                             (true, true) => "$SL".to_string(),
@@ -1229,11 +1248,14 @@ pub(crate) mod tests {
                                     if coalesced {
                                         continue;
                                     }
-                                    let src: Vec<u8> =
-                                        (covered..covered + payload.len()).map(|i| i as u8).collect();
+                                    let src: Vec<u8> = (covered..covered + payload.len())
+                                        .map(|i| i as u8)
+                                        .collect();
                                     assert_eq!(*payload, src, "{case}: the region's bytes");
                                     assert_eq!(*dst_offset, remote.offset + covered - local.offset);
-                                    if let CtrlMsg::SeqData { payload: p, .. } = CtrlMsg::parse(frame) {
+                                    if let CtrlMsg::SeqData { payload: p, .. } =
+                                        CtrlMsg::parse(frame)
+                                    {
                                         assert_eq!(p, src, "{case}: and the frame carries them");
                                     }
                                     covered += payload.len();
@@ -1260,9 +1282,17 @@ pub(crate) mod tests {
 
                         let stats = unr.stats();
                         assert_eq!(stats.puts.load(Ordering::Relaxed), 1, "{case}");
-                        assert_eq!(stats.bytes_put.load(Ordering::Relaxed), len as u64, "{case}");
+                        assert_eq!(
+                            stats.bytes_put.load(Ordering::Relaxed),
+                            len as u64,
+                            "{case}"
+                        );
                         let subs = if coalesced { 1 } else { k };
-                        assert_eq!(stats.sub_messages.load(Ordering::Relaxed), subs as u64, "{case}");
+                        assert_eq!(
+                            stats.sub_messages.load(Ordering::Relaxed),
+                            subs as u64,
+                            "{case}"
+                        );
                     }
                 }
             }
@@ -1283,7 +1313,9 @@ pub(crate) mod tests {
                 .into_iter()
                 .filter_map(|call| match call {
                     Call::Seq {
-                        payload_at, payload, ..
+                        payload_at,
+                        payload,
+                        ..
                     } => Some((payload_at, payload)),
                     _ => None,
                 })
@@ -1295,7 +1327,9 @@ pub(crate) mod tests {
         let (mut at, mut covered) = (first[0].0, local.offset);
         for (payload_at, payload) in &first {
             assert_eq!(*payload_at, at, "the next bytes of the same buffer");
-            let src: Vec<u8> = (covered..covered + payload.len()).map(|i| i as u8).collect();
+            let src: Vec<u8> = (covered..covered + payload.len())
+                .map(|i| i as u8)
+                .collect();
             assert_eq!(*payload, src, "the region's bytes");
             at += payload.len();
             covered += payload.len();
@@ -1328,8 +1362,18 @@ pub(crate) mod tests {
             let log = take_log(&unr);
             assert_eq!(shape(&log), want, "{}", channel.name);
             let [local_sum, remote_sum] = addends(&log, enc, enc);
-            assert_eq!(local_sum, HashMap::from([(sig.key().raw(), -1)]), "{}", channel.name);
-            assert_eq!(remote_sum, HashMap::from([(REMOTE_KEY, -1)]), "{}", channel.name);
+            assert_eq!(
+                local_sum,
+                HashMap::from([(sig.key().raw(), -1)]),
+                "{}",
+                channel.name
+            );
+            assert_eq!(
+                remote_sum,
+                HashMap::from([(REMOTE_KEY, -1)]),
+                "{}",
+                channel.name
+            );
             assert_eq!(unr.stats().gets.load(Ordering::Relaxed), 1);
         }
 
@@ -1365,7 +1409,11 @@ pub(crate) mod tests {
 
         unr.put(&small, &small_rmt).unwrap();
         unr.put(&big, &elsewhere).unwrap();
-        assert_eq!(shape(&take_log(&unr)), "PP", "another rank's traffic passes");
+        assert_eq!(
+            shape(&take_log(&unr)),
+            "PP",
+            "another rank's traffic passes"
+        );
         assert_eq!((unr.agg_backlog(PEER), order_flushes()), ((SMALL, 1), 0));
 
         unr.put(&big, &big_rmt).unwrap();
@@ -1391,10 +1439,17 @@ pub(crate) mod tests {
             let sig = unr.sig_init(1);
             let (local, remote) = pair(BIG, sig.key(), REMOTE_KEY, PEER);
             let failed = unr.put(&local, &remote);
-            assert!(matches!(failed, Err(UnrError::PeerFailed { rank: PEER, .. })));
+            assert!(matches!(
+                failed,
+                Err(UnrError::PeerFailed { rank: PEER, .. })
+            ));
             let log = take_log(&unr);
             assert_eq!(shape(&log), "SL", "{route:?}");
-            assert_eq!(unr.retries_in_flight(), 1, "{route:?}: the stripe that left");
+            assert_eq!(
+                unr.retries_in_flight(),
+                1,
+                "{route:?}: the stripe that left"
+            );
             let Call::Complete { entries, locals } = &log[1] else {
                 unreachable!()
             };

@@ -291,7 +291,8 @@ impl RetryPolicy {
     pub fn rto(&self, len: usize, queued: u64, attempts: u32) -> Ns {
         let wire = ((len as u64 + queued) as f64 * self.ns_per_byte) as Ns;
         let base = self.timeout + 2 * wire;
-        base.saturating_shl(attempts.min(16)).min(self.max_backoff.max(base))
+        base.saturating_shl(attempts.min(16))
+            .min(self.max_backoff.max(base))
     }
 }
 
@@ -371,8 +372,12 @@ impl RetryState {
         let nranks = nranks.max(1);
         RetryState {
             policy,
-            dst: (0..nranks).map(|_| Mutex::new(DstShard::default())).collect(),
-            src: (0..nranks).map(|_| Mutex::new(DedupWindow::default())).collect(),
+            dst: (0..nranks)
+                .map(|_| Mutex::new(DstShard::default()))
+                .collect(),
+            src: (0..nranks)
+                .map(|_| Mutex::new(DedupWindow::default()))
+                .collect(),
             ctl: Mutex::new(Ctl::default()),
             spares: Mutex::new(Spares::default()),
             in_flight: AtomicUsize::new(0),
@@ -384,7 +389,10 @@ impl RetryState {
 
     fn shard(&self, dst: usize) -> &Mutex<DstShard> {
         self.dst.get(dst).unwrap_or_else(|| {
-            panic!("destination rank {dst} outside the {}-rank world", self.dst.len())
+            panic!(
+                "destination rank {dst} outside the {}-rank world",
+                self.dst.len()
+            )
         })
     }
 
@@ -411,11 +419,19 @@ impl RetryState {
     /// spare buffer of this length if an ack freed one (one copy, no
     /// allocation), else into a fresh one
     /// ([`MemRegion::snapshot_shared`]).
-    pub fn snapshot(&self, region: &MemRegion, offset: usize, len: usize) -> Result<Bytes, OutOfBounds> {
+    pub fn snapshot(
+        &self,
+        region: &MemRegion,
+        offset: usize,
+        len: usize,
+    ) -> Result<Bytes, OutOfBounds> {
         let spare = {
             let mut sp = self.spares.lock();
             if sp.len != len {
-                *sp = Spares { len, ..Spares::default() };
+                *sp = Spares {
+                    len,
+                    ..Spares::default()
+                };
             }
             sp.lent += 1;
             sp.bufs.pop()
@@ -431,7 +447,9 @@ impl RetryState {
     /// Keep the buffer behind a payload that just left the table, if
     /// this was its last view and a snapshot of its length lent it.
     fn recycle(&self, p: PendingSub) {
-        let Some(buf) = p.payload.into_unique() else { return };
+        let Some(buf) = p.payload.into_unique() else {
+            return;
+        };
         let mut sp = self.spares.lock();
         if buf.len() == sp.len && sp.lent > 0 {
             sp.lent -= 1;
@@ -674,7 +692,10 @@ impl RetryState {
         self.src
             .get(src)
             .unwrap_or_else(|| {
-                panic!("source rank {src} outside the {}-rank world", self.src.len())
+                panic!(
+                    "source rank {src} outside the {}-rank world",
+                    self.src.len()
+                )
             })
             .lock()
             .insert(seq)
@@ -824,7 +845,10 @@ mod tests {
         match &o.resends[0] {
             Resend::Rma { payload, .. } => {
                 assert!(
-                    std::ptr::eq(payload.as_ref() as *const [u8], snap.as_ref() as *const [u8]),
+                    std::ptr::eq(
+                        payload.as_ref() as *const [u8],
+                        snap.as_ref() as *const [u8]
+                    ),
                     "resend must alias the registered snapshot"
                 );
             }
@@ -879,7 +903,10 @@ mod tests {
         for attempt in 0..3 {
             let o = st.sweep(at);
             assert_eq!(o.nic_rotations, 0, "attempt {attempt}: not an RMA failover");
-            assert_eq!(o.fallback_reroutes, 0, "attempt {attempt}: Agg never reroutes");
+            assert_eq!(
+                o.fallback_reroutes, 0,
+                "attempt {attempt}: Agg never reroutes"
+            );
             match &o.resends[..] {
                 [Resend::Dgram { dst: 3, bytes, .. }] => {
                     assert_eq!(&bytes[..], frame.as_ref(), "attempt {attempt}");
@@ -988,11 +1015,22 @@ mod tests {
         assert_eq!((d.seq, d.first), (0, true));
         assert_eq!(d.frame, wire::seq_data_msg(0, 3, 64, 9, -5, &payload));
         let r = st.register_data(Route::Rma, payload.clone(), rkey(1), 64, 9, -5, 1);
-        assert_eq!((r.seq, r.first), (1, false), "the table already held an entry");
+        assert_eq!(
+            (r.seq, r.first),
+            (1, false),
+            "the table already held an entry"
+        );
         assert_eq!(r.frame, wire::seq_notif_msg(1, 9, -5));
         let a = st.register_agg(2, 0, &[(3, 0, 5)], &[(9, -1)], &payload);
-        assert_eq!((a.seq, a.first), (0, false), "sequences are per destination");
-        assert_eq!(a.frame.as_ref(), wire::agg_msg(0, true, &[(3, 0, 5)], &[(9, -1)], &payload));
+        assert_eq!(
+            (a.seq, a.first),
+            (0, false),
+            "sequences are per destination"
+        );
+        assert_eq!(
+            a.frame.as_ref(),
+            wire::agg_msg(0, true, &[(3, 0, 5)], &[(9, -1)], &payload)
+        );
         // A datagram resend is rebuilt from the fields, an aggregate's is
         // the stored frame: the same bytes as the first transmission.
         st.arm(0, &[(1, d.seq), (1, r.seq), (2, a.seq)]);
@@ -1015,7 +1053,11 @@ mod tests {
         let seqs: Vec<u64> = (0..5)
             .map(|i| {
                 let reg = st.register_data(Route::Dgram, Bytes::new(), rkey(1), 0, 1, -1, 0);
-                assert_eq!(reg.first, i == 0, "only the entry that ends 'empty' says so");
+                assert_eq!(
+                    reg.first,
+                    i == 0,
+                    "only the entry that ends 'empty' says so"
+                );
                 reg.seq
             })
             .collect();
@@ -1041,16 +1083,26 @@ mod tests {
         assert!(st.ack(2, other.seq).is_some());
         assert_eq!(st.in_flight(), 0);
         // Empty again: the next entry is a first one again.
-        assert!(st.register_data(Route::Dgram, Bytes::new(), rkey(3), 0, 1, -1, 0).first);
+        assert!(
+            st.register_data(Route::Dgram, Bytes::new(), rkey(3), 0, 1, -1, 0)
+                .first
+        );
     }
 
     #[test]
     fn sweep_reports_the_earliest_deadline_still_outstanding() {
         let st = state();
         assert_eq!(st.sweep(0).next_deadline, None, "an empty table has none");
-        let seq = |dst: usize| st.register_data(Route::Dgram, Bytes::new(), rkey(dst), 0, 1, -1, 0).seq;
+        let seq = |dst: usize| {
+            st.register_data(Route::Dgram, Bytes::new(), rkey(dst), 0, 1, -1, 0)
+                .seq
+        };
         let (early, late, unarmed) = (seq(2), seq(1), seq(3));
-        assert_eq!(st.sweep(0).next_deadline, None, "unarmed entries have no deadline yet");
+        assert_eq!(
+            st.sweep(0).next_deadline,
+            None,
+            "unarmed entries have no deadline yet"
+        );
         let d_early = st.arm(100, &[(2, early)])[0];
         let d_late = st.arm(5_000, &[(1, late)])[0];
         assert!(d_early < d_late);
@@ -1061,7 +1113,10 @@ mod tests {
         // One expired and re-armed behind the other: the other's.
         let o = st.sweep(d_early);
         assert_eq!(o.resends.len(), 1);
-        assert!(o.new_deadlines[0] > d_late, "backed off past the later entry");
+        assert!(
+            o.new_deadlines[0] > d_late,
+            "backed off past the later entry"
+        );
         assert_eq!(o.next_deadline, Some(d_late));
         // Both expired: the earlier of the two new deadlines.
         let o = st.sweep(o.new_deadlines[0]);
@@ -1092,21 +1147,37 @@ mod tests {
                 })
                 .collect();
             assert_eq!(nics, [attempt % 2, (1 + attempt) % 2], "attempt {attempt}");
-            assert_eq!(o.nic_rotations, 0, "unr.failover.nic_rotations counts RMA puts only");
+            assert_eq!(
+                o.nic_rotations, 0,
+                "unr.failover.nic_rotations counts RMA puts only"
+            );
             assert_eq!(o.fallback_reroutes, 0);
             at = *o.new_deadlines.iter().max().unwrap();
         }
         // With one NIC there is nowhere to rotate to.
-        let one = RetryState::new(RetryPolicy { nics: 1, ..policy() }, 2);
-        let seq = one.register_data(Route::Dgram, Bytes::new(), rkey(1), 0, 1, -1, 0).seq;
+        let one = RetryState::new(
+            RetryPolicy {
+                nics: 1,
+                ..policy()
+            },
+            2,
+        );
+        let seq = one
+            .register_data(Route::Dgram, Bytes::new(), rkey(1), 0, 1, -1, 0)
+            .seq;
         let at = one.arm(0, &[(1, seq)])[0];
-        assert!(matches!(one.sweep(at).resends[..], [Resend::Dgram { nic: 0, .. }]));
+        assert!(matches!(
+            one.sweep(at).resends[..],
+            [Resend::Dgram { nic: 0, .. }]
+        ));
     }
 
     /// A region of `len` bytes holding `0, 1, 2, …` (mod 256).
     fn counting_region(len: usize) -> MemRegion {
         let region = MemRegion::new(0, 1, len);
-        region.write_bytes(0, &(0..len).map(|i| i as u8).collect::<Vec<_>>()).unwrap();
+        region
+            .write_bytes(0, &(0..len).map(|i| i as u8).collect::<Vec<_>>())
+            .unwrap();
         region
     }
 
@@ -1115,7 +1186,8 @@ mod tests {
         let half = snap.len() / 2;
         [0, half].map(|off| {
             let stripe = snap.slice(off, half);
-            st.register_data(Route::Rma, stripe, rkey(1), off, 1, -1, 0).seq
+            st.register_data(Route::Rma, stripe, rkey(1), off, 1, -1, 0)
+                .seq
         })
     }
 
@@ -1174,7 +1246,8 @@ mod tests {
             if dead_peer {
                 st.drain_dst(1);
             } else {
-                seqs.iter().for_each(|&seq| assert!(st.ack(1, seq).is_some()));
+                seqs.iter()
+                    .for_each(|&seq| assert!(st.ack(1, seq).is_some()));
             }
             assert_eq!(spares(&st), 0, "dead_peer={dead_peer}");
             region.write_bytes(0, &[0xEE; 128]).unwrap();
@@ -1182,7 +1255,9 @@ mod tests {
             assert_ne!(next.as_ptr(), duplicate.as_ptr().wrapping_sub(64));
             assert_eq!(next, vec![0xEE; 128]);
             assert_eq!(duplicate, (64..128).map(|i| i as u8).collect::<Vec<_>>());
-            region.write_bytes(0, &(0..128).map(|i| i as u8).collect::<Vec<_>>()).unwrap();
+            region
+                .write_bytes(0, &(0..128).map(|i| i as u8).collect::<Vec<_>>())
+                .unwrap();
         }
     }
 
@@ -1194,21 +1269,44 @@ mod tests {
     fn the_spare_list_holds_only_what_snapshots_lent() {
         let region = counting_region(512);
         let st = state();
-        let snaps: Vec<Bytes> = (0..3).map(|_| st.snapshot(&region, 0, 128).unwrap()).collect();
+        let snaps: Vec<Bytes> = (0..3)
+            .map(|_| st.snapshot(&region, 0, 128).unwrap())
+            .collect();
         let seqs: Vec<u64> = snaps
             .into_iter()
-            .map(|snap| st.register_data(Route::Dgram, snap, rkey(2), 0, 1, -1, 0).seq)
+            .map(|snap| {
+                st.register_data(Route::Dgram, snap, rkey(2), 0, 1, -1, 0)
+                    .seq
+            })
             .collect();
         let foreign = [
-            st.register_data(Route::Dgram, Bytes::from(vec![0; 128]), rkey(2), 0, 1, -1, 0).seq,
-            st.register_data(Route::Dgram, Bytes::from(vec![0; 96]), rkey(2), 0, 1, -1, 0).seq,
+            st.register_data(
+                Route::Dgram,
+                Bytes::from(vec![0; 128]),
+                rkey(2),
+                0,
+                1,
+                -1,
+                0,
+            )
+            .seq,
+            st.register_data(Route::Dgram, Bytes::from(vec![0; 96]), rkey(2), 0, 1, -1, 0)
+                .seq,
             st.register_agg(2, 0, &[(3, 0, 100)], &[], &[0; 100]).seq,
         ];
         for seq in seqs.iter().chain(&foreign) {
             st.ack(2, *seq).unwrap();
         }
         assert_eq!(spares(&st), 3, "three lent, three back, nothing else");
-        let again = st.register_data(Route::Dgram, Bytes::from(vec![0; 128]), rkey(2), 0, 1, -1, 0);
+        let again = st.register_data(
+            Route::Dgram,
+            Bytes::from(vec![0; 128]),
+            rkey(2),
+            0,
+            1,
+            -1,
+            0,
+        );
         st.ack(2, again.seq).unwrap();
         assert_eq!(spares(&st), 3);
         let _taken = st.snapshot(&region, 0, 128).unwrap();
@@ -1257,7 +1355,8 @@ mod tests {
                     let seq = if i % 3 == 0 {
                         st.register_agg(dst, 0, &[], &[], &[]).seq
                     } else {
-                        st.register_data(Route::Dgram, Bytes::new(), rkey(dst), 0, 1, -1, 0).seq
+                        st.register_data(Route::Dgram, Bytes::new(), rkey(dst), 0, 1, -1, 0)
+                            .seq
                     };
                     st.arm(i as Ns, &[(dst, seq)]);
                     tx.send((dst, seq)).unwrap();
@@ -1267,7 +1366,10 @@ mod tests {
                 start.wait();
                 let mut acked = 0usize;
                 for (dst, seq) in rx.iter() {
-                    assert!(st.ack(dst, seq).is_some(), "({dst}, {seq}) was registered before it was sent");
+                    assert!(
+                        st.ack(dst, seq).is_some(),
+                        "({dst}, {seq}) was registered before it was sent"
+                    );
                     assert!(st.ack(dst, seq).is_none(), "({dst}, {seq}) acked twice");
                     acked += 1;
                 }

@@ -243,12 +243,16 @@ impl<'a> AggBody<'a> {
     /// the payload bytes the span table promises, so the iterators
     /// above cannot run off its end.
     fn checked(nspans: u16, nsigs: u16, rest: &'a [u8]) -> Option<AggBody<'a>> {
-        let body = AggBody { nspans, nsigs, rest };
+        let body = AggBody {
+            nspans,
+            nsigs,
+            rest,
+        };
         if rest.len() < body.tables_len() {
             return None;
         }
-        let payloads = (0..nspans as usize)
-            .try_fold(0usize, |sum, i| sum.checked_add(body.span(i).2))?;
+        let payloads =
+            (0..nspans as usize).try_fold(0usize, |sum, i| sum.checked_add(body.span(i).2))?;
         (rest.len() - body.tables_len() == payloads).then_some(body)
     }
 }
@@ -453,8 +457,14 @@ pub fn agg_msg(
         payload.len(),
         "span lengths must cover the packed payload exactly"
     );
-    assert!(spans.len() <= u16::MAX as usize, "too many spans for one aggregate");
-    assert!(sigs.len() <= u16::MAX as usize, "too many signals for one aggregate");
+    assert!(
+        spans.len() <= u16::MAX as usize,
+        "too many spans for one aggregate"
+    );
+    assert!(
+        sigs.len() <= u16::MAX as usize,
+        "too many signals for one aggregate"
+    );
     let mut msg = Vec::with_capacity(
         AGG_HDR_LEN + spans.len() * AGG_SPAN_LEN + sigs.len() * AGG_SIG_LEN + payload.len(),
     );
@@ -556,15 +566,17 @@ mod tests {
         let payload = [1u8, 2, 3, 4, 10, 11, 20, 21, 22];
         let bytes = agg_msg(42, true, &spans, &sigs, &payload);
         match CtrlMsg::parse(&bytes) {
-            CtrlMsg::Agg { seq, sequenced, body } => {
+            CtrlMsg::Agg {
+                seq,
+                sequenced,
+                body,
+            } => {
                 assert_eq!(seq, 42);
                 assert!(sequenced);
                 assert_eq!(body.span_count(), 3);
                 assert_eq!(body.sig_count(), 2);
-                let got: Vec<(u32, u64, Vec<u8>)> = body
-                    .spans()
-                    .map(|(r, o, p)| (r, o, p.to_vec()))
-                    .collect();
+                let got: Vec<(u32, u64, Vec<u8>)> =
+                    body.spans().map(|(r, o, p)| (r, o, p.to_vec())).collect();
                 assert_eq!(
                     got,
                     vec![
@@ -598,7 +610,11 @@ mod tests {
     fn agg_roundtrip_unsequenced_and_empty_tables() {
         let bytes = agg_msg(0, false, &[], &[(5, -9)], &[]);
         match CtrlMsg::parse(&bytes) {
-            CtrlMsg::Agg { seq, sequenced, body } => {
+            CtrlMsg::Agg {
+                seq,
+                sequenced,
+                body,
+            } => {
                 assert_eq!(seq, 0);
                 assert!(!sequenced);
                 assert_eq!(body.span_count(), 0);

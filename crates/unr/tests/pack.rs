@@ -12,7 +12,8 @@ fn packed_messages_roundtrip_many_epochs() {
             let mut tx = PackChannel::sender(&unr, comm, 1, 4096, 0);
             for epoch in 0..5u8 {
                 for i in 0..20u8 {
-                    tx.push(&vec![epoch * 20 + i; (i as usize % 7) + 1]).unwrap();
+                    tx.push(&vec![epoch * 20 + i; (i as usize % 7) + 1])
+                        .unwrap();
                 }
                 assert_eq!(tx.flush().unwrap(), 20);
             }

@@ -35,7 +35,9 @@ fn one_put(cfg: FabricConfig, ucfg: UnrConfig, len: usize) {
             let mut got = vec![0u8; len];
             mem.read_bytes(0, &mut got);
             assert!(
-                got.iter().enumerate().all(|(i, &b)| b == (i * 7 % 256) as u8),
+                got.iter()
+                    .enumerate()
+                    .all(|(i, &b)| b == (i * 7 % 256) as u8),
                 "payload corrupted"
             );
             recv_sig.reset().unwrap();
@@ -142,7 +144,9 @@ fn large_put_striped_across_two_nics() {
             let rmt = convert::recv_blk(comm, 1, 0);
             unr.put(&blk, &rmt).unwrap();
             unr.ep().sleep(unr_simnet::us(500.0));
-            unr.stats().sub_messages.load(std::sync::atomic::Ordering::Relaxed)
+            unr.stats()
+                .sub_messages
+                .load(std::sync::atomic::Ordering::Relaxed)
         } else {
             let sig = unr.sig_init(1);
             let blk = unr.blk_init(&mem, 0, len, Some(&sig));
@@ -438,8 +442,7 @@ fn isend_irecv_convert_pair() {
         if comm.rank() == 0 {
             let send_sig = unr.sig_init(1);
             mem.write_bytes(0, b"converted!");
-            let plan =
-                convert::isend_convert(&unr, comm, &mem, 0, 10, 1, 3, Some(&send_sig));
+            let plan = convert::isend_convert(&unr, comm, &mem, 0, 10, 1, 3, Some(&send_sig));
             plan.start(&unr).unwrap();
             unr.sig_wait(&send_sig).unwrap();
             Vec::new()
@@ -473,8 +476,16 @@ fn alltoallv_convert_transposes() {
         let send_sig = unr.sig_init(n as i64);
         let recv_sig = unr.sig_init(n as i64);
         let plan = convert::alltoallv_convert(
-            &unr, comm, &send_mem, &counts, &displs, &recv_mem, &counts, &displs,
-            Some(&send_sig), &recv_sig,
+            &unr,
+            comm,
+            &send_mem,
+            &counts,
+            &displs,
+            &recv_mem,
+            &counts,
+            &displs,
+            Some(&send_sig),
+            &recv_sig,
         );
         // Two epochs to prove the plan is reusable.
         let mut ok = true;
@@ -557,7 +568,7 @@ fn sig_wait_any_returns_first_arrival() {
             let blk = unr.blk_init(&mem, 0, 8, None);
             let rmt_b = convert::recv_blk(comm, 1, 0); // signal B's block
             let rmt_a = convert::recv_blk(comm, 1, 1); // signal A's block
-            // B lands first; A lands 50us later.
+                                                       // B lands first; A lands 50us later.
             unr.put(&blk, &rmt_b).unwrap();
             unr.ep().sleep(unr_simnet::us(50.0));
             unr.put(&blk, &rmt_a).unwrap();
@@ -620,7 +631,8 @@ fn aggregated_small_puts_deliver_and_sum() {
                 let mut dst = rmt;
                 dst.offset = i * LEN;
                 dst.len = LEN;
-                unr.put_with(&blk, &dst, Some(&local_sig), rmt.sig_key).unwrap();
+                unr.put_with(&blk, &dst, Some(&local_sig), rmt.sig_key)
+                    .unwrap();
             }
             // Local completions are deferred to flushes; the wait both
             // flushes the tail and observes the summed local addends.
@@ -628,7 +640,10 @@ fn aggregated_small_puts_deliver_and_sum() {
             let obs = &unr.ep().fabric().obs;
             let coalesced = obs.metrics.counter("unr.agg.puts_coalesced").get();
             assert_eq!(coalesced, PUTS as u64, "every small put must coalesce");
-            let subs = unr.stats().sub_messages.load(std::sync::atomic::Ordering::Relaxed);
+            let subs = unr
+                .stats()
+                .sub_messages
+                .load(std::sync::atomic::Ordering::Relaxed);
             assert!(
                 subs <= (PUTS / 8) as u64 + 1,
                 "expected ~one aggregate per 8 puts, got {subs} sub-messages"
@@ -673,7 +688,8 @@ fn big_put_flushes_buffered_ring_first() {
             let mut dst = rmt;
             dst.offset = 0;
             dst.len = 64;
-            unr.put_with(&small, &dst, None, unr_core::SigKey::NULL).unwrap();
+            unr.put_with(&small, &dst, None, unr_core::SigKey::NULL)
+                .unwrap();
             mem.write_bytes(64, &[0xBB; 2048]);
             let big = unr.blk_init(&mem, 64, 2048, None);
             let mut dst2 = rmt;

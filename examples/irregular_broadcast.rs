@@ -92,9 +92,9 @@ fn main() {
         (two_sided, unr_time, total_spikes_unr)
     });
 
-    let (mpi, unr, spikes) = results.iter().fold((0, 0, 0), |acc, r| {
-        (acc.0.max(r.0), acc.1.max(r.1), r.2)
-    });
+    let (mpi, unr, spikes) = results
+        .iter()
+        .fold((0, 0, 0), |acc, r| (acc.0.max(r.0), acc.1.max(r.1), r.2));
     println!(
         "irregular spike broadcast: {ranks} ranks x {NEURONS_PER_RANK} neurons, {STEPS} steps"
     );
@@ -109,5 +109,8 @@ fn main() {
         to_us(unr),
         to_us(unr) / STEPS as f64
     );
-    println!("  speedup                  : {:.2}x", mpi as f64 / unr as f64);
+    println!(
+        "  speedup                  : {:.2}x",
+        mpi as f64 / unr as f64
+    );
 }

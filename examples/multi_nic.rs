@@ -55,11 +55,7 @@ fn run(stripes: usize) -> (u64, u64) {
 fn main() {
     println!("2 MiB notified PUT on a TH-XY-like node (2 x 200 Gbps NICs):");
     let (t1, m1) = run(1);
-    println!(
-        "  single NIC : {:>8.1} us  ({} sub-message)",
-        to_us(t1),
-        m1
-    );
+    println!("  single NIC : {:>8.1} us  ({} sub-message)", to_us(t1), m1);
     let (t2, m2) = run(2);
     println!(
         "  dual NIC   : {:>8.1} us  ({} sub-messages, MMAS-aggregated)",

@@ -45,7 +45,7 @@ fn main() {
                     checksum += chunk[0] as u64;
                 }
                 sig.reset().unwrap(); // buffer consumed: re-arm
-                // Epoch handshake doubles as pre-synchronization.
+                                      // Epoch handshake doubles as pre-synchronization.
                 unr_minimpi::bcast(comm, 0, &[epoch as u8]);
             }
             let dt = comm.ep().now() - t0;

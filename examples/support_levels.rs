@@ -43,7 +43,11 @@ fn ping(iface: InterfaceKind, hardware: bool, select: ChannelSelect) -> (String,
             }
         }
         let lat = (comm.ep().now() - t0) as f64 / iters as f64 / 2.0;
-        (format!("{:?}", unr.support_level()), unr.channel().name, lat)
+        (
+            format!("{:?}", unr.support_level()),
+            unr.channel().name,
+            lat,
+        )
     });
     let (level, chan, lat) = results[0].clone();
     (format!("{chan} ({level})"), lat / 1000.0)
@@ -52,19 +56,54 @@ fn ping(iface: InterfaceKind, hardware: bool, select: ChannelSelect) -> (String,
 fn main() {
     println!("the same program, every interconnect (256 B notified-put latency):\n");
     let cases: Vec<(&str, InterfaceKind, bool, ChannelSelect)> = vec![
-        ("TH Express (GLEX)", InterfaceKind::Glex, false, ChannelSelect::Auto),
-        ("InfiniBand (Verbs m1)", InterfaceKind::Verbs, false, ChannelSelect::Auto),
+        (
+            "TH Express (GLEX)",
+            InterfaceKind::Glex,
+            false,
+            ChannelSelect::Auto,
+        ),
+        (
+            "InfiniBand (Verbs m1)",
+            InterfaceKind::Verbs,
+            false,
+            ChannelSelect::Auto,
+        ),
         (
             "InfiniBand (Verbs m2)",
             InterfaceKind::Verbs,
             false,
             ChannelSelect::Mode2 { key_bits: 16 },
         ),
-        ("Tofu (uTofu)", InterfaceKind::Utofu, false, ChannelSelect::Auto),
-        ("Aries (uGNI)", InterfaceKind::Ugni, false, ChannelSelect::Auto),
-        ("level-0 companion", InterfaceKind::Glex, false, ChannelSelect::ForceLevel0),
-        ("MPI-only fallback", InterfaceKind::MpiOnly, false, ChannelSelect::Auto),
-        ("next-gen NIC (level 4)", InterfaceKind::Glex, true, ChannelSelect::Auto),
+        (
+            "Tofu (uTofu)",
+            InterfaceKind::Utofu,
+            false,
+            ChannelSelect::Auto,
+        ),
+        (
+            "Aries (uGNI)",
+            InterfaceKind::Ugni,
+            false,
+            ChannelSelect::Auto,
+        ),
+        (
+            "level-0 companion",
+            InterfaceKind::Glex,
+            false,
+            ChannelSelect::ForceLevel0,
+        ),
+        (
+            "MPI-only fallback",
+            InterfaceKind::MpiOnly,
+            false,
+            ChannelSelect::Auto,
+        ),
+        (
+            "next-gen NIC (level 4)",
+            InterfaceKind::Glex,
+            true,
+            ChannelSelect::Auto,
+        ),
     ];
     for (name, iface, hw, sel) in cases {
         let (desc, lat_us) = ping(iface, hw, sel);

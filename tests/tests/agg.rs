@@ -141,7 +141,8 @@ fn aggregated_delivery_is_byte_identical_to_per_put_under_faults() {
         let sizes: Vec<usize> = (0..RANKS * RANKS * k).map(|_| g.usize_in(1, 200)).collect();
         let faults = case_faults(g);
 
-        let (plain, plain_snap) = storm_case(faults.clone(), k, sizes.clone(), UnrConfig::default());
+        let (plain, plain_snap) =
+            storm_case(faults.clone(), k, sizes.clone(), UnrConfig::default());
         let (agg, agg_snap) = storm_case(faults, k, sizes.clone(), agg_cfg());
 
         // Same final bytes on every rank, whether the small puts rode
@@ -185,5 +186,8 @@ fn aggregated_delivery_is_byte_identical_to_per_put_under_faults() {
             .sum::<u64>();
     });
     assert!(dropped > 0, "the seeds above must actually drop something");
-    assert!(agg_flushes > 0, "aggregates must actually have been flushed");
+    assert!(
+        agg_flushes > 0,
+        "aggregates must actually have been flushed"
+    );
 }

@@ -203,7 +203,11 @@ fn golden_fig6_trace_is_stable() {
 #[test]
 fn golden_faulty_trace_is_stable() {
     let h = faulty_trace_hash();
-    assert_eq!(faulty_trace_hash(), h, "faulty trace not even self-consistent");
+    assert_eq!(
+        faulty_trace_hash(),
+        h,
+        "faulty trace not even self-consistent"
+    );
     assert_eq!(
         h, GOLDEN_FAULTY_TRACE,
         "seeded faulty trace diverged from the golden hash"

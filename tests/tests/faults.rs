@@ -26,7 +26,11 @@ fn unr_scoped(mut faults: FaultConfig) -> FaultConfig {
 /// Ping-pong `sizes` bytes from rank 0 into rank 1 under `faults`,
 /// verifying content on the receiver. Returns the fabric for metric
 /// inspection.
-fn lossy_pingpong(faults: FaultConfig, sizes: Vec<usize>, ucfg: UnrConfig) -> std::sync::Arc<Fabric> {
+fn lossy_pingpong(
+    faults: FaultConfig,
+    sizes: Vec<usize>,
+    ucfg: UnrConfig,
+) -> std::sync::Arc<Fabric> {
     let mut cfg = Platform::th_xy().fabric_config(2, 1);
     let expect_reliable = faults.enabled();
     cfg.faults = faults;
@@ -84,11 +88,7 @@ fn lossy_pingpong(faults: FaultConfig, sizes: Vec<usize>, ucfg: UnrConfig) -> st
                 let mut got = vec![0u8; size];
                 mem.read_bytes(off, &mut got);
                 for (i, &b) in got.iter().enumerate() {
-                    assert_eq!(
-                        b,
-                        (i ^ (it * 31)) as u8,
-                        "byte {i} of round {it} corrupted"
-                    );
+                    assert_eq!(b, (i ^ (it * 31)) as u8, "byte {i} of round {it} corrupted");
                 }
                 comm.send(0, 7, &[]);
             }
@@ -252,7 +252,11 @@ fn ctrl_frames_that_cannot_land_are_counted_dropped_and_acked() {
             comm.send(0, 1, &hello);
             unr.sig_wait(&done).unwrap();
             unr.ep().sleep(us(200.0)); // stragglers behind the good frame
-            assert_eq!(spared.counter(), 4, "an addend was applied for bytes that never landed");
+            assert_eq!(
+                spared.counter(),
+                4,
+                "an addend was applied for bytes that never landed"
+            );
             let mut landed = [0u8; 4];
             mem.read_bytes(60, &mut landed);
             assert_eq!(landed, [1; 4]);
@@ -271,7 +275,13 @@ fn ctrl_frames_that_cannot_land_are_counted_dropped_and_acked() {
                 wire::seq_data_msg(1, region + 9, 0, key, -1, &p),
                 wire::fallback_data_msg(region, 61, key, -1, &p),
                 wire::fallback_data_msg(region + 9, 0, key, -1, &p),
-                wire::agg_msg(2, true, &[(region, 0, 4), (region, 62, 4)], &[(key, -2)], &two),
+                wire::agg_msg(
+                    2,
+                    true,
+                    &[(region, 0, 4), (region, 62, 4)],
+                    &[(key, -2)],
+                    &two,
+                ),
                 wire::agg_msg(3, true, &[(region + 9, 0, 4)], &[(key, -1)], &p),
                 // In bounds, last: fires the signal rank 1 waits on.
                 wire::seq_data_msg(4, region, 60, done, -1, &[1; 4]),
@@ -280,10 +290,12 @@ fn ctrl_frames_that_cannot_land_are_counted_dropped_and_acked() {
                 ep.send_dgram(1, UNR_PORT, frame, NicSel::Auto);
             }
             let mut acked: Vec<u64> = (0..5)
-                .map(|_| match wire::CtrlMsg::parse(&ep.recv_dgram(&acks).bytes) {
-                    wire::CtrlMsg::Ack { seq } => seq,
-                    other => panic!("only acks come back, got {other:?}"),
-                })
+                .map(
+                    |_| match wire::CtrlMsg::parse(&ep.recv_dgram(&acks).bytes) {
+                        wire::CtrlMsg::Ack { seq } => seq,
+                        other => panic!("only acks come back, got {other:?}"),
+                    },
+                )
                 .collect();
             acked.sort_unstable();
             assert_eq!(acked, [0, 1, 2, 3, 4], "every sequenced frame is acked");
@@ -291,7 +303,11 @@ fn ctrl_frames_that_cannot_land_are_counted_dropped_and_acked() {
         }
     });
     let snap = fabric.obs.metrics.snapshot();
-    assert_eq!(snap.counter("unr.ctrl.bad_dma"), Some(6), "one per span that bounced");
+    assert_eq!(
+        snap.counter("unr.ctrl.bad_dma"),
+        Some(6),
+        "one per span that bounced"
+    );
     assert_eq!(snap.counter("unr.ctrl.malformed"), None);
 }
 

@@ -185,7 +185,10 @@ fn pure_hardware_storm_never_touches_the_cq() {
 #[test]
 fn hybrid_reliable_storm_drains_ctrl_without_cq() {
     let (_, m) = hw_storm(42, ProgressMode::Hardware, Reliability::On, 0, true);
-    assert_eq!(m.cq_depth_max, 0, "reliable traffic rides dgrams, not the CQ");
+    assert_eq!(
+        m.cq_depth_max, 0,
+        "reliable traffic rides dgrams, not the CQ"
+    );
     assert_eq!(m.cq_dropped, 0);
     assert!(
         m.ctrl_msgs > 0,
@@ -253,8 +256,14 @@ fn hardware_fig6_trace_matches_polling() {
     };
     let (hw_trace, hw_ke) = run(ProgressMode::Hardware);
     let (sw_trace, sw_ke) = run(ProgressMode::PollingAgent { interval: 0 });
-    assert_eq!(hw_trace, sw_trace, "fig6 trace diverged under hardware progress");
-    assert_eq!(hw_ke, sw_ke, "fig6 physics diverged under hardware progress");
+    assert_eq!(
+        hw_trace, sw_trace,
+        "fig6 trace diverged under hardware progress"
+    );
+    assert_eq!(
+        hw_ke, sw_ke,
+        "fig6 physics diverged under hardware progress"
+    );
 }
 
 /// Faulty-trace oracle: the reliable pingpong under pinned drop/dup
@@ -331,5 +340,8 @@ fn hardware_faulty_trace_matches_polling() {
     };
     let hw = run(ProgressMode::Hardware);
     let sw = run(ProgressMode::PollingAgent { interval: 0 });
-    assert_eq!(hw, sw, "faulty reliable trace diverged under hardware progress");
+    assert_eq!(
+        hw, sw,
+        "faulty reliable trace diverged under hardware progress"
+    );
 }

@@ -65,7 +65,11 @@ fn snapshot_covers_every_layer() {
     assert_eq!(snap.counter("unr.signal.reset_errors"), Some(0));
     assert_eq!(snap.counter("unr.signal.overflow_trips"), Some(0));
     // And the merged trace carries all three span categories.
-    for cat in ["\"cat\": \"nic\"", "\"cat\": \"wire\"", "\"cat\": \"solver\""] {
+    for cat in [
+        "\"cat\": \"nic\"",
+        "\"cat\": \"wire\"",
+        "\"cat\": \"solver\"",
+    ] {
         assert!(trace.contains(cat), "trace missing {cat}");
     }
 }
