@@ -64,19 +64,23 @@
 
 #![deny(missing_docs)]
 
+mod agent;
 pub mod agg;
 pub mod blk;
 pub mod channel;
+pub mod config;
 pub mod convert;
 pub mod ctrl;
-pub mod engine;
 pub mod epoch;
+pub mod error;
 pub mod level;
+pub mod metrics;
 pub mod pack;
 pub mod plan;
 pub mod post;
 pub mod retry;
 pub mod signal;
+pub mod sim;
 pub mod transport;
 pub mod wait;
 pub mod wire;
@@ -84,12 +88,12 @@ pub mod wire;
 pub use agg::{AggFlush, AggMetrics, Coalescer, FlushWhy};
 pub use blk::{Blk, MemCheckpoint, UnrMem, BLK_WIRE_LEN};
 pub use channel::{Channel, ChannelSelect, Mechanism};
+pub use config::{ProgressMode, UnrConfig, UnrConfigBuilder};
 pub use ctrl::{handle_ctrl, CtrlEvent, CtrlSink, HwMetrics, TableSink};
-pub use engine::{
-    ProgressMode, SimTransport, UnrConfig, UnrConfigBuilder, UnrError, UnrStats, UNR_PORT,
-};
 pub use epoch::{Epoch, MembershipView, PeerFailedCause, RecoveryPolicy};
+pub use error::UnrError;
 pub use level::{EncodeError, Encoding, Notif, SupportLevel};
+pub use metrics::UnrStats;
 pub use pack::{PackChannel, PackReceiver, PackSender};
 pub use plan::{PlanOp, RmaPlan};
 pub use post::Unr;
@@ -97,5 +101,6 @@ pub use retry::{
     DedupWindow, Registered, Reliability, Resend, RetryPolicy, RetryState, Route, SweepOutcome,
 };
 pub use signal::{striped_addends, Applied, SigKey, Signal, SignalError, SignalStats, SignalTable};
+pub use sim::{SimTransport, UNR_PORT};
 pub use transport::{Backend, RmaOp, SeqPost, Transport};
 pub use wait::{Until, Woke};

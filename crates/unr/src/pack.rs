@@ -22,7 +22,7 @@ use unr_minimpi::Comm;
 
 use crate::blk::{Blk, UnrMem};
 use crate::convert;
-use crate::engine::UnrError;
+use crate::error::UnrError;
 use crate::plan::RmaPlan;
 use crate::post::Unr;
 use crate::signal::Signal;

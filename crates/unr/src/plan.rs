@@ -8,7 +8,7 @@
 
 use crate::agg::FlushWhy;
 use crate::blk::Blk;
-use crate::engine::UnrError;
+use crate::error::UnrError;
 use crate::post::Unr;
 use crate::signal::SigKey;
 

@@ -7,7 +7,7 @@
 //! it. The `sig_wait` family is written once too ([`crate::wait`]), and
 //! so are the rank-level calls around them — `mem_reg`, `progress`,
 //! `finalize`, the clock. Only bring-up (`init`) lives with the fabric
-//! ([`crate::engine`] for simnet).
+//! ([`crate::sim`] for simnet).
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,11 +20,14 @@ use unr_simnet::{Bandwidth, MemRegion, NicSel, Ns, RKey};
 use crate::agg::{AggFlush, AggMetrics, Coalescer, FlushWhy};
 use crate::blk::{Blk, UnrMem};
 use crate::channel::{Channel, DirEncodings, Mechanism};
-use crate::engine::{ProgressMode, SimTransport, UnrConfig, UnrError, UnrMetrics, UnrStats};
+use crate::config::{ProgressMode, UnrConfig};
 use crate::epoch::{PeerFailedCause, RecoveryPolicy};
+use crate::error::UnrError;
 use crate::level::{Encoding, Notif, SupportLevel};
+use crate::metrics::{UnrMetrics, UnrStats};
 use crate::retry::{RetryState, Route};
 use crate::signal::{striped_addends, SigKey, Signal, SignalTable};
+use crate::sim::SimTransport;
 use crate::transport::{RmaOp, SeqPost, Transport};
 use crate::wire;
 

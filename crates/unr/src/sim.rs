@@ -1,8 +1,7 @@
-//! Configuration, errors and metrics of the UNR context, and its
-//! simulator side (paper §IV): [`SimTransport`] — registration, the
-//! progress pass and the polling agent on a simulated rank — and
-//! `Unr::init`. The put, get, wait and rank-level calls over it are
-//! [`crate::post`]'s and [`crate::wait`]'s.
+//! The simulator side of the UNR context (paper §IV): [`SimTransport`]
+//! — registration, the progress pass and the polling agent on a
+//! simulated rank — and `Unr::init`. The put, get, wait and rank-level
+//! calls over it are [`crate::post`]'s and [`crate::wait`]'s.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
@@ -10,18 +9,22 @@ use std::sync::{Arc, OnceLock};
 use unr_simnet::sync::Mutex;
 
 use unr_simnet::{
-    ActorId, AtomicAddSink, Completion, CompletionKind, CompletionQueue, Endpoint, FabricError,
-    GetOp, MemRegion, NicSel, Ns, Port, PutOp, Sched, Step,
+    AtomicAddSink, Completion, CompletionKind, CompletionQueue, Endpoint, GetOp, MemRegion, NicSel,
+    Ns, Port, PutOp, Sched,
 };
 
+use crate::agent::{Agent, AgentState, Phase, RUNNING, STOPPED, STOPPING};
 use crate::blk::{MemCheckpoint, UnrMem};
-use crate::channel::{Channel, ChannelSelect, Mechanism};
+use crate::channel::{Channel, Mechanism};
+use crate::config::{ProgressMode, UnrConfig};
 use crate::ctrl::{self, CtrlEvent, CtrlSink, HwMetrics, TableSink};
-use crate::epoch::{Epoch, EpochMetrics, MembershipView, PeerFailedCause, RecoveryPolicy};
-use crate::level::{EncodeError, Encoding};
+use crate::epoch::{Epoch, EpochMetrics, MembershipView, PeerFailedCause};
+use crate::error::UnrError;
+use crate::level::Encoding;
+use crate::metrics::RetryMetrics;
 use crate::post::{Unr, UnrCore};
 use crate::retry::{Reliability, Resend, RetryPolicy, RetryState, Route};
-use crate::signal::{SignalError, SignalTable};
+use crate::signal::SignalTable;
 use crate::transport::{Backend, RmaOp, SeqPost, Transport};
 use crate::wait::{Until, Woke};
 use crate::wire::CtrlMsg;
@@ -31,633 +34,6 @@ use crate::wire::CtrlMsg;
 /// transport's sequenced sub-messages and acks). Frame layouts live in
 /// [`crate::wire`].
 pub const UNR_PORT: u32 = 0x554E; // "UN"
-
-/// How notification events are progressed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProgressMode {
-    /// A dedicated polling agent drains the NIC event queue (levels
-    /// 0–3; the paper's polling thread). `interval == 0` models a
-    /// busy-spinning thread on a dedicated core: it reacts as soon as
-    /// an event arrives, paying only the per-pass processing cost.
-    /// `interval > 0` models a periodic poller sharing a core (the
-    /// §VI-C trade-off: larger interval -> less CPU stolen but higher
-    /// notification delay and queue-overflow risk).
-    PollingAgent {
-        /// Polling period (0 = busy-spin on a dedicated core).
-        interval: Ns,
-    },
-    /// The application drives progress itself (`Unr::progress`,
-    /// `Unr::sig_wait`).
-    UserDriven,
-    /// Level-4 hardware applies `*p += a` directly against the signal
-    /// table — the notification "lands in user memory" with no CQ
-    /// round-trip. Pure notified-RMA traffic needs no software progress
-    /// at all; if the config also enables the reliable transport or the
-    /// small-message coalescer, a lightweight control-port drainer
-    /// (idle-parked, woken by the event bell) handles acks, retransmits,
-    /// `MSG_AGG`, and `MSG_EPOCH` while the hardware sink keeps owning
-    /// the data path (DESIGN.md §5g).
-    Hardware,
-}
-
-/// UNR configuration. All ranks must use identical values (SPMD).
-#[derive(Debug, Clone, Copy)]
-pub struct UnrConfig {
-    /// Transport channel selection (Table II; `Auto` picks from the
-    /// fabric's interface).
-    pub channel: ChannelSelect,
-    /// `None`: pick automatically (Hardware on level-4 fabrics,
-    /// PollingAgent otherwise).
-    pub progress: Option<ProgressMode>,
-    /// Event-field width `N` of the MMAS counters. Must be small enough
-    /// that striping addends fit the channel's addend bits (mode 2).
-    pub n_bits: u32,
-    /// Messages at or above this size are striped across NICs.
-    pub stripe_threshold: usize,
-    /// Cap on sub-messages per message (0 or 1 disables striping).
-    pub max_stripes: usize,
-    /// Modeled base cost of one polling-loop pass.
-    pub poll_cost_base: Ns,
-    /// Modeled additional polling cost per processed event.
-    pub poll_cost_per_event: Ns,
-    /// Modeled memcpy bandwidth for the fallback channel's copies.
-    pub copy_bw_gibps: f64,
-    /// Pin all single-message traffic to one NIC index (the classic
-    /// one-NIC-per-process arrangement). Striped traffic still spreads
-    /// over all NICs. `None`: round-robin.
-    pub pin_nic: Option<usize>,
-    /// Per-message software overhead of the fallback channel (models
-    /// the underlying MPI stack's per-call cost; charged at both ends).
-    pub fallback_overhead: Ns,
-    /// Whether PUT sub-messages run the ack/replay protocol
-    /// ([`Reliability::Auto`]: yes iff the fabric injects faults).
-    pub reliability: Reliability,
-    /// Base retransmit timeout of the reliable transport (scaled by
-    /// message size and backed off exponentially per attempt).
-    pub retry_timeout: Ns,
-    /// Cap on the exponentially backed-off retransmit timeout.
-    pub retry_max_backoff: Ns,
-    /// Retransmissions per sub-message before the peer is declared
-    /// failed ([`UnrError::PeerFailed`]).
-    pub max_retries: u32,
-    /// Attempt number from which retransmissions abandon the RMA path
-    /// and reroute through the datagram fallback channel.
-    pub fallback_after: u32,
-    /// Which fabric backend this context runs on: the deterministic
-    /// simulator ([`Backend::Simnet`], consumed by [`Unr::init`]) or
-    /// real TCP processes ([`Backend::Netfab`], consumed by
-    /// `unr-netfab`'s `NetUnr::init`).
-    pub backend: Backend,
-    /// Puts of at most this many bytes to a remote rank are coalesced
-    /// into per-destination aggregates ([`crate::agg`]) instead of
-    /// posted individually. `0` (the default) disables aggregation
-    /// entirely: no coalescer is built, no `unr.agg.*` metrics are
-    /// registered, and every data path is byte-identical to a build
-    /// without the feature. Composes with every progress mode: under
-    /// [`ProgressMode::Hardware`] the aggregate rides the control port
-    /// and is drained by the hybrid control drainer (DESIGN.md §5g).
-    pub agg_eager_max: usize,
-    /// Flush a destination's aggregate ring once its packed payload
-    /// reaches this many bytes.
-    pub agg_flush_bytes: usize,
-    /// Flush a destination's aggregate ring once it holds this many
-    /// puts.
-    pub agg_flush_puts: usize,
-    /// What to do when a peer rank dies ([`RecoveryPolicy::Abort`] by
-    /// default: surface [`UnrError::PeerFailed`] and let the
-    /// application decide). Validated by [`UnrConfig::validate`] —
-    /// [`RecoveryPolicy::Respawn`] needs the reliable transport.
-    pub recovery: RecoveryPolicy,
-}
-
-impl Default for UnrConfig {
-    fn default() -> Self {
-        UnrConfig {
-            channel: ChannelSelect::Auto,
-            progress: None,
-            n_bits: 32,
-            stripe_threshold: 64 * 1024,
-            max_stripes: 8,
-            poll_cost_base: 150,
-            poll_cost_per_event: 80,
-            copy_bw_gibps: 12.0,
-            pin_nic: None,
-            fallback_overhead: 150,
-            reliability: Reliability::Auto,
-            retry_timeout: 20_000,
-            retry_max_backoff: 2_000_000,
-            max_retries: 10,
-            fallback_after: 3,
-            backend: Backend::Simnet,
-            agg_eager_max: 0,
-            agg_flush_bytes: 8192,
-            agg_flush_puts: 64,
-            recovery: RecoveryPolicy::Abort,
-        }
-    }
-}
-
-/// Validating builder for [`UnrConfig`] — the supported way to deviate
-/// from the defaults:
-///
-/// ```
-/// use unr_core::UnrConfig;
-/// let cfg = UnrConfig::builder()
-///     .timeout(50_000)
-///     .max_retries(6)
-///     .build()
-///     .unwrap();
-/// assert_eq!(cfg.max_retries, 6);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UnrConfigBuilder {
-    cfg: UnrConfig,
-}
-
-impl UnrConfigBuilder {
-    /// Force a transport channel instead of auto-selection.
-    pub fn channel(mut self, v: ChannelSelect) -> Self {
-        self.cfg.channel = v;
-        self
-    }
-
-    /// Force a progress mode instead of auto-selection.
-    pub fn progress(mut self, v: ProgressMode) -> Self {
-        self.cfg.progress = Some(v);
-        self
-    }
-
-    /// Event-field width `N` of the MMAS counters (1..=62).
-    pub fn n_bits(mut self, v: u32) -> Self {
-        self.cfg.n_bits = v;
-        self
-    }
-
-    /// Striping threshold in bytes.
-    pub fn stripe_threshold(mut self, v: usize) -> Self {
-        self.cfg.stripe_threshold = v;
-        self
-    }
-
-    /// Cap on sub-messages per message.
-    pub fn max_stripes(mut self, v: usize) -> Self {
-        self.cfg.max_stripes = v;
-        self
-    }
-
-    /// Modeled memcpy bandwidth of the fallback channel.
-    pub fn copy_bw_gibps(mut self, v: f64) -> Self {
-        self.cfg.copy_bw_gibps = v;
-        self
-    }
-
-    /// Pin single-message traffic to one NIC.
-    pub fn pin_nic(mut self, v: usize) -> Self {
-        self.cfg.pin_nic = Some(v);
-        self
-    }
-
-    /// Reliability policy of the PUT path.
-    pub fn reliability(mut self, v: Reliability) -> Self {
-        self.cfg.reliability = v;
-        self
-    }
-
-    /// Base retransmit timeout of the reliable transport.
-    pub fn timeout(mut self, ns: Ns) -> Self {
-        self.cfg.retry_timeout = ns;
-        self
-    }
-
-    /// Cap on the backed-off retransmit timeout.
-    pub fn max_backoff(mut self, ns: Ns) -> Self {
-        self.cfg.retry_max_backoff = ns;
-        self
-    }
-
-    /// Retransmissions per sub-message before giving up.
-    pub fn max_retries(mut self, n: u32) -> Self {
-        self.cfg.max_retries = n;
-        self
-    }
-
-    /// Attempt number from which retransmits use the fallback channel.
-    pub fn fallback_after(mut self, n: u32) -> Self {
-        self.cfg.fallback_after = n;
-        self
-    }
-
-    /// Select the fabric backend (default [`Backend::Simnet`]).
-    pub fn backend(mut self, v: Backend) -> Self {
-        self.cfg.backend = v;
-        self
-    }
-
-    /// Coalesce puts of at most `bytes` into per-destination
-    /// aggregates (0 disables aggregation — the default).
-    pub fn agg_eager_max(mut self, bytes: usize) -> Self {
-        self.cfg.agg_eager_max = bytes;
-        self
-    }
-
-    /// Byte threshold at which an aggregate ring is flushed.
-    pub fn agg_flush_bytes(mut self, bytes: usize) -> Self {
-        self.cfg.agg_flush_bytes = bytes;
-        self
-    }
-
-    /// Put-count threshold at which an aggregate ring is flushed.
-    pub fn agg_flush_puts(mut self, puts: usize) -> Self {
-        self.cfg.agg_flush_puts = puts;
-        self
-    }
-
-    /// What to do when a peer rank dies (default
-    /// [`RecoveryPolicy::Abort`]).
-    ///
-    /// ```
-    /// use unr_core::{RecoveryPolicy, UnrConfig};
-    /// let cfg = UnrConfig::builder()
-    ///     .recovery(RecoveryPolicy::Respawn {
-    ///         max_attempts: 2,
-    ///         rejoin_timeout: 5_000_000,
-    ///     })
-    ///     .build()
-    ///     .unwrap();
-    /// assert!(matches!(cfg.recovery, RecoveryPolicy::Respawn { .. }));
-    /// ```
-    ///
-    /// `Respawn` is validated at build time: it needs at least one
-    /// attempt, a positive rejoin timeout, and the reliable transport
-    /// (survivors must be able to drain and reroute in-flight traffic
-    /// toward the corpse — with [`Reliability::Off`] there is nothing
-    /// tracking that traffic, so the combination is rejected):
-    ///
-    /// ```
-    /// use unr_core::{RecoveryPolicy, Reliability, UnrConfig};
-    /// assert!(UnrConfig::builder()
-    ///     .reliability(Reliability::Off)
-    ///     .recovery(RecoveryPolicy::Respawn {
-    ///         max_attempts: 1,
-    ///         rejoin_timeout: 1_000,
-    ///     })
-    ///     .build()
-    ///     .is_err());
-    /// assert!(UnrConfig::builder()
-    ///     .recovery(RecoveryPolicy::Respawn {
-    ///         max_attempts: 0, // must be >= 1
-    ///         rejoin_timeout: 1_000,
-    ///     })
-    ///     .build()
-    ///     .is_err());
-    /// ```
-    pub fn recovery(mut self, v: RecoveryPolicy) -> Self {
-        self.cfg.recovery = v;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<UnrConfig, UnrError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
-impl UnrConfig {
-    /// Start building a validated configuration from the defaults.
-    pub fn builder() -> UnrConfigBuilder {
-        UnrConfigBuilder::default()
-    }
-
-    /// Check the invariants the engine relies on; [`UnrConfigBuilder`]
-    /// runs this at `build` time.
-    pub fn validate(&self) -> Result<(), UnrError> {
-        if !(1..=62).contains(&self.n_bits) {
-            return Err(UnrError::InvalidConfig(format!(
-                "n_bits must be in 1..=62, got {}",
-                self.n_bits
-            )));
-        }
-        if self.copy_bw_gibps.is_nan() || self.copy_bw_gibps <= 0.0 {
-            return Err(UnrError::InvalidConfig(format!(
-                "copy_bw_gibps must be positive, got {}",
-                self.copy_bw_gibps
-            )));
-        }
-        if self.retry_timeout == 0 {
-            return Err(UnrError::InvalidConfig(
-                "retry_timeout must be positive".into(),
-            ));
-        }
-        if self.retry_max_backoff < self.retry_timeout {
-            return Err(UnrError::InvalidConfig(format!(
-                "retry_max_backoff ({}) must be >= retry_timeout ({})",
-                self.retry_max_backoff, self.retry_timeout
-            )));
-        }
-        if self.fallback_after == 0 {
-            return Err(UnrError::InvalidConfig(
-                "fallback_after must be >= 1".into(),
-            ));
-        }
-        if self.agg_eager_max > 0 {
-            if self.agg_flush_bytes == 0 || self.agg_flush_puts == 0 {
-                return Err(UnrError::InvalidConfig(
-                    "agg flush thresholds must be positive when aggregation is on".into(),
-                ));
-            }
-            if self.agg_flush_bytes < self.agg_eager_max {
-                return Err(UnrError::InvalidConfig(format!(
-                    "agg_flush_bytes ({}) must be >= agg_eager_max ({})",
-                    self.agg_flush_bytes, self.agg_eager_max
-                )));
-            }
-        }
-        if let RecoveryPolicy::Respawn {
-            max_attempts,
-            rejoin_timeout,
-        } = self.recovery
-        {
-            if max_attempts == 0 {
-                return Err(UnrError::InvalidConfig(
-                    "recovery: Respawn.max_attempts must be >= 1".into(),
-                ));
-            }
-            if rejoin_timeout == 0 {
-                return Err(UnrError::InvalidConfig(
-                    "recovery: Respawn.rejoin_timeout must be positive".into(),
-                ));
-            }
-            if self.reliability == Reliability::Off {
-                return Err(UnrError::InvalidConfig(
-                    "recovery: Respawn needs the reliable transport (survivors \
-                     drain and reroute in-flight traffic toward the dead rank); \
-                     Reliability::Off does not support it"
-                        .into(),
-                ));
-            }
-        }
-        Ok(())
-    }
-    /// The compute-time inflation factor modeling a co-located polling
-    /// thread stealing cycles (paper §VI-C): every `interval` the agent
-    /// burns roughly one loop pass on a core shared with computation.
-    /// 1.0 when a core is reserved or no polling thread exists.
-    pub fn polling_compute_inflation(&self, interval: Ns, core_reserved: bool) -> f64 {
-        if core_reserved {
-            return 1.0;
-        }
-        1.0 + (self.poll_cost_base + 4 * self.poll_cost_per_event) as f64 / interval as f64
-    }
-
-    /// The progress mode an engine on `channel` runs: `progress` if set,
-    /// else hardware progress on a level-4 channel without the reliable
-    /// transport, else a dedicated busy-polling thread (interval 0) —
-    /// the conservative choice for reliable/software channels. Hardware
-    /// stays requestable alongside the reliable transport or the
-    /// coalescer: the hybrid drainer keeps the control port flowing
-    /// (DESIGN.md §5g).
-    pub fn resolve_progress(&self, channel: &Channel, reliable: bool) -> ProgressMode {
-        self.progress.unwrap_or(if channel.hardware && !reliable {
-            ProgressMode::Hardware
-        } else {
-            ProgressMode::PollingAgent { interval: 0 }
-        })
-    }
-}
-
-/// UNR errors.
-#[derive(Debug)]
-pub enum UnrError {
-    /// A notification did not fit the channel's custom-bits encoding.
-    Encode(EncodeError),
-    /// The underlying fabric rejected the operation.
-    Fabric(FabricError),
-    /// The local block of a put/get does not belong to this rank.
-    NotMyBlock {
-        /// Rank that owns the block handed in as "local".
-        blk_rank: usize,
-        /// The calling rank.
-        my_rank: usize,
-    },
-    /// Source and destination block sizes differ.
-    LenMismatch {
-        /// Local block length in bytes.
-        local: usize,
-        /// Remote block length in bytes.
-        remote: usize,
-    },
-    /// Remote GET notification requested on a channel without remote
-    /// GET custom bits (e.g. Verbs).
-    GetRemoteNotifyUnsupported,
-    /// The local block references an unknown (unregistered) region.
-    RegionUnknown(u32),
-    /// A signal-layer synchronization error (overflow, racy reset).
-    Signal(SignalError),
-    /// A bounded wait (`sig_wait_timeout`, or a netfab wait at its
-    /// wall-clock cap) expired before the signal triggered.
-    Timeout {
-        /// The bound that ran out, in nanoseconds on the transport's
-        /// clock (virtual on simnet, wall on netfab).
-        waited: Ns,
-    },
-    /// A peer rank is failed — the single terminal peer-loss state.
-    ///
-    /// Consolidates the old `ChannelDown` / `RetryExhausted` pair: the
-    /// `cause` says whether the reliable transport exhausted its
-    /// retransmissions ([`PeerFailedCause::RetryExhausted`]) or the
-    /// membership layer declared the rank dead
-    /// ([`PeerFailedCause::Killed`]). `epoch` is the membership epoch
-    /// the failure was observed in ([`Epoch::ZERO`] when membership
-    /// never armed).
-    PeerFailed {
-        /// The failed peer rank.
-        rank: usize,
-        /// Membership epoch the failure was observed in.
-        epoch: Epoch,
-        /// What convinced the runtime the peer is gone.
-        cause: PeerFailedCause,
-    },
-    /// A wire message carried a membership epoch older than this rank's
-    /// current epoch and was fenced off the control path (the
-    /// membership analogue of a stale signal generation; counted in
-    /// `unr.epoch.stale_rejects`).
-    StaleEpoch {
-        /// Epoch stamped on the rejected message.
-        msg_epoch: Epoch,
-        /// The receiver's current membership epoch.
-        current: Epoch,
-    },
-    /// A configuration rejected by [`UnrConfig::validate`].
-    InvalidConfig(String),
-}
-
-impl UnrError {
-    /// Whether this error means a peer is terminally gone (any
-    /// [`UnrError::PeerFailed`], regardless of cause).
-    pub fn is_peer_failure(&self) -> bool {
-        matches!(self, UnrError::PeerFailed { .. })
-    }
-}
-
-impl std::fmt::Display for UnrError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            UnrError::Encode(e) => write!(f, "encoding: {e}"),
-            UnrError::Fabric(e) => write!(f, "fabric: {e}"),
-            UnrError::NotMyBlock { blk_rank, my_rank } => write!(
-                f,
-                "local block belongs to rank {blk_rank}, not this rank {my_rank}"
-            ),
-            UnrError::LenMismatch { local, remote } => {
-                write!(f, "block size mismatch: local {local} vs remote {remote}")
-            }
-            UnrError::GetRemoteNotifyUnsupported => {
-                write!(f, "this channel cannot notify the remote side of a GET")
-            }
-            UnrError::RegionUnknown(id) => write!(f, "unknown region id {id}"),
-            UnrError::Signal(e) => write!(f, "{e}"),
-            UnrError::Timeout { waited } => {
-                write!(f, "signal wait timed out after {waited} ns")
-            }
-            UnrError::PeerFailed { rank, epoch, cause } => {
-                write!(f, "peer rank {rank} failed in {epoch}: {cause}")
-            }
-            UnrError::StaleEpoch { msg_epoch, current } => write!(
-                f,
-                "stale-epoch message fenced: stamped {msg_epoch}, current {current}"
-            ),
-            UnrError::InvalidConfig(why) => write!(f, "invalid config: {why}"),
-        }
-    }
-}
-impl std::error::Error for UnrError {}
-
-impl From<EncodeError> for UnrError {
-    fn from(e: EncodeError) -> Self {
-        UnrError::Encode(e)
-    }
-}
-impl From<FabricError> for UnrError {
-    fn from(e: FabricError) -> Self {
-        UnrError::Fabric(e)
-    }
-}
-impl From<SignalError> for UnrError {
-    fn from(e: SignalError) -> Self {
-        UnrError::Signal(e)
-    }
-}
-
-/// Operation counters.
-#[derive(Debug, Default)]
-pub struct UnrStats {
-    /// `UNR_Put` calls issued.
-    pub puts: AtomicU64,
-    /// `UNR_Get` calls issued.
-    pub gets: AtomicU64,
-    /// Wire-level sub-messages (striping splits one put into several).
-    pub sub_messages: AtomicU64,
-    /// Payload bytes passed to `UNR_Put`.
-    pub bytes_put: AtomicU64,
-    /// Operations carried by the two-sided fallback channel.
-    pub fallback_msgs: AtomicU64,
-    /// Completion events and control messages drained by progress.
-    pub events_progressed: AtomicU64,
-}
-
-/// Pre-resolved `unr-obs` instrument handles for the engine's hot
-/// paths (resolved once at `UNR_Init`; updates are single relaxed
-/// atomics). Mirrors [`UnrStats`] into the fabric-wide registry and
-/// adds the per-channel/per-level/striping/error series the paper's
-/// evaluation (§V) plots.
-pub(crate) struct UnrMetrics {
-    pub(crate) puts: Arc<unr_obs::Counter>,
-    pub(crate) gets: Arc<unr_obs::Counter>,
-    pub(crate) sub_messages: Arc<unr_obs::Counter>,
-    pub(crate) bytes_put: Arc<unr_obs::Counter>,
-    pub(crate) fallback_msgs: Arc<unr_obs::Counter>,
-    pub(crate) events_progressed: Arc<unr_obs::Counter>,
-    /// Notifications applied to MMAS counters (signal adds).
-    pub(crate) sig_adds: Arc<unr_obs::Counter>,
-    /// `UNR_Sig_Reset` calls that raced pending events (§IV-D).
-    pub(crate) sig_reset_errors: Arc<unr_obs::Counter>,
-    /// Waits that surfaced an overflow-detect-bit trip.
-    pub(crate) overflow_trips: Arc<unr_obs::Counter>,
-    /// Messages on this rank's selected channel (`unr.channel.<name>.msgs`).
-    pub(crate) channel_msgs: Arc<unr_obs::Counter>,
-    /// Messages at this channel's support level (`unr.level.<n>.msgs`).
-    pub(crate) level_msgs: Arc<unr_obs::Counter>,
-    /// Sub-message fan-out `k` of each RMA put (1 = unstriped).
-    pub(crate) stripe_fanout: Arc<unr_obs::Histogram>,
-    /// Events + control messages drained per progress pass.
-    pub(crate) progress_batch: Arc<unr_obs::Histogram>,
-    /// Operations replayed through `UNR_Plan_Start`.
-    pub(crate) plan_ops: Arc<unr_obs::Counter>,
-    /// `UNR_Plan_Start` invocations (plan replays).
-    pub(crate) plan_starts: Arc<unr_obs::Counter>,
-}
-
-impl UnrMetrics {
-    pub(crate) fn new(obs: &unr_obs::Obs, channel: &Channel) -> UnrMetrics {
-        let m = &obs.metrics;
-        UnrMetrics {
-            puts: m.counter("unr.puts"),
-            gets: m.counter("unr.gets"),
-            sub_messages: m.counter("unr.sub_messages"),
-            bytes_put: m.counter("unr.bytes_put"),
-            fallback_msgs: m.counter("unr.fallback_msgs"),
-            events_progressed: m.counter("unr.events_progressed"),
-            sig_adds: m.counter("unr.signal.adds"),
-            sig_reset_errors: m.counter("unr.signal.reset_errors"),
-            overflow_trips: m.counter("unr.signal.overflow_trips"),
-            channel_msgs: m.counter(&format!("unr.channel.{}.msgs", channel.name)),
-            level_msgs: m.counter(&format!("unr.level.{}.msgs", channel.level.as_index())),
-            stripe_fanout: m.histogram("unr.stripe_fanout"),
-            progress_batch: m.histogram("unr.progress.batch_size"),
-            plan_ops: m.counter("unr.plan.ops"),
-            plan_starts: m.counter("unr.plan.starts"),
-        }
-    }
-}
-
-/// Pre-resolved instruments of the self-healing transport, registered
-/// only when reliability is active so fault-free runs keep a
-/// byte-identical metrics snapshot.
-pub(crate) struct RetryMetrics {
-    /// Sub-message deadlines that expired (retransmit or abandon).
-    timeouts: Arc<unr_obs::Counter>,
-    /// Retransmissions posted.
-    retransmits: Arc<unr_obs::Counter>,
-    /// Acks that cleared a pending sub-message.
-    acks: Arc<unr_obs::Counter>,
-    /// Duplicate sequenced deliveries suppressed by the dedup window.
-    dup_suppressed: Arc<unr_obs::Counter>,
-    /// Sub-messages abandoned after `max_retries`.
-    exhausted: Arc<unr_obs::Counter>,
-    /// Post-to-ack latency of acked sub-messages.
-    ack_latency: Arc<unr_obs::Histogram>,
-    /// Retransmissions that rotated to another NIC.
-    nic_rotations: Arc<unr_obs::Counter>,
-    /// Retransmissions rerouted through the datagram fallback channel.
-    fallback_msgs: Arc<unr_obs::Counter>,
-}
-
-impl RetryMetrics {
-    fn new(obs: &unr_obs::Obs) -> RetryMetrics {
-        let m = &obs.metrics;
-        RetryMetrics {
-            timeouts: m.counter("unr.retry.timeouts"),
-            retransmits: m.counter("unr.retry.retransmits"),
-            acks: m.counter("unr.retry.acks"),
-            dup_suppressed: m.counter("unr.retry.dup_suppressed"),
-            exhausted: m.counter("unr.retry.exhausted"),
-            ack_latency: m.histogram("unr.retry.ack_latency_ns"),
-            nic_rotations: m.counter("unr.failover.nic_rotations"),
-            fallback_msgs: m.counter("unr.failover.fallback_msgs"),
-        }
-    }
-}
 
 /// Read-mostly registry of this rank's registered memory regions.
 ///
@@ -987,7 +363,7 @@ impl SimState {
     /// [`SimState::ctrl_pass`] only: the level-4 sink already owns the
     /// data path, so the CQ is never touched (DESIGN.md §5g), and the
     /// drained messages also count in `unr.hw.ctrl_msgs`.
-    fn agent_pass(
+    pub(crate) fn agent_pass(
         &self,
         sched: &mut Sched,
         t: Ns,
@@ -1008,7 +384,7 @@ impl SimState {
     /// The fallback channel's receive side for `msgs` messages of
     /// `bytes` in all: the bounce-buffer copy plus the per-message
     /// MPI-stack overhead.
-    fn fallback_cost(&self, bytes: usize, msgs: usize) -> Ns {
+    pub(crate) fn fallback_cost(&self, bytes: usize, msgs: usize) -> Ns {
         self.core.copy_bw.transfer_time(bytes) + msgs as Ns * self.core.cfg.fallback_overhead
     }
 
@@ -1017,7 +393,13 @@ impl SimState {
     /// Stamped at send time: a retransmission of a pre-kill sub-message
     /// goes out under the *current* epoch, which is how surviving ranks'
     /// traffic heals through the epoch fence after a membership bump.
-    fn send_reply_at(&self, ep: &Endpoint, sched: &mut Sched, t: Ns, reply: Resend) -> Ns {
+    pub(crate) fn send_reply_at(
+        &self,
+        ep: &Endpoint,
+        sched: &mut Sched,
+        t: Ns,
+        reply: Resend,
+    ) -> Ns {
         match reply {
             Resend::Dgram { dst, bytes, .. } => {
                 let frame = self.stamp_ctrl(bytes);
@@ -1142,188 +524,6 @@ impl CtrlSink for SimSink<'_> {
                 }
             }
             (_, None) => {}
-        }
-    }
-}
-
-/// An agent's life, shared with its rank and touched by both only
-/// inside scheduler entries: running; asked to stop (by the rank's
-/// shutdown, in the entry that also wakes the agent); stopped (by the
-/// agent's last pass, which wakes the rank).
-const RUNNING: u8 = 0;
-const STOPPING: u8 = 1;
-const STOPPED: u8 = 2;
-
-/// What a rank keeps of its agent.
-struct AgentState {
-    id: ActorId,
-    life: Arc<AtomicU8>,
-}
-
-/// Where an [`Agent`] is in its loop: the scheduler entry its next step
-/// makes.
-#[derive(Clone, Copy)]
-enum Phase {
-    /// The first turn: the loop top, then what it chose.
-    Begin,
-    /// A progress (or control) pass.
-    Pass,
-    /// Charge the pass's fallback-channel receive copy.
-    Fallback(Ns),
-    /// Send the next reply.
-    Reply,
-    /// Charge that reply's post overhead.
-    ReplyCost(Ns),
-    /// Charge the pass's polling cost.
-    PollCost,
-    /// Check the wait; a periodic agent's sleep ends at `Some(deadline)`
-    /// once armed.
-    Wait(Option<Ns>),
-    /// Acknowledge the stop and wake the rank.
-    Ack,
-    /// Retire the actor.
-    Retire,
-}
-
-/// A rank's progress agent — the polling agent, or with `ctrl_only` the
-/// hybrid control drainer of `ProgressMode::Hardware` (DESIGN.md §5g) —
-/// as a callback actor: no thread, a virtual clock and a wake predicate
-/// of its own. Its loop is the paper's polling thread: a pass, the
-/// fallback copy, each reply and its post overhead, the polling cost,
-/// then a wait (`interval == 0`: until the CQ, the control port or the
-/// retry table has work; otherwise a sleep of `interval`). It is cut at
-/// exactly the scheduler entries that thread made, one per step: a
-/// coarser cut would reorder same-time entities and move every golden
-/// trace.
-struct Agent {
-    sim: Arc<SimState>,
-    /// The rank's endpoint: the agent posts as its rank.
-    ep: Arc<Endpoint>,
-    /// The rank's actor.
-    owner: ActorId,
-    life: Arc<AtomicU8>,
-    interval: Ns,
-    ctrl_only: bool,
-    phase: Phase,
-    /// The last pass's replies not yet sent, and its event count.
-    replies: std::vec::IntoIter<Resend>,
-    polled: usize,
-}
-
-impl Agent {
-    fn step(&mut self, sched: &mut Sched, me: ActorId, t: Ns) -> Step {
-        const NEXT: Step = Step::Yield { advance: 0 };
-        match self.phase {
-            Phase::Begin => {
-                self.phase = self.loop_top();
-                self.step(sched, me, t)
-            }
-            Phase::Pass => {
-                let mut replies = Vec::new();
-                let (n, fb_bytes, fb_msgs) =
-                    self.sim.agent_pass(sched, t, self.ctrl_only, &mut replies);
-                self.polled = n;
-                self.replies = replies.into_iter();
-                self.phase = if fb_msgs > 0 {
-                    Phase::Fallback(self.sim.fallback_cost(fb_bytes, fb_msgs))
-                } else {
-                    self.next_reply()
-                };
-                NEXT
-            }
-            Phase::Fallback(advance) | Phase::ReplyCost(advance) => {
-                self.phase = self.next_reply();
-                Step::Yield { advance }
-            }
-            Phase::Reply => {
-                let reply = self.replies.next().expect("a reply is pending");
-                let overhead = self.sim.send_reply_at(&self.ep, sched, t, reply);
-                self.phase = Phase::ReplyCost(overhead);
-                NEXT
-            }
-            Phase::PollCost => {
-                self.phase = Phase::Wait(None);
-                let cfg = &self.sim.core.cfg;
-                Step::Yield {
-                    advance: cfg.poll_cost_base + self.polled as Ns * cfg.poll_cost_per_event,
-                }
-            }
-            Phase::Wait(until) => {
-                if self.waited(t, until) {
-                    self.phase = self.loop_top();
-                    return NEXT;
-                }
-                self.arm(sched, me, t, until);
-                Step::Block
-            }
-            Phase::Ack => {
-                self.life.store(STOPPED, Ordering::Relaxed);
-                sched.wake(self.owner, t);
-                self.phase = Phase::Retire;
-                NEXT
-            }
-            Phase::Retire => Step::Finish,
-        }
-    }
-
-    /// The top of the loop: stop, or pass again — decided in the turn
-    /// that ends the wait (or the first turn), like a thread's code
-    /// between that turn and its next call; a later stop is seen at the
-    /// next wait check.
-    fn loop_top(&self) -> Phase {
-        if self.life.load(Ordering::Relaxed) == RUNNING {
-            Phase::Pass
-        } else {
-            Phase::Ack
-        }
-    }
-
-    /// After a pass, its fallback copy or a reply: the next reply, else
-    /// the polling cost.
-    fn next_reply(&self) -> Phase {
-        if self.replies.len() > 0 {
-            Phase::Reply
-        } else {
-            Phase::PollCost
-        }
-    }
-
-    /// Is the wait over? A periodic agent's timer wakes it at the
-    /// deadline, so its clock reaching that is the timer having run.
-    fn waited(&self, t: Ns, until: Option<Ns>) -> bool {
-        if self.life.load(Ordering::Relaxed) != RUNNING {
-            return true;
-        }
-        if self.interval > 0 {
-            return until.is_some_and(|u| t >= u);
-        }
-        // Busy-spin model: anything to process, or a retransmit
-        // deadline due. The control drainer never looks at the CQ:
-        // under a hardware channel nothing is ever pushed there.
-        let sim = &self.sim;
-        (!self.ctrl_only && !sim.cq.is_empty())
-            || !sim.port.is_empty()
-            || sim.core.retry.as_ref().is_some_and(|r| r.is_due())
-    }
-
-    /// Arrange to be woken when the wait may be over: by the CQ, the
-    /// port and the retry table, or by a timer armed once per sleep.
-    fn arm(&mut self, sched: &mut Sched, me: ActorId, t: Ns, until: Option<Ns>) {
-        let sim = &self.sim;
-        if self.interval > 0 {
-            if until.is_none() {
-                let u = t + self.interval;
-                sched.schedule_at(u, move |st| st.wake(me, u));
-                self.phase = Phase::Wait(Some(u));
-            }
-            return;
-        }
-        if !self.ctrl_only {
-            sim.cq.add_waiter(me);
-        }
-        sim.port.add_waiter(me);
-        if let Some(r) = &sim.core.retry {
-            r.add_waiter(me);
         }
     }
 }

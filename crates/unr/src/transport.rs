@@ -22,7 +22,7 @@
 //!
 //! Two implementors:
 //!
-//! * [`crate::engine::SimTransport`] — the deterministic simulator:
+//! * [`crate::sim::SimTransport`] — the deterministic simulator:
 //!   one `unr_simnet::Endpoint` call per method, in the order the
 //!   golden traces in `tests/` lock. It owns what only a simulated rank
 //!   has: the completion queue, the control port, the region map, the
