@@ -44,7 +44,7 @@ fn lossy_pingpong(size: usize, iters: usize, p: f64, seed: u64) -> Point {
             }
             let dt = comm.ep().now() - t0;
             while unr.retries_in_flight() > 0 {
-                unr.ep().sleep(unr_simnet::us(50.0));
+                unr.sleep(unr_simnet::us(50.0));
             }
             comm.send(1, 8, &[]);
             dt

@@ -12,7 +12,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use unr_core::{
-    Backend, Blk, Reliability, Signal, Transport, Unr, UnrConfig, UnrError, UnrMem, BLK_WIRE_LEN,
+    Blk, Reliability, Signal, Transport, Unr, UnrConfig, UnrError, UnrMem, BLK_WIRE_LEN,
 };
 use unr_minimpi::run_mpi_world;
 use unr_simnet::FabricConfig;
@@ -161,9 +161,8 @@ fn script<T: Transport>(side: Side<'_, T>, seed: u64) -> Outcome {
     }
 }
 
-fn config(backend: Backend, reliable: bool, agg: bool) -> UnrConfig {
+fn config(reliable: bool, agg: bool) -> UnrConfig {
     UnrConfig::builder()
-        .backend(backend)
         .reliability(if reliable {
             Reliability::On
         } else {
@@ -178,7 +177,7 @@ fn config(backend: Backend, reliable: bool, agg: bool) -> UnrConfig {
 fn on_simnet(seed: u64, reliable: bool, agg: bool) -> Vec<Outcome> {
     let mut fabric = FabricConfig::test_default(2);
     fabric.nics_per_node = NICS;
-    let cfg = config(Backend::Simnet, reliable, agg);
+    let cfg = config(reliable, agg);
     run_mpi_world(fabric, move |comm| {
         let unr = Unr::init(comm.ep_shared(), cfg);
         let peer = 1 - comm.rank();
@@ -207,7 +206,7 @@ fn on_netfab(seed: u64, reliable: bool, agg: bool, faults: NetFaults) -> Vec<Out
         .iter()
         .map(|row| row.iter().map(|l| l.local_addr().unwrap().port()).collect())
         .collect();
-    let cfg = config(Backend::Netfab, reliable, agg);
+    let cfg = config(reliable, agg);
     let barrier = Barrier::new(2);
     let (to_1, from_0) = mpsc::channel::<Vec<u8>>();
     let (to_0, from_1) = mpsc::channel::<Vec<u8>>();

@@ -4,15 +4,18 @@
 //! monomorphised over [`NetTransport`]: the post path
 //! ([`unr_core::post`]: validate → coalesce → stripe → register →
 //! send), the `sig_wait` family ([`unr_core::wait`]), `mem_reg`,
-//! `progress`, `finalize`, the clock, the statistics and every `unr.*`
-//! engine counter. `NetUnr` holds that engine and derefs to it. The
-//! signal table, the coalescer, the wire format, the retry table
-//! ([`unr_core::RetryState`]), the receive-side control handler
-//! ([`unr_core::handle_ctrl`]) and the atomic-add sink
-//! ([`unr_core::TableSink`]) are shared too. What this module keeps is
-//! bring-up ([`NetUnr::init`]) and the control path (`CtrlPath`) that
-//! the fabric runs as its receive side ([`NetSink`]), on whichever
-//! thread reads a frame, and whose retransmit sweep reactor 0 runs.
+//! `progress`, `finalize`, the clock, the epoch, checkpoint and
+//! restore, the statistics and every `unr.*` engine counter — and
+//! bring-up itself ([`Unr::bring_up`]: validation, reliability, the
+//! retry policy and table, the signal table). `NetUnr` holds that
+//! engine and derefs to it. The coalescer, the wire format, the
+//! receive-side control handler ([`unr_core::handle_ctrl`]) and the
+//! atomic-add sink ([`unr_core::TableSink`]) are shared too. What this
+//! module keeps is [`NetUnr::init`] — this fabric's facts (wall-clock
+//! retransmit floors) and the closure that builds its transport — and
+//! the control path (`CtrlPath`) that the fabric runs as its receive
+//! side ([`NetSink`]), on whichever thread reads a frame, and whose
+//! retransmit sweep reactor 0 runs.
 //! The engine has no thread of its own: a process is main + reactors.
 //!
 //! * **Unreliable** (default): each message (or stripe) rides one `PUT`
@@ -21,7 +24,7 @@
 //!   for it, else a reactor — deposits the payload and applies the
 //!   custom bits through the installed sink — level-2 emulation of the
 //!   paper's level-4 hardware.
-//! * **Reliable** ([`Reliability::On`], or `Auto` with fault injection
+//! * **Reliable** ([`Reliability::On`](unr_core::Reliability::On), or `Auto` with fault injection
 //!   enabled): stripes become `unr_core::wire` `SEQ_DATA` control
 //!   messages registered in the shared retry table — per-destination
 //!   sequence numbers, buffered until acked, deduplicated at the
@@ -48,8 +51,7 @@
 //! A wait has no scheduler to park on: [`NetTransport`]'s park polls
 //! the rank's sockets itself ([`NetFabric::wait_progress`]) — reads,
 //! deposits, applies the addend, handles the control messages it read —
-//! for as long as the wait's deadline (or the `UNR_NETFAB_WAIT_MS`
-//! cap) allows, so the put it waits for completes on the waiting
+//! for as long as the wait's deadline (or a 30 s cap) allows, so the put it waits for completes on the waiting
 //! thread, and rings the event bell for any other waiter whose frame it
 //! read. Local PUT
 //! completion is buffered-send: each sub-message's share of the local
@@ -62,10 +64,10 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use unr_core::ctrl::{self, CtrlEvent, CtrlSink};
-use unr_core::signal::SignalTable;
+use unr_core::post::FabricFacts;
 use unr_core::{
-    Backend, Channel, Encoding, HwMetrics, ProgressMode, Reliability, Resend, RetryPolicy,
-    RetryState, TableSink, Unr, UnrConfig, UnrError, UnrMem,
+    Channel, HwMetrics, ProgressMode, Resend, RetryState, TableSink, Unr, UnrConfig, UnrError,
+    UnrMem,
 };
 use unr_obs::Obs;
 use unr_simnet::Ns;
@@ -101,77 +103,53 @@ impl Deref for NetUnr {
 const MIN_RTO: Duration = Duration::from_millis(5);
 /// Wall-clock floor for the backoff cap.
 const MIN_BACKOFF_CAP: Duration = Duration::from_millis(100);
-/// Default wall-clock cap on a wait with no deadline of its own.
-const DEFAULT_WAIT: Duration = Duration::from_secs(30);
 
 impl NetUnr {
-    /// Bring up the engine on an established [`NetWorld`].
-    ///
-    /// `cfg.backend` must be [`Backend::Netfab`]; reliability follows
-    /// [`Reliability`]: `Auto` turns the ack/replay protocol on iff
-    /// `faults` injects drops, mirroring the simnet engine's rule.
+    /// Bring up the engine on an established [`NetWorld`]:
+    /// [`Unr::bring_up`] over the sockets. Reliability follows
+    /// [`Reliability`](unr_core::Reliability): `Auto` turns the ack/replay protocol on iff
+    /// `faults` injects drops, the simulator's rule too.
     pub fn init(
         world: Arc<NetWorld>,
         cfg: UnrConfig,
         faults: NetFaults,
     ) -> Result<NetUnr, UnrError> {
-        assert_eq!(
-            cfg.backend,
-            Backend::Netfab,
-            "NetUnr::init drives the netfab backend; for Backend::Simnet use unr_core::Unr::init"
-        );
-        cfg.validate()?;
         let fabric = Arc::clone(&world.fabric);
-        let channel = Channel::netfab();
-        let table = SignalTable::with_key_capacity(cfg.n_bits, Encoding::Full128.max_key());
-        let reliable = match cfg.reliability {
-            Reliability::On => true,
-            Reliability::Off => false,
-            Reliability::Auto => faults.any(),
+        let facts = FabricFacts {
+            nranks: fabric.nranks(),
+            nics: fabric.nics(),
+            faults: faults.any(),
+            ns_per_byte: 0.0,
+            min_rto: MIN_RTO.as_nanos() as Ns,
+            min_backoff_cap: MIN_BACKOFF_CAP.as_nanos() as Ns,
         };
-        let hardware = cfg.resolve_progress(&channel, reliable) == ProgressMode::Hardware;
-        let sink = TableSink::new(
-            Arc::clone(&table),
-            &fabric.obs,
-            hardware.then(|| HwMetrics::new(&fabric.obs)),
-        );
-        // The retry table's clock is nanoseconds since this instant.
-        let retry = reliable.then(|| {
-            Arc::new(RetryState::new(
-                RetryPolicy {
-                    timeout: cfg.retry_timeout.max(MIN_RTO.as_nanos() as Ns),
-                    max_backoff: cfg.retry_max_backoff.max(MIN_BACKOFF_CAP.as_nanos() as Ns),
-                    max_retries: cfg.max_retries,
-                    fallback_after: cfg.fallback_after,
-                    nics: fabric.nics(),
-                    ns_per_byte: 0.0,
-                },
-                fabric.nranks(),
-            ))
-        });
-        let ctrl = Arc::new(CtrlPath {
-            fabric: Arc::downgrade(&fabric),
-            met: fabric.met.clone(),
-            obs: Arc::clone(&fabric.obs),
-            sink,
-            retry: retry.clone(),
-            epoch: world.epoch(),
-            t0: Instant::now(),
-            next_sweep: AtomicU64::new(0),
-        });
-        // Every config, pure hardware or hybrid: the threads that read
-        // frames apply their custom bits (the emulated level-4 atomic-add
-        // unit) and handle the control messages among them, and reactor
-        // 0 runs the retransmit sweep — main + reactors, no thread of
-        // the engine's own (DESIGN.md §5g).
-        fabric.install(Arc::clone(&ctrl) as Arc<dyn NetSink>);
-        let wait_cap = std::env::var("UNR_NETFAB_WAIT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(Duration::from_millis)
-            .unwrap_or(DEFAULT_WAIT);
-        let tx = NetTransport::new(fabric, ctrl, faults, wait_cap.as_nanos() as Ns);
-        let eng = Unr::new(tx, cfg, channel, table, retry);
+        let obs = Arc::clone(&fabric.obs);
+        let eng = Unr::bring_up(cfg, Channel::netfab(), facts, &obs, |core| {
+            let hardware = core.progress_mode() == ProgressMode::Hardware;
+            let sink = TableSink::new(
+                Arc::clone(core.table()),
+                &obs,
+                hardware.then(|| HwMetrics::new(&obs)),
+            );
+            let ctrl = Arc::new(CtrlPath {
+                fabric: Arc::downgrade(&fabric),
+                met: fabric.met.clone(),
+                obs: Arc::clone(&obs),
+                sink,
+                retry: core.retry().cloned(),
+                epoch: world.epoch(),
+                // The retry table's clock is nanoseconds since this instant.
+                t0: Instant::now(),
+                next_sweep: AtomicU64::new(0),
+            });
+            // Every config, pure hardware or hybrid: the threads that read
+            // frames apply their custom bits (the emulated level-4
+            // atomic-add unit) and handle the control messages among them,
+            // and reactor 0 runs the retransmit sweep — main + reactors, no
+            // thread of the engine's own (DESIGN.md §5g).
+            fabric.install(Arc::clone(&ctrl) as Arc<dyn NetSink>);
+            NetTransport::new(fabric, ctrl, faults)
+        })?;
         Ok(NetUnr { eng, world })
     }
 
@@ -379,7 +357,7 @@ mod tests {
     use std::net::TcpListener;
     use std::sync::Barrier;
     use unr_core::wire;
-    use unr_core::{Blk, PeerFailedCause, Route, SignalError};
+    use unr_core::{Blk, Epoch, PeerFailedCause, RecoveryPolicy, Reliability, Route, SignalError};
     use unr_simnet::{Bytes, RKey};
 
     /// A one-rank fabric (no peers, so no sockets beyond the reactors'
@@ -407,7 +385,6 @@ mod tests {
     /// A reliable, coalescing engine on `fabric`.
     fn engine(fabric: Arc<NetFabric>) -> NetUnr {
         let cfg = UnrConfig::builder()
-            .backend(Backend::Netfab)
             .reliability(Reliability::On)
             .agg_eager_max(4)
             .build()
@@ -595,10 +572,7 @@ mod tests {
     fn two_waiters_whose_frames_cross_both_return_at_once() {
         const ROUNDS: usize = 50;
         let (f0, f1) = pair();
-        let cfg = UnrConfig::builder()
-            .backend(Backend::Netfab)
-            .build()
-            .unwrap();
+        let cfg = UnrConfig::builder().build().unwrap();
         let init = |f| {
             let world = Arc::new(NetWorld::without_launcher(f));
             NetUnr::init(world, cfg, NetFaults::default()).unwrap()
@@ -776,6 +750,50 @@ mod tests {
         receiver.finalize();
     }
 
+    /// The epoch, checkpoint and restore are the shared engine's here
+    /// too: the epoch is the world incarnation's, a checkpoint carries
+    /// it, and a restore gives the region its checkpointed bytes back.
+    #[test]
+    fn epoch_is_the_worlds_and_restore_gives_back_the_checkpoint() {
+        let (fabric, _) = fixture();
+        let world = Arc::new(NetWorld::without_launcher(fabric).at_epoch(2));
+        let unr = NetUnr::init(
+            Arc::clone(&world),
+            UnrConfig::default(),
+            NetFaults::default(),
+        )
+        .unwrap();
+        assert_eq!(unr.epoch(), Epoch::new(world.epoch()));
+        let mem = unr.mem_reg(16);
+        mem.write_bytes(0, &[7; 16]);
+        let ckpt = unr.checkpoint(&mem);
+        assert_eq!(ckpt.epoch, Epoch::new(2));
+        mem.write_bytes(0, &[0; 16]);
+        unr.restore(&mem, &ckpt);
+        let mut back = [0; 16];
+        mem.read_bytes(0, &mut back);
+        assert_eq!(back, [7; 16]);
+        unr.finalize();
+    }
+
+    /// Bring-up validates on this fabric as on the simulator: a
+    /// struct-literal config that `build()` would reject is refused.
+    #[test]
+    fn init_refuses_a_config_build_would_reject() {
+        let (fabric, _) = fixture();
+        let cfg = UnrConfig {
+            reliability: Reliability::Off,
+            recovery: RecoveryPolicy::Respawn {
+                max_attempts: 1,
+                rejoin_timeout: 1_000,
+            },
+            ..UnrConfig::default()
+        };
+        let world = Arc::new(NetWorld::without_launcher(fabric));
+        let refused = NetUnr::init(world, cfg, NetFaults::default());
+        assert!(matches!(refused, Err(UnrError::InvalidConfig(_))));
+    }
+
     /// Progress is a function on this fabric too: software or hardware
     /// progress, reliable or coalescing, bring-up starts no thread of
     /// the engine's own — a process is main plus reactors. Names rather
@@ -796,7 +814,6 @@ mod tests {
         for progress in [software, ProgressMode::Hardware] {
             for (reliability, agg) in [(Reliability::On, 0), (Reliability::Off, 512)] {
                 let cfg = UnrConfig::builder()
-                    .backend(Backend::Netfab)
                     .progress(progress)
                     .reliability(reliability)
                     .agg_eager_max(agg)

@@ -59,7 +59,7 @@ use unr_simnet::MemRegion;
 
 use crate::frame;
 use crate::reactor::{
-    pool_size_from_env, Conn, FrameDispatch, ReactorMetrics, ReactorPool, Waiting, WakeHandle,
+    Conn, FrameDispatch, ReactorMetrics, ReactorPool, Waiting, WakeHandle, DEFAULT_REACTORS,
     QUEUE_CAP_BYTES,
 };
 
@@ -546,7 +546,7 @@ impl NetFabric {
 
         // Register every stream with its reactor: nonblocking from here
         // on, assignment static by `(peer × nics + nic) % nreactors`.
-        let nreactors = pool_size_from_env();
+        let nreactors = DEFAULT_REACTORS;
         let mut all_conns: Vec<Arc<Conn>> = Vec::with_capacity(streams.len());
         for (peer, nic, s) in streams {
             met.conns.inc();

@@ -7,7 +7,11 @@
 //! 1. The parent binds a rendezvous `TcpListener` on `127.0.0.1:0` and
 //!    spawns `nranks` copies of the *current executable* with the
 //!    `UNR_NETFAB_*` environment variables set (rank, world size, NIC
-//!    count, and the rendezvous address).
+//!    count, and the rendezvous address). These six variables
+//!    ([`ENV_RANK`] … [`ENV_EPOCH`]) are the launcher's protocol with
+//!    its children, not settings: the launcher writes them and
+//!    [`NetWorld::from_env`] reads them. The netfab runtime reads no
+//!    other environment variable.
 //! 2. Each child binds `nics` data listeners on `127.0.0.1:0`, connects
 //!    to the rendezvous address, and sends a `JOIN` frame carrying its
 //!    rank and listener ports.
@@ -64,18 +68,18 @@ use unr_core::{Blk, BLK_WIRE_LEN};
 use crate::fabric::NetFabric;
 use crate::frame::{self, FRAME_ALLDATA, FRAME_GATHER, FRAME_JOIN, FRAME_REJOIN, FRAME_TABLE};
 
-/// Child-side env var: this process's rank.
+/// Launcher→child protocol: this process's rank.
 pub const ENV_RANK: &str = "UNR_NETFAB_RANK";
-/// Child-side env var: world size.
+/// Launcher→child protocol: world size.
 pub const ENV_NRANKS: &str = "UNR_NETFAB_NRANKS";
-/// Child-side env var: sockets ("NICs") per peer.
+/// Launcher→child protocol: sockets ("NICs") per peer.
 pub const ENV_NICS: &str = "UNR_NETFAB_NICS";
-/// Child-side env var: `host:port` of the parent's rendezvous listener.
+/// Launcher→child protocol: `host:port` of the parent's rendezvous listener.
 pub const ENV_BOOTSTRAP: &str = "UNR_NETFAB_BOOTSTRAP";
-/// Child-side env var: incarnation generation of this process (0 for
+/// Launcher→child protocol: incarnation generation of this process (0 for
 /// the original spawn, +1 per respawn of the same rank).
 pub const ENV_GENERATION: &str = "UNR_NETFAB_GENERATION";
-/// Child-side env var: the membership epoch this incarnation starts in
+/// Launcher→child protocol: the membership epoch this incarnation starts in
 /// (0 for the original world; `2 × rejoins` after recoveries).
 pub const ENV_EPOCH: &str = "UNR_NETFAB_EPOCH";
 
@@ -211,6 +215,13 @@ impl NetWorld {
         }
     }
 
+    /// This world as the incarnation of membership epoch `epoch`, for
+    /// engine unit tests.
+    #[cfg(test)]
+    pub(crate) fn at_epoch(self, epoch: u64) -> NetWorld {
+        NetWorld { epoch, ..self }
+    }
+
     /// This process's world rank.
     pub fn rank(&self) -> usize {
         self.fabric.rank()
@@ -335,21 +346,12 @@ impl NetWorld {
     }
 }
 
-/// Parent-side env var: milliseconds to wait for every child's `JOIN`
-/// before declaring the rendezvous wedged (default 120000).
-pub const ENV_JOIN_TIMEOUT_MS: &str = "UNR_NETFAB_JOIN_TIMEOUT_MS";
-/// Parent-side env var: milliseconds to wait for children to exit after
-/// the collective channel closes (default 60000); survivors are killed.
-pub const ENV_EXIT_TIMEOUT_MS: &str = "UNR_NETFAB_EXIT_TIMEOUT_MS";
-
-fn env_ms(key: &str, default_ms: u64) -> Duration {
-    Duration::from_millis(
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default_ms),
-    )
-}
+/// How long the parent waits for every child's `JOIN` before declaring
+/// the rendezvous wedged.
+const JOIN_TIMEOUT: Duration = Duration::from_secs(120);
+/// How long the parent waits for children to exit after the collective
+/// channel closes; survivors are killed.
+const EXIT_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Kill-on-drop guard over the spawned ranks: if `spawn_world` unwinds
 /// or errors anywhere past spawning — a wedged rendezvous, a corrupt
@@ -628,8 +630,8 @@ fn broadcast_table(conns: &mut [TcpStream], table: &[Vec<u16>], nics: usize) -> 
 ///
 /// The spawned world is held by a kill-on-drop guard: any error or
 /// panic after spawning — including a rendezvous that never completes
-/// (deadline: [`ENV_JOIN_TIMEOUT_MS`]) or children that outlive the
-/// collective channel ([`ENV_EXIT_TIMEOUT_MS`]) — kills and reaps every
+/// (deadline: 120 s) or children that outlive the
+/// collective channel (by 60 s) — kills and reaps every
 /// remaining child before `spawn_world` returns.
 ///
 /// Equivalent to [`spawn_world_with_recovery`] with recovery `None`:
@@ -680,11 +682,10 @@ pub fn spawn_world_with_recovery(
     // Rendezvous: accept one JOIN per rank, under a deadline, failing
     // fast if any child dies before joining (its JOIN will never come,
     // so blocking forever would wedge CI).
-    let join_timeout = env_ms(ENV_JOIN_TIMEOUT_MS, 120_000);
     listener.set_nonblocking(true)?;
     let mut conns: Vec<Option<TcpStream>> = (0..nranks).map(|_| None).collect();
     let mut table = vec![vec![0u16; nics]; nranks];
-    let join_deadline = Instant::now() + join_timeout;
+    let join_deadline = Instant::now() + JOIN_TIMEOUT;
     for _ in 0..nranks {
         let (s, rank, ports) = accept_join(&listener, &mut guard, join_deadline, nranks, nics)?;
         if conns[rank].is_some() {
@@ -771,7 +772,7 @@ pub fn spawn_world_with_recovery(
                     // Fresh JOINs: the respawned rank dials the still-
                     // open rendezvous listener; survivors re-JOIN over
                     // their existing connections.
-                    let deadline = Instant::now() + join_timeout;
+                    let deadline = Instant::now() + JOIN_TIMEOUT;
                     let (s_new, jr, ports) =
                         accept_join(&listener, &mut guard, deadline, nranks, nics)?;
                     if jr != r {
@@ -815,7 +816,7 @@ pub fn spawn_world_with_recovery(
     // channel closes; one that wedges (a rank stuck mid-`sig_wait`
     // after a sibling died) is killed at the deadline instead of
     // hanging the launcher forever.
-    let statuses = guard.wait_all(env_ms(ENV_EXIT_TIMEOUT_MS, 60_000));
+    let statuses = guard.wait_all(EXIT_TIMEOUT);
     let mut outputs = Vec::with_capacity(nranks);
     for rank_pumps in pumps {
         let mut combined = String::new();

@@ -30,7 +30,8 @@
 //!   the park under its one wait loop, registration and the wall clock;
 //! * [`engine`] — [`NetUnr`]: that shared engine (`Unr<NetTransport>`,
 //!   reached through `Deref`) plus what is still this fabric's own —
-//!   bring-up and the control path it installs — over `unr-core`'s
+//!   its facts and transport for `unr-core`'s one bring-up, and the
+//!   control path it installs — over `unr-core`'s
 //!   [`RetryState`](unr_core::RetryState) table, its
 //!   [`handle_ctrl`](unr_core::handle_ctrl) receive side and its
 //!   [`TableSink`](unr_core::TableSink).
@@ -43,15 +44,12 @@
 //!
 //! ```no_run
 //! use unr_netfab::{spawn_world, NetFaults, NetUnr, NetWorld};
-//! use unr_core::{Backend, UnrConfig};
+//! use unr_core::UnrConfig;
 //! use std::sync::Arc;
 //!
 //! if let Some(world) = NetWorld::from_env() {
 //!     let world = Arc::new(world.expect("bootstrap"));
-//!     let cfg = UnrConfig::builder()
-//!         .backend(Backend::Netfab)
-//!         .build()
-//!         .unwrap();
+//!     let cfg = UnrConfig::builder().build().unwrap();
 //!     let unr = NetUnr::init(world, cfg, NetFaults::default()).unwrap();
 //!     // ... register memory, exchange BLKs, put/get, sig_wait ...
 //!     unr.finalize();

@@ -34,8 +34,7 @@
 //!   `WouldBlock` (it polls for writability), or when a poster found
 //!   another thread writing and handed its frame over with a wake.
 //!
-//! The pool size is fixed at construction (default
-//! [`DEFAULT_REACTORS`], env `UNR_NETFAB_REACTORS`), so the thread
+//! The pool size is fixed ([`DEFAULT_REACTORS`]), so the thread
 //! budget is **flat in world size**: `main + nreactors` threads per
 //! process whether the world has 4 ranks or 64 — a waiting rank thread
 //! that reads is a thread the rank already had, and the protocol's
@@ -62,7 +61,7 @@ use unr_obs::Obs;
 
 use crate::frame::{Frame, FrameAssembler};
 
-/// Default reactor threads per process (env `UNR_NETFAB_REACTORS`).
+/// Reactor threads per process.
 pub const DEFAULT_REACTORS: usize = 2;
 
 /// Per-connection writer-queue cap in bytes; producers stall (counted
@@ -645,16 +644,6 @@ fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
 // ---------------------------------------------------------------------
 // The pool
 // ---------------------------------------------------------------------
-
-/// Resolve the pool size: `UNR_NETFAB_REACTORS` clamped to `1..=16`,
-/// else [`DEFAULT_REACTORS`].
-pub fn pool_size_from_env() -> usize {
-    std::env::var("UNR_NETFAB_REACTORS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.clamp(1, 16))
-        .unwrap_or(DEFAULT_REACTORS)
-}
 
 /// What the rank's waiting threads tell the reactors: two words, written
 /// by [`Waiting::park`], read at the top of every reactor pass.

@@ -36,7 +36,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use unr_core::{Backend, Reliability, UnrConfig};
+use unr_core::{Reliability, UnrConfig};
 
 use crate::engine::NetUnr;
 use crate::launch::{Gathered, NetWorld};
@@ -144,7 +144,6 @@ pub fn run_storm(world: Arc<NetWorld>, opts: StormOpts) -> Result<StormOutcome, 
     }
 
     let mut builder = UnrConfig::builder()
-        .backend(Backend::Netfab)
         .reliability(if opts.reliable {
             Reliability::On
         } else {

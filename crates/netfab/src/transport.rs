@@ -5,8 +5,8 @@
 //! the clock and teardown are on a TCP mesh. It runs no thread: the
 //! control path it shares with the receive side (`CtrlPath`) runs on
 //! whichever thread reads a frame, and its retransmit sweep on
-//! reactor 0. [`crate::engine`] builds it (bring-up is all the seam
-//! does not cover).
+//! reactor 0. [`crate::engine`] builds it, in the closure it hands
+//! `unr_core`'s one bring-up.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -50,9 +50,10 @@ pub struct NetTransport {
     sends: AtomicU64,
     /// Rotation cursor behind [`NicSel::Auto`].
     next_nic: AtomicUsize,
-    /// Wall-clock cap on a wait that has no deadline of its own, in ns.
-    wait_cap: Ns,
 }
+
+/// Wall-clock cap on a wait that has no deadline of its own: 30 s.
+const WAIT_CAP: Ns = 30_000_000_000;
 
 impl NetTransport {
     /// The transport over `fabric`, whose receive side `ctrl` is.
@@ -60,7 +61,6 @@ impl NetTransport {
         fabric: Arc<NetFabric>,
         ctrl: Arc<CtrlPath>,
         faults: NetFaults,
-        wait_cap: Ns,
     ) -> NetTransport {
         NetTransport {
             fabric,
@@ -68,7 +68,6 @@ impl NetTransport {
             faults,
             sends: AtomicU64::new(0),
             next_nic: AtomicUsize::new(0),
-            wait_cap,
         }
     }
 
@@ -241,6 +240,12 @@ impl Transport for NetTransport {
         }
     }
 
+    /// Fixed for the engine's lifetime: netfab rebuilds the engine per
+    /// epoch.
+    fn epoch(&self) -> Epoch {
+        Epoch::new(self.ctrl.epoch)
+    }
+
     /// Poll the rank's sockets on this thread until something arrives, a
     /// bell rings or the deadline (the wait's own, else the cap) passes,
     /// handling what arrives here, control messages included — then
@@ -252,7 +257,7 @@ impl Transport for NetTransport {
         let seen = fabric.event_epoch();
         let now = ctrl.now();
         let deadline = until
-            .deadline(Some(self.wait_cap), |dt| now.saturating_add(dt))
+            .deadline(Some(WAIT_CAP), |dt| now.saturating_add(dt))
             .unwrap_or(Ns::MAX);
         if now < deadline
             && !until.met(ctrl.retry.as_deref())

@@ -67,7 +67,7 @@ fn storm_runs_main_and_reactors(extra: &[&str], what: &str) {
         .collect();
     assert_eq!(threads.len(), 4, "{what}: one STORM_OK per rank\n{stdout}");
     if unr_netfab::process_thread_count().is_some() {
-        let budget = 1 + unr_netfab::reactor::pool_size_from_env() as u64;
+        let budget = 1 + unr_netfab::DEFAULT_REACTORS as u64;
         assert!(
             threads.iter().all(|&t| t == budget),
             "{what}: threads {threads:?}, want main + reactors = {budget} each"

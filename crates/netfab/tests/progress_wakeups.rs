@@ -44,7 +44,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use unr_core::{Backend, Reliability, SigKey, UnrConfig};
+use unr_core::{Reliability, SigKey, UnrConfig};
 use unr_netfab::{spawn_world, NetFaults, NetUnr, NetWorld};
 
 const ROUNDS: u64 = 1_000;
@@ -64,7 +64,6 @@ const LATE_TOLERATED: usize = 2;
 fn idle_rank(world: Arc<NetWorld>) -> Result<String, String> {
     let me = world.rank();
     let cfg = UnrConfig::builder()
-        .backend(Backend::Netfab)
         .reliability(Reliability::Off)
         .build()
         .map_err(|e| format!("config: {e}"))?;
@@ -147,7 +146,6 @@ fn idle_rank(world: Arc<NetWorld>) -> Result<String, String> {
 fn punctual_rank(world: Arc<NetWorld>) -> Result<String, String> {
     let me = world.rank();
     let cfg = UnrConfig::builder()
-        .backend(Backend::Netfab)
         .reliability(Reliability::On)
         .timeout(RTO.as_nanos() as u64)
         .max_backoff(10 * RTO.as_nanos() as u64)
@@ -234,7 +232,6 @@ const GET_LIMIT: Duration = Duration::from_millis(50);
 fn compute_rank(world: Arc<NetWorld>) -> Result<String, String> {
     let me = world.rank();
     let cfg = UnrConfig::builder()
-        .backend(Backend::Netfab)
         .reliability(Reliability::Off)
         .build()
         .map_err(|e| format!("config: {e}"))?;
@@ -318,7 +315,6 @@ fn window_byte(round: u64, i: usize) -> u8 {
 fn hybrid_rank(world: Arc<NetWorld>) -> Result<String, String> {
     let me = world.rank();
     let cfg = UnrConfig::builder()
-        .backend(Backend::Netfab)
         .reliability(Reliability::On)
         .agg_eager_max(512)
         .build()

@@ -28,7 +28,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use unr_core::{Backend, Reliability, UnrConfig};
+use unr_core::{Reliability, UnrConfig};
 use unr_netfab::reactor::POLL_TIMEOUT_MS;
 use unr_netfab::{spawn_world, NetFaults, NetUnr, NetWorld};
 use unr_simnet::SimRng;
@@ -58,7 +58,6 @@ fn rank_main(world: NetWorld) -> Result<String, String> {
     let world = Arc::new(world);
     let me = world.rank();
     let cfg = UnrConfig::builder()
-        .backend(Backend::Netfab)
         .reliability(Reliability::Off)
         .build()
         .map_err(|e| format!("config: {e}"))?;

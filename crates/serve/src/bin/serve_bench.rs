@@ -20,7 +20,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use unr_core::{Backend, Blk, Reliability, UnrConfig};
+use unr_core::{Blk, Reliability, UnrConfig};
 use unr_netfab::{NetFaults, NetUnr, NetWorld};
 use unr_serve::harness::run_simnet;
 use unr_serve::{run_open_loop, RankReport, ServeConfig};
@@ -132,7 +132,6 @@ fn netfab_child(world: NetWorld, cfg: &ServeConfig) {
     // write was acked as applied, which is what makes the post-run
     // window-counter read an exact accounting check.
     let ucfg = UnrConfig::builder()
-        .backend(Backend::Netfab)
         .reliability(Reliability::On)
         .build()
         .expect("netfab serve config");

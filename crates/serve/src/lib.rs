@@ -38,11 +38,11 @@
 //!
 //! The same service core runs on both backends, over the engine itself
 //! — [`KvService`] and [`run_open_loop`] are generic over the
-//! engine's `Transport`: `Backend::Simnet` (deterministic virtual
-//! time — two same-seed runs produce byte-identical metrics snapshots
-//! and signal-table fingerprints) and `Backend::Netfab` (real OS
-//! processes over the TCP-loopback fabric, launched with the
-//! `unr-launch` bootstrap machinery). `serve-bench` reports ops/sec
+//! engine's `Transport`: the simulator's (deterministic virtual time —
+//! two same-seed runs produce byte-identical metrics snapshots and
+//! signal-table fingerprints) and netfab's (real OS processes over the
+//! TCP-loopback fabric, launched with the `unr-launch` bootstrap
+//! machinery). `serve-bench` reports ops/sec
 //! and p50/p99/p999 request latency as a `BENCH_SERVE_JSON` line that
 //! `scripts/bench.sh --serve` gates against `BENCH_PERF.json`.
 

@@ -3,7 +3,7 @@
 //! regression), aggregation-ring backpressure, and exact replication
 //! accounting.
 
-use unr_core::{Backend, Unr, UnrConfig};
+use unr_core::{Unr, UnrConfig};
 use unr_minimpi::{barrier, run_mpi_on_fabric, MpiConfig};
 use unr_serve::harness::run_simnet;
 use unr_serve::workload::{Arrival, OpKind};
@@ -152,7 +152,6 @@ fn agg_ring_pressure_sheds_and_then_drains() {
     fcfg.seed = 0xA66;
     let fabric = Fabric::new(fcfg);
     let ucfg = UnrConfig::builder()
-        .backend(Backend::Simnet)
         .agg_eager_max(128) // record (88 B) is aggregable
         .build()
         .expect("agg config");

@@ -677,6 +677,16 @@ impl Endpoint {
         })
     }
 
+    /// The region this rank registered under `id`, while it stays
+    /// registered. Not a scheduler entry: the fabric lock alone.
+    pub fn region(&self, id: u32) -> Option<MemRegion> {
+        let inner = self.fabric.inner.lock();
+        inner.ranks[self.rank]
+            .regions
+            .get(&id)
+            .map(|(r, _)| r.clone())
+    }
+
     /// Deregister a region. In-flight operations targeting it are dropped
     /// (counted in `stats.lost_writes`), as on real hardware.
     pub fn deregister(&self, region: &MemRegion) {

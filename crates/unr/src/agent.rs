@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use unr_simnet::{ActorId, Endpoint, Ns, Sched, Step};
+use unr_simnet::{ActorId, Ns, Sched, Step};
 
 use crate::retry::Resend;
 use crate::sim::SimState;
@@ -60,8 +60,6 @@ pub(crate) enum Phase {
 /// trace.
 pub(crate) struct Agent {
     pub(crate) sim: Arc<SimState>,
-    /// The rank's endpoint: the agent posts as its rank.
-    pub(crate) ep: Arc<Endpoint>,
     /// The rank's actor.
     pub(crate) owner: ActorId,
     pub(crate) life: Arc<AtomicU8>,
@@ -100,7 +98,7 @@ impl Agent {
             }
             Phase::Reply => {
                 let reply = self.replies.next().expect("a reply is pending");
-                let overhead = self.sim.send_reply_at(&self.ep, sched, t, reply);
+                let overhead = self.sim.send_reply_at(sched, t, reply);
                 self.phase = Phase::ReplyCost(overhead);
                 NEXT
             }

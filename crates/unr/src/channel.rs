@@ -252,6 +252,30 @@ impl Channel {
             Mechanism::RmaCompanion | Mechanism::Dgram => true,
         }
     }
+
+    /// The largest signal key every direction of this channel can carry
+    /// in custom bits. Sizes the signal table's generation field so
+    /// generation-tagged keys always encode on the selected wire
+    /// (narrow wires get no tag and keep the historical semantics).
+    pub fn key_capacity(&self) -> u64 {
+        match self.mech {
+            // Keys ride full-width datagram payloads.
+            Mechanism::Dgram => u64::MAX,
+            // Level-0 local completions carry Split64 custom bits.
+            Mechanism::RmaCompanion => Encoding::Split64.max_key(),
+            Mechanism::Rma(enc) => {
+                let mut cap = enc
+                    .put_local
+                    .max_key()
+                    .min(enc.put_remote.max_key())
+                    .min(enc.get_local.max_key());
+                if let Some(g) = enc.get_remote {
+                    cap = cap.min(g.max_key());
+                }
+                cap
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -80,11 +80,6 @@ pub struct UnrConfig {
     /// Attempt number from which retransmissions abandon the RMA path
     /// and reroute through the datagram fallback channel.
     pub fallback_after: u32,
-    /// Which fabric backend this context runs on: the deterministic
-    /// simulator ([`Backend::Simnet`], consumed by [`crate::Unr::init`]) or
-    /// real TCP processes ([`Backend::Netfab`], consumed by
-    /// `unr-netfab`'s `NetUnr::init`).
-    pub backend: Backend,
     /// Puts of at most this many bytes to a remote rank are coalesced
     /// into per-destination aggregates ([`crate::agg`]) instead of
     /// posted individually. `0` (the default) disables aggregation
@@ -125,7 +120,6 @@ impl Default for UnrConfig {
             retry_max_backoff: 2_000_000,
             max_retries: 10,
             fallback_after: 3,
-            backend: Backend::Simnet,
             agg_eager_max: 0,
             agg_flush_bytes: 8192,
             agg_flush_puts: 64,
@@ -224,9 +218,11 @@ impl UnrConfigBuilder {
         self
     }
 
-    /// Select the fabric backend (default [`Backend::Simnet`]).
-    pub fn backend(mut self, v: Backend) -> Self {
-        self.cfg.backend = v;
+    /// Inert: ignores its argument. The transport an engine is built on
+    /// already fixes the fabric; this stays only because the pinned
+    /// benchmark (`benchmark/`) still calls it, and goes when that
+    /// benchmark next changes.
+    pub fn backend(self, _: Backend) -> Self {
         self
     }
 

@@ -59,7 +59,7 @@
 //! Every `Unr` context registers counters and histograms (message
 //! counts per channel and level, striping fan-out, signal adds,
 //! overflow trips) in its fabric's [`unr_obs::Obs`] registry, reached
-//! via `unr.ep().fabric().obs` — see `OBSERVABILITY.md` at the
+//! via `unr.obs()` — see `OBSERVABILITY.md` at the
 //! workspace root for the full metric catalogue.
 
 #![deny(missing_docs)]

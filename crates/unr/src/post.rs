@@ -6,7 +6,9 @@
 //! `unr-netfab`'s `NetUnr` holds a `Unr<NetTransport>` and derefs to
 //! it. The `sig_wait` family is written once too ([`crate::wait`]), and
 //! so are the rank-level calls around them — `mem_reg`, `progress`,
-//! `finalize`, the clock. Only bring-up (`init`) lives with the fabric
+//! `finalize`, the clock, the epoch — and bring-up itself
+//! ([`Unr::bring_up`]): a fabric's `init` passes in only its own facts
+//! ([`FabricFacts`]) and the closure that builds its transport
 //! ([`crate::sim`] for simnet).
 
 use std::borrow::Cow;
@@ -18,14 +20,14 @@ use unr_simnet::sync::Mutex;
 use unr_simnet::{Bandwidth, MemRegion, NicSel, Ns, RKey};
 
 use crate::agg::{AggFlush, AggMetrics, Coalescer, FlushWhy};
-use crate::blk::{Blk, UnrMem};
+use crate::blk::{Blk, MemCheckpoint, UnrMem};
 use crate::channel::{Channel, DirEncodings, Mechanism};
 use crate::config::{ProgressMode, UnrConfig};
-use crate::epoch::{PeerFailedCause, RecoveryPolicy};
+use crate::epoch::{Epoch, PeerFailedCause, RecoveryPolicy};
 use crate::error::UnrError;
 use crate::level::{Encoding, Notif, SupportLevel};
 use crate::metrics::{UnrMetrics, UnrStats};
-use crate::retry::{RetryState, Route};
+use crate::retry::{Reliability, RetryPolicy, RetryState, Route};
 use crate::signal::{striped_addends, SigKey, Signal, SignalTable};
 use crate::sim::SimTransport;
 use crate::transport::{RmaOp, SeqPost, Transport};
@@ -33,60 +35,68 @@ use crate::wire;
 
 /// Engine state above the seam, shared with whatever drives progress
 /// for the fabric (simnet's polling agent, netfab's control path).
-pub(crate) struct UnrCore {
-    pub channel: Channel,
-    pub table: Arc<SignalTable>,
-    pub stats: UnrStats,
-    pub cfg: UnrConfig,
+/// [`Unr::bring_up`] builds it and hands it to the fabric's transport.
+pub struct UnrCore {
+    pub(crate) channel: Channel,
+    pub(crate) table: Arc<SignalTable>,
+    pub(crate) stats: UnrStats,
+    pub(crate) cfg: UnrConfig,
     /// `cfg.progress`, resolved ([`UnrConfig::resolve_progress`]).
-    pub progress_mode: ProgressMode,
-    pub copy_bw: Bandwidth,
-    pub met: UnrMetrics,
+    pub(crate) progress_mode: ProgressMode,
+    pub(crate) copy_bw: Bandwidth,
+    pub(crate) met: UnrMetrics,
     /// Ack/replay state — `Some` iff reliability is active.
-    pub retry: Option<Arc<RetryState>>,
+    pub(crate) retry: Option<Arc<RetryState>>,
     /// Small-message coalescer — `Some` iff `cfg.agg_eager_max > 0`.
     /// Only the application rank touches it (no progress driver ever
     /// flushes rings), so the mutex is uncontended.
-    pub agg: Option<Mutex<Coalescer>>,
-    pub amet: Option<AggMetrics>,
+    pub(crate) agg: Option<Mutex<Coalescer>>,
+    pub(crate) amet: Option<AggMetrics>,
     /// Virtual copy time owed by buffered-but-unflushed aggregated
     /// puts. A per-put [`Transport::charge`] is a global scheduler op on
     /// simnet — the dominant wall cost of a sub-MTU put — so the pack
     /// loop only accumulates here and the flush settles the whole
     /// aggregate in one charge.
-    pub agg_vcost: AtomicU64,
+    pub(crate) agg_vcost: AtomicU64,
 }
 
 impl UnrCore {
-    pub(crate) fn new(
-        cfg: UnrConfig,
-        channel: Channel,
-        table: Arc<SignalTable>,
-        retry: Option<Arc<RetryState>>,
-        obs: &unr_obs::Obs,
-        nranks: usize,
-    ) -> UnrCore {
-        let on = cfg.agg_eager_max > 0;
-        UnrCore {
-            progress_mode: cfg.resolve_progress(&channel, retry.is_some()),
-            channel,
-            table,
-            stats: UnrStats::default(),
-            cfg,
-            copy_bw: Bandwidth::gibps(cfg.copy_bw_gibps),
-            met: UnrMetrics::new(obs, &channel),
-            retry,
-            agg: on.then(|| {
-                Mutex::new(Coalescer::new(
-                    nranks,
-                    cfg.agg_flush_bytes,
-                    cfg.agg_flush_puts,
-                ))
-            }),
-            amet: on.then(|| AggMetrics::new(obs)),
-            agg_vcost: AtomicU64::new(0),
-        }
+    /// The MMAS signal table, which the fabric's receive side applies
+    /// notifications to.
+    pub fn table(&self) -> &Arc<SignalTable> {
+        &self.table
     }
+
+    /// Ack/replay state — `Some` iff the reliable transport is on.
+    pub fn retry(&self) -> Option<&Arc<RetryState>> {
+        self.retry.as_ref()
+    }
+
+    /// The resolved progress mode.
+    pub fn progress_mode(&self) -> ProgressMode {
+        self.progress_mode
+    }
+}
+
+/// What a fabric tells [`Unr::bring_up`] about itself.
+#[derive(Debug, Clone, Copy)]
+pub struct FabricFacts {
+    /// World size.
+    pub nranks: usize,
+    /// NICs per rank, which retransmissions rotate over.
+    pub nics: usize,
+    /// Whether the fabric injects faults: [`Reliability::Auto`] runs the
+    /// reliable transport iff it does.
+    pub faults: bool,
+    /// Approximate wire time per byte, scaling retransmit deadlines by
+    /// message size (0: unscaled).
+    pub ns_per_byte: f64,
+    /// Floor on the retransmit timeout. The config's value is tuned for
+    /// a virtual nanosecond clock; a wall clock needs one above a real
+    /// round trip (0: none).
+    pub min_rto: Ns,
+    /// Floor on the cap of the backed-off timeout (0: none).
+    pub min_backoff_cap: Ns,
 }
 
 /// The UNR library context for one rank (`UNR_Init`), over transport
@@ -97,21 +107,55 @@ pub struct Unr<T: Transport = SimTransport> {
 }
 
 impl<T: Transport> Unr<T> {
-    /// The engine over an already-connected transport. The fabric's
-    /// front-end (`Unr::init`, `NetUnr::init`) builds the signal table
-    /// and the retry table first, because its receive side shares them.
-    pub fn new(
-        tx: T,
+    /// `UNR_Init`, written once for every fabric: validate `cfg`, resolve
+    /// [`Reliability::Auto`] against the fabric's faults, build the retry
+    /// table, size the signal table to `channel`'s wire
+    /// ([`Channel::key_capacity`]) and build the rest of the core — then
+    /// the fabric's transport, from that finished core, whose tables its
+    /// receive side shares.
+    pub fn bring_up(
         cfg: UnrConfig,
         channel: Channel,
-        table: Arc<SignalTable>,
-        retry: Option<Arc<RetryState>>,
-    ) -> Unr<T> {
-        let core = UnrCore::new(cfg, channel, table, retry, tx.obs(), tx.nranks());
-        Unr {
-            tx,
-            core: Arc::new(core),
-        }
+        facts: FabricFacts,
+        obs: &Obs,
+        transport: impl FnOnce(&Arc<UnrCore>) -> T,
+    ) -> Result<Unr<T>, UnrError> {
+        cfg.validate()?;
+        let reliable = match cfg.reliability {
+            Reliability::On => true,
+            Reliability::Off => false,
+            Reliability::Auto => facts.faults,
+        };
+        let retry = reliable.then(|| {
+            let policy = RetryPolicy {
+                timeout: cfg.retry_timeout.max(facts.min_rto),
+                max_backoff: cfg.retry_max_backoff.max(facts.min_backoff_cap),
+                max_retries: cfg.max_retries,
+                fallback_after: cfg.fallback_after,
+                nics: facts.nics,
+                ns_per_byte: facts.ns_per_byte,
+            };
+            Arc::new(RetryState::new(policy, facts.nranks))
+        });
+        let agg = cfg.agg_eager_max > 0;
+        let core = Arc::new(UnrCore {
+            progress_mode: cfg.resolve_progress(&channel, reliable),
+            channel,
+            table: SignalTable::with_key_capacity(cfg.n_bits, channel.key_capacity()),
+            stats: UnrStats::default(),
+            cfg,
+            copy_bw: Bandwidth::gibps(cfg.copy_bw_gibps),
+            met: UnrMetrics::new(obs, &channel),
+            retry,
+            agg: agg.then(|| {
+                let c = Coalescer::new(facts.nranks, cfg.agg_flush_bytes, cfg.agg_flush_puts);
+                Mutex::new(c)
+            }),
+            amet: agg.then(|| AggMetrics::new(obs)),
+            agg_vcost: AtomicU64::new(0),
+        });
+        let tx = transport(&core);
+        Ok(Unr { tx, core })
     }
 
     /// The transport under this engine.
@@ -244,6 +288,32 @@ impl<T: Transport> Unr<T> {
     /// The configured [`RecoveryPolicy`].
     pub fn recovery(&self) -> RecoveryPolicy {
         self.core.cfg.recovery
+    }
+
+    // ---- membership & recovery --------------------------------------------
+
+    /// The current membership epoch (see [`crate::epoch`]).
+    ///
+    /// [`Epoch::ZERO`] until a rank is killed; bumped on every kill and
+    /// every revive/rejoin. On simnet, observing the epoch through this
+    /// accessor also settles any pending advance into `unr.epoch.bumps`.
+    pub fn epoch(&self) -> Epoch {
+        self.tx.epoch()
+    }
+
+    /// `UNR_Checkpoint`: snapshot a registered region into an in-memory
+    /// checkpoint stamped with the current membership epoch (the Besta &
+    /// Hoefler in-memory-checkpoint model — see [`crate::epoch`]).
+    pub fn checkpoint(&self, mem: &UnrMem) -> MemCheckpoint {
+        mem.checkpoint(self.tx.epoch())
+    }
+
+    /// `UNR_Restore`: write a checkpoint back into its region. On a
+    /// respawned/revived rank this runs *before* re-registering with
+    /// peers, so the new epoch starts from the checkpointed bytes;
+    /// survivors use it to roll back to the last epoch boundary.
+    pub fn restore(&self, mem: &UnrMem, ckpt: &MemCheckpoint) {
+        mem.restore(ckpt);
     }
 
     // ---- resources -------------------------------------------------------
@@ -867,7 +937,6 @@ impl<T: Transport> Drop for Unr<T> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::retry::RetryPolicy;
     use crate::wait::{Until, Woke};
     use crate::wire::CtrlMsg;
     use std::collections::HashMap;
@@ -931,7 +1000,7 @@ pub(crate) mod tests {
         retry: Option<Arc<RetryState>>,
         fail_send: Option<usize>,
         sends: AtomicUsize,
-        obs: Obs,
+        obs: Arc<Obs>,
         pub(crate) log: Mutex<Vec<Call>>,
         pub(crate) park: Mutex<ParkHook>,
     }
@@ -1012,9 +1081,12 @@ pub(crate) mod tests {
         fn peer_failed(&self, rank: usize, cause: PeerFailedCause) -> UnrError {
             UnrError::PeerFailed {
                 rank,
-                epoch: crate::Epoch::ZERO,
+                epoch: Epoch::ZERO,
                 cause,
             }
+        }
+        fn epoch(&self) -> Epoch {
+            Epoch::ZERO
         }
         fn park(&self, until: &Until<'_>) -> Woke {
             self.log.lock().push(Call::Park);
@@ -1043,35 +1115,41 @@ pub(crate) mod tests {
         let cfg = UnrConfig {
             stripe_threshold: 64,
             agg_eager_max: if agg { 16 } else { 0 },
+            reliability: if reliable {
+                Reliability::On
+            } else {
+                Reliability::Off
+            },
+            retry_timeout: 1_000,
+            retry_max_backoff: 8_000,
+            max_retries: 3,
+            fallback_after: 2,
             ..UnrConfig::default()
         };
-        let retry = reliable.then(|| {
-            let policy = RetryPolicy {
-                timeout: 1_000,
-                max_backoff: 8_000,
-                max_retries: 3,
-                fallback_after: 2,
-                nics: NICS,
-                ns_per_byte: 0.0,
-            };
-            Arc::new(RetryState::new(policy, 4))
-        });
+        let facts = FabricFacts {
+            nranks: 4,
+            nics: NICS,
+            faults: false,
+            ns_per_byte: 0.0,
+            min_rto: 0,
+            min_backoff_cap: 0,
+        };
         let region = MemRegion::new(0, REGION, REGION_LEN);
         let pattern: Vec<u8> = (0..REGION_LEN).map(|i| i as u8).collect();
         region.write_bytes(0, &pattern).unwrap();
-        let tx = Fake {
+        let obs = Arc::new(Obs::new());
+        Unr::bring_up(cfg, channel, facts, &obs, |core| Fake {
             nics: NICS,
             route,
             region,
-            retry: retry.clone(),
+            retry: core.retry.clone(),
             fail_send,
             sends: AtomicUsize::new(0),
-            obs: Obs::new(),
+            obs: Arc::clone(&obs),
             log: Mutex::new(Vec::new()),
             park: Mutex::new(Box::new(|_| panic!("nothing here waits"))),
-        };
-        let table = SignalTable::with_key_capacity(cfg.n_bits, u64::MAX);
-        Unr::new(tx, cfg, channel, table, retry)
+        })
+        .unwrap()
     }
 
     /// A block of this rank's region and one of `dst`'s.

@@ -1,10 +1,10 @@
 //! The simulator side of the UNR context (paper §IV): [`SimTransport`]
 //! — registration, the progress pass and the polling agent on a
-//! simulated rank — and `Unr::init`. The put, get, wait and rank-level
-//! calls over it are [`crate::post`]'s and [`crate::wait`]'s.
+//! simulated rank — and `Unr::init`, the simulator's facts and transport
+//! handed to [`Unr::bring_up`]. The put, get, wait and rank-level calls
+//! over it are [`crate::post`]'s and [`crate::wait`]'s.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use unr_simnet::sync::Mutex;
 
@@ -14,7 +14,6 @@ use unr_simnet::{
 };
 
 use crate::agent::{Agent, AgentState, Phase, RUNNING, STOPPED, STOPPING};
-use crate::blk::{MemCheckpoint, UnrMem};
 use crate::channel::{Channel, Mechanism};
 use crate::config::{ProgressMode, UnrConfig};
 use crate::ctrl::{self, CtrlEvent, CtrlSink, HwMetrics, TableSink};
@@ -22,10 +21,9 @@ use crate::epoch::{Epoch, EpochMetrics, MembershipView, PeerFailedCause};
 use crate::error::UnrError;
 use crate::level::Encoding;
 use crate::metrics::RetryMetrics;
-use crate::post::{Unr, UnrCore};
-use crate::retry::{Reliability, Resend, RetryPolicy, RetryState, Route};
-use crate::signal::SignalTable;
-use crate::transport::{Backend, RmaOp, SeqPost, Transport};
+use crate::post::{FabricFacts, Unr, UnrCore};
+use crate::retry::{Resend, RetryState, Route};
+use crate::transport::{RmaOp, SeqPost, Transport};
 use crate::wait::{Until, Woke};
 use crate::wire::CtrlMsg;
 
@@ -35,66 +33,6 @@ use crate::wire::CtrlMsg;
 /// [`crate::wire`].
 pub const UNR_PORT: u32 = 0x554E; // "UN"
 
-/// Read-mostly registry of this rank's registered memory regions.
-///
-/// Registration is rare (startup, mostly) but every put/get/fallback
-/// delivery looks a region up, from both the application rank and the
-/// polling agent. Instead of a mutex around the map, readers follow an
-/// atomic pointer to an immutable snapshot (`load` + `get` + clone of
-/// one `MemRegion` handle — no lock, no contention); writers build a
-/// new map copy under a small mutex and swap the pointer. Retired
-/// snapshots park in a graveyard freed at drop — a reader that loaded
-/// a pointer just before a swap may still be walking that map, and with
-/// registration counts this small, leaking superseded snapshots until
-/// teardown is cheaper than any epoch/hazard machinery.
-pub(crate) struct RegionMap {
-    current: AtomicPtr<HashMap<u32, MemRegion>>,
-    /// Writer serialization + retired snapshots.
-    // The Box keeps each retired map at a stable address: readers may
-    // still hold raw pointers obtained from `current`, so retired maps
-    // must never move while parked here.
-    #[allow(clippy::vec_box)]
-    graveyard: Mutex<Vec<Box<HashMap<u32, MemRegion>>>>,
-}
-
-impl RegionMap {
-    fn new() -> RegionMap {
-        RegionMap {
-            current: AtomicPtr::new(Box::into_raw(Box::new(HashMap::new()))),
-            graveyard: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Lock-free lookup (hot path).
-    pub fn get(&self, id: u32) -> Option<MemRegion> {
-        // SAFETY: `current` always points at a map published with
-        // Release and never freed before `self` drops (see graveyard).
-        let map = unsafe { &*self.current.load(Ordering::Acquire) };
-        map.get(&id).cloned()
-    }
-
-    /// Publish a new region (cold path: copy, insert, swap).
-    pub fn insert(&self, id: u32, region: MemRegion) {
-        let mut graveyard = self.graveyard.lock();
-        let old = self.current.load(Ordering::Relaxed);
-        // SAFETY: single writer (graveyard mutex held); `old` stays
-        // readable for concurrent readers until drop.
-        let mut next = unsafe { (*old).clone() };
-        next.insert(id, region);
-        self.current
-            .store(Box::into_raw(Box::new(next)), Ordering::Release);
-        graveyard.push(unsafe { Box::from_raw(old) });
-    }
-}
-
-impl Drop for RegionMap {
-    fn drop(&mut self) {
-        // SAFETY: exclusive access; the graveyard Vec frees the retired
-        // snapshots, this frees the live one.
-        unsafe { drop(Box::from_raw(self.current.load(Ordering::Relaxed))) };
-    }
-}
-
 /// The simulated rank under the seam: what only a simnet engine has,
 /// shared between the application rank's [`SimTransport`] and the
 /// polling agent.
@@ -103,7 +41,6 @@ pub(crate) struct SimState {
     pub core: Arc<UnrCore>,
     pub cq: Arc<CompletionQueue>,
     pub port: Arc<Port>,
-    pub regions: RegionMap,
     pub rmet: Option<RetryMetrics>,
     /// `unr.hw.*` instruments — `Some` iff the selected channel is
     /// hardware-capable (level 4 with `hardware_atomic_add`).
@@ -114,9 +51,10 @@ pub(crate) struct SimState {
     /// its agent's — runs inside a scheduler entry, so the lock is never
     /// contended.
     pub scratch: Mutex<Vec<Completion>>,
-    /// The fabric this core runs on — membership/epoch queries on the
-    /// control path read its lock-free membership atomics directly.
-    pub fabric: Arc<unr_simnet::Fabric>,
+    /// The rank's endpoint: the agent posts as its rank, regions are
+    /// looked up in its fabric, and membership/epoch queries on the
+    /// control path read that fabric's lock-free membership atomics.
+    pub ep: Arc<Endpoint>,
     /// `unr.epoch.*` / `unr.recovery.*` instruments, registered lazily
     /// at the first membership event so fault-free snapshots carry
     /// none of these series.
@@ -132,26 +70,26 @@ impl SimState {
     /// fabric? This is the only membership cost a fault-free run pays,
     /// which is what keeps the golden seeded traces byte-identical.
     pub(crate) fn membership_on(&self) -> bool {
-        self.fabric.membership_active()
+        self.ep.fabric().membership_active()
     }
 
     /// Fast wait-predicate check: is any rank currently dead? (Waiters
     /// must fail fast with [`UnrError::PeerFailed`] instead of parking
     /// on an addend whose source can never send it.)
     pub(crate) fn dead_peer(&self) -> bool {
-        self.membership_on() && self.fabric.num_dead() > 0
+        self.membership_on() && self.ep.fabric().num_dead() > 0
     }
 
     /// The lazily-registered epoch/recovery instruments.
     pub(crate) fn emet(&self) -> &EpochMetrics {
         self.emet
-            .get_or_init(|| EpochMetrics::new(&self.fabric.obs))
+            .get_or_init(|| EpochMetrics::new(&self.ep.fabric().obs))
     }
 
     /// Read the fabric's membership epoch, counting any advance since
     /// the last observation into `unr.epoch.bumps`.
     pub(crate) fn observe_epoch(&self) -> Epoch {
-        let cur = self.fabric.membership_epoch();
+        let cur = self.ep.fabric().membership_epoch();
         let prev = self.last_epoch.swap(cur, Ordering::Relaxed);
         if cur > prev {
             self.emet().bumps.add(cur - prev);
@@ -192,12 +130,12 @@ impl SimState {
         let Some(retry) = &self.core.retry else {
             return;
         };
-        if self.fabric.num_dead() == 0 {
+        if self.ep.fabric().num_dead() == 0 {
             return;
         }
         let mut drained = 0usize;
-        for r in 0..self.fabric.cfg.total_ranks() {
-            if !self.fabric.rank_alive(r) {
+        for r in 0..self.ep.fabric().cfg.total_ranks() {
+            if !self.ep.fabric().rank_alive(r) {
                 drained += retry.drain_dst(r);
             }
         }
@@ -342,13 +280,7 @@ impl SimState {
             rm.fallback_msgs.add(out.fallback_reroutes);
         }
         for d in out.new_deadlines {
-            let r = Arc::clone(retry);
-            sched.schedule_at(d, move |st2| {
-                r.set_due();
-                for w in r.take_waiters() {
-                    st2.wake(w, d);
-                }
-            });
+            schedule_deadline(sched, retry, d);
         }
         if out.exhausted > 0 {
             for w in retry.take_waiters() {
@@ -388,18 +320,13 @@ impl SimState {
         self.core.copy_bw.transfer_time(bytes) + msgs as Ns * self.core.cfg.fallback_overhead
     }
 
-    /// Send one reply a pass computed, at `t` from `ep`'s rank
+    /// Send one reply a pass computed, at `t` from this rank
     /// (scheduler context); returns the post overhead to charge next.
     /// Stamped at send time: a retransmission of a pre-kill sub-message
     /// goes out under the *current* epoch, which is how surviving ranks'
     /// traffic heals through the epoch fence after a membership bump.
-    pub(crate) fn send_reply_at(
-        &self,
-        ep: &Endpoint,
-        sched: &mut Sched,
-        t: Ns,
-        reply: Resend,
-    ) -> Ns {
+    pub(crate) fn send_reply_at(&self, sched: &mut Sched, t: Ns, reply: Resend) -> Ns {
+        let ep = &self.ep;
         match reply {
             Resend::Dgram { dst, bytes, .. } => {
                 let frame = self.stamp_ctrl(bytes);
@@ -431,8 +358,8 @@ impl SimState {
     /// progress of `UserDriven` mode), then its fallback copy and each
     /// reply, one scheduler entry each — the agent's steps, on a
     /// thread. Returns the number of events processed.
-    fn progress_on(&self, ep: &Endpoint) -> usize {
-        let actor = ep.actor();
+    fn progress_on(&self) -> usize {
+        let actor = self.ep.actor();
         let mut replies = Vec::new();
         let (n, fb_bytes, fb_msgs) =
             actor.with_sched(|st, t| self.progress_pass(st, t, &mut replies));
@@ -440,7 +367,7 @@ impl SimState {
             actor.advance(self.fallback_cost(fb_bytes, fb_msgs));
         }
         for reply in replies {
-            let overhead = actor.with_sched(|st, t| self.send_reply_at(ep, st, t, reply));
+            let overhead = actor.with_sched(|st, t| self.send_reply_at(st, t, reply));
             actor.advance(overhead);
         }
         n
@@ -461,12 +388,8 @@ impl SimSink<'_> {
     /// Count a span that could not land or be read. Registered on
     /// first use, so a fault-free snapshot does not carry the series.
     fn bad_dma(&self) {
-        self.sim
-            .fabric
-            .obs
-            .metrics
-            .counter("unr.ctrl.bad_dma")
-            .inc();
+        let metrics = &self.sim.ep.fabric().obs.metrics;
+        metrics.counter("unr.ctrl.bad_dma").inc();
     }
 }
 
@@ -474,8 +397,8 @@ impl CtrlSink for SimSink<'_> {
     fn deposit(&mut self, region: u32, offset: u64, payload: &[u8]) -> bool {
         let landed = self
             .sim
-            .regions
-            .get(region)
+            .ep
+            .region(region)
             .is_some_and(|r| r.write_bytes(offset as usize, payload).is_ok());
         if !landed {
             self.bad_dma();
@@ -486,8 +409,8 @@ impl CtrlSink for SimSink<'_> {
     fn read(&mut self, region: u32, offset: u64, len: u64) -> Option<Vec<u8>> {
         let data = self
             .sim
-            .regions
-            .get(region)
+            .ep
+            .region(region)
             .and_then(|r| r.snapshot(offset as usize, len as usize).ok());
         if data.is_none() {
             self.bad_dma();
@@ -507,13 +430,10 @@ impl CtrlSink for SimSink<'_> {
 
     fn count(&mut self, event: CtrlEvent) {
         match (event, &self.sim.rmet) {
-            (CtrlEvent::Malformed, _) => self
-                .sim
-                .fabric
-                .obs
-                .metrics
-                .counter("unr.ctrl.malformed")
-                .inc(),
+            (CtrlEvent::Malformed, _) => {
+                let metrics = &self.sim.ep.fabric().obs.metrics;
+                metrics.counter("unr.ctrl.malformed").inc()
+            }
             (CtrlEvent::DupSuppressed, Some(rm)) => rm.dup_suppressed.inc(),
             (CtrlEvent::Acked { first_post }, Some(rm)) => {
                 rm.acks.inc();
@@ -542,10 +462,9 @@ fn schedule_deadline(sched: &mut Sched, retry: &Arc<RetryState>, d: Ns) {
 }
 
 /// The simulator under the post path — [`Transport`]'s simnet
-/// implementor: the application rank's endpoint, the state it shares
-/// with its polling agent, and that agent.
+/// implementor: the state the application rank shares with its polling
+/// agent, and that agent.
 pub struct SimTransport {
-    ep: Arc<Endpoint>,
     sim: Arc<SimState>,
     agent: Mutex<Option<AgentState>>,
     /// The latest wait deadline whose wake-up has run: a timed wait has
@@ -555,29 +474,27 @@ pub struct SimTransport {
 
 impl Transport for SimTransport {
     fn rank(&self) -> usize {
-        self.ep.rank()
+        self.sim.ep.rank()
     }
 
     fn nranks(&self) -> usize {
-        self.sim.fabric.cfg.total_ranks()
+        self.sim.ep.fabric().cfg.total_ranks()
     }
 
     fn nics(&self) -> usize {
-        self.sim.fabric.cfg.nics_per_node
+        self.sim.ep.fabric().cfg.nics_per_node
     }
 
     fn register(&self, len: usize) -> MemRegion {
-        let region = self.ep.register(len, &self.sim.cq);
-        self.sim.regions.insert(region.rkey.id, region.clone());
-        region
+        self.sim.ep.register(len, &self.sim.cq)
     }
 
     fn region(&self, id: u32) -> Option<MemRegion> {
-        self.sim.regions.get(id)
+        self.sim.ep.region(id)
     }
 
     fn put(&self, op: RmaOp<'_>, companion: Option<Vec<u8>>) -> Result<(), UnrError> {
-        self.ep.put(PutOp {
+        self.sim.ep.put(PutOp {
             src: op.local,
             src_offset: op.local_offset,
             len: op.len,
@@ -594,7 +511,7 @@ impl Transport for SimTransport {
     }
 
     fn get(&self, op: RmaOp<'_>) -> Result<(), UnrError> {
-        self.ep.get(GetOp {
+        self.sim.ep.get(GetOp {
             dst: op.local,
             dst_offset: op.local_offset,
             len: op.len,
@@ -616,7 +533,7 @@ impl Transport for SimTransport {
     fn post_seq(&self, post: SeqPost<'_>) -> Result<(), UnrError> {
         let frame = self.sim.stamp_ctrl(post.frame.into_owned());
         match post.route {
-            Route::Rma => self.ep.put_bytes(
+            Route::Rma => self.sim.ep.put_bytes(
                 post.payload.clone(),
                 post.dst,
                 post.dst_offset,
@@ -624,20 +541,22 @@ impl Transport for SimTransport {
                 Some((UNR_PORT, frame)),
             )?,
             Route::Dgram | Route::Agg => {
-                self.ep.send_dgram(post.dst.rank, UNR_PORT, frame, post.nic)
+                self.sim
+                    .ep
+                    .send_dgram(post.dst.rank, UNR_PORT, frame, post.nic)
             }
         }
         Ok(())
     }
 
     fn send_ctrl(&self, dst: usize, nic: NicSel, frame: Vec<u8>) -> Result<(), UnrError> {
-        self.ep
-            .send_dgram(dst, UNR_PORT, self.sim.stamp_ctrl(frame), nic);
+        let frame = self.sim.stamp_ctrl(frame);
+        self.sim.ep.send_dgram(dst, UNR_PORT, frame, nic);
         Ok(())
     }
 
     fn charge(&self, ns: Ns) {
-        self.ep.advance(ns);
+        self.sim.ep.advance(ns);
     }
 
     fn complete(&self, entries: &[(usize, u64)], locals: &[(u64, i64)]) {
@@ -647,7 +566,7 @@ impl Transport for SimTransport {
         let core = &self.sim.core;
         // One scheduler entry arms the deadline wake-ups AND applies
         // the local addends.
-        self.ep.actor().with_sched(|st, t| {
+        self.sim.ep.actor().with_sched(|st, t| {
             if let Some(retry) = &core.retry {
                 for d in retry.arm(t, entries) {
                     schedule_deadline(st, retry, d);
@@ -663,7 +582,7 @@ impl Transport for SimTransport {
     }
 
     fn peer_alive(&self, dst: usize) -> bool {
-        !self.sim.membership_on() || self.sim.fabric.rank_alive(dst)
+        !self.sim.membership_on() || self.sim.ep.fabric().rank_alive(dst)
     }
 
     /// A membership kill beats retry exhaustion as the cause, and then
@@ -675,7 +594,7 @@ impl Transport for SimTransport {
         let sim = &self.sim;
         let (rank, cause) = match cause {
             PeerFailedCause::RetryExhausted { .. } if sim.dead_peer() => (
-                sim.fabric.first_dead_rank().unwrap_or(0),
+                sim.ep.fabric().first_dead_rank().unwrap_or(0),
                 PeerFailedCause::Killed,
             ),
             _ => (rank, cause),
@@ -689,6 +608,12 @@ impl Transport for SimTransport {
         UnrError::PeerFailed { rank, epoch, cause }
     }
 
+    /// Observing the epoch also settles any advance since the last
+    /// observation into `unr.epoch.bumps`.
+    fn epoch(&self) -> Epoch {
+        self.sim.observe_epoch()
+    }
+
     /// A scheduler wait on the signals and the retry table while an
     /// agent (or the hardware) progresses; when the rank drives progress
     /// itself, a pass and then a park on the CQ, port and retry table. A
@@ -696,7 +621,7 @@ impl Transport for SimTransport {
     fn park(&self, until: &Until<'_>) -> Woke {
         let sim = &self.sim;
         let retry = sim.core.retry.as_deref();
-        let actor = self.ep.actor();
+        let actor = self.sim.ep.actor();
         let deadline = until.deadline(None, |dt| {
             let (me, timer) = (actor.id(), Arc::clone(&self.timer));
             actor.with_sched(move |st, t| {
@@ -725,7 +650,7 @@ impl Transport for SimTransport {
                 );
             }
             ProgressMode::UserDriven => {
-                sim.progress_on(&self.ep);
+                sim.progress_on();
                 if !over() {
                     // Until anything arrives that could progress us —
                     // a retransmit deadline and the wait's own included.
@@ -758,7 +683,7 @@ impl Transport for SimTransport {
     }
 
     fn progress_once(&self) -> usize {
-        self.sim.progress_on(&self.ep)
+        self.sim.progress_on()
     }
 
     /// Stop the agent (idempotent): set stop and wake it in one
@@ -767,7 +692,7 @@ impl Transport for SimTransport {
         let Some(AgentState { id, life }) = self.agent.lock().take() else {
             return;
         };
-        let actor = self.ep.actor();
+        let actor = self.sim.ep.actor();
         actor.with_sched(|st, t| {
             life.store(STOPPING, Ordering::Relaxed);
             st.wake(id, t);
@@ -775,23 +700,76 @@ impl Transport for SimTransport {
         actor.wait_until(|_st| life.load(Ordering::Relaxed) == STOPPED, |_st, _me| {});
         // The agent retires one step later at the same time; yielding
         // 1 ns lets that step run first. The golden traces lock the 1 ns.
-        self.ep.sleep(1);
+        self.sim.ep.sleep(1);
     }
 
     fn now(&self) -> Ns {
-        self.ep.now()
+        self.sim.ep.now()
     }
 
     fn sleep(&self, dt: Ns) {
-        self.ep.sleep(dt);
+        self.sim.ep.sleep(dt);
     }
 
     fn obs(&self) -> &unr_obs::Obs {
-        &self.sim.fabric.obs
+        &self.sim.ep.fabric().obs
     }
 }
 
 impl SimTransport {
+    /// The rank's transport over `core`: its completion queue and control
+    /// port, the level-4 sink on a hardware channel, and the agent its
+    /// progress mode runs.
+    fn new(ep: Arc<Endpoint>, core: &Arc<UnrCore>) -> SimTransport {
+        let cq = ep.create_cq();
+        let port = ep.open_port(UNR_PORT);
+        let fabric = Arc::clone(ep.fabric());
+        let (channel, reliable) = (core.channel, core.retry.is_some());
+        let hwmet = channel.hardware.then(|| HwMetrics::new(&fabric.obs));
+        if let Some(hw) = &hwmet {
+            // A level-4 NIC applies *p += a itself, whatever the software
+            // progress mode is; without the sink every notification would
+            // be silently lost (hardware channels post no CQ events).
+            let sink = TableSink::new(Arc::clone(&core.table), &fabric.obs, Some(hw.clone()));
+            ep.set_add_sink(Arc::new(sink));
+        }
+        let sim = Arc::new(SimState {
+            core: Arc::clone(core),
+            cq,
+            port,
+            rmet: reliable.then(|| RetryMetrics::new(&fabric.obs)),
+            hwmet,
+            scratch: Mutex::new(Vec::new()),
+            ep,
+            emet: OnceLock::new(),
+            last_epoch: AtomicU64::new(0),
+        });
+        let tx = SimTransport {
+            sim,
+            agent: Mutex::new(None),
+            timer: Arc::new(AtomicU64::new(0)),
+        };
+        match core.progress_mode {
+            ProgressMode::Hardware => {
+                assert!(
+                    channel.hardware,
+                    "Hardware progress requires a level-4 fabric (hardware atomic add)"
+                );
+                // Hybrid progress (DESIGN.md §5g): the sink above owns
+                // the data path; if the config also runs the reliable
+                // transport or the coalescer, a ctrl-only drainer keeps
+                // acks/retransmits/`MSG_AGG`/`MSG_EPOCH` flowing. Pure
+                // notified-RMA traffic starts no software agent at all.
+                if reliable || core.cfg.agg_eager_max > 0 {
+                    tx.spawn_agent(0, true);
+                }
+            }
+            ProgressMode::PollingAgent { interval } => tx.spawn_agent(interval, false),
+            ProgressMode::UserDriven => {}
+        }
+        tx
+    }
+
     /// Start the rank's [`Agent`], its clock at the rank's present.
     /// `ctrl_only == false` is the classic polling agent (drains CQ +
     /// control port every pass); `ctrl_only == true` is the hybrid
@@ -800,7 +778,7 @@ impl SimTransport {
     /// control port — acks/retransmits/`MSG_AGG`/`MSG_EPOCH` — and
     /// idle-parks until the port bell or a retransmit deadline wakes it.
     fn spawn_agent(&self, interval: Ns, ctrl_only: bool) {
-        let rank = self.ep.rank();
+        let rank = self.sim.ep.rank();
         let name = if ctrl_only {
             format!("unr-hwctrl-{rank}")
         } else {
@@ -809,8 +787,7 @@ impl SimTransport {
         let life = Arc::new(AtomicU8::new(RUNNING));
         let mut agent = Agent {
             sim: Arc::clone(&self.sim),
-            ep: Arc::clone(&self.ep),
-            owner: self.ep.actor().id(),
+            owner: self.sim.ep.actor().id(),
             life: Arc::clone(&life),
             interval,
             ctrl_only,
@@ -818,9 +795,10 @@ impl SimTransport {
             replies: Vec::new().into_iter(),
             polled: 0,
         };
-        let core = self.ep.fabric().core();
-        let id =
-            core.register_callback(&name, self.ep.now(), move |st, me, t| agent.step(st, me, t));
+        let core = self.sim.ep.fabric().core();
+        let id = core.register_callback(&name, self.sim.ep.now(), move |st, me, t| {
+            agent.step(st, me, t)
+        });
         *self.agent.lock() = Some(AgentState { id, life });
     }
 }
@@ -836,114 +814,34 @@ impl Drop for SimTransport {
     }
 }
 
-/// What only the simnet engine has: `init` and membership.
+/// What only the simnet engine has: `init` and the membership view
+/// (netfab keeps no per-rank generations to report).
 impl Unr {
-    /// Initialize UNR on this rank. The channel is selected from the
-    /// fabric's interface (Table II) unless forced by `cfg.channel`.
+    /// Initialize UNR on this rank: [`Unr::bring_up`] over the
+    /// simulator. The channel is selected from the fabric's interface
+    /// (Table II) unless forced by `cfg.channel`.
+    ///
+    /// # Panics
+    ///
+    /// On a config [`UnrConfig::validate`] rejects, with its
+    /// [`UnrError::InvalidConfig`] message.
     pub fn init(ep: Arc<Endpoint>, cfg: UnrConfig) -> Arc<Unr> {
-        assert_eq!(
-            cfg.backend,
-            Backend::Simnet,
-            "Unr::init drives the simnet backend; for Backend::Netfab \
-             use unr-netfab's NetUnr::init"
-        );
-        let spec = ep.iface();
-        let channel = Channel::select(&spec, cfg.channel);
-        let table = SignalTable::with_key_capacity(cfg.n_bits, Self::key_capacity(&channel));
-        let cq = ep.create_cq();
-        let port = ep.open_port(UNR_PORT);
         let fabric = Arc::clone(ep.fabric());
         let fcfg = &fabric.cfg;
-        let reliable = match cfg.reliability {
-            Reliability::On => true,
-            Reliability::Off => false,
-            Reliability::Auto => fcfg.faults.enabled(),
-        };
-        let retry = reliable.then(|| {
+        let facts = FabricFacts {
+            nranks: fcfg.total_ranks(),
+            nics: fcfg.nics_per_node,
+            faults: fcfg.faults.enabled(),
             // Approximate wire cost per byte for deadline scaling.
-            let ns_per_byte = fcfg.nic.bandwidth.transfer_time(4096) as f64 / 4096.0;
-            Arc::new(RetryState::new(
-                RetryPolicy {
-                    timeout: cfg.retry_timeout,
-                    max_backoff: cfg.retry_max_backoff,
-                    max_retries: cfg.max_retries,
-                    fallback_after: cfg.fallback_after,
-                    nics: fcfg.nics_per_node,
-                    ns_per_byte,
-                },
-                fcfg.total_ranks(),
-            ))
-        });
-        let core = Arc::new(UnrCore::new(
-            cfg,
-            channel,
-            table,
-            retry,
-            &fabric.obs,
-            fcfg.total_ranks(),
-        ));
-        let hwmet = channel.hardware.then(|| HwMetrics::new(&fabric.obs));
-        if let Some(hw) = &hwmet {
-            // A level-4 NIC applies *p += a itself, whatever the software
-            // progress mode is; without the sink every notification would
-            // be silently lost (hardware channels post no CQ events).
-            let sink = TableSink::new(Arc::clone(&core.table), &fabric.obs, Some(hw.clone()));
-            ep.set_add_sink(Arc::new(sink));
-        }
-        let progress_mode = core.progress_mode;
-        let sim = Arc::new(SimState {
-            core: Arc::clone(&core),
-            cq,
-            port,
-            regions: RegionMap::new(),
-            rmet: reliable.then(|| RetryMetrics::new(&fabric.obs)),
-            hwmet,
-            scratch: Mutex::new(Vec::new()),
-            fabric: Arc::clone(&fabric),
-            emet: OnceLock::new(),
-            last_epoch: AtomicU64::new(0),
-        });
-        let tx = SimTransport {
-            ep,
-            sim,
-            agent: Mutex::new(None),
-            timer: Arc::new(AtomicU64::new(0)),
+            ns_per_byte: fcfg.nic.bandwidth.transfer_time(4096) as f64 / 4096.0,
+            min_rto: 0,
+            min_backoff_cap: 0,
         };
-        match progress_mode {
-            ProgressMode::Hardware => {
-                assert!(
-                    channel.hardware,
-                    "Hardware progress requires a level-4 fabric (hardware atomic add)"
-                );
-                // Hybrid progress (DESIGN.md §5g): the sink above owns
-                // the data path; if the config also runs the reliable
-                // transport or the coalescer, a ctrl-only drainer keeps
-                // acks/retransmits/`MSG_AGG`/`MSG_EPOCH` flowing. Pure
-                // notified-RMA traffic starts no software agent at all.
-                if reliable || cfg.agg_eager_max > 0 {
-                    tx.spawn_agent(0, true);
-                }
-            }
-            ProgressMode::PollingAgent { interval } => tx.spawn_agent(interval, false),
-            ProgressMode::UserDriven => {}
-        }
-        Arc::new(Unr { tx, core })
-    }
-
-    /// The endpoint this context is bound to.
-    pub fn ep(&self) -> &Endpoint {
-        &self.tx.ep
-    }
-
-    // ---- membership & recovery --------------------------------------------
-
-    /// The current membership epoch (see [`crate::epoch`]).
-    ///
-    /// [`Epoch::ZERO`] until a rank is killed; bumped on every kill and
-    /// every revive/rejoin. Observing the epoch through this accessor
-    /// also settles any pending advance into `unr.epoch.bumps`.
-    pub fn epoch(&self) -> Epoch {
-        self.tx.sim.observe_epoch()
+        let channel = Channel::select(&ep.iface(), cfg.channel);
+        let unr = Self::bring_up(cfg, channel, facts, &fabric.obs, |core| {
+            SimTransport::new(ep, core)
+        });
+        Arc::new(unr.unwrap_or_else(|e| panic!("{e}")))
     }
 
     /// A consistent snapshot of rank membership: epoch, liveness and
@@ -953,54 +851,15 @@ impl Unr {
     /// any membership state.
     pub fn membership_view(&self) -> MembershipView {
         let sim = &self.tx.sim;
-        let n = sim.fabric.cfg.total_ranks();
+        let fabric = sim.ep.fabric();
+        let n = fabric.cfg.total_ranks();
         if !sim.membership_on() {
             return MembershipView::world(n);
         }
-        let fabric = &sim.fabric;
         MembershipView {
             epoch: sim.observe_epoch(),
             live: (0..n).map(|r| fabric.rank_alive(r)).collect(),
             generation: (0..n).map(|r| fabric.rank_generation(r)).collect(),
-        }
-    }
-
-    /// `UNR_Checkpoint`: snapshot a registered region into an in-memory
-    /// checkpoint stamped with the current membership epoch (the Besta &
-    /// Hoefler in-memory-checkpoint model — see [`crate::epoch`]).
-    pub fn checkpoint(&self, mem: &UnrMem) -> MemCheckpoint {
-        mem.checkpoint(self.tx.sim.observe_epoch())
-    }
-
-    /// `UNR_Restore`: write a checkpoint back into its region. On a
-    /// respawned/revived rank this runs *before* re-registering with
-    /// peers, so the new epoch starts from the checkpointed bytes;
-    /// survivors use it to roll back to the last epoch boundary.
-    pub fn restore(&self, mem: &UnrMem, ckpt: &MemCheckpoint) {
-        mem.restore(ckpt);
-    }
-
-    /// The largest signal key every direction of this channel can carry
-    /// in custom bits. Sizes the signal table's generation field so
-    /// generation-tagged keys always encode on the selected wire
-    /// (narrow wires get no tag and keep the historical semantics).
-    fn key_capacity(channel: &Channel) -> u64 {
-        match channel.mech {
-            // Keys ride full-width datagram payloads.
-            Mechanism::Dgram => u64::MAX,
-            // Level-0 local completions carry Split64 custom bits.
-            Mechanism::RmaCompanion => Encoding::Split64.max_key(),
-            Mechanism::Rma(enc) => {
-                let mut cap = enc
-                    .put_local
-                    .max_key()
-                    .min(enc.put_remote.max_key())
-                    .min(enc.get_local.max_key());
-                if let Some(g) = enc.get_remote {
-                    cap = cap.min(g.max_key());
-                }
-                cap
-            }
         }
     }
 }

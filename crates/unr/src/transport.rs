@@ -1,13 +1,15 @@
-//! Transport backend selection and the seam under the post path.
+//! The seam under the engine: what a fabric must provide.
 //!
 //! **Above the seam**, written once ([`crate::post`], generic over
 //! [`Transport`] and monomorphised — no trait object anywhere):
-//! validation ([`crate::Blk::check_pair`]), the small-message coalescer
-//! ([`crate::agg`]), striping and the MMAS addends
-//! ([`crate::signal::striped_addends`]), the per-channel custom-bit
-//! encodings ([`crate::channel`]), the register-before-send rule of the
-//! reliable transport ([`crate::retry`]), the control wire format
-//! ([`crate::wire`]) and every `unr.*` engine counter.
+//! bring-up ([`crate::Unr::bring_up`]: validation, reliability, the retry
+//! policy, the signal table), validation ([`crate::Blk::check_pair`]),
+//! the small-message coalescer ([`crate::agg`]), striping and the MMAS
+//! addends ([`crate::signal::striped_addends`]), the per-channel
+//! custom-bit encodings ([`crate::channel`]), the register-before-send
+//! rule of the reliable transport ([`crate::retry`]), the control wire
+//! format ([`crate::wire`]), epoch, checkpoint and restore, and every
+//! `unr.*` engine counter.
 //!
 //! **Below it**, the leaf operations the interconnects really disagree
 //! on: a native notified put and get of a *region range* (no snapshot
@@ -15,19 +17,20 @@
 //! bytes out of the region once, into the frame), the first
 //! transmission of a sub-message the retry table has just buffered,
 //! a standalone control frame, a virtual-time host charge, local
-//! completion plus deadline arming, peer liveness, the one park a
-//! wait needs ([`crate::wait`] writes the `sig_wait` family over it),
-//! and the rank-level calls `Unr` writes once over them: registration,
-//! one progress pass, shutdown, the clock and the metrics sink.
+//! completion plus deadline arming, peer liveness, the membership
+//! epoch, the one park a wait needs ([`crate::wait`] writes the
+//! `sig_wait` family over it), and the rank-level calls `Unr` writes
+//! once over them: registration, one progress pass, shutdown, the clock
+//! and the metrics sink.
 //!
 //! Two implementors:
 //!
 //! * [`crate::sim::SimTransport`] — the deterministic simulator:
 //!   one `unr_simnet::Endpoint` call per method, in the order the
 //!   golden traces in `tests/` lock. It owns what only a simulated rank
-//!   has: the completion queue, the control port, the region map, the
-//!   membership view and the polling agent. Its park is a scheduler
-//!   wait; its clock is virtual.
+//!   has: the completion queue, the control port, the membership view
+//!   and the polling agent; regions are the fabric's own. Its park is a
+//!   scheduler wait; its clock is virtual.
 //! * `unr_netfab::NetTransport` — real TCP sockets: `PUT`/`GET_REQ`
 //!   frames for native operations, one `CTRL` frame per reliable
 //!   sub-message or aggregate, a wall clock, and no thread: the thread
@@ -35,44 +38,34 @@
 //!   sweep. Its park polls the rank's sockets and reads them on the
 //!   waiting thread.
 //!
-//! What each fabric still writes for itself is bring-up — `Unr::init`
-//! and `NetUnr::init` build the signal table, the retry table and the
-//! atomic-add sink ([`crate::ctrl::TableSink`]) the receive side shares.
-//!
-//! [`Backend`] is the user-facing switch: [`crate::UnrConfig`] carries
-//! it, [`crate::Unr::init`] requires [`Backend::Simnet`], and
-//! `unr-netfab`'s `NetUnr::init` requires [`Backend::Netfab`].
+//! What each fabric writes for itself is the facts bring-up takes
+//! ([`crate::post::FabricFacts`]) and the closure that builds its
+//! transport from the finished core — `Unr::init` (simnet) and
+//! `NetUnr::init` (netfab). The transport you build fixes the fabric;
+//! [`Backend`] is an inert leftover.
 
 use std::borrow::Cow;
 
 use unr_obs::Obs;
 use unr_simnet::{Bytes, MemRegion, NicSel, Ns, RKey};
 
-use crate::epoch::PeerFailedCause;
+use crate::epoch::{Epoch, PeerFailedCause};
 use crate::retry::Route;
 use crate::wait::{Until, Woke};
 use crate::UnrError;
 
-/// Which fabric backend a UNR context runs on.
+/// Inert: which fabric a context runs on is fixed by the transport it
+/// is built on. Kept, with [`crate::UnrConfigBuilder::backend`], only
+/// because the pinned benchmark (`benchmark/`) still names it; both go
+/// when that benchmark next changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// The deterministic in-process simulator (`unr-simnet`). Default:
-    /// every test and golden trace runs here.
+    /// The deterministic in-process simulator (`unr-simnet`).
     #[default]
     Simnet,
     /// Real OS processes connected by TCP loopback sockets
-    /// (`unr-netfab`): wall-clock time, real threads, real drops.
+    /// (`unr-netfab`).
     Netfab,
-}
-
-impl Backend {
-    /// Stable lowercase name (used in metrics and bench labels).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Backend::Simnet => "simnet",
-            Backend::Netfab => "netfab",
-        }
-    }
 }
 
 /// One native notified RMA operation between a range of a region this
@@ -185,6 +178,10 @@ pub trait Transport: Send + Sync {
     /// The typed, counted error for a failed peer, naming the
     /// transport's current membership epoch.
     fn peer_failed(&self, rank: usize, cause: PeerFailedCause) -> UnrError;
+
+    /// The current membership epoch ([`Epoch::ZERO`] until a rank has
+    /// died).
+    fn epoch(&self) -> Epoch;
 
     /// Block a waiting rank until `until` may be over — [`Until::met`]
     /// holds, the deadline [`Until::deadline`] resolves to has passed,

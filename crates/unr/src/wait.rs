@@ -86,7 +86,7 @@ impl<T: Transport> Unr<T> {
     /// progress the fabric needs; an overflow is an error (§IV-D). A
     /// peer the reliable transport or the membership layer declares
     /// failed ends it with [`UnrError::PeerFailed`], and netfab's
-    /// wall-clock cap (30 s, `UNR_NETFAB_WAIT_MS`) with a timeout.
+    /// 30 s wall-clock cap with a timeout.
     pub fn sig_wait(&self, sig: &Signal) -> Result<(), UnrError> {
         self.wait(&Until::new(&[sig], None, false)).map(drop)
     }

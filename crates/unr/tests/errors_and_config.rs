@@ -1,6 +1,11 @@
 //! Error paths and configuration knobs of the UNR engine.
 
-use unr_core::{convert, Blk, ChannelSelect, ProgressMode, Unr, UnrConfig, UnrError};
+use std::sync::atomic::Ordering;
+
+use unr_core::{
+    convert, Blk, ChannelSelect, ProgressMode, RecoveryPolicy, Reliability, Unr, UnrConfig,
+    UnrError,
+};
 use unr_minimpi::run_mpi_world;
 use unr_simnet::{FabricConfig, InterfaceKind, InterfaceSpec, Platform};
 
@@ -50,6 +55,46 @@ fn put_rejects_unknown_region() {
         matches!(unr.put(&fake, &fake), Err(UnrError::RegionUnknown(4242)))
     });
     assert!(results.into_iter().all(|b| b));
+}
+
+/// A region deregistered on the fabric is gone for the engine too: a
+/// put from it is refused as unknown instead of sending from a stale
+/// handle.
+#[test]
+fn put_from_a_deregistered_region_is_refused() {
+    let results = run_mpi_world(fabric(InterfaceKind::Glex, 2), |comm| {
+        let unr = Unr::init(comm.ep_shared(), UnrConfig::default());
+        let mem = unr.mem_reg(64);
+        let local = mem.blk(0, 8, None);
+        let remote = Blk {
+            rank: 1 - comm.rank(),
+            ..local
+        };
+        comm.ep().deregister(mem.region());
+        let refused = unr.put(&local, &remote);
+        let sent = unr.stats().sub_messages.load(Ordering::Relaxed);
+        unr.finalize();
+        matches!(refused, Err(UnrError::RegionUnknown(id)) if id == local.region_id) && sent == 0
+    });
+    assert!(results.into_iter().all(|b| b));
+}
+
+/// Bring-up validates on the simulator as on netfab: a struct-literal
+/// config that `build()` would reject does not run.
+#[test]
+#[should_panic(expected = "invalid config: recovery: Respawn needs the reliable transport")]
+fn init_refuses_a_config_build_would_reject() {
+    let cfg = UnrConfig {
+        reliability: Reliability::Off,
+        recovery: RecoveryPolicy::Respawn {
+            max_attempts: 1,
+            rejoin_timeout: 1_000,
+        },
+        ..UnrConfig::default()
+    };
+    run_mpi_world(fabric(InterfaceKind::Glex, 1), move |comm| {
+        Unr::init(comm.ep_shared(), cfg);
+    });
 }
 
 #[test]
@@ -387,7 +432,7 @@ fn every_wait_counts_an_overflow_once_in_each_series() {
                 let blk = unr.blk_init(&mem, 8 * tag, 8, Some(sig));
                 convert::send_blk(comm, 0, tag as i32, &blk);
             }
-            unr.ep().sleep(unr_simnet::us(200.0));
+            unr.sleep(unr_simnet::us(200.0));
             let mut overflows = 0;
             for n in 0..3 {
                 let got = match n {
@@ -403,13 +448,7 @@ fn every_wait_counts_an_overflow_once_in_each_series() {
                 }
             }
             comm.send(0, 9, &[]);
-            let trips = unr
-                .ep()
-                .fabric()
-                .obs
-                .metrics
-                .counter("unr.signal.overflow_trips")
-                .get();
+            let trips = unr.obs().metrics.counter("unr.signal.overflow_trips").get();
             let errors = unr
                 .signal_stats()
                 .overflow_errors

@@ -143,7 +143,7 @@ fn large_put_striped_across_two_nics() {
             mem.write_bytes(0, &data);
             let rmt = convert::recv_blk(comm, 1, 0);
             unr.put(&blk, &rmt).unwrap();
-            unr.ep().sleep(unr_simnet::us(500.0));
+            unr.sleep(unr_simnet::us(500.0));
             unr.stats()
                 .sub_messages
                 .load(std::sync::atomic::Ordering::Relaxed)
@@ -271,7 +271,7 @@ fn multi_message_aggregation_from_two_senders() {
                 let local = unr.blk_init(&big_mem, 0, big, None);
                 let rmt = convert::recv_blk(comm, 0, 0);
                 unr.put(&local, &rmt).unwrap();
-                unr.ep().sleep(unr_simnet::us(500.0));
+                unr.sleep(unr_simnet::us(500.0));
                 true
             }
             _ => {
@@ -280,7 +280,7 @@ fn multi_message_aggregation_from_two_senders() {
                 let local = unr.blk_init(&small, 0, 64, None);
                 let rmt = convert::recv_blk(comm, 0, 0);
                 unr.put(&local, &rmt).unwrap();
-                unr.ep().sleep(unr_simnet::us(500.0));
+                unr.sleep(unr_simnet::us(500.0));
                 true
             }
         }
@@ -299,14 +299,14 @@ fn sync_error_detected_on_early_arrival() {
             let blk = unr.blk_init(&mem, 0, 8, None);
             let rmt = convert::recv_blk(comm, 1, 0);
             unr.put(&blk, &rmt).unwrap();
-            unr.ep().sleep(unr_simnet::us(100.0));
+            unr.sleep(unr_simnet::us(100.0));
             0
         } else {
             let sig = unr.sig_init(1);
             let blk = unr.blk_init(&mem, 0, 8, Some(&sig));
             convert::send_blk(comm, 0, 0, &blk);
             // Sleep past the arrival, then wait (fine) ...
-            unr.ep().sleep(unr_simnet::us(100.0));
+            unr.sleep(unr_simnet::us(100.0));
             unr.sig_wait(&sig).unwrap();
             sig.reset().unwrap();
             // ... but no new buffer-ready handshake: pretend we expect a
@@ -331,13 +331,13 @@ fn overflow_detected_when_more_events_than_expected() {
             // Two puts against a signal expecting one.
             unr.put(&blk, &rmt).unwrap();
             unr.put(&blk, &rmt).unwrap();
-            unr.ep().sleep(unr_simnet::us(200.0));
+            unr.sleep(unr_simnet::us(200.0));
             true
         } else {
             let sig = unr.sig_init(1);
             let blk = unr.blk_init(&mem, 0, 8, Some(&sig));
             convert::send_blk(comm, 0, 0, &blk);
-            unr.ep().sleep(unr_simnet::us(200.0));
+            unr.sleep(unr_simnet::us(200.0));
             sig.overflowed()
         }
     });
@@ -570,9 +570,9 @@ fn sig_wait_any_returns_first_arrival() {
             let rmt_a = convert::recv_blk(comm, 1, 1); // signal A's block
                                                        // B lands first; A lands 50us later.
             unr.put(&blk, &rmt_b).unwrap();
-            unr.ep().sleep(unr_simnet::us(50.0));
+            unr.sleep(unr_simnet::us(50.0));
             unr.put(&blk, &rmt_a).unwrap();
-            unr.ep().sleep(unr_simnet::us(50.0));
+            unr.sleep(unr_simnet::us(50.0));
             vec![]
         } else {
             let sig_a = unr.sig_init(1);
@@ -637,7 +637,7 @@ fn aggregated_small_puts_deliver_and_sum() {
             // Local completions are deferred to flushes; the wait both
             // flushes the tail and observes the summed local addends.
             unr.sig_wait(&local_sig).unwrap();
-            let obs = &unr.ep().fabric().obs;
+            let obs = unr.obs();
             let coalesced = obs.metrics.counter("unr.agg.puts_coalesced").get();
             assert_eq!(coalesced, PUTS as u64, "every small put must coalesce");
             let subs = unr
@@ -696,7 +696,7 @@ fn big_put_flushes_buffered_ring_first() {
             dst2.offset = 0;
             dst2.len = 2048;
             unr.put_with(&big, &dst2, None, rmt.sig_key).unwrap();
-            let obs = &unr.ep().fabric().obs;
+            let obs = unr.obs();
             assert_eq!(
                 obs.metrics.counter("unr.agg.flush.order").get(),
                 1,

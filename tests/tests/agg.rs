@@ -102,7 +102,7 @@ fn storm_case(
             if unr.retries_in_flight() == 0 {
                 break;
             }
-            unr.ep().sleep(us(50.0));
+            unr.sleep(us(50.0));
         }
         assert_eq!(unr.retries_in_flight(), 0, "acks must drain");
         coll::barrier(comm);

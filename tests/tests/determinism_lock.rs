@@ -162,7 +162,7 @@ fn faulty_trace_hash() -> u64 {
                 if unr.retries_in_flight() == 0 {
                     break;
                 }
-                unr.ep().sleep(unr_simnet::us(50.0));
+                unr.sleep(unr_simnet::us(50.0));
             }
             assert_eq!(unr.retries_in_flight(), 0);
         } else {

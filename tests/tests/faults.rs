@@ -73,7 +73,7 @@ fn lossy_pingpong(
                 if unr.retries_in_flight() == 0 {
                     break;
                 }
-                unr.ep().sleep(us(50.0));
+                unr.sleep(us(50.0));
             }
             assert_eq!(unr.retries_in_flight(), 0, "acks must drain");
             comm.send(1, 8, &[]); // release the receiver
@@ -251,7 +251,7 @@ fn ctrl_frames_that_cannot_land_are_counted_dropped_and_acked() {
             hello.extend_from_slice(&done.key().raw().to_le_bytes());
             comm.send(0, 1, &hello);
             unr.sig_wait(&done).unwrap();
-            unr.ep().sleep(us(200.0)); // stragglers behind the good frame
+            unr.sleep(us(200.0)); // stragglers behind the good frame
             assert_eq!(
                 spared.counter(),
                 4,

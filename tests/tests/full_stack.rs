@@ -168,7 +168,7 @@ fn fabric_stats_account_traffic() {
             let blk = unr.blk_init(&mem, 0, 4096, None);
             let rmt = convert::recv_blk(comm, 1, 0);
             unr.put(&blk, &rmt).unwrap();
-            unr.ep().sleep(unr_simnet::us(50.0));
+            unr.sleep(unr_simnet::us(50.0));
         } else {
             let sig = unr.sig_init(1);
             let blk = unr.blk_init(&mem, 0, 4096, Some(&sig));

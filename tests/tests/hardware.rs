@@ -314,7 +314,7 @@ fn hardware_faulty_trace_matches_polling() {
                     if unr.retries_in_flight() == 0 {
                         break;
                     }
-                    unr.ep().sleep(unr_simnet::us(50.0));
+                    unr.sleep(unr_simnet::us(50.0));
                 }
                 assert_eq!(unr.retries_in_flight(), 0);
             } else {

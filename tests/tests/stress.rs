@@ -76,7 +76,7 @@ fn storm_counters(reliability: Reliability) -> Vec<Counters> {
         // own last ACKs may still be in flight. Quiesce before the
         // snapshot (the agent drains them while we sleep).
         while unr.retries_in_flight() > 0 {
-            unr.ep().sleep(unr_simnet::us(10.0));
+            unr.sleep(unr_simnet::us(10.0));
         }
         coll::barrier(comm);
 
