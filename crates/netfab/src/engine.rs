@@ -24,9 +24,10 @@
 //!   for it, else a reactor — deposits the payload and applies the
 //!   custom bits through the installed sink — level-2 emulation of the
 //!   paper's level-4 hardware.
-//! * **Reliable** ([`Reliability::On`](unr_core::Reliability::On), or `Auto` with fault injection
-//!   enabled): stripes become `unr_core::wire` `SEQ_DATA` control
-//!   messages registered in the shared retry table — per-destination
+//! * **Reliable** ([`Reliability::On`](unr_core::Reliability::On), or
+//!   `Auto` with fault injection enabled): stripes become
+//!   `unr_core::wire` `SEQ_DATA` control messages registered in the
+//!   shared retry table — per-destination
 //!   sequence numbers, buffered until acked, deduplicated at the
 //!   receiver, retransmitted with exponential backoff by reactor 0,
 //!   which polls no longer than the table's next deadline (time is
@@ -51,9 +52,9 @@
 //! A wait has no scheduler to park on: [`NetTransport`]'s park polls
 //! the rank's sockets itself ([`NetFabric::wait_progress`]) — reads,
 //! deposits, applies the addend, handles the control messages it read —
-//! for as long as the wait's deadline (or a 30 s cap) allows, so the put it waits for completes on the waiting
-//! thread, and rings the event bell for any other waiter whose frame it
-//! read. Local PUT
+//! for as long as the wait's deadline (or a 30 s cap) allows, so the
+//! put it waits for completes on the waiting thread, and rings the
+//! event bell for any other waiter whose frame it read. Local PUT
 //! completion is buffered-send: each sub-message's share of the local
 //! signal's `-1` is applied when its payload has been copied out of the
 //! region into its frame.
@@ -64,10 +65,9 @@ use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use unr_core::ctrl::{self, CtrlEvent, CtrlSink};
-use unr_core::post::FabricFacts;
 use unr_core::{
-    Channel, HwMetrics, ProgressMode, Resend, RetryState, TableSink, Unr, UnrConfig, UnrError,
-    UnrMem,
+    Channel, FabricFacts, HwMetrics, ProgressMode, Resend, RetryState, TableSink, Unr, UnrConfig,
+    UnrError, UnrMem,
 };
 use unr_obs::Obs;
 use unr_simnet::Ns;
@@ -107,8 +107,9 @@ const MIN_BACKOFF_CAP: Duration = Duration::from_millis(100);
 impl NetUnr {
     /// Bring up the engine on an established [`NetWorld`]:
     /// [`Unr::bring_up`] over the sockets. Reliability follows
-    /// [`Reliability`](unr_core::Reliability): `Auto` turns the ack/replay protocol on iff
-    /// `faults` injects drops, the simulator's rule too.
+    /// [`Reliability`](unr_core::Reliability): `Auto` turns the
+    /// ack/replay protocol on iff `faults` injects drops, the
+    /// simulator's rule too.
     pub fn init(
         world: Arc<NetWorld>,
         cfg: UnrConfig,

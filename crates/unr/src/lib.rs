@@ -96,7 +96,7 @@ pub use level::{EncodeError, Encoding, Notif, SupportLevel};
 pub use metrics::UnrStats;
 pub use pack::{PackChannel, PackReceiver, PackSender};
 pub use plan::{PlanOp, RmaPlan};
-pub use post::Unr;
+pub use post::{FabricFacts, Unr, UnrCore};
 pub use retry::{
     DedupWindow, Registered, Reliability, Resend, RetryPolicy, RetryState, Route, SweepOutcome,
 };
