@@ -1,5 +1,6 @@
 //! The polling agent of a simulated rank: the paper's polling thread as
-//! a scheduler callback actor.
+//! a scheduler callback actor, and how [`SimTransport`] starts and stops
+//! it.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -7,26 +8,26 @@ use std::sync::Arc;
 use unr_simnet::{ActorId, Ns, Sched, Step};
 
 use crate::retry::Resend;
-use crate::sim::SimState;
+use crate::sim::{SimState, SimTransport};
 
 /// An agent's life, shared with its rank and touched by both only
 /// inside scheduler entries: running; asked to stop (by the rank's
 /// shutdown, in the entry that also wakes the agent); stopped (by the
 /// agent's last pass, which wakes the rank).
-pub(crate) const RUNNING: u8 = 0;
-pub(crate) const STOPPING: u8 = 1;
-pub(crate) const STOPPED: u8 = 2;
+const RUNNING: u8 = 0;
+const STOPPING: u8 = 1;
+const STOPPED: u8 = 2;
 
 /// What a rank keeps of its agent.
 pub(crate) struct AgentState {
-    pub(crate) id: ActorId,
-    pub(crate) life: Arc<AtomicU8>,
+    id: ActorId,
+    life: Arc<AtomicU8>,
 }
 
 /// Where an [`Agent`] is in its loop: the scheduler entry its next step
 /// makes.
 #[derive(Clone, Copy)]
-pub(crate) enum Phase {
+enum Phase {
     /// The first turn: the loop top, then what it chose.
     Begin,
     /// A progress (or control) pass.
@@ -58,21 +59,21 @@ pub(crate) enum Phase {
 /// exactly the scheduler entries that thread made, one per step: a
 /// coarser cut would reorder same-time entities and move every golden
 /// trace.
-pub(crate) struct Agent {
-    pub(crate) sim: Arc<SimState>,
+struct Agent {
+    sim: Arc<SimState>,
     /// The rank's actor.
-    pub(crate) owner: ActorId,
-    pub(crate) life: Arc<AtomicU8>,
-    pub(crate) interval: Ns,
-    pub(crate) ctrl_only: bool,
-    pub(crate) phase: Phase,
+    owner: ActorId,
+    life: Arc<AtomicU8>,
+    interval: Ns,
+    ctrl_only: bool,
+    phase: Phase,
     /// The last pass's replies not yet sent, and its event count.
-    pub(crate) replies: std::vec::IntoIter<Resend>,
-    pub(crate) polled: usize,
+    replies: std::vec::IntoIter<Resend>,
+    polled: usize,
 }
 
 impl Agent {
-    pub(crate) fn step(&mut self, sched: &mut Sched, me: ActorId, t: Ns) -> Step {
+    fn step(&mut self, sched: &mut Sched, me: ActorId, t: Ns) -> Step {
         const NEXT: Step = Step::Yield { advance: 0 };
         match self.phase {
             Phase::Begin => {
@@ -186,5 +187,56 @@ impl Agent {
         if let Some(r) = &sim.core.retry {
             r.add_waiter(me);
         }
+    }
+}
+
+impl SimTransport {
+    /// Start the rank's [`Agent`], its clock at the rank's present.
+    /// `ctrl_only == false` is the classic polling agent (drains CQ +
+    /// control port every pass); `ctrl_only == true` is the hybrid
+    /// control drainer of `ProgressMode::Hardware` (DESIGN.md §5g): the
+    /// level-4 sink owns the data path, the drainer only drains the
+    /// control port — acks/retransmits/`MSG_AGG`/`MSG_EPOCH` — and
+    /// idle-parks until the port bell or a retransmit deadline wakes it.
+    pub(crate) fn spawn_agent(&self, interval: Ns, ctrl_only: bool) {
+        let rank = self.sim.ep.rank();
+        let name = if ctrl_only {
+            format!("unr-hwctrl-{rank}")
+        } else {
+            format!("unr-poller-{rank}")
+        };
+        let life = Arc::new(AtomicU8::new(RUNNING));
+        let mut agent = Agent {
+            sim: Arc::clone(&self.sim),
+            owner: self.sim.ep.actor().id(),
+            life: Arc::clone(&life),
+            interval,
+            ctrl_only,
+            phase: Phase::Begin,
+            replies: Vec::new().into_iter(),
+            polled: 0,
+        };
+        let core = self.sim.ep.fabric().core();
+        let id = core.register_callback(&name, self.sim.ep.now(), move |st, me, t| {
+            agent.step(st, me, t)
+        });
+        *self.agent.lock() = Some(AgentState { id, life });
+    }
+
+    /// Stop the agent (idempotent): set stop and wake it in one
+    /// scheduler entry, then wait until its last pass acknowledges.
+    pub(crate) fn stop_agent(&self) {
+        let Some(AgentState { id, life }) = self.agent.lock().take() else {
+            return;
+        };
+        let actor = self.sim.ep.actor();
+        actor.with_sched(|st, t| {
+            life.store(STOPPING, Ordering::Relaxed);
+            st.wake(id, t);
+        });
+        actor.wait_until(|_st| life.load(Ordering::Relaxed) == STOPPED, |_st, _me| {});
+        // The agent retires one step later at the same time; yielding
+        // 1 ns lets that step run first. The golden traces lock the 1 ns.
+        self.sim.ep.sleep(1);
     }
 }

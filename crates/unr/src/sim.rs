@@ -4,7 +4,7 @@
 //! handed to [`Unr::bring_up`]. The put, get, wait and rank-level calls
 //! over it are [`crate::post`]'s and [`crate::wait`]'s.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use unr_simnet::sync::Mutex;
 
@@ -13,7 +13,7 @@ use unr_simnet::{
     Ns, Port, PutOp, Sched,
 };
 
-use crate::agent::{Agent, AgentState, Phase, RUNNING, STOPPED, STOPPING};
+use crate::agent::AgentState;
 use crate::channel::{Channel, Mechanism};
 use crate::config::{ProgressMode, UnrConfig};
 use crate::ctrl::{self, CtrlEvent, CtrlSink, HwMetrics, TableSink};
@@ -465,8 +465,8 @@ fn schedule_deadline(sched: &mut Sched, retry: &Arc<RetryState>, d: Ns) {
 /// implementor: the state the application rank shares with its polling
 /// agent, and that agent.
 pub struct SimTransport {
-    sim: Arc<SimState>,
-    agent: Mutex<Option<AgentState>>,
+    pub(crate) sim: Arc<SimState>,
+    pub(crate) agent: Mutex<Option<AgentState>>,
     /// The latest wait deadline whose wake-up has run: a timed wait has
     /// expired once this reaches its own.
     timer: Arc<AtomicU64>,
@@ -686,21 +686,8 @@ impl Transport for SimTransport {
         self.sim.progress_on()
     }
 
-    /// Stop the agent (idempotent): set stop and wake it in one
-    /// scheduler entry, then wait until its last pass acknowledges.
     fn shutdown(&self) {
-        let Some(AgentState { id, life }) = self.agent.lock().take() else {
-            return;
-        };
-        let actor = self.sim.ep.actor();
-        actor.with_sched(|st, t| {
-            life.store(STOPPING, Ordering::Relaxed);
-            st.wake(id, t);
-        });
-        actor.wait_until(|_st| life.load(Ordering::Relaxed) == STOPPED, |_st, _me| {});
-        // The agent retires one step later at the same time; yielding
-        // 1 ns lets that step run first. The golden traces lock the 1 ns.
-        self.sim.ep.sleep(1);
+        self.stop_agent();
     }
 
     fn now(&self) -> Ns {
@@ -768,38 +755,6 @@ impl SimTransport {
             ProgressMode::UserDriven => {}
         }
         tx
-    }
-
-    /// Start the rank's [`Agent`], its clock at the rank's present.
-    /// `ctrl_only == false` is the classic polling agent (drains CQ +
-    /// control port every pass); `ctrl_only == true` is the hybrid
-    /// control drainer of `ProgressMode::Hardware` (DESIGN.md §5g): the
-    /// level-4 sink owns the data path, the drainer only drains the
-    /// control port — acks/retransmits/`MSG_AGG`/`MSG_EPOCH` — and
-    /// idle-parks until the port bell or a retransmit deadline wakes it.
-    fn spawn_agent(&self, interval: Ns, ctrl_only: bool) {
-        let rank = self.sim.ep.rank();
-        let name = if ctrl_only {
-            format!("unr-hwctrl-{rank}")
-        } else {
-            format!("unr-poller-{rank}")
-        };
-        let life = Arc::new(AtomicU8::new(RUNNING));
-        let mut agent = Agent {
-            sim: Arc::clone(&self.sim),
-            owner: self.sim.ep.actor().id(),
-            life: Arc::clone(&life),
-            interval,
-            ctrl_only,
-            phase: Phase::Begin,
-            replies: Vec::new().into_iter(),
-            polled: 0,
-        };
-        let core = self.sim.ep.fabric().core();
-        let id = core.register_callback(&name, self.sim.ep.now(), move |st, me, t| {
-            agent.step(st, me, t)
-        });
-        *self.agent.lock() = Some(AgentState { id, life });
     }
 }
 
