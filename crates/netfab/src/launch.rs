@@ -630,9 +630,9 @@ fn broadcast_table(conns: &mut [TcpStream], table: &[Vec<u16>], nics: usize) -> 
 ///
 /// The spawned world is held by a kill-on-drop guard: any error or
 /// panic after spawning — including a rendezvous that never completes
-/// (deadline: 120 s) or children that outlive the
-/// collective channel (by 60 s) — kills and reaps every
-/// remaining child before `spawn_world` returns.
+/// (deadline: 120 s) or children that outlive the collective channel
+/// (by 60 s) — kills and reaps every remaining child before
+/// `spawn_world` returns.
 ///
 /// Equivalent to [`spawn_world_with_recovery`] with recovery `None`:
 /// any child hanging up ends the collective service.
