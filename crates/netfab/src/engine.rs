@@ -242,7 +242,7 @@ impl CtrlPath {
                     // rank thread that reads this counter before we run
                     // again.
                     self.met.retransmits.inc();
-                    let _ = fabric.resend_ctrl(dst, nic, &ctrl::stamp(self.epoch, &bytes));
+                    let _ = fabric.resend_ctrl(dst, nic, self.epoch, bytes);
                 }
             }
             if out.exhausted > 0 {
@@ -367,7 +367,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let port = listener.local_addr().unwrap().port();
         let fabric = NetFabric::connect(0, 1, 1, &[vec![port]], vec![listener]).unwrap();
-        let (region_id, _) = fabric.register(64);
+        let region_id = fabric.register(64).rkey.id;
         (fabric, region_id)
     }
 
@@ -524,7 +524,8 @@ mod tests {
             unr.drain_pending(Duration::from_secs(10)),
             "the ack never came"
         );
-        assert_eq!(unr.fabric().region(region).unwrap().snapshot(0, 8), [5; 8]);
+        let landed = unr.fabric().region(region).unwrap().snapshot(0, 8);
+        assert_eq!(landed.unwrap(), [5; 8]);
         assert_eq!(unr.agg_backlog(0), (0, 0));
         unr.finalize();
     }
@@ -632,6 +633,56 @@ mod tests {
         waiter.finalize();
     }
 
+    /// Over real sockets too, coalesced puts are counted once per
+    /// flush, and come to what counting each put gives: every put once
+    /// in `unr.puts`, its bytes in `unr.bytes_put`, one message each on
+    /// the channel's and the level's counters and in `UnrStats`, and
+    /// each coalesced one in `unr.agg.*`. The receiver gets every byte.
+    #[test]
+    fn coalesced_puts_count_at_their_flush_what_each_put_would() {
+        let (f0, f1) = pair();
+        let (sender, receiver) = (engine(f0), engine(f1));
+        let target = receiver.mem_reg(64);
+        let landed = receiver.sig_init(9);
+        let src = sender.mem_reg(64);
+        src.write_bytes(0, &(0..64).collect::<Vec<u8>>());
+        // Eight coalesced puts of 3 and 4 bytes, then one too big to be.
+        for i in 0..8 {
+            let len = 3 + i % 2;
+            let local = src.blk(i * 4, len, None);
+            sender
+                .put(&local, &target.blk(i * 4, len, Some(&landed)))
+                .unwrap();
+        }
+        let (local, remote) = (src.blk(32, 32, None), target.blk(32, 32, Some(&landed)));
+        sender.put(&local, &remote).unwrap();
+        sender.flush().unwrap();
+        receiver.sig_wait_timeout(&landed, 10_000_000_000).unwrap();
+        assert!(sender.drain_pending(Duration::from_secs(10)));
+
+        let c = |name: &str| sender.obs().metrics.counter(name).get();
+        let ch = sender.channel();
+        let (puts, bytes) = (9, 8 * 3 + 4 + 32);
+        assert_eq!(c("unr.puts"), puts);
+        assert_eq!(c("unr.bytes_put"), bytes);
+        assert_eq!(c(&format!("unr.channel.{}.msgs", ch.name)), puts);
+        let level = format!("unr.level.{}.msgs", ch.level.as_index());
+        assert_eq!(c(&level), puts);
+        let stats = sender.stats();
+        assert_eq!(stats.puts.load(Ordering::Relaxed), puts);
+        assert_eq!(stats.bytes_put.load(Ordering::Relaxed), bytes);
+        assert_eq!(c("unr.agg.puts_coalesced"), 8);
+        assert_eq!(c("unr.agg.bytes_packed"), 28);
+        let mut got = [0u8; 64];
+        target.read_bytes(0, &mut got);
+        for (i, &b) in got.iter().enumerate() {
+            let sent = i >= 32 || i % 4 < 3 + (i / 4) % 2;
+            assert_eq!(b, if sent { i as u8 } else { 0 }, "byte {i}");
+        }
+        sender.finalize();
+        receiver.finalize();
+    }
+
     /// The shared handler over the real sockets' sink (its own cases
     /// are `unr_core::ctrl`'s tests), fed messages this rank sends
     /// itself — which the posting thread handles, acks and all: what
@@ -684,8 +735,8 @@ mod tests {
         assert_eq!(fabric.met.bad_dma.get(), 2);
         assert_eq!(acked(), (4, 0));
         let mem = fabric.region(region).unwrap();
-        assert_eq!(mem.snapshot(60, 4), [1; 4]);
-        assert_eq!(mem.snapshot(0, 4), [3; 4]);
+        assert_eq!(mem.snapshot(60, 4).unwrap(), [1; 4]);
+        assert_eq!(mem.snapshot(0, 4).unwrap(), [3; 4]);
         assert_eq!(
             fabric.met.tx_frames.get(),
             0,
@@ -704,7 +755,8 @@ mod tests {
         const KEY: u64 = 1;
         let (f0, f1) = pair();
         let sender = engine(f0);
-        let (region, mem) = f1.register(64);
+        let mem = f1.register(64);
+        let region = mem.rkey.id;
         let retry = sender.ctrl().retry.as_ref().unwrap();
         let dst = RKey {
             rank: 1,
@@ -724,11 +776,15 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(mem.snapshot(0, 64), [0; 64], "handled before install");
+        assert_eq!(
+            mem.snapshot(0, 64).unwrap(),
+            [0; 64],
+            "handled before install"
+        );
 
         let receiver = engine(f1);
-        assert_eq!(mem.snapshot(8, 8), [5; 8]);
-        assert_eq!(mem.snapshot(32, 4), [6; 4]);
+        assert_eq!(mem.snapshot(8, 8).unwrap(), [5; 8]);
+        assert_eq!(mem.snapshot(32, 4).unwrap(), [6; 4]);
         // No signal of this rank's can exist before its engine does, so
         // each addend finds its key unallocated: what counts is that it
         // reached the table once.

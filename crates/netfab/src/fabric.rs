@@ -11,7 +11,7 @@
 //! (one write state machine, surviving partial writes, serves both).
 //! Inbound bytes are reassembled by a
 //! per-connection [`frame::FrameAssembler`] and *handled* by whoever
-//! read them — payloads land in the destination [`NetRegion`], custom
+//! read them — payloads land in the destination region, custom
 //! bits and `CTRL` frames go to the installed [`NetSink`], whose acks
 //! ride back on the same connection — which is exactly the paper's
 //! level-2 emulation: an agent performs the `*p += a` the level-4 NIC
@@ -33,10 +33,12 @@
 //! `poll(2)` over the sockets, and a ring costs a byte only when a
 //! waiter is parked.
 //!
-//! A [`NetRegion`] is the workspace's one raw region buffer
+//! A region is the workspace's one raw region buffer
 //! ([`unr_simnet::MemRegion`], the only raw-memory module) under a
 //! fabric-local id: the reading thread deposits a payload with one bulk
-//! copy and application threads read it with another, under the RMA
+//! copy — straight out of the socket's read buffer for a frame that
+//! arrived in one read — and application threads read it with another,
+//! under the RMA
 //! race contract documented there — the MMAS signal counter (SeqCst
 //! `fetch_add` by the applier, SeqCst `load` by the waiter), not the
 //! buffer, is the happens-before edge, mirroring how real RMA hardware
@@ -45,19 +47,19 @@
 //! (`unr.transport.bad_dma`): a signal never fires for bytes that
 //! never arrived.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use unr_core::{ctrl, CtrlFrame};
 use unr_obs::metrics::Counter;
 use unr_obs::Obs;
 use unr_simnet::sync::Mutex as SyncMutex;
 use unr_simnet::MemRegion;
 
-use crate::frame;
+use crate::frame::{self, OutFrame};
 use crate::reactor::{
     Conn, FrameDispatch, ReactorMetrics, ReactorPool, Waiting, WakeHandle, DEFAULT_REACTORS,
     QUEUE_CAP_BYTES,
@@ -165,67 +167,6 @@ impl TransportMetrics {
             streams_down: c("unr.transport.streams_down"),
             bad_dma: c("unr.transport.bad_dma"),
         }
-    }
-}
-
-/// A registered memory region: a [`unr_simnet::MemRegion`] this fabric
-/// registered under its own `(rank, id)`. Reactor threads (remote
-/// "DMA") and application threads move bytes through it in bulk copies;
-/// see the module doc for the race contract.
-pub struct NetRegion {
-    mem: MemRegion,
-}
-
-impl NetRegion {
-    fn new(rank: usize, id: u32, len: usize) -> NetRegion {
-        NetRegion {
-            mem: MemRegion::new(rank, id, len),
-        }
-    }
-
-    /// The buffer and the `RKey` it is registered under — what the
-    /// engine's post path and `UnrMem` hold.
-    pub fn mem(&self) -> &MemRegion {
-        &self.mem
-    }
-
-    /// Region size in bytes.
-    pub fn len(&self) -> usize {
-        self.mem.len()
-    }
-
-    /// Whether the region is zero-sized (never: registration rejects 0).
-    pub fn is_empty(&self) -> bool {
-        self.mem.is_empty()
-    }
-
-    /// Store `data` at `offset`; `false` if out of bounds (nothing is
-    /// written, like a NIC refusing a bad DMA).
-    #[must_use]
-    pub fn write(&self, offset: usize, data: &[u8]) -> bool {
-        self.mem.write_bytes(offset, data).is_ok()
-    }
-
-    /// Load `out.len()` bytes from `offset`; `false` if out of bounds.
-    #[must_use]
-    pub fn read(&self, offset: usize, out: &mut [u8]) -> bool {
-        self.mem.read_bytes(offset, out).is_ok()
-    }
-
-    /// Append `len` bytes from `offset` to `out` in one copy (the DMA
-    /// read that completes a wire frame); `false`, `out` untouched, if
-    /// out of bounds.
-    #[must_use]
-    pub fn append_to(&self, offset: usize, len: usize, out: &mut Vec<u8>) -> bool {
-        self.mem.append_to(offset, len, out).is_ok()
-    }
-
-    /// Copy `len` bytes from `offset` into a fresh `Vec` (panics on
-    /// out-of-bounds; callers validate first).
-    pub fn snapshot(&self, offset: usize, len: usize) -> Vec<u8> {
-        self.mem
-            .snapshot(offset, len)
-            .expect("snapshot out of bounds")
     }
 }
 
@@ -348,8 +289,10 @@ enum Early {
 /// application-side `NetFabric` reference can never dead-lock on a
 /// reader joining itself.
 struct Shared {
-    /// Registered regions by id.
-    regions: SyncMutex<HashMap<u32, Arc<NetRegion>>>,
+    /// Registered regions, id `i + 1` at index `i`: ids are handed out
+    /// in order under this lock and never taken back, so a lookup is an
+    /// index.
+    regions: SyncMutex<Vec<MemRegion>>,
     /// Rung when a waiter's predicate may have moved by another
     /// thread's doing, so `sig_wait` can sleep between events.
     events: EventBell,
@@ -371,7 +314,7 @@ struct Shared {
 impl Shared {
     fn new(nranks: usize, nics: usize, reactor_met: ReactorMetrics) -> io::Result<Shared> {
         Ok(Shared {
-            regions: SyncMutex::new(HashMap::new()),
+            regions: SyncMutex::new(Vec::new()),
             events: EventBell::new(reactor_met)?,
             sink: OnceLock::new(),
             early: SyncMutex::new(Vec::new()),
@@ -381,8 +324,9 @@ impl Shared {
         })
     }
 
-    fn region(&self, id: u32) -> Option<Arc<NetRegion>> {
-        self.regions.lock().get(&id).cloned()
+    fn region(&self, id: u32) -> Option<MemRegion> {
+        let at = (id as usize).checked_sub(1)?;
+        self.regions.lock().get(at).cloned()
     }
 
     /// The receiving half of an emulated RMA write: `payload` into
@@ -392,8 +336,10 @@ impl Shared {
     /// rode with the payload.
     #[must_use]
     fn deposit(&self, met: &TransportMetrics, region: u32, offset: u64, payload: &[u8]) -> bool {
-        let landed = usize::try_from(offset)
-            .is_ok_and(|off| self.region(region).is_some_and(|r| r.write(off, payload)));
+        let landed = usize::try_from(offset).is_ok_and(|off| {
+            self.region(region)
+                .is_some_and(|r| r.write_bytes(off, payload).is_ok())
+        });
         if !landed {
             met.bad_dma.inc();
         }
@@ -464,7 +410,6 @@ pub struct NetFabric {
     all_conns: Vec<Arc<Conn>>,
     /// The event-loop threads driving every stream above.
     pool: ReactorPool,
-    next_region: AtomicU32,
     shared: Arc<Shared>,
     /// Metrics registry shared by the fabric and its engine.
     pub obs: Arc<Obs>,
@@ -575,7 +520,6 @@ impl NetFabric {
             conns,
             all_conns,
             pool,
-            next_region: AtomicU32::new(1),
             shared,
             obs,
             met,
@@ -629,17 +573,20 @@ impl NetFabric {
         self.shared.ring_bell();
     }
 
-    /// Register a `len`-byte region; returns its id and buffer.
-    pub fn register(&self, len: usize) -> (u32, Arc<NetRegion>) {
+    /// Register a `len`-byte region under a fresh id (its `rkey.id`).
+    /// Reactor threads (remote "DMA") and application threads move
+    /// bytes through it in bulk copies; see the module doc for the race
+    /// contract.
+    pub fn register(&self, len: usize) -> MemRegion {
         assert!(len > 0, "cannot register an empty region");
-        let id = self.next_region.fetch_add(1, Ordering::Relaxed);
-        let region = Arc::new(NetRegion::new(self.rank, id, len));
-        self.shared.regions.lock().insert(id, Arc::clone(&region));
-        (id, region)
+        let mut regions = self.shared.regions.lock();
+        let region = MemRegion::new(self.rank, regions.len() as u32 + 1, len);
+        regions.push(region.clone());
+        region
     }
 
     /// Look up a registered region by id.
-    pub fn region(&self, id: u32) -> Option<Arc<NetRegion>> {
+    pub fn region(&self, id: u32) -> Option<MemRegion> {
         self.shared.region(id)
     }
 
@@ -676,7 +623,7 @@ impl NetFabric {
     /// Encode one frame from `parts` and queue it for `(dst, nic)`.
     fn send(&self, dst: usize, nic: usize, kind: u8, parts: &[&[u8]]) -> io::Result<()> {
         let conn = self.conn(dst, nic)?;
-        self.enqueue(conn, frame::encode_frame(kind, parts)?)
+        self.enqueue(conn, frame::encode_frame(kind, parts)?.into())
     }
 
     /// Post one encoded frame on `conn` ([`ReactorPool::post`]: written
@@ -684,7 +631,7 @@ impl NetFabric {
     /// more than [`QUEUE_CAP_BYTES`] queued behind a full socket the
     /// caller stalls (counted) until the reactor has written the backlog
     /// down — backpressure instead of unbounded memory.
-    fn enqueue(&self, conn: &Conn, buf: Vec<u8>) -> io::Result<()> {
+    fn enqueue(&self, conn: &Conn, frame: OutFrame) -> io::Result<()> {
         if conn.queued_bytes() > QUEUE_CAP_BYTES {
             self.reactor_met.backpressure_stalls.inc();
             while conn.queued_bytes() > QUEUE_CAP_BYTES {
@@ -707,7 +654,7 @@ impl NetFabric {
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
-        self.pool.post(conn, buf);
+        self.pool.post(conn, frame);
         self.met.tx_frames.inc();
         Ok(())
     }
@@ -739,7 +686,7 @@ impl NetFabric {
             self.shared.ring_bell();
             return Ok(());
         }
-        self.enqueue(self.conn(dst, nic)?, buf)
+        self.enqueue(self.conn(dst, nic)?, buf.into())
     }
 
     /// [`deposit`](NetFabric::deposit) for the `dst == self.rank()`
@@ -776,7 +723,9 @@ impl NetFabric {
             let src = self.region(region).ok_or_else(|| {
                 io::Error::new(io::ErrorKind::NotFound, format!("unknown region {region}"))
             })?;
-            let data = src.snapshot(offset as usize, len as usize);
+            let data = src
+                .snapshot(offset as usize, len as usize)
+                .map_err(|e| invalid_input(e.to_string()))?;
             self.deliver_custom(custom_remote);
             self.deposit_local(reply_region, reply_offset, &data)?;
             self.deliver_custom(custom_local);
@@ -826,15 +775,34 @@ impl NetFabric {
         self.send(dst, nic, frame::FRAME_CTRL, &[bytes])
     }
 
-    /// [`send_ctrl`](Self::send_ctrl) past the backpressure cap, for a
+    /// Send control message `msg` to `dst` in the epoch envelope of
+    /// `epoch` (`unr_core::ctrl::stamp`'s rule): one built for this send
+    /// is encoded whole, a shared one written from where it is, behind a
+    /// head of its own ([`OutFrame::ctrl`]). One to this rank itself is
+    /// handled here and now, like [`send_ctrl`](Self::send_ctrl)'s.
+    pub fn post_ctrl(&self, dst: usize, nic: usize, epoch: u64, msg: CtrlFrame) -> io::Result<()> {
+        if dst == self.rank {
+            self.loopback(&ctrl::stamp(epoch, &msg));
+            return Ok(());
+        }
+        self.enqueue(self.conn(dst, nic)?, OutFrame::ctrl(epoch, msg)?)
+    }
+
+    /// [`post_ctrl`](Self::post_ctrl) past the backpressure cap, for a
     /// reactor — which would wait on a backlog only it drains. The
     /// retransmit sweep sends this way.
-    pub fn resend_ctrl(&self, dst: usize, nic: usize, bytes: &[u8]) -> io::Result<()> {
+    pub fn resend_ctrl(
+        &self,
+        dst: usize,
+        nic: usize,
+        epoch: u64,
+        msg: CtrlFrame,
+    ) -> io::Result<()> {
         if dst == self.rank {
-            return self.send_ctrl(dst, nic, bytes);
+            return self.post_ctrl(dst, nic, epoch, msg);
         }
-        let frame = frame::encode_frame(frame::FRAME_CTRL, &[bytes])?;
-        self.pool.post(self.conn(dst, nic)?, frame);
+        self.pool
+            .post(self.conn(dst, nic)?, OutFrame::ctrl(epoch, msg)?);
         self.met.tx_frames.inc();
         Ok(())
     }
@@ -998,7 +966,7 @@ impl FabricDispatch {
         let len = usize::try_from(g.len).ok()?;
         let header = frame::get_rep_header(g.reply_region, g.reply_offset, g.custom_local);
         let src = self.shared.region(g.region)?;
-        region_frame(&src.mem, frame::FRAME_GET_REP, &header, off, len).ok()
+        region_frame(&src, frame::FRAME_GET_REP, &header, off, len).ok()
     }
 }
 
@@ -1007,25 +975,26 @@ impl FrameDispatch for FabricDispatch {
         &self,
         peer: usize,
         nic: usize,
-        f: frame::Frame,
+        kind: u8,
+        body: &[u8],
         replies: &mut Vec<Vec<u8>>,
     ) -> bool {
         let shared = &self.shared;
         // Peer bytes: the fixed-offset parsers below index up to the
         // kind's header length, so a shorter body is a protocol error,
         // not a panic on the reading thread.
-        if f.body.len() < frame::min_body_len(f.kind) {
+        if body.len() < frame::min_body_len(kind) {
             self.on_corrupt(peer, nic);
             return false;
         }
         self.met.rx_frames.inc();
-        match f.kind {
+        match kind {
             frame::FRAME_PUT => {
-                let (region, offset, custom, payload) = frame::parse_put(&f.body);
+                let (region, offset, custom, payload) = frame::parse_put(body);
                 self.land(region, offset, payload, custom);
             }
             frame::FRAME_GET_REQ => {
-                let g = frame::parse_get_req(&f.body);
+                let g = frame::parse_get_req(body);
                 match self.get_reply(&g) {
                     Some(rep) => {
                         self.met.atomic_adds.inc();
@@ -1040,12 +1009,12 @@ impl FrameDispatch for FabricDispatch {
                 }
             }
             frame::FRAME_GET_REP => {
-                let (region, offset, custom, payload) = frame::parse_get_rep(&f.body);
+                let (region, offset, custom, payload) = frame::parse_get_rep(body);
                 self.land(region, offset, payload, custom);
             }
             frame::FRAME_ATOMIC => {
                 self.met.atomic_adds.inc();
-                shared.apply_custom(frame::parse_atomic(&f.body));
+                shared.apply_custom(frame::parse_atomic(body));
             }
             frame::FRAME_CTRL => {
                 let mut ack = |reply: &[u8]| {
@@ -1054,7 +1023,7 @@ impl FrameDispatch for FabricDispatch {
                         replies.push(rep);
                     }
                 };
-                shared.on_ctrl(&self.met, (peer, nic), &f.body, &mut ack);
+                shared.on_ctrl(&self.met, (peer, nic), body, &mut ack);
             }
             _ => return false, // unknown kind post-handshake
         }
@@ -1097,24 +1066,28 @@ mod tests {
 
     #[test]
     fn region_rejects_ranges_past_the_end_and_overflowing_ones() {
-        let r = NetRegion::new(0, 1, 64);
+        let r = MemRegion::new(0, 1, 64);
         let mut out = [0u8; 8];
         let mut frame = vec![7u8];
         // `end == len` is the last range in bounds ...
-        assert!(r.write(56, &[1; 8]));
-        assert!(r.read(56, &mut out));
+        assert!(r.write_bytes(56, &[1; 8]).is_ok());
+        assert!(r.read_bytes(56, &mut out).is_ok());
         assert_eq!(out, [1; 8]);
-        assert!(r.append_to(56, 8, &mut frame));
-        assert!(r.write(64, &[]) && r.read(64, &mut []) && r.append_to(64, 0, &mut frame));
+        assert!(r.append_to(56, 8, &mut frame).is_ok());
+        assert!(
+            r.write_bytes(64, &[]).is_ok()
+                && r.read_bytes(64, &mut []).is_ok()
+                && r.append_to(64, 0, &mut frame).is_ok()
+        );
         // ... one byte more is refused and moves nothing ...
-        assert!(!r.write(57, &[2; 8]));
-        assert!(!r.read(57, &mut out));
-        assert!(!r.append_to(57, 8, &mut frame));
+        assert!(r.write_bytes(57, &[2; 8]).is_err());
+        assert!(r.read_bytes(57, &mut out).is_err());
+        assert!(r.append_to(57, 8, &mut frame).is_err());
         // ... and so is `offset + len` wrapping round `usize`.
-        assert!(!r.write(usize::MAX - 3, &[2; 8]));
-        assert!(!r.read(usize::MAX - 3, &mut out));
-        assert!(!r.append_to(usize::MAX, 2, &mut frame));
-        assert_eq!(r.snapshot(56, 8), [1; 8]);
+        assert!(r.write_bytes(usize::MAX - 3, &[2; 8]).is_err());
+        assert!(r.read_bytes(usize::MAX - 3, &mut out).is_err());
+        assert!(r.append_to(usize::MAX, 2, &mut frame).is_err());
+        assert_eq!(r.snapshot(56, 8).unwrap(), [1; 8]);
         assert_eq!(frame, [7, 1, 1, 1, 1, 1, 1, 1, 1]);
     }
 
@@ -1122,7 +1095,7 @@ mod tests {
     fn region_round_trips_every_offset_and_length() {
         const N: usize = 257;
         let pattern = seeded_bytes(14, N);
-        let r = NetRegion::new(0, 1, N);
+        let r = MemRegion::new(0, 1, N);
         let mut out = vec![0u8; N];
         let mut frame = Vec::new();
         for off in 0..=N {
@@ -1130,21 +1103,33 @@ mod tests {
                 let fits = off + len <= N;
                 // Fresh background each time, so bytes left behind by a
                 // neighbouring pair cannot pass for this one's.
-                assert!(r.write(0, &vec![!(off as u8); N]));
-                assert_eq!(r.write(off, &pattern[..len]), fits, "write {off}+{len}");
-                assert_eq!(r.read(off, &mut out[..len]), fits, "read {off}+{len}");
+                assert!(r.write_bytes(0, &vec![!(off as u8); N]).is_ok());
+                assert_eq!(
+                    r.write_bytes(off, &pattern[..len]).is_ok(),
+                    fits,
+                    "write {off}+{len}"
+                );
+                assert_eq!(
+                    r.read_bytes(off, &mut out[..len]).is_ok(),
+                    fits,
+                    "read {off}+{len}"
+                );
                 frame.clear();
-                assert_eq!(r.append_to(off, len, &mut frame), fits, "add {off}+{len}");
+                assert_eq!(
+                    r.append_to(off, len, &mut frame).is_ok(),
+                    fits,
+                    "add {off}+{len}"
+                );
                 if fits {
                     assert_eq!(out[..len], pattern[..len], "read back {off}+{len}");
                     assert_eq!(frame, pattern[..len], "appended {off}+{len}");
                     // Nothing outside the range moved.
-                    let all = r.snapshot(0, N);
+                    let all = r.snapshot(0, N).unwrap();
                     assert!(all[..off].iter().all(|&b| b == !(off as u8)));
                     assert!(all[off + len..].iter().all(|&b| b == !(off as u8)));
                 } else {
                     assert!(frame.is_empty());
-                    assert!(r.snapshot(0, N).iter().all(|&b| b == !(off as u8)));
+                    assert!(r.snapshot(0, N).unwrap().iter().all(|&b| b == !(off as u8)));
                 }
             }
         }
@@ -1153,7 +1138,7 @@ mod tests {
     #[test]
     fn region_takes_concurrent_writers_on_disjoint_halves() {
         const HALF: usize = 1 << 20;
-        let r = NetRegion::new(0, 1, 2 * HALF);
+        let r = MemRegion::new(0, 1, 2 * HALF);
         let halves = [seeded_bytes(1, HALF), seeded_bytes(2, HALF)];
         let gate = Barrier::new(2);
         std::thread::scope(|s| {
@@ -1163,13 +1148,15 @@ mod tests {
                     gate.wait();
                     for chunk in 0..16 {
                         let at = chunk * (HALF / 16);
-                        assert!(r.write(i * HALF + at, &data[at..at + HALF / 16]));
+                        assert!(r
+                            .write_bytes(i * HALF + at, &data[at..at + HALF / 16])
+                            .is_ok());
                     }
                 });
             }
         });
-        assert_eq!(r.snapshot(0, HALF), halves[0]);
-        assert_eq!(r.snapshot(HALF, HALF), halves[1]);
+        assert_eq!(r.snapshot(0, HALF).unwrap(), halves[0]);
+        assert_eq!(r.snapshot(HALF, HALF).unwrap(), halves[1]);
     }
 
     /// A peer that stops reading must cost this process the kernel's
@@ -1297,23 +1284,16 @@ mod tests {
 
     /// A dispatcher over one registered 64-byte region (id 1), with a
     /// counting sink installed — no sockets, no reactor.
-    fn dispatcher() -> (FabricDispatch, Arc<NetRegion>, Arc<CountingSink>) {
+    fn dispatcher() -> (FabricDispatch, MemRegion, Arc<CountingSink>) {
         let reactor_met = ReactorMetrics::register(&Obs::new());
         let shared = Arc::new(Shared::new(2, 1, reactor_met).unwrap());
-        let region = Arc::new(NetRegion::new(0, 1, 64));
-        shared.regions.lock().insert(1, Arc::clone(&region));
+        let region = MemRegion::new(0, 1, 64);
+        shared.regions.lock().push(region.clone());
         let sink = Arc::new(CountingSink::default());
         let installed = shared.sink.set(Arc::clone(&sink) as Arc<dyn NetSink>);
         assert!(installed.is_ok());
         let met = TransportMetrics::register(&Obs::new());
         (FabricDispatch { shared, met }, region, sink)
-    }
-
-    fn frame_of(kind: u8, body: &[u8]) -> frame::Frame {
-        frame::Frame {
-            kind,
-            body: body.to_vec(),
-        }
     }
 
     #[test]
@@ -1331,13 +1311,13 @@ mod tests {
             assert!(min > 0);
             let body = seeded_bytes(kind as u64, min);
             for cut in 0..min {
-                d.on_frame(1, 0, frame_of(kind, &body[..cut]), &mut replies);
+                d.on_frame(1, 0, kind, &body[..cut], &mut replies);
                 errors += 1;
                 assert_eq!(d.met.frame_errors.get(), errors, "kind {kind} cut at {cut}");
             }
             // The shortest whole frame parses (random fields name no
             // region here, so at most it is a refused DMA).
-            d.on_frame(1, 0, frame_of(kind, &body), &mut replies);
+            d.on_frame(1, 0, kind, &body, &mut replies);
             assert_eq!(d.met.frame_errors.get(), errors, "kind {kind} whole");
         }
         assert!(d.shared.is_down(1, 0), "a short frame latches the stream");
@@ -1360,32 +1340,30 @@ mod tests {
         };
         // In bounds: bytes land, addend applied.
         let kind = frame::FRAME_PUT;
-        d.on_frame(1, 0, frame_of(kind, &put(1, 60, &[9; 4])), &mut replies);
+        d.on_frame(1, 0, kind, &put(1, 60, &[9; 4]), &mut replies);
         assert_eq!((applies(), d.met.bad_dma.get()), (1, 0));
-        assert_eq!(region.snapshot(60, 4), [9; 4]);
+        assert_eq!(region.snapshot(60, 4).unwrap(), [9; 4]);
         // Unknown region, range past the end, offset past `usize`: no
         // bytes, no addend, one count each — for PUT and GET_REP alike.
         for kind in [frame::FRAME_PUT, frame::FRAME_GET_REP] {
             let before = d.met.bad_dma.get();
-            d.on_frame(1, 0, frame_of(kind, &put(2, 0, &[5; 4])), &mut replies);
-            d.on_frame(1, 0, frame_of(kind, &put(1, 61, &[5; 4])), &mut replies);
-            d.on_frame(1, 0, frame_of(kind, &put(1, !0, &[5; 4])), &mut replies);
+            d.on_frame(1, 0, kind, &put(2, 0, &[5; 4]), &mut replies);
+            d.on_frame(1, 0, kind, &put(1, 61, &[5; 4]), &mut replies);
+            d.on_frame(1, 0, kind, &put(1, !0, &[5; 4]), &mut replies);
             assert_eq!((applies(), d.met.bad_dma.get()), (1, before + 3));
         }
-        assert_eq!(region.snapshot(60, 4), [9; 4]);
+        assert_eq!(region.snapshot(60, 4).unwrap(), [9; 4]);
         // A GET for bytes that are not there: no reply, no remote addend.
+        let kind = frame::FRAME_GET_REQ;
         let get = |region: u32, offset: u64, len: u64| {
-            frame_of(
-                frame::FRAME_GET_REQ,
-                &frame::get_req_body(region, offset, len, 0xbeef, 1, 0, 0xcafe),
-            )
+            frame::get_req_body(region, offset, len, 0xbeef, 1, 0, 0xcafe)
         };
-        d.on_frame(1, 0, get(2, 0, 4), &mut replies);
-        d.on_frame(1, 0, get(1, 61, 4), &mut replies);
-        d.on_frame(1, 0, get(1, 0, u64::MAX), &mut replies);
+        d.on_frame(1, 0, kind, &get(2, 0, 4), &mut replies);
+        d.on_frame(1, 0, kind, &get(1, 61, 4), &mut replies);
+        d.on_frame(1, 0, kind, &get(1, 0, u64::MAX), &mut replies);
         assert_eq!((applies(), d.met.bad_dma.get(), replies.len()), (1, 9, 0));
         // One that is: the reply is the header plus exactly those bytes.
-        d.on_frame(1, 0, get(1, 60, 4), &mut replies);
+        d.on_frame(1, 0, kind, &get(1, 60, 4), &mut replies);
         assert_eq!((applies(), replies.len()), (2, 1));
         let mut want = frame::get_rep_header(1, 0, 0xcafe).to_vec();
         want.extend_from_slice(&[9; 4]);

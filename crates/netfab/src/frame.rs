@@ -38,7 +38,10 @@
 //! | 13   | `ALLDATA` | `nranks × (len u32, bytes)` — concatenated results  |
 //! | 14   | `REJOIN`  | `epoch u64` — a rank died; re-run the rendezvous    |
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
+
+use unr_core::{ctrl, CtrlFrame};
+use unr_simnet::Bytes;
 
 /// Stream identification right after connect: `rank u32, nic u32`.
 pub const FRAME_HELLO: u8 = 1;
@@ -86,6 +89,15 @@ pub struct Frame {
 /// caller appends the body — header fields, then payload straight from
 /// registered memory — without a second copy or a reallocation.
 pub fn frame_prefix(kind: u8, body_len: usize) -> io::Result<Vec<u8>> {
+    let head = frame_head(kind, body_len)?;
+    let mut buf = Vec::with_capacity(head.len() + body_len);
+    buf.extend_from_slice(&head);
+    Ok(buf)
+}
+
+/// The length prefix and kind byte that open a frame whose body will be
+/// `body_len` bytes.
+fn frame_head(kind: u8, body_len: usize) -> io::Result<[u8; 5]> {
     let len = 1 + body_len;
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
@@ -93,22 +105,107 @@ pub fn frame_prefix(kind: u8, body_len: usize) -> io::Result<Vec<u8>> {
             format!("frame of {len} bytes exceeds MAX_FRAME_LEN"),
         ));
     }
-    let mut buf = Vec::with_capacity(4 + len);
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-    buf.push(kind);
-    Ok(buf)
+    let mut head = [kind; 5];
+    head[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(head)
 }
 
 /// Encode one frame (prefix + kind + body parts) into a fresh buffer —
-/// the unit the reactor's writer queues carry. A queued buffer is
-/// always a whole frame, so the write state machine can park mid-buffer
-/// on `WouldBlock` and resume without ever interleaving frames.
+/// the usual unit the reactor's writer queues carry ([`OutFrame`]). A
+/// queued frame is always whole, so the write state machine can park
+/// mid-frame on `WouldBlock` and resume without ever interleaving
+/// frames.
 pub fn encode_frame(kind: u8, parts: &[&[u8]]) -> io::Result<Vec<u8>> {
     let mut buf = frame_prefix(kind, parts.iter().map(|p| p.len()).sum())?;
     for p in parts {
         buf.extend_from_slice(p);
     }
     Ok(buf)
+}
+
+/// Longest head an [`OutFrame::Split`] puts in front of its body: the
+/// length prefix, the kind byte and an epoch envelope.
+const HEAD_MAX: usize = 5 + unr_core::wire::EPOCH_HDR_LEN;
+
+/// One whole frame on its way to the wire, as the writer queues carry
+/// it.
+#[derive(Debug, Clone)]
+pub enum OutFrame {
+    /// Encoded in one buffer.
+    Whole(Vec<u8>),
+    /// A short head — length prefix, kind, and the epoch envelope when
+    /// there is one — in front of a shared body that someone else keeps
+    /// too (the retry table's aggregate frame). The two are written
+    /// side by side with one vectored write, never copied together.
+    Split {
+        /// The head's bytes; only the first `head_len` count.
+        head: [u8; HEAD_MAX],
+        /// Bytes of `head` in use.
+        head_len: u8,
+        /// Everything after the head.
+        body: Bytes,
+    },
+}
+
+impl From<Vec<u8>> for OutFrame {
+    fn from(frame: Vec<u8>) -> OutFrame {
+        OutFrame::Whole(frame)
+    }
+}
+
+impl OutFrame {
+    /// A `CTRL` frame carrying control message `msg` in the epoch
+    /// envelope of `epoch` (none at epoch 0: `unr_core::ctrl::stamp`'s
+    /// rule): a shared message stays where it is, behind its own head;
+    /// one built for this send is encoded whole.
+    pub fn ctrl(epoch: u64, msg: CtrlFrame) -> io::Result<OutFrame> {
+        let env = ctrl::envelope(epoch, &msg);
+        let env: &[u8] = env.as_ref().map_or(&[], |e| e);
+        let body = match msg {
+            CtrlFrame::Owned(v) => return Ok(encode_frame(FRAME_CTRL, &[env, &v])?.into()),
+            CtrlFrame::Shared(body) => body,
+        };
+        let mut head = [0u8; HEAD_MAX];
+        head[..5].copy_from_slice(&frame_head(FRAME_CTRL, env.len() + body.len())?);
+        head[5..5 + env.len()].copy_from_slice(env);
+        Ok(OutFrame::Split {
+            head,
+            head_len: (5 + env.len()) as u8,
+            body,
+        })
+    }
+
+    /// Bytes on the wire.
+    pub fn len(&self) -> usize {
+        match self {
+            OutFrame::Whole(v) => v.len(),
+            OutFrame::Split { head_len, body, .. } => *head_len as usize + body.len(),
+        }
+    }
+
+    /// Never: a frame has at least its prefix and kind.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Write what is left of the frame from byte `off` on: one write
+    /// call, vectored across head and body while some of the head is
+    /// left. Returns what the call wrote.
+    pub fn write_from(&self, w: &mut impl Write, off: usize) -> io::Result<usize> {
+        match self {
+            OutFrame::Whole(v) => w.write(&v[off..]),
+            OutFrame::Split {
+                head,
+                head_len,
+                body,
+            } => match head[..*head_len as usize].get(off..) {
+                Some(rest) if !rest.is_empty() => {
+                    w.write_vectored(&[IoSlice::new(rest), IoSlice::new(body)])
+                }
+                _ => w.write(&body[off - *head_len as usize..]),
+            },
+        }
+    }
 }
 
 /// Write one frame, assembling `parts` as the body. The frame is
@@ -221,7 +318,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
 /// * `len` is validated against `(0, MAX_FRAME_LEN]` the moment its
 ///   fourth byte arrives — before any body allocation;
 /// * every completed frame is handed to the sink callback immediately,
-///   so one `feed` can emit many frames (coalescing) or none (a split);
+///   as its kind and a borrowed body, so one `feed` can emit many frames
+///   (coalescing) or none (a split);
+/// * a frame that lies whole in the fed bytes is handed over where it
+///   lies: no copy, no allocation. Only a frame cut across feeds is
+///   assembled, in a body buffer the assembler keeps and reuses;
 /// * [`mid_frame`](FrameAssembler::mid_frame) reports whether EOF right
 ///   now would be a clean close (frame boundary) or a truncation.
 pub struct FrameAssembler {
@@ -264,11 +365,11 @@ impl FrameAssembler {
     }
 
     /// Consume `data`, invoking `sink` once per completed frame, in
-    /// stream order. `Err` means a corrupt length prefix (zero or above
-    /// [`MAX_FRAME_LEN`]): the stream cannot be resynchronized and must
-    /// be latched down. After an error the assembler is poisoned and
-    /// keeps rejecting input.
-    pub fn feed(&mut self, mut data: &[u8], sink: &mut impl FnMut(Frame)) -> io::Result<()> {
+    /// stream order, with its `(kind, body)`. `Err` means a corrupt
+    /// length prefix (zero or above [`MAX_FRAME_LEN`]): the stream
+    /// cannot be resynchronized and must be latched down. After an error
+    /// the assembler is poisoned and keeps rejecting input.
+    pub fn feed(&mut self, mut data: &[u8], sink: &mut impl FnMut((u8, &[u8]))) -> io::Result<()> {
         if self.poisoned {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -276,6 +377,18 @@ impl FrameAssembler {
             ));
         }
         loop {
+            if self.prefix_got == 0 {
+                // On a boundary: every frame that lies whole in `data`
+                // goes to the sink from where it lies.
+                while let Some(prefix) = data.first_chunk::<4>() {
+                    let len = self.check_len(*prefix)?;
+                    let Some(frame) = data.get(4..4 + len) else {
+                        break;
+                    };
+                    sink((frame[0], &frame[1..]));
+                    data = &data[4 + len..];
+                }
+            }
             if self.prefix_got < 4 {
                 if data.is_empty() {
                     return Ok(());
@@ -287,16 +400,7 @@ impl FrameAssembler {
                 if self.prefix_got < 4 {
                     return Ok(());
                 }
-                let len = u32::from_le_bytes(self.prefix) as usize;
-                if len == 0 || len > MAX_FRAME_LEN {
-                    // Poison: mid_frame() stays true, so EOF here
-                    // classifies as corrupt too.
-                    self.poisoned = true;
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("bad frame length {len}"),
-                    ));
-                }
+                let len = self.check_len(self.prefix)?;
                 self.need = len;
                 self.have_kind = false;
                 self.body.clear();
@@ -319,14 +423,27 @@ impl FrameAssembler {
             if self.body.len() < body_need {
                 return Ok(()); // data exhausted mid-body
             }
-            sink(Frame {
-                kind: self.kind,
-                body: std::mem::take(&mut self.body),
-            });
+            sink((self.kind, &self.body[..]));
+            self.body.clear();
             self.prefix_got = 0;
             self.need = 0;
             self.have_kind = false;
         }
+    }
+
+    /// The frame length a prefix announces, if a frame can have it; a
+    /// corrupt one poisons the assembler — `mid_frame()` stays true, so
+    /// EOF after it classifies as corrupt too.
+    fn check_len(&mut self, prefix: [u8; 4]) -> io::Result<usize> {
+        let len = u32::from_le_bytes(prefix) as usize;
+        if len == 0 || len > MAX_FRAME_LEN {
+            self.poisoned = true;
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("bad frame length {len}"),
+            ));
+        }
+        Ok(len)
     }
 }
 
@@ -516,24 +633,39 @@ mod tests {
         // on a boundary (EOF now is a clean close, not a truncation).
         let bytes = encode_frame(FRAME_CTRL, &[]).unwrap();
         let mut asm = FrameAssembler::new();
-        let mut got = Vec::new();
-        asm.feed(&bytes, &mut |f| got.push(f)).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].kind, FRAME_CTRL);
-        assert!(got[0].body.is_empty());
+        let got = collect(&mut asm, &[&bytes]).unwrap();
+        assert_eq!(got, [(FRAME_CTRL, vec![])]);
         assert!(!asm.mid_frame());
+    }
+
+    /// Feed `chunks` in order; the `(kind, body)` of every frame the
+    /// assembler emitted, or the first error.
+    fn collect(asm: &mut FrameAssembler, chunks: &[&[u8]]) -> io::Result<Vec<(u8, Vec<u8>)>> {
+        let mut got = Vec::new();
+        for c in chunks {
+            asm.feed(c, &mut |(kind, body)| got.push((kind, body.to_vec())))?;
+        }
+        Ok(got)
     }
 
     #[test]
     fn assembler_rejects_corrupt_prefix_and_stays_poisoned() {
         let mut asm = FrameAssembler::new();
-        let mut got = Vec::new();
-        assert!(asm.feed(&0u32.to_le_bytes(), &mut |f| got.push(f)).is_err());
+        assert!(collect(&mut asm, &[&0u32.to_le_bytes()]).is_err());
         assert!(asm.mid_frame(), "EOF after a bad prefix must be corrupt");
         // Even valid bytes are rejected afterwards: no resync.
         let ok = encode_frame(FRAME_CTRL, &[b"x"]).unwrap();
-        assert!(asm.feed(&ok, &mut |f| got.push(f)).is_err());
-        assert!(got.is_empty());
+        assert!(collect(&mut asm, &[&ok]).is_err());
+
+        // A corrupt prefix at the head of a read that also holds whole
+        // frames behind it: the same poison, nothing emitted.
+        let mut asm = FrameAssembler::new();
+        let mut read = (MAX_FRAME_LEN as u32 + 1).to_le_bytes().to_vec();
+        read.extend_from_slice(&ok);
+        read.extend_from_slice(&ok);
+        assert!(collect(&mut asm, &[&read]).is_err());
+        assert!(asm.mid_frame());
+        assert!(collect(&mut asm, &[&ok]).is_err());
     }
 
     #[test]
@@ -543,22 +675,50 @@ mod tests {
         wire.extend_from_slice(&encode_frame(FRAME_PUT, &[&put_header(1, 2, 3), b"abc"]).unwrap());
         wire.extend_from_slice(&encode_frame(FRAME_ATOMIC, &[&atomic_body(42)]).unwrap());
         wire.extend_from_slice(&encode_frame(FRAME_CTRL, &[b"zz"]).unwrap());
-        let mut asm = FrameAssembler::new();
-        let mut got = Vec::new();
-        asm.feed(&wire, &mut |f| got.push(f)).unwrap();
+        let got = collect(&mut FrameAssembler::new(), &[&wire]).unwrap();
         assert_eq!(
-            got.iter().map(|f| f.kind).collect::<Vec<_>>(),
+            got.iter().map(|f| f.0).collect::<Vec<_>>(),
             vec![FRAME_PUT, FRAME_ATOMIC, FRAME_CTRL]
         );
         // Same wire fed one byte at a time: byte-identical frames.
         let mut asm = FrameAssembler::new();
-        let mut trickled = Vec::new();
-        for b in &wire {
-            asm.feed(std::slice::from_ref(b), &mut |f| trickled.push(f))
-                .unwrap();
-        }
-        assert_eq!(got, trickled);
+        let bytes: Vec<&[u8]> = wire.chunks(1).collect();
+        assert_eq!(got, collect(&mut asm, &bytes).unwrap());
         assert!(!asm.mid_frame());
+    }
+
+    /// A mixed stream — PUT, CTRL, ATOMIC, a 1-byte body and a 256 KiB
+    /// one — gives the same `(kind, body)` sequence fed whole (every
+    /// frame handed over where it lies), a byte at a time (every frame
+    /// assembled), or cut in two anywhere in its small frames.
+    #[test]
+    fn assembler_gives_the_same_frames_however_the_stream_is_cut() {
+        let big: Vec<u8> = (0..256 * 1024).map(|i| (i * 7 % 251) as u8).collect();
+        let frames: Vec<(u8, Vec<u8>)> = vec![
+            (FRAME_PUT, [&put_header(1, 64, 9)[..], b"payload"].concat()),
+            (FRAME_CTRL, b"ctrl message".to_vec()),
+            (FRAME_ATOMIC, atomic_body(7 << 64 | 3).to_vec()),
+            (FRAME_CTRL, vec![0x5a]),
+            (FRAME_PUT, [&put_header(2, 0, 0)[..], &big].concat()),
+            (FRAME_ATOMIC, atomic_body(1).to_vec()),
+        ];
+        let wire: Vec<u8> = frames
+            .iter()
+            .flat_map(|(kind, body)| encode_frame(*kind, &[body]).unwrap())
+            .collect();
+        let whole = collect(&mut FrameAssembler::new(), &[&wire]).unwrap();
+        assert_eq!(whole, frames);
+        let mut asm = FrameAssembler::new();
+        let bytes: Vec<&[u8]> = wire.chunks(1).collect();
+        assert_eq!(collect(&mut asm, &bytes).unwrap(), frames);
+        assert!(!asm.mid_frame());
+        let small = wire.len() - big.len();
+        for cut in (0..small).chain(wire.len() - 40..=wire.len()) {
+            let mut asm = FrameAssembler::new();
+            let got = collect(&mut asm, &[&wire[..cut], &wire[cut..]]).unwrap();
+            assert_eq!(got, frames, "cut at {cut}");
+            assert!(!asm.mid_frame());
+        }
     }
 
     #[test]

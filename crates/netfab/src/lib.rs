@@ -75,7 +75,7 @@ pub mod storm;
 pub mod transport;
 
 pub use engine::{NetMem, NetUnr};
-pub use fabric::{NetFabric, NetRegion, NetSink, TransportMetrics};
+pub use fabric::{NetFabric, NetSink, TransportMetrics};
 pub use launch::{
     spawn_world, spawn_world_with_recovery, Gathered, NetWorld, RespawnSpec, WorldResult,
 };

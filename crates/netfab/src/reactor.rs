@@ -52,14 +52,14 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use unr_obs::metrics::{Counter, Gauge, Histogram};
 use unr_obs::Obs;
 
-use crate::frame::{Frame, FrameAssembler};
+use crate::frame::{FrameAssembler, OutFrame};
 
 /// Reactor threads per process.
 pub const DEFAULT_REACTORS: usize = 2;
@@ -138,7 +138,7 @@ impl ReactorMetrics {
 // ---------------------------------------------------------------------
 
 struct Node {
-    frame: Vec<u8>,
+    frame: OutFrame,
     next: *mut Node,
 }
 
@@ -183,7 +183,8 @@ impl FrameQueue {
     }
 
     /// Push one encoded frame; lock-free, callable from any thread.
-    pub fn push(&self, frame: Vec<u8>) {
+    pub fn push(&self, frame: impl Into<OutFrame>) {
+        let frame = frame.into();
         // Account before publish so the consumer's subtraction can never
         // underflow past a concurrent push.
         self.bytes.fetch_add(frame.len(), Ordering::Relaxed);
@@ -212,7 +213,7 @@ impl FrameQueue {
 
     /// Detach everything and append it to `out` oldest-first. Single
     /// consumer only. Returns the number of frames taken.
-    pub fn drain_into(&self, out: &mut VecDeque<Vec<u8>>) -> usize {
+    pub fn drain_into(&self, out: &mut VecDeque<OutFrame>) -> usize {
         // SeqCst for the same reason as the publish in `push`.
         let mut p = self.head.swap(std::ptr::null_mut(), Ordering::SeqCst);
         if p.is_null() {
@@ -326,21 +327,26 @@ impl Conn {
         self.open_read.load(Ordering::SeqCst)
     }
 
+    /// The writer lock, poisoned or not: a thread that panicked holding
+    /// it left a state every step of which is valid (at worst a frame
+    /// half written, which the next holder finishes).
     fn writer(&self) -> MutexGuard<'_, Writer> {
-        self.writer.lock().expect("writer lock")
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// `(queued + unwritten bytes, socket known full)`.
     #[cfg(test)]
     pub(crate) fn backlog(&self) -> (usize, bool) {
         let w = self.writer();
-        let unwritten = w.pending.iter().map(Vec::len).sum::<usize>() - w.front_off;
+        let unwritten = w.pending.iter().map(OutFrame::len).sum::<usize>() - w.front_off;
         (self.queue.bytes() + unwritten, w.want_write)
     }
 }
 
 /// Per-connection read state machine, behind [`Conn`]'s reader lock.
 struct Reader {
+    /// Hands the dispatcher each frame that lies whole in `buf` where it
+    /// lies, and assembles only one cut across reads.
     asm: FrameAssembler,
     /// Read scratch, [`READ_CHUNK`] bytes (zero pages until touched).
     buf: Vec<u8>,
@@ -350,7 +356,7 @@ struct Reader {
 struct Writer {
     /// Frames taken from the queue (plus dispatcher replies), oldest
     /// first; front may be partially written.
-    pending: VecDeque<Vec<u8>>,
+    pending: VecDeque<OutFrame>,
     /// Bytes of `pending.front()` already on the wire.
     front_off: usize,
     /// Saw `WouldBlock` with bytes pending: the socket is full and the
@@ -385,8 +391,30 @@ impl Writer {
     /// Push pending frames until empty or `WouldBlock`; partial writes
     /// park in `front_off` and set `want_write`.
     fn service_write(&mut self, conn: &Conn, dispatch: &dyn FrameDispatch) {
+        match self.write_pending(&mut &conn.stream) {
+            Ok(()) => self.want_write = false,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.want_write = true,
+            Err(_) => {
+                // Peer gone. Outside teardown, latch the stream so
+                // writers get clean errors; either way stop writing.
+                if !dispatch.stopping() {
+                    dispatch.on_corrupt(conn.peer, conn.nic);
+                }
+                let _ = conn.stream.shutdown(Shutdown::Both);
+                self.open_write = false;
+                self.pending.clear();
+                self.front_off = 0;
+                self.want_write = false;
+            }
+        }
+    }
+
+    /// Write pending frames to `w` until none is left or a write fails
+    /// (`WouldBlock` included); a frame cut anywhere — inside a split
+    /// frame's head or its body alike — resumes at `front_off`.
+    fn write_pending(&mut self, w: &mut impl Write) -> io::Result<()> {
         while let Some(front) = self.pending.front() {
-            match (&conn.stream).write(&front[self.front_off..]) {
+            match front.write_from(w, self.front_off) {
                 Ok(n) => {
                     self.front_off += n;
                     if self.front_off >= front.len() {
@@ -394,26 +422,11 @@ impl Writer {
                         self.front_off = 0;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    self.want_write = true;
-                    return;
-                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // Peer gone. Outside teardown, latch the stream so
-                    // writers get clean errors; either way stop writing.
-                    if !dispatch.stopping() {
-                        dispatch.on_corrupt(conn.peer, conn.nic);
-                    }
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                    self.open_write = false;
-                    self.pending.clear();
-                    self.front_off = 0;
-                    break;
-                }
+                Err(e) => return Err(e),
             }
         }
-        self.want_write = false;
+        Ok(())
     }
 }
 
@@ -440,8 +453,10 @@ impl ReadPass {
 /// fabric (which owns regions, the atomic-add sink and the down
 /// latches). The reactor itself stays protocol-agnostic.
 pub trait FrameDispatch: Send + Sync + 'static {
-    /// One fully reassembled inbound frame from `(peer, nic)`. Encoded
-    /// reply frames pushed into `replies` are transmitted on the same
+    /// One whole inbound frame from `(peer, nic)`: its kind and its
+    /// body, borrowed from the read buffer (or, for a frame cut across
+    /// reads, from the connection's assembly buffer). Encoded reply
+    /// frames pushed into `replies` are transmitted on the same
     /// connection, ahead of backpressure (a reader cannot park on the
     /// queue it may have to drain). Runs on whichever thread read the
     /// frame — a reactor or a waiting rank thread — under that
@@ -451,7 +466,14 @@ pub trait FrameDispatch: Send + Sync + 'static {
     /// retry state — `false` for an unknown kind or a protocol error
     /// reported through [`on_corrupt`](Self::on_corrupt) — and the
     /// reader decides who needs to hear of it.
-    fn on_frame(&self, peer: usize, nic: usize, frame: Frame, replies: &mut Vec<Vec<u8>>) -> bool;
+    fn on_frame(
+        &self,
+        peer: usize,
+        nic: usize,
+        kind: u8,
+        body: &[u8],
+        replies: &mut Vec<Vec<u8>>,
+    ) -> bool;
     /// A reactor's read pass applied frames: wake whoever waits for
     /// them. Not called for a waiting rank thread's own reads — it
     /// looks for itself.
@@ -775,16 +797,23 @@ impl ReactorPool {
     /// already full (`want_write`, read under the lock): the reactor
     /// polls, or is being woken to poll, for writability, and its pass
     /// on `POLLOUT` drains the queue after this push.
-    pub fn post(&self, conn: &Conn, frame: Vec<u8>) {
+    ///
+    /// A poisoned writer lock is taken like a free one (see
+    /// [`Conn`]'s `writer`).
+    pub fn post(&self, conn: &Conn, frame: OutFrame) {
         conn.queue.push(frame);
-        let wake = match conn.writer.try_lock() {
-            Ok(w) if w.want_write => false,
-            Ok(mut w) => {
+        let writer = match conn.writer.try_lock() {
+            Ok(w) => Some(w),
+            Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        };
+        let wake = match writer {
+            Some(w) if w.want_write => false,
+            Some(mut w) => {
                 w.flush(conn, &*self.dispatch, &self.met);
                 w.want_write
             }
-            Err(TryLockError::WouldBlock) => true,
-            Err(TryLockError::Poisoned(_)) => panic!("writer lock poisoned"),
+            None => true,
         };
         if wake {
             self.wake(conn.reactor);
@@ -865,7 +894,8 @@ impl ReactorPool {
         for w in &self.wakes {
             w.wake(&self.met);
         }
-        let handles = std::mem::take(&mut *self.threads.lock().expect("reactor threads lock"));
+        let handles =
+            std::mem::take(&mut *self.threads.lock().unwrap_or_else(PoisonError::into_inner));
         let me = std::thread::current().id();
         for h in handles {
             if h.thread().id() != me {
@@ -1047,7 +1077,9 @@ fn close_write(conn: &Conn) {
 /// the one `on_frame` call. Returns what the pass did.
 fn service_read(conn: &Conn, dispatch: &dyn FrameDispatch, met: &ReactorMetrics) -> ReadPass {
     let mut pass = ReadPass::default();
-    let mut reader = conn.reader.lock().expect("reader lock");
+    // Poisoned or not: a reader that panicked left the assembler on a
+    // byte boundary it had fed, so the next one carries on from there.
+    let mut reader = conn.reader.lock().unwrap_or_else(PoisonError::into_inner);
     if !conn.open_read() {
         return pass; // closed by the reader we waited out
     }
@@ -1095,8 +1127,8 @@ fn service_read(conn: &Conn, dispatch: &dyn FrameDispatch, met: &ReactorMetrics)
     };
     pass.bytes = n;
     let mut replies: Vec<Vec<u8>> = Vec::new();
-    let fed = asm.feed(&buf[..n], &mut |f: Frame| {
-        pass.applied += usize::from(dispatch.on_frame(peer, nic, f, &mut replies));
+    let fed = asm.feed(&buf[..n], &mut |(kind, body)| {
+        pass.applied += usize::from(dispatch.on_frame(peer, nic, kind, body, &mut replies));
     });
     if fed.is_err() {
         // Corrupt length prefix: nothing after this point can be
@@ -1116,7 +1148,7 @@ fn service_read(conn: &Conn, dispatch: &dyn FrameDispatch, met: &ReactorMetrics)
         // Behind whatever is half-written, ahead of the queue and its
         // cap, and on the wire now if the socket takes them.
         let mut w = conn.writer();
-        w.pending.extend(replies);
+        w.pending.extend(replies.into_iter().map(OutFrame::Whole));
         w.flush(conn, dispatch, met);
         pass.reply_blocked = w.want_write;
     }
@@ -1169,7 +1201,13 @@ mod tests {
         assert_eq!(q.bytes(), 100);
         let mut out = VecDeque::new();
         assert_eq!(q.drain_into(&mut out), 100);
-        let got: Vec<u8> = out.iter().map(|f| f[0]).collect();
+        let got: Vec<u8> = out
+            .iter()
+            .map(|f| match f {
+                OutFrame::Whole(v) => v[0],
+                OutFrame::Split { .. } => unreachable!("pushed whole"),
+            })
+            .collect();
         let want: Vec<u8> = (0..100).collect();
         assert_eq!(got, want);
         assert_eq!(q.frames(), 0);
@@ -1184,7 +1222,7 @@ mod tests {
     }
 
     impl FrameDispatch for CountCorrupt {
-        fn on_frame(&self, _: usize, _: usize, _: Frame, _: &mut Vec<Vec<u8>>) -> bool {
+        fn on_frame(&self, _: usize, _: usize, _: u8, _: &[u8], _: &mut Vec<Vec<u8>>) -> bool {
             false
         }
         fn announce(&self) {}
@@ -1233,7 +1271,7 @@ mod tests {
                         let mut body = vec![fill(t, i); body_len(t, i)];
                         body[..8].copy_from_slice(&(t << 32 | i).to_le_bytes());
                         let f = crate::frame::encode_frame(crate::frame::FRAME_CTRL, &[&body]);
-                        pool.post(conn, f.unwrap());
+                        pool.post(conn, f.unwrap().into());
                     }
                 });
             }
@@ -1304,12 +1342,19 @@ mod tests {
     }
 
     impl FrameDispatch for InOrder {
-        fn on_frame(&self, _: usize, _: usize, f: Frame, _: &mut Vec<Vec<u8>>) -> bool {
+        fn on_frame(
+            &self,
+            _: usize,
+            _: usize,
+            kind: u8,
+            body: &[u8],
+            _: &mut Vec<Vec<u8>>,
+        ) -> bool {
             let i = self.seen.fetch_add(1, Ordering::SeqCst) as u64 % self.period;
-            let whole = f.kind == crate::frame::FRAME_CTRL
-                && f.body.len() == (self.body_len)(i)
-                && f.body[..8] == i.to_le_bytes()
-                && f.body[8..].iter().all(|&b| b == (i * 7 + 3) as u8);
+            let whole = kind == crate::frame::FRAME_CTRL
+                && body.len() == (self.body_len)(i)
+                && body[..8] == i.to_le_bytes()
+                && body[8..].iter().all(|&b| b == (i * 7 + 3) as u8);
             if !whole {
                 self.wrong.fetch_add(1, Ordering::SeqCst);
             }
@@ -1454,6 +1499,165 @@ mod tests {
         assert_eq!(met.reads_by_reactor.get(), 0);
         dispatch.stopping.store(true, Ordering::SeqCst);
         pool.shutdown();
+    }
+
+    /// A thread that panicked holding a connection's reader and writer
+    /// locks leaves them poisoned: every later post and read on that
+    /// connection must still go through, whole and in order.
+    #[test]
+    fn a_poisoned_connection_still_posts_and_reads_in_order() {
+        const FRAMES: u64 = 40;
+        fn body_len(i: u64) -> usize {
+            8 + (i as usize * 53) % 300
+        }
+        let (peer, ours) = wake_pair().unwrap();
+        let conn = Arc::new(Conn::new(1, 0, 0, ours).unwrap());
+        let conns = vec![Arc::clone(&conn)];
+        let dispatch = Arc::new(InOrder::new(FRAMES, body_len));
+        let met = ReactorMetrics::register(&Obs::new());
+        // A reactor with no connection of its own: the test reads.
+        let waiting = Arc::new(Waiting::default());
+        let pool =
+            ReactorPool::spawn(1, Vec::new(), waiting, dispatch.clone(), met, "test").unwrap();
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = (conn.reader.lock(), conn.writer.lock());
+                panic!("poisoning the connection's locks on purpose");
+            })
+            .join()
+        });
+        assert!(died.is_err());
+        assert!(conn.reader.is_poisoned() && conn.writer.is_poisoned());
+
+        for i in 0..FRAMES {
+            pool.post(&conn, tagged_frame(i, body_len(i)).into());
+        }
+        for i in 0..FRAMES {
+            let f = crate::frame::read_frame(&mut &peer).expect("a whole frame");
+            let want = tagged_frame(i, body_len(i));
+            assert_eq!((f.kind, &f.body[..]), (want[4], &want[5..]), "frame {i}");
+        }
+
+        let (_idle, idle_rx) = WakeHandle::channel().unwrap();
+        for i in 0..FRAMES {
+            (&peer).write_all(&tagged_frame(i, body_len(i))).unwrap();
+        }
+        let t0 = std::time::Instant::now();
+        while dispatch.seen.load(Ordering::SeqCst) < FRAMES as usize {
+            assert!(t0.elapsed().as_secs() < 30, "the frames never came");
+            pool.wait_readable(&conns, &idle_rx, Duration::from_millis(100));
+        }
+        assert_eq!(dispatch.seen.load(Ordering::SeqCst), FRAMES as usize);
+        assert_eq!(dispatch.wrong.load(Ordering::SeqCst), 0);
+        assert_eq!(dispatch.corrupt.load(Ordering::SeqCst), 0);
+        dispatch.stopping.store(true, Ordering::SeqCst);
+        pool.shutdown();
+    }
+
+    /// Accepts at most `cap` bytes a call — across a vectored call's
+    /// slices, as `writev` does — `first` on its first, and refuses
+    /// every other call with `WouldBlock`, as a full socket would.
+    struct Trickle {
+        out: Vec<u8>,
+        cap: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[io::IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let mut room = self.cap;
+            for b in bufs {
+                let take = b.len().min(room);
+                self.out.extend_from_slice(&b[..take]);
+                room -= take;
+            }
+            let wrote = self.cap - room;
+            self.cap = 7;
+            Ok(wrote)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What the writer puts on the wire for `frame` when the socket
+    /// takes `first` bytes, then 7 at a time, with a full socket in
+    /// between every write.
+    fn trickled(frame: OutFrame, first: usize) -> Vec<u8> {
+        let mut w = Writer {
+            pending: VecDeque::from([frame]),
+            front_off: 0,
+            want_write: false,
+            open_write: true,
+        };
+        let mut sock = Trickle {
+            out: Vec::new(),
+            cap: first,
+            calls: 0,
+        };
+        while let Err(e) = w.write_pending(&mut sock) {
+            assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
+        }
+        assert!(sock.calls > 2, "the frame went out in one write");
+        sock.out
+    }
+
+    /// A `MSG_AGG` goes on the wire from the retry table's own buffer,
+    /// behind a head of its own, and its retransmission is that buffer
+    /// again: the same bytes as the first transmission — `agg_msg` in
+    /// a `CTRL` frame, in the epoch envelope once there is one — however
+    /// the socket cuts the writes, inside the head or inside the body.
+    #[test]
+    fn a_retransmitted_aggregate_writes_what_its_first_transmission_wrote() {
+        use unr_core::{wire, CtrlFrame, Resend, RetryPolicy, RetryState};
+        let policy = RetryPolicy {
+            timeout: 10,
+            max_backoff: 100,
+            max_retries: 5,
+            fallback_after: 3,
+            nics: 1,
+            ns_per_byte: 0.0,
+        };
+        let retry = RetryState::new(policy, 2);
+        let payload: Vec<u8> = (0..300).map(|i| i as u8).collect();
+        let (spans, sigs) = ([(3, 0, 100), (3, 512, 200)], [(9, -2)]);
+        let reg = retry.register_agg(1, 0, &spans, &sigs, &payload);
+        retry.arm(0, &[(1, reg.seq)]);
+        let out = retry.sweep(1 << 40);
+        let [Resend::Dgram { bytes: again, .. }] = &out.resends[..] else {
+            panic!("one resend on the datagram channel");
+        };
+        let CtrlFrame::Shared(shared) = again else {
+            panic!("the aggregate's resend is its buffered frame");
+        };
+        assert_eq!(shared.as_ptr(), reg.frame.as_ptr(), "the same buffer");
+
+        let msg = wire::agg_msg(reg.seq, true, &spans, &sigs, &payload);
+        for epoch in [0, 3] {
+            let stamped = unr_core::ctrl::stamp(epoch, &msg);
+            let want = crate::frame::encode_frame(crate::frame::FRAME_CTRL, &[&stamped]).unwrap();
+            let head = want.len() - msg.len();
+            // Cut inside the length prefix, inside the envelope (or
+            // right after the head), and inside the body.
+            for first in [3, 7, head + 10] {
+                let first_tx = OutFrame::ctrl(epoch, CtrlFrame::Shared(reg.frame.clone())).unwrap();
+                let resend = OutFrame::ctrl(epoch, again.clone()).unwrap();
+                assert!(matches!(resend, OutFrame::Split { .. }));
+                assert_eq!(
+                    trickled(first_tx, first),
+                    want,
+                    "epoch {epoch}, cut {first}"
+                );
+                assert_eq!(trickled(resend, first), want, "epoch {epoch}, cut {first}");
+            }
+        }
     }
 
     #[test]

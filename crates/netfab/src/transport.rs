@@ -12,9 +12,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use unr_core::ctrl;
 use unr_core::{
-    Encoding, Epoch, PeerFailedCause, RmaOp, Route, SeqPost, Transport, UnrError, Until, Woke,
+    CtrlFrame, Encoding, Epoch, PeerFailedCause, RmaOp, Route, SeqPost, Transport, UnrError, Until,
+    Woke,
 };
 use unr_obs::Obs;
 use unr_simnet::{MemRegion, NicSel, Ns};
@@ -88,11 +88,12 @@ impl NetTransport {
         nic % self.fabric.nics()
     }
 
-    /// Stamp `frame` with this engine's epoch and write it to `dst`. A
-    /// dead socket is how a dead peer shows on this fabric.
-    fn send_frame(&self, dst: usize, nic: NicSel, frame: &[u8]) -> Result<(), UnrError> {
+    /// Write `frame` to `dst` in this engine's epoch envelope — a shared
+    /// one from where it lies. A dead socket is how a dead peer shows on
+    /// this fabric.
+    fn send_frame(&self, dst: usize, nic: NicSel, frame: CtrlFrame) -> Result<(), UnrError> {
         self.fabric
-            .send_ctrl(dst, self.nic(nic), &ctrl::stamp(self.ctrl.epoch, frame))
+            .post_ctrl(dst, self.nic(nic), self.ctrl.epoch, frame)
             .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))
     }
 
@@ -121,11 +122,11 @@ impl Transport for NetTransport {
     }
 
     fn register(&self, len: usize) -> MemRegion {
-        self.fabric.register(len).1.mem().clone()
+        self.fabric.register(len)
     }
 
     fn region(&self, id: u32) -> Option<MemRegion> {
-        self.fabric.region(id).map(|r| r.mem().clone())
+        self.fabric.region(id)
     }
 
     fn put(&self, op: RmaOp<'_>, companion: Option<Vec<u8>>) -> Result<(), UnrError> {
@@ -145,7 +146,7 @@ impl Transport for NetTransport {
             .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))?;
         if let Some(frame) = companion {
             // Same socket, so behind the data.
-            self.send_frame(dst, NicSel::Index(nic), &frame)?;
+            self.send_frame(dst, NicSel::Index(nic), CtrlFrame::Owned(frame))?;
         }
         self.apply_local(op.custom_local);
         Ok(())
@@ -194,11 +195,11 @@ impl Transport for NetTransport {
             self.fabric.met.drops_injected.inc();
             return Ok(());
         }
-        self.send_frame(post.dst.rank, post.nic, &post.frame)
+        self.send_frame(post.dst.rank, post.nic, post.frame)
     }
 
     fn send_ctrl(&self, dst: usize, nic: NicSel, frame: Vec<u8>) -> Result<(), UnrError> {
-        self.send_frame(dst, nic, &frame)
+        self.send_frame(dst, nic, CtrlFrame::Owned(frame))
     }
 
     fn charge(&self, _ns: Ns) {}

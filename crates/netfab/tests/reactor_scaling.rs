@@ -62,8 +62,13 @@ fn assert_reassembles(wire: &[u8], chunks: &[&[u8]], want: &[Frame], what: &str)
     let mut asm = FrameAssembler::new();
     let mut got = Vec::new();
     for c in chunks {
-        asm.feed(c, &mut |f| got.push(f))
-            .unwrap_or_else(|e| panic!("{what}: feed error {e}"));
+        asm.feed(c, &mut |(kind, body)| {
+            got.push(Frame {
+                kind,
+                body: body.to_vec(),
+            })
+        })
+        .unwrap_or_else(|e| panic!("{what}: feed error {e}"));
     }
     assert_eq!(got.len(), want.len(), "{what}: frame count");
     assert_eq!(got, want, "{what}: frames differ");

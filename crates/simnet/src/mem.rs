@@ -341,6 +341,34 @@ impl std::fmt::Debug for MemRegion {
     }
 }
 
+impl Bytes {
+    /// `parts` back to back in one fresh shared buffer, written in place
+    /// like [`MemRegion::snapshot_shared`]: one allocation, each part
+    /// copied once — a wire message built around a payload, with no
+    /// `Vec` to copy into an `Arc` afterwards.
+    pub fn from_parts(parts: &[&[u8]]) -> Bytes {
+        let len = parts.iter().map(|p| p.len()).sum();
+        let mut buf = Arc::<[u8]>::new_uninit_slice(len);
+        let dst = Arc::get_mut(&mut buf).expect("a fresh Arc has no other owner");
+        let mut at = 0;
+        for p in parts {
+            // SAFETY: the parts' lengths sum to `len`, so `at + p.len()`
+            // stays inside `dst`, the uninitialised body of a fresh
+            // allocation that no part can alias.
+            unsafe {
+                std::ptr::copy_nonoverlapping(
+                    p.as_ptr(),
+                    dst.as_mut_ptr().add(at).cast::<u8>(),
+                    p.len(),
+                );
+            }
+            at += p.len();
+        }
+        // SAFETY: the copies above have initialised all `len` bytes.
+        Bytes::from(unsafe { buf.assume_init() })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,6 +458,17 @@ mod tests {
                 read(offset, len).unwrap_err()
             );
         }
+    }
+
+    #[test]
+    fn from_parts_concatenates_into_one_shared_buffer() {
+        let body: Vec<u8> = (0..200).map(|i| i as u8).collect();
+        let b = Bytes::from_parts(&[&[9, 8, 7], &[], &body]);
+        assert_eq!(b.len(), 203);
+        assert_eq!(b[..3], [9, 8, 7]);
+        assert_eq!(b[3..], body[..]);
+        assert!(Bytes::from_parts(&[]).is_empty());
+        assert!(b.into_unique().is_some(), "nobody else holds the buffer");
     }
 
     #[test]

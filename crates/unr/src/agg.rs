@@ -14,7 +14,11 @@
 //! any blocking wait, at plan boundaries, and at finalize. Local
 //! (source-completion) addends are deferred to the same flush, so the
 //! per-put cost is a memcpy plus a few vector pushes; everything that
-//! needs scheduler context is amortized across the whole aggregate.
+//! needs scheduler context is amortized across the whole aggregate —
+//! the pack copies' virtual time ([`Coalescer::owe`]) and the put
+//! counters too, which the flush adds once from the ring's own totals.
+//! A sent flush hands its buffers back ([`Coalescer::recycle`]), so a
+//! ring in steady use never regrows.
 //!
 //! The engine owns a `Mutex<Coalescer>`; only the application rank
 //! ever touches it (the polling agent neither reads nor flushes
@@ -61,6 +65,9 @@ pub struct AggFlush {
     pub payload: Vec<u8>,
     /// How many puts were folded into this aggregate.
     pub puts: usize,
+    /// Virtual time [`Coalescer::owe`]d since the last drain, by every
+    /// ring: the first flush settles all of it in one charge.
+    pub owed: u64,
 }
 
 /// Per-destination bump ring.
@@ -99,6 +106,8 @@ pub struct Coalescer {
     dirty: Vec<usize>,
     flush_bytes: usize,
     flush_puts: usize,
+    /// Virtual time owed by the puts buffered since the last drain.
+    owed: u64,
 }
 
 impl Coalescer {
@@ -113,7 +122,16 @@ impl Coalescer {
             dirty: Vec::new(),
             flush_bytes,
             flush_puts,
+            owed: 0,
         }
+    }
+
+    /// Owe `ns` of virtual time for a put being buffered; the next
+    /// drain hands the sum over ([`AggFlush::owed`]). Charging a
+    /// simulated rank per put is a scheduler entry each, the dominant
+    /// cost of a sub-MTU put, so the pack loop only counts here.
+    pub fn owe(&mut self, ns: u64) {
+        self.owed += ns;
     }
 
     /// Append one put of `data` to `dst`'s ring. Returns the threshold
@@ -208,13 +226,43 @@ impl Coalescer {
             local_sigs: std::mem::take(&mut ring.local_sigs),
             payload: std::mem::take(&mut ring.buf),
             puts,
+            owed: std::mem::take(&mut self.owed),
         })
     }
 
-    /// Destinations with pending data, in first-touch order; the list
-    /// is cleared ([`drain`](Coalescer::drain) per entry follows).
-    pub fn take_dirty(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.dirty)
+    /// Drain the ring touched first of those with pending data, naming
+    /// its destination; `None` when every ring is empty.
+    pub fn drain_next(&mut self) -> Option<(usize, AggFlush)> {
+        let dst = *self.dirty.first()?;
+        self.drain(dst).map(|fl| (dst, fl))
+    }
+
+    /// Hand a sent flush's buffers back to `dst`'s ring, emptied, so the
+    /// ring refills them instead of growing new ones. A ring that took
+    /// puts since the drain keeps its own.
+    pub fn recycle(&mut self, dst: usize, fl: AggFlush) {
+        let ring = &mut self.rings[dst];
+        if ring.puts > 0 {
+            return;
+        }
+        let AggFlush {
+            mut spans,
+            mut sigs,
+            mut local_sigs,
+            mut payload,
+            ..
+        } = fl;
+        spans.clear();
+        sigs.clear();
+        local_sigs.clear();
+        payload.clear();
+        *ring = DstRing {
+            spans,
+            sigs,
+            local_sigs,
+            buf: payload,
+            puts: 0,
+        };
     }
 }
 
@@ -352,9 +400,37 @@ mod tests {
         c.push(1, 0, 0, &[2], (1, -1), (0, 0));
         c.push(3, 0, 1, &[3], (1, -1), (0, 0));
         assert!(c.has_pending(3) && c.has_pending(1) && !c.has_pending(0));
-        assert_eq!(c.take_dirty(), vec![3, 1]);
-        assert!(c.drain(3).is_some());
-        assert!(c.drain(1).is_some());
-        assert!(c.take_dirty().is_empty());
+        let (dst, fl) = c.drain_next().expect("two rings pending");
+        assert_eq!((dst, fl.payload), (3, vec![1, 3]));
+        assert_eq!(c.drain_next().map(|(dst, _)| dst), Some(1));
+        assert!(c.drain_next().is_none());
+    }
+
+    /// What the puts owe is drained once, whole, by the first drain; a
+    /// recycled flush's buffers come back empty and keep their room.
+    #[test]
+    fn the_first_drain_takes_what_is_owed_and_recycled_buffers_keep_their_room() {
+        let mut c = Coalescer::new(4, 1 << 20, 1 << 20);
+        for (dst, ns) in [(2, 5), (1, 7), (2, 11)] {
+            c.owe(ns);
+            c.push(dst, 0, 0, &[0xA5; 300], (1, -1), (4, -1));
+        }
+        let fl = c.drain(2).unwrap();
+        assert_eq!((fl.owed, fl.puts, fl.payload.len()), (23, 2, 600));
+        assert_eq!(c.drain(1).unwrap().owed, 0);
+        let room = fl.payload.capacity();
+        c.recycle(2, fl);
+        assert_eq!(c.backlog(2), (0, 0));
+        assert!(!c.has_pending(2), "a recycled ring is empty");
+        assert_eq!(c.push(2, 0, 0, &[1], (1, -1), (0, 0)), None);
+        let again = c.drain(2).unwrap();
+        assert_eq!(again.payload.capacity(), room, "the ring reused the buffer");
+        assert_eq!((again.payload, again.spans), (vec![1], vec![(0, 0, 1)]));
+        // A ring that took puts since its drain keeps them.
+        c.push(3, 0, 0, &[1], (1, -1), (0, 0));
+        let fl = c.drain(3).unwrap();
+        c.push(3, 0, 1, &[2], (1, -1), (0, 0));
+        c.recycle(3, fl);
+        assert_eq!(c.backlog(3), (1, 1));
     }
 }

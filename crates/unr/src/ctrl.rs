@@ -78,10 +78,17 @@ pub trait CtrlSink {
 /// so the wire bytes of a world in which no rank ever died are
 /// unchanged.
 pub fn stamp(epoch: u64, frame: &[u8]) -> Cow<'_, [u8]> {
-    if epoch == 0 || frame.is_empty() {
-        return Cow::Borrowed(frame);
+    match envelope(epoch, frame) {
+        None => Cow::Borrowed(frame),
+        Some(_) => Cow::Owned(wire::epoch_wrap(epoch, frame)),
     }
-    Cow::Owned(wire::epoch_wrap(epoch, frame))
+}
+
+/// The envelope header [`stamp`] would put in front of `frame`, for a
+/// transport that writes the two side by side instead of copying them
+/// together; `None` where `stamp` leaves the frame bare.
+pub fn envelope(epoch: u64, frame: &[u8]) -> Option<[u8; wire::EPOCH_HDR_LEN]> {
+    (epoch != 0 && !frame.is_empty()).then(|| wire::epoch_hdr(epoch))
 }
 
 /// Fence an incoming control frame: unwrap the epoch envelope if there

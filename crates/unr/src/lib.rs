@@ -102,5 +102,5 @@ pub use retry::{
 };
 pub use signal::{striped_addends, Applied, SigKey, Signal, SignalError, SignalStats, SignalTable};
 pub use sim::{SimTransport, UNR_PORT};
-pub use transport::{Backend, RmaOp, SeqPost, Transport};
+pub use transport::{Backend, CtrlFrame, RmaOp, SeqPost, Transport};
 pub use wait::{Until, Woke};

@@ -11,8 +11,7 @@
 //! ([`FabricFacts`]) and the closure that builds its transport
 //! ([`crate::sim`] for simnet).
 
-use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use unr_obs::Obs;
@@ -30,7 +29,7 @@ use crate::metrics::{UnrMetrics, UnrStats};
 use crate::retry::{Reliability, RetryPolicy, RetryState, Route};
 use crate::signal::{striped_addends, SigKey, Signal, SignalTable};
 use crate::sim::SimTransport;
-use crate::transport::{RmaOp, SeqPost, Transport};
+use crate::transport::{CtrlFrame, RmaOp, SeqPost, Transport};
 use crate::wire;
 
 /// Engine state above the seam, shared with whatever drives progress
@@ -49,15 +48,10 @@ pub struct UnrCore {
     pub(crate) retry: Option<Arc<RetryState>>,
     /// Small-message coalescer — `Some` iff `cfg.agg_eager_max > 0`.
     /// Only the application rank touches it (no progress driver ever
-    /// flushes rings), so the mutex is uncontended.
+    /// flushes rings), so the mutex is uncontended. It also keeps the
+    /// virtual copy time its buffered puts owe ([`Coalescer::owe`]).
     pub(crate) agg: Option<Mutex<Coalescer>>,
     pub(crate) amet: Option<AggMetrics>,
-    /// Virtual copy time owed by buffered-but-unflushed aggregated
-    /// puts. A per-put [`Transport::charge`] is a global scheduler op on
-    /// simnet — the dominant wall cost of a sub-MTU put — so the pack
-    /// loop only accumulates here and the flush settles the whole
-    /// aggregate in one charge.
-    pub(crate) agg_vcost: AtomicU64,
 }
 
 impl UnrCore {
@@ -152,7 +146,6 @@ impl<T: Transport> Unr<T> {
                 Mutex::new(c)
             }),
             amet: agg.then(|| AggMetrics::new(obs)),
-            agg_vcost: AtomicU64::new(0),
         });
         let tx = transport(&core);
         Ok(Unr { tx, core })
@@ -381,19 +374,13 @@ impl<T: Transport> Unr<T> {
         let region = self.validate(local, remote)?;
         let core = &self.core;
         let len = local.len;
-        core.stats.puts.fetch_add(1, Ordering::Relaxed);
-        core.stats
-            .bytes_put
-            .fetch_add(len as u64, Ordering::Relaxed);
-        core.met.puts.inc();
-        core.met.bytes_put.add(len as u64);
-        core.met.channel_msgs.inc();
-        core.met.level_msgs.inc();
-
-        if core.agg.is_some() {
-            if len <= core.cfg.agg_eager_max && remote.rank != self.tx.rank() {
-                return self.put_agg(&region, local, remote, local_sig, remote_sig, len);
-            }
+        let aggregated = core.agg.is_some();
+        if aggregated && len <= core.cfg.agg_eager_max && remote.rank != self.tx.rank() {
+            // Counted when its ring flushes.
+            return self.put_agg(&region, local, remote, local_sig, remote_sig, len);
+        }
+        self.count_puts(1, len);
+        if aggregated {
             // A non-aggregable put to this destination must not overtake
             // puts already buffered for it: force its ring out first.
             self.agg_flush_dst(remote.rank, FlushWhy::Order)?;
@@ -451,6 +438,19 @@ impl<T: Transport> Unr<T> {
                 self.put_rma(&region, local, remote, local_sig, remote_sig, len, enc)
             }
         }
+    }
+
+    /// Count `puts` puts of `bytes` bytes in all, in [`UnrStats`] and the
+    /// `unr.*` counters — once per put, or once per flush for the puts a
+    /// ring coalesced.
+    fn count_puts(&self, puts: usize, bytes: usize) {
+        let (core, puts, bytes) = (&self.core, puts as u64, bytes as u64);
+        core.stats.puts.fetch_add(puts, Ordering::Relaxed);
+        core.stats.bytes_put.fetch_add(bytes, Ordering::Relaxed);
+        core.met.puts.add(puts);
+        core.met.bytes_put.add(bytes);
+        core.met.channel_msgs.add(puts);
+        core.met.level_msgs.add(puts);
     }
 
     fn count_sub_message(&self) {
@@ -579,7 +579,7 @@ impl<T: Transport> Unr<T> {
                 dst: remote.rkey(),
                 dst_offset: remote.offset + off,
                 payload: &payload,
-                frame: Cow::Owned(reg.frame),
+                frame: reg.frame,
                 // An unstriped control frame goes where every other one
                 // does; stripes and RMA sub-messages go by the NIC the
                 // table will rotate away from.
@@ -610,10 +610,10 @@ impl<T: Transport> Unr<T> {
     }
 
     /// Append one eligible small put to its destination's aggregate
-    /// ring. Per-put cost is the pack memcpy plus a few vector pushes;
-    /// the per-message fallback overhead, the retry entry and every
-    /// scheduler entry are deferred to the flush and amortized across
-    /// the whole aggregate.
+    /// ring: one lock, the pack memcpy and a few vector pushes. The
+    /// per-message fallback overhead, the retry entry, every scheduler
+    /// entry and the put counters are deferred to the flush and
+    /// amortized across the whole aggregate.
     fn put_agg(
         &self,
         region: &MemRegion,
@@ -623,18 +623,12 @@ impl<T: Transport> Unr<T> {
         remote_sig: u64,
         len: usize,
     ) -> Result<(), UnrError> {
-        self.core
-            .agg_vcost
-            .fetch_add(self.core.copy_bw.transfer_time(len), Ordering::Relaxed);
         let trigger = {
             let mut c = self.core.agg.as_ref().expect("agg enabled").lock();
+            c.owe(self.core.copy_bw.transfer_time(len));
             c.push_blk(region, local, remote, (remote_sig, -1), (local_sig, -1))
                 .expect("local block in bounds")
         };
-        if let Some(am) = &self.core.amet {
-            am.puts_coalesced.inc();
-            am.bytes_packed.add(len as u64);
-        }
         match trigger {
             Some(why) => self.agg_flush_dst(remote.rank, why),
             None => Ok(()),
@@ -646,38 +640,27 @@ impl<T: Transport> Unr<T> {
         let Some(aggm) = &self.core.agg else {
             return Ok(());
         };
-        let fl = {
-            let mut c = aggm.lock();
-            if !c.has_pending(dst) {
-                return Ok(());
-            }
-            c.drain(dst)
-        };
+        let fl = aggm.lock().drain(dst);
         match fl {
-            Some(fl) => self.send_aggregate(dst, fl, why),
+            Some(fl) => self.send_aggregate(aggm, dst, fl, why),
             None => Ok(()),
         }
     }
 
-    /// Flush every pending aggregate ring, counting the flushes under
-    /// `why` (blocking waits, plan boundaries, explicit flushes,
-    /// finalize).
+    /// Flush every pending aggregate ring, in first-touch order,
+    /// counting the flushes under `why` (blocking waits, plan
+    /// boundaries, explicit flushes, finalize).
     pub fn agg_flush_all(&self, why: FlushWhy) -> Result<(), UnrError> {
         let Some(aggm) = &self.core.agg else {
             return Ok(());
         };
-        let flushes: Vec<(usize, AggFlush)> = {
-            let mut c = aggm.lock();
-            let dirty = c.take_dirty();
-            dirty
-                .into_iter()
-                .filter_map(|d| c.drain(d).map(|f| (d, f)))
-                .collect()
-        };
-        for (dst, fl) in flushes {
-            self.send_aggregate(dst, fl, why)?;
+        loop {
+            let next = aggm.lock().drain_next();
+            let Some((dst, fl)) = next else {
+                return Ok(());
+            };
+            self.send_aggregate(aggm, dst, fl, why)?;
         }
-        Ok(())
     }
 
     /// Flush all pending small-message aggregates now. Aggregated puts
@@ -693,30 +676,54 @@ impl<T: Transport> Unr<T> {
     /// control message and send it: one fallback sub-message (and, when
     /// reliable, one retry entry) for the whole aggregate. The local
     /// (source-completion) addends the coalescer deferred are applied
-    /// here, in the same step that arms the entry's deadline.
-    fn send_aggregate(&self, dst: usize, fl: AggFlush, why: FlushWhy) -> Result<(), UnrError> {
+    /// here, in the same step that arms the entry's deadline, and the
+    /// puts inside are counted here. The ring's buffers go back to it
+    /// afterwards, sent or not.
+    fn send_aggregate(
+        &self,
+        aggm: &Mutex<Coalescer>,
+        dst: usize,
+        fl: AggFlush,
+        why: FlushWhy,
+    ) -> Result<(), UnrError> {
         let core = &self.core;
+        self.count_puts(fl.puts, fl.payload.len());
         core.stats.fallback_msgs.fetch_add(1, Ordering::Relaxed);
         core.met.fallback_msgs.inc();
         self.count_sub_message();
         if let Some(am) = &core.amet {
             am.count_flush(why);
             am.addends_summed.add(fl.sigs.len() as u64);
+            am.puts_coalesced.add(fl.puts as u64);
+            am.bytes_packed.add(fl.payload.len() as u64);
         }
         // One per-message software overhead for the whole aggregate —
         // this amortization is the modeled speedup — plus the pack
         // copies' accumulated virtual time, settled in one clock op.
-        let owed = core.agg_vcost.swap(0, Ordering::Relaxed);
-        self.tx.charge(core.cfg.fallback_overhead + owed);
-        let Some(retry) = &core.retry else {
-            let msg = wire::agg_msg(0, false, &fl.spans, &fl.sigs, &fl.payload);
-            self.tx.send_ctrl(dst, self.default_nic(), msg)?;
-            self.tx.complete(&[], &fl.local_sigs);
-            return Ok(());
+        self.tx.charge(core.cfg.fallback_overhead + fl.owed);
+        let sent = match &core.retry {
+            None => {
+                let msg = wire::agg_msg(0, false, &fl.spans, &fl.sigs, &fl.payload);
+                self.tx
+                    .send_ctrl(dst, self.default_nic(), msg)
+                    .map(|()| self.tx.complete(&[], &fl.local_sigs))
+            }
+            Some(retry) => self.post_aggregate(retry, dst, &fl),
         };
-        // Register before sending, as for any sub-message; the replay
-        // buffer and the first transmission share the one frame.
-        let nic = retry.first_nic(core.cfg.pin_nic);
+        aggm.lock().recycle(dst, fl);
+        sent
+    }
+
+    /// The reliable half of [`Unr::send_aggregate`]: register the
+    /// aggregate, then send its frame — the replay buffer and every
+    /// transmission share the one buffer the frame was written into.
+    fn post_aggregate(
+        &self,
+        retry: &RetryState,
+        dst: usize,
+        fl: &AggFlush,
+    ) -> Result<(), UnrError> {
+        let nic = retry.first_nic(self.core.cfg.pin_nic);
         let reg = retry.register_agg(dst, nic, &fl.spans, &fl.sigs, &fl.payload);
         let posted = self.tx.post_seq(SeqPost {
             route: Route::Agg,
@@ -727,7 +734,7 @@ impl<T: Transport> Unr<T> {
             },
             dst_offset: 0,
             payload: &reg.frame,
-            frame: Cow::Borrowed(&reg.frame),
+            frame: CtrlFrame::Shared(reg.frame.clone()),
             nic: self.default_nic(),
             first: reg.first,
         });
@@ -1059,7 +1066,7 @@ pub(crate) mod tests {
                 dst_offset: post.dst_offset,
                 payload: post.payload.to_vec(),
                 payload_at: post.payload.as_ptr() as usize,
-                frame: post.frame.into_owned(),
+                frame: post.frame.into_vec(),
                 in_flight: self.retry.as_ref().map_or(0, |r| r.in_flight()),
             })
         }
@@ -1545,6 +1552,52 @@ pub(crate) mod tests {
         assert_eq!(shape(&take_log(&unr)), "$");
         assert_eq!(unr.retries_in_flight(), 0, "the aggregate's entry is gone");
         assert_eq!(unr.agg_backlog(PEER), (0, 0));
+    }
+
+    /// `unr.puts`, `unr.bytes_put`, the channel's and the level's
+    /// message counts and the two `UnrStats` fields they mirror.
+    fn put_counts<T: Transport>(unr: &Unr<T>) -> [u64; 6] {
+        let c = |name: String| unr.obs().metrics.counter(&name).get();
+        let ch = unr.channel();
+        [
+            c("unr.puts".into()),
+            c("unr.bytes_put".into()),
+            c(format!("unr.channel.{}.msgs", ch.name)),
+            c(format!("unr.level.{}.msgs", ch.level.as_index())),
+            unr.stats().puts.load(Ordering::Relaxed),
+            unr.stats().bytes_put.load(Ordering::Relaxed),
+        ]
+    }
+
+    /// Coalesced puts are counted once per flush, from the ring's own
+    /// totals, and come to what counting each put as it was posted
+    /// gives: the same put counters and statistics as on an engine that
+    /// coalesces nothing, and every coalesced put and byte in
+    /// `unr.agg.*`.
+    #[test]
+    fn coalesced_puts_count_at_their_flush_what_each_put_would() {
+        for reliable in [false, true] {
+            let run = |agg: bool| {
+                let unr = engine(Channel::glex(), reliable, agg, Route::Dgram, None);
+                for (len, dst) in [(SMALL, PEER), (SMALL - 3, 2), (SMALL, PEER), (BIG, 2)] {
+                    for _ in 0..5 {
+                        let (local, remote) = pair(len, SigKey::NULL, REMOTE_KEY, dst);
+                        unr.put(&local, &remote).unwrap();
+                    }
+                }
+                unr.flush().unwrap();
+                unr
+            };
+            let (coalesced, each) = (run(true), run(false));
+            assert_eq!(
+                put_counts(&coalesced),
+                put_counts(&each),
+                "reliable {reliable}"
+            );
+            let agg = |name: &str| coalesced.obs().metrics.counter(name).get();
+            assert_eq!(agg("unr.agg.puts_coalesced"), 15);
+            assert_eq!(agg("unr.agg.bytes_packed"), 15 * SMALL as u64 - 15);
+        }
     }
 
     /// The coalescer's lock is the one lock of the post path: a thread

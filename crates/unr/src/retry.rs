@@ -61,6 +61,7 @@ use std::sync::Arc;
 use unr_simnet::sync::Mutex;
 use unr_simnet::{ActorId, Bytes, MemRegion, Ns, OutOfBounds, RKey};
 
+use crate::transport::CtrlFrame;
 use crate::wire;
 
 /// Whether the engine runs the ack/replay protocol.
@@ -181,19 +182,19 @@ impl PendingSub {
     /// The control frame that carries this sub-message on the datagram
     /// channel: its [`wire::MSG_SEQ_DATA`] image, or — for an aggregate,
     /// whose payload already *is* its [`wire::MSG_AGG`] frame — the
-    /// buffered bytes verbatim.
-    fn dgram_frame(&self) -> Vec<u8> {
+    /// buffered bytes themselves, shared.
+    fn dgram_frame(&self) -> CtrlFrame {
         if self.route == Route::Agg {
-            return self.payload.to_vec();
+            return CtrlFrame::Shared(self.payload.clone());
         }
-        wire::seq_data_msg(
+        CtrlFrame::Owned(wire::seq_data_msg(
             self.seq,
             self.dst_rkey.id,
             self.dst_offset as u64,
             self.remote_key,
             self.addend,
             &self.payload,
-        )
+        ))
     }
 
     /// The [`wire::MSG_SEQ_NOTIF`] companion of an RMA sub-message.
@@ -241,8 +242,9 @@ pub enum Resend {
         /// NIC to send on (already rotated; a fabric whose datagrams
         /// pick their own NIC ignores it).
         nic: usize,
-        /// The complete control frame.
-        bytes: Vec<u8>,
+        /// The complete control frame (an aggregate's is the buffered
+        /// one, shared).
+        bytes: CtrlFrame,
     },
 }
 
@@ -479,11 +481,11 @@ impl RetryState {
         key: u64,
         addend: i64,
         nic: usize,
-    ) -> Registered<Vec<u8>> {
+    ) -> Registered<CtrlFrame> {
         let seq = self.alloc_seq(dst.rank);
         let sub = PendingSub::new(seq, route, payload, dst, dst_offset, key, addend, nic);
         let frame = match route {
-            Route::Rma => sub.notif_frame(),
+            Route::Rma => CtrlFrame::Owned(sub.notif_frame()),
             Route::Dgram | Route::Agg => sub.dgram_frame(),
         };
         Registered {
@@ -495,7 +497,8 @@ impl RetryState {
 
     /// Buffer one coalesced aggregate toward rank `dst`: allocate its
     /// sequence number, build the sequenced [`wire::MSG_AGG`] frame
-    /// from the drained ring and register it as a [`Route::Agg`] entry
+    /// from the drained ring, straight into one shared buffer
+    /// ([`wire::agg_frame`]), and register it as a [`Route::Agg`] entry
     /// whose payload is that frame — one entry covers every put inside.
     pub fn register_agg(
         &self,
@@ -506,7 +509,7 @@ impl RetryState {
         payload: &[u8],
     ) -> Registered<Bytes> {
         let seq = self.alloc_seq(dst);
-        let frame = Bytes::from(wire::agg_msg(seq, true, spans, sigs, payload));
+        let frame = wire::agg_frame(seq, true, spans, sigs, payload);
         let nowhere = RKey {
             rank: dst,
             id: 0,
@@ -1013,14 +1016,15 @@ mod tests {
         let payload = Bytes::from(vec![7u8; 5]);
         let d = st.register_data(Route::Dgram, payload.clone(), rkey(1), 64, 9, -5, 0);
         assert_eq!((d.seq, d.first), (0, true));
-        assert_eq!(d.frame, wire::seq_data_msg(0, 3, 64, 9, -5, &payload));
+        let data = wire::seq_data_msg(0, 3, 64, 9, -5, &payload);
+        assert_eq!(d.frame, CtrlFrame::Owned(data));
         let r = st.register_data(Route::Rma, payload.clone(), rkey(1), 64, 9, -5, 1);
         assert_eq!(
             (r.seq, r.first),
             (1, false),
             "the table already held an entry"
         );
-        assert_eq!(r.frame, wire::seq_notif_msg(1, 9, -5));
+        assert_eq!(r.frame, CtrlFrame::Owned(wire::seq_notif_msg(1, 9, -5)));
         let a = st.register_agg(2, 0, &[(3, 0, 5)], &[(9, -1)], &payload);
         assert_eq!(
             (a.seq, a.first),
@@ -1044,6 +1048,15 @@ mod tests {
             })
             .collect();
         assert_eq!(frames, [&d.frame[..], &r.frame[..], a.frame.as_ref()]);
+        // The aggregate goes again from the buffer it first went from.
+        let Resend::Dgram {
+            bytes: CtrlFrame::Shared(again),
+            ..
+        } = &o.resends[2]
+        else {
+            panic!("an aggregate's resend is its shared frame");
+        };
+        assert_eq!(again.as_ptr(), a.frame.as_ptr());
     }
 
     #[test]

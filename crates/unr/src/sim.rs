@@ -23,7 +23,7 @@ use crate::level::Encoding;
 use crate::metrics::RetryMetrics;
 use crate::post::{FabricFacts, Unr, UnrCore};
 use crate::retry::{Resend, RetryState, Route};
-use crate::transport::{RmaOp, SeqPost, Transport};
+use crate::transport::{CtrlFrame, RmaOp, SeqPost, Transport};
 use crate::wait::{Until, Woke};
 use crate::wire::CtrlMsg;
 
@@ -329,7 +329,7 @@ impl SimState {
         let ep = &self.ep;
         match reply {
             Resend::Dgram { dst, bytes, .. } => {
-                let frame = self.stamp_ctrl(bytes);
+                let frame = self.stamp_ctrl(bytes.into_vec());
                 ep.send_dgram_at(sched, t, dst, UNR_PORT, frame, NicSel::Auto)
             }
             Resend::Rma {
@@ -425,6 +425,7 @@ impl CtrlSink for SimSink<'_> {
 
     fn reply(&mut self, dst: usize, bytes: Vec<u8>) {
         // A simnet datagram picks its own NIC.
+        let bytes = CtrlFrame::Owned(bytes);
         self.replies.push(Resend::Dgram { dst, nic: 0, bytes });
     }
 
@@ -531,7 +532,7 @@ impl Transport for SimTransport {
     }
 
     fn post_seq(&self, post: SeqPost<'_>) -> Result<(), UnrError> {
-        let frame = self.sim.stamp_ctrl(post.frame.into_owned());
+        let frame = self.sim.stamp_ctrl(post.frame.into_vec());
         match post.route {
             Route::Rma => self.sim.ep.put_bytes(
                 post.payload.clone(),

@@ -44,7 +44,7 @@
 //! `NetUnr::init` (netfab). The transport you build fixes the fabric;
 //! [`Backend`] is an inert leftover.
 
-use std::borrow::Cow;
+use std::ops::Deref;
 
 use unr_obs::Obs;
 use unr_simnet::{Bytes, MemRegion, NicSel, Ns, RKey};
@@ -111,12 +111,44 @@ pub struct SeqPost<'a> {
     /// The buffered payload, shared with the replay buffer.
     pub payload: &'a Bytes,
     /// The announcing control frame ([`crate::Registered::frame`]).
-    pub frame: Cow<'a, [u8]>,
+    pub frame: CtrlFrame,
     /// NIC carrying it.
     pub nic: NicSel,
     /// Whether the retry table was empty before this entry
     /// ([`crate::Registered::first`]).
     pub first: bool,
+}
+
+/// A bare control frame on its way to the wire: built for one send, or
+/// the [`crate::wire::MSG_AGG`] frame the retry table keeps, which the
+/// first transmission and every retransmission send as it is.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CtrlFrame {
+    /// Built for this send alone.
+    Owned(Vec<u8>),
+    /// Shared with the replay buffer: a refcount, not a copy. A
+    /// transport that can write it from where it is does.
+    Shared(Bytes),
+}
+
+impl CtrlFrame {
+    /// The frame as an owned `Vec` — a copy only of a shared frame.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self {
+            CtrlFrame::Owned(v) => v,
+            CtrlFrame::Shared(b) => b.to_vec(),
+        }
+    }
+}
+
+impl Deref for CtrlFrame {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            CtrlFrame::Owned(v) => v,
+            CtrlFrame::Shared(b) => b,
+        }
+    }
 }
 
 /// What the post path needs from an interconnect. See the module doc

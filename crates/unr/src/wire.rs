@@ -31,6 +31,8 @@
 //! Bit 0 of `flags` marks a sequenced frame (reliable transport: dedup
 //! on `seq`, always acked); unsequenced frames carry `seq == 0`.
 
+use unr_simnet::Bytes;
+
 /// Fallback data: two-sided emulation of a notifiable PUT (also the
 /// reply leg of a fallback GET).
 pub const MSG_FALLBACK_DATA: u8 = 1;
@@ -64,11 +66,18 @@ pub const MSG_EPOCH: u8 = 8;
 /// Bytes of the [`MSG_EPOCH`] envelope header (`kind u8 + epoch u64`).
 pub const EPOCH_HDR_LEN: usize = 9;
 
+/// The [`MSG_EPOCH`] envelope header for `epoch`: what goes in front of
+/// a complete control frame to wrap it.
+pub fn epoch_hdr(epoch: u64) -> [u8; EPOCH_HDR_LEN] {
+    let mut h = [MSG_EPOCH; EPOCH_HDR_LEN];
+    h[1..].copy_from_slice(&epoch.to_le_bytes());
+    h
+}
+
 /// Wrap `inner` (a complete control frame) in an epoch envelope.
 pub fn epoch_wrap(epoch: u64, inner: &[u8]) -> Vec<u8> {
     let mut b = Vec::with_capacity(EPOCH_HDR_LEN + inner.len());
-    b.push(MSG_EPOCH);
-    b.extend_from_slice(&epoch.to_le_bytes());
+    b.extend_from_slice(&epoch_hdr(epoch));
     b.extend_from_slice(inner);
     b
 }
@@ -452,6 +461,35 @@ pub fn agg_msg(
     sigs: &[(u64, i64)],
     payload: &[u8],
 ) -> Vec<u8> {
+    let mut msg = agg_head(seq, sequenced, spans, sigs, payload, payload.len());
+    msg.extend_from_slice(payload);
+    msg
+}
+
+/// [`agg_msg`] written straight into one shared buffer
+/// ([`Bytes::from_parts`]): the payload is copied once, and the buffer
+/// is what the retry table keeps and every transmission sends.
+pub fn agg_frame(
+    seq: u64,
+    sequenced: bool,
+    spans: &[(u32, u64, u32)],
+    sigs: &[(u64, i64)],
+    payload: &[u8],
+) -> Bytes {
+    let head = agg_head(seq, sequenced, spans, sigs, payload, 0);
+    Bytes::from_parts(&[&head, payload])
+}
+
+/// Everything of the [`MSG_AGG`] frame of `payload` before the payload
+/// itself, in a buffer with `room` bytes to spare.
+fn agg_head(
+    seq: u64,
+    sequenced: bool,
+    spans: &[(u32, u64, u32)],
+    sigs: &[(u64, i64)],
+    payload: &[u8],
+    room: usize,
+) -> Vec<u8> {
     debug_assert_eq!(
         spans.iter().map(|&(_, _, l)| l as usize).sum::<usize>(),
         payload.len(),
@@ -466,7 +504,7 @@ pub fn agg_msg(
         "too many signals for one aggregate"
     );
     let mut msg = Vec::with_capacity(
-        AGG_HDR_LEN + spans.len() * AGG_SPAN_LEN + sigs.len() * AGG_SIG_LEN + payload.len(),
+        AGG_HDR_LEN + spans.len() * AGG_SPAN_LEN + sigs.len() * AGG_SIG_LEN + room,
     );
     msg.push(MSG_AGG);
     msg.extend_from_slice(&seq.to_le_bytes());
@@ -482,7 +520,6 @@ pub fn agg_msg(
         msg.extend_from_slice(&key.to_le_bytes());
         msg.extend_from_slice(&addend.to_le_bytes());
     }
-    msg.extend_from_slice(payload);
     msg
 }
 
@@ -589,6 +626,23 @@ mod tests {
             }
             other => panic!("expected Agg, got {other:?}"),
         }
+    }
+
+    /// The shared-buffer encoding is the same message, byte for byte,
+    /// sequenced or not, with or without spans.
+    #[test]
+    fn agg_frame_is_agg_msg_in_a_shared_buffer() {
+        let spans = [(3u32, 64u64, 4u32), (7, 0, 3)];
+        let payload = [1u8, 2, 3, 4, 20, 21, 22];
+        for (seq, sequenced) in [(42, true), (0, false)] {
+            let frame = agg_frame(seq, sequenced, &spans, &[(9, -2)], &payload);
+            assert_eq!(frame, agg_msg(seq, sequenced, &spans, &[(9, -2)], &payload));
+        }
+        assert_eq!(
+            agg_frame(5, true, &[], &[(9, -1)], &[]),
+            agg_msg(5, true, &[], &[(9, -1)], &[])
+        );
+        assert_eq!(epoch_wrap(3, &[7])[..EPOCH_HDR_LEN], epoch_hdr(3));
     }
 
     #[test]
