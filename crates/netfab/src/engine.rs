@@ -358,7 +358,9 @@ mod tests {
     use std::net::TcpListener;
     use std::sync::Barrier;
     use unr_core::wire;
-    use unr_core::{Blk, Epoch, PeerFailedCause, RecoveryPolicy, Reliability, Route, SignalError};
+    use unr_core::{
+        Blk, CtrlFrame, Epoch, PeerFailedCause, RecoveryPolicy, Reliability, Route, SignalError,
+    };
     use unr_simnet::{Bytes, RKey};
 
     /// A one-rank fabric (no peers, so no sockets beyond the reactors'
@@ -707,7 +709,7 @@ mod tests {
             let reg = retry.register_data(Route::Dgram, Bytes::from(vec![0; 4]), dst, 0, 0, 0, 0);
             assert_eq!(reg.seq, seq);
         }
-        let ctrl = |msg: Vec<u8>| fabric.send_ctrl(0, 0, &msg).unwrap();
+        let ctrl = |msg: Vec<u8>| fabric.post_ctrl(0, 0, 0, CtrlFrame::Owned(msg)).unwrap();
         let acked = || (fabric.met.acks.get(), retry.in_flight());
 
         // Out of bounds; an aggregate with one span that fits and one
@@ -765,8 +767,9 @@ mod tests {
         };
         let data = retry.register_data(Route::Dgram, Bytes::from(vec![5; 8]), dst, 8, KEY, -1, 0);
         let agg = retry.register_agg(1, 0, &[(region, 32, 4)], &[(KEY, -2)], &[6; 4]);
-        for frame in [&data.frame[..], &agg.frame[..]] {
-            sender.fabric().send_ctrl(1, 0, frame).unwrap();
+        for frame in [data.frame.to_vec(), agg.frame.to_vec()] {
+            let frame = CtrlFrame::Owned(frame);
+            sender.fabric().post_ctrl(1, 0, 0, frame).unwrap();
         }
         let deadline = Instant::now() + Duration::from_secs(10);
         while f1.met.rx_frames.get() < 2 {
@@ -796,7 +799,8 @@ mod tests {
 
         // The dedup window saw the first copy: a second is acked, not
         // applied.
-        sender.fabric().send_ctrl(1, 0, &data.frame).unwrap();
+        let copy = CtrlFrame::Owned(data.frame.to_vec());
+        sender.fabric().post_ctrl(1, 0, 0, copy).unwrap();
         while receiver.met().dup_suppressed.get() == 0 {
             assert!(Instant::now() < deadline, "the copy was never read");
             std::thread::sleep(Duration::from_millis(1));

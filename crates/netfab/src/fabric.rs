@@ -564,7 +564,9 @@ impl NetFabric {
             match e {
                 Early::Custom(custom) => self.shared.apply_custom(custom),
                 Early::Ctrl(src, nic, msg) => {
-                    let mut answer = |reply: &[u8]| drop(self.send_ctrl(src, nic, reply));
+                    let mut answer = |reply: &[u8]| {
+                        drop(self.post_ctrl(src, nic, 0, CtrlFrame::Owned(reply.to_vec())))
+                    };
                     self.shared
                         .on_ctrl(&self.met, (src, nic), &msg, &mut answer);
                 }
@@ -764,22 +766,12 @@ impl NetFabric {
         )
     }
 
-    /// Send an opaque `unr_core::wire` control message to `dst`. One to
-    /// this rank itself is handled here and now, on the calling thread,
-    /// and so are its replies.
-    pub fn send_ctrl(&self, dst: usize, nic: usize, bytes: &[u8]) -> io::Result<()> {
-        if dst == self.rank {
-            self.loopback(bytes);
-            return Ok(());
-        }
-        self.send(dst, nic, frame::FRAME_CTRL, &[bytes])
-    }
-
-    /// Send control message `msg` to `dst` in the epoch envelope of
-    /// `epoch` (`unr_core::ctrl::stamp`'s rule): one built for this send
-    /// is encoded whole, a shared one written from where it is, behind a
-    /// head of its own ([`OutFrame::ctrl`]). One to this rank itself is
-    /// handled here and now, like [`send_ctrl`](Self::send_ctrl)'s.
+    /// Send an opaque `unr_core::wire` control message `msg` to `dst` in
+    /// the epoch envelope of `epoch` (`unr_core::ctrl::stamp`'s rule;
+    /// none at epoch 0): one built for this send is encoded whole, a
+    /// shared one written from where it is, behind a head of its own
+    /// ([`OutFrame::ctrl`]). One to this rank itself is handled here and
+    /// now, on the calling thread, and so are its replies.
     pub fn post_ctrl(&self, dst: usize, nic: usize, epoch: u64, msg: CtrlFrame) -> io::Result<()> {
         if dst == self.rank {
             self.loopback(&ctrl::stamp(epoch, &msg));
@@ -1192,7 +1184,10 @@ mod tests {
             s.spawn(|| {
                 for i in 0..FRAMES {
                     // Fails once the main thread has given up (shutdown).
-                    if fabric.send_ctrl(1, 0, &body(i)).is_err() {
+                    if fabric
+                        .post_ctrl(1, 0, 0, CtrlFrame::Owned(body(i)))
+                        .is_err()
+                    {
                         return;
                     }
                     posted.fetch_add(1, Ordering::SeqCst);

@@ -75,6 +75,12 @@ pub const FRAME_REJOIN: u8 = 14;
 /// desynchronized stream and are rejected instead of allocated.
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
+/// Read scratch per connection per read pass — also the fairness
+/// bound: one connection cannot starve its siblings for longer than one
+/// buffer fill. A [`FrameAssembler`] keeps its body buffer between
+/// frames up to this size.
+pub(crate) const READ_CHUNK: usize = 256 * 1024;
+
 /// One decoded frame: the kind byte and the raw body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -322,7 +328,8 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
 ///   (coalescing) or none (a split);
 /// * a frame that lies whole in the fed bytes is handed over where it
 ///   lies: no copy, no allocation. Only a frame cut across feeds is
-///   assembled, in a body buffer the assembler keeps and reuses;
+///   assembled, in a body buffer the assembler reuses up to one read
+///   scratch (256 KiB) and frees above that;
 /// * [`mid_frame`](FrameAssembler::mid_frame) reports whether EOF right
 ///   now would be a clean close (frame boundary) or a truncation.
 pub struct FrameAssembler {
@@ -423,11 +430,19 @@ impl FrameAssembler {
             if self.body.len() < body_need {
                 return Ok(()); // data exhausted mid-body
             }
-            sink((self.kind, &self.body[..]));
-            self.body.clear();
+            // Back on a boundary before the sink runs, so a sink that
+            // panics cannot leave this frame to be handed over again.
             self.prefix_got = 0;
             self.need = 0;
             self.have_kind = false;
+            sink((self.kind, &self.body[..]));
+            if self.body.capacity() > READ_CHUNK {
+                // Kept for frames a read can cut, not for the largest
+                // one the peer ever sent.
+                self.body = Vec::new();
+            } else {
+                self.body.clear();
+            }
         }
     }
 
@@ -633,29 +648,42 @@ mod tests {
         // on a boundary (EOF now is a clean close, not a truncation).
         let bytes = encode_frame(FRAME_CTRL, &[]).unwrap();
         let mut asm = FrameAssembler::new();
-        let got = collect(&mut asm, &[&bytes]).unwrap();
+        let got = frames_of(&mut asm, &[&bytes]);
         assert_eq!(got, [(FRAME_CTRL, vec![])]);
         assert!(!asm.mid_frame());
     }
 
-    /// Feed `chunks` in order; the `(kind, body)` of every frame the
-    /// assembler emitted, or the first error.
-    fn collect(asm: &mut FrameAssembler, chunks: &[&[u8]]) -> io::Result<Vec<(u8, Vec<u8>)>> {
+    /// Feed `chunks` in order, stopping at the first error; the
+    /// `(kind, body)` of every frame the assembler emitted until then,
+    /// and how the feeding ended.
+    fn collect(asm: &mut FrameAssembler, chunks: &[&[u8]]) -> (Vec<(u8, Vec<u8>)>, io::Result<()>) {
         let mut got = Vec::new();
         for c in chunks {
-            asm.feed(c, &mut |(kind, body)| got.push((kind, body.to_vec())))?;
+            if let Err(e) = asm.feed(c, &mut |(kind, body)| got.push((kind, body.to_vec()))) {
+                return (got, Err(e));
+            }
         }
-        Ok(got)
+        (got, Ok(()))
+    }
+
+    /// [`collect`] for a stream that must frame cleanly.
+    fn frames_of(asm: &mut FrameAssembler, chunks: &[&[u8]]) -> Vec<(u8, Vec<u8>)> {
+        let (got, fed) = collect(asm, chunks);
+        fed.expect("a well-formed stream");
+        got
     }
 
     #[test]
     fn assembler_rejects_corrupt_prefix_and_stays_poisoned() {
         let mut asm = FrameAssembler::new();
-        assert!(collect(&mut asm, &[&0u32.to_le_bytes()]).is_err());
+        let (got, fed) = collect(&mut asm, &[&0u32.to_le_bytes()]);
+        assert!(fed.is_err());
         assert!(asm.mid_frame(), "EOF after a bad prefix must be corrupt");
         // Even valid bytes are rejected afterwards: no resync.
         let ok = encode_frame(FRAME_CTRL, &[b"x"]).unwrap();
-        assert!(collect(&mut asm, &[&ok]).is_err());
+        let (later, fed) = collect(&mut asm, &[&ok]);
+        assert!(fed.is_err());
+        assert!(got.is_empty() && later.is_empty());
 
         // A corrupt prefix at the head of a read that also holds whole
         // frames behind it: the same poison, nothing emitted.
@@ -663,9 +691,45 @@ mod tests {
         let mut read = (MAX_FRAME_LEN as u32 + 1).to_le_bytes().to_vec();
         read.extend_from_slice(&ok);
         read.extend_from_slice(&ok);
-        assert!(collect(&mut asm, &[&read]).is_err());
+        let (got, fed) = collect(&mut asm, &[&read]);
+        assert!(fed.is_err());
         assert!(asm.mid_frame());
-        assert!(collect(&mut asm, &[&ok]).is_err());
+        let (later, fed) = collect(&mut asm, &[&ok]);
+        assert!(fed.is_err());
+        assert!(got.is_empty() && later.is_empty());
+    }
+
+    /// A sink that panics on a frame the assembler had to assemble
+    /// leaves the assembler on the boundary after that frame: the frame
+    /// is not handed over a second time.
+    #[test]
+    fn assembler_does_not_repeat_a_frame_whose_sink_panicked() {
+        let first = encode_frame(FRAME_ATOMIC, &[&atomic_body(5)]).unwrap();
+        let second = encode_frame(FRAME_CTRL, &[b"next"]).unwrap();
+        let mut asm = FrameAssembler::new();
+        assert!(frames_of(&mut asm, &[&first[..3]]).is_empty());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            asm.feed(&first[3..], &mut |_| panic!("the sink fails on purpose"))
+        }));
+        assert!(panicked.is_err());
+        assert!(!asm.mid_frame());
+        let (kind, body) = (second[4], second[5..].to_vec());
+        assert_eq!(frames_of(&mut asm, &[&second]), [(kind, body)]);
+    }
+
+    /// A frame cut across reads whose body is larger than a read keeps
+    /// no buffer behind it; a smaller one keeps its buffer for the next.
+    #[test]
+    fn assembler_frees_a_body_buffer_larger_than_a_read() {
+        let mut asm = FrameAssembler::new();
+        let big = encode_frame(FRAME_CTRL, &[&vec![1u8; READ_CHUNK + 1]]).unwrap();
+        let (head, tail) = big.split_at(big.len() / 2);
+        assert_eq!(frames_of(&mut asm, &[head, tail]).len(), 1);
+        assert_eq!(asm.body.capacity(), 0);
+        let small = encode_frame(FRAME_CTRL, &[&[2u8; 100]]).unwrap();
+        let (head, tail) = small.split_at(50);
+        assert_eq!(frames_of(&mut asm, &[head, tail]).len(), 1);
+        assert!(asm.body.capacity() >= 100);
     }
 
     #[test]
@@ -675,7 +739,7 @@ mod tests {
         wire.extend_from_slice(&encode_frame(FRAME_PUT, &[&put_header(1, 2, 3), b"abc"]).unwrap());
         wire.extend_from_slice(&encode_frame(FRAME_ATOMIC, &[&atomic_body(42)]).unwrap());
         wire.extend_from_slice(&encode_frame(FRAME_CTRL, &[b"zz"]).unwrap());
-        let got = collect(&mut FrameAssembler::new(), &[&wire]).unwrap();
+        let got = frames_of(&mut FrameAssembler::new(), &[&wire]);
         assert_eq!(
             got.iter().map(|f| f.0).collect::<Vec<_>>(),
             vec![FRAME_PUT, FRAME_ATOMIC, FRAME_CTRL]
@@ -683,7 +747,7 @@ mod tests {
         // Same wire fed one byte at a time: byte-identical frames.
         let mut asm = FrameAssembler::new();
         let bytes: Vec<&[u8]> = wire.chunks(1).collect();
-        assert_eq!(got, collect(&mut asm, &bytes).unwrap());
+        assert_eq!(got, frames_of(&mut asm, &bytes));
         assert!(!asm.mid_frame());
     }
 
@@ -706,16 +770,16 @@ mod tests {
             .iter()
             .flat_map(|(kind, body)| encode_frame(*kind, &[body]).unwrap())
             .collect();
-        let whole = collect(&mut FrameAssembler::new(), &[&wire]).unwrap();
+        let whole = frames_of(&mut FrameAssembler::new(), &[&wire]);
         assert_eq!(whole, frames);
         let mut asm = FrameAssembler::new();
         let bytes: Vec<&[u8]> = wire.chunks(1).collect();
-        assert_eq!(collect(&mut asm, &bytes).unwrap(), frames);
+        assert_eq!(frames_of(&mut asm, &bytes), frames);
         assert!(!asm.mid_frame());
         let small = wire.len() - big.len();
         for cut in (0..small).chain(wire.len() - 40..=wire.len()) {
             let mut asm = FrameAssembler::new();
-            let got = collect(&mut asm, &[&wire[..cut], &wire[cut..]]).unwrap();
+            let got = frames_of(&mut asm, &[&wire[..cut], &wire[cut..]]);
             assert_eq!(got, frames, "cut at {cut}");
             assert!(!asm.mid_frame());
         }

@@ -59,7 +59,7 @@ use std::time::Duration;
 use unr_obs::metrics::{Counter, Gauge, Histogram};
 use unr_obs::Obs;
 
-use crate::frame::{FrameAssembler, OutFrame};
+use crate::frame::{FrameAssembler, OutFrame, READ_CHUNK};
 
 /// Reactor threads per process.
 pub const DEFAULT_REACTORS: usize = 2;
@@ -70,11 +70,6 @@ pub const DEFAULT_REACTORS: usize = 2;
 /// (see `Writer::flush`) — so this bounds what a peer that stops
 /// reading can make this process hold.
 pub const QUEUE_CAP_BYTES: usize = 8 * 1024 * 1024;
-
-/// Read scratch per connection per read pass — also the fairness
-/// bound: one connection cannot starve its siblings for longer than one
-/// buffer fill.
-const READ_CHUNK: usize = 256 * 1024;
 
 /// Poller timeout; the wake channel makes wakeups instant, this only
 /// bounds how long a reactor can miss a `stopping` flag — and is what a
@@ -304,6 +299,7 @@ impl Conn {
             reader: Mutex::new(Reader {
                 asm: FrameAssembler::new(),
                 buf: vec![0u8; READ_CHUNK],
+                feeding: false,
             }),
             queue: FrameQueue::new(),
             writer: Mutex::new(Writer {
@@ -350,6 +346,9 @@ struct Reader {
     asm: FrameAssembler,
     /// Read scratch, [`READ_CHUNK`] bytes (zero pages until touched).
     buf: Vec<u8>,
+    /// Set while `asm` is fed: still set when the lock is next taken,
+    /// a dispatcher panicked with part of a read undelivered.
+    feeding: bool,
 }
 
 /// Per-connection write state machine, behind [`Conn`]'s writer lock.
@@ -1077,15 +1076,29 @@ fn close_write(conn: &Conn) {
 /// the one `on_frame` call. Returns what the pass did.
 fn service_read(conn: &Conn, dispatch: &dyn FrameDispatch, met: &ReactorMetrics) -> ReadPass {
     let mut pass = ReadPass::default();
-    // Poisoned or not: a reader that panicked left the assembler on a
-    // byte boundary it had fed, so the next one carries on from there.
+    // Poisoned or not: a reader that panicked outside a feed left the
+    // assembler where its last feed ended, so the next one carries on
+    // from there. One that panicked inside a feed lost the rest of its
+    // read, and the stream cannot be framed past that point.
     let mut reader = conn.reader.lock().unwrap_or_else(PoisonError::into_inner);
     if !conn.open_read() {
         return pass; // closed by the reader we waited out
     }
     let close_read = || conn.open_read.store(false, Ordering::SeqCst);
-    let Reader { asm, buf } = &mut *reader;
     let (peer, nic) = (conn.peer, conn.nic);
+    let latch_corrupt = || {
+        if !dispatch.stopping() {
+            dispatch.on_corrupt(peer, nic);
+        }
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        close_read();
+        close_write(conn);
+    };
+    let Reader { asm, buf, feeding } = &mut *reader;
+    if *feeding {
+        latch_corrupt();
+        return pass;
+    }
     let n = loop {
         match (&conn.stream).read(buf) {
             Ok(0) => {
@@ -1127,18 +1140,15 @@ fn service_read(conn: &Conn, dispatch: &dyn FrameDispatch, met: &ReactorMetrics)
     };
     pass.bytes = n;
     let mut replies: Vec<Vec<u8>> = Vec::new();
+    *feeding = true;
     let fed = asm.feed(&buf[..n], &mut |(kind, body)| {
         pass.applied += usize::from(dispatch.on_frame(peer, nic, kind, body, &mut replies));
     });
+    *feeding = false;
     if fed.is_err() {
         // Corrupt length prefix: nothing after this point can be
         // framed.
-        if !dispatch.stopping() {
-            dispatch.on_corrupt(peer, nic);
-        }
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        close_read();
-        close_write(conn);
+        latch_corrupt();
         return pass;
     }
     if asm.mid_frame() {
@@ -1552,6 +1562,69 @@ mod tests {
         assert_eq!(dispatch.corrupt.load(Ordering::SeqCst), 0);
         dispatch.stopping.store(true, Ordering::SeqCst);
         pool.shutdown();
+    }
+
+    /// Counts frames and panics on frame `panic_at`, once.
+    #[derive(Default)]
+    struct PanicAt {
+        panic_at: usize,
+        seen: AtomicUsize,
+        corrupt: AtomicUsize,
+    }
+
+    impl FrameDispatch for PanicAt {
+        fn on_frame(&self, _: usize, _: usize, _: u8, _: &[u8], _: &mut Vec<Vec<u8>>) -> bool {
+            if self.seen.fetch_add(1, Ordering::SeqCst) == self.panic_at {
+                panic!("the dispatcher fails on purpose");
+            }
+            true
+        }
+        fn announce(&self) {}
+        fn on_corrupt(&self, _: usize, _: usize) {
+            self.corrupt.fetch_add(1, Ordering::SeqCst);
+        }
+        fn stopping(&self) -> bool {
+            false
+        }
+    }
+
+    /// A dispatcher that panics inside a feed loses the rest of that
+    /// read: the next reader latches the connection down instead of
+    /// framing the stream from the middle of a frame or handing a frame
+    /// over twice.
+    #[test]
+    fn a_reader_that_panicked_inside_a_feed_latches_the_connection() {
+        for cut in [None, Some(3)] {
+            let (peer, ours) = wake_pair().unwrap();
+            let conn = Conn::new(1, 0, 0, ours).unwrap();
+            let dispatch = PanicAt {
+                panic_at: 1,
+                ..PanicAt::default()
+            };
+            let met = ReactorMetrics::register(&Obs::new());
+            let stream: Vec<u8> = (0..4).flat_map(|i| tagged_frame(i, 64)).collect();
+            // Whole frames only, or the second frame cut across reads.
+            let split = cut.map_or(stream.len(), |c| tagged_frame(0, 64).len() + c);
+            let died = std::thread::scope(|s| {
+                s.spawn(|| {
+                    for part in [&stream[..split], &stream[split..]] {
+                        (&peer).write_all(part).unwrap();
+                        let (t0, mut read) = (std::time::Instant::now(), 0);
+                        while read < part.len() {
+                            assert!(t0.elapsed().as_secs() < 30, "the bytes never came");
+                            read += service_read(&conn, &dispatch, &met).bytes;
+                        }
+                    }
+                })
+                .join()
+            });
+            assert!(died.is_err(), "cut {cut:?}");
+            assert_eq!(dispatch.seen.load(Ordering::SeqCst), 2, "cut {cut:?}");
+            service_read(&conn, &dispatch, &met);
+            assert_eq!(dispatch.seen.load(Ordering::SeqCst), 2, "cut {cut:?}");
+            assert_eq!(dispatch.corrupt.load(Ordering::SeqCst), 1, "cut {cut:?}");
+            assert!(!conn.open_read() && !conn.writer().open_write);
+        }
     }
 
     /// Accepts at most `cap` bytes a call — across a vectored call's
