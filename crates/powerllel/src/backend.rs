@@ -52,6 +52,9 @@ pub struct PddExchange {
     count: usize,
     below: Option<usize>,
     above: Option<usize>,
+    /// The payloads last received from each neighbor.
+    from_below: Vec<f64>,
+    from_above: Vec<f64>,
     imp: PddImpl,
 }
 
@@ -125,13 +128,16 @@ impl PddExchange {
             count,
             below,
             above,
+            from_below: vec![0.0; if below.is_some() { count } else { 0 }],
+            from_above: vec![0.0; if above.is_some() { count } else { 0 }],
             imp,
         }
     }
 
     /// Exchange interface payloads. `up` is sent to the above neighbor,
-    /// `down` to the below neighbor; returns `(from_below, from_above)`.
-    pub fn exchange(&mut self, up: &[f64], down: &[f64]) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
+    /// `down` to the below neighbor; returns `(from_below, from_above)`,
+    /// `None` where there is no such neighbor.
+    pub fn exchange(&mut self, up: &[f64], down: &[f64]) -> (Option<&[f64]>, Option<&[f64]>) {
         assert_eq!(up.len(), self.count);
         assert_eq!(down.len(), self.count);
         match &mut self.imp {
@@ -146,21 +152,18 @@ impl PddExchange {
                     sends.push(col.isend(b, TAG_PDD_DOWN, as_bytes(down)));
                     recvs.push((col.irecv(Some(b), TAG_PDD_UP), false));
                 }
-                let mut from_below = None;
-                let mut from_above = None;
                 for (r, is_above) in recvs {
                     let m = col.wait_recv(r);
                     let v = vec_from_bytes::<f64>(&m.data);
                     if is_above {
-                        from_above = Some(v);
+                        self.from_above = v;
                     } else {
-                        from_below = Some(v);
+                        self.from_below = v;
                     }
                 }
                 for s in sends {
                     col.wait_send(s);
                 }
-                (from_below, from_above)
             }
             PddImpl::Unr {
                 unr,
@@ -173,32 +176,24 @@ impl PddExchange {
                 if plan.is_empty() && recv_sig.is_none() {
                     return (None, None);
                 }
-                let bytes_elems = self.count;
                 send_mem.write_slice(0, up);
-                send_mem.write_slice(bytes_elems, down);
+                send_mem.write_slice(self.count, down);
                 plan.start(unr).expect("pdd puts");
-                let mut from_below = None;
-                let mut from_above = None;
                 if let Some(sig) = recv_sig {
                     unr.sig_wait(sig).expect("pdd recv");
-                    if self.below.is_some() {
-                        let mut v = vec![0.0f64; self.count];
-                        recv_mem.read_slice(0, &mut v);
-                        from_below = Some(v);
-                    }
-                    if self.above.is_some() {
-                        let mut v = vec![0.0f64; self.count];
-                        recv_mem.read_slice(self.count, &mut v);
-                        from_above = Some(v);
-                    }
+                    recv_mem.read_slice(0, &mut self.from_below);
+                    recv_mem.read_slice(self.count, &mut self.from_above);
                     sig.reset().expect("pdd recv signal clean");
                 }
                 if let Some(sig) = send_sig {
                     unr.sig_wait(sig).expect("pdd send");
                     sig.reset().expect("pdd send signal clean");
                 }
-                (from_below, from_above)
             }
         }
+        (
+            self.below.map(|_| &self.from_below[..]),
+            self.above.map(|_| &self.from_above[..]),
+        )
     }
 }

@@ -67,11 +67,6 @@ impl Field3 {
         self.data[ix] = v;
     }
 
-    /// Padded strides (for pack/unpack helpers): `(sx, sy, sz)`.
-    pub fn strides(&self) -> (usize, usize, usize) {
-        (self.sx, self.sy, self.sz)
-    }
-
     /// Fill the interior from a function of *global* coordinates given
     /// this rank's offsets.
     pub fn fill(&mut self, off_y: usize, off_z: usize, f: impl Fn(usize, usize, usize) -> f64) {
@@ -114,58 +109,19 @@ impl Field3 {
         s.sqrt()
     }
 
-    /// Pack one y-face (ghost-exchange source): `j_plane` in interior
-    /// coordinates, all x, z range `z0..z1` (interior coords, may touch
-    /// ghosts). Output length `nx * (z1-z0) * width`.
-    pub fn pack_y(&self, j0: isize, width: usize, z0: isize, z1: isize, out: &mut Vec<f64>) {
-        out.clear();
-        for k in z0..z1 {
-            for dj in 0..width {
-                let j = j0 + dj as isize;
-                let base = self.idx_g(0, j, k);
-                out.extend_from_slice(&self.data[base..base + self.nx]);
-            }
-        }
+    /// The x line at `(j, k)` (ghost coordinates, as in
+    /// [`Field3::idx_g`]).
+    #[inline]
+    pub fn row(&self, j: isize, k: isize) -> &[f64] {
+        let at = self.idx_g(0, j, k);
+        &self.data[at..at + self.nx]
     }
 
-    /// Unpack a y-face produced by [`Field3::pack_y`].
-    pub fn unpack_y(&mut self, j0: isize, width: usize, z0: isize, z1: isize, data: &[f64]) {
-        let mut off = 0;
-        for k in z0..z1 {
-            for dj in 0..width {
-                let j = j0 + dj as isize;
-                let base = self.idx_g(0, j, k);
-                self.data[base..base + self.nx].copy_from_slice(&data[off..off + self.nx]);
-                off += self.nx;
-            }
-        }
-        assert_eq!(off, data.len());
-    }
-
-    /// Pack one z-face: planes `k0..k0+width`, all x, y interior only.
-    pub fn pack_z(&self, k0: isize, width: usize, out: &mut Vec<f64>) {
-        out.clear();
-        for dk in 0..width {
-            let k = k0 + dk as isize;
-            for j in 0..self.ny {
-                let base = self.idx_g(0, j as isize, k);
-                out.extend_from_slice(&self.data[base..base + self.nx]);
-            }
-        }
-    }
-
-    /// Unpack a z-face produced by [`Field3::pack_z`].
-    pub fn unpack_z(&mut self, k0: isize, width: usize, data: &[f64]) {
-        let mut off = 0;
-        for dk in 0..width {
-            let k = k0 + dk as isize;
-            for j in 0..self.ny {
-                let base = self.idx_g(0, j as isize, k);
-                self.data[base..base + self.nx].copy_from_slice(&data[off..off + self.nx]);
-                off += self.nx;
-            }
-        }
-        assert_eq!(off, data.len());
+    /// Mutable form of [`Field3::row`].
+    #[inline]
+    pub fn row_mut(&mut self, j: isize, k: isize) -> &mut [f64] {
+        let at = self.idx_g(0, j, k);
+        &mut self.data[at..at + self.nx]
     }
 }
 
@@ -211,30 +167,13 @@ mod tests {
     }
 
     #[test]
-    fn pack_unpack_y_roundtrip() {
+    fn rows_are_x_lines_and_reach_ghosts() {
         let mut f = Field3::new(3, 4, 2, 1);
         f.fill(0, 0, |i, j, k| (i + 10 * j + 100 * k) as f64);
-        let mut buf = Vec::new();
-        // Pack the last interior y plane over the full z ghost range.
-        f.pack_y(3, 1, -1, 3, &mut buf);
-        assert_eq!(buf.len(), 3 * 4);
-        let mut g = Field3::new(3, 4, 2, 1);
-        g.unpack_y(-1, 1, -1, 3, &buf);
-        assert_eq!(g.get(2, -1, 0), f.get(2, 3, 0));
-        assert_eq!(g.get(1, -1, 1), f.get(1, 3, 1));
-    }
-
-    #[test]
-    fn pack_unpack_z_roundtrip() {
-        let mut f = Field3::new(3, 2, 4, 2);
-        f.fill(0, 0, |i, j, k| (i + 10 * j + 100 * k) as f64);
-        let mut buf = Vec::new();
-        f.pack_z(2, 2, &mut buf);
-        assert_eq!(buf.len(), 3 * 2 * 2);
-        let mut g = Field3::new(3, 2, 4, 2);
-        g.unpack_z(-2, 2, &buf);
-        assert_eq!(g.get(0, 0, -2), f.get(0, 0, 2));
-        assert_eq!(g.get(2, 1, -1), f.get(2, 1, 3));
+        assert_eq!(f.row(2, 1), &[120.0, 121.0, 122.0]);
+        f.row_mut(-1, 2).copy_from_slice(&[7.0, 8.0, 9.0]);
+        assert_eq!(f.get(1, -1, 2), 8.0);
+        assert_eq!(f.row(4, -1).len(), 3);
     }
 
     #[test]

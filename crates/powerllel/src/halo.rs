@@ -17,6 +17,7 @@
 //! them between RK substeps: each epoch's signal reset is implicitly
 //! pre-synchronized by the other epoch's traffic (paper Fig 3d).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use unr_core::{convert, RmaPlan, Signal, Unr};
@@ -50,6 +51,146 @@ impl Shape {
     fn corner_elems(&self) -> usize {
         self.nx * self.g * self.g * self.nf
     }
+
+    /// The z face sent to (`above`) or received from the neighbor
+    /// above or below: `g` planes, interior y.
+    fn z_face(&self, above: bool, ghost: bool) -> Face {
+        let (g, lz) = (self.g as isize, self.lz as isize);
+        let k0 = match (above, ghost) {
+            (false, false) => 0,
+            (true, false) => lz - g,
+            (false, true) => -g,
+            (true, true) => lz,
+        };
+        Face {
+            js: 0..self.ly as isize,
+            ks: k0..k0 + g,
+        }
+    }
+
+    /// The y face sent to or received from the `hi` or lo y neighbor:
+    /// `g` rows, interior z.
+    fn y_face(&self, hi: bool, ghost: bool) -> Face {
+        Face {
+            js: self.y_rows(hi, ghost),
+            ks: 0..self.lz as isize,
+        }
+    }
+
+    /// Rows `j` of the y edge at the `hi` or lo side: the last/first
+    /// `g` interior rows, or the ghost rows beyond them.
+    fn y_rows(&self, hi: bool, ghost: bool) -> Range<isize> {
+        let (g, ly) = (self.g as isize, self.ly as isize);
+        let j0 = match (hi, ghost) {
+            (false, false) => 0,
+            (true, false) => ly - g,
+            (false, true) => -g,
+            (true, true) => ly,
+        };
+        j0..j0 + g
+    }
+
+    /// The corner strip of y edge rows `js`: those rows over the
+    /// z-ghost planes below, then above. A side without a z neighbor
+    /// keeps its place in the strip but is neither packed nor unpacked
+    /// (the wall boundary conditions fill those corners).
+    fn corner_faces(&self, nb: &Neighbors, js: Range<isize>) -> [(Face, bool); 2] {
+        let (g, lz) = (self.g as isize, self.lz as isize);
+        let below = Face {
+            js: js.clone(),
+            ks: -g..0,
+        };
+        let above = Face { js, ks: lz..lz + g };
+        [(below, nb.z_below.is_some()), (above, nb.z_above.is_some())]
+    }
+
+    fn pack_corner(
+        &self,
+        nb: &Neighbors,
+        fields: &[&mut Field3],
+        js: Range<isize>,
+        mut at: usize,
+        put: &mut impl FnMut(usize, &[f64]),
+    ) {
+        for (face, present) in self.corner_faces(nb, js) {
+            if present {
+                face.pack(fields, at, put);
+            }
+            at += face.elems(self.nx, self.nf);
+        }
+    }
+
+    fn unpack_corner(
+        &self,
+        nb: &Neighbors,
+        fields: &mut [&mut Field3],
+        js: Range<isize>,
+        mut at: usize,
+        get: &mut impl FnMut(usize, &mut [f64]),
+    ) {
+        for (face, present) in self.corner_faces(nb, js) {
+            if present {
+                face.unpack(fields, at, get);
+            }
+            at += face.elems(self.nx, self.nf);
+        }
+    }
+}
+
+/// Packs rows into `stage` at their element offsets.
+fn copy_to(stage: &mut [f64]) -> impl FnMut(usize, &[f64]) + '_ {
+    |at, row| stage[at..at + row.len()].copy_from_slice(row)
+}
+
+/// Unpacks rows from `data` at their element offsets.
+fn copy_from(data: &[f64]) -> impl FnMut(usize, &mut [f64]) + '_ {
+    |at, row| row.copy_from_slice(&data[at..at + row.len()])
+}
+
+/// A block of x rows, `js × ks` in ghost coordinates, of every field in
+/// turn: the unit halo messages are packed in. Rows are walked k-major,
+/// field by field, and packed contiguously.
+struct Face {
+    js: Range<isize>,
+    ks: Range<isize>,
+}
+
+impl Face {
+    /// Packed length over `nf` fields of x extent `nx`.
+    fn elems(&self, nx: usize, nf: usize) -> usize {
+        nx * self.js.len() * self.ks.len() * nf
+    }
+
+    /// Hand each row to `put(element offset, row)`, from `at` on.
+    fn pack(&self, fields: &[&mut Field3], mut at: usize, put: &mut impl FnMut(usize, &[f64])) {
+        for f in fields {
+            for k in self.ks.clone() {
+                for j in self.js.clone() {
+                    let row = f.row(j, k);
+                    put(at, row);
+                    at += row.len();
+                }
+            }
+        }
+    }
+
+    /// Fill each row with `get(element offset, row)`, from `at` on.
+    fn unpack(
+        &self,
+        fields: &mut [&mut Field3],
+        mut at: usize,
+        get: &mut impl FnMut(usize, &mut [f64]),
+    ) {
+        for f in fields.iter_mut() {
+            for k in self.ks.clone() {
+                for j in self.js.clone() {
+                    let row = f.row_mut(j, k);
+                    get(at, row);
+                    at += row.len();
+                }
+            }
+        }
+    }
 }
 
 struct Neighbors {
@@ -63,13 +204,17 @@ enum Imp {
     Mpi {
         comm: Comm,
         pending: Option<MpiPending>,
+        /// Packing buffer of the message being sent.
+        stage: Vec<f64>,
     },
     Unr(Box<UnrHalo>),
 }
 
+/// Receives of one exchange, each marked with the side it comes from
+/// (`true`: above in z, hi in y).
 struct MpiPending {
-    z_recvs: Vec<(RecvReq, isize)>,
-    y_recvs: Vec<(RecvReq, bool)>, // (req, is_from_lo)
+    z_recvs: Vec<(RecvReq, bool)>,
+    y_recvs: Vec<(RecvReq, bool)>,
     c_recvs: Vec<(RecvReq, bool)>,
     sends: Vec<SendReq>,
 }
@@ -128,6 +273,7 @@ impl HaloOp {
             Backend::Mpi => Imp::Mpi {
                 comm: d.world.clone(),
                 pending: None,
+                stage: Vec::new(),
             },
             Backend::Unr(unr) => Imp::Unr(Box::new(Self::build_unr(
                 unr, d, &shape, &nb, corners, instance,
@@ -253,281 +399,163 @@ impl HaloOp {
         }
     }
 
-    // ---- packing helpers ---------------------------------------------------
-
-    fn pack_z(fields: &[&mut Field3], k0: isize, g: usize, out: &mut Vec<f64>) {
-        out.clear();
-        let mut tmp = Vec::new();
-        for f in fields.iter() {
-            f.pack_z(k0, g, &mut tmp);
-            out.extend_from_slice(&tmp);
-        }
-    }
-
-    fn unpack_z(fields: &mut [&mut Field3], k0: isize, g: usize, data: &[f64]) {
-        let per = data.len() / fields.len();
-        for (fi, f) in fields.iter_mut().enumerate() {
-            f.unpack_z(k0, g, &data[fi * per..(fi + 1) * per]);
-        }
-    }
-
-    /// y face over the interior z range only.
-    fn pack_y(fields: &[&mut Field3], j0: isize, g: usize, lz: isize, out: &mut Vec<f64>) {
-        out.clear();
-        let mut tmp = Vec::new();
-        for f in fields.iter() {
-            f.pack_y(j0, g, 0, lz, &mut tmp);
-            out.extend_from_slice(&tmp);
-        }
-    }
-
-    fn unpack_y(fields: &mut [&mut Field3], j0: isize, g: usize, lz: isize, data: &[f64]) {
-        let per = data.len() / fields.len();
-        for (fi, f) in fields.iter_mut().enumerate() {
-            f.unpack_y(j0, g, 0, lz, &data[fi * per..(fi + 1) * per]);
-        }
-    }
-
-    /// Corner strip: my rows `j0..j0+g` over both z-ghost ranges
-    /// ([below | above]; absent sides zero-filled).
-    fn pack_corner(
-        shape: &Shape,
-        nb: &Neighbors,
-        fields: &[&mut Field3],
-        j0: isize,
-        out: &mut Vec<f64>,
-    ) {
-        let g = shape.g;
-        let lz = shape.lz as isize;
-        out.clear();
-        out.resize(2 * shape.corner_elems(), 0.0);
-        let mut tmp = Vec::new();
-        let mut off = 0;
-        for below in [true, false] {
-            let k0 = if below { -(g as isize) } else { lz };
-            let present = if below {
-                nb.z_below.is_some()
-            } else {
-                nb.z_above.is_some()
-            };
-            for f in fields.iter() {
-                if present {
-                    f.pack_y(j0, g, k0, k0 + g as isize, &mut tmp);
-                    out[off..off + tmp.len()].copy_from_slice(&tmp);
-                    off += tmp.len();
-                } else {
-                    off += shape.nx * g * g;
-                }
-            }
-        }
-        debug_assert_eq!(off, out.len());
-    }
-
-    fn unpack_corner(
-        shape: &Shape,
-        nb: &Neighbors,
-        fields: &mut [&mut Field3],
-        j0: isize,
-        data: &[f64],
-    ) {
-        let g = shape.g;
-        let lz = shape.lz as isize;
-        let per = shape.nx * g * g;
-        let mut off = 0;
-        for below in [true, false] {
-            let k0 = if below { -(g as isize) } else { lz };
-            let present = if below {
-                nb.z_below.is_some()
-            } else {
-                nb.z_above.is_some()
-            };
-            for f in fields.iter_mut() {
-                if present {
-                    f.unpack_y(j0, g, k0, k0 + g as isize, &data[off..off + per]);
-                }
-                off += per;
-            }
-        }
-    }
-
     // ---- protocol -----------------------------------------------------------
 
-    /// Pack the faces and post all transfers (non-blocking).
+    /// Pack the faces and post all transfers (non-blocking). The UNR
+    /// backend packs straight into its registered send region.
     pub fn start(&mut self, fields: &mut [&mut Field3]) {
         assert!(!self.started, "halo start() called twice");
         assert_eq!(fields.len(), self.shape.nf);
         self.started = true;
-        let g = self.shape.g;
-        let (ly, lz) = (self.shape.ly as isize, self.shape.lz as isize);
-        let mut to_below = Vec::new();
-        let mut to_above = Vec::new();
-        if self.nb.z_below.is_some() {
-            Self::pack_z(fields, 0, g, &mut to_below);
-        }
-        if self.nb.z_above.is_some() {
-            Self::pack_z(fields, lz - g as isize, g, &mut to_above);
-        }
-        let mut bottom = Vec::new();
-        let mut top = Vec::new();
-        Self::pack_y(fields, 0, g, lz, &mut bottom);
-        Self::pack_y(fields, ly - g as isize, g, lz, &mut top);
+        let (shape, nb) = (&self.shape, &self.nb);
 
         match &mut self.imp {
-            Imp::Mpi { comm, pending } => {
+            Imp::Mpi {
+                comm,
+                pending,
+                stage,
+            } => {
+                let mut isend = |face: Face, dst: usize, tag: i32| {
+                    stage.clear();
+                    stage.resize(face.elems(shape.nx, shape.nf), 0.0);
+                    face.pack(fields, 0, &mut copy_to(stage));
+                    comm.isend(dst, tag, as_bytes(stage))
+                };
                 let mut p = MpiPending {
                     z_recvs: Vec::new(),
                     y_recvs: Vec::new(),
                     c_recvs: Vec::new(),
                     sends: Vec::new(),
                 };
-                if let Some(below) = self.nb.z_below {
-                    p.z_recvs
-                        .push((comm.irecv(Some(below), self.tz), -(g as isize)));
-                    p.sends
-                        .push(comm.isend(below, self.tz + 1, as_bytes(&to_below)));
+                if let Some(below) = nb.z_below {
+                    p.z_recvs.push((comm.irecv(Some(below), self.tz), false));
+                    let face = shape.z_face(false, false);
+                    p.sends.push(isend(face, below, self.tz + 1));
                 }
-                if let Some(above) = self.nb.z_above {
-                    p.z_recvs.push((comm.irecv(Some(above), self.tz + 1), lz));
-                    p.sends
-                        .push(comm.isend(above, self.tz, as_bytes(&to_above)));
+                if let Some(above) = nb.z_above {
+                    p.z_recvs.push((comm.irecv(Some(above), self.tz + 1), true));
+                    let face = shape.z_face(true, false);
+                    p.sends.push(isend(face, above, self.tz));
                 }
+                p.y_recvs.push((comm.irecv(Some(nb.y_lo), self.ty), false));
                 p.y_recvs
-                    .push((comm.irecv(Some(self.nb.y_lo), self.ty), true));
-                p.y_recvs
-                    .push((comm.irecv(Some(self.nb.y_hi), self.ty + 1), false));
-                p.sends
-                    .push(comm.isend(self.nb.y_lo, self.ty + 1, as_bytes(&bottom)));
-                p.sends
-                    .push(comm.isend(self.nb.y_hi, self.ty, as_bytes(&top)));
+                    .push((comm.irecv(Some(nb.y_hi), self.ty + 1), true));
+                let face = shape.y_face(false, false);
+                p.sends.push(isend(face, nb.y_lo, self.ty + 1));
+                let face = shape.y_face(true, false);
+                p.sends.push(isend(face, nb.y_hi, self.ty));
                 if self.corners {
+                    p.c_recvs.push((comm.irecv(Some(nb.y_lo), self.tc), false));
                     p.c_recvs
-                        .push((comm.irecv(Some(self.nb.y_lo), self.tc), true));
-                    p.c_recvs
-                        .push((comm.irecv(Some(self.nb.y_hi), self.tc + 1), false));
+                        .push((comm.irecv(Some(nb.y_hi), self.tc + 1), true));
                 }
                 *pending = Some(p);
             }
             Imp::Unr(u) => {
-                let yb = self.shape.y_elems();
-                let zb = self.shape.z_elems();
-                if self.nb.z_below.is_some() {
-                    u.send_mem.write_slice(2 * yb, &to_below);
+                let (yb, zb) = (shape.y_elems(), shape.z_elems());
+                let mut put = |at: usize, row: &[f64]| u.send_mem.write_slice(at, row);
+                if nb.z_below.is_some() {
+                    shape.z_face(false, false).pack(fields, 2 * yb, &mut put);
                 }
-                if self.nb.z_above.is_some() {
-                    u.send_mem.write_slice(2 * yb + zb, &to_above);
+                if nb.z_above.is_some() {
+                    shape
+                        .z_face(true, false)
+                        .pack(fields, 2 * yb + zb, &mut put);
                 }
-                u.send_mem.write_slice(0, &bottom);
-                u.send_mem.write_slice(yb, &top);
+                shape.y_face(false, false).pack(fields, 0, &mut put);
+                shape.y_face(true, false).pack(fields, yb, &mut put);
                 u.z_plan.start(&u.unr).expect("z halo puts");
                 u.y_plan.start(&u.unr).expect("y halo puts");
             }
         }
     }
 
-    /// Wait for all transfers, unpack ghosts, run the corner round.
+    /// Wait for all transfers, unpack ghosts, run the corner round. The
+    /// UNR backend unpacks straight from its registered receive region.
     pub fn finish(&mut self, fields: &mut [&mut Field3]) {
         assert!(self.started, "halo finish() without start()");
         self.started = false;
-        let g = self.shape.g;
-        let (ly, lz) = (self.shape.ly as isize, self.shape.lz as isize);
+        let (shape, nb) = (&self.shape, &self.nb);
+        let (lo_edge, hi_edge) = (shape.y_rows(false, false), shape.y_rows(true, false));
+        let ghost_rows = |hi: bool| shape.y_rows(hi, true);
 
         match &mut self.imp {
-            Imp::Mpi { comm, pending } => {
+            Imp::Mpi {
+                comm,
+                pending,
+                stage,
+            } => {
                 let p = pending.take().expect("pending exchange");
+                let recv = |r: RecvReq| vec_from_bytes::<f64>(&comm.wait_recv(r).data);
                 // z ghosts first.
-                for (r, k0) in p.z_recvs {
-                    let msg = comm.wait_recv(r);
-                    Self::unpack_z(fields, k0, g, &vec_from_bytes::<f64>(&msg.data));
+                for (r, above) in p.z_recvs {
+                    let data = recv(r);
+                    shape
+                        .z_face(above, true)
+                        .unpack(fields, 0, &mut copy_from(&data));
                 }
                 // Corner strips can go out now.
                 let mut csends = Vec::new();
                 if self.corners {
-                    let mut strip_lo = Vec::new();
-                    let mut strip_hi = Vec::new();
-                    Self::pack_corner(&self.shape, &self.nb, fields, 0, &mut strip_lo);
-                    Self::pack_corner(
-                        &self.shape,
-                        &self.nb,
-                        fields,
-                        ly - g as isize,
-                        &mut strip_hi,
-                    );
-                    csends.push(comm.isend(self.nb.y_lo, self.tc + 1, as_bytes(&strip_lo)));
-                    csends.push(comm.isend(self.nb.y_hi, self.tc, as_bytes(&strip_hi)));
+                    for (js, dst, tag) in
+                        [(lo_edge, nb.y_lo, self.tc + 1), (hi_edge, nb.y_hi, self.tc)]
+                    {
+                        stage.clear();
+                        stage.resize(2 * shape.corner_elems(), 0.0);
+                        shape.pack_corner(nb, fields, js, 0, &mut copy_to(stage));
+                        csends.push(comm.isend(dst, tag, as_bytes(stage)));
+                    }
                 }
                 // y faces.
-                for (r, is_lo) in p.y_recvs {
-                    let msg = comm.wait_recv(r);
-                    let data = vec_from_bytes::<f64>(&msg.data);
-                    let j0 = if is_lo { -(g as isize) } else { ly };
-                    Self::unpack_y(fields, j0, g, lz, &data);
+                for (r, hi) in p.y_recvs {
+                    let data = recv(r);
+                    shape
+                        .y_face(hi, true)
+                        .unpack(fields, 0, &mut copy_from(&data));
                 }
                 // Corners in.
-                for (r, is_lo) in p.c_recvs {
-                    let msg = comm.wait_recv(r);
-                    let data = vec_from_bytes::<f64>(&msg.data);
-                    let j0 = if is_lo { -(g as isize) } else { ly };
-                    Self::unpack_corner(&self.shape, &self.nb, fields, j0, &data);
+                for (r, hi) in p.c_recvs {
+                    let data = recv(r);
+                    shape.unpack_corner(nb, fields, ghost_rows(hi), 0, &mut copy_from(&data));
                 }
-                for s in p.sends {
-                    comm.wait_send(s);
-                }
-                for s in csends {
+                for s in p.sends.into_iter().chain(csends) {
                     comm.wait_send(s);
                 }
             }
             Imp::Unr(u) => {
-                let yb = self.shape.y_elems();
-                let zb = self.shape.z_elems();
-                let cb = 2 * self.shape.corner_elems();
+                let (yb, zb) = (shape.y_elems(), shape.z_elems());
+                let (c_at, cb) = (2 * yb + 2 * zb, 2 * shape.corner_elems());
+                let mut get = |at: usize, row: &mut [f64]| u.recv_mem.read_slice(at, row);
                 // z ghosts.
                 if let Some(sig) = &u.z_recv_sig {
                     u.unr.sig_wait(sig).expect("z halo recv");
-                    let mut buf = vec![0.0f64; zb];
-                    if self.nb.z_above.is_some() {
-                        u.recv_mem.read_slice(2 * yb, &mut buf);
-                        Self::unpack_z(fields, lz, g, &buf);
+                    if nb.z_above.is_some() {
+                        shape.z_face(true, true).unpack(fields, 2 * yb, &mut get);
                     }
-                    if self.nb.z_below.is_some() {
-                        u.recv_mem.read_slice(2 * yb + zb, &mut buf);
-                        Self::unpack_z(fields, -(g as isize), g, &buf);
+                    if nb.z_below.is_some() {
+                        shape
+                            .z_face(false, true)
+                            .unpack(fields, 2 * yb + zb, &mut get);
                     }
                     sig.reset().expect("z recv signal clean");
                 }
                 // Launch corner strips.
                 if self.corners {
-                    let mut strip_lo = Vec::new();
-                    let mut strip_hi = Vec::new();
-                    Self::pack_corner(&self.shape, &self.nb, fields, 0, &mut strip_lo);
-                    Self::pack_corner(
-                        &self.shape,
-                        &self.nb,
-                        fields,
-                        ly - g as isize,
-                        &mut strip_hi,
-                    );
-                    u.send_mem.write_slice(2 * yb + 2 * zb, &strip_lo);
-                    u.send_mem.write_slice(2 * yb + 2 * zb + cb, &strip_hi);
+                    let mut put = |at: usize, row: &[f64]| u.send_mem.write_slice(at, row);
+                    shape.pack_corner(nb, fields, lo_edge, c_at, &mut put);
+                    shape.pack_corner(nb, fields, hi_edge, c_at + cb, &mut put);
                     u.c_plan.start(&u.unr).expect("corner puts");
                 }
                 // y ghosts.
                 u.unr.sig_wait(&u.y_recv_sig).expect("y halo recv");
-                {
-                    let mut buf = vec![0.0f64; yb];
-                    u.recv_mem.read_slice(0, &mut buf);
-                    Self::unpack_y(fields, ly, g, lz, &buf);
-                    u.recv_mem.read_slice(yb, &mut buf);
-                    Self::unpack_y(fields, -(g as isize), g, lz, &buf);
-                }
+                shape.y_face(true, true).unpack(fields, 0, &mut get);
+                shape.y_face(false, true).unpack(fields, yb, &mut get);
                 u.y_recv_sig.reset().expect("y recv signal clean");
                 // Corners.
                 if let Some(sig) = &u.c_recv_sig {
                     u.unr.sig_wait(sig).expect("corner recv");
-                    let mut buf = vec![0.0f64; cb];
-                    u.recv_mem.read_slice(2 * yb + 2 * zb, &mut buf);
-                    Self::unpack_corner(&self.shape, &self.nb, fields, ly, &buf);
-                    u.recv_mem.read_slice(2 * yb + 2 * zb + cb, &mut buf);
-                    Self::unpack_corner(&self.shape, &self.nb, fields, -(g as isize), &buf);
+                    shape.unpack_corner(nb, fields, ghost_rows(true), c_at, &mut get);
+                    shape.unpack_corner(nb, fields, ghost_rows(false), c_at + cb, &mut get);
                     sig.reset().expect("corner recv signal clean");
                 }
                 // Send completions (source buffers reusable next epoch).

@@ -18,7 +18,7 @@ use crate::fft::{fd_eigenvalue, Fft, C64};
 use crate::field::Field3;
 use crate::timing::{Phase, PhaseObs, Timers};
 use crate::transpose::TransposeOp;
-use crate::tridiag::{pdd_correct, pdd_interface, pdd_local, thomas};
+use crate::tridiag::{pdd_interface, thomas_factor, thomas_solve};
 
 pub struct PoissonSolver {
     nx: usize,
@@ -28,7 +28,6 @@ pub struct PoissonSolver {
     lz: usize,
     lx_t: usize,
     off_x_t: usize,
-    off_z: usize,
     cz: usize,
     pz: usize,
     fft_x: Fft,
@@ -41,17 +40,90 @@ pub struct PoissonSolver {
     hz2_inv: f64,
     /// Column communicator for the gathered mean-mode solve.
     col: unr_minimpi::Comm,
-    /// Scratch buffers.
+    /// x- and y-pencil spectra.
     xp: Vec<f64>,
     yp: Vec<f64>,
+    /// One x line and one y line of the FFTs.
+    line_x: Vec<C64>,
+    line_y: Vec<C64>,
+    /// Slabs of the pipelined transpose not yet consumed.
+    pending: Vec<bool>,
+    z: ZScratch,
     /// Virtual-time cost per grid point per pass.
     flop_ns: f64,
     pobs: PhaseObs,
 }
 
+/// Scratch of the z solves, sized once: the PDD local phase runs
+/// without allocating.
+struct ZScratch {
+    /// Columns of `lz` rows per `(kx, ky)` cell, `cols` per cell: the re
+    /// and im systems (right-hand side, then solution), then the left
+    /// influence vector `v` if there is a neighbor below and the right
+    /// one `w` if there is one above.
+    x: Vec<f64>,
+    cols: usize,
+    /// The matrix of one cell: constant off-diagonals and the diagonal.
+    a: Vec<f64>,
+    b: Vec<f64>,
+    c: Vec<f64>,
+    /// Its factorization (`max(lz, nz)` rows, so the gathered mean-mode
+    /// solve uses it too).
+    pivot: Vec<f64>,
+    cp: Vec<f64>,
+    /// Interface payloads `(x0, influence)` per system, to the above /
+    /// below neighbor.
+    up: Vec<f64>,
+    down: Vec<f64>,
+    /// The gathered mean-mode columns (used on the column root) and
+    /// their matrix: the cell matrix with the first row pinned.
+    mean: Vec<f64>,
+    mean_a: Vec<f64>,
+    mean_b: Vec<f64>,
+    mean_c: Vec<f64>,
+}
+
+impl ZScratch {
+    fn new(d: &Decomp, hz2_inv: f64) -> ZScratch {
+        let cells = d.lx_t * d.ny;
+        let rows = d.lz.max(d.nz);
+        let cols = 2 + usize::from(d.cz > 0) + usize::from(d.cz + 1 < d.pz);
+        let nz = d.nz;
+        let mut mean_a = vec![hz2_inv; nz];
+        let mut mean_b = vec![-2.0 * hz2_inv; nz];
+        let mut mean_c = vec![hz2_inv; nz];
+        mean_b[0] = 1.0;
+        mean_c[0] = 0.0;
+        mean_a[0] = 0.0;
+        mean_b[nz - 1] = -hz2_inv;
+        ZScratch {
+            x: vec![0.0; cols * cells * d.lz],
+            cols,
+            a: vec![hz2_inv; d.lz],
+            b: vec![0.0; d.lz],
+            c: vec![hz2_inv; d.lz],
+            pivot: vec![0.0; rows],
+            cp: vec![0.0; rows],
+            up: vec![0.0; 4 * cells],
+            down: vec![0.0; 4 * cells],
+            mean: vec![0.0; 2 * nz],
+            mean_a,
+            mean_b,
+            mean_c,
+        }
+    }
+
+    /// Index in `x` of row `k` of system `s = 2 * cell + {re, im}`.
+    fn at(&self, lz: usize, s: usize, k: usize) -> usize {
+        ((s >> 1) * self.cols + (s & 1)) * lz + k
+    }
+}
+
 impl PoissonSolver {
     pub fn new(backend: &Backend, d: &Decomp, hx: f64, hy: f64, hz: f64, flop_ns: f64) -> Self {
         let systems = d.lx_t * d.ny * 2; // re + im per (kx, ky)
+        let transpose = TransposeOp::new(backend, d, 4);
+        let hz2_inv = 1.0 / (hz * hz);
         PoissonSolver {
             nx: d.nx,
             ny: d.ny,
@@ -60,19 +132,22 @@ impl PoissonSolver {
             lz: d.lz,
             lx_t: d.lx_t,
             off_x_t: d.off_x_t,
-            off_z: d.off_z,
             cz: d.cz,
             pz: d.pz,
             fft_x: Fft::new(d.nx),
             fft_y: Fft::new(d.ny),
-            transpose: TransposeOp::new(backend, d, 4),
+            pending: vec![false; transpose.slabs()],
+            transpose,
             pdd: PddExchange::new(backend, d, systems),
             lam_x: (0..d.nx).map(|k| fd_eigenvalue(k, d.nx, hx)).collect(),
             lam_y: (0..d.ny).map(|k| fd_eigenvalue(k, d.ny, hy)).collect(),
-            hz2_inv: 1.0 / (hz * hz),
+            hz2_inv,
             col: d.col.clone(),
             xp: vec![0.0; 2 * d.nx * d.ly * d.lz],
             yp: vec![0.0; 2 * d.lx_t * d.ny * d.lz],
+            line_x: vec![C64::ZERO; d.nx],
+            line_y: vec![C64::ZERO; d.ny],
+            z: ZScratch::new(d, hz2_inv),
             flop_ns,
             pobs: PhaseObs::new(
                 std::sync::Arc::clone(&d.world.ep().fabric().obs),
@@ -108,7 +183,7 @@ impl PoissonSolver {
                 self.charge(comm.ep(), nx * ly * (k1 - k0));
                 self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
                 let t = now();
-                self.transpose.fwd_send_slab(s, &self.xp.clone());
+                self.transpose.fwd_send_slab(s, &self.xp);
                 self.pobs
                     .acc(Phase::Transpose, t, now(), &mut timers.transpose);
             }
@@ -116,14 +191,12 @@ impl PoissonSolver {
             // them); each slab's y-FFT runs as soon as its MMAS signal
             // fires — paper Fig 3e: "once a slab of data is received, a
             // thread can consume the data".
-            let mut pending = vec![true; slabs];
+            self.pending.fill(true);
             for _ in 0..slabs {
                 let t = now();
-                let s = self.transpose.fwd_wait_any(&pending);
-                pending[s] = false;
-                let mut yp = std::mem::take(&mut self.yp);
-                self.transpose.fwd_recv_slab(s, &mut yp);
-                self.yp = yp;
+                let s = self.transpose.fwd_wait_any(&self.pending);
+                self.pending[s] = false;
+                self.transpose.fwd_recv_slab(s, &mut self.yp);
                 self.pobs
                     .acc(Phase::Transpose, t, now(), &mut timers.transpose);
                 let (k0, k1) = self.transpose.slab_range(s);
@@ -142,7 +215,7 @@ impl PoissonSolver {
             self.charge(comm.ep(), nx * ly * lz);
             self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
             let t = now();
-            self.transpose.forward(&self.xp.clone(), &mut self.yp);
+            self.transpose.forward(&self.xp, &mut self.yp);
             self.pobs
                 .acc(Phase::Transpose, t, now(), &mut timers.transpose);
             let t = now();
@@ -166,18 +239,16 @@ impl PoissonSolver {
                 self.charge(comm.ep(), self.lx_t * self.ny * (k1 - k0));
                 self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
                 let t = now();
-                self.transpose.bwd_send_slab(s, &self.yp.clone());
+                self.transpose.bwd_send_slab(s, &self.yp);
                 self.pobs
                     .acc(Phase::Transpose, t, now(), &mut timers.transpose);
             }
-            let mut pending = vec![true; slabs];
+            self.pending.fill(true);
             for _ in 0..slabs {
                 let t = now();
-                let s = self.transpose.bwd_wait_any(&pending);
-                pending[s] = false;
-                let mut xp = std::mem::take(&mut self.xp);
-                self.transpose.bwd_recv_slab(s, &mut xp);
-                self.xp = xp;
+                let s = self.transpose.bwd_wait_any(&self.pending);
+                self.pending[s] = false;
+                self.transpose.bwd_recv_slab(s, &mut self.xp);
                 self.pobs
                     .acc(Phase::Transpose, t, now(), &mut timers.transpose);
                 let (k0, k1) = self.transpose.slab_range(s);
@@ -196,7 +267,7 @@ impl PoissonSolver {
             self.charge(comm.ep(), self.lx_t * self.ny * lz);
             self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
             let t = now();
-            self.transpose.backward(&self.yp.clone(), &mut self.xp);
+            self.transpose.backward(&self.yp, &mut self.xp);
             self.pobs
                 .acc(Phase::Transpose, t, now(), &mut timers.transpose);
             let t = now();
@@ -209,17 +280,18 @@ impl PoissonSolver {
     /// Forward FFT in x for z planes `k0..k1`, from `rhs` into `xp`.
     fn fftx_fwd_slab(&mut self, rhs: &Field3, k0: usize, k1: usize) {
         let (nx, ly) = (self.nx, self.ly);
-        let mut row = vec![C64::ZERO; nx];
         for k in k0..k1 {
             for j in 0..ly {
-                for (i, r) in row.iter_mut().enumerate() {
-                    *r = C64::new(rhs.data[rhs.idx(i, j, k)], 0.0);
+                let src = &rhs.data[rhs.idx(0, j, k)..][..nx];
+                for (r, &x) in self.line_x.iter_mut().zip(src) {
+                    *r = C64::new(x, 0.0);
                 }
-                self.fft_x.forward(&mut row);
+                self.fft_x.forward(&mut self.line_x);
                 let base = (k * ly + j) * nx * 2;
-                for (i, r) in row.iter().enumerate() {
-                    self.xp[base + 2 * i] = r.re;
-                    self.xp[base + 2 * i + 1] = r.im;
+                let dst = &mut self.xp[base..base + 2 * nx];
+                for (d, r) in dst.chunks_exact_mut(2).zip(&self.line_x) {
+                    d[0] = r.re;
+                    d[1] = r.im;
                 }
             }
         }
@@ -228,17 +300,17 @@ impl PoissonSolver {
     /// Inverse FFT in x for z planes `k0..k1`, from `xp` into `p`.
     fn fftx_inv_slab(&mut self, p: &mut Field3, k0: usize, k1: usize) {
         let (nx, ly) = (self.nx, self.ly);
-        let mut row = vec![C64::ZERO; nx];
         for k in k0..k1 {
             for j in 0..ly {
                 let base = (k * ly + j) * nx * 2;
-                for (i, r) in row.iter_mut().enumerate() {
-                    *r = C64::new(self.xp[base + 2 * i], self.xp[base + 2 * i + 1]);
+                let src = &self.xp[base..base + 2 * nx];
+                for (r, x) in self.line_x.iter_mut().zip(src.chunks_exact(2)) {
+                    *r = C64::new(x[0], x[1]);
                 }
-                self.fft_x.inverse(&mut row);
-                for (i, r) in row.iter().enumerate() {
-                    let at = p.idx(i, j, k);
-                    p.data[at] = r.re;
+                self.fft_x.inverse(&mut self.line_x);
+                let at = p.idx(0, j, k);
+                for (d, r) in p.data[at..at + nx].iter_mut().zip(&self.line_x) {
+                    *d = r.re;
                 }
             }
         }
@@ -248,19 +320,18 @@ impl PoissonSolver {
     /// `yp`.
     fn ffty_slab(&mut self, k0: usize, k1: usize, inverse: bool) {
         let (lx_t, ny) = (self.lx_t, self.ny);
-        let mut col_buf = vec![C64::ZERO; ny];
         for k in k0..k1 {
             for i in 0..lx_t {
-                for (j, c) in col_buf.iter_mut().enumerate() {
+                for (j, c) in self.line_y.iter_mut().enumerate() {
                     let at = ((k * ny + j) * lx_t + i) * 2;
                     *c = C64::new(self.yp[at], self.yp[at + 1]);
                 }
                 if inverse {
-                    self.fft_y.inverse(&mut col_buf);
+                    self.fft_y.inverse(&mut self.line_y);
                 } else {
-                    self.fft_y.forward(&mut col_buf);
+                    self.fft_y.forward(&mut self.line_y);
                 }
-                for (j, c) in col_buf.iter().enumerate() {
+                for (j, c) in self.line_y.iter().enumerate() {
                     let at = ((k * ny + j) * lx_t + i) * 2;
                     self.yp[at] = c.re;
                     self.yp[at + 1] = c.im;
@@ -270,185 +341,146 @@ impl PoissonSolver {
     }
 
     /// Solve the per-(kx, ky) tridiagonal systems in z on the y-pencil
-    /// buffer, in place.
+    /// buffer, in place. The re and im systems of a cell share its
+    /// matrix: it is factored once per cell and step, and that
+    /// factorization solves both and the cell's influence vectors in
+    /// one pass.
     fn solve_z(&mut self) {
         let (lx_t, ny, lz) = (self.lx_t, self.ny, self.lz);
-        let nsys = lx_t * ny * 2;
-        let stride = lx_t * ny * 2; // f64 distance between consecutive z rows
+        let cells = lx_t * ny;
+        let stride = 2 * cells; // f64 distance between consecutive z rows
         let has_below = self.cz > 0;
         let has_above = self.cz + 1 < self.pz;
+        // Cell 0 is (kx, ky) = (0, 0) on the ranks whose x range starts
+        // at 0: its singular systems take the gathered exact solve.
+        let first = usize::from(self.off_x_t == 0);
+        let h = self.hz2_inv;
+        let z = &mut self.z;
+        let block = z.cols * lz;
 
-        // Gather each system into a contiguous column, run the PDD local
-        // phase, assemble interface payloads.
-        let mut x0 = vec![0.0f64; nsys * lz];
-        let mut locals = Vec::with_capacity(nsys);
-        let mut up = vec![0.0f64; 2 * nsys];
-        let mut down = vec![0.0f64; 2 * nsys];
-        let mut a = vec![0.0f64; lz];
-        let mut b = vec![0.0f64; lz];
-        let mut c = vec![0.0f64; lz];
-        let mut mean_sys: Vec<usize> = Vec::new();
+        // Gather each system into its cell's column.
+        for (k, row) in self.yp.chunks_exact(stride).enumerate() {
+            for (s, &x) in row.iter().enumerate() {
+                let at = z.at(lz, s, k);
+                z.x[at] = x;
+            }
+        }
 
-        for s in 0..nsys {
-            let comp = s & 1; // 0 = re, 1 = im
-            let cell = s >> 1;
-            let i = cell % lx_t;
-            let j = cell / lx_t;
-            let kx = self.off_x_t + i;
-            let lam = self.lam_x[kx] + self.lam_y[j];
-            let is_mean = kx == 0 && j == 0;
-            if is_mean {
-                mean_sys.push(s);
-            }
-            // Column gather.
-            for k in 0..lz {
-                x0[s * lz + k] = self.yp[k * stride + (j * lx_t + i) * 2 + comp];
-            }
-            if is_mean {
-                continue; // handled by the gathered exact solve
-            }
-            for k in 0..lz {
-                a[k] = self.hz2_inv;
-                c[k] = self.hz2_inv;
-                b[k] = -2.0 * self.hz2_inv + lam;
-            }
+        // PDD local phase and interface payloads.
+        let (a, b, c) = (&z.a, &mut z.b, &z.c);
+        let (pivot, cp) = (&mut z.pivot[..lz], &mut z.cp[..lz]);
+        for cell in first..cells {
+            let lam = self.lam_x[self.off_x_t + cell % lx_t] + self.lam_y[cell / lx_t];
+            b.fill(-2.0 * h + lam);
             // Neumann walls (global first/last rows only).
             if self.cz == 0 {
-                b[0] = -self.hz2_inv + lam;
+                b[0] = -h + lam;
             }
             if self.cz + 1 == self.pz {
-                b[lz - 1] = -self.hz2_inv + lam;
+                b[lz - 1] = -h + lam;
             }
-            let loc = pdd_local(
-                &a,
-                &b,
-                &c,
-                &mut x0[s * lz..(s + 1) * lz],
-                has_below,
-                has_above,
-            );
-            up[2 * s] = x0[s * lz + lz - 1];
-            up[2 * s + 1] = loc.w.as_ref().map(|w| w[lz - 1]).unwrap_or(0.0);
-            down[2 * s] = x0[s * lz];
-            down[2 * s + 1] = loc.v.as_ref().map(|v| v[0]).unwrap_or(0.0);
-            locals.push(Some(loc));
-            continue;
+            thomas_factor(a, b, c, pivot, cp);
+            let x = &mut z.x[cell * block..(cell + 1) * block];
+            // Influence right-hand sides: A v = -a_first e_0, A w =
+            // -c_last e_last.
+            let infl = &mut x[2 * lz..];
+            infl.fill(0.0);
+            if has_below {
+                infl[0] = -a[0];
+            }
+            if has_above {
+                infl[infl.len() - 1] = -c[lz - 1];
+            }
+            thomas_solve(a, pivot, cp, x);
+            let v_first = if has_below { x[2 * lz] } else { 0.0 };
+            let w_last = if has_above { x[block - 1] } else { 0.0 };
+            for (s, col) in (2 * cell..).zip(x[..2 * lz].chunks_exact(lz)) {
+                z.up[2 * s] = col[lz - 1];
+                z.up[2 * s + 1] = w_last;
+                z.down[2 * s] = col[0];
+                z.down[2 * s + 1] = v_first;
+            }
         }
-        // Pad locals for mean systems (kept aligned with s).
-        // (They were skipped above; rebuild alignment.)
-        let mut locals_aligned: Vec<Option<crate::tridiag::PddLocal>> = Vec::with_capacity(nsys);
-        {
-            let mut it = locals.into_iter();
-            for s in 0..nsys {
-                if mean_sys.contains(&s) {
-                    locals_aligned.push(None);
-                } else {
-                    locals_aligned.push(it.next().expect("local solve per system"));
+
+        // Neighbor exchange + interface resolution + correction:
+        // x = x0 + xi_left v + xi_right w.
+        let (from_below, from_above) = self.pdd.exchange(&z.up, &z.down);
+        for cell in first..cells {
+            let (sys, infl) = z.x[cell * block..(cell + 1) * block].split_at_mut(2 * lz);
+            let (v, w) = infl.split_at(if has_below { lz } else { 0 });
+            for (s, xs) in (2 * cell..).zip(sys.chunks_exact_mut(lz)) {
+                // Both interfaces see the uncorrected x0: (the below
+                // rank's last row, my first) and (my last, the above
+                // rank's first).
+                let xi_left = from_below.map_or(0.0, |fb| {
+                    pdd_interface(fb[2 * s], fb[2 * s + 1], xs[0], v[0]).0
+                });
+                let xi_right = from_above.map_or(0.0, |fa| {
+                    pdd_interface(xs[lz - 1], w[lz - 1], fa[2 * s], fa[2 * s + 1]).1
+                });
+                for (x, vv) in xs.iter_mut().zip(v) {
+                    *x += xi_left * vv;
+                }
+                for (x, ww) in xs.iter_mut().zip(w) {
+                    *x += xi_right * ww;
                 }
             }
         }
 
-        // Neighbor exchange + interface resolution + correction.
-        let (from_below, from_above) = self.pdd.exchange(&up, &down);
-        for s in 0..nsys {
-            let Some(loc) = &locals_aligned[s] else {
-                continue;
-            };
-            let xs = &mut x0[s * lz..(s + 1) * lz];
-            let mut xi_left = 0.0;
-            let mut xi_right = 0.0;
-            if let Some(fb) = &from_below {
-                // Interface with the below rank: (its last row, my first).
-                let (xi, _eta) = pdd_interface(
-                    fb[2 * s],
-                    fb[2 * s + 1],
-                    xs[0],
-                    loc.v.as_ref().expect("v")[0],
-                );
-                xi_left = xi;
-            }
-            if let Some(fa) = &from_above {
-                let (_xi, eta) = pdd_interface(
-                    xs[lz - 1],
-                    loc.w.as_ref().expect("w")[lz - 1],
-                    fa[2 * s],
-                    fa[2 * s + 1],
-                );
-                xi_right = eta;
-            }
-            pdd_correct(xs, loc, xi_left, xi_right);
-        }
-
-        // Gathered exact solve of the singular mean mode(s).
-        if !mean_sys.is_empty() {
-            self.solve_mean_modes(&mean_sys, &mut x0);
+        // Gathered exact solve of the singular mean mode.
+        if first == 1 {
+            self.solve_mean_modes();
         }
 
         // Scatter back.
-        for s in 0..nsys {
-            let comp = s & 1;
-            let cell = s >> 1;
-            let i = cell % lx_t;
-            let j = cell / lx_t;
-            for k in 0..lz {
-                self.yp[k * stride + (j * lx_t + i) * 2 + comp] = x0[s * lz + k];
+        let z = &self.z;
+        for (k, row) in self.yp.chunks_exact_mut(stride).enumerate() {
+            for (s, x) in row.iter_mut().enumerate() {
+                *x = z.x[z.at(lz, s, k)];
             }
         }
     }
 
-    /// The (kx=0, ky=0) system is singular with Neumann ends; gather it
-    /// along the column, pin the first row, and solve exactly.
-    fn solve_mean_modes(&mut self, mean_sys: &[usize], x0: &mut [f64]) {
-        let lz = self.lz;
-        let nz = self.nz;
-        // Flatten the mean-mode local rhs values. NOTE: x0 currently
-        // holds the *Thomas-solved* values for non-mean systems, but for
-        // mean systems it still holds the raw rhs (they were skipped).
-        let mut mine = Vec::with_capacity(mean_sys.len() * lz);
-        for &s in mean_sys {
-            mine.extend_from_slice(&x0[s * lz..(s + 1) * lz]);
-        }
-        let gathered = unr_minimpi::gather_bytes(&self.col, 0, as_bytes(&mine));
-        let solved: Vec<f64> = if let Some(parts) = gathered {
+    /// The (kx=0, ky=0) systems (re and im, the first two columns of
+    /// `x`) are singular with Neumann ends; gather them along the
+    /// column, pin the first row, and solve exactly.
+    fn solve_mean_modes(&mut self) {
+        let (lz, nz) = (self.lz, self.nz);
+        let z = &mut self.z;
+        // The mean systems skipped the local phase: their columns still
+        // hold the raw right-hand side.
+        let mine = &mut z.x[..2 * lz];
+        let gathered = unr_minimpi::gather_bytes(&self.col, 0, as_bytes(mine));
+        let (zs, _zl) = crate::decomp::chunk(nz, self.pz, self.cz);
+        if let Some(parts) = gathered {
             // Reassemble per system: parts[cz] holds that rank's chunk
-            // for every mean system consecutively.
-            let per: Vec<Vec<f64>> = parts.iter().map(|b| vec_from_bytes::<f64>(b)).collect();
-            let nsysm = mean_sys.len();
-            let mut full = vec![0.0f64; nsysm * nz];
-            for (cz, chunk_vals) in per.iter().enumerate() {
+            // for both mean systems consecutively.
+            for (cz, chunk_bytes) in parts.iter().enumerate() {
                 let (zs, zl) = crate::decomp::chunk(nz, self.pz, cz);
-                assert_eq!(chunk_vals.len(), nsysm * zl);
-                for m in 0..nsysm {
-                    full[m * nz + zs..m * nz + zs + zl]
-                        .copy_from_slice(&chunk_vals[m * zl..(m + 1) * zl]);
+                let vals = vec_from_bytes::<f64>(chunk_bytes);
+                assert_eq!(vals.len(), 2 * zl);
+                for m in 0..2 {
+                    z.mean[m * nz + zs..m * nz + zs + zl]
+                        .copy_from_slice(&vals[m * zl..(m + 1) * zl]);
                 }
             }
             // Solve each with the pinned first row.
-            let h2 = self.hz2_inv;
-            for m in 0..nsysm {
-                let mut a = vec![h2; nz];
-                let mut b = vec![-2.0 * h2; nz];
-                let mut c = vec![h2; nz];
-                b[0] = 1.0;
-                c[0] = 0.0;
-                a[0] = 0.0;
-                b[nz - 1] = -h2;
-                let d = &mut full[m * nz..(m + 1) * nz];
+            let (a, b, c) = (&z.mean_a, &z.mean_b, &z.mean_c);
+            let (pivot, cp) = (&mut z.pivot[..nz], &mut z.cp[..nz]);
+            thomas_factor(a, b, c, pivot, cp);
+            for d in z.mean.chunks_exact_mut(nz) {
                 d[0] = 0.0; // pinned reference value
-                thomas(&a, &b, &c, d);
+                thomas_solve(a, pivot, cp, d);
             }
-            // Broadcast the full solution.
-            unr_minimpi::bcast(&self.col, 0, as_bytes(&full));
-            full
+            // Broadcast the full solution; each rank takes its chunk.
+            unr_minimpi::bcast(&self.col, 0, as_bytes(&z.mean));
+            for m in 0..2 {
+                mine[m * lz..(m + 1) * lz].copy_from_slice(&z.mean[m * nz + zs..m * nz + zs + lz]);
+            }
         } else {
-            vec_from_bytes::<f64>(&unr_minimpi::bcast(&self.col, 0, &[]))
-        };
-        // Each rank takes its chunk.
-        let (zs, _zl) = crate::decomp::chunk(nz, self.pz, self.cz);
-        let _ = self.off_z;
-        for (m, &s) in mean_sys.iter().enumerate() {
-            for k in 0..lz {
-                x0[s * lz + k] = solved[m * nz + zs + k];
+            let full = vec_from_bytes::<f64>(&unr_minimpi::bcast(&self.col, 0, &[]));
+            for m in 0..2 {
+                mine[m * lz..(m + 1) * lz].copy_from_slice(&full[m * nz + zs..m * nz + zs + lz]);
             }
         }
     }

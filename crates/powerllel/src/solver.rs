@@ -72,6 +72,141 @@ impl SolverConfig {
     }
 }
 
+/// The x rows of one field around `(j, k)`: the center row and its
+/// four y/z neighbors.
+struct Star<'a> {
+    c: &'a [f64],
+    jm: &'a [f64],
+    jp: &'a [f64],
+    km: &'a [f64],
+    kp: &'a [f64],
+}
+
+impl<'a> Star<'a> {
+    fn new(f: &'a Field3, j: isize, k: isize) -> Star<'a> {
+        Star {
+            c: f.row(j, k),
+            jm: f.row(j - 1, k),
+            jp: f.row(j + 1, k),
+            km: f.row(j, k - 1),
+            kp: f.row(j, k + 1),
+        }
+    }
+
+    /// The 7-point Laplacian at `i` (`im`/`ip`: its periodic x
+    /// neighbors), `h2` the squared spacings.
+    #[inline(always)]
+    fn lap(&self, i: usize, im: usize, ip: usize, (hx2, hy2, hz2): (f64, f64, f64)) -> f64 {
+        let c = self.c[i];
+        (self.c[im] - 2.0 * c + self.c[ip]) / hx2
+            + (self.jm[i] - 2.0 * c + self.jp[i]) / hy2
+            + (self.km[i] - 2.0 * c + self.kp[i]) / hz2
+    }
+}
+
+/// Grid spacings, their squares and the viscosity.
+struct Spacing {
+    h: (f64, f64, f64),
+    h2: (f64, f64, f64),
+    nu: f64,
+}
+
+/// Every row the momentum stencil of one `(j, k)` reads.
+struct Stencil<'a> {
+    u: Star<'a>,
+    v: Star<'a>,
+    w: Star<'a>,
+    /// The two diagonal rows the cross terms read: v at `(j-1, k+1)`
+    /// and w at `(j+1, k-1)`.
+    v_jm_kp: &'a [f64],
+    w_jp_km: &'a [f64],
+}
+
+impl<'a> Stencil<'a> {
+    fn new(u: &'a Field3, v: &'a Field3, w: &'a Field3, j: isize, k: isize) -> Stencil<'a> {
+        Stencil {
+            u: Star::new(u, j, k),
+            v: Star::new(v, j, k),
+            w: Star::new(w, j, k),
+            v_jm_kp: v.row(j - 1, k + 1),
+            w_jp_km: w.row(j + 1, k - 1),
+        }
+    }
+
+    /// Every row is `nx` long (lets the compiler drop the bounds checks
+    /// of the loop over `i`).
+    #[inline(always)]
+    fn assert_len(&self, nx: usize) {
+        let stars = [&self.u, &self.v, &self.w];
+        assert!(stars
+            .iter()
+            .all(|s| [s.c, s.jm, s.jp, s.km, s.kp].iter().all(|r| r.len() == nx)));
+        assert!(self.v_jm_kp.len() == nx && self.w_jp_km.len() == nx);
+    }
+
+    /// `F = -conv + nu * lap` of u, v and w at `i` (`im`/`ip`: its
+    /// periodic x neighbors). Every expression reads the same operands
+    /// in the same order as the stencil written with [`Field3::get`].
+    #[inline(always)]
+    fn rhs(&self, i: usize, im: usize, ip: usize, sp: &Spacing) -> (f64, f64, f64) {
+        let (us, vs, ws) = (&self.u, &self.v, &self.w);
+        let (hx, hy, hz) = sp.h;
+        let nu = sp.nu;
+        // ---- u momentum (at +x face) ----
+        let fu = {
+            let uc_e = 0.5 * (us.c[i] + us.c[ip]);
+            let uc_w = 0.5 * (us.c[im] + us.c[i]);
+            let duu = (uc_e * uc_e - uc_w * uc_w) / hx;
+            let v_n = 0.5 * (vs.c[i] + vs.c[ip]);
+            let u_n = 0.5 * (us.c[i] + us.jp[i]);
+            let v_s = 0.5 * (vs.jm[i] + vs.jm[ip]);
+            let u_s = 0.5 * (us.jm[i] + us.c[i]);
+            let duv = (u_n * v_n - u_s * v_s) / hy;
+            let w_t = 0.5 * (ws.c[i] + ws.c[ip]);
+            let u_t = 0.5 * (us.c[i] + us.kp[i]);
+            let w_b = 0.5 * (ws.km[i] + ws.km[ip]);
+            let u_b = 0.5 * (us.km[i] + us.c[i]);
+            let duw = (u_t * w_t - u_b * w_b) / hz;
+            -(duu + duv + duw) + nu * us.lap(i, im, ip, sp.h2)
+        };
+        // ---- v momentum (at +y face) ----
+        let fv = {
+            let u_e = 0.5 * (us.c[i] + us.jp[i]);
+            let v_e = 0.5 * (vs.c[i] + vs.c[ip]);
+            let u_w = 0.5 * (us.c[im] + us.jp[im]);
+            let v_w = 0.5 * (vs.c[im] + vs.c[i]);
+            let dvu = (u_e * v_e - u_w * v_w) / hx;
+            let vc_n = 0.5 * (vs.c[i] + vs.jp[i]);
+            let vc_s = 0.5 * (vs.jm[i] + vs.c[i]);
+            let dvv = (vc_n * vc_n - vc_s * vc_s) / hy;
+            let w_t = 0.5 * (ws.c[i] + ws.jp[i]);
+            let v_t = 0.5 * (vs.c[i] + vs.kp[i]);
+            let w_b = 0.5 * (ws.km[i] + self.w_jp_km[i]);
+            let v_b = 0.5 * (vs.km[i] + vs.c[i]);
+            let dvw = (v_t * w_t - v_b * w_b) / hz;
+            -(dvu + dvv + dvw) + nu * vs.lap(i, im, ip, sp.h2)
+        };
+        // ---- w momentum (at +z face) ----
+        let fw = {
+            let u_e = 0.5 * (us.c[i] + us.kp[i]);
+            let w_e = 0.5 * (ws.c[i] + ws.c[ip]);
+            let u_w = 0.5 * (us.c[im] + us.kp[im]);
+            let w_w = 0.5 * (ws.c[im] + ws.c[i]);
+            let dwu = (u_e * w_e - u_w * w_w) / hx;
+            let v_n = 0.5 * (vs.c[i] + vs.kp[i]);
+            let w_n = 0.5 * (ws.c[i] + ws.jp[i]);
+            let v_s = 0.5 * (vs.jm[i] + self.v_jm_kp[i]);
+            let w_s = 0.5 * (ws.jm[i] + ws.c[i]);
+            let dwv = (v_n * w_n - v_s * w_s) / hy;
+            let wc_t = 0.5 * (ws.c[i] + ws.kp[i]);
+            let wc_b = 0.5 * (ws.km[i] + ws.c[i]);
+            let dww = (wc_t * wc_t - wc_b * wc_b) / hz;
+            -(dwu + dwv + dww) + nu * ws.lap(i, im, ip, sp.h2)
+        };
+        (fu, fv, fw)
+    }
+}
+
 /// The distributed solver state for one rank.
 pub struct Solver {
     pub cfg: SolverConfig,
@@ -245,6 +380,9 @@ impl Solver {
     /// Momentum right-hand side `F = -conv + nu * lap` evaluated from
     /// `(u, v, w)` (ghosts must be current for the requested range) into
     /// `(du, dv, dw)`, over `j` in `[j0, j1)` and `k` in `[k0, k1)`.
+    ///
+    /// Each `(j, k)` takes its neighbor rows once and resolves the
+    /// periodic x wrap at the two end cells only.
     #[allow(clippy::too_many_arguments)]
     fn momentum_rhs(
         cfg: &SolverConfig,
@@ -258,70 +396,76 @@ impl Solver {
         (k0, k1): (isize, isize),
     ) {
         let (hx, hy, hz) = (cfg.hx(), cfg.hy(), cfg.hz());
-        let nu = cfg.nu;
-        let nx = u.nx as isize;
-        let lap = |f: &Field3, i: isize, j: isize, k: isize| {
-            (f.get(i - 1, j, k) - 2.0 * f.get(i, j, k) + f.get(i + 1, j, k)) / (hx * hx)
-                + (f.get(i, j - 1, k) - 2.0 * f.get(i, j, k) + f.get(i, j + 1, k)) / (hy * hy)
-                + (f.get(i, j, k - 1) - 2.0 * f.get(i, j, k) + f.get(i, j, k + 1)) / (hz * hz)
+        let h = Spacing {
+            h: (hx, hy, hz),
+            h2: (hx * hx, hy * hy, hz * hz),
+            nu: cfg.nu,
         };
+        let nx = u.nx;
         for k in k0..k1 {
             for j in j0..j1 {
+                let st = Stencil::new(u, v, w, j, k);
+                st.assert_len(nx);
+                let (du, dv, dw) = (du.row_mut(j, k), dv.row_mut(j, k), dw.row_mut(j, k));
+                assert!(du.len() == nx && dv.len() == nx && dw.len() == nx);
+                for (i, im, ip) in [(0, nx - 1, 1 % nx)] {
+                    (du[i], dv[i], dw[i]) = st.rhs(i, im, ip, &h);
+                }
+                for i in 1..nx.saturating_sub(1) {
+                    (du[i], dv[i], dw[i]) = st.rhs(i, i - 1, i + 1, &h);
+                }
+                if nx > 1 {
+                    let i = nx - 1;
+                    (du[i], dv[i], dw[i]) = st.rhs(i, i - 1, 0, &h);
+                }
+            }
+        }
+    }
+
+    /// `div u` of every interior cell, handed to `f(flat index, div)`
+    /// row by row.
+    fn for_each_div(
+        cfg: &SolverConfig,
+        u: &Field3,
+        v: &Field3,
+        w: &Field3,
+        mut f: impl FnMut(usize, f64),
+    ) {
+        let (hx, hy, hz) = (cfg.hx(), cfg.hy(), cfg.hz());
+        let nx = u.nx;
+        for k in 0..u.nz as isize {
+            for j in 0..u.ny as isize {
+                let (u_c, v_c, v_jm) = (u.row(j, k), v.row(j, k), v.row(j - 1, k));
+                let (w_c, w_km) = (w.row(j, k), w.row(j, k - 1));
+                let at = u.idx(0, j as usize, k as usize);
                 for i in 0..nx {
-                    // ---- u momentum (at +x face) ----
-                    {
-                        let uc_e = 0.5 * (u.get(i, j, k) + u.get(i + 1, j, k));
-                        let uc_w = 0.5 * (u.get(i - 1, j, k) + u.get(i, j, k));
-                        let duu = (uc_e * uc_e - uc_w * uc_w) / hx;
-                        let v_n = 0.5 * (v.get(i, j, k) + v.get(i + 1, j, k));
-                        let u_n = 0.5 * (u.get(i, j, k) + u.get(i, j + 1, k));
-                        let v_s = 0.5 * (v.get(i, j - 1, k) + v.get(i + 1, j - 1, k));
-                        let u_s = 0.5 * (u.get(i, j - 1, k) + u.get(i, j, k));
-                        let duv = (u_n * v_n - u_s * v_s) / hy;
-                        let w_t = 0.5 * (w.get(i, j, k) + w.get(i + 1, j, k));
-                        let u_t = 0.5 * (u.get(i, j, k) + u.get(i, j, k + 1));
-                        let w_b = 0.5 * (w.get(i, j, k - 1) + w.get(i + 1, j, k - 1));
-                        let u_b = 0.5 * (u.get(i, j, k - 1) + u.get(i, j, k));
-                        let duw = (u_t * w_t - u_b * w_b) / hz;
-                        let at = du.idx(i as usize, j as usize, k as usize);
-                        du.data[at] = -(duu + duv + duw) + nu * lap(u, i, j, k);
-                    }
-                    // ---- v momentum (at +y face) ----
-                    {
-                        let u_e = 0.5 * (u.get(i, j, k) + u.get(i, j + 1, k));
-                        let v_e = 0.5 * (v.get(i, j, k) + v.get(i + 1, j, k));
-                        let u_w = 0.5 * (u.get(i - 1, j, k) + u.get(i - 1, j + 1, k));
-                        let v_w = 0.5 * (v.get(i - 1, j, k) + v.get(i, j, k));
-                        let dvu = (u_e * v_e - u_w * v_w) / hx;
-                        let vc_n = 0.5 * (v.get(i, j, k) + v.get(i, j + 1, k));
-                        let vc_s = 0.5 * (v.get(i, j - 1, k) + v.get(i, j, k));
-                        let dvv = (vc_n * vc_n - vc_s * vc_s) / hy;
-                        let w_t = 0.5 * (w.get(i, j, k) + w.get(i, j + 1, k));
-                        let v_t = 0.5 * (v.get(i, j, k) + v.get(i, j, k + 1));
-                        let w_b = 0.5 * (w.get(i, j, k - 1) + w.get(i, j + 1, k - 1));
-                        let v_b = 0.5 * (v.get(i, j, k - 1) + v.get(i, j, k));
-                        let dvw = (v_t * w_t - v_b * w_b) / hz;
-                        let at = dv.idx(i as usize, j as usize, k as usize);
-                        dv.data[at] = -(dvu + dvv + dvw) + nu * lap(v, i, j, k);
-                    }
-                    // ---- w momentum (at +z face) ----
-                    {
-                        let u_e = 0.5 * (u.get(i, j, k) + u.get(i, j, k + 1));
-                        let w_e = 0.5 * (w.get(i, j, k) + w.get(i + 1, j, k));
-                        let u_w = 0.5 * (u.get(i - 1, j, k) + u.get(i - 1, j, k + 1));
-                        let w_w = 0.5 * (w.get(i - 1, j, k) + w.get(i, j, k));
-                        let dwu = (u_e * w_e - u_w * w_w) / hx;
-                        let v_n = 0.5 * (v.get(i, j, k) + v.get(i, j, k + 1));
-                        let w_n = 0.5 * (w.get(i, j, k) + w.get(i, j + 1, k));
-                        let v_s = 0.5 * (v.get(i, j - 1, k) + v.get(i, j - 1, k + 1));
-                        let w_s = 0.5 * (w.get(i, j - 1, k) + w.get(i, j, k));
-                        let dwv = (v_n * w_n - v_s * w_s) / hy;
-                        let wc_t = 0.5 * (w.get(i, j, k) + w.get(i, j, k + 1));
-                        let wc_b = 0.5 * (w.get(i, j, k - 1) + w.get(i, j, k));
-                        let dww = (wc_t * wc_t - wc_b * wc_b) / hz;
-                        let at = dw.idx(i as usize, j as usize, k as usize);
-                        dw.data[at] = -(dwu + dwv + dww) + nu * lap(w, i, j, k);
-                    }
+                    let im = if i == 0 { nx - 1 } else { i - 1 };
+                    let div =
+                        (u_c[i] - u_c[im]) / hx + (v_c[i] - v_jm[i]) / hy + (w_c[i] - w_km[i]) / hz;
+                    f(at + i, div);
+                }
+            }
+        }
+    }
+
+    /// Pressure correction `u -= dt grad p` over the interior (`p`'s
+    /// ghosts must be current).
+    fn correct(cfg: &SolverConfig, p: &Field3, u: &mut Field3, v: &mut Field3, w: &mut Field3) {
+        let (hx, hy, hz) = (cfg.hx(), cfg.hy(), cfg.hz());
+        let dt = cfg.dt;
+        let nx = p.nx;
+        for k in 0..p.nz as isize {
+            for j in 0..p.ny as isize {
+                let (p_c, p_jp, p_kp) = (p.row(j, k), p.row(j + 1, k), p.row(j, k + 1));
+                let (ur, vr, wr) = (u.row_mut(j, k), v.row_mut(j, k), w.row_mut(j, k));
+                for i in 0..nx {
+                    let ip = if i + 1 == nx { 0 } else { i + 1 };
+                    let du = dt * (p_c[ip] - p_c[i]) / hx;
+                    let dv = dt * (p_jp[i] - p_c[i]) / hy;
+                    let dw = dt * (p_kp[i] - p_c[i]) / hz;
+                    ur[i] -= du;
+                    vr[i] -= dv;
+                    wr[i] -= dw;
                 }
             }
         }
@@ -434,6 +578,12 @@ impl Solver {
         }
     }
 
+    /// `(k, j)` of every interior x row.
+    fn interior_rows(d: &Decomp) -> impl Iterator<Item = (isize, isize)> {
+        let ly = d.ly as isize;
+        (0..d.lz as isize).flat_map(move |k| (0..ly).map(move |j| (k, j)))
+    }
+
     fn charge_compute(&self, points: usize) {
         let ns = (points as f64 * self.cfg.flop_ns) as Ns;
         self.d.world.ep().advance(ns);
@@ -475,12 +625,9 @@ impl Solver {
             (&mut self.vs, &self.v),
             (&mut self.ws, &self.w),
         ] {
-            for k in 0..self.d.lz {
-                for j in 0..self.d.ly {
-                    for i in 0..cfg.nx {
-                        let at = dst.idx(i, j, k);
-                        dst.data[at] = src.data[at] + dt * dst.data[at];
-                    }
+            for (k, j) in Self::interior_rows(&self.d) {
+                for (d, &s) in dst.row_mut(j, k).iter_mut().zip(src.row(j, k)) {
+                    *d = s + dt * *d;
                 }
             }
         }
@@ -492,16 +639,15 @@ impl Solver {
         // ---- RK substep 2: u = 0.5 (u + us + dt F(us)) ------------------
         self.rhs_with_halo(1);
         let t3 = self.now();
-        for k in 0..self.d.lz {
-            for j in 0..self.d.ly {
-                for i in 0..cfg.nx {
-                    let at = self.u.idx(i, j, k);
-                    let fu = self.fu.data[at];
-                    let fv = self.fv.data[at];
-                    let fw = self.fw.data[at];
-                    self.u.data[at] = 0.5 * (self.u.data[at] + self.us.data[at] + dt * fu);
-                    self.v.data[at] = 0.5 * (self.v.data[at] + self.vs.data[at] + dt * fv);
-                    self.w.data[at] = 0.5 * (self.w.data[at] + self.ws.data[at] + dt * fw);
+        for (x, xs, fx) in [
+            (&mut self.u, &self.us, &self.fu),
+            (&mut self.v, &self.vs, &self.fv),
+            (&mut self.w, &self.ws, &self.fw),
+        ] {
+            for (k, j) in Self::interior_rows(&self.d) {
+                let rows = x.row_mut(j, k).iter_mut().zip(xs.row(j, k));
+                for ((x, &s), &f) in rows.zip(fx.row(j, k)) {
+                    *x = 0.5 * (*x + s + dt * f);
                 }
             }
         }
@@ -533,7 +679,6 @@ impl Solver {
     fn project(&mut self) {
         let cfg = self.cfg;
         let (bottom, top) = (self.is_bottom(), self.is_top());
-        let (hx, hy, hz) = (cfg.hx(), cfg.hy(), cfg.hz());
         let dt = cfg.dt;
         let cells = self.cells();
 
@@ -552,17 +697,10 @@ impl Solver {
             .acc(Phase::Halo, t0, self.now(), &mut self.timers.halo);
 
         let t1 = self.now();
-        for k in 0..self.d.lz as isize {
-            for j in 0..self.d.ly as isize {
-                for i in 0..cfg.nx as isize {
-                    let div = (self.u.get(i, j, k) - self.u.get(i - 1, j, k)) / hx
-                        + (self.v.get(i, j, k) - self.v.get(i, j - 1, k)) / hy
-                        + (self.w.get(i, j, k) - self.w.get(i, j, k - 1)) / hz;
-                    let at = self.rhs.idx(i as usize, j as usize, k as usize);
-                    self.rhs.data[at] = div / dt;
-                }
-            }
-        }
+        let rhs = &mut self.rhs.data;
+        Self::for_each_div(&cfg, &self.u, &self.v, &self.w, |at, div| {
+            rhs[at] = div / dt
+        });
         self.charge_compute(cells * 8);
         self.pobs
             .acc(Phase::Correct, t1, self.now(), &mut self.timers.correct);
@@ -574,19 +712,7 @@ impl Solver {
         let t2 = self.now();
         self.halo_p.exchange(&mut [&mut self.p]);
         Self::p_wall_bc(&mut self.p, bottom, top);
-        for k in 0..self.d.lz as isize {
-            for j in 0..self.d.ly as isize {
-                for i in 0..cfg.nx as isize {
-                    let du = dt * (self.p.get(i + 1, j, k) - self.p.get(i, j, k)) / hx;
-                    let dv = dt * (self.p.get(i, j + 1, k) - self.p.get(i, j, k)) / hy;
-                    let dw = dt * (self.p.get(i, j, k + 1) - self.p.get(i, j, k)) / hz;
-                    let at = self.u.idx(i as usize, j as usize, k as usize);
-                    self.u.data[at] -= du;
-                    self.v.data[at] -= dv;
-                    self.w.data[at] -= dw;
-                }
-            }
-        }
+        Self::correct(&cfg, &self.p, &mut self.u, &mut self.v, &mut self.w);
         self.enforce_w_walls();
         self.charge_compute(cells * 10);
         self.pobs
@@ -606,18 +732,10 @@ impl Solver {
             bottom,
             top,
         );
-        let (hx, hy, hz) = (cfg.hx(), cfg.hy(), cfg.hz());
         let mut m: f64 = 0.0;
-        for k in 0..self.d.lz as isize {
-            for j in 0..self.d.ly as isize {
-                for i in 0..cfg.nx as isize {
-                    let div = (self.u.get(i, j, k) - self.u.get(i - 1, j, k)) / hx
-                        + (self.v.get(i, j, k) - self.v.get(i, j - 1, k)) / hy
-                        + (self.w.get(i, j, k) - self.w.get(i, j, k - 1)) / hz;
-                    m = m.max(div.abs());
-                }
-            }
-        }
+        Self::for_each_div(&cfg, &self.u, &self.v, &self.w, |_, div| {
+            m = m.max(div.abs())
+        });
         m
     }
 

@@ -13,6 +13,7 @@
 //! * wire format to peer q: `for k { for j-rows { 2*chunk }}` with the
 //!   per-k block contiguous, so a z-slab is contiguous per peer.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use unr_core::{RmaPlan, Signal, Unr};
@@ -31,6 +32,10 @@ pub struct TransposeOp {
     /// Per-peer byte counts (whole buffer).
     send_counts: Vec<usize>,
     recv_counts: Vec<usize>,
+    /// Per-peer element offsets in the forward send / receive wire
+    /// buffers (the backward direction swaps the two).
+    send_displ: Vec<usize>,
+    recv_displ: Vec<usize>,
     x_chunks: Vec<(usize, usize)>,
     y_chunks: Vec<(usize, usize)>,
     /// Number of pipeline slabs (1 = bulk).
@@ -72,6 +77,19 @@ impl TransposeOp {
             .map(|q| 2 * d.lx_t * y_chunks[q].1 * d.lz * 8)
             .collect();
         let slabs = slabs.clamp(1, d.lz.max(1));
+        let displ = |counts: &[usize]| {
+            let mut at = 0;
+            counts
+                .iter()
+                .map(|c| {
+                    let here = at;
+                    at += c / 8;
+                    here
+                })
+                .collect::<Vec<usize>>()
+        };
+        let send_displ = displ(&send_counts);
+        let recv_displ = displ(&recv_counts);
         let imp = match backend {
             Backend::Mpi => Imp::Mpi { row: d.row.clone() },
             Backend::Unr(unr) => Imp::Unr(Box::new(Self::build_unr(
@@ -82,6 +100,8 @@ impl TransposeOp {
                 &y_chunks,
                 &send_counts,
                 &recv_counts,
+                &send_displ,
+                &recv_displ,
             ))),
         };
         TransposeOp {
@@ -92,6 +112,8 @@ impl TransposeOp {
             lx_t: d.lx_t,
             send_counts,
             recv_counts,
+            send_displ,
+            recv_displ,
             x_chunks,
             y_chunks,
             slabs: match backend {
@@ -122,6 +144,8 @@ impl TransposeOp {
         y_chunks: &[(usize, usize)],
         send_counts: &[usize],
         recv_counts: &[usize],
+        sd: &[usize],
+        rd: &[usize],
     ) -> UnrT {
         let py = d.py;
         let total_send: usize = send_counts.iter().sum();
@@ -135,19 +159,9 @@ impl TransposeOp {
         let fwd_send_sig = unr.sig_init((py * slabs) as i64);
         let bwd_send_sig = unr.sig_init((py * slabs) as i64);
 
-        let displ = |counts: &[usize]| {
-            let mut v = vec![0usize; counts.len()];
-            for i in 1..counts.len() {
-                v[i] = v[i - 1] + counts[i - 1];
-            }
-            v
-        };
-        let sd = displ(send_counts);
-        let rd = displ(recv_counts);
-
         // Publish per-(peer, slab) receive blocks of fwd_recv / bwd_recv.
         // fwd: peer q writes, per slab s, nk * yl_q * 2*lx_t doubles at
-        //      rd[q] + k0 * yl_q * 2*lx_t elements.
+        //      element rd[q] + k0 * yl_q * 2*lx_t.
         // bwd: peer q writes nk * ly * 2*xl_q at sd[q] + k0 * ly * 2*xl_q.
         let comm = &d.row;
         let me = comm.rank();
@@ -157,14 +171,14 @@ impl TransposeOp {
             let (k0, nk) = chunk(d.lz, slabs, s);
             for q in 0..py {
                 let ylq = y_chunks[q].1;
-                let off = rd[q] + k0 * ylq * 2 * d.lx_t * 8;
+                let off = (rd[q] + k0 * ylq * 2 * d.lx_t) * 8;
                 let len = nk * ylq * 2 * d.lx_t * 8;
                 fwd_flat.extend_from_slice(
                     &unr.blk_init(&fwd_recv, off, len, Some(&fwd_recv_sigs[s]))
                         .to_bytes(),
                 );
                 let xlq = x_chunks[q].1;
-                let boff = sd[q] + k0 * d.ly * 2 * xlq * 8;
+                let boff = (sd[q] + k0 * d.ly * 2 * xlq) * 8;
                 let blen = nk * d.ly * 2 * xlq * 8;
                 bwd_flat.extend_from_slice(
                     &unr.blk_init(&bwd_recv, boff, blen, Some(&bwd_recv_sigs[s]))
@@ -192,7 +206,7 @@ impl TransposeOp {
                 )
                 .expect("blk table");
                 let xlq = x_chunks[q].1;
-                let off = sd[q] + k0 * d.ly * 2 * xlq * 8;
+                let off = (sd[q] + k0 * d.ly * 2 * xlq) * 8;
                 let len = nk * d.ly * 2 * xlq * 8;
                 fp.put(
                     &unr.blk_init(&fwd_send, off, len, Some(&fwd_send_sig)),
@@ -204,7 +218,7 @@ impl TransposeOp {
                 )
                 .expect("blk table");
                 let ylq = y_chunks[q].1;
-                let boff = rd[q] + k0 * ylq * 2 * d.lx_t * 8;
+                let boff = (rd[q] + k0 * ylq * 2 * d.lx_t) * 8;
                 let blen = nk * ylq * 2 * d.lx_t * 8;
                 bp.put(
                     &unr.blk_init(&bwd_send, boff, blen, Some(&bwd_send_sig)),
@@ -229,105 +243,58 @@ impl TransposeOp {
         }
     }
 
-    // ---- pack / unpack -------------------------------------------------------
+    // ---- wire layout -----------------------------------------------------------
 
-    /// Pack slab `s` (k in [k0, k1)) of an x-pencil array into the
-    /// forward wire layout; returns (element offset in the send buffer
-    /// region per peer handled internally).
-    fn pack_fwd_slab(&self, s: usize, xp: &[f64], out: &mut Vec<f64>, offs: &mut Vec<usize>) {
-        let (k0, k1) = self.slab_range(s);
+    /// The x-pencil rows of z planes `k0..k1`, peer by peer: each row's
+    /// element offset in the forward send (= backward receive) wire
+    /// buffer, and its range in the x-pencil buffer.
+    fn x_rows(&self, k0: usize, k1: usize) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
         let (ly, nx) = (self.ly, self.d_nx);
-        out.clear();
-        offs.clear();
-        let mut sd = 0;
-        for (q, (xs, xl)) in self.x_chunks.iter().enumerate() {
-            // Element offset of (peer q, slab s) in the send buffer.
-            offs.push(sd + k0 * ly * 2 * xl);
-            for k in k0..k1 {
-                for j in 0..ly {
-                    let row = ((k * ly + j) * nx + xs) * 2;
-                    out.extend_from_slice(&xp[row..row + 2 * xl]);
-                }
-            }
-            sd += self.send_counts[q] / 8;
-        }
+        self.x_chunks
+            .iter()
+            .zip(&self.send_displ)
+            .flat_map(move |(&(xs, xl), &displ)| {
+                (k0 * ly..k1 * ly).map(move |kj| {
+                    let row = (kj * nx + xs) * 2;
+                    (displ + kj * 2 * xl, row..row + 2 * xl)
+                })
+            })
     }
 
-    /// Unpack slab `s` of the forward receive buffer into a y-pencil
-    /// array. `data` holds, per peer, the slab's rows (concatenated in
-    /// peer order).
-    fn unpack_fwd_slab(&self, s: usize, data: &[f64], yp: &mut [f64]) {
-        let (k0, k1) = self.slab_range(s);
+    /// The y-pencil rows of z planes `k0..k1`, peer by peer: each row's
+    /// element offset in the forward receive (= backward send) wire
+    /// buffer, and its range in the y-pencil buffer.
+    fn y_rows(&self, k0: usize, k1: usize) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
         let (lx_t, ny) = (self.lx_t, self.d_ny);
-        let mut off = 0;
-        for (ys, yl) in &self.y_chunks {
-            for k in k0..k1 {
-                for j in 0..*yl {
-                    let row = ((k * ny + (ys + j)) * lx_t) * 2;
-                    yp[row..row + 2 * lx_t].copy_from_slice(&data[off..off + 2 * lx_t]);
-                    off += 2 * lx_t;
-                }
-            }
-        }
-        debug_assert_eq!(off, data.len());
-    }
-
-    fn pack_bwd_slab(&self, s: usize, yp: &[f64], out: &mut Vec<f64>, offs: &mut Vec<usize>) {
-        let (k0, k1) = self.slab_range(s);
-        let (lx_t, ny) = (self.lx_t, self.d_ny);
-        out.clear();
-        offs.clear();
-        let mut rdisp = 0;
-        for (q, (ys, yl)) in self.y_chunks.iter().enumerate() {
-            offs.push(rdisp + k0 * yl * 2 * lx_t);
-            for k in k0..k1 {
-                for j in 0..*yl {
-                    let row = ((k * ny + (ys + j)) * lx_t) * 2;
-                    out.extend_from_slice(&yp[row..row + 2 * lx_t]);
-                }
-            }
-            rdisp += self.recv_counts[q] / 8;
-        }
-    }
-
-    fn unpack_bwd_slab(&self, s: usize, data: &[f64], xp: &mut [f64]) {
-        let (k0, k1) = self.slab_range(s);
-        let (ly, nx) = (self.ly, self.d_nx);
-        let mut off = 0;
-        for (xs, xl) in &self.x_chunks {
-            for k in k0..k1 {
-                for j in 0..ly {
-                    let row = ((k * ly + j) * nx + xs) * 2;
-                    xp[row..row + 2 * xl].copy_from_slice(&data[off..off + 2 * xl]);
-                    off += 2 * xl;
-                }
-            }
-        }
-        debug_assert_eq!(off, data.len());
+        self.y_chunks
+            .iter()
+            .zip(&self.recv_displ)
+            .flat_map(move |(&(ys, yl), &displ)| {
+                (k0..k1).flat_map(move |k| {
+                    (0..yl).map(move |j| {
+                        let row = (k * ny + ys + j) * lx_t * 2;
+                        (displ + (k * yl + j) * 2 * lx_t, row..row + 2 * lx_t)
+                    })
+                })
+            })
     }
 
     // ---- pipelined protocol (UNR) ---------------------------------------------
 
-    /// Send slab `s` of the x-pencil buffer to every peer.
+    fn unr(&self) -> &UnrT {
+        match &self.imp {
+            Imp::Unr(u) => u,
+            Imp::Mpi { .. } => panic!("pipelined transpose on the MPI backend"),
+        }
+    }
+
+    /// Pack slab `s` of the x-pencil buffer straight into the registered
+    /// send region and put it to every peer.
     pub fn fwd_send_slab(&mut self, s: usize, xp: &[f64]) {
-        let mut packed = Vec::new();
-        let mut offs = Vec::new();
-        self.pack_fwd_slab(s, xp, &mut packed, &mut offs);
         let (k0, k1) = self.slab_range(s);
-        let nk = k1 - k0;
-        let lens: Vec<usize> = self
-            .x_chunks
-            .iter()
-            .map(|(_, xl)| nk * self.ly * 2 * xl)
-            .collect();
-        let Imp::Unr(u) = &mut self.imp else {
-            panic!("pipelined transpose on the MPI backend")
-        };
-        // Scatter the packed per-peer chunks into the send region.
-        let mut src = 0;
-        for (q, &len) in lens.iter().enumerate() {
-            u.fwd_send.write_slice(offs[q], &packed[src..src + len]);
-            src += len;
+        let u = self.unr();
+        for (off, r) in self.x_rows(k0, k1) {
+            u.fwd_send.write_slice(off, &xp[r]);
         }
         u.fwd_plans[s].start(&u.unr).expect("fwd slab puts");
     }
@@ -335,9 +302,7 @@ impl TransposeOp {
     /// Wait until any of the still-pending forward slabs has arrived;
     /// returns its index. `pending[s]` marks slabs not yet consumed.
     pub fn fwd_wait_any(&self, pending: &[bool]) -> usize {
-        let Imp::Unr(u) = &self.imp else {
-            panic!("pipelined transpose on the MPI backend")
-        };
+        let u = self.unr();
         let sigs: Vec<&unr_core::Signal> = u
             .fwd_recv_sigs
             .iter()
@@ -358,9 +323,7 @@ impl TransposeOp {
 
     /// Same for the backward direction.
     pub fn bwd_wait_any(&self, pending: &[bool]) -> usize {
-        let Imp::Unr(u) = &self.imp else {
-            panic!("pipelined transpose on the MPI backend")
-        };
+        let u = self.unr();
         let sigs: Vec<&unr_core::Signal> = u
             .bwd_recv_sigs
             .iter()
@@ -378,34 +341,16 @@ impl TransposeOp {
             .expect("index in range")
     }
 
-    /// Wait for slab `s` to arrive and unpack it into the y-pencil
-    /// buffer.
+    /// Wait for slab `s` to arrive and unpack it straight from the
+    /// receive region into the y-pencil buffer.
     pub fn fwd_recv_slab(&mut self, s: usize, yp: &mut [f64]) {
         let (k0, k1) = self.slab_range(s);
-        let nk = k1 - k0;
-        // (element offset, element length) per peer for this slab.
-        let mut spans = Vec::with_capacity(self.y_chunks.len());
-        let mut rd = 0;
-        for (q, (_, yl)) in self.y_chunks.iter().enumerate() {
-            spans.push((rd + k0 * yl * 2 * self.lx_t, nk * yl * 2 * self.lx_t));
-            rd += self.recv_counts[q] / 8;
+        let u = self.unr();
+        u.unr.sig_wait(&u.fwd_recv_sigs[s]).expect("fwd slab recv");
+        u.fwd_recv_sigs[s].reset().expect("fwd slab signal clean");
+        for (off, r) in self.y_rows(k0, k1) {
+            u.fwd_recv.read_slice(off, &mut yp[r]);
         }
-        let data = {
-            let Imp::Unr(u) = &mut self.imp else {
-                panic!("pipelined transpose on the MPI backend")
-            };
-            u.unr.sig_wait(&u.fwd_recv_sigs[s]).expect("fwd slab recv");
-            u.fwd_recv_sigs[s].reset().expect("fwd slab signal clean");
-            let mut data = Vec::new();
-            let mut buf = Vec::new();
-            for &(off, len) in &spans {
-                buf.resize(len, 0.0);
-                u.fwd_recv.read_slice(off, &mut buf);
-                data.extend_from_slice(&buf);
-            }
-            data
-        };
-        self.unpack_fwd_slab(s, &data, yp);
     }
 
     /// Wait for all forward send completions (source reusable).
@@ -416,53 +361,27 @@ impl TransposeOp {
         }
     }
 
+    /// Pack slab `s` of the y-pencil buffer straight into the registered
+    /// send region and put it to every peer.
     pub fn bwd_send_slab(&mut self, s: usize, yp: &[f64]) {
-        let mut packed = Vec::new();
-        let mut offs = Vec::new();
-        self.pack_bwd_slab(s, yp, &mut packed, &mut offs);
         let (k0, k1) = self.slab_range(s);
-        let nk = k1 - k0;
-        let lens: Vec<usize> = self
-            .y_chunks
-            .iter()
-            .map(|(_, yl)| nk * yl * 2 * self.lx_t)
-            .collect();
-        let Imp::Unr(u) = &mut self.imp else {
-            panic!("pipelined transpose on the MPI backend")
-        };
-        let mut src = 0;
-        for (q, &len) in lens.iter().enumerate() {
-            u.bwd_send.write_slice(offs[q], &packed[src..src + len]);
-            src += len;
+        let u = self.unr();
+        for (off, r) in self.y_rows(k0, k1) {
+            u.bwd_send.write_slice(off, &yp[r]);
         }
         u.bwd_plans[s].start(&u.unr).expect("bwd slab puts");
     }
 
+    /// Wait for slab `s` to arrive and unpack it straight from the
+    /// receive region into the x-pencil buffer.
     pub fn bwd_recv_slab(&mut self, s: usize, xp: &mut [f64]) {
         let (k0, k1) = self.slab_range(s);
-        let nk = k1 - k0;
-        let mut spans = Vec::with_capacity(self.x_chunks.len());
-        let mut sd = 0;
-        for (q, (_, xl)) in self.x_chunks.iter().enumerate() {
-            spans.push((sd + k0 * self.ly * 2 * xl, nk * self.ly * 2 * xl));
-            sd += self.send_counts[q] / 8;
+        let u = self.unr();
+        u.unr.sig_wait(&u.bwd_recv_sigs[s]).expect("bwd slab recv");
+        u.bwd_recv_sigs[s].reset().expect("bwd slab signal clean");
+        for (off, r) in self.x_rows(k0, k1) {
+            u.bwd_recv.read_slice(off, &mut xp[r]);
         }
-        let data = {
-            let Imp::Unr(u) = &mut self.imp else {
-                panic!("pipelined transpose on the MPI backend")
-            };
-            u.unr.sig_wait(&u.bwd_recv_sigs[s]).expect("bwd slab recv");
-            u.bwd_recv_sigs[s].reset().expect("bwd slab signal clean");
-            let mut data = Vec::new();
-            let mut buf = Vec::new();
-            for &(off, len) in &spans {
-                buf.resize(len, 0.0);
-                u.bwd_recv.read_slice(off, &mut buf);
-                data.extend_from_slice(&buf);
-            }
-            data
-        };
-        self.unpack_bwd_slab(s, &data, xp);
     }
 
     pub fn bwd_complete(&mut self) {
@@ -492,15 +411,9 @@ impl TransposeOp {
             Imp::Mpi { row } => row.clone(),
             Imp::Unr(_) => unreachable!(),
         };
-        // Pack whole buffer in wire order.
-        let mut packed = Vec::with_capacity(xp.len());
-        for (xs, xl) in &self.x_chunks {
-            for k in 0..self.lz {
-                for j in 0..self.ly {
-                    let r = ((k * self.ly + j) * self.d_nx + xs) * 2;
-                    packed.extend_from_slice(&xp[r..r + 2 * xl]);
-                }
-            }
+        let mut packed = vec![0.0f64; xp.len()];
+        for (off, r) in self.x_rows(0, self.lz) {
+            packed[off..off + r.len()].copy_from_slice(&xp[r]);
         }
         let recv = unr_minimpi::alltoallv_bytes(
             &row,
@@ -509,15 +422,9 @@ impl TransposeOp {
             &self.recv_counts,
         );
         let data = vec_from_bytes::<f64>(&recv);
-        let mut off = 0;
-        for (ys, yl) in &self.y_chunks {
-            for k in 0..self.lz {
-                for j in 0..*yl {
-                    let r = ((k * self.d_ny + (ys + j)) * self.lx_t) * 2;
-                    yp[r..r + 2 * self.lx_t].copy_from_slice(&data[off..off + 2 * self.lx_t]);
-                    off += 2 * self.lx_t;
-                }
-            }
+        for (off, r) in self.y_rows(0, self.lz) {
+            let n = r.len();
+            yp[r].copy_from_slice(&data[off..off + n]);
         }
     }
 
@@ -539,14 +446,9 @@ impl TransposeOp {
             Imp::Mpi { row } => row.clone(),
             Imp::Unr(_) => unreachable!(),
         };
-        let mut packed = Vec::with_capacity(yp.len());
-        for (ys, yl) in &self.y_chunks {
-            for k in 0..self.lz {
-                for j in 0..*yl {
-                    let r = ((k * self.d_ny + (ys + j)) * self.lx_t) * 2;
-                    packed.extend_from_slice(&yp[r..r + 2 * self.lx_t]);
-                }
-            }
+        let mut packed = vec![0.0f64; yp.len()];
+        for (off, r) in self.y_rows(0, self.lz) {
+            packed[off..off + r.len()].copy_from_slice(&yp[r]);
         }
         let recv = unr_minimpi::alltoallv_bytes(
             &row,
@@ -555,15 +457,9 @@ impl TransposeOp {
             &self.send_counts,
         );
         let data = vec_from_bytes::<f64>(&recv);
-        let mut off = 0;
-        for (xs, xl) in &self.x_chunks {
-            for k in 0..self.lz {
-                for j in 0..self.ly {
-                    let r = ((k * self.ly + j) * self.d_nx + xs) * 2;
-                    xp[r..r + 2 * xl].copy_from_slice(&data[off..off + 2 * xl]);
-                    off += 2 * xl;
-                }
-            }
+        for (off, r) in self.x_rows(0, self.lz) {
+            let n = r.len();
+            xp[r].copy_from_slice(&data[off..off + n]);
         }
     }
 

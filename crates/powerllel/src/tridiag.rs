@@ -1,6 +1,6 @@
-//! Tridiagonal solvers: serial Thomas and the local computations of the
-//! PDD (Parallel Diagonal Dominant) distributed solver used by
-//! PowerLLEL's pressure Poisson equation (paper §V-B).
+//! Tridiagonal solvers: Thomas, split into a factorization and a
+//! solve, and the PDD (Parallel Diagonal Dominant) distributed solver
+//! used by PowerLLEL's pressure Poisson equation (paper §V-B).
 //!
 //! PDD splits the global tridiagonal system into per-rank blocks. Each
 //! rank solves three local systems (the right-hand side plus the two
@@ -9,69 +9,69 @@
 //! exponentially small cross-interface coupling (valid for diagonally
 //! dominant matrices). The neighbor exchange is exactly the
 //! "transmission to the bottom neighbor and the top neighbor" that UNR
-//! turns into notified puts (paper Figure 3e, pipeline 2).
+//! turns into notified puts (paper Figure 3e, pipeline 2). All three
+//! local systems share one matrix, so a rank factors it once and
+//! solves each right-hand side with [`thomas_solve`].
+
+/// Factor the tridiagonal matrix `a[i] x[i-1] + b[i] x[i] + c[i]
+/// x[i+1]` the way the Thomas sweep does: row `i`'s pivot `b[i] - a[i]
+/// cp[i-1]` goes to `pivot[i]` and `c[i] / pivot[i]` to `cp[i]`.
+/// `a[0]` and `c[n-1]` are ignored.
+pub fn thomas_factor(a: &[f64], b: &[f64], c: &[f64], pivot: &mut [f64], cp: &mut [f64]) {
+    let n = b.len();
+    assert!(a.len() == n && c.len() == n && pivot.len() == n && cp.len() == n);
+    if n == 0 {
+        return;
+    }
+    let mut denom = b[0];
+    assert!(denom.abs() > 1e-300, "singular pivot at row 0");
+    pivot[0] = denom;
+    cp[0] = c[0] / denom;
+    for i in 1..n {
+        denom = b[i] - a[i] * cp[i - 1];
+        assert!(denom.abs() > 1e-300, "singular pivot at row {i}");
+        pivot[i] = denom;
+        cp[i] = c[i] / denom;
+    }
+}
+
+/// Solve with a factorization from [`thomas_factor`], in place, every
+/// right-hand side in `d`: its consecutive `n`-row columns (`n =
+/// pivot.len()`). The columns advance row by row together, so their
+/// dependency chains overlap; each sees the same operations, in the
+/// same order, as [`thomas`].
+pub fn thomas_solve(a: &[f64], pivot: &[f64], cp: &[f64], d: &mut [f64]) {
+    let n = pivot.len();
+    assert!(a.len() == n && cp.len() == n);
+    if n == 0 {
+        assert!(d.is_empty());
+        return;
+    }
+    assert_eq!(d.len() % n, 0, "right-hand sides of {n} rows");
+    for col in d.chunks_exact_mut(n) {
+        col[0] /= pivot[0];
+    }
+    for i in 1..n {
+        for col in d.chunks_exact_mut(n) {
+            col[i] = (col[i] - a[i] * col[i - 1]) / pivot[i];
+        }
+    }
+    for i in (0..n - 1).rev() {
+        for col in d.chunks_exact_mut(n) {
+            col[i] -= cp[i] * col[i + 1];
+        }
+    }
+}
 
 /// Solve a tridiagonal system `a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] =
 /// d[i]` in place (Thomas algorithm). `a[0]` and `c[n-1]` are ignored.
 pub fn thomas(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64]) {
     let n = d.len();
     assert!(a.len() == n && b.len() == n && c.len() == n);
-    if n == 0 {
-        return;
-    }
-    let mut cp = vec![0.0; n];
-    let mut denom = b[0];
-    assert!(denom.abs() > 1e-300, "singular pivot at row 0");
-    cp[0] = c[0] / denom;
-    d[0] /= denom;
-    for i in 1..n {
-        denom = b[i] - a[i] * cp[i - 1];
-        assert!(denom.abs() > 1e-300, "singular pivot at row {i}");
-        cp[i] = c[i] / denom;
-        d[i] = (d[i] - a[i] * d[i - 1]) / denom;
-    }
-    for i in (0..n - 1).rev() {
-        d[i] -= cp[i] * d[i + 1];
-    }
-}
-
-/// The local phase of PDD for one rank owning contiguous rows of the
-/// global system.
-///
-/// Returns the influence vectors `(v, w)` where `A_loc v = -a_first e_0`
-/// (effect of the left interface unknown) and `A_loc w = -c_last e_last`
-/// (effect of the right interface unknown), alongside the particular
-/// solution `A_loc x0 = d` computed in place in `d`.
-pub struct PddLocal {
-    /// Left influence vector (None on the first rank).
-    pub v: Option<Vec<f64>>,
-    /// Right influence vector (None on the last rank).
-    pub w: Option<Vec<f64>>,
-}
-
-pub fn pdd_local(
-    a: &[f64],
-    b: &[f64],
-    c: &[f64],
-    d: &mut [f64],
-    has_left: bool,
-    has_right: bool,
-) -> PddLocal {
-    let n = d.len();
-    thomas(a, b, c, d);
-    let v = has_left.then(|| {
-        let mut rhs = vec![0.0; n];
-        rhs[0] = -a[0];
-        thomas(a, b, c, &mut rhs);
-        rhs
-    });
-    let w = has_right.then(|| {
-        let mut rhs = vec![0.0; n];
-        rhs[n - 1] = -c[n - 1];
-        thomas(a, b, c, &mut rhs);
-        rhs
-    });
-    PddLocal { v, w }
+    let mut factor = vec![0.0; 2 * n];
+    let (pivot, cp) = factor.split_at_mut(n);
+    thomas_factor(a, b, c, pivot, cp);
+    thomas_solve(a, pivot, cp, d);
 }
 
 /// Resolve one interface between a "bottom" rank (owning the rows just
@@ -94,26 +94,14 @@ pub fn pdd_interface(x0_last: f64, w_last: f64, x0_first: f64, v_first: f64) -> 
     (xi, eta)
 }
 
-/// Final PDD correction: `x = x0 + xi_left * v + xi_right * w`, where
-/// `xi_left`/`xi_right` are the interface values adjacent to this rank
-/// (solution at the left neighbor's last row / right neighbor's first
-/// row).
-pub fn pdd_correct(x0: &mut [f64], local: &PddLocal, xi_left: f64, xi_right: f64) {
-    if let Some(v) = &local.v {
-        for (x, vv) in x0.iter_mut().zip(v) {
-            *x += xi_left * vv;
-        }
-    }
-    if let Some(w) = &local.w {
-        for (x, ww) in x0.iter_mut().zip(w) {
-            *x += xi_right * ww;
-        }
-    }
-}
-
-/// Convenience: full PDD on a single address space, partitioned into
-/// `parts` chunks — used by tests to validate the algorithm against
-/// Thomas, and by the solver when `P_z == 1`.
+/// Full PDD on a single address space, partitioned into `parts` chunks
+/// — the algorithm the distributed solver runs, used by tests to
+/// validate it against Thomas.
+///
+/// Each part solves its particular solution `A_loc x0 = d` and its
+/// influence vectors `A_loc v = -a_first e_0` (left interface) and
+/// `A_loc w = -c_last e_last` (right interface) with one factorization,
+/// then corrects `x = x0 + xi_left v + xi_right w`.
 pub fn pdd_reference(a: &[f64], b: &[f64], c: &[f64], d: &[f64], parts: usize) -> Vec<f64> {
     let n = d.len();
     assert!(parts >= 1 && n >= 2 * parts);
@@ -125,14 +113,35 @@ pub fn pdd_reference(a: &[f64], b: &[f64], c: &[f64], d: &[f64], parts: usize) -
             (s, e)
         })
         .collect();
-    // Local solves.
-    let mut x0s: Vec<Vec<f64>> = Vec::with_capacity(parts);
-    let mut locals: Vec<PddLocal> = Vec::with_capacity(parts);
+    // Local solves: (x0, v, w) per part; v is empty on the first part
+    // and w on the last.
+    let mut locals: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = Vec::with_capacity(parts);
     for (p, &(s, e)) in bounds.iter().enumerate() {
-        let mut dd = d[s..e].to_vec();
-        let loc = pdd_local(&a[s..e], &b[s..e], &c[s..e], &mut dd, p > 0, p < parts - 1);
-        x0s.push(dd);
-        locals.push(loc);
+        let m = e - s;
+        let (a, b, c) = (&a[s..e], &b[s..e], &c[s..e]);
+        let (mut pivot, mut cp) = (vec![0.0; m], vec![0.0; m]);
+        thomas_factor(a, b, c, &mut pivot, &mut cp);
+        // Columns: x0, then v (not on the first part), then w (not on
+        // the last).
+        let (left, right) = (p > 0, p < parts - 1);
+        let mut cols = d[s..e].to_vec();
+        cols.resize(m * (1 + usize::from(left) + usize::from(right)), 0.0);
+        if left {
+            cols[m] = -a[0];
+        }
+        if right {
+            let last = cols.len() - 1;
+            cols[last] = -c[m - 1];
+        }
+        thomas_solve(a, &pivot, &cp, &mut cols);
+        let w = if right {
+            cols.split_off(cols.len() - m)
+        } else {
+            Vec::new()
+        };
+        let v = if left { cols.split_off(m) } else { Vec::new() };
+        let x0 = cols;
+        locals.push((x0, v, w));
     }
     // Interface exchanges: the value at part p's last row becomes
     // xi_left for part p+1, and the value at part p+1's first row
@@ -142,19 +151,24 @@ pub fn pdd_reference(a: &[f64], b: &[f64], c: &[f64], d: &[f64], parts: usize) -
     for p in 0..parts - 1 {
         let last = bounds[p].1 - bounds[p].0 - 1;
         let (lo, hi) = pdd_interface(
-            x0s[p][last],
-            locals[p].w.as_ref().expect("right influence")[last],
-            x0s[p + 1][0],
-            locals[p + 1].v.as_ref().expect("left influence")[0],
+            locals[p].0[last],
+            locals[p].2[last],
+            locals[p + 1].0[0],
+            locals[p + 1].1[0],
         );
         right_vals[p] = hi;
         left_vals[p + 1] = lo;
     }
     // Corrections.
     let mut out = Vec::with_capacity(n);
-    for p in 0..parts {
-        pdd_correct(&mut x0s[p], &locals[p], left_vals[p], right_vals[p]);
-        out.extend_from_slice(&x0s[p]);
+    for (p, (mut x, v, w)) in locals.into_iter().enumerate() {
+        for (x, vv) in x.iter_mut().zip(&v) {
+            *x += left_vals[p] * vv;
+        }
+        for (x, ww) in x.iter_mut().zip(&w) {
+            *x += right_vals[p] * ww;
+        }
+        out.extend_from_slice(&x);
     }
     out
 }
@@ -224,6 +238,76 @@ mod tests {
         let mut x = d.clone();
         thomas(&a, &b, &c, &mut x);
         assert!(residual(&a, &b, &c, &x, &d) < 1e-10);
+    }
+
+    /// The fused single-pass Thomas sweep (factor and forward
+    /// substitution interleaved), kept as the oracle the split form must
+    /// reproduce bit for bit.
+    fn thomas_fused(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64]) {
+        let n = d.len();
+        let mut cp = vec![0.0; n];
+        let mut denom = b[0];
+        cp[0] = c[0] / denom;
+        d[0] /= denom;
+        for i in 1..n {
+            denom = b[i] - a[i] * cp[i - 1];
+            cp[i] = c[i] / denom;
+            d[i] = (d[i] - a[i] * d[i - 1]) / denom;
+        }
+        for i in (0..n - 1).rev() {
+            d[i] -= cp[i] * d[i + 1];
+        }
+    }
+
+    #[test]
+    fn factor_once_solve_many_matches_fused_thomas_bit_for_bit() {
+        for (seed, n) in [(1u64, 1usize), (2, 2), (3, 16), (4, 17), (5, 200)] {
+            let a = rand_vec(n, seed * 10 + 1, -1.0, 1.0);
+            let c = rand_vec(n, seed * 10 + 2, -1.0, 1.0);
+            let extra = rand_vec(n, seed * 10 + 3, 0.0, 2.0);
+            let b: Vec<f64> = (0..n)
+                .map(|i| {
+                    let m = 1.0 + a[i].abs() + c[i].abs() + extra[i];
+                    if i % 2 == 0 {
+                        m
+                    } else {
+                        -m
+                    }
+                })
+                .collect();
+            let (mut pivot, mut cp) = (vec![0.0; n], vec![0.0; n]);
+            thomas_factor(&a, &b, &c, &mut pivot, &mut cp);
+            // Several right-hand sides through one factorization,
+            // including the sparse influence-vector shapes PDD uses.
+            let mut rhss = vec![
+                rand_vec(n, seed * 10 + 4, -5.0, 5.0),
+                rand_vec(n, seed * 10 + 5, -1e-3, 1e3),
+                vec![0.0; n],
+                vec![0.0; n],
+            ];
+            rhss[2][0] = -a[0];
+            rhss[3][n - 1] = -c[n - 1];
+            // All four in one call, columns advancing together.
+            let mut together = rhss.concat();
+            thomas_solve(&a, &pivot, &cp, &mut together);
+            for (rhs, got) in rhss.iter().zip(together.chunks_exact(n)) {
+                let mut want = rhs.clone();
+                thomas_fused(&a, &b, &c, &mut want);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(&want), "n={n}: columns solved together");
+            }
+            for rhs in rhss {
+                let mut want = rhs.clone();
+                thomas_fused(&a, &b, &c, &mut want);
+                let mut got = rhs.clone();
+                thomas_solve(&a, &pivot, &cp, &mut got);
+                let mut whole = rhs.clone();
+                thomas(&a, &b, &c, &mut whole);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "n={n}: factor + solve");
+                assert_eq!(bits(&whole), bits(&want), "n={n}: thomas");
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! these hashes; a change that only moves data faster does not.
 //!
 //! The shapes cover the overlapped UNR path (4×2, 2×2), the MPI
-//! bulk-synchronous path (4×2), a single rank (1×1, no PDD exchange)
-//! and a process grid with two y rows per rank, where the UNR backend
-//! takes the non-overlapped halo path.
+//! bulk-synchronous path (4×2), a single rank (1×1, no PDD exchange),
+//! four z ranks (1×4, whose middle ranks have both PDD neighbors) and a
+//! process grid with two y rows per rank, where the UNR backend takes
+//! the non-overlapped halo path.
 
 use unr_core::{Unr, UnrConfig};
 use unr_minimpi::run_mpi_world;
@@ -125,5 +126,15 @@ fn bit_lock_two_rows_per_rank_unr() {
         lock(4, 1, (32, 4, 16), 2, 2, true),
         0xe443_88a3_807b_5186,
         "2x2 ly=2 unr",
+    );
+}
+
+/// Four z ranks: the two middle ones solve both influence vectors.
+#[test]
+fn bit_lock_1x4_unr() {
+    check(
+        lock(4, 1, GRID, 1, 4, true),
+        0xa9f6_9091_da91_6e60,
+        "1x4 unr",
     );
 }
