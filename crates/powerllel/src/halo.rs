@@ -52,19 +52,12 @@ impl Shape {
         self.nx * self.g * self.g * self.nf
     }
 
-    /// The z face sent to (`above`) or received from the neighbor
-    /// above or below: `g` planes, interior y.
+    /// The z face sent to or received from the neighbor `above` or
+    /// below: `g` planes, interior y.
     fn z_face(&self, above: bool, ghost: bool) -> Face {
-        let (g, lz) = (self.g as isize, self.lz as isize);
-        let k0 = match (above, ghost) {
-            (false, false) => 0,
-            (true, false) => lz - g,
-            (false, true) => -g,
-            (true, true) => lz,
-        };
         Face {
             js: 0..self.ly as isize,
-            ks: k0..k0 + g,
+            ks: self.edge(self.lz, above, ghost),
         }
     }
 
@@ -72,22 +65,23 @@ impl Shape {
     /// `g` rows, interior z.
     fn y_face(&self, hi: bool, ghost: bool) -> Face {
         Face {
-            js: self.y_rows(hi, ghost),
+            js: self.edge(self.ly, hi, ghost),
             ks: 0..self.lz as isize,
         }
     }
 
-    /// Rows `j` of the y edge at the `hi` or lo side: the last/first
-    /// `g` interior rows, or the ghost rows beyond them.
-    fn y_rows(&self, hi: bool, ghost: bool) -> Range<isize> {
-        let (g, ly) = (self.g as isize, self.ly as isize);
-        let j0 = match (hi, ghost) {
+    /// The `g` layers at the `hi` or lo edge of an interior extent `n`:
+    /// its last/first interior layers, or the `ghost` layers beyond
+    /// them.
+    fn edge(&self, n: usize, hi: bool, ghost: bool) -> Range<isize> {
+        let (g, n) = (self.g as isize, n as isize);
+        let start = match (hi, ghost) {
             (false, false) => 0,
-            (true, false) => ly - g,
+            (true, false) => n - g,
             (false, true) => -g,
-            (true, true) => ly,
+            (true, true) => n,
         };
-        j0..j0 + g
+        start..start + g
     }
 
     /// The corner strip of y edge rows `js`: those rows over the
@@ -95,12 +89,14 @@ impl Shape {
     /// keeps its place in the strip but is neither packed nor unpacked
     /// (the wall boundary conditions fill those corners).
     fn corner_faces(&self, nb: &Neighbors, js: Range<isize>) -> [(Face, bool); 2] {
-        let (g, lz) = (self.g as isize, self.lz as isize);
         let below = Face {
             js: js.clone(),
-            ks: -g..0,
+            ks: self.edge(self.lz, false, true),
         };
-        let above = Face { js, ks: lz..lz + g };
+        let above = Face {
+            js,
+            ks: self.edge(self.lz, true, true),
+        };
         [(below, nb.z_below.is_some()), (above, nb.z_above.is_some())]
     }
 
@@ -476,8 +472,11 @@ impl HaloOp {
         assert!(self.started, "halo finish() without start()");
         self.started = false;
         let (shape, nb) = (&self.shape, &self.nb);
-        let (lo_edge, hi_edge) = (shape.y_rows(false, false), shape.y_rows(true, false));
-        let ghost_rows = |hi: bool| shape.y_rows(hi, true);
+        let (lo_edge, hi_edge) = (
+            shape.edge(shape.ly, false, false),
+            shape.edge(shape.ly, true, false),
+        );
+        let ghost_rows = |hi: bool| shape.edge(shape.ly, hi, true);
 
         match &mut self.imp {
             Imp::Mpi {

@@ -9,7 +9,7 @@
 //! machine-precision for diagonally dominant modes; the singular mean
 //! mode is solved exactly by a gathered Thomas solve).
 
-use unr_simnet::mem::{as_bytes, vec_from_bytes};
+use unr_simnet::mem::as_bytes;
 use unr_simnet::Ns;
 
 use crate::backend::{Backend, PddExchange};
@@ -451,37 +451,40 @@ impl PoissonSolver {
         // hold the raw right-hand side.
         let mine = &mut z.x[..2 * lz];
         let gathered = unr_minimpi::gather_bytes(&self.col, 0, as_bytes(mine));
-        let (zs, _zl) = crate::decomp::chunk(nz, self.pz, self.cz);
         if let Some(parts) = gathered {
             // Reassemble per system: parts[cz] holds that rank's chunk
             // for both mean systems consecutively.
-            for (cz, chunk_bytes) in parts.iter().enumerate() {
+            for (cz, bytes) in parts.iter().enumerate() {
                 let (zs, zl) = crate::decomp::chunk(nz, self.pz, cz);
-                let vals = vec_from_bytes::<f64>(chunk_bytes);
-                assert_eq!(vals.len(), 2 * zl);
-                for m in 0..2 {
-                    z.mean[m * nz + zs..m * nz + zs + zl]
-                        .copy_from_slice(&vals[m * zl..(m + 1) * zl]);
+                assert_eq!(bytes.len(), 2 * zl * 8);
+                for (m, sys) in bytes.chunks_exact(zl * 8).enumerate() {
+                    copy_f64s(&mut z.mean[m * nz + zs..m * nz + zs + zl], sys);
                 }
             }
-            // Solve each with the pinned first row.
+            // Solve both with the pinned first row.
             let (a, b, c) = (&z.mean_a, &z.mean_b, &z.mean_c);
             let (pivot, cp) = (&mut z.pivot[..nz], &mut z.cp[..nz]);
             thomas_factor(a, b, c, pivot, cp);
             for d in z.mean.chunks_exact_mut(nz) {
                 d[0] = 0.0; // pinned reference value
-                thomas_solve(a, pivot, cp, d);
             }
-            // Broadcast the full solution; each rank takes its chunk.
+            thomas_solve(a, pivot, cp, &mut z.mean);
             unr_minimpi::bcast(&self.col, 0, as_bytes(&z.mean));
-            for m in 0..2 {
-                mine[m * lz..(m + 1) * lz].copy_from_slice(&z.mean[m * nz + zs..m * nz + zs + lz]);
-            }
         } else {
-            let full = vec_from_bytes::<f64>(&unr_minimpi::bcast(&self.col, 0, &[]));
-            for m in 0..2 {
-                mine[m * lz..(m + 1) * lz].copy_from_slice(&full[m * nz + zs..m * nz + zs + lz]);
-            }
+            copy_f64s(&mut z.mean, &unr_minimpi::bcast(&self.col, 0, &[]));
         }
+        // Each rank takes its chunk of the full solution.
+        let (zs, _zl) = crate::decomp::chunk(nz, self.pz, self.cz);
+        for (m, col) in mine.chunks_exact_mut(lz).enumerate() {
+            col.copy_from_slice(&z.mean[m * nz + zs..m * nz + zs + lz]);
+        }
+    }
+}
+
+/// Copy the f64s that [`as_bytes`] encoded in `bytes` into `dst`.
+fn copy_f64s(dst: &mut [f64], bytes: &[u8]) {
+    assert_eq!(bytes.len(), 8 * dst.len());
+    for (x, b) in dst.iter_mut().zip(bytes.chunks_exact(8)) {
+        *x = f64::from_ne_bytes(b.try_into().expect("8-byte chunk"));
     }
 }

@@ -133,17 +133,6 @@ impl<'a> Stencil<'a> {
         }
     }
 
-    /// Every row is `nx` long (lets the compiler drop the bounds checks
-    /// of the loop over `i`).
-    #[inline(always)]
-    fn assert_len(&self, nx: usize) {
-        let stars = [&self.u, &self.v, &self.w];
-        assert!(stars
-            .iter()
-            .all(|s| [s.c, s.jm, s.jp, s.km, s.kp].iter().all(|r| r.len() == nx)));
-        assert!(self.v_jm_kp.len() == nx && self.w_jp_km.len() == nx);
-    }
-
     /// `F = -conv + nu * lap` of u, v and w at `i` (`im`/`ip`: its
     /// periodic x neighbors). Every expression reads the same operands
     /// in the same order as the stencil written with [`Field3::get`].
@@ -405,12 +394,9 @@ impl Solver {
         for k in k0..k1 {
             for j in j0..j1 {
                 let st = Stencil::new(u, v, w, j, k);
-                st.assert_len(nx);
                 let (du, dv, dw) = (du.row_mut(j, k), dv.row_mut(j, k), dw.row_mut(j, k));
-                assert!(du.len() == nx && dv.len() == nx && dw.len() == nx);
-                for (i, im, ip) in [(0, nx - 1, 1 % nx)] {
-                    (du[i], dv[i], dw[i]) = st.rhs(i, im, ip, &h);
-                }
+                // The periodic x wrap touches the two end cells only.
+                (du[0], dv[0], dw[0]) = st.rhs(0, nx - 1, 1 % nx, &h);
                 for i in 1..nx.saturating_sub(1) {
                     (du[i], dv[i], dw[i]) = st.rhs(i, i - 1, i + 1, &h);
                 }
@@ -762,5 +748,207 @@ impl Solver {
 
     pub fn steps_done(&self) -> usize {
         self.steps_done
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every cell, ghosts included, filled with reproducible noise of
+    /// mixed magnitudes.
+    fn noise(nx: usize, ny: usize, nz: usize, seed: u64) -> Field3 {
+        let mut f = Field3::new(nx, ny, nz, 1);
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        for x in f.data.iter_mut() {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let unit = (s >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+            *x = unit * [1.0, 1e-3, 37.0][(s % 3) as usize];
+        }
+        f
+    }
+
+    fn bits(f: &Field3) -> Vec<u64> {
+        f.data.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The momentum stencil as written with [`Field3::get`] (a
+    /// `rem_euclid` per read), kept as the oracle the row-sliced kernel
+    /// must reproduce bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn momentum_rhs_oracle(
+        cfg: &SolverConfig,
+        u: &Field3,
+        v: &Field3,
+        w: &Field3,
+        du: &mut Field3,
+        dv: &mut Field3,
+        dw: &mut Field3,
+        (j0, j1): (isize, isize),
+        (k0, k1): (isize, isize),
+    ) {
+        let (hx, hy, hz) = (cfg.hx(), cfg.hy(), cfg.hz());
+        let nu = cfg.nu;
+        let nx = u.nx as isize;
+        let lap = |f: &Field3, i: isize, j: isize, k: isize| {
+            (f.get(i - 1, j, k) - 2.0 * f.get(i, j, k) + f.get(i + 1, j, k)) / (hx * hx)
+                + (f.get(i, j - 1, k) - 2.0 * f.get(i, j, k) + f.get(i, j + 1, k)) / (hy * hy)
+                + (f.get(i, j, k - 1) - 2.0 * f.get(i, j, k) + f.get(i, j, k + 1)) / (hz * hz)
+        };
+        for k in k0..k1 {
+            for j in j0..j1 {
+                for i in 0..nx {
+                    // ---- u momentum (at +x face) ----
+                    {
+                        let uc_e = 0.5 * (u.get(i, j, k) + u.get(i + 1, j, k));
+                        let uc_w = 0.5 * (u.get(i - 1, j, k) + u.get(i, j, k));
+                        let duu = (uc_e * uc_e - uc_w * uc_w) / hx;
+                        let v_n = 0.5 * (v.get(i, j, k) + v.get(i + 1, j, k));
+                        let u_n = 0.5 * (u.get(i, j, k) + u.get(i, j + 1, k));
+                        let v_s = 0.5 * (v.get(i, j - 1, k) + v.get(i + 1, j - 1, k));
+                        let u_s = 0.5 * (u.get(i, j - 1, k) + u.get(i, j, k));
+                        let duv = (u_n * v_n - u_s * v_s) / hy;
+                        let w_t = 0.5 * (w.get(i, j, k) + w.get(i + 1, j, k));
+                        let u_t = 0.5 * (u.get(i, j, k) + u.get(i, j, k + 1));
+                        let w_b = 0.5 * (w.get(i, j, k - 1) + w.get(i + 1, j, k - 1));
+                        let u_b = 0.5 * (u.get(i, j, k - 1) + u.get(i, j, k));
+                        let duw = (u_t * w_t - u_b * w_b) / hz;
+                        let at = du.idx(i as usize, j as usize, k as usize);
+                        du.data[at] = -(duu + duv + duw) + nu * lap(u, i, j, k);
+                    }
+                    // ---- v momentum (at +y face) ----
+                    {
+                        let u_e = 0.5 * (u.get(i, j, k) + u.get(i, j + 1, k));
+                        let v_e = 0.5 * (v.get(i, j, k) + v.get(i + 1, j, k));
+                        let u_w = 0.5 * (u.get(i - 1, j, k) + u.get(i - 1, j + 1, k));
+                        let v_w = 0.5 * (v.get(i - 1, j, k) + v.get(i, j, k));
+                        let dvu = (u_e * v_e - u_w * v_w) / hx;
+                        let vc_n = 0.5 * (v.get(i, j, k) + v.get(i, j + 1, k));
+                        let vc_s = 0.5 * (v.get(i, j - 1, k) + v.get(i, j, k));
+                        let dvv = (vc_n * vc_n - vc_s * vc_s) / hy;
+                        let w_t = 0.5 * (w.get(i, j, k) + w.get(i, j + 1, k));
+                        let v_t = 0.5 * (v.get(i, j, k) + v.get(i, j, k + 1));
+                        let w_b = 0.5 * (w.get(i, j, k - 1) + w.get(i, j + 1, k - 1));
+                        let v_b = 0.5 * (v.get(i, j, k - 1) + v.get(i, j, k));
+                        let dvw = (v_t * w_t - v_b * w_b) / hz;
+                        let at = dv.idx(i as usize, j as usize, k as usize);
+                        dv.data[at] = -(dvu + dvv + dvw) + nu * lap(v, i, j, k);
+                    }
+                    // ---- w momentum (at +z face) ----
+                    {
+                        let u_e = 0.5 * (u.get(i, j, k) + u.get(i, j, k + 1));
+                        let w_e = 0.5 * (w.get(i, j, k) + w.get(i + 1, j, k));
+                        let u_w = 0.5 * (u.get(i - 1, j, k) + u.get(i - 1, j, k + 1));
+                        let w_w = 0.5 * (w.get(i - 1, j, k) + w.get(i, j, k));
+                        let dwu = (u_e * w_e - u_w * w_w) / hx;
+                        let v_n = 0.5 * (v.get(i, j, k) + v.get(i, j, k + 1));
+                        let w_n = 0.5 * (w.get(i, j, k) + w.get(i, j + 1, k));
+                        let v_s = 0.5 * (v.get(i, j - 1, k) + v.get(i, j - 1, k + 1));
+                        let w_s = 0.5 * (w.get(i, j - 1, k) + w.get(i, j, k));
+                        let dwv = (v_n * w_n - v_s * w_s) / hy;
+                        let wc_t = 0.5 * (w.get(i, j, k) + w.get(i, j, k + 1));
+                        let wc_b = 0.5 * (w.get(i, j, k - 1) + w.get(i, j, k));
+                        let dww = (wc_t * wc_t - wc_b * wc_b) / hz;
+                        let at = dw.idx(i as usize, j as usize, k as usize);
+                        dw.data[at] = -(dwu + dwv + dww) + nu * lap(w, i, j, k);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The divergence as written with [`Field3::get`].
+    fn div_oracle(cfg: &SolverConfig, u: &Field3, v: &Field3, w: &Field3, rhs: &mut Field3) {
+        let (hx, hy, hz) = (cfg.hx(), cfg.hy(), cfg.hz());
+        for k in 0..u.nz as isize {
+            for j in 0..u.ny as isize {
+                for i in 0..u.nx as isize {
+                    let div = (u.get(i, j, k) - u.get(i - 1, j, k)) / hx
+                        + (v.get(i, j, k) - v.get(i, j - 1, k)) / hy
+                        + (w.get(i, j, k) - w.get(i, j, k - 1)) / hz;
+                    let at = rhs.idx(i as usize, j as usize, k as usize);
+                    rhs.data[at] = div / cfg.dt;
+                }
+            }
+        }
+    }
+
+    /// The pressure correction as written with [`Field3::get`].
+    fn correct_oracle(
+        cfg: &SolverConfig,
+        p: &Field3,
+        u: &mut Field3,
+        v: &mut Field3,
+        w: &mut Field3,
+    ) {
+        let (hx, hy, hz) = (cfg.hx(), cfg.hy(), cfg.hz());
+        let dt = cfg.dt;
+        for k in 0..p.nz as isize {
+            for j in 0..p.ny as isize {
+                for i in 0..p.nx as isize {
+                    let du = dt * (p.get(i + 1, j, k) - p.get(i, j, k)) / hx;
+                    let dv = dt * (p.get(i, j + 1, k) - p.get(i, j, k)) / hy;
+                    let dw = dt * (p.get(i, j, k + 1) - p.get(i, j, k)) / hz;
+                    let at = u.idx(i as usize, j as usize, k as usize);
+                    u.data[at] -= du;
+                    v.data[at] -= dv;
+                    w.data[at] -= dw;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_stencils_match_the_get_oracle_bit_for_bit() {
+        let (ly, lz) = (5isize, 4isize);
+        for nx in [1usize, 2, 64] {
+            let mut cfg = SolverConfig::small(1, 1);
+            cfg.nx = nx;
+            // Spacings that are not powers of two, so that dividing by
+            // them rounds.
+            (cfg.lx, cfg.ly, cfg.lz) = (0.7, 1.3, 0.9);
+            let mk = |seed| noise(nx, ly as usize, lz as usize, seed);
+            let (u, v, w, p) = (mk(1), mk(2), mk(3), mk(4));
+
+            // The whole interior, the overlap path's interior and its
+            // four shells, and a lone row.
+            let ranges = [
+                ((0, ly), (0, lz)),
+                ((1, ly - 1), (1, lz - 1)),
+                ((0, ly), (0, 1)),
+                ((0, ly), (lz - 1, lz)),
+                ((0, 1), (1, lz - 1)),
+                ((ly - 1, ly), (1, lz - 1)),
+                ((2, 3), (1, 2)),
+            ];
+            for (js, ks) in ranges {
+                // Outputs start as noise: cells outside the range must
+                // stay as they were.
+                let (mut du, mut dv, mut dw) = (mk(5), mk(6), mk(7));
+                let (mut eu, mut ev, mut ew) = (du.clone(), dv.clone(), dw.clone());
+                Solver::momentum_rhs(&cfg, &u, &v, &w, &mut du, &mut dv, &mut dw, js, ks);
+                momentum_rhs_oracle(&cfg, &u, &v, &w, &mut eu, &mut ev, &mut ew, js, ks);
+                let what = format!("nx={nx} j={js:?} k={ks:?}");
+                assert_eq!(bits(&du), bits(&eu), "du, {what}");
+                assert_eq!(bits(&dv), bits(&ev), "dv, {what}");
+                assert_eq!(bits(&dw), bits(&ew), "dw, {what}");
+            }
+
+            let mut rhs = mk(8);
+            let mut want = rhs.clone();
+            Solver::for_each_div(&cfg, &u, &v, &w, |at, div| rhs.data[at] = div / cfg.dt);
+            div_oracle(&cfg, &u, &v, &w, &mut want);
+            assert_eq!(bits(&rhs), bits(&want), "divergence, nx={nx}");
+
+            let (mut cu, mut cv, mut cw) = (u.clone(), v.clone(), w.clone());
+            let (mut ou, mut ov, mut ow) = (u.clone(), v.clone(), w.clone());
+            Solver::correct(&cfg, &p, &mut cu, &mut cv, &mut cw);
+            correct_oracle(&cfg, &p, &mut ou, &mut ov, &mut ow);
+            assert_eq!(bits(&cu), bits(&ou), "u correction, nx={nx}");
+            assert_eq!(bits(&cv), bits(&ov), "v correction, nx={nx}");
+            assert_eq!(bits(&cw), bits(&ow), "w correction, nx={nx}");
+        }
     }
 }

@@ -77,16 +77,14 @@ impl TransposeOp {
             .map(|q| 2 * d.lx_t * y_chunks[q].1 * d.lz * 8)
             .collect();
         let slabs = slabs.clamp(1, d.lz.max(1));
-        let displ = |counts: &[usize]| {
-            let mut at = 0;
-            counts
-                .iter()
-                .map(|c| {
-                    let here = at;
-                    at += c / 8;
-                    here
+        let displ = |counts: &[usize]| -> Vec<usize> {
+            let elems = counts.iter().map(|c| c / 8);
+            elems
+                .scan(0, |at, n| {
+                    *at += n;
+                    Some(*at - n)
                 })
-                .collect::<Vec<usize>>()
+                .collect()
         };
         let send_displ = displ(&send_counts);
         let recv_displ = displ(&recv_counts);
