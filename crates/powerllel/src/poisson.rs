@@ -48,15 +48,15 @@ pub struct PoissonSolver {
     line_y: Vec<C64>,
     /// Slabs of the pipelined transpose not yet consumed.
     pending: Vec<bool>,
-    z: ZScratch,
+    z: ZWork,
     /// Virtual-time cost per grid point per pass.
     flop_ns: f64,
     pobs: PhaseObs,
 }
 
-/// Scratch of the z solves, sized once: the PDD local phase runs
+/// Working storage of the z solves, sized once: the PDD local phase runs
 /// without allocating.
-struct ZScratch {
+struct ZWork {
     /// Columns of `lz` rows per `(kx, ky)` cell, `cols` per cell: the re
     /// and im systems (right-hand side, then solution), then the left
     /// influence vector `v` if there is a neighbor below and the right
@@ -83,8 +83,8 @@ struct ZScratch {
     mean_c: Vec<f64>,
 }
 
-impl ZScratch {
-    fn new(d: &Decomp, hz2_inv: f64) -> ZScratch {
+impl ZWork {
+    fn new(d: &Decomp, hz2_inv: f64) -> ZWork {
         let cells = d.lx_t * d.ny;
         let rows = d.lz.max(d.nz);
         let cols = 2 + usize::from(d.cz > 0) + usize::from(d.cz + 1 < d.pz);
@@ -96,7 +96,7 @@ impl ZScratch {
         mean_c[0] = 0.0;
         mean_a[0] = 0.0;
         mean_b[nz - 1] = -hz2_inv;
-        ZScratch {
+        ZWork {
             x: vec![0.0; cols * cells * d.lz],
             cols,
             a: vec![hz2_inv; d.lz],
@@ -147,7 +147,7 @@ impl PoissonSolver {
             yp: vec![0.0; 2 * d.lx_t * d.ny * d.lz],
             line_x: vec![C64::ZERO; d.nx],
             line_y: vec![C64::ZERO; d.ny],
-            z: ZScratch::new(d, hz2_inv),
+            z: ZWork::new(d, hz2_inv),
             flop_ns,
             pobs: PhaseObs::new(
                 std::sync::Arc::clone(&d.world.ep().fabric().obs),
