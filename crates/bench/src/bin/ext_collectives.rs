@@ -13,9 +13,9 @@
 //! maps the coalescer's *boundary*: a 64-rank allgather is 63 tiny
 //! puts to 63 **distinct** destinations, so every per-destination
 //! ring holds exactly one put — nothing folds, and the pack/flush
-//! overhead is pure cost on a latency-bound exchange. Contrast the
-//! same-destination small-put storm (`hotpath` small mode), where the
-//! identical machinery gains 26.9×: aggregation is a throughput
+//! overhead is pure cost on a latency-bound exchange. Contrast a
+//! same-destination small-put storm, where the identical machinery
+//! gains 26.9× (EXPERIMENTS.md): aggregation is a throughput
 //! device for repeated same-destination traffic, not a latency device
 //! for one-shot fan-out. The collectives' own at-scale win is the
 //! plain `unr-coll` column (summed-signal exchange vs two-sided MPI).

@@ -32,13 +32,11 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Print a metrics snapshot alongside a benchmark's timing tables: a
-/// human-readable table plus one machine-greppable
-/// `BENCH_METRICS_JSON <json>` line (one JSON object per call).
+/// Print a metrics snapshot as a table alongside a benchmark's timing
+/// tables.
 pub fn emit_metrics(label: &str, snap: &unr_obs::Snapshot) {
     println!("\n### Metrics — {label}\n");
     print!("{}", snap.render_table());
-    println!("BENCH_METRICS_JSON {}", snap.to_json());
 }
 
 /// Deterministic xorshift RNG for workload generation.

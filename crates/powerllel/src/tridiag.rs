@@ -174,7 +174,7 @@ pub fn pdd_reference(a: &[f64], b: &[f64], c: &[f64], d: &[f64], parts: usize) -
 }
 
 /// A reproducible diagonally dominant benchmark system (for the
-/// criterion harness).
+/// benchmark's probes).
 pub fn bench_system(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
     let a = vec![1.0; n];
     let c = vec![1.0; n];

@@ -1,6 +1,6 @@
 //! The simnet serve harness: stand up a world, exchange windows, run
-//! the open loop on every rank, and settle — shared by the
-//! `serve-bench` binary and the integration tests so both see the
+//! the open loop on every rank, and settle — shared by the integration
+//! tests and the benchmark's `sim-serve` workload so both see the
 //! exact same setup (which is what makes the seeded-determinism lock
 //! meaningful).
 

@@ -42,9 +42,8 @@
 //! two same-seed runs produce byte-identical metrics snapshots and
 //! signal-table fingerprints) and netfab's (real OS processes over the
 //! TCP-loopback fabric, launched with the `unr-launch` bootstrap
-//! machinery). `serve-bench` reports ops/sec
-//! and p50/p99/p999 request latency as a `BENCH_SERVE_JSON` line that
-//! `scripts/bench.sh --serve` gates against `BENCH_PERF.json`.
+//! machinery). `tests/serve.rs` and `tests/netfab_serve.rs` check the
+//! same replication accounting on each.
 
 #![deny(missing_docs)]
 
@@ -209,14 +208,6 @@ impl ServeConfig {
             ops_per_rank: 600,
             clients: 1_000,
             mean_think_ns: 20_000_000,
-            ..ServeConfig::default()
-        }
-    }
-
-    /// Full benchmark run.
-    pub fn full() -> ServeConfig {
-        ServeConfig {
-            ops_per_rank: 6_000,
             ..ServeConfig::default()
         }
     }

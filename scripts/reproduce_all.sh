@@ -15,6 +15,4 @@ for b in "${BINS[@]}"; do
   echo "== $b"
   cargo run --release -q -p unr-bench --bin "$b" | tee "results/$b.txt"
 done
-echo "== criterion micro-benches"
-cargo bench -p unr-bench --bench micro -- --noplot | tee results/micro.txt
 echo "All outputs written to results/."
