@@ -61,12 +61,20 @@ impl std::ops::Mul<f64> for C64 {
 }
 
 /// Precomputed radix-2 FFT plan for length `n` (power of two).
+///
+/// Every transform runs on `lines` interleaved lines at once: element
+/// `j` of line `l` is at `x[j * lines + l]`, and each butterfly sweeps
+/// all lines, so the line index is innermost. Each element sees the
+/// same twiddle and the same operations, in the same order, whatever
+/// `lines` is; [`Fft::forward`] and [`Fft::inverse`] are `lines = 1`.
 pub struct Fft {
     pub n: usize,
     /// Bit-reversal permutation.
     rev: Vec<u32>,
     /// Forward twiddles per stage, flattened.
     tw: Vec<C64>,
+    /// Their conjugates, for the inverse.
+    tw_inv: Vec<C64>,
 }
 
 impl Fft {
@@ -86,48 +94,61 @@ impl Fft {
             }
             m <<= 1;
         }
-        Fft { n, rev, tw }
+        let tw_inv = tw.iter().map(|w| w.conj()).collect();
+        Fft { n, rev, tw, tw_inv }
     }
 
     /// In-place forward DFT: `X[k] = sum_j x[j] e^{-2πi jk/n}`.
     pub fn forward(&self, x: &mut [C64]) {
-        self.dft(x, false)
+        self.forward_lines(x, 1)
     }
 
     /// In-place inverse DFT (normalized by 1/n).
     pub fn inverse(&self, x: &mut [C64]) {
-        self.dft(x, true);
+        self.inverse_lines(x, 1)
+    }
+
+    /// [`Fft::forward`] on each of `lines` interleaved lines.
+    pub fn forward_lines(&self, x: &mut [C64], lines: usize) {
+        self.transform(x, lines, &self.tw)
+    }
+
+    /// [`Fft::inverse`] on each of `lines` interleaved lines.
+    pub fn inverse_lines(&self, x: &mut [C64], lines: usize) {
+        self.transform(x, lines, &self.tw_inv);
         let s = 1.0 / self.n as f64;
         for v in x.iter_mut() {
             *v = *v * s;
         }
     }
 
-    fn dft(&self, x: &mut [C64], invert: bool) {
+    fn transform(&self, x: &mut [C64], lines: usize, tw: &[C64]) {
         let n = self.n;
-        assert_eq!(x.len(), n);
-        if n == 1 {
+        assert_eq!(x.len(), n * lines);
+        if n == 1 || lines == 0 {
             return;
         }
-        for i in 0..n {
-            let r = self.rev[i] as usize;
+        for (i, &r) in self.rev.iter().enumerate() {
+            let r = r as usize;
             if i < r {
-                x.swap(i, r);
+                let (lo, hi) = x.split_at_mut(r * lines);
+                lo[i * lines..(i + 1) * lines].swap_with_slice(&mut hi[..lines]);
             }
         }
         let mut m = 1;
         let mut tw_off = 0;
         while m < n {
-            for start in (0..n).step_by(2 * m) {
-                for j in 0..m {
-                    let mut w = self.tw[tw_off + j];
-                    if invert {
-                        w = w.conj();
+            let tw = &tw[tw_off..tw_off + m];
+            for pair in x.chunks_exact_mut(2 * m * lines) {
+                let (lo, hi) = pair.split_at_mut(m * lines);
+                let rows = lo.chunks_exact_mut(lines).zip(hi.chunks_exact_mut(lines));
+                for ((a_row, b_row), &w) in rows.zip(tw) {
+                    for (a, b) in a_row.iter_mut().zip(b_row.iter_mut()) {
+                        let u = *a;
+                        let t = *b * w;
+                        *a = u + t;
+                        *b = u - t;
                     }
-                    let a = x[start + j];
-                    let b = x[start + j + m] * w;
-                    x[start + j] = a + b;
-                    x[start + j + m] = a - b;
                 }
             }
             tw_off += m;
@@ -160,6 +181,102 @@ mod tests {
                 s
             })
             .collect()
+    }
+
+    /// The per-line transform the batched kernel replaced, kept as its
+    /// oracle: one line, every access indexed, the inverse conjugating
+    /// each twiddle as it goes and scaling by `1/n` after.
+    fn dft(fft: &Fft, x: &mut [C64], invert: bool) {
+        let n = fft.n;
+        assert_eq!(x.len(), n);
+        if n > 1 {
+            for i in 0..n {
+                let r = fft.rev[i] as usize;
+                if i < r {
+                    x.swap(i, r);
+                }
+            }
+            let mut m = 1;
+            let mut tw_off = 0;
+            while m < n {
+                for start in (0..n).step_by(2 * m) {
+                    for j in 0..m {
+                        let mut w = fft.tw[tw_off + j];
+                        if invert {
+                            w = w.conj();
+                        }
+                        let a = x[start + j];
+                        let b = x[start + j + m] * w;
+                        x[start + j] = a + b;
+                        x[start + j + m] = a - b;
+                    }
+                }
+                tw_off += m;
+                m <<= 1;
+            }
+        }
+        if invert {
+            let s = 1.0 / n as f64;
+            for v in x.iter_mut() {
+                *v = *v * s;
+            }
+        }
+    }
+
+    /// Values across many magnitudes, both signed zeros included.
+    fn mixed_signal(len: usize, seed: u64) -> Vec<C64> {
+        let scale = [1.0, 1e-300, 3.5e7, -2.0e-9, 0.0, -0.0, 1e250, 0.125];
+        rand_signal(len, seed)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let re = scale[i % scale.len()];
+                let im = scale[(i * 5 + 3) % scale.len()];
+                C64::new(v.re * re, v.im * im)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_lines_match_the_per_line_oracle_bit_for_bit() {
+        let bits = |v: &[C64]| {
+            v.iter()
+                .map(|c| (c.re.to_bits(), c.im.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        for n in [1usize, 2, 8, 64] {
+            let fft = Fft::new(n);
+            for lines in [1usize, 3, 16] {
+                for invert in [false, true] {
+                    let x = mixed_signal(n * lines, (n * 31 + lines) as u64);
+                    let mut got = x.clone();
+                    if invert {
+                        fft.inverse_lines(&mut got, lines);
+                    } else {
+                        fft.forward_lines(&mut got, lines);
+                    }
+                    for l in 0..lines {
+                        let mut want: Vec<C64> = (0..n).map(|j| x[j * lines + l]).collect();
+                        dft(&fft, &mut want, invert);
+                        let line: Vec<C64> = (0..n).map(|j| got[j * lines + l]).collect();
+                        assert_eq!(
+                            bits(&line),
+                            bits(&want),
+                            "n={n} lines={lines} line {l} invert={invert}"
+                        );
+                    }
+                    if lines == 1 {
+                        let mut one = x.clone();
+                        if invert {
+                            fft.inverse(&mut one);
+                        } else {
+                            fft.forward(&mut one);
+                        }
+                        assert_eq!(bits(&one), bits(&got), "n={n}: lines = 1");
+                    }
+                }
+            }
+        }
     }
 
     fn rand_signal(n: usize, seed: u64) -> Vec<C64> {

@@ -18,7 +18,7 @@ use crate::fft::{fd_eigenvalue, Fft, C64};
 use crate::field::Field3;
 use crate::timing::{Phase, PhaseObs, Timers};
 use crate::transpose::TransposeOp;
-use crate::tridiag::{pdd_interface, thomas_factor, thomas_solve};
+use crate::tridiag::{factor_rows, pdd_interface, solve_rows};
 
 pub struct PoissonSolver {
     nx: usize,
@@ -34,18 +34,18 @@ pub struct PoissonSolver {
     fft_y: Fft,
     transpose: TransposeOp,
     pdd: PddExchange,
-    /// Modified wavenumbers.
-    lam_x: Vec<f64>,
-    lam_y: Vec<f64>,
+    /// Each `(kx, ky)` cell's modified wavenumber, `lam_x + lam_y`.
+    lam: Vec<f64>,
     hz2_inv: f64,
     /// Column communicator for the gathered mean-mode solve.
     col: unr_minimpi::Comm,
     /// x- and y-pencil spectra.
     xp: Vec<f64>,
     yp: Vec<f64>,
-    /// One x line and one y line of the FFTs.
-    line_x: Vec<C64>,
-    line_y: Vec<C64>,
+    /// One z-plane of lines for the batched FFTs: element `j` of line
+    /// `l` at `j * lines + l`. In x the plane's `ly` rows, transposed;
+    /// in y the plane of `yp` as it lies.
+    tile: Vec<C64>,
     /// Slabs of the pipelined transpose not yet consumed.
     pending: Vec<bool>,
     z: ZWork,
@@ -54,29 +54,40 @@ pub struct PoissonSolver {
     pobs: PhaseObs,
 }
 
-/// Working storage of the z solves, sized once: the PDD local phase runs
-/// without allocating.
+/// Cells per block of the PDD local phase and correction. Besides the
+/// influence vectors, a block's factorization is the only per-cell
+/// working storage: `2 * lz * BLOCK` values.
+const BLOCK: usize = 64;
+
+/// Working storage of the z solves, sized once: the PDD phase runs
+/// without allocating. Each `(kx, ky)` cell's re and im systems are
+/// solved in place in `yp`, whose row `k` holds every cell's pair for
+/// z row `k`; everything below is row-major with the cell innermost
+/// too.
 struct ZWork {
-    /// Columns of `lz` rows per `(kx, ky)` cell, `cols` per cell: the re
-    /// and im systems (right-hand side, then solution), then the left
-    /// influence vector `v` if there is a neighbor below and the right
-    /// one `w` if there is one above.
-    x: Vec<f64>,
-    cols: usize,
-    /// The matrix of one cell: constant off-diagonals and the diagonal.
+    /// The off-diagonals every cell's matrix shares.
     a: Vec<f64>,
-    b: Vec<f64>,
     c: Vec<f64>,
-    /// Its factorization (`max(lz, nz)` rows, so the gathered mean-mode
-    /// solve uses it too).
+    /// A block's factorization: the diagonals go in, the pivots come
+    /// out. `max(lz * BLOCK, nz)` values, so the gathered mean-mode
+    /// solve uses it too.
     pivot: Vec<f64>,
     cp: Vec<f64>,
+    /// The influence vectors, one value per cell and row: `v` if there
+    /// is a neighbor below, `w` if there is one above, else empty.
+    v: Vec<f64>,
+    w: Vec<f64>,
+    /// A block's interface values `xi_left` and `xi_right`, one per
+    /// system.
+    xi_left: Vec<f64>,
+    xi_right: Vec<f64>,
     /// Interface payloads `(x0, influence)` per system, to the above /
     /// below neighbor.
     up: Vec<f64>,
     down: Vec<f64>,
-    /// The gathered mean-mode columns (used on the column root) and
-    /// their matrix: the cell matrix with the first row pinned.
+    /// The mean mode's re and im systems, interleaved row by row (the
+    /// column root gathers the whole column), and their matrix: the cell
+    /// matrix with the first row pinned.
     mean: Vec<f64>,
     mean_a: Vec<f64>,
     mean_b: Vec<f64>,
@@ -86,8 +97,8 @@ struct ZWork {
 impl ZWork {
     fn new(d: &Decomp, hz2_inv: f64) -> ZWork {
         let cells = d.lx_t * d.ny;
-        let rows = d.lz.max(d.nz);
-        let cols = 2 + usize::from(d.cz > 0) + usize::from(d.cz + 1 < d.pz);
+        let rows = (d.lz * BLOCK).max(d.nz);
+        let influence = |has: bool| vec![0.0; if has { cells * d.lz } else { 0 }];
         let nz = d.nz;
         let mut mean_a = vec![hz2_inv; nz];
         let mut mean_b = vec![-2.0 * hz2_inv; nz];
@@ -97,13 +108,14 @@ impl ZWork {
         mean_a[0] = 0.0;
         mean_b[nz - 1] = -hz2_inv;
         ZWork {
-            x: vec![0.0; cols * cells * d.lz],
-            cols,
             a: vec![hz2_inv; d.lz],
-            b: vec![0.0; d.lz],
             c: vec![hz2_inv; d.lz],
             pivot: vec![0.0; rows],
             cp: vec![0.0; rows],
+            v: influence(d.cz > 0),
+            w: influence(d.cz + 1 < d.pz),
+            xi_left: vec![0.0; 2 * BLOCK],
+            xi_right: vec![0.0; 2 * BLOCK],
             up: vec![0.0; 4 * cells],
             down: vec![0.0; 4 * cells],
             mean: vec![0.0; 2 * nz],
@@ -111,11 +123,6 @@ impl ZWork {
             mean_b,
             mean_c,
         }
-    }
-
-    /// Index in `x` of row `k` of system `s = 2 * cell + {re, im}`.
-    fn at(&self, lz: usize, s: usize, k: usize) -> usize {
-        ((s >> 1) * self.cols + (s & 1)) * lz + k
     }
 }
 
@@ -139,14 +146,18 @@ impl PoissonSolver {
             pending: vec![false; transpose.slabs()],
             transpose,
             pdd: PddExchange::new(backend, d, systems),
-            lam_x: (0..d.nx).map(|k| fd_eigenvalue(k, d.nx, hx)).collect(),
-            lam_y: (0..d.ny).map(|k| fd_eigenvalue(k, d.ny, hy)).collect(),
+            lam: (0..d.ny)
+                .flat_map(|ky| {
+                    let lam_y = fd_eigenvalue(ky, d.ny, hy);
+                    (d.off_x_t..d.off_x_t + d.lx_t)
+                        .map(move |kx| fd_eigenvalue(kx, d.nx, hx) + lam_y)
+                })
+                .collect(),
             hz2_inv,
             col: d.col.clone(),
             xp: vec![0.0; 2 * d.nx * d.ly * d.lz],
             yp: vec![0.0; 2 * d.lx_t * d.ny * d.lz],
-            line_x: vec![C64::ZERO; d.nx],
-            line_y: vec![C64::ZERO; d.ny],
+            tile: vec![C64::ZERO; (d.nx * d.ly).max(d.ny * d.lx_t)],
             z: ZWork::new(d, hz2_inv),
             flop_ns,
             pobs: PhaseObs::new(
@@ -277,152 +288,169 @@ impl PoissonSolver {
         }
     }
 
-    /// Forward FFT in x for z planes `k0..k1`, from `rhs` into `xp`.
+    /// Forward FFT in x for z planes `k0..k1`, from `rhs` into `xp`: a
+    /// plane's `ly` rows go through the tile transposed, as `ly` lines.
     fn fftx_fwd_slab(&mut self, rhs: &Field3, k0: usize, k1: usize) {
         let (nx, ly) = (self.nx, self.ly);
+        let tile = &mut self.tile[..nx * ly];
         for k in k0..k1 {
             for j in 0..ly {
                 let src = &rhs.data[rhs.idx(0, j, k)..][..nx];
-                for (r, &x) in self.line_x.iter_mut().zip(src) {
-                    *r = C64::new(x, 0.0);
+                for (t, &x) in tile[j..].iter_mut().step_by(ly).zip(src) {
+                    *t = C64::new(x, 0.0);
                 }
-                self.fft_x.forward(&mut self.line_x);
-                let base = (k * ly + j) * nx * 2;
-                let dst = &mut self.xp[base..base + 2 * nx];
-                for (d, r) in dst.chunks_exact_mut(2).zip(&self.line_x) {
-                    d[0] = r.re;
-                    d[1] = r.im;
+            }
+            self.fft_x.forward_lines(tile, ly);
+            let plane = &mut self.xp[2 * k * ly * nx..][..2 * ly * nx];
+            for (j, row) in plane.chunks_exact_mut(2 * nx).enumerate() {
+                for (x, t) in row.chunks_exact_mut(2).zip(tile[j..].iter().step_by(ly)) {
+                    x[0] = t.re;
+                    x[1] = t.im;
                 }
             }
         }
     }
 
-    /// Inverse FFT in x for z planes `k0..k1`, from `xp` into `p`.
+    /// Inverse FFT in x for z planes `k0..k1`, from `xp` into `p`, through
+    /// the tile as in [`Self::fftx_fwd_slab`].
     fn fftx_inv_slab(&mut self, p: &mut Field3, k0: usize, k1: usize) {
         let (nx, ly) = (self.nx, self.ly);
+        let tile = &mut self.tile[..nx * ly];
         for k in k0..k1 {
-            for j in 0..ly {
-                let base = (k * ly + j) * nx * 2;
-                let src = &self.xp[base..base + 2 * nx];
-                for (r, x) in self.line_x.iter_mut().zip(src.chunks_exact(2)) {
-                    *r = C64::new(x[0], x[1]);
+            let plane = &self.xp[2 * k * ly * nx..][..2 * ly * nx];
+            for (j, row) in plane.chunks_exact(2 * nx).enumerate() {
+                for (t, x) in tile[j..].iter_mut().step_by(ly).zip(row.chunks_exact(2)) {
+                    *t = C64::new(x[0], x[1]);
                 }
-                self.fft_x.inverse(&mut self.line_x);
+            }
+            self.fft_x.inverse_lines(tile, ly);
+            for j in 0..ly {
                 let at = p.idx(0, j, k);
-                for (d, r) in p.data[at..at + nx].iter_mut().zip(&self.line_x) {
-                    *d = r.re;
+                for (d, t) in p.data[at..at + nx]
+                    .iter_mut()
+                    .zip(tile[j..].iter().step_by(ly))
+                {
+                    *d = t.re;
                 }
             }
         }
     }
 
     /// FFT in y (forward or inverse) for z planes `k0..k1`, in place on
-    /// `yp`.
+    /// `yp`. A plane's `lx_t` y lines are already interleaved there, so
+    /// it goes through the tile as it lies.
     fn ffty_slab(&mut self, k0: usize, k1: usize, inverse: bool) {
-        let (lx_t, ny) = (self.lx_t, self.ny);
-        for k in k0..k1 {
-            for i in 0..lx_t {
-                for (j, c) in self.line_y.iter_mut().enumerate() {
-                    let at = ((k * ny + j) * lx_t + i) * 2;
-                    *c = C64::new(self.yp[at], self.yp[at + 1]);
-                }
-                if inverse {
-                    self.fft_y.inverse(&mut self.line_y);
-                } else {
-                    self.fft_y.forward(&mut self.line_y);
-                }
-                for (j, c) in self.line_y.iter().enumerate() {
-                    let at = ((k * ny + j) * lx_t + i) * 2;
-                    self.yp[at] = c.re;
-                    self.yp[at + 1] = c.im;
-                }
+        let (lx_t, plane) = (self.lx_t, 2 * self.lx_t * self.ny);
+        let tile = &mut self.tile[..plane / 2];
+        for xs in self.yp[k0 * plane..k1 * plane].chunks_exact_mut(plane) {
+            for (t, x) in tile.iter_mut().zip(xs.chunks_exact(2)) {
+                *t = C64::new(x[0], x[1]);
+            }
+            if inverse {
+                self.fft_y.inverse_lines(tile, lx_t);
+            } else {
+                self.fft_y.forward_lines(tile, lx_t);
+            }
+            for (x, t) in xs.chunks_exact_mut(2).zip(tile.iter()) {
+                x[0] = t.re;
+                x[1] = t.im;
             }
         }
     }
 
-    /// Solve the per-(kx, ky) tridiagonal systems in z on the y-pencil
-    /// buffer, in place. The re and im systems of a cell share its
-    /// matrix: it is factored once per cell and step, and that
-    /// factorization solves both and the cell's influence vectors in
-    /// one pass.
+    /// Solve the per-(kx, ky) tridiagonal systems in z in place on the
+    /// y-pencil buffer, `BLOCK` cells at a time with the cell innermost.
+    /// The re and im systems of a cell share its matrix: it is factored
+    /// once per step, and that factorization solves both and the cell's
+    /// influence vectors.
     fn solve_z(&mut self) {
-        let (lx_t, ny, lz) = (self.lx_t, self.ny, self.lz);
-        let cells = lx_t * ny;
+        let (cells, lz) = (self.lx_t * self.ny, self.lz);
         let stride = 2 * cells; // f64 distance between consecutive z rows
         let has_below = self.cz > 0;
         let has_above = self.cz + 1 < self.pz;
+        let (wall_lo, wall_hi) = (self.cz == 0, self.cz + 1 == self.pz);
         // Cell 0 is (kx, ky) = (0, 0) on the ranks whose x range starts
         // at 0: its singular systems take the gathered exact solve.
         let first = usize::from(self.off_x_t == 0);
         let h = self.hz2_inv;
         let z = &mut self.z;
-        let block = z.cols * lz;
-
-        // Gather each system into its cell's column.
-        for (k, row) in self.yp.chunks_exact(stride).enumerate() {
-            for (s, &x) in row.iter().enumerate() {
-                let at = z.at(lz, s, k);
-                z.x[at] = x;
-            }
-        }
+        let yp = &mut self.yp;
+        let last = (lz - 1) * stride;
 
         // PDD local phase and interface payloads.
-        let (a, b, c) = (&z.a, &mut z.b, &z.c);
-        let (pivot, cp) = (&mut z.pivot[..lz], &mut z.cp[..lz]);
-        for cell in first..cells {
-            let lam = self.lam_x[self.off_x_t + cell % lx_t] + self.lam_y[cell / lx_t];
-            b.fill(-2.0 * h + lam);
-            // Neumann walls (global first/last rows only).
-            if self.cz == 0 {
-                b[0] = -h + lam;
+        for c0 in (first..cells).step_by(BLOCK) {
+            let c1 = (c0 + BLOCK).min(cells);
+            let width = c1 - c0;
+            let (pivot, cp) = (&mut z.pivot[..lz * width], &mut z.cp[..lz * width]);
+            let lam = &self.lam[c0..c1];
+            for (k, row) in pivot.chunks_exact_mut(width).enumerate() {
+                // Neumann walls (global first/last rows only).
+                let wall = (k == 0 && wall_lo) || (k + 1 == lz && wall_hi);
+                for (b, &lam) in row.iter_mut().zip(lam) {
+                    *b = if wall { -h + lam } else { -2.0 * h + lam };
+                }
             }
-            if self.cz + 1 == self.pz {
-                b[lz - 1] = -h + lam;
-            }
-            thomas_factor(a, b, c, pivot, cp);
-            let x = &mut z.x[cell * block..(cell + 1) * block];
+            factor_rows(&z.a, &z.c, pivot, cp);
+            solve_rows::<2>(&z.a, pivot, cp, &mut yp[2 * c0..], stride);
             // Influence right-hand sides: A v = -a_first e_0, A w =
             // -c_last e_last.
-            let infl = &mut x[2 * lz..];
-            infl.fill(0.0);
-            if has_below {
-                infl[0] = -a[0];
+            for (infl, row, x) in [(&mut z.v, 0, -z.a[0]), (&mut z.w, lz - 1, -z.c[lz - 1])] {
+                if infl.is_empty() {
+                    continue;
+                }
+                for (k, xs) in infl.chunks_exact_mut(cells).enumerate() {
+                    xs[c0..c1].fill(if k == row { x } else { 0.0 });
+                }
+                solve_rows::<1>(&z.a, pivot, cp, &mut infl[c0..], cells);
             }
-            if has_above {
-                infl[infl.len() - 1] = -c[lz - 1];
-            }
-            thomas_solve(a, pivot, cp, x);
-            let v_first = if has_below { x[2 * lz] } else { 0.0 };
-            let w_last = if has_above { x[block - 1] } else { 0.0 };
-            for (s, col) in (2 * cell..).zip(x[..2 * lz].chunks_exact(lz)) {
-                z.up[2 * s] = col[lz - 1];
-                z.up[2 * s + 1] = w_last;
-                z.down[2 * s] = col[0];
-                z.down[2 * s + 1] = v_first;
+            for cell in c0..c1 {
+                let v_first = if has_below { z.v[cell] } else { 0.0 };
+                let w_last = if has_above {
+                    z.w[(lz - 1) * cells + cell]
+                } else {
+                    0.0
+                };
+                for s in 2 * cell..2 * cell + 2 {
+                    z.up[2 * s] = yp[last + s];
+                    z.up[2 * s + 1] = w_last;
+                    z.down[2 * s] = yp[s];
+                    z.down[2 * s + 1] = v_first;
+                }
             }
         }
 
         // Neighbor exchange + interface resolution + correction:
         // x = x0 + xi_left v + xi_right w.
         let (from_below, from_above) = self.pdd.exchange(&z.up, &z.down);
-        for cell in first..cells {
-            let (sys, infl) = z.x[cell * block..(cell + 1) * block].split_at_mut(2 * lz);
-            let (v, w) = infl.split_at(if has_below { lz } else { 0 });
-            for (s, xs) in (2 * cell..).zip(sys.chunks_exact_mut(lz)) {
-                // Both interfaces see the uncorrected x0: (the below
-                // rank's last row, my first) and (my last, the above
-                // rank's first).
-                let xi_left = from_below.map_or(0.0, |fb| {
-                    pdd_interface(fb[2 * s], fb[2 * s + 1], xs[0], v[0]).0
-                });
-                let xi_right = from_above.map_or(0.0, |fa| {
-                    pdd_interface(xs[lz - 1], w[lz - 1], fa[2 * s], fa[2 * s + 1]).1
-                });
-                for (x, vv) in xs.iter_mut().zip(v) {
-                    *x += xi_left * vv;
+        for c0 in (first..cells).step_by(BLOCK) {
+            let c1 = (c0 + BLOCK).min(cells);
+            let (xl, xr) = (
+                &mut z.xi_left[..2 * (c1 - c0)],
+                &mut z.xi_right[..2 * (c1 - c0)],
+            );
+            // Both interfaces see the uncorrected x0: (the below rank's
+            // last row, my first) and (my last, the above rank's first).
+            for ((l, r), s) in xl.iter_mut().zip(xr.iter_mut()).zip(2 * c0..) {
+                let cell = s / 2;
+                if let Some(fb) = from_below {
+                    *l = pdd_interface(fb[2 * s], fb[2 * s + 1], yp[s], z.v[cell]).0;
                 }
-                for (x, ww) in xs.iter_mut().zip(w) {
-                    *x += xi_right * ww;
+                if let Some(fa) = from_above {
+                    let w_last = z.w[(lz - 1) * cells + cell];
+                    *r = pdd_interface(yp[last + s], w_last, fa[2 * s], fa[2 * s + 1]).1;
+                }
+            }
+            for k in 0..lz {
+                let xs = &mut yp[k * stride + 2 * c0..k * stride + 2 * c1];
+                for (infl, xi) in [(&z.v, &*xl), (&z.w, &*xr)] {
+                    if infl.is_empty() {
+                        continue;
+                    }
+                    let infl = &infl[k * cells + c0..k * cells + c1];
+                    for ((x, xi), &f) in xs.chunks_exact_mut(2).zip(xi.chunks_exact(2)).zip(infl) {
+                        x[0] += xi[0] * f;
+                        x[1] += xi[1] * f;
+                    }
                 }
             }
         }
@@ -431,52 +459,48 @@ impl PoissonSolver {
         if first == 1 {
             self.solve_mean_modes();
         }
-
-        // Scatter back.
-        let z = &self.z;
-        for (k, row) in self.yp.chunks_exact_mut(stride).enumerate() {
-            for (s, x) in row.iter_mut().enumerate() {
-                *x = z.x[z.at(lz, s, k)];
-            }
-        }
     }
 
-    /// The (kx=0, ky=0) systems (re and im, the first two columns of
-    /// `x`) are singular with Neumann ends; gather them along the
-    /// column, pin the first row, and solve exactly.
+    /// The (kx=0, ky=0) systems (re and im, cell 0 of every row of `yp`)
+    /// are singular with Neumann ends; gather them along the column, pin
+    /// the first row, and solve exactly.
     fn solve_mean_modes(&mut self) {
         let (lz, nz) = (self.lz, self.nz);
+        let stride = 2 * self.lx_t * self.ny;
         let z = &mut self.z;
-        // The mean systems skipped the local phase: their columns still
-        // hold the raw right-hand side.
-        let mine = &mut z.x[..2 * lz];
-        let gathered = unr_minimpi::gather_bytes(&self.col, 0, as_bytes(mine));
+        // The mean systems skipped the local phase: cell 0 still holds
+        // the raw right-hand side. My rows go where they lie in the
+        // column.
+        let (zs, _) = crate::decomp::chunk(nz, self.pz, self.cz);
+        let mine = 2 * zs..2 * (zs + lz);
+        for (m, row) in z.mean[mine.clone()]
+            .chunks_exact_mut(2)
+            .zip(self.yp.chunks_exact(stride))
+        {
+            m.copy_from_slice(&row[..2]);
+        }
+        let gathered = unr_minimpi::gather_bytes(&self.col, 0, as_bytes(&z.mean[mine.clone()]));
         if let Some(parts) = gathered {
-            // Reassemble per system: parts[cz] holds that rank's chunk
-            // for both mean systems consecutively.
             for (cz, bytes) in parts.iter().enumerate() {
                 let (zs, zl) = crate::decomp::chunk(nz, self.pz, cz);
-                assert_eq!(bytes.len(), 2 * zl * 8);
-                for (m, sys) in bytes.chunks_exact(zl * 8).enumerate() {
-                    copy_f64s(&mut z.mean[m * nz + zs..m * nz + zs + zl], sys);
-                }
+                copy_f64s(&mut z.mean[2 * zs..2 * (zs + zl)], bytes);
             }
             // Solve both with the pinned first row.
-            let (a, b, c) = (&z.mean_a, &z.mean_b, &z.mean_c);
             let (pivot, cp) = (&mut z.pivot[..nz], &mut z.cp[..nz]);
-            thomas_factor(a, b, c, pivot, cp);
-            for d in z.mean.chunks_exact_mut(nz) {
-                d[0] = 0.0; // pinned reference value
-            }
-            thomas_solve(a, pivot, cp, &mut z.mean);
+            pivot.copy_from_slice(&z.mean_b);
+            factor_rows(&z.mean_a, &z.mean_c, pivot, cp);
+            z.mean[..2].fill(0.0); // pinned reference value
+            solve_rows::<2>(&z.mean_a, pivot, cp, &mut z.mean, 2);
             unr_minimpi::bcast(&self.col, 0, as_bytes(&z.mean));
         } else {
             copy_f64s(&mut z.mean, &unr_minimpi::bcast(&self.col, 0, &[]));
         }
         // Each rank takes its chunk of the full solution.
-        let (zs, _zl) = crate::decomp::chunk(nz, self.pz, self.cz);
-        for (m, col) in mine.chunks_exact_mut(lz).enumerate() {
-            col.copy_from_slice(&z.mean[m * nz + zs..m * nz + zs + lz]);
+        for (m, row) in z.mean[mine]
+            .chunks_exact(2)
+            .zip(self.yp.chunks_exact_mut(stride))
+        {
+            row[..2].copy_from_slice(m);
         }
     }
 }

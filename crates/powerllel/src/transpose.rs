@@ -301,42 +301,13 @@ impl TransposeOp {
     /// returns its index. `pending[s]` marks slabs not yet consumed.
     pub fn fwd_wait_any(&self, pending: &[bool]) -> usize {
         let u = self.unr();
-        let sigs: Vec<&unr_core::Signal> = u
-            .fwd_recv_sigs
-            .iter()
-            .enumerate()
-            .filter(|(s, _)| pending[*s])
-            .map(|(_, sig)| sig)
-            .collect();
-        let local = u.unr.sig_wait_any(&sigs).expect("fwd slab wait-any");
-        // Map back to the global slab index.
-        pending
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p)
-            .map(|(s, _)| s)
-            .nth(local)
-            .expect("index in range")
+        wait_any(&u.unr, &u.fwd_recv_sigs, pending)
     }
 
     /// Same for the backward direction.
     pub fn bwd_wait_any(&self, pending: &[bool]) -> usize {
         let u = self.unr();
-        let sigs: Vec<&unr_core::Signal> = u
-            .bwd_recv_sigs
-            .iter()
-            .enumerate()
-            .filter(|(s, _)| pending[*s])
-            .map(|(_, sig)| sig)
-            .collect();
-        let local = u.unr.sig_wait_any(&sigs).expect("bwd slab wait-any");
-        pending
-            .iter()
-            .enumerate()
-            .filter(|(_, &p)| p)
-            .map(|(s, _)| s)
-            .nth(local)
-            .expect("index in range")
+        wait_any(&u.unr, &u.bwd_recv_sigs, pending)
     }
 
     /// Wait for slab `s` to arrive and unpack it straight from the
@@ -465,4 +436,13 @@ impl TransposeOp {
     pub fn pipelined(&self) -> bool {
         matches!(self.imp, Imp::Unr(_)) && self.slabs > 1
     }
+}
+
+/// Wait until the signal of any slab still `pending` fires; returns
+/// that slab's index in `sigs`.
+fn wait_any(unr: &Unr, sigs: &[Signal], pending: &[bool]) -> usize {
+    let slabs = || (0..sigs.len()).filter(|&s| pending[s]);
+    let waiting: Vec<&Signal> = slabs().map(|s| &sigs[s]).collect();
+    let local = unr.sig_wait_any(&waiting).expect("slab wait-any");
+    slabs().nth(local).expect("index in range")
 }

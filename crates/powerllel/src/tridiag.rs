@@ -11,54 +11,95 @@
 //! "transmission to the bottom neighbor and the top neighbor" that UNR
 //! turns into notified puts (paper Figure 3e, pipeline 2). All three
 //! local systems share one matrix, so a rank factors it once and
-//! solves each right-hand side with [`thomas_solve`].
+//! solves each right-hand side with it.
+//!
+//! There is one Thomas sweep, [`factor_rows`] then [`solve_rows`]: it
+//! runs `width` systems side by side, row-major with the system index
+//! innermost, so each row's work is a loop over independent systems.
+//! Every element sees the same operations, in the same order, as the
+//! textbook one-system sweep.
 
-/// Factor the tridiagonal matrix `a[i] x[i-1] + b[i] x[i] + c[i]
-/// x[i+1]` the way the Thomas sweep does: row `i`'s pivot `b[i] - a[i]
-/// cp[i-1]` goes to `pivot[i]` and `c[i] / pivot[i]` to `cp[i]`.
-/// `a[0]` and `c[n-1]` are ignored.
-pub fn thomas_factor(a: &[f64], b: &[f64], c: &[f64], pivot: &mut [f64], cp: &mut [f64]) {
-    let n = b.len();
-    assert!(a.len() == n && c.len() == n && pivot.len() == n && cp.len() == n);
-    if n == 0 {
+/// Factor `width = pivot.len() / a.len()` tridiagonal systems of `n =
+/// a.len()` rows at once, stored row-major with the system innermost.
+/// Row `i` of system `s` is `a[i] x[i-1] + b x[i] + c[i] x[i+1]`: the
+/// systems share their off-diagonals, and each has its own diagonal
+/// `b`, which `pivot[i * width + s]` holds on entry. On return that slot
+/// holds the row's pivot `b - a[i] cp[i-1]`, and `cp[i * width + s]`
+/// holds `c[i] / pivot`. `a[0]` and `c[n-1]` are ignored.
+pub fn factor_rows(a: &[f64], c: &[f64], pivot: &mut [f64], cp: &mut [f64]) {
+    let n = a.len();
+    assert!(c.len() == n && cp.len() == pivot.len());
+    if n == 0 || pivot.is_empty() {
         return;
     }
-    let mut denom = b[0];
-    assert!(denom.abs() > 1e-300, "singular pivot at row 0");
-    pivot[0] = denom;
-    cp[0] = c[0] / denom;
-    for i in 1..n {
-        denom = b[i] - a[i] * cp[i - 1];
-        assert!(denom.abs() > 1e-300, "singular pivot at row {i}");
-        pivot[i] = denom;
-        cp[i] = c[i] / denom;
+    assert_eq!(pivot.len() % n, 0, "{n} rows per system");
+    let width = pivot.len() / n;
+    let rows = pivot
+        .chunks_exact_mut(width)
+        .zip(cp.chunks_exact_mut(width));
+    let mut prev: &[f64] = &[];
+    for (i, (p_row, cp_row)) in rows.enumerate() {
+        if i > 0 {
+            for (p, &q) in p_row.iter_mut().zip(prev) {
+                *p -= a[i] * q;
+            }
+        }
+        for (s, p) in p_row.iter().enumerate() {
+            assert!(p.abs() > 1e-300, "singular pivot at row {i} of system {s}");
+        }
+        for (q, &p) in cp_row.iter_mut().zip(p_row.iter()) {
+            *q = c[i] / p;
+        }
+        prev = cp_row;
     }
 }
 
-/// Solve with a factorization from [`thomas_factor`], in place, every
-/// right-hand side in `d`: its consecutive `n`-row columns (`n =
-/// pivot.len()`). The columns advance row by row together, so their
-/// dependency chains overlap; each sees the same operations, in the
-/// same order, as [`thomas`].
-pub fn thomas_solve(a: &[f64], pivot: &[f64], cp: &[f64], d: &mut [f64]) {
-    let n = pivot.len();
-    assert!(a.len() == n && cp.len() == n);
-    if n == 0 {
-        assert!(d.is_empty());
+/// Solve in place with a factorization from [`factor_rows`]. Row `i`
+/// of the right-hand sides is `d[i * stride..]`: `PER` values for each
+/// of the `width` systems in turn, the ones of a system sharing its
+/// pivots. Whatever lies between rows is left alone.
+pub fn solve_rows<const PER: usize>(
+    a: &[f64],
+    pivot: &[f64],
+    cp: &[f64],
+    d: &mut [f64],
+    stride: usize,
+) {
+    let n = a.len();
+    assert!(cp.len() == pivot.len() && PER > 0);
+    if n == 0 || pivot.is_empty() {
         return;
     }
-    assert_eq!(d.len() % n, 0, "right-hand sides of {n} rows");
-    for col in d.chunks_exact_mut(n) {
-        col[0] /= pivot[0];
-    }
-    for i in 1..n {
-        for col in d.chunks_exact_mut(n) {
-            col[i] = (col[i] - a[i] * col[i - 1]) / pivot[i];
+    let width = pivot.len() / n;
+    let len = width * PER;
+    assert!(stride >= len && d.len() >= (n - 1) * stride + len);
+    let pivots = pivot.chunks_exact(width);
+    for (i, p_row) in pivots.enumerate() {
+        let (head, tail) = d.split_at_mut(i * stride);
+        let cur = tail[..len].chunks_exact_mut(PER).zip(p_row);
+        if i == 0 {
+            for (xs, &p) in cur {
+                for x in xs {
+                    *x /= p;
+                }
+            }
+        } else {
+            let prev = head[(i - 1) * stride..][..len].chunks_exact(PER);
+            for ((xs, &p), ps) in cur.zip(prev) {
+                for (x, &xp) in xs.iter_mut().zip(ps) {
+                    *x = (*x - a[i] * xp) / p;
+                }
+            }
         }
     }
-    for i in (0..n - 1).rev() {
-        for col in d.chunks_exact_mut(n) {
-            col[i] -= cp[i] * col[i + 1];
+    for (i, cp_row) in cp.chunks_exact(width).enumerate().rev().skip(1) {
+        let (head, tail) = d.split_at_mut((i + 1) * stride);
+        let next = tail[..len].chunks_exact(PER);
+        let cur = head[i * stride..][..len].chunks_exact_mut(PER);
+        for ((xs, ns), &q) in cur.zip(next).zip(cp_row) {
+            for (x, &xn) in xs.iter_mut().zip(ns) {
+                *x -= q * xn;
+            }
         }
     }
 }
@@ -70,8 +111,9 @@ pub fn thomas(a: &[f64], b: &[f64], c: &[f64], d: &mut [f64]) {
     assert!(a.len() == n && b.len() == n && c.len() == n);
     let mut factor = vec![0.0; 2 * n];
     let (pivot, cp) = factor.split_at_mut(n);
-    thomas_factor(a, b, c, pivot, cp);
-    thomas_solve(a, pivot, cp, d);
+    pivot.copy_from_slice(b);
+    factor_rows(a, c, pivot, cp);
+    solve_rows::<1>(a, pivot, cp, d, 1);
 }
 
 /// Resolve one interface between a "bottom" rank (owning the rows just
@@ -118,29 +160,27 @@ pub fn pdd_reference(a: &[f64], b: &[f64], c: &[f64], d: &[f64], parts: usize) -
     let mut locals: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = Vec::with_capacity(parts);
     for (p, &(s, e)) in bounds.iter().enumerate() {
         let m = e - s;
-        let (a, b, c) = (&a[s..e], &b[s..e], &c[s..e]);
-        let (mut pivot, mut cp) = (vec![0.0; m], vec![0.0; m]);
-        thomas_factor(a, b, c, &mut pivot, &mut cp);
-        // Columns: x0, then v (not on the first part), then w (not on
-        // the last).
+        let (a, c) = (&a[s..e], &c[s..e]);
+        let mut pivot = b[s..e].to_vec();
+        let mut cp = vec![0.0; m];
+        factor_rows(a, c, &mut pivot, &mut cp);
+        // Right-hand sides: x0, then v (not on the first part), then w
+        // (not on the last).
         let (left, right) = (p > 0, p < parts - 1);
-        let mut cols = d[s..e].to_vec();
-        cols.resize(m * (1 + usize::from(left) + usize::from(right)), 0.0);
+        let mut x0 = d[s..e].to_vec();
+        let mut v = vec![0.0; if left { m } else { 0 }];
+        let mut w = vec![0.0; if right { m } else { 0 }];
         if left {
-            cols[m] = -a[0];
+            v[0] = -a[0];
         }
         if right {
-            let last = cols.len() - 1;
-            cols[last] = -c[m - 1];
+            w[m - 1] = -c[m - 1];
         }
-        thomas_solve(a, &pivot, &cp, &mut cols);
-        let w = if right {
-            cols.split_off(cols.len() - m)
-        } else {
-            Vec::new()
-        };
-        let v = if left { cols.split_off(m) } else { Vec::new() };
-        let x0 = cols;
+        for col in [&mut x0, &mut v, &mut w] {
+            if !col.is_empty() {
+                solve_rows::<1>(a, &pivot, &cp, col, 1);
+            }
+        }
         locals.push((x0, v, w));
     }
     // Interface exchanges: the value at part p's last row becomes
@@ -260,52 +300,87 @@ mod tests {
     }
 
     #[test]
-    fn factor_once_solve_many_matches_fused_thomas_bit_for_bit() {
+    fn row_major_sweep_matches_fused_thomas_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Right-hand sides per system: two random ones of different
+        // magnitudes, then the shapes of PDD's influence vectors.
+        const PER: usize = 4;
         for (seed, n) in [(1u64, 1usize), (2, 2), (3, 16), (4, 17), (5, 200)] {
-            let a = rand_vec(n, seed * 10 + 1, -1.0, 1.0);
-            let c = rand_vec(n, seed * 10 + 2, -1.0, 1.0);
-            let extra = rand_vec(n, seed * 10 + 3, 0.0, 2.0);
-            let b: Vec<f64> = (0..n)
-                .map(|i| {
-                    let m = 1.0 + a[i].abs() + c[i].abs() + extra[i];
-                    if i % 2 == 0 {
-                        m
-                    } else {
-                        -m
+            for width in [1usize, 2, 7] {
+                let seed = seed * 100 + width as u64;
+                let a = rand_vec(n, seed * 10 + 1, -1.0, 1.0);
+                let c = rand_vec(n, seed * 10 + 2, -1.0, 1.0);
+                // Each system's own diagonal, dominant, signs alternating.
+                let diags: Vec<Vec<f64>> = (0..width as u64)
+                    .map(|s| {
+                        let extra = rand_vec(n, seed * 10 + 3 + 16 * s, 0.0, 2.0);
+                        (0..n)
+                            .map(|i| {
+                                let m = 1.0 + a[i].abs() + c[i].abs() + extra[i];
+                                if (i + s as usize).is_multiple_of(2) {
+                                    m
+                                } else {
+                                    -m
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let rhss: Vec<[Vec<f64>; PER]> = (0..width as u64)
+                    .map(|s| {
+                        let mut v = vec![0.0; n];
+                        v[0] = -a[0];
+                        let mut w = vec![0.0; n];
+                        w[n - 1] = -c[n - 1];
+                        [
+                            rand_vec(n, seed * 10 + 4 + 16 * s, -5.0, 5.0),
+                            rand_vec(n, seed * 10 + 5 + 16 * s, -1e-3, 1e3),
+                            v,
+                            w,
+                        ]
+                    })
+                    .collect();
+                let mut pivot = vec![0.0; n * width];
+                for (s, b) in diags.iter().enumerate() {
+                    for (i, &x) in b.iter().enumerate() {
+                        pivot[i * width + s] = x;
                     }
-                })
-                .collect();
-            let (mut pivot, mut cp) = (vec![0.0; n], vec![0.0; n]);
-            thomas_factor(&a, &b, &c, &mut pivot, &mut cp);
-            // Several right-hand sides through one factorization,
-            // including the sparse influence-vector shapes PDD uses.
-            let mut rhss = vec![
-                rand_vec(n, seed * 10 + 4, -5.0, 5.0),
-                rand_vec(n, seed * 10 + 5, -1e-3, 1e3),
-                vec![0.0; n],
-                vec![0.0; n],
-            ];
-            rhss[2][0] = -a[0];
-            rhss[3][n - 1] = -c[n - 1];
-            // All four in one call, columns advancing together.
-            let mut together = rhss.concat();
-            thomas_solve(&a, &pivot, &cp, &mut together);
-            for (rhs, got) in rhss.iter().zip(together.chunks_exact(n)) {
-                let mut want = rhs.clone();
-                thomas_fused(&a, &b, &c, &mut want);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(got), bits(&want), "n={n}: columns solved together");
-            }
-            for rhs in rhss {
-                let mut want = rhs.clone();
-                thomas_fused(&a, &b, &c, &mut want);
-                let mut got = rhs.clone();
-                thomas_solve(&a, &pivot, &cp, &mut got);
-                let mut whole = rhs.clone();
-                thomas(&a, &b, &c, &mut whole);
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got), bits(&want), "n={n}: factor + solve");
-                assert_eq!(bits(&whole), bits(&want), "n={n}: thomas");
+                }
+                let mut cp = vec![0.0; n * width];
+                factor_rows(&a, &c, &mut pivot, &mut cp);
+                // Rows padded by a marker that must survive.
+                let stride = width * PER + 3;
+                let mut d = vec![f64::from_bits(0x7ff8_dead_beef_0001); n * stride];
+                for (s, sys) in rhss.iter().enumerate() {
+                    for (r, rhs) in sys.iter().enumerate() {
+                        for (i, &x) in rhs.iter().enumerate() {
+                            d[i * stride + s * PER + r] = x;
+                        }
+                    }
+                }
+                solve_rows::<PER>(&a, &pivot, &cp, &mut d, stride);
+                for (s, sys) in rhss.iter().enumerate() {
+                    for (r, rhs) in sys.iter().enumerate() {
+                        let mut want = rhs.clone();
+                        thomas_fused(&a, &diags[s], &c, &mut want);
+                        let got: Vec<f64> = (0..n).map(|i| d[i * stride + s * PER + r]).collect();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "n={n} width={width} system {s} rhs {r}"
+                        );
+                        if width == 1 {
+                            let mut one = rhs.clone();
+                            thomas(&a, &diags[s], &c, &mut one);
+                            assert_eq!(bits(&one), bits(&want), "n={n}: thomas");
+                        }
+                    }
+                }
+                for row in d.chunks_exact(stride) {
+                    assert!(row[width * PER..]
+                        .iter()
+                        .all(|x| x.to_bits() == 0x7ff8_dead_beef_0001));
+                }
             }
         }
     }

@@ -6,9 +6,11 @@
 //!
 //! The shapes cover the overlapped UNR path (4×2, 2×2), the MPI
 //! bulk-synchronous path (4×2), a single rank (1×1, no PDD exchange),
-//! four z ranks (1×4, whose middle ranks have both PDD neighbors) and a
+//! four z ranks (1×4, whose middle ranks have both PDD neighbors), a
 //! process grid with two y rows per rank, where the UNR backend takes
-//! the non-overlapped halo path.
+//! the non-overlapped halo path, and three y ranks (3×2), whose x and y
+//! chunks are uneven: odd line counts in both FFTs, and PDD cell counts
+//! that are not a multiple of the solver's block.
 
 use unr_core::{Unr, UnrConfig};
 use unr_minimpi::run_mpi_world;
@@ -136,5 +138,16 @@ fn bit_lock_1x4_unr() {
         lock(4, 1, GRID, 1, 4, true),
         0xa9f6_9091_da91_6e60,
         "1x4 unr",
+    );
+}
+
+/// Three y ranks: 32 splits into 11, 11 and 10 lines and x columns, so
+/// the batched FFTs run odd line counts and the PDD blocks end short.
+#[test]
+fn bit_lock_3x2_uneven_unr() {
+    check(
+        lock(3, 2, GRID, 3, 2, true),
+        0x51fc_84b5_497a_0fe2,
+        "3x2 uneven unr",
     );
 }
