@@ -635,6 +635,48 @@ mod tests {
         waiter.finalize();
     }
 
+    /// A sub-millisecond deadline is kept, not rounded up to `poll(2)`'s
+    /// whole milliseconds: a 200 µs wait on a connected pair that
+    /// nothing answers returns after about 200 µs, each expiry counted
+    /// once. (A serve rank's wait for its next arrival is this short.)
+    #[test]
+    fn a_sub_millisecond_wait_is_not_rounded_up_to_a_millisecond() {
+        const WAITS: usize = 20;
+        let (f0, f1) = pair();
+        let cfg = UnrConfig::builder().build().unwrap();
+        let init = |f| {
+            let world = Arc::new(NetWorld::without_launcher(f));
+            NetUnr::init(world, cfg, NetFaults::default()).unwrap()
+        };
+        let (idle, waiter) = (init(f0), init(f1));
+        let sig = waiter.sig_init(1);
+        let mut took: Vec<Duration> = (0..WAITS)
+            .map(|_| {
+                let t0 = Instant::now();
+                let got = waiter.sig_wait_timeout(&sig, 200_000);
+                let took = t0.elapsed();
+                assert!(
+                    matches!(got, Err(UnrError::Timeout { waited: 200_000 })),
+                    "{got:?}"
+                );
+                assert!(
+                    took >= Duration::from_micros(200),
+                    "returned early: {took:?}"
+                );
+                took
+            })
+            .collect();
+        took.sort();
+        let median = took[WAITS / 2];
+        assert!(
+            median < Duration::from_micros(600),
+            "median of {WAITS} 200 µs waits: {median:?}"
+        );
+        assert_eq!(waiter.met().wait_timeouts.get(), WAITS as u64);
+        idle.finalize();
+        waiter.finalize();
+    }
+
     /// Over real sockets too, coalesced puts are counted once per
     /// flush, and come to what counting each put gives: every put once
     /// in `unr.puts`, its bytes in `unr.bytes_put`, one message each on

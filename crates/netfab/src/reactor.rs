@@ -54,7 +54,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use unr_obs::metrics::{Counter, Gauge, Histogram};
 use unr_obs::Obs;
@@ -80,6 +80,11 @@ pub const POLL_TIMEOUT_MS: i32 = 250;
 /// waiting rank threads: how soon it looks again, so the longest an
 /// arrival can sit unread after the last wait.
 pub const YIELD_POLL_MS: i32 = 1;
+
+/// A waiter's timeout below which [`ReactorPool::wait_readable`] spins
+/// (non-blocking polls and yields) instead of blocking in `poll(2)`,
+/// whose millisecond timeout would oversleep it.
+const SPIN_BELOW: Duration = Duration::from_millis(1);
 
 /// `unr.transport.reactor.*` instruments.
 #[derive(Clone)]
@@ -821,7 +826,8 @@ impl ReactorPool {
 
     /// Progress `conns` on the calling (rank) thread: block until one
     /// of them is readable, `wake_rx` is, or `timeout` runs out (rounded
-    /// up to whole milliseconds), then run one read pass on each
+    /// up to whole milliseconds; under `SPIN_BELOW`, spin against the
+    /// wall deadline instead), then run one read pass on each
     /// readable connection right here — same `service_read`, same
     /// dispatcher as a reactor — so what arrives is applied by the
     /// thread that waits for it, with no wake-up in between. A reply
@@ -860,11 +866,19 @@ impl ReactorPool {
                 revents: 0,
             },
         }));
-        let timeout_ms = timeout
-            .as_nanos()
-            .div_ceil(1_000_000)
-            .clamp(1, i32::MAX as u128) as i32;
-        let ready = poll_wait(&mut slots, timeout_ms).unwrap_or(0);
+        let ready = if timeout < SPIN_BELOW {
+            let deadline = Instant::now() + timeout;
+            loop {
+                let ready = poll_wait(&mut slots, 0).unwrap_or(0);
+                if ready > 0 || Instant::now() >= deadline {
+                    break ready;
+                }
+                std::thread::yield_now();
+            }
+        } else {
+            let timeout_ms = timeout.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32;
+            poll_wait(&mut slots, timeout_ms).unwrap_or(0)
+        };
         let mut reads = ReadPass::default();
         for (conn, slot) in conns.iter().zip(&slots[1..]) {
             if !slot.readable() {

@@ -163,6 +163,14 @@ impl RankReport {
 
 /// Run the full open-loop workload on one rank of either fabric.
 ///
+/// Between arrivals the rank blocks in one wait on its in-flight
+/// requests' signals ([`Unr::sig_wait_any_timeout`]) whose deadline is
+/// the next scheduled arrival, and reaps whatever fired; the drain
+/// waits the same way under a `DRAIN_BUDGET_NS` deadline. The wait
+/// drives the fabric's progress in every progress mode, so the loop
+/// neither calls [`Unr::progress`] nor polls on a timer, and a request
+/// completes at the instant its signal fires.
+///
 /// `mem` is the rank's [`ServeConfig::region_len`] region and `windows`
 /// the exchanged per-rank shard-window blocks; `window_writes` is read
 /// from the rank's window signal by the caller afterwards (backend
@@ -191,15 +199,18 @@ pub fn run_open_loop<T: Transport>(
     for _ in 0..cfg.ops_per_rank {
         let arr = gen.next_arrival();
         let target = t0 + arr.at_ns;
-        // Pace: reap and progress until the scheduled arrival instant.
+        // Up to the arrival: wait on what is in flight, reaping what
+        // fires, or, with nothing in flight, sleep.
         loop {
             let now = unr.now();
             if now >= target {
                 break;
             }
-            svc.reap();
-            unr.progress();
-            unr.sleep((target - now).min(5_000));
+            if svc.inflight() == 0 {
+                unr.sleep(target - now);
+            } else {
+                svc.wait_reap(target - now)?;
+            }
         }
         match svc.submit(arr) {
             Ok(()) => {}
@@ -214,16 +225,13 @@ pub fn run_open_loop<T: Transport>(
     // Drain: bounded, so saturation can never become a hang.
     let drain_t0 = unr.now();
     while svc.inflight() > 0 {
-        if unr.now().saturating_sub(drain_t0) > DRAIN_BUDGET_NS {
+        let left = DRAIN_BUDGET_NS.saturating_sub(unr.now() - drain_t0);
+        if left == 0 {
             return Err(ServeError::DrainTimeout {
                 pending: svc.inflight(),
             });
         }
-        unr.flush()?;
-        unr.progress();
-        if svc.reap() == 0 {
-            unr.sleep(2_000);
-        }
+        svc.wait_reap(left)?;
     }
     let wall_ns = wall_t0.elapsed().as_nanos() as u64;
 

@@ -28,7 +28,7 @@
 //! `sig_alloc_fails == 0` under a load that sheds thousands of
 //! requests.
 
-use unr_core::{Blk, SigKey, Signal, Transport, Unr, UnrMem};
+use unr_core::{Blk, SigKey, Signal, Transport, Unr, UnrError, UnrMem};
 use unr_obs::{Counter, Histogram, Obs, HIST_BUCKETS};
 
 use crate::cache::ResponseCache;
@@ -154,8 +154,9 @@ struct InFlight {
 }
 
 /// The per-rank service state machine over one engine. Drive it with
-/// [`KvService::submit`] per arrival and [`KvService::reap`] in every
-/// idle moment; finish with [`crate::driver::run_open_loop`]'s drain.
+/// [`KvService::submit`] per arrival and [`KvService::wait_reap`]
+/// between arrivals; finish with [`crate::driver::run_open_loop`]'s
+/// drain.
 pub struct KvService<'u, T: Transport> {
     unr: &'u Unr<T>,
     /// This rank's region: the shard window, then the scratch ring.
@@ -438,8 +439,24 @@ impl<'u, T: Transport> KvService<'u, T> {
         self.record_latency(now_ns, arr.at_ns);
     }
 
-    /// Collect completed requests (non-blocking). Returns how many
-    /// finished.
+    /// Block until an in-flight request's signal fires or `dt` passes
+    /// on the engine's clock, then [`KvService::reap`]. Returns how
+    /// many finished: 0 when the deadline came first. The wait drives
+    /// the fabric's progress in every progress mode, so the caller polls
+    /// nothing. Call it with something in flight.
+    pub fn wait_reap(&mut self, dt: u64) -> Result<usize, ServeError> {
+        let sigs: Vec<&Signal> = self.pending.iter().map(|p| &p.sig).collect();
+        match self.unr.sig_wait_any_timeout(&sigs, dt) {
+            Ok(_) => Ok(self.reap()),
+            Err(UnrError::Timeout { .. }) => Ok(0),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Collect every request whose signal has fired, without blocking,
+    /// and stamp its latency at the engine's clock now. Returns how many
+    /// finished. [`KvService::wait_reap`] calls it as soon as a wait
+    /// returns, so a request completes when its signal fires.
     pub fn reap(&mut self) -> usize {
         let mut done = 0;
         let mut i = 0;

@@ -5,6 +5,7 @@
 
 use unr_core::{Unr, UnrConfig};
 use unr_minimpi::{barrier, run_mpi_on_fabric, MpiConfig};
+use unr_obs::MetricValue;
 use unr_serve::harness::run_simnet;
 use unr_serve::workload::{Arrival, OpKind};
 use unr_serve::{KvService, OverloadCause, ServeConfig, ServeError};
@@ -86,6 +87,43 @@ fn default_shape_serve_runs_are_reproducible() {
         }
         assert_eq!(a.table, b.table, "seed {seed}: rendered tables differ");
     }
+}
+
+/// The open loop waits on its requests' signals instead of polling on a
+/// 5 µs timer. At the default shape (seed 11, 1 000 arrivals a rank) a
+/// completed request costs under 4 scheduler hand-offs and under 2
+/// progress passes; the poll cost 5.58 and 5.29, the wait 3.04 and
+/// 0.79. The fabric's work is what it was under the poll: the same
+/// signal adds, and every acked replica leg landed.
+#[test]
+fn the_open_loop_waits_on_signals_instead_of_polling() {
+    let cfg = ServeConfig {
+        ops_per_rank: 1_000,
+        seed: 11,
+        ..ServeConfig::default()
+    };
+    let run = run_simnet(&cfg, UnrConfig::default(), 11);
+    let m = &run.merged;
+    assert_eq!((m.completed(), m.shed), (4_000, 0));
+    let per_request = |n: u64| n as f64 / m.completed() as f64;
+    let switches = run.snapshot.counter("simnet.sched.switches").unwrap();
+    let Some(MetricValue::Histogram { count: passes, .. }) =
+        run.snapshot.get("unr.progress.batch_size")
+    else {
+        panic!("unr.progress.batch_size is not a histogram");
+    };
+    assert!(
+        per_request(switches) < 4.0,
+        "{switches} scheduler switches for {} requests",
+        m.completed()
+    );
+    assert!(
+        per_request(*passes) < 2.0,
+        "{passes} progress passes for {} requests",
+        m.completed()
+    );
+    assert_eq!(run.snapshot.counter("unr.signal.adds"), Some(3_174));
+    assert_eq!((m.replica_acks, m.window_writes), (602, 602));
 }
 
 /// Every request is accounted for: completed + shed == arrivals,

@@ -107,6 +107,18 @@ impl<T: Transport> Unr<T> {
         self.wait(&Until::new(sigs, None, false))
     }
 
+    /// [`Unr::sig_wait_any`] with a deadline: the index of the first of
+    /// `sigs` to trigger, or [`UnrError::Timeout`] after `dt` on the
+    /// transport's clock. A ready signal beats the deadline, as in
+    /// [`Unr::sig_wait_timeout`].
+    pub fn sig_wait_any_timeout(&self, sigs: &[&Signal], dt: Ns) -> Result<usize, UnrError> {
+        assert!(
+            !sigs.is_empty(),
+            "sig_wait_any_timeout needs at least one signal"
+        );
+        self.wait(&Until::new(sigs, Some(dt), false))
+    }
+
     /// Wait until every reliable sub-message this rank has posted is
     /// acked; [`UnrError::Timeout`] after `dt` on the transport's clock.
     /// `Ok` at once on an unreliable context.
@@ -204,14 +216,16 @@ mod tests {
         unr.table().apply_counted(sig.key().raw(), -1);
         assert!(unr.sig_wait_timeout(&sig, 100).is_ok());
         assert_eq!(unr.sig_wait_any(&[&idle, &sig]).unwrap(), 1);
-        assert_eq!((parks(&unr), trips(), errors()), (2, 0, 0));
+        assert_eq!(unr.sig_wait_any_timeout(&[&idle, &sig], 100).unwrap(), 1);
+        assert_eq!((parks(&unr), trips(), errors()), (3, 0, 0));
 
         unr.table().apply_counted(sig.key().raw(), -1);
-        for n in 0..3 {
+        for n in 0..4 {
             let got = match n {
                 0 => unr.sig_wait(&sig),
                 1 => unr.sig_wait_timeout(&sig, 100),
-                _ => unr.sig_wait_any(&[&idle, &sig]).map(drop),
+                2 => unr.sig_wait_any(&[&idle, &sig]).map(drop),
+                _ => unr.sig_wait_any_timeout(&[&idle, &sig], 100).map(drop),
             };
             let overflowed = matches!(
                 got,
@@ -251,8 +265,9 @@ mod tests {
 
     /// The first park resolves the deadline — the transport arms its
     /// timer there — and every later park of the same wait gets it back
-    /// unarmed; `Timeout` reports the timeout. A wait with none never
-    /// arms; the next timed wait arms afresh.
+    /// unarmed; `Timeout` reports the timeout, for one signal or any of
+    /// several. A wait with none never arms; the next timed wait arms
+    /// afresh.
     #[test]
     fn the_deadline_is_armed_once_per_wait() {
         let unr = engine(Channel::glex(), false, false, Route::Rma, None);
@@ -282,6 +297,14 @@ mod tests {
             "{got:?}"
         );
         assert_eq!((parks(&unr), arms.load(Ordering::Relaxed)), (3, 1));
+        set_park(&unr, park(2));
+        let other = unr.sig_init(1);
+        let got = unr.sig_wait_any_timeout(&[&sig, &other], 100);
+        assert!(
+            matches!(got, Err(UnrError::Timeout { waited: 100 })),
+            "{got:?}"
+        );
+        assert_eq!((parks(&unr), arms.load(Ordering::Relaxed)), (2, 2));
 
         let (table, key) = (Arc::clone(unr.table()), sig.key().raw());
         set_park(&unr, move |until| {
@@ -292,7 +315,7 @@ mod tests {
         unr.sig_wait(&sig).unwrap();
         set_park(&unr, park(1));
         assert!(unr.sig_wait_timeout(&unr.sig_init(1), 100).is_err());
-        assert_eq!(arms.load(Ordering::Relaxed), 2);
+        assert_eq!(arms.load(Ordering::Relaxed), 3);
     }
 
     /// A drain ends once nothing is unacked, whatever the deadline.

@@ -395,6 +395,81 @@ fn sig_wait_timeout_succeeds_when_signal_fires() {
     assert!(results.into_iter().all(|b| b));
 }
 
+/// `sig_wait_any_timeout` returns at exactly the earlier of its
+/// deadline and the firing of one of its signals, in virtual time and
+/// in every progress mode. Each round starts at an agreed instant `T`
+/// with rank 0's put; the first round learns the put's arrival `L`
+/// after `T` with a plain wait, and the later ones set the deadline
+/// 1 ns after it, on it and 1 ns before it. A tie returns at `T + L`
+/// too, with whichever of the two events the scheduler ran first.
+#[test]
+fn sig_wait_any_timeout_returns_at_the_earlier_of_signal_and_deadline() {
+    const ROUND: u64 = 100_000;
+    for progress in [
+        ProgressMode::PollingAgent { interval: 0 },
+        ProgressMode::UserDriven,
+        ProgressMode::Hardware,
+    ] {
+        let cfg = UnrConfig::builder().progress(progress).build().unwrap();
+        let mut fcfg = fabric(InterfaceKind::Glex, 2);
+        if progress == ProgressMode::Hardware {
+            fcfg.iface = fcfg.iface.with_hardware_atomic_add();
+        }
+        let results = run_mpi_world(fcfg, move |comm| {
+            let unr = Unr::init(comm.ep_shared(), cfg);
+            let mem = unr.mem_reg(64);
+            let at = |round: u64| {
+                let t = (round + 1) * ROUND;
+                unr.sleep(t - unr.now());
+                t
+            };
+            if comm.rank() == 0 {
+                let blk = unr.blk_init(&mem, 0, 8, None);
+                for round in 0..4 {
+                    let rmt = convert::recv_blk(comm, 1, round as i32);
+                    at(round);
+                    unr.put(&blk, &rmt).unwrap();
+                }
+                return Vec::new();
+            }
+            let sigs: Vec<_> = (0..4).map(|_| unr.sig_init(1)).collect();
+            for (round, sig) in sigs.iter().enumerate() {
+                let blk = unr.blk_init(&mem, 8 * round, 8, Some(sig));
+                convert::send_blk(comm, 0, round as i32, &blk);
+            }
+            let idle = unr.sig_init(1);
+            let t = at(0);
+            unr.sig_wait(&sigs[0]).unwrap();
+            let lat = unr.now() - t;
+            let mut got = Vec::new();
+            for (round, dt) in [(1, lat + 1), (2, lat), (3, lat - 1)] {
+                let t = at(round);
+                let r = unr.sig_wait_any_timeout(&[&idle, &sigs[round as usize]], dt);
+                got.push((r, unr.now() - t, lat));
+            }
+            got
+        });
+        let got = &results[1];
+        let lat = got[0].2;
+        assert!(lat > 1, "{progress:?}: the put took {lat} ns");
+        assert!(matches!(got[0].0, Ok(1)), "{progress:?}: {:?}", got[0]);
+        assert_eq!(got[0].1, lat, "{progress:?}: deadline after the signal");
+        assert!(
+            matches!(got[1].0, Ok(1) | Err(UnrError::Timeout { .. })),
+            "{progress:?}: {:?}",
+            got[1]
+        );
+        assert_eq!(got[1].1, lat, "{progress:?}: deadline on the signal");
+        let waited = lat - 1;
+        assert!(
+            matches!(got[2].0, Err(UnrError::Timeout { waited: w }) if w == waited),
+            "{progress:?}: {:?}",
+            got[2]
+        );
+        assert_eq!(got[2].1, waited, "{progress:?}: deadline before the signal");
+    }
+}
+
 /// Every wait of the family surfaces an overflowed signal the same way,
 /// whoever drives progress and with or without the reliable transport:
 /// the error, counted once in `unr.signal.overflow_trips` and once in
