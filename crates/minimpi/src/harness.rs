@@ -29,7 +29,8 @@ where
     run_mpi_on_fabric(&fabric, mpi, f)
 }
 
-/// Run on an existing fabric (lets callers inspect `fabric.stats`).
+/// Run on an existing fabric (lets callers inspect `fabric.obs` and
+/// `fabric.tracer`).
 pub fn run_mpi_on_fabric<R, F>(fabric: &Arc<Fabric>, mpi: MpiConfig, f: F) -> Vec<R>
 where
     R: Send + 'static,

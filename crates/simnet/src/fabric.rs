@@ -2,15 +2,24 @@
 //!
 //! The fabric owns per-node NIC state, per-rank registered-memory tables,
 //! completion queues and ports. Operations are posted by actors through
-//! their [`Endpoint`]; delivery is pure virtual-time arithmetic:
+//! their [`Endpoint`]; delivery is pure virtual-time arithmetic.
 //!
-//! * a transfer occupies its NIC for `size / bandwidth` starting when the
-//!   NIC is free (`NicState::reserve`), which serializes concurrent
-//!   traffic on the same NIC and makes multi-NIC striping genuinely pay;
-//! * the payload lands `latency (+ jitter)` after the NIC finishes, as a
-//!   scheduler event that writes target memory, posts the remote
-//!   completion (with the custom bits truncated to the interface's
-//!   width), and delivers any order-preserving companion datagram.
+//! **One transmission step** carries a PUT sub-message, a datagram and
+//! the data a GET brings back. It checks the peer rank, the NIC index
+//! and, for an RMA, that the interface has RMA; picks the loopback model
+//! within a node or the NIC model across nodes, and the NIC; occupies
+//! that NIC for `size / bandwidth` from when it is free (serializing
+//! concurrent traffic, so multi-NIC striping pays); draws the jitter,
+//! then the fault fate (PUTs always, datagrams when their port is in
+//! scope, GET replies never); counts and traces it; and schedules the
+//! landing `latency + jitter` after the NIC drains it: a duplicate first,
+//! then the primary. A GET's request carries no data: one latency plus
+//! jitter to the target, no NIC time, no fate.
+//!
+//! **One completion rule** delivers every notification. On a level-4
+//! spec with a sink installed at the notified rank, the sink applies the
+//! raw custom bits (`*p += a`); otherwise the bits, truncated to the
+//! interface's width, go to the completion queue if there is one.
 
 use crate::bytes::Bytes;
 use crate::faults::{FaultAction, FaultConfig, FaultState};
@@ -25,6 +34,7 @@ use crate::nic::{CustomBits, InterfaceSpec, NicModel, NicState};
 use crate::queues::{Completion, CompletionKind, CompletionQueue, Dgram, Port};
 use crate::sched::{ActorHandle, Sched, SimCore};
 use crate::time::{Ns, SEC};
+use crate::trace::TraceEvent;
 
 /// Sink for level-4 NICs: the fabric applies the notification itself
 /// (`*p += a` in the paper) instead of posting a completion event.
@@ -92,23 +102,13 @@ struct NodeState {
     loopback: NicState,
 }
 
+#[derive(Default)]
 struct RankState {
     regions: HashMap<u32, (MemRegion, Arc<CompletionQueue>)>,
     next_region: u32,
     ports: HashMap<u32, Arc<Port>>,
     sink: Option<Arc<dyn AtomicAddSink>>,
     nic_rr: usize,
-}
-
-/// Fabric-wide counters (diagnostics; all relaxed).
-#[derive(Default)]
-pub struct FabricStats {
-    pub puts: AtomicU64,
-    pub gets: AtomicU64,
-    pub dgrams: AtomicU64,
-    pub bytes_put: AtomicU64,
-    pub bytes_get: AtomicU64,
-    pub lost_writes: AtomicU64,
 }
 
 /// Rank liveness and membership-epoch state.
@@ -171,21 +171,10 @@ pub(crate) struct FabricMetrics {
     deliver_ns: Arc<unr_obs::Histogram>,
     pub(crate) cq_depth: Arc<unr_obs::Gauge>,
     pub(crate) cq_dropped: Arc<unr_obs::Counter>,
-    /// Registered only when fault injection is enabled, so fault-free
-    /// snapshots carry no `simnet.fault.*` series at all.
-    faults: Option<FaultInjectionMetrics>,
-}
-
-/// Counters for injected faults (`simnet.fault.*`).
-struct FaultInjectionMetrics {
-    dropped: Arc<unr_obs::Counter>,
-    duplicated: Arc<unr_obs::Counter>,
-    delayed: Arc<unr_obs::Counter>,
-    flap_dropped: Arc<unr_obs::Counter>,
 }
 
 impl FabricMetrics {
-    fn new(obs: &unr_obs::Obs, faults_on: bool) -> FabricMetrics {
+    fn new(obs: &unr_obs::Obs) -> FabricMetrics {
         let m = &obs.metrics;
         FabricMetrics {
             puts: m.counter("simnet.fabric.puts"),
@@ -198,32 +187,6 @@ impl FabricMetrics {
             deliver_ns: m.histogram("simnet.nic.deliver_ns"),
             cq_depth: m.gauge("simnet.cq.depth"),
             cq_dropped: m.counter("simnet.cq.dropped"),
-            faults: faults_on.then(|| FaultInjectionMetrics {
-                dropped: m.counter("simnet.fault.dropped"),
-                duplicated: m.counter("simnet.fault.duplicated"),
-                delayed: m.counter("simnet.fault.delayed"),
-                flap_dropped: m.counter("simnet.fault.flap_dropped"),
-            }),
-        }
-    }
-
-    /// Count one fault decision (no-op on the clean path).
-    fn count_fault(&self, action: &FaultAction) {
-        let Some(fm) = &self.faults else { return };
-        match action {
-            FaultAction::Drop { flapped: true } => fm.flap_dropped.inc(),
-            FaultAction::Drop { flapped: false } => fm.dropped.inc(),
-            FaultAction::Deliver {
-                extra_delay,
-                duplicate,
-            } => {
-                if *extra_delay > 0 {
-                    fm.delayed.inc();
-                }
-                if duplicate.is_some() {
-                    fm.duplicated.inc();
-                }
-            }
         }
     }
 }
@@ -233,7 +196,6 @@ pub struct Fabric {
     pub cfg: FabricConfig,
     core: Arc<SimCore>,
     inner: Mutex<FabricInner>,
-    pub stats: FabricStats,
     /// Present when `cfg.trace` is set.
     pub tracer: Option<crate::trace::TraceRecorder>,
     /// Observability root shared by everything attached to this fabric
@@ -292,7 +254,6 @@ pub struct GetOp<'a> {
 /// Errors for fabric operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FabricError {
-    UnknownRegion(RKey),
     OutOfBounds(String),
     BadRank(usize),
     BadNic(usize),
@@ -306,18 +267,14 @@ pub enum FabricError {
 impl std::fmt::Display for FabricError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FabricError::UnknownRegion(k) => write!(f, "unknown region {k:?}"),
             FabricError::OutOfBounds(s) => write!(f, "out of bounds: {s}"),
             FabricError::BadRank(r) => write!(f, "rank {r} out of range"),
             FabricError::BadNic(n) => write!(f, "nic {n} out of range"),
             FabricError::NoRemoteNotify => {
-                write!(f, "interface has no remote custom bits for this op")
+                f.write_str("interface has no remote custom bits for this op")
             }
             FabricError::RmaUnsupported => {
-                write!(
-                    f,
-                    "interface has no RMA primitives (use the fallback channel)"
-                )
+                f.write_str("interface has no RMA primitives (use the fallback channel)")
             }
         }
     }
@@ -332,45 +289,33 @@ impl Fabric {
             cfg.virtual_time_cap,
             obs.metrics.counter("simnet.sched.switches"),
         );
-        let nodes = (0..cfg.nodes)
-            .map(|_| NodeState {
-                nics: (0..cfg.nics_per_node)
-                    .map(|_| NicState::default())
-                    .collect(),
-                loopback: NicState::default(),
-            })
-            .collect();
-        let ranks = (0..cfg.total_ranks())
-            .map(|_| RankState {
-                regions: HashMap::new(),
-                next_region: 0,
-                ports: HashMap::new(),
-                sink: None,
-                nic_rr: 0,
-            })
-            .collect();
-        let seed = cfg.seed;
-        let tracer = cfg.trace.then(crate::trace::TraceRecorder::default);
+        let inner = FabricInner {
+            nodes: (0..cfg.nodes)
+                .map(|_| NodeState {
+                    nics: vec![NicState::default(); cfg.nics_per_node],
+                    loopback: NicState::default(),
+                })
+                .collect(),
+            ranks: (0..cfg.total_ranks())
+                .map(|_| RankState::default())
+                .collect(),
+            rng: SimRng::seed_from_u64(cfg.seed),
+            faults: cfg
+                .faults
+                .enabled()
+                .then(|| FaultState::new(&cfg.faults, &obs.metrics)),
+        };
         if cfg.trace {
             obs.spans.enable();
         }
-        let metrics = FabricMetrics::new(&obs, cfg.faults.enabled());
-        let faults = cfg.faults.enabled().then(|| FaultState::new(&cfg.faults));
-        let membership = Membership::new(cfg.total_ranks());
         Arc::new(Fabric {
-            cfg,
             core,
-            inner: Mutex::new(FabricInner {
-                nodes,
-                ranks,
-                rng: SimRng::seed_from_u64(seed),
-                faults,
-            }),
-            stats: FabricStats::default(),
-            tracer,
+            inner: Mutex::new(inner),
+            tracer: cfg.trace.then(crate::trace::TraceRecorder::default),
+            metrics: FabricMetrics::new(&obs),
+            membership: Membership::new(cfg.total_ranks()),
             obs,
-            metrics,
-            membership,
+            cfg,
         })
     }
 
@@ -443,19 +388,16 @@ impl Fabric {
     }
 
     /// True when membership is armed and either endpoint of a delivery is
-    /// dead — the delivery must be silently dropped ("the NIC went dark").
+    /// dead: the delivery is silently dropped ("the NIC went dark") and
+    /// counted.
     fn delivery_killed(&self, src_rank: usize, dst_rank: usize) -> bool {
-        if !self.membership_active() {
+        if !self.membership_active() || (self.rank_alive(src_rank) && self.rank_alive(dst_rank)) {
             return false;
         }
-        !self.rank_alive(src_rank) || !self.rank_alive(dst_rank)
-    }
-
-    /// Count one membership-dropped delivery.
-    fn count_killed_drop(&self) {
         if let Some(c) = self.membership.killed_drops.get() {
             c.inc();
         }
+        true
     }
 
     /// The scheduler driving this fabric.
@@ -469,26 +411,12 @@ impl Fabric {
         self.attach_at(rank, actor_name, 0)
     }
 
-    /// Attach a thread actor starting at virtual time `t0` — one whose
-    /// thread joins mid-simulation, so its clock must start at the
-    /// spawner's present, not at 0. A library agent with no thread of
-    /// its own (the UNR polling agent) is a callback actor instead
-    /// ([`SimCore::register_callback`]), and posts through its rank's
-    /// endpoint with the `*_at` bodies ([`Endpoint::send_dgram_at`],
-    /// [`Endpoint::put_bytes_at`]).
+    /// Attach a thread actor whose clock starts at `t0` rather than 0:
+    /// a thread that joins a simulation already under way starts at its
+    /// spawner's present. [`Fabric::attach`] is `attach_at(.., 0)`.
     pub fn attach_at(self: &Arc<Self>, rank: usize, actor_name: &str, t0: Ns) -> Endpoint {
         assert!(rank < self.cfg.total_ranks(), "rank out of range");
         let actor = self.core.register_actor(actor_name, t0);
-        Endpoint {
-            fabric: Arc::clone(self),
-            rank,
-            actor,
-        }
-    }
-
-    /// Attach with an existing actor handle (the world runner uses this).
-    pub fn attach_with_actor(self: &Arc<Self>, rank: usize, actor: ActorHandle) -> Endpoint {
-        assert!(rank < self.cfg.total_ranks(), "rank out of range");
         Endpoint {
             fabric: Arc::clone(self),
             rank,
@@ -505,87 +433,236 @@ impl Fabric {
             .map(|(m, c)| (m.clone(), Arc::clone(c)))
     }
 
-    /// Schedule the remote-delivery event of one PUT sub-message at
-    /// `arrival`: write the target region, post the remote completion
-    /// (or hardware atomic add), and push the order-preserving
-    /// companion datagram. Kept as one event so fault injection treats
-    /// data + notification + companion as a unit.
-    #[allow(clippy::too_many_arguments)]
-    fn schedule_put_delivery(
-        fabric: &Arc<Fabric>,
-        st: &mut Sched,
-        arrival: Ns,
-        dst: RKey,
-        dst_offset: usize,
-        data: Bytes,
-        spec: InterfaceSpec,
-        notify_remote: bool,
-        custom_remote: u128,
-        raw_custom_remote: u128,
-        nic_idx: usize,
-        src_rank: usize,
-        companion: Option<(u32, Vec<u8>)>,
-    ) {
-        let f2 = Arc::clone(fabric);
-        st.schedule_at(arrival, move |st2| {
-            if f2.delivery_killed(src_rank, dst.rank) {
-                f2.count_killed_drop();
-                return;
-            }
-            let inner = f2.inner.lock();
-            let target = Fabric::lookup_region(&inner, dst);
-            let sink = inner.ranks[dst.rank].sink.clone();
-            let comp_port = companion
-                .as_ref()
-                .and_then(|(p, _)| inner.ranks[dst.rank].ports.get(p).cloned());
-            drop(inner);
-            match target {
-                Some((region, remote_cq)) => {
-                    if region.write_bytes(dst_offset, &data).is_err() {
-                        f2.stats.lost_writes.fetch_add(1, Ordering::Relaxed);
-                        f2.metrics.lost_writes.inc();
-                    } else if notify_remote {
-                        // Level-4 fast path: the sink is the *terminal*
-                        // step — the addend lands in the signal table
-                        // and no CQ completion is ever pushed, so
-                        // sink-routed traffic can neither inflate
-                        // `simnet.cq.depth` nor trip `cq.dropped`. A
-                        // hardware spec with no sink installed (a
-                        // software channel forced onto a level-4
-                        // fabric) falls back to the CQ instead of
-                        // silently losing the notification.
-                        if let Some(sink) = sink.filter(|_| spec.hardware_atomic_add) {
-                            sink.apply(st2, arrival, raw_custom_remote);
-                        } else {
-                            remote_cq.push(
-                                st2,
-                                Completion {
-                                    kind: CompletionKind::PutRemote,
-                                    custom: custom_remote,
-                                    nic: nic_idx,
-                                    t: arrival,
-                                },
-                            );
-                        }
-                    }
-                }
-                None => {
-                    f2.stats.lost_writes.fetch_add(1, Ordering::Relaxed);
-                    f2.metrics.lost_writes.inc();
-                }
-            }
-            if let (Some(port), Some((_, bytes))) = (comp_port, companion) {
-                port.push(
-                    st2,
-                    Dgram {
-                        src: src_rank,
-                        t: arrival,
-                        bytes,
-                    },
-                );
-            }
-        });
+    /// The transmission step (module doc) of `len` bytes posted at
+    /// `t_post`, up to its landing, which the [`Flight`] schedules.
+    fn launch(&self, leg: Leg, route: Route, len: usize, t_post: Ns) -> Flight {
+        let (cfg, model, intra) = (&self.cfg, route.model, route.intra);
+        let node = cfg.node_of(route.rank);
+        // A GET's data flows from the peer back to the poster.
+        let (kind, faulted, src, dst) = match leg {
+            Leg::Put => ("put", true, route.rank, route.peer),
+            Leg::GetReply => ("get", false, route.peer, route.rank),
+            Leg::Dgram(port) => (
+                "dgram",
+                cfg.faults.port_in_scope(port),
+                route.rank,
+                route.peer,
+            ),
+        };
+        let mut inner = self.inner.lock();
+        let nic = inner.pick_nic(route.rank, route.nic, cfg.nics_per_node);
+        let path = if intra {
+            &mut inner.nodes[node].loopback
+        } else {
+            &mut inner.nodes[node].nics[nic]
+        };
+        let (start, end) = path.reserve(t_post, len, &model);
+        let mut arrival = end + model.latency + inner.jitter(&model);
+        // No fault state means the clean path with zero RNG draws.
+        let fate = match inner.faults.as_mut() {
+            Some(fs) if faulted => fs.decide(
+                &cfg.faults,
+                (!intra).then_some((node, nic)),
+                start,
+                model.latency,
+            ),
+            _ => FaultAction::CLEAN,
+        };
+        drop(inner);
+        self.metrics.inject_ns.record(end - t_post);
+        if let FaultAction::Deliver { extra_delay, .. } = fate {
+            arrival += extra_delay;
+            self.metrics.deliver_ns.record(arrival - t_post);
+        }
+        if let Some(tr) = &self.tracer {
+            tr.record(TraceEvent {
+                kind,
+                src,
+                dst,
+                nic,
+                bytes: len,
+                t_post,
+                t_service_start: start,
+                t_service_end: end,
+                t_arrival: arrival,
+            });
+        }
+        Flight {
+            nic,
+            end,
+            arrival,
+            fate,
+        }
     }
+
+    /// The completion rule (module doc): notify `rank` of a `kind`
+    /// completion carrying the raw bits `custom`, from `nic` at `t`.
+    #[allow(clippy::too_many_arguments)]
+    fn complete(
+        &self,
+        st: &mut Sched,
+        rank: usize,
+        cq: Option<&Arc<CompletionQueue>>,
+        kind: CompletionKind,
+        custom: u128,
+        nic: usize,
+        t: Ns,
+    ) {
+        let spec = &self.cfg.iface;
+        let sink = spec
+            .hardware_atomic_add
+            .then(|| self.inner.lock().ranks[rank].sink.clone())
+            .flatten();
+        if let Some(sink) = sink {
+            sink.apply(st, t, custom);
+        } else if let Some(cq) = cq {
+            let bits = spec.custom_bits;
+            let width = match kind {
+                CompletionKind::PutLocal => bits.put_local,
+                CompletionKind::PutRemote => bits.put_remote,
+                CompletionKind::GetLocal => bits.get_local,
+                CompletionKind::GetRemote => bits.get_remote,
+            };
+            let custom = CustomBits::mask(custom, width);
+            cq.push(
+                st,
+                Completion {
+                    kind,
+                    custom,
+                    nic,
+                    t,
+                },
+            );
+        }
+    }
+
+    /// Land one PUT sub-message from `src` at `at`: write the target
+    /// region, notify the target if the put asked to, and push the
+    /// order-preserving companion datagram. One event, so a fault
+    /// treats data, notification and companion as a unit.
+    fn land_put(&self, st: &mut Sched, src: usize, nic: usize, at: Ns, cargo: Cargo) {
+        let dst = cargo.dst;
+        if self.delivery_killed(src, dst.rank) {
+            return;
+        }
+        let inner = self.inner.lock();
+        let target = Fabric::lookup_region(&inner, dst);
+        let port = cargo
+            .companion
+            .as_ref()
+            .and_then(|(p, _)| inner.ranks[dst.rank].ports.get(p).cloned());
+        drop(inner);
+        match target {
+            Some((region, cq)) if region.write_bytes(cargo.dst_offset, &cargo.data).is_ok() => {
+                if let Some(custom) = cargo.notify {
+                    let kind = CompletionKind::PutRemote;
+                    self.complete(st, dst.rank, Some(&cq), kind, custom, nic, at);
+                }
+            }
+            _ => self.metrics.lost_writes.inc(),
+        }
+        if let (Some(port), Some((_, bytes))) = (port, cargo.companion) {
+            port.push(st, Dgram { src, t: at, bytes });
+        }
+    }
+}
+
+impl FabricInner {
+    /// `rank`'s datagram port `port`, opened on first use.
+    fn port(&mut self, rank: usize, port: u32) -> Arc<Port> {
+        let ports = &mut self.ranks[rank].ports;
+        Arc::clone(ports.entry(port).or_insert_with(|| Arc::new(Port::new())))
+    }
+
+    /// The NIC `sel` names on `rank`'s node: `Auto` round-robins over
+    /// the node's `nics` with the rank's cursor.
+    fn pick_nic(&mut self, rank: usize, sel: NicSel, nics: usize) -> usize {
+        match sel {
+            NicSel::Index(i) => i,
+            NicSel::Auto => {
+                let rs = &mut self.ranks[rank];
+                let i = rs.nic_rr % nics;
+                rs.nic_rr = rs.nic_rr.wrapping_add(1);
+                i
+            }
+        }
+    }
+
+    /// Arrival jitter on `model`, uniform in `[0, jitter_frac *
+    /// latency]`; no draw when that bound is 0.
+    fn jitter(&mut self, model: &NicModel) -> Ns {
+        if model.jitter_frac <= 0.0 {
+            return 0;
+        }
+        let max = (model.latency as f64 * model.jitter_frac) as u64;
+        if max == 0 {
+            0
+        } else {
+            self.rng.gen_inclusive(max)
+        }
+    }
+}
+
+/// A checked path from the posting rank to its peer: the NIC selection
+/// and the model (loopback or NIC) that carries it.
+#[derive(Clone, Copy)]
+struct Route {
+    rank: usize,
+    peer: usize,
+    nic: NicSel,
+    intra: bool,
+    model: NicModel,
+}
+
+/// What a transmission carries: a PUT sub-message, the data a GET
+/// brings back, or a datagram to a port.
+#[derive(Clone, Copy)]
+enum Leg {
+    Put,
+    GetReply,
+    Dgram(u32),
+}
+
+/// A launched transmission: the NIC it left on, when that NIC drained
+/// it, when it arrives and what the fault layer decided.
+struct Flight {
+    nic: usize,
+    end: Ns,
+    arrival: Ns,
+    fate: FaultAction,
+}
+
+impl Flight {
+    /// Schedule `deliver(payload)` at the arrival: a duplicate's copy
+    /// first if the fate made one, then the primary. A dropped flight
+    /// schedules nothing.
+    fn land<P: Clone + Send + 'static>(
+        &self,
+        st: &mut Sched,
+        payload: P,
+        deliver: impl FnOnce(&mut Sched, Ns, P) + Clone + Send + 'static,
+    ) {
+        let FaultAction::Deliver { duplicate, .. } = self.fate else {
+            return;
+        };
+        if let Some(dt) = duplicate {
+            let (at, again, copy) = (self.arrival + dt, deliver.clone(), payload.clone());
+            st.schedule_at(at, move |st| again(st, at, copy));
+        }
+        let at = self.arrival;
+        st.schedule_at(at, move |st| deliver(st, at, payload));
+    }
+}
+
+/// What a PUT carries to its target.
+#[derive(Clone)]
+struct Cargo {
+    data: Bytes,
+    dst: RKey,
+    dst_offset: usize,
+    /// The raw remote custom bits, when the put notifies its target.
+    notify: Option<u128>,
+    companion: Option<(u32, Vec<u8>)>,
 }
 
 /// A rank-scoped, actor-bound handle to the fabric.
@@ -605,10 +682,6 @@ impl Endpoint {
 
     pub fn rank(&self) -> usize {
         self.rank
-    }
-
-    pub fn node(&self) -> usize {
-        self.fabric.cfg.node_of(self.rank)
     }
 
     pub fn world_size(&self) -> usize {
@@ -635,11 +708,6 @@ impl Endpoint {
         self.actor.advance(dt)
     }
 
-    /// Run real code, charging `real_time * scale` of virtual time.
-    pub fn compute_real<R>(&self, scale: f64, f: impl FnOnce() -> R) -> R {
-        self.actor.compute_real(scale, f)
-    }
-
     /// Sleep in virtual time.
     pub fn sleep(&self, dt: Ns) {
         self.actor.sleep(dt)
@@ -663,16 +731,14 @@ impl Endpoint {
     /// Register a memory region of `len` bytes; remote completions for
     /// operations targeting it are delivered to `remote_cq`.
     pub fn register(&self, len: usize, remote_cq: &Arc<CompletionQueue>) -> MemRegion {
-        let fabric = Arc::clone(&self.fabric);
-        let rank = self.rank;
-        let cq = Arc::clone(remote_cq);
-        self.actor.with_sched(move |_st, _t| {
-            let mut inner = fabric.inner.lock();
-            let rs = &mut inner.ranks[rank];
+        self.actor.with_sched(|_st, _t| {
+            let mut inner = self.fabric.inner.lock();
+            let rs = &mut inner.ranks[self.rank];
             let id = rs.next_region;
             rs.next_region += 1;
-            let region = MemRegion::new(rank, id, len);
-            rs.regions.insert(id, (region.clone(), cq));
+            let region = MemRegion::new(self.rank, id, len);
+            rs.regions
+                .insert(id, (region.clone(), Arc::clone(remote_cq)));
             region
         })
     }
@@ -688,239 +754,86 @@ impl Endpoint {
     }
 
     /// Deregister a region. In-flight operations targeting it are dropped
-    /// (counted in `stats.lost_writes`), as on real hardware.
+    /// (counted in `simnet.fabric.lost_writes`), as on real hardware.
     pub fn deregister(&self, region: &MemRegion) {
-        let fabric = Arc::clone(&self.fabric);
         let key = region.rkey;
         assert_eq!(key.rank, self.rank, "can only deregister own regions");
-        self.actor.with_sched(move |_st, _t| {
-            fabric.inner.lock().ranks[key.rank].regions.remove(&key.id);
+        self.actor.with_sched(|_st, _t| {
+            self.fabric.inner.lock().ranks[key.rank]
+                .regions
+                .remove(&key.id);
         });
     }
 
     /// Open (or fetch) a datagram port.
     pub fn open_port(&self, port: u32) -> Arc<Port> {
-        let fabric = Arc::clone(&self.fabric);
-        let rank = self.rank;
-        self.actor.with_sched(move |_st, _t| {
-            let mut inner = fabric.inner.lock();
-            Arc::clone(
-                inner.ranks[rank]
-                    .ports
-                    .entry(port)
-                    .or_insert_with(|| Arc::new(Port::new())),
-            )
-        })
+        self.actor
+            .with_sched(|_st, _t| self.fabric.inner.lock().port(self.rank, port))
     }
 
     /// Install the level-4 atomic-add sink for this rank.
     pub fn set_add_sink(&self, sink: Arc<dyn AtomicAddSink>) {
-        let fabric = Arc::clone(&self.fabric);
-        let rank = self.rank;
-        self.actor.with_sched(move |_st, _t| {
-            fabric.inner.lock().ranks[rank].sink = Some(sink);
+        self.actor.with_sched(|_st, _t| {
+            self.fabric.inner.lock().ranks[self.rank].sink = Some(sink);
         });
     }
 
     // ---- operations -----------------------------------------------------
 
-    fn pick_nic(inner: &mut FabricInner, cfg: &FabricConfig, rank: usize, sel: NicSel) -> usize {
-        match sel {
-            NicSel::Index(i) => i,
-            NicSel::Auto => {
-                let rs = &mut inner.ranks[rank];
-                let i = rs.nic_rr % cfg.nics_per_node;
-                rs.nic_rr = rs.nic_rr.wrapping_add(1);
-                i
+    /// Check a transmission to `peer` on `nic`, in this order: the peer
+    /// rank, the NIC index, and for an RMA that the interface has RMA
+    /// primitives at all. Picks the loopback model within a node and
+    /// the NIC model across nodes.
+    fn route(&self, peer: usize, nic: NicSel, rma: bool) -> Result<Route, FabricError> {
+        let cfg = &self.fabric.cfg;
+        if peer >= cfg.total_ranks() {
+            return Err(FabricError::BadRank(peer));
+        }
+        if let NicSel::Index(i) = nic {
+            if i >= cfg.nics_per_node {
+                return Err(FabricError::BadNic(i));
             }
         }
-    }
-
-    fn jitter(inner: &mut FabricInner, model: &NicModel) -> Ns {
-        if model.jitter_frac <= 0.0 {
-            return 0;
+        if rma && !cfg.iface.rma_capable {
+            return Err(FabricError::RmaUnsupported);
         }
-        let max = (model.latency as f64 * model.jitter_frac) as u64;
-        if max == 0 {
-            0
-        } else {
-            inner.rng.gen_inclusive(max)
-        }
+        let intra = cfg.node_of(self.rank) == cfg.node_of(peer);
+        Ok(Route {
+            rank: self.rank,
+            peer,
+            nic,
+            intra,
+            model: if intra { cfg.intra } else { cfg.nic },
+        })
     }
 
     /// Post a PUT (RMA write). Returns after charging the post overhead;
     /// completion is asynchronous via CQs / signals.
     pub fn put(&self, op: PutOp<'_>) -> Result<(), FabricError> {
-        let fabric = Arc::clone(&self.fabric);
-        let cfg = fabric.cfg.clone();
-        let src_rank = self.rank;
-        if op.dst.rank >= cfg.total_ranks() {
-            return Err(FabricError::BadRank(op.dst.rank));
-        }
-        if let NicSel::Index(i) = op.nic {
-            if i >= cfg.nics_per_node {
-                return Err(FabricError::BadNic(i));
-            }
-        }
-        let intra = cfg.node_of(src_rank) == cfg.node_of(op.dst.rank);
-        let model = if intra { cfg.intra } else { cfg.nic };
-        let spec = cfg.iface;
-        if !spec.rma_capable {
-            return Err(FabricError::RmaUnsupported);
-        }
+        let route = self.route(op.dst.rank, op.nic, true)?;
+        let spec = self.fabric.cfg.iface;
         if op.notify_remote && spec.custom_bits.put_remote == 0 && !spec.hardware_atomic_add {
             return Err(FabricError::NoRemoteNotify);
         }
-
         // Snapshot the source (the DMA engine reads it at post time; the
-        // local completion below tells the app when reuse is safe). The
+        // local completion tells the app when reuse is safe). The
         // snapshot is shared, not owned: a fault-injected duplicate
         // delivery reuses the same buffer.
         let data = op
             .src
             .snapshot_shared(op.src_offset, op.len)
             .map_err(|e| FabricError::OutOfBounds(e.to_string()))?;
-
-        let dst = op.dst;
-        let dst_offset = op.dst_offset;
-        let custom_local = CustomBits::mask(op.custom_local, spec.custom_bits.put_local);
-        let custom_remote = CustomBits::mask(op.custom_remote, spec.custom_bits.put_remote);
-        let raw_custom_local = op.custom_local;
-        let raw_custom_remote = op.custom_remote;
-        let local_cq = op.local_cq.clone();
-        let notify_remote = op.notify_remote;
-        let companion = op.companion;
-        let nic_sel = op.nic;
-        let len = op.len;
-
-        fabric.stats.puts.fetch_add(1, Ordering::Relaxed);
-        fabric
-            .stats
-            .bytes_put
-            .fetch_add(len as u64, Ordering::Relaxed);
-        fabric.metrics.puts.inc();
-        fabric.metrics.bytes_put.add(len as u64);
-
-        self.actor.with_sched(move |st, t_post| {
-            let mut inner = fabric.inner.lock();
-            let nic_idx = Self::pick_nic(&mut inner, &cfg, src_rank, nic_sel);
-            let node = cfg.node_of(src_rank);
-            let (start, end) = if intra {
-                inner.nodes[node].loopback.reserve(t_post, len, &model)
-            } else {
-                inner.nodes[node].nics[nic_idx].reserve(t_post, len, &model)
-            };
-            let mut arrival = end + model.latency + Self::jitter(&mut inner, &model);
-            // Fate of this sub-message (data + notification + companion
-            // as one unit). `None` fault state short-circuits to the
-            // clean path with zero RNG draws.
-            let action = match inner.faults.as_mut() {
-                Some(fs) => fs.decide(
-                    &cfg.faults,
-                    (!intra).then_some((node, nic_idx)),
-                    start,
-                    model.latency,
-                ),
-                None => FaultAction::CLEAN,
-            };
-            drop(inner);
-            fabric.metrics.count_fault(&action);
-            fabric.metrics.inject_ns.record(end - t_post);
-            if let FaultAction::Deliver { extra_delay, .. } = action {
-                arrival += extra_delay;
-                fabric.metrics.deliver_ns.record(arrival - t_post);
-            }
-            if let Some(tr) = &fabric.tracer {
-                tr.record(crate::trace::TraceEvent {
-                    kind: "put",
-                    src: src_rank,
-                    dst: dst.rank,
-                    nic: nic_idx,
-                    bytes: len,
-                    t_post,
-                    t_service_start: start,
-                    t_service_end: end,
-                    t_arrival: arrival,
-                });
-            }
-
-            // Local completion: buffer reusable once the NIC drained it.
-            // Never faulted — the source-side DMA engine did drain it.
-            // Level-4 terminal sink; the CQ fallback catches a hardware
-            // spec whose rank never installed a sink (software channel
-            // forced onto a level-4 fabric) so the local notification
-            // is not silently lost.
-            if spec.hardware_atomic_add {
-                let f2 = Arc::clone(&fabric);
-                st.schedule_at(end, move |st2| {
-                    let sink = f2.inner.lock().ranks[src_rank].sink.clone();
-                    if let Some(sink) = sink {
-                        sink.apply(st2, end, raw_custom_local);
-                    } else if let Some(cq) = local_cq {
-                        cq.push(
-                            st2,
-                            Completion {
-                                kind: CompletionKind::PutLocal,
-                                custom: custom_local,
-                                nic: nic_idx,
-                                t: end,
-                            },
-                        );
-                    }
-                });
-            } else if let Some(cq) = local_cq {
-                st.schedule_at(end, move |st2| {
-                    cq.push(
-                        st2,
-                        Completion {
-                            kind: CompletionKind::PutLocal,
-                            custom: custom_local,
-                            nic: nic_idx,
-                            t: end,
-                        },
-                    );
-                });
-            }
-
-            // Remote delivery: write memory, notify, companion dgram.
-            // A dropped sub-message schedules nothing — data,
-            // completion and companion are lost together.
-            if let FaultAction::Deliver { duplicate, .. } = action {
-                if let Some(dt) = duplicate {
-                    Fabric::schedule_put_delivery(
-                        &fabric,
-                        st,
-                        arrival + dt,
-                        dst,
-                        dst_offset,
-                        data.clone(),
-                        spec,
-                        notify_remote,
-                        custom_remote,
-                        raw_custom_remote,
-                        nic_idx,
-                        src_rank,
-                        companion.clone(),
-                    );
-                }
-                Fabric::schedule_put_delivery(
-                    &fabric,
-                    st,
-                    arrival,
-                    dst,
-                    dst_offset,
-                    data,
-                    spec,
-                    notify_remote,
-                    custom_remote,
-                    raw_custom_remote,
-                    nic_idx,
-                    src_rank,
-                    companion,
-                );
-            }
-        });
-        self.actor.advance(model.post_overhead);
+        let cargo = Cargo {
+            data,
+            dst: op.dst,
+            dst_offset: op.dst_offset,
+            notify: op.notify_remote.then_some(op.custom_remote),
+            companion: op.companion,
+        };
+        let local = Some((op.local_cq, op.custom_local));
+        self.actor
+            .with_sched(|st, t| self.put_at(st, t, route, cargo, local));
+        self.actor.advance(route.model.post_overhead);
         Ok(())
     }
 
@@ -965,257 +878,109 @@ impl Endpoint {
         nic: NicSel,
         companion: Option<(u32, Vec<u8>)>,
     ) -> Result<Ns, FabricError> {
-        let fabric = &self.fabric;
-        let cfg = &fabric.cfg;
-        let src_rank = self.rank;
-        if dst.rank >= cfg.total_ranks() {
-            return Err(FabricError::BadRank(dst.rank));
-        }
-        if let NicSel::Index(i) = nic {
-            if i >= cfg.nics_per_node {
-                return Err(FabricError::BadNic(i));
-            }
-        }
-        let intra = cfg.node_of(src_rank) == cfg.node_of(dst.rank);
-        let model = if intra { cfg.intra } else { cfg.nic };
-        let spec = cfg.iface;
-        if !spec.rma_capable {
-            return Err(FabricError::RmaUnsupported);
-        }
-        let len = data.len();
+        let route = self.route(dst.rank, nic, true)?;
+        let cargo = Cargo {
+            data,
+            dst,
+            dst_offset,
+            notify: None,
+            companion,
+        };
+        self.put_at(st, t_post, route, cargo, None);
+        Ok(route.model.post_overhead)
+    }
 
-        fabric.stats.puts.fetch_add(1, Ordering::Relaxed);
-        fabric
-            .stats
-            .bytes_put
-            .fetch_add(len as u64, Ordering::Relaxed);
+    /// The body both PUTs share, at `t_post`: launch the sub-message,
+    /// raise the `local` completion (a CQ and the raw bits) once the NIC
+    /// has drained the source, never faulted, and land the cargo.
+    fn put_at(
+        &self,
+        st: &mut Sched,
+        t_post: Ns,
+        route: Route,
+        cargo: Cargo,
+        local: Option<(Option<Arc<CompletionQueue>>, u128)>,
+    ) {
+        let fabric = &self.fabric;
+        let len = cargo.data.len();
         fabric.metrics.puts.inc();
         fabric.metrics.bytes_put.add(len as u64);
-
-        let mut inner = fabric.inner.lock();
-        let nic_idx = Self::pick_nic(&mut inner, cfg, src_rank, nic);
-        let node = cfg.node_of(src_rank);
-        let (start, end) = if intra {
-            inner.nodes[node].loopback.reserve(t_post, len, &model)
-        } else {
-            inner.nodes[node].nics[nic_idx].reserve(t_post, len, &model)
-        };
-        let mut arrival = end + model.latency + Self::jitter(&mut inner, &model);
-        let action = match inner.faults.as_mut() {
-            Some(fs) => fs.decide(
-                &cfg.faults,
-                (!intra).then_some((node, nic_idx)),
-                start,
-                model.latency,
-            ),
-            None => FaultAction::CLEAN,
-        };
-        drop(inner);
-        fabric.metrics.count_fault(&action);
-        fabric.metrics.inject_ns.record(end - t_post);
-        if let FaultAction::Deliver { extra_delay, .. } = action {
-            arrival += extra_delay;
-            fabric.metrics.deliver_ns.record(arrival - t_post);
-        }
-        if let Some(tr) = &fabric.tracer {
-            tr.record(crate::trace::TraceEvent {
-                kind: "put",
-                src: src_rank,
-                dst: dst.rank,
-                nic: nic_idx,
-                bytes: len,
-                t_post,
-                t_service_start: start,
-                t_service_end: end,
-                t_arrival: arrival,
+        let flight = fabric.launch(Leg::Put, route, len, t_post);
+        let (nic, end) = (flight.nic, flight.end);
+        let hardware = fabric.cfg.iface.hardware_atomic_add;
+        if let Some((cq, custom)) = local.filter(|(cq, _)| cq.is_some() || hardware) {
+            let f = Arc::clone(fabric);
+            st.schedule_at(end, move |st| {
+                let kind = CompletionKind::PutLocal;
+                f.complete(st, route.rank, cq.as_ref(), kind, custom, nic, end)
             });
         }
-        if let FaultAction::Deliver { duplicate, .. } = action {
-            if let Some(dt) = duplicate {
-                Fabric::schedule_put_delivery(
-                    fabric,
-                    st,
-                    arrival + dt,
-                    dst,
-                    dst_offset,
-                    data.clone(),
-                    spec,
-                    false,
-                    0,
-                    0,
-                    nic_idx,
-                    src_rank,
-                    companion.clone(),
-                );
-            }
-            Fabric::schedule_put_delivery(
-                fabric, st, arrival, dst, dst_offset, data, spec, false, 0, 0, nic_idx, src_rank,
-                companion,
-            );
-        }
-        Ok(model.post_overhead)
+        let f = Arc::clone(fabric);
+        flight.land(st, cargo, move |st, at, cargo| {
+            f.land_put(st, route.rank, nic, at, cargo)
+        });
     }
 
     /// Post a GET (RMA read). The request travels to the target, the
     /// target region is read there, and the data lands locally one
     /// bandwidth-term plus one latency later.
     pub fn get(&self, op: GetOp<'_>) -> Result<(), FabricError> {
-        let fabric = Arc::clone(&self.fabric);
-        let cfg = fabric.cfg.clone();
-        let my_rank = self.rank;
-        if op.src.rank >= cfg.total_ranks() {
-            return Err(FabricError::BadRank(op.src.rank));
-        }
-        if let NicSel::Index(i) = op.nic {
-            if i >= cfg.nics_per_node {
-                return Err(FabricError::BadNic(i));
-            }
-        }
-        let intra = cfg.node_of(my_rank) == cfg.node_of(op.src.rank);
-        let model = if intra { cfg.intra } else { cfg.nic };
-        let spec = cfg.iface;
-        if !spec.rma_capable {
-            return Err(FabricError::RmaUnsupported);
-        }
+        let route = self.route(op.src.rank, op.nic, true)?;
+        let spec = self.fabric.cfg.iface;
         if op.notify_remote && spec.custom_bits.get_remote == 0 && !spec.hardware_atomic_add {
             return Err(FabricError::NoRemoteNotify);
         }
-        if op.dst_offset + op.len > op.dst.len() {
-            return Err(FabricError::OutOfBounds(format!(
-                "get dst [{}, {}) beyond region of {} bytes",
-                op.dst_offset,
-                op.dst_offset + op.len,
-                op.dst.len()
-            )));
-        }
-
-        let src_key = op.src;
-        let src_offset = op.src_offset;
-        let dst_region = op.dst.clone();
-        let dst_offset = op.dst_offset;
-        let len = op.len;
-        let custom_local = CustomBits::mask(op.custom_local, spec.custom_bits.get_local);
-        let custom_remote = CustomBits::mask(op.custom_remote, spec.custom_bits.get_remote);
-        let raw_custom_local = op.custom_local;
-        let raw_custom_remote = op.custom_remote;
-        let local_cq = op.local_cq.clone();
-        let notify_remote = op.notify_remote;
-        let nic_sel = op.nic;
-
-        fabric.stats.gets.fetch_add(1, Ordering::Relaxed);
-        fabric
-            .stats
-            .bytes_get
-            .fetch_add(len as u64, Ordering::Relaxed);
+        op.dst
+            .check(op.dst_offset, op.len)
+            .map_err(|e| FabricError::OutOfBounds(e.to_string()))?;
+        let (src, len, dst) = (op.src, op.len, op.dst.clone());
+        let fabric = &self.fabric;
         fabric.metrics.gets.inc();
         fabric.metrics.bytes_get.add(len as u64);
 
-        self.actor.with_sched(move |st, t_post| {
+        self.actor.with_sched(|st, t_post| {
+            // The request carries no data: it takes no NIC time and
+            // reaches the target one latency (plus jitter) later. The
+            // reply leaves on the NIC the request picked.
             let mut inner = fabric.inner.lock();
-            let nic_idx = Self::pick_nic(&mut inner, &cfg, my_rank, nic_sel);
-            let j1 = Self::jitter(&mut inner, &model);
+            let nic = inner.pick_nic(route.rank, route.nic, fabric.cfg.nics_per_node);
+            let t_req = t_post + route.model.latency + inner.jitter(&route.model);
             drop(inner);
-            // Request reaches the target after one latency.
-            let t_req = t_post + model.latency + j1;
-            let f2 = Arc::clone(&fabric);
-            st.schedule_at(t_req, move |st2| {
-                if f2.delivery_killed(my_rank, src_key.rank) {
-                    f2.count_killed_drop();
+            let route = Route {
+                nic: NicSel::Index(nic),
+                ..route
+            };
+            let fabric = Arc::clone(fabric);
+            st.schedule_at(t_req, move |st| {
+                if fabric.delivery_killed(route.rank, src.rank) {
                     return;
                 }
-                let mut inner = f2.inner.lock();
-                let target = Fabric::lookup_region(&inner, src_key);
-                let sink_remote = inner.ranks[src_key.rank].sink.clone();
-                let (data, remote_cq) = match target {
-                    Some((region, cq)) => match region.snapshot(src_offset, len) {
-                        Ok(d) => (Some(d), Some(cq)),
-                        Err(_) => {
-                            f2.stats.lost_writes.fetch_add(1, Ordering::Relaxed);
-                            f2.metrics.lost_writes.inc();
-                            (None, None)
-                        }
-                    },
-                    None => {
-                        f2.stats.lost_writes.fetch_add(1, Ordering::Relaxed);
-                        f2.metrics.lost_writes.inc();
-                        (None, None)
-                    }
-                };
-                // Response is serialized by the initiator-side NIC.
-                let node = cfg.node_of(my_rank);
-                let (start, end) = if intra {
-                    inner.nodes[node].loopback.reserve(t_req, len, &model)
-                } else {
-                    inner.nodes[node].nics[nic_idx].reserve(t_req, len, &model)
-                };
-                let j2 = Self::jitter(&mut inner, &model);
-                drop(inner);
-                let t_back = end + model.latency + j2;
-                f2.metrics.inject_ns.record(end - t_req);
-                f2.metrics.deliver_ns.record(t_back - t_req);
-                if let Some(tr) = &f2.tracer {
-                    tr.record(crate::trace::TraceEvent {
-                        kind: "get",
-                        src: src_key.rank,
-                        dst: my_rank,
-                        nic: nic_idx,
-                        bytes: len,
-                        t_post: t_req,
-                        t_service_start: start,
-                        t_service_end: end,
-                        t_arrival: t_back,
-                    });
+                let target = Fabric::lookup_region(&fabric.inner.lock(), src);
+                let read = target
+                    .and_then(|(region, cq)| Some((region.snapshot(op.src_offset, len).ok()?, cq)));
+                if read.is_none() {
+                    fabric.metrics.lost_writes.inc();
                 }
-
-                if let Some(data) = data {
-                    if notify_remote {
-                        // Terminal sink with CQ fallback — mirrors the
-                        // PUT paths: a hardware spec without a sink
-                        // (software channel on a level-4 fabric) still
-                        // delivers its notification through the CQ.
-                        if let Some(sink) = sink_remote.filter(|_| spec.hardware_atomic_add) {
-                            sink.apply(st2, t_req, raw_custom_remote);
-                        } else if let Some(cq) = remote_cq {
-                            cq.push(
-                                st2,
-                                Completion {
-                                    kind: CompletionKind::GetRemote,
-                                    custom: custom_remote,
-                                    nic: nic_idx,
-                                    t: t_req,
-                                },
-                            );
-                        }
-                    }
-                    let f3 = Arc::clone(&f2);
-                    st2.schedule_at(t_back, move |st3| {
-                        if dst_region.write_bytes(dst_offset, &data).is_err() {
-                            f3.stats.lost_writes.fetch_add(1, Ordering::Relaxed);
-                            f3.metrics.lost_writes.inc();
-                            return;
-                        }
-                        let sink = spec
-                            .hardware_atomic_add
-                            .then(|| f3.inner.lock().ranks[my_rank].sink.clone())
-                            .flatten();
-                        if let Some(sink) = sink {
-                            sink.apply(st3, t_back, raw_custom_local);
-                        } else if let Some(cq) = local_cq {
-                            cq.push(
-                                st3,
-                                Completion {
-                                    kind: CompletionKind::GetLocal,
-                                    custom: custom_local,
-                                    nic: nic_idx,
-                                    t: t_back,
-                                },
-                            );
-                        }
-                    });
+                let flight = fabric.launch(Leg::GetReply, route, len, t_req);
+                let Some((data, remote_cq)) = read else {
+                    return;
+                };
+                if op.notify_remote {
+                    let (kind, custom) = (CompletionKind::GetRemote, op.custom_remote);
+                    fabric.complete(st, src.rank, Some(&remote_cq), kind, custom, nic, t_req);
                 }
+                let f = Arc::clone(&fabric);
+                flight.land(st, data, move |st, at, data| {
+                    if dst.write_bytes(op.dst_offset, &data).is_err() {
+                        f.metrics.lost_writes.inc();
+                        return;
+                    }
+                    let (kind, custom) = (CompletionKind::GetLocal, op.custom_local);
+                    f.complete(st, route.rank, op.local_cq.as_ref(), kind, custom, nic, at);
+                });
             });
         });
-        self.actor.advance(model.post_overhead);
+        self.actor.advance(route.model.post_overhead);
         Ok(())
     }
 
@@ -1232,7 +997,10 @@ impl Endpoint {
     /// The body of [`Endpoint::send_dgram`] in scheduler context, sent
     /// at `t_post` on behalf of this endpoint's rank — by its actor, or
     /// by a callback actor of the same rank. Returns the post overhead
-    /// the sender still has to charge itself.
+    /// the sender still has to charge itself. Panics on a rank or NIC
+    /// out of range. Datagram faults can be scoped to a port list, so
+    /// one protocol's control traffic is lossy while another's (the
+    /// bootstrap runtime's) stays reliable.
     pub fn send_dgram_at(
         &self,
         st: &mut Sched,
@@ -1242,92 +1010,22 @@ impl Endpoint {
         bytes: Vec<u8>,
         nic: NicSel,
     ) -> Ns {
+        let route = self
+            .route(dst, nic, false)
+            .unwrap_or_else(|e| panic!("send_dgram: {e}"));
         let fabric = &self.fabric;
-        let cfg = &fabric.cfg;
-        let src_rank = self.rank;
-        assert!(dst < cfg.total_ranks(), "dgram rank out of range");
-        let intra = cfg.node_of(src_rank) == cfg.node_of(dst);
-        let model = if intra { cfg.intra } else { cfg.nic };
-        fabric.stats.dgrams.fetch_add(1, Ordering::Relaxed);
         fabric.metrics.dgrams.inc();
-
-        let mut inner = fabric.inner.lock();
-        let nic_idx = Self::pick_nic(&mut inner, cfg, src_rank, nic);
-        let node = cfg.node_of(src_rank);
-        let len = bytes.len();
-        let (start, end) = if intra {
-            inner.nodes[node].loopback.reserve(t_post, len, &model)
-        } else {
-            inner.nodes[node].nics[nic_idx].reserve(t_post, len, &model)
-        };
-        let mut arrival = end + model.latency + Self::jitter(&mut inner, &model);
-        // Datagram faults can be scoped to a port list so one
-        // protocol's control traffic is lossy while another's
-        // (e.g. the bootstrap runtime) stays reliable.
-        let action = match inner.faults.as_mut() {
-            Some(fs) if cfg.faults.port_in_scope(port) => fs.decide(
-                &cfg.faults,
-                (!intra).then_some((node, nic_idx)),
-                start,
-                model.latency,
-            ),
-            _ => FaultAction::CLEAN,
-        };
-        drop(inner);
-        fabric.metrics.count_fault(&action);
-        fabric.metrics.inject_ns.record(end - t_post);
-        if let FaultAction::Deliver { extra_delay, .. } = action {
-            arrival += extra_delay;
-            fabric.metrics.deliver_ns.record(arrival - t_post);
-        }
-        if let Some(tr) = &fabric.tracer {
-            tr.record(crate::trace::TraceEvent {
-                kind: "dgram",
-                src: src_rank,
-                dst,
-                nic: nic_idx,
-                bytes: len,
-                t_post,
-                t_service_start: start,
-                t_service_end: end,
-                t_arrival: arrival,
-            });
-        }
-        if let FaultAction::Deliver { duplicate, .. } = action {
-            let deliver = |f2: Arc<Fabric>, bytes: Vec<u8>, at: Ns| {
-                move |st2: &mut Sched| {
-                    if f2.delivery_killed(src_rank, dst) {
-                        f2.count_killed_drop();
-                        return;
-                    }
-                    let port_arc = {
-                        let mut inner = f2.inner.lock();
-                        Arc::clone(
-                            inner.ranks[dst]
-                                .ports
-                                .entry(port)
-                                .or_insert_with(|| Arc::new(Port::new())),
-                        )
-                    };
-                    port_arc.push(
-                        st2,
-                        Dgram {
-                            src: src_rank,
-                            t: at,
-                            bytes,
-                        },
-                    );
-                }
-            };
-            if let Some(dt) = duplicate {
-                st.schedule_at(
-                    arrival + dt,
-                    deliver(Arc::clone(fabric), bytes.clone(), arrival + dt),
-                );
+        let flight = fabric.launch(Leg::Dgram(port), route, bytes.len(), t_post);
+        let f = Arc::clone(fabric);
+        flight.land(st, bytes, move |st, at, bytes| {
+            if f.delivery_killed(route.rank, dst) {
+                return;
             }
-            st.schedule_at(arrival, deliver(Arc::clone(fabric), bytes, arrival));
-        }
-        model.post_overhead
+            let src = route.rank;
+            let port = f.inner.lock().port(dst, port);
+            port.push(st, Dgram { src, t: at, bytes });
+        });
+        route.model.post_overhead
     }
 
     // ---- membership (actor context) ---------------------------------------
@@ -1337,9 +1035,8 @@ impl Endpoint {
     /// whose addends can now never arrive re-evaluate their predicates
     /// and fail fast instead of deadlocking virtual time.
     pub fn kill_rank(&self, rank: usize) {
-        let fabric = Arc::clone(&self.fabric);
-        self.actor.with_sched(move |st, t| {
-            fabric.kill_rank(rank);
+        self.actor.with_sched(|st, t| {
+            self.fabric.kill_rank(rank);
             st.wake_all(t);
         });
     }
@@ -1347,9 +1044,8 @@ impl Endpoint {
     /// Revive `rank` from actor context (new generation, new epoch) and
     /// wake every parked actor so pre-kill failure latches clear.
     pub fn revive_rank(&self, rank: usize) {
-        let fabric = Arc::clone(&self.fabric);
-        self.actor.with_sched(move |st, t| {
-            fabric.revive_rank(rank);
+        self.actor.with_sched(|st, t| {
+            self.fabric.revive_rank(rank);
             st.wake_all(t);
         });
     }
@@ -1358,18 +1054,14 @@ impl Endpoint {
 
     /// Block until `cq` is non-empty; returns the wake time.
     pub fn wait_cq(&self, cq: &Arc<CompletionQueue>) -> Ns {
-        let c1 = Arc::clone(cq);
-        let c2 = Arc::clone(cq);
         self.actor
-            .wait_until(move |_st| !c1.is_empty(), move |_st, me| c2.add_waiter(me))
+            .wait_until(|_st| !cq.is_empty(), |_st, me| cq.add_waiter(me))
     }
 
     /// Block until `port` has a datagram, then pop it.
     pub fn recv_dgram(&self, port: &Arc<Port>) -> Dgram {
-        let p1 = Arc::clone(port);
-        let p2 = Arc::clone(port);
         self.actor
-            .wait_until(move |_st| !p1.is_empty(), move |_st, me| p2.add_waiter(me));
+            .wait_until(|_st| !port.is_empty(), |_st, me| port.add_waiter(me));
         port.try_pop().expect("woken with message present")
     }
 

@@ -30,6 +30,8 @@
 
 use crate::rng::{splitmix64, SimRng};
 use crate::time::Ns;
+use std::sync::Arc;
+use unr_obs::{Counter, Registry};
 
 /// Periodic NIC outage windows ("flaps").
 ///
@@ -161,22 +163,32 @@ impl FaultAction {
     };
 }
 
-/// The mutable fault state: one dedicated deterministic RNG stream.
-/// Lives inside the fabric's interior mutex; only instantiated when
-/// `FaultConfig::enabled()`.
+/// The mutable fault state: one dedicated deterministic RNG stream and
+/// the `simnet.fault.*` counters of what it decides. Lives inside the
+/// fabric's interior mutex; only instantiated when
+/// `FaultConfig::enabled()`, so fault-free snapshots carry no
+/// `simnet.fault.*` series at all.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     rng: SimRng,
+    dropped: Arc<Counter>,
+    duplicated: Arc<Counter>,
+    delayed: Arc<Counter>,
+    flap_dropped: Arc<Counter>,
 }
 
 impl FaultState {
-    pub(crate) fn new(cfg: &FaultConfig) -> FaultState {
+    pub(crate) fn new(cfg: &FaultConfig, metrics: &Registry) -> FaultState {
         FaultState {
             rng: SimRng::seed_from_u64(cfg.seed),
+            dropped: metrics.counter("simnet.fault.dropped"),
+            duplicated: metrics.counter("simnet.fault.duplicated"),
+            delayed: metrics.counter("simnet.fault.delayed"),
+            flap_dropped: metrics.counter("simnet.fault.flap_dropped"),
         }
     }
 
-    /// Decide the fate of one delivery. `flap_site` carries
+    /// Decide and count the fate of one delivery. `flap_site` carries
     /// `(node, nic)` when the delivery leaves through an inter-node
     /// NIC subject to flap windows; `t_wire` is the moment it would
     /// enter the wire; `link_latency` scales the reorder delay.
@@ -189,10 +201,12 @@ impl FaultState {
     ) -> FaultAction {
         if let Some((node, nic)) = flap_site {
             if cfg.nic_flapped(node, nic, t_wire) {
+                self.flap_dropped.inc();
                 return FaultAction::Drop { flapped: true };
             }
         }
         if cfg.drop_prob > 0.0 && self.rng.gen_f64() < cfg.drop_prob {
+            self.dropped.inc();
             return FaultAction::Drop { flapped: false };
         }
         let mut extra = 0;
@@ -204,6 +218,12 @@ impl FaultState {
         }
         let duplicate = (cfg.dup_prob > 0.0 && self.rng.gen_f64() < cfg.dup_prob)
             .then(|| 1 + self.rng.gen_inclusive(cfg.delay_max.max(1)));
+        if extra > 0 {
+            self.delayed.inc();
+        }
+        if duplicate.is_some() {
+            self.duplicated.inc();
+        }
         FaultAction::Deliver {
             extra_delay: extra,
             duplicate,
@@ -249,7 +269,7 @@ mod tests {
             ..FaultConfig::none()
         };
         let run = || {
-            let mut st = FaultState::new(&cfg);
+            let mut st = FaultState::new(&cfg, &Registry::default());
             (0..200)
                 .map(|i| st.decide(&cfg, None, i as Ns * 10, 1_200))
                 .collect::<Vec<_>>()
@@ -260,7 +280,7 @@ mod tests {
                 seed: 99,
                 ..cfg.clone()
             };
-            let mut st = FaultState::new(&cfg2);
+            let mut st = FaultState::new(&cfg2, &Registry::default());
             (0..200)
                 .map(|i| st.decide(&cfg2, None, i as Ns * 10, 1_200))
                 .collect::<Vec<_>>()
@@ -271,7 +291,7 @@ mod tests {
     #[test]
     fn sure_drop_and_sure_dup() {
         let drop_all = FaultConfig::drops(1.0);
-        let mut st = FaultState::new(&drop_all);
+        let mut st = FaultState::new(&drop_all, &Registry::default());
         assert_eq!(
             st.decide(&drop_all, None, 0, 1_000),
             FaultAction::Drop { flapped: false }
@@ -280,7 +300,7 @@ mod tests {
             dup_prob: 1.0,
             ..FaultConfig::none()
         };
-        let mut st = FaultState::new(&dup_all);
+        let mut st = FaultState::new(&dup_all, &Registry::default());
         match st.decide(&dup_all, None, 0, 1_000) {
             FaultAction::Deliver {
                 extra_delay: 0,

@@ -180,7 +180,7 @@ impl MemRegion {
         false
     }
 
-    fn check(&self, offset: usize, len: usize) -> Result<(), OutOfBounds> {
+    pub(crate) fn check(&self, offset: usize, len: usize) -> Result<(), OutOfBounds> {
         if offset.checked_add(len).is_none_or(|end| end > self.buf.len) {
             return Err(OutOfBounds {
                 offset,

@@ -235,7 +235,7 @@ impl NicModel {
 }
 
 /// Mutable state of one NIC instance: when its DMA engine frees up.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct NicState {
     /// Virtual time at which the NIC finishes its queued work.
     pub busy_until: Ns,

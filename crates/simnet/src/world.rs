@@ -21,7 +21,7 @@ where
 }
 
 /// Like [`run_world`], but on a caller-provided fabric (lets the caller
-/// inspect `fabric.stats` afterwards).
+/// inspect `fabric.obs` or `fabric.tracer` afterwards).
 pub fn run_on_fabric<R, F>(fabric: &Arc<Fabric>, f: F) -> Vec<R>
 where
     R: Send + 'static,

@@ -1,7 +1,6 @@
 //! Fabric edge cases: queue overflow, deregistration, loopback paths,
 //! jitter determinism and multi-rail reordering.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use unr_simnet::{Fabric, FabricConfig, NicSel, Platform, PutOp, RKey};
@@ -105,7 +104,8 @@ fn writes_to_deregistered_region_are_lost_not_fatal() {
         }
     });
     let _ = results;
-    assert_eq!(fabric.stats.lost_writes.load(Ordering::Relaxed), 1);
+    let snap = fabric.obs.metrics.snapshot();
+    assert_eq!(snap.counter("simnet.fabric.lost_writes"), Some(1));
 }
 
 #[test]

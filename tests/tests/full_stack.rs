@@ -1,7 +1,6 @@
 //! Cross-crate integration: the full stack from the simulated fabric up
 //! through mini-MPI, UNR and the mini-PowerLLEL solver.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use unr_core::{convert, ChannelSelect, Unr, UnrConfig};
@@ -176,10 +175,12 @@ fn fabric_stats_account_traffic() {
             unr.sig_wait(&sig).unwrap();
         }
     });
-    assert!(fabric.stats.puts.load(Ordering::Relaxed) >= 1);
-    assert!(fabric.stats.bytes_put.load(Ordering::Relaxed) >= 4096);
-    assert!(fabric.stats.dgrams.load(Ordering::Relaxed) >= 1);
-    assert_eq!(fabric.stats.lost_writes.load(Ordering::Relaxed), 0);
+    let snap = fabric.obs.metrics.snapshot();
+    let counter = |name| snap.counter(name).unwrap();
+    assert!(counter("simnet.fabric.puts") >= 1);
+    assert!(counter("simnet.fabric.bytes_put") >= 4096);
+    assert!(counter("simnet.fabric.dgrams") >= 1);
+    assert_eq!(counter("simnet.fabric.lost_writes"), 0);
 }
 
 /// Sub-communicators, windows and UNR coexist on the same fabric.
