@@ -527,12 +527,6 @@ impl NetFabric {
         }))
     }
 
-    /// Reactor threads in the pool — constant for the fabric's lifetime
-    /// and independent of world size.
-    pub fn reactor_threads(&self) -> usize {
-        self.pool.len()
-    }
-
     /// This process's world rank.
     pub fn rank(&self) -> usize {
         self.rank
@@ -747,22 +741,6 @@ impl NetFabric {
                 reply_offset,
                 custom_local,
             )],
-        )
-    }
-
-    /// Deliver bare custom bits to `dst`'s atomic-add sink — the
-    /// `AtomicAddSink` path (level-4 emulation without data).
-    pub fn send_atomic(&self, dst: usize, nic: usize, custom: u128) -> io::Result<()> {
-        if dst == self.rank {
-            self.deliver_custom(custom);
-            self.shared.ring_bell();
-            return Ok(());
-        }
-        self.send(
-            dst,
-            nic,
-            frame::FRAME_ATOMIC,
-            &[&frame::atomic_body(custom)],
         )
     }
 

@@ -118,11 +118,6 @@ impl Decomp {
     pub fn x_chunk_of(&self, cy: usize) -> (usize, usize) {
         chunk(self.nx, self.py, cy)
     }
-
-    /// z-chunk (start, len) of col-peer `cz`.
-    pub fn z_chunk_of(&self, cz: usize) -> (usize, usize) {
-        chunk(self.nz, self.pz, cz)
-    }
 }
 
 #[cfg(test)]

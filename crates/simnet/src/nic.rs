@@ -227,11 +227,6 @@ impl NicModel {
         self.jitter_frac = frac;
         self
     }
-
-    pub fn with_post_overhead(mut self, ns: Ns) -> Self {
-        self.post_overhead = ns;
-        self
-    }
 }
 
 /// Mutable state of one NIC instance: when its DMA engine frees up.
