@@ -44,6 +44,7 @@ pub mod bytes;
 pub mod fabric;
 pub mod faults;
 pub mod mem;
+pub mod membership;
 pub mod nic;
 pub mod platform;
 pub mod queues;
