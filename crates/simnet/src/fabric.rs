@@ -816,10 +816,10 @@ impl Endpoint {
         op.dst
             .check(op.dst_offset, op.len)
             .map_err(|e| FabricError::OutOfBounds(e.to_string()))?;
-        let (src, len, dst) = (op.src, op.len, op.dst.clone());
+        let dst = op.dst.clone();
         let fabric = &self.fabric;
         fabric.metrics.gets.inc();
-        fabric.metrics.bytes_get.add(len as u64);
+        fabric.metrics.bytes_get.add(op.len as u64);
 
         self.actor.with_sched(|st, t_post| {
             // The request carries no data: it takes no NIC time and
@@ -835,22 +835,23 @@ impl Endpoint {
             };
             let fabric = Arc::clone(fabric);
             st.schedule_at(t_req, move |st| {
-                if fabric.delivery_killed(route.rank, src.rank) {
+                if fabric.delivery_killed(route.rank, op.src.rank) {
                     return;
                 }
-                let target = Fabric::lookup_region(&fabric.inner.lock(), src);
-                let read = target
-                    .and_then(|(region, cq)| Some((region.snapshot(op.src_offset, len).ok()?, cq)));
+                let target = Fabric::lookup_region(&fabric.inner.lock(), op.src);
+                let read = target.and_then(|(region, cq)| {
+                    Some((region.snapshot(op.src_offset, op.len).ok()?, cq))
+                });
                 if read.is_none() {
                     fabric.metrics.lost_writes.inc();
                 }
-                let flight = fabric.launch(Leg::GetReply, route, len, t_req);
+                let flight = fabric.launch(Leg::GetReply, route, op.len, t_req);
                 let Some((data, remote_cq)) = read else {
                     return;
                 };
                 if op.notify_remote {
                     let (kind, custom) = (CompletionKind::GetRemote, op.custom_remote);
-                    fabric.complete(st, src.rank, Some(&remote_cq), kind, custom, nic, t_req);
+                    fabric.complete(st, op.src.rank, Some(&remote_cq), kind, custom, nic, t_req);
                 }
                 let f = Arc::clone(&fabric);
                 flight.land(st, data, move |st, at, data| {
