@@ -5,21 +5,25 @@
 //! [`Bytes::slice`] of it, the retry table keeps each stripe for
 //! retransmission, and a fault injector may deliver a duplicate.
 //! [`Bytes`] makes every one of those hand-offs a reference-count bump
-//! over one shared `Arc<[u8]>` instead of a deep copy. Building one
+//! over one shared `Arc<Vec<u8>>` instead of a deep copy. Building one
 //! copies at most once: [`MemRegion::snapshot_shared`](crate::MemRegion::snapshot_shared)
-//! reads the region straight into the shared buffer, and
-//! `From<&[u8]>` is one `Arc::from`. When the last view drops,
-//! [`Bytes::into_unique`] hands the buffer back for reuse.
+//! reads the region straight into the buffer, `From<Vec<u8>>` takes
+//! the vector as it is and `From<&[u8]>` is one copy.
+//!
+//! The bytes live in an allocation of their own, apart from the
+//! reference counts: when the last view drops they are freed at once,
+//! even while a `Weak` to the counts lives on. That is what lets a
+//! region remember its last snapshot without keeping it alive.
 
 use std::ops::Deref;
 use std::sync::Arc;
 
 /// An immutable, reference-counted byte slice (view into an
-/// `Arc<[u8]>`). Cloning and slicing are O(1); the underlying buffer
+/// `Arc<Vec<u8>>`). Cloning and slicing are O(1); the underlying buffer
 /// is freed when the last view drops.
 #[derive(Clone)]
 pub struct Bytes {
-    buf: Arc<[u8]>,
+    buf: Arc<Vec<u8>>,
     off: usize,
     len: usize,
 }
@@ -27,11 +31,21 @@ pub struct Bytes {
 impl Bytes {
     /// An empty payload (no allocation shared: a zero-length slice).
     pub fn new() -> Bytes {
-        Bytes {
-            buf: Arc::from(&[][..]),
-            off: 0,
-            len: 0,
-        }
+        Bytes::from(Vec::new())
+    }
+
+    /// The whole of `buf`, shared as is (no copy).
+    pub(crate) fn shared(buf: Arc<Vec<u8>>) -> Bytes {
+        let len = buf.len();
+        Bytes { buf, off: 0, len }
+    }
+
+    /// `parts` back to back in one fresh buffer: one allocation, each
+    /// part copied once — a wire message built around a payload.
+    pub fn from_parts(parts: &[&[u8]]) -> Bytes {
+        let mut v = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+        parts.iter().for_each(|p| v.extend_from_slice(p));
+        Bytes::from(v)
     }
 
     /// Length of this view in bytes.
@@ -63,15 +77,6 @@ impl Bytes {
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_ref().to_vec()
     }
-
-    /// The whole buffer behind this view, if this is its last view
-    /// (no clone, no other slice): `Arc::get_mut` proves nobody else
-    /// can read it, so the caller may overwrite it and share it again
-    /// through `From<Arc<[u8]>>`. `None` while any other view lives.
-    pub fn into_unique(self) -> Option<Arc<[u8]>> {
-        let mut buf = self.buf;
-        Arc::get_mut(&mut buf).is_some().then_some(buf)
-    }
 }
 
 impl Default for Bytes {
@@ -94,28 +99,16 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// The vector itself becomes the shared buffer (no copy).
     fn from(v: Vec<u8>) -> Bytes {
-        let len = v.len();
-        Bytes {
-            buf: Arc::from(v),
-            off: 0,
-            len,
-        }
-    }
-}
-
-impl From<Arc<[u8]>> for Bytes {
-    /// The whole of `buf`, shared as is (no copy).
-    fn from(buf: Arc<[u8]>) -> Bytes {
-        let len = buf.len();
-        Bytes { buf, off: 0, len }
+        Bytes::shared(Arc::new(v))
     }
 }
 
 impl From<&[u8]> for Bytes {
-    /// One copy, straight into the shared buffer.
+    /// One copy, into a buffer of its own.
     fn from(s: &[u8]) -> Bytes {
-        Bytes::from(Arc::<[u8]>::from(s))
+        Bytes::from(s.to_vec())
     }
 }
 
@@ -170,7 +163,7 @@ mod tests {
         assert_eq!(&s[..], &(16u8..24).collect::<Vec<_>>()[..]);
         let ss = s.slice(2, 4);
         assert_eq!(&ss[..], &[18, 19, 20, 21]);
-        assert_eq!(ss.as_ref().as_ptr(), unsafe { b.as_ref().as_ptr().add(18) });
+        assert_eq!(ss.as_ptr(), b.as_ptr().wrapping_add(18));
     }
 
     #[test]
@@ -189,17 +182,20 @@ mod tests {
     }
 
     #[test]
-    fn into_unique_returns_the_buffer_only_from_its_last_view() {
-        let b: Bytes = (0u8..16).collect::<Vec<_>>().into();
-        let (head, tail) = (b.slice(0, 8), b.slice(8, 8));
-        drop(b);
-        assert!(head.into_unique().is_none(), "the tail still reads it");
-        let buf = tail.into_unique().expect("the last view");
-        assert_eq!(buf.len(), 16, "the whole buffer, not the view");
-        let again = Bytes::from(buf);
-        let clone = again.clone();
-        assert!(again.into_unique().is_none(), "a clone still reads it");
-        assert!(clone.into_unique().is_some());
+    fn from_parts_concatenates_into_one_buffer() {
+        let body: Vec<u8> = (0..200).map(|i| i as u8).collect();
+        let b = Bytes::from_parts(&[&[9, 8, 7], &[], &body]);
+        assert_eq!(b.len(), 203);
+        assert_eq!(b[..3], [9, 8, 7]);
+        assert_eq!(b[3..], body[..]);
+        assert!(Bytes::from_parts(&[]).is_empty());
+    }
+
+    #[test]
+    fn from_vec_shares_the_vector_without_a_copy() {
+        let v = vec![5u8; 64];
+        let at = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), at);
     }
 
     #[test]

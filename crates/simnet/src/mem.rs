@@ -9,12 +9,15 @@
 //! # Safety contract
 //!
 //! This module is the **only** place in the workspace that performs raw
-//! memory access. As with real RDMA, the simulator gives no protection
-//! against an application racing its own RMA traffic: if a remote PUT
-//! lands in a range the local rank is concurrently reading, the bytes
-//! observed are unspecified (but the access itself is sound: all accesses
-//! go through raw-pointer `copy_nonoverlapping` on an allocation that
-//! outlives every in-flight operation, so there is no UB-by-dangling).
+//! memory access of a region. Every way in is a bounds-checked method —
+//! `write_bytes` and `write_slice` — and so is every way out; nothing
+//! hands out a slice that aliases the region. As with real RDMA, the
+//! simulator gives no protection against an application racing its own
+//! RMA traffic: if a remote PUT lands in a range the local rank is
+//! concurrently reading, the bytes observed are unspecified (but the
+//! access itself is sound: all accesses go through raw-pointer
+//! `copy_nonoverlapping` on an allocation that outlives every in-flight
+//! operation, so there is no UB-by-dangling).
 //! The whole point of the UNR library built on top is to give
 //! applications the notification discipline that makes such races
 //! impossible: the writer's bulk copy is sequenced before its SeqCst
@@ -24,20 +27,32 @@
 //! the happens-before edge.
 //!
 //! Every way out of a region is exactly one copy: `read_bytes` into a
-//! caller's slice (also how a reused snapshot buffer is refilled),
-//! `append_to` onto a `Vec` (a wire frame, an aggregation ring) and
-//! `snapshot_shared` into a fresh shared [`Bytes`] — written in place
-//! through `Arc::new_uninit_slice`, so the DMA read of a put costs one
-//! allocation and one copy however many stripes slice it.
+//! caller's slice, `append_to` onto a `Vec` (a wire frame, an
+//! aggregation ring) and `snapshot_shared` into a shared [`Bytes`].
+//!
+//! # Shared snapshots
+//!
+//! `snapshot_shared` is the DMA read of a put. A put of a block that
+//! has not changed since the last one — the same block fanned out to
+//! every peer — needs no second read: the region keeps a `Weak` view
+//! of its last snapshot and hands it out again when it is asked for the
+//! same `(offset, len)` and the snapshot is still alive. Every write
+//! that overlaps that range forgets it first, so a put still carries
+//! the bytes its source held at post time. The view holds no payload
+//! memory: a [`Bytes`] keeps its bytes in an allocation of their own,
+//! freed with the last view.
 //!
 //! Both fabrics share this one buffer type: the simulated fabric
 //! registers regions with an [`RKey`]; the TCP fabric (`unr-netfab`)
 //! builds its own under the [`RKey`] it names each one by.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::atomic::{fence, AtomicBool, Ordering};
+use std::sync::{Arc, Weak};
 
 use crate::bytes::Bytes;
+use crate::sync::Mutex;
 
 /// Region alignment (cache-line).
 const ALIGN: usize = 64;
@@ -92,7 +107,15 @@ pub fn vec_from_bytes<T: Pod>(bytes: &[u8]) -> Vec<T> {
 pub(crate) struct RegionBuf {
     ptr: *mut u8,
     len: usize,
+    /// Set while `last` may name a live snapshot: a writer that reads
+    /// it clear takes no lock.
+    shared: AtomicBool,
+    last: Mutex<Option<LastSnapshot>>,
 }
+
+/// The last shared snapshot of a region: its byte range and a view
+/// that does not keep it alive.
+type LastSnapshot = (Range<usize>, Weak<Vec<u8>>);
 
 // SAFETY: the buffer is a plain heap allocation; concurrent access is
 // governed by the RMA contract documented at module level.
@@ -106,7 +129,12 @@ impl RegionBuf {
         // SAFETY: len > 0, layout valid.
         let ptr = unsafe { alloc_zeroed(layout) };
         assert!(!ptr.is_null(), "allocation failure for {len}-byte region");
-        RegionBuf { ptr, len }
+        RegionBuf {
+            ptr,
+            len,
+            shared: AtomicBool::new(false),
+            last: Mutex::new(None),
+        }
     }
 }
 
@@ -203,7 +231,46 @@ impl MemRegion {
         unsafe {
             std::ptr::copy_nonoverlapping(data.as_ptr(), self.buf.ptr.add(offset), data.len());
         }
+        self.forget(offset..offset + data.len());
         Ok(())
+    }
+
+    /// Drop the remembered snapshot if `written` overlaps its range
+    /// (or it has died); called by every write, after its copy.
+    //
+    // ORDERING: a snapshot taken after a write (happens-after it) must
+    // never be handed a copy that missed that write. A writer copies,
+    // then runs a SeqCst fence, then loads `shared`. A snapshot that
+    // copies afresh holds `last`'s lock from its check through its
+    // copy to publishing, and stores `shared = true` and runs a SeqCst
+    // fence *before* its copy. The two fences are ordered one way or
+    // the other:
+    // - the snapshot's fence first: the writer's load sees `shared`,
+    //   takes the lock — so it waits until that snapshot is published
+    //   — and forgets it;
+    // - the writer's fence first: its bytes are visible before the
+    //   snapshot's copy starts, so that copy holds them and may be
+    //   shared.
+    // A copy published before the writer began is the first case.
+    // `shared` changes only under the lock, and a writer clears it only
+    // when the remembered snapshot is gone, dead or just forgotten, so
+    // a writer that reads it clear has nothing to forget. The fence is
+    // needed on both sides: without it a writer's last bytes may still
+    // sit in its store buffer when its load runs. With no live shared
+    // snapshot, a write costs the fence and one load, and no lock.
+    fn forget(&self, written: Range<usize>) {
+        fence(Ordering::SeqCst);
+        if written.is_empty() || !self.buf.shared.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut last = self.buf.last.lock();
+        let stale = last.as_ref().is_none_or(|(range, view)| {
+            (range.start < written.end && written.start < range.end) || view.strong_count() == 0
+        });
+        if stale {
+            *last = None;
+            self.buf.shared.store(false, Ordering::Relaxed);
+        }
     }
 
     /// Copy bytes out of the region at `offset` (bounds-checked).
@@ -253,47 +320,51 @@ impl MemRegion {
     }
 
     /// Snapshot a byte range into a shared, cheaply-clonable
-    /// [`Bytes`] payload: one allocation, and one copy straight from
-    /// the region into the shared buffer (the DMA read; no intermediate
-    /// `Vec`). Every downstream consumer — the stripes of a reliable
-    /// put ([`Bytes::slice`]), retransmit buffers, fault-injected
-    /// duplicates — then shares that allocation.
+    /// [`Bytes`] payload (the DMA read of a put). Every downstream
+    /// consumer — the stripes of a reliable put ([`Bytes::slice`]),
+    /// retransmit buffers, fault-injected duplicates — shares it, and
+    /// so does the next snapshot of the same range while the snapshot
+    /// lives and no write has touched the range (see the module docs);
+    /// otherwise one allocation and one copy.
     pub fn snapshot_shared(&self, offset: usize, len: usize) -> Result<Bytes, OutOfBounds> {
         self.check(offset, len)?;
-        let mut buf = Arc::<[u8]>::new_uninit_slice(len);
-        let dst = Arc::get_mut(&mut buf).expect("a fresh Arc has no other owner");
-        // SAFETY: bounds checked as in `write_bytes`; `dst` is the
-        // `len`-byte uninitialised body of a fresh allocation, which
-        // cannot alias the region's, and `assume_init` runs only after
-        // the copy has initialised all `len` bytes of it. Same race
-        // contract as `read_bytes`.
-        let buf = unsafe {
-            std::ptr::copy_nonoverlapping(
-                self.buf.ptr.add(offset),
-                dst.as_mut_ptr().cast::<u8>(),
-                len,
-            );
-            buf.assume_init()
-        };
-        Ok(Bytes::from(buf))
+        let range = offset..offset + len;
+        // ORDERING: see `forget`.
+        let mut last = self.buf.last.lock();
+        if let Some(buf) = last
+            .as_ref()
+            .filter(|(r, _)| *r == range)
+            .and_then(|(_, view)| view.upgrade())
+        {
+            return Ok(Bytes::shared(buf));
+        }
+        self.buf.shared.store(true, Ordering::Relaxed);
+        fence(Ordering::SeqCst);
+        let buf = Arc::new(self.snapshot(offset, len)?);
+        *last = Some((range, Arc::downgrade(&buf)));
+        Ok(Bytes::shared(buf))
     }
 
     /// Write a typed slice at an element offset.
     pub fn write_slice<T: Pod>(&self, elem_offset: usize, data: &[T]) -> Result<(), OutOfBounds> {
-        let bytes = std::mem::size_of_val(data);
-        let off = elem_offset * std::mem::size_of::<T>();
-        self.check(off, bytes)?;
-        // SAFETY: T: Pod, bounds checked.
-        unsafe {
-            std::ptr::copy_nonoverlapping(data.as_ptr().cast::<u8>(), self.buf.ptr.add(off), bytes);
-        }
-        Ok(())
+        let offset = self.elem_to_byte::<T>(elem_offset, size_of_val(data))?;
+        self.write_bytes(offset, as_bytes(data))
+    }
+
+    /// The byte offset of element `elem_offset` of type `T`, or
+    /// `OutOfBounds` if it overflows.
+    fn elem_to_byte<T>(&self, elem_offset: usize, len: usize) -> Result<usize, OutOfBounds> {
+        elem_offset.checked_mul(size_of::<T>()).ok_or(OutOfBounds {
+            offset: usize::MAX,
+            len,
+            region_len: self.buf.len,
+        })
     }
 
     /// Read a typed slice from an element offset.
     pub fn read_slice<T: Pod>(&self, elem_offset: usize, out: &mut [T]) -> Result<(), OutOfBounds> {
-        let bytes = std::mem::size_of_val(out);
-        let off = elem_offset * std::mem::size_of::<T>();
+        let bytes = size_of_val(out);
+        let off = self.elem_to_byte::<T>(elem_offset, bytes)?;
         self.check(off, bytes)?;
         // SAFETY: T: Pod, bounds checked.
         unsafe {
@@ -305,32 +376,6 @@ impl MemRegion {
         }
         Ok(())
     }
-
-    /// View the whole region as a mutable typed slice for local compute.
-    ///
-    /// # Safety
-    ///
-    /// The caller must guarantee that no RMA operation targeting an
-    /// overlapping range is in flight for the lifetime of the returned
-    /// slice, and that no other local view aliases it mutably. This is
-    /// the same contract an application has with a real NIC; UNR signals
-    /// exist to let applications uphold it.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn as_mut_slice<T: Pod>(&self) -> &mut [T] {
-        let n = self.buf.len / std::mem::size_of::<T>();
-        std::slice::from_raw_parts_mut(self.buf.ptr.cast::<T>(), n)
-    }
-
-    /// View the whole region as a shared typed slice.
-    ///
-    /// # Safety
-    ///
-    /// No RMA write to the region may be in flight for the lifetime of
-    /// the returned slice.
-    pub unsafe fn as_slice<T: Pod>(&self) -> &[T] {
-        let n = self.buf.len / std::mem::size_of::<T>();
-        std::slice::from_raw_parts(self.buf.ptr.cast::<T>(), n)
-    }
 }
 
 impl std::fmt::Debug for MemRegion {
@@ -338,34 +383,6 @@ impl std::fmt::Debug for MemRegion {
         f.debug_struct("MemRegion")
             .field("rkey", &self.rkey)
             .finish_non_exhaustive()
-    }
-}
-
-impl Bytes {
-    /// `parts` back to back in one fresh shared buffer, written in place
-    /// like [`MemRegion::snapshot_shared`]: one allocation, each part
-    /// copied once — a wire message built around a payload, with no
-    /// `Vec` to copy into an `Arc` afterwards.
-    pub fn from_parts(parts: &[&[u8]]) -> Bytes {
-        let len = parts.iter().map(|p| p.len()).sum();
-        let mut buf = Arc::<[u8]>::new_uninit_slice(len);
-        let dst = Arc::get_mut(&mut buf).expect("a fresh Arc has no other owner");
-        let mut at = 0;
-        for p in parts {
-            // SAFETY: the parts' lengths sum to `len`, so `at + p.len()`
-            // stays inside `dst`, the uninitialised body of a fresh
-            // allocation that no part can alias.
-            unsafe {
-                std::ptr::copy_nonoverlapping(
-                    p.as_ptr(),
-                    dst.as_mut_ptr().add(at).cast::<u8>(),
-                    p.len(),
-                );
-            }
-            at += p.len();
-        }
-        // SAFETY: the copies above have initialised all `len` bytes.
-        Bytes::from(unsafe { buf.assume_init() })
     }
 }
 
@@ -461,17 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_concatenates_into_one_shared_buffer() {
-        let body: Vec<u8> = (0..200).map(|i| i as u8).collect();
-        let b = Bytes::from_parts(&[&[9, 8, 7], &[], &body]);
-        assert_eq!(b.len(), 203);
-        assert_eq!(b[..3], [9, 8, 7]);
-        assert_eq!(b[3..], body[..]);
-        assert!(Bytes::from_parts(&[]).is_empty());
-        assert!(b.into_unique().is_some(), "nobody else holds the buffer");
-    }
-
-    #[test]
     fn append_to_extends_without_touching_the_prefix() {
         let r = MemRegion::new(0, 0, 32);
         let data: Vec<u8> = (0..32).collect();
@@ -507,16 +513,148 @@ mod tests {
         let _ = MemRegion::new(0, 0, 0);
     }
 
+    /// An element offset whose byte offset overflows `usize` is out of
+    /// bounds for a typed write and a typed read alike; neither touches
+    /// byte 0.
     #[test]
-    fn as_mut_slice_sees_rma_writes() {
-        let r = MemRegion::new(0, 0, 8 * 4);
-        r.write_slice(0, &[1u64, 2, 3, 4]).unwrap();
-        // SAFETY: no concurrent RMA in this test.
-        let s = unsafe { r.as_mut_slice::<u64>() };
-        assert_eq!(s, &[1, 2, 3, 4]);
-        s[2] = 99;
-        let mut out = [0u64; 4];
-        r.read_slice(0, &mut out).unwrap();
-        assert_eq!(out, [1, 2, 99, 4]);
+    fn a_typed_offset_that_overflows_is_out_of_bounds() {
+        let r = MemRegion::new(0, 0, 64);
+        r.write_bytes(0, &[7; 64]).unwrap();
+        assert!(r.write_slice::<u8>(usize::MAX, &[1]).is_err());
+        assert!(r.read_slice::<u8>(usize::MAX, &mut [0]).is_err());
+        let e = r.write_slice::<f64>(1 << 61, &[1.5]).unwrap_err();
+        assert_eq!(e.region_len, 64);
+        let mut out = [0f64];
+        assert!(r.read_slice::<f64>(1 << 61, &mut out).is_err());
+        assert_eq!(out, [0.0], "the read copied nothing");
+        assert_eq!(r.snapshot(0, 64).unwrap(), vec![7; 64]);
+    }
+
+    /// `[8, 24)` of a 64-byte region holding `0, 1, 2, …`.
+    fn shared_block() -> (MemRegion, Bytes) {
+        let r = MemRegion::new(0, 0, 64);
+        r.write_bytes(0, &(0..64).collect::<Vec<u8>>()).unwrap();
+        let snap = r.snapshot_shared(8, 16).unwrap();
+        (r, snap)
+    }
+
+    /// A snapshot of the same untouched range is the same allocation;
+    /// another range is a fresh copy, and takes over the memory.
+    #[test]
+    fn a_snapshot_of_an_untouched_range_shares_the_last_one() {
+        let (r, snap) = shared_block();
+        let again = r.snapshot_shared(8, 16).unwrap();
+        assert_eq!(again.as_ptr(), snap.as_ptr());
+        for (offset, len) in [(8, 15), (9, 16), (0, 64)] {
+            let other = r.snapshot_shared(offset, len).unwrap();
+            assert_ne!(other.as_ptr(), snap.as_ptr(), "[{offset}, +{len})");
+            assert_eq!(
+                other,
+                (offset as u8..(offset + len) as u8).collect::<Vec<_>>()
+            );
+        }
+        assert_ne!(r.snapshot_shared(8, 16).unwrap().as_ptr(), snap.as_ptr());
+    }
+
+    /// A write over the range's start, its end, its inside or the whole
+    /// region forgets the snapshot: the next one holds the new bytes,
+    /// and the old one keeps the bytes it was taken with.
+    #[test]
+    fn a_write_that_overlaps_the_range_forgets_it() {
+        for (offset, len) in [(4, 5), (23, 4), (12, 2), (0, 64)] {
+            let (r, snap) = shared_block();
+            r.write_bytes(offset, &vec![0xEE; len]).unwrap();
+            let next = r.snapshot_shared(8, 16).unwrap();
+            assert_ne!(next.as_ptr(), snap.as_ptr(), "write [{offset}, +{len})");
+            assert_eq!(snap, (8..24).collect::<Vec<u8>>());
+            let mut want: Vec<u8> = (0..64).collect();
+            want[offset..offset + len].fill(0xEE);
+            assert_eq!(next, want[8..24].to_vec());
+        }
+        // A typed write forgets by its byte range.
+        let (r, snap) = shared_block();
+        r.write_slice::<u32>(5, &[0]).unwrap();
+        assert_ne!(r.snapshot_shared(8, 16).unwrap().as_ptr(), snap.as_ptr());
+    }
+
+    /// A write that ends where the range starts, starts where it ends,
+    /// lies elsewhere in the region or is empty keeps the snapshot.
+    #[test]
+    fn a_write_beside_the_range_keeps_it() {
+        let (r, snap) = shared_block();
+        for (offset, len) in [(0, 8), (24, 8), (40, 24), (16, 0)] {
+            r.write_bytes(offset, &vec![0xEE; len]).unwrap();
+            let again = r.snapshot_shared(8, 16).unwrap();
+            assert_eq!(again.as_ptr(), snap.as_ptr(), "write [{offset}, +{len})");
+        }
+        r.write_slice::<u64>(3, &[0]).unwrap();
+        assert_eq!(r.snapshot_shared(8, 16).unwrap().as_ptr(), snap.as_ptr());
+    }
+
+    /// The region's view keeps nothing alive: once every view of a
+    /// snapshot has dropped its bytes are freed, the next snapshot
+    /// copies afresh, and the first write after that takes the lock
+    /// once and then no more.
+    #[test]
+    fn a_dropped_snapshot_is_freed_and_copied_afresh() {
+        let (r, snap) = shared_block();
+        let stripe = snap.slice(4, 4);
+        drop(snap);
+        let view = || r.buf.last.lock().as_ref().map(|(_, v)| v.clone()).unwrap();
+        assert_eq!(view().strong_count(), 1, "a stripe still reads it");
+        drop(stripe);
+        assert_eq!(view().strong_count(), 0, "its bytes are freed");
+        let next = r.snapshot_shared(8, 16).unwrap();
+        assert_eq!(next, (8..24).collect::<Vec<u8>>());
+        assert_eq!(view().strong_count(), 1, "the fresh copy");
+        drop(next);
+        assert!(r.buf.shared.load(Ordering::Relaxed));
+        r.write_bytes(60, &[0]).unwrap();
+        assert!(r.buf.last.lock().is_none(), "a dead snapshot is forgotten");
+        assert!(!r.buf.shared.load(Ordering::Relaxed), "writes take no lock");
+    }
+
+    /// A writer thread rewrites a range and then publishes the round
+    /// through a SeqCst counter; a reader that has seen round `k`
+    /// snapshots the range and must get round `k`'s bytes, while it
+    /// still holds round `k − 1`'s snapshot (so the region's view of it
+    /// is alive) and while it keeps snapshotting during the writer's
+    /// next copy (so a torn copy may be published just as the writer
+    /// checks for one).
+    #[test]
+    fn a_snapshot_after_a_published_write_holds_that_write() {
+        use std::sync::atomic::AtomicU64;
+        const ROUNDS: u64 = 10_000;
+        const LEN: usize = 256;
+        let r = MemRegion::new(0, 0, 2 * LEN);
+        let (round, seen) = (AtomicU64::new(0), AtomicU64::new(0));
+        let round_bytes = |k: u64| -> Vec<u8> { k.to_le_bytes().repeat(LEN / 8) };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for k in 1..=ROUNDS {
+                    r.write_bytes(LEN / 2, &round_bytes(k)).unwrap();
+                    round.store(k, Ordering::SeqCst);
+                    while seen.load(Ordering::SeqCst) < k {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            let mut held = r.snapshot_shared(LEN / 2, LEN).unwrap();
+            let mut stale = Vec::new();
+            for k in 1..=ROUNDS {
+                while round.load(Ordering::SeqCst) < k {
+                    drop(r.snapshot_shared(LEN / 2, LEN).unwrap());
+                    std::thread::yield_now();
+                }
+                let snap = r.snapshot_shared(LEN / 2, LEN).unwrap();
+                if snap != round_bytes(k) {
+                    stale.push(k);
+                }
+                held = snap;
+                seen.store(k, Ordering::SeqCst);
+            }
+            drop(held);
+            assert!(stale.is_empty(), "stale snapshots in rounds {stale:?}");
+        });
     }
 }

@@ -543,12 +543,12 @@ impl<T: Transport> Unr<T> {
         let rem = len % k;
         let mut off = 0usize;
         let mut entries: Vec<(usize, u64)> = Vec::with_capacity(k);
-        // One snapshot of the whole block, one copy: each stripe is a
-        // slice of it, and its retry entry, its wire post and any
-        // retransmission all alias that one buffer, which the last ack
-        // hands back to the table for the next put of this size.
-        let snap = retry
-            .snapshot(region, local.offset, len)
+        // One snapshot of the whole block, at most one copy: each stripe
+        // is a slice of it, and its retry entry, its wire post and any
+        // retransmission all alias that one buffer — as does the next
+        // put of the same unchanged block.
+        let snap = region
+            .snapshot_shared(local.offset, len)
             .expect("local block in bounds");
         for (i, &add) in adds.iter().enumerate() {
             let this = chunk + usize::from(i < rem);
@@ -944,6 +944,7 @@ impl<T: Transport> Drop for Unr<T> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::retry::Resend;
     use crate::wait::{Until, Woke};
     use crate::wire::CtrlMsg;
     use std::collections::HashMap;
@@ -974,6 +975,7 @@ pub(crate) mod tests {
         Seq {
             route: Route,
             nic: NicSel,
+            dst: usize,
             dst_offset: usize,
             payload: Vec<u8>,
             /// Where the payload's bytes live: which allocation it views.
@@ -1063,6 +1065,7 @@ pub(crate) mod tests {
             self.send(Call::Seq {
                 route: post.route,
                 nic: post.nic,
+                dst: post.dst.rank,
                 dst_offset: post.dst_offset,
                 payload: post.payload.to_vec(),
                 payload_at: post.payload.as_ptr() as usize,
@@ -1387,33 +1390,35 @@ pub(crate) mod tests {
         }
     }
 
+    /// The reliable stripes in `log`: `(peer, payload_at, payload)`.
+    fn stripes(log: &[Call]) -> Vec<(usize, usize, Vec<u8>)> {
+        log.iter()
+            .filter_map(|call| match call {
+                Call::Seq {
+                    dst,
+                    payload_at,
+                    payload,
+                    ..
+                } => Some((*dst, *payload_at, payload.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// A striped reliable put copies its block once: the stripes'
     /// payloads are consecutive views of one allocation holding the
-    /// region's bytes. Once every stripe is acked, the next put of that
-    /// size reads into the same allocation.
+    /// region's bytes. While they are unacked, the next put of the
+    /// unchanged block reads that same allocation.
     #[test]
     fn a_striped_reliable_put_slices_one_snapshot() {
         let mut unr = engine(Channel::glex(), true, false, Route::Rma, None);
         unr.tx.nics = 4;
         let (local, remote) = pair(BIG, SigKey::NULL, REMOTE_KEY, PEER);
-        let stripes = |unr: &Unr<Fake>| -> Vec<(usize, Vec<u8>)> {
-            take_log(unr)
-                .into_iter()
-                .filter_map(|call| match call {
-                    Call::Seq {
-                        payload_at,
-                        payload,
-                        ..
-                    } => Some((payload_at, payload)),
-                    _ => None,
-                })
-                .collect()
-        };
         unr.put(&local, &remote).unwrap();
-        let first = stripes(&unr);
+        let first = stripes(&take_log(&unr));
         assert_eq!(first.len(), 4);
-        let (mut at, mut covered) = (first[0].0, local.offset);
-        for (payload_at, payload) in &first {
+        let (mut at, mut covered) = (first[0].1, local.offset);
+        for (_, payload_at, payload) in &first {
             assert_eq!(*payload_at, at, "the next bytes of the same buffer");
             let src: Vec<u8> = (covered..covered + payload.len())
                 .map(|i| i as u8)
@@ -1424,12 +1429,78 @@ pub(crate) mod tests {
         }
         assert_eq!(covered, local.offset + BIG);
 
-        let retry = unr.core.retry.as_ref().unwrap();
-        (0..4).for_each(|seq| assert!(retry.ack(PEER, seq).is_some()));
         unr.put(&local, &remote).unwrap();
-        let second = stripes(&unr);
-        assert_eq!(second[0].0, first[0].0, "the acked buffer, reused");
+        let second = stripes(&take_log(&unr));
+        assert_eq!(second[0].1, first[0].1, "the pending snapshot, shared");
         assert_eq!(second, first);
+    }
+
+    /// A reliable put fanned out to three peers from one unchanged block
+    /// makes one snapshot; a write to the block between two puts makes
+    /// a second. Every stripe — and every retransmission of it — carries
+    /// the block's bytes as of its own post.
+    #[test]
+    fn a_fanned_out_put_shares_one_snapshot_until_its_block_is_written() {
+        let mut unr = engine(Channel::glex(), true, false, Route::Rma, None);
+        unr.tx.nics = 4;
+        // (peer, the block as of the post), in post order.
+        let mut posted: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut snapshots: Vec<Vec<usize>> = Vec::new();
+        let mut entries = Vec::new();
+        for peers in [&[1, 2, 3][..], &[1, 2]] {
+            if !posted.is_empty() {
+                unr.tx.region.write_bytes(32 + 5, &[0xEE]).unwrap();
+            }
+            let mut bases = Vec::new();
+            for &peer in peers {
+                let (local, remote) = pair(BIG, SigKey::NULL, REMOTE_KEY, peer);
+                unr.put(&local, &remote).unwrap();
+                let mut block = vec![0; BIG];
+                unr.tx.region.read_bytes(local.offset, &mut block).unwrap();
+                let log = take_log(&unr);
+                let sent = stripes(&log);
+                assert_eq!(sent.len(), 4);
+                assert!(sent.iter().all(|s| s.0 == peer));
+                let payload: Vec<u8> = sent.iter().flat_map(|s| s.2.clone()).collect();
+                assert_eq!(payload, block, "peer {peer}");
+                bases.push(sent[0].1);
+                for call in log {
+                    if let Call::Complete { entries: e, .. } = call {
+                        entries.extend(e);
+                    }
+                }
+                posted.push((peer, block));
+            }
+            assert!(bases.iter().all(|&b| b == bases[0]), "one snapshot");
+            snapshots.push(bases);
+        }
+        assert_ne!(snapshots[0][0], snapshots[1][0], "the write made a second");
+        assert_eq!(posted[0].1[5], 32 + 5);
+        assert_eq!(posted[3].1[5], 0xEE);
+
+        let retry = unr.core.retry.as_ref().unwrap();
+        assert_eq!(entries.len(), 5 * 4);
+        retry.arm(0, &entries);
+        let resends = retry.sweep(1 << 40).resends;
+        assert_eq!(resends.len(), entries.len());
+        for peer in 1..=3 {
+            let resent: Vec<u8> = resends
+                .iter()
+                .filter_map(|r| match r {
+                    Resend::Rma {
+                        payload, dst_rkey, ..
+                    } if dst_rkey.rank == peer => Some(payload.to_vec()),
+                    _ => None,
+                })
+                .flatten()
+                .collect();
+            let want: Vec<u8> = posted
+                .iter()
+                .filter(|(p, _)| *p == peer)
+                .flat_map(|(_, block)| block.clone())
+                .collect();
+            assert_eq!(resent, want, "peer {peer}'s retransmissions");
+        }
     }
 
     /// A get is one native operation, one control frame on the

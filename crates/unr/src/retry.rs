@@ -31,18 +31,16 @@
 //! views — so buffering and every retransmission share one allocation
 //! with the original post instead of copying the payload.
 //!
-//! # Snapshot buffers
+//! # Payloads
 //!
-//! The table owns a reliable put's payload from post to ack:
-//! [`RetryState::snapshot`] copies the block once into one shared
-//! buffer, whose stripes the poster slices, and the ack that removes
-//! the buffer's last view keeps the buffer for the next snapshot of the
-//! same length if `Arc::get_mut` proves nobody else holds it (a
-//! scheduled fault duplicate or a retransmission in flight still does).
-//! A steady stream of same-size puts then allocates nothing. The spare
-//! list holds only buffers of the last snapshot's length (a snapshot of
-//! another length clears it), never more than snapshots were out at
-//! once, and dies with the table; it has no knob.
+//! The table owns a reliable put's payload from post to ack: the
+//! poster's one
+//! [`MemRegion::snapshot_shared`](unr_simnet::MemRegion::snapshot_shared)
+//! of its block, whose stripes it slices. A put of the same unchanged
+//! block — the same block fanned out to several peers — shares that
+//! snapshot instead of copying it again, so every entry, post and
+//! retransmission of the fan-out reads one buffer, freed with its last
+//! view. The table keeps no buffer of its own.
 //!
 //! All bookkeeping is plain state guarded by the poison-recovering
 //! mutex; the table never reads a clock and never schedules. Time is
@@ -56,10 +54,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use unr_simnet::sync::Mutex;
-use unr_simnet::{ActorId, Bytes, MemRegion, Ns, OutOfBounds, RKey};
+use unr_simnet::{ActorId, Bytes, Ns, RKey};
 
 use crate::transport::CtrlFrame;
 use crate::wire;
@@ -328,19 +325,6 @@ struct Ctl {
     failure: Option<(usize, u32)>,
 }
 
-/// Snapshot buffers acks freed, kept for the next snapshot of their
-/// length (see the module docs).
-#[derive(Default)]
-struct Spares {
-    /// The length of the last snapshot; only buffers of it are kept.
-    len: usize,
-    /// Buffers of `len` bytes handed out by [`RetryState::snapshot`]
-    /// and not yet back. Only that many may come back, so a payload
-    /// that did not come from a snapshot never grows the list.
-    lent: usize,
-    bufs: Vec<Arc<[u8]>>,
-}
-
 /// Shared state of the self-healing transport (one per engine when
 /// reliability is active). See the module docs for the shard map.
 pub struct RetryState {
@@ -351,9 +335,6 @@ pub struct RetryState {
     /// Receive-side dedup windows, indexed by source rank.
     src: Vec<Mutex<DedupWindow>>,
     ctl: Mutex<Ctl>,
-    /// Freed snapshot buffers. Taken inside a shard lock when an entry
-    /// leaves, alone by a snapshot; never the other way round.
-    spares: Mutex<Spares>,
     /// Unacked sub-messages over all shards; every change happens
     /// under the entry's shard lock, so a reader that sees `n > 0` and
     /// then takes the shards finds the entries.
@@ -381,7 +362,6 @@ impl RetryState {
                 .map(|_| Mutex::new(DedupWindow::default()))
                 .collect(),
             ctl: Mutex::new(Ctl::default()),
-            spares: Mutex::new(Spares::default()),
             in_flight: AtomicUsize::new(0),
             failed: AtomicBool::new(false),
             due_flag: AtomicBool::new(false),
@@ -413,49 +393,6 @@ impl RetryState {
         match pin {
             Some(n) => n,
             None => self.nic_rr.fetch_add(1, Ordering::Relaxed) % self.policy.nics.max(1),
-        }
-    }
-
-    /// Copy `len` bytes of `region` at `offset` into one shared buffer
-    /// for a reliable put, whose stripes are slices of it: into a
-    /// spare buffer of this length if an ack freed one (one copy, no
-    /// allocation), else into a fresh one
-    /// ([`MemRegion::snapshot_shared`]).
-    pub fn snapshot(
-        &self,
-        region: &MemRegion,
-        offset: usize,
-        len: usize,
-    ) -> Result<Bytes, OutOfBounds> {
-        let spare = {
-            let mut sp = self.spares.lock();
-            if sp.len != len {
-                *sp = Spares {
-                    len,
-                    ..Spares::default()
-                };
-            }
-            sp.lent += 1;
-            sp.bufs.pop()
-        };
-        let Some(mut buf) = spare else {
-            return region.snapshot_shared(offset, len);
-        };
-        let out = Arc::get_mut(&mut buf).expect("a spare buffer has no other owner");
-        region.read_bytes(offset, out)?;
-        Ok(Bytes::from(buf))
-    }
-
-    /// Keep the buffer behind a payload that just left the table, if
-    /// this was its last view and a snapshot of its length lent it.
-    fn recycle(&self, p: PendingSub) {
-        let Some(buf) = p.payload.into_unique() else {
-            return;
-        };
-        let mut sp = self.spares.lock();
-        if buf.len() == sp.len && sp.lent > 0 {
-            sp.lent -= 1;
-            sp.bufs.push(buf);
         }
     }
 
@@ -537,15 +474,12 @@ impl RetryState {
     }
 
     /// Take `seq` out of a locked shard, keeping the byte gauge and the
-    /// in-flight count in step, and recycle its payload's buffer;
-    /// returns the entry's post time.
+    /// in-flight count in step; returns the entry's post time.
     fn remove(&self, sh: &mut DstShard, seq: u64) -> Option<Ns> {
         let p = sh.pending.remove(&seq)?;
         sh.queued_bytes = sh.queued_bytes.saturating_sub(p.payload.len() as u64);
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        let first_post = p.first_post;
-        self.recycle(p);
-        Some(first_post)
+        Some(p.first_post)
     }
 
     /// Roll back a registration whose post failed locally (bounds
@@ -680,11 +614,9 @@ impl RetryState {
     /// shard (its dedup floor restarts with the new epoch's traffic).
     pub fn drain_dst(&self, dst: usize) -> usize {
         let mut sh = self.shard(dst).lock();
-        let pending = std::mem::take(&mut sh.pending);
-        let drained = pending.len();
+        let drained = std::mem::take(&mut sh.pending).len();
         sh.queued_bytes = 0;
         self.in_flight.fetch_sub(drained, Ordering::SeqCst);
-        pending.into_values().for_each(|p| self.recycle(p));
         drained
     }
 
@@ -754,6 +686,7 @@ impl RetryState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unr_simnet::MemRegion;
 
     #[test]
     fn dedup_exactly_once_in_order() {
@@ -1204,55 +1137,69 @@ mod tests {
         })
     }
 
-    fn spares(st: &RetryState) -> usize {
-        st.spares.lock().bufs.len()
+    /// Every payload buffered toward rank 1, in sequence order.
+    fn buffered(st: &RetryState) -> Vec<Bytes> {
+        st.shard(1)
+            .lock()
+            .pending
+            .values()
+            .map(|p| p.payload.clone())
+            .collect()
     }
 
-    /// The ack that removes a buffer's last view hands it to the next
-    /// snapshot of its length, which overwrites it with the region's
-    /// current bytes; a snapshot of another length starts afresh.
+    /// While the table buffers a snapshot's stripes, the next snapshot
+    /// of the unchanged block shares it; once its last entry leaves, by
+    /// ack or by a dead peer, the table holds no view of it, and a write
+    /// to the block makes the next snapshot a copy of the new bytes.
     #[test]
-    fn an_acked_snapshot_buffer_is_reused_by_the_next_of_its_length() {
-        let region = counting_region(512);
+    fn a_buffered_snapshot_is_shared_by_the_next_of_its_block() {
         for dead_peer in [false, true] {
+            let region = counting_region(512);
             let st = state();
-            let snap = st.snapshot(&region, 0, 128).unwrap();
+            let snap = region.snapshot_shared(0, 128).unwrap();
             let at = snap.as_ptr();
             let seqs = register_stripes(&st, &snap);
             drop(snap);
+            let again = region.snapshot_shared(0, 128).unwrap();
+            assert_eq!(
+                again.as_ptr(),
+                at,
+                "dead_peer={dead_peer}: the entries keep it"
+            );
+            drop(again);
             if dead_peer {
                 assert_eq!(st.drain_dst(1), 2);
             } else {
                 assert!(st.ack(1, seqs[0]).is_some());
-                assert_eq!(spares(&st), 0, "the second stripe still reads it");
+                let [stripe] = &buffered(&st)[..] else {
+                    panic!("one stripe left")
+                };
+                assert_eq!(stripe.as_ptr(), at.wrapping_add(64));
+                assert_eq!(region.snapshot_shared(0, 128).unwrap().as_ptr(), at);
                 assert!(st.ack(1, seqs[1]).is_some());
             }
-            assert_eq!(spares(&st), 1, "dead_peer={dead_peer}");
-            let next = st.snapshot(&region, 128, 128).unwrap();
-            assert_eq!(next.as_ptr(), at, "dead_peer={dead_peer}: the same buffer");
-            assert_eq!(next, (128..256).map(|i| i as u8).collect::<Vec<_>>());
-            assert_eq!(spares(&st), 0);
-            // Another length clears the list and allocates.
-            register_stripes(&st, &next);
-            drop(next);
-            st.drain_dst(1);
-            assert_eq!(spares(&st), 1);
-            let other = st.snapshot(&region, 0, 64).unwrap();
-            assert_ne!(other.as_ptr(), at);
-            assert_eq!(spares(&st), 0, "dead_peer={dead_peer}");
+            assert!(buffered(&st).is_empty(), "dead_peer={dead_peer}");
+            assert_eq!((st.in_flight(), st.queued_bytes(1)), (0, 0));
+            region.write_bytes(0, &[0xEE; 128]).unwrap();
+            let next = region.snapshot_shared(0, 128).unwrap();
+            assert_eq!(next, vec![0xEE; 128], "dead_peer={dead_peer}");
+            // Another block is a copy of its own bytes.
+            let other = region.snapshot_shared(128, 128).unwrap();
+            assert_ne!(other.as_ptr(), next.as_ptr());
+            assert_eq!(other, (128..256).map(|i| i as u8).collect::<Vec<_>>());
         }
     }
 
     /// A buffer something else still reads — here the duplicate a fault
-    /// injector scheduled — is never handed out again, whether its entry
-    /// leaves by ack or by a dead peer: the duplicate delivers the bytes
-    /// it was posted with.
+    /// injector scheduled — keeps the bytes it was posted with, whether
+    /// its entry leaves by ack or by a dead peer: a write to the block
+    /// makes the next snapshot a new buffer.
     #[test]
-    fn a_buffer_a_pending_duplicate_reads_is_never_reused() {
+    fn a_buffer_a_pending_duplicate_reads_keeps_its_bytes() {
         let region = counting_region(512);
         for dead_peer in [false, true] {
             let st = state();
-            let snap = st.snapshot(&region, 0, 128).unwrap();
+            let snap = region.snapshot_shared(0, 128).unwrap();
             let duplicate = snap.slice(64, 64);
             let seqs = register_stripes(&st, &snap);
             drop(snap);
@@ -1262,9 +1209,14 @@ mod tests {
                 seqs.iter()
                     .for_each(|&seq| assert!(st.ack(1, seq).is_some()));
             }
-            assert_eq!(spares(&st), 0, "dead_peer={dead_peer}");
+            assert!(buffered(&st).is_empty(), "dead_peer={dead_peer}");
+            assert_eq!(
+                region.snapshot_shared(0, 128).unwrap().as_ptr(),
+                duplicate.as_ptr().wrapping_sub(64),
+                "dead_peer={dead_peer}: the duplicate keeps it alive"
+            );
             region.write_bytes(0, &[0xEE; 128]).unwrap();
-            let next = st.snapshot(&region, 0, 128).unwrap();
+            let next = region.snapshot_shared(0, 128).unwrap();
             assert_ne!(next.as_ptr(), duplicate.as_ptr().wrapping_sub(64));
             assert_eq!(next, vec![0xEE; 128]);
             assert_eq!(duplicate, (64..128).map(|i| i as u8).collect::<Vec<_>>());
@@ -1274,56 +1226,41 @@ mod tests {
         }
     }
 
-    /// The list never outgrows what snapshots lent: a payload that did
-    /// not come from a snapshot — a foreign buffer, an aggregate's
-    /// frame — is dropped once the snapshots' buffers are back, and so
-    /// is one of another length.
+    /// Entries of one fan-out read one buffer, and payloads from
+    /// elsewhere — a foreign buffer, an aggregate's frame — read their
+    /// own: the table copies none of them and keeps none after its acks.
     #[test]
-    fn the_spare_list_holds_only_what_snapshots_lent() {
+    fn a_fan_out_buffers_one_snapshot_and_nothing_else() {
         let region = counting_region(512);
         let st = state();
         let snaps: Vec<Bytes> = (0..3)
-            .map(|_| st.snapshot(&region, 0, 128).unwrap())
+            .map(|_| region.snapshot_shared(0, 128).unwrap())
             .collect();
         let seqs: Vec<u64> = snaps
-            .into_iter()
+            .iter()
             .map(|snap| {
-                st.register_data(Route::Dgram, snap, rkey(2), 0, 1, -1, 0)
+                st.register_data(Route::Dgram, snap.clone(), rkey(1), 0, 1, -1, 0)
                     .seq
             })
             .collect();
-        let foreign = [
-            st.register_data(
-                Route::Dgram,
-                Bytes::from(vec![0; 128]),
-                rkey(2),
-                0,
-                1,
-                -1,
-                0,
-            )
-            .seq,
-            st.register_data(Route::Dgram, Bytes::from(vec![0; 96]), rkey(2), 0, 1, -1, 0)
+        let foreign = Bytes::from(vec![0; 128]);
+        let others = [
+            st.register_data(Route::Dgram, foreign.clone(), rkey(1), 0, 1, -1, 0)
                 .seq,
-            st.register_agg(2, 0, &[(3, 0, 100)], &[], &[0; 100]).seq,
+            st.register_agg(1, 0, &[(3, 0, 100)], &[], &[0; 100]).seq,
         ];
-        for seq in seqs.iter().chain(&foreign) {
-            st.ack(2, *seq).unwrap();
+        let held = buffered(&st);
+        assert_eq!(held.len(), 5);
+        assert!(held[..3].iter().all(|p| p.as_ptr() == snaps[0].as_ptr()));
+        assert_eq!(held[3].as_ptr(), foreign.as_ptr(), "buffered, not copied");
+        assert!(held[4].as_ptr() != snaps[0].as_ptr() && held[4].as_ptr() != foreign.as_ptr());
+        drop(held);
+        for seq in seqs.iter().chain(&others) {
+            st.ack(1, *seq).unwrap();
         }
-        assert_eq!(spares(&st), 3, "three lent, three back, nothing else");
-        let again = st.register_data(
-            Route::Dgram,
-            Bytes::from(vec![0; 128]),
-            rkey(2),
-            0,
-            1,
-            -1,
-            0,
-        );
-        st.ack(2, again.seq).unwrap();
-        assert_eq!(spares(&st), 3);
-        let _taken = st.snapshot(&region, 0, 128).unwrap();
-        assert_eq!(spares(&st), 2);
+        assert!(buffered(&st).is_empty());
+        assert_eq!((st.in_flight(), st.queued_bytes(1)), (0, 0));
+        assert_eq!(snaps[0], (0..128).map(|i| i as u8).collect::<Vec<_>>());
     }
 
     #[test]

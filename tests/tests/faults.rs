@@ -379,11 +379,9 @@ fn fault_powerllel_step_survives_seeded_drops() {
     );
 }
 
-/// CI fault-matrix entry point: drop rate and seed come from the
-/// environment (`UNR_FAULT_DROP`, `UNR_FAULT_SEED`), defaulting to the
-/// 1% point.
-#[test]
-fn fault_matrix_from_env() {
+/// The CI fault matrix's drop rate and seed, from the environment
+/// (`UNR_FAULT_DROP`, `UNR_FAULT_SEED`), defaulting to the 1% point.
+fn matrix_drop_and_seed() -> (f64, u64) {
     let drop: f64 = std::env::var("UNR_FAULT_DROP")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -392,6 +390,14 @@ fn fault_matrix_from_env() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
+    (drop, seed)
+}
+
+/// CI fault-matrix entry point: a lossy ping-pong at the matrix's drop
+/// rate and seed.
+#[test]
+fn fault_matrix_from_env() {
+    let (drop, seed) = matrix_drop_and_seed();
     let faults = unr_scoped(FaultConfig {
         seed,
         ..FaultConfig::drops(drop)
@@ -404,6 +410,78 @@ fn fault_matrix_from_env() {
     if drop == 0.0 {
         assert!(snap.with_prefix("simnet.fault.").next().is_none());
     } else if snap.counter("simnet.fault.dropped").unwrap_or(0) > 0 {
+        assert!(snap.counter("unr.retry.retransmits").unwrap() > 0);
+    }
+}
+
+/// Rank 0 fans one striped block out to three peers a round, under
+/// the matrix's drops and one duplicate in four, and rewrites the block
+/// right after the posts. The round's three puts share one snapshot, and
+/// every peer must end with the block as of its post, whatever was
+/// dropped, duplicated and retransmitted.
+#[test]
+fn fault_fan_out_delivers_each_post_its_own_bytes() {
+    const BLOCK: usize = 96 << 10;
+    const ROUNDS: usize = 6;
+    let (drop, seed) = matrix_drop_and_seed();
+    let mut cfg = Platform::th_xy().fabric_config(4, 1);
+    cfg.faults = unr_scoped(FaultConfig {
+        seed,
+        dup_prob: 0.25,
+        ..FaultConfig::drops(drop)
+    });
+    let fabric = Fabric::new(cfg);
+    let block =
+        |round: usize| -> Vec<u8> { (0..BLOCK).map(|i| (i * 7 + round * 31) as u8).collect() };
+    run_mpi_on_fabric(&fabric, MpiConfig::default(), move |comm| {
+        let unr = Unr::init(comm.ep_shared(), UnrConfig::default());
+        assert!(unr.reliable());
+        if comm.rank() == 0 {
+            let mem = unr.mem_reg(BLOCK);
+            let src = unr.blk_init(&mem, 0, BLOCK, None);
+            let peers: Vec<_> = (1..4).map(|p| convert::recv_blk(comm, p, 0)).collect();
+            for round in 0..ROUNDS {
+                mem.write_bytes(0, &block(round));
+                for peer in &peers {
+                    let mut dst = *peer;
+                    dst.offset = round * BLOCK;
+                    dst.len = BLOCK;
+                    unr.put(&src, &dst).unwrap();
+                }
+                mem.write_bytes(0, &block(ROUNDS + round));
+            }
+            for _ in 0..10_000 {
+                if unr.retries_in_flight() == 0 {
+                    break;
+                }
+                unr.sleep(us(50.0));
+            }
+            assert_eq!(unr.retries_in_flight(), 0, "acks must drain");
+            (1..4).for_each(|p| comm.send(p, 8, &[]));
+        } else {
+            let mem = unr.mem_reg(ROUNDS * BLOCK);
+            let sig = unr.sig_init(ROUNDS as _);
+            let dst = unr.blk_init(&mem, 0, ROUNDS * BLOCK, Some(&sig));
+            convert::send_blk(comm, 0, 0, &dst);
+            unr.sig_wait(&sig).unwrap();
+            assert!(!sig.overflowed());
+            let mut got = vec![0u8; BLOCK];
+            for round in 0..ROUNDS {
+                mem.read_bytes(round * BLOCK, &mut got);
+                assert!(
+                    got == block(round),
+                    "rank {} round {round}: not the block as of its post",
+                    comm.rank()
+                );
+            }
+            comm.recv(Some(0), 8); // keep acking until the sender drained
+        }
+    });
+    let snap = fabric.obs.metrics.snapshot();
+    assert_eq!(snap.counter("unr.signal.overflow_trips"), Some(0));
+    assert_eq!(snap.counter("unr.retry.exhausted"), Some(0));
+    assert!(snap.counter("simnet.fault.duplicated").unwrap() > 0);
+    if snap.counter("simnet.fault.dropped").unwrap_or(0) > 0 {
         assert!(snap.counter("unr.retry.retransmits").unwrap() > 0);
     }
 }
