@@ -1,5 +1,5 @@
 //! `unr-launch` — bootstrap a local multi-process netfab world and run
-//! the loopback storm.
+//! the socket storm.
 //!
 //! ```text
 //! unr-launch storm [--ranks N] [--nics K] [--iters I] [--epochs E]
@@ -9,9 +9,9 @@
 //! ```
 //!
 //! The parent binds a rendezvous listener, spawns `N` copies of itself
-//! (rank and rendezvous address passed via `UNR_NETFAB_*` environment
-//! variables), serves the port-table exchange and barrier rounds, and
-//! exits non-zero if any rank fails. Children bootstrap the TCP mesh,
+//! (rank and rendezvous name passed via `UNR_NETFAB_*` environment
+//! variables), serves the listener-name exchange and barrier rounds,
+//! and exits non-zero if any rank fails. Children bootstrap the mesh,
 //! run the storm, and print one `STORM_OK {...}` JSON line each; the
 //! parent aggregates them into a `STORM_AGG {...}` line (total ops,
 //! aggregate ops/sec over the slowest rank's wall clock, and the

@@ -5,7 +5,6 @@
 //! out-of-band exchange comes in as closures; registration, progress,
 //! the waits and the clock are the engine's own.
 
-use std::net::TcpListener;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
@@ -17,6 +16,7 @@ use unr_core::{
 use unr_minimpi::run_mpi_world;
 use unr_simnet::FabricConfig;
 
+use crate::fabric::listen;
 use crate::{NetFabric, NetFaults, NetUnr, NetWorld};
 
 const NICS: usize = 2;
@@ -195,17 +195,7 @@ fn on_simnet(seed: u64, reliable: bool, agg: bool) -> Vec<Outcome> {
 }
 
 fn on_netfab(seed: u64, reliable: bool, agg: bool, faults: NetFaults) -> Vec<Outcome> {
-    let listeners: Vec<Vec<TcpListener>> = (0..2)
-        .map(|_| {
-            (0..NICS)
-                .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
-                .collect()
-        })
-        .collect();
-    let ports: Vec<Vec<u16>> = listeners
-        .iter()
-        .map(|row| row.iter().map(|l| l.local_addr().unwrap().port()).collect())
-        .collect();
+    let (listeners, names): (Vec<_>, Vec<_>) = (0..2).map(|_| listen().unwrap()).unzip();
     let cfg = config(reliable, agg);
     let barrier = Barrier::new(2);
     let (to_1, from_0) = mpsc::channel::<Vec<u8>>();
@@ -218,10 +208,10 @@ fn on_netfab(seed: u64, reliable: bool, agg: bool, faults: NetFaults) -> Vec<Out
             .enumerate()
             .map(|(rank, (mine, link))| {
                 let (tx, rx) = link.take().unwrap();
-                let (ports, barrier) = (&ports, &barrier);
+                let (names, barrier) = (&names, &barrier);
                 s.spawn(move || {
                     // Rank 0 dials into rank 1's backlog; rank 1 accepts.
-                    let fabric = NetFabric::connect(rank, 2, NICS, ports, mine).unwrap();
+                    let fabric = NetFabric::connect(rank, 2, NICS, names, mine).unwrap();
                     let world = Arc::new(NetWorld::without_launcher(fabric));
                     let unr = NetUnr::init(world, cfg, faults).unwrap();
                     let out = script(

@@ -1,4 +1,4 @@
-//! `NetUnr` — bring-up of the UNR engine over the TCP-loopback fabric.
+//! `NetUnr` — bring-up of the UNR engine over the netfab socket fabric.
 //!
 //! Everything a rank does once it is up is `unr_core`'s own engine,
 //! monomorphised over [`NetTransport`]: the post path
@@ -46,7 +46,7 @@
 //! `unr_core::wire` epoch envelope; inbound frames carrying an epoch
 //! older than this engine's are fenced off the control path and counted
 //! in `unr.epoch.stale_rejects`, exactly like stale signal generations.
-//! PUT/GET data frames are not stamped: on netfab the whole TCP mesh is
+//! PUT/GET data frames are not stamped: on netfab the whole socket mesh is
 //! rebuilt per epoch, so no data frame can cross an epoch boundary.
 //!
 //! A wait has no scheduler to park on: [`NetTransport`]'s park polls
@@ -99,7 +99,7 @@ impl Deref for NetUnr {
 
 /// Wall-clock floor for the retransmit timer: the config's virtual-time
 /// `retry_timeout` is tuned for the simulator's nanosecond clock and is
-/// far below a realistic TCP RTT, so netfab clamps it up.
+/// far below a realistic socket round trip, so netfab clamps it up.
 const MIN_RTO: Duration = Duration::from_millis(5);
 /// Wall-clock floor for the backoff cap.
 const MIN_BACKOFF_CAP: Duration = Duration::from_millis(100);
@@ -164,7 +164,7 @@ impl NetUnr {
         &self.world
     }
 
-    /// The underlying TCP fabric.
+    /// The underlying socket fabric.
     pub fn fabric(&self) -> &Arc<NetFabric> {
         self.eng.transport().fabric()
     }
@@ -353,9 +353,9 @@ impl CtrlSink for Handling<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::listen;
     use crate::frame;
     use std::io::Write;
-    use std::net::TcpListener;
     use std::sync::Barrier;
     use unr_core::wire;
     use unr_core::{
@@ -366,22 +366,19 @@ mod tests {
     /// A one-rank fabric (no peers, so no sockets beyond the reactors'
     /// wake channels) with a 64-byte region.
     fn fixture() -> (Arc<NetFabric>, u32) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let fabric = NetFabric::connect(0, 1, 1, &[vec![port]], vec![listener]).unwrap();
+        let (listener, name) = listen().unwrap();
+        let fabric = NetFabric::connect(0, 1, 1, &[name], listener).unwrap();
         let region_id = fabric.register(64).rkey.id;
         (fabric, region_id)
     }
 
     /// Two fabrics of a two-rank world, one NIC each.
     fn pair() -> (Arc<NetFabric>, Arc<NetFabric>) {
-        let listen = || TcpListener::bind("127.0.0.1:0").unwrap();
-        let (l0, l1) = (listen(), listen());
-        let port = |l: &TcpListener| l.local_addr().unwrap().port();
-        let ports = [vec![port(&l0)], vec![port(&l1)]];
+        let ((l0, n0), (l1, n1)) = (listen().unwrap(), listen().unwrap());
+        let names = [n0, n1];
         // Rank 0 dials into rank 1's backlog; rank 1 accepts.
-        let f0 = NetFabric::connect(0, 2, 1, &ports, vec![l0]).unwrap();
-        let f1 = NetFabric::connect(1, 2, 1, &ports, vec![l1]).unwrap();
+        let f0 = NetFabric::connect(0, 2, 1, &names, l0).unwrap();
+        let f1 = NetFabric::connect(1, 2, 1, &names, l1).unwrap();
         (f0, f1)
     }
 
@@ -443,11 +440,8 @@ mod tests {
     /// nothing behind for the sweep to retransmit.
     #[test]
     fn a_first_post_onto_a_dead_stream_leaves_nothing_pending() {
-        let listen = || TcpListener::bind("127.0.0.1:0").unwrap();
-        let (l0, l1) = (listen(), listen());
-        let port = |l: &TcpListener| l.local_addr().unwrap().port();
-        let ports = [vec![port(&l0)], vec![port(&l1)]];
-        let fabric = NetFabric::connect(0, 2, 1, &ports, vec![l0]).unwrap();
+        let ((l0, n0), (l1, n1)) = (listen().unwrap(), listen().unwrap());
+        let fabric = NetFabric::connect(0, 2, 1, &[n0, n1], l0).unwrap();
         // "Rank 1" is a raw socket that answers HELLO with a length
         // prefix no frame can have.
         let (mut peer, _) = l1.accept().unwrap();

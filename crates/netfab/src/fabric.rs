@@ -1,10 +1,11 @@
-//! The TCP-loopback fabric: per-rank NIC sockets, emulated RMA regions,
-//! and the engine's installed receive side — all I/O driven by the
-//! reactor pool.
+//! The socket fabric: per-rank NIC sockets, emulated RMA regions, and
+//! the engine's installed receive side — all I/O driven by the reactor
+//! pool.
 //!
 //! A [`NetFabric`] owns, for each `(peer, nic)` pair, one bidirectional
-//! **nonblocking** `TcpStream` registered with exactly one reactor
-//! thread ([`crate::reactor`]). Sends encode the whole frame up front,
+//! **nonblocking** Unix-domain stream, dialed by a Linux abstract name
+//! ([`listen`]), registered with exactly one reactor thread
+//! ([`crate::reactor`]). Sends encode the whole frame up front,
 //! push it onto the connection's lock-free writer queue and, when
 //! nobody else is writing that socket and it is not full, write it from
 //! the posting thread; otherwise the owning reactor is woken to do it
@@ -48,7 +49,8 @@
 //! never arrived.
 
 use std::io;
-use std::net::{Shutdown, TcpStream};
+use std::os::linux::net::SocketAddrExt;
+use std::os::unix::net::{SocketAddr, UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -221,7 +223,7 @@ struct EventBell {
 /// One sleeper's wake channel; `parked` while a thread holds it.
 struct BellChannel {
     wake: WakeHandle,
-    rx: TcpStream,
+    rx: UnixStream,
     parked: AtomicBool,
 }
 
@@ -397,7 +399,28 @@ impl Shared {
     }
 }
 
-/// The per-process TCP fabric: a full mesh of loopback streams to every
+/// Bind a listener at a fresh Linux abstract socket name,
+/// `unr-netfab.{pid}.{seq}`, and return both: every netfab address is
+/// made here. A name already held (a process in another PID namespace
+/// on the same network namespace) is skipped.
+pub fn listen() -> io::Result<(UnixListener, String)> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    loop {
+        let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+        let name = format!("unr-netfab.{}.{seq}", std::process::id());
+        match UnixListener::bind_addr(&SocketAddr::from_abstract_name(&name)?) {
+            Err(e) if e.kind() == io::ErrorKind::AddrInUse => continue,
+            bound => return Ok((bound?, name)),
+        }
+    }
+}
+
+/// Connect to the listener [`listen`] bound at `name`.
+pub fn dial(name: &str) -> io::Result<UnixStream> {
+    UnixStream::connect_addr(&SocketAddr::from_abstract_name(name)?)
+}
+
+/// The per-process fabric: a full mesh of Unix-domain streams to every
 /// peer over `nics` parallel sockets, serviced by a fixed reactor pool.
 pub struct NetFabric {
     rank: usize,
@@ -420,19 +443,19 @@ pub struct NetFabric {
 }
 
 impl NetFabric {
-    /// Establish the mesh given every rank's per-NIC listener ports.
-    /// `listeners` are this rank's own bound listeners (one per NIC).
-    /// For each unordered pair `(i, j)` with `i < j`, rank `i` dials and
-    /// rank `j` accepts; the dialer sends a `HELLO` identifying itself.
+    /// Establish the mesh given every rank's listener name (`names[r]`,
+    /// from [`listen`]); `listener` is this rank's own. For each pair
+    /// `(i, j)` with `i < j`, rank `i` dials rank `j` once per NIC and
+    /// sends a `HELLO` naming itself and the NIC; rank `j` accepts them
+    /// all on its one listener.
     pub fn connect(
         rank: usize,
         nranks: usize,
         nics: usize,
-        ports: &[Vec<u16>],
-        listeners: Vec<std::net::TcpListener>,
+        names: &[String],
+        listener: UnixListener,
     ) -> io::Result<Arc<NetFabric>> {
-        assert_eq!(ports.len(), nranks, "one port row per rank");
-        assert_eq!(listeners.len(), nics, "one listener per NIC");
+        assert_eq!(names.len(), nranks, "one listener name per rank");
         let obs = Arc::new(Obs::new());
         let met = TransportMetrics::register(&obs);
         let reactor_met = ReactorMetrics::register(&obs);
@@ -441,52 +464,44 @@ impl NetFabric {
         let mut conns: Vec<Vec<Option<Arc<Conn>>>> = (0..nranks)
             .map(|_| (0..nics).map(|_| None).collect())
             .collect();
-        let mut streams: Vec<(usize, usize, TcpStream)> = Vec::new();
+        let mut streams: Vec<(usize, usize, UnixStream)> = Vec::new();
 
-        // Dial every higher-ranked peer on every NIC. TCP completes the
-        // handshake in the peer's listener backlog, so a global
-        // dial-then-accept order cannot deadlock.
-        for (peer, peer_ports) in ports.iter().enumerate().take(nranks).skip(rank + 1) {
-            for (nic, &port) in peer_ports.iter().enumerate().take(nics) {
-                let s = TcpStream::connect(("127.0.0.1", port))?;
-                s.set_nodelay(true)?;
-                {
-                    let mut w = &s;
-                    frame::write_frame(
-                        &mut w,
-                        frame::FRAME_HELLO,
-                        &[&frame::hello_body(rank, nic)],
-                    )?;
-                }
+        // Dial every higher-ranked peer on every NIC, then accept. A
+        // connect blocks only while the peer's backlog is full; dials go
+        // only upwards and the top rank accepts first, so they may
+        // serialize but cannot deadlock (DESIGN.md §6, bootstrap).
+        for (peer, name) in names.iter().enumerate().skip(rank + 1) {
+            for nic in 0..nics {
+                let s = dial(name)?;
+                frame::write_frame(
+                    &mut &s,
+                    frame::FRAME_HELLO,
+                    &[&frame::hello_body(rank, nic)],
+                )?;
                 streams.push((peer, nic, s));
             }
         }
-        // Accept one stream per lower-ranked peer on each NIC listener.
-        for (nic, l) in listeners.iter().enumerate() {
-            for _ in 0..rank {
-                let (s, _) = l.accept()?;
-                s.set_nodelay(true)?;
-                let hello = {
-                    let mut r = &s;
-                    frame::read_frame(&mut r)?
-                };
-                if hello.kind != frame::FRAME_HELLO
-                    || hello.body.len() < frame::min_body_len(frame::FRAME_HELLO)
-                {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "expected HELLO as first frame",
-                    ));
-                }
-                let (peer, peer_nic) = frame::parse_hello(&hello.body);
-                if peer_nic != nic {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("peer {peer} dialed NIC {nic} but announced NIC {peer_nic}"),
-                    ));
-                }
-                streams.push((peer, nic, s));
+        // Accept one stream per lower-ranked peer and NIC, as HELLO says.
+        for _ in 0..rank * nics {
+            let (s, _) = listener.accept()?;
+            let hello = frame::read_frame(&mut &s)?;
+            if hello.kind != frame::FRAME_HELLO
+                || hello.body.len() < frame::min_body_len(frame::FRAME_HELLO)
+            {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "expected HELLO as first frame",
+                ));
             }
+            let (peer, nic) = frame::parse_hello(&hello.body);
+            if peer >= rank || nic >= nics || streams.iter().any(|&(p, n, _)| (p, n) == (peer, nic))
+            {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unexpected HELLO from rank {peer} on NIC {nic}"),
+                ));
+            }
+            streams.push((peer, nic, s));
         }
 
         // Register every stream with its reactor: nonblocking from here
@@ -890,7 +905,7 @@ impl NetFabric {
         self.pool.shutdown();
         for row in &self.conns {
             for c in row.iter().flatten() {
-                let _ = c.stream.shutdown(Shutdown::Both);
+                c.close();
             }
         }
         self.shared.ring_bell();
@@ -1143,11 +1158,8 @@ mod tests {
             b[..8].copy_from_slice(&(i as u64).to_le_bytes());
             b
         };
-        let listen = || std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let (l0, l1) = (listen(), listen());
-        let port = |l: &std::net::TcpListener| l.local_addr().unwrap().port();
-        let ports = [vec![port(&l0)], vec![port(&l1)]];
-        let fabric = NetFabric::connect(0, 2, 1, &ports, vec![l0]).unwrap();
+        let ((l0, n0), (l1, n1)) = (listen().unwrap(), listen().unwrap());
+        let fabric = NetFabric::connect(0, 2, 1, &[n0, n1], l0).unwrap();
         let (peer, _) = l1.accept().unwrap();
         let mut peer = &peer;
         assert_eq!(
@@ -1204,9 +1216,8 @@ mod tests {
     /// consume the wake byte before the other's poll saw it.
     #[test]
     fn a_ring_wakes_every_parked_waiter() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let fabric = NetFabric::connect(0, 1, 1, &[vec![port]], vec![listener]).unwrap();
+        let (listener, name) = listen().unwrap();
+        let fabric = NetFabric::connect(0, 1, 1, &[name], listener).unwrap();
         for round in 0..20 {
             let since = fabric.event_epoch();
             let slept = std::thread::scope(|s| {

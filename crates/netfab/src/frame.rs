@@ -32,8 +32,8 @@
 //!
 //! | kind | name      | body layout                                         |
 //! |------|-----------|-----------------------------------------------------|
-//! | 10   | `JOIN`    | `rank u32, nics u32, port u16 × nics`               |
-//! | 11   | `TABLE`   | `nranks u32, nics u32, port u16 × (nranks × nics)`  |
+//! | 10   | `JOIN`    | `rank u32, nics u32, name…` — the listener's name   |
+//! | 11   | `TABLE`   | `nranks u32, nics u32, nranks × (len u32, name)`    |
 //! | 12   | `GATHER`  | opaque contribution to a collective round           |
 //! | 13   | `ALLDATA` | `nranks × (len u32, bytes)` — concatenated results  |
 //! | 14   | `REJOIN`  | `epoch u64` — a rank died; re-run the rendezvous    |
@@ -57,9 +57,9 @@ pub const FRAME_ATOMIC: u8 = 5;
 /// Opaque `unr_core::wire` control message (reliable transport, acks).
 pub const FRAME_CTRL: u8 = 6;
 
-/// Bootstrap: child announces `rank` and its per-NIC listener ports.
+/// Bootstrap: child announces `rank` and its data listener's name.
 pub const FRAME_JOIN: u8 = 10;
-/// Bootstrap: parent broadcasts the full rank×NIC port table.
+/// Bootstrap: parent broadcasts every rank's listener name.
 pub const FRAME_TABLE: u8 = 11;
 /// Bootstrap: one rank's contribution to a collective round.
 pub const FRAME_GATHER: u8 = 12;
@@ -226,7 +226,7 @@ pub fn write_frame(w: &mut impl Write, kind: u8, parts: &[&[u8]]) -> io::Result<
 pub enum ReadEnd {
     /// The peer closed the stream on a frame boundary (orderly
     /// teardown): EOF — or a connection reset, which a racing close of
-    /// a loopback socket with in-flight data can produce — before the
+    /// a socket with unread data can produce — before the
     /// first prefix byte.
     CleanClose,
     /// The stream died mid-frame or delivered a corrupt length prefix;

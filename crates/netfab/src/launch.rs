@@ -4,22 +4,24 @@
 //!
 //! The bootstrap sequence:
 //!
-//! 1. The parent binds a rendezvous `TcpListener` on `127.0.0.1:0` and
-//!    spawns `nranks` copies of the *current executable* with the
-//!    `UNR_NETFAB_*` environment variables set (rank, world size, NIC
-//!    count, and the rendezvous address). These six variables
+//! 1. The parent binds a rendezvous listener at a Linux abstract
+//!    socket name ([`fabric::listen`]) and spawns `nranks` copies of the
+//!    *current executable* with the `UNR_NETFAB_*` environment
+//!    variables set (rank, world size, NIC count, and the rendezvous
+//!    name). These six variables
 //!    ([`ENV_RANK`] … [`ENV_EPOCH`]) are the launcher's protocol with
 //!    its children, not settings: the launcher writes them and
 //!    [`NetWorld::from_env`] reads them. The netfab runtime reads no
 //!    other environment variable.
-//! 2. Each child binds `nics` data listeners on `127.0.0.1:0`, connects
-//!    to the rendezvous address, and sends a `JOIN` frame carrying its
-//!    rank and listener ports.
+//! 2. Each child binds one data listener at a name of its own, connects
+//!    to the rendezvous name, and sends a `JOIN` frame carrying its rank
+//!    and its listener's name.
 //! 3. Once all `JOIN`s are in, the parent broadcasts the full
-//!    `rank × NIC → port` `TABLE` to every child.
+//!    `rank → name` `TABLE` to every child.
 //! 4. Children build the data mesh ([`NetFabric::connect`]): for each
-//!    pair `(i, j)` with `i < j`, rank `i` dials rank `j`, identifying
-//!    the stream with a `HELLO`.
+//!    pair `(i, j)` with `i < j`, rank `i` dials rank `j`'s listener
+//!    once per NIC, identifying each stream with a `HELLO` that names
+//!    the rank and the NIC.
 //! 5. The rendezvous connection stays open as an out-of-band collective
 //!    channel: `GATHER`/`ALLDATA` rounds implement [`NetWorld::barrier`],
 //!    [`NetWorld::allgather`] and BLK-handle exchange.
@@ -43,7 +45,7 @@
 //!    [`ENV_EPOCH`] set to the new membership epoch, and answers the
 //!    survivors' round with `REJOIN` instead of `ALLDATA`.
 //! 3. Survivors observe [`Gathered::Rejoin`], tear down their engine,
-//!    and call [`NetWorld::rejoin`]: fresh data listeners, a fresh
+//!    and call [`NetWorld::rejoin`]: a fresh data listener, a fresh
 //!    `JOIN` over the *existing* parent connection, a fresh `TABLE`, a
 //!    fresh mesh. The respawned rank runs the ordinary bootstrap
 //!    through the still-open rendezvous listener.
@@ -56,7 +58,7 @@
 //! interrupted by a `REJOIN` surfaces `io::ErrorKind::Interrupted`.
 
 use std::io::{self, BufRead, BufReader};
-use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Mutex};
@@ -65,7 +67,7 @@ use std::time::{Duration, Instant};
 
 use unr_core::{Blk, BLK_WIRE_LEN};
 
-use crate::fabric::NetFabric;
+use crate::fabric::{self, NetFabric};
 use crate::frame::{self, FRAME_ALLDATA, FRAME_GATHER, FRAME_JOIN, FRAME_REJOIN, FRAME_TABLE};
 
 /// Launcher→child protocol: this process's rank.
@@ -74,7 +76,8 @@ pub const ENV_RANK: &str = "UNR_NETFAB_RANK";
 pub const ENV_NRANKS: &str = "UNR_NETFAB_NRANKS";
 /// Launcher→child protocol: sockets ("NICs") per peer.
 pub const ENV_NICS: &str = "UNR_NETFAB_NICS";
-/// Launcher→child protocol: `host:port` of the parent's rendezvous listener.
+/// Launcher→child protocol: the abstract socket name of the parent's
+/// rendezvous listener.
 pub const ENV_BOOTSTRAP: &str = "UNR_NETFAB_BOOTSTRAP";
 /// Launcher→child protocol: incarnation generation of this process (0 for
 /// the original spawn, +1 per respawn of the same rank).
@@ -86,9 +89,9 @@ pub const ENV_EPOCH: &str = "UNR_NETFAB_EPOCH";
 /// A child process's view of the world: the data-plane fabric plus the
 /// out-of-band collective channel to the launching parent.
 pub struct NetWorld {
-    /// The established TCP mesh.
+    /// The established mesh.
     pub fabric: Arc<NetFabric>,
-    parent: Mutex<TcpStream>,
+    parent: Mutex<UnixStream>,
     generation: u32,
     epoch: u64,
 }
@@ -132,12 +135,11 @@ impl NetWorld {
         rank: usize,
         nranks: usize,
         nics: usize,
-        parent_addr: &str,
+        parent_name: &str,
         generation: u32,
         epoch: u64,
     ) -> io::Result<NetWorld> {
-        let mut parent = TcpStream::connect(parent_addr)?;
-        parent.set_nodelay(true)?;
+        let mut parent = fabric::dial(parent_name)?;
         let fabric = Self::mesh_rendezvous(&mut parent, rank, nranks, nics)?;
         Ok(NetWorld {
             fabric,
@@ -147,66 +149,47 @@ impl NetWorld {
         })
     }
 
-    /// Bind fresh data listeners, send a `JOIN` over `parent`, read the
+    /// Bind a fresh data listener, send a `JOIN` over `parent`, read the
     /// `TABLE`, and dial the mesh. Shared by the initial bootstrap and
     /// by every [`NetWorld::rejoin`].
     fn mesh_rendezvous(
-        parent: &mut TcpStream,
+        parent: &mut UnixStream,
         rank: usize,
         nranks: usize,
         nics: usize,
     ) -> io::Result<Arc<NetFabric>> {
-        // Bind the data listeners first so their ports can ride the JOIN.
-        let mut listeners = Vec::with_capacity(nics);
-        let mut ports = Vec::with_capacity(nics);
-        for _ in 0..nics {
-            let l = TcpListener::bind("127.0.0.1:0")?;
-            ports.push(l.local_addr()?.port());
-            listeners.push(l);
-        }
-
-        let mut join = Vec::with_capacity(8 + nics * 2);
+        // Bind the data listener first so its name can ride the JOIN.
+        let (listener, name) = fabric::listen()?;
+        let mut join = Vec::with_capacity(8 + name.len());
         join.extend_from_slice(&(rank as u32).to_le_bytes());
         join.extend_from_slice(&(nics as u32).to_le_bytes());
-        for p in &ports {
-            join.extend_from_slice(&p.to_le_bytes());
-        }
+        join.extend_from_slice(name.as_bytes());
         frame::write_frame(parent, FRAME_JOIN, &[&join])?;
 
         let table = frame::read_frame(parent)?;
         if table.kind != FRAME_TABLE {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "expected TABLE from parent",
-            ));
+            return Err(bad("expected TABLE from parent"));
         }
         let b = &table.body;
-        let t_nranks = u32::from_le_bytes(b[0..4].try_into().expect("table nranks")) as usize;
-        let t_nics = u32::from_le_bytes(b[4..8].try_into().expect("table nics")) as usize;
+        let mut at = 0;
+        let t_nranks = u32_field(b, &mut at)? as usize;
+        let t_nics = u32_field(b, &mut at)? as usize;
         if t_nranks != nranks || t_nics != nics {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "TABLE shape does not match the environment",
-            ));
+            return Err(bad("TABLE shape does not match the environment"));
         }
-        let mut all_ports = vec![vec![0u16; nics]; nranks];
-        let mut at = 8;
-        for row in all_ports.iter_mut() {
-            for p in row.iter_mut() {
-                *p = u16::from_le_bytes(b[at..at + 2].try_into().expect("table port"));
-                at += 2;
-            }
-        }
+        let names: Vec<String> = get_parts(&b[at..], nranks)?
+            .iter()
+            .map(|n| String::from_utf8_lossy(n).into_owned())
+            .collect();
 
-        NetFabric::connect(rank, nranks, nics, &all_ports, listeners)
+        NetFabric::connect(rank, nranks, nics, &names, listener)
     }
 
     /// A world around `fabric` with no launcher behind it, for engine
     /// unit tests: collectives fail, everything else works.
     #[cfg(test)]
     pub(crate) fn without_launcher(fabric: Arc<NetFabric>) -> NetWorld {
-        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let parent = TcpStream::connect(l.local_addr().expect("addr")).expect("connect");
+        let (parent, _) = UnixStream::pair().expect("socketpair");
         NetWorld {
             fabric,
             parent: Mutex::new(parent),
@@ -258,19 +241,7 @@ impl NetWorld {
         frame::write_frame(&mut *s, FRAME_GATHER, &[bytes])?;
         let f = frame::read_frame(&mut *s)?;
         match f.kind {
-            FRAME_ALLDATA => {
-                let b = &f.body;
-                let mut out = Vec::with_capacity(self.nranks());
-                let mut at = 0;
-                for _ in 0..self.nranks() {
-                    let len =
-                        u32::from_le_bytes(b[at..at + 4].try_into().expect("alldata len")) as usize;
-                    at += 4;
-                    out.push(b[at..at + len].to_vec());
-                    at += len;
-                }
-                Ok(Gathered::Data(out))
-            }
+            FRAME_ALLDATA => Ok(Gathered::Data(get_parts(&f.body, self.nranks())?)),
             FRAME_REJOIN => Ok(Gathered::Rejoin),
             _ => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -325,7 +296,7 @@ impl NetWorld {
     }
 
     /// Re-run the JOIN→TABLE rendezvous into the next membership epoch
-    /// after a [`Gathered::Rejoin`]: fresh data listeners, a fresh
+    /// after a [`Gathered::Rejoin`]: a fresh data listener, a fresh
     /// `JOIN` over the existing parent connection, a fresh mesh.
     ///
     /// The previous engine **must be finalized first** (its fabric shut
@@ -505,14 +476,14 @@ fn spawn_rank(
     inc: Incarnation,
     nranks: usize,
     nics: usize,
-    addr: &str,
+    rendezvous: &str,
 ) -> io::Result<Child> {
     Command::new(exe)
         .args(args)
         .env(ENV_RANK, inc.rank.to_string())
         .env(ENV_NRANKS, nranks.to_string())
         .env(ENV_NICS, nics.to_string())
-        .env(ENV_BOOTSTRAP, addr)
+        .env(ENV_BOOTSTRAP, rendezvous)
         .env(ENV_GENERATION, inc.generation.to_string())
         .env(ENV_EPOCH, inc.epoch.to_string())
         .stdout(Stdio::piped())
@@ -535,38 +506,67 @@ fn pump_stdout(rank: usize, child: &mut Child) -> JoinHandle<String> {
     })
 }
 
-fn parse_join(f: &frame::Frame, nranks: usize, nics: usize) -> io::Result<(usize, Vec<u16>)> {
+fn bad(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// The `u32` at `*at` in `b`, advancing `at` past it.
+fn u32_field(b: &[u8], at: &mut usize) -> io::Result<u32> {
+    let f = b
+        .get(*at..*at + 4)
+        .ok_or_else(|| bad("short bootstrap frame"))?;
+    *at += 4;
+    Ok(u32::from_le_bytes(f.try_into().expect("4 bytes")))
+}
+
+/// `parts` as `(len u32, bytes)` runs: an `ALLDATA` body, a `TABLE`'s
+/// names.
+fn put_parts<P: AsRef<[u8]>>(out: &mut Vec<u8>, parts: &[P]) {
+    for p in parts.iter().map(AsRef::as_ref) {
+        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        out.extend_from_slice(p);
+    }
+}
+
+/// The first `n` `(len u32, bytes)` runs of `b`.
+fn get_parts(b: &[u8], n: usize) -> io::Result<Vec<Vec<u8>>> {
+    let mut at = 0;
+    (0..n)
+        .map(|_| {
+            let len = u32_field(b, &mut at)? as usize;
+            let part = b
+                .get(at..at + len)
+                .ok_or_else(|| bad("short bootstrap frame"))?;
+            at += len;
+            Ok(part.to_vec())
+        })
+        .collect()
+}
+
+/// `(rank, listener name)` of a `JOIN`.
+fn parse_join(f: &frame::Frame, nranks: usize, nics: usize) -> io::Result<(usize, String)> {
     if f.kind != FRAME_JOIN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "expected JOIN from child",
-        ));
+        return Err(bad("expected JOIN from child"));
     }
     let b = &f.body;
-    let rank = u32::from_le_bytes(b[0..4].try_into().expect("join rank")) as usize;
-    let j_nics = u32::from_le_bytes(b[4..8].try_into().expect("join nics")) as usize;
+    let mut at = 0;
+    let rank = u32_field(b, &mut at)? as usize;
+    let j_nics = u32_field(b, &mut at)? as usize;
     if rank >= nranks || j_nics != nics {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad JOIN from rank {rank}"),
-        ));
+        return Err(bad(&format!("bad JOIN from rank {rank}")));
     }
-    let mut ports = vec![0u16; nics];
-    for (nic, p) in ports.iter_mut().enumerate() {
-        *p = u16::from_le_bytes(b[8 + nic * 2..10 + nic * 2].try_into().expect("join port"));
-    }
-    Ok((rank, ports))
+    Ok((rank, String::from_utf8_lossy(&b[at..]).into_owned()))
 }
 
 /// Accept one `JOIN` on the rendezvous listener (nonblocking, bounded
 /// by `deadline`), failing fast if any child dies before joining.
 fn accept_join(
-    listener: &TcpListener,
+    listener: &UnixListener,
     guard: &mut KillOnDrop,
     deadline: Instant,
     nranks: usize,
     nics: usize,
-) -> io::Result<(TcpStream, usize, Vec<u16>)> {
+) -> io::Result<(UnixStream, usize, String)> {
     let mut s = loop {
         match listener.accept() {
             Ok((s, _)) => break s,
@@ -592,7 +592,6 @@ fn accept_join(
     // Accepted sockets must not inherit the listener's nonblocking
     // mode; the JOIN read is bounded instead of blocking forever.
     s.set_nonblocking(false)?;
-    s.set_nodelay(true)?;
     s.set_read_timeout(Some(
         deadline
             .saturating_duration_since(Instant::now())
@@ -600,20 +599,15 @@ fn accept_join(
     ))?;
     let f = frame::read_frame(&mut s)?;
     s.set_read_timeout(None)?;
-    let (rank, ports) = parse_join(&f, nranks, nics)?;
-    Ok((s, rank, ports))
+    let (rank, name) = parse_join(&f, nranks, nics)?;
+    Ok((s, rank, name))
 }
 
-fn broadcast_table(conns: &mut [TcpStream], table: &[Vec<u16>], nics: usize) -> io::Result<()> {
-    let nranks = table.len();
-    let mut tbl = Vec::with_capacity(8 + nranks * nics * 2);
-    tbl.extend_from_slice(&(nranks as u32).to_le_bytes());
+fn broadcast_table(conns: &mut [UnixStream], table: &[String], nics: usize) -> io::Result<()> {
+    let mut tbl = Vec::new();
+    tbl.extend_from_slice(&(table.len() as u32).to_le_bytes());
     tbl.extend_from_slice(&(nics as u32).to_le_bytes());
-    for row in table {
-        for p in row {
-            tbl.extend_from_slice(&p.to_le_bytes());
-        }
-    }
+    put_parts(&mut tbl, table);
     for c in conns.iter_mut() {
         frame::write_frame(c, FRAME_TABLE, &[&tbl])?;
     }
@@ -654,8 +648,7 @@ pub fn spawn_world_with_recovery(
     recovery: Option<RespawnSpec>,
 ) -> io::Result<WorldResult> {
     assert!(nranks >= 1 && nics >= 1, "need at least one rank and NIC");
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?.to_string();
+    let (listener, rendezvous) = fabric::listen()?;
     let exe = std::env::current_exe()?;
 
     let mut children = Vec::with_capacity(nranks);
@@ -665,7 +658,7 @@ pub fn spawn_world_with_recovery(
             generation: 0,
             epoch: 0,
         };
-        children.push(spawn_rank(&exe, args, inc, nranks, nics, &addr)?);
+        children.push(spawn_rank(&exe, args, inc, nranks, nics, &rendezvous)?);
     }
 
     // Echo each child's stdout live and capture it for the caller. Each
@@ -683,21 +676,21 @@ pub fn spawn_world_with_recovery(
     // fast if any child dies before joining (its JOIN will never come,
     // so blocking forever would wedge CI).
     listener.set_nonblocking(true)?;
-    let mut conns: Vec<Option<TcpStream>> = (0..nranks).map(|_| None).collect();
-    let mut table = vec![vec![0u16; nics]; nranks];
+    let mut conns: Vec<Option<UnixStream>> = (0..nranks).map(|_| None).collect();
+    let mut table = vec![String::new(); nranks];
     let join_deadline = Instant::now() + JOIN_TIMEOUT;
     for _ in 0..nranks {
-        let (s, rank, ports) = accept_join(&listener, &mut guard, join_deadline, nranks, nics)?;
+        let (s, rank, name) = accept_join(&listener, &mut guard, join_deadline, nranks, nics)?;
         if conns[rank].is_some() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("duplicate JOIN from rank {rank}"),
             ));
         }
-        table[rank] = ports;
+        table[rank] = name;
         conns[rank] = Some(s);
     }
-    let mut conns: Vec<TcpStream> = conns.into_iter().map(|c| c.expect("all joined")).collect();
+    let mut conns: Vec<UnixStream> = conns.into_iter().map(|c| c.expect("all joined")).collect();
     broadcast_table(&mut conns, &table, nics)?;
 
     // Collective service: lockstep GATHER -> ALLDATA rounds until the
@@ -757,7 +750,7 @@ pub fn spawn_world_with_recovery(
                         generation: gens[r],
                         epoch,
                     };
-                    let mut child = spawn_rank(&exe, args, inc, nranks, nics, &addr)?;
+                    let mut child = spawn_rank(&exe, args, inc, nranks, nics, &rendezvous)?;
                     pumps[r].push(pump_stdout(r, &mut child));
                     guard.replace(r, child);
                     // Answer the survivors' round with REJOIN: they tear
@@ -773,7 +766,7 @@ pub fn spawn_world_with_recovery(
                     // open rendezvous listener; survivors re-JOIN over
                     // their existing connections.
                     let deadline = Instant::now() + JOIN_TIMEOUT;
-                    let (s_new, jr, ports) =
+                    let (s_new, jr, name) =
                         accept_join(&listener, &mut guard, deadline, nranks, nics)?;
                     if jr != r {
                         return Err(io::Error::new(
@@ -781,20 +774,20 @@ pub fn spawn_world_with_recovery(
                             format!("respawned rank {r} joined as rank {jr}"),
                         ));
                     }
-                    table[r] = ports;
+                    table[r] = name;
                     conns[r] = s_new;
                     for (s, c) in conns.iter_mut().enumerate() {
                         if s == r {
                             continue;
                         }
-                        let (jr, ports) = parse_join(&frame::read_frame(c)?, nranks, nics)?;
+                        let (jr, name) = parse_join(&frame::read_frame(c)?, nranks, nics)?;
                         if jr != s {
                             return Err(io::Error::new(
                                 io::ErrorKind::InvalidData,
                                 format!("survivor rank {s} re-joined as rank {jr}"),
                             ));
                         }
-                        table[s] = ports;
+                        table[s] = name;
                     }
                     broadcast_table(&mut conns, &table, nics)?;
                     continue 'rounds;
@@ -802,10 +795,7 @@ pub fn spawn_world_with_recovery(
             }
         }
         let mut all = Vec::new();
-        for p in &parts {
-            all.extend_from_slice(&(p.len() as u32).to_le_bytes());
-            all.extend_from_slice(p);
-        }
+        put_parts(&mut all, &parts);
         for c in conns.iter_mut() {
             frame::write_frame(c, FRAME_ALLDATA, &[&all])?;
         }

@@ -1,12 +1,14 @@
-//! # unr-netfab — the TCP-loopback fabric backend for UNR
+//! # unr-netfab — the Unix-domain socket fabric backend for UNR
 //!
 //! Everything the UNR engine consumes from the deterministic simulator
 //! (`unr-simnet`), rebuilt over real OS primitives: per-rank "NICs" are
-//! loopback TCP sockets, completion processing is a fixed pool of
-//! reactor threads over nonblocking sockets ([`reactor`]), and the
-//! notifiable-RMA custom bits ride a length-prefixed wire protocol
-//! ([`frame`]). The result is the paper's software emulation story
-//! (§V): a level-3 interface (full 128-bit custom bits both ways,
+//! Unix-domain stream sockets between the processes of one host, at
+//! Linux abstract names ([`fabric::listen`]; the crate is Linux-only),
+//! completion processing is a fixed pool of reactor threads over
+//! nonblocking sockets ([`reactor`]), and the notifiable-RMA custom
+//! bits ride a length-prefixed wire protocol ([`frame`]). The result is
+//! the paper's software emulation story (§V): a level-3 interface (full
+//! 128-bit custom bits both ways,
 //! [`Channel::netfab`](unr_core::Channel::netfab)) whose receiving side
 //! applies `*p += a` on whichever thread read the frame — the
 //! [`NetSink`] — exactly as a level-2 system emulates the proposed
@@ -24,7 +26,8 @@
 //!   the installed receive side (atomic adds, control frames, the
 //!   retransmit timer reactor 0 ticks), `unr.transport.*` metrics;
 //! * [`launch`] — [`spawn_world`] / [`NetWorld`]: multi-process
-//!   bootstrap (rank/port rendezvous) and out-of-band collectives;
+//!   bootstrap (rank/listener-name rendezvous) and out-of-band
+//!   collectives;
 //! * [`transport`] — [`NetTransport`]: `unr_core::Transport` over the
 //!   mesh, i.e. the leaf operations under `unr-core`'s one post path,
 //!   the park under its one wait loop, registration and the wall clock;

@@ -13,9 +13,8 @@
 //!   (`(peer × nics + nic) % nreactors` — a static registry, no
 //!   rebalancing);
 //! * each reactor blocks in a readiness poller (`poll(2)` via a local
-//!   FFI declaration on Unix — the hermetic rule bans external
-//!   *crates*, not syscalls — with a portable park-and-scan fallback
-//!   elsewhere) over its streams plus one **wake channel**;
+//!   FFI declaration — the hermetic rule bans external *crates*, not
+//!   syscalls) over its streams plus one **wake channel**;
 //! * reads feed a per-connection [`FrameAssembler`] that reassembles
 //!   length-prefixed frames across arbitrary partial reads, behind a
 //!   per-connection reader lock. **Whoever waits reads**: a rank thread
@@ -50,7 +49,9 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::raw::{c_int, c_ulong, c_void};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
@@ -70,6 +71,15 @@ pub const DEFAULT_REACTORS: usize = 2;
 /// (see `Writer::flush`) — so this bounds what a peer that stops
 /// reading can make this process hold.
 pub const QUEUE_CAP_BYTES: usize = 8 * 1024 * 1024;
+
+/// `SO_SNDBUF` asked for on every data stream. At the kernel default
+/// (`net.core.wmem_default`, 208 KiB) the frames the old TCP mesh's
+/// autotuned buffer absorbed wait in the writer queue instead: on the
+/// benchmark's `net-stream-large` (2 MiB in flight per window) that
+/// raised `peak_rss_mb` 8–15 % (9.5 → 10.9 MB) and `lat_p90_us` up to
+/// 50 %. The kernel caps the request at `net.core.wmem_max`, 4 MiB on
+/// the 2-vCPU VM where this was measured, and doubles what it grants.
+pub const SEND_BUF_BYTES: usize = 4 * 1024 * 1024;
 
 /// Poller timeout; the wake channel makes wakeups instant, this only
 /// bounds how long a reactor can miss a `stopping` flag — and is what a
@@ -147,7 +157,7 @@ struct Node {
 /// Treiber stack (CAS push onto an atomic head); the single consumer
 /// detaches the whole stack and reverses it, so frames come out in
 /// push-linearization order — the FIFO guarantee the unreliable path's
-/// "TCP delivers in order" assumption needs.
+/// "the stream delivers in order" assumption needs.
 pub struct FrameQueue {
     head: AtomicPtr<Node>,
     bytes: AtomicUsize,
@@ -267,10 +277,10 @@ pub struct Conn {
     /// Index of the owning reactor in the pool: the one that polls this
     /// stream when no rank thread does, and for writability always.
     pub reactor: usize,
-    /// The nonblocking stream. Lock holders read and write; the fabric
-    /// also calls `shutdown` on it (safe concurrently — all are plain
-    /// syscalls on the same descriptor).
-    pub stream: TcpStream,
+    /// The nonblocking stream. Lock holders read and write; anyone may
+    /// `close` it (safe concurrently — all are plain syscalls on the
+    /// same descriptor).
+    pub stream: UnixStream,
     /// Read side open (false after EOF or corruption). Written under
     /// the reader lock; read without it to build poll sets, so a stale
     /// `true` costs one empty read pass and nothing else.
@@ -292,9 +302,19 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Wrap an established stream (switches it to nonblocking).
-    pub fn new(peer: usize, nic: usize, reactor: usize, stream: TcpStream) -> io::Result<Conn> {
+    /// Wrap an established stream: switches it to nonblocking and sets
+    /// its send buffer to [`SEND_BUF_BYTES`].
+    pub fn new(peer: usize, nic: usize, reactor: usize, stream: UnixStream) -> io::Result<Conn> {
         stream.set_nonblocking(true)?;
+        let bytes = SEND_BUF_BYTES as c_int;
+        let value: *const c_void = (&bytes as *const c_int).cast();
+        let len = std::mem::size_of::<c_int>() as u32;
+        // Safety: `value` points at `bytes`, alive for the whole call, and
+        // `len` is its size; the descriptor is `stream`'s own.
+        let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_SNDBUF, value, len) };
+        if rc != 0 {
+            return Err(io::Error::last_os_error());
+        }
         Ok(Conn {
             peer,
             nic,
@@ -314,6 +334,13 @@ impl Conn {
                 open_write: true,
             }),
         })
+    }
+
+    /// Shut the stream down both ways: the peer reads EOF, reads here
+    /// see EOF and writes fail. (`Shutdown`, `UnixStream::shutdown`'s
+    /// argument, is all the crate takes from std's IP networking module.)
+    pub(crate) fn close(&self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 
     /// Bytes posted and not yet taken up for writing — what
@@ -404,7 +431,7 @@ impl Writer {
                 if !dispatch.stopping() {
                     dispatch.on_corrupt(conn.peer, conn.nic);
                 }
-                let _ = conn.stream.shutdown(Shutdown::Both);
+                conn.close();
                 self.open_write = false;
                 self.pending.clear();
                 self.front_off = 0;
@@ -529,31 +556,19 @@ pub const POLL_ERR: i16 = 0x008;
 /// Peer hangup (always polled implicitly).
 pub const POLL_HUP: i16 = 0x010;
 
-#[cfg(unix)]
-fn raw_fd(s: &TcpStream) -> i32 {
-    use std::os::fd::AsRawFd;
-    s.as_raw_fd()
+// The crate's syscall FFI (DESIGN.md §5, unsafe surface), declared here
+// because the hermetic rule bans crates, not syscalls. Linux values.
+extern "C" {
+    fn poll(fds: *mut PollSlot, nfds: c_ulong, timeout: c_int) -> c_int;
+    fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_void, len: u32) -> c_int;
 }
 
-#[cfg(not(unix))]
-fn raw_fd(_s: &TcpStream) -> i32 {
-    -1
-}
+const SOL_SOCKET: c_int = 1;
+const SO_SNDBUF: c_int = 7;
 
 /// Block until a slot is ready or `timeout_ms` elapses; returns the
 /// number of ready slots (0 on timeout).
-///
-/// Unix: `poll(2)` through a local `extern "C"` declaration — the one
-/// deliberate syscall FFI in the workspace (see DESIGN.md §5, unsafe
-/// surface). Elsewhere: park ~1 ms and report every requested slot
-/// ready, letting the nonblocking reads/writes discover actual
-/// readiness (correct, just less efficient).
-#[cfg(unix)]
 pub fn poll_wait(slots: &mut [PollSlot], timeout_ms: i32) -> io::Result<usize> {
-    use std::os::raw::{c_int, c_ulong};
-    extern "C" {
-        fn poll(fds: *mut PollSlot, nfds: c_ulong, timeout: c_int) -> c_int;
-    }
     loop {
         // Safety: `slots` is a valid, exclusive `#[repr(C)]` pollfd
         // array for the duration of the call.
@@ -568,23 +583,11 @@ pub fn poll_wait(slots: &mut [PollSlot], timeout_ms: i32) -> io::Result<usize> {
     }
 }
 
-/// Portable fallback poller (non-Unix): park briefly, claim readiness.
-#[cfg(not(unix))]
-pub fn poll_wait(slots: &mut [PollSlot], timeout_ms: i32) -> io::Result<usize> {
-    std::thread::sleep(std::time::Duration::from_millis(
-        timeout_ms.clamp(0, 1) as u64
-    ));
-    for s in slots.iter_mut() {
-        s.revents = s.events;
-    }
-    Ok(slots.len())
-}
-
 // ---------------------------------------------------------------------
 // Wake channel
 // ---------------------------------------------------------------------
 
-/// Producer side of a reactor's wake channel: a self-connected loopback
+/// Producer side of a reactor's wake channel: a `socketpair(2)`
 /// stream pair. `wake` writes one byte iff no wake is already pending,
 /// so the channel holds at most one unread byte per poller pass.
 ///
@@ -602,14 +605,14 @@ pub fn poll_wait(slots: &mut [PollSlot], timeout_ms: i32) -> io::Result<usize> {
 /// stays readable and the next poll returns at once. Either way the
 /// work is seen without waiting for the poll timeout.
 pub struct WakeHandle {
-    tx: TcpStream,
+    tx: UnixStream,
     pending: Arc<AtomicBool>,
 }
 
 impl WakeHandle {
     /// A fresh channel: the producer handle and the nonblocking read
     /// end its consumer polls.
-    pub(crate) fn channel() -> io::Result<(WakeHandle, TcpStream)> {
+    pub(crate) fn channel() -> io::Result<(WakeHandle, UnixStream)> {
         let (tx, rx) = wake_pair()?;
         let pending = Arc::new(AtomicBool::new(false));
         Ok((WakeHandle { tx, pending }, rx))
@@ -618,7 +621,7 @@ impl WakeHandle {
     /// Consumer side: empty the channel `rx`, then re-arm the producers
     /// (see `consume_wake`). The caller looks for the announced work
     /// afterwards.
-    pub(crate) fn consume(&self, rx: &TcpStream) {
+    pub(crate) fn consume(&self, rx: &UnixStream) {
         consume_wake(rx, &self.pending);
     }
 
@@ -648,23 +651,11 @@ fn consume_wake(mut rx: impl Read, pending: &AtomicBool) {
     pending.store(false, Ordering::SeqCst);
 }
 
-/// Build a loopback stream pair for the wake channel: `(tx, rx)`, with
-/// `rx` nonblocking.
-fn wake_pair() -> io::Result<(TcpStream, TcpStream)> {
-    let l = TcpListener::bind("127.0.0.1:0")?;
-    let addr = l.local_addr()?;
-    let tx = TcpStream::connect(addr)?;
-    let local = tx.local_addr()?;
-    // Accept until we see our own connect (a stray dialer on the
-    // ephemeral port would otherwise corrupt the channel).
-    loop {
-        let (rx, from) = l.accept()?;
-        if from == local {
-            tx.set_nodelay(true)?;
-            rx.set_nonblocking(true)?;
-            return Ok((tx, rx));
-        }
-    }
+/// The wake channel's connected stream pair `(tx, rx)`, `rx` nonblocking.
+fn wake_pair() -> io::Result<(UnixStream, UnixStream)> {
+    let (tx, rx) = UnixStream::pair()?;
+    rx.set_nonblocking(true)?;
+    Ok((tx, rx))
 }
 
 // ---------------------------------------------------------------------
@@ -842,7 +833,7 @@ impl ReactorPool {
     pub fn wait_readable(
         &self,
         conns: &[Arc<Conn>],
-        wake_rx: &TcpStream,
+        wake_rx: &UnixStream,
         timeout: Duration,
     ) -> Waited {
         // Slot 0 is the wake channel, slot i + 1 is `conns[i]`; a
@@ -850,13 +841,13 @@ impl ReactorPool {
         // descriptor `poll(2)` ignores.
         let mut slots = Vec::with_capacity(conns.len() + 1);
         slots.push(PollSlot {
-            fd: raw_fd(wake_rx),
+            fd: wake_rx.as_raw_fd(),
             events: POLL_IN,
             revents: 0,
         });
         slots.extend(conns.iter().map(|c| match c.open_read() {
             true => PollSlot {
-                fd: raw_fd(&c.stream),
+                fd: c.stream.as_raw_fd(),
                 events: POLL_IN,
                 revents: 0,
             },
@@ -955,7 +946,7 @@ struct ConnState {
 /// leaves the read to it and yields from the next pass.
 fn reactor_loop(
     conns: Vec<Arc<Conn>>,
-    wake_rx: TcpStream,
+    wake_rx: UnixStream,
     wake_pending: Arc<AtomicBool>,
     waiting: Arc<Waiting>,
     dispatch: Arc<dyn FrameDispatch>,
@@ -990,7 +981,7 @@ fn reactor_loop(
         slots.clear();
         slot_conn.clear();
         slots.push(PollSlot {
-            fd: raw_fd(&wake_rx),
+            fd: wake_rx.as_raw_fd(),
             events: POLL_IN,
             revents: 0,
         });
@@ -1004,7 +995,7 @@ fn reactor_loop(
             }
             if ev != 0 {
                 slots.push(PollSlot {
-                    fd: raw_fd(&st.conn.stream),
+                    fd: st.conn.stream.as_raw_fd(),
                     events: ev,
                     revents: 0,
                 });
@@ -1104,7 +1095,7 @@ fn service_read(conn: &Conn, dispatch: &dyn FrameDispatch, met: &ReactorMetrics)
         if !dispatch.stopping() {
             dispatch.on_corrupt(peer, nic);
         }
-        let _ = conn.stream.shutdown(Shutdown::Both);
+        conn.close();
         close_read();
         close_write(conn);
     };
@@ -1120,7 +1111,7 @@ fn service_read(conn: &Conn, dispatch: &dyn FrameDispatch, met: &ReactorMetrics)
                 // truncation (unless the world is tearing down).
                 if asm.mid_frame() && !dispatch.stopping() {
                     dispatch.on_corrupt(peer, nic);
-                    let _ = conn.stream.shutdown(Shutdown::Both);
+                    conn.close();
                     close_write(conn);
                 }
                 close_read();
@@ -1140,13 +1131,13 @@ fn service_read(conn: &Conn, dispatch: &dyn FrameDispatch, met: &ReactorMetrics)
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
                 // Reset / aborted: treated like EOF (clean on boundary —
-                // a racing close of a loopback socket with in-flight
-                // data surfaces as a reset).
+                // a close with unread data in the closing side's
+                // buffer surfaces as a reset).
                 if asm.mid_frame() && !dispatch.stopping() {
                     dispatch.on_corrupt(peer, nic);
                     close_write(conn);
                 }
-                let _ = conn.stream.shutdown(Shutdown::Both);
+                conn.close();
                 close_read();
                 return pass;
             }
@@ -1747,6 +1738,39 @@ mod tests {
         }
     }
 
+    /// A fresh data stream whose peer reads nothing takes one
+    /// `net-stream-large` window (8 puts of 256 KiB) of frames into the
+    /// kernel before `WouldBlock`, or half of what `net.core.wmem_max`
+    /// lets [`SEND_BUF_BYTES`] grant where that is less. At the kernel's
+    /// default buffer the window waits in the writer queue instead.
+    #[test]
+    fn a_fresh_stream_takes_a_window_before_it_blocks() {
+        const WINDOW: usize = 8 * 256 * 1024;
+        let wmem_max: usize = std::fs::read_to_string("/proc/sys/net/core/wmem_max")
+            .expect("net.core.wmem_max")
+            .trim()
+            .parse()
+            .expect("a byte count");
+        let want = WINDOW.min(wmem_max / 2);
+        let (ours, _deaf) = UnixStream::pair().unwrap();
+        let conn = Conn::new(1, 0, 0, ours).unwrap();
+        let frame =
+            crate::frame::encode_frame(crate::frame::FRAME_PUT, &[&[7; 64 * 1024]]).unwrap();
+        let mut taken = 0;
+        loop {
+            match (&conn.stream).write(&frame) {
+                Ok(n) => taken += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("write to a live stream: {e}"),
+            }
+            assert!(taken < 16 * SEND_BUF_BYTES, "the stream never filled");
+        }
+        assert!(
+            taken >= want,
+            "{taken} bytes before WouldBlock, want {want} (wmem_max {wmem_max})"
+        );
+    }
+
     #[test]
     fn wake_channel_round_trip() {
         let obs = Obs::new();
@@ -1760,7 +1784,7 @@ mod tests {
         h.wake(&met); // coalesced: pending already set
         assert_eq!(met.wakeups.get(), 1);
         let mut slots = [PollSlot {
-            fd: raw_fd(&rx),
+            fd: rx.as_raw_fd(),
             events: POLL_IN,
             revents: 0,
         }];
@@ -1777,7 +1801,7 @@ mod tests {
     /// its clear, the window in which the old clear-then-drain order
     /// swallowed the byte of a wake it had just re-armed.
     struct WakeAtEveryRead<'a> {
-        rx: &'a TcpStream,
+        rx: &'a UnixStream,
         h: &'a WakeHandle,
         met: &'a ReactorMetrics,
     }
@@ -1805,7 +1829,7 @@ mod tests {
         };
         let readable = |timeout_ms| {
             let mut slots = [PollSlot {
-                fd: raw_fd(&rx),
+                fd: rx.as_raw_fd(),
                 events: POLL_IN,
                 revents: 0,
             }];

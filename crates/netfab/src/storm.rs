@@ -1,4 +1,4 @@
-//! The loopback storm: the netfab correctness + throughput workload.
+//! The socket storm: the netfab correctness + throughput workload.
 //!
 //! Every rank fires `iters` notified PUTs per epoch at its ring
 //! neighbour, each into a distinct slot of the neighbour's receive
@@ -247,8 +247,8 @@ pub fn run_storm(world: Arc<NetWorld>, opts: StormOpts) -> Result<StormOutcome, 
                 // Grace period: acks this rank owes its predecessor are
                 // enqueued on reactor writer queues; let them reach the
                 // wire so no survivor is left retransmitting at a
-                // corpse. (TCP loopback delivers everything already
-                // written, even after SIGKILL.)
+                // corpse. (A Unix stream delivers what was written,
+                // even after SIGKILL: it is in the peer's queue.)
                 std::thread::sleep(Duration::from_millis(200));
                 let _ = std::process::Command::new("kill")
                     .arg("-9")

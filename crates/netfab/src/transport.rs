@@ -2,7 +2,7 @@
 //!
 //! `unr_core::Transport`'s netfab implementor: what a put, a get, a
 //! reliable sub-message, a control frame, a wait's park, registration,
-//! the clock and teardown are on a TCP mesh. It runs no thread: the
+//! the clock and teardown are on a socket mesh. It runs no thread: the
 //! control path it shares with the receive side (`CtrlPath`) runs on
 //! whichever thread reads a frame, and its retransmit sweep on
 //! reactor 0. [`crate::engine`] builds it, in the closure it hands

@@ -1,4 +1,4 @@
-//! Level-4 hardware progress over real TCP-loopback processes
+//! Level-4 hardware progress over real netfab processes
 //! (DESIGN.md §5g): the reading thread's sink applies MMAS addends
 //! terminally and handles control frames, and reactor 0 runs the
 //! retransmit sweep, so every world — software or hardware progress,

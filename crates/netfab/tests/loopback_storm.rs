@@ -1,8 +1,8 @@
-//! Cross-process loopback soak: 4 OS processes × 2 NICs each, with and
+//! Cross-process socket soak: 4 OS processes × 2 NICs each, with and
 //! without fault-forced reliable transport.
 //!
 //! Each case launches the real `unr-launch` binary (so the full
-//! bootstrap — rendezvous, port table, mesh, barriers — is exercised,
+//! bootstrap — rendezvous, name table, mesh, barriers — is exercised,
 //! not an in-process shortcut) and asserts every rank reports
 //! `STORM_OK`: exact MMAS signal accounting, clean `Sig_Reset` each
 //! epoch, zero stale-key rejects. The reliable case forces drops
@@ -69,7 +69,7 @@ fn run_storm_case_msg(msg: &str, extra: &[&str]) -> String {
 #[test]
 fn four_process_storm_unreliable() {
     let stdout = run_storm_case(&[]);
-    // A perfect TCP network must not trigger the replay machinery.
+    // A lossless mesh must not trigger the replay machinery.
     assert!(
         stdout.contains("\"retransmits\":0"),
         "unexpected retransmits on the unreliable path:\n{stdout}"
