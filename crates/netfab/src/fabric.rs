@@ -6,7 +6,7 @@
 //! **nonblocking** Unix-domain stream, dialed by a Linux abstract name
 //! ([`listen`]), registered with exactly one reactor thread
 //! ([`crate::reactor`]). Sends encode the whole frame up front,
-//! push it onto the connection's lock-free writer queue and, when
+//! push it onto the connection's writer queue and, when
 //! nobody else is writing that socket and it is not full, write it from
 //! the posting thread; otherwise the owning reactor is woken to do it
 //! (one write state machine, surviving partial writes, serves both).

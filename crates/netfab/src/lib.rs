@@ -19,7 +19,7 @@
 //! * [`frame`] — framing + frame kinds (data plane and bootstrap), and
 //!   the [`frame::FrameAssembler`] partial-read reassembly machine;
 //! * [`reactor`] — the fixed event-loop pool: readiness polling,
-//!   per-connection read/write state machines, lock-free writer
+//!   per-connection read/write state machines, mutexed writer
 //!   queues, `unr.transport.reactor.*` metrics (thread budget flat in
 //!   world size);
 //! * [`fabric`] — [`NetFabric`]: the socket mesh, emulated RMA regions,

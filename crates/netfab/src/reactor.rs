@@ -23,9 +23,9 @@
 //!   own thread, so nothing has to wake it; the owning reactor keeps
 //!   read interest only while no rank thread waits (the yield and
 //!   look-again rule is on `reactor_loop`);
-//! * sends push onto a per-connection lock-free [`FrameQueue`] (a
-//!   Treiber stack reversed on consume, so completion order equals push
-//!   order) and are put on the wire by a per-connection write state
+//! * sends push onto a per-connection [`FrameQueue`] (a `VecDeque`
+//!   behind a mutex held for one push or one drain, so wire order is
+//!   push order) and are put on the wire by a per-connection write state
 //!   machine that survives partial writes. **Whoever finds that writer
 //!   idle writes**: the posting thread itself when it can take the
 //!   writer lock and the socket is not known to be full
@@ -52,7 +52,7 @@ use std::io::{self, Read, Write};
 use std::os::fd::AsRawFd;
 use std::os::raw::{c_int, c_ulong, c_void};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -144,122 +144,66 @@ impl ReactorMetrics {
 }
 
 // ---------------------------------------------------------------------
-// Lock-free writer queue
+// Writer queue
 // ---------------------------------------------------------------------
 
-struct Node {
-    frame: OutFrame,
-    next: *mut Node,
-}
-
-/// A lock-free MPSC queue of encoded frames: any thread pushes, the
-/// holder of the connection's writer lock drains. Implemented as a
-/// Treiber stack (CAS push onto an atomic head); the single consumer
-/// detaches the whole stack and reverses it, so frames come out in
-/// push-linearization order — the FIFO guarantee the unreliable path's
-/// "the stream delivers in order" assumption needs.
+/// A queue of encoded frames: any thread pushes, the holder of the
+/// connection's writer lock drains. A mutex around a `VecDeque`, held
+/// for one `push_back` or one `append` and never across a syscall, so
+/// frames come out in push order — the FIFO guarantee the unreliable
+/// path's "the stream delivers in order" assumption needs. Lock order:
+/// reader ⊃ writer ⊃ queue.
+#[derive(Default)]
 pub struct FrameQueue {
-    head: AtomicPtr<Node>,
-    bytes: AtomicUsize,
-    frames: AtomicUsize,
+    inner: Mutex<Queued>,
 }
 
-impl Default for FrameQueue {
-    fn default() -> Self {
-        Self::new()
-    }
+#[derive(Default)]
+struct Queued {
+    frames: VecDeque<OutFrame>,
+    bytes: usize,
 }
 
 impl FrameQueue {
     /// An empty queue.
     pub fn new() -> FrameQueue {
-        FrameQueue {
-            head: AtomicPtr::new(std::ptr::null_mut()),
-            bytes: AtomicUsize::new(0),
-            frames: AtomicUsize::new(0),
-        }
+        FrameQueue::default()
     }
 
-    /// Queued bytes (approximate during concurrent pushes; the byte
-    /// count is added *before* the frame becomes visible, so it never
-    /// under-reports — backpressure errs conservative).
+    /// The queue, poisoned or not: every step under the lock leaves
+    /// `frames` and `bytes` in agreement.
+    fn lock(&self) -> MutexGuard<'_, Queued> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queued bytes.
     pub fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
+        self.lock().bytes
     }
 
-    /// Queued frames (same conservative accounting as [`bytes`](Self::bytes)).
+    /// Queued frames.
     pub fn frames(&self) -> usize {
-        self.frames.load(Ordering::Relaxed)
+        self.lock().frames.len()
     }
 
-    /// Push one encoded frame; lock-free, callable from any thread.
+    /// Push one encoded frame; callable from any thread.
     pub fn push(&self, frame: impl Into<OutFrame>) {
         let frame = frame.into();
-        // Account before publish so the consumer's subtraction can never
-        // underflow past a concurrent push.
-        self.bytes.fetch_add(frame.len(), Ordering::Relaxed);
-        self.frames.fetch_add(1, Ordering::Relaxed);
-        let node = Box::into_raw(Box::new(Node {
-            frame,
-            next: std::ptr::null_mut(),
-        }));
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            // Safety: `node` came from Box::into_raw above and is not
-            // yet shared; writing its `next` is exclusive.
-            unsafe { (*node).next = head };
-            // SeqCst (not just Release): the publish takes part in the
-            // wake channel's no-lost-wake-up argument, which orders it
-            // against `WakeHandle::pending` (see [`WakeHandle`]).
-            match self
-                .head
-                .compare_exchange_weak(head, node, Ordering::SeqCst, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(h) => head = h,
-            }
-        }
+        let mut q = self.lock();
+        q.bytes += frame.len();
+        q.frames.push_back(frame);
     }
 
-    /// Detach everything and append it to `out` oldest-first. Single
-    /// consumer only. Returns the number of frames taken.
+    /// Move everything to the back of `out`, oldest first. Returns the
+    /// number of frames taken.
     pub fn drain_into(&self, out: &mut VecDeque<OutFrame>) -> usize {
-        // SeqCst for the same reason as the publish in `push`.
-        let mut p = self.head.swap(std::ptr::null_mut(), Ordering::SeqCst);
-        if p.is_null() {
-            return 0;
-        }
-        // The stack is newest-first; collect then reverse for FIFO.
-        let mut batch = Vec::new();
-        while !p.is_null() {
-            // Safety: the swap above made this thread the unique owner
-            // of the detached list; every node was Box-allocated.
-            let node = unsafe { Box::from_raw(p) };
-            p = node.next;
-            batch.push(node.frame);
-        }
-        let n = batch.len();
-        for f in batch.into_iter().rev() {
-            self.bytes.fetch_sub(f.len(), Ordering::Relaxed);
-            self.frames.fetch_sub(1, Ordering::Relaxed);
-            out.push_back(f);
-        }
+        let mut q = self.lock();
+        let n = q.frames.len();
+        out.append(&mut q.frames);
+        q.bytes = 0;
         n
     }
 }
-
-impl Drop for FrameQueue {
-    fn drop(&mut self) {
-        let mut sink = VecDeque::new();
-        self.drain_into(&mut sink);
-    }
-}
-
-// Safety: the raw `next` pointers are only ever touched by the pushing
-// thread before publication (CAS) or by the single consumer after
-// detaching the whole list — the atomic head is the only shared entry.
-unsafe impl Send for FrameQueue {}
-unsafe impl Sync for FrameQueue {}
 
 // ---------------------------------------------------------------------
 // Connections
@@ -297,7 +241,7 @@ pub struct Conn {
     /// The write state machine. A plain mutex, `try_lock`ed by posters
     /// (who never wait for it) and `lock`ed by the reactor: every
     /// socket write and every [`FrameQueue::drain_into`] happens under
-    /// it, so wire order is push-linearization order.
+    /// it, so wire order is push order.
     writer: Mutex<Writer>,
 }
 
@@ -528,11 +472,12 @@ pub trait FrameDispatch: Send + Sync + 'static {
 // Readiness poller
 // ---------------------------------------------------------------------
 
-/// One poll slot: mirrors `struct pollfd` (and is exactly it on Unix).
+/// One poll slot: `struct pollfd`, laid out as `poll(2)` reads it.
 #[repr(C)]
 #[derive(Clone, Copy)]
 pub struct PollSlot {
-    /// Raw descriptor (-1 on non-Unix fallback builds).
+    /// Raw descriptor; -1 holds the place of a connection whose read
+    /// side is closed, and `poll(2)` ignores it.
     pub fd: i32,
     /// Requested events (`POLL_IN` / `POLL_OUT`).
     pub events: i16,
@@ -547,7 +492,7 @@ impl PollSlot {
     }
 }
 
-/// Readable readiness (POSIX `POLLIN`; identical value on Linux/BSD/macOS).
+/// Readable readiness (`POLLIN`).
 pub const POLL_IN: i16 = 0x001;
 /// Writable readiness (POSIX `POLLOUT`).
 pub const POLL_OUT: i16 = 0x004;
@@ -591,19 +536,28 @@ pub fn poll_wait(slots: &mut [PollSlot], timeout_ms: i32) -> io::Result<usize> {
 /// stream pair. `wake` writes one byte iff no wake is already pending,
 /// so the channel holds at most one unread byte per poller pass.
 ///
-/// The no-lost-wake-up argument is one SeqCst total order over four
-/// operations. A producer publishes its work — a pushed frame
-/// ([`FrameQueue::push`]), or `want_write` set under the writer lock it
-/// has since released — and *then* `pending.swap(true)`s; the reactor
-/// (`consume_wake`) empties the channel, *then* `pending.store(false)`s,
-/// and only then takes each writer lock and detaches the writer queues
-/// ([`FrameQueue::drain_into`]). If the
-/// swap returns `true`, some wake is still unconsumed: the reactor's
-/// `store(false)` — and the write pass after it — comes later in that
-/// order and finds the work. If it returns `false`, the reactor's
-/// channel drain for this pass is already over, so the byte written now
-/// stays readable and the next poll returns at once. Either way the
-/// work is seen without waiting for the poll timeout.
+/// No wake-up is lost. A producer publishes its work — a frame pushed
+/// onto a [`FrameQueue`], published when the queue lock is released —
+/// and *then* `pending.swap(true)`s. A reactor pass empties the channel
+/// (`consume_wake`), *then* `pending.store(false)`s, and only then takes
+/// each writer lock and drains the queue under the queue lock
+/// ([`FrameQueue::drain_into`]). Take any pass and its drain of the
+/// producer's connection:
+///
+/// * the drain locks the queue after the push: it sees the frame;
+/// * the drain locks the queue before the push: the pass's
+///   `store(false)` happens-before the producer's `swap` (program
+///   order, then the queue lock handed from drain to push). By
+///   coherence on `pending`, the swap reads that `false` and the
+///   producer writes a byte, or it reads a later `true`, set by a swap
+///   that read that `false` and wrote a byte. Either way the channel
+///   holds a byte written after this pass emptied it, so the next poll
+///   returns at once and the next pass meets the same two cases — until
+///   one drains after the push, without waiting for the poll timeout.
+///
+/// A producer that found the socket full publishes `want_write` under
+/// the writer lock instead; the same two cases hold with the writer
+/// lock in place of the queue's.
 pub struct WakeHandle {
     tx: UnixStream,
     pending: Arc<AtomicBool>,
@@ -1191,9 +1145,9 @@ fn final_flush(states: &[ConnState], dispatch: &dyn FrameDispatch, met: &Reactor
 // Introspection
 // ---------------------------------------------------------------------
 
-/// OS-level thread count of the current process (Linux:
-/// `/proc/self/status` `Threads:`; `None` elsewhere). The storm reports
-/// this so the flat-thread-budget claim is asserted end-to-end.
+/// OS-level thread count of the current process (`/proc/self/status`
+/// `Threads:`; `None` if it cannot be read). The storm reports this so
+/// the flat-thread-budget claim is asserted end-to-end.
 pub fn process_thread_count() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status

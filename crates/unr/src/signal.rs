@@ -31,9 +31,11 @@
 //! # Lock-free completion path
 //!
 //! The table is a segmented slot array with geometric growth: segment
-//! `s` holds `1024 << s` slots behind one atomic pointer, so a slot
-//! index maps to its slot with two atomic loads and no locking, and
-//! slots never move once published. `apply` — the hottest operation in
+//! `s` holds `1024 << s` slots behind one [`OnceLock`], published once
+//! and never moved, and each slot is a `OnceLock` of its own, set on
+//! the slot's first allocation to the state word and counter every
+//! later allocation re-arms. So a key maps to its counter with two
+//! acquire loads and no locking. `apply` — the hottest operation in
 //! the library, executed for every NIC completion — reads the slot's
 //! state word, checks liveness + generation, and `fetch_add`s the
 //! counter directly; it takes no lock and clones no `Arc`.
@@ -58,9 +60,8 @@
 //! stale-key aliasing remains a documented hardware limitation, exactly
 //! the paper's "maximum number of signals is limited" caveat.
 
-use std::ptr::null_mut;
-use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use unr_simnet::sync::Mutex;
 
 use unr_simnet::{ActorId, Ns, Sched};
@@ -198,7 +199,11 @@ impl std::fmt::Display for SigKey {
     }
 }
 
+#[derive(Default)]
 pub(crate) struct SignalInner {
+    /// The slot's state word (see [`SLOT_LIVE`]): the table's, not the
+    /// signal's — it outlives every [`Signal`] allocated into the slot.
+    state: AtomicU64,
     counter: AtomicI64,
     num_event: AtomicI64,
     /// Actor parked in `wait` (at most one waiter per signal).
@@ -234,22 +239,25 @@ const SLOT_LIVE: u64 = 0b01;
 const SLOT_USED: u64 = 0b10;
 const SLOT_GEN_SHIFT: u32 = 2;
 
-struct Slot {
-    state: AtomicU64,
-    /// The table's own strong reference to the slot's `SignalInner`
-    /// (created on first allocation, *reused* across generations,
-    /// dropped only when the table drops). Reuse — rather than
-    /// free/realloc — is what makes the lock-free `apply` below safe:
-    /// a racing stale apply can only ever touch memory the table still
-    /// owns.
-    inner: AtomicPtr<SignalInner>,
-}
+/// A table slot: the table's own reference to its `SignalInner`, set
+/// on the slot's first allocation, *re-armed* by every later one,
+/// dropped with the table. Reuse, rather than free and realloc, is why
+/// a stale apply racing a release only ever touches a counter the table
+/// still owns (see [`SignalTable::try_apply`]).
+type Slot = OnceLock<Arc<SignalInner>>;
 
 /// Segment 0 holds `1 << SEG0_BITS` slots; segment `s` holds
 /// `1 << (SEG0_BITS + s)`. 23 segments cover every index a `u32` free
 /// list can name.
 const SEG0_BITS: u32 = 10;
 const NUM_SEGS: usize = 23;
+
+/// Segment and offset of slot index `idx` (≥ 1).
+fn locate(idx: u64) -> (usize, usize) {
+    let adj = idx + (1 << SEG0_BITS);
+    let bit = 63 - adj.leading_zeros();
+    ((bit - SEG0_BITS) as usize, (adj - (1u64 << bit)) as usize)
+}
 
 struct AllocState {
     /// Freed slot indices, reused LIFO (matches the seed implementation
@@ -265,7 +273,7 @@ struct AllocState {
 /// See the module docs for the concurrency design: `apply`/`try_apply`
 /// are lock-free; `alloc`/`release` serialize on one mutex.
 pub struct SignalTable {
-    segs: [AtomicPtr<Slot>; NUM_SEGS],
+    segs: [OnceLock<Box<[Slot]>>; NUM_SEGS],
     alloc: Mutex<AllocState>,
     live: AtomicUsize,
     /// Total slots held by the published segments. Grows geometrically
@@ -311,7 +319,7 @@ impl SignalTable {
             (0, 64)
         };
         Arc::new(SignalTable {
-            segs: std::array::from_fn(|_| AtomicPtr::new(null_mut())),
+            segs: std::array::from_fn(|_| OnceLock::new()),
             alloc: Mutex::new(AllocState {
                 free: Vec::new(),
                 next_idx: 1,
@@ -366,46 +374,26 @@ impl SignalTable {
         }
     }
 
-    /// Segment + offset of a slot index. Returns `None` for indices no
-    /// segment covers (never-allocated territory).
-    fn slot(&self, idx: u64) -> Option<&Slot> {
+    /// The inner of slot `idx`; `None` for a slot never allocated.
+    fn slot(&self, idx: u64) -> Option<&SignalInner> {
         if idx == 0 || idx > u32::MAX as u64 {
             return None;
         }
-        let adj = idx + (1 << SEG0_BITS);
-        let bit = 63 - adj.leading_zeros();
-        let seg = (bit - SEG0_BITS) as usize;
-        debug_assert!(seg < NUM_SEGS);
-        let p = self.segs[seg].load(Ordering::Acquire);
-        if p.is_null() {
-            return None;
-        }
-        let off = (adj - (1u64 << bit)) as usize;
-        // SAFETY: published segments are immutable boxed slices of
-        // length `1 << bit` > off; they live until the table drops.
-        Some(unsafe { &*p.add(off) })
+        let (seg, off) = locate(idx);
+        self.segs[seg].get()?.get(off)?.get().map(|inner| &**inner)
     }
 
-    /// Get (allocating if needed) the slot for `idx`. Cold path; must
-    /// run under the alloc lock (single writer for segment growth).
-    fn ensure_slot(&self, idx: u32) -> &Slot {
-        if let Some(s) = self.slot(idx as u64) {
-            return s;
-        }
-        let adj = idx as u64 + (1 << SEG0_BITS);
-        let bit = 63 - adj.leading_zeros();
-        let seg = (bit - SEG0_BITS) as usize;
-        let len = 1usize << bit;
-        let boxed: Box<[Slot]> = (0..len)
-            .map(|_| Slot {
-                state: AtomicU64::new(0),
-                inner: AtomicPtr::new(null_mut()),
-            })
-            .collect();
-        let ptr = Box::into_raw(boxed) as *mut Slot;
-        self.segs[seg].store(ptr, Ordering::Release);
-        self.capacity.fetch_add(len, Ordering::Relaxed);
-        self.slot(idx as u64).expect("segment just published")
+    /// The inner of slot `idx`, made (and its segment published) if
+    /// this is the slot's first allocation. Cold path; runs under the
+    /// alloc lock, so segments grow in allocation order.
+    fn ensure_slot(&self, idx: u32) -> &Arc<SignalInner> {
+        let (seg, off) = locate(idx as u64);
+        let slots = self.segs[seg].get_or_init(|| {
+            let len = 1usize << (SEG0_BITS as usize + seg);
+            self.capacity.fetch_add(len, Ordering::Relaxed);
+            (0..len).map(|_| OnceLock::new()).collect()
+        });
+        slots[off].get_or_init(Default::default)
     }
 
     /// Allocate a signal that triggers after `num_event` events.
@@ -426,8 +414,12 @@ impl SignalTable {
                 i
             }
         };
-        let slot = self.ensure_slot(idx);
-        let old = slot.state.load(Ordering::Relaxed);
+        // Arm the slot's SignalInner, made on its first allocation and
+        // re-armed by every later one: the previous Signal handle was
+        // dropped (release ran), so no live handle observes the re-arm,
+        // and an apply sees these stores once it sees the state go live.
+        let inner = self.ensure_slot(idx);
+        let old = inner.state.load(Ordering::Relaxed);
         debug_assert_eq!(old & SLOT_LIVE, 0, "allocating a live slot");
         // First use keeps generation 0 (keys identical to the un-tagged
         // scheme); reallocation bumps it, wrapping within gen_bits.
@@ -436,34 +428,10 @@ impl SignalTable {
         } else {
             ((old >> SLOT_GEN_SHIFT) + 1) & ((1u64 << self.gen_bits) - 1)
         };
-        let inner = match unsafe { slot.inner.load(Ordering::Relaxed).as_ref() } {
-            // Reuse: re-arm the slot's existing SignalInner. Safe — the
-            // previous Signal handle was dropped (release ran), so no
-            // live handle observes the reset.
-            Some(existing) => {
-                existing.counter.store(num_event, Ordering::SeqCst);
-                existing.num_event.store(num_event, Ordering::SeqCst);
-                *existing.waiter.lock() = None;
-                let ptr = existing as *const SignalInner;
-                // SAFETY: `ptr` came from Arc::into_raw and the table
-                // still holds that strong reference.
-                unsafe {
-                    Arc::increment_strong_count(ptr);
-                    Arc::from_raw(ptr)
-                }
-            }
-            None => {
-                let arc = Arc::new(SignalInner {
-                    counter: AtomicI64::new(num_event),
-                    num_event: AtomicI64::new(num_event),
-                    waiter: Mutex::new(None),
-                });
-                slot.inner
-                    .store(Arc::into_raw(Arc::clone(&arc)) as *mut _, Ordering::Release);
-                arc
-            }
-        };
-        slot.state.store(
+        inner.counter.store(num_event, Ordering::SeqCst);
+        inner.num_event.store(num_event, Ordering::SeqCst);
+        *inner.waiter.lock() = None;
+        inner.state.store(
             (gen << SLOT_GEN_SHIFT) | SLOT_USED | SLOT_LIVE,
             Ordering::Release,
         );
@@ -475,7 +443,7 @@ impl SignalTable {
             (gen << self.gen_shift) | idx as u64
         };
         Signal {
-            inner,
+            inner: Arc::clone(inner),
             table: Arc::clone(self),
             key,
         }
@@ -537,17 +505,13 @@ impl SignalTable {
             });
         }
         let (gen, idx) = self.split_key(key);
-        let Some(slot) = self.slot(idx) else {
+        let Some(inner) = self.slot(idx) else {
             return Err(SignalError::Stale { key });
         };
-        let state = slot.state.load(Ordering::Acquire);
+        let state = inner.state.load(Ordering::Acquire);
         if state & SLOT_LIVE == 0 || state >> SLOT_GEN_SHIFT != gen {
             return Err(SignalError::Stale { key });
         }
-        // SAFETY: live slots have a published inner (stored before the
-        // state flipped live, with Release/Acquire pairing), and the
-        // table never frees it while it exists.
-        let inner = unsafe { &*slot.inner.load(Ordering::Acquire) };
         self.stats.events_applied.fetch_add(1, Ordering::Relaxed);
         let new = inner.counter.fetch_add(addend, Ordering::SeqCst) + addend;
         if new == 0 || (new >> self.n_bits) & 1 == 1 {
@@ -598,15 +562,13 @@ impl SignalTable {
         // atomic reads (callers fingerprint quiesced tables).
         let a = self.alloc.lock();
         for idx in 1..a.next_idx as u64 {
-            let Some(slot) = self.slot(idx) else { continue };
-            let state = slot.state.load(Ordering::Acquire);
+            let Some(inner) = self.slot(idx) else {
+                continue;
+            };
+            let state = inner.state.load(Ordering::Acquire);
             mix(idx);
             mix(state);
             if state & SLOT_LIVE != 0 {
-                // SAFETY: same contract as `apply_detached` — live
-                // slots have a published inner the table never frees
-                // while it exists.
-                let inner = unsafe { &*slot.inner.load(Ordering::Acquire) };
                 mix(inner.counter.load(Ordering::SeqCst) as u64);
             }
         }
@@ -620,37 +582,14 @@ impl SignalTable {
         }
         let (gen, idx) = self.split_key(key);
         let a = self.alloc.lock();
-        let slot = self.slot(idx).expect("releasing an unallocated slot");
-        debug_assert_eq!(slot.state.load(Ordering::Relaxed) >> SLOT_GEN_SHIFT, gen);
-        slot.state
+        let inner = self.slot(idx).expect("releasing an unallocated slot");
+        debug_assert_eq!(inner.state.load(Ordering::Relaxed) >> SLOT_GEN_SHIFT, gen);
+        inner
+            .state
             .store((gen << SLOT_GEN_SHIFT) | SLOT_USED, Ordering::Release);
         self.live.fetch_sub(1, Ordering::Relaxed);
         let mut a = a;
         a.free.push(idx as u32);
-    }
-}
-
-impl Drop for SignalTable {
-    fn drop(&mut self) {
-        for (seg, slot_ptr) in self.segs.iter().enumerate() {
-            let p = slot_ptr.load(Ordering::Acquire);
-            if p.is_null() {
-                continue;
-            }
-            let len = 1usize << (SEG0_BITS as usize + seg);
-            // SAFETY: reconstruct the boxed slice published by
-            // ensure_slot; drop each slot's table-owned Arc reference.
-            unsafe {
-                let slice = std::slice::from_raw_parts_mut(p, len);
-                for s in slice.iter() {
-                    let ip = s.inner.load(Ordering::Relaxed);
-                    if !ip.is_null() {
-                        drop(Arc::from_raw(ip));
-                    }
-                }
-                drop(Box::from_raw(slice as *mut [Slot]));
-            }
-        }
     }
 }
 
@@ -753,6 +692,7 @@ impl std::fmt::Debug for Signal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     /// Drive `apply` outside a live simulation by borrowing a scratch
     /// scheduler.
@@ -1112,6 +1052,54 @@ mod tests {
         });
         assert!(far.test());
         assert_eq!(table.live(), 3000);
+    }
+
+    /// One thread applies −1/+1 to 1 000 live signals in segment 0
+    /// while another allocates until segments 1 and 2 are published,
+    /// then releases what it allocated. No live key may read stale,
+    /// every live counter must end where it began, and the table must
+    /// end as a single-threaded replay of the same allocations leaves
+    /// it.
+    #[test]
+    fn apply_races_segment_publication() {
+        const LIVE: usize = 1000;
+        // Indices 1001..=3072: the last one opens segment 2.
+        const GROWN: usize = 3072 - LIVE;
+        const START: i64 = 1 << 20;
+        let table = SignalTable::new(32);
+        let live: Vec<Signal> = (0..LIVE).map(|_| table.alloc(START)).collect();
+        let keys: Vec<u64> = live.iter().map(|s| s.key().raw()).collect();
+        let growing = AtomicBool::new(true);
+        let rounds = std::thread::scope(|s| {
+            let applier = s.spawn(|| {
+                let mut rounds = 0u64;
+                while growing.load(Ordering::Acquire) || rounds < 2 {
+                    for addend in [-1, 1] {
+                        for &k in &keys {
+                            table.apply_counted(k, addend);
+                        }
+                    }
+                    rounds += 1;
+                }
+                rounds
+            });
+            let grown: Vec<Signal> = (0..GROWN).map(|_| table.alloc(1)).collect();
+            assert_eq!(table.capacity(), 7168, "segments 0, 1 and 2");
+            drop(grown);
+            growing.store(false, Ordering::Release);
+            applier.join().unwrap()
+        });
+        assert_eq!(table.stats.stale_rejects.load(Ordering::Relaxed), 0);
+        assert_eq!(
+            table.stats.events_applied.load(Ordering::Relaxed),
+            rounds * 2 * LIVE as u64
+        );
+        assert!(live.iter().all(|s| s.counter() == START));
+        assert_eq!(table.capacity(), 7168);
+        let replay = SignalTable::new(32);
+        let _live: Vec<Signal> = (0..LIVE).map(|_| replay.alloc(START)).collect();
+        drop((0..GROWN).map(|_| replay.alloc(1)).collect::<Vec<_>>());
+        assert_eq!(table.fingerprint(), replay.fingerprint());
     }
 
     #[test]
