@@ -1,6 +1,8 @@
 //! End-to-end notified PUT/GET across every channel type.
 
-use unr_core::{convert, ChannelSelect, ProgressMode, Unr, UnrConfig, UnrError};
+use std::sync::atomic::Ordering;
+
+use unr_core::{convert, Blk, ChannelSelect, ProgressMode, SigKey, Unr, UnrConfig, UnrError};
 use unr_minimpi::run_mpi_world;
 use unr_simnet::{FabricConfig, InterfaceKind, InterfaceSpec, Platform};
 
@@ -715,4 +717,173 @@ fn big_put_flushes_buffered_ring_first() {
         }
     });
     assert_eq!(results, vec![0, 1]);
+}
+
+/// Every channel `Channel::select` can return on simnet, by name: the
+/// fabric interface and the selection policy that yield it.
+fn every_channel() -> Vec<(&'static str, InterfaceSpec, ChannelSelect)> {
+    let auto = |kind| InterfaceSpec::lookup(kind);
+    let verbs = auto(InterfaceKind::Verbs);
+    vec![
+        ("glex", auto(InterfaceKind::Glex), ChannelSelect::Auto),
+        ("verbs-mode1", verbs, ChannelSelect::Auto),
+        ("utofu", auto(InterfaceKind::Utofu), ChannelSelect::Auto),
+        (
+            "mpi-fallback",
+            auto(InterfaceKind::MpiOnly),
+            ChannelSelect::Auto,
+        ),
+        (
+            "glex-hw",
+            auto(InterfaceKind::Glex).with_hardware_atomic_add(),
+            ChannelSelect::Auto,
+        ),
+        ("level0", verbs, ChannelSelect::ForceLevel0),
+        ("mpi-fallback", verbs, ChannelSelect::ForceFallback),
+        ("verbs-mode2", verbs, ChannelSelect::Mode2 { key_bits: 16 }),
+    ]
+}
+
+/// The four null/non-null `(local, remote)` signal pairs.
+const SIGNAL_PAIRS: [(bool, bool); 4] =
+    [(false, false), (true, false), (false, true), (true, true)];
+
+/// One put and one get from rank 0 to rank 1 per signal pair, each pair
+/// settled before the next: what the pair added to rank 0's and rank
+/// 1's `events_progressed` and to the world's `unr.signal.adds`, and
+/// whether the get was refused for its remote signal.
+fn completions_per_pair(
+    name: &'static str,
+    iface: InterfaceSpec,
+    select: ChannelSelect,
+) -> Vec<(bool, [u64; 3])> {
+    let mut cfg = FabricConfig::test_default(2);
+    cfg.iface = iface;
+    let ucfg = UnrConfig {
+        channel: select,
+        n_bits: 8,
+        ..UnrConfig::default()
+    };
+    let results = run_mpi_world(cfg, move |comm| {
+        let unr = Unr::init(comm.ep_shared(), ucfg);
+        assert_eq!(unr.channel().name, name, "the channel selected");
+        let mem = unr.mem_reg(256);
+        let me = comm.rank();
+        let counts = || {
+            let events = unr.stats().events_progressed.load(Ordering::Relaxed);
+            (events, unr.obs().metrics.counter("unr.signal.adds").get())
+        };
+        let mut rounds = Vec::new();
+        for (round, &(local, remote)) in SIGNAL_PAIRS.iter().enumerate() {
+            let tag = round as i32;
+            let before = counts();
+            let mut refused = false;
+            if me == 0 {
+                let put_src = unr.blk_init(&mem, 0, 64, None);
+                let get_dst = unr.blk_init(&mem, 64, 64, None);
+                let rmt_put = convert::recv_blk(comm, 1, 2 * tag);
+                let rmt_get = convert::recv_blk(comm, 1, 2 * tag + 1);
+                let sigs = [unr.sig_init(1), unr.sig_init(1)];
+                let lsig = |i: usize| local.then_some(&sigs[i]);
+                let rkey = |blk: &Blk| if remote { blk.sig_key } else { SigKey::NULL };
+                unr.put_with(&put_src, &rmt_put, lsig(0), rkey(&rmt_put))
+                    .unwrap();
+                match unr.get_with(&get_dst, &rmt_get, lsig(1), rkey(&rmt_get)) {
+                    Ok(()) => {}
+                    Err(UnrError::GetRemoteNotifyUnsupported) => refused = true,
+                    Err(e) => panic!("get: {e}"),
+                }
+                if local {
+                    unr.sig_wait(&sigs[0]).unwrap();
+                    if !refused {
+                        unr.sig_wait(&sigs[1]).unwrap();
+                    }
+                }
+                comm.send(1, 100 + tag, &[u8::from(refused)]);
+            } else {
+                let sigs = [unr.sig_init(1), unr.sig_init(1)];
+                let put_dst = unr.blk_init(&mem, 0, 64, Some(&sigs[0]));
+                let get_src = unr.blk_init(&mem, 64, 64, Some(&sigs[1]));
+                convert::send_blk(comm, 0, 2 * tag, &put_dst);
+                convert::send_blk(comm, 0, 2 * tag + 1, &get_src);
+                refused = comm.recv(Some(0), 100 + tag).data[0] == 1;
+                if remote {
+                    unr.sig_wait(&sigs[0]).unwrap();
+                    if !refused {
+                        unr.sig_wait(&sigs[1]).unwrap();
+                    }
+                }
+            }
+            // Whatever a null signal left in flight lands and is
+            // progressed before either rank counts.
+            unr_minimpi::barrier(comm);
+            unr.sleep(1_000_000);
+            unr_minimpi::barrier(comm);
+            let after = counts();
+            rounds.push((refused, after.0 - before.0, after.1 - before.1));
+            unr_minimpi::barrier(comm);
+        }
+        unr.finalize();
+        rounds
+    });
+    (0..SIGNAL_PAIRS.len())
+        .map(|i| {
+            let (r0, r1) = (results[0][i], results[1][i]);
+            assert_eq!(r0.2, r1.2, "both ranks read the one registry");
+            assert_eq!(r0.0, r1.0);
+            (r0.0, [r0.1, r1.1, r0.2])
+        })
+        .collect()
+}
+
+/// Characterisation of what reaches software on every channel: for
+/// each null/non-null `(local, remote)` signal pair, the events each
+/// rank's progress drained and the signal-table adds one put and one
+/// get make, or the get's refusal where the channel cannot carry its
+/// remote signal. Which completions a post asks for is decided from
+/// its custom bits (and, for the local side, the channel's hardware),
+/// so these numbers must not move when that decision moves.
+#[test]
+fn every_channel_drains_the_same_completions_for_every_signal_pair() {
+    // Per channel, per pair in `SIGNAL_PAIRS` order: whether the get
+    // was refused, then [rank 0 events, rank 1 events, signal adds].
+    type Pairs = [(bool, [u64; 3]); 4];
+    const RMA: Pairs = [
+        (false, [0, 0, 0]),
+        (false, [2, 0, 2]),
+        (false, [0, 2, 2]),
+        (false, [2, 2, 4]),
+    ];
+    // Verbs carries no remote GET custom bits.
+    const NO_GET_REMOTE: Pairs = [
+        (false, [0, 0, 0]),
+        (false, [2, 0, 2]),
+        (true, [0, 1, 1]),
+        (true, [1, 1, 2]),
+    ];
+    // Every op is a control message, null keys included.
+    const TWO_SIDED: Pairs = [
+        (false, [1, 2, 3]),
+        (false, [1, 2, 4]),
+        (false, [1, 2, 3]),
+        (false, [1, 2, 4]),
+    ];
+    // The NIC applies every addend: no software event at all.
+    const HARDWARE: Pairs = [
+        (false, [0, 0, 0]),
+        (false, [0, 0, 2]),
+        (false, [0, 0, 2]),
+        (false, [0, 0, 4]),
+    ];
+    let want = |name: &str| match name {
+        "glex" | "utofu" | "level0" => RMA,
+        "verbs-mode1" | "verbs-mode2" => NO_GET_REMOTE,
+        "mpi-fallback" => TWO_SIDED,
+        "glex-hw" => HARDWARE,
+        other => panic!("no expectation for {other}"),
+    };
+    for (name, iface, select) in every_channel() {
+        let got = completions_per_pair(name, iface, select);
+        assert_eq!(got, want(name), "{name}");
+    }
 }
