@@ -61,53 +61,13 @@ use unr_obs::Obs;
 use unr_simnet::sync::Mutex as SyncMutex;
 use unr_simnet::MemRegion;
 
+use crate::bell::EventBell;
+use crate::dispatch::{region_frame, FabricDispatch};
+pub use crate::dispatch::{CtrlRx, NetSink};
 use crate::frame::{self, OutFrame};
 use crate::reactor::{
-    Conn, FrameDispatch, ReactorMetrics, ReactorPool, Waiting, WakeHandle, DEFAULT_REACTORS,
-    QUEUE_CAP_BYTES,
+    Conn, FrameDispatch, ReactorMetrics, ReactorPool, DEFAULT_REACTORS, QUEUE_CAP_BYTES,
 };
-
-/// The engine's receive side, installed once ([`NetFabric::install`])
-/// and run by whichever thread read the frame — a reactor, or a rank
-/// thread in a wait. `NetUnr` installs its control path: the emulated
-/// atomic-add unit ([`unr_core::TableSink`]), the control handler
-/// ([`unr_core::handle_ctrl`]) and the retry table's sweep.
-pub trait NetSink: Send + Sync {
-    /// Apply one delivery of custom bits (`*p += a` on the MMAS table).
-    fn apply(&self, custom: u128);
-
-    /// Handle control message `msg` from rank `src`, landing its
-    /// payloads and answering `src` through `rx`.
-    fn on_ctrl(&self, src: usize, msg: &[u8], rx: &mut CtrlRx<'_>);
-
-    /// Retransmit what is due (reactor 0 calls this at the top of every
-    /// pass); how long until something is next due, `None` with nothing
-    /// to watch.
-    fn tick(&self) -> Option<Duration>;
-}
-
-/// What the fabric lends a [`NetSink`] to handle one control message
-/// with: the rank's regions, and the way back to the message's source.
-pub struct CtrlRx<'a> {
-    shared: &'a Shared,
-    met: &'a TransportMetrics,
-    reply: &'a mut dyn FnMut(&[u8]),
-}
-
-impl CtrlRx<'_> {
-    /// Land `payload` at `(region, offset)` of this rank; `false`,
-    /// counted in `unr.transport.bad_dma`, when it cannot.
-    #[must_use]
-    pub fn deposit(&self, region: u32, offset: u64, payload: &[u8]) -> bool {
-        self.shared.deposit(self.met, region, offset, payload)
-    }
-
-    /// Send control message `msg` back to the source: on the connection
-    /// the message came in on, once it has been handled.
-    pub fn reply(&mut self, msg: &[u8]) {
-        (self.reply)(msg);
-    }
-}
 
 /// `unr.transport.*` counters registered in the fabric's [`Obs`].
 /// Cloning shares the underlying counters (they are `Arc`s) — the
@@ -172,113 +132,6 @@ impl TransportMetrics {
     }
 }
 
-/// One wire frame around `len` bytes of `mem`, built in one pass:
-/// length prefix, kind, `header`, then the payload copied once, straight
-/// into the frame. `Err` if the range is out of bounds.
-fn region_frame(
-    mem: &MemRegion,
-    kind: u8,
-    header: &[u8],
-    offset: usize,
-    len: usize,
-) -> io::Result<Vec<u8>> {
-    // A GET names `len` from the wire: bound it by the region before
-    // allocating for it.
-    if len > mem.len() {
-        return Err(invalid_input(format!(
-            "{len} bytes of a {}-byte region",
-            mem.len()
-        )));
-    }
-    let mut buf = frame::frame_prefix(kind, header.len() + len)?;
-    buf.extend_from_slice(header);
-    mem.append_to(offset, len, &mut buf)
-        .map_err(|e| invalid_input(e.to_string()))?;
-    Ok(buf)
-}
-
-/// The event bell: an atomic epoch for sleepers that sleep in `poll(2)`
-/// over the rank's sockets, each on a wake channel of its own (`poll`
-/// wakes every poller of a readable descriptor, but the first of two to
-/// run would empty a shared channel before the second looks). A waiter
-/// samples the epoch *before* testing its predicate; to sleep it parks
-/// on a channel, re-reads the epoch, and only then polls, the channel's
-/// read end in its set. A ringer bumps the epoch, then writes to every
-/// parked channel. All SeqCst, so of a ring and a park that cross,
-/// either the waiter sees the new epoch or the ringer sees it parked;
-/// from there it is [`WakeHandle`]'s argument. With nobody parked — a
-/// waiter reading its own sockets is not — a ring is one atomic add and
-/// one load.
-struct EventBell {
-    epoch: AtomicU64,
-    /// Shared with the reactors, who yield their read interest to
-    /// parked waiters.
-    waiting: Arc<Waiting>,
-    /// One per thread that has slept here at once; never shrinks.
-    channels: SyncMutex<Vec<Arc<BellChannel>>>,
-    /// Wake bytes count in `unr.transport.reactor.wakeups`.
-    met: ReactorMetrics,
-}
-
-/// One sleeper's wake channel; `parked` while a thread holds it.
-struct BellChannel {
-    wake: WakeHandle,
-    rx: UnixStream,
-    parked: AtomicBool,
-}
-
-impl BellChannel {
-    fn new(parked: bool) -> io::Result<Arc<BellChannel>> {
-        let (wake, rx) = WakeHandle::channel()?;
-        let parked = AtomicBool::new(parked);
-        Ok(Arc::new(BellChannel { wake, rx, parked }))
-    }
-}
-
-impl EventBell {
-    fn new(met: ReactorMetrics) -> io::Result<EventBell> {
-        // A lone waiter never builds a channel on its wait path.
-        Ok(EventBell {
-            epoch: AtomicU64::new(0),
-            waiting: Arc::new(Waiting::default()),
-            channels: SyncMutex::new(vec![BellChannel::new(false)?]),
-            met,
-        })
-    }
-
-    fn ring(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        if self.waiting.parked() > 0 {
-            for c in self.channels.lock().iter() {
-                if c.parked.load(Ordering::SeqCst) {
-                    c.wake.wake(&self.met);
-                }
-            }
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Park on a channel no other thread holds, built if every one is
-    /// held; unpark by clearing its `parked`.
-    fn park(&self) -> io::Result<Arc<BellChannel>> {
-        let mut channels = self.channels.lock();
-        let free = |c: &&Arc<BellChannel>| {
-            c.parked
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok()
-        };
-        if let Some(c) = channels.iter().find(free) {
-            return Ok(Arc::clone(c));
-        }
-        let c = BellChannel::new(true)?;
-        channels.push(Arc::clone(&c));
-        Ok(c)
-    }
-}
-
 /// What reached the fabric before its [`NetSink`] did: custom bits, or
 /// a control message from `(src, nic)`.
 enum Early {
@@ -290,21 +143,21 @@ enum Early {
 /// Readers hold this `Arc` and no `NetFabric`, so dropping the last
 /// application-side `NetFabric` reference can never dead-lock on a
 /// reader joining itself.
-struct Shared {
+pub(crate) struct Shared {
     /// Registered regions, id `i + 1` at index `i`: ids are handed out
     /// in order under this lock and never taken back, so a lookup is an
     /// index.
     regions: SyncMutex<Vec<MemRegion>>,
     /// Rung when a waiter's predicate may have moved by another
     /// thread's doing, so `sig_wait` can sleep between events.
-    events: EventBell,
+    pub(crate) events: EventBell,
     /// The engine's receive side; installed once.
-    sink: OnceLock<Arc<dyn NetSink>>,
+    pub(crate) sink: OnceLock<Arc<dyn NetSink>>,
     /// What arrived before the sink was installed, in arrival order —
     /// handled on installation, so no addend or control message is
     /// ever lost.
     early: SyncMutex<Vec<Early>>,
-    stopping: AtomicBool,
+    pub(crate) stopping: AtomicBool,
     /// NICs per peer — the row stride of `down`.
     nics: usize,
     /// Per-`(peer, nic)` latch, set by a reader that hit an unframeable
@@ -326,7 +179,7 @@ impl Shared {
         })
     }
 
-    fn region(&self, id: u32) -> Option<MemRegion> {
+    pub(crate) fn region(&self, id: u32) -> Option<MemRegion> {
         let at = (id as usize).checked_sub(1)?;
         self.regions.lock().get(at).cloned()
     }
@@ -337,7 +190,13 @@ impl Shared {
     /// is out of bounds — the caller then drops the notification that
     /// rode with the payload.
     #[must_use]
-    fn deposit(&self, met: &TransportMetrics, region: u32, offset: u64, payload: &[u8]) -> bool {
+    pub(crate) fn deposit(
+        &self,
+        met: &TransportMetrics,
+        region: u32,
+        offset: u64,
+        payload: &[u8],
+    ) -> bool {
         let landed = usize::try_from(offset).is_ok_and(|off| {
             self.region(region)
                 .is_some_and(|r| r.write_bytes(off, payload).is_ok())
@@ -349,7 +208,7 @@ impl Shared {
     }
 
     /// Latch `(peer, nic)` down; `true` if this call flipped it.
-    fn latch_down(&self, peer: usize, nic: usize) -> bool {
+    pub(crate) fn latch_down(&self, peer: usize, nic: usize) -> bool {
         !self.down[peer * self.nics + nic].swap(true, Ordering::Relaxed)
     }
 
@@ -372,7 +231,7 @@ impl Shared {
         sink
     }
 
-    fn apply_custom(&self, custom: u128) {
+    pub(crate) fn apply_custom(&self, custom: u128) {
         if let Some(s) = self.sink_or_keep(|| Early::Custom(custom)) {
             s.apply(custom);
         }
@@ -381,7 +240,7 @@ impl Shared {
     /// Handle control message `msg` from `(src, nic)` on the calling
     /// thread, handing what goes back to `src` to `reply` — or keep it
     /// for the sink, which answers it on installation.
-    fn on_ctrl(
+    pub(crate) fn on_ctrl(
         &self,
         met: &TransportMetrics,
         (src, nic): (usize, usize),
@@ -394,7 +253,7 @@ impl Shared {
         }
     }
 
-    fn ring_bell(&self) {
+    pub(crate) fn ring_bell(&self) {
         self.events.ring();
     }
 }
@@ -912,127 +771,13 @@ impl NetFabric {
     }
 }
 
-fn invalid_input(msg: String) -> io::Error {
+pub(crate) fn invalid_input(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, msg)
 }
 
 impl Drop for NetFabric {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// The reader-side protocol handler: applies each reassembled inbound
-/// frame against the shared state, on whichever thread read it. Holds
-/// no `NetFabric` reference — GET replies and acks ride back to the
-/// reader as pre-encoded frames for the same connection — so reactor
-/// threads never keep the fabric alive and teardown joins them without
-/// self-join hazards.
-struct FabricDispatch {
-    shared: Arc<Shared>,
-    met: TransportMetrics,
-}
-
-impl FabricDispatch {
-    /// Deposit an inbound payload, then apply the custom bits that rode
-    /// with it — or neither, when the payload cannot land.
-    fn land(&self, region: u32, offset: u64, payload: &[u8], custom: u128) {
-        self.met.rx_bytes.add(payload.len() as u64);
-        if self.shared.deposit(&self.met, region, offset, payload) {
-            self.met.atomic_adds.inc();
-            self.shared.apply_custom(custom);
-        }
-    }
-
-    /// The `GET_REP` frame answering `g`; `None` if the request names
-    /// no region of this rank or a range outside it.
-    fn get_reply(&self, g: &frame::GetReq) -> Option<Vec<u8>> {
-        let off = usize::try_from(g.offset).ok()?;
-        let len = usize::try_from(g.len).ok()?;
-        let header = frame::get_rep_header(g.reply_region, g.reply_offset, g.custom_local);
-        let src = self.shared.region(g.region)?;
-        region_frame(&src, frame::FRAME_GET_REP, &header, off, len).ok()
-    }
-}
-
-impl FrameDispatch for FabricDispatch {
-    fn on_frame(
-        &self,
-        peer: usize,
-        nic: usize,
-        kind: u8,
-        body: &[u8],
-        replies: &mut Vec<Vec<u8>>,
-    ) -> bool {
-        let shared = &self.shared;
-        // Peer bytes: the fixed-offset parsers below index up to the
-        // kind's header length, so a shorter body is a protocol error,
-        // not a panic on the reading thread.
-        if body.len() < frame::min_body_len(kind) {
-            self.on_corrupt(peer, nic);
-            return false;
-        }
-        self.met.rx_frames.inc();
-        match kind {
-            frame::FRAME_PUT => {
-                let (region, offset, custom, payload) = frame::parse_put(body);
-                self.land(region, offset, payload, custom);
-            }
-            frame::FRAME_GET_REQ => {
-                let g = frame::parse_get_req(body);
-                match self.get_reply(&g) {
-                    Some(rep) => {
-                        self.met.atomic_adds.inc();
-                        shared.apply_custom(g.custom_remote);
-                        self.met.tx_frames.inc();
-                        self.met.tx_bytes.add(g.len);
-                        replies.push(rep);
-                    }
-                    // Bad request: drop it whole, like a NIC NAK — no
-                    // reply, no remote addend.
-                    None => self.met.bad_dma.inc(),
-                }
-            }
-            frame::FRAME_GET_REP => {
-                let (region, offset, custom, payload) = frame::parse_get_rep(body);
-                self.land(region, offset, payload, custom);
-            }
-            frame::FRAME_ATOMIC => {
-                self.met.atomic_adds.inc();
-                shared.apply_custom(frame::parse_atomic(body));
-            }
-            frame::FRAME_CTRL => {
-                let mut ack = |reply: &[u8]| {
-                    if let Ok(rep) = frame::encode_frame(frame::FRAME_CTRL, &[reply]) {
-                        self.met.tx_frames.inc();
-                        replies.push(rep);
-                    }
-                };
-                shared.on_ctrl(&self.met, (peer, nic), body, &mut ack);
-            }
-            _ => return false, // unknown kind post-handshake
-        }
-        true
-    }
-
-    fn announce(&self) {
-        self.shared.events.ring();
-    }
-
-    fn tick(&self) -> Option<Duration> {
-        self.shared.sink.get()?.tick()
-    }
-
-    fn on_corrupt(&self, peer: usize, nic: usize) {
-        self.met.frame_errors.inc();
-        if self.shared.latch_down(peer, nic) {
-            self.met.streams_down.inc();
-        }
-        self.shared.ring_bell();
-    }
-
-    fn stopping(&self) -> bool {
-        self.shared.stopping.load(Ordering::SeqCst)
     }
 }
 

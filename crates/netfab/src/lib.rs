@@ -67,12 +67,17 @@
 
 #![deny(missing_docs)]
 
+mod bell;
+mod conn;
 #[cfg(test)]
 mod differential;
+mod dispatch;
 pub mod engine;
 pub mod fabric;
 pub mod frame;
 pub mod launch;
+mod launcher;
+mod poll;
 pub mod reactor;
 pub mod storm;
 pub mod transport;

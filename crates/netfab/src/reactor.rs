@@ -47,20 +47,26 @@
 //! because a reader cannot wait on a backlog it may itself be
 //! responsible for draining.
 
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::os::fd::AsRawFd;
-use std::os::raw::{c_int, c_ulong, c_void};
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use unr_obs::metrics::{Counter, Gauge, Histogram};
 use unr_obs::Obs;
 
-use crate::frame::{FrameAssembler, OutFrame, READ_CHUNK};
+use crate::conn::Reader;
+pub use crate::conn::{Conn, FrameQueue};
+#[cfg(doc)]
+use crate::frame::FrameAssembler;
+use crate::frame::OutFrame;
+use crate::poll::consume_wake;
+pub use crate::poll::{
+    poll_wait, Parked, PollSlot, Waiting, WakeHandle, POLL_ERR, POLL_HUP, POLL_IN, POLL_OUT,
+};
 
 /// Reactor threads per process.
 pub const DEFAULT_REACTORS: usize = 2;
@@ -143,268 +149,6 @@ impl ReactorMetrics {
     }
 }
 
-// ---------------------------------------------------------------------
-// Writer queue
-// ---------------------------------------------------------------------
-
-/// A queue of encoded frames: any thread pushes, the holder of the
-/// connection's writer lock drains. A mutex around a `VecDeque`, held
-/// for one `push_back` or one `append` and never across a syscall, so
-/// frames come out in push order — the FIFO guarantee the unreliable
-/// path's "the stream delivers in order" assumption needs. Lock order:
-/// reader ⊃ writer ⊃ queue.
-#[derive(Default)]
-pub struct FrameQueue {
-    inner: Mutex<Queued>,
-}
-
-#[derive(Default)]
-struct Queued {
-    frames: VecDeque<OutFrame>,
-    bytes: usize,
-}
-
-impl FrameQueue {
-    /// An empty queue.
-    pub fn new() -> FrameQueue {
-        FrameQueue::default()
-    }
-
-    /// The queue, poisoned or not: every step under the lock leaves
-    /// `frames` and `bytes` in agreement.
-    fn lock(&self) -> MutexGuard<'_, Queued> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Queued bytes.
-    pub fn bytes(&self) -> usize {
-        self.lock().bytes
-    }
-
-    /// Queued frames.
-    pub fn frames(&self) -> usize {
-        self.lock().frames.len()
-    }
-
-    /// Push one encoded frame; callable from any thread.
-    pub fn push(&self, frame: impl Into<OutFrame>) {
-        let frame = frame.into();
-        let mut q = self.lock();
-        q.bytes += frame.len();
-        q.frames.push_back(frame);
-    }
-
-    /// Move everything to the back of `out`, oldest first. Returns the
-    /// number of frames taken.
-    pub fn drain_into(&self, out: &mut VecDeque<OutFrame>) -> usize {
-        let mut q = self.lock();
-        let n = q.frames.len();
-        out.append(&mut q.frames);
-        q.bytes = 0;
-        n
-    }
-}
-
-// ---------------------------------------------------------------------
-// Connections
-// ---------------------------------------------------------------------
-
-/// One mesh stream in the registry: the nonblocking socket, its read
-/// state machine, its writer queue and its write state machine. Reads
-/// belong to whoever holds the reader lock, writes to whoever holds the
-/// writer lock; a thread that needs both takes the reader lock first.
-pub struct Conn {
-    /// Remote rank.
-    pub peer: usize,
-    /// NIC (socket index) of this stream.
-    pub nic: usize,
-    /// Index of the owning reactor in the pool: the one that polls this
-    /// stream when no rank thread does, and for writability always.
-    pub reactor: usize,
-    /// The nonblocking stream. Lock holders read and write; anyone may
-    /// `close` it (safe concurrently — all are plain syscalls on the
-    /// same descriptor).
-    pub stream: UnixStream,
-    /// Read side open (false after EOF or corruption). Written under
-    /// the reader lock; read without it to build poll sets, so a stale
-    /// `true` costs one empty read pass and nothing else.
-    open_read: AtomicBool,
-    /// The read state machine. Every socket read and every
-    /// [`FrameAssembler::feed`] happens under this lock, whoever holds
-    /// it, so per-connection frame order is byte order, and a frame one
-    /// reader left half-assembled is finished by the next.
-    reader: Mutex<Reader>,
-    /// Encoded frames awaiting transmission, in the order they will
-    /// reach the wire. Filled only by [`ReactorPool::post`], so every
-    /// frame in it has someone who will write it.
-    queue: FrameQueue,
-    /// The write state machine. A plain mutex, `try_lock`ed by posters
-    /// (who never wait for it) and `lock`ed by the reactor: every
-    /// socket write and every [`FrameQueue::drain_into`] happens under
-    /// it, so wire order is push order.
-    writer: Mutex<Writer>,
-}
-
-impl Conn {
-    /// Wrap an established stream: switches it to nonblocking and sets
-    /// its send buffer to [`SEND_BUF_BYTES`].
-    pub fn new(peer: usize, nic: usize, reactor: usize, stream: UnixStream) -> io::Result<Conn> {
-        stream.set_nonblocking(true)?;
-        let bytes = SEND_BUF_BYTES as c_int;
-        let value: *const c_void = (&bytes as *const c_int).cast();
-        let len = std::mem::size_of::<c_int>() as u32;
-        // Safety: `value` points at `bytes`, alive for the whole call, and
-        // `len` is its size; the descriptor is `stream`'s own.
-        let rc = unsafe { setsockopt(stream.as_raw_fd(), SOL_SOCKET, SO_SNDBUF, value, len) };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Conn {
-            peer,
-            nic,
-            reactor,
-            stream,
-            open_read: AtomicBool::new(true),
-            reader: Mutex::new(Reader {
-                asm: FrameAssembler::new(),
-                buf: vec![0u8; READ_CHUNK],
-                feeding: false,
-            }),
-            queue: FrameQueue::new(),
-            writer: Mutex::new(Writer {
-                pending: VecDeque::new(),
-                front_off: 0,
-                want_write: false,
-                open_write: true,
-            }),
-        })
-    }
-
-    /// Shut the stream down both ways: the peer reads EOF, reads here
-    /// see EOF and writes fail. (`Shutdown`, `UnixStream::shutdown`'s
-    /// argument, is all the crate takes from std's IP networking module.)
-    pub(crate) fn close(&self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-    }
-
-    /// Bytes posted and not yet taken up for writing — what
-    /// [`QUEUE_CAP_BYTES`] bounds.
-    pub fn queued_bytes(&self) -> usize {
-        self.queue.bytes()
-    }
-
-    /// Whether the read side is still open: no EOF, reset or corrupt
-    /// prefix seen yet. May be a moment out of date.
-    pub fn open_read(&self) -> bool {
-        self.open_read.load(Ordering::SeqCst)
-    }
-
-    /// The writer lock, poisoned or not: a thread that panicked holding
-    /// it left a state every step of which is valid (at worst a frame
-    /// half written, which the next holder finishes).
-    fn writer(&self) -> MutexGuard<'_, Writer> {
-        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// `(queued + unwritten bytes, socket known full)`.
-    #[cfg(test)]
-    pub(crate) fn backlog(&self) -> (usize, bool) {
-        let w = self.writer();
-        let unwritten = w.pending.iter().map(OutFrame::len).sum::<usize>() - w.front_off;
-        (self.queue.bytes() + unwritten, w.want_write)
-    }
-}
-
-/// Per-connection read state machine, behind [`Conn`]'s reader lock.
-struct Reader {
-    /// Hands the dispatcher each frame that lies whole in `buf` where it
-    /// lies, and assembles only one cut across reads.
-    asm: FrameAssembler,
-    /// Read scratch, [`READ_CHUNK`] bytes (zero pages until touched).
-    buf: Vec<u8>,
-    /// Set while `asm` is fed: still set when the lock is next taken,
-    /// a dispatcher panicked with part of a read undelivered.
-    feeding: bool,
-}
-
-/// Per-connection write state machine, behind [`Conn`]'s writer lock.
-struct Writer {
-    /// Frames taken from the queue (plus dispatcher replies), oldest
-    /// first; front may be partially written.
-    pending: VecDeque<OutFrame>,
-    /// Bytes of `pending.front()` already on the wire.
-    front_off: usize,
-    /// Saw `WouldBlock` with bytes pending: the socket is full and the
-    /// reactor polls for writability. Set only by a pass that is the
-    /// reactor's own or that ends by waking it, and cleared only by a
-    /// pass that also emptied the queue — so a poster that sees it may
-    /// leave its frame queued.
-    want_write: bool,
-    /// Write side open (false after a write error latched the conn).
-    open_write: bool,
-}
-
-impl Writer {
-    /// Put queued frames on the wire until the queue is empty or the
-    /// socket is full. The queue hands over its frames only when
-    /// `pending` has been written out: while the socket is full they
-    /// stay queued, where [`QUEUE_CAP_BYTES`] counts them.
-    fn flush(&mut self, conn: &Conn, dispatch: &dyn FrameDispatch, met: &ReactorMetrics) {
-        while self.open_write {
-            self.service_write(conn, dispatch);
-            if self.want_write || !self.open_write {
-                return;
-            }
-            let taken = conn.queue.drain_into(&mut self.pending);
-            if taken == 0 {
-                return;
-            }
-            met.queue_depth.record(taken as u64);
-        }
-    }
-
-    /// Push pending frames until empty or `WouldBlock`; partial writes
-    /// park in `front_off` and set `want_write`.
-    fn service_write(&mut self, conn: &Conn, dispatch: &dyn FrameDispatch) {
-        match self.write_pending(&mut &conn.stream) {
-            Ok(()) => self.want_write = false,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.want_write = true,
-            Err(_) => {
-                // Peer gone. Outside teardown, latch the stream so
-                // writers get clean errors; either way stop writing.
-                if !dispatch.stopping() {
-                    dispatch.on_corrupt(conn.peer, conn.nic);
-                }
-                conn.close();
-                self.open_write = false;
-                self.pending.clear();
-                self.front_off = 0;
-                self.want_write = false;
-            }
-        }
-    }
-
-    /// Write pending frames to `w` until none is left or a write fails
-    /// (`WouldBlock` included); a frame cut anywhere — inside a split
-    /// frame's head or its body alike — resumes at `front_off`.
-    fn write_pending(&mut self, w: &mut impl Write) -> io::Result<()> {
-        while let Some(front) = self.pending.front() {
-            match front.write_from(w, self.front_off) {
-                Ok(n) => {
-                    self.front_off += n;
-                    if self.front_off >= front.len() {
-                        self.pending.pop_front();
-                        self.front_off = 0;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-}
-
 /// What one read pass did, summed over the frames it completed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadPass {
@@ -469,189 +213,8 @@ pub trait FrameDispatch: Send + Sync + 'static {
 }
 
 // ---------------------------------------------------------------------
-// Readiness poller
-// ---------------------------------------------------------------------
-
-/// One poll slot: `struct pollfd`, laid out as `poll(2)` reads it.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct PollSlot {
-    /// Raw descriptor; -1 holds the place of a connection whose read
-    /// side is closed, and `poll(2)` ignores it.
-    pub fd: i32,
-    /// Requested events (`POLL_IN` / `POLL_OUT`).
-    pub events: i16,
-    /// Returned events.
-    pub revents: i16,
-}
-
-impl PollSlot {
-    /// Something to read, or an error or hang-up a read will surface.
-    fn readable(&self) -> bool {
-        self.revents & (POLL_IN | POLL_ERR | POLL_HUP) != 0
-    }
-}
-
-/// Readable readiness (`POLLIN`).
-pub const POLL_IN: i16 = 0x001;
-/// Writable readiness (POSIX `POLLOUT`).
-pub const POLL_OUT: i16 = 0x004;
-/// Error condition (always polled implicitly).
-pub const POLL_ERR: i16 = 0x008;
-/// Peer hangup (always polled implicitly).
-pub const POLL_HUP: i16 = 0x010;
-
-// The crate's syscall FFI (DESIGN.md §5, unsafe surface), declared here
-// because the hermetic rule bans crates, not syscalls. Linux values.
-extern "C" {
-    fn poll(fds: *mut PollSlot, nfds: c_ulong, timeout: c_int) -> c_int;
-    fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_void, len: u32) -> c_int;
-}
-
-const SOL_SOCKET: c_int = 1;
-const SO_SNDBUF: c_int = 7;
-
-/// Block until a slot is ready or `timeout_ms` elapses; returns the
-/// number of ready slots (0 on timeout).
-pub fn poll_wait(slots: &mut [PollSlot], timeout_ms: i32) -> io::Result<usize> {
-    loop {
-        // Safety: `slots` is a valid, exclusive `#[repr(C)]` pollfd
-        // array for the duration of the call.
-        let rc = unsafe { poll(slots.as_mut_ptr(), slots.len() as c_ulong, timeout_ms) };
-        if rc >= 0 {
-            return Ok(rc as usize);
-        }
-        let e = io::Error::last_os_error();
-        if e.kind() != io::ErrorKind::Interrupted {
-            return Err(e);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Wake channel
-// ---------------------------------------------------------------------
-
-/// Producer side of a reactor's wake channel: a `socketpair(2)`
-/// stream pair. `wake` writes one byte iff no wake is already pending,
-/// so the channel holds at most one unread byte per poller pass.
-///
-/// No wake-up is lost. A producer publishes its work — a frame pushed
-/// onto a [`FrameQueue`], published when the queue lock is released —
-/// and *then* `pending.swap(true)`s. A reactor pass empties the channel
-/// (`consume_wake`), *then* `pending.store(false)`s, and only then takes
-/// each writer lock and drains the queue under the queue lock
-/// ([`FrameQueue::drain_into`]). Take any pass and its drain of the
-/// producer's connection:
-///
-/// * the drain locks the queue after the push: it sees the frame;
-/// * the drain locks the queue before the push: the pass's
-///   `store(false)` happens-before the producer's `swap` (program
-///   order, then the queue lock handed from drain to push). By
-///   coherence on `pending`, the swap reads that `false` and the
-///   producer writes a byte, or it reads a later `true`, set by a swap
-///   that read that `false` and wrote a byte. Either way the channel
-///   holds a byte written after this pass emptied it, so the next poll
-///   returns at once and the next pass meets the same two cases — until
-///   one drains after the push, without waiting for the poll timeout.
-///
-/// A producer that found the socket full publishes `want_write` under
-/// the writer lock instead; the same two cases hold with the writer
-/// lock in place of the queue's.
-pub struct WakeHandle {
-    tx: UnixStream,
-    pending: Arc<AtomicBool>,
-}
-
-impl WakeHandle {
-    /// A fresh channel: the producer handle and the nonblocking read
-    /// end its consumer polls.
-    pub(crate) fn channel() -> io::Result<(WakeHandle, UnixStream)> {
-        let (tx, rx) = wake_pair()?;
-        let pending = Arc::new(AtomicBool::new(false));
-        Ok((WakeHandle { tx, pending }, rx))
-    }
-
-    /// Consumer side: empty the channel `rx`, then re-arm the producers
-    /// (see `consume_wake`). The caller looks for the announced work
-    /// afterwards.
-    pub(crate) fn consume(&self, rx: &UnixStream) {
-        consume_wake(rx, &self.pending);
-    }
-
-    /// Nudge the reactor out of its poller (idempotent until consumed).
-    /// Call *after* the work it announces is visible to the reactor.
-    pub fn wake(&self, met: &ReactorMetrics) {
-        if !self.pending.swap(true, Ordering::SeqCst) {
-            met.wakeups.inc();
-            let _ = (&self.tx).write(&[1u8]);
-        }
-    }
-}
-
-/// Reactor side of the wake channel: swallow every byte in it, *then*
-/// re-arm the producers. The order is the point (see [`WakeHandle`]):
-/// clearing `pending` first would let a producer's fresh byte be eaten
-/// by this same read loop, leaving `pending == true` over an empty
-/// channel — every later wake skipped, every queued frame waiting for
-/// the poll timeout. The caller drains the writer queues afterwards.
-fn consume_wake(mut rx: impl Read, pending: &AtomicBool) {
-    let mut sink = [0u8; 64];
-    while let Ok(n) = rx.read(&mut sink) {
-        if n == 0 {
-            break;
-        }
-    }
-    pending.store(false, Ordering::SeqCst);
-}
-
-/// The wake channel's connected stream pair `(tx, rx)`, `rx` nonblocking.
-fn wake_pair() -> io::Result<(UnixStream, UnixStream)> {
-    let (tx, rx) = UnixStream::pair()?;
-    rx.set_nonblocking(true)?;
-    Ok((tx, rx))
-}
-
-// ---------------------------------------------------------------------
 // The pool
 // ---------------------------------------------------------------------
-
-/// What the rank's waiting threads tell the reactors: two words, written
-/// by [`Waiting::park`], read at the top of every reactor pass.
-#[derive(Default)]
-pub struct Waiting {
-    /// Rank threads parked in a poll of the rank's sockets right now.
-    parked: AtomicUsize,
-    /// Parks ever begun: a reactor that finds this moved since its
-    /// previous pass knows a thread waited in between, however briefly.
-    entries: AtomicUsize,
-}
-
-impl Waiting {
-    /// Publish that the calling thread is about to poll the rank's
-    /// sockets itself, until the guard drops. SeqCst: the caller's next
-    /// step is to re-read the epoch a ringer bumps before it looks at
-    /// [`parked`](Self::parked).
-    pub fn park(&self) -> Parked<'_> {
-        self.entries.fetch_add(1, Ordering::SeqCst);
-        self.parked.fetch_add(1, Ordering::SeqCst);
-        Parked(self)
-    }
-
-    /// Threads parked right now.
-    pub fn parked(&self) -> usize {
-        self.parked.load(Ordering::SeqCst)
-    }
-}
-
-/// A thread's [`Waiting::park`], ended on drop.
-pub struct Parked<'a>(&'a Waiting);
-
-impl Drop for Parked<'_> {
-    fn drop(&mut self) {
-        self.0.parked.fetch_sub(1, Ordering::SeqCst);
-    }
-}
 
 /// What [`ReactorPool::wait_readable`] came back with.
 pub struct Waited {
@@ -1159,6 +722,11 @@ pub fn process_thread_count() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::Writer;
+    use crate::poll::wake_pair;
+    use std::collections::VecDeque;
+    use std::io::Write;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn queue_is_fifo_in_push_order() {

@@ -32,8 +32,10 @@ use crate::mem::{MemRegion, RKey};
 use crate::membership::Membership;
 use crate::nic::{CustomBits, InterfaceSpec, NicModel, NicState};
 use crate::queues::{Completion, CompletionKind, CompletionQueue, Dgram, Port};
-use crate::sched::{ActorHandle, Sched, SimCore};
+use crate::sched::{Sched, SimCore};
 use crate::time::{Ns, SEC};
+
+pub use crate::endpoint::Endpoint;
 use crate::trace::TraceEvent;
 
 /// Sink for level-4 NICs: the fabric applies the notification itself
@@ -103,17 +105,17 @@ struct NodeState {
 }
 
 #[derive(Default)]
-struct RankState {
-    regions: HashMap<u32, (MemRegion, Arc<CompletionQueue>)>,
-    next_region: u32,
+pub(crate) struct RankState {
+    pub(crate) regions: HashMap<u32, (MemRegion, Arc<CompletionQueue>)>,
+    pub(crate) next_region: u32,
     ports: HashMap<u32, Arc<Port>>,
-    sink: Option<Arc<dyn AtomicAddSink>>,
+    pub(crate) sink: Option<Arc<dyn AtomicAddSink>>,
     nic_rr: usize,
 }
 
-struct FabricInner {
+pub(crate) struct FabricInner {
     nodes: Vec<NodeState>,
-    ranks: Vec<RankState>,
+    pub(crate) ranks: Vec<RankState>,
     rng: SimRng,
     /// Dedicated fault RNG stream; `Some` iff `cfg.faults.enabled()`,
     /// so fault-free runs draw nothing extra and stay byte-identical.
@@ -123,12 +125,12 @@ struct FabricInner {
 /// Pre-resolved instrument handles for the fabric's hot paths, so
 /// posting an operation never touches the registry lock.
 pub(crate) struct FabricMetrics {
-    puts: Arc<unr_obs::Counter>,
-    gets: Arc<unr_obs::Counter>,
-    dgrams: Arc<unr_obs::Counter>,
-    bytes_put: Arc<unr_obs::Counter>,
-    bytes_get: Arc<unr_obs::Counter>,
-    lost_writes: Arc<unr_obs::Counter>,
+    pub(crate) puts: Arc<unr_obs::Counter>,
+    pub(crate) gets: Arc<unr_obs::Counter>,
+    pub(crate) dgrams: Arc<unr_obs::Counter>,
+    pub(crate) bytes_put: Arc<unr_obs::Counter>,
+    pub(crate) bytes_get: Arc<unr_obs::Counter>,
+    pub(crate) lost_writes: Arc<unr_obs::Counter>,
     /// Post → NIC-drained time (local injection latency).
     inject_ns: Arc<unr_obs::Histogram>,
     /// Post → remote-arrival time (end-to-end delivery latency).
@@ -159,7 +161,7 @@ impl FabricMetrics {
 pub struct Fabric {
     pub cfg: FabricConfig,
     core: Arc<SimCore>,
-    inner: Mutex<FabricInner>,
+    pub(crate) inner: Mutex<FabricInner>,
     /// Present when `cfg.trace` is set.
     pub tracer: Option<crate::trace::TraceRecorder>,
     /// Observability root shared by everything attached to this fabric
@@ -307,7 +309,10 @@ impl Fabric {
         }
     }
 
-    fn lookup_region(inner: &FabricInner, key: RKey) -> Option<(MemRegion, Arc<CompletionQueue>)> {
+    pub(crate) fn lookup_region(
+        inner: &FabricInner,
+        key: RKey,
+    ) -> Option<(MemRegion, Arc<CompletionQueue>)> {
         inner
             .ranks
             .get(key.rank)?
@@ -318,7 +323,7 @@ impl Fabric {
 
     /// The transmission step (module doc) of `len` bytes posted at
     /// `t_post`, up to its landing, which the [`Flight`] schedules.
-    fn launch(&self, leg: Leg, route: Route, len: usize, t_post: Ns) -> Flight {
+    pub(crate) fn launch(&self, leg: Leg, route: Route, len: usize, t_post: Ns) -> Flight {
         let (cfg, model, intra) = (&self.cfg, route.model, route.intra);
         let node = cfg.node_of(route.rank);
         // A GET's data flows from the peer back to the poster.
@@ -381,7 +386,7 @@ impl Fabric {
     /// The completion rule (module doc): notify `rank` of a `kind`
     /// completion carrying the raw bits `custom`, from `nic` at `t`.
     #[allow(clippy::too_many_arguments)]
-    fn complete(
+    pub(crate) fn complete(
         &self,
         st: &mut Sched,
         rank: usize,
@@ -423,7 +428,7 @@ impl Fabric {
     /// region, notify the target if the put asked to, and push the
     /// order-preserving companion datagram. One event, so a fault
     /// treats data, notification and companion as a unit.
-    fn land_put(&self, st: &mut Sched, src: usize, nic: usize, at: Ns, cargo: Cargo) {
+    pub(crate) fn land_put(&self, st: &mut Sched, src: usize, nic: usize, at: Ns, cargo: Cargo) {
         let dst = cargo.dst;
         if self.delivery_killed(src, dst.rank) {
             return;
@@ -452,14 +457,14 @@ impl Fabric {
 
 impl FabricInner {
     /// `rank`'s datagram port `port`, opened on first use.
-    fn port(&mut self, rank: usize, port: u32) -> Arc<Port> {
+    pub(crate) fn port(&mut self, rank: usize, port: u32) -> Arc<Port> {
         let ports = &mut self.ranks[rank].ports;
         Arc::clone(ports.entry(port).or_insert_with(|| Arc::new(Port::new())))
     }
 
     /// The NIC `sel` names on `rank`'s node: `Auto` round-robins over
     /// the node's `nics` with the rank's cursor.
-    fn pick_nic(&mut self, rank: usize, sel: NicSel, nics: usize) -> usize {
+    pub(crate) fn pick_nic(&mut self, rank: usize, sel: NicSel, nics: usize) -> usize {
         match sel {
             NicSel::Index(i) => i,
             NicSel::Auto => {
@@ -473,7 +478,7 @@ impl FabricInner {
 
     /// Arrival jitter on `model`, uniform in `[0, jitter_frac *
     /// latency]`; no draw when that bound is 0.
-    fn jitter(&mut self, model: &NicModel) -> Ns {
+    pub(crate) fn jitter(&mut self, model: &NicModel) -> Ns {
         if model.jitter_frac <= 0.0 {
             return 0;
         }
@@ -489,18 +494,18 @@ impl FabricInner {
 /// A checked path from the posting rank to its peer: the NIC selection
 /// and the model (loopback or NIC) that carries it.
 #[derive(Clone, Copy)]
-struct Route {
-    rank: usize,
-    peer: usize,
-    nic: NicSel,
-    intra: bool,
-    model: NicModel,
+pub(crate) struct Route {
+    pub(crate) rank: usize,
+    pub(crate) peer: usize,
+    pub(crate) nic: NicSel,
+    pub(crate) intra: bool,
+    pub(crate) model: NicModel,
 }
 
 /// What a transmission carries: a PUT sub-message, the data a GET
 /// brings back, or a datagram to a port.
 #[derive(Clone, Copy)]
-enum Leg {
+pub(crate) enum Leg {
     Put,
     GetReply,
     Dgram(u32),
@@ -508,9 +513,9 @@ enum Leg {
 
 /// A launched transmission: the NIC it left on, when that NIC drained
 /// it, when it arrives and what the fault layer decided.
-struct Flight {
-    nic: usize,
-    end: Ns,
+pub(crate) struct Flight {
+    pub(crate) nic: usize,
+    pub(crate) end: Ns,
     arrival: Ns,
     fate: FaultAction,
 }
@@ -519,7 +524,7 @@ impl Flight {
     /// Schedule `deliver(payload)` at the arrival: a duplicate's copy
     /// first if the fate made one, then the primary. A dropped flight
     /// schedules nothing.
-    fn land<P: Clone + Send + 'static>(
+    pub(crate) fn land<P: Clone + Send + 'static>(
         &self,
         st: &mut Sched,
         payload: P,
@@ -539,424 +544,13 @@ impl Flight {
 
 /// What a PUT carries to its target.
 #[derive(Clone)]
-struct Cargo {
-    data: Bytes,
-    dst: RKey,
-    dst_offset: usize,
+pub(crate) struct Cargo {
+    pub(crate) data: Bytes,
+    pub(crate) dst: RKey,
+    pub(crate) dst_offset: usize,
     /// The raw remote custom bits, when the put notifies its target.
-    notify: Option<u128>,
-    companion: Option<(u32, Vec<u8>)>,
-}
-
-/// A rank-scoped, actor-bound handle to the fabric.
-///
-/// Not `Clone`: each endpoint is bound to one thread actor. A second
-/// thread on the same rank gets its own endpoint via [`Fabric::attach`].
-pub struct Endpoint {
-    fabric: Arc<Fabric>,
-    rank: usize,
-    actor: ActorHandle,
-}
-
-impl Endpoint {
-    pub fn fabric(&self) -> &Arc<Fabric> {
-        &self.fabric
-    }
-
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    pub fn world_size(&self) -> usize {
-        self.fabric.cfg.total_ranks()
-    }
-
-    pub fn iface(&self) -> InterfaceSpec {
-        self.fabric.cfg.iface
-    }
-
-    pub fn actor(&self) -> &ActorHandle {
-        &self.actor
-    }
-
-    // ---- time -----------------------------------------------------------
-
-    /// Local virtual time.
-    pub fn now(&self) -> Ns {
-        self.actor.now()
-    }
-
-    /// Model `dt` of computation / software overhead.
-    pub fn advance(&self, dt: Ns) {
-        self.actor.advance(dt)
-    }
-
-    /// Sleep in virtual time.
-    pub fn sleep(&self, dt: Ns) {
-        self.actor.sleep(dt)
-    }
-
-    // ---- resources ------------------------------------------------------
-
-    /// Create a completion queue. Its depth feeds the fabric-wide
-    /// `simnet.cq.depth` gauge and drops feed `simnet.cq.dropped`.
-    /// A `faults.cq_capacity` override (CQ-overflow pressure) takes
-    /// precedence over the configured capacity.
-    pub fn create_cq(&self) -> Arc<CompletionQueue> {
-        let cfg = &self.fabric.cfg;
-        Arc::new(CompletionQueue::with_obs(
-            cfg.faults.cq_capacity.unwrap_or(cfg.cq_capacity),
-            Some(Arc::clone(&self.fabric.metrics.cq_depth)),
-            Some(Arc::clone(&self.fabric.metrics.cq_dropped)),
-        ))
-    }
-
-    /// Register a memory region of `len` bytes; remote completions for
-    /// operations targeting it are delivered to `remote_cq`.
-    pub fn register(&self, len: usize, remote_cq: &Arc<CompletionQueue>) -> MemRegion {
-        self.actor.with_sched(|_st, _t| {
-            let mut inner = self.fabric.inner.lock();
-            let rs = &mut inner.ranks[self.rank];
-            let id = rs.next_region;
-            rs.next_region += 1;
-            let region = MemRegion::new(self.rank, id, len);
-            rs.regions
-                .insert(id, (region.clone(), Arc::clone(remote_cq)));
-            region
-        })
-    }
-
-    /// The region this rank registered under `id`, while it stays
-    /// registered. Not a scheduler entry: the fabric lock alone.
-    pub fn region(&self, id: u32) -> Option<MemRegion> {
-        let inner = self.fabric.inner.lock();
-        inner.ranks[self.rank]
-            .regions
-            .get(&id)
-            .map(|(r, _)| r.clone())
-    }
-
-    /// Deregister a region. In-flight operations targeting it are dropped
-    /// (counted in `simnet.fabric.lost_writes`), as on real hardware.
-    pub fn deregister(&self, region: &MemRegion) {
-        let key = region.rkey;
-        assert_eq!(key.rank, self.rank, "can only deregister own regions");
-        self.actor.with_sched(|_st, _t| {
-            self.fabric.inner.lock().ranks[key.rank]
-                .regions
-                .remove(&key.id);
-        });
-    }
-
-    /// Open (or fetch) a datagram port.
-    pub fn open_port(&self, port: u32) -> Arc<Port> {
-        self.actor
-            .with_sched(|_st, _t| self.fabric.inner.lock().port(self.rank, port))
-    }
-
-    /// Install the level-4 atomic-add sink for this rank.
-    pub fn set_add_sink(&self, sink: Arc<dyn AtomicAddSink>) {
-        self.actor.with_sched(|_st, _t| {
-            self.fabric.inner.lock().ranks[self.rank].sink = Some(sink);
-        });
-    }
-
-    // ---- operations -----------------------------------------------------
-
-    /// Check a transmission to `peer` on `nic`, in this order: the peer
-    /// rank, the NIC index, and for an RMA that the interface has RMA
-    /// primitives at all. Picks the loopback model within a node and
-    /// the NIC model across nodes.
-    fn route(&self, peer: usize, nic: NicSel, rma: bool) -> Result<Route, FabricError> {
-        let cfg = &self.fabric.cfg;
-        if peer >= cfg.total_ranks() {
-            return Err(FabricError::BadRank(peer));
-        }
-        if let NicSel::Index(i) = nic {
-            if i >= cfg.nics_per_node {
-                return Err(FabricError::BadNic(i));
-            }
-        }
-        if rma && !cfg.iface.rma_capable {
-            return Err(FabricError::RmaUnsupported);
-        }
-        let intra = cfg.node_of(self.rank) == cfg.node_of(peer);
-        Ok(Route {
-            rank: self.rank,
-            peer,
-            nic,
-            intra,
-            model: if intra { cfg.intra } else { cfg.nic },
-        })
-    }
-
-    /// Post a PUT (RMA write). Returns after charging the post overhead;
-    /// completion is asynchronous via CQs / signals.
-    pub fn put(&self, op: PutOp<'_>) -> Result<(), FabricError> {
-        let route = self.route(op.dst.rank, op.nic, true)?;
-        let spec = self.fabric.cfg.iface;
-        if op.notify_remote && spec.custom_bits.put_remote == 0 && !spec.hardware_atomic_add {
-            return Err(FabricError::NoRemoteNotify);
-        }
-        // Snapshot the source (the DMA engine reads it at post time; the
-        // local completion tells the app when reuse is safe). The
-        // snapshot is shared, not owned: a fault-injected duplicate
-        // delivery reuses the same buffer.
-        let data = op
-            .src
-            .snapshot_shared(op.src_offset, op.len)
-            .map_err(|e| FabricError::OutOfBounds(e.to_string()))?;
-        let cargo = Cargo {
-            data,
-            dst: op.dst,
-            dst_offset: op.dst_offset,
-            notify: op.notify_remote.then_some(op.custom_remote),
-            companion: op.companion,
-        };
-        let local = Some((op.local_cq, op.custom_local));
-        self.actor
-            .with_sched(|st, t| self.put_at(st, t, route, cargo, local));
-        self.actor.advance(route.model.post_overhead);
-        Ok(())
-    }
-
-    /// Post a PUT from an owned byte buffer, with no local or remote
-    /// completion — the retransmission primitive of reliable
-    /// transports: the payload was captured at the original post and
-    /// is resent verbatim, with notification riding the optional
-    /// companion datagram. Subject to the same NIC serialization,
-    /// jitter and fault injection as [`Endpoint::put`].
-    ///
-    /// Two scheduler entries, like every post: [`Endpoint::put_bytes_at`]
-    /// and then the post overhead it returns (an invalid put fails in
-    /// the first).
-    pub fn put_bytes(
-        &self,
-        data: impl Into<Bytes>,
-        dst: RKey,
-        dst_offset: usize,
-        nic: NicSel,
-        companion: Option<(u32, Vec<u8>)>,
-    ) -> Result<(), FabricError> {
-        let data = data.into();
-        let overhead = self
-            .actor
-            .with_sched(|st, t| self.put_bytes_at(st, t, data, dst, dst_offset, nic, companion))?;
-        self.actor.advance(overhead);
-        Ok(())
-    }
-
-    /// The body of [`Endpoint::put_bytes`] in scheduler context, posted
-    /// at `t_post` on behalf of this endpoint's rank — by its actor, or
-    /// by a callback actor of the same rank. Returns the post overhead
-    /// the poster still has to charge itself.
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_bytes_at(
-        &self,
-        st: &mut Sched,
-        t_post: Ns,
-        data: Bytes,
-        dst: RKey,
-        dst_offset: usize,
-        nic: NicSel,
-        companion: Option<(u32, Vec<u8>)>,
-    ) -> Result<Ns, FabricError> {
-        let route = self.route(dst.rank, nic, true)?;
-        let cargo = Cargo {
-            data,
-            dst,
-            dst_offset,
-            notify: None,
-            companion,
-        };
-        self.put_at(st, t_post, route, cargo, None);
-        Ok(route.model.post_overhead)
-    }
-
-    /// The body both PUTs share, at `t_post`: launch the sub-message,
-    /// raise the `local` completion (a CQ and the raw bits) once the NIC
-    /// has drained the source, never faulted, and land the cargo.
-    fn put_at(
-        &self,
-        st: &mut Sched,
-        t_post: Ns,
-        route: Route,
-        cargo: Cargo,
-        local: Option<(Option<Arc<CompletionQueue>>, u128)>,
-    ) {
-        let fabric = &self.fabric;
-        let len = cargo.data.len();
-        fabric.metrics.puts.inc();
-        fabric.metrics.bytes_put.add(len as u64);
-        let flight = fabric.launch(Leg::Put, route, len, t_post);
-        let (nic, end) = (flight.nic, flight.end);
-        let hardware = fabric.cfg.iface.hardware_atomic_add;
-        if let Some((cq, custom)) = local.filter(|(cq, _)| cq.is_some() || hardware) {
-            let f = Arc::clone(fabric);
-            st.schedule_at(end, move |st| {
-                let kind = CompletionKind::PutLocal;
-                f.complete(st, route.rank, cq.as_ref(), kind, custom, nic, end)
-            });
-        }
-        let f = Arc::clone(fabric);
-        flight.land(st, cargo, move |st, at, cargo| {
-            f.land_put(st, route.rank, nic, at, cargo)
-        });
-    }
-
-    /// Post a GET (RMA read). The request travels to the target, the
-    /// target region is read there, and the data lands locally one
-    /// bandwidth-term plus one latency later.
-    pub fn get(&self, op: GetOp<'_>) -> Result<(), FabricError> {
-        let route = self.route(op.src.rank, op.nic, true)?;
-        let spec = self.fabric.cfg.iface;
-        if op.notify_remote && spec.custom_bits.get_remote == 0 && !spec.hardware_atomic_add {
-            return Err(FabricError::NoRemoteNotify);
-        }
-        op.dst
-            .check(op.dst_offset, op.len)
-            .map_err(|e| FabricError::OutOfBounds(e.to_string()))?;
-        let dst = op.dst.clone();
-        let fabric = &self.fabric;
-        fabric.metrics.gets.inc();
-        fabric.metrics.bytes_get.add(op.len as u64);
-
-        self.actor.with_sched(|st, t_post| {
-            // The request carries no data: it takes no NIC time and
-            // reaches the target one latency (plus jitter) later. The
-            // reply leaves on the NIC the request picked.
-            let mut inner = fabric.inner.lock();
-            let nic = inner.pick_nic(route.rank, route.nic, fabric.cfg.nics_per_node);
-            let t_req = t_post + route.model.latency + inner.jitter(&route.model);
-            drop(inner);
-            let route = Route {
-                nic: NicSel::Index(nic),
-                ..route
-            };
-            let fabric = Arc::clone(fabric);
-            st.schedule_at(t_req, move |st| {
-                if fabric.delivery_killed(route.rank, op.src.rank) {
-                    return;
-                }
-                let target = Fabric::lookup_region(&fabric.inner.lock(), op.src);
-                let read = target.and_then(|(region, cq)| {
-                    Some((region.snapshot(op.src_offset, op.len).ok()?, cq))
-                });
-                if read.is_none() {
-                    fabric.metrics.lost_writes.inc();
-                }
-                let flight = fabric.launch(Leg::GetReply, route, op.len, t_req);
-                let Some((data, remote_cq)) = read else {
-                    return;
-                };
-                if op.notify_remote {
-                    let (kind, custom) = (CompletionKind::GetRemote, op.custom_remote);
-                    fabric.complete(st, op.src.rank, Some(&remote_cq), kind, custom, nic, t_req);
-                }
-                let f = Arc::clone(&fabric);
-                flight.land(st, data, move |st, at, data| {
-                    if dst.write_bytes(op.dst_offset, &data).is_err() {
-                        f.metrics.lost_writes.inc();
-                        return;
-                    }
-                    let (kind, custom) = (CompletionKind::GetLocal, op.custom_local);
-                    f.complete(st, route.rank, op.local_cq.as_ref(), kind, custom, nic, at);
-                });
-            });
-        });
-        self.actor.advance(route.model.post_overhead);
-        Ok(())
-    }
-
-    /// Send a small control datagram to `dst`'s `port`. Shares NIC
-    /// bandwidth with RMA traffic. Two scheduler entries:
-    /// [`Endpoint::send_dgram_at`] and the post overhead it returns.
-    pub fn send_dgram(&self, dst: usize, port: u32, bytes: Vec<u8>, nic: NicSel) {
-        let overhead = self
-            .actor
-            .with_sched(|st, t| self.send_dgram_at(st, t, dst, port, bytes, nic));
-        self.actor.advance(overhead);
-    }
-
-    /// The body of [`Endpoint::send_dgram`] in scheduler context, sent
-    /// at `t_post` on behalf of this endpoint's rank — by its actor, or
-    /// by a callback actor of the same rank. Returns the post overhead
-    /// the sender still has to charge itself. Panics on a rank or NIC
-    /// out of range. Datagram faults can be scoped to a port list, so
-    /// one protocol's control traffic is lossy while another's (the
-    /// bootstrap runtime's) stays reliable.
-    pub fn send_dgram_at(
-        &self,
-        st: &mut Sched,
-        t_post: Ns,
-        dst: usize,
-        port: u32,
-        bytes: Vec<u8>,
-        nic: NicSel,
-    ) -> Ns {
-        let route = self
-            .route(dst, nic, false)
-            .unwrap_or_else(|e| panic!("send_dgram: {e}"));
-        let fabric = &self.fabric;
-        fabric.metrics.dgrams.inc();
-        let flight = fabric.launch(Leg::Dgram(port), route, bytes.len(), t_post);
-        let f = Arc::clone(fabric);
-        flight.land(st, bytes, move |st, at, bytes| {
-            if f.delivery_killed(route.rank, dst) {
-                return;
-            }
-            let src = route.rank;
-            let port = f.inner.lock().port(dst, port);
-            port.push(st, Dgram { src, t: at, bytes });
-        });
-        route.model.post_overhead
-    }
-
-    // ---- membership (actor context) ---------------------------------------
-
-    /// Kill `rank` from actor context: flips the membership state
-    /// ([`Fabric::kill_rank`]) and wakes *every* parked actor so waiters
-    /// whose addends can now never arrive re-evaluate their predicates
-    /// and fail fast instead of deadlocking virtual time.
-    pub fn kill_rank(&self, rank: usize) {
-        self.actor.with_sched(|st, t| {
-            self.fabric.kill_rank(rank);
-            st.wake_all(t);
-        });
-    }
-
-    /// Revive `rank` from actor context (new generation, new epoch) and
-    /// wake every parked actor so pre-kill failure latches clear.
-    pub fn revive_rank(&self, rank: usize) {
-        self.actor.with_sched(|st, t| {
-            self.fabric.revive_rank(rank);
-            st.wake_all(t);
-        });
-    }
-
-    // ---- blocking helpers -------------------------------------------------
-
-    /// Block until `cq` is non-empty; returns the wake time.
-    pub fn wait_cq(&self, cq: &Arc<CompletionQueue>) -> Ns {
-        self.actor
-            .wait_until(|_st| !cq.is_empty(), |_st, me| cq.add_waiter(me))
-    }
-
-    /// Block until `port` has a datagram, then pop it.
-    pub fn recv_dgram(&self, port: &Arc<Port>) -> Dgram {
-        self.actor
-            .wait_until(|_st| !port.is_empty(), |_st, me| port.add_waiter(me));
-        port.try_pop().expect("woken with message present")
-    }
-
-    /// Generic predicate wait in scheduler context.
-    pub fn wait_until(
-        &self,
-        pred: impl FnMut(&mut Sched) -> bool,
-        register: impl FnMut(&mut Sched, crate::sched::ActorId),
-    ) -> Ns {
-        self.actor.wait_until(pred, register)
-    }
+    pub(crate) notify: Option<u128>,
+    pub(crate) companion: Option<(u32, Vec<u8>)>,
 }
 
 #[cfg(test)]

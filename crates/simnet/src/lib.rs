@@ -41,6 +41,7 @@
 //! ```
 
 pub mod bytes;
+mod endpoint;
 pub mod fabric;
 pub mod faults;
 pub mod mem;

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use unr_simnet::{ActorId, Ns, Sched, Step};
 
 use crate::retry::Resend;
-use crate::sim::{SimState, SimTransport};
+use crate::sim::SimTransport;
+use crate::sim_state::SimState;
 
 /// An agent's life, shared with its rank and touched by both only
 /// inside scheduler entries: running; asked to stop (by the rank's

@@ -67,6 +67,7 @@
 mod agent;
 pub mod agg;
 pub mod blk;
+mod buffered;
 pub mod channel;
 pub mod config;
 pub mod convert;
@@ -81,6 +82,7 @@ pub mod post;
 pub mod retry;
 pub mod signal;
 pub mod sim;
+mod sim_state;
 pub mod transport;
 pub mod wait;
 pub mod wire;

@@ -16,9 +16,9 @@ use std::sync::Arc;
 
 use unr_obs::Obs;
 use unr_simnet::sync::Mutex;
-use unr_simnet::{Bandwidth, MemRegion, NicSel, Ns, RKey};
+use unr_simnet::{Bandwidth, MemRegion, NicSel, Ns};
 
-use crate::agg::{AggFlush, AggMetrics, Coalescer, FlushWhy};
+use crate::agg::{AggMetrics, Coalescer, FlushWhy};
 use crate::blk::{Blk, MemCheckpoint, UnrMem};
 use crate::channel::{Channel, DirEncodings, Mechanism};
 use crate::config::{ProgressMode, UnrConfig};
@@ -26,10 +26,10 @@ use crate::epoch::{Epoch, PeerFailedCause, RecoveryPolicy};
 use crate::error::UnrError;
 use crate::level::{Encoding, Notif, SupportLevel};
 use crate::metrics::{UnrMetrics, UnrStats};
-use crate::retry::{Reliability, RetryPolicy, RetryState, Route};
+use crate::retry::{Reliability, RetryPolicy, RetryState};
 use crate::signal::{striped_addends, SigKey, Signal, SignalTable};
 use crate::sim::SimTransport;
-use crate::transport::{CtrlFrame, RmaOp, SeqPost, Transport};
+use crate::transport::{RmaOp, Transport};
 use crate::wire;
 
 /// Engine state above the seam, shared with whatever drives progress
@@ -443,7 +443,7 @@ impl<T: Transport> Unr<T> {
     /// Count `puts` puts of `bytes` bytes in all, in [`UnrStats`] and the
     /// `unr.*` counters — once per put, or once per flush for the puts a
     /// ring coalesced.
-    fn count_puts(&self, puts: usize, bytes: usize) {
+    pub(crate) fn count_puts(&self, puts: usize, bytes: usize) {
         let (core, puts, bytes) = (&self.core, puts as u64, bytes as u64);
         core.stats.puts.fetch_add(puts, Ordering::Relaxed);
         core.stats.bytes_put.fetch_add(bytes, Ordering::Relaxed);
@@ -453,7 +453,7 @@ impl<T: Transport> Unr<T> {
         core.met.level_msgs.add(puts);
     }
 
-    fn count_sub_message(&self) {
+    pub(crate) fn count_sub_message(&self) {
         self.core.stats.sub_messages.fetch_add(1, Ordering::Relaxed);
         self.core.met.sub_messages.inc();
     }
@@ -502,247 +502,6 @@ impl<T: Transport> Unr<T> {
             off += this;
             self.count_sub_message();
         }
-        Ok(())
-    }
-
-    /// `UNR_Put` through the self-healing transport: every sub-message
-    /// carries a per-destination sequence number, is buffered until the
-    /// receiver's ack and retransmitted on timeout (NIC rotation, then
-    /// datagram fallback). Notifications ride sequenced control
-    /// messages so the receiver's dedup window keeps the MMAS addend
-    /// accounting exact under duplicates and replays; the local signal
-    /// is applied once at post time (buffered-send semantics — the
-    /// source buffer is snapshotted and immediately reusable).
-    #[allow(clippy::too_many_arguments)]
-    fn put_reliable(
-        &self,
-        region: &MemRegion,
-        local: &Blk,
-        remote: &Blk,
-        local_sig: u64,
-        remote_sig: u64,
-        len: usize,
-        retry: &RetryState,
-    ) -> Result<(), UnrError> {
-        let core = &self.core;
-        let dst = remote.rank;
-        // The fallback channel has no RMA to ride; elsewhere the
-        // transport says how its sub-messages travel.
-        let two_sided = matches!(core.channel.mech, Mechanism::Dgram);
-        let route = if two_sided {
-            core.stats.fallback_msgs.fetch_add(1, Ordering::Relaxed);
-            core.met.fallback_msgs.inc();
-            Route::Dgram
-        } else {
-            self.tx.sub_route()
-        };
-        let k = self.stripes_for_reliable(len);
-        core.met.stripe_fanout.record(k as u64);
-        let adds = striped_addends(k, core.table.n_bits());
-        let chunk = len / k;
-        let rem = len % k;
-        let mut off = 0usize;
-        let mut entries: Vec<(usize, u64)> = Vec::with_capacity(k);
-        // One snapshot of the whole block, at most one copy: each stripe
-        // is a slice of it, and its retry entry, its wire post and any
-        // retransmission all alias that one buffer — as does the next
-        // put of the same unchanged block.
-        let snap = region
-            .snapshot_shared(local.offset, len)
-            .expect("local block in bounds");
-        for (i, &add) in adds.iter().enumerate() {
-            let this = chunk + usize::from(i < rem);
-            let payload = snap.slice(off, this);
-            if two_sided {
-                self.tx
-                    .charge(core.copy_bw.transfer_time(len) + core.cfg.fallback_overhead);
-            }
-            let nic = if k == 1 {
-                retry.first_nic(core.cfg.pin_nic)
-            } else {
-                i % self.tx.nics()
-            };
-            // Register before posting: the progress driver sweeps this
-            // state concurrently, and the ack must never be able to
-            // outrun the registration it settles.
-            let reg = retry.register_data(
-                route,
-                payload.clone(), // refcount bump, not a copy
-                remote.rkey(),
-                remote.offset + off,
-                remote_sig,
-                if remote_sig == 0 { 0 } else { add },
-                nic,
-            );
-            let posted = self.tx.post_seq(SeqPost {
-                route,
-                dst: remote.rkey(),
-                dst_offset: remote.offset + off,
-                payload: &payload,
-                frame: reg.frame,
-                // An unstriped control frame goes where every other one
-                // does; stripes and RMA sub-messages go by the NIC the
-                // table will rotate away from.
-                nic: if k == 1 && route != Route::Rma {
-                    self.default_nic()
-                } else {
-                    NicSel::Index(nic)
-                },
-                first: reg.first,
-            });
-            if let Err(e) = posted {
-                // The caller's `Err` is the whole story for this
-                // stripe; the ones already on the wire stay watched.
-                retry.unregister(dst, reg.seq);
-                self.tx.complete(&entries, &[]);
-                return Err(e);
-            }
-            entries.push((dst, reg.seq));
-            off += this;
-            self.count_sub_message();
-        }
-        // Stamp post times and arm the deadlines — on simnet without
-        // these wake-ups a lost message would leave the virtual clock
-        // with nothing to run and the world would deadlock.
-        self.tx.complete(&entries, &[]);
-        self.tx.complete(&[], &[(local_sig, -1)]);
-        Ok(())
-    }
-
-    /// Append one eligible small put to its destination's aggregate
-    /// ring: one lock, the pack memcpy and a few vector pushes. The
-    /// per-message fallback overhead, the retry entry, every scheduler
-    /// entry and the put counters are deferred to the flush and
-    /// amortized across the whole aggregate.
-    fn put_agg(
-        &self,
-        region: &MemRegion,
-        local: &Blk,
-        remote: &Blk,
-        local_sig: u64,
-        remote_sig: u64,
-        len: usize,
-    ) -> Result<(), UnrError> {
-        let trigger = {
-            let mut c = self.core.agg.as_ref().expect("agg enabled").lock();
-            c.owe(self.core.copy_bw.transfer_time(len));
-            c.push_blk(region, local, remote, (remote_sig, -1), (local_sig, -1))
-                .expect("local block in bounds")
-        };
-        match trigger {
-            Some(why) => self.agg_flush_dst(remote.rank, why),
-            None => Ok(()),
-        }
-    }
-
-    /// Flush one destination's aggregate ring, if non-empty.
-    fn agg_flush_dst(&self, dst: usize, why: FlushWhy) -> Result<(), UnrError> {
-        let Some(aggm) = &self.core.agg else {
-            return Ok(());
-        };
-        let fl = aggm.lock().drain(dst);
-        match fl {
-            Some(fl) => self.send_aggregate(aggm, dst, fl, why),
-            None => Ok(()),
-        }
-    }
-
-    /// Flush every pending aggregate ring, in first-touch order,
-    /// counting the flushes under `why` (blocking waits, plan
-    /// boundaries, explicit flushes, finalize).
-    pub fn agg_flush_all(&self, why: FlushWhy) -> Result<(), UnrError> {
-        let Some(aggm) = &self.core.agg else {
-            return Ok(());
-        };
-        loop {
-            let next = aggm.lock().drain_next();
-            let Some((dst, fl)) = next else {
-                return Ok(());
-            };
-            self.send_aggregate(aggm, dst, fl, why)?;
-        }
-    }
-
-    /// Flush all pending small-message aggregates now. Aggregated puts
-    /// are otherwise delivered when a ring crosses its threshold, when
-    /// this rank enters any blocking wait (`sig_wait` family), at plan
-    /// boundaries, and at finalize — a peer polling [`Signal::test`]
-    /// without ever blocking observes them only after one of those.
-    pub fn flush(&self) -> Result<(), UnrError> {
-        self.agg_flush_all(FlushWhy::Explicit)
-    }
-
-    /// Serialize one drained aggregate ring into a [`wire::MSG_AGG`]
-    /// control message and send it: one fallback sub-message (and, when
-    /// reliable, one retry entry) for the whole aggregate. The local
-    /// (source-completion) addends the coalescer deferred are applied
-    /// here, in the same step that arms the entry's deadline, and the
-    /// puts inside are counted here. The ring's buffers go back to it
-    /// afterwards, sent or not.
-    fn send_aggregate(
-        &self,
-        aggm: &Mutex<Coalescer>,
-        dst: usize,
-        fl: AggFlush,
-        why: FlushWhy,
-    ) -> Result<(), UnrError> {
-        let core = &self.core;
-        self.count_puts(fl.puts, fl.payload.len());
-        core.stats.fallback_msgs.fetch_add(1, Ordering::Relaxed);
-        core.met.fallback_msgs.inc();
-        self.count_sub_message();
-        if let Some(am) = &core.amet {
-            am.count_flush(why);
-            am.addends_summed.add(fl.sigs.len() as u64);
-            am.puts_coalesced.add(fl.puts as u64);
-            am.bytes_packed.add(fl.payload.len() as u64);
-        }
-        // One per-message software overhead for the whole aggregate —
-        // this amortization is the modeled speedup — plus the pack
-        // copies' accumulated virtual time, settled in one clock op.
-        self.tx.charge(core.cfg.fallback_overhead + fl.owed);
-        let sent = match &core.retry {
-            None => {
-                let msg = wire::agg_msg(0, false, &fl.spans, &fl.sigs, &fl.payload);
-                self.tx
-                    .send_ctrl(dst, self.default_nic(), msg)
-                    .map(|()| self.tx.complete(&[], &fl.local_sigs))
-            }
-            Some(retry) => self.post_aggregate(retry, dst, &fl),
-        };
-        aggm.lock().recycle(dst, fl);
-        sent
-    }
-
-    /// The reliable half of [`Unr::send_aggregate`]: register the
-    /// aggregate, then send its frame — the replay buffer and every
-    /// transmission share the one buffer the frame was written into.
-    fn post_aggregate(
-        &self,
-        retry: &RetryState,
-        dst: usize,
-        fl: &AggFlush,
-    ) -> Result<(), UnrError> {
-        let nic = retry.first_nic(self.core.cfg.pin_nic);
-        let reg = retry.register_agg(dst, nic, &fl.spans, &fl.sigs, &fl.payload);
-        let posted = self.tx.post_seq(SeqPost {
-            route: Route::Agg,
-            dst: RKey {
-                rank: dst,
-                id: 0,
-                len: 0,
-            },
-            dst_offset: 0,
-            payload: &reg.frame,
-            frame: CtrlFrame::Shared(reg.frame.clone()),
-            nic: self.default_nic(),
-            first: reg.first,
-        });
-        if let Err(e) = posted {
-            retry.unregister(dst, reg.seq);
-            return Err(e);
-        }
-        self.tx.complete(&[(dst, reg.seq)], &fl.local_sigs);
         Ok(())
     }
 
@@ -899,7 +658,7 @@ impl<T: Transport> Unr<T> {
     /// Striping fan-out of the reliable path, which carries
     /// notifications in sequenced control messages, so the channel's
     /// addend width never constrains it.
-    fn stripes_for_reliable(&self, len: usize) -> usize {
+    pub(crate) fn stripes_for_reliable(&self, len: usize) -> usize {
         let cfg = &self.core.cfg;
         let nics = self.tx.nics();
         if !self.core.channel.multi_channel
@@ -913,7 +672,7 @@ impl<T: Transport> Unr<T> {
     }
 
     /// NIC selection for non-striped traffic.
-    fn default_nic(&self) -> NicSel {
+    pub(crate) fn default_nic(&self) -> NicSel {
         match self.core.cfg.pin_nic {
             Some(i) => NicSel::Index(i % self.tx.nics()),
             None => NicSel::Auto,
@@ -945,6 +704,8 @@ impl<T: Transport> Drop for Unr<T> {
 pub(crate) mod tests {
     use super::*;
     use crate::retry::Resend;
+    use crate::retry::Route;
+    use crate::transport::SeqPost;
     use crate::wait::{Until, Woke};
     use crate::wire::CtrlMsg;
     use std::collections::HashMap;
