@@ -66,8 +66,8 @@ use std::time::{Duration, Instant};
 
 use unr_core::ctrl::{self, CtrlEvent, CtrlSink};
 use unr_core::{
-    Channel, FabricFacts, HwMetrics, ProgressMode, Resend, RetryState, TableSink, Unr, UnrConfig,
-    UnrError, UnrMem,
+    Channel, FabricFacts, HwMetrics, ProgressMode, Resend, RetryState, Route, TableSink, Unr,
+    UnrConfig, UnrError, UnrMem,
 };
 use unr_obs::Obs;
 use unr_simnet::Ns;
@@ -117,8 +117,10 @@ impl NetUnr {
     ) -> Result<NetUnr, UnrError> {
         let fabric = Arc::clone(&world.fabric);
         let facts = FabricFacts {
+            rank: fabric.rank(),
             nranks: fabric.nranks(),
             nics: fabric.nics(),
+            sub_route: Route::Dgram,
             faults: faults.any(),
             ns_per_byte: 0.0,
             min_rto: MIN_RTO.as_nanos() as Ns,

@@ -13,10 +13,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use unr_core::{
-    CtrlFrame, Encoding, Epoch, PeerFailedCause, RmaOp, Route, SeqPost, Transport, UnrError, Until,
-    Woke,
+    CtrlFrame, Encoding, Epoch, PeerFailedCause, RmaOp, SeqPost, Transport, UnrError, Until, Woke,
 };
-use unr_obs::Obs;
 use unr_simnet::{MemRegion, NicSel, Ns};
 
 use crate::engine::CtrlPath;
@@ -109,18 +107,6 @@ impl NetTransport {
 }
 
 impl Transport for NetTransport {
-    fn rank(&self) -> usize {
-        self.fabric.rank()
-    }
-
-    fn nranks(&self) -> usize {
-        self.fabric.nranks()
-    }
-
-    fn nics(&self) -> usize {
-        self.fabric.nics()
-    }
-
     fn register(&self, len: usize) -> MemRegion {
         self.fabric.register(len)
     }
@@ -167,10 +153,6 @@ impl Transport for NetTransport {
                 op.custom_local,
             )
             .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))
-    }
-
-    fn sub_route(&self) -> Route {
-        Route::Dgram
     }
 
     /// The table holds the entry *before* this runs, so its ack cannot
@@ -300,10 +282,6 @@ impl Transport for NetTransport {
         while self.now() < deadline {
             std::thread::yield_now();
         }
-    }
-
-    fn obs(&self) -> &Obs {
-        &self.fabric.obs
     }
 }
 

@@ -4,7 +4,7 @@
 //! exact same setup (which is what makes the seeded-determinism lock
 //! meaningful).
 
-use unr_core::{convert, Blk, Unr, UnrConfig};
+use unr_core::{Blk, Unr, UnrConfig};
 use unr_minimpi::{allgather_bytes, barrier, run_mpi_on_fabric, MpiConfig};
 use unr_obs::Snapshot;
 use unr_simnet::{Fabric, Platform, MS};
@@ -95,26 +95,4 @@ pub fn run_simnet(cfg: &ServeConfig, ucfg: UnrConfig, fabric_seed: u64) -> SimSe
         table,
         json,
     }
-}
-
-/// Exchange helper for ad-hoc two-rank setups in tests (kept next to
-/// the harness so test code does not reinvent the blk handshake).
-pub fn exchange_pairwise(comm: &unr_minimpi::Comm, tag: i32, mine: &Blk) -> Vec<Blk> {
-    let n = comm.size();
-    let me = comm.rank();
-    let mut out = vec![*mine; n];
-    for (peer, slot) in out.iter_mut().enumerate() {
-        if peer == me {
-            continue;
-        }
-        // Deterministic ordering: lower rank sends first.
-        if me < peer {
-            convert::send_blk(comm, peer, tag, mine);
-            *slot = convert::recv_blk(comm, peer, tag);
-        } else {
-            *slot = convert::recv_blk(comm, peer, tag);
-            convert::send_blk(comm, peer, tag, mine);
-        }
-    }
-    out
 }

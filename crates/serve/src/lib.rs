@@ -41,7 +41,7 @@
 //! engine's `Transport`: the simulator's (deterministic virtual time —
 //! two same-seed runs produce byte-identical metrics snapshots and
 //! signal-table fingerprints) and netfab's (real OS processes over the
-//! TCP-loopback fabric, launched with the `unr-launch` bootstrap
+//! Unix-domain-socket fabric, launched with the `unr-launch` bootstrap
 //! machinery). `tests/serve.rs` and `tests/netfab_serve.rs` check the
 //! same replication accounting on each.
 

@@ -3,8 +3,8 @@
 //! regression), aggregation-ring backpressure, and exact replication
 //! accounting.
 
-use unr_core::{Unr, UnrConfig};
-use unr_minimpi::{barrier, run_mpi_on_fabric, MpiConfig};
+use unr_core::{Blk, Unr, UnrConfig};
+use unr_minimpi::{allgather_bytes, barrier, run_mpi_on_fabric, MpiConfig};
 use unr_obs::MetricValue;
 use unr_serve::harness::run_simnet;
 use unr_serve::workload::{Arrival, OpKind};
@@ -206,8 +206,11 @@ fn agg_ring_pressure_sheds_and_then_drains() {
             let unr = Unr::init(comm.ep_shared(), ucfg);
             let mem = unr.mem_reg(cfg.region_len());
             let win_sig = unr.sig_init(1 << 20);
-            let win = mem.blk(0, cfg.window_len(), Some(&win_sig));
-            let windows = unr_serve::harness::exchange_pairwise(comm, 7, &win);
+            let win = mem.blk(0, cfg.window_len(), Some(&win_sig)).to_bytes();
+            let windows: Vec<Blk> = allgather_bytes(comm, &win)
+                .into_iter()
+                .map(|b| Blk::from_bytes(&b).expect("peer window blk"))
+                .collect();
             let base_live = unr.signal_occupancy().0;
             let mut svc = KvService::new(&unr, mem, cfg.clone(), windows, base_live);
 

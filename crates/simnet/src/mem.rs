@@ -43,7 +43,7 @@
 //! freed with the last view.
 //!
 //! Both fabrics share this one buffer type: the simulated fabric
-//! registers regions with an [`RKey`]; the TCP fabric (`unr-netfab`)
+//! registers regions with an [`RKey`]; the Unix-domain-socket fabric (`unr-netfab`)
 //! builds its own under the [`RKey`] it names each one by.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};

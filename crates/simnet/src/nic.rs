@@ -59,7 +59,7 @@ pub enum InterfaceKind {
     /// No RMA primitives at all; everything over two-sided messaging.
     /// Exercises UNR's MPI fallback channel.
     MpiOnly,
-    /// TCP loopback sockets between OS processes (the `unr-netfab`
+    /// Unix-domain sockets between OS processes (the `unr-netfab`
     /// backend). Emulated RMA with full 128-bit custom bits carried in
     /// the frame header; no hardware atomic add (the receiver's reader
     /// thread applies `*p += a`, which is level-2/level-4 *emulation*).

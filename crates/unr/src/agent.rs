@@ -19,6 +19,12 @@ const RUNNING: u8 = 0;
 const STOPPING: u8 = 1;
 const STOPPED: u8 = 2;
 
+/// Modeled cost of one polling-loop pass: a base, plus this much per
+/// event the pass processed.
+pub(crate) const POLL_COST_BASE: Ns = 150;
+/// See [`POLL_COST_BASE`].
+pub(crate) const POLL_COST_PER_EVENT: Ns = 80;
+
 /// What a rank keeps of its agent.
 pub(crate) struct AgentState {
     id: ActorId,
@@ -106,9 +112,8 @@ impl Agent {
             }
             Phase::PollCost => {
                 self.phase = Phase::Wait(None);
-                let cfg = &self.sim.core.cfg;
                 Step::Yield {
-                    advance: cfg.poll_cost_base + self.polled as Ns * cfg.poll_cost_per_event,
+                    advance: POLL_COST_BASE + self.polled as Ns * POLL_COST_PER_EVENT,
                 }
             }
             Phase::Wait(until) => {

@@ -42,14 +42,14 @@ impl<T: Transport> Unr<T> {
         let core = &self.core;
         let dst = remote.rank;
         // The fallback channel has no RMA to ride; elsewhere the
-        // transport says how its sub-messages travel.
+        // fabric says how its sub-messages travel.
         let two_sided = matches!(core.channel.mech, Mechanism::Dgram);
         let route = if two_sided {
             core.stats.fallback_msgs.fetch_add(1, Ordering::Relaxed);
             core.met.fallback_msgs.inc();
             Route::Dgram
         } else {
-            self.tx.sub_route()
+            core.facts.sub_route
         };
         let k = self.stripes_for_reliable(len);
         core.met.stripe_fanout.record(k as u64);
@@ -75,7 +75,7 @@ impl<T: Transport> Unr<T> {
             let nic = if k == 1 {
                 retry.first_nic(core.cfg.pin_nic)
             } else {
-                i % self.tx.nics()
+                i % core.facts.nics
             };
             // Register before posting: the progress driver sweeps this
             // state concurrently, and the ack must never be able to

@@ -182,7 +182,7 @@ impl Channel {
         }
     }
 
-    /// The `unr-netfab` TCP-loopback channel: emulated RMA whose frame
+    /// The `unr-netfab` Unix-domain-socket channel: emulated RMA whose frame
     /// header carries full 128-bit custom bits in both directions, so
     /// it behaves like a level-3 interface (GLEX encodings) over real
     /// sockets. Striping across the per-rank socket "NICs" is allowed.

@@ -3,6 +3,7 @@
 
 use unr_simnet::Ns;
 
+use crate::agent::{POLL_COST_BASE, POLL_COST_PER_EVENT};
 use crate::channel::{Channel, ChannelSelect};
 use crate::epoch::RecoveryPolicy;
 use crate::error::UnrError;
@@ -53,10 +54,6 @@ pub struct UnrConfig {
     pub stripe_threshold: usize,
     /// Cap on sub-messages per message (0 or 1 disables striping).
     pub max_stripes: usize,
-    /// Modeled base cost of one polling-loop pass.
-    pub poll_cost_base: Ns,
-    /// Modeled additional polling cost per processed event.
-    pub poll_cost_per_event: Ns,
     /// Modeled memcpy bandwidth for the fallback channel's copies.
     pub copy_bw_gibps: f64,
     /// Pin all single-message traffic to one NIC index (the classic
@@ -110,8 +107,6 @@ impl Default for UnrConfig {
             n_bits: 32,
             stripe_threshold: 64 * 1024,
             max_stripes: 8,
-            poll_cost_base: 150,
-            poll_cost_per_event: 80,
             copy_bw_gibps: 12.0,
             pin_nic: None,
             fallback_overhead: 150,
@@ -380,7 +375,7 @@ impl UnrConfig {
         if core_reserved {
             return 1.0;
         }
-        1.0 + (self.poll_cost_base + 4 * self.poll_cost_per_event) as f64 / interval as f64
+        1.0 + (POLL_COST_BASE + 4 * POLL_COST_PER_EVENT) as f64 / interval as f64
     }
 
     /// The progress mode an engine on `channel` runs: `progress` if set,

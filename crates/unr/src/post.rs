@@ -26,7 +26,7 @@ use crate::epoch::{Epoch, PeerFailedCause, RecoveryPolicy};
 use crate::error::UnrError;
 use crate::level::{Encoding, Notif, SupportLevel};
 use crate::metrics::{UnrMetrics, UnrStats};
-use crate::retry::{Reliability, RetryPolicy, RetryState};
+use crate::retry::{Reliability, RetryPolicy, RetryState, Route};
 use crate::signal::{striped_addends, SigKey, Signal, SignalTable};
 use crate::sim::SimTransport;
 use crate::transport::{RmaOp, Transport};
@@ -52,6 +52,10 @@ pub struct UnrCore {
     /// virtual copy time its buffered puts owe ([`Coalescer::owe`]).
     pub(crate) agg: Option<Mutex<Coalescer>>,
     pub(crate) amet: Option<AggMetrics>,
+    /// What the fabric said about itself at bring-up.
+    pub(crate) facts: FabricFacts,
+    /// The registry every `unr.*` instrument of this rank lives in.
+    pub(crate) obs: Arc<Obs>,
 }
 
 impl UnrCore {
@@ -75,10 +79,18 @@ impl UnrCore {
 /// What a fabric tells [`Unr::bring_up`] about itself.
 #[derive(Debug, Clone, Copy)]
 pub struct FabricFacts {
+    /// This rank.
+    pub rank: usize,
     /// World size.
     pub nranks: usize,
-    /// NICs per rank, which retransmissions rotate over.
+    /// NICs per rank: the striping fan-out bound, and what
+    /// retransmissions rotate over.
     pub nics: usize,
+    /// The route reliable data sub-messages take on an RMA channel:
+    /// [`Route::Rma`] where a put can carry a companion frame (simnet),
+    /// [`Route::Dgram`] where the control channel carries the bytes
+    /// (netfab).
+    pub sub_route: Route,
     /// Whether the fabric injects faults: [`Reliability::Auto`] runs the
     /// reliable transport iff it does.
     pub faults: bool,
@@ -111,7 +123,7 @@ impl<T: Transport> Unr<T> {
         cfg: UnrConfig,
         channel: Channel,
         facts: FabricFacts,
-        obs: &Obs,
+        obs: &Arc<Obs>,
         transport: impl FnOnce(&Arc<UnrCore>) -> T,
     ) -> Result<Unr<T>, UnrError> {
         cfg.validate()?;
@@ -146,6 +158,8 @@ impl<T: Transport> Unr<T> {
                 Mutex::new(c)
             }),
             amet: agg.then(|| AggMetrics::new(obs)),
+            facts,
+            obs: Arc::clone(obs),
         });
         let tx = transport(&core);
         Ok(Unr { tx, core })
@@ -163,12 +177,12 @@ impl<T: Transport> Unr<T> {
 
     /// This rank's id.
     pub fn rank(&self) -> usize {
-        self.tx.rank()
+        self.core.facts.rank
     }
 
     /// World size.
     pub fn nranks(&self) -> usize {
-        self.tx.nranks()
+        self.core.facts.nranks
     }
 
     /// The resolved progress mode.
@@ -211,7 +225,7 @@ impl<T: Transport> Unr<T> {
 
     /// The registry every `unr.*` instrument of this rank lives in.
     pub fn obs(&self) -> &Obs {
-        self.tx.obs()
+        &self.core.obs
     }
 
     /// The selected transport channel.
@@ -353,8 +367,8 @@ impl<T: Transport> Unr<T> {
         self.check_peer_up(remote.rank)?;
         local.check_pair(
             remote,
-            self.tx.rank(),
-            self.tx.nranks(),
+            self.core.facts.rank,
+            self.core.facts.nranks,
             self.tx.region(local.region_id),
             MemRegion::len,
         )
@@ -375,7 +389,7 @@ impl<T: Transport> Unr<T> {
         let core = &self.core;
         let len = local.len;
         let aggregated = core.agg.is_some();
-        if aggregated && len <= core.cfg.agg_eager_max && remote.rank != self.tx.rank() {
+        if aggregated && len <= core.cfg.agg_eager_max && remote.rank != core.facts.rank {
             // Counted when its ring flushes.
             return self.put_agg(&region, local, remote, local_sig, remote_sig, len);
         }
@@ -428,8 +442,6 @@ impl<T: Transport> Unr<T> {
                         nic: self.default_nic(),
                         custom_local,
                         custom_remote: 0,
-                        notify_local: local_sig != 0,
-                        notify_remote: false,
                     },
                     companion,
                 )
@@ -490,12 +502,10 @@ impl<T: Transport> Unr<T> {
                     nic: if k == 1 {
                         self.default_nic()
                     } else {
-                        NicSel::Index(i % self.tx.nics())
+                        NicSel::Index(i % self.core.facts.nics)
                     },
                     custom_local: enc.put_local.encode(notif_for(local_sig, add))?,
                     custom_remote: enc.put_remote.encode(notif_for(remote_sig, add))?,
-                    notify_local: local_sig != 0 && !self.core.channel.hardware,
-                    notify_remote: remote_sig != 0,
                 },
                 None,
             )?;
@@ -575,8 +585,7 @@ impl<T: Transport> Unr<T> {
         // A GET must not overtake puts still buffered for its target.
         self.agg_flush_dst(remote.rank, FlushWhy::Order)?;
 
-        let mech = core.channel.mech;
-        let (custom_local, custom_remote) = match mech {
+        let (custom_local, custom_remote) = match core.channel.mech {
             Mechanism::Dgram => {
                 core.stats.fallback_msgs.fetch_add(1, Ordering::Relaxed);
                 core.met.fallback_msgs.inc();
@@ -624,8 +633,6 @@ impl<T: Transport> Unr<T> {
             nic: self.default_nic(),
             custom_local,
             custom_remote,
-            notify_local: local_sig != 0 && !core.channel.hardware,
-            notify_remote: remote_sig != 0 && matches!(mech, Mechanism::Rma(_)),
         })
     }
 
@@ -660,7 +667,7 @@ impl<T: Transport> Unr<T> {
     /// addend width never constrains it.
     pub(crate) fn stripes_for_reliable(&self, len: usize) -> usize {
         let cfg = &self.core.cfg;
-        let nics = self.tx.nics();
+        let nics = self.core.facts.nics;
         if !self.core.channel.multi_channel
             || cfg.max_stripes <= 1
             || len < cfg.stripe_threshold
@@ -674,7 +681,7 @@ impl<T: Transport> Unr<T> {
     /// NIC selection for non-striped traffic.
     pub(crate) fn default_nic(&self) -> NicSel {
         match self.core.cfg.pin_nic {
-            Some(i) => NicSel::Index(i % self.tx.nics()),
+            Some(i) => NicSel::Index(i % self.core.facts.nics),
             None => NicSel::Auto,
         }
     }
@@ -704,7 +711,6 @@ impl<T: Transport> Drop for Unr<T> {
 pub(crate) mod tests {
     use super::*;
     use crate::retry::Resend;
-    use crate::retry::Route;
     use crate::transport::SeqPost;
     use crate::wait::{Until, Woke};
     use crate::wire::CtrlMsg;
@@ -726,12 +732,10 @@ pub(crate) mod tests {
             nic: NicSel,
             range: (usize, usize),
             custom: (u128, u128),
-            notify: (bool, bool),
             companion: Option<Vec<u8>>,
         },
         Get {
             custom: (u128, u128),
-            notify: (bool, bool),
         },
         Seq {
             route: Route,
@@ -764,13 +768,10 @@ pub(crate) mod tests {
     /// the `fail_send`-th frame it is asked to send, and parks by
     /// running `park`.
     pub(crate) struct Fake {
-        nics: usize,
-        route: Route,
         region: MemRegion,
         retry: Option<Arc<RetryState>>,
         fail_send: Option<usize>,
         sends: AtomicUsize,
-        obs: Arc<Obs>,
         pub(crate) log: Mutex<Vec<Call>>,
         pub(crate) park: Mutex<ParkHook>,
     }
@@ -787,15 +788,6 @@ pub(crate) mod tests {
     }
 
     impl Transport for Fake {
-        fn rank(&self) -> usize {
-            0
-        }
-        fn nranks(&self) -> usize {
-            4
-        }
-        fn nics(&self) -> usize {
-            self.nics
-        }
         fn register(&self, _len: usize) -> MemRegion {
             unreachable!("the post path registers nothing")
         }
@@ -807,7 +799,6 @@ pub(crate) mod tests {
                 nic: op.nic,
                 range: (op.local_offset, op.len),
                 custom: (op.custom_local, op.custom_remote),
-                notify: (op.notify_local, op.notify_remote),
                 companion,
             });
             Ok(())
@@ -815,12 +806,8 @@ pub(crate) mod tests {
         fn get(&self, op: RmaOp<'_>) -> Result<(), UnrError> {
             self.log.lock().push(Call::Get {
                 custom: (op.custom_local, op.custom_remote),
-                notify: (op.notify_local, op.notify_remote),
             });
             Ok(())
-        }
-        fn sub_route(&self) -> Route {
-            self.route
         }
         fn post_seq(&self, post: SeqPost<'_>) -> Result<(), UnrError> {
             self.send(Call::Seq {
@@ -871,9 +858,6 @@ pub(crate) mod tests {
             0
         }
         fn sleep(&self, _dt: Ns) {}
-        fn obs(&self) -> &Obs {
-            &self.obs
-        }
     }
 
     pub(crate) fn engine(
@@ -898,8 +882,10 @@ pub(crate) mod tests {
             ..UnrConfig::default()
         };
         let facts = FabricFacts {
+            rank: 0,
             nranks: 4,
             nics: NICS,
+            sub_route: route,
             faults: false,
             ns_per_byte: 0.0,
             min_rto: 0,
@@ -910,13 +896,10 @@ pub(crate) mod tests {
         region.write_bytes(0, &pattern).unwrap();
         let obs = Arc::new(Obs::new());
         Unr::bring_up(cfg, channel, facts, &obs, |core| Fake {
-            nics: NICS,
-            route,
             region,
             retry: core.retry.clone(),
             fail_send,
             sends: AtomicUsize::new(0),
-            obs: Arc::clone(&obs),
             log: Mutex::new(Vec::new()),
             park: Mutex::new(Box::new(|_| panic!("nothing here waits"))),
         })
@@ -1173,7 +1156,10 @@ pub(crate) mod tests {
     #[test]
     fn a_striped_reliable_put_slices_one_snapshot() {
         let mut unr = engine(Channel::glex(), true, false, Route::Rma, None);
-        unr.tx.nics = 4;
+        Arc::get_mut(&mut unr.core)
+            .expect("the fake keeps no core")
+            .facts
+            .nics = 4;
         let (local, remote) = pair(BIG, SigKey::NULL, REMOTE_KEY, PEER);
         unr.put(&local, &remote).unwrap();
         let first = stripes(&take_log(&unr));
@@ -1203,7 +1189,10 @@ pub(crate) mod tests {
     #[test]
     fn a_fanned_out_put_shares_one_snapshot_until_its_block_is_written() {
         let mut unr = engine(Channel::glex(), true, false, Route::Rma, None);
-        unr.tx.nics = 4;
+        Arc::get_mut(&mut unr.core)
+            .expect("the fake keeps no core")
+            .facts
+            .nics = 4;
         // (peer, the block as of the post), in post order.
         let mut posted: Vec<(usize, Vec<u8>)> = Vec::new();
         let mut snapshots: Vec<Vec<usize>> = Vec::new();
@@ -1304,10 +1293,10 @@ pub(crate) mod tests {
         let log = take_log(&unr);
         assert_eq!(shape(&log), "PPG");
         for call in log {
-            let (Call::Put { custom, notify, .. } | Call::Get { custom, notify }) = call else {
+            let (Call::Put { custom, .. } | Call::Get { custom }) = call else {
                 unreachable!()
             };
-            assert_eq!((custom, notify), ((0, 0), (false, false)));
+            assert_eq!(custom, (0, 0), "a null signal asks for no completion");
         }
 
         let unr = engine(Channel::verbs_mode1(), false, false, Route::Rma, None);

@@ -8,7 +8,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use unr_simnet::sync::Mutex;
 
-use unr_simnet::{AtomicAddSink, Endpoint, GetOp, MemRegion, NicSel, Ns, PutOp, Sched};
+use unr_simnet::{
+    AtomicAddSink, CompletionQueue, Endpoint, GetOp, MemRegion, NicSel, Ns, PutOp, Sched,
+};
 
 use crate::agent::AgentState;
 use crate::channel::Channel;
@@ -41,18 +43,6 @@ pub struct SimTransport {
 }
 
 impl Transport for SimTransport {
-    fn rank(&self) -> usize {
-        self.sim.ep.rank()
-    }
-
-    fn nranks(&self) -> usize {
-        self.sim.ep.fabric().cfg.total_ranks()
-    }
-
-    fn nics(&self) -> usize {
-        self.sim.ep.fabric().cfg.nics_per_node
-    }
-
     fn register(&self, len: usize) -> MemRegion {
         self.sim.ep.register(len, &self.sim.cq)
     }
@@ -71,8 +61,8 @@ impl Transport for SimTransport {
             nic: op.nic,
             custom_local: op.custom_local,
             custom_remote: op.custom_remote,
-            local_cq: op.notify_local.then(|| Arc::clone(&self.sim.cq)),
-            notify_remote: op.notify_remote,
+            local_cq: self.local_cq(op.custom_local),
+            notify_remote: op.custom_remote != 0,
             companion: companion.map(|c| (UNR_PORT, self.sim.stamp_ctrl(c))),
         })?;
         Ok(())
@@ -88,14 +78,10 @@ impl Transport for SimTransport {
             nic: op.nic,
             custom_local: op.custom_local,
             custom_remote: op.custom_remote,
-            local_cq: op.notify_local.then(|| Arc::clone(&self.sim.cq)),
-            notify_remote: op.notify_remote,
+            local_cq: self.local_cq(op.custom_local),
+            notify_remote: op.custom_remote != 0,
         })?;
         Ok(())
-    }
-
-    fn sub_route(&self) -> Route {
-        Route::Rma
     }
 
     fn post_seq(&self, post: SeqPost<'_>) -> Result<(), UnrError> {
@@ -265,13 +251,16 @@ impl Transport for SimTransport {
     fn sleep(&self, dt: Ns) {
         self.sim.ep.sleep(dt);
     }
-
-    fn obs(&self) -> &unr_obs::Obs {
-        &self.sim.ep.fabric().obs
-    }
 }
 
 impl SimTransport {
+    /// Where a local completion carrying `custom` goes: the rank's CQ,
+    /// unless the signal is null or a level-4 NIC applies it itself.
+    fn local_cq(&self, custom: u128) -> Option<Arc<CompletionQueue>> {
+        let software = custom != 0 && !self.sim.core.channel.hardware;
+        software.then(|| Arc::clone(&self.sim.cq))
+    }
+
     /// The rank's transport over `core`: its completion queue and control
     /// port, the level-4 sink on a hardware channel, and the agent its
     /// progress mode runs.
@@ -352,8 +341,10 @@ impl Unr {
         let fabric = Arc::clone(ep.fabric());
         let fcfg = &fabric.cfg;
         let facts = FabricFacts {
+            rank: ep.rank(),
             nranks: fcfg.total_ranks(),
             nics: fcfg.nics_per_node,
+            sub_route: Route::Rma,
             faults: fcfg.faults.enabled(),
             // Approximate wire cost per byte for deadline scaling.
             ns_per_byte: fcfg.nic.bandwidth.transfer_time(4096) as f64 / 4096.0,

@@ -20,8 +20,11 @@
 //! completion plus deadline arming, peer liveness, the membership
 //! epoch, the one park a wait needs ([`crate::wait`] writes the
 //! `sig_wait` family over it), and the rank-level calls `Unr` writes
-//! once over them: registration, one progress pass, shutdown, the clock
-//! and the metrics sink.
+//! once over them: registration, one progress pass, shutdown and the
+//! clock. Sixteen methods; the three that only the simulator fills in
+//! ([`Transport::charge`], [`Transport::peer_alive`],
+//! [`Transport::progress_once`]) say on each why sockets need nothing
+//! there.
 //!
 //! Two implementors:
 //!
@@ -31,7 +34,7 @@
 //!   has: the completion queue, the control port, the membership view
 //!   and the polling agent; regions are the fabric's own. Its park is a
 //!   scheduler wait; its clock is virtual.
-//! * `unr_netfab::NetTransport` — real TCP sockets: `PUT`/`GET_REQ`
+//! * `unr_netfab::NetTransport` — real Unix-domain sockets: `PUT`/`GET_REQ`
 //!   frames for native operations, one `CTRL` frame per reliable
 //!   sub-message or aggregate, a wall clock, and no thread: the thread
 //!   that reads a frame handles it, and a reactor runs the retransmit
@@ -39,14 +42,16 @@
 //!   waiting thread.
 //!
 //! What each fabric writes for itself is the facts bring-up takes
-//! ([`crate::post::FabricFacts`]) and the closure that builds its
-//! transport from the finished core — `Unr::init` (simnet) and
-//! `NetUnr::init` (netfab). The transport you build fixes the fabric;
-//! [`Backend`] is an inert leftover.
+//! ([`crate::post::FabricFacts`]: rank, world size, NICs, the route of
+//! reliable sub-messages, the retry clock's floors), its metrics
+//! registry, and the closure that builds its transport from the
+//! finished core — `Unr::init` (simnet) and `NetUnr::init` (netfab).
+//! The core keeps the facts and the registry, so no method here
+//! restates them. The transport you build fixes the fabric; [`Backend`]
+//! is an inert leftover.
 
 use std::ops::Deref;
 
-use unr_obs::Obs;
 use unr_simnet::{Bytes, MemRegion, NicSel, Ns, RKey};
 
 use crate::epoch::{Epoch, PeerFailedCause};
@@ -63,7 +68,7 @@ pub enum Backend {
     /// The deterministic in-process simulator (`unr-simnet`).
     #[default]
     Simnet,
-    /// Real OS processes connected by TCP loopback sockets
+    /// Real OS processes connected by Unix-domain sockets
     /// (`unr-netfab`).
     Netfab,
 }
@@ -84,15 +89,11 @@ pub struct RmaOp<'a> {
     pub remote_offset: usize,
     /// NIC carrying the operation.
     pub nic: NicSel,
-    /// Custom bits of the local completion (0: no signal).
+    /// Custom bits of the local completion (0: no signal — a null
+    /// signal encodes to 0 and a real one never does).
     pub custom_local: u128,
     /// Custom bits of the remote completion (0: no signal).
     pub custom_remote: u128,
-    /// Whether software must deliver `custom_local` — false for a null
-    /// signal and on a level-4 channel, whose hardware applies it.
-    pub notify_local: bool,
-    /// Whether a remote completion is wanted at all.
-    pub notify_remote: bool,
 }
 
 /// The first transmission of a sub-message the retry table has just
@@ -158,15 +159,6 @@ impl Deref for CtrlFrame {
 /// stamps it with its own membership epoch ([`crate::ctrl::stamp`]).
 /// Implementations are called from the application rank only.
 pub trait Transport: Send + Sync {
-    /// This rank.
-    fn rank(&self) -> usize;
-
-    /// World size.
-    fn nranks(&self) -> usize;
-
-    /// NICs per rank (the striping fan-out bound).
-    fn nics(&self) -> usize;
-
     /// Register `len` bytes for RMA under a fresh region id.
     fn register(&self, len: usize) -> MemRegion;
 
@@ -180,11 +172,6 @@ pub trait Transport: Send + Sync {
     /// Native notified get.
     fn get(&self, op: RmaOp<'_>) -> Result<(), UnrError>;
 
-    /// The route reliable data sub-messages take on an RMA channel:
-    /// [`Route::Rma`] where a put can carry a companion frame,
-    /// [`Route::Dgram`] where the control channel carries the bytes.
-    fn sub_route(&self) -> Route;
-
     /// First transmission of a registered sub-message (fault injection
     /// of first transmissions lives here; retransmissions and acks do
     /// not come this way). On `Err` the caller un-registers it.
@@ -194,8 +181,8 @@ pub trait Transport: Send + Sync {
     fn send_ctrl(&self, dst: usize, nic: NicSel, frame: Vec<u8>) -> Result<(), UnrError>;
 
     /// Charge `ns` of modelled host time (pack copies, per-message
-    /// software overhead): the virtual clock advances; a wall clock has
-    /// already paid.
+    /// software overhead): the virtual clock advances. A no-op on a
+    /// wall clock, which has already paid.
     fn charge(&self, ns: Ns);
 
     /// Arm the retransmit deadlines of the `(dst, seq)` `entries` just
@@ -204,7 +191,8 @@ pub trait Transport: Send + Sync {
     /// keys are skipped; with nothing to do, nothing happens.
     fn complete(&self, entries: &[(usize, u64)], locals: &[(u64, i64)]);
 
-    /// Whether rank `dst` is a live member of the world.
+    /// Whether rank `dst` is a live member of the world. Always `true`
+    /// on real sockets, where a dead peer shows up as a failed write.
     fn peer_alive(&self, dst: usize) -> bool;
 
     /// The typed, counted error for a failed peer, naming the
@@ -223,7 +211,8 @@ pub trait Transport: Send + Sync {
     fn park(&self, until: &Until<'_>) -> Woke;
 
     /// One progress pass on the calling thread; returns the events it
-    /// handled (0 where progress needs no help from the rank).
+    /// handled. Always 0 on real sockets, where whoever reads a frame
+    /// handles it.
     fn progress_once(&self) -> usize;
 
     /// Stop whatever runs beside the rank — a polling agent, the
@@ -236,7 +225,4 @@ pub trait Transport: Send + Sync {
 
     /// Let `dt` nanoseconds pass on this transport's clock.
     fn sleep(&self, dt: Ns);
-
-    /// The registry this rank's instruments live in.
-    fn obs(&self) -> &Obs;
 }

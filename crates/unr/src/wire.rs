@@ -5,8 +5,8 @@
 //! sequenced sub-messages and acks — travels as a one-byte kind tag
 //! followed by little-endian fixed-width fields and an optional
 //! payload. The simnet backend carries these frames over fabric
-//! datagrams on [`crate::sim::UNR_PORT`]; the `unr-netfab` TCP
-//! backend carries the identical bytes inside its `CTRL` frames, which
+//! datagrams on [`crate::sim::UNR_PORT`]; the `unr-netfab` Unix-domain
+//! socket backend carries the identical bytes inside its `CTRL` frames, which
 //! is what keeps the reliable-transport layer transport-agnostic.
 //!
 //! | kind | name            | body (LE)                                                            |
