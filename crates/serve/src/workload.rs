@@ -255,6 +255,54 @@ mod tests {
         assert!(hi / lo < 1.35, "uniform draw spread too wide ({lo}..{hi})");
     }
 
+    /// FNV-1a over little-endian words: a stream hash that needs no
+    /// crate and no process-seeded hasher.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            w.to_le_bytes()
+                .iter()
+                .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// Golden lock on the default serve shape: the first 4 096 arrivals
+    /// of seed 7 and every bit of the zipf CDF. A change to how the
+    /// table is built or shared must keep both, and with them every
+    /// drawn key and every simulated latency.
+    #[test]
+    fn the_default_shape_stream_and_cdf_are_unchanged() {
+        let cfg = crate::ServeConfig::default();
+        let mut g = ClientGen::new(
+            7,
+            cfg.clients,
+            cfg.mean_think_ns,
+            cfg.keys,
+            cfg.zipf_s,
+            cfg.read_frac,
+        );
+        let cdf = fnv(g.keys.cdf.iter().map(|c| c.to_bits()));
+        let arrivals: Vec<Arrival> = (0..4096).map(|_| g.next_arrival()).collect();
+        let head: Vec<(u64, OpKind, u64)> = arrivals[..3]
+            .iter()
+            .map(|a| (a.at_ns, a.kind, a.key))
+            .collect();
+        let stream = fnv(arrivals
+            .iter()
+            .flat_map(|a| [a.at_ns, (a.kind == OpKind::Get) as u64, a.key]));
+        assert_eq!(g.keys.cdf.len(), cfg.keys as usize);
+        assert_eq!(cdf, 0x71a4_6e78_50e2_a7b9, "zipf CDF bits");
+        assert_eq!(
+            head,
+            [
+                (2743, OpKind::Get, 14218),
+                (3129, OpKind::Get, 3),
+                (58305, OpKind::Get, 0)
+            ],
+            "first arrivals"
+        );
+        assert_eq!(stream, 0xf80a_980b_94a3_dfe9, "first 4 096 arrivals");
+    }
+
     #[test]
     fn read_mix_is_respected() {
         let mut g = ClientGen::new(3, 10, 1_000_000, 128, 0.5, 0.9);
