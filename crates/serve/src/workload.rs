@@ -12,6 +12,8 @@
 //! from the *merged* stream directly — per-arrival cost is O(1)
 //! regardless of the client population.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use unr_simnet::SimRng;
 
 /// SplitMix64 finalizer — used to decorrelate per-rank seeds and to
@@ -55,29 +57,67 @@ impl PoissonGaps {
 /// Implemented as an inverse-CDF table (one `f64` per key) with binary
 /// search per draw — exact, allocation-free after construction, and
 /// deterministic. Key id 0 is the most popular.
+///
+/// The table depends on `(keys, s)` alone, so it is built once per
+/// process and shared: a one-slot memo keyed by `(keys, s.to_bits())`
+/// hands every sampler of the same shape the same [`Arc`] — every rank
+/// of every world in the process — and a different shape replaces it.
+/// The memo holds at most one table, `8 × keys` bytes (128 KiB at the
+/// default 16 384 keys), for the life of the process.
 pub struct ZipfKeys {
     rng: SimRng,
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
+}
+
+/// A table's key: `(keys, s.to_bits())`.
+type Shape = (u64, u64);
+
+/// The last table built in this process, with the shape it was built
+/// for.
+static CDF_MEMO: Mutex<Option<(Shape, Arc<[f64]>)>> = Mutex::new(None);
+
+/// The normalized cumulative distribution of zipf(`s`) over `0..keys`,
+/// from [`CDF_MEMO`] when the last table built was for this shape.
+fn zipf_cdf(keys: u64, s: f64) -> Arc<[f64]> {
+    let shape = (keys, s.to_bits());
+    // Nothing under the lock can panic half-way through an update.
+    let mut memo = CDF_MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((at, cdf)) = &*memo {
+        if *at == shape {
+            return Arc::clone(cdf);
+        }
+    }
+    let mut acc = 0.0f64;
+    // One allocation: a `Range` is exactly sized, so this collects in
+    // place, and the table is still unshared for the normalizing pass.
+    let mut cdf: Arc<[f64]> = (0..keys)
+        .map(|i| {
+            acc += 1.0 / ((i + 1) as f64).powf(s);
+            acc
+        })
+        .collect();
+    let fresh = Arc::get_mut(&mut cdf).expect("a table nobody else holds yet");
+    for c in fresh.iter_mut() {
+        *c /= acc;
+    }
+    *memo = Some((shape, Arc::clone(&cdf)));
+    cdf
 }
 
 impl ZipfKeys {
     /// A key stream over `0..keys` with skew `s` (`0.0` = uniform).
     pub fn new(seed: u64, keys: u64, s: f64) -> ZipfKeys {
         assert!(keys > 0, "keyspace must be non-empty");
-        let mut cdf = Vec::with_capacity(keys as usize);
-        let mut acc = 0.0f64;
-        for i in 0..keys {
-            acc += 1.0 / ((i + 1) as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for c in cdf.iter_mut() {
-            *c /= total;
-        }
         ZipfKeys {
             rng: SimRng::seed_from_u64(seed),
-            cdf,
+            cdf: zipf_cdf(keys, s),
         }
+    }
+
+    /// The cumulative probability table: entry `k` is the probability
+    /// of a key id `<= k`. Samplers of one `(keys, s)` share it.
+    pub fn cdf(&self) -> &Arc<[f64]> {
+        &self.cdf
     }
 
     /// Next key id.
@@ -150,6 +190,11 @@ impl ClientGen {
             read_frac,
             clock_ns: 0,
         }
+    }
+
+    /// The key sampler, whose table is shared (see [`ZipfKeys`]).
+    pub fn zipf(&self) -> &ZipfKeys {
+        &self.keys
     }
 
     /// Next arrival (times are strictly increasing).
