@@ -56,12 +56,15 @@ impl FrameQueue {
         self.lock().frames.len()
     }
 
-    /// Push one encoded frame; callable from any thread.
-    pub fn push(&self, frame: impl Into<OutFrame>) {
+    /// Push one encoded frame; callable from any thread. Returns the
+    /// bytes queued with it, so a poster learns the backlog from the
+    /// lock it already takes.
+    pub fn push(&self, frame: impl Into<OutFrame>) -> usize {
         let frame = frame.into();
         let mut q = self.lock();
         q.bytes += frame.len();
         q.frames.push_back(frame);
+        q.bytes
     }
 
     /// Move everything to the back of `out`, oldest first. Returns the
@@ -199,34 +202,42 @@ pub(crate) struct Writer {
     /// Saw `WouldBlock` with bytes pending: the socket is full and the
     /// reactor polls for writability. Set only by a pass that is the
     /// reactor's own or that ends by waking it, and cleared only by a
-    /// pass that also emptied the queue — so a poster that sees it may
-    /// leave its frame queued.
+    /// pass that wrote all it took — so a poster that sees it may leave
+    /// its frame queued.
     pub(crate) want_write: bool,
     /// Write side open (false after a write error latched the conn).
     pub(crate) open_write: bool,
 }
 
 impl Writer {
-    /// Put queued frames on the wire until the queue is empty or the
-    /// socket is full. The queue hands over its frames only when
-    /// `pending` has been written out: while the socket is full they
-    /// stay queued, where [`QUEUE_CAP_BYTES`] counts them.
+    /// Write out `pending`, then take the queue once and write that,
+    /// stopping early if the socket fills. The queue hands over its
+    /// frames only when `pending` has been written out: while the
+    /// socket is full they stay queued, where [`QUEUE_CAP_BYTES`]
+    /// counts them.
+    ///
+    /// One drain is enough. A frame pushed after it was posted by a
+    /// thread that either takes this lock once it is let go and writes
+    /// the frame itself, or finds it taken and wakes the reactor
+    /// ([`ReactorPool::post`]), whose next pass drains it. A second,
+    /// usually empty, drain here would only take the queue lock again.
     pub(crate) fn flush(
         &mut self,
         conn: &Conn,
         dispatch: &dyn FrameDispatch,
         met: &ReactorMetrics,
     ) {
-        while self.open_write {
-            self.service_write(conn, dispatch);
-            if self.want_write || !self.open_write {
-                return;
-            }
-            let taken = conn.queue.drain_into(&mut self.pending);
-            if taken == 0 {
-                return;
-            }
+        if !self.open_write {
+            return;
+        }
+        self.service_write(conn, dispatch);
+        if self.want_write || !self.open_write {
+            return;
+        }
+        let taken = conn.queue.drain_into(&mut self.pending);
+        if taken > 0 {
             met.queue_depth.record(taken as u64);
+            self.service_write(conn, dispatch);
         }
     }
 

@@ -111,7 +111,7 @@ impl FabricDispatch {
         let len = usize::try_from(g.len).ok()?;
         let header = frame::get_rep_header(g.reply_region, g.reply_offset, g.custom_local);
         let src = self.shared.region(g.region)?;
-        region_frame(&src, frame::FRAME_GET_REP, &header, off, len).ok()
+        region_frame(src, frame::FRAME_GET_REP, &header, off, len).ok()
     }
 }
 

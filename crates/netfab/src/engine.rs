@@ -488,8 +488,9 @@ mod tests {
             assert!(std::thread::scope(|s| s.spawn(f).join()).is_err());
         }
         // A send-side shard, a dedup window and the failure detail of
-        // the shared retry table; the fabric's region map and pre-install
-        // buffer (the coalescer's lock is `unr_core::post`'s to test).
+        // the shared retry table; the fabric's pre-install buffer (its
+        // region map takes no lock; the coalescer's lock is
+        // `unr_core::post`'s to test).
         dies(|| unr.ctrl().retry.as_ref().unwrap().poison_for_tests());
         dies(|| unr.fabric().poison_for_tests());
 

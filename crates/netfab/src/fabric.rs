@@ -68,6 +68,7 @@ use crate::frame::{self, OutFrame};
 use crate::reactor::{
     Conn, FrameDispatch, ReactorMetrics, ReactorPool, DEFAULT_REACTORS, QUEUE_CAP_BYTES,
 };
+use crate::regions::Regions;
 
 /// `unr.transport.*` counters registered in the fabric's [`Obs`].
 /// Cloning shares the underlying counters (they are `Arc`s) — the
@@ -144,10 +145,9 @@ enum Early {
 /// application-side `NetFabric` reference can never dead-lock on a
 /// reader joining itself.
 pub(crate) struct Shared {
-    /// Registered regions, id `i + 1` at index `i`: ids are handed out
-    /// in order under this lock and never taken back, so a lookup is an
-    /// index.
-    regions: SyncMutex<Vec<MemRegion>>,
+    /// Registered regions: ids are handed out in order and never taken
+    /// back, so a lookup takes no lock.
+    regions: Regions,
     /// Rung when a waiter's predicate may have moved by another
     /// thread's doing, so `sig_wait` can sleep between events.
     pub(crate) events: EventBell,
@@ -169,7 +169,7 @@ pub(crate) struct Shared {
 impl Shared {
     fn new(nranks: usize, nics: usize, reactor_met: ReactorMetrics) -> io::Result<Shared> {
         Ok(Shared {
-            regions: SyncMutex::new(Vec::new()),
+            regions: Regions::new(),
             events: EventBell::new(reactor_met)?,
             sink: OnceLock::new(),
             early: SyncMutex::new(Vec::new()),
@@ -179,9 +179,8 @@ impl Shared {
         })
     }
 
-    pub(crate) fn region(&self, id: u32) -> Option<MemRegion> {
-        let at = (id as usize).checked_sub(1)?;
-        self.regions.lock().get(at).cloned()
+    pub(crate) fn region(&self, id: u32) -> Option<&MemRegion> {
+        self.regions.get(id)
     }
 
     /// The receiving half of an emulated RMA write: `payload` into
@@ -449,14 +448,11 @@ impl NetFabric {
     /// contract.
     pub fn register(&self, len: usize) -> MemRegion {
         assert!(len > 0, "cannot register an empty region");
-        let mut regions = self.shared.regions.lock();
-        let region = MemRegion::new(self.rank, regions.len() as u32 + 1, len);
-        regions.push(region.clone());
-        region
+        self.shared.regions.register(self.rank, len)
     }
 
     /// Look up a registered region by id.
-    pub fn region(&self, id: u32) -> Option<MemRegion> {
+    pub fn region(&self, id: u32) -> Option<&MemRegion> {
         self.shared.region(id)
     }
 
@@ -497,12 +493,16 @@ impl NetFabric {
     }
 
     /// Post one encoded frame on `conn` ([`ReactorPool::post`]: written
-    /// by this thread if the writer is idle, else by the reactor). With
-    /// more than [`QUEUE_CAP_BYTES`] queued behind a full socket the
-    /// caller stalls (counted) until the reactor has written the backlog
-    /// down — backpressure instead of unbounded memory.
+    /// by this thread if the writer is idle, else by the reactor). A
+    /// frame that leaves more than [`QUEUE_CAP_BYTES`] queued behind a
+    /// full socket stalls its caller (counted) until the reactor has
+    /// written the backlog down — backpressure instead of unbounded
+    /// memory: the queue holds at most one frame per poster above the
+    /// cap.
     fn enqueue(&self, conn: &Conn, frame: OutFrame) -> io::Result<()> {
-        if conn.queued_bytes() > QUEUE_CAP_BYTES {
+        let queued = self.pool.post(conn, frame);
+        self.met.tx_frames.inc();
+        if queued > QUEUE_CAP_BYTES {
             self.reactor_met.backpressure_stalls.inc();
             while conn.queued_bytes() > QUEUE_CAP_BYTES {
                 if self.shared.stopping.load(Ordering::Relaxed) {
@@ -524,8 +524,6 @@ impl NetFabric {
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
-        self.pool.post(conn, frame);
-        self.met.tx_frames.inc();
         Ok(())
     }
 
@@ -738,12 +736,11 @@ impl NetFabric {
         self.shared.events.waiting.parked()
     }
 
-    /// Panic holding the region map and the pre-install buffer: each
-    /// must serve its next caller.
+    /// Panic holding the pre-install buffer: it must serve its next
+    /// caller.
     #[cfg(test)]
     pub(crate) fn poison_for_tests(&self) {
-        let s = &self.shared;
-        let _held = (s.regions.lock(), s.early.lock());
+        let _held = self.shared.early.lock();
         panic!("poisoning the fabric's locks on purpose");
     }
 
@@ -1016,8 +1013,7 @@ mod tests {
     fn dispatcher() -> (FabricDispatch, MemRegion, Arc<CountingSink>) {
         let reactor_met = ReactorMetrics::register(&Obs::new());
         let shared = Arc::new(Shared::new(2, 1, reactor_met).unwrap());
-        let region = MemRegion::new(0, 1, 64);
-        shared.regions.lock().push(region.clone());
+        let region = shared.regions.register(0, 64);
         let sink = Arc::new(CountingSink::default());
         let installed = shared.sink.set(Arc::clone(&sink) as Arc<dyn NetSink>);
         assert!(installed.is_ok());

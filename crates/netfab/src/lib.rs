@@ -79,6 +79,7 @@ pub mod launch;
 mod launcher;
 mod poll;
 pub mod reactor;
+mod regions;
 pub mod storm;
 pub mod transport;
 

@@ -47,6 +47,7 @@
 //! because a reader cannot wait on a backlog it may itself be
 //! responsible for draining.
 
+use std::cell::RefCell;
 use std::io::{self, Read};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -216,6 +217,12 @@ pub trait FrameDispatch: Send + Sync + 'static {
 // The pool
 // ---------------------------------------------------------------------
 
+thread_local! {
+    /// The poll set of this thread's [`ReactorPool::wait_readable`],
+    /// kept between waits so a wait allocates nothing.
+    static WAIT_SLOTS: RefCell<Vec<PollSlot>> = const { RefCell::new(Vec::new()) };
+}
+
 /// What [`ReactorPool::wait_readable`] came back with.
 pub struct Waited {
     /// What this thread read and dispatched.
@@ -301,19 +308,20 @@ impl ReactorPool {
     /// overtakes one posted before it. It never waits, so a reactor may
     /// post too (a [`FrameDispatch::tick`]'s retransmissions).
     ///
-    /// Every frame keeps an owner. This thread gets the lock: it writes
-    /// until the queue is empty, and if the socket fills up first wakes
-    /// the reactor to poll for writability. The lock is taken: the
-    /// holder may be past its last look at the queue, so the reactor is
-    /// woken, and drains it once the holder lets go. The socket is
+    /// Every frame keeps an owner. This thread gets the lock: it takes
+    /// the queue once and writes it out, and if the socket fills up
+    /// first wakes the reactor to poll for writability. The lock is
+    /// taken: the holder may be past its one look at the queue, so the
+    /// reactor is woken, and drains it once the holder lets go. The socket is
     /// already full (`want_write`, read under the lock): the reactor
     /// polls, or is being woken to poll, for writability, and its pass
     /// on `POLLOUT` drains the queue after this push.
     ///
     /// A poisoned writer lock is taken like a free one (see
-    /// [`Conn`]'s `writer`).
-    pub fn post(&self, conn: &Conn, frame: OutFrame) {
-        conn.queue.push(frame);
+    /// [`Conn`]'s `writer`). Returns the bytes queued with the frame,
+    /// before anyone wrote: what a poster's backpressure check reads.
+    pub fn post(&self, conn: &Conn, frame: OutFrame) -> usize {
+        let queued = conn.queue.push(frame);
         let writer = match conn.writer.try_lock() {
             Ok(w) => Some(w),
             Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
@@ -330,6 +338,7 @@ impl ReactorPool {
         if wake {
             self.wake(conn.reactor);
         }
+        queued
     }
 
     /// Progress `conns` on the calling (rank) thread: block until one
@@ -355,8 +364,11 @@ impl ReactorPool {
     ) -> Waited {
         // Slot 0 is the wake channel, slot i + 1 is `conns[i]`; a
         // connection with its read side closed holds its place with a
-        // descriptor `poll(2)` ignores.
-        let mut slots = Vec::with_capacity(conns.len() + 1);
+        // descriptor `poll(2)` ignores. The set is rebuilt in the
+        // calling thread's own buffer, taken for the call (a nested
+        // call would just make a new one) and put back after.
+        let mut slots = WAIT_SLOTS.take();
+        slots.clear();
         slots.push(PollSlot {
             fd: wake_rx.as_raw_fd(),
             events: POLL_IN,
@@ -401,11 +413,13 @@ impl ReactorPool {
             }
             reads.add(pass);
         }
-        Waited {
+        let waited = Waited {
             reads,
             woken: slots[0].readable(),
             expired: ready == 0,
-        }
+        };
+        WAIT_SLOTS.set(slots);
+        waited
     }
 
     /// Wake everyone and join the threads (callers set the dispatcher's
@@ -695,11 +709,15 @@ fn final_flush(states: &[ConnState], dispatch: &dyn FrameDispatch, met: &Reactor
         for _ in 0..64 {
             let mut w = st.conn.writer();
             w.flush(&st.conn, dispatch, met);
-            if !w.want_write {
+            // A poster's wake may go unanswered now: take its frames.
+            let full = w.want_write;
+            if !full && (!w.open_write || st.conn.queue.frames() == 0) {
                 break;
             }
             drop(w);
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            if full {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
         }
     }
 }

@@ -112,7 +112,7 @@ impl Transport for NetTransport {
     }
 
     fn region(&self, id: u32) -> Option<MemRegion> {
-        self.fabric.region(id)
+        self.fabric.region(id).cloned()
     }
 
     fn put(&self, op: RmaOp<'_>, companion: Option<Vec<u8>>) -> Result<(), UnrError> {
