@@ -216,11 +216,11 @@ impl Writer {
     /// socket is full they stay queued, where [`QUEUE_CAP_BYTES`]
     /// counts them.
     ///
-    /// One drain is enough. A frame pushed after it was posted by a
-    /// thread that either takes this lock once it is let go and writes
-    /// the frame itself, or finds it taken and wakes the reactor
-    /// ([`ReactorPool::post`]), whose next pass drains it. A second,
-    /// usually empty, drain here would only take the queue lock again.
+    /// One drain is enough: whoever pushes a frame after it either
+    /// takes this lock once it is let go and writes the frame itself,
+    /// or finds it taken and wakes the reactor ([`ReactorPool::post`]),
+    /// whose next pass drains it. A second, usually empty, drain here
+    /// would only take the queue lock again.
     pub(crate) fn flush(
         &mut self,
         conn: &Conn,

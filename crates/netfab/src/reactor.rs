@@ -312,10 +312,10 @@ impl ReactorPool {
     /// the queue once and writes it out, and if the socket fills up
     /// first wakes the reactor to poll for writability. The lock is
     /// taken: the holder may be past its one look at the queue, so the
-    /// reactor is woken, and drains it once the holder lets go. The socket is
-    /// already full (`want_write`, read under the lock): the reactor
-    /// polls, or is being woken to poll, for writability, and its pass
-    /// on `POLLOUT` drains the queue after this push.
+    /// reactor is woken, and drains it once the holder lets go. The
+    /// socket is already full (`want_write`, read under the lock): the
+    /// reactor polls, or is being woken to poll, for writability, and
+    /// its pass on `POLLOUT` drains the queue after this push.
     ///
     /// A poisoned writer lock is taken like a free one (see
     /// [`Conn`]'s `writer`). Returns the bytes queued with the frame,
