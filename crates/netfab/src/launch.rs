@@ -15,7 +15,10 @@
 //!    other environment variable.
 //! 2. Each child binds one data listener at a name of its own, connects
 //!    to the rendezvous name, and sends a `JOIN` frame carrying its rank
-//!    and its listener's name.
+//!    and its listener's name. The parent waits on the rendezvous
+//!    listener's readiness and accepts each `JOIN` as its child dials;
+//!    at least every 5 ms it checks for a child that exited before
+//!    joining, which fails the launch at once.
 //! 3. Once all `JOIN`s are in, the parent broadcasts the full
 //!    `rank → name` `TABLE` to every child.
 //! 4. Children build the data mesh ([`NetFabric::connect`]): for each
@@ -24,7 +27,8 @@
 //!    the rank and the NIC.
 //! 5. The rendezvous connection stays open as an out-of-band collective
 //!    channel: `GATHER`/`ALLDATA` rounds implement [`NetWorld::barrier`],
-//!    [`NetWorld::allgather`] and BLK-handle exchange.
+//!    [`NetWorld::allgather`] and BLK-handle exchange. When the
+//!    children hang up, the parent reaps each one as it exits.
 //!
 //! Keeping collectives on the parent connection (not the data mesh)
 //! means barriers still work while the data path is being storm-tested

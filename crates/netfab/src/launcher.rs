@@ -3,6 +3,7 @@
 //! relays, and rank respawn.
 
 use std::io::{self, BufRead, BufReader};
+use std::os::fd::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -15,6 +16,7 @@ use crate::launch::{
     bad, put_parts, u32_field, ENV_BOOTSTRAP, ENV_EPOCH, ENV_GENERATION, ENV_NICS, ENV_NRANKS,
     ENV_RANK,
 };
+use crate::poll::{self, PollSlot, POLL_IN};
 
 /// How long the parent waits for every child's `JOIN` before declaring
 /// the rendezvous wedged.
@@ -22,6 +24,13 @@ const JOIN_TIMEOUT: Duration = Duration::from_secs(120);
 /// How long the parent waits for children to exit after the collective
 /// channel closes; survivors are killed.
 const EXIT_TIMEOUT: Duration = Duration::from_secs(60);
+/// Longest the rendezvous waits on the listener before checking for a
+/// child that died before joining (whose `JOIN` will never come).
+const DEAD_CHECK_MS: i32 = 5;
+/// First and longest pause between two reap sweeps: a child that exits
+/// is noticed within about `REAP_PAUSE_MAX`.
+const REAP_PAUSE_MIN: Duration = Duration::from_micros(50);
+const REAP_PAUSE_MAX: Duration = Duration::from_millis(1);
 
 /// Kill-on-drop guard over the spawned ranks: if `spawn_world` unwinds
 /// or errors anywhere past spawning — a wedged rendezvous, a corrupt
@@ -86,10 +95,13 @@ impl KillOnDrop {
 
     /// Reap every child, waiting up to `timeout` for natural exits and
     /// killing whatever remains. Returns exit codes in rank order
-    /// (`-1`: killed by signal or by this deadline).
+    /// (`-1`: killed by signal or by this deadline). The pause between
+    /// sweeps doubles from `REAP_PAUSE_MIN` to `REAP_PAUSE_MAX`, so an
+    /// exit is noticed within about a millisecond.
     fn wait_all(&mut self, timeout: Duration) -> Vec<i32> {
         let deadline = Instant::now() + timeout;
         let mut statuses: Vec<i32> = self.reaped.iter().map(|r| r.unwrap_or(-1)).collect();
+        let mut pause = REAP_PAUSE_MIN;
         loop {
             let mut alive = false;
             for (rank, slot) in self.children.iter_mut().enumerate() {
@@ -118,7 +130,8 @@ impl KillOnDrop {
                 }
                 return statuses;
             }
-            std::thread::sleep(Duration::from_millis(10));
+            std::thread::sleep(pause);
+            pause = (pause * 2).min(REAP_PAUSE_MAX);
         }
     }
 }
@@ -222,6 +235,8 @@ fn parse_join(f: &frame::Frame, nranks: usize, nics: usize) -> io::Result<(usize
 
 /// Accept one `JOIN` on the rendezvous listener (nonblocking, bounded
 /// by `deadline`), failing fast if any child dies before joining.
+/// Between attempts it waits on the listener's readiness, for at most
+/// `DEAD_CHECK_MS` before it looks for dead children again.
 fn accept_join(
     listener: &UnixListener,
     guard: &mut KillOnDrop,
@@ -229,6 +244,11 @@ fn accept_join(
     nranks: usize,
     nics: usize,
 ) -> io::Result<(UnixStream, usize, String)> {
+    let mut ready = [PollSlot {
+        fd: listener.as_raw_fd(),
+        events: POLL_IN,
+        revents: 0,
+    }];
     let mut s = loop {
         match listener.accept() {
             Ok((s, _)) => break s,
@@ -245,7 +265,7 @@ fn accept_join(
                         "rendezvous timed out waiting for JOINs (children killed)",
                     ));
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                poll::poll_wait(&mut ready, DEAD_CHECK_MS)?;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
@@ -478,4 +498,111 @@ pub fn spawn_world_with_recovery(
         outputs.push(combined);
     }
     Ok(WorldResult { outputs, statuses })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A child running `sh -c script`, its stdout discarded.
+    fn sh(script: &str) -> Child {
+        Command::new("sh")
+            .args(["-c", script])
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn sh")
+    }
+
+    /// A rendezvous listener in the mode `spawn_world` puts it in.
+    fn rendezvous() -> (UnixListener, String) {
+        let (listener, name) = fabric::listen().expect("listen");
+        listener.set_nonblocking(true).expect("nonblocking");
+        (listener, name)
+    }
+
+    /// Dial `name` and send `JOIN(rank, nics, listener)`, as a child does.
+    fn join(name: &str, rank: u32, nics: u32, listener: &str) -> UnixStream {
+        let mut s = fabric::dial(name).expect("dial");
+        let mut body = Vec::new();
+        body.extend_from_slice(&rank.to_le_bytes());
+        body.extend_from_slice(&nics.to_le_bytes());
+        body.extend_from_slice(listener.as_bytes());
+        frame::write_frame(&mut s, FRAME_JOIN, &[&body]).expect("JOIN");
+        s
+    }
+
+    fn deadline() -> Instant {
+        Instant::now() + JOIN_TIMEOUT
+    }
+
+    #[test]
+    fn a_child_that_exits_before_joining_fails_the_rendezvous_at_once() {
+        let (listener, _) = rendezvous();
+        let mut guard = KillOnDrop::new(vec![sh("sleep 30"), sh("exit 3")]);
+        let t0 = Instant::now();
+        let err = accept_join(&listener, &mut guard, deadline(), 2, 1)
+            .expect_err("a dead child's JOIN never comes");
+        let took = t0.elapsed();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        assert!(
+            err.to_string().contains("rank 1 exited 3"),
+            "names rank and code: {err}"
+        );
+        // The exit itself takes a fork and an exec; the check runs every
+        // DEAD_CHECK_MS. A second bounds a loaded machine, far inside
+        // the 120 s deadline.
+        assert!(took < Duration::from_secs(1), "noticed after {took:?}");
+    }
+
+    #[test]
+    fn a_join_that_dials_while_the_launcher_waits_is_accepted() {
+        let (listener, name) = rendezvous();
+        let mut guard = KillOnDrop::new(vec![sh("sleep 30")]);
+        // The delay only makes it likely that the dial lands while
+        // `accept_join` is in its poll; a dial before it must pass too.
+        let child = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            join(&name, 2, 2, "rank-two")
+        });
+        let (_s, rank, peer) =
+            accept_join(&listener, &mut guard, deadline(), 3, 2).expect("JOIN accepted");
+        assert_eq!((rank, peer.as_str()), (2, "rank-two"));
+        drop(child.join().expect("dialer"));
+    }
+
+    #[test]
+    fn a_join_with_the_wrong_shape_is_invalid_data() {
+        let (listener, name) = rendezvous();
+        let mut guard = KillOnDrop::new(Vec::new());
+        // NIC count 1 against the launcher's 2, then rank 3 of 3.
+        for (rank, nics) in [(0, 1), (3, 2)] {
+            let _s = join(&name, rank, nics, "x");
+            let err = accept_join(&listener, &mut guard, deadline(), 3, 2)
+                .expect_err("a JOIN of the wrong shape is refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err
+                .to_string()
+                .contains(&format!("bad JOIN from rank {rank}")));
+        }
+    }
+
+    #[test]
+    fn wait_all_reports_codes_in_rank_order_as_children_exit() {
+        let mut guard = KillOnDrop::new(vec![
+            sh("sleep 0.2; exit 5"),
+            sh("exit 0"),
+            sh("sleep 0.05; exit 2"),
+        ]);
+        assert_eq!(guard.wait_all(Duration::from_secs(30)), vec![5, 0, 2]);
+    }
+
+    #[test]
+    fn wait_all_kills_a_child_that_outlives_the_timeout() {
+        let mut guard = KillOnDrop::new(vec![sh("exit 4"), sh("sleep 30")]);
+        let t0 = Instant::now();
+        assert_eq!(guard.wait_all(Duration::from_millis(100)), vec![4, -1]);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(5), "killed after {took:?}");
+        assert!(guard.children.iter().all(Option::is_none));
+    }
 }
