@@ -1,4 +1,5 @@
-//! Cross-backend differential (ROADMAP item 8(4)): one generic script
+//! Cross-backend differential (the ROADMAP item "Prove the lock-free
+//! core and the decoders, not just exercise them"): one generic script
 //! over `Unr<T>` runs on a 2-rank simnet world and on two in-process
 //! `NetFabric`s, and both must end in the same place — region bytes,
 //! signal counters, operation counts, wait outcomes. Only the

@@ -51,7 +51,7 @@
 use std::io;
 use std::os::linux::net::SocketAddrExt;
 use std::os::unix::net::{SocketAddr, UnixListener, UnixStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -59,7 +59,7 @@ use unr_core::{ctrl, CtrlFrame};
 use unr_obs::metrics::Counter;
 use unr_obs::Obs;
 use unr_simnet::sync::Mutex as SyncMutex;
-use unr_simnet::MemRegion;
+use unr_simnet::{MemRegion, SegSlots};
 
 use crate::bell::EventBell;
 use crate::dispatch::{region_frame, FabricDispatch};
@@ -68,7 +68,6 @@ use crate::frame::{self, OutFrame};
 use crate::reactor::{
     Conn, FrameDispatch, ReactorMetrics, ReactorPool, DEFAULT_REACTORS, QUEUE_CAP_BYTES,
 };
-use crate::regions::Regions;
 
 /// `unr.transport.*` counters registered in the fabric's [`Obs`].
 /// Cloning shares the underlying counters (they are `Arc`s) — the
@@ -145,9 +144,11 @@ enum Early {
 /// application-side `NetFabric` reference can never dead-lock on a
 /// reader joining itself.
 pub(crate) struct Shared {
-    /// Registered regions: ids are handed out in order and never taken
-    /// back, so a lookup takes no lock.
-    regions: Regions,
+    /// Registered regions by id, looked up with no lock. Ids are dense
+    /// from 1 and never taken back.
+    regions: SegSlots<MemRegion, 4>,
+    /// Region ids handed out so far; the next one is this plus one.
+    regions_issued: AtomicU32,
     /// Rung when a waiter's predicate may have moved by another
     /// thread's doing, so `sig_wait` can sleep between events.
     pub(crate) events: EventBell,
@@ -169,7 +170,8 @@ pub(crate) struct Shared {
 impl Shared {
     fn new(nranks: usize, nics: usize, reactor_met: ReactorMetrics) -> io::Result<Shared> {
         Ok(Shared {
-            regions: Regions::new(),
+            regions: SegSlots::new(),
+            regions_issued: AtomicU32::new(0),
             events: EventBell::new(reactor_met)?,
             sink: OnceLock::new(),
             early: SyncMutex::new(Vec::new()),
@@ -179,8 +181,16 @@ impl Shared {
         })
     }
 
+    /// Register a `len`-byte region of `rank` under the next id.
+    fn register(&self, rank: usize, len: usize) -> MemRegion {
+        let issued = self.regions_issued.fetch_add(1, Ordering::Relaxed);
+        let id = issued.checked_add(1).expect("region ids exhausted");
+        let region = || MemRegion::new(rank, id, len);
+        self.regions.get_or_init(id, region).clone()
+    }
+
     pub(crate) fn region(&self, id: u32) -> Option<&MemRegion> {
-        self.regions.get(id)
+        self.regions.get(id.into())
     }
 
     /// The receiving half of an emulated RMA write: `payload` into
@@ -448,7 +458,7 @@ impl NetFabric {
     /// contract.
     pub fn register(&self, len: usize) -> MemRegion {
         assert!(len > 0, "cannot register an empty region");
-        self.shared.regions.register(self.rank, len)
+        self.shared.register(self.rank, len)
     }
 
     /// Look up a registered region by id.
@@ -1013,7 +1023,7 @@ mod tests {
     fn dispatcher() -> (FabricDispatch, MemRegion, Arc<CountingSink>) {
         let reactor_met = ReactorMetrics::register(&Obs::new());
         let shared = Arc::new(Shared::new(2, 1, reactor_met).unwrap());
-        let region = shared.regions.register(0, 64);
+        let region = shared.register(0, 64);
         let sink = Arc::new(CountingSink::default());
         let installed = shared.sink.set(Arc::clone(&sink) as Arc<dyn NetSink>);
         assert!(installed.is_ok());

@@ -79,7 +79,6 @@ pub mod launch;
 mod launcher;
 mod poll;
 pub mod reactor;
-mod regions;
 pub mod storm;
 pub mod transport;
 

@@ -111,8 +111,8 @@ impl Transport for NetTransport {
         self.fabric.register(len)
     }
 
-    fn region(&self, id: u32) -> Option<MemRegion> {
-        self.fabric.region(id).cloned()
+    fn region(&self, id: u32) -> Option<&MemRegion> {
+        self.fabric.region(id)
     }
 
     fn put(&self, op: RmaOp<'_>, companion: Option<Vec<u8>>) -> Result<(), UnrError> {

@@ -1,10 +1,13 @@
 //! A rank's handle to the fabric ([`crate::fabric`]): the RMA, datagram
 //! and membership operations an actor posts through it.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::bytes::Bytes;
-use crate::fabric::{AtomicAddSink, Cargo, Fabric, FabricError, GetOp, Leg, NicSel, PutOp, Route};
+use crate::fabric::{
+    AtomicAddSink, Cargo, Fabric, FabricError, GetOp, Leg, NicSel, PutOp, RegionSlot, Route,
+};
 use crate::mem::{MemRegion, RKey};
 use crate::nic::InterfaceSpec;
 use crate::queues::{CompletionKind, CompletionQueue, Dgram, Port};
@@ -78,25 +81,22 @@ impl Endpoint {
     /// operations targeting it are delivered to `remote_cq`.
     pub fn register(&self, len: usize, remote_cq: &Arc<CompletionQueue>) -> MemRegion {
         self.actor.with_sched(|_st, _t| {
-            let mut inner = self.fabric.inner.lock();
-            let rs = &mut inner.ranks[self.rank];
+            let rs = &mut self.fabric.inner.lock().ranks[self.rank];
             let id = rs.next_region;
             rs.next_region += 1;
-            let region = MemRegion::new(self.rank, id, len);
-            rs.regions
-                .insert(id, (region.clone(), Arc::clone(remote_cq)));
-            region
+            let slot = self.fabric.regions[self.rank].get_or_init(id, || RegionSlot {
+                region: MemRegion::new(self.rank, id, len),
+                cq: Arc::clone(remote_cq),
+                dead: AtomicBool::new(false),
+            });
+            slot.region.clone()
         })
     }
 
     /// The region this rank registered under `id`, while it stays
-    /// registered. Not a scheduler entry: the fabric lock alone.
-    pub fn region(&self, id: u32) -> Option<MemRegion> {
-        let inner = self.fabric.inner.lock();
-        inner.ranks[self.rank]
-            .regions
-            .get(&id)
-            .map(|(r, _)| r.clone())
+    /// registered. Not a scheduler entry; lent, with no lock taken.
+    pub fn region(&self, id: u32) -> Option<&MemRegion> {
+        self.fabric.region(self.rank, id).map(|slot| &slot.region)
     }
 
     /// Deregister a region. In-flight operations targeting it are dropped
@@ -105,9 +105,9 @@ impl Endpoint {
         let key = region.rkey;
         assert_eq!(key.rank, self.rank, "can only deregister own regions");
         self.actor.with_sched(|_st, _t| {
-            self.fabric.inner.lock().ranks[key.rank]
-                .regions
-                .remove(&key.id);
+            if let Some(slot) = self.fabric.region(key.rank, key.id) {
+                slot.dead.store(true, Ordering::Release);
+            }
         });
     }
 
@@ -301,9 +301,8 @@ impl Endpoint {
                 if fabric.delivery_killed(route.rank, op.src.rank) {
                     return;
                 }
-                let target = Fabric::lookup_region(&fabric.inner.lock(), op.src);
-                let read = target.and_then(|(region, cq)| {
-                    Some((region.snapshot(op.src_offset, op.len).ok()?, cq))
+                let read = fabric.region(op.src.rank, op.src.id).and_then(|slot| {
+                    Some((slot.region.snapshot(op.src_offset, op.len).ok()?, &slot.cq))
                 });
                 if read.is_none() {
                     fabric.metrics.lost_writes.inc();
@@ -314,7 +313,7 @@ impl Endpoint {
                 };
                 if op.notify_remote {
                     let (kind, custom) = (CompletionKind::GetRemote, op.custom_remote);
-                    fabric.complete(st, op.src.rank, Some(&remote_cq), kind, custom, nic, t_req);
+                    fabric.complete(st, op.src.rank, Some(remote_cq), kind, custom, nic, t_req);
                 }
                 let f = Arc::clone(&fabric);
                 flight.land(st, data, move |st, at, data| {

@@ -24,8 +24,10 @@
 use crate::bytes::Bytes;
 use crate::faults::{FaultAction, FaultConfig, FaultState};
 use crate::rng::SimRng;
+use crate::slots::SegSlots;
 use crate::sync::Mutex;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::mem::{MemRegion, RKey};
@@ -106,7 +108,6 @@ struct NodeState {
 
 #[derive(Default)]
 pub(crate) struct RankState {
-    pub(crate) regions: HashMap<u32, (MemRegion, Arc<CompletionQueue>)>,
     pub(crate) next_region: u32,
     ports: HashMap<u32, Arc<Port>>,
     pub(crate) sink: Option<Arc<dyn AtomicAddSink>>,
@@ -157,11 +158,24 @@ impl FabricMetrics {
     }
 }
 
+/// A registered region and the CQ that takes its remote completions.
+/// `deregister` marks it dead, and a lookup treats a dead slot as
+/// absent (a write to it counts in `simnet.fabric.lost_writes`). Its
+/// buffer lives on with the fabric; only tests deregister, so no
+/// workload pays for that memory.
+pub(crate) struct RegionSlot {
+    pub(crate) region: MemRegion,
+    pub(crate) cq: Arc<CompletionQueue>,
+    pub(crate) dead: AtomicBool,
+}
+
 /// The shared fabric object.
 pub struct Fabric {
     pub cfg: FabricConfig,
     core: Arc<SimCore>,
     pub(crate) inner: Mutex<FabricInner>,
+    /// Each rank's registered regions by id, looked up with no lock.
+    pub(crate) regions: Box<[SegSlots<RegionSlot, 4>]>,
     /// Present when `cfg.trace` is set.
     pub tracer: Option<crate::trace::TraceRecorder>,
     /// Observability root shared by everything attached to this fabric
@@ -277,6 +291,7 @@ impl Fabric {
         Arc::new(Fabric {
             core,
             inner: Mutex::new(inner),
+            regions: (0..cfg.total_ranks()).map(|_| SegSlots::new()).collect(),
             tracer: cfg.trace.then(crate::trace::TraceRecorder::default),
             metrics: FabricMetrics::new(&obs),
             membership: Membership::new(cfg.total_ranks()),
@@ -309,16 +324,11 @@ impl Fabric {
         }
     }
 
-    pub(crate) fn lookup_region(
-        inner: &FabricInner,
-        key: RKey,
-    ) -> Option<(MemRegion, Arc<CompletionQueue>)> {
-        inner
-            .ranks
-            .get(key.rank)?
-            .regions
-            .get(&key.id)
-            .map(|(m, c)| (m.clone(), Arc::clone(c)))
+    /// The live region `rank` registered under `id`: `None` if it never
+    /// did, or has deregistered it.
+    pub(crate) fn region(&self, rank: usize, id: u32) -> Option<&RegionSlot> {
+        let slot = self.regions.get(rank)?.get(id.into())?;
+        (!slot.dead.load(Ordering::Acquire)).then_some(slot)
     }
 
     /// The transmission step (module doc) of `len` bytes posted at
@@ -433,18 +443,15 @@ impl Fabric {
         if self.delivery_killed(src, dst.rank) {
             return;
         }
-        let inner = self.inner.lock();
-        let target = Fabric::lookup_region(&inner, dst);
         let port = cargo
             .companion
             .as_ref()
-            .and_then(|(p, _)| inner.ranks[dst.rank].ports.get(p).cloned());
-        drop(inner);
-        match target {
-            Some((region, cq)) if region.write_bytes(cargo.dst_offset, &cargo.data).is_ok() => {
+            .and_then(|(p, _)| self.inner.lock().ranks[dst.rank].ports.get(p).cloned());
+        match self.region(dst.rank, dst.id) {
+            Some(t) if t.region.write_bytes(cargo.dst_offset, &cargo.data).is_ok() => {
                 if let Some(custom) = cargo.notify {
                     let kind = CompletionKind::PutRemote;
-                    self.complete(st, dst.rank, Some(&cq), kind, custom, nic, at);
+                    self.complete(st, dst.rank, Some(&t.cq), kind, custom, nic, at);
                 }
             }
             _ => self.metrics.lost_writes.inc(),

@@ -51,6 +51,7 @@ pub mod platform;
 pub mod queues;
 pub mod rng;
 pub mod sched;
+pub mod slots;
 pub mod sync;
 pub mod time;
 pub mod trace;
@@ -67,6 +68,7 @@ pub use platform::Platform;
 pub use queues::{Completion, CompletionKind, CompletionQueue, Dgram, Port};
 pub use rng::SimRng;
 pub use sched::{ActorHandle, ActorId, Sched, SimCore, Step};
+pub use slots::SegSlots;
 pub use sync::{Condvar, Mutex, MutexGuard};
 pub use time::{to_ms, to_sec, to_us, us, Bandwidth, Ns, MS, SEC, US};
 pub use trace::{TraceEvent, TraceRecorder};

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use unr_simnet::{Fabric, FabricConfig, NicSel, Platform, PutOp, RKey};
+use unr_simnet::{Fabric, FabricConfig, GetOp, NicSel, Platform, PutOp, RKey};
 
 /// Spawn `n` rank threads over a fresh fabric, collecting results.
 fn world<R: Send + 'static>(
@@ -105,6 +105,51 @@ fn writes_to_deregistered_region_are_lost_not_fatal() {
     });
     let _ = results;
     let snap = fabric.obs.metrics.snapshot();
+    assert_eq!(snap.counter("simnet.fabric.lost_writes"), Some(1));
+}
+
+/// A GET whose source region the target deregisters before the
+/// request lands reads nothing: one lost write, no `GetLocal` at the
+/// poster, no panic.
+#[test]
+fn reads_of_a_deregistered_region_are_lost_not_fatal() {
+    let (results, fabric) = world(FabricConfig::test_default(2), |ep| {
+        let cq = ep.create_cq();
+        let mine = ep.register(8, &cq);
+        if ep.rank() == 0 {
+            let port = ep.open_port(1);
+            let d = ep.recv_dgram(&port);
+            let id = u32::from_le_bytes(d.bytes[..4].try_into().unwrap());
+            // Give the target time to deregister before the request lands.
+            ep.sleep(unr_simnet::us(20.0));
+            ep.get(GetOp {
+                dst: &mine,
+                dst_offset: 0,
+                len: 8,
+                src: RKey {
+                    rank: 1,
+                    id,
+                    len: 8,
+                },
+                src_offset: 0,
+                nic: NicSel::Auto,
+                custom_local: 5,
+                custom_remote: 0,
+                local_cq: Some(Arc::clone(&cq)),
+                notify_remote: false,
+            })
+            .unwrap();
+            ep.sleep(unr_simnet::us(50.0));
+        } else {
+            ep.send_dgram(0, 1, mine.rkey.id.to_le_bytes().to_vec(), NicSel::Auto);
+            ep.deregister(&mine);
+            ep.sleep(unr_simnet::us(100.0));
+        }
+        cq.is_empty()
+    });
+    assert_eq!(results, [true, true], "no completion on either side");
+    let snap = fabric.obs.metrics.snapshot();
+    assert_eq!(snap.counter("simnet.fabric.gets"), Some(1));
     assert_eq!(snap.counter("simnet.fabric.lost_writes"), Some(1));
 }
 

@@ -83,18 +83,16 @@ impl Blk {
     /// wire, `self` being the local block of the pair: it belongs to
     /// `my_rank`, both blocks are the same size, the local one lies
     /// inside `region` — the region this rank really registered under
-    /// its id, of `region_len(&region)` bytes, not the length the handle
-    /// claims — the remote one inside the region its handle describes,
-    /// and the remote rank exists in the `nranks`-rank world. Hands the
-    /// region back for the transfer.
-    pub fn check_pair<R>(
+    /// its id, not the length the handle claims — the remote one inside
+    /// the region its handle describes, and the remote rank exists in
+    /// the `nranks`-rank world. Hands the region back for the transfer.
+    pub fn check_pair<'r>(
         &self,
         remote: &Blk,
         my_rank: usize,
         nranks: usize,
-        region: Option<R>,
-        region_len: impl FnOnce(&R) -> usize,
-    ) -> Result<R, UnrError> {
+        region: Option<&'r MemRegion>,
+    ) -> Result<&'r MemRegion, UnrError> {
         if self.rank != my_rank {
             return Err(UnrError::NotMyBlock {
                 blk_rank: self.rank,
@@ -122,7 +120,7 @@ impl Blk {
                 blk.offset.saturating_add(blk.len),
             ))))
         };
-        fits("local", self, region_len(&region))?;
+        fits("local", self, region.len())?;
         fits("remote", remote, remote.region_len)?;
         if remote.rank >= nranks {
             return Err(UnrError::Fabric(FabricError::BadRank(remote.rank)));

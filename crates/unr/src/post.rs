@@ -361,16 +361,15 @@ impl<T: Transport> Unr<T> {
         self.put_keyed(local, remote, local_sig.into(), remote_sig)
     }
 
-    /// The checks every put and get starts with; hands back the local
+    /// The checks every put and get starts with; lends the local
     /// region.
-    fn validate(&self, local: &Blk, remote: &Blk) -> Result<MemRegion, UnrError> {
+    fn validate(&self, local: &Blk, remote: &Blk) -> Result<&MemRegion, UnrError> {
         self.check_peer_up(remote.rank)?;
         local.check_pair(
             remote,
             self.core.facts.rank,
             self.core.facts.nranks,
             self.tx.region(local.region_id),
-            MemRegion::len,
         )
     }
 
@@ -391,7 +390,7 @@ impl<T: Transport> Unr<T> {
         let aggregated = core.agg.is_some();
         if aggregated && len <= core.cfg.agg_eager_max && remote.rank != core.facts.rank {
             // Counted when its ring flushes.
-            return self.put_agg(&region, local, remote, local_sig, remote_sig, len);
+            return self.put_agg(region, local, remote, local_sig, remote_sig, len);
         }
         self.count_puts(1, len);
         if aggregated {
@@ -401,7 +400,7 @@ impl<T: Transport> Unr<T> {
         }
 
         if let Some(retry) = &core.retry {
-            return self.put_reliable(&region, local, remote, local_sig, remote_sig, len, retry);
+            return self.put_reliable(region, local, remote, local_sig, remote_sig, len, retry);
         }
 
         match core.channel.mech {
@@ -434,7 +433,7 @@ impl<T: Transport> Unr<T> {
                 let companion = (remote_sig != 0).then(|| wire::companion_msg(remote_sig, -1));
                 self.tx.put(
                     RmaOp {
-                        local: &region,
+                        local: region,
                         local_offset: local.offset,
                         len,
                         remote: remote.rkey(),
@@ -447,7 +446,7 @@ impl<T: Transport> Unr<T> {
                 )
             }
             Mechanism::Rma(enc) => {
-                self.put_rma(&region, local, remote, local_sig, remote_sig, len, enc)
+                self.put_rma(region, local, remote, local_sig, remote_sig, len, enc)
             }
         }
     }
@@ -625,7 +624,7 @@ impl<T: Transport> Unr<T> {
             }
         };
         self.tx.get(RmaOp {
-            local: &region,
+            local: region,
             local_offset: local.offset,
             len,
             remote: remote.rkey(),
@@ -791,8 +790,8 @@ pub(crate) mod tests {
         fn register(&self, _len: usize) -> MemRegion {
             unreachable!("the post path registers nothing")
         }
-        fn region(&self, id: u32) -> Option<MemRegion> {
-            (id == REGION).then(|| self.region.clone())
+        fn region(&self, id: u32) -> Option<&MemRegion> {
+            (id == REGION).then_some(&self.region)
         }
         fn put(&self, op: RmaOp<'_>, companion: Option<Vec<u8>>) -> Result<(), UnrError> {
             self.log.lock().push(Call::Put {

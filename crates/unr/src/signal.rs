@@ -30,15 +30,14 @@
 //!
 //! # Lock-free completion path
 //!
-//! The table is a segmented slot array with geometric growth: segment
-//! `s` holds `1024 << s` slots behind one [`OnceLock`], published once
-//! and never moved, and each slot is a `OnceLock` of its own, set on
-//! the slot's first allocation to the state word and counter every
-//! later allocation re-arms. So a key maps to its counter with two
-//! acquire loads and no locking. `apply` — the hottest operation in
-//! the library, executed for every NIC completion — reads the slot's
-//! state word, checks liveness + generation, and `fetch_add`s the
-//! counter directly; it takes no lock and clones no `Arc`.
+//! The table's slots are a [`SegSlots`] with geometric growth: segment
+//! `s` holds `1024 << s` slots, published once and never moved, and
+//! each slot is set on its first allocation to the state word and
+//! counter every later allocation re-arms. So a key maps to its
+//! counter with two acquire loads and no locking. `apply` — the hottest
+//! operation in the library, executed for every NIC completion — reads
+//! the slot's state word, checks liveness + generation, and `fetch_add`s
+//! the counter directly; it takes no lock and clones no `Arc`.
 //! Allocation and release are the cold path and serialize on one small
 //! mutex (free-list + segment growth), which also makes slot index
 //! assignment deterministic: fresh indices are sequential from 1 and
@@ -61,10 +60,10 @@
 //! the paper's "maximum number of signals is limited" caveat.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use unr_simnet::sync::Mutex;
 
-use unr_simnet::{ActorId, Ns, Sched};
+use unr_simnet::{ActorId, Ns, Sched, SegSlots};
 
 /// Outcome of a detached (scheduler-free) signal apply: whether the
 /// addend brought the counter to its trigger/overflow condition, and
@@ -239,25 +238,13 @@ const SLOT_LIVE: u64 = 0b01;
 const SLOT_USED: u64 = 0b10;
 const SLOT_GEN_SHIFT: u32 = 2;
 
-/// A table slot: the table's own reference to its `SignalInner`, set
-/// on the slot's first allocation, *re-armed* by every later one,
-/// dropped with the table. Reuse, rather than free and realloc, is why
-/// a stale apply racing a release only ever touches a counter the table
-/// still owns (see [`SignalTable::try_apply`]).
-type Slot = OnceLock<Arc<SignalInner>>;
-
-/// Segment 0 holds `1 << SEG0_BITS` slots; segment `s` holds
-/// `1 << (SEG0_BITS + s)`. 23 segments cover every index a `u32` free
-/// list can name.
-const SEG0_BITS: u32 = 10;
-const NUM_SEGS: usize = 23;
-
-/// Segment and offset of slot index `idx` (≥ 1).
-fn locate(idx: u64) -> (usize, usize) {
-    let adj = idx + (1 << SEG0_BITS);
-    let bit = 63 - adj.leading_zeros();
-    ((bit - SEG0_BITS) as usize, (adj - (1u64 << bit)) as usize)
-}
+/// The table's slots: each holds the table's own reference to its
+/// `SignalInner`, set on the slot's first allocation, *re-armed* by
+/// every later one, dropped with the table. Reuse, rather than free and
+/// realloc, is why a stale apply racing a release only ever touches a
+/// counter the table still owns (see [`SignalTable::try_apply`]).
+/// Segment 0 holds 1024 slots; index 0 is the null key and never set.
+type Slots = SegSlots<Arc<SignalInner>, 10>;
 
 struct AllocState {
     /// Freed slot indices, reused LIFO (matches the seed implementation
@@ -273,13 +260,9 @@ struct AllocState {
 /// See the module docs for the concurrency design: `apply`/`try_apply`
 /// are lock-free; `alloc`/`release` serialize on one mutex.
 pub struct SignalTable {
-    segs: [OnceLock<Box<[Slot]>>; NUM_SEGS],
+    slots: Slots,
     alloc: Mutex<AllocState>,
     live: AtomicUsize,
-    /// Total slots held by the published segments. Grows geometrically
-    /// as segments materialize; read with a relaxed load by the
-    /// occupancy probe (admission controllers poll it on every admit).
-    capacity: AtomicUsize,
     n_bits: u32,
     /// Bits of generation tag carried above the index in each key
     /// (0 on channels whose custom bits cannot spare any).
@@ -319,13 +302,12 @@ impl SignalTable {
             (0, 64)
         };
         Arc::new(SignalTable {
-            segs: std::array::from_fn(|_| OnceLock::new()),
+            slots: Slots::new(),
             alloc: Mutex::new(AllocState {
                 free: Vec::new(),
                 next_idx: 1,
             }),
             live: AtomicUsize::new(0),
-            capacity: AtomicUsize::new(0),
             n_bits,
             gen_bits,
             gen_shift,
@@ -343,12 +325,10 @@ impl SignalTable {
         self.live.load(Ordering::Relaxed)
     }
 
-    /// Slots materialized by the published segments. The table grows
-    /// geometrically on demand, so this is the headroom already paid
-    /// for — not a hard limit; allocation past it publishes the next
-    /// segment.
+    /// Slots of the published segments ([`SegSlots::capacity`]): the
+    /// headroom already paid for, not a limit.
     pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
+        self.slots.capacity()
     }
 
     /// `(live, capacity)` occupancy probe for admission controllers.
@@ -376,24 +356,7 @@ impl SignalTable {
 
     /// The inner of slot `idx`; `None` for a slot never allocated.
     fn slot(&self, idx: u64) -> Option<&SignalInner> {
-        if idx == 0 || idx > u32::MAX as u64 {
-            return None;
-        }
-        let (seg, off) = locate(idx);
-        self.segs[seg].get()?.get(off)?.get().map(|inner| &**inner)
-    }
-
-    /// The inner of slot `idx`, made (and its segment published) if
-    /// this is the slot's first allocation. Cold path; runs under the
-    /// alloc lock, so segments grow in allocation order.
-    fn ensure_slot(&self, idx: u32) -> &Arc<SignalInner> {
-        let (seg, off) = locate(idx as u64);
-        let slots = self.segs[seg].get_or_init(|| {
-            let len = 1usize << (SEG0_BITS as usize + seg);
-            self.capacity.fetch_add(len, Ordering::Relaxed);
-            (0..len).map(|_| OnceLock::new()).collect()
-        });
-        slots[off].get_or_init(Default::default)
+        self.slots.get(idx).map(|inner| &**inner)
     }
 
     /// Allocate a signal that triggers after `num_event` events.
@@ -418,7 +381,10 @@ impl SignalTable {
         // re-armed by every later one: the previous Signal handle was
         // dropped (release ran), so no live handle observes the re-arm,
         // and an apply sees these stores once it sees the state go live.
-        let inner = self.ensure_slot(idx);
+        // Made (and its segment published) on the slot's first
+        // allocation; under the alloc lock, so segments grow in
+        // allocation order.
+        let inner = self.slots.get_or_init(idx, Default::default);
         let old = inner.state.load(Ordering::Relaxed);
         debug_assert_eq!(old & SLOT_LIVE, 0, "allocating a live slot");
         // First use keeps generation 0 (keys identical to the un-tagged
@@ -1100,6 +1066,30 @@ mod tests {
         let _live: Vec<Signal> = (0..LIVE).map(|_| replay.alloc(START)).collect();
         drop((0..GROWN).map(|_| replay.alloc(1)).collect::<Vec<_>>());
         assert_eq!(table.fingerprint(), replay.fingerprint());
+    }
+
+    #[test]
+    fn capacity_counts_the_published_segments() {
+        let table = SignalTable::new(32);
+        assert_eq!(table.occupancy(), (0, 0));
+        let mut sigs = vec![table.alloc(1)];
+        assert_eq!(table.capacity(), 1024, "segment 0");
+        sigs.extend((1..1023).map(|_| table.alloc(1)));
+        assert_eq!(table.capacity(), 1024, "index 1023 is segment 0's last");
+        sigs.push(table.alloc(1));
+        assert_eq!(table.capacity(), 1024 + 2048, "index 1024 opens segment 1");
+        sigs.extend((1024..3072).map(|_| table.alloc(1)));
+        assert_eq!(
+            table.occupancy(),
+            (3072, 7168),
+            "index 3072 opens segment 2"
+        );
+        drop(sigs);
+        assert_eq!(
+            table.occupancy(),
+            (0, 7168),
+            "segments are never taken back"
+        );
     }
 
     #[test]

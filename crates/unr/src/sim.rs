@@ -47,7 +47,7 @@ impl Transport for SimTransport {
         self.sim.ep.register(len, &self.sim.cq)
     }
 
-    fn region(&self, id: u32) -> Option<MemRegion> {
+    fn region(&self, id: u32) -> Option<&MemRegion> {
         self.sim.ep.region(id)
     }
 

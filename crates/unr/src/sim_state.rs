@@ -386,11 +386,8 @@ impl SimSink<'_> {
 
 impl CtrlSink for SimSink<'_> {
     fn deposit(&mut self, region: u32, offset: u64, payload: &[u8]) -> bool {
-        let landed = self
-            .sim
-            .ep
-            .region(region)
-            .is_some_and(|r| r.write_bytes(offset as usize, payload).is_ok());
+        let region = self.sim.ep.region(region);
+        let landed = region.is_some_and(|r| r.write_bytes(offset as usize, payload).is_ok());
         if !landed {
             self.bad_dma();
         }
@@ -398,11 +395,8 @@ impl CtrlSink for SimSink<'_> {
     }
 
     fn read(&mut self, region: u32, offset: u64, len: u64) -> Option<Vec<u8>> {
-        let data = self
-            .sim
-            .ep
-            .region(region)
-            .and_then(|r| r.snapshot(offset as usize, len as usize).ok());
+        let region = self.sim.ep.region(region);
+        let data = region.and_then(|r| r.snapshot(offset as usize, len as usize).ok());
         if data.is_none() {
             self.bad_dma();
         }

@@ -77,7 +77,7 @@ pub enum Backend {
 /// rank registered and a range of a remote one — a put writes local
 /// into remote, a get reads remote into local.
 pub struct RmaOp<'a> {
-    /// The local region ([`Transport::region`] handed it out).
+    /// The local region ([`Transport::region`] lent it).
     pub local: &'a MemRegion,
     /// Byte offset inside the local region.
     pub local_offset: usize,
@@ -162,8 +162,9 @@ pub trait Transport: Send + Sync {
     /// Register `len` bytes for RMA under a fresh region id.
     fn register(&self, len: usize) -> MemRegion;
 
-    /// The region this rank registered under `id`.
-    fn region(&self, id: u32) -> Option<MemRegion>;
+    /// The region this rank registered under `id`, lent: resolving it
+    /// takes no lock and clones nothing.
+    fn region(&self, id: u32) -> Option<&MemRegion>;
 
     /// Native notified put. `companion`, if any, is a control frame
     /// delivered to the target after the data, in order (level 0).

@@ -79,6 +79,43 @@ fn put_from_a_deregistered_region_is_refused() {
     assert!(results.into_iter().all(|b| b));
 }
 
+/// A reliable put into a region its target deregistered after the
+/// `Blk` exchange: the sequenced frame's bytes cannot land, so its
+/// addend is dropped and the frame is still acked. One
+/// `unr.ctrl.bad_dma`, a remote signal that never fires, and no
+/// retransmission on a fabric that drops nothing. The fallback channel
+/// carries the bytes in the frame, so the receive side's region lookup
+/// is the one that refuses them.
+#[test]
+fn a_reliable_put_into_a_deregistered_region_is_acked_not_applied() {
+    let cfg = UnrConfig {
+        channel: ChannelSelect::ForceFallback,
+        reliability: Reliability::On,
+        ..UnrConfig::default()
+    };
+    let results = run_mpi_world(fabric(InterfaceKind::Glex, 2), move |comm| {
+        let unr = Unr::init(comm.ep_shared(), cfg);
+        let mem = unr.mem_reg(64);
+        let metric = |name| unr.obs().metrics.counter(name).get();
+        if comm.rank() == 1 {
+            let sig = unr.sig_init(1);
+            convert::send_blk(comm, 0, 0, &unr.blk_init(&mem, 0, 8, Some(&sig)));
+            comm.ep().deregister(mem.region());
+            comm.send(0, 1, &[]);
+            let waited = unr.sig_wait_timeout(&sig, 500_000);
+            return matches!(waited, Err(UnrError::Timeout { .. })) && sig.counter() == 1;
+        }
+        let remote = convert::recv_blk(comm, 1, 0);
+        comm.recv(Some(1), 1);
+        unr.put(&unr.blk_init(&mem, 0, 8, None), &remote).unwrap();
+        unr.sleep(600_000);
+        metric("unr.ctrl.bad_dma") == 1
+            && metric("unr.retry.acks") == 1
+            && metric("unr.retry.retransmits") == 0
+    });
+    assert_eq!(results, [true, true]);
+}
+
 /// Bring-up validates on the simulator as on netfab: a struct-literal
 /// config that `build()` would reject does not run.
 #[test]
