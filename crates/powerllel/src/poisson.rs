@@ -39,8 +39,8 @@ pub struct PoissonSolver {
     hz2_inv: f64,
     /// Column communicator for the gathered mean-mode solve.
     col: unr_minimpi::Comm,
-    /// x- and y-pencil spectra.
-    xp: Vec<f64>,
+    /// The y-pencil spectrum the z solves work on in place. The x
+    /// pencil lives only in the transpose's buffers.
     yp: Vec<f64>,
     /// One z-plane of lines for the batched FFTs: element `j` of line
     /// `l` at `j * lines + l`. In x the plane's `ly` rows, transposed;
@@ -155,7 +155,6 @@ impl PoissonSolver {
                 .collect(),
             hz2_inv,
             col: d.col.clone(),
-            xp: vec![0.0; 2 * d.nx * d.ly * d.lz],
             yp: vec![0.0; 2 * d.lx_t * d.ny * d.lz],
             tile: vec![C64::ZERO; (d.nx * d.ly).max(d.ny * d.lx_t)],
             z: ZWork::new(d, hz2_inv),
@@ -194,7 +193,7 @@ impl PoissonSolver {
                 self.charge(comm.ep(), nx * ly * (k1 - k0));
                 self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
                 let t = now();
-                self.transpose.fwd_send_slab(s, &self.xp);
+                self.transpose.fwd_send_slab(s);
                 self.pobs
                     .acc(Phase::Transpose, t, now(), &mut timers.transpose);
             }
@@ -207,7 +206,7 @@ impl PoissonSolver {
                 let t = now();
                 let s = self.transpose.fwd_wait_any(&self.pending);
                 self.pending[s] = false;
-                self.transpose.fwd_recv_slab(s, &mut self.yp);
+                self.transpose.fwd_recv_slab(s);
                 self.pobs
                     .acc(Phase::Transpose, t, now(), &mut timers.transpose);
                 let (k0, k1) = self.transpose.slab_range(s);
@@ -226,7 +225,7 @@ impl PoissonSolver {
             self.charge(comm.ep(), nx * ly * lz);
             self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
             let t = now();
-            self.transpose.forward(&self.xp, &mut self.yp);
+            self.transpose.forward();
             self.pobs
                 .acc(Phase::Transpose, t, now(), &mut timers.transpose);
             let t = now();
@@ -250,7 +249,7 @@ impl PoissonSolver {
                 self.charge(comm.ep(), self.lx_t * self.ny * (k1 - k0));
                 self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
                 let t = now();
-                self.transpose.bwd_send_slab(s, &self.yp);
+                self.transpose.bwd_send_slab(s);
                 self.pobs
                     .acc(Phase::Transpose, t, now(), &mut timers.transpose);
             }
@@ -259,7 +258,7 @@ impl PoissonSolver {
                 let t = now();
                 let s = self.transpose.bwd_wait_any(&self.pending);
                 self.pending[s] = false;
-                self.transpose.bwd_recv_slab(s, &mut self.xp);
+                self.transpose.bwd_recv_slab(s);
                 self.pobs
                     .acc(Phase::Transpose, t, now(), &mut timers.transpose);
                 let (k0, k1) = self.transpose.slab_range(s);
@@ -278,7 +277,7 @@ impl PoissonSolver {
             self.charge(comm.ep(), self.lx_t * self.ny * lz);
             self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
             let t = now();
-            self.transpose.backward(&self.yp, &mut self.xp);
+            self.transpose.backward();
             self.pobs
                 .acc(Phase::Transpose, t, now(), &mut timers.transpose);
             let t = now();
@@ -288,8 +287,9 @@ impl PoissonSolver {
         }
     }
 
-    /// Forward FFT in x for z planes `k0..k1`, from `rhs` into `xp`: a
-    /// plane's `ly` rows go through the tile transposed, as `ly` lines.
+    /// Forward FFT in x for z planes `k0..k1`, from `rhs` into the
+    /// transpose's x buffer: a plane's `ly` rows go through the tile
+    /// transposed, as `ly` lines.
     fn fftx_fwd_slab(&mut self, rhs: &Field3, k0: usize, k1: usize) {
         let (nx, ly) = (self.nx, self.ly);
         let tile = &mut self.tile[..nx * ly];
@@ -301,28 +301,17 @@ impl PoissonSolver {
                 }
             }
             self.fft_x.forward_lines(tile, ly);
-            let plane = &mut self.xp[2 * k * ly * nx..][..2 * ly * nx];
-            for (j, row) in plane.chunks_exact_mut(2 * nx).enumerate() {
-                for (x, t) in row.chunks_exact_mut(2).zip(tile[j..].iter().step_by(ly)) {
-                    x[0] = t.re;
-                    x[1] = t.im;
-                }
-            }
+            self.transpose.store_x(k, tile);
         }
     }
 
-    /// Inverse FFT in x for z planes `k0..k1`, from `xp` into `p`, through
-    /// the tile as in [`Self::fftx_fwd_slab`].
+    /// Inverse FFT in x for z planes `k0..k1`, from the transpose's x
+    /// buffer into `p`, through the tile as in [`Self::fftx_fwd_slab`].
     fn fftx_inv_slab(&mut self, p: &mut Field3, k0: usize, k1: usize) {
         let (nx, ly) = (self.nx, self.ly);
         let tile = &mut self.tile[..nx * ly];
         for k in k0..k1 {
-            let plane = &self.xp[2 * k * ly * nx..][..2 * ly * nx];
-            for (j, row) in plane.chunks_exact(2 * nx).enumerate() {
-                for (t, x) in tile[j..].iter_mut().step_by(ly).zip(row.chunks_exact(2)) {
-                    *t = C64::new(x[0], x[1]);
-                }
-            }
+            self.transpose.load_x(k, tile);
             self.fft_x.inverse_lines(tile, ly);
             for j in 0..ly {
                 let at = p.idx(0, j, k);
@@ -336,24 +325,27 @@ impl PoissonSolver {
         }
     }
 
-    /// FFT in y (forward or inverse) for z planes `k0..k1`, in place on
-    /// `yp`. A plane's `lx_t` y lines are already interleaved there, so
-    /// it goes through the tile as it lies.
+    /// FFT in y for z planes `k0..k1`: forward from the transpose's y
+    /// buffer into `yp`, inverse from `yp` back to that buffer. A
+    /// plane's `lx_t` y lines are interleaved in both, so it goes through
+    /// the tile as it lies.
     fn ffty_slab(&mut self, k0: usize, k1: usize, inverse: bool) {
         let (lx_t, plane) = (self.lx_t, 2 * self.lx_t * self.ny);
         let tile = &mut self.tile[..plane / 2];
-        for xs in self.yp[k0 * plane..k1 * plane].chunks_exact_mut(plane) {
-            for (t, x) in tile.iter_mut().zip(xs.chunks_exact(2)) {
-                *t = C64::new(x[0], x[1]);
-            }
+        for (k, xs) in (k0..k1).zip(self.yp[k0 * plane..k1 * plane].chunks_exact_mut(plane)) {
             if inverse {
+                for (t, x) in tile.iter_mut().zip(xs.chunks_exact(2)) {
+                    *t = C64::new(x[0], x[1]);
+                }
                 self.fft_y.inverse_lines(tile, lx_t);
+                self.transpose.store_y(k, tile);
             } else {
+                self.transpose.load_y(k, tile);
                 self.fft_y.forward_lines(tile, lx_t);
-            }
-            for (x, t) in xs.chunks_exact_mut(2).zip(tile.iter()) {
-                x[0] = t.re;
-                x[1] = t.im;
+                for (x, t) in xs.chunks_exact_mut(2).zip(tile.iter()) {
+                    x[0] = t.re;
+                    x[1] = t.im;
+                }
             }
         }
     }
@@ -506,9 +498,100 @@ impl PoissonSolver {
 }
 
 /// Copy the f64s that [`as_bytes`] encoded in `bytes` into `dst`.
-fn copy_f64s(dst: &mut [f64], bytes: &[u8]) {
+pub(crate) fn copy_f64s(dst: &mut [f64], bytes: &[u8]) {
     assert_eq!(bytes.len(), 8 * dst.len());
     for (x, b) in dst.iter_mut().zip(bytes.chunks_exact(8)) {
         *x = f64::from_ne_bytes(b.try_into().expect("8-byte chunk"));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use unr_core::{Unr, UnrConfig};
+    use unr_minimpi::run_mpi_world;
+    use unr_simnet::{Endpoint, Platform};
+
+    /// The byte lengths of the regions `ep`'s rank has registered, in
+    /// order (ids are handed out consecutively from 0).
+    fn regions(ep: &Endpoint) -> Vec<usize> {
+        (0..)
+            .map_while(|id| ep.region(id).map(|r| r.len()))
+            .collect()
+    }
+
+    /// The Poisson solve's memory on the benchmark's 4×2 UNR grid. The
+    /// transposes register exactly two pencil-sized regions per rank,
+    /// one x and one y pencil; the solver holds one pencil buffer on the
+    /// heap, `yp`, and the transpose none. The destructurings name every
+    /// field, so a buffer added to either struct has to be sized here.
+    #[test]
+    fn a_4x2_unr_solve_registers_two_pencils_and_holds_one() {
+        let fcfg = Platform::th_xy().fabric_config(4, 2);
+        let ok = run_mpi_world(fcfg, |comm| {
+            let backend = Backend::Unr(Unr::init(comm.ep_shared(), UnrConfig::default()));
+            let d = Decomp::new(comm, 64, 64, 32, 4, 2);
+            let (xpen, ypen) = (2 * d.nx * d.ly * d.lz, 2 * d.lx_t * d.ny * d.lz);
+            let pencil = xpen.min(ypen);
+            let before = regions(comm.ep()).len();
+            let ps = PoissonSolver::new(&backend, &d, 1.0, 1.0, 1.0, 0.0);
+            let registered: Vec<usize> = regions(comm.ep())[before..]
+                .iter()
+                .copied()
+                .filter(|&len| len >= 8 * pencil)
+                .collect();
+            assert_eq!(registered, [8 * xpen, 8 * ypen], "rank {}", comm.rank());
+
+            let PoissonSolver {
+                nx: _,
+                ny: _,
+                nz: _,
+                ly: _,
+                lz: _,
+                lx_t: _,
+                off_x_t: _,
+                cz: _,
+                pz: _,
+                fft_x: _,
+                fft_y: _,
+                transpose,
+                pdd: _,
+                lam,
+                hz2_inv: _,
+                col: _,
+                yp,
+                tile,
+                pending: _,
+                z,
+                flop_ns: _,
+                pobs: _,
+            } = &ps;
+            let ZWork {
+                a,
+                c,
+                pivot,
+                cp,
+                v,
+                w,
+                xi_left,
+                xi_right,
+                up,
+                down,
+                mean,
+                mean_a,
+                mean_b,
+                mean_c,
+            } = z;
+            let f64s = [
+                yp, lam, a, c, pivot, cp, v, w, xi_left, xi_right, up, down, mean, mean_a, mean_b,
+                mean_c,
+            ]
+            .map(|b| b.len());
+            let pencils = f64s.iter().filter(|&&n| n >= pencil).count();
+            assert_eq!((yp.len(), pencils), (ypen, 1), "rank {}", comm.rank());
+            assert!(2 * tile.len() < pencil && transpose.heap_f64s() < pencil);
+            true
+        });
+        assert!(ok.into_iter().all(|b| b));
     }
 }

@@ -1,59 +1,80 @@
 //! Pencil transposes (paper Fig 3c) with optional slab pipelining
-//! (paper Fig 3e, pipelines 1 and 3).
+//! (paper Fig 3e, pipelines 1 and 3), in place in two pencil buffers:
+//! X (x pencil) and Y (y pencil). The FFTs store to and load from them
+//! directly ([`TransposeOp::store_x`] and friends); forward moves X to
+//! Y, backward Y to X. The MPI backend holds X and Y on the heap and
+//! runs a bulk alltoallv. The UNR backend registers them as its only
+//! transpose memory and splits the local z extent into `S` slabs: as
+//! soon as a slab's FFT finishes, its blocks are PUT to every row peer,
+//! and the receive side consumes slabs as their MMAS signal fires.
 //!
-//! The MPI backend performs the classic bulk alltoallv. The UNR backend
-//! splits the local z extent into `S` slabs; as soon as a slab's FFT
-//! finishes, its blocks are PUT to every row peer, and the receive side
-//! consumes slabs as their per-slab MMAS signal fires — overlapping the
-//! transpose with the FFTs on both sides.
+//! Layout (f64 counts, complex interleaved), for peer q with x chunk
+//! `(xs, xl)` and y chunk `(ys, yl)`:
+//! * X: `2 * nx * ly * lz`; x-pencil element `(i, j, k)`, `i` in q's
+//!   chunk, at `send_displ[q] + (k*ly + j)*2*xl + 2*(i - xs)`;
+//! * Y: `2 * lx_t * ny * lz`; y-pencil element `(i, j, k)`, `j` in q's
+//!   chunk, at `recv_displ[q] + (k*yl + j - ys)*2*lx_t + 2*i`;
 //!
-//! Layout contracts (f64 element counts, complex interleaved):
-//! * x-pencil buffer: `2 * nx * ly * lz`, index `((k*ly + j)*nx + i)*2`;
-//! * y-pencil buffer: `2 * lx_t * ny * lz`, index `((k*ny + j)*lx_t + i)*2`;
-//! * wire format to peer q: `for k { for j-rows { 2*chunk }}` with the
-//!   per-k block contiguous, so a z-slab is contiguous per peer.
+//! so each z plane, and each slab, is one contiguous block per peer.
 
-use std::ops::Range;
 use std::sync::Arc;
 
-use unr_core::{RmaPlan, Signal, Unr};
-use unr_minimpi::Comm;
-use unr_simnet::mem::{as_bytes, vec_from_bytes};
+use unr_core::{RmaPlan, Signal, Unr, UnrMem};
+use unr_minimpi::{alltoallv_bytes, Comm};
+use unr_simnet::mem::as_bytes;
 
 use crate::backend::Backend;
 use crate::decomp::{chunk, Decomp};
+use crate::fft::C64;
+use crate::poisson::copy_f64s;
 
 pub struct TransposeOp {
-    d_nx: usize,
-    d_ny: usize,
     ly: usize,
     lz: usize,
     lx_t: usize,
     /// Per-peer byte counts (whole buffer).
     send_counts: Vec<usize>,
     recv_counts: Vec<usize>,
-    /// Per-peer element offsets in the forward send / receive wire
-    /// buffers (the backward direction swaps the two).
+    /// Per-peer element offsets in X and in Y.
     send_displ: Vec<usize>,
     recv_displ: Vec<usize>,
     x_chunks: Vec<(usize, usize)>,
     y_chunks: Vec<(usize, usize)>,
     /// Number of pipeline slabs (1 = bulk).
     slabs: usize,
+    /// X and Y.
+    x: Buf,
+    y: Buf,
+    /// One peer's block of one z plane, on its way between an FFT tile
+    /// and X or Y.
+    block: Vec<f64>,
     imp: Imp,
 }
 
 enum Imp {
-    Mpi { row: Comm },
+    Mpi(Comm),
     Unr(Box<UnrT>),
 }
 
+/// A pencil buffer: heap memory (MPI) or a registered region (UNR).
+enum Buf {
+    Heap(Vec<f64>),
+    Reg(UnrMem),
+}
+
+// ORDERING: X is the forward send and the backward receive region, Y
+// the forward receive and the backward send region. Reusing them is
+// safe under this protocol:
+// - peer q writes its backward slab only into the bytes of X that my
+//   forward put to q read, and only after q received that put (q's
+//   backward follows its PDD, which needs every forward slab);
+// - my backward slabs overwrite Y only after every forward slab's
+//   signal fired and was consumed, and q's next forward slab lands in
+//   the bytes of Y my backward put to q read only after q received it;
+// - `fwd_complete`/`bwd_complete` wait for each direction's local
+//   completions before the next reuse of its source.
 struct UnrT {
     unr: Arc<Unr>,
-    fwd_send: unr_core::UnrMem,
-    fwd_recv: unr_core::UnrMem,
-    bwd_send: unr_core::UnrMem,
-    bwd_recv: unr_core::UnrMem,
     /// Per-slab plans and receive signals.
     fwd_plans: Vec<RmaPlan>,
     bwd_plans: Vec<RmaPlan>,
@@ -76,7 +97,6 @@ impl TransposeOp {
         let recv_counts: Vec<usize> = (0..py)
             .map(|q| 2 * d.lx_t * y_chunks[q].1 * d.lz * 8)
             .collect();
-        let slabs = slabs.clamp(1, d.lz.max(1));
         let displ = |counts: &[usize]| -> Vec<usize> {
             let elems = counts.iter().map(|c| c / 8);
             elems
@@ -88,23 +108,34 @@ impl TransposeOp {
         };
         let send_displ = displ(&send_counts);
         let recv_displ = displ(&recv_counts);
-        let imp = match backend {
-            Backend::Mpi => Imp::Mpi { row: d.row.clone() },
-            Backend::Unr(unr) => Imp::Unr(Box::new(Self::build_unr(
-                unr,
-                d,
-                slabs,
-                &x_chunks,
-                &y_chunks,
-                &send_counts,
-                &recv_counts,
-                &send_displ,
-                &recv_displ,
-            ))),
+        let block = (x_chunks.iter().map(|c| 2 * d.ly * c.1))
+            .chain(y_chunks.iter().map(|c| 2 * d.lx_t * c.1))
+            .max()
+            .unwrap_or(0);
+        let (slabs, imp, x, y) = match backend {
+            Backend::Mpi => (
+                1,
+                Imp::Mpi(d.row.clone()),
+                Buf::Heap(vec![0.0; 2 * d.nx * d.ly * d.lz]),
+                Buf::Heap(vec![0.0; 2 * d.lx_t * d.ny * d.lz]),
+            ),
+            Backend::Unr(unr) => {
+                let slabs = slabs.clamp(1, d.lz.max(1));
+                let (u, x, y) = Self::build_unr(
+                    unr,
+                    d,
+                    slabs,
+                    &x_chunks,
+                    &y_chunks,
+                    &send_counts,
+                    &recv_counts,
+                    &send_displ,
+                    &recv_displ,
+                );
+                (slabs, Imp::Unr(Box::new(u)), Buf::Reg(x), Buf::Reg(y))
+            }
         };
         TransposeOp {
-            d_nx: d.nx,
-            d_ny: d.ny,
             ly: d.ly,
             lz: d.lz,
             lx_t: d.lx_t,
@@ -114,10 +145,10 @@ impl TransposeOp {
             recv_displ,
             x_chunks,
             y_chunks,
-            slabs: match backend {
-                Backend::Mpi => 1,
-                Backend::Unr(_) => slabs,
-            },
+            slabs,
+            x,
+            y,
+            block: vec![0.0; block],
             imp,
         }
     }
@@ -133,6 +164,8 @@ impl TransposeOp {
         (k0, k0 + nk)
     }
 
+    /// Register X and Y, publish their receive blocks and build the
+    /// per-slab plans.
     #[allow(clippy::too_many_arguments)]
     fn build_unr(
         unr: &Arc<Unr>,
@@ -144,23 +177,29 @@ impl TransposeOp {
         recv_counts: &[usize],
         sd: &[usize],
         rd: &[usize],
-    ) -> UnrT {
+    ) -> (UnrT, UnrMem, UnrMem) {
         let py = d.py;
-        let total_send: usize = send_counts.iter().sum();
-        let total_recv: usize = recv_counts.iter().sum();
-        let fwd_send = unr.mem_reg(total_send.max(8));
-        let fwd_recv = unr.mem_reg(total_recv.max(8));
-        let bwd_send = unr.mem_reg(total_recv.max(8));
-        let bwd_recv = unr.mem_reg(total_send.max(8));
+        let x = unr.mem_reg(send_counts.iter().sum::<usize>().max(8));
+        let y = unr.mem_reg(recv_counts.iter().sum::<usize>().max(8));
         let fwd_recv_sigs: Vec<Signal> = (0..slabs).map(|_| unr.sig_init(py as i64)).collect();
         let bwd_recv_sigs: Vec<Signal> = (0..slabs).map(|_| unr.sig_init(py as i64)).collect();
         let fwd_send_sig = unr.sig_init((py * slabs) as i64);
         let bwd_send_sig = unr.sig_init((py * slabs) as i64);
 
-        // Publish per-(peer, slab) receive blocks of fwd_recv / bwd_recv.
-        // fwd: peer q writes, per slab s, nk * yl_q * 2*lx_t doubles at
-        //      element rd[q] + k0 * yl_q * 2*lx_t.
-        // bwd: peer q writes nk * ly * 2*xl_q at sd[q] + k0 * ly * 2*xl_q.
+        // Peer q's block of slab s: nk * ly * 2*xl_q doubles of X at
+        // sd[q] + k0 * ly * 2*xl_q, and nk * yl_q * 2*lx_t of Y at
+        // rd[q] + k0 * yl_q * 2*lx_t. Forward puts X's block to q's Y,
+        // backward Y's block to q's X.
+        let x_block = |q: usize, k0: usize, nk: usize| {
+            let xl = x_chunks[q].1;
+            ((sd[q] + k0 * d.ly * 2 * xl) * 8, nk * d.ly * 2 * xl * 8)
+        };
+        let y_block = |q: usize, k0: usize, nk: usize| {
+            let yl = y_chunks[q].1;
+            ((rd[q] + k0 * yl * 2 * d.lx_t) * 8, nk * yl * 2 * d.lx_t * 8)
+        };
+
+        // Publish my per-(slab, peer) receive blocks of Y and X.
         let comm = &d.row;
         let me = comm.rank();
         let mut fwd_flat = Vec::new();
@@ -168,28 +207,24 @@ impl TransposeOp {
         for s in 0..slabs {
             let (k0, nk) = chunk(d.lz, slabs, s);
             for q in 0..py {
-                let ylq = y_chunks[q].1;
-                let off = (rd[q] + k0 * ylq * 2 * d.lx_t) * 8;
-                let len = nk * ylq * 2 * d.lx_t * 8;
-                fwd_flat.extend_from_slice(
-                    &unr.blk_init(&fwd_recv, off, len, Some(&fwd_recv_sigs[s]))
-                        .to_bytes(),
-                );
-                let xlq = x_chunks[q].1;
-                let boff = (sd[q] + k0 * d.ly * 2 * xlq) * 8;
-                let blen = nk * d.ly * 2 * xlq * 8;
-                bwd_flat.extend_from_slice(
-                    &unr.blk_init(&bwd_recv, boff, blen, Some(&bwd_recv_sigs[s]))
-                        .to_bytes(),
-                );
+                let (off, len) = y_block(q, k0, nk);
+                let sig = Some(&fwd_recv_sigs[s]);
+                fwd_flat.extend_from_slice(&unr.blk_init(&y, off, len, sig).to_bytes());
+                let (off, len) = x_block(q, k0, nk);
+                let sig = Some(&bwd_recv_sigs[s]);
+                bwd_flat.extend_from_slice(&unr.blk_init(&x, off, len, sig).to_bytes());
             }
         }
         let all_fwd = unr_minimpi::allgather_bytes(comm, &fwd_flat);
         let all_bwd = unr_minimpi::allgather_bytes(comm, &bwd_flat);
 
-        // Build per-slab plans: slab s of MY send buffer to each peer's
-        // published (peer=me, slab=s) receive block.
+        // Per-slab plans: slab s of my block for each peer to that peer's
+        // published (slab s, source me) receive block.
         let wire = unr_core::BLK_WIRE_LEN;
+        let published = |table: &[u8], s: usize| {
+            let at = (s * py + me) * wire;
+            unr_core::Blk::from_bytes(&table[at..at + wire]).expect("blk table")
+        };
         let mut fwd_plans = Vec::with_capacity(slabs);
         let mut bwd_plans = Vec::with_capacity(slabs);
         for s in 0..slabs {
@@ -197,84 +232,91 @@ impl TransposeOp {
             let mut fp = RmaPlan::new();
             let mut bp = RmaPlan::new();
             for q in 0..py {
-                // Forward: my x-chunk restriction to peer q; q's table
-                // entry for (slab s, source me).
-                let tgt = unr_core::Blk::from_bytes(
-                    &all_fwd[q][(s * py + me) * wire..(s * py + me + 1) * wire],
-                )
-                .expect("blk table");
-                let xlq = x_chunks[q].1;
-                let off = (sd[q] + k0 * d.ly * 2 * xlq) * 8;
-                let len = nk * d.ly * 2 * xlq * 8;
-                fp.put(
-                    &unr.blk_init(&fwd_send, off, len, Some(&fwd_send_sig)),
-                    &tgt,
-                );
-
-                let btgt = unr_core::Blk::from_bytes(
-                    &all_bwd[q][(s * py + me) * wire..(s * py + me + 1) * wire],
-                )
-                .expect("blk table");
-                let ylq = y_chunks[q].1;
-                let boff = (rd[q] + k0 * ylq * 2 * d.lx_t) * 8;
-                let blen = nk * ylq * 2 * d.lx_t * 8;
-                bp.put(
-                    &unr.blk_init(&bwd_send, boff, blen, Some(&bwd_send_sig)),
-                    &btgt,
-                );
+                let (off, len) = x_block(q, k0, nk);
+                let src = unr.blk_init(&x, off, len, Some(&fwd_send_sig));
+                fp.put(&src, &published(&all_fwd[q], s));
+                let (off, len) = y_block(q, k0, nk);
+                let src = unr.blk_init(&y, off, len, Some(&bwd_send_sig));
+                bp.put(&src, &published(&all_bwd[q], s));
             }
             fwd_plans.push(fp);
             bwd_plans.push(bp);
         }
-        UnrT {
+        let u = UnrT {
             unr: Arc::clone(unr),
-            fwd_send,
-            fwd_recv,
-            bwd_send,
-            bwd_recv,
             fwd_plans,
             bwd_plans,
             fwd_recv_sigs,
             bwd_recv_sigs,
             fwd_send_sig,
             bwd_send_sig,
+        };
+        (u, x, y)
+    }
+
+    // ---- the FFTs' loads and stores ----------------------------------------
+
+    /// Store z plane `k` of the x-pencil spectrum from `tile`, where
+    /// element `i` of x line `j` sits at `i * ly + j` (the batched x
+    /// FFT's layout), to X: one block per peer.
+    pub fn store_x(&mut self, k: usize, tile: &[C64]) {
+        let ly = self.ly;
+        for (&(xs, xl), &displ) in self.x_chunks.iter().zip(&self.send_displ) {
+            let block = &mut self.block[..2 * ly * xl];
+            for (j, row) in block.chunks_exact_mut(2 * xl).enumerate() {
+                let line = tile[xs * ly + j..].iter().step_by(ly);
+                for (x, t) in row.chunks_exact_mut(2).zip(line) {
+                    x[0] = t.re;
+                    x[1] = t.im;
+                }
+            }
+            self.x.write(displ + k * ly * 2 * xl, block);
         }
     }
 
-    // ---- wire layout -----------------------------------------------------------
-
-    /// The x-pencil rows of z planes `k0..k1`, peer by peer: each row's
-    /// element offset in the forward send (= backward receive) wire
-    /// buffer, and its range in the x-pencil buffer.
-    fn x_rows(&self, k0: usize, k1: usize) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
-        let (ly, nx) = (self.ly, self.d_nx);
-        self.x_chunks
-            .iter()
-            .zip(&self.send_displ)
-            .flat_map(move |(&(xs, xl), &displ)| {
-                (k0 * ly..k1 * ly).map(move |kj| {
-                    let row = (kj * nx + xs) * 2;
-                    (displ + kj * 2 * xl, row..row + 2 * xl)
-                })
-            })
+    /// Load z plane `k` of the x pencil from X into `tile`, laid out as
+    /// in [`Self::store_x`].
+    pub fn load_x(&mut self, k: usize, tile: &mut [C64]) {
+        let ly = self.ly;
+        for (&(xs, xl), &displ) in self.x_chunks.iter().zip(&self.send_displ) {
+            let block = &mut self.block[..2 * ly * xl];
+            self.x.read(displ + k * ly * 2 * xl, block);
+            for (j, row) in block.chunks_exact(2 * xl).enumerate() {
+                let line = tile[xs * ly + j..].iter_mut().step_by(ly);
+                for (t, x) in line.zip(row.chunks_exact(2)) {
+                    *t = C64::new(x[0], x[1]);
+                }
+            }
+        }
     }
 
-    /// The y-pencil rows of z planes `k0..k1`, peer by peer: each row's
-    /// element offset in the forward receive (= backward send) wire
-    /// buffer, and its range in the y-pencil buffer.
-    fn y_rows(&self, k0: usize, k1: usize) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
-        let (lx_t, ny) = (self.lx_t, self.d_ny);
-        self.y_chunks
-            .iter()
-            .zip(&self.recv_displ)
-            .flat_map(move |(&(ys, yl), &displ)| {
-                (k0..k1).flat_map(move |k| {
-                    (0..yl).map(move |j| {
-                        let row = (k * ny + ys + j) * lx_t * 2;
-                        (displ + (k * yl + j) * 2 * lx_t, row..row + 2 * lx_t)
-                    })
-                })
-            })
+    /// Load z plane `k` of the y pencil from Y into `tile`, where
+    /// element `i` of y row `j` sits at `j * lx_t + i` (the batched y
+    /// FFT's layout, the plane as it lies).
+    pub fn load_y(&mut self, k: usize, tile: &mut [C64]) {
+        let lx_t = self.lx_t;
+        for (&(ys, yl), &displ) in self.y_chunks.iter().zip(&self.recv_displ) {
+            let block = &mut self.block[..2 * lx_t * yl];
+            self.y.read(displ + k * yl * 2 * lx_t, block);
+            let rows = &mut tile[ys * lx_t..(ys + yl) * lx_t];
+            for (t, x) in rows.iter_mut().zip(block.chunks_exact(2)) {
+                *t = C64::new(x[0], x[1]);
+            }
+        }
+    }
+
+    /// Store z plane `k` of the y pencil from `tile`, laid out as in
+    /// [`Self::load_y`], to Y.
+    pub fn store_y(&mut self, k: usize, tile: &[C64]) {
+        let lx_t = self.lx_t;
+        for (&(ys, yl), &displ) in self.y_chunks.iter().zip(&self.recv_displ) {
+            let block = &mut self.block[..2 * lx_t * yl];
+            for (x, t) in block.chunks_exact_mut(2).zip(&tile[ys * lx_t..]) {
+                x[0] = t.re;
+                x[1] = t.im;
+            }
+            self.y.write(displ + k * yl * 2 * lx_t, block);
+        }
     }
 
     // ---- pipelined protocol (UNR) ---------------------------------------------
@@ -282,18 +324,13 @@ impl TransposeOp {
     fn unr(&self) -> &UnrT {
         match &self.imp {
             Imp::Unr(u) => u,
-            Imp::Mpi { .. } => panic!("pipelined transpose on the MPI backend"),
+            Imp::Mpi(_) => panic!("pipelined transpose on the MPI backend"),
         }
     }
 
-    /// Pack slab `s` of the x-pencil buffer straight into the registered
-    /// send region and put it to every peer.
-    pub fn fwd_send_slab(&mut self, s: usize, xp: &[f64]) {
-        let (k0, k1) = self.slab_range(s);
+    /// Put slab `s` of X, stored by the x FFT, to every peer.
+    pub fn fwd_send_slab(&mut self, s: usize) {
         let u = self.unr();
-        for (off, r) in self.x_rows(k0, k1) {
-            u.fwd_send.write_slice(off, &xp[r]);
-        }
         u.fwd_plans[s].start(&u.unr).expect("fwd slab puts");
     }
 
@@ -310,19 +347,15 @@ impl TransposeOp {
         wait_any(&u.unr, &u.bwd_recv_sigs, pending)
     }
 
-    /// Wait for slab `s` to arrive and unpack it straight from the
-    /// receive region into the y-pencil buffer.
-    pub fn fwd_recv_slab(&mut self, s: usize, yp: &mut [f64]) {
-        let (k0, k1) = self.slab_range(s);
+    /// Wait for slab `s` to arrive in Y and take its signal: the y FFT
+    /// may load its planes.
+    pub fn fwd_recv_slab(&mut self, s: usize) {
         let u = self.unr();
         u.unr.sig_wait(&u.fwd_recv_sigs[s]).expect("fwd slab recv");
         u.fwd_recv_sigs[s].reset().expect("fwd slab signal clean");
-        for (off, r) in self.y_rows(k0, k1) {
-            u.fwd_recv.read_slice(off, &mut yp[r]);
-        }
     }
 
-    /// Wait for all forward send completions (source reusable).
+    /// Wait for all forward send completions (X reusable).
     pub fn fwd_complete(&mut self) {
         if let Imp::Unr(u) = &mut self.imp {
             u.unr.sig_wait(&u.fwd_send_sig).expect("fwd sends");
@@ -330,29 +363,21 @@ impl TransposeOp {
         }
     }
 
-    /// Pack slab `s` of the y-pencil buffer straight into the registered
-    /// send region and put it to every peer.
-    pub fn bwd_send_slab(&mut self, s: usize, yp: &[f64]) {
-        let (k0, k1) = self.slab_range(s);
+    /// Put slab `s` of Y, stored by the inverse y FFT, to every peer.
+    pub fn bwd_send_slab(&mut self, s: usize) {
         let u = self.unr();
-        for (off, r) in self.y_rows(k0, k1) {
-            u.bwd_send.write_slice(off, &yp[r]);
-        }
         u.bwd_plans[s].start(&u.unr).expect("bwd slab puts");
     }
 
-    /// Wait for slab `s` to arrive and unpack it straight from the
-    /// receive region into the x-pencil buffer.
-    pub fn bwd_recv_slab(&mut self, s: usize, xp: &mut [f64]) {
-        let (k0, k1) = self.slab_range(s);
+    /// Wait for slab `s` to arrive in X and take its signal: the inverse
+    /// x FFT may load its planes.
+    pub fn bwd_recv_slab(&mut self, s: usize) {
         let u = self.unr();
         u.unr.sig_wait(&u.bwd_recv_sigs[s]).expect("bwd slab recv");
         u.bwd_recv_sigs[s].reset().expect("bwd slab signal clean");
-        for (off, r) in self.x_rows(k0, k1) {
-            u.bwd_recv.read_slice(off, &mut xp[r]);
-        }
     }
 
+    /// Wait for all backward send completions (Y reusable).
     pub fn bwd_complete(&mut self) {
         if let Imp::Unr(u) = &mut self.imp {
             u.unr.sig_wait(&u.bwd_send_sig).expect("bwd sends");
@@ -362,79 +387,57 @@ impl TransposeOp {
 
     // ---- bulk protocol (MPI, and UNR fallback path) -------------------------
 
-    /// Bulk x-pencil -> y-pencil (blocking).
-    pub fn forward(&mut self, xp: &[f64], yp: &mut [f64]) {
-        assert_eq!(xp.len(), 2 * self.d_nx * self.ly * self.lz);
-        assert_eq!(yp.len(), 2 * self.lx_t * self.d_ny * self.lz);
-        if matches!(self.imp, Imp::Unr(_)) {
-            for s in 0..self.slabs {
-                self.fwd_send_slab(s, xp);
-            }
-            for s in 0..self.slabs {
-                self.fwd_recv_slab(s, yp);
-            }
-            self.fwd_complete();
-            return;
+    /// Bulk X -> Y (blocking).
+    pub fn forward(&mut self) {
+        if let (Imp::Mpi(row), Buf::Heap(x), Buf::Heap(y)) = (&self.imp, &self.x, &mut self.y) {
+            let recv = alltoallv_bytes(row, as_bytes(x), &self.send_counts, &self.recv_counts);
+            return copy_f64s(y, &recv);
         }
-        let row = match &self.imp {
-            Imp::Mpi { row } => row.clone(),
-            Imp::Unr(_) => unreachable!(),
-        };
-        let mut packed = vec![0.0f64; xp.len()];
-        for (off, r) in self.x_rows(0, self.lz) {
-            packed[off..off + r.len()].copy_from_slice(&xp[r]);
+        for s in 0..self.slabs {
+            self.fwd_send_slab(s);
         }
-        let recv = unr_minimpi::alltoallv_bytes(
-            &row,
-            as_bytes(&packed),
-            &self.send_counts,
-            &self.recv_counts,
-        );
-        let data = vec_from_bytes::<f64>(&recv);
-        for (off, r) in self.y_rows(0, self.lz) {
-            let n = r.len();
-            yp[r].copy_from_slice(&data[off..off + n]);
+        for s in 0..self.slabs {
+            self.fwd_recv_slab(s);
         }
+        self.fwd_complete();
     }
 
-    /// Bulk y-pencil -> x-pencil (blocking).
-    pub fn backward(&mut self, yp: &[f64], xp: &mut [f64]) {
-        assert_eq!(yp.len(), 2 * self.lx_t * self.d_ny * self.lz);
-        assert_eq!(xp.len(), 2 * self.d_nx * self.ly * self.lz);
-        if matches!(self.imp, Imp::Unr(_)) {
-            for s in 0..self.slabs {
-                self.bwd_send_slab(s, yp);
-            }
-            for s in 0..self.slabs {
-                self.bwd_recv_slab(s, xp);
-            }
-            self.bwd_complete();
-            return;
+    /// Bulk Y -> X (blocking).
+    pub fn backward(&mut self) {
+        if let (Imp::Mpi(row), Buf::Heap(x), Buf::Heap(y)) = (&self.imp, &mut self.x, &self.y) {
+            let recv = alltoallv_bytes(row, as_bytes(y), &self.recv_counts, &self.send_counts);
+            return copy_f64s(x, &recv);
         }
-        let row = match &self.imp {
-            Imp::Mpi { row } => row.clone(),
-            Imp::Unr(_) => unreachable!(),
-        };
-        let mut packed = vec![0.0f64; yp.len()];
-        for (off, r) in self.y_rows(0, self.lz) {
-            packed[off..off + r.len()].copy_from_slice(&yp[r]);
+        for s in 0..self.slabs {
+            self.bwd_send_slab(s);
         }
-        let recv = unr_minimpi::alltoallv_bytes(
-            &row,
-            as_bytes(&packed),
-            &self.recv_counts,
-            &self.send_counts,
-        );
-        let data = vec_from_bytes::<f64>(&recv);
-        for (off, r) in self.x_rows(0, self.lz) {
-            let n = r.len();
-            xp[r].copy_from_slice(&data[off..off + n]);
+        for s in 0..self.slabs {
+            self.bwd_recv_slab(s);
         }
+        self.bwd_complete();
     }
 
     /// Whether the caller can drive the slab-pipelined protocol.
     pub fn pipelined(&self) -> bool {
         matches!(self.imp, Imp::Unr(_)) && self.slabs > 1
+    }
+}
+
+impl Buf {
+    /// Write `data` at element `off`.
+    fn write(&mut self, off: usize, data: &[f64]) {
+        match self {
+            Buf::Heap(v) => v[off..off + data.len()].copy_from_slice(data),
+            Buf::Reg(m) => m.write_slice(off, data),
+        }
+    }
+
+    /// Read `out.len()` elements at element `off`.
+    fn read(&self, off: usize, out: &mut [f64]) {
+        match self {
+            Buf::Heap(v) => out.copy_from_slice(&v[off..off + out.len()]),
+            Buf::Reg(m) => m.read_slice(off, out),
+        }
     }
 }
 
@@ -445,4 +448,44 @@ fn wait_any(unr: &Unr, sigs: &[Signal], pending: &[bool]) -> usize {
     let waiting: Vec<&Signal> = slabs().map(|s| &sigs[s]).collect();
     let local = unr.sig_wait_any(&waiting).expect("slab wait-any");
     slabs().nth(local).expect("index in range")
+}
+
+#[cfg(test)]
+impl TransposeOp {
+    /// The f64s this op holds on the heap. Every field is named, so a
+    /// buffer added to the op must be counted here.
+    pub(crate) fn heap_f64s(&self) -> usize {
+        let TransposeOp {
+            ly: _,
+            lz: _,
+            lx_t: _,
+            send_counts: _,
+            recv_counts: _,
+            send_displ: _,
+            recv_displ: _,
+            x_chunks: _,
+            y_chunks: _,
+            slabs: _,
+            x,
+            y,
+            block,
+            imp,
+        } = self;
+        if let Imp::Unr(u) = imp {
+            let UnrT {
+                unr: _,
+                fwd_plans: _,
+                bwd_plans: _,
+                fwd_recv_sigs: _,
+                bwd_recv_sigs: _,
+                fwd_send_sig: _,
+                bwd_send_sig: _,
+            } = &**u;
+        }
+        let heap = |b: &Buf| match b {
+            Buf::Heap(v) => v.len(),
+            Buf::Reg(_) => 0,
+        };
+        heap(x) + heap(y) + block.len()
+    }
 }

@@ -1,6 +1,7 @@
-//! A bit lock on the solver's arithmetic: after three steps, the bits of
-//! every rank's u/v/w/p (ghost layers included) and of the global
-//! kinetic energy must hash to the recorded constants. Any change to a
+//! A bit lock on the solver's arithmetic: after three steps (twenty on
+//! three UNR grids), the bits of every rank's u/v/w/p (ghost layers
+//! included) and of the global kinetic energy must hash to the recorded
+//! constants. Any change to a
 //! kernel that reorders or rewrites a floating-point expression moves
 //! these hashes; a change that only moves data faster does not.
 //!
@@ -19,6 +20,11 @@ use unr_simnet::Platform;
 
 const STEPS: usize = 3;
 
+/// The long locks' step count: each Poisson solve transposes forward
+/// and back in place in the same two registered regions per rank, so
+/// every byte of them is rewritten forty times, not six.
+const LONG: usize = 20;
+
 /// FNV-1a over the bits of each value.
 fn fnv(h: &mut u64, vals: impl IntoIterator<Item = u64>) {
     for v in vals {
@@ -33,9 +39,10 @@ fn field_bits(f: &Field3) -> impl Iterator<Item = u64> + '_ {
     f.data.iter().map(|x| x.to_bits())
 }
 
-/// Run `STEPS` steps of a `nx × ny × nz` grid on a `py × pz` process
+/// Run `steps` steps of a `nx × ny × nz` grid on a `py × pz` process
 /// grid (`nodes × rpn` ranks) and hash the result.
-fn lock(
+fn lock_steps(
+    steps: usize,
     nodes: usize,
     rpn: usize,
     (nx, ny, nz): (usize, usize, usize),
@@ -58,7 +65,7 @@ fn lock(
         cfg.dt = 1e-3;
         let mut s = Solver::new(&backend, comm, cfg);
         s.init_taylor_green();
-        for _ in 0..STEPS {
+        for _ in 0..steps {
             s.step();
         }
         let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -73,6 +80,17 @@ fn lock(
     }
     fnv(&mut h, [ranks[0].1]);
     h
+}
+
+fn lock(
+    nodes: usize,
+    rpn: usize,
+    grid: (usize, usize, usize),
+    py: usize,
+    pz: usize,
+    unr: bool,
+) -> u64 {
+    lock_steps(STEPS, nodes, rpn, grid, py, pz, unr)
 }
 
 fn check(got: u64, want: u64, what: &str) {
@@ -149,5 +167,32 @@ fn bit_lock_3x2_uneven_unr() {
         lock(3, 2, GRID, 3, 2, true),
         0x51fc_84b5_497a_0fe2,
         "3x2 uneven unr",
+    );
+}
+
+#[test]
+fn bit_lock_20_steps_4x2_unr() {
+    check(
+        lock_steps(LONG, 4, 2, GRID, 4, 2, true),
+        0x42d9_dc65_a677_2daf,
+        "4x2 unr, 20 steps",
+    );
+}
+
+#[test]
+fn bit_lock_20_steps_3x2_uneven_unr() {
+    check(
+        lock_steps(LONG, 3, 2, GRID, 3, 2, true),
+        0xa439_c3d2_f7cf_a20c,
+        "3x2 uneven unr, 20 steps",
+    );
+}
+
+#[test]
+fn bit_lock_20_steps_1x4_unr() {
+    check(
+        lock_steps(LONG, 4, 1, GRID, 1, 4, true),
+        0x5431_ba51_9c6b_4d9e,
+        "1x4 unr, 20 steps",
     );
 }

@@ -1,10 +1,12 @@
 //! Transpose equivalence: the UNR slab-pipelined transpose must be an
 //! exact inverse pair and must agree with the MPI bulk transpose on
-//! random data, across process-grid shapes and slab counts.
+//! random data, across process-grid shapes and slab counts, twice on
+//! one `TransposeOp` (the second round reuses the pencil buffers the
+//! first one transposed in place).
 
 use unr_core::{Unr, UnrConfig};
 use unr_minimpi::run_mpi_world;
-use unr_powerllel::{Backend, Decomp, TransposeOp};
+use unr_powerllel::{Backend, Decomp, TransposeOp, C64};
 use unr_simnet::{FabricConfig, Platform};
 
 fn rand_xp(len: usize, seed: u64) -> Vec<f64> {
@@ -19,8 +21,44 @@ fn rand_xp(len: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Returns (forward result, roundtrip max error) per rank.
-fn run_transpose(py: usize, pz: usize, unr: bool, slabs: usize) -> Vec<(Vec<f64>, f64)> {
+/// Random FFT tiles, one per z plane, `len` values each.
+fn rand_planes(lz: usize, len: usize, seed: u64) -> Vec<Vec<C64>> {
+    let vals = rand_xp(2 * lz * len, seed);
+    vals.chunks_exact(2 * len)
+        .map(|plane| {
+            plane
+                .chunks_exact(2)
+                .map(|x| C64::new(x[0], x[1]))
+                .collect()
+        })
+        .collect()
+}
+
+/// Store every x plane, transpose forward, load every y plane; then
+/// back, and load every x plane.
+fn round(t: &mut TransposeOp, d: &Decomp, xp: &[Vec<C64>]) -> (Vec<Vec<C64>>, Vec<Vec<C64>>) {
+    for (k, plane) in xp.iter().enumerate() {
+        t.store_x(k, plane);
+    }
+    t.forward();
+    let mut yp = vec![vec![C64::ZERO; d.lx_t * d.ny]; d.lz];
+    for (k, plane) in yp.iter_mut().enumerate() {
+        t.load_y(k, plane);
+    }
+    for (k, plane) in yp.iter().enumerate() {
+        t.store_y(k, plane);
+    }
+    t.backward();
+    let mut back = vec![vec![C64::ZERO; d.nx * d.ly]; d.lz];
+    for (k, plane) in back.iter_mut().enumerate() {
+        t.load_x(k, plane);
+    }
+    (yp, back)
+}
+
+/// Two rounds on one `TransposeOp`, each on fresh data: per rank and
+/// round, the forward result and whether the round trip was exact.
+fn run_transpose(py: usize, pz: usize, unr: bool, slabs: usize) -> Vec<Vec<(Vec<Vec<C64>>, bool)>> {
     let n = py * pz;
     let mut cfg: FabricConfig = Platform::th_xy().fabric_config(n, 1);
     cfg.seed = 17;
@@ -32,18 +70,14 @@ fn run_transpose(py: usize, pz: usize, unr: bool, slabs: usize) -> Vec<(Vec<f64>
         };
         let d = Decomp::new(comm, 16, 8, 12, py, pz);
         let mut t = TransposeOp::new(&backend, &d, slabs);
-        let xp = rand_xp(2 * d.nx * d.ly * d.lz, 100 + comm.rank() as u64);
-        let mut yp = vec![0.0f64; 2 * d.lx_t * d.ny * d.lz];
-        t.forward(&xp, &mut yp);
-        // Roundtrip: backward must reproduce the original exactly.
-        let mut back = vec![0.0f64; xp.len()];
-        t.backward(&yp, &mut back);
-        let err = xp
-            .iter()
-            .zip(&back)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        (yp, err)
+        (0..2)
+            .map(|r| {
+                let seed = 100 + 10 * r + comm.rank() as u64;
+                let xp = rand_planes(d.lz, d.nx * d.ly, seed);
+                let (yp, back) = round(&mut t, &d, &xp);
+                (yp, back == xp)
+            })
+            .collect()
     })
 }
 
@@ -52,11 +86,14 @@ fn check(py: usize, pz: usize) {
     for slabs in [1usize, 2, 4] {
         let unr = run_transpose(py, pz, true, slabs);
         for (r, (m, u)) in mpi.iter().zip(&unr).enumerate() {
-            assert_eq!(
-                m.0, u.0,
-                "py={py} pz={pz} slabs={slabs} rank {r}: y-pencil data differs"
-            );
-            assert_eq!(u.1, 0.0, "roundtrip must be exact (pure copies)");
+            for (round, (m, u)) in m.iter().zip(u).enumerate() {
+                assert_eq!(
+                    m.0, u.0,
+                    "py={py} pz={pz} slabs={slabs} rank {r} round {round}: y-pencil data differs"
+                );
+                assert!(m.1, "mpi round trip must be exact (pure copies)");
+                assert!(u.1, "unr round trip must be exact (pure copies)");
+            }
         }
     }
 }
@@ -95,13 +132,10 @@ fn transpose_pipeline_overlaps_in_time() {
             let backend = Backend::Unr(Unr::init(comm.ep_shared(), UnrConfig::default()));
             let d = Decomp::new(comm, 64, 32, 16, 4, 1);
             let mut t = TransposeOp::new(&backend, &d, slabs);
-            let xp = rand_xp(2 * d.nx * d.ly * d.lz, 3);
-            let mut yp = vec![0.0f64; 2 * d.lx_t * d.ny * d.lz];
+            let xp = rand_planes(d.lz, d.nx * d.ly, 3);
             let t0 = comm.ep().now();
             for _ in 0..4 {
-                t.forward(&xp, &mut yp);
-                let mut back = vec![0.0f64; xp.len()];
-                t.backward(&yp, &mut back);
+                round(&mut t, &d, &xp);
             }
             comm.ep().now() - t0
         });

@@ -369,7 +369,15 @@ impl Endpoint {
             }
             let src = route.rank;
             let port = f.inner.lock().port(dst, port);
-            port.push(st, Dgram { src, t: at, bytes });
+            port.push(
+                st,
+                Dgram {
+                    src,
+                    t: at,
+                    bytes,
+                    lost: false,
+                },
+            );
         });
         route.model.post_overhead
     }

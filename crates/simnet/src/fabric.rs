@@ -437,7 +437,9 @@ impl Fabric {
     /// Land one PUT sub-message from `src` at `at`: write the target
     /// region, notify the target if the put asked to, and push the
     /// order-preserving companion datagram. One event, so a fault
-    /// treats data, notification and companion as a unit.
+    /// treats data, notification and companion as a unit. A write that
+    /// cannot land posts no completion, and its companion arrives
+    /// marked [`Dgram::lost`]: no data, no signal.
     pub(crate) fn land_put(&self, st: &mut Sched, src: usize, nic: usize, at: Ns, cargo: Cargo) {
         let dst = cargo.dst;
         if self.delivery_killed(src, dst.rank) {
@@ -447,17 +449,29 @@ impl Fabric {
             .companion
             .as_ref()
             .and_then(|(p, _)| self.inner.lock().ranks[dst.rank].ports.get(p).cloned());
-        match self.region(dst.rank, dst.id) {
+        let lost = match self.region(dst.rank, dst.id) {
             Some(t) if t.region.write_bytes(cargo.dst_offset, &cargo.data).is_ok() => {
                 if let Some(custom) = cargo.notify {
                     let kind = CompletionKind::PutRemote;
                     self.complete(st, dst.rank, Some(&t.cq), kind, custom, nic, at);
                 }
+                false
             }
-            _ => self.metrics.lost_writes.inc(),
-        }
+            _ => {
+                self.metrics.lost_writes.inc();
+                true
+            }
+        };
         if let (Some(port), Some((_, bytes))) = (port, cargo.companion) {
-            port.push(st, Dgram { src, t: at, bytes });
+            port.push(
+                st,
+                Dgram {
+                    src,
+                    t: at,
+                    bytes,
+                    lost,
+                },
+            );
         }
     }
 }

@@ -172,6 +172,10 @@ pub struct Dgram {
     pub src: usize,
     pub t: Ns,
     pub bytes: Vec<u8>,
+    /// A put's companion whose data did not land (region gone, range
+    /// out of bounds): whatever it vouches for must not be applied.
+    /// Always `false` for a datagram sent on its own.
+    pub lost: bool,
 }
 
 struct PortInner {
@@ -319,6 +323,7 @@ mod tests {
                         src: 0,
                         t,
                         bytes: vec![42],
+                        lost: false,
                     },
                 );
             });

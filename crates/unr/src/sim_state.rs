@@ -243,7 +243,11 @@ impl SimState {
                 sched: &mut *sched,
                 t,
                 replies: &mut *replies,
+                lost: d.lost,
             };
+            if d.lost {
+                sink.bad_dma();
+            }
             ctrl::handle_ctrl(self.core.retry.as_deref(), d.src, frame, &mut sink);
         }
         self.drain_dead(sched, t);
@@ -373,6 +377,9 @@ struct SimSink<'a> {
     sched: &'a mut Sched,
     t: Ns,
     replies: &'a mut Vec<Resend>,
+    /// The frame is the companion of a put whose bytes did not land:
+    /// it is deduplicated and acked, but its addend is not applied.
+    lost: bool,
 }
 
 impl SimSink<'_> {
@@ -404,6 +411,10 @@ impl CtrlSink for SimSink<'_> {
     }
 
     fn apply(&mut self, key: u64, addend: i64) {
+        // No data, no signal.
+        if self.lost {
+            return;
+        }
         self.sim.core.table.apply(self.sched, self.t, key, addend);
         self.sim.core.met.sig_adds.inc();
     }

@@ -88,12 +88,35 @@ fn put_from_a_deregistered_region_is_refused() {
 /// is the one that refuses them.
 #[test]
 fn a_reliable_put_into_a_deregistered_region_is_acked_not_applied() {
+    assert_eq!(
+        put_into_a_deregistered_region(ChannelSelect::ForceFallback),
+        [true, true]
+    );
+}
+
+/// The same on GLEX's own RMA route: the fabric cannot land the bytes
+/// (one `simnet.fabric.lost_writes`), so the sequenced companion that
+/// rides behind them arrives marked lost, and the receiver acks it and
+/// applies nothing.
+#[test]
+fn a_reliable_rma_put_into_a_deregistered_region_is_acked_not_applied() {
+    assert_eq!(
+        put_into_a_deregistered_region(ChannelSelect::Auto),
+        [true, true]
+    );
+}
+
+/// Rank 1 publishes a notified block and deregisters its region; rank 0
+/// puts into it reliably over `channel`. Each rank reports whether it
+/// saw what a write that cannot land must leave behind.
+fn put_into_a_deregistered_region(channel: ChannelSelect) -> Vec<bool> {
     let cfg = UnrConfig {
-        channel: ChannelSelect::ForceFallback,
+        channel,
         reliability: Reliability::On,
         ..UnrConfig::default()
     };
-    let results = run_mpi_world(fabric(InterfaceKind::Glex, 2), move |comm| {
+    let rma = channel == ChannelSelect::Auto;
+    run_mpi_world(fabric(InterfaceKind::Glex, 2), move |comm| {
         let unr = Unr::init(comm.ep_shared(), cfg);
         let mem = unr.mem_reg(64);
         let metric = |name| unr.obs().metrics.counter(name).get();
@@ -112,8 +135,8 @@ fn a_reliable_put_into_a_deregistered_region_is_acked_not_applied() {
         metric("unr.ctrl.bad_dma") == 1
             && metric("unr.retry.acks") == 1
             && metric("unr.retry.retransmits") == 0
-    });
-    assert_eq!(results, [true, true]);
+            && metric("simnet.fabric.lost_writes") == u64::from(rma)
+    })
 }
 
 /// Bring-up validates on the simulator as on netfab: a struct-literal
