@@ -170,14 +170,18 @@ impl PoissonSolver {
         ep.advance((points as f64 * self.flop_ns) as Ns);
     }
 
-    /// Solve `∇² p = rhs` (discrete 2nd-order operator; periodic x,y;
-    /// Neumann z). `rhs` and `p` are x-pencil fields; ghosts untouched.
+    /// Solve `∇² p = f` in place (discrete 2nd-order operator; periodic
+    /// x,y; Neumann z): `p`, an x-pencil field, holds `f` on entry and
+    /// the solution on return; its ghosts are untouched. In place is
+    /// safe on both paths because every forward x-FFT has read `p`
+    /// before the PDD runs, and the PDD finishes before any inverse
+    /// x-FFT writes `p`.
     ///
     /// With the UNR backend the transposes are **slab-pipelined** with
     /// the FFTs (paper Fig 3e): slab k's blocks are PUT to the row peers
     /// as soon as its x-FFT finishes, and the y-FFT of each slab runs as
     /// soon as its MMAS signal fires.
-    pub fn solve(&mut self, rhs: &Field3, p: &mut Field3, timers: &mut Timers) {
+    pub fn solve(&mut self, p: &mut Field3, timers: &mut Timers) {
         let comm = self.col.clone();
         let now = || comm.ep().now();
         let (nx, ly, lz) = (self.nx, self.ly, self.lz);
@@ -189,7 +193,7 @@ impl PoissonSolver {
             for s in 0..slabs {
                 let (k0, k1) = self.transpose.slab_range(s);
                 let t = now();
-                self.fftx_fwd_slab(rhs, k0, k1);
+                self.fftx_fwd_slab(p, k0, k1);
                 self.charge(comm.ep(), nx * ly * (k1 - k0));
                 self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
                 let t = now();
@@ -221,7 +225,7 @@ impl PoissonSolver {
                 .acc(Phase::Transpose, t, now(), &mut timers.transpose);
         } else {
             let t = now();
-            self.fftx_fwd_slab(rhs, 0, lz);
+            self.fftx_fwd_slab(p, 0, lz);
             self.charge(comm.ep(), nx * ly * lz);
             self.pobs.acc(Phase::Fft, t, now(), &mut timers.fft);
             let t = now();
@@ -287,15 +291,15 @@ impl PoissonSolver {
         }
     }
 
-    /// Forward FFT in x for z planes `k0..k1`, from `rhs` into the
+    /// Forward FFT in x for z planes `k0..k1`, from `p` into the
     /// transpose's x buffer: a plane's `ly` rows go through the tile
     /// transposed, as `ly` lines.
-    fn fftx_fwd_slab(&mut self, rhs: &Field3, k0: usize, k1: usize) {
+    fn fftx_fwd_slab(&mut self, p: &Field3, k0: usize, k1: usize) {
         let (nx, ly) = (self.nx, self.ly);
         let tile = &mut self.tile[..nx * ly];
         for k in k0..k1 {
             for j in 0..ly {
-                let src = &rhs.data[rhs.idx(0, j, k)..][..nx];
+                let src = &p.data[p.idx(0, j, k)..][..nx];
                 for (t, &x) in tile[j..].iter_mut().step_by(ly).zip(src) {
                     *t = C64::new(x, 0.0);
                 }

@@ -8,6 +8,12 @@
 //! the wall faces). With this arrangement `div ∘ grad` is exactly the
 //! compact 7-point Laplacian the spectral solver inverts, so the
 //! projected field is discretely divergence-free.
+//!
+//! A rank holds seven whole-pencil fields: `u v w p` and the RK stage
+//! `us vs ws`. Each RK substep is one stencil pass that stores the stage
+//! value itself (`us = u + dt F(u)`, then `u = 0.5 (u + us + dt F(us))`),
+//! and the pressure solve runs in place: `p` takes `div u / dt` and the
+//! Poisson solver overwrites it with the solution.
 
 use unr_simnet::Ns;
 
@@ -104,11 +110,12 @@ impl<'a> Star<'a> {
     }
 }
 
-/// Grid spacings, their squares and the viscosity.
+/// Grid spacings, their squares, the viscosity and the time step.
 struct Spacing {
     h: (f64, f64, f64),
     h2: (f64, f64, f64),
     nu: f64,
+    dt: f64,
 }
 
 /// Every row the momentum stencil of one `(j, k)` reads.
@@ -194,6 +201,32 @@ impl<'a> Stencil<'a> {
         };
         (fu, fv, fw)
     }
+
+    /// One RK stage at `i` from [`Self::rhs`], stored into the output
+    /// cells `o`: the Euler stage `o = x + dt F`, or with `HEUN` the
+    /// Heun stage `o = 0.5 (o + x + dt F)`, `x` the input at `i`.
+    #[inline(always)]
+    fn stage<const HEUN: bool>(
+        &self,
+        i: usize,
+        im: usize,
+        ip: usize,
+        sp: &Spacing,
+        [ou, ov, ow]: [&mut f64; 3],
+    ) {
+        let (fu, fv, fw) = self.rhs(i, im, ip, sp);
+        let dt = sp.dt;
+        let put = |o: &mut f64, x: f64, f: f64| {
+            *o = if HEUN {
+                0.5 * (*o + x + dt * f)
+            } else {
+                x + dt * f
+            }
+        };
+        put(ou, self.u.c[i], fu);
+        put(ov, self.v.c[i], fv);
+        put(ow, self.w.c[i], fw);
+    }
 }
 
 /// The distributed solver state for one rank.
@@ -201,7 +234,9 @@ pub struct Solver {
     pub cfg: SolverConfig,
     pub d: Decomp,
     backend_name: &'static str,
-    // Velocity, pressure and RK stage fields (1 ghost layer).
+    // Velocity, pressure and RK stage fields (1 ghost layer). `p` also
+    // carries `div u / dt` into the in-place Poisson solve; `us vs ws`
+    // carry `u + dt F(u)` from the first RK substep to the second.
     pub u: Field3,
     pub v: Field3,
     pub w: Field3,
@@ -209,10 +244,6 @@ pub struct Solver {
     us: Field3,
     vs: Field3,
     ws: Field3,
-    fu: Field3,
-    fv: Field3,
-    fw: Field3,
-    rhs: Field3,
     // Communication machinery.
     halo_a: HaloOp,
     halo_b: HaloOp,
@@ -249,10 +280,6 @@ impl Solver {
             us: mk(),
             vs: mk(),
             ws: mk(),
-            fu: mk(),
-            fv: mk(),
-            fw: mk(),
-            rhs: mk(),
             halo_a,
             halo_b,
             halo_p,
@@ -291,7 +318,8 @@ impl Solver {
         });
         // w = 0 initially.
         self.w.fill(oy, oz, |_, _, _| 0.0);
-        self.enforce_w_walls();
+        let top = self.is_top();
+        Self::enforce_top_wall(&mut self.w, top);
         self.project();
     }
 
@@ -302,14 +330,13 @@ impl Solver {
         self.d.cz + 1 == self.d.pz
     }
 
-    /// Wall-face w values are constrained to zero.
-    fn enforce_w_walls(&mut self) {
-        if self.is_top() {
-            let lz = self.d.lz as isize;
-            for j in 0..self.d.ly as isize {
-                for i in 0..self.cfg.nx as isize {
-                    self.w.set(i, j, lz - 1, 0.0);
-                }
+    /// Wall-face values of a w-like field (`w` or `ws`) are constrained
+    /// to zero: on the `top` ranks, its last interior z row.
+    fn enforce_top_wall(w: &mut Field3, top: bool) {
+        if top {
+            let k = w.nz as isize - 1;
+            for j in 0..w.ny as isize {
+                w.row_mut(j, k).fill(0.0);
             }
         }
     }
@@ -366,21 +393,28 @@ impl Solver {
         }
     }
 
-    /// Momentum right-hand side `F = -conv + nu * lap` evaluated from
-    /// `(u, v, w)` (ghosts must be current for the requested range) into
-    /// `(du, dv, dw)`, over `j` in `[j0, j1)` and `k` in `[k0, k1)`.
+    /// One RK stage from the momentum right-hand side
+    /// `F = -conv + nu * lap` of `(u, v, w)` (ghosts must be current for
+    /// the requested range), stored into `(ou, ov, ow)` over `j` in
+    /// `[j0, j1)` and `k` in `[k0, k1)`: the Euler stage `o = u + dt F`,
+    /// or with `HEUN` the Heun stage `o = 0.5 (o + u + dt F)`.
     ///
     /// Each `(j, k)` takes its neighbor rows once and resolves the
-    /// periodic x wrap at the two end cells only.
+    /// periodic x wrap at the two end cells only. `HEUN` is a const so
+    /// that each stage compiles to its own inner loop, and the per-cell
+    /// work is the `#[inline(always)]` [`Stencil::stage`]: a run-time
+    /// `bool` tested per cell, or a per-cell closure called from the
+    /// three places, each made this pass slower than the stencil plus a
+    /// separate combine sweep (DESIGN §5b).
     #[allow(clippy::too_many_arguments)]
-    fn momentum_rhs(
+    fn momentum_rhs<const HEUN: bool>(
         cfg: &SolverConfig,
         u: &Field3,
         v: &Field3,
         w: &Field3,
-        du: &mut Field3,
-        dv: &mut Field3,
-        dw: &mut Field3,
+        ou: &mut Field3,
+        ov: &mut Field3,
+        ow: &mut Field3,
         (j0, j1): (isize, isize),
         (k0, k1): (isize, isize),
     ) {
@@ -389,20 +423,21 @@ impl Solver {
             h: (hx, hy, hz),
             h2: (hx * hx, hy * hy, hz * hz),
             nu: cfg.nu,
+            dt: cfg.dt,
         };
         let nx = u.nx;
         for k in k0..k1 {
             for j in j0..j1 {
                 let st = Stencil::new(u, v, w, j, k);
-                let (du, dv, dw) = (du.row_mut(j, k), dv.row_mut(j, k), dw.row_mut(j, k));
+                let (ou, ov, ow) = (ou.row_mut(j, k), ov.row_mut(j, k), ow.row_mut(j, k));
                 // The periodic x wrap touches the two end cells only.
-                (du[0], dv[0], dw[0]) = st.rhs(0, nx - 1, 1 % nx, &h);
+                st.stage::<HEUN>(0, nx - 1, 1 % nx, &h, [&mut ou[0], &mut ov[0], &mut ow[0]]);
                 for i in 1..nx.saturating_sub(1) {
-                    (du[i], dv[i], dw[i]) = st.rhs(i, i - 1, i + 1, &h);
+                    st.stage::<HEUN>(i, i - 1, i + 1, &h, [&mut ou[i], &mut ov[i], &mut ow[i]]);
                 }
                 if nx > 1 {
                     let i = nx - 1;
-                    (du[i], dv[i], dw[i]) = st.rhs(i, i - 1, 0, &h);
+                    st.stage::<HEUN>(i, i - 1, 0, &h, [&mut ou[i], &mut ov[i], &mut ow[i]]);
                 }
             }
         }
@@ -457,83 +492,35 @@ impl Solver {
         }
     }
 
-    /// Halo exchange + momentum RHS for one RK substep, with
+    /// Halo exchange + stencil pass for one RK substep, with
     /// communication overlapped by interior computation when enabled.
-    /// `which` = 0: F(u) -> (us, vs, ws) via exchanger A;
-    /// `which` = 1: F(us) -> (fu, fv, fw) via exchanger B.
-    fn rhs_with_halo(&mut self, which: usize) {
+    /// `HEUN` false: `us = u + dt F(u)` via exchanger A; true:
+    /// `u = 0.5 (u + us + dt F(us))` via exchanger B.
+    fn rhs_with_halo<const HEUN: bool>(&mut self) {
         let cfg = self.cfg;
         let (bottom, top) = (self.is_bottom(), self.is_top());
-        let units = if which == 0 { 30 } else { 35 };
-        let ep_d = &self.d;
-        if which == 0 {
-            Self::rhs_with_halo_impl(
-                &cfg,
-                self.overlap,
-                bottom,
-                top,
-                &mut self.halo_a,
-                &mut self.u,
-                &mut self.v,
-                &mut self.w,
-                &mut self.us,
-                &mut self.vs,
-                &mut self.ws,
-                ep_d,
-                &mut self.timers,
-                &self.pobs,
-                units,
-            );
+        let vel = [&mut self.u, &mut self.v, &mut self.w];
+        let stage = [&mut self.us, &mut self.vs, &mut self.ws];
+        let (halo, units, [u, v, w], [ou, ov, ow]) = if HEUN {
+            (&mut self.halo_b, 35, stage, vel)
         } else {
-            Self::rhs_with_halo_impl(
-                &cfg,
-                self.overlap,
-                bottom,
-                top,
-                &mut self.halo_b,
-                &mut self.us,
-                &mut self.vs,
-                &mut self.ws,
-                &mut self.fu,
-                &mut self.fv,
-                &mut self.fw,
-                ep_d,
-                &mut self.timers,
-                &self.pobs,
-                units,
-            );
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn rhs_with_halo_impl(
-        cfg: &SolverConfig,
-        overlap: bool,
-        bottom: bool,
-        top: bool,
-        halo: &mut HaloOp,
-        u: &mut Field3,
-        v: &mut Field3,
-        w: &mut Field3,
-        du: &mut Field3,
-        dv: &mut Field3,
-        dw: &mut Field3,
-        d: &Decomp,
-        timers: &mut Timers,
-        pobs: &PhaseObs,
-        units: usize,
-    ) {
+            (&mut self.halo_a, 30, vel, stage)
+        };
+        let (d, timers, pobs) = (&self.d, &mut self.timers, &self.pobs);
         let ep = d.world.ep();
         let (ly, lz) = (d.ly as isize, d.lz as isize);
         let charge = |n: usize| ep.advance((n as f64 * cfg.flop_ns * units as f64) as Ns);
-        if overlap && ly > 2 && lz > 2 {
-            // Post transfers, compute the interior, then the shells.
+        if self.overlap && ly > 2 && lz > 2 {
+            // Post transfers, compute the interior, then the shells. The
+            // interior's stage values read their own cells before
+            // `z_wall_bc`; of the input's interior cells it writes only
+            // w's top row, which lies in the shells.
             let t = ep.now();
             halo.start(&mut [u, v, w]);
             pobs.acc(Phase::Halo, t, ep.now(), &mut timers.halo);
 
             let t = ep.now();
-            Self::momentum_rhs(cfg, u, v, w, du, dv, dw, (1, ly - 1), (1, lz - 1));
+            Self::momentum_rhs::<HEUN>(&cfg, u, v, w, ou, ov, ow, (1, ly - 1), (1, lz - 1));
             let interior = cfg.nx * (ly as usize - 2) * (lz as usize - 2);
             charge(interior);
             pobs.acc(Phase::Rk, t, ep.now(), &mut timers.rk_compute);
@@ -544,10 +531,14 @@ impl Solver {
             pobs.acc(Phase::Halo, t, ep.now(), &mut timers.halo);
 
             let t = ep.now();
-            Self::momentum_rhs(cfg, u, v, w, du, dv, dw, (0, ly), (0, 1));
-            Self::momentum_rhs(cfg, u, v, w, du, dv, dw, (0, ly), (lz - 1, lz));
-            Self::momentum_rhs(cfg, u, v, w, du, dv, dw, (0, 1), (1, lz - 1));
-            Self::momentum_rhs(cfg, u, v, w, du, dv, dw, (ly - 1, ly), (1, lz - 1));
+            for (js, ks) in [
+                ((0, ly), (0, 1)),
+                ((0, ly), (lz - 1, lz)),
+                ((0, 1), (1, lz - 1)),
+                ((ly - 1, ly), (1, lz - 1)),
+            ] {
+                Self::momentum_rhs::<HEUN>(&cfg, u, v, w, ou, ov, ow, js, ks);
+            }
             let shell = cfg.nx * d.ly * d.lz - interior;
             charge(shell);
             pobs.acc(Phase::Rk, t, ep.now(), &mut timers.rk_compute);
@@ -558,16 +549,10 @@ impl Solver {
             pobs.acc(Phase::Halo, t, ep.now(), &mut timers.halo);
 
             let t = ep.now();
-            Self::momentum_rhs(cfg, u, v, w, du, dv, dw, (0, ly), (0, lz));
+            Self::momentum_rhs::<HEUN>(&cfg, u, v, w, ou, ov, ow, (0, ly), (0, lz));
             charge(cfg.nx * d.ly * d.lz);
             pobs.acc(Phase::Rk, t, ep.now(), &mut timers.rk_compute);
         }
-    }
-
-    /// `(k, j)` of every interior x row.
-    fn interior_rows(d: &Decomp) -> impl Iterator<Item = (isize, isize)> {
-        let ly = d.ly as isize;
-        (0..d.lz as isize).flat_map(move |k| (0..ly).map(move |j| (k, j)))
     }
 
     fn charge_compute(&self, points: usize) {
@@ -583,8 +568,8 @@ impl Solver {
         self.cfg.nx * self.d.ly * self.d.lz
     }
 
-    /// Exchange velocity halos + apply wall BCs, using exchanger `which`
-    /// (0 = A, 1 = B; alternate per RK substep).
+    /// Exchange velocity halos + apply wall BCs through `halo` (A or B:
+    /// the two alternate per RK substep).
     fn velocity_halo(
         halo: &mut HaloOp,
         u: &mut Field3,
@@ -598,46 +583,25 @@ impl Solver {
     }
 
     /// One full time step (paper Figure 3a): RK1, RK2, PPE, correction.
+    /// Each substep's stencil pass stores its stage; the charge after it
+    /// is the stage combine's share of the modelled cost, so virtual
+    /// time does not depend on which loop forms the stage.
     pub fn step(&mut self) {
         let t_start = self.now();
-        let cfg = self.cfg;
-        let dt = cfg.dt;
+        let top = self.is_top();
 
         // ---- RK substep 1: us = u + dt F(u) ---------------------------
-        self.rhs_with_halo(0);
+        self.rhs_with_halo::<false>();
         let t1 = self.now();
-        for (dst, src) in [
-            (&mut self.us, &self.u),
-            (&mut self.vs, &self.v),
-            (&mut self.ws, &self.w),
-        ] {
-            for (k, j) in Self::interior_rows(&self.d) {
-                for (d, &s) in dst.row_mut(j, k).iter_mut().zip(src.row(j, k)) {
-                    *d = s + dt * *d;
-                }
-            }
-        }
-        self.enforce_ws_walls();
+        Self::enforce_top_wall(&mut self.ws, top);
         self.charge_compute(self.cells() * 3);
         self.pobs
             .acc(Phase::Rk, t1, self.now(), &mut self.timers.rk_compute);
 
         // ---- RK substep 2: u = 0.5 (u + us + dt F(us)) ------------------
-        self.rhs_with_halo(1);
+        self.rhs_with_halo::<true>();
         let t3 = self.now();
-        for (x, xs, fx) in [
-            (&mut self.u, &self.us, &self.fu),
-            (&mut self.v, &self.vs, &self.fv),
-            (&mut self.w, &self.ws, &self.fw),
-        ] {
-            for (k, j) in Self::interior_rows(&self.d) {
-                let rows = x.row_mut(j, k).iter_mut().zip(xs.row(j, k));
-                for ((x, &s), &f) in rows.zip(fx.row(j, k)) {
-                    *x = 0.5 * (*x + s + dt * f);
-                }
-            }
-        }
-        self.enforce_w_walls();
+        Self::enforce_top_wall(&mut self.w, top);
         self.charge_compute(self.cells() * 5);
         self.pobs
             .acc(Phase::Rk, t3, self.now(), &mut self.timers.rk_compute);
@@ -648,17 +612,6 @@ impl Solver {
         self.steps_done += 1;
         self.pobs
             .acc(Phase::Step, t_start, self.now(), &mut self.timers.total);
-    }
-
-    fn enforce_ws_walls(&mut self) {
-        if self.is_top() {
-            let lz = self.d.lz as isize;
-            for j in 0..self.d.ly as isize {
-                for i in 0..self.cfg.nx as isize {
-                    self.ws.set(i, j, lz - 1, 0.0);
-                }
-            }
-        }
     }
 
     /// Pressure projection: solve ∇²p = div(u)/dt, correct velocities.
@@ -683,23 +636,21 @@ impl Solver {
             .acc(Phase::Halo, t0, self.now(), &mut self.timers.halo);
 
         let t1 = self.now();
-        let rhs = &mut self.rhs.data;
-        Self::for_each_div(&cfg, &self.u, &self.v, &self.w, |at, div| {
-            rhs[at] = div / dt
-        });
+        let p = &mut self.p.data;
+        Self::for_each_div(&cfg, &self.u, &self.v, &self.w, |at, div| p[at] = div / dt);
         self.charge_compute(cells * 8);
         self.pobs
             .acc(Phase::Correct, t1, self.now(), &mut self.timers.correct);
 
-        // ---- PPE solve --------------------------------------------------
-        self.poisson.solve(&self.rhs, &mut self.p, &mut self.timers);
+        // ---- PPE solve, in place: p holds div u / dt ---------------------
+        self.poisson.solve(&mut self.p, &mut self.timers);
 
         // ---- correction --------------------------------------------------
         let t2 = self.now();
         self.halo_p.exchange(&mut [&mut self.p]);
         Self::p_wall_bc(&mut self.p, bottom, top);
         Self::correct(&cfg, &self.p, &mut self.u, &mut self.v, &mut self.w);
-        self.enforce_w_walls();
+        Self::enforce_top_wall(&mut self.w, top);
         self.charge_compute(cells * 10);
         self.pobs
             .acc(Phase::Correct, t2, self.now(), &mut self.timers.correct);
@@ -776,7 +727,8 @@ mod tests {
 
     /// The momentum stencil as written with [`Field3::get`] (a
     /// `rem_euclid` per read), kept as the oracle the row-sliced kernel
-    /// must reproduce bit for bit.
+    /// must reproduce bit for bit. Each cell of the outputs becomes
+    /// `combine(its old value, the input's value there, F)`.
     #[allow(clippy::too_many_arguments)]
     fn momentum_rhs_oracle(
         cfg: &SolverConfig,
@@ -788,6 +740,7 @@ mod tests {
         dw: &mut Field3,
         (j0, j1): (isize, isize),
         (k0, k1): (isize, isize),
+        combine: impl Fn(f64, f64, f64) -> f64,
     ) {
         let (hx, hy, hz) = (cfg.hx(), cfg.hy(), cfg.hz());
         let nu = cfg.nu;
@@ -816,7 +769,8 @@ mod tests {
                         let u_b = 0.5 * (u.get(i, j, k - 1) + u.get(i, j, k));
                         let duw = (u_t * w_t - u_b * w_b) / hz;
                         let at = du.idx(i as usize, j as usize, k as usize);
-                        du.data[at] = -(duu + duv + duw) + nu * lap(u, i, j, k);
+                        let f = -(duu + duv + duw) + nu * lap(u, i, j, k);
+                        du.data[at] = combine(du.data[at], u.get(i, j, k), f);
                     }
                     // ---- v momentum (at +y face) ----
                     {
@@ -834,7 +788,8 @@ mod tests {
                         let v_b = 0.5 * (v.get(i, j, k - 1) + v.get(i, j, k));
                         let dvw = (v_t * w_t - v_b * w_b) / hz;
                         let at = dv.idx(i as usize, j as usize, k as usize);
-                        dv.data[at] = -(dvu + dvv + dvw) + nu * lap(v, i, j, k);
+                        let f = -(dvu + dvv + dvw) + nu * lap(v, i, j, k);
+                        dv.data[at] = combine(dv.data[at], v.get(i, j, k), f);
                     }
                     // ---- w momentum (at +z face) ----
                     {
@@ -852,7 +807,8 @@ mod tests {
                         let wc_b = 0.5 * (w.get(i, j, k - 1) + w.get(i, j, k));
                         let dww = (wc_t * wc_t - wc_b * wc_b) / hz;
                         let at = dw.idx(i as usize, j as usize, k as usize);
-                        dw.data[at] = -(dwu + dwv + dww) + nu * lap(w, i, j, k);
+                        let f = -(dwu + dwv + dww) + nu * lap(w, i, j, k);
+                        dw.data[at] = combine(dw.data[at], w.get(i, j, k), f);
                     }
                 }
             }
@@ -900,6 +856,27 @@ mod tests {
         }
     }
 
+    /// Runs the `HEUN` stage kernel, and the oracle's F followed by
+    /// `combine`, over one range and compares them bit for bit. Outputs
+    /// start as noise: cells outside the range must stay as they were.
+    fn check_stage<const HEUN: bool>(
+        cfg: &SolverConfig,
+        [u, v, w]: [&Field3; 3],
+        outs: [Field3; 3],
+        (js, ks): ((isize, isize), (isize, isize)),
+        combine: impl Fn(f64, f64, f64) -> f64,
+        what: &str,
+    ) {
+        let [mut du, mut dv, mut dw] = outs.clone();
+        let [mut eu, mut ev, mut ew] = outs;
+        Solver::momentum_rhs::<HEUN>(cfg, u, v, w, &mut du, &mut dv, &mut dw, js, ks);
+        momentum_rhs_oracle(cfg, u, v, w, &mut eu, &mut ev, &mut ew, js, ks, combine);
+        let what = format!("{}, {what}", if HEUN { "Heun" } else { "Euler" });
+        assert_eq!(bits(&du), bits(&eu), "u stage, {what}");
+        assert_eq!(bits(&dv), bits(&ev), "v stage, {what}");
+        assert_eq!(bits(&dw), bits(&ew), "w stage, {what}");
+    }
+
     #[test]
     fn row_stencils_match_the_get_oracle_bit_for_bit() {
         let (ly, lz) = (5isize, 4isize);
@@ -923,17 +900,15 @@ mod tests {
                 ((ly - 1, ly), (1, lz - 1)),
                 ((2, 3), (1, 2)),
             ];
+            let dt = cfg.dt;
             for (js, ks) in ranges {
-                // Outputs start as noise: cells outside the range must
-                // stay as they were.
-                let (mut du, mut dv, mut dw) = (mk(5), mk(6), mk(7));
-                let (mut eu, mut ev, mut ew) = (du.clone(), dv.clone(), dw.clone());
-                Solver::momentum_rhs(&cfg, &u, &v, &w, &mut du, &mut dv, &mut dw, js, ks);
-                momentum_rhs_oracle(&cfg, &u, &v, &w, &mut eu, &mut ev, &mut ew, js, ks);
                 let what = format!("nx={nx} j={js:?} k={ks:?}");
-                assert_eq!(bits(&du), bits(&eu), "du, {what}");
-                assert_eq!(bits(&dv), bits(&ev), "dv, {what}");
-                assert_eq!(bits(&dw), bits(&ew), "dw, {what}");
+                let uvw = [&u, &v, &w];
+                let outs = || [mk(5), mk(6), mk(7)];
+                let euler = |_, s, f| s + dt * f;
+                check_stage::<false>(&cfg, uvw, outs(), (js, ks), euler, &what);
+                let heun = |x, s, f| 0.5 * (x + s + dt * f);
+                check_stage::<true>(&cfg, uvw, outs(), (js, ks), heun, &what);
             }
 
             let mut rhs = mk(8);
@@ -950,5 +925,62 @@ mod tests {
             assert_eq!(bits(&cv), bits(&ov), "v correction, nx={nx}");
             assert_eq!(bits(&cw), bits(&ow), "w correction, nx={nx}");
         }
+    }
+
+    /// The solver's memory on the benchmark's 4×2 UNR grid: seven
+    /// whole-pencil fields per rank, `u v w p` and the RK stage
+    /// `us vs ws`, and no other region or buffer that large but the
+    /// Poisson solve's two registered pencils (sized in
+    /// `poisson::tests`). The destructuring names every field, so a
+    /// buffer added to the struct has to be sized here.
+    #[test]
+    fn a_4x2_unr_solver_holds_seven_fields() {
+        use unr_core::{Unr, UnrConfig};
+        use unr_minimpi::run_mpi_world;
+        use unr_simnet::Platform;
+
+        let ok = run_mpi_world(Platform::th_xy().fabric_config(4, 2), |comm| {
+            let backend = Backend::Unr(Unr::init(comm.ep_shared(), UnrConfig::default()));
+            let mut cfg = SolverConfig::small(4, 2);
+            (cfg.nx, cfg.ny, cfg.nz) = (64, 64, 32);
+            // The byte lengths of the rank's regions (ids run from 0).
+            let regions = || -> Vec<usize> {
+                (0..)
+                    .map_while(|id| comm.ep().region(id).map(|r| r.len()))
+                    .collect()
+            };
+            let before = regions().len();
+            let s = Solver::new(&backend, comm, cfg);
+            let Solver {
+                cfg: _,
+                d,
+                backend_name: _,
+                u,
+                v,
+                w,
+                p,
+                us,
+                vs,
+                ws,
+                halo_a: _,
+                halo_b: _,
+                halo_p: _,
+                poisson: _,
+                overlap: _,
+                timers: _,
+                pobs: _,
+                steps_done: _,
+            } = &s;
+            let field = cfg.nx * (d.ly + 2) * (d.lz + 2);
+            let fields = [u, v, w, p, us, vs, ws].map(|f| f.data.len());
+            assert_eq!(fields, [field; 7], "rank {}", comm.rank());
+            let large = regions()[before..]
+                .iter()
+                .filter(|&&len| len >= 8 * field)
+                .count();
+            assert_eq!(large, 2, "rank {}", comm.rank());
+            true
+        });
+        assert!(ok.into_iter().all(|b| b));
     }
 }
