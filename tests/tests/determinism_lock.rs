@@ -3,7 +3,9 @@
 //! jittered fabric runs on the paper's TH-XY platform preset are
 //! bit-identical across repeats.
 
-use unr_core::{convert, Unr, UnrConfig, UNR_PORT};
+use std::sync::atomic::Ordering;
+
+use unr_core::{convert, Reliability, Unr, UnrConfig, UNR_PORT};
 use unr_minimpi::{coll, run_mpi_on_fabric, MpiConfig};
 use unr_powerllel::{Backend, Solver, SolverConfig};
 use unr_simnet::{run_world, Fabric, FaultConfig, NicSel, Platform, SimRng};
@@ -212,4 +214,127 @@ fn golden_faulty_trace_is_stable() {
         h, GOLDEN_FAULTY_TRACE,
         "seeded faulty trace diverged from the golden hash"
     );
+}
+
+/// What one [`striped_storm`] world leaves behind.
+#[derive(Debug, PartialEq, Eq)]
+struct StripedStorm {
+    trace: u64,
+    switches: u64,
+    /// FNV-1a over every rank's signal-table fingerprint, in rank order.
+    tables: u64,
+}
+
+/// A storm whose every put stripes: 4 nodes × 2 ranks on TH-XY with 4
+/// NICs per node, each rank putting 128 KiB at its ring neighbour with
+/// a local and a remote signal, two windows of six puts each. The
+/// fig6 and faulty locks send one stripe per put; this one pins the
+/// post order, NIC choice and timing of multi-stripe puts on both
+/// routes.
+fn striped_storm(seed: u64, reliability: Reliability) -> StripedStorm {
+    const MSG: usize = 128 * 1024;
+    const PUTS: i64 = 6;
+    let mut cfg = Platform::th_xy().fabric_config(4, 2);
+    cfg.nics_per_node = 4;
+    cfg.seed = seed;
+    cfg.trace = true;
+    let fab = Fabric::new(cfg);
+    let ucfg = UnrConfig {
+        reliability,
+        ..UnrConfig::default()
+    };
+    let tables = run_mpi_on_fabric(&fab, MpiConfig::default(), move |comm| {
+        let unr = Unr::init(comm.ep_shared(), ucfg);
+        let (me, n) = (comm.rank(), comm.size());
+        let (src, dst) = ((me + n - 1) % n, (me + 1) % n);
+        let mem = unr.mem_reg(2 * MSG);
+        let sent = unr.sig_init(PUTS);
+        let arrived = unr.sig_init(PUTS);
+        let recv = unr.blk_init(&mem, MSG, MSG, Some(&arrived));
+        convert::send_blk(comm, src, 11, &recv);
+        let rmt = convert::recv_blk(comm, dst, 11);
+        let send = unr.blk_init(&mem, 0, MSG, Some(&sent));
+        for window in 0..2u8 {
+            let byte = |i: usize, rank: usize| (i as u8) ^ (rank as u8) ^ window.wrapping_mul(77);
+            let pattern: Vec<u8> = (0..MSG).map(|i| byte(i, me)).collect();
+            mem.write_bytes(0, &pattern);
+            for _ in 0..PUTS {
+                unr.put(&send, &rmt).unwrap();
+            }
+            unr.sig_wait(&sent).unwrap();
+            unr.sig_wait(&arrived).unwrap();
+            let mut got = vec![0u8; MSG];
+            mem.read_bytes(MSG, &mut got);
+            assert!(got.iter().enumerate().all(|(i, &b)| b == byte(i, src)));
+            unr.sig_reset(&sent).unwrap();
+            unr.sig_reset(&arrived).unwrap();
+            coll::barrier(comm);
+        }
+        let subs = unr.stats().sub_messages.load(Ordering::Relaxed);
+        assert_eq!(subs, 2 * 4 * PUTS as u64, "every put is four stripes");
+        unr.table_fingerprint()
+    });
+    let label = format!("striped_storm_{seed}_{reliability:?}");
+    let switches = fab
+        .obs
+        .metrics
+        .snapshot()
+        .counter("simnet.sched.switches")
+        .unwrap();
+    if std::env::var("UNR_PRINT_TRACE_HASH").is_ok() {
+        println!("SWITCHES {label} = {switches}");
+    }
+    let bytes: Vec<u8> = tables.iter().flat_map(|t| t.to_le_bytes()).collect();
+    StripedStorm {
+        trace: trace_hash(&fab, &label),
+        switches,
+        tables: fnv1a(&bytes),
+    }
+}
+
+const GOLDEN_STRIPED: [(u64, Reliability, StripedStorm); 4] = [
+    (
+        1,
+        Reliability::On,
+        StripedStorm {
+            trace: 0xd0d898d03f1b3f7c,
+            switches: 1572,
+            tables: 0x80d1702aaf516cb5,
+        },
+    ),
+    (
+        1,
+        Reliability::Off,
+        StripedStorm {
+            trace: 0xbc141a9877d5d609,
+            switches: 1544,
+            tables: 0x80d1702aaf516cb5,
+        },
+    ),
+    (
+        11,
+        Reliability::On,
+        StripedStorm {
+            trace: 0x43104f0d15ad6bb6,
+            switches: 1583,
+            tables: 0x80d1702aaf516cb5,
+        },
+    ),
+    (
+        11,
+        Reliability::Off,
+        StripedStorm {
+            trace: 0x78465e5775ccec48,
+            switches: 1537,
+            tables: 0x80d1702aaf516cb5,
+        },
+    ),
+];
+
+#[test]
+fn golden_striped_storm_is_stable() {
+    for (seed, reliability, want) in GOLDEN_STRIPED {
+        let got = striped_storm(seed, reliability);
+        assert_eq!(got, want, "seed {seed}, {reliability:?}");
+    }
 }
