@@ -412,7 +412,7 @@ mod tests {
             len: 64,
         };
         let reg = retry.register_data(Route::Dgram, Bytes::from(vec![1; 4]), dst, 0, 0, 0, 0);
-        retry.arm(LATER, &[(0, reg.seq)]);
+        retry.arm(LATER, &[(0, reg.seq)], |_| {});
         for attempt in 1..=u64::from(retry.policy.max_retries) + 1 {
             retry.sweep(LATER + attempt * (retry.policy.max_backoff + 1));
         }

@@ -1247,7 +1247,7 @@ mod tests {
         let payload: Vec<u8> = (0..300).map(|i| i as u8).collect();
         let (spans, sigs) = ([(3, 0, 100), (3, 512, 200)], [(9, -2)]);
         let reg = retry.register_agg(1, 0, &spans, &sigs, &payload);
-        retry.arm(0, &[(1, reg.seq)]);
+        retry.arm(0, &[(1, reg.seq)], |_| {});
         let out = retry.sweep(1 << 40);
         let [Resend::Dgram { bytes: again, .. }] = &out.resends[..] else {
             panic!("one resend on the datagram channel");

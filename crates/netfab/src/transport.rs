@@ -95,6 +95,31 @@ impl NetTransport {
             .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))
     }
 
+    /// The table holds the entry *before* this runs, so its ack cannot
+    /// outrun it; the entry that ends "nothing unacked" wakes the
+    /// reactor that runs the sweep, unless that reactor's timer is
+    /// still armed — it then sweeps by a deadline no new entry's can
+    /// precede, and finds every later entry by itself (see
+    /// `CtrlPath::tick`). The frame is stamped once, here: netfab
+    /// epochs are fixed per engine incarnation, so a retransmission
+    /// legitimately resends this exact envelope. Fault injection drops
+    /// first transmissions only.
+    fn post_one(&self, post: SeqPost) -> Result<(), UnrError> {
+        if post.first && !self.ctrl.timer_armed() {
+            self.fabric.wake_timer();
+        }
+        let nth = self.sends.fetch_add(1, Ordering::Relaxed) + 1;
+        let dropped = self
+            .faults
+            .drop_every
+            .is_some_and(|n| n > 0 && nth.is_multiple_of(n));
+        if dropped {
+            self.fabric.met.drops_injected.inc();
+            return Ok(());
+        }
+        self.send_frame(post.dst.rank, post.nic, post.frame)
+    }
+
     /// Buffered-send local completion: the payload has been copied out
     /// of the region into its frame.
     fn apply_local(&self, custom: u128) {
@@ -115,26 +140,30 @@ impl Transport for NetTransport {
         self.fabric.region(id)
     }
 
-    fn put(&self, op: RmaOp<'_>, companion: Option<Vec<u8>>) -> Result<(), UnrError> {
-        let dst = op.remote.rank;
-        let nic = self.nic(op.nic);
-        self.fabric
-            .put(
-                dst,
-                nic,
-                op.remote.id,
-                op.remote_offset as u64,
-                op.custom_remote,
-                op.local,
-                op.local_offset,
-                op.len,
-            )
-            .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))?;
-        if let Some(frame) = companion {
-            // Same socket, so behind the data.
-            self.send_frame(dst, NicSel::Index(nic), CtrlFrame::Owned(frame))?;
+    /// One `PUT` frame per stripe, each copied out of the region into
+    /// its frame; the companion follows the last on its socket.
+    fn put(&self, stripes: &[RmaOp<'_>], mut companion: Option<Vec<u8>>) -> Result<(), UnrError> {
+        for (i, op) in stripes.iter().enumerate() {
+            let dst = op.remote.rank;
+            let nic = self.nic(op.nic);
+            self.fabric
+                .put(
+                    dst,
+                    nic,
+                    op.remote.id,
+                    op.remote_offset as u64,
+                    op.custom_remote,
+                    op.local,
+                    op.local_offset,
+                    op.len,
+                )
+                .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))?;
+            if let Some(frame) = companion.take_if(|_| i + 1 == stripes.len()) {
+                // Same socket, so behind the data.
+                self.send_frame(dst, NicSel::Index(nic), CtrlFrame::Owned(frame))?;
+            }
+            self.apply_local(op.custom_local);
         }
-        self.apply_local(op.custom_local);
         Ok(())
     }
 
@@ -155,29 +184,14 @@ impl Transport for NetTransport {
             .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))
     }
 
-    /// The table holds the entry *before* this runs, so its ack cannot
-    /// outrun it; the entry that ends "nothing unacked" wakes the
-    /// reactor that runs the sweep, unless that reactor's timer is
-    /// still armed — it then sweeps by a deadline no new entry's can
-    /// precede, and finds every later entry by itself (see
-    /// `CtrlPath::tick`). The frame is stamped once, here: netfab
-    /// epochs are fixed per engine incarnation, so a retransmission
-    /// legitimately resends this exact envelope. Fault injection drops
-    /// first transmissions only.
-    fn post_seq(&self, post: SeqPost<'_>) -> Result<(), UnrError> {
-        if post.first && !self.ctrl.timer_armed() {
-            self.fabric.wake_timer();
+    /// One `CTRL` frame per sub-message, in order, each through
+    /// `post_one`; a dead socket stops the loop and reports the frames
+    /// written before it.
+    fn post_seq(&self, posts: Vec<SeqPost>) -> Result<(), (usize, UnrError)> {
+        for (sent, post) in posts.into_iter().enumerate() {
+            self.post_one(post).map_err(|e| (sent, e))?;
         }
-        let nth = self.sends.fetch_add(1, Ordering::Relaxed) + 1;
-        let dropped = self
-            .faults
-            .drop_every
-            .is_some_and(|n| n > 0 && nth.is_multiple_of(n));
-        if dropped {
-            self.fabric.met.drops_injected.inc();
-            return Ok(());
-        }
-        self.send_frame(post.dst.rank, post.nic, post.frame)
+        Ok(())
     }
 
     fn send_ctrl(&self, dst: usize, nic: NicSel, frame: Vec<u8>) -> Result<(), UnrError> {
@@ -189,7 +203,8 @@ impl Transport for NetTransport {
     fn complete(&self, entries: &[(usize, u64)], locals: &[(u64, i64)]) {
         let ctrl = &self.ctrl;
         if let (Some(retry), false) = (&ctrl.retry, entries.is_empty()) {
-            retry.arm(ctrl.now(), entries);
+            // The sweep finds the deadlines itself.
+            retry.arm(ctrl.now(), entries, |_| {});
         }
         let mut applied = false;
         for &(key, addend) in locals.iter().filter(|&&(key, _)| key != 0) {

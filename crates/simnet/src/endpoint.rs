@@ -153,34 +153,62 @@ impl Endpoint {
         })
     }
 
-    /// Post a PUT (RMA write). Returns after charging the post overhead;
-    /// completion is asynchronous via CQs / signals.
+    /// Post a PUT (RMA write): one scheduler entry, which charges the
+    /// post overhead too. Completion is asynchronous via CQs / signals.
     pub fn put(&self, op: PutOp<'_>) -> Result<(), FabricError> {
+        let route = self.check_put(&op)?;
+        // Snapshot the source (the DMA engine reads it at post time; the
+        // local completion tells the app when reuse is safe). The
+        // snapshot is shared, not owned: a fault-injected duplicate
+        // delivery reuses the same buffer.
+        let data = snapshot(op.src, op.src_offset, op.len)?;
+        let stripe = stripe(route, op, data);
+        self.actor
+            .post(|st, t| ((), post_stripe(&self.fabric, st, t, stripe)));
+        Ok(())
+    }
+
+    /// Post the stripes of one PUT. They read one source region, within
+    /// the first one's start and the last one's end; that range is
+    /// snapshotted once, and each stripe carries its slice of it.
+    /// Otherwise each posts as [`Endpoint::put`] does. The first goes in
+    /// this actor's own scheduler entry and each later one a post
+    /// overhead after the one before, as that entry's train
+    /// ([`ActorHandle::post_train`]). A stripe that fails its checks
+    /// fails the put before any stripe leaves.
+    pub fn put_stripes(&self, ops: Vec<PutOp<'_>>) -> Result<(), FabricError> {
+        let (Some(first), Some(last)) = (ops.first(), ops.last()) else {
+            return Ok(());
+        };
+        let (src, base) = (first.src.rkey, first.src_offset);
+        let block = snapshot(first.src, base, last.src_offset + last.len - base)?;
+        let mut stripes = Vec::with_capacity(ops.len());
+        for op in ops {
+            debug_assert_eq!(op.src.rkey, src, "the stripes of one put share a source");
+            let route = self.check_put(&op)?;
+            let data = block.slice(op.src_offset - base, op.len);
+            stripes.push(stripe(route, op, data));
+        }
+        let mut rest = stripes.into_iter();
+        let first = rest.next().expect("a put has a stripe");
+        let fabric = Arc::clone(&self.fabric);
+        let steps = rest.len();
+        self.actor.post_train(
+            |st, t| ((), post_stripe(&self.fabric, st, t, first), steps),
+            move |st, t| post_stripe(&fabric, st, t, rest.next().expect("one step per stripe")),
+        );
+        Ok(())
+    }
+
+    /// The checks a PUT passes before it is posted: its route, and a
+    /// remote notification only where the interface has one.
+    fn check_put(&self, op: &PutOp<'_>) -> Result<Route, FabricError> {
         let route = self.route(op.dst.rank, op.nic, true)?;
         let spec = self.fabric.cfg.iface;
         if op.notify_remote && spec.custom_bits.put_remote == 0 && !spec.hardware_atomic_add {
             return Err(FabricError::NoRemoteNotify);
         }
-        // Snapshot the source (the DMA engine reads it at post time; the
-        // local completion tells the app when reuse is safe). The
-        // snapshot is shared, not owned: a fault-injected duplicate
-        // delivery reuses the same buffer.
-        let data = op
-            .src
-            .snapshot_shared(op.src_offset, op.len)
-            .map_err(|e| FabricError::OutOfBounds(e.to_string()))?;
-        let cargo = Cargo {
-            data,
-            dst: op.dst,
-            dst_offset: op.dst_offset,
-            notify: op.notify_remote.then_some(op.custom_remote),
-            companion: op.companion,
-        };
-        let local = Some((op.local_cq, op.custom_local));
-        self.actor
-            .with_sched(|st, t| self.put_at(st, t, route, cargo, local));
-        self.actor.advance(route.model.post_overhead);
-        Ok(())
+        Ok(route)
     }
 
     /// Post a PUT from an owned byte buffer, with no local or remote
@@ -190,9 +218,9 @@ impl Endpoint {
     /// companion datagram. Subject to the same NIC serialization,
     /// jitter and fault injection as [`Endpoint::put`].
     ///
-    /// Two scheduler entries, like every post: [`Endpoint::put_bytes_at`]
-    /// and then the post overhead it returns (an invalid put fails in
-    /// the first).
+    /// One scheduler entry, like every post: [`Endpoint::put_bytes_at`]
+    /// and the post overhead it returns (an invalid put fails in it and
+    /// charges nothing).
     pub fn put_bytes(
         &self,
         data: impl Into<Bytes>,
@@ -202,11 +230,12 @@ impl Endpoint {
         companion: Option<(u32, Vec<u8>)>,
     ) -> Result<(), FabricError> {
         let data = data.into();
-        let overhead = self
-            .actor
-            .with_sched(|st, t| self.put_bytes_at(st, t, data, dst, dst_offset, nic, companion))?;
-        self.actor.advance(overhead);
-        Ok(())
+        self.actor.post(|st, t| {
+            match self.put_bytes_at(st, t, data, dst, dst_offset, nic, companion) {
+                Ok(overhead) => (Ok(()), overhead),
+                Err(e) => (Err(e), 0),
+            }
+        })
     }
 
     /// The body of [`Endpoint::put_bytes`] in scheduler context, posted
@@ -232,39 +261,12 @@ impl Endpoint {
             notify: None,
             companion,
         };
-        self.put_at(st, t_post, route, cargo, None);
-        Ok(route.model.post_overhead)
-    }
-
-    /// The body both PUTs share, at `t_post`: launch the sub-message,
-    /// raise the `local` completion (a CQ and the raw bits) once the NIC
-    /// has drained the source, never faulted, and land the cargo.
-    fn put_at(
-        &self,
-        st: &mut Sched,
-        t_post: Ns,
-        route: Route,
-        cargo: Cargo,
-        local: Option<(Option<Arc<CompletionQueue>>, u128)>,
-    ) {
-        let fabric = &self.fabric;
-        let len = cargo.data.len();
-        fabric.metrics.puts.inc();
-        fabric.metrics.bytes_put.add(len as u64);
-        let flight = fabric.launch(Leg::Put, route, len, t_post);
-        let (nic, end) = (flight.nic, flight.end);
-        let hardware = fabric.cfg.iface.hardware_atomic_add;
-        if let Some((cq, custom)) = local.filter(|(cq, _)| cq.is_some() || hardware) {
-            let f = Arc::clone(fabric);
-            st.schedule_at(end, move |st| {
-                let kind = CompletionKind::PutLocal;
-                f.complete(st, route.rank, cq.as_ref(), kind, custom, nic, end)
-            });
-        }
-        let f = Arc::clone(fabric);
-        flight.land(st, cargo, move |st, at, cargo| {
-            f.land_put(st, route.rank, nic, at, cargo)
-        });
+        Ok(post_stripe(
+            &self.fabric,
+            st,
+            t_post,
+            Stripe(route, cargo, None),
+        ))
     }
 
     /// Post a GET (RMA read). The request travels to the target, the
@@ -331,13 +333,11 @@ impl Endpoint {
     }
 
     /// Send a small control datagram to `dst`'s `port`. Shares NIC
-    /// bandwidth with RMA traffic. Two scheduler entries:
+    /// bandwidth with RMA traffic. One scheduler entry:
     /// [`Endpoint::send_dgram_at`] and the post overhead it returns.
     pub fn send_dgram(&self, dst: usize, port: u32, bytes: Vec<u8>, nic: NicSel) {
-        let overhead = self
-            .actor
-            .with_sched(|st, t| self.send_dgram_at(st, t, dst, port, bytes, nic));
-        self.actor.advance(overhead);
+        self.actor
+            .post(|st, t| ((), self.send_dgram_at(st, t, dst, port, bytes, nic)));
     }
 
     /// The body of [`Endpoint::send_dgram`] in scheduler context, sent
@@ -427,4 +427,51 @@ impl Endpoint {
     ) -> Ns {
         self.actor.wait_until(pred, register)
     }
+}
+
+/// A checked PUT sub-message: its route, its cargo and its local
+/// completion (a CQ and the raw bits; `None` for none at all).
+struct Stripe(Route, Cargo, Option<(Option<Arc<CompletionQueue>>, u128)>);
+
+/// `op` as a stripe carrying `data`, its source bytes.
+fn stripe(route: Route, op: PutOp<'_>, data: Bytes) -> Stripe {
+    let cargo = Cargo {
+        data,
+        dst: op.dst,
+        dst_offset: op.dst_offset,
+        notify: op.notify_remote.then_some(op.custom_remote),
+        companion: op.companion,
+    };
+    Stripe(route, cargo, Some((op.local_cq, op.custom_local)))
+}
+
+/// `len` bytes of `src` from `offset`, as the DMA engine reads them.
+fn snapshot(src: &MemRegion, offset: usize, len: usize) -> Result<Bytes, FabricError> {
+    src.snapshot_shared(offset, len)
+        .map_err(|e| FabricError::OutOfBounds(e.to_string()))
+}
+
+/// The body every PUT shares, at `t_post`: launch the sub-message, raise
+/// the local completion once the NIC has drained the source, never
+/// faulted, and land the cargo. Returns the post overhead.
+fn post_stripe(fabric: &Arc<Fabric>, st: &mut Sched, t_post: Ns, stripe: Stripe) -> Ns {
+    let Stripe(route, cargo, local) = stripe;
+    let len = cargo.data.len();
+    fabric.metrics.puts.inc();
+    fabric.metrics.bytes_put.add(len as u64);
+    let flight = fabric.launch(Leg::Put, route, len, t_post);
+    let (nic, end) = (flight.nic, flight.end);
+    let hardware = fabric.cfg.iface.hardware_atomic_add;
+    if let Some((cq, custom)) = local.filter(|(cq, _)| cq.is_some() || hardware) {
+        let f = Arc::clone(fabric);
+        st.schedule_at(end, move |st| {
+            let kind = CompletionKind::PutLocal;
+            f.complete(st, route.rank, cq.as_ref(), kind, custom, nic, end)
+        });
+    }
+    let f = Arc::clone(fabric);
+    flight.land(st, cargo, move |st, at, cargo| {
+        f.land_put(st, route.rank, nic, at, cargo)
+    });
+    route.model.post_overhead
 }

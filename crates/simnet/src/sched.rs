@@ -22,6 +22,16 @@
 //!   the [`Step`] it returns stands for what a thread's op would have
 //!   done on release: yield (after advancing its clock), block, or end.
 //!
+//! A thread actor may leave a **train** behind an op
+//! ([`ActorHandle::post_train`]): scheduler-context steps, each a turn
+//! of the thread at its own (time, id), that `dispatch` runs in place
+//! as it runs a callback's — the later stripes of a striped put, each a
+//! post overhead after the one before. The thread's next call waits
+//! behind the train's last step, so the train costs its baton one
+//! hand-off at most, where an op per step cost one each. Its code until
+//! that call sees the world as of the op that left the train, and must
+//! write no state that a step, an event or another actor reads.
+//!
 //! Events are boxed closures run *inside* the scheduler loop with the
 //! scheduler state borrowed mutably; they perform fabric effects (memory
 //! writes, queue pushes) and wake blocked actors.
@@ -31,8 +41,9 @@
 //! mutex). `current` only ever changes inside `Sched::dispatch`, which
 //! tells its caller which thread it newly selected; the caller notifies
 //! exactly that baton, or none if it selected the caller again. A
-//! callback has no baton: `dispatch` runs it where it stands. What a
-//! thread's *release* selects, thread or callback, that thread holds
+//! callback has no baton: `dispatch` runs it, or a thread's train,
+//! where it stands. What a thread's *release* selects — a thread, a
+//! callback, or a train, its own included — that thread holds
 //! until its next call, so its own code between two calls runs alone
 //! and the interleaving does not depend on the OS. Waiters test
 //! `current` under the mutex, so a notify that finds its target not yet
@@ -124,8 +135,10 @@ pub enum Step {
 type StepFn = Box<dyn FnMut(&mut Sched, ActorId, Ns) -> Step + Send>;
 
 enum Body {
-    /// An OS thread; it waits on this baton until it is `current`.
-    Thread(Arc<Condvar>),
+    /// An OS thread; it waits on this baton until it is `current`. Its
+    /// train, if any — a step and how many more turns it takes — runs
+    /// first, in place, as a callback's steps do.
+    Thread(Arc<Condvar>, Option<(StepFn, usize)>),
     /// Run in place by `dispatch`; `None` only while it runs.
     Callback(Option<StepFn>),
 }
@@ -181,9 +194,12 @@ pub struct Sched {
     last_selected: Option<usize>,
     /// Selections that differed from `last_selected`.
     switches: Arc<Counter>,
-    /// The actor each of those selections picked, for the tests.
+    /// The actor each of those selections picked, and each thread
+    /// whose baton was notified, for the tests.
     #[cfg(test)]
     switch_log: Vec<usize>,
+    #[cfg(test)]
+    notify_log: Vec<usize>,
     /// Smallest (start time, id) among registered actors whose thread
     /// has not called `begin()` yet; `None` once all have.
     gate: Option<(Ns, usize)>,
@@ -261,7 +277,7 @@ impl Sched {
     /// The baton of a thread actor.
     fn baton(&self, id: usize) -> &Arc<Condvar> {
         match &self.actors[id].body {
-            Body::Thread(baton) => baton,
+            Body::Thread(baton, _) => baton,
             Body::Callback(_) => unreachable!("a callback actor has no baton"),
         }
     }
@@ -269,19 +285,21 @@ impl Sched {
     /// Every thread actor's baton.
     fn batons(&self) -> impl Iterator<Item = &Arc<Condvar>> {
         self.actors.iter().filter_map(|s| match &s.body {
-            Body::Thread(baton) => Some(baton),
+            Body::Thread(baton, _) => Some(baton),
             Body::Callback(_) => None,
         })
     }
 
-    /// Run one step of the selected callback actor `id` (which is
-    /// `current`) and apply what it returns.
+    /// Run one step of the selected actor `id` (which is `current`):
+    /// a callback's, or the next of a thread's train. Apply what it
+    /// returns; a train step only yields.
     fn run_step(&mut self, id: usize) {
-        let Body::Callback(body) = &mut self.actors[id].body else {
-            unreachable!("run_step on a thread actor");
+        let slot = &mut self.actors[id];
+        let (mut step, left) = match &mut slot.body {
+            Body::Callback(body) => (body.take().expect("a step never re-enters itself"), 0),
+            Body::Thread(_, train) => train.take().expect("a thread steps only on a train"),
         };
-        let mut step = body.take().expect("a callback step never re-enters itself");
-        let t = self.actors[id].t;
+        let t = slot.t;
         let next = step(self, ActorId(id), t);
         self.current = None;
         let slot = &mut self.actors[id];
@@ -289,15 +307,15 @@ impl Sched {
             Step::Yield { advance } => {
                 slot.t += advance;
                 slot.state = ActorState::Ready;
-                let t = slot.t;
-                slot.body = Body::Callback(Some(step));
-                self.ready.push(Reverse((t, id)));
+                self.ready.push(Reverse((slot.t, id)));
             }
-            Step::Block => {
-                slot.state = ActorState::Blocked;
-                slot.body = Body::Callback(Some(step));
-            }
+            Step::Block => slot.state = ActorState::Blocked,
             Step::Finish => slot.state = ActorState::Finished,
+        }
+        match &mut slot.body {
+            Body::Callback(body) if next != Step::Finish => *body = Some(step),
+            Body::Thread(_, train) if left > 1 => *train = Some((step, left - 1)),
+            _ => {}
         }
     }
 
@@ -306,8 +324,13 @@ impl Sched {
         self.current == Some(me.0) && self.held.is_none()
     }
 
-    fn is_callback(&self, id: usize) -> bool {
-        matches!(self.actors[id].body, Body::Callback(_))
+    /// Whether `dispatch` runs `id`'s next turn in place: a callback,
+    /// or a thread with a train left.
+    fn runs_in_place(&self, id: usize) -> bool {
+        matches!(
+            self.actors[id].body,
+            Body::Callback(_) | Body::Thread(_, Some(_))
+        )
     }
 
     /// Core dispatch loop, called by thread `me`: run due events and
@@ -317,9 +340,9 @@ impl Sched {
     ///
     /// `hold` is set when `me` has just released and goes on to run its
     /// own code until its next call. That code runs alone: an actor this
-    /// dispatch selects other than `me` becomes `current`, but `me`
-    /// *holds* it — a callback's step does not run, a thread is not
-    /// notified — and `me`'s next dispatch hands it over first. So no
+    /// dispatch selects other than `me`, or `me` with a train, becomes
+    /// `current`, but `me` *holds* it — a step does not run, a thread is
+    /// not notified — and `me`'s next dispatch hands it over first. So no
     /// other thread's turn, and no step, runs beside a thread's code
     /// between two calls, on any number of cores.
     ///
@@ -339,7 +362,7 @@ impl Sched {
                 return None;
             }
             self.held = None;
-            if !self.is_callback(id) {
+            if !self.runs_in_place(id) {
                 return Some(id);
             }
             self.run_step(id);
@@ -402,11 +425,11 @@ impl Sched {
                 #[cfg(test)]
                 self.switch_log.push(id);
             }
-            if hold && id != me {
+            if hold && (id != me || self.runs_in_place(id)) {
                 self.held = Some(me);
                 return None;
             }
-            if self.is_callback(id) {
+            if self.runs_in_place(id) {
                 self.run_step(id);
                 continue;
             }
@@ -446,6 +469,8 @@ impl SimCore {
                 switches,
                 #[cfg(test)]
                 switch_log: Vec::new(),
+                #[cfg(test)]
+                notify_log: Vec::new(),
                 gate: None,
                 event_seq: 0,
                 events_run: 0,
@@ -458,14 +483,14 @@ impl SimCore {
     }
 
     /// Take the scheduler lock. Debug builds first check that this
-    /// thread is not the one inside `dispatch` — a callback step or an
-    /// event calling back into [`SimCore`] would otherwise wait for ever
-    /// on the lock its own thread holds.
+    /// thread is not the one inside `dispatch` — a callback step, a
+    /// train's step or an event calling back into [`SimCore`] would
+    /// otherwise wait for ever on the lock its own thread holds.
     fn lock(&self) -> MutexGuard<'_, Sched> {
         debug_assert!(
             !IN_DISPATCH.get(),
-            "scheduler call from inside a callback step or an event: \
-             the dispatching thread already holds the scheduler lock"
+            "scheduler call from inside a callback step, a train step or an \
+             event: the dispatching thread already holds the scheduler lock"
         );
         self.state.lock()
     }
@@ -479,7 +504,7 @@ impl SimCore {
             t: t0,
             state: ActorState::NotStarted,
             name: name.to_string(),
-            body: Body::Thread(Arc::default()),
+            body: Body::Thread(Arc::default(), None),
         });
         st.gate = Some(st.gate.map_or((t0, id), |g| g.min((t0, id))));
         ActorHandle {
@@ -526,6 +551,14 @@ impl SimCore {
         self.lock().switches.get()
     }
 
+    /// Batons notified so far: one per hand-off to a thread. Fixed by
+    /// the seed once every thread has begun (which thread begins last
+    /// can add or save one each), so tests read it; the metrics
+    /// registry, whose snapshots must repeat exactly, does not.
+    pub fn batons_notified(&self) -> u64 {
+        self.wakes.load(Ordering::Relaxed)
+    }
+
     fn check_poison(&self) {
         if self.poisoned.load(Ordering::Relaxed) {
             panic!("simulation previously panicked; scheduler is poisoned");
@@ -539,6 +572,8 @@ impl SimCore {
     /// [`Sched::dispatch`]'s: set when `me` goes on running.
     fn hand_off(&self, mut st: MutexGuard<'_, Sched>, me: ActorId, hold: bool) {
         let selected = self.dispatch(&mut st, me, hold).filter(|&id| id != me.0);
+        #[cfg(test)]
+        st.notify_log.extend(selected);
         let baton = selected.map(|id| Arc::clone(st.baton(id)));
         drop(st);
         if let Some(baton) = baton {
@@ -1230,6 +1265,181 @@ mod tests {
             Ok(Some(msg)) => assert!(msg.contains("inside a callback step"), "{msg}"),
             Ok(None) => panic!("the re-entrant step returned"),
             Err(_) => panic!("the re-entrant step deadlocked"),
+        }
+    }
+
+    const POSTS: usize = 6;
+    const OH: Ns = 10;
+
+    /// What one [`train_world`] did.
+    struct TrainRun {
+        switch_log: Vec<usize>,
+        /// (actor, virtual time) of every post and every tick.
+        log: Vec<(usize, Ns)>,
+        clocks: Vec<Ns>,
+        /// Times the poster's baton was notified after its first post.
+        poster_wakes: usize,
+    }
+
+    /// Actor 1 posts `POSTS` times, `OH` apart from t=0: as one post and
+    /// a train of `POSTS - 1` steps, or (`train == false`) as a
+    /// `with_sched` + `advance` pair per post. Beside it, tied at every
+    /// one of those times, thread 0 and callback 2 tick every `OH`.
+    fn train_world(train: bool) -> TrainRun {
+        let core = SimCore::new(SEC);
+        let (ticker, poster) = (core.register_actor("t0", 0), core.register_actor("t1", 0));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (l0, l1, l2) = (Arc::clone(&log), Arc::clone(&log), Arc::clone(&log));
+        // Where the notify log stood at the first post: which thread
+        // begins last decides whether one came before it.
+        let mark = Arc::new(AtomicU64::new(0));
+        let mark2 = Arc::clone(&mark);
+        let mut ticks = 0;
+        core.register_callback("c2", 0, move |_, me, t| {
+            l2.lock().push((me.0, t));
+            ticks += 1;
+            match ticks {
+                ..=POSTS => Step::Yield { advance: OH },
+                _ => Step::Finish,
+            }
+        });
+        let ticker = std::thread::spawn(move || {
+            ticker.begin();
+            for _ in 0..POSTS + 2 {
+                ticker.with_sched(|_, t| l0.lock().push((0, t)));
+                ticker.advance(OH);
+            }
+            ticker.end();
+        });
+        let poster = std::thread::spawn(move || {
+            poster.begin();
+            poster.with_sched(|st, _| mark2.store(st.notify_log.len() as u64, AO::Relaxed));
+            if train {
+                let l = Arc::clone(&l1);
+                poster.post_train(
+                    |_, t| (l.lock().push((1, t)), OH, POSTS - 1),
+                    move |_, t| {
+                        l1.lock().push((1, t));
+                        OH
+                    },
+                );
+            } else {
+                for _ in 0..POSTS {
+                    poster.with_sched(|_, t| l1.lock().push((1, t)));
+                    poster.advance(OH);
+                }
+            }
+            poster.end();
+        });
+        ticker.join().unwrap();
+        poster.join().unwrap();
+        let st = core.state.lock();
+        let log = log.lock().clone();
+        TrainRun {
+            switch_log: st.switch_log.clone(),
+            log,
+            clocks: st.actors.iter().map(|a| a.t).collect(),
+            poster_wakes: st.notify_log[mark.load(AO::Relaxed) as usize..]
+                .iter()
+                .filter(|&&id| id == 1)
+                .count(),
+        }
+    }
+
+    #[test]
+    fn a_train_runs_the_turns_of_its_posts_with_one_hand_off() {
+        let posts = train_world(false);
+        assert_eq!(posts.log.len(), POSTS + (POSTS + 2) + (POSTS + 1));
+        assert_eq!(
+            posts.clocks,
+            [(POSTS as Ns + 2) * OH, POSTS as Ns * OH, POSTS as Ns * OH]
+        );
+        // The ticker runs first at every time: one notify per post but
+        // the first, and one for `end`.
+        assert_eq!(posts.poster_wakes, POSTS);
+        for run in 0..10 {
+            let train = train_world(true);
+            assert_eq!(train.log, posts.log, "run {run}");
+            assert_eq!(train.switch_log, posts.switch_log, "run {run}");
+            assert_eq!(train.clocks, posts.clocks, "run {run}");
+            // Once, for `end`: the ticker's thread runs the steps.
+            assert_eq!(train.poster_wakes, 1, "run {run}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_train_step_poisons_every_parked_thread() {
+        const RANKS: usize = 3;
+        for round in 0..50 {
+            let core = SimCore::new(SEC);
+            let ranks: Vec<ActorHandle> = (0..RANKS)
+                .map(|i| core.register_actor(&format!("rank{i}"), 0))
+                .collect();
+            let (done, outcomes) = std::sync::mpsc::channel();
+            for (i, h) in ranks.into_iter().enumerate() {
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        h.begin();
+                        if i == 0 {
+                            let mut steps = 0;
+                            h.post_train(
+                                |_, _| ((), 5, 3),
+                                move |_, _| {
+                                    steps += 1;
+                                    assert!(steps < 2, "the step failed");
+                                    5
+                                },
+                            );
+                        }
+                        h.wait_until(|_| false, |_, _| {});
+                    }));
+                    let _ = done.send(panic_message(r));
+                });
+            }
+            let deadline = std::time::Duration::from_secs(20);
+            let mut messages: Vec<String> = (0..RANKS)
+                .map(|_| match outcomes.recv_timeout(deadline) {
+                    Ok(Some(msg)) => msg,
+                    Ok(None) => panic!("round {round}: a wait on nothing returned"),
+                    Err(_) => panic!("round {round}: a rank is stranded — poison never woke it"),
+                })
+                .collect();
+            messages.sort();
+            let poisoned = |m: &String| m.contains("scheduler is poisoned");
+            assert!(
+                poisoned(&messages[0]) && poisoned(&messages[1]),
+                "{messages:?}"
+            );
+            assert!(messages[2].contains("the step failed"), "{messages:?}");
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_scheduler_call_from_a_train_step_panics_instead_of_deadlocking() {
+        let core = SimCore::new(SEC);
+        let rank = core.register_actor("rank", 0);
+        let core2 = Arc::clone(&core);
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rank.begin();
+                rank.post_train(
+                    |_, _| ((), 1, 1),
+                    move |_, _| {
+                        core2.switches();
+                        1
+                    },
+                );
+                rank.now(); // the step runs here
+            }));
+            let _ = done.send(panic_message(r));
+        });
+        match outcome.recv_timeout(std::time::Duration::from_secs(20)) {
+            Ok(Some(msg)) => assert!(msg.contains("a train step"), "{msg}"),
+            Ok(None) => panic!("the re-entrant train step returned"),
+            Err(_) => panic!("the re-entrant train step deadlocked"),
         }
     }
 }

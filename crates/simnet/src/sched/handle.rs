@@ -6,7 +6,7 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use super::{ActorId, ActorState, Sched, SimCore};
+use super::{ActorId, ActorState, Body, Sched, SimCore, Step};
 use crate::time::Ns;
 
 /// Per-thread handle a thread actor uses to talk to the scheduler.
@@ -99,6 +99,48 @@ impl ActorHandle {
         self.core.op(self.id, |st, me| {
             let t = st.actors[me.0].t;
             f(st, t)
+        })
+    }
+
+    /// A post: run `f` as one scheduler op at this actor's time, and in
+    /// the same op charge the clock the overhead `f` returns beside its
+    /// result. A post and its overhead are one turn, not two: the second
+    /// turn of the pair changed nothing but the clock.
+    pub fn post<R>(&self, f: impl FnOnce(&mut Sched, Ns) -> (R, Ns)) -> R {
+        self.post_train(
+            |st, t| {
+                let (r, overhead) = f(st, t);
+                (r, overhead, 0)
+            },
+            |_, _| 0,
+        )
+    }
+
+    /// [`ActorHandle::post`], where `f` also says how many more posts
+    /// to leave as a *train*: `step` runs once per train step in
+    /// scheduler context, each run a turn of this actor at its own
+    /// (time, id), and returns the overhead to charge before the next.
+    /// `dispatch` runs the steps in place, on whichever thread
+    /// dispatches, as it runs a callback's, so the train costs no baton
+    /// hand-off. This thread's next call waits behind the last step; its
+    /// own code until then sees the world as of `f`, and must write no
+    /// state that a step, an event or another actor reads.
+    pub fn post_train<R>(
+        &self,
+        f: impl FnOnce(&mut Sched, Ns) -> (R, Ns, usize),
+        mut step: impl FnMut(&mut Sched, Ns) -> Ns + Send + 'static,
+    ) -> R {
+        self.core.op(self.id, |st, me| {
+            let (r, overhead, steps) = f(st, st.actors[me.0].t);
+            let slot = &mut st.actors[me.0];
+            slot.t += overhead;
+            if let (Body::Thread(_, train), 1..) = (&mut slot.body, steps) {
+                let turn = move |st: &mut Sched, _, t| Step::Yield {
+                    advance: step(st, t),
+                };
+                *train = Some((Box::new(turn), steps));
+            }
+            r
         })
     }
 

@@ -53,10 +53,16 @@ impl<T: Transport> Unr<T> {
         };
         let k = self.stripes_for_reliable(len);
         core.met.stripe_fanout.record(k as u64);
+        if two_sided {
+            // The fallback channel never stripes: one pack copy.
+            self.tx
+                .charge(core.copy_bw.transfer_time(len) + core.cfg.fallback_overhead);
+        }
         let adds = striped_addends(k, core.table.n_bits());
         let chunk = len / k;
         let rem = len % k;
         let mut off = 0usize;
+        let mut posts = Vec::with_capacity(k);
         let mut entries: Vec<(usize, u64)> = Vec::with_capacity(k);
         // One snapshot of the whole block, at most one copy: each stripe
         // is a slice of it, and its retry entry, its wire post and any
@@ -68,10 +74,6 @@ impl<T: Transport> Unr<T> {
         for (i, &add) in adds.iter().enumerate() {
             let this = chunk + usize::from(i < rem);
             let payload = snap.slice(off, this);
-            if two_sided {
-                self.tx
-                    .charge(core.copy_bw.transfer_time(len) + core.cfg.fallback_overhead);
-            }
             let nic = if k == 1 {
                 retry.first_nic(core.cfg.pin_nic)
             } else {
@@ -89,11 +91,12 @@ impl<T: Transport> Unr<T> {
                 if remote_sig == 0 { 0 } else { add },
                 nic,
             );
-            let posted = self.tx.post_seq(SeqPost {
+            entries.push((dst, reg.seq));
+            posts.push(SeqPost {
                 route,
                 dst: remote.rkey(),
                 dst_offset: remote.offset + off,
-                payload: &payload,
+                payload,
                 frame: reg.frame,
                 // An unstriped control frame goes where every other one
                 // does; stripes and RMA sub-messages go by the NIC the
@@ -105,21 +108,29 @@ impl<T: Transport> Unr<T> {
                 },
                 first: reg.first,
             });
-            if let Err(e) = posted {
-                // The caller's `Err` is the whole story for this
-                // stripe; the ones already on the wire stay watched.
-                retry.unregister(dst, reg.seq);
-                self.tx.complete(&entries, &[]);
-                return Err(e);
-            }
-            entries.push((dst, reg.seq));
             off += this;
-            self.count_sub_message();
         }
+        // Every stripe in one call: on simnet one scheduler entry and
+        // its train. The caller's `Err` is the whole story for the
+        // stripes that did not leave; the ones on the wire stay watched.
+        let (sent, failed) = match self.tx.post_seq(posts) {
+            Ok(()) => (k, None),
+            Err((sent, e)) => (sent, Some(e)),
+        };
+        for &(dst, seq) in &entries[sent..] {
+            retry.unregister(dst, seq);
+        }
+        self.count_sub_messages(sent);
         // Stamp post times and arm the deadlines — on simnet without
         // these wake-ups a lost message would leave the virtual clock
-        // with nothing to run and the world would deadlock.
-        self.tx.complete(&entries, &[]);
+        // with nothing to run and the world would deadlock. This is the
+        // rank's own scheduler entry, after the train: it waits for the
+        // last stripe, so the next put registers nothing before this
+        // one is armed.
+        self.tx.complete(&entries[..sent], &[]);
+        if let Some(e) = failed {
+            return Err(e);
+        }
         self.tx.complete(&[], &[(local_sig, -1)]);
         Ok(())
     }
@@ -205,7 +216,7 @@ impl<T: Transport> Unr<T> {
         self.count_puts(fl.puts, fl.payload.len());
         core.stats.fallback_msgs.fetch_add(1, Ordering::Relaxed);
         core.met.fallback_msgs.inc();
-        self.count_sub_message();
+        self.count_sub_messages(1);
         if let Some(am) = &core.amet {
             am.count_flush(why);
             am.addends_summed.add(fl.sigs.len() as u64);
@@ -240,7 +251,7 @@ impl<T: Transport> Unr<T> {
     ) -> Result<(), UnrError> {
         let nic = retry.first_nic(self.core.cfg.pin_nic);
         let reg = retry.register_agg(dst, nic, &fl.spans, &fl.sigs, &fl.payload);
-        let posted = self.tx.post_seq(SeqPost {
+        let posted = self.tx.post_seq(vec![SeqPost {
             route: Route::Agg,
             dst: RKey {
                 rank: dst,
@@ -248,12 +259,12 @@ impl<T: Transport> Unr<T> {
                 len: 0,
             },
             dst_offset: 0,
-            payload: &reg.frame,
-            frame: CtrlFrame::Shared(reg.frame.clone()),
+            payload: reg.frame.clone(),
+            frame: CtrlFrame::Shared(reg.frame),
             nic: self.default_nic(),
             first: reg.first,
-        });
-        if let Err(e) = posted {
+        }]);
+        if let Err((_, e)) = posted {
             retry.unregister(dst, reg.seq);
             return Err(e);
         }

@@ -502,7 +502,7 @@ mod tests {
             len: 64,
         };
         let reg = retry.register_data(crate::Route::Dgram, vec![1; 4].into(), rkey, 0, 11, -1, 0);
-        retry.arm(500, &[(2, reg.seq)]);
+        retry.arm(500, &[(2, reg.seq)], |_| {});
         let settled = Did::Count(CtrlEvent::Acked { first_post: 500 });
         assert_eq!(run(Some(&retry), &wire::ack_msg(reg.seq)), [settled]);
         assert_eq!(

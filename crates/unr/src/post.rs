@@ -407,7 +407,7 @@ impl<T: Transport> Unr<T> {
             Mechanism::Dgram => {
                 core.stats.fallback_msgs.fetch_add(1, Ordering::Relaxed);
                 core.met.fallback_msgs.inc();
-                self.count_sub_message();
+                self.count_sub_messages(1);
                 core.met.stripe_fanout.record(1);
                 // Two-sided emulation: pack (copy), send, notify locally.
                 let data = region
@@ -427,23 +427,21 @@ impl<T: Transport> Unr<T> {
                 Ok(())
             }
             Mechanism::RmaCompanion => {
-                self.count_sub_message();
+                self.count_sub_messages(1);
                 core.met.stripe_fanout.record(1);
                 let custom_local = Encoding::Split64.encode(notif_for(local_sig, -1))?;
                 let companion = (remote_sig != 0).then(|| wire::companion_msg(remote_sig, -1));
-                self.tx.put(
-                    RmaOp {
-                        local: region,
-                        local_offset: local.offset,
-                        len,
-                        remote: remote.rkey(),
-                        remote_offset: remote.offset,
-                        nic: self.default_nic(),
-                        custom_local,
-                        custom_remote: 0,
-                    },
-                    companion,
-                )
+                let op = RmaOp {
+                    local: region,
+                    local_offset: local.offset,
+                    len,
+                    remote: remote.rkey(),
+                    remote_offset: remote.offset,
+                    nic: self.default_nic(),
+                    custom_local,
+                    custom_remote: 0,
+                };
+                self.tx.put(std::slice::from_ref(&op), companion)
             }
             Mechanism::Rma(enc) => {
                 self.put_rma(region, local, remote, local_sig, remote_sig, len, enc)
@@ -464,9 +462,12 @@ impl<T: Transport> Unr<T> {
         core.met.level_msgs.add(puts);
     }
 
-    pub(crate) fn count_sub_message(&self) {
-        self.core.stats.sub_messages.fetch_add(1, Ordering::Relaxed);
-        self.core.met.sub_messages.inc();
+    pub(crate) fn count_sub_messages(&self, n: usize) {
+        self.core
+            .stats
+            .sub_messages
+            .fetch_add(n as u64, Ordering::Relaxed);
+        self.core.met.sub_messages.add(n as u64);
     }
 
     /// Native notifiable-RMA put with multi-NIC striping (MMAS): each
@@ -489,28 +490,27 @@ impl<T: Transport> Unr<T> {
         let chunk = len / k;
         let rem = len % k;
         let mut off = 0usize;
+        let mut stripes = Vec::with_capacity(k);
         for (i, &add) in adds.iter().enumerate() {
             let this = chunk + usize::from(i < rem);
-            self.tx.put(
-                RmaOp {
-                    local: region,
-                    local_offset: local.offset + off,
-                    len: this,
-                    remote: remote.rkey(),
-                    remote_offset: remote.offset + off,
-                    nic: if k == 1 {
-                        self.default_nic()
-                    } else {
-                        NicSel::Index(i % self.core.facts.nics)
-                    },
-                    custom_local: enc.put_local.encode(notif_for(local_sig, add))?,
-                    custom_remote: enc.put_remote.encode(notif_for(remote_sig, add))?,
+            stripes.push(RmaOp {
+                local: region,
+                local_offset: local.offset + off,
+                len: this,
+                remote: remote.rkey(),
+                remote_offset: remote.offset + off,
+                nic: if k == 1 {
+                    self.default_nic()
+                } else {
+                    NicSel::Index(i % self.core.facts.nics)
                 },
-                None,
-            )?;
+                custom_local: enc.put_local.encode(notif_for(local_sig, add))?,
+                custom_remote: enc.put_remote.encode(notif_for(remote_sig, add))?,
+            });
             off += this;
-            self.count_sub_message();
         }
+        self.tx.put(&stripes, None)?;
+        self.count_sub_messages(k);
         Ok(())
     }
 
@@ -727,25 +727,19 @@ pub(crate) mod tests {
     /// One call across the seam, as the fake saw it.
     #[derive(Debug, Clone, PartialEq)]
     pub(crate) enum Call {
+        /// One put: every stripe of the message.
         Put {
-            nic: NicSel,
-            range: (usize, usize),
-            custom: (u128, u128),
+            stripes: Vec<Stripe>,
             companion: Option<Vec<u8>>,
         },
         Get {
             custom: (u128, u128),
         },
+        /// One first transmission of a message's sub-messages: those
+        /// that reached the wire.
         Seq {
-            route: Route,
-            nic: NicSel,
-            dst: usize,
-            dst_offset: usize,
-            payload: Vec<u8>,
-            /// Where the payload's bytes live: which allocation it views.
-            payload_at: usize,
-            frame: Vec<u8>,
-            /// Retry-table entries when the post reached the transport.
+            posts: Vec<Sub>,
+            /// Retry-table entries when the call reached the transport.
             in_flight: usize,
         },
         Ctrl {
@@ -758,6 +752,27 @@ pub(crate) mod tests {
             locals: Vec<(u64, i64)>,
         },
         Park,
+    }
+
+    /// One stripe of a native put.
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct Stripe {
+        nic: NicSel,
+        range: (usize, usize),
+        custom: (u128, u128),
+    }
+
+    /// One sequenced sub-message of a [`Call::Seq`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub(crate) struct Sub {
+        route: Route,
+        nic: NicSel,
+        dst: usize,
+        dst_offset: usize,
+        payload: Vec<u8>,
+        /// Where the payload's bytes live: which allocation it views.
+        payload_at: usize,
+        frame: Vec<u8>,
     }
 
     /// What the fake's park does, set by a test that waits.
@@ -776,12 +791,13 @@ pub(crate) mod tests {
     }
 
     impl Fake {
-        fn send(&self, call: Call) -> Result<(), UnrError> {
+        /// Count one frame on its way to the wire; fail the
+        /// `fail_send`-th.
+        fn send(&self) -> Result<(), UnrError> {
             let nth = self.sends.fetch_add(1, Ordering::Relaxed) + 1;
             if self.fail_send == Some(nth) {
                 return Err(self.peer_failed(PEER, PeerFailedCause::Killed));
             }
-            self.log.lock().push(call);
             Ok(())
         }
     }
@@ -793,13 +809,16 @@ pub(crate) mod tests {
         fn region(&self, id: u32) -> Option<&MemRegion> {
             (id == REGION).then_some(&self.region)
         }
-        fn put(&self, op: RmaOp<'_>, companion: Option<Vec<u8>>) -> Result<(), UnrError> {
-            self.log.lock().push(Call::Put {
-                nic: op.nic,
-                range: (op.local_offset, op.len),
-                custom: (op.custom_local, op.custom_remote),
-                companion,
-            });
+        fn put(&self, stripes: &[RmaOp<'_>], companion: Option<Vec<u8>>) -> Result<(), UnrError> {
+            let stripes = stripes
+                .iter()
+                .map(|op| Stripe {
+                    nic: op.nic,
+                    range: (op.local_offset, op.len),
+                    custom: (op.custom_local, op.custom_remote),
+                })
+                .collect();
+            self.log.lock().push(Call::Put { stripes, companion });
             Ok(())
         }
         fn get(&self, op: RmaOp<'_>) -> Result<(), UnrError> {
@@ -808,20 +827,38 @@ pub(crate) mod tests {
             });
             Ok(())
         }
-        fn post_seq(&self, post: SeqPost<'_>) -> Result<(), UnrError> {
-            self.send(Call::Seq {
-                route: post.route,
-                nic: post.nic,
-                dst: post.dst.rank,
-                dst_offset: post.dst_offset,
-                payload: post.payload.to_vec(),
-                payload_at: post.payload.as_ptr() as usize,
-                frame: post.frame.into_vec(),
-                in_flight: self.retry.as_ref().map_or(0, |r| r.in_flight()),
-            })
+        /// Logs the sub-messages that reached the wire, if any.
+        fn post_seq(&self, posts: Vec<SeqPost>) -> Result<(), (usize, UnrError)> {
+            let in_flight = self.retry.as_ref().map_or(0, |r| r.in_flight());
+            let mut sent = Vec::new();
+            let mut failed = None;
+            for post in posts {
+                if let Err(e) = self.send() {
+                    failed = Some((sent.len(), e));
+                    break;
+                }
+                sent.push(Sub {
+                    route: post.route,
+                    nic: post.nic,
+                    dst: post.dst.rank,
+                    dst_offset: post.dst_offset,
+                    payload: post.payload.to_vec(),
+                    payload_at: post.payload.as_ptr() as usize,
+                    frame: post.frame.into_vec(),
+                });
+            }
+            if !sent.is_empty() {
+                self.log.lock().push(Call::Seq {
+                    posts: sent,
+                    in_flight,
+                });
+            }
+            failed.map_or(Ok(()), Err)
         }
         fn send_ctrl(&self, dst: usize, _nic: NicSel, frame: Vec<u8>) -> Result<(), UnrError> {
-            self.send(Call::Ctrl { dst, frame })
+            self.send()?;
+            self.log.lock().push(Call::Ctrl { dst, frame });
+            Ok(())
         }
         fn charge(&self, _ns: Ns) {
             self.log.lock().push(Call::Charge);
@@ -971,12 +1008,12 @@ pub(crate) mod tests {
         };
         for call in log {
             match call {
-                Call::Put {
-                    custom, companion, ..
-                } => {
-                    let (l, r) = (local_enc.decode(custom.0), remote_enc.decode(custom.1));
-                    add(0, l.key, l.addend);
-                    add(1, r.key, r.addend);
+                Call::Put { stripes, companion } => {
+                    for Stripe { custom, .. } in stripes {
+                        let (l, r) = (local_enc.decode(custom.0), remote_enc.decode(custom.1));
+                        add(0, l.key, l.addend);
+                        add(1, r.key, r.addend);
+                    }
                     if let Some(c) = companion {
                         frame(&mut add, c);
                     }
@@ -986,7 +1023,8 @@ pub(crate) mod tests {
                     add(0, l.key, l.addend);
                     add(1, r.key, r.addend);
                 }
-                Call::Seq { frame: f, .. } | Call::Ctrl { frame: f, .. } => frame(&mut add, f),
+                Call::Seq { posts, .. } => posts.iter().for_each(|p| frame(&mut add, &p.frame)),
+                Call::Ctrl { frame: f, .. } => frame(&mut add, f),
                 Call::Complete { locals, .. } => {
                     locals.iter().for_each(|&(k, a)| add(0, k, a));
                 }
@@ -997,10 +1035,10 @@ pub(crate) mod tests {
     }
 
     /// Every mechanism × reliability × sub-message route × fan-out ×
-    /// coalescing: the seam calls a put makes, in order; the block
-    /// covered exactly once; both signals brought down by exactly one
-    /// event (MMAS exactly-once); every sequenced post registered
-    /// before the transport sees it.
+    /// coalescing: the seam calls a put makes, in order — one call for
+    /// all its stripes; the block covered exactly once; both signals
+    /// brought down by exactly one event (MMAS exactly-once); every
+    /// sequenced stripe registered before the one call that posts them.
     #[test]
     fn a_put_is_the_same_seam_calls_and_exactly_one_event_per_signal_on_every_channel() {
         let channels = [
@@ -1039,12 +1077,12 @@ pub(crate) mod tests {
                             1
                         };
                         let want = match (coalesced, reliable) {
-                            (true, false) => "$CL".to_string(),
-                            (true, true) => "$SL".to_string(),
-                            (false, true) if two_sided => "$SLL".to_string(),
-                            (false, true) => "S".repeat(k) + "LL",
-                            (false, false) if two_sided => "$CL".to_string(),
-                            (false, false) => "P".repeat(k),
+                            (true, false) => "$CL",
+                            (true, true) => "$SL",
+                            (false, true) if two_sided => "$SLL",
+                            (false, true) => "SLL",
+                            (false, false) if two_sided => "$CL",
+                            (false, false) => "P",
                         };
                         assert_eq!(shape(&log), want, "{case}");
 
@@ -1063,36 +1101,46 @@ pub(crate) mod tests {
                         let mut seqs = 0;
                         for call in &log {
                             match call {
-                                Call::Put { range, nic, .. } => {
-                                    assert_eq!(range.0, covered, "{case}");
-                                    covered += range.1;
-                                    assert_eq!(*nic == NicSel::Auto, k == 1, "{case}");
+                                Call::Put { stripes, .. } => {
+                                    assert_eq!(stripes.len(), k, "{case}: one call per put");
+                                    for Stripe { range, nic, .. } in stripes {
+                                        assert_eq!(range.0, covered, "{case}");
+                                        covered += range.1;
+                                        assert_eq!(*nic == NicSel::Auto, k == 1, "{case}");
+                                    }
                                 }
-                                Call::Seq {
-                                    route,
-                                    dst_offset,
-                                    payload,
-                                    frame,
-                                    in_flight,
-                                    ..
-                                } => {
-                                    seqs += 1;
-                                    assert_eq!(*route, want_route, "{case}");
+                                Call::Seq { posts, in_flight } => {
+                                    let subs = if coalesced { 1 } else { k };
+                                    assert_eq!(posts.len(), subs, "{case}: one call per put");
+                                    seqs += posts.len();
                                     assert_eq!(*in_flight, seqs, "{case}: register before send");
-                                    if coalesced {
-                                        continue;
+                                    for sub in posts {
+                                        assert_eq!(sub.route, want_route, "{case}");
+                                        if coalesced {
+                                            continue;
+                                        }
+                                        let Sub {
+                                            dst_offset,
+                                            payload,
+                                            frame,
+                                            ..
+                                        } = sub;
+                                        let src: Vec<u8> = (covered..covered + payload.len())
+                                            .map(|i| i as u8)
+                                            .collect();
+                                        assert_eq!(*payload, src, "{case}: the region's bytes");
+                                        let at = remote.offset + covered - local.offset;
+                                        assert_eq!(*dst_offset, at, "{case}");
+                                        if let CtrlMsg::SeqData { payload: p, .. } =
+                                            CtrlMsg::parse(frame)
+                                        {
+                                            assert_eq!(
+                                                p, src,
+                                                "{case}: and the frame carries them"
+                                            );
+                                        }
+                                        covered += payload.len();
                                     }
-                                    let src: Vec<u8> = (covered..covered + payload.len())
-                                        .map(|i| i as u8)
-                                        .collect();
-                                    assert_eq!(*payload, src, "{case}: the region's bytes");
-                                    assert_eq!(*dst_offset, remote.offset + covered - local.offset);
-                                    if let CtrlMsg::SeqData { payload: p, .. } =
-                                        CtrlMsg::parse(frame)
-                                    {
-                                        assert_eq!(p, src, "{case}: and the frame carries them");
-                                    }
-                                    covered += payload.len();
                                 }
                                 _ => {}
                             }
@@ -1136,15 +1184,11 @@ pub(crate) mod tests {
     /// The reliable stripes in `log`: `(peer, payload_at, payload)`.
     fn stripes(log: &[Call]) -> Vec<(usize, usize, Vec<u8>)> {
         log.iter()
-            .filter_map(|call| match call {
-                Call::Seq {
-                    dst,
-                    payload_at,
-                    payload,
-                    ..
-                } => Some((*dst, *payload_at, payload.clone())),
-                _ => None,
+            .flat_map(|call| match call {
+                Call::Seq { posts, .. } => posts.as_slice(),
+                _ => &[],
             })
+            .map(|p| (p.dst, p.payload_at, p.payload.clone()))
             .collect()
     }
 
@@ -1229,7 +1273,7 @@ pub(crate) mod tests {
 
         let retry = unr.core.retry.as_ref().unwrap();
         assert_eq!(entries.len(), 5 * 4);
-        retry.arm(0, &entries);
+        retry.arm(0, &entries, |_| {});
         let resends = retry.sweep(1 << 40).resends;
         assert_eq!(resends.len(), entries.len());
         for peer in 1..=3 {
@@ -1290,11 +1334,17 @@ pub(crate) mod tests {
         unr.put(&local, &remote).unwrap();
         unr.get(&local, &remote).unwrap();
         let log = take_log(&unr);
-        assert_eq!(shape(&log), "PPG");
-        for call in log {
-            let (Call::Put { custom, .. } | Call::Get { custom }) = call else {
-                unreachable!()
-            };
+        assert_eq!(shape(&log), "PG");
+        let customs: Vec<_> = log
+            .into_iter()
+            .flat_map(|call| match call {
+                Call::Put { stripes, .. } => stripes.into_iter().map(|s| s.custom).collect(),
+                Call::Get { custom } => vec![custom],
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(customs.len(), NICS + 1);
+        for custom in customs {
             assert_eq!(custom, (0, 0), "a null signal asks for no completion");
         }
 
@@ -1317,16 +1367,12 @@ pub(crate) mod tests {
 
         unr.put(&small, &small_rmt).unwrap();
         unr.put(&big, &elsewhere).unwrap();
-        assert_eq!(
-            shape(&take_log(&unr)),
-            "PP",
-            "another rank's traffic passes"
-        );
+        assert_eq!(shape(&take_log(&unr)), "P", "another rank's traffic passes");
         assert_eq!((unr.agg_backlog(PEER), order_flushes()), ((SMALL, 1), 0));
 
         unr.put(&big, &big_rmt).unwrap();
         let log = take_log(&unr);
-        assert_eq!(shape(&log), "$CLPP");
+        assert_eq!(shape(&log), "$CLP");
         assert!(matches!(&log[1], Call::Ctrl { dst: PEER, frame } if frame[0] == wire::MSG_AGG));
         assert_eq!((unr.agg_backlog(PEER), order_flushes()), ((0, 0), 1));
 
@@ -1337,32 +1383,58 @@ pub(crate) mod tests {
     }
 
     /// The caller's `Err` is the whole story of a first post that
-    /// failed: the entry leaves the retry table, so nothing is
-    /// retransmitted and the in-flight count returns to what the wire
-    /// holds — the stripes sent before it stay registered and armed.
+    /// failed: every stripe is registered before the one call, and the
+    /// ones the transport reports unsent leave the retry table, so
+    /// nothing is retransmitted and the in-flight count returns to what
+    /// the wire holds — the stripes sent before the failure stay
+    /// registered and armed.
     #[test]
     fn a_sub_message_whose_first_post_fails_is_unregistered() {
-        for route in [Route::Rma, Route::Dgram] {
-            let unr = engine(Channel::glex(), true, false, route, Some(2));
+        for (route, nics, fail) in [
+            (Route::Rma, 2, 2),
+            (Route::Dgram, 2, 2),
+            (Route::Rma, 4, 3),
+            (Route::Dgram, 4, 1),
+        ] {
+            let case = format!("{route:?}, {nics} stripes, send {fail} fails");
+            let mut unr = engine(Channel::glex(), true, false, route, Some(fail));
+            Arc::get_mut(&mut unr.core)
+                .expect("the fake keeps no core")
+                .facts
+                .nics = nics;
             let sig = unr.sig_init(1);
             let (local, remote) = pair(BIG, sig.key(), REMOTE_KEY, PEER);
             let failed = unr.put(&local, &remote);
-            assert!(matches!(
-                failed,
-                Err(UnrError::PeerFailed { rank: PEER, .. })
-            ));
+            assert!(
+                matches!(failed, Err(UnrError::PeerFailed { rank: PEER, .. })),
+                "{case}"
+            );
             let log = take_log(&unr);
-            assert_eq!(shape(&log), "SL", "{route:?}");
+            let sent = fail - 1;
+            let want = if sent == 0 { "L" } else { "SL" };
+            assert_eq!(shape(&log), want, "{case}");
+            if let Call::Seq { posts, in_flight } = &log[0] {
+                assert_eq!(*in_flight, nics, "{case}: every stripe registered first");
+                assert_eq!(posts.len(), sent, "{case}");
+            }
             assert_eq!(
                 unr.retries_in_flight(),
-                1,
-                "{route:?}: the stripe that left"
+                sent,
+                "{case}: the stripes that left"
             );
-            let Call::Complete { entries, locals } = &log[1] else {
+            let Call::Complete { entries, locals } = &log[log.len() - 1] else {
                 unreachable!()
             };
-            assert_eq!((entries.len(), locals.len()), (1, 0));
-            assert_eq!(sig.counter(), 1, "no local completion for a failed put");
+            assert_eq!((entries.len(), locals.len()), (sent, 0), "{case}");
+            // The armed entries are the first `sent` of the put's
+            // sequence numbers, the ones the transport wrote.
+            let seqs: Vec<u64> = entries.iter().map(|&(_, seq)| seq).collect();
+            assert_eq!(seqs, (0..sent as u64).collect::<Vec<_>>(), "{case}");
+            assert_eq!(
+                sig.counter(),
+                1,
+                "{case}: no local completion for a failed put"
+            );
         }
 
         let unr = engine(Channel::glex(), true, true, Route::Dgram, Some(1));

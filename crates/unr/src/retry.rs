@@ -489,21 +489,23 @@ impl RetryState {
     }
 
     /// Stamp post time and deadline on freshly registered entries
-    /// (on simnet: in scheduler context right after the posts). Returns
-    /// each entry's deadline so the caller can schedule wake-ups.
-    pub fn arm(&self, t: Ns, entries: &[(usize, u64)]) -> Vec<Ns> {
-        let mut deadlines = Vec::with_capacity(entries.len());
+    /// (on simnet: in scheduler context right after the posts), handing
+    /// each entry's deadline to `armed` so the caller can schedule
+    /// wake-ups.
+    pub fn arm(&self, t: Ns, entries: &[(usize, u64)], mut armed: impl FnMut(Ns)) {
         for &(dst, seq) in entries {
             let mut sh = self.shard(dst).lock();
             let queued = sh.queued_bytes;
-            if let Some(p) = sh.pending.get_mut(&seq) {
-                let rto = self.policy.rto(p.payload.len(), queued, 0);
-                p.first_post = t;
-                p.deadline = t + rto;
-                deadlines.push(p.deadline);
-            }
+            let Some(p) = sh.pending.get_mut(&seq) else {
+                continue;
+            };
+            let rto = self.policy.rto(p.payload.len(), queued, 0);
+            p.first_post = t;
+            p.deadline = t + rto;
+            let deadline = p.deadline;
+            drop(sh);
+            armed(deadline);
         }
-        deadlines
     }
 
     /// Process an ack from `src` for `seq`; returns the acked entry's
@@ -686,6 +688,13 @@ impl RetryState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`RetryState::arm`], collecting the deadlines it hands out.
+    fn armed(st: &RetryState, t: Ns, entries: &[(usize, u64)]) -> Vec<Ns> {
+        let mut deadlines = Vec::new();
+        st.arm(t, entries, |d| deadlines.push(d));
+        deadlines
+    }
     use unr_simnet::MemRegion;
 
     #[test]
@@ -749,7 +758,7 @@ mod tests {
         let st = state();
         let seq = st.alloc_seq(1);
         st.register(sub(1, seq, 64));
-        st.arm(500, &[(1, seq)]);
+        armed(&st, 500, &[(1, seq)]);
         assert_eq!(st.in_flight(), 1);
         assert_eq!(st.queued_bytes(1), 64);
         assert_eq!(st.ack(1, seq), Some(500));
@@ -776,7 +785,7 @@ mod tests {
         let mut s = sub(1, seq, 0);
         s.payload = snap.clone();
         st.register(s);
-        let dl = st.arm(0, &[(1, seq)]);
+        let dl = armed(&st, 0, &[(1, seq)]);
         let o = st.sweep(dl[0]);
         match &o.resends[0] {
             Resend::Rma { payload, .. } => {
@@ -797,7 +806,7 @@ mod tests {
         let st = state();
         let seq = st.alloc_seq(1);
         st.register(sub(1, seq, 64));
-        let dl = st.arm(0, &[(1, seq)]);
+        let dl = armed(&st, 0, &[(1, seq)]);
         // Attempt 1: still RMA (fallback_after = 2), NIC rotated.
         let o1 = st.sweep(dl[0]);
         assert_eq!(o1.resends.len(), 1);
@@ -834,7 +843,7 @@ mod tests {
         p.remote_key = 0;
         p.addend = 0;
         st.register(p);
-        let dl = st.arm(0, &[(3, seq)]);
+        let dl = armed(&st, 0, &[(3, seq)]);
         let mut at = dl[0];
         for attempt in 0..3 {
             let o = st.sweep(at);
@@ -865,7 +874,7 @@ mod tests {
         st.register(sub(2, s2, 64));
         let s1 = st.alloc_seq(1);
         st.register(sub(1, s1, 64));
-        let dl = st.arm(0, &[(2, s2), (1, s1)]);
+        let dl = armed(&st, 0, &[(2, s2), (1, s1)]);
         // Attempt 1 (both expired): still RMA, NICs rotate.
         let o1 = st.sweep(*dl.iter().max().unwrap());
         assert_eq!(o1.resends.len(), 2);
@@ -889,7 +898,7 @@ mod tests {
         let st = state();
         let seq = st.alloc_seq(2);
         st.register(sub(2, seq, 64));
-        let dl = st.arm(0, &[(2, seq)]);
+        let dl = armed(&st, 0, &[(2, seq)]);
         let o = st.sweep(dl[0] - 1);
         assert!(o.resends.is_empty());
         assert_eq!(st.in_flight(), 1);
@@ -912,7 +921,7 @@ mod tests {
         // An ack can legitimately beat `arm`; it settles the entry with
         // no post time to report.
         assert_eq!(st.ack(1, seq), Some(0));
-        assert_eq!(st.arm(500, &[(1, seq)]), Vec::<Ns>::new());
+        assert_eq!(armed(&st, 500, &[(1, seq)]), Vec::<Ns>::new());
     }
 
     #[test]
@@ -970,7 +979,7 @@ mod tests {
         );
         // A datagram resend is rebuilt from the fields, an aggregate's is
         // the stored frame: the same bytes as the first transmission.
-        st.arm(0, &[(1, d.seq), (1, r.seq), (2, a.seq)]);
+        armed(&st, 0, &[(1, d.seq), (1, r.seq), (2, a.seq)]);
         let o = st.sweep(1 << 40);
         let frames: Vec<&[u8]> = o
             .resends
@@ -1016,7 +1025,7 @@ mod tests {
         st.unregister(1, seqs[1]);
         st.unregister(1, seqs[1]);
         assert_eq!(st.in_flight(), 4);
-        let mut at = st.arm(0, &[(1, seqs[2])])[0];
+        let mut at = armed(&st, 0, &[(1, seqs[2])])[0];
         for _ in 0..policy().max_retries {
             at = st.sweep(at).new_deadlines[0];
         }
@@ -1049,8 +1058,8 @@ mod tests {
             None,
             "unarmed entries have no deadline yet"
         );
-        let d_early = st.arm(100, &[(2, early)])[0];
-        let d_late = st.arm(5_000, &[(1, late)])[0];
+        let d_early = armed(&st, 100, &[(2, early)])[0];
+        let d_late = armed(&st, 5_000, &[(1, late)])[0];
         assert!(d_early < d_late);
         // Nothing expired: the earliest of the unexpired ones.
         let o = st.sweep(d_early - 1);
@@ -1081,7 +1090,10 @@ mod tests {
         let st = state(); // two NICs
         let d = st.register_data(Route::Dgram, Bytes::new(), rkey(1), 0, 1, -1, 0);
         let a = st.register_agg(1, 1, &[], &[], &[]);
-        let mut at = *st.arm(0, &[(1, d.seq), (1, a.seq)]).iter().max().unwrap();
+        let mut at = *armed(&st, 0, &[(1, d.seq), (1, a.seq)])
+            .iter()
+            .max()
+            .unwrap();
         for attempt in 1..=3usize {
             let o = st.sweep(at);
             let nics: Vec<usize> = o
@@ -1111,7 +1123,7 @@ mod tests {
         let seq = one
             .register_data(Route::Dgram, Bytes::new(), rkey(1), 0, 1, -1, 0)
             .seq;
-        let at = one.arm(0, &[(1, seq)])[0];
+        let at = armed(&one, 0, &[(1, seq)])[0];
         assert!(matches!(
             one.sweep(at).resends[..],
             [Resend::Dgram { nic: 0, .. }]
@@ -1269,7 +1281,7 @@ mod tests {
         let died = std::thread::scope(|s| s.spawn(|| st.poison_for_tests()).join());
         assert!(died.is_err());
         let reg = st.register_data(Route::Dgram, Bytes::new(), rkey(0), 0, 1, -1, 0);
-        st.arm(1, &[(0, reg.seq)]);
+        armed(&st, 1, &[(0, reg.seq)]);
         assert!(st.accept(0, 0));
         assert_eq!(st.sweep(0).resends.len(), 0);
         assert_eq!(st.failure(), None);
@@ -1308,7 +1320,7 @@ mod tests {
                         st.register_data(Route::Dgram, Bytes::new(), rkey(dst), 0, 1, -1, 0)
                             .seq
                     };
-                    st.arm(i as Ns, &[(dst, seq)]);
+                    armed(st, i as Ns, &[(dst, seq)]);
                     tx.send((dst, seq)).unwrap();
                 }
             });

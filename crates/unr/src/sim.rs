@@ -51,8 +51,10 @@ impl Transport for SimTransport {
         self.sim.ep.region(id)
     }
 
-    fn put(&self, op: RmaOp<'_>, companion: Option<Vec<u8>>) -> Result<(), UnrError> {
-        self.sim.ep.put(PutOp {
+    fn put(&self, stripes: &[RmaOp<'_>], companion: Option<Vec<u8>>) -> Result<(), UnrError> {
+        let mut companion = companion.map(|c| (UNR_PORT, self.sim.stamp_ctrl(c)));
+        let last = stripes.len().saturating_sub(1);
+        let ops = stripes.iter().enumerate().map(|(i, op)| PutOp {
             src: op.local,
             src_offset: op.local_offset,
             len: op.len,
@@ -63,8 +65,9 @@ impl Transport for SimTransport {
             custom_remote: op.custom_remote,
             local_cq: self.local_cq(op.custom_local),
             notify_remote: op.custom_remote != 0,
-            companion: companion.map(|c| (UNR_PORT, self.sim.stamp_ctrl(c))),
-        })?;
+            companion: if i == last { companion.take() } else { None },
+        });
+        self.sim.ep.put_stripes(ops.collect())?;
         Ok(())
     }
 
@@ -84,23 +87,27 @@ impl Transport for SimTransport {
         Ok(())
     }
 
-    fn post_seq(&self, post: SeqPost<'_>) -> Result<(), UnrError> {
-        let frame = self.sim.stamp_ctrl(post.frame.into_vec());
-        match post.route {
-            Route::Rma => self.sim.ep.put_bytes(
-                post.payload.clone(),
-                post.dst,
-                post.dst_offset,
-                post.nic,
-                Some((UNR_PORT, frame)),
-            )?,
-            Route::Dgram | Route::Agg => {
-                self.sim
-                    .ep
-                    .send_dgram(post.dst.rank, UNR_PORT, frame, post.nic)
-            }
-        }
-        Ok(())
+    /// The first post in the rank's own scheduler entry, the rest as
+    /// its train. Only the first can fail — on its route, which every
+    /// stripe of a message shares but for a NIC the engine has already
+    /// taken modulo the rank's NICs — and then none is sent.
+    fn post_seq(&self, posts: Vec<SeqPost>) -> Result<(), (usize, UnrError)> {
+        let mut rest = posts.into_iter();
+        let Some(first) = rest.next() else {
+            return Ok(());
+        };
+        let (sim, steps) = (Arc::clone(&self.sim), rest.len());
+        self.sim.ep.actor().post_train(
+            |st, t| match self.sim.post_seq_at(st, t, first) {
+                Ok(overhead) => (Ok(()), overhead, steps),
+                Err(e) => (Err((0, e.into())), 0, 0),
+            },
+            move |st, t| {
+                let post = rest.next().expect("one step per sub-message");
+                sim.post_seq_at(st, t, post)
+                    .expect("a message's stripes share a route")
+            },
+        )
     }
 
     fn send_ctrl(&self, dst: usize, nic: NicSel, frame: Vec<u8>) -> Result<(), UnrError> {
@@ -122,9 +129,7 @@ impl Transport for SimTransport {
         // the local addends.
         self.sim.ep.actor().with_sched(|st, t| {
             if let Some(retry) = &core.retry {
-                for d in retry.arm(t, entries) {
-                    schedule_deadline(st, retry, d);
-                }
+                retry.arm(t, entries, |d| schedule_deadline(st, retry, d));
             }
             for &(key, addend) in locals {
                 if key != 0 {

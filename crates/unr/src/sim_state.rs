@@ -7,7 +7,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use unr_simnet::sync::Mutex;
 
-use unr_simnet::{Completion, CompletionKind, CompletionQueue, Endpoint, NicSel, Ns, Port, Sched};
+use unr_simnet::{
+    Completion, CompletionKind, CompletionQueue, Endpoint, FabricError, NicSel, Ns, Port, Sched,
+};
 
 use crate::channel::Mechanism;
 use crate::ctrl::{self, CtrlEvent, CtrlSink, HwMetrics};
@@ -17,11 +19,11 @@ use crate::error::UnrError;
 use crate::level::Encoding;
 use crate::metrics::RetryMetrics;
 use crate::post::UnrCore;
-use crate::retry::{Resend, RetryState};
+use crate::retry::{Resend, RetryState, Route};
 #[cfg(doc)]
 use crate::sim::SimTransport;
 use crate::sim::UNR_PORT;
-use crate::transport::CtrlFrame;
+use crate::transport::{CtrlFrame, SeqPost};
 use crate::wire::CtrlMsg;
 
 /// The simulated rank under the seam: what only a simnet engine has,
@@ -349,10 +351,40 @@ impl SimState {
         }
     }
 
+    /// The first transmission of one registered sub-message, at `t`
+    /// from this rank (scheduler context), stamped at its send as a
+    /// retransmission is; returns the post overhead to charge next.
+    pub(crate) fn post_seq_at(
+        &self,
+        sched: &mut Sched,
+        t: Ns,
+        post: SeqPost,
+    ) -> Result<Ns, FabricError> {
+        let frame = self.stamp_ctrl(post.frame.into_vec());
+        let ep = &self.ep;
+        match post.route {
+            Route::Rma => {
+                let companion = Some((UNR_PORT, frame));
+                ep.put_bytes_at(
+                    sched,
+                    t,
+                    post.payload,
+                    post.dst,
+                    post.dst_offset,
+                    post.nic,
+                    companion,
+                )
+            }
+            Route::Dgram | Route::Agg => {
+                Ok(ep.send_dgram_at(sched, t, post.dst.rank, UNR_PORT, frame, post.nic))
+            }
+        }
+    }
+
     /// One [`SimState::progress_pass`] on the rank's own actor (the
     /// progress of `UserDriven` mode), then its fallback copy and each
-    /// reply, one scheduler entry each — the agent's steps, on a
-    /// thread. Returns the number of events processed.
+    /// reply with its post overhead, one scheduler entry each — the
+    /// agent's steps, on a thread. Returns the number of events processed.
     pub(crate) fn progress_on(&self) -> usize {
         let actor = self.ep.actor();
         let mut replies = Vec::new();
@@ -362,8 +394,7 @@ impl SimState {
             actor.advance(self.fallback_cost(fb_bytes, fb_msgs));
         }
         for reply in replies {
-            let overhead = actor.with_sched(|st, t| self.send_reply_at(st, t, reply));
-            actor.advance(overhead);
+            actor.post(|st, t| ((), self.send_reply_at(st, t, reply)));
         }
         n
     }

@@ -12,10 +12,11 @@
 //! `unr.*` engine counter.
 //!
 //! **Below it**, the leaf operations the interconnects really disagree
-//! on: a native notified put and get of a *region range* (no snapshot
-//! crosses the seam — a transport that builds a wire frame copies the
-//! bytes out of the region once, into the frame), the first
-//! transmission of a sub-message the retry table has just buffered,
+//! on: a native notified put of the stripes of one message and a get,
+//! each of a *region range* (no snapshot crosses the seam — a transport
+//! that builds a wire frame copies the bytes out of the region once,
+//! into the frame), the first transmission of the sub-messages of one
+//! message, which the retry table has all buffered before the call,
 //! a standalone control frame, a virtual-time host charge, local
 //! completion plus deadline arming, peer liveness, the membership
 //! epoch, the one park a wait needs ([`crate::wait`] writes the
@@ -30,7 +31,11 @@
 //!
 //! * [`crate::sim::SimTransport`] — the deterministic simulator:
 //!   one `unr_simnet::Endpoint` call per method, in the order the
-//!   golden traces in `tests/` lock. It owns what only a simulated rank
+//!   golden traces in `tests/` lock. A message's stripes are one call
+//!   and one scheduler entry: the first stripe in the rank's own entry,
+//!   the rest as that entry's train, each one post overhead later
+//!   (`unr_simnet::ActorHandle::post_train`); the raw route's stripes
+//!   slice one snapshot of the block. It owns what only a simulated rank
 //!   has: the completion queue, the control port, the membership view
 //!   and the polling agent; regions are the fabric's own. Its park is a
 //!   scheduler wait; its clock is virtual.
@@ -99,7 +104,7 @@ pub struct RmaOp<'a> {
 /// The first transmission of a sub-message the retry table has just
 /// registered ([`crate::RetryState::register_data`] /
 /// [`crate::RetryState::register_agg`]).
-pub struct SeqPost<'a> {
+pub struct SeqPost {
     /// How it was registered: [`Route::Rma`] posts `payload` as an RMA
     /// put with `frame` as its companion; [`Route::Dgram`] and
     /// [`Route::Agg`] send `frame`, which carries the bytes itself, on
@@ -110,7 +115,7 @@ pub struct SeqPost<'a> {
     /// Byte offset inside the destination region.
     pub dst_offset: usize,
     /// The buffered payload, shared with the replay buffer.
-    pub payload: &'a Bytes,
+    pub payload: Bytes,
     /// The announcing control frame ([`crate::Registered::frame`]).
     pub frame: CtrlFrame,
     /// NIC carrying it.
@@ -166,17 +171,21 @@ pub trait Transport: Send + Sync {
     /// takes no lock and clones nothing.
     fn region(&self, id: u32) -> Option<&MemRegion>;
 
-    /// Native notified put. `companion`, if any, is a control frame
-    /// delivered to the target after the data, in order (level 0).
-    fn put(&self, op: RmaOp<'_>, companion: Option<Vec<u8>>) -> Result<(), UnrError>;
+    /// Native notified put of one message: its `stripes`, which read
+    /// one local region and tile one range of it, in order. `companion`,
+    /// if any, is a control frame delivered to the target after the
+    /// last stripe's data, in order (level 0).
+    fn put(&self, stripes: &[RmaOp<'_>], companion: Option<Vec<u8>>) -> Result<(), UnrError>;
 
     /// Native notified get.
     fn get(&self, op: RmaOp<'_>) -> Result<(), UnrError>;
 
-    /// First transmission of a registered sub-message (fault injection
-    /// of first transmissions lives here; retransmissions and acks do
-    /// not come this way). On `Err` the caller un-registers it.
-    fn post_seq(&self, post: SeqPost<'_>) -> Result<(), UnrError>;
+    /// First transmission of the registered sub-messages of one message,
+    /// in order (fault injection of first transmissions lives here;
+    /// retransmissions and acks do not come this way). Every one is in
+    /// the retry table before the call. On `Err((sent, e))` the first
+    /// `sent` are on the wire and the caller un-registers the rest.
+    fn post_seq(&self, posts: Vec<SeqPost>) -> Result<(), (usize, UnrError)>;
 
     /// Send a standalone, unsequenced control frame to rank `dst`.
     fn send_ctrl(&self, dst: usize, nic: NicSel, frame: Vec<u8>) -> Result<(), UnrError>;
@@ -188,7 +197,10 @@ pub trait Transport: Send + Sync {
 
     /// Arm the retransmit deadlines of the `(dst, seq)` `entries` just
     /// posted and apply the `(key, addend)` local completions of a
-    /// buffered send, as one step (one scheduler entry on simnet). Null
+    /// buffered send, as one step. On simnet that is one scheduler entry
+    /// of the rank's own, after the train of the post before it: the
+    /// entry waits for the last stripe, so the deadlines are armed (and
+    /// the next put registers) only once every stripe has left. Null
     /// keys are skipped; with nothing to do, nothing happens.
     fn complete(&self, entries: &[(usize, u64)], locals: &[(u64, i64)]);
 

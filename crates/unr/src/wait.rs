@@ -199,7 +199,7 @@ mod tests {
             len: 64,
         };
         let reg = retry.register_data(Route::Dgram, Bytes::from(vec![1; 4]), dst, 0, 0, 0, 0);
-        retry.arm(0, &[(1, reg.seq)]);
+        retry.arm(0, &[(1, reg.seq)], |_| {});
         reg.seq
     }
 
