@@ -156,24 +156,17 @@ impl Endpoint {
     /// Post a PUT (RMA write): one scheduler entry, which charges the
     /// post overhead too. Completion is asynchronous via CQs / signals.
     pub fn put(&self, op: PutOp<'_>) -> Result<(), FabricError> {
-        let route = self.check_put(&op)?;
-        // Snapshot the source (the DMA engine reads it at post time; the
-        // local completion tells the app when reuse is safe). The
-        // snapshot is shared, not owned: a fault-injected duplicate
-        // delivery reuses the same buffer.
-        let data = snapshot(op.src, op.src_offset, op.len)?;
-        let stripe = stripe(route, op, data);
-        self.actor
-            .post(|st, t| ((), post_stripe(&self.fabric, st, t, stripe)));
-        Ok(())
+        self.put_stripes(vec![op])
     }
 
     /// Post the stripes of one PUT. They read one source region, within
     /// the first one's start and the last one's end; that range is
-    /// snapshotted once, and each stripe carries its slice of it.
-    /// Otherwise each posts as [`Endpoint::put`] does. The first goes in
-    /// this actor's own scheduler entry and each later one a post
-    /// overhead after the one before, as that entry's train
+    /// snapshotted once (the DMA engine reads it at post time; the local
+    /// completion tells the app when reuse is safe), and each stripe
+    /// carries its slice — shared, not owned: a fault-injected duplicate
+    /// delivery reuses the same buffer. The first stripe goes in this
+    /// actor's own scheduler entry and each later one a post overhead
+    /// after the one before, as that entry's train
     /// ([`ActorHandle::post_train`]). A stripe that fails its checks
     /// fails the put before any stripe leaves.
     pub fn put_stripes(&self, ops: Vec<PutOp<'_>>) -> Result<(), FabricError> {
@@ -181,13 +174,26 @@ impl Endpoint {
             return Ok(());
         };
         let (src, base) = (first.src.rkey, first.src_offset);
-        let block = snapshot(first.src, base, last.src_offset + last.len - base)?;
+        let block = first
+            .src
+            .snapshot_shared(base, last.src_offset + last.len - base)
+            .map_err(|e| FabricError::OutOfBounds(e.to_string()))?;
+        let spec = self.fabric.cfg.iface;
         let mut stripes = Vec::with_capacity(ops.len());
         for op in ops {
             debug_assert_eq!(op.src.rkey, src, "the stripes of one put share a source");
-            let route = self.check_put(&op)?;
-            let data = block.slice(op.src_offset - base, op.len);
-            stripes.push(stripe(route, op, data));
+            let route = self.route(op.dst.rank, op.nic, true)?;
+            if op.notify_remote && spec.custom_bits.put_remote == 0 && !spec.hardware_atomic_add {
+                return Err(FabricError::NoRemoteNotify);
+            }
+            let cargo = Cargo {
+                data: block.slice(op.src_offset - base, op.len),
+                dst: op.dst,
+                dst_offset: op.dst_offset,
+                notify: op.notify_remote.then_some(op.custom_remote),
+                companion: op.companion,
+            };
+            stripes.push(Stripe(route, cargo, Some((op.local_cq, op.custom_local))));
         }
         let mut rest = stripes.into_iter();
         let first = rest.next().expect("a put has a stripe");
@@ -198,17 +204,6 @@ impl Endpoint {
             move |st, t| post_stripe(&fabric, st, t, rest.next().expect("one step per stripe")),
         );
         Ok(())
-    }
-
-    /// The checks a PUT passes before it is posted: its route, and a
-    /// remote notification only where the interface has one.
-    fn check_put(&self, op: &PutOp<'_>) -> Result<Route, FabricError> {
-        let route = self.route(op.dst.rank, op.nic, true)?;
-        let spec = self.fabric.cfg.iface;
-        if op.notify_remote && spec.custom_bits.put_remote == 0 && !spec.hardware_atomic_add {
-            return Err(FabricError::NoRemoteNotify);
-        }
-        Ok(route)
     }
 
     /// Post a PUT from an owned byte buffer, with no local or remote
@@ -432,24 +427,6 @@ impl Endpoint {
 /// A checked PUT sub-message: its route, its cargo and its local
 /// completion (a CQ and the raw bits; `None` for none at all).
 struct Stripe(Route, Cargo, Option<(Option<Arc<CompletionQueue>>, u128)>);
-
-/// `op` as a stripe carrying `data`, its source bytes.
-fn stripe(route: Route, op: PutOp<'_>, data: Bytes) -> Stripe {
-    let cargo = Cargo {
-        data,
-        dst: op.dst,
-        dst_offset: op.dst_offset,
-        notify: op.notify_remote.then_some(op.custom_remote),
-        companion: op.companion,
-    };
-    Stripe(route, cargo, Some((op.local_cq, op.custom_local)))
-}
-
-/// `len` bytes of `src` from `offset`, as the DMA engine reads them.
-fn snapshot(src: &MemRegion, offset: usize, len: usize) -> Result<Bytes, FabricError> {
-    src.snapshot_shared(offset, len)
-        .map_err(|e| FabricError::OutOfBounds(e.to_string()))
-}
 
 /// The body every PUT shares, at `t_post`: launch the sub-message, raise
 /// the local completion once the NIC has drained the source, never
