@@ -141,8 +141,13 @@ impl Transport for NetTransport {
     }
 
     /// One `PUT` frame per stripe, each copied out of the region into
-    /// its frame; the companion follows the last on its socket.
-    fn put(&self, stripes: &[RmaOp<'_>], mut companion: Option<Vec<u8>>) -> Result<(), UnrError> {
+    /// its frame; the companion follows the last on its socket. A dead
+    /// socket stops the loop and reports the stripes written before it.
+    fn put(
+        &self,
+        stripes: &[RmaOp<'_>],
+        mut companion: Option<Vec<u8>>,
+    ) -> Result<(), (usize, UnrError)> {
         for (i, op) in stripes.iter().enumerate() {
             let dst = op.remote.rank;
             let nic = self.nic(op.nic);
@@ -157,10 +162,11 @@ impl Transport for NetTransport {
                     op.local_offset,
                     op.len,
                 )
-                .map_err(|_| self.peer_failed(dst, PeerFailedCause::Killed))?;
+                .map_err(|_| (i, self.peer_failed(dst, PeerFailedCause::Killed)))?;
             if let Some(frame) = companion.take_if(|_| i + 1 == stripes.len()) {
                 // Same socket, so behind the data.
-                self.send_frame(dst, NicSel::Index(nic), CtrlFrame::Owned(frame))?;
+                self.send_frame(dst, NicSel::Index(nic), CtrlFrame::Owned(frame))
+                    .map_err(|e| (i + 1, e))?;
             }
             self.apply_local(op.custom_local);
         }

@@ -156,7 +156,7 @@ impl Endpoint {
     /// Post a PUT (RMA write): one scheduler entry, which charges the
     /// post overhead too. Completion is asynchronous via CQs / signals.
     pub fn put(&self, op: PutOp<'_>) -> Result<(), FabricError> {
-        self.put_stripes(vec![op])
+        self.put_stripes([op])
     }
 
     /// Post the stripes of one PUT. They read one source region, within
@@ -167,21 +167,31 @@ impl Endpoint {
     /// delivery reuses the same buffer. The first stripe goes in this
     /// actor's own scheduler entry and each later one a post overhead
     /// after the one before, as that entry's train
-    /// ([`ActorHandle::post_train`]). A stripe that fails its checks
+    /// ([`ActorHandle::post_train`]), which has run when this returns
+    /// ([`ActorHandle::wait_train`]): the caller's next read or write
+    /// sees the world at its own clock. A stripe that fails its checks
     /// fails the put before any stripe leaves.
-    pub fn put_stripes(&self, ops: Vec<PutOp<'_>>) -> Result<(), FabricError> {
-        let (Some(first), Some(last)) = (ops.first(), ops.last()) else {
+    pub fn put_stripes<'a, I>(&self, ops: I) -> Result<(), FabricError>
+    where
+        I: IntoIterator<Item = PutOp<'a>>,
+        I::IntoIter: DoubleEndedIterator,
+    {
+        let mut ops = ops.into_iter();
+        let Some(first) = ops.next() else {
             return Ok(());
         };
-        let (src, base) = (first.src.rkey, first.src_offset);
-        let block = first
-            .src
-            .snapshot_shared(base, last.src_offset + last.len - base)
+        let last = ops.next_back();
+        let (src, base) = (first.src, first.src_offset);
+        let end = last.as_ref().unwrap_or(&first);
+        let block = src
+            .snapshot_shared(base, end.src_offset + end.len - base)
             .map_err(|e| FabricError::OutOfBounds(e.to_string()))?;
         let spec = self.fabric.cfg.iface;
-        let mut stripes = Vec::with_capacity(ops.len());
-        for op in ops {
-            debug_assert_eq!(op.src.rkey, src, "the stripes of one put share a source");
+        let stripe = |op: PutOp<'_>| {
+            debug_assert_eq!(
+                op.src.rkey, src.rkey,
+                "the stripes of one put share a source"
+            );
             let route = self.route(op.dst.rank, op.nic, true)?;
             if op.notify_remote && spec.custom_bits.put_remote == 0 && !spec.hardware_atomic_add {
                 return Err(FabricError::NoRemoteNotify);
@@ -193,16 +203,21 @@ impl Endpoint {
                 notify: op.notify_remote.then_some(op.custom_remote),
                 companion: op.companion,
             };
-            stripes.push(Stripe(route, cargo, Some((op.local_cq, op.custom_local))));
-        }
-        let mut rest = stripes.into_iter();
-        let first = rest.next().expect("a put has a stripe");
-        let fabric = Arc::clone(&self.fabric);
+            Ok(Stripe(route, cargo, Some((op.local_cq, op.custom_local))))
+        };
+        let first = stripe(first)?;
+        // Empty, so no allocation, for an unstriped put.
+        let rest = ops.chain(last).map(stripe).collect::<Result<Vec<_>, _>>()?;
         let steps = rest.len();
+        let mut rest = rest.into_iter();
+        let fabric = Arc::clone(&self.fabric);
         self.actor.post_train(
             |st, t| ((), post_stripe(&self.fabric, st, t, first), steps),
             move |st, t| post_stripe(&fabric, st, t, rest.next().expect("one step per stripe")),
         );
+        if steps > 0 {
+            self.actor.wait_train();
+        }
         Ok(())
     }
 

@@ -30,7 +30,10 @@
 //! behind the train's last step, so the train costs its baton one
 //! hand-off at most, where an op per step cost one each. Its code until
 //! that call sees the world as of the op that left the train, and must
-//! write no state that a step, an event or another actor reads.
+//! write no state that a step, an event or another actor reads; a post
+//! that returns to code it does not own first waits for its train
+//! ([`ActorHandle::wait_train`]), as a striped `Endpoint::put_stripes`
+//! does.
 //!
 //! Events are boxed closures run *inside* the scheduler loop with the
 //! scheduler state borrowed mutably; they perform fabric effects (memory

@@ -124,7 +124,9 @@ impl ActorHandle {
     /// dispatches, as it runs a callback's, so the train costs no baton
     /// hand-off. This thread's next call waits behind the last step; its
     /// own code until then sees the world as of `f`, and must write no
-    /// state that a step, an event or another actor reads.
+    /// state that a step, an event or another actor reads; a caller
+    /// that returns to code it does not own ends that window first with
+    /// [`ActorHandle::wait_train`].
     pub fn post_train<R>(
         &self,
         f: impl FnOnce(&mut Sched, Ns) -> (R, Ns, usize),
@@ -142,6 +144,14 @@ impl ActorHandle {
             }
             r
         })
+    }
+
+    /// Wait until the train this actor's last op left, if any, has run,
+    /// and keep the turn: code after this sees the world at this actor's
+    /// clock, and the next call starts at once. It costs no hand-off of
+    /// its own: the next call would have waited behind the train.
+    pub fn wait_train(&self) {
+        drop(self.core.acquire(self.id));
     }
 
     /// Block until `pred` returns `true`. `pred` is evaluated under the

@@ -441,7 +441,9 @@ impl<T: Transport> Unr<T> {
                     custom_local,
                     custom_remote: 0,
                 };
-                self.tx.put(std::slice::from_ref(&op), companion)
+                self.tx
+                    .put(std::slice::from_ref(&op), companion)
+                    .map_err(|(_, e)| e)
             }
             Mechanism::Rma(enc) => {
                 self.put_rma(region, local, remote, local_sig, remote_sig, len, enc)
@@ -487,16 +489,13 @@ impl<T: Transport> Unr<T> {
         let k = self.stripes_for(len, local_sig, remote_sig, &enc);
         self.core.met.stripe_fanout.record(k as u64);
         let adds = striped_addends(k, self.core.table.n_bits());
-        let chunk = len / k;
-        let rem = len % k;
-        let mut off = 0usize;
-        let mut stripes = Vec::with_capacity(k);
-        for (i, &add) in adds.iter().enumerate() {
-            let this = chunk + usize::from(i < rem);
-            stripes.push(RmaOp {
+        let (chunk, rem) = (len / k, len % k);
+        let stripe = |i: usize| -> Result<RmaOp<'_>, UnrError> {
+            let off = i * chunk + i.min(rem);
+            Ok(RmaOp {
                 local: region,
                 local_offset: local.offset + off,
-                len: this,
+                len: chunk + usize::from(i < rem),
                 remote: remote.rkey(),
                 remote_offset: remote.offset + off,
                 nic: if k == 1 {
@@ -504,14 +503,24 @@ impl<T: Transport> Unr<T> {
                 } else {
                     NicSel::Index(i % self.core.facts.nics)
                 },
-                custom_local: enc.put_local.encode(notif_for(local_sig, add))?,
-                custom_remote: enc.put_remote.encode(notif_for(remote_sig, add))?,
-            });
-            off += this;
-        }
-        self.tx.put(&stripes, None)?;
-        self.count_sub_messages(k);
-        Ok(())
+                custom_local: enc.put_local.encode(notif_for(local_sig, adds[i]))?,
+                custom_remote: enc.put_remote.encode(notif_for(remote_sig, adds[i]))?,
+            })
+        };
+        // An unstriped put, the common one, builds no `Vec` of stripes.
+        let posted = if k == 1 {
+            self.tx.put(std::slice::from_ref(&stripe(0)?), None)
+        } else {
+            let stripes = (0..k).map(stripe).collect::<Result<Vec<_>, _>>()?;
+            self.tx.put(&stripes, None)
+        };
+        // Count what left, a failed put's stripes on the wire included.
+        let (sent, failed) = match posted {
+            Ok(()) => (k, None),
+            Err((sent, e)) => (sent, Some(e)),
+        };
+        self.count_sub_messages(sent);
+        failed.map_or(Ok(()), Err)
     }
 
     /// The error a latched-down reliable transport surfaces: the first
@@ -727,7 +736,7 @@ pub(crate) mod tests {
     /// One call across the seam, as the fake saw it.
     #[derive(Debug, Clone, PartialEq)]
     pub(crate) enum Call {
-        /// One put: every stripe of the message.
+        /// One put: the stripes of the message that reached the wire.
         Put {
             stripes: Vec<Stripe>,
             companion: Option<Vec<u8>>,
@@ -809,17 +818,31 @@ pub(crate) mod tests {
         fn region(&self, id: u32) -> Option<&MemRegion> {
             (id == REGION).then_some(&self.region)
         }
-        fn put(&self, stripes: &[RmaOp<'_>], companion: Option<Vec<u8>>) -> Result<(), UnrError> {
-            let stripes = stripes
-                .iter()
-                .map(|op| Stripe {
+        /// Logs the stripes that reached the wire, and the call even
+        /// when none did.
+        fn put(
+            &self,
+            stripes: &[RmaOp<'_>],
+            companion: Option<Vec<u8>>,
+        ) -> Result<(), (usize, UnrError)> {
+            let mut sent = Vec::new();
+            let mut failed = None;
+            for op in stripes {
+                if let Err(e) = self.send() {
+                    failed = Some((sent.len(), e));
+                    break;
+                }
+                sent.push(Stripe {
                     nic: op.nic,
                     range: (op.local_offset, op.len),
                     custom: (op.custom_local, op.custom_remote),
-                })
-                .collect();
-            self.log.lock().push(Call::Put { stripes, companion });
-            Ok(())
+                });
+            }
+            self.log.lock().push(Call::Put {
+                stripes: sent,
+                companion,
+            });
+            failed.map_or(Ok(()), Err)
         }
         fn get(&self, op: RmaOp<'_>) -> Result<(), UnrError> {
             self.log.lock().push(Call::Get {
@@ -827,7 +850,8 @@ pub(crate) mod tests {
             });
             Ok(())
         }
-        /// Logs the sub-messages that reached the wire, if any.
+        /// Logs the sub-messages that reached the wire, and the call
+        /// even when none did.
         fn post_seq(&self, posts: Vec<SeqPost>) -> Result<(), (usize, UnrError)> {
             let in_flight = self.retry.as_ref().map_or(0, |r| r.in_flight());
             let mut sent = Vec::new();
@@ -847,12 +871,10 @@ pub(crate) mod tests {
                     frame: post.frame.into_vec(),
                 });
             }
-            if !sent.is_empty() {
-                self.log.lock().push(Call::Seq {
-                    posts: sent,
-                    in_flight,
-                });
-            }
+            self.log.lock().push(Call::Seq {
+                posts: sent,
+                in_flight,
+            });
             failed.map_or(Ok(()), Err)
         }
         fn send_ctrl(&self, dst: usize, _nic: NicSel, frame: Vec<u8>) -> Result<(), UnrError> {
@@ -1411,20 +1433,17 @@ pub(crate) mod tests {
             );
             let log = take_log(&unr);
             let sent = fail - 1;
-            let want = if sent == 0 { "L" } else { "SL" };
-            assert_eq!(shape(&log), want, "{case}");
-            if let Call::Seq { posts, in_flight } = &log[0] {
-                assert_eq!(*in_flight, nics, "{case}: every stripe registered first");
-                assert_eq!(posts.len(), sent, "{case}");
-            }
+            let [Call::Seq { posts, in_flight }, Call::Complete { entries, locals }] = &log[..]
+            else {
+                panic!("{case}: want one post_seq and its complete, got {log:?}")
+            };
+            assert_eq!(*in_flight, nics, "{case}: every stripe registered first");
+            assert_eq!(posts.len(), sent, "{case}");
             assert_eq!(
                 unr.retries_in_flight(),
                 sent,
                 "{case}: the stripes that left"
             );
-            let Call::Complete { entries, locals } = &log[log.len() - 1] else {
-                unreachable!()
-            };
             assert_eq!((entries.len(), locals.len()), (sent, 0), "{case}");
             // The armed entries are the first `sent` of the put's
             // sequence numbers, the ones the transport wrote.
@@ -1441,9 +1460,44 @@ pub(crate) mod tests {
         let (local, remote) = pair(SMALL, SigKey::NULL, REMOTE_KEY, PEER);
         unr.put(&local, &remote).unwrap();
         assert!(matches!(unr.flush(), Err(UnrError::PeerFailed { .. })));
-        assert_eq!(shape(&take_log(&unr)), "$");
+        assert_eq!(shape(&take_log(&unr)), "$S");
         assert_eq!(unr.retries_in_flight(), 0, "the aggregate's entry is gone");
         assert_eq!(unr.agg_backlog(PEER), (0, 0));
+    }
+
+    /// A raw put that fails part-way counts the stripes that reached
+    /// the wire as sub-messages, no more and no fewer, and each stripe
+    /// is its share of the block.
+    #[test]
+    fn a_raw_put_that_fails_counts_the_stripes_that_left() {
+        for (nics, fail) in [(2, 1), (2, 2), (4, 3), (4, 4)] {
+            let case = format!("{nics} stripes, send {fail} fails");
+            let mut unr = engine(Channel::glex(), false, false, Route::Rma, Some(fail));
+            Arc::get_mut(&mut unr.core)
+                .expect("the fake keeps no core")
+                .facts
+                .nics = nics;
+            let (local, remote) = pair(BIG, SigKey::NULL, REMOTE_KEY, PEER);
+            let failed = unr.put(&local, &remote);
+            assert!(
+                matches!(failed, Err(UnrError::PeerFailed { rank: PEER, .. })),
+                "{case}"
+            );
+            let log = take_log(&unr);
+            let [Call::Put { stripes, .. }] = &log[..] else {
+                panic!("{case}: want one put, got {log:?}")
+            };
+            let sent = fail - 1;
+            let ranges: Vec<(usize, usize)> = stripes.iter().map(|s| s.range).collect();
+            let chunk = BIG / nics;
+            let want: Vec<(usize, usize)> = (0..sent).map(|i| (32 + i * chunk, chunk)).collect();
+            assert_eq!(ranges, want, "{case}");
+            assert_eq!(
+                unr.stats().sub_messages.load(Ordering::Relaxed),
+                sent as u64,
+                "{case}"
+            );
+        }
     }
 
     /// `unr.puts`, `unr.bytes_put`, the channel's and the level's

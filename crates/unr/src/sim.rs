@@ -51,7 +51,13 @@ impl Transport for SimTransport {
         self.sim.ep.region(id)
     }
 
-    fn put(&self, stripes: &[RmaOp<'_>], companion: Option<Vec<u8>>) -> Result<(), UnrError> {
+    /// One [`unr_simnet::Endpoint::put_stripes`]: every check is made
+    /// before the first stripe leaves, so a failed put sent none.
+    fn put(
+        &self,
+        stripes: &[RmaOp<'_>],
+        companion: Option<Vec<u8>>,
+    ) -> Result<(), (usize, UnrError)> {
         let mut companion = companion.map(|c| (UNR_PORT, self.sim.stamp_ctrl(c)));
         let last = stripes.len().saturating_sub(1);
         let ops = stripes.iter().enumerate().map(|(i, op)| PutOp {
@@ -67,8 +73,7 @@ impl Transport for SimTransport {
             notify_remote: op.custom_remote != 0,
             companion: if i == last { companion.take() } else { None },
         });
-        self.sim.ep.put_stripes(ops.collect())?;
-        Ok(())
+        self.sim.ep.put_stripes(ops).map_err(|e| (0, e.into()))
     }
 
     fn get(&self, op: RmaOp<'_>) -> Result<(), UnrError> {

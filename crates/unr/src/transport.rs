@@ -35,7 +35,8 @@
 //!   and one scheduler entry: the first stripe in the rank's own entry,
 //!   the rest as that entry's train, each one post overhead later
 //!   (`unr_simnet::ActorHandle::post_train`); the raw route's stripes
-//!   slice one snapshot of the block. It owns what only a simulated rank
+//!   slice one snapshot of the block, and its put returns once the
+//!   train has run (`unr_simnet::ActorHandle::wait_train`). It owns what only a simulated rank
 //!   has: the completion queue, the control port, the membership view
 //!   and the polling agent; regions are the fabric's own. Its park is a
 //!   scheduler wait; its clock is virtual.
@@ -174,8 +175,14 @@ pub trait Transport: Send + Sync {
     /// Native notified put of one message: its `stripes`, which read
     /// one local region and tile one range of it, in order. `companion`,
     /// if any, is a control frame delivered to the target after the
-    /// last stripe's data, in order (level 0).
-    fn put(&self, stripes: &[RmaOp<'_>], companion: Option<Vec<u8>>) -> Result<(), UnrError>;
+    /// last stripe's data, in order (level 0). On `Err((sent, e))` the
+    /// first `sent` stripes are on the wire. On simnet the put has
+    /// left, every stripe, when this returns.
+    fn put(
+        &self,
+        stripes: &[RmaOp<'_>],
+        companion: Option<Vec<u8>>,
+    ) -> Result<(), (usize, UnrError)>;
 
     /// Native notified get.
     fn get(&self, op: RmaOp<'_>) -> Result<(), UnrError>;

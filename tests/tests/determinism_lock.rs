@@ -338,3 +338,62 @@ fn golden_striped_storm_is_stable() {
         assert_eq!(got, want, "seed {seed}, {reliability:?}");
     }
 }
+
+/// A raw striped put returns with every stripe posted: the caller's
+/// code right after it sees the world at its own clock. A 4×2-rank,
+/// 4-NIC ring of raw 128 KiB puts with remote signals, where each rank,
+/// right after every put, reads its arrival signal (`counter`, `test`)
+/// and writes a marker byte where its neighbour's puts land, then
+/// enters the scheduler at that same clock (`Unr::now`) and reads both
+/// again. Everything due at or before the clock has run by then, so
+/// the two readings agree: no arrival earlier in virtual time may slip
+/// in behind the caller's reads and write.
+#[test]
+fn a_raw_striped_put_returns_with_the_world_at_its_callers_clock() {
+    const MSG: usize = 128 * 1024;
+    const PUTS: i64 = 8;
+    for seed in [1, 11] {
+        let mut cfg = Platform::th_xy().fabric_config(4, 2);
+        cfg.nics_per_node = 4;
+        cfg.seed = seed;
+        let fab = Fabric::new(cfg);
+        let ucfg = UnrConfig {
+            reliability: Reliability::Off,
+            ..UnrConfig::default()
+        };
+        let stale = run_mpi_on_fabric(&fab, MpiConfig::default(), move |comm| {
+            let unr = Unr::init(comm.ep_shared(), ucfg);
+            let (me, n) = (comm.rank(), comm.size());
+            let (src, dst) = ((me + n - 1) % n, (me + 1) % n);
+            let mem = unr.mem_reg(2 * MSG);
+            let arrived = unr.sig_init(PUTS);
+            let recv = unr.blk_init(&mem, MSG, MSG, Some(&arrived));
+            convert::send_blk(comm, src, 11, &recv);
+            let rmt = convert::recv_blk(comm, dst, 11);
+            let send = unr.blk_init(&mem, 0, MSG, None);
+            mem.write_bytes(0, &vec![me as u8; MSG]);
+            // Not a byte any put carries.
+            let marker = 0xA5;
+            let mut stale = 0;
+            for _ in 0..3 {
+                coll::barrier(comm);
+                for _ in 0..PUTS {
+                    unr.put(&send, &rmt).unwrap();
+                    let seen = (arrived.counter(), arrived.test());
+                    mem.write_bytes(MSG, &[marker]);
+                    unr.now();
+                    let mut kept = [0u8];
+                    mem.read_bytes(MSG, &mut kept);
+                    let now = (arrived.counter(), arrived.test());
+                    stale += usize::from(seen != now) + usize::from(kept[0] != marker);
+                }
+                unr.sig_wait(&arrived).unwrap();
+                unr.sig_reset(&arrived).unwrap();
+            }
+            let subs = unr.stats().sub_messages.load(Ordering::Relaxed);
+            assert_eq!(subs, 3 * 4 * PUTS as u64, "every put is four stripes");
+            stale
+        });
+        assert_eq!(stale, vec![0; 8], "seed {seed}: stale reads per rank");
+    }
+}
